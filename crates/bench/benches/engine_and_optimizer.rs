@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mvdesign::algebra::parse_query_with;
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
-use mvdesign::engine::{execute, measure, Generator, GeneratorConfig};
+use mvdesign::engine::{execute, measure, ExecContext, Generator, GeneratorConfig};
 use mvdesign::optimizer::Planner;
 use mvdesign::workload::paper_example;
 
@@ -21,13 +21,32 @@ fn bench_engine(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("engine");
     group.bench_function("execute/Q1_two_way_join", |b| {
-        b.iter(|| std::hint::black_box(execute(&q1, &db).expect("executes").len()))
+        b.iter(|| {
+            std::hint::black_box(
+                execute(&q1, &db, &ExecContext::default())
+                    .expect("executes")
+                    .len(),
+            )
+        })
     });
     group.bench_function("execute/Q3_four_way_join", |b| {
-        b.iter(|| std::hint::black_box(execute(&q3, &db).expect("executes").len()))
+        b.iter(|| {
+            std::hint::black_box(
+                execute(&q3, &db, &ExecContext::default())
+                    .expect("executes")
+                    .len(),
+            )
+        })
     });
     group.bench_function("measure/Q1_with_io_accounting", |b| {
-        b.iter(|| std::hint::black_box(measure(&q1, &db, 10.0).expect("measures").1.total()))
+        b.iter(|| {
+            std::hint::black_box(
+                measure(&q1, &db, 10.0, &ExecContext::default())
+                    .expect("measures")
+                    .1
+                    .total(),
+            )
+        })
     });
     group.finish();
 }

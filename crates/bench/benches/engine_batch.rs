@@ -9,10 +9,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mvdesign::algebra::{AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate};
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
-    execute_with, row_reference, selection_mask, selection_mask_full, Database, Generator,
-    GeneratorConfig, JoinAlgo,
+    execute, selection_mask, Database, ExecContext, Generator, GeneratorConfig, JoinAlgo,
 };
 use mvdesign::workload::{StarSchema, StarSchemaConfig};
+use mvdesign_verify::row_reference;
 
 fn star_db() -> Database {
     let scenario = StarSchema::with_config(StarSchemaConfig {
@@ -104,13 +104,17 @@ fn bench_batch_kernels(c: &mut Criterion) {
         ("join_sort_merge", &join, JoinAlgo::SortMerge),
         ("hash_aggregate", &aggregate, JoinAlgo::NestedLoop),
     ] {
+        let ctx = ExecContext {
+            join_algo: algo,
+            ..ExecContext::default()
+        };
         group.bench_function(format!("batch/{name}"), |b| {
-            b.iter(|| std::hint::black_box(execute_with(expr, &db, algo).expect("executes").len()))
+            b.iter(|| std::hint::black_box(execute(expr, &db, &ctx).expect("executes").len()))
         });
         group.bench_function(format!("row_reference/{name}"), |b| {
             b.iter(|| {
                 std::hint::black_box(
-                    row_reference::execute_with(expr, &db, algo)
+                    row_reference::execute(expr, &db, algo)
                         .expect("executes")
                         .len(),
                 )
@@ -154,31 +158,29 @@ fn bench_dict_kernels(c: &mut Criterion) {
         ("join_hash_text", &join_text, JoinAlgo::Hash),
         ("hash_aggregate_dict", &aggregate_text, JoinAlgo::NestedLoop),
     ] {
+        let ctx = ExecContext {
+            join_algo: algo,
+            ..ExecContext::default()
+        };
         group.bench_function(format!("batch/{name}"), |b| {
-            b.iter(|| std::hint::black_box(execute_with(expr, &db, algo).expect("executes").len()))
+            b.iter(|| std::hint::black_box(execute(expr, &db, &ctx).expect("executes").len()))
         });
         group.bench_function(format!("row_reference/{name}"), |b| {
             b.iter(|| {
                 std::hint::black_box(
-                    row_reference::execute_with(expr, &db, algo)
+                    row_reference::execute(expr, &db, algo)
                         .expect("executes")
                         .len(),
                 )
             })
         });
     }
-    // The selection-vector ablation: adaptive survivor-index evaluation vs
-    // the full-width kernels on the same selective conjunction.
+    // Adaptive survivor-index evaluation of a selective conjunction.
     let tfact = db.table("TFact").expect("tfact").batch();
+    let ctx = ExecContext::default();
     group.bench_function("mask/selection_vector", |b| {
         b.iter(|| {
-            let mask = selection_mask(&selective, tfact).expect("mask");
-            std::hint::black_box(tfact.filter(&mask).rows())
-        })
-    });
-    group.bench_function("mask/full_width", |b| {
-        b.iter(|| {
-            let mask = selection_mask_full(&selective, tfact).expect("mask");
+            let mask = selection_mask(&selective, tfact, &ctx).expect("mask");
             std::hint::black_box(tfact.filter(&mask).rows())
         })
     });

@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mvdesign::algebra::{AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate};
-use mvdesign::engine::{
-    execute_with, execute_with_context, Batch, Column, Database, ExecContext, JoinAlgo, Table,
-};
+use mvdesign::engine::{execute, Batch, Column, Database, ExecContext, JoinAlgo, Table};
 
 const FACT_ROWS: usize = 200_000;
 const DIM_ROWS: usize = 5_000;
@@ -83,32 +81,30 @@ fn bench_parallel_kernels(c: &mut Criterion) {
     thread_counts.dedup();
 
     let mut group = c.benchmark_group("engine_parallel");
-    for (name, expr, algo) in [
+    for (name, expr, join_algo) in [
         ("scan_filter", &scan, JoinAlgo::NestedLoop),
         ("join_hash", &join, JoinAlgo::Hash),
         ("hash_aggregate", &aggregate, JoinAlgo::NestedLoop),
     ] {
-        let baseline = execute_with(expr, &db, algo).expect("executes");
+        let single = ExecContext {
+            join_algo,
+            ..ExecContext::default()
+        };
+        let baseline = execute(expr, &db, &single).expect("executes");
         for &threads in &thread_counts {
             let ctx = ExecContext {
                 threads,
                 morsel_rows: MORSEL_ROWS,
-                mem_budget: None,
+                ..single
             };
-            let out = execute_with_context(expr, &db, algo, &ctx).expect("executes");
+            let out = execute(expr, &db, &ctx).expect("executes");
             assert_eq!(
                 baseline.batch(),
                 out.batch(),
                 "{name}: morsel result differs at {threads} thread(s)"
             );
             group.bench_function(format!("{name}/threads_{threads}"), |b| {
-                b.iter(|| {
-                    std::hint::black_box(
-                        execute_with_context(expr, &db, algo, &ctx)
-                            .expect("executes")
-                            .len(),
-                    )
-                })
+                b.iter(|| std::hint::black_box(execute(expr, &db, &ctx).expect("executes").len()))
             });
         }
     }

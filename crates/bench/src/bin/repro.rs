@@ -1,9 +1,12 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! cargo run -p mvdesign-bench --bin repro            # everything
+//! cargo run -p mvdesign-bench --bin repro            # the paper's tables/figures + extensions
 //! cargo run -p mvdesign-bench --bin repro table2     # one artifact
+//! cargo run -p mvdesign-bench --bin repro perf       # perf*/audit run only when named
 //! ```
+//!
+//! An unknown name prints the list of sections to stderr and exits 2.
 //!
 //! Artifacts: `table1`, `table2`, `fig2`, `fig3`, `fig5`, `fig6`, `fig7`,
 //! `fig8`, `fig9` (the paper), and the extensions `distributed`, `ablation`,
@@ -50,75 +53,58 @@ use mvdesign::optimizer::{pull_up, Planner};
 use mvdesign::workload::{paper_example, paper_figure7_example, StarSchema, StarSchemaConfig};
 use mvdesign_bench::{join_node, paper_annotated, table2_rows};
 
-fn main() {
-    let filter: Option<String> = std::env::args().nth(1);
-    let want = |name: &str| filter.as_deref().is_none_or(|f| f == name);
+/// The paper's tables and figures plus the model extensions, in print
+/// order: what a bare `repro` regenerates.
+const PAPER_SECTIONS: &[(&str, fn())] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("distributed", distributed),
+    ("ablation", ablation),
+    ("sweep", sweep),
+    ("algorithms", algorithms),
+    ("mqp", mqp),
+    ("scale", scale),
+    ("simulate", simulate),
+    ("tpch", tpch),
+    ("breakeven", breakeven),
+];
 
-    if want("table1") {
-        table1();
-    }
-    if want("table2") {
-        table2();
-    }
-    if want("fig2") {
-        fig2();
-    }
-    if want("fig3") {
-        fig3();
-    }
-    if want("fig5") {
-        fig5();
-    }
-    if want("fig6") {
-        fig6();
-    }
-    if want("fig7") || want("fig8") {
-        fig7_fig8(filter.as_deref());
-    }
-    if want("fig9") {
-        fig9();
-    }
-    if want("distributed") {
-        distributed();
-    }
-    if want("ablation") {
-        ablation();
-    }
-    if want("sweep") {
-        sweep();
-    }
-    if want("algorithms") {
-        algorithms();
-    }
-    if want("mqp") {
-        mqp();
-    }
-    if want("scale") {
-        scale();
-    }
-    if want("simulate") {
-        simulate();
-    }
-    if want("tpch") {
-        tpch();
-    }
-    if want("breakeven") {
-        breakeven();
-    }
-    if want("perf") {
-        perf();
-    }
-    if want("perf-engine") {
-        perf_engine();
-    }
-    if want("perf-maintain") {
-        perf_maintain();
-    }
-    if want("perf-serve") {
-        perf_serve();
-    }
-    if want("audit") {
-        audit();
+/// Sections that run only when named: the `perf*` runs take minutes and
+/// rewrite the checked-in `BENCH_*.json`, and `audit` is a gate, not an
+/// artifact.
+const NAMED_SECTIONS: &[(&str, fn())] = &[
+    ("perf", perf),
+    ("perf-engine", perf_engine),
+    ("perf-maintain", perf_maintain),
+    ("perf-serve", perf_serve),
+    ("audit", audit),
+];
+
+fn main() {
+    let Some(name) = std::env::args().nth(1) else {
+        for (_, run) in PAPER_SECTIONS {
+            run();
+        }
+        return;
+    };
+    let known = || PAPER_SECTIONS.iter().chain(NAMED_SECTIONS);
+    match known().find(|(n, _)| *n == name) {
+        Some((_, run)) => run(),
+        None => {
+            let names: Vec<&str> = known().map(|(n, _)| *n).collect();
+            eprintln!(
+                "repro: unknown section `{name}`; one of: {}",
+                names.join(", ")
+            );
+            std::process::exit(2);
+        }
     }
 }
 
@@ -302,53 +288,47 @@ fn fig6() {
     );
 }
 
-fn fig7_fig8(filter: Option<&str>) {
+/// The Figure-7 workload merged into its first candidate MVPP — what both
+/// Figure 7 and Figure 8 print from.
+fn figure7_mvpp() -> mvdesign::core::Mvpp {
     let scenario = paper_figure7_example();
     let est = CostEstimator::new(
         &scenario.catalog,
         EstimationMode::Calibrated,
         PaperCostModel::default(),
     );
-    if filter.is_none_or(|f| f == "fig7") {
-        section("Figure 7: merged MVPP before select/project push-down");
-        // "Before optimization" = each query keeps its own σ above the shared
-        // join; the leaves are raw base relations. We show this by merging
-        // with push-down disabled conceptually: print the per-query roots.
-        let mvpp = &generate_mvpps(
-            &scenario.workload,
-            &est,
-            &Planner::new(),
-            GenerateConfig { max_rotations: 1 },
-        )[0];
-        for (name, fq, root) in mvpp.roots() {
-            println!("{name} (fq={fq}): {}", mvpp.node(*root).expr());
-        }
+    let config = GenerateConfig { max_rotations: 1 };
+    generate_mvpps(&scenario.workload, &est, &Planner::new(), config).swap_remove(0)
+}
+
+fn fig7() {
+    section("Figure 7: merged MVPP before select/project push-down");
+    // "Before optimization" = each query keeps its own σ above the shared
+    // join; the leaves are raw base relations. We show this by merging
+    // with push-down disabled conceptually: print the per-query roots.
+    let mvpp = figure7_mvpp();
+    for (name, fq, root) in mvpp.roots() {
+        println!("{name} (fq={fq}): {}", mvpp.node(*root).expr());
     }
-    if filter.is_none_or(|f| f == "fig8") {
-        section("Figure 8: MVPP after push-down (disjunctive σ, union π at leaves)");
-        let mvpp = &generate_mvpps(
-            &scenario.workload,
-            &est,
-            &Planner::new(),
-            GenerateConfig { max_rotations: 1 },
-        )[0];
-        for n in mvpp.nodes() {
-            if let Expr::Select { input, predicate } = &**n.expr() {
-                if input.is_base() {
-                    println!("leaf filter on {}: {}", input, predicate);
-                }
-            }
-            if let Expr::Project { input, attrs } = &**n.expr() {
-                if matches!(&**input, Expr::Select { input: b, .. } if b.is_base())
-                    || input.is_base()
-                {
-                    let names: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
-                    println!("leaf projection over {}: [{}]", input, names.join(", "));
-                }
+}
+
+fn fig8() {
+    section("Figure 8: MVPP after push-down (disjunctive σ, union π at leaves)");
+    let mvpp = figure7_mvpp();
+    for n in mvpp.nodes() {
+        if let Expr::Select { input, predicate } = &**n.expr() {
+            if input.is_base() {
+                println!("leaf filter on {}: {}", input, predicate);
             }
         }
-        println!("\nDOT:\n{}", mvpp.to_dot("figure8"));
+        if let Expr::Project { input, attrs } = &**n.expr() {
+            if matches!(&**input, Expr::Select { input: b, .. } if b.is_base()) || input.is_base() {
+                let names: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
+                println!("leaf projection over {}: [{}]", input, names.join(", "));
+            }
+        }
     }
+    println!("\nDOT:\n{}", mvpp.to_dot("figure8"));
 }
 
 fn fig9() {
@@ -1096,8 +1076,8 @@ fn perf_maintain() {
                 &design,
                 JoinAlgo::Hash,
             )
-            .expect("warehouse builds")
-            .with_refresh_policy(policy);
+            .expect("warehouse builds");
+            w.set_refresh_policy(policy);
             for (rel, rows) in &batches {
                 w.append(rel.clone(), rows.clone())
                     .expect("append is valid");
@@ -1631,13 +1611,13 @@ fn perf_serve() {
 }
 
 /// Wall-clock comparison of the columnar batch engine against the preserved
-/// tuple-at-a-time reference (`mvdesign::engine::row_reference`) on
+/// tuple-at-a-time reference (`mvdesign_verify::row_reference`) on
 /// star-schema scan, join (nested-loop and hash) and aggregation
 /// microbenchmarks over generated data, plus a dictionary-keyed catalog that
 /// pits the text-key join/aggregate kernels against the int-key fast path
-/// and the selection-vector scan against the full-width mask evaluation
-/// (the `"baseline"` field names what each row was measured against). Both
-/// sides are asserted bag-equal (masks bit-identical) before timing. A
+/// and runs a selective selection-vector scan (the `"baseline"` field names
+/// what each row was measured against). Both sides are asserted bag-equal
+/// before timing. A
 /// second section times the morsel-driven parallel engine on a 1M-row
 /// scenario at several thread counts (default 1, 2 and all cores;
 /// `--threads N` adds an explicit count), asserting every parallel result
@@ -1651,10 +1631,8 @@ fn perf_serve() {
 fn perf_engine() {
     use mvdesign::algebra::{AggExpr, AggFunc, AttrRef, CompareOp, JoinCondition, Predicate};
     use mvdesign::catalog::{AttrType, Catalog};
-    use mvdesign::engine::{
-        execute_with, row_reference, selection_mask, selection_mask_full, Generator,
-        GeneratorConfig, JoinAlgo,
-    };
+    use mvdesign::engine::{execute, ExecContext, Generator, GeneratorConfig, JoinAlgo};
+    use mvdesign_verify::row_reference;
 
     section("Perf: columnar batch engine vs tuple-at-a-time reference");
     let cores = mvdesign_bench::host_cores();
@@ -1798,7 +1776,7 @@ fn perf_engine() {
         Predicate::cmp(AttrRef::new("TFact", "grade"), CompareOp::Ne, "v4"),
         Predicate::cmp(AttrRef::new("TFact", "flag"), CompareOp::Eq, 1),
     ]);
-    let scan_selective = Expr::select(Expr::base("TFact"), selective.clone());
+    let scan_selective = Expr::select(Expr::base("TFact"), selective);
 
     type Case<'a> = (
         &'a str,
@@ -1881,10 +1859,14 @@ fn perf_engine() {
     let mut rows_json: Vec<String> = Vec::new();
     let mut batch_times: std::collections::HashMap<&str, f64> = std::collections::HashMap::new();
     for (kernel, expr, algo, rows_in, data) in cases {
-        let reference = row_reference::execute_with(expr, data, algo)
+        let ctx = ExecContext {
+            join_algo: algo,
+            ..ExecContext::default()
+        };
+        let reference = row_reference::execute(expr, data, algo)
             .expect("reference executes")
             .canonicalized();
-        let batch = execute_with(expr, data, algo)
+        let batch = execute(expr, data, &ctx)
             .expect("batch executes")
             .canonicalized();
         assert_eq!(
@@ -1894,15 +1876,11 @@ fn perf_engine() {
         );
         let rows_out = batch.len();
         let row_ms = time_ms(|| {
-            row_reference::execute_with(expr, data, algo)
+            row_reference::execute(expr, data, algo)
                 .expect("reference executes")
                 .len()
         });
-        let batch_ms = time_ms(|| {
-            execute_with(expr, data, algo)
-                .expect("batch executes")
-                .len()
-        });
+        let batch_ms = time_ms(|| execute(expr, data, &ctx).expect("batch executes").len());
         batch_times.insert(kernel, batch_ms);
         engine_row(
             &mut rows_json,
@@ -1915,38 +1893,10 @@ fn perf_engine() {
         );
     }
 
-    // The selection-vector ablation: the same selective predicate evaluated
-    // with the PR 4 full-width kernels (every conjunct touches every row)
-    // against the adaptive survivor-index path, masks asserted bit-identical
-    // before timing. Both sides run mask + filter on the resident base batch.
-    let tfact = tdb.table("TFact").expect("tfact").batch();
-    let adaptive = selection_mask(&selective, tfact).expect("adaptive mask");
-    let full = selection_mask_full(&selective, tfact).expect("full mask");
-    assert_eq!(adaptive, full, "adaptive and full-width masks must agree");
-    let full_ms = time_ms(|| {
-        let mask = selection_mask_full(&selective, tfact).expect("full mask");
-        tfact.filter(&mask).rows()
-    });
-    let adaptive_ms = time_ms(|| {
-        let mask = selection_mask(&selective, tfact).expect("adaptive mask");
-        tfact.filter(&mask).rows()
-    });
-    let kept = adaptive.iter().filter(|k| **k).count();
-    engine_row(
-        &mut rows_json,
-        "scan-filter-selective",
-        "full-mask",
-        tfact_rows,
-        kept,
-        full_ms,
-        adaptive_ms,
-    );
-
     let text_vs_int = batch_times["join-hash-text"] / batch_times["join-hash-int-key"].max(1e-9);
     println!(
         "\ntext-key hash join vs int-key fast path: {text_vs_int:.2}x batch time \
-         (target: within 2x); selection vectors vs full-width masks: {:.1}x",
-        full_ms / adaptive_ms.max(1e-9)
+         (target: within 2x)"
     );
     perf_engine_parallel(&mut rows_json, &thread_counts);
     perf_engine_paged(&mut rows_json, mem_budget);
@@ -1965,10 +1915,7 @@ fn perf_engine_parallel(rows_json: &mut Vec<String>, thread_counts: &[usize]) {
     use std::sync::Arc;
 
     use mvdesign::algebra::{AggExpr, AggFunc, AttrRef, CompareOp, JoinCondition, Predicate};
-    use mvdesign::engine::{
-        execute_with_context, Batch, Column, Database, ExecContext, JoinAlgo, Table,
-        DEFAULT_MORSEL_ROWS,
-    };
+    use mvdesign::engine::{execute, Batch, Column, Database, ExecContext, JoinAlgo, Table};
 
     const FACT_ROWS: usize = 1_000_000;
     const DIM_ROWS: usize = 10_000;
@@ -2037,31 +1984,22 @@ fn perf_engine_parallel(rows_json: &mut Vec<String>, thread_counts: &[usize]) {
         "\n{:<22} {:>8} {:>9} {:>12} {:>9} {:>16}",
         "kernel (morsels)", "threads", "rows out", "batch ms", "scaling", "batch rows/s"
     );
-    for (kernel, expr, algo, rows_in) in cases {
+    for (kernel, expr, join_algo, rows_in) in cases {
         let single = ExecContext {
-            threads: 1,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            mem_budget: None,
+            join_algo,
+            ..ExecContext::default()
         };
-        let baseline = execute_with_context(expr, &db, algo, &single).expect("executes");
+        let baseline = execute(expr, &db, &single).expect("executes");
         let mut single_ms = f64::NAN;
         for &threads in thread_counts {
-            let ctx = ExecContext {
-                threads,
-                morsel_rows: DEFAULT_MORSEL_ROWS,
-                mem_budget: None,
-            };
-            let out = execute_with_context(expr, &db, algo, &ctx).expect("executes");
+            let ctx = ExecContext { threads, ..single };
+            let out = execute(expr, &db, &ctx).expect("executes");
             assert_eq!(
                 baseline.batch(),
                 out.batch(),
                 "{kernel}: morsel result differs at {threads} thread(s)"
             );
-            let ms = time_ms(|| {
-                execute_with_context(expr, &db, algo, &ctx)
-                    .expect("executes")
-                    .len()
-            });
+            let ms = time_ms(|| execute(expr, &db, &ctx).expect("executes").len());
             if threads == 1 {
                 single_ms = ms;
             }
@@ -2094,15 +2032,15 @@ fn perf_engine_parallel(rows_json: &mut Vec<String>, thread_counts: &[usize]) {
 /// records the per-operator measured-vs-predicted block-access
 /// differential: predicted blocks from the paper's `iosim` model with one
 /// block per page, measured block reads from the pool's cold-start miss
-/// counters ([`measure_paged`](mvdesign::engine::measure_paged)), plus the
-/// relative error between them.
+/// counters ([`measure`](mvdesign::engine::measure)), plus the relative
+/// error between them.
 fn perf_engine_paged(rows_json: &mut Vec<String>, budget_override: Option<usize>) {
     use std::sync::Arc;
 
     use mvdesign::algebra::{AggExpr, AggFunc, AttrRef, CompareOp, JoinCondition, Predicate};
     use mvdesign::engine::{
-        batch_bytes, execute_with_context, measure_paged, Batch, BufferPool, Column, Database,
-        ExecContext, JoinAlgo, Table, DEFAULT_MORSEL_ROWS, DEFAULT_PAGE_ROWS,
+        batch_bytes, execute, measure, Batch, BufferPool, Column, Database, ExecContext, JoinAlgo,
+        Table, DEFAULT_PAGE_ROWS,
     };
 
     const FACT_ROWS: usize = 200_000;
@@ -2188,34 +2126,27 @@ fn perf_engine_paged(rows_json: &mut Vec<String>, budget_override: Option<usize>
         "kernel (paged)", "budget B", "rows out", "batch ms", "batch rows/s"
     );
     for &budget in &budgets {
-        for &(kernel, expr, algo, rows_in) in &cases {
+        for &(kernel, expr, join_algo, rows_in) in &cases {
             let resident_ctx = ExecContext {
-                threads: 1,
-                morsel_rows: DEFAULT_MORSEL_ROWS,
-                mem_budget: None,
+                join_algo,
+                ..ExecContext::default()
             };
-            let baseline =
-                execute_with_context(expr, &resident, algo, &resident_ctx).expect("resident");
+            let baseline = execute(expr, &resident, &resident_ctx).expect("resident");
 
             let mut pdb = resident.clone();
             let pool = BufferPool::new(Some(budget));
             pdb.page_out(&pool, DEFAULT_PAGE_ROWS);
             let ctx = ExecContext {
-                threads: 1,
-                morsel_rows: DEFAULT_MORSEL_ROWS,
                 mem_budget: Some(budget),
+                ..resident_ctx
             };
-            let out = execute_with_context(expr, &pdb, algo, &ctx).expect("paged executes");
+            let out = execute(expr, &pdb, &ctx).expect("paged executes");
             assert_eq!(
                 baseline.batch(),
                 out.batch(),
                 "{kernel}: paged result differs at budget {budget}"
             );
-            let ms = time_ms(|| {
-                execute_with_context(expr, &pdb, algo, &ctx)
-                    .expect("paged executes")
-                    .len()
-            });
+            let ms = time_ms(|| execute(expr, &pdb, &ctx).expect("paged executes").len());
             if budget * 8 <= data_bytes {
                 assert!(
                     pool.stats().evictions > 0,
@@ -2228,8 +2159,7 @@ fn perf_engine_paged(rows_json: &mut Vec<String>, budget_override: Option<usize>
             let mut cold = resident.clone();
             let cold_pool = BufferPool::new(Some(budget));
             cold.page_out(&cold_pool, DEFAULT_PAGE_ROWS);
-            let (_, io) =
-                measure_paged(expr, &cold, DEFAULT_PAGE_ROWS as f64, &ctx).expect("measures");
+            let (_, io) = measure(expr, &cold, DEFAULT_PAGE_ROWS as f64, &ctx).expect("measures");
             let mut ops: Vec<String> = Vec::new();
             let mut ops_text = String::new();
             for (op, charge) in io.per_operator() {

@@ -276,7 +276,9 @@ mod tests {
             Expr::base("Div"),
             Predicate::cmp(AttrRef::new("Div", "city"), CompareOp::Eq, "v0"),
         );
-        let hits = crate::exec::execute(&e, &db).unwrap().len() as f64;
+        let hits = crate::exec::execute(&e, &db, &crate::ExecContext::default())
+            .unwrap()
+            .len() as f64;
         let frac = hits / 500.0;
         assert!(
             (0.002..=0.1).contains(&frac),
@@ -293,7 +295,7 @@ mod tests {
             Expr::base("Div"),
             JoinCondition::on(AttrRef::new("Pd", "Did"), AttrRef::new("Div", "Did")),
         );
-        let out = crate::exec::execute(&e, &db).unwrap();
+        let out = crate::exec::execute(&e, &db, &crate::ExecContext::default()).unwrap();
         assert!(!out.is_empty(), "join produced no rows");
         // Expected ≈ |Pd|·|Div|/d = 1000·500/500 = 1000 rows.
         let n = out.len() as f64;

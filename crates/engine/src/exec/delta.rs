@@ -23,8 +23,7 @@ use mvdesign_algebra::delta::{maintenance_plan, Delta, DeltaMode, MaintenancePla
 use mvdesign_algebra::{AggExpr, AggFunc, AttrRef, Expr, ExprArena, RelName, Value};
 
 use super::{
-    aggregate_batch, execute_with_context, join_batch, project_batch, select_batch, ExecContext,
-    ExecError, JoinAlgo,
+    aggregate_batch, execute, join_batch, project_batch, select_batch, ExecContext, ExecError,
 };
 use crate::batch::{Batch, Column};
 use crate::table::{Database, Table};
@@ -99,7 +98,6 @@ pub fn execute_delta(
     expr: &Arc<Expr>,
     old: &Database,
     deltas: &DeltaMap,
-    algo: JoinAlgo,
     ctx: &ExecContext,
 ) -> Result<Option<Delta<Batch>>, ExecError> {
     match &**expr {
@@ -117,7 +115,7 @@ pub fn execute_delta(
             )))
         }
         Expr::Select { input, predicate } => {
-            let Some(d) = execute_delta(input, old, deltas, algo, ctx)? else {
+            let Some(d) = execute_delta(input, old, deltas, ctx)? else {
                 return Ok(None);
             };
             Ok(Some(Delta::new(
@@ -126,7 +124,7 @@ pub fn execute_delta(
             )))
         }
         Expr::Project { input, attrs } => {
-            let Some(d) = execute_delta(input, old, deltas, algo, ctx)? else {
+            let Some(d) = execute_delta(input, old, deltas, ctx)? else {
                 return Ok(None);
             };
             Ok(Some(Delta::new(
@@ -135,10 +133,10 @@ pub fn execute_delta(
             )))
         }
         Expr::Join { left, right, on } => {
-            let Some(dl) = execute_delta(left, old, deltas, algo, ctx)? else {
+            let Some(dl) = execute_delta(left, old, deltas, ctx)? else {
                 return Ok(None);
             };
-            let Some(dr) = execute_delta(right, old, deltas, algo, ctx)? else {
+            let Some(dr) = execute_delta(right, old, deltas, ctx)? else {
                 return Ok(None);
             };
             // Deletions through a join need the counting algorithm; the
@@ -148,15 +146,15 @@ pub fn execute_delta(
                 return Ok(None);
             }
             // ΔL⋈ΔR also fixes the joined schema for the empty fallback.
-            let both = join_batch(&dl.insert, &dr.insert, on, algo, ctx)?;
+            let both = join_batch(&dl.insert, &dr.insert, on, ctx)?;
             let mut terms: Vec<Batch> = Vec::with_capacity(3);
             if dl.insert.rows() > 0 {
-                let old_right = execute_with_context(right, old, algo, ctx)?.into_batch();
-                terms.push(join_batch(&dl.insert, &old_right, on, algo, ctx)?);
+                let old_right = execute(right, old, ctx)?.into_batch();
+                terms.push(join_batch(&dl.insert, &old_right, on, ctx)?);
             }
             if dr.insert.rows() > 0 {
-                let old_left = execute_with_context(left, old, algo, ctx)?.into_batch();
-                terms.push(join_batch(&old_left, &dr.insert, on, algo, ctx)?);
+                let old_left = execute(left, old, ctx)?.into_batch();
+                terms.push(join_batch(&old_left, &dr.insert, on, ctx)?);
             }
             terms.push(both);
             let attrs = terms[terms.len() - 1].attrs().to_vec();
@@ -182,7 +180,6 @@ pub fn refresh_view_delta(
     definition: &Arc<Expr>,
     old: &Database,
     deltas: &DeltaMap,
-    algo: JoinAlgo,
     ctx: &ExecContext,
 ) -> Result<Option<Batch>, ExecError> {
     let mut changed: BTreeMap<RelName, DeltaMode> = BTreeMap::new();
@@ -201,7 +198,7 @@ pub fn refresh_view_delta(
         MaintenancePlan::Noop => Ok(Some(old_view.clone())),
         MaintenancePlan::Recompute(_) => Ok(None),
         MaintenancePlan::Apply(_) => {
-            let Some(d) = execute_delta(definition, old, deltas, algo, ctx)? else {
+            let Some(d) = execute_delta(definition, old, deltas, ctx)? else {
                 return Ok(None);
             };
             Ok(apply_spj(old_view, &d))
@@ -215,7 +212,7 @@ pub fn refresh_view_delta(
             else {
                 return Ok(None);
             };
-            let Some(d) = execute_delta(input, old, deltas, algo, ctx)? else {
+            let Some(d) = execute_delta(input, old, deltas, ctx)? else {
                 return Ok(None);
             };
             let ins = aggregate_batch(&d.insert, group_by, aggs, ctx)?;
@@ -357,6 +354,7 @@ fn rows_to_batch(attrs: &[AttrRef], rows: Vec<Vec<Value>>) -> Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JoinAlgo;
     use mvdesign_algebra::{CompareOp, JoinCondition, Predicate};
 
     fn attr(rel: &str, a: &str) -> AttrRef {
@@ -415,14 +413,17 @@ mod tests {
             .unwrap()
             .extend_rows(vec![ints(&[1, 9]), ints(&[3, 6])]);
 
-        let ctx = ExecContext::default();
-        let d = execute_delta(&expr, &old, &deltas, JoinAlgo::Hash, &ctx)
+        let ctx = ExecContext {
+            join_algo: JoinAlgo::Hash,
+            ..ExecContext::default()
+        };
+        let d = execute_delta(&expr, &old, &deltas, &ctx)
             .unwrap()
             .expect("insert deltas propagate through joins");
         assert_eq!(d.delete.rows(), 0);
 
-        let old_out = execute_with_context(&expr, &old, JoinAlgo::Hash, &ctx).unwrap();
-        let new_out = execute_with_context(&expr, &new, JoinAlgo::Hash, &ctx).unwrap();
+        let old_out = execute(&expr, &old, &ctx).unwrap();
+        let new_out = execute(&expr, &new, &ctx).unwrap();
         let mut folded: Vec<Vec<Value>> = old_out.batch().to_rows();
         folded.extend(d.insert.to_rows());
         folded.sort();
@@ -446,15 +447,9 @@ mod tests {
                 rows_to_batch(&r_attrs, vec![ints(&[2, 20])]),
             ),
         );
-        let d = execute_delta(
-            &expr,
-            &old,
-            &deltas,
-            JoinAlgo::NestedLoop,
-            &ExecContext::default(),
-        )
-        .unwrap()
-        .expect("σ passes deltas through");
+        let d = execute_delta(&expr, &old, &deltas, &ExecContext::default())
+            .unwrap()
+            .expect("σ passes deltas through");
         assert_eq!(d.insert.to_rows(), vec![ints(&[4, 5])]);
         assert_eq!(d.delete.to_rows(), vec![ints(&[2, 20])]);
     }
@@ -475,14 +470,7 @@ mod tests {
                 rows_to_batch(&r_attrs, vec![ints(&[1, 10])]),
             ),
         );
-        let out = execute_delta(
-            &expr,
-            &old,
-            &deltas,
-            JoinAlgo::Hash,
-            &ExecContext::default(),
-        )
-        .unwrap();
+        let out = execute_delta(&expr, &old, &deltas, &ExecContext::default()).unwrap();
         assert!(out.is_none(), "join deltas with deletions must fall back");
     }
 
@@ -494,9 +482,7 @@ mod tests {
             Predicate::cmp(attr("R", "v"), CompareOp::Lt, 100),
         );
         let ctx = ExecContext::default();
-        let view = execute_with_context(&expr, &old, JoinAlgo::NestedLoop, &ctx)
-            .unwrap()
-            .into_batch();
+        let view = execute(&expr, &old, &ctx).unwrap().into_batch();
         let mut deltas = DeltaMap::new();
         deltas.insert(
             RelName::new("R"),
@@ -505,7 +491,7 @@ mod tests {
                 rows_to_batch(&r_attrs, vec![ints(&[2, 20])]),
             ),
         );
-        let new_view = refresh_view_delta(&view, &expr, &old, &deltas, JoinAlgo::NestedLoop, &ctx)
+        let new_view = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
             .unwrap()
             .expect("σ view maintains deletes");
         assert_eq!(
@@ -527,21 +513,17 @@ mod tests {
             ],
         );
         let ctx = ExecContext::default();
-        let view = execute_with_context(&expr, &old, JoinAlgo::NestedLoop, &ctx)
-            .unwrap()
-            .into_batch();
+        let view = execute(&expr, &old, &ctx).unwrap().into_batch();
         let appended = vec![ints(&[1, 99]), ints(&[5, 1])];
         let mut deltas = DeltaMap::new();
         deltas.insert(RelName::new("R"), insert_only(&r_attrs, appended.clone()));
-        let folded = refresh_view_delta(&view, &expr, &old, &deltas, JoinAlgo::NestedLoop, &ctx)
+        let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
             .unwrap()
             .expect("count/sum/max fold inserts");
 
         let mut new = old.clone();
         new.table_mut("R").unwrap().extend_rows(appended);
-        let want = execute_with_context(&expr, &new, JoinAlgo::NestedLoop, &ctx)
-            .unwrap()
-            .into_batch();
+        let want = execute(&expr, &new, &ctx).unwrap().into_batch();
         let mut got_rows = folded.to_rows();
         got_rows.sort();
         let mut want_rows = want.to_rows();
@@ -561,9 +543,7 @@ mod tests {
             ],
         );
         let ctx = ExecContext::default();
-        let view = execute_with_context(&expr, &old, JoinAlgo::NestedLoop, &ctx)
-            .unwrap()
-            .into_batch();
+        let view = execute(&expr, &old, &ctx).unwrap().into_batch();
         // Delete the only row of group k=2: the group must vanish.
         let mut deltas = DeltaMap::new();
         deltas.insert(
@@ -573,7 +553,7 @@ mod tests {
                 rows_to_batch(&r_attrs, vec![ints(&[2, 20])]),
             ),
         );
-        let folded = refresh_view_delta(&view, &expr, &old, &deltas, JoinAlgo::NestedLoop, &ctx)
+        let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
             .unwrap()
             .expect("count/sum fold deletes");
         assert_eq!(folded.to_rows(), vec![ints(&[1, 2, 40])]);

@@ -4,9 +4,9 @@
 //! per operator (not once per row), predicates evaluate as vectorised
 //! comparisons over typed columns, and joins produce index vectors that a
 //! single typed [`Batch::gather`] turns into output columns. The
-//! tuple-at-a-time implementation this replaced survives unchanged in
-//! [`crate::row_reference`] as the differential baseline; both engines are
-//! property-tested to produce identical bags.
+//! tuple-at-a-time implementation this replaced lives on outside the
+//! engine, as `mvdesign-verify`'s row reference, the differential baseline;
+//! both engines are property-tested to produce identical bags.
 //!
 //! Two adaptive refinements sit on top of the kernels. Joins and aggregates
 //! whose keys are integer-, date- or dictionary-backed run over raw `i64`
@@ -17,10 +17,10 @@
 //! a text column a real distinct count; intersection commutes, so the order
 //! is free), starts with full-width mask kernels and, once few enough rows
 //! survive, evaluates the remaining conjuncts only at the surviving
-//! indices ([`selection_mask_full`] keeps the always-full-width behaviour
-//! as the differential baseline).
+//! indices (the row reference's per-row predicate evaluation is the
+//! differential baseline).
 //!
-//! On top of both sits morsel-driven parallelism (see [`morsel`]): an
+//! On top of both sits morsel-driven parallelism (see [`morsel`]): the
 //! [`ExecContext`] — default single-threaded — lets the hot kernels split
 //! their input into fixed-size morsels and fan out across scoped worker
 //! threads. Per-morsel partial results merge **in morsel order**, never in
@@ -40,7 +40,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use mvdesign_algebra::{
-    AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate, RelName, Rhs, Value,
+    AggExpr, AggFunc, AttrRef, CompareOp, Comparison, Expr, JoinCondition, Predicate, RelName, Rhs,
+    Value,
 };
 
 use crate::batch::{Batch, Column};
@@ -52,7 +53,7 @@ use keys::{
 };
 use morsel::{run_morsels, run_tasks};
 pub use morsel::{ExecContext, DEFAULT_MORSEL_ROWS};
-pub(crate) use paged::{aggregate_view, exec_view, join_view, project_view, select_view, View};
+pub(crate) use paged::{exec_view, View};
 
 /// Errors raised while executing an expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +79,7 @@ impl fmt::Display for ExecError {
 
 impl Error for ExecError {}
 
-/// The physical join algorithm used by [`execute_with`].
+/// The physical join algorithm, chosen by [`ExecContext::join_algo`].
 ///
 /// All three produce identical bags; they differ in the I/O pattern the cost
 /// models charge for (`PaperCostModel` assumes `NestedLoop`,
@@ -95,54 +96,28 @@ pub enum JoinAlgo {
 }
 
 /// Evaluates an SPJ expression against a database, producing a result
-/// table with bag semantics.
+/// table with bag semantics — the engine's one execution entry point.
 ///
-/// Selection is a linear scan, join is a naive nested loop, projection keeps
-/// duplicates — exactly the operator algorithms the paper's cost model
-/// assumes, executed as columnar batch kernels. Use [`execute_with`] to pick
-/// a different join algorithm, or [`execute_with_context`] to run the hot
-/// kernels across cores.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] when a base relation is missing from the database
-/// or an attribute reference cannot be resolved.
-pub fn execute(expr: &Arc<Expr>, db: &Database) -> Result<Table, ExecError> {
-    execute_with(expr, db, JoinAlgo::NestedLoop)
-}
-
-/// Like [`execute`], with an explicit physical join algorithm.
+/// Under [`ExecContext::default`] selection is a linear scan, join is a
+/// naive nested loop and projection keeps duplicates — exactly the operator
+/// algorithms the paper's cost model assumes, executed as columnar batch
+/// kernels. The context picks a different join algorithm, fans the hot
+/// kernels out across cores or bounds operator memory; the result is
+/// bag-identical under every join algorithm and bit-identical under every
+/// thread count, morsel size and memory budget.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError`] when a base relation is missing from the database
 /// or an attribute reference cannot be resolved.
-pub fn execute_with(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<Table, ExecError> {
-    execute_with_context(expr, db, algo, &ExecContext::default())
-}
-
-/// Like [`execute_with`], with explicit execution knobs: thread count and
-/// morsel size (see [`ExecContext`]). The result is bit-identical to
-/// [`execute_with`] for every context — parallel kernels merge per-morsel
-/// partials in morsel order, so only wall-clock changes.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] when a base relation is missing from the database
-/// or an attribute reference cannot be resolved.
-pub fn execute_with_context(
-    expr: &Arc<Expr>,
-    db: &Database,
-    algo: JoinAlgo,
-    ctx: &ExecContext,
-) -> Result<Table, ExecError> {
+pub fn execute(expr: &Arc<Expr>, db: &Database, ctx: &ExecContext) -> Result<Table, ExecError> {
     match &**expr {
         Expr::Base(name) => db
             .table(name.as_str())
             .cloned()
             .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
         _ => {
-            let view = exec_view(expr, db, algo, ctx)?;
+            let view = exec_view(expr, db, ctx, &mut |_, _, _| {})?;
             Ok(Table::from_batch(op_label(expr), view.into_batch()))
         }
     }
@@ -166,7 +141,7 @@ pub(crate) fn select_batch(
     predicate: &Predicate,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
-    let mask = selection_mask_with(predicate, batch, ctx)?;
+    let mask = selection_mask(predicate, batch, ctx)?;
     Ok(batch.filter(&mask))
 }
 
@@ -185,13 +160,12 @@ pub(crate) fn project_batch(batch: &Batch, attrs: &[AttrRef]) -> Result<Batch, E
 }
 
 /// Join kernel: resolves the condition to column offsets once, produces
-/// matching (left, right) index vectors under the requested algorithm, then
+/// matching (left, right) index vectors under the context's algorithm, then
 /// gathers both sides and glues them.
 pub(crate) fn join_batch(
     l: &Batch,
     r: &Batch,
     on: &JoinCondition,
-    algo: JoinAlgo,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
     // Resolve each condition pair to (left index, right index).
@@ -208,11 +182,11 @@ pub(crate) fn join_batch(
     }
     let lcols: Vec<&Column> = pairs.iter().map(|&(li, _)| l.column(li)).collect();
     let rcols: Vec<&Column> = pairs.iter().map(|&(_, ri)| r.column(ri)).collect();
-    let (lidx, ridx) = join_indices(l.rows(), r.rows(), &lcols, &rcols, algo, ctx)?;
+    let (lidx, ridx) = join_indices(l.rows(), r.rows(), &lcols, &rcols, ctx)?;
     Ok(Batch::hstack(&l.gather(&lidx), &r.gather(&ridx)))
 }
 
-/// Dispatches the resolved key columns to the requested join algorithm.
+/// Dispatches the resolved key columns to the context's join algorithm.
 /// Shared by the resident kernel ([`join_batch`]) and the paged view kernel,
 /// so both sides of the differential battery run the very same index code.
 fn join_indices(
@@ -220,10 +194,9 @@ fn join_indices(
     rn: usize,
     lcols: &[&Column],
     rcols: &[&Column],
-    algo: JoinAlgo,
     ctx: &ExecContext,
 ) -> Result<(Vec<usize>, Vec<usize>), ExecError> {
-    match algo {
+    match ctx.join_algo {
         JoinAlgo::NestedLoop => Ok(nested_loop_indices(ln, rn, lcols, rcols, ctx)),
         JoinAlgo::Hash => hash_indices(ln, rn, lcols, rcols, ctx),
         // Sort-merge stays single-threaded: the sort dominates its cost and
@@ -957,6 +930,8 @@ fn aggregate_spill(
 /// queries rewritten against the view (see `mvdesign-core`'s `ViewCatalog`)
 /// can read it as a base table. The stored table keeps the definition's
 /// qualified attributes and its columnar layout — no row materialization.
+/// Like [`execute`], the stored view is bag-identical under every join
+/// algorithm and bit-identical under every other context field.
 ///
 /// # Errors
 ///
@@ -965,24 +940,9 @@ pub fn materialize_view(
     name: impl Into<RelName>,
     definition: &Arc<Expr>,
     db: &mut Database,
-) -> Result<(), ExecError> {
-    materialize_view_with(name, definition, db, &ExecContext::default())
-}
-
-/// Like [`materialize_view`], with explicit execution knobs. The stored
-/// view is bit-identical for every context — only refresh wall-clock
-/// changes.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] from evaluating the definition.
-pub fn materialize_view_with(
-    name: impl Into<RelName>,
-    definition: &Arc<Expr>,
-    db: &mut Database,
     ctx: &ExecContext,
 ) -> Result<(), ExecError> {
-    let result = execute_with_context(definition, db, JoinAlgo::NestedLoop, ctx)?;
+    let result = execute(definition, db, ctx)?;
     db.insert_table(Table::from_batch(name, result.into_batch()));
     Ok(())
 }
@@ -1003,28 +963,20 @@ const SELECTION_VECTOR_DENSITY_DEN: usize = 8;
 /// conjuncts evaluate only over the surviving row indices.
 /// Disjunctions are handled symmetrically — once most rows are already
 /// accepted, remaining disjuncts evaluate only over the still-undecided
-/// rows. Predicates are pure, so the result is bit-identical to
-/// [`selection_mask_full`] (pinned by a regression test).
+/// rows.
+///
+/// Under a parallel context the batch splits into morsels, each morsel
+/// evaluates the adaptive mask independently (short-circuiting within the
+/// morsel), and the per-morsel masks concatenate in morsel order.
+/// Predicates are pure per-row functions, so the mask is bit-identical to
+/// row-at-a-time evaluation for every context (pinned against the row
+/// reference in `tests/engine_batch.rs`).
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::MissingAttr`] when the predicate references an
 /// attribute the batch does not carry.
-pub fn selection_mask(predicate: &Predicate, batch: &Batch) -> Result<Vec<bool>, ExecError> {
-    selection_mask_with(predicate, batch, &ExecContext::default())
-}
-
-/// Like [`selection_mask`], with explicit execution knobs. Under a parallel
-/// context the batch splits into morsels, each morsel evaluates the
-/// adaptive mask independently (short-circuiting within the morsel), and
-/// the per-morsel masks concatenate in morsel order. Predicates are pure
-/// per-row functions, so the mask is bit-identical for every context.
-///
-/// # Errors
-///
-/// Returns [`ExecError::MissingAttr`] when the predicate references an
-/// attribute the batch does not carry.
-pub fn selection_mask_with(
+pub fn selection_mask(
     predicate: &Predicate,
     batch: &Batch,
     ctx: &ExecContext,
@@ -1049,73 +1001,34 @@ pub fn selection_mask_with(
     Ok(mask)
 }
 
-/// Evaluates `predicate` into a keep-mask with full-width vectorised
-/// kernels only — every conjunct and disjunct touches every row. This is
-/// the pre-selection-vector behaviour, kept public as the differential and
-/// benchmark baseline for [`selection_mask`].
-///
-/// # Errors
-///
-/// Returns [`ExecError::MissingAttr`] when the predicate references an
-/// attribute the batch does not carry.
-pub fn selection_mask_full(predicate: &Predicate, batch: &Batch) -> Result<Vec<bool>, ExecError> {
-    let mut mask = vec![true; batch.rows()];
-    and_predicate(predicate, batch, &mut mask, 0)?;
-    Ok(mask)
-}
-
-/// ANDs `predicate`'s value into `mask`, column-at-a-time (full-width
-/// kernels, no selection vectors). `mask` covers batch rows
-/// `start .. start + mask.len()` — the morsel being evaluated.
-fn and_predicate(
-    p: &Predicate,
+/// ANDs one comparison into `mask` with a full-width vectorised kernel.
+/// `mask` covers batch rows `start .. start + mask.len()` — the morsel being
+/// evaluated.
+fn and_comparison(
+    c: &Comparison,
     b: &Batch,
     mask: &mut [bool],
     start: usize,
 ) -> Result<(), ExecError> {
-    match p {
-        Predicate::True => Ok(()),
-        Predicate::Cmp(c) => {
-            let li = b
-                .index_of(&c.attr)
-                .ok_or_else(|| ExecError::MissingAttr(c.attr.clone()))?;
-            match &c.rhs {
-                Rhs::Literal(v) => b.column(li).compare_literal_and_from(c.op, v, start, mask),
-                Rhs::Attr(a) => {
-                    let ri = b
-                        .index_of(a)
-                        .ok_or_else(|| ExecError::MissingAttr(a.clone()))?;
-                    b.column(li)
-                        .compare_column_and_from(c.op, b.column(ri), start, mask);
-                }
-            }
-            Ok(())
-        }
-        Predicate::And(ps) => {
-            for p in ps {
-                and_predicate(p, b, mask, start)?;
-            }
-            Ok(())
-        }
-        Predicate::Or(ps) => {
-            let mut any = vec![false; mask.len()];
-            for p in ps {
-                let mut sub = vec![true; mask.len()];
-                and_predicate(p, b, &mut sub, start)?;
-                for (a, s) in any.iter_mut().zip(&sub) {
-                    *a = *a || *s;
-                }
-            }
-            for (m, a) in mask.iter_mut().zip(&any) {
-                *m = *m && *a;
-            }
-            Ok(())
+    let li = b
+        .index_of(&c.attr)
+        .ok_or_else(|| ExecError::MissingAttr(c.attr.clone()))?;
+    match &c.rhs {
+        Rhs::Literal(v) => b.column(li).compare_literal_and_from(c.op, v, start, mask),
+        Rhs::Attr(a) => {
+            let ri = b
+                .index_of(a)
+                .ok_or_else(|| ExecError::MissingAttr(a.clone()))?;
+            b.column(li)
+                .compare_column_and_from(c.op, b.column(ri), start, mask);
         }
     }
+    Ok(())
 }
 
-/// Like [`and_predicate`], but switches from full-width kernels to
-/// survivor-index (selection-vector) evaluation when density drops. The
+/// ANDs `p`'s value into `mask`, starting with full-width kernels and
+/// switching to survivor-index (selection-vector) evaluation when density
+/// drops. `mask` covers batch rows `start .. start + mask.len()`. The
 /// switch is decided per morsel (`mask` is one morsel starting at batch row
 /// `start`; survivor indices are absolute batch rows), so each morsel
 /// short-circuits independently without changing any mask bit.
@@ -1127,13 +1040,14 @@ fn and_predicate_adaptive(
 ) -> Result<(), ExecError> {
     let rows = mask.len();
     match p {
-        Predicate::True | Predicate::Cmp(_) => and_predicate(p, b, mask, start),
+        Predicate::True => Ok(()),
+        Predicate::Cmp(c) => and_comparison(c, b, mask, start),
         Predicate::And(ps) => {
             // Conjunct intersection commutes, so the evaluation order is
             // free to choose — but only after every attribute offset has
             // been resolved in the predicate's own order, which pins the
-            // surfaced `MissingAttr` error to what the full-width path
-            // reports.
+            // surfaced `MissingAttr` error to the first unresolvable
+            // attribute as written — what row-at-a-time evaluation reports.
             resolve_attrs(p, b)?;
             let mut order: Vec<(f64, usize)> = ps
                 .iter()
@@ -1199,9 +1113,8 @@ fn and_predicate_adaptive(
 
 /// Resolves every attribute offset in `p` — in the predicate's own
 /// left-to-right order, without evaluating anything — and returns the first
-/// failure. Both evaluation paths surface resolution errors regardless of
-/// mask state, so running this before reordering conjuncts keeps the
-/// adaptive path's error behaviour identical to the full-width kernels'.
+/// failure. Running this before reordering conjuncts keeps the surfaced
+/// error independent of the selectivity estimates that pick the order.
 fn resolve_attrs(p: &Predicate, b: &Batch) -> Result<(), ExecError> {
     match p {
         Predicate::True => Ok(()),
@@ -1388,6 +1301,11 @@ mod tests {
     use super::*;
     use mvdesign_algebra::{parse_query, CompareOp, JoinCondition};
 
+    /// Runs `e` under the default context — the paper's discipline.
+    fn run(e: &Arc<Expr>, db: &Database) -> Result<Table, ExecError> {
+        execute(e, db, &ExecContext::default())
+    }
+
     fn db() -> Database {
         let mut db = Database::new();
         db.insert_table(Table::new(
@@ -1422,7 +1340,7 @@ mod tests {
     fn paper_query1_shape_executes() {
         let q = parse_query("SELECT Pd.name FROM Pd, Div WHERE Div.city='LA' AND Pd.Did=Div.Did")
             .unwrap();
-        let out = execute(&q, &db()).unwrap();
+        let out = run(&q, &db()).unwrap();
         let mut names: Vec<String> = out.rows().iter().map(|r| r[0].to_string()).collect();
         names.sort();
         assert_eq!(names, ["'sprocket'", "'widget'"]);
@@ -1434,7 +1352,7 @@ mod tests {
             Expr::base("Div"),
             Predicate::cmp(AttrRef::new("Div", "city"), CompareOp::Eq, "LA"),
         );
-        assert_eq!(execute(&e, &db()).unwrap().len(), 1);
+        assert_eq!(run(&e, &db()).unwrap().len(), 1);
     }
 
     #[test]
@@ -1444,7 +1362,7 @@ mod tests {
             Expr::base("Div"),
             JoinCondition::on(AttrRef::new("Pd", "Did"), AttrRef::new("Div", "Did")),
         );
-        let out = execute(&e, &db()).unwrap();
+        let out = run(&e, &db()).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out.attrs().len(), 6);
     }
@@ -1452,13 +1370,13 @@ mod tests {
     #[test]
     fn cross_join_multiplies() {
         let e = Expr::join(Expr::base("Pd"), Expr::base("Div"), JoinCondition::cross());
-        assert_eq!(execute(&e, &db()).unwrap().len(), 6);
+        assert_eq!(run(&e, &db()).unwrap().len(), 6);
     }
 
     #[test]
     fn projection_keeps_duplicates() {
         let e = Expr::project(Expr::base("Pd"), [AttrRef::new("Pd", "Did")]);
-        let out = execute(&e, &db()).unwrap();
+        let out = run(&e, &db()).unwrap();
         assert_eq!(out.len(), 3); // two rows share Did=10, both kept
     }
 
@@ -1471,7 +1389,7 @@ mod tests {
                 Predicate::cmp(AttrRef::new("Div", "city"), CompareOp::Eq, "NY"),
             ]),
         );
-        assert_eq!(execute(&e, &db()).unwrap().len(), 2);
+        assert_eq!(run(&e, &db()).unwrap().len(), 2);
     }
 
     #[test]
@@ -1484,22 +1402,19 @@ mod tests {
                 rhs: Rhs::Attr(AttrRef::new("Pd", "Did")),
             }),
         );
-        assert_eq!(execute(&e, &db()).unwrap().len(), 3);
+        assert_eq!(run(&e, &db()).unwrap().len(), 3);
     }
 
     #[test]
     fn missing_relation_errors() {
         let e = Expr::base("Ghost");
-        assert!(matches!(
-            execute(&e, &db()),
-            Err(ExecError::UnknownRelation(_))
-        ));
+        assert!(matches!(run(&e, &db()), Err(ExecError::UnknownRelation(_))));
     }
 
     #[test]
     fn missing_attr_errors() {
         let e = Expr::project(Expr::base("Pd"), [AttrRef::new("Pd", "ghost")]);
-        assert!(matches!(execute(&e, &db()), Err(ExecError::MissingAttr(_))));
+        assert!(matches!(run(&e, &db()), Err(ExecError::MissingAttr(_))));
     }
 
     #[test]
@@ -1508,7 +1423,7 @@ mod tests {
             Expr::base("Pd"),
             Predicate::cmp(AttrRef::new("Pd", "Pid"), CompareOp::Ge, 2),
         );
-        assert_eq!(execute(&e, &db()).unwrap().len(), 2);
+        assert_eq!(run(&e, &db()).unwrap().len(), 2);
     }
 
     #[test]
@@ -1517,7 +1432,7 @@ mod tests {
         let db = db();
         let base = db.table("Pd").unwrap();
         let e = Expr::project(Expr::base("Pd"), [AttrRef::new("Pd", "Did")]);
-        let out = execute(&e, &db).unwrap();
+        let out = run(&e, &db).unwrap();
         assert!(Arc::ptr_eq(
             &base.batch().columns()[2],
             &out.batch().columns()[0]
@@ -1539,13 +1454,21 @@ mod tests {
             Predicate::cmp(AttrRef::new("M", "x"), CompareOp::Lt, "zzz"),
         );
         // Int(5) < Text("zzz") by tag; Text("a") < Text("zzz") lexically.
-        assert_eq!(execute(&e, &db).unwrap().len(), 2);
+        assert_eq!(run(&e, &db).unwrap().len(), 2);
     }
 }
 
 #[cfg(test)]
 mod join_algo_tests {
     use super::*;
+
+    /// The default context under each join algorithm, nested loop first.
+    fn algo_contexts() -> [ExecContext; 3] {
+        [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge].map(|join_algo| ExecContext {
+            join_algo,
+            ..ExecContext::default()
+        })
+    }
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -1580,18 +1503,35 @@ mod join_algo_tests {
     fn all_join_algorithms_agree() {
         let db = db();
         let e = join_expr();
-        let nested = execute_with(&e, &db, JoinAlgo::NestedLoop)
-            .expect("nested")
-            .canonicalized();
-        let hash = execute_with(&e, &db, JoinAlgo::Hash)
-            .expect("hash")
-            .canonicalized();
-        let merge = execute_with(&e, &db, JoinAlgo::SortMerge)
-            .expect("merge")
-            .canonicalized();
+        let [nested, hash, merge] =
+            algo_contexts().map(|ctx| execute(&e, &db, &ctx).expect("executes").canonicalized());
         assert!(!nested.is_empty());
         assert_eq!(nested.rows(), hash.rows());
         assert_eq!(nested.rows(), merge.rows());
+    }
+
+    /// A view is stored under the context's join algorithm: sort-merge
+    /// emits matches in key order, the nested loop in left-row order, so the
+    /// two stored views are bag-equal but differently ordered.
+    #[test]
+    fn materialize_view_honours_the_context_join_algorithm() {
+        let [nested, _, merge] = algo_contexts();
+        let e = join_expr();
+        let mut nested_db = db();
+        materialize_view("V", &e, &mut nested_db, &nested).expect("nested view");
+        let mut merge_db = db();
+        materialize_view("V", &e, &mut merge_db, &merge).expect("sort-merge view");
+        let (nested_view, merge_view) = (
+            nested_db.table("V").expect("stored"),
+            merge_db.table("V").expect("stored"),
+        );
+        let executed = execute(&e, &db(), &merge).expect("executes");
+        assert_eq!(merge_view.batch(), executed.batch());
+        assert_ne!(merge_view.batch(), nested_view.batch(), "same row order");
+        assert_eq!(
+            merge_view.canonicalized().rows(),
+            nested_view.canonicalized().rows()
+        );
     }
 
     #[test]
@@ -1602,9 +1542,9 @@ mod join_algo_tests {
             Expr::base("R"),
             mvdesign_algebra::JoinCondition::cross(),
         );
-        for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let out = execute_with(&e, &db, algo).expect("executes");
-            assert_eq!(out.len(), 40 * 25, "{algo:?}");
+        for ctx in algo_contexts() {
+            let out = execute(&e, &db, &ctx).expect("executes");
+            assert_eq!(out.len(), 40 * 25, "{:?}", ctx.join_algo);
         }
     }
 
@@ -1627,11 +1567,12 @@ mod join_algo_tests {
             Expr::base("B"),
             mvdesign_algebra::JoinCondition::on(AttrRef::new("A", "k"), AttrRef::new("B", "k")),
         );
-        for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+        for ctx in algo_contexts() {
             assert_eq!(
-                execute_with(&e, &db, algo).expect("executes").len(),
+                execute(&e, &db, &ctx).expect("executes").len(),
                 4,
-                "{algo:?}"
+                "{:?}",
+                ctx.join_algo
             );
         }
     }
@@ -1645,10 +1586,11 @@ mod join_algo_tests {
             vec![],
         ));
         let e = join_expr();
-        for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+        for ctx in algo_contexts() {
             assert!(
-                execute_with(&e, &db, algo).expect("executes").is_empty(),
-                "{algo:?}"
+                execute(&e, &db, &ctx).expect("executes").is_empty(),
+                "{:?}",
+                ctx.join_algo
             );
         }
     }
@@ -1674,16 +1616,11 @@ mod join_algo_tests {
             Expr::base("B"),
             mvdesign_algebra::JoinCondition::on(AttrRef::new("A", "k"), AttrRef::new("B", "k")),
         );
-        let nested = execute_with(&e, &db, JoinAlgo::NestedLoop)
-            .expect("nested")
-            .canonicalized();
+        let [nested, hash, merge] =
+            algo_contexts().map(|ctx| execute(&e, &db, &ctx).expect("executes").canonicalized());
         assert!(!nested.is_empty());
-        for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let out = execute_with(&e, &db, algo)
-                .expect("executes")
-                .canonicalized();
-            assert_eq!(nested.rows(), out.rows(), "{algo:?}");
-        }
+        assert_eq!(nested.rows(), hash.rows());
+        assert_eq!(nested.rows(), merge.rows());
     }
 }
 
@@ -1724,7 +1661,7 @@ mod morsel_exec_tests {
                     .map(move |morsel_rows| ExecContext {
                         threads,
                         morsel_rows,
-                        mem_budget: None,
+                        ..ExecContext::default()
                     })
             })
             .collect()
@@ -1758,18 +1695,23 @@ mod morsel_exec_tests {
             ),
         ];
         for plan in &plans {
-            for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-                let baseline = execute_with(plan, &db, algo).expect("sequential");
+            for join_algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+                let sequential = ExecContext {
+                    join_algo,
+                    ..ExecContext::default()
+                };
+                let baseline = execute(plan, &db, &sequential).expect("sequential");
                 for ctx in contexts() {
-                    let out = execute_with_context(plan, &db, algo, &ctx).expect("parallel");
-                    assert_eq!(baseline.batch(), out.batch(), "algo {algo:?}, ctx {ctx:?}");
+                    let ctx = ExecContext { join_algo, ..ctx };
+                    let out = execute(plan, &db, &ctx).expect("parallel");
+                    assert_eq!(baseline.batch(), out.batch(), "ctx {ctx:?}");
                 }
             }
         }
     }
 
     #[test]
-    fn parallel_mask_matches_full_width_baseline() {
+    fn parallel_mask_matches_sequential_mask() {
         let db = db();
         let batch = db.table("F").unwrap().batch();
         let p = Predicate::or([
@@ -1779,10 +1721,11 @@ mod morsel_exec_tests {
                 Predicate::cmp(AttrRef::new("F", "id"), CompareOp::Ge, 50),
             ]),
         ]);
-        let full = selection_mask_full(&p, batch).expect("full");
+        let sequential = selection_mask(&p, batch, &ExecContext::default()).expect("mask");
+        assert_eq!(sequential.iter().filter(|&&m| m).count(), 33);
         for ctx in contexts() {
-            let mask = selection_mask_with(&p, batch, &ctx).expect("mask");
-            assert_eq!(full, mask, "ctx {ctx:?}");
+            let mask = selection_mask(&p, batch, &ctx).expect("mask");
+            assert_eq!(sequential, mask, "ctx {ctx:?}");
         }
     }
 
@@ -1793,13 +1736,13 @@ mod morsel_exec_tests {
             Expr::base("F"),
             Predicate::cmp(AttrRef::new("F", "ghost"), CompareOp::Eq, 1),
         );
-        let sequential = execute(&plan, &db).unwrap_err();
+        let sequential = execute(&plan, &db, &ExecContext::default()).unwrap_err();
         let ctx = ExecContext {
             threads: 4,
             morsel_rows: 7,
-            mem_budget: None,
+            ..ExecContext::default()
         };
-        let parallel = execute_with_context(&plan, &db, JoinAlgo::NestedLoop, &ctx).unwrap_err();
+        let parallel = execute(&plan, &db, &ctx).unwrap_err();
         assert_eq!(sequential, parallel);
     }
 
@@ -1816,14 +1759,15 @@ mod morsel_exec_tests {
             [AggExpr::count_star("n")],
         );
         let mut seq_db = db.clone();
-        materialize_view("V", &definition, &mut seq_db).expect("sequential view");
+        materialize_view("V", &definition, &mut seq_db, &ExecContext::default())
+            .expect("sequential view");
         let mut par_db = db.clone();
         let ctx = ExecContext {
             threads: 8,
             morsel_rows: 7,
-            mem_budget: None,
+            ..ExecContext::default()
         };
-        materialize_view_with("V", &definition, &mut par_db, &ctx).expect("parallel view");
+        materialize_view("V", &definition, &mut par_db, &ctx).expect("parallel view");
         assert_eq!(seq_db.table("V"), par_db.table("V"));
     }
 }

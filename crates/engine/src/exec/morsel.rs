@@ -15,21 +15,34 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
+use super::JoinAlgo;
+
 /// Default rows per morsel: large enough that per-morsel scheduling and
 /// bookkeeping vanish against kernel work, small enough to load-balance
 /// skewed operators across cores.
 pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 
-/// Execution-time knobs for the batch engine: how many worker threads the
-/// hot kernels may fan out to and how many rows each morsel holds.
+/// The engine's one configuration type: which join algorithm runs, how
+/// many worker threads the hot kernels may fan out to, how many rows each
+/// morsel holds, and how much transient operator state may stay in memory.
+/// Every entry point — [`crate::execute`], [`crate::measure`],
+/// [`crate::materialize_view`], [`crate::refresh_view_delta`], the
+/// warehouse and its snapshots — takes one `&ExecContext` and nothing else.
 ///
-/// The default is **single-threaded**, so every existing call site, seeded
-/// fixture and published artifact is untouched unless a caller opts in.
-/// Results never depend on either knob: parallel kernels merge per-morsel
-/// partials in morsel order and are bit-identical to the single-threaded
-/// kernels (pinned by the differential battery in `tests/engine_morsel.rs`).
+/// The default is the paper's discipline — **nested-loop join,
+/// single-threaded, unbounded memory** — so seeded fixtures and published
+/// artifacts are untouched unless a caller opts in. No field changes *what*
+/// is computed: results are **bag-identical across join algorithms** (only
+/// row order differs) and **bit-identical across thread counts, morsel
+/// sizes and memory budgets** — parallel kernels merge per-morsel partials
+/// in morsel order and the spill paths restore sequential order (pinned by
+/// `tests/engine_batch.rs`, `tests/engine_morsel.rs` and
+/// `tests/engine_paged.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecContext {
+    /// The physical join algorithm (default [`JoinAlgo::NestedLoop`], the
+    /// paper's assumption).
+    pub join_algo: JoinAlgo,
     /// Worker threads the kernels may use; `0` means all available cores.
     pub threads: usize,
     /// Rows per morsel (clamped to at least 1).
@@ -45,6 +58,7 @@ pub struct ExecContext {
 impl Default for ExecContext {
     fn default() -> Self {
         Self {
+            join_algo: JoinAlgo::NestedLoop,
             threads: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
             mem_budget: None,
@@ -181,7 +195,7 @@ mod tests {
         let ctx = ExecContext {
             threads: 4,
             morsel_rows: 7,
-            mem_budget: None,
+            ..ExecContext::default()
         };
         let ranges = run_morsels(23, &ctx, |r| r);
         assert_eq!(ranges.len(), 4);
@@ -203,7 +217,7 @@ mod tests {
         let ctx = ExecContext {
             threads: 4,
             morsel_rows: 1,
-            mem_budget: None,
+            ..ExecContext::default()
         };
         let out = run_morsels(100, &ctx, |r| r.start);
         let expected: Vec<usize> = (0..100).collect();

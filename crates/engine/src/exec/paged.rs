@@ -2,8 +2,9 @@
 //!
 //! A [`View`] is either a fully resident [`Batch`] or a handle to a
 //! [`PagedBatch`] whose pages live in a [`crate::storage::BufferPool`].
-//! [`exec_view`] recurses over the plan exactly like the historical batch
-//! spine did; every operator kernel matches on its input's residency:
+//! [`exec_view`] is the one recursion over the plan — plain execution and
+//! the I/O simulator both run it; every operator kernel matches on its
+//! input's residency:
 //!
 //! * **Resident** inputs delegate verbatim to the existing batch kernels
 //!   ([`select_batch`], [`project_batch`], [`join_batch`],
@@ -32,8 +33,8 @@ use crate::table::{Database, Table};
 
 use super::morsel::run_tasks;
 use super::{
-    aggregate_batch, join_batch, join_indices, project_batch, select_batch, selection_mask_with,
-    ExecContext, ExecError, JoinAlgo,
+    aggregate_batch, join_batch, join_indices, project_batch, select_batch, selection_mask,
+    ExecContext, ExecError,
 };
 
 /// An operator input or output: resident columns or pool-backed pages.
@@ -100,39 +101,54 @@ impl View {
     }
 }
 
-/// Recursive view evaluation — the engine's spine since the paged-storage
-/// refactor.
-pub(crate) fn exec_view(
+/// Recursive view evaluation — the engine's one plan walker. `on_op` runs
+/// after each operator's kernel with the operator, its input views and its
+/// output: [`crate::execute`] passes a no-op closure (monomorphised away, so
+/// serving pays nothing), [`crate::measure`] records the operator's charge.
+/// Base scans share table handles and pin no page, so between two
+/// consecutive `on_op` calls nothing but the later operator's kernel ran.
+pub(crate) fn exec_view<F>(
     expr: &Arc<Expr>,
     db: &Database,
-    algo: JoinAlgo,
     ctx: &ExecContext,
-) -> Result<View, ExecError> {
+    on_op: &mut F,
+) -> Result<View, ExecError>
+where
+    F: FnMut(&Expr, &[&View], &View),
+{
     match &**expr {
         Expr::Base(name) => db
             .table(name.as_str())
             .map(View::of_table)
             .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
         Expr::Select { input, predicate } => {
-            let v = exec_view(input, db, algo, ctx)?;
-            select_view(&v, predicate, ctx)
+            let v = exec_view(input, db, ctx, on_op)?;
+            let out = select_view(&v, predicate, ctx)?;
+            on_op(expr, &[&v], &out);
+            Ok(out)
         }
         Expr::Project { input, attrs } => {
-            let v = exec_view(input, db, algo, ctx)?;
-            project_view(&v, attrs)
+            let v = exec_view(input, db, ctx, on_op)?;
+            let out = project_view(&v, attrs)?;
+            on_op(expr, &[&v], &out);
+            Ok(out)
         }
         Expr::Join { left, right, on } => {
-            let l = exec_view(left, db, algo, ctx)?;
-            let r = exec_view(right, db, algo, ctx)?;
-            join_view(&l, &r, on, algo, ctx)
+            let l = exec_view(left, db, ctx, on_op)?;
+            let r = exec_view(right, db, ctx, on_op)?;
+            let out = join_view(&l, &r, on, ctx)?;
+            on_op(expr, &[&l, &r], &out);
+            Ok(out)
         }
         Expr::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let v = exec_view(input, db, algo, ctx)?;
-            aggregate_view(&v, group_by, aggs, ctx)
+            let v = exec_view(input, db, ctx, on_op)?;
+            let out = aggregate_view(&v, group_by, aggs, ctx)?;
+            on_op(expr, &[&v], &out);
+            Ok(out)
         }
     }
 }
@@ -157,11 +173,7 @@ fn vstack(attrs: &[AttrRef], chunks: &[Batch]) -> Batch {
 /// zero-copy chunk, evaluates the (pure, per-row) predicate mask and
 /// filters — one worker per page under a parallel context, with per-page
 /// results concatenated in page (= row) order.
-pub(crate) fn select_view(
-    view: &View,
-    predicate: &Predicate,
-    ctx: &ExecContext,
-) -> Result<View, ExecError> {
+fn select_view(view: &View, predicate: &Predicate, ctx: &ExecContext) -> Result<View, ExecError> {
     match view {
         View::Resident(b) => select_batch(b, predicate, ctx).map(View::Resident),
         View::Paged(p) => {
@@ -175,7 +187,7 @@ pub(crate) fn select_view(
             let inner = ExecContext { threads: 1, ..*ctx };
             let parts = run_tasks(pages, ctx.effective_threads(), |pg| {
                 let chunk = p.page_chunk(pg);
-                let mask = selection_mask_with(predicate, &chunk, &inner)?;
+                let mask = selection_mask(predicate, &chunk, &inner)?;
                 Ok(chunk.filter(&mask))
             });
             let mut chunks = Vec::with_capacity(pages);
@@ -190,7 +202,7 @@ pub(crate) fn select_view(
 /// Projection over a view. Paged inputs re-share page handles — like the
 /// resident kernel, O(#attrs) with no row movement, and the output stays
 /// paged so downstream operators keep streaming.
-pub(crate) fn project_view(view: &View, attrs: &[AttrRef]) -> Result<View, ExecError> {
+fn project_view(view: &View, attrs: &[AttrRef]) -> Result<View, ExecError> {
     match view {
         View::Resident(b) => project_batch(b, attrs).map(View::Resident),
         View::Paged(p) => {
@@ -216,15 +228,9 @@ pub(crate) fn project_view(view: &View, attrs: &[AttrRef]) -> Result<View, ExecE
 /// otherwise only the key columns materialise (the index kernels need
 /// contiguous slices), the shared [`join_indices`] dispatch produces the
 /// match vectors, and both payloads gather page-on-demand.
-pub(crate) fn join_view(
-    l: &View,
-    r: &View,
-    on: &JoinCondition,
-    algo: JoinAlgo,
-    ctx: &ExecContext,
-) -> Result<View, ExecError> {
+fn join_view(l: &View, r: &View, on: &JoinCondition, ctx: &ExecContext) -> Result<View, ExecError> {
     if let (View::Resident(lb), View::Resident(rb)) = (l, r) {
-        return join_batch(lb, rb, on, algo, ctx).map(View::Resident);
+        return join_batch(lb, rb, on, ctx).map(View::Resident);
     }
     // Same pair resolution as the resident kernel, so errors match.
     let mut pairs = Vec::with_capacity(on.pairs().len());
@@ -248,7 +254,7 @@ pub(crate) fn join_view(
         .collect();
     let lcols: Vec<&Column> = lkeys.iter().map(Arc::as_ref).collect();
     let rcols: Vec<&Column> = rkeys.iter().map(Arc::as_ref).collect();
-    let (lidx, ridx) = join_indices(l.rows(), r.rows(), &lcols, &rcols, algo, ctx)?;
+    let (lidx, ridx) = join_indices(l.rows(), r.rows(), &lcols, &rcols, ctx)?;
     Ok(View::Resident(Batch::hstack(
         &l.gather(&lidx),
         &r.gather(&ridx),
@@ -259,7 +265,7 @@ pub(crate) fn join_view(
 /// aggregation reads — grouping keys and aggregate inputs — and then run
 /// the resident kernel over that pruned batch: aggregation output is built
 /// value-by-value from those columns, so pruning cannot change it.
-pub(crate) fn aggregate_view(
+fn aggregate_view(
     view: &View,
     group_by: &[AttrRef],
     aggs: &[AggExpr],

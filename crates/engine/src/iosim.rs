@@ -13,35 +13,34 @@
 //! morsel kernels produce each operator's output by concatenating
 //! per-morsel partials **in morsel order** (never completion order), so an
 //! operator's row count — and with it every charge — is identical at any
-//! thread count or interleaving. Charges are accumulated per operator in
-//! plan (post-)order and folded into the report at the end, so the
-//! accounting path itself has no order left to vary; a regression test
-//! pins the totals at `threads = 1, 2, 8`.
+//! thread count or interleaving. Charges are recorded per operator in plan
+//! (post-)order by the sequential plan walker, so the accounting path
+//! itself has no order left to vary; a regression test pins the exact
+//! charges at `threads = 1, 2, 8` and under every join algorithm.
 //!
-//! Since the paged-storage refactor the simulator carries a second,
-//! *measured* accounting mode: [`measure_paged`] snapshots the database's
-//! buffer-pool miss counters around each operator kernel and records the
-//! delta in that operator's [`OpCharge`], next to the paper's per-batch
-//! charges. A pool miss is a page actually decoded from memory-or-spill —
-//! the closest physical analogue of the block read the model predicts.
-//! Miss counts are *measurements*: under a parallel context, which worker
-//! first pins a page (and whether eviction struck between two pins)
-//! depends on scheduling, so unlike the modelled charges they may vary
-//! run-to-run and are never asserted exactly under parallelism. Under
-//! [`measure`]/[`measure_with`] the miss field is always zero, keeping the
-//! modelled reports fully deterministic.
+//! Next to the modelled charges every [`OpCharge`] carries a *measured*
+//! one: [`measure`] reads the database's buffer-pool miss counters after
+//! each operator kernel and records the growth since the previous one. A
+//! pool miss is a page actually decoded from memory-or-spill — the closest
+//! physical analogue of the block read the model predicts. A fully resident
+//! database has no pool, so its misses read 0 and its reports are fully
+//! deterministic. Miss counts are *measurements*: under a parallel context,
+//! which worker first pins a page (and whether eviction struck between two
+//! pins) depends on scheduling, so unlike the modelled charges they may
+//! vary run-to-run and are never asserted exactly under parallelism.
+//!
+//! There is no second plan recursion here: [`measure`] runs the executor's
+//! own walker ([`exec_view`]) and does its accounting in the per-operator
+//! callback, so what is charged is by construction what was executed.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mvdesign_algebra::Expr;
 
-use crate::exec::{
-    aggregate_view, join_view, op_label, project_view, select_view, ExecContext, View,
-};
+use crate::exec::{exec_view, op_label, ExecContext, ExecError, View};
 use crate::storage::BufferPool;
 use crate::table::{Database, Table};
-use crate::{ExecError, JoinAlgo};
 
 /// One operator's charge, recorded in plan (post-)order. The final report
 /// is the fold of these in recording order — a deterministic reduction no
@@ -55,8 +54,8 @@ pub struct OpCharge {
     /// Modelled blocks written for the operator's output.
     pub written: f64,
     /// Buffer-pool misses observed while the operator's kernel ran —
-    /// pages actually decoded from memory-or-spill. Always zero outside
-    /// [`measure_paged`]; a measurement (not a model) inside it.
+    /// pages actually decoded from memory-or-spill. A measurement, not a
+    /// model; always zero over a fully resident database.
     pub pool_misses: u64,
 }
 
@@ -108,17 +107,23 @@ impl IoReport {
     }
 }
 
-/// Executes `expr` against `db`, counting block accesses under the paper's
-/// operator disciplines with `records_per_block` records packed per block:
+/// Executes `expr` against `db` under `ctx`, counting block accesses under
+/// the paper's operator disciplines with `records_per_block` records packed
+/// per block:
 ///
-/// * selection / projection read every input block and write their output;
-/// * nested-loop join reads every (outer block, inner block) pair and writes
+/// * selection / projection / aggregation read every input block and write
+///   their output;
+/// * join reads every (outer block, inner block) pair — the nested-loop
+///   charge, whatever [`ExecContext::join_algo`] actually ran — and writes
 ///   its output.
 ///
 /// Returns the result table together with the I/O report, so callers can
 /// check both *what* was computed and *how much* it cost. The observed cost
-/// is what the `mvdesign-cost` crate's `PaperCostModel` estimates, evaluated on
-/// actual (not estimated) cardinalities.
+/// is what the `mvdesign-cost` crate's `PaperCostModel` estimates, evaluated
+/// on actual (not estimated) cardinalities. Charges are per logical batch —
+/// functions of row counts alone — so they are identical for every context;
+/// each operator's observed buffer-pool misses (see the module docs) sit
+/// next to them. Pools are discovered from the database's paged tables.
 ///
 /// # Errors
 ///
@@ -127,75 +132,46 @@ pub fn measure(
     expr: &Arc<Expr>,
     db: &Database,
     records_per_block: f64,
-) -> Result<(Table, IoReport), ExecError> {
-    measure_with(expr, db, records_per_block, &ExecContext::default())
-}
-
-/// Like [`measure`], running the plan's kernels under an explicit
-/// [`ExecContext`]. Charges are per logical batch — never per morsel — so
-/// the report is bit-identical for every thread count and morsel size
-/// (only wall-clock changes). Pool-miss fields stay zero; use
-/// [`measure_paged`] for the measured mode.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] from plan execution.
-pub fn measure_with(
-    expr: &Arc<Expr>,
-    db: &Database,
-    records_per_block: f64,
     ctx: &ExecContext,
 ) -> Result<(Table, IoReport), ExecError> {
-    measure_impl(expr, db, records_per_block, ctx, &[])
-}
-
-/// Like [`measure_with`], additionally recording each operator's observed
-/// buffer-pool misses (see the module docs) in its [`OpCharge`]. The
-/// modelled charges and totals are identical to [`measure_with`]'s; only
-/// the `pool_misses` fields differ. Pools are discovered from the
-/// database's paged tables; a fully resident database measures all-zero
-/// misses.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] from plan execution.
-pub fn measure_paged(
-    expr: &Arc<Expr>,
-    db: &Database,
-    records_per_block: f64,
-    ctx: &ExecContext,
-) -> Result<(Table, IoReport), ExecError> {
-    let mut pools: Vec<Arc<BufferPool>> = Vec::new();
+    let mut pools: Vec<&Arc<BufferPool>> = Vec::new();
     for (_, table) in db.iter() {
         if let Some(pool) = table.pool() {
             if !pools.iter().any(|p| Arc::ptr_eq(p, pool)) {
-                pools.push(Arc::clone(pool));
+                pools.push(pool);
             }
         }
     }
-    measure_impl(expr, db, records_per_block, ctx, &pools)
-}
-
-fn measure_impl(
-    expr: &Arc<Expr>,
-    db: &Database,
-    records_per_block: f64,
-    ctx: &ExecContext,
-    pools: &[Arc<BufferPool>],
-) -> Result<(Table, IoReport), ExecError> {
+    let pool_misses = || pools.iter().map(|p| p.stats().misses).sum::<u64>();
     let bf = records_per_block.max(1.0);
-    let mut charges: Vec<OpCharge> = Vec::new();
-    let view = run(expr, db, bf, ctx, pools, &mut charges)?;
+    // Blocks occupied by `rows` records at `bf` records per block.
+    let blocks = |rows: usize| (rows as f64 / bf).ceil();
+
+    let mut report = IoReport::default();
+    let mut misses_so_far = pool_misses();
+    let view = exec_view(
+        expr,
+        db,
+        ctx,
+        &mut |op: &Expr, inputs: &[&View], out: &View| {
+            // Scans pin no page, so everything the pools missed since the
+            // previous operator finished belongs to this operator's kernel.
+            let misses_now = pool_misses();
+            let charge = OpCharge {
+                op: op_label(op),
+                // One input reads its blocks; a join reads every block pair.
+                read: inputs.iter().map(|v| blocks(v.rows())).product(),
+                written: blocks(out.rows()),
+                pool_misses: misses_now - misses_so_far,
+            };
+            misses_so_far = misses_now;
+            report.blocks_read += charge.read;
+            report.blocks_written += charge.written;
+            report.charges.push(charge);
+        },
+    )?;
     let batch = view.into_batch();
-    let mut report = IoReport {
-        rows_out: batch.rows(),
-        charges,
-        ..IoReport::default()
-    };
-    for c in &report.charges {
-        report.blocks_read += c.read;
-        report.blocks_written += c.written;
-    }
+    report.rows_out = batch.rows();
     let table = match &**expr {
         Expr::Base(name) => Table::from_batch(name.clone(), batch),
         _ => Table::from_batch(op_label(expr), batch),
@@ -203,92 +179,16 @@ fn measure_impl(
     Ok((table, report))
 }
 
-/// Blocks occupied by `rows` records at `bf` records per block. Charges
-/// depend only on row counts, so the columnar engine reports exactly the
-/// totals the row engine did.
-fn blocks(rows: usize, bf: f64) -> f64 {
-    (rows as f64 / bf).ceil()
-}
-
-/// Total misses across the measured pools right now.
-fn pool_misses(pools: &[Arc<BufferPool>]) -> u64 {
-    pools.iter().map(|p| p.stats().misses).sum()
-}
-
-fn run(
-    expr: &Arc<Expr>,
-    db: &Database,
-    bf: f64,
-    ctx: &ExecContext,
-    pools: &[Arc<BufferPool>],
-    charges: &mut Vec<OpCharge>,
-) -> Result<View, ExecError> {
-    match &**expr {
-        Expr::Base(name) => db
-            .table(name.as_str())
-            .map(View::of_table)
-            .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
-        Expr::Select { input, predicate } => {
-            let input = run(input, db, bf, ctx, pools, charges)?;
-            let before = pool_misses(pools);
-            let out = select_view(&input, predicate, ctx)?;
-            charges.push(OpCharge {
-                op: op_label(expr),
-                read: blocks(input.rows(), bf),
-                written: blocks(out.rows(), bf),
-                pool_misses: pool_misses(pools) - before,
-            });
-            Ok(out)
-        }
-        Expr::Project { input, attrs } => {
-            let input = run(input, db, bf, ctx, pools, charges)?;
-            let before = pool_misses(pools);
-            let out = project_view(&input, attrs)?;
-            charges.push(OpCharge {
-                op: op_label(expr),
-                read: blocks(input.rows(), bf),
-                written: blocks(out.rows(), bf),
-                pool_misses: pool_misses(pools) - before,
-            });
-            Ok(out)
-        }
-        Expr::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let input = run(input, db, bf, ctx, pools, charges)?;
-            let before = pool_misses(pools);
-            let out = aggregate_view(&input, group_by, aggs, ctx)?;
-            charges.push(OpCharge {
-                op: op_label(expr),
-                read: blocks(input.rows(), bf),
-                written: blocks(out.rows(), bf),
-                pool_misses: pool_misses(pools) - before,
-            });
-            Ok(out)
-        }
-        Expr::Join { left, right, on } => {
-            let l = run(left, db, bf, ctx, pools, charges)?;
-            let r = run(right, db, bf, ctx, pools, charges)?;
-            let before = pool_misses(pools);
-            let out = join_view(&l, &r, on, JoinAlgo::NestedLoop, ctx)?;
-            charges.push(OpCharge {
-                op: op_label(expr),
-                read: blocks(l.rows(), bf) * blocks(r.rows(), bf),
-                written: blocks(out.rows(), bf),
-                pool_misses: pool_misses(pools) - before,
-            });
-            Ok(out)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::execute;
     use mvdesign_algebra::{AttrRef, CompareOp, JoinCondition, Predicate, Value};
+
+    /// Measures `e` at 10 records per block under the default context.
+    fn measure10(e: &Arc<Expr>, db: &Database) -> (Table, IoReport) {
+        measure(e, db, 10.0, &ExecContext::default()).unwrap()
+    }
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -311,7 +211,7 @@ mod tests {
             Expr::base("R"),
             Predicate::cmp(AttrRef::new("R", "id"), CompareOp::Lt, 10),
         );
-        let (out, io) = measure(&e, &db(), 10.0).unwrap();
+        let (out, io) = measure10(&e, &db());
         assert_eq!(out.len(), 10);
         assert_eq!(io.blocks_read, 10.0); // 100 rows / 10 per block
         assert_eq!(io.blocks_written, 1.0); // 10 rows out
@@ -325,7 +225,7 @@ mod tests {
             Expr::base("S"),
             JoinCondition::on(AttrRef::new("R", "k"), AttrRef::new("S", "k")),
         );
-        let (out, io) = measure(&e, &db(), 10.0).unwrap();
+        let (out, io) = measure10(&e, &db());
         assert_eq!(out.len(), 500); // 100 × 50 / 10
         assert_eq!(io.blocks_read, 10.0 * 5.0);
         assert_eq!(io.blocks_written, 50.0);
@@ -338,8 +238,8 @@ mod tests {
             Expr::base("S"),
             JoinCondition::on(AttrRef::new("R", "k"), AttrRef::new("S", "k")),
         );
-        let (out, _) = measure(&e, &db(), 10.0).unwrap();
-        let plain = execute(&e, &db()).unwrap();
+        let (out, _) = measure10(&e, &db());
+        let plain = execute(&e, &db(), &ExecContext::default()).unwrap();
         assert_eq!(out.canonicalized().rows(), plain.canonicalized().rows());
     }
 
@@ -352,8 +252,8 @@ mod tests {
             filter.clone(),
         );
         let early = Expr::join(Expr::select(Expr::base("R"), filter), Expr::base("S"), on);
-        let (a, io_late) = measure(&late, &db(), 10.0).unwrap();
-        let (b, io_early) = measure(&early, &db(), 10.0).unwrap();
+        let (a, io_late) = measure10(&late, &db());
+        let (b, io_early) = measure10(&early, &db());
         assert_eq!(a.canonicalized().rows(), b.canonicalized().rows());
         assert!(io_early.total() < io_late.total());
     }
@@ -361,7 +261,7 @@ mod tests {
     #[test]
     fn rows_out_reported() {
         let e = Expr::project(Expr::base("S"), [AttrRef::new("S", "k")]);
-        let (_, io) = measure(&e, &db(), 10.0).unwrap();
+        let (_, io) = measure10(&e, &db());
         assert_eq!(io.rows_out, 50);
     }
 
@@ -380,7 +280,7 @@ mod tests {
             ),
             Predicate::cmp(AttrRef::new("R", "id"), CompareOp::Lt, 5),
         );
-        let (out, io) = measure(&e, &db(), 10.0).unwrap();
+        let (out, io) = measure10(&e, &db());
         assert_eq!(out.len(), 5);
         assert_eq!(io.charges().len(), 3);
         let per_op = io.per_operator();
@@ -416,8 +316,7 @@ mod tests {
             Expr::base("S"),
             Predicate::cmp(AttrRef::new("S", "k"), CompareOp::Lt, 1000),
         );
-        let ctx = ExecContext::default();
-        let (out, io) = measure_paged(&e, &cold_db, 10.0, &ctx).unwrap();
+        let (out, io) = measure10(&e, &cold_db);
         assert_eq!(out.len(), 100);
         let select = io.per_operator()["σ"];
         assert_eq!(select.read, 10.0, "predicted: 100 rows / 10 per block");
@@ -426,17 +325,14 @@ mod tests {
             "observed: 10 cold pages decoded for the scan"
         );
         // The modelled charges are storage-independent.
-        let (_, resident_io) = measure(&e, &resident_db, 10.0).unwrap();
+        let (_, resident_io) = measure10(&e, &resident_db);
         assert_eq!(io.blocks_read, resident_io.blocks_read);
         assert_eq!(io.blocks_written, resident_io.blocks_written);
     }
 
-    /// The satellite regression: the same plan at `threads = 1, 2, 8` (and
-    /// a morsel size small enough that every kernel actually fans out)
-    /// reports identical block totals *and* an identical result batch.
-    #[test]
-    fn charges_are_interleaving_independent() {
-        let e = Expr::aggregate(
+    /// γ over σ over ⋈ — one operator of each charged kind above a join.
+    fn three_operator_plan() -> Arc<Expr> {
+        Expr::aggregate(
             Expr::select(
                 Expr::join(
                     Expr::base("R"),
@@ -447,18 +343,73 @@ mod tests {
             ),
             [AttrRef::new("R", "k")],
             [mvdesign_algebra::AggExpr::count_star("n")],
-        );
+        )
+    }
+
+    /// The walker regression: the same plan at `threads = 1, 2, 8` (and a
+    /// morsel size small enough that every kernel actually fans out)
+    /// reports the exact per-operator charges in plan post-order, the exact
+    /// totals, zero misses over the resident database, and an identical
+    /// result batch.
+    #[test]
+    fn charges_are_exact_in_post_order_and_interleaving_independent() {
+        let e = three_operator_plan();
         let db = db();
-        let (base_table, base_io) = measure(&e, &db, 10.0).unwrap();
+        let (base_table, base_io) = measure10(&e, &db);
+        let charge = |op, read, written| OpCharge {
+            op,
+            read,
+            written,
+            pool_misses: 0,
+        };
+        assert_eq!(
+            base_io.charges(),
+            [
+                charge("⋈", 10.0 * 5.0, 50.0), // 100 × 50 rows, 5 matches per R row
+                charge("σ", 50.0, 40.0),       // 500 rows in, id < 80 keeps 400
+                charge("γ", 40.0, 1.0),        // 400 rows in, 10 groups out
+            ]
+        );
+        assert_eq!(base_io.blocks_read, 140.0);
+        assert_eq!(base_io.blocks_written, 91.0);
+        assert_eq!(base_io.rows_out, 10);
         for threads in [1, 2, 8] {
             let ctx = ExecContext {
                 threads,
                 morsel_rows: 7,
-                mem_budget: None,
+                ..ExecContext::default()
             };
-            let (table, io) = measure_with(&e, &db, 10.0, &ctx).unwrap();
+            let (table, io) = measure(&e, &db, 10.0, &ctx).unwrap();
             assert_eq!(io, base_io, "threads={threads}");
             assert_eq!(table.batch(), base_table.batch(), "threads={threads}");
+        }
+    }
+
+    /// Charges are functions of row counts alone, so running the join under
+    /// hash or sort-merge moves no charge — and the result stays bag-equal.
+    #[test]
+    fn charges_do_not_depend_on_the_join_algorithm() {
+        let e = three_operator_plan();
+        let db = db();
+        let (nested_table, nested_io) = measure10(&e, &db);
+        for join_algo in [crate::JoinAlgo::Hash, crate::JoinAlgo::SortMerge] {
+            let ctx = ExecContext {
+                join_algo,
+                ..ExecContext::default()
+            };
+            let (table, io) = measure(&e, &db, 10.0, &ctx).unwrap();
+            assert_eq!(io, nested_io, "{join_algo:?}");
+            assert_eq!(
+                table.canonicalized().rows(),
+                nested_table.canonicalized().rows(),
+                "{join_algo:?}"
+            );
+            let plain = execute(&e, &db, &ctx).unwrap();
+            assert_eq!(
+                table.batch(),
+                plain.batch(),
+                "{join_algo:?}: measure ≠ execute"
+            );
         }
     }
 }

@@ -6,30 +6,34 @@
 //! be *validated*, not just estimated:
 //!
 //! * [`execute`] runs any [`Expr`](mvdesign_algebra::Expr) against a
-//!   [`Database`] with bag semantics — rewrites (push-down, join reordering,
-//!   MVPP merging) are property-tested to preserve results exactly;
+//!   [`Database`] with bag semantics under one [`ExecContext`] — rewrites
+//!   (push-down, join reordering, MVPP merging) are property-tested to
+//!   preserve results exactly;
 //! * [`Generator`] synthesises databases whose value distributions match a
 //!   catalog's selectivities, so estimated and observed cardinalities can be
 //!   compared;
-//! * [`measure`] executes while counting simulated block accesses with the
-//!   same disciplines the cost model assumes, grounding `Ca(v)` in observed
-//!   behaviour.
+//! * [`measure`] runs the *same* plan walker while counting simulated block
+//!   accesses with the disciplines the cost model assumes, grounding `Ca(v)`
+//!   in observed behaviour.
 //!
 //! Execution is *columnar*: operators evaluate over [`Batch`]es of typed
 //! [`Column`]s, resolving attribute offsets once per operator rather than
 //! once per row. [`Table`] is a thin façade over a batch that still exposes
-//! the original row-major API. The retired tuple-at-a-time engine lives on
-//! in [`row_reference`] as a differential oracle: `mvdesign-verify` and the
-//! `engine_batch` property suite check the two engines produce identical
-//! bags on every plan they run.
+//! the original row-major API. The retired tuple-at-a-time engine is not
+//! part of this crate: it lives in `mvdesign-verify` as the row-reference
+//! differential oracle, and the audit plus the `engine_batch` property
+//! suite check the two engines produce identical bags on every plan they
+//! run.
 //!
-//! Execution can additionally fan out across cores: an [`ExecContext`]
-//! (default: single-threaded, so every existing call site is untouched)
-//! splits batches into fixed-size morsels and runs the hot kernels —
-//! selection masks, the raw-key hash join, compact hash aggregation — on
-//! scoped worker threads. Per-morsel partial results always merge in
-//! morsel order, so results are bit-identical at every thread count; the
-//! `engine_morsel` differential battery pins that property.
+//! [`ExecContext`] is the one configuration type — join algorithm, threads,
+//! morsel rows, memory budget — taken by every entry point. Its default is
+//! the paper's discipline (nested-loop join, single-threaded, unbounded
+//! memory). With more threads it splits batches into fixed-size morsels and
+//! runs the hot kernels — selection masks, the raw-key hash join, compact
+//! hash aggregation — on scoped worker threads. Per-morsel partial results
+//! always merge in morsel order, so results are bit-identical at every
+//! thread count; the `engine_morsel` differential battery pins that
+//! property.
 //!
 //! Storage can be *out-of-core*: [`storage`] cuts columns into fixed-size
 //! pages held in a [`BufferPool`] with a byte budget and clock eviction to
@@ -37,15 +41,15 @@
 //! joins/aggregations whose state outgrows [`ExecContext::mem_budget`]
 //! take Grace-style partitioned spill paths. Eviction changes residency,
 //! never content, so results stay bit-identical at any pool size — and
-//! [`measure_paged`] reports each operator's *measured* pool misses next
-//! to the modelled block charges, grounding the paper's cost model in
-//! actual page traffic.
+//! [`measure`] reports each operator's *measured* pool misses next to the
+//! modelled block charges, grounding the paper's cost model in actual page
+//! traffic.
 //!
 //! # Example
 //!
 //! ```
 //! use mvdesign_algebra::parse_query;
-//! use mvdesign_engine::{Database, Table};
+//! use mvdesign_engine::{Database, ExecContext, Table};
 //! use mvdesign_algebra::{AttrRef, Value};
 //!
 //! let mut db = Database::new();
@@ -58,7 +62,7 @@
 //!     ],
 //! ));
 //! let q = parse_query("SELECT name FROM Cust WHERE city = 'LA'").unwrap();
-//! let result = mvdesign_engine::execute(&q, &db)?;
+//! let result = mvdesign_engine::execute(&q, &db, &ExecContext::default())?;
 //! assert_eq!(result.rows().len(), 1);
 //! # Ok::<(), mvdesign_engine::ExecError>(())
 //! ```
@@ -71,7 +75,6 @@ mod datagen;
 mod exec;
 mod iosim;
 mod profile;
-pub mod row_reference;
 pub mod storage;
 mod table;
 
@@ -79,11 +82,12 @@ pub use crate::batch::{Batch, Column};
 pub use crate::datagen::{Generator, GeneratorConfig};
 pub use crate::exec::delta::{execute_delta, refresh_view_delta, split_appends, DeltaMap};
 pub use crate::exec::{
-    execute, execute_with, execute_with_context, materialize_view, materialize_view_with,
-    selection_mask, selection_mask_full, selection_mask_with, ExecContext, ExecError, JoinAlgo,
+    execute, materialize_view, selection_mask, ExecContext, ExecError, JoinAlgo,
     DEFAULT_MORSEL_ROWS,
 };
-pub use crate::iosim::{measure, measure_paged, measure_with, IoReport, OpCharge};
+#[doc(hidden)]
+pub use crate::iosim::measure as measure_paged;
+pub use crate::iosim::{measure, IoReport, OpCharge};
 pub use crate::profile::{profile_database, ProfileConfig};
 pub use crate::storage::{batch_bytes, BufferPool, PagedBatch, PoolStats, DEFAULT_PAGE_ROWS};
 pub use crate::table::{Database, Table};

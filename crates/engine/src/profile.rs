@@ -312,7 +312,9 @@ mod tests {
             c.stats("Fact").unwrap().records * c.selectivity("Fact", "cat"),
             0.0,
         );
-        let actual = crate::exec::execute(&q, &database).expect("executes").len() as f64;
+        let actual = crate::exec::execute(&q, &database, &crate::ExecContext::default())
+            .expect("executes")
+            .len() as f64;
         assert!(
             (est.records - actual).abs() <= 1.0,
             "est {} vs actual {actual}",

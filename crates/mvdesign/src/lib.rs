@@ -68,6 +68,6 @@ pub mod prelude {
         Mvpp, NodeId, SelectionAlgorithm, SimulatedAnnealing, UpdateWeighting, Workload,
     };
     pub use mvdesign_cost::{CostEstimator, CostModel, EstimationMode, PaperCostModel};
-    pub use mvdesign_engine::{execute, measure, Database, Generator, Table};
+    pub use mvdesign_engine::{execute, measure, Database, ExecContext, Generator, Table};
     pub use mvdesign_optimizer::Planner;
 }

@@ -12,8 +12,8 @@ use mvdesign_algebra::{parse_query_with, Expr, ParseError, Value};
 use mvdesign_catalog::{Catalog, RelName};
 use mvdesign_core::{DesignResult, ViewCatalog};
 use mvdesign_engine::{
-    execute_with_context, refresh_view_delta, split_appends, BufferPool, Column, Database,
-    ExecContext, ExecError, JoinAlgo, Table, DEFAULT_PAGE_ROWS,
+    execute, measure, refresh_view_delta, split_appends, BufferPool, Column, Database, ExecContext,
+    ExecError, JoinAlgo, Table, DEFAULT_PAGE_ROWS,
 };
 
 /// Errors raised by [`Warehouse`] operations.
@@ -98,12 +98,10 @@ pub struct Warehouse {
     view_policies: BTreeMap<RelName, RefreshPolicy>,
     /// What the last refresh pass did per view.
     last_refresh: RefreshReport,
-    /// Execution knobs for serve and refresh (default: single-threaded).
+    /// The one configuration serve and refresh run under (default: nested
+    /// loop, single-threaded, unbounded). Its `mem_budget` is written only
+    /// by [`Warehouse::set_mem_budget`], so it always agrees with `pool`.
     exec: ExecContext,
-    /// Join kernel for serve and refresh (default: nested loop). Answers
-    /// and stored views are bag-identical under every algorithm — only row
-    /// order and wall-clock change.
-    join_algo: JoinAlgo,
     /// Buffer pool backing paged tables when a memory budget is set.
     pool: Option<Arc<BufferPool>>,
 }
@@ -135,7 +133,8 @@ pub struct RefreshReport {
 
 impl Warehouse {
     /// Builds a warehouse from base data and a finished design,
-    /// materializing every chosen view immediately.
+    /// materializing every chosen view immediately under the default
+    /// [`ExecContext`].
     ///
     /// # Errors
     ///
@@ -146,12 +145,12 @@ impl Warehouse {
         db: Database,
         design: &DesignResult,
     ) -> Result<Self, WarehouseError> {
-        Self::new_with_join_algo(catalog, db, design, JoinAlgo::NestedLoop)
+        Self::build(catalog, db, design, ExecContext::default())
     }
 
     /// Like [`Warehouse::new`], but the given join kernel already serves
-    /// the initial materialization (where [`Warehouse::with_join_algo`]
-    /// would only apply from the *next* refresh on).
+    /// the initial materialization (where [`Warehouse::with_exec_context`]
+    /// only applies from the *next* refresh on).
     ///
     /// # Errors
     ///
@@ -162,6 +161,19 @@ impl Warehouse {
         db: Database,
         design: &DesignResult,
         join_algo: JoinAlgo,
+    ) -> Result<Self, WarehouseError> {
+        let exec = ExecContext {
+            join_algo,
+            ..ExecContext::default()
+        };
+        Self::build(catalog, db, design, exec)
+    }
+
+    fn build(
+        catalog: Catalog,
+        db: Database,
+        design: &DesignResult,
+        exec: ExecContext,
     ) -> Result<Self, WarehouseError> {
         let views = ViewCatalog::from_design(design);
         let stale = views.views().iter().map(|(n, _)| n.clone()).collect();
@@ -175,51 +187,30 @@ impl Warehouse {
             policy: RefreshPolicy::default(),
             view_policies: BTreeMap::new(),
             last_refresh: RefreshReport::default(),
-            exec: ExecContext::default(),
-            join_algo,
+            exec,
             pool: None,
         };
         warehouse.refresh()?;
         Ok(warehouse)
     }
 
-    /// Sets the execution knobs (thread count, morsel size) used for every
-    /// later serve and refresh, returning the warehouse for chaining.
-    /// Answers and stored views are bit-identical under every context —
-    /// only wall-clock changes.
+    /// Sets the configuration (join algorithm, thread count, morsel size,
+    /// memory budget) used for every later serve and refresh, returning the
+    /// warehouse for chaining. A memory budget that differs from the
+    /// current one goes through [`Warehouse::set_mem_budget`], so paging
+    /// and operator spilling never disagree. Answers and stored views are
+    /// bag-identical under every join algorithm and bit-identical under
+    /// every other field — only row order and wall-clock change.
     #[must_use]
     pub fn with_exec_context(mut self, exec: ExecContext) -> Self {
+        if exec.mem_budget != self.exec.mem_budget {
+            self.set_mem_budget(exec.mem_budget);
+        }
         self.exec = exec;
         self
     }
 
-    /// Sets the execution knobs on an existing warehouse (see
-    /// [`Warehouse::with_exec_context`]).
-    pub fn set_exec_context(&mut self, exec: ExecContext) {
-        self.exec = exec;
-    }
-
-    /// Picks the join kernel used for every later serve and refresh (delta
-    /// folds and recomputes alike), returning the warehouse for chaining.
-    /// Answers and stored views stay bag-identical under every algorithm —
-    /// only row order and wall-clock change.
-    #[must_use]
-    pub fn with_join_algo(mut self, algo: JoinAlgo) -> Self {
-        self.join_algo = algo;
-        self
-    }
-
-    /// Sets the join kernel in place (see [`Warehouse::with_join_algo`]).
-    pub fn set_join_algo(&mut self, algo: JoinAlgo) {
-        self.join_algo = algo;
-    }
-
-    /// The join kernel serving queries and refreshes.
-    pub fn join_algo(&self) -> JoinAlgo {
-        self.join_algo
-    }
-
-    /// The execution knobs serve and refresh currently run under.
+    /// The configuration serve and refresh currently run under.
     pub fn exec_context(&self) -> ExecContext {
         self.exec
     }
@@ -252,11 +243,6 @@ impl Warehouse {
                 self.pool = None;
             }
         }
-    }
-
-    /// The configured memory budget in bytes, when one is set.
-    pub fn mem_budget(&self) -> Option<usize> {
-        self.exec.mem_budget
     }
 
     /// The buffer pool backing paged tables, when a budget is set.
@@ -311,7 +297,6 @@ impl Warehouse {
             db: Arc::new(self.db.clone()),
             views: Arc::clone(&self.views),
             exec: self.exec,
-            join_algo: self.join_algo,
             version: 0,
             refreshes: self.refreshes,
             stale_views: self.stale.len(),
@@ -335,17 +320,8 @@ impl Warehouse {
         self.refreshes
     }
 
-    /// Sets the warehouse-wide maintenance policy, returning the warehouse
-    /// for chaining. Stored views and answers are bag-equal under every
-    /// policy — only refresh work changes.
-    #[must_use]
-    pub fn with_refresh_policy(mut self, policy: RefreshPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the warehouse-wide maintenance policy (see
-    /// [`Warehouse::with_refresh_policy`]).
+    /// Sets the warehouse-wide maintenance policy. Stored views and answers
+    /// are bag-equal under every policy — only refresh work changes.
     pub fn set_refresh_policy(&mut self, policy: RefreshPolicy) {
         self.policy = policy;
     }
@@ -442,14 +418,9 @@ impl Warehouse {
                 RefreshPolicy::Recompute => None,
             };
             let folded = match stored {
-                Some(table) => refresh_view_delta(
-                    table.batch(),
-                    &definition,
-                    &old,
-                    &deltas,
-                    self.join_algo,
-                    &self.exec,
-                )?,
+                Some(table) => {
+                    refresh_view_delta(table.batch(), &definition, &old, &deltas, &self.exec)?
+                }
                 None => None,
             };
             match folded {
@@ -458,8 +429,7 @@ impl Warehouse {
                     report.folded += 1;
                 }
                 None => {
-                    let result =
-                        execute_with_context(&definition, &self.db, self.join_algo, &self.exec)?;
+                    let result = execute(&definition, &self.db, &self.exec)?;
                     self.db
                         .insert_table(Table::from_batch(name.clone(), result.into_batch()));
                     report.recomputed += 1;
@@ -509,22 +479,21 @@ impl Warehouse {
     ///
     /// Returns [`WarehouseError::Exec`] for execution failures.
     pub fn query_expr(&self, expr: &Arc<Expr>) -> Result<Table, WarehouseError> {
-        route_and_execute(&self.views, &self.db, self.join_algo, &self.exec, expr)
+        route_and_execute(&self.views, &self.db, &self.exec, expr)
     }
 }
 
 /// The one query path both [`Warehouse`] and [`WarehouseSnapshot`] serve
 /// through: route the expression through the materialized views, then run
-/// the batch engine under the configured join kernel and execution knobs.
+/// the batch engine under the configured context.
 fn route_and_execute(
     views: &ViewCatalog,
     db: &Database,
-    join_algo: JoinAlgo,
     exec: &ExecContext,
     expr: &Arc<Expr>,
 ) -> Result<Table, WarehouseError> {
     let routed = views.rewrite(expr);
-    Ok(execute_with_context(&routed, db, join_algo, exec)?)
+    Ok(execute(&routed, db, exec)?)
 }
 
 /// An immutable picture of a warehouse's serve state, produced by
@@ -533,8 +502,8 @@ fn route_and_execute(
 /// A snapshot owns nothing but `Arc`s: the catalog, the base-plus-views
 /// [`Database`] and the [`ViewCatalog`] are all shared with the warehouse
 /// that produced it (and with every other snapshot), so clones and
-/// publishes are pointer work. It answers queries with the same routing,
-/// join kernel and execution knobs as the source warehouse — and keeps
+/// publishes are pointer work. It answers queries with the same routing
+/// and execution context as the source warehouse — and keeps
 /// answering from *its* state forever, however the source moves on.
 ///
 /// The `version` field is a publish sequence number for whoever manages a
@@ -547,7 +516,6 @@ pub struct WarehouseSnapshot {
     db: Arc<Database>,
     views: Arc<ViewCatalog>,
     exec: ExecContext,
-    join_algo: JoinAlgo,
     version: u64,
     refreshes: u64,
     stale_views: usize,
@@ -574,7 +542,7 @@ impl WarehouseSnapshot {
     ///
     /// Returns [`WarehouseError::Exec`] for execution failures.
     pub fn query_expr(&self, expr: &Arc<Expr>) -> Result<Table, WarehouseError> {
-        route_and_execute(&self.views, &self.db, self.join_algo, &self.exec, expr)
+        route_and_execute(&self.views, &self.db, &self.exec, expr)
     }
 
     /// The snapshot's (frozen) base-plus-views database.
@@ -700,28 +668,8 @@ pub fn measured_period_cost(
     db: &Database,
     records_per_block: f64,
 ) -> Result<MeasuredPeriod, WarehouseError> {
-    use mvdesign_engine::measure;
-
-    // Materialize the views into a working copy so queries can read them.
-    let mut working = db.clone();
-    let mut maintenance_io = 0.0;
-    for (name, definition) in views.views() {
-        let (result, io) = measure(definition, &working, records_per_block)?;
-        maintenance_io += io.total();
-        working.insert_table(Table::from_batch(name.clone(), result.into_batch()));
-    }
-
-    let mut query_io = 0.0;
-    for q in workload.queries() {
-        let routed = views.rewrite(q.root());
-        let (_, io) = measure(&routed, &working, records_per_block)?;
-        query_io += q.frequency() * io.total();
-    }
-    Ok(MeasuredPeriod {
-        query_io,
-        maintenance_io,
-        total_io: query_io + maintenance_io,
-    })
+    let queries = workload.queries().iter().map(|q| (q.frequency(), q.root()));
+    measured_period(views, queries, db, records_per_block)
 }
 
 /// Measured period cost of a finished design: the design's views serve the
@@ -737,22 +685,36 @@ pub fn measured_design_cost(
     db: &Database,
     records_per_block: f64,
 ) -> Result<MeasuredPeriod, WarehouseError> {
-    use mvdesign_engine::measure;
-
+    let mvpp = design.mvpp.mvpp();
+    let queries = mvpp
+        .roots()
+        .iter()
+        .map(|(_, fq, root)| (*fq, mvpp.node(*root).expr()));
     let views = ViewCatalog::from_design(design);
+    measured_period(&views, queries, db, records_per_block)
+}
+
+/// One refresh of every view, then every `(frequency, plan)` routed through
+/// the views, under the paper's discipline (the default [`ExecContext`]).
+fn measured_period<'a>(
+    views: &ViewCatalog,
+    queries: impl Iterator<Item = (f64, &'a Arc<Expr>)>,
+    db: &Database,
+    records_per_block: f64,
+) -> Result<MeasuredPeriod, WarehouseError> {
+    let ctx = ExecContext::default();
+    // Materialize the views into a working copy so queries can read them.
     let mut working = db.clone();
     let mut maintenance_io = 0.0;
     for (name, definition) in views.views() {
-        let (result, io) = measure(definition, &working, records_per_block)?;
+        let (result, io) = measure(definition, &working, records_per_block, &ctx)?;
         maintenance_io += io.total();
         working.insert_table(Table::from_batch(name.clone(), result.into_batch()));
     }
     let mut query_io = 0.0;
-    for (_, fq, root) in design.mvpp.mvpp().roots() {
-        let merged = design.mvpp.mvpp().node(*root).expr();
-        let routed = views.rewrite(merged);
-        let (_, io) = measure(&routed, &working, records_per_block)?;
-        query_io += fq * io.total();
+    for (frequency, plan) in queries {
+        let (_, io) = measure(&views.rewrite(plan), &working, records_per_block, &ctx)?;
+        query_io += frequency * io.total();
     }
     Ok(MeasuredPeriod {
         query_io,
@@ -776,7 +738,7 @@ pub struct MeasuredPeriod {
 mod tests {
     use super::*;
     use mvdesign_core::Designer;
-    use mvdesign_engine::{execute, Generator, GeneratorConfig};
+    use mvdesign_engine::{Generator, GeneratorConfig};
     use mvdesign_workload::paper_example;
 
     fn warehouse() -> Warehouse {
@@ -811,7 +773,7 @@ mod tests {
         let w = warehouse();
         let scenario = paper_example();
         for q in scenario.workload.queries() {
-            let direct = execute(q.root(), w.database())
+            let direct = execute(q.root(), w.database(), &ExecContext::default())
                 .expect("direct executes")
                 .canonicalized();
             let via = w
@@ -893,7 +855,7 @@ mod tests {
         let mut parallel = warehouse().with_exec_context(ExecContext {
             threads: 4,
             morsel_rows: 16,
-            mem_budget: None,
+            ..ExecContext::default()
         });
         parallel.refresh().expect("parallel refresh");
         for (name, t) in sequential.database().iter() {
@@ -916,7 +878,7 @@ mod tests {
         let resident = warehouse();
         // A budget far smaller than the data forces eviction on every scan.
         let mut budgeted = warehouse().with_mem_budget(Some(4 * 1024));
-        assert_eq!(budgeted.mem_budget(), Some(4 * 1024));
+        assert_eq!(budgeted.exec_context().mem_budget, Some(4 * 1024));
         let pool = Arc::clone(budgeted.buffer_pool().expect("pool exists"));
         let scenario = paper_example();
         for q in scenario.workload.queries() {
@@ -941,7 +903,7 @@ mod tests {
         }
         // Lifting the budget returns the warehouse to resident operation.
         budgeted.set_mem_budget(None);
-        assert_eq!(budgeted.mem_budget(), None);
+        assert_eq!(budgeted.exec_context().mem_budget, None);
         assert!(budgeted.buffer_pool().is_none());
         for (name, t) in resident.database().iter() {
             assert_eq!(
@@ -950,6 +912,44 @@ mod tests {
                 "table {name} differs after returning resident"
             );
         }
+    }
+
+    /// The memory budget has one source of truth: whichever of
+    /// `with_mem_budget` / `with_exec_context` spoke last, operator spilling
+    /// (`exec_context().mem_budget`) and table paging (`buffer_pool()`)
+    /// agree.
+    #[test]
+    fn exec_context_and_pool_agree_on_the_memory_budget() {
+        let budget = Some(4 * 1024);
+        let via_context = warehouse().with_exec_context(ExecContext {
+            mem_budget: budget,
+            ..ExecContext::default()
+        });
+        assert_eq!(via_context.exec_context().mem_budget, budget);
+        assert!(
+            via_context.buffer_pool().is_some(),
+            "a budget set through the context must page the tables out too"
+        );
+
+        let threads_only = warehouse()
+            .with_mem_budget(budget)
+            .with_exec_context(ExecContext::with_threads(4));
+        assert_eq!(threads_only.exec_context().threads, 4);
+        assert_eq!(
+            threads_only.exec_context().mem_budget.is_some(),
+            threads_only.buffer_pool().is_some(),
+            "paging without spilling (or the reverse) is two budgets"
+        );
+
+        let kept = warehouse()
+            .with_mem_budget(budget)
+            .with_exec_context(ExecContext {
+                threads: 4,
+                mem_budget: budget,
+                ..ExecContext::default()
+            });
+        assert_eq!(kept.exec_context().mem_budget, budget);
+        assert!(kept.buffer_pool().is_some());
     }
 
     #[test]
@@ -1035,7 +1035,8 @@ mod tests {
     #[test]
     fn delta_refresh_folds_appends_and_matches_recompute() {
         let mut delta = warehouse();
-        let mut recompute = warehouse().with_refresh_policy(RefreshPolicy::Recompute);
+        let mut recompute = warehouse();
+        recompute.set_refresh_policy(RefreshPolicy::Recompute);
         let rows: Vec<Vec<Value>> = (0..5).map(|_| customer_row(&delta)).collect();
         delta.append("Customer", rows.clone()).expect("appends");
         recompute.append("Customer", rows).expect("appends");

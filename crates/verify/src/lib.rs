@@ -12,9 +12,10 @@
 //!   MVPP plan of every query — and its rewrite against the materialized
 //!   views — must return exactly the rows of the original plan when run on
 //!   `engine`-generated data. The original plan runs on the preserved
-//!   tuple-at-a-time engine (`mvdesign_engine::row_reference`) while the
-//!   merged and rewritten plans run on the columnar batch engine, so the
-//!   check doubles as a batch ≡ row differential test on every audit;
+//!   tuple-at-a-time engine ([`row_reference`], kept here so the shipped
+//!   engine has one execution path) while the merged and rewritten plans
+//!   run on the columnar batch engine, so the check doubles as a batch ≡
+//!   row differential test on every audit;
 //! - **delta maintenance** ([`check_delta_refresh`]): folding captured
 //!   append deltas into a stored view
 //!   ([`mvdesign_engine::refresh_view_delta`]) must reproduce, bag-exactly,
@@ -30,6 +31,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod row_reference;
 
 use std::collections::BTreeSet;
 
@@ -186,10 +189,11 @@ pub fn check_semantics(
     gen_config: GeneratorConfig,
 ) -> AuditReport {
     let mut report = AuditReport::new();
+    let ctx = ExecContext::default();
     let mut db = Generator::with_config(gen_config).database(catalog);
     if let Some(views) = views {
         for (name, definition) in views.views() {
-            if let Err(e) = materialize_view(name.clone(), definition, &mut db) {
+            if let Err(e) = materialize_view(name.clone(), definition, &mut db, &ctx) {
                 report.push(
                     "semantics",
                     format!("view {name} failed to materialize: {e}"),
@@ -209,14 +213,14 @@ pub fn check_semantics(
         // The expected side runs on the tuple-at-a-time reference engine, so
         // this check is *differential*: an engine bug cannot cancel out of
         // both sides of the comparison.
-        let expected = match mvdesign_engine::row_reference::execute(q.root(), &db) {
+        let expected = match row_reference::execute(q.root(), &db, ctx.join_algo) {
             Ok(t) => t.canonicalized(),
             Err(e) => {
                 report.push("semantics", format!("{} original fails: {e}", q.name()));
                 continue;
             }
         };
-        let got = match execute(merged, &db) {
+        let got = match execute(merged, &db, &ctx) {
             Ok(t) => t.canonicalized(),
             Err(e) => {
                 report.push("semantics", format!("{} merged plan fails: {e}", q.name()));
@@ -236,7 +240,7 @@ pub fn check_semantics(
         }
         if let Some(views) = views {
             let rewritten = views.rewrite(merged);
-            match execute(&rewritten, &db) {
+            match execute(&rewritten, &db, &ctx) {
                 Ok(t) => {
                     if expected.rows() != t.canonicalized().rows() {
                         report.push(
@@ -275,10 +279,17 @@ pub fn check_delta_refresh(
     rounds: usize,
 ) -> AuditReport {
     let mut report = AuditReport::new();
+    // Recompute under the paper's nested loop, fold under the hash join the
+    // warehouse serves with: the oracle also crosses join algorithms.
+    let recompute = ExecContext::default();
+    let fold = ExecContext {
+        join_algo: JoinAlgo::Hash,
+        ..recompute
+    };
     let mut db = Generator::with_config(gen_config).database(catalog);
     let mut stored = Vec::new();
     for (name, definition) in views.views() {
-        match execute(definition, &db) {
+        match execute(definition, &db, &recompute) {
             Ok(t) => stored.push((name.clone(), definition, t.into_batch())),
             Err(e) => {
                 report.push("delta-refresh", format!("view {name} fails to build: {e}"));
@@ -287,7 +298,6 @@ pub fn check_delta_refresh(
         }
     }
     let base_names: Vec<_> = db.iter().map(|(n, _)| n.clone()).collect();
-    let ctx = ExecContext::default();
 
     for round in 0..rounds {
         let snapshot: std::collections::BTreeMap<_, _> =
@@ -313,14 +323,14 @@ pub fn check_delta_refresh(
 
         let (old, deltas) = split_appends(&db, &snapshot);
         for (name, definition, batch) in stored.iter_mut() {
-            let recomputed = match execute(definition, &db) {
+            let recomputed = match execute(definition, &db, &recompute) {
                 Ok(t) => t.canonicalized(),
                 Err(e) => {
                     report.push("delta-refresh", format!("{name} recompute fails: {e}"));
                     continue;
                 }
             };
-            match refresh_view_delta(batch, definition, &old, &deltas, JoinAlgo::Hash, &ctx) {
+            match refresh_view_delta(batch, definition, &old, &deltas, &fold) {
                 Ok(Some(fresh)) => {
                     let folded = Table::from_batch(name.clone(), fresh.clone()).canonicalized();
                     if folded.rows() != recomputed.rows() {

@@ -1,11 +1,13 @@
 //! The original tuple-at-a-time engine, preserved as a differential oracle.
 //!
-//! When the execution layer moved to columnar batches ([`crate::execute`]),
-//! this module kept the row-at-a-time implementation byte-for-byte: a
-//! deliberately independent baseline with no shared operator code, so
-//! `mvdesign-verify`'s executable-semantics oracle and the
-//! `tests/engine_batch.rs` property suite can assert batch ≡ row as bags
-//! without the two sides sharing the bugs they are checking for.
+//! When the execution layer moved to columnar batches
+//! ([`mvdesign_engine::execute`]), this module kept the row-at-a-time
+//! implementation byte-for-byte: a deliberately independent baseline with
+//! no shared operator code, so the executable-semantics oracle
+//! ([`crate::check_semantics`]) and the `tests/engine_batch.rs` property
+//! suite can assert batch ≡ row as bags without the two sides sharing the
+//! bugs they are checking for. It lives here, outside the shipped engine,
+//! and uses only the engine's public types.
 //!
 //! Nothing here is optimised — per-row attribute lookups and per-value
 //! clones are the point: this is the semantics specification, not the
@@ -16,35 +18,25 @@ use std::sync::Arc;
 
 use mvdesign_algebra::{AggFunc, Expr, Predicate, Rhs, Value};
 
-use crate::exec::{ExecError, JoinAlgo};
-use crate::table::{Database, Table};
+use mvdesign_engine::{Database, ExecError, JoinAlgo, Table};
 
-/// Evaluates an SPJ expression tuple-at-a-time, producing a result table
-/// with bag semantics. The reference implementation behind [`crate::execute`]'s
+/// Evaluates an SPJ expression tuple-at-a-time under the given physical
+/// join algorithm, producing a result table with bag semantics. The
+/// reference implementation behind [`mvdesign_engine::execute`]'s
 /// differential tests.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError`] when a base relation is missing from the database
 /// or an attribute reference cannot be resolved.
-pub fn execute(expr: &Arc<Expr>, db: &Database) -> Result<Table, ExecError> {
-    execute_with(expr, db, JoinAlgo::NestedLoop)
-}
-
-/// Like [`execute`], with an explicit physical join algorithm.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] when a base relation is missing from the database
-/// or an attribute reference cannot be resolved.
-pub fn execute_with(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<Table, ExecError> {
+pub fn execute(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<Table, ExecError> {
     match &**expr {
         Expr::Base(name) => db
             .table(name.as_str())
             .cloned()
             .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
         Expr::Select { input, predicate } => {
-            let t = execute_with(input, db, algo)?;
+            let t = execute(input, db, algo)?;
             let rows = t
                 .rows()
                 .iter()
@@ -57,7 +49,7 @@ pub fn execute_with(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<T
             Ok(Table::new("σ", t.attrs().to_vec(), rows))
         }
         Expr::Project { input, attrs } => {
-            let t = execute_with(input, db, algo)?;
+            let t = execute(input, db, algo)?;
             let idx: Vec<usize> = attrs
                 .iter()
                 .map(|a| {
@@ -73,8 +65,8 @@ pub fn execute_with(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<T
             Ok(Table::new("π", attrs.clone(), rows))
         }
         Expr::Join { left, right, on } => {
-            let l = execute_with(left, db, algo)?;
-            let r = execute_with(right, db, algo)?;
+            let l = execute(left, db, algo)?;
+            let r = execute(right, db, algo)?;
             // Resolve each condition pair to (left index, right index).
             let mut pairs = Vec::with_capacity(on.pairs().len());
             for (a, b) in on.pairs() {
@@ -101,7 +93,7 @@ pub fn execute_with(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<T
             group_by,
             aggs,
         } => {
-            let t = execute_with(input, db, algo)?;
+            let t = execute(input, db, algo)?;
             let gidx: Vec<usize> = group_by
                 .iter()
                 .map(|a| {
@@ -279,8 +271,15 @@ impl AggState {
     }
 }
 
-/// Evaluates a predicate on one row.
-fn eval_predicate(p: &Predicate, t: &Table, row: &[Value]) -> Result<bool, ExecError> {
+/// Evaluates a predicate on one row of `t` — the per-row semantics the
+/// engine's vectorised [`mvdesign_engine::selection_mask`] is tested
+/// against.
+///
+/// # Errors
+///
+/// Returns [`ExecError::MissingAttr`] when the predicate references an
+/// attribute the table does not carry.
+pub fn eval_predicate(p: &Predicate, t: &Table, row: &[Value]) -> Result<bool, ExecError> {
     match p {
         Predicate::True => Ok(true),
         Predicate::Cmp(c) => {
@@ -324,6 +323,7 @@ fn eval_predicate(p: &Predicate, t: &Table, row: &[Value]) -> Result<bool, ExecE
 mod tests {
     use super::*;
     use mvdesign_algebra::{AttrRef, CompareOp, JoinCondition};
+    use mvdesign_engine::ExecContext;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -372,10 +372,12 @@ mod tests {
         ];
         for e in &exprs {
             for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-                let reference = execute_with(e, &db, algo)
-                    .expect("row engine")
-                    .canonicalized();
-                let batch = crate::exec::execute_with(e, &db, algo)
+                let reference = execute(e, &db, algo).expect("row engine").canonicalized();
+                let ctx = ExecContext {
+                    join_algo: algo,
+                    ..ExecContext::default()
+                };
+                let batch = mvdesign_engine::execute(e, &db, &ctx)
                     .expect("batch engine")
                     .canonicalized();
                 assert_eq!(reference.rows(), batch.rows(), "{e} under {algo:?}");
@@ -387,7 +389,7 @@ mod tests {
     fn missing_relation_errors() {
         let e = Expr::base("Ghost");
         assert!(matches!(
-            execute(&e, &db()),
+            execute(&e, &db(), JoinAlgo::NestedLoop),
             Err(ExecError::UnknownRelation(_))
         ));
     }

@@ -167,7 +167,8 @@ fn main() {
     for id in &m {
         let node = a.mvpp().node(*id);
         views.register(node.label(), std::sync::Arc::clone(node.expr()));
-        materialize_view(node.label(), node.expr(), &mut db).expect("view materializes");
+        materialize_view(node.label(), node.expr(), &mut db, &ExecContext::default())
+            .expect("view materializes");
     }
 
     let (_, _, root) = a
@@ -178,7 +179,7 @@ fn main() {
         .expect("dashboard query exists");
     let merged = a.mvpp().node(*root).expr();
     let rewritten = views.rewrite(merged);
-    let answer = execute(&rewritten, &db).expect("dashboard answers");
+    let answer = execute(&rewritten, &db, &ExecContext::default()).expect("dashboard answers");
     println!(
         "revenue_by_city uses {} stored view(s); first rows:",
         views.match_count(merged)

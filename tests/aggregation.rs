@@ -10,7 +10,7 @@ use mvdesign::algebra::{
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::core::{evaluate, generate_mvpps, GenerateConfig, MaintenanceMode, Workload};
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
-use mvdesign::engine::{execute, Database, Generator, GeneratorConfig, Table};
+use mvdesign::engine::{execute, Database, ExecContext, Generator, GeneratorConfig, Table};
 use mvdesign::optimizer::Planner;
 use mvdesign::prelude::Designer;
 
@@ -161,7 +161,7 @@ fn engine_groups_and_aggregates_correctly() {
         &c,
     )
     .expect("parses");
-    let out = execute(&q, &tiny_db()).expect("executes");
+    let out = execute(&q, &tiny_db(), &ExecContext::default()).expect("executes");
     let rows = out.canonicalized();
     // LA: amounts 5,7,11,1 → total 24, n 4, min 1, max 11, avg 6.
     // SF: amount 2 → total 2, n 1, min 2, max 2, avg 2.
@@ -183,7 +183,7 @@ fn global_aggregate_without_group_by() {
     let c = catalog();
     let q =
         parse_query_with("SELECT COUNT(*) AS n, SUM(amount) AS s FROM Sales", &c).expect("parses");
-    let out = execute(&q, &tiny_db()).expect("executes");
+    let out = execute(&q, &tiny_db(), &ExecContext::default()).expect("executes");
     assert_eq!(out.len(), 1);
     assert_eq!(out.rows()[0][0], Value::Int(5));
     assert_eq!(out.rows()[0][1], Value::Int(26));
@@ -202,8 +202,12 @@ fn optimizer_preserves_aggregate_results() {
     .expect("parses");
     let opt = Planner::new().optimize(&q, &est);
     let db = tiny_db();
-    let a = execute(&q, &db).expect("original").canonicalized();
-    let b = execute(&opt, &db).expect("optimized").canonicalized();
+    let a = execute(&q, &db, &ExecContext::default())
+        .expect("original")
+        .canonicalized();
+    let b = execute(&opt, &db, &ExecContext::default())
+        .expect("optimized")
+        .canonicalized();
     assert_eq!(a.rows(), b.rows());
     assert!(est.tree_cost(&opt) <= est.tree_cost(&q));
 }
@@ -260,10 +264,10 @@ fn two_aggregate_queries_share_their_spj_core_in_the_mvpp() {
     let db = tiny_db();
     for (name, _, root) in mvpp.roots() {
         let original = w.query(name).expect("known query");
-        let a = execute(original.root(), &db)
+        let a = execute(original.root(), &db, &ExecContext::default())
             .expect("original")
             .canonicalized();
-        let b = execute(mvpp.node(*root).expr(), &db)
+        let b = execute(mvpp.node(*root).expr(), &db, &ExecContext::default())
             .expect("merged")
             .canonicalized();
         assert_eq!(a.rows(), b.rows(), "merge changed {name}");
@@ -322,8 +326,9 @@ fn aggregates_over_generated_data_roundtrip_through_measure() {
         &c,
     )
     .expect("parses");
-    let (table, io) = mvdesign::engine::measure(&q, &db, 10.0).expect("measures");
-    let plain = execute(&q, &db).expect("executes");
+    let (table, io) =
+        mvdesign::engine::measure(&q, &db, 10.0, &ExecContext::default()).expect("measures");
+    let plain = execute(&q, &db, &ExecContext::default()).expect("executes");
     assert_eq!(table.canonicalized().rows(), plain.canonicalized().rows());
     assert!(io.total() > 0.0);
 }
@@ -332,7 +337,7 @@ fn aggregates_over_generated_data_roundtrip_through_measure() {
 fn hand_built_aggregate_expr_works_without_parser() {
     let sum = AggExpr::new(AggFunc::Sum, AttrRef::new("Sales", "amount"), "total");
     let e = Expr::aggregate(Expr::base("Sales"), [AttrRef::new("Sales", "store")], [sum]);
-    let out = execute(&e, &tiny_db()).expect("executes");
+    let out = execute(&e, &tiny_db(), &ExecContext::default()).expect("executes");
     assert_eq!(out.len(), 3); // three stores
     let rows = out.canonicalized();
     assert_eq!(rows.rows()[0], vec![Value::Int(1), Value::Int(12)]);
@@ -348,7 +353,7 @@ fn having_filters_groups() {
         &c,
     )
     .expect("parses");
-    let out = execute(&q, &tiny_db()).expect("executes");
+    let out = execute(&q, &tiny_db(), &ExecContext::default()).expect("executes");
     // LA total 24 passes, SF total 2 does not.
     assert_eq!(out.len(), 1);
     assert_eq!(out.rows()[0][0], Value::text("LA"));
@@ -365,7 +370,7 @@ fn having_can_reference_group_keys_and_count_star() {
         &c,
     )
     .expect("parses");
-    let out = execute(&q, &tiny_db()).expect("executes");
+    let out = execute(&q, &tiny_db(), &ExecContext::default()).expect("executes");
     assert_eq!(out.len(), 1);
     assert_eq!(out.rows()[0][1], Value::Int(1));
 }
@@ -405,8 +410,12 @@ fn having_queries_survive_the_designer() {
         .find(|(n, _, _)| n == "H")
         .expect("H root");
     let merged = design.mvpp.mvpp().node(*root).expr();
-    let a = execute(&q1, &db).expect("direct").canonicalized();
-    let b = execute(merged, &db).expect("merged").canonicalized();
+    let a = execute(&q1, &db, &ExecContext::default())
+        .expect("direct")
+        .canonicalized();
+    let b = execute(merged, &db, &ExecContext::default())
+        .expect("merged")
+        .canonicalized();
     assert_eq!(a.rows(), b.rows());
 }
 
@@ -453,10 +462,10 @@ fn nested_aggregate_under_join_is_preserved_by_merge() {
     let db = tiny_db();
     for (name, _, root) in mvpp.roots() {
         let original = w.query(name).expect("known");
-        let a = execute(original.root(), &db)
+        let a = execute(original.root(), &db, &ExecContext::default())
             .expect("direct")
             .canonicalized();
-        let b = execute(mvpp.node(*root).expr(), &db)
+        let b = execute(mvpp.node(*root).expr(), &db, &ExecContext::default())
             .expect("merged")
             .canonicalized();
         assert_eq!(a.rows(), b.rows(), "merge changed {name}");

@@ -13,7 +13,7 @@ use mvdesign::core::{
     Mvpp, UpdateWeighting, Workload,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
-use mvdesign::engine::{execute, Database, Table};
+use mvdesign::engine::{execute, Database, ExecContext, Table};
 use mvdesign::optimizer::Planner;
 use mvdesign::prelude::Designer;
 
@@ -224,7 +224,7 @@ fn duplicate_rows_and_text_aggregation_are_stable() {
             ),
         ],
     );
-    let out = execute(&e, &db).expect("executes");
+    let out = execute(&e, &db, &ExecContext::default()).expect("executes");
     assert_eq!(out.len(), 1);
     assert_eq!(out.rows()[0][1], mvdesign::algebra::Value::text("a"));
     assert_eq!(out.rows()[0][2], mvdesign::algebra::Value::text("b"));

@@ -16,9 +16,22 @@ use mvdesign::algebra::{
 };
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
-    execute_with, measure, row_reference, selection_mask, selection_mask_full, Database, Generator,
+    execute, measure, selection_mask, BufferPool, Database, ExecContext, Generator,
     GeneratorConfig, JoinAlgo, Table,
 };
+use mvdesign_verify::row_reference;
+
+const ALGOS: [JoinAlgo; 3] = [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge];
+
+/// The mask the row reference computes: its per-row predicate evaluation
+/// over every row of the table, sharing no kernel with the engine.
+fn row_wise_mask(p: &Predicate, table: &Table) -> Vec<bool> {
+    table
+        .rows()
+        .iter()
+        .map(|row| row_reference::eval_predicate(p, table, row).expect("row oracle evaluates"))
+        .collect()
+}
 
 /// A three-relation catalog with an integer join key, an integer payload and
 /// a low-cardinality text attribute per relation.
@@ -161,11 +174,12 @@ proptest! {
         let catalog = make_catalog(sizes);
         let db = small_db(&catalog, seed);
         let q = build_query(&spec);
-        for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let batch = execute_with(&q, &db, algo)
+        for algo in ALGOS {
+            let ctx = ExecContext { join_algo: algo, ..ExecContext::default() };
+            let batch = execute(&q, &db, &ctx)
                 .expect("batch engine executes")
                 .canonicalized();
-            let reference = row_reference::execute_with(&q, &db, algo)
+            let reference = row_reference::execute(&q, &db, algo)
                 .expect("row reference executes")
                 .canonicalized();
             prop_assert_eq!(
@@ -190,8 +204,8 @@ proptest! {
         let catalog = make_catalog(sizes);
         let db = small_db(&catalog, seed);
         let q = build_query(&spec);
-        let (measured, report) = measure(&q, &db, f64::from(bf)).expect("iosim executes");
-        let direct = execute_with(&q, &db, JoinAlgo::NestedLoop).expect("engine executes");
+        let (measured, report) = measure(&q, &db, f64::from(bf), &ExecContext::default()).expect("iosim executes");
+        let direct = execute(&q, &db, &ExecContext::default()).expect("engine executes");
         prop_assert_eq!(report.rows_out, direct.len());
         prop_assert_eq!(
             measured.canonicalized().rows(),
@@ -201,8 +215,9 @@ proptest! {
     }
 
     /// Selection-vector short-circuiting must produce bit-identical masks
-    /// to full-width evaluation on random conjunctive/disjunctive
-    /// predicates over batches large enough to trigger the switch.
+    /// to the row reference's row-at-a-time evaluation on random
+    /// conjunctive/disjunctive predicates over batches large enough to
+    /// trigger the switch.
     #[test]
     fn short_circuit_masks_are_bit_identical(
         rows in 8u32..600,
@@ -235,10 +250,10 @@ proptest! {
             preds.extend(texts);
         }
         let p = Predicate::and(preds);
-        let batch = db.table("R0").expect("table generated").batch();
-        let fast = selection_mask(&p, batch).expect("adaptive mask evaluates");
-        let full = selection_mask_full(&p, batch).expect("full mask evaluates");
-        prop_assert_eq!(fast, full);
+        let table = db.table("R0").expect("table generated");
+        let fast = selection_mask(&p, table.batch(), &ExecContext::default())
+            .expect("adaptive mask evaluates");
+        prop_assert_eq!(fast, row_wise_mask(&p, table));
     }
 }
 
@@ -265,7 +280,7 @@ fn generated_text_columns_are_dict_backed() {
 /// A deterministic regression for the selection-vector switch itself: the
 /// first conjunct keeps 1% of 1,000 rows (well under the 1/8 density
 /// threshold), so the remaining conjuncts run in survivor-index mode — and
-/// the mask must still be bit-identical to full-width evaluation. The OR
+/// the mask must still be bit-identical to row-at-a-time evaluation. The OR
 /// case mirrors it: the first disjunct accepts 99% of rows, so later
 /// disjuncts only visit the undecided 1%.
 #[test]
@@ -278,22 +293,23 @@ fn selection_vector_switch_is_bit_identical_on_dense_fixture() {
             .map(|i| vec![Value::Int(i % 100), Value::Int(i % 3)])
             .collect(),
     ));
-    let batch = db.table("R").expect("table").batch();
+    let table = db.table("R").expect("table");
+    let ctx = ExecContext::default();
 
     let and = Predicate::and([
         Predicate::cmp(AttrRef::new("R", "a"), CompareOp::Eq, 5),
         Predicate::cmp(AttrRef::new("R", "b"), CompareOp::Gt, 0),
     ]);
-    let fast = selection_mask(&and, batch).expect("evaluates");
-    assert_eq!(fast, selection_mask_full(&and, batch).expect("evaluates"));
+    let fast = selection_mask(&and, table.batch(), &ctx).expect("evaluates");
+    assert_eq!(fast, row_wise_mask(&and, table));
     assert_eq!(fast.iter().filter(|&&m| m).count(), 7); // i%100==5 ∧ i%3>0
 
     let or = Predicate::or([
         Predicate::cmp(AttrRef::new("R", "a"), CompareOp::Ne, 5),
         Predicate::cmp(AttrRef::new("R", "b"), CompareOp::Eq, 1),
     ]);
-    let fast = selection_mask(&or, batch).expect("evaluates");
-    assert_eq!(fast, selection_mask_full(&or, batch).expect("evaluates"));
+    let fast = selection_mask(&or, table.batch(), &ctx).expect("evaluates");
+    assert_eq!(fast, row_wise_mask(&or, table));
     assert_eq!(fast.iter().filter(|&&m| m).count(), 993); // ¬(a=5 ∧ b≠1)
 }
 
@@ -327,7 +343,7 @@ fn iosim_selection_block_counts_are_unchanged() {
         Expr::base("R"),
         Predicate::cmp(AttrRef::new("R", "x"), CompareOp::Lt, 5),
     );
-    let (out, report) = measure(&q, &db, 10.0).expect("iosim executes");
+    let (out, report) = measure(&q, &db, 10.0, &ExecContext::default()).expect("iosim executes");
     assert_eq!(out.len(), 50);
     assert_eq!(report.blocks_read, 10.0);
     assert_eq!(report.blocks_written, 5.0);
@@ -344,7 +360,7 @@ fn iosim_join_block_counts_are_unchanged() {
         Expr::base("S"),
         JoinCondition::on(AttrRef::new("R", "k"), AttrRef::new("S", "k")),
     );
-    let (out, report) = measure(&q, &db, 10.0).expect("iosim executes");
+    let (out, report) = measure(&q, &db, 10.0, &ExecContext::default()).expect("iosim executes");
     assert_eq!(out.len(), 430);
     assert_eq!(report.blocks_read, 30.0);
     assert_eq!(report.blocks_written, 43.0);
@@ -361,7 +377,7 @@ fn iosim_aggregate_block_counts_are_unchanged() {
         [AttrRef::new("R", "k")],
         [AggExpr::new(AggFunc::Sum, AttrRef::new("R", "x"), "sx")],
     );
-    let (out, report) = measure(&q, &db, 10.0).expect("iosim executes");
+    let (out, report) = measure(&q, &db, 10.0, &ExecContext::default()).expect("iosim executes");
     assert_eq!(out.len(), 7);
     assert_eq!(report.blocks_read, 10.0);
     assert_eq!(report.blocks_written, 1.0);
@@ -376,7 +392,6 @@ fn iosim_aggregate_block_counts_are_unchanged() {
 /// `Arc` directly) and multiple pages per column.
 #[test]
 fn push_row_on_a_shared_page_copies_before_writing() {
-    use mvdesign::engine::BufferPool;
     for page_rows in [4usize, 16] {
         let mut original = Table::new(
             "S",
@@ -407,7 +422,6 @@ fn push_row_on_a_shared_page_copies_before_writing() {
 /// resident gather, dictionary tables included.
 #[test]
 fn paged_gather_spanning_page_boundaries_matches_resident() {
-    use mvdesign::engine::{execute_with_context, BufferPool, ExecContext};
     let mut resident = Database::new();
     resident.insert_table(Table::new(
         "L",
@@ -441,10 +455,14 @@ fn paged_gather_spanning_page_boundaries_matches_resident() {
     let mut paged = resident.clone();
     let pool = BufferPool::new(Some(0));
     paged.page_out(&pool, 3);
-    for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-        let base = execute_with(&q, &resident, algo).expect("resident");
-        let out = execute_with_context(&q, &paged, algo, &ExecContext::default()).expect("paged");
-        assert_eq!(base.batch(), out.batch(), "{algo:?} gather differs");
+    for join_algo in ALGOS {
+        let ctx = ExecContext {
+            join_algo,
+            ..ExecContext::default()
+        };
+        let base = execute(&q, &resident, &ctx).expect("resident");
+        let out = execute(&q, &paged, &ctx).expect("paged");
+        assert_eq!(base.batch(), out.batch(), "{join_algo:?} gather differs");
     }
     assert!(
         pool.stats().misses > 0,
@@ -458,7 +476,6 @@ fn paged_gather_spanning_page_boundaries_matches_resident() {
 /// pages, so this also covers the empty `PagedBatch` round-trip.
 #[test]
 fn empty_batch_filter_matches_resident_and_paged() {
-    use mvdesign::engine::{execute_with_context, BufferPool, ExecContext};
     let attrs = [AttrRef::new("E", "a"), AttrRef::new("E", "t")];
     let none_match = Expr::select(
         Expr::base("E"),
@@ -476,14 +493,9 @@ fn empty_batch_filter_matches_resident_and_paged() {
         let mut paged = resident.clone();
         let pool = BufferPool::new(None);
         paged.page_out(&pool, 4);
-        let base = execute_with(&none_match, &resident, JoinAlgo::NestedLoop).expect("resident");
-        let out = execute_with_context(
-            &none_match,
-            &paged,
-            JoinAlgo::NestedLoop,
-            &ExecContext::default(),
-        )
-        .expect("paged");
+        let ctx = ExecContext::default();
+        let base = execute(&none_match, &resident, &ctx).expect("resident");
+        let out = execute(&none_match, &paged, &ctx).expect("paged");
         assert_eq!(base.len(), 0);
         assert_eq!(
             base.batch(),

@@ -212,15 +212,18 @@ proptest! {
         let generated = dict_db(&catalog, seed);
         let mut db = if plain_text { plain_text_db(&generated) } else { generated };
         let view = build_view(&spec);
-        let ctx = ExecContext::default();
+        // Recompute under the default nested loop, fold under the drawn
+        // algorithm: the differential also crosses join kernels.
+        let recompute = ExecContext::default();
         let algo = ALGOS[algo_sel];
+        let ctx = ExecContext { join_algo: algo, ..recompute };
 
-        let mut stored = execute(&view, &db).expect("view builds").into_batch();
+        let mut stored = execute(&view, &db, &recompute).expect("view builds").into_batch();
         for (r, quarters) in rounds.iter().enumerate() {
             let snapshot = append_round(&mut db, &catalog, seed + r as u64, *quarters);
             let (old, deltas) = split_appends(&db, &snapshot);
-            let recomputed = execute(&view, &db).expect("recompute runs");
-            match refresh_view_delta(&stored, &view, &old, &deltas, algo, &ctx)
+            let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
+            match refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
                 .expect("delta refresh runs")
             {
                 Some(folded) => {
@@ -256,11 +259,17 @@ proptest! {
         let mut db = dict_db(&catalog, seed);
         let view = build_view(&spec);
         let algo = ALGOS[algo_sel];
-        let ctx = ExecContext { threads: 1, morsel_rows: 16, mem_budget: Some(mem_budget()) };
+        let recompute = ExecContext::default();
+        let ctx = ExecContext {
+            join_algo: algo,
+            threads: 1,
+            morsel_rows: 16,
+            mem_budget: Some(mem_budget()),
+        };
 
-        let stored = execute(&view, &db).expect("view builds").into_batch();
+        let stored = execute(&view, &db, &recompute).expect("view builds").into_batch();
         let snapshot = append_round(&mut db, &catalog, seed, quarters);
-        let recomputed = execute(&view, &db).expect("recompute runs");
+        let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
 
         // Page the grown database into a zero-byte pool: every pin during
         // delta splitting and old-side evaluation misses and reloads.
@@ -268,7 +277,7 @@ proptest! {
         let mut paged = db.clone();
         paged.page_out(&pool, page_rows);
         let (old, deltas) = split_appends(&paged, &snapshot);
-        match refresh_view_delta(&stored, &view, &old, &deltas, algo, &ctx)
+        match refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
             .expect("paged delta refresh runs")
         {
             Some(folded) => {
@@ -302,20 +311,20 @@ fn join_view_folds_insert_only_appends() {
         text_select: vec![],
         top: 0,
     });
-    let stored = execute(&view, &db).expect("view builds").into_batch();
+    let recompute = ExecContext::default();
+    let hash = ExecContext {
+        join_algo: JoinAlgo::Hash,
+        ..recompute
+    };
+    let stored = execute(&view, &db, &recompute)
+        .expect("view builds")
+        .into_batch();
     let snapshot = append_round(&mut db, &catalog, 7, [2, 3, 0]);
     let (old, deltas) = split_appends(&db, &snapshot);
-    let folded = refresh_view_delta(
-        &stored,
-        &view,
-        &old,
-        &deltas,
-        JoinAlgo::Hash,
-        &ExecContext::default(),
-    )
-    .expect("delta refresh runs")
-    .expect("insert-only join delta folds");
-    let recomputed = execute(&view, &db).expect("recompute runs");
+    let folded = refresh_view_delta(&stored, &view, &old, &deltas, &hash)
+        .expect("delta refresh runs")
+        .expect("insert-only join delta folds");
+    let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
     assert_eq!(
         Table::from_batch("v", folded).canonicalized().rows(),
         recomputed.canonicalized().rows()

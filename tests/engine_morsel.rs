@@ -18,8 +18,8 @@ use mvdesign::algebra::{
 };
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
-    execute_with, execute_with_context, measure, measure_with, selection_mask, selection_mask_with,
-    Database, ExecContext, Generator, GeneratorConfig, JoinAlgo, Table,
+    execute, measure, selection_mask, Database, ExecContext, Generator, GeneratorConfig, JoinAlgo,
+    Table,
 };
 
 /// A three-relation catalog with an integer join key, an integer payload and
@@ -205,20 +205,20 @@ proptest! {
         let generated = dict_db(&catalog, seed);
         let db = if plain_text { plain_text_db(&generated) } else { generated };
         let q = build_query(&spec);
-        let ctx = ExecContext {
-            threads: effective_threads(THREAD_COUNTS[threads_sel]),
-            morsel_rows: MORSEL_SIZES[morsel_sel],
-            mem_budget: env_mem_budget(),
-        };
-        for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let sequential = execute_with(&q, &db, algo).expect("single-threaded executes");
-            let parallel = execute_with_context(&q, &db, algo, &ctx)
-                .expect("morsel engine executes");
+        for join_algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            let single = ExecContext { join_algo, ..ExecContext::default() };
+            let ctx = ExecContext {
+                join_algo,
+                threads: effective_threads(THREAD_COUNTS[threads_sel]),
+                morsel_rows: MORSEL_SIZES[morsel_sel],
+                mem_budget: env_mem_budget(),
+            };
+            let sequential = execute(&q, &db, &single).expect("single-threaded executes");
+            let parallel = execute(&q, &db, &ctx).expect("morsel engine executes");
             prop_assert_eq!(
                 sequential.batch(),
                 parallel.batch(),
-                "bit-identity broken under {:?} with {:?} for {:?}",
-                algo,
+                "bit-identity broken with {:?} for {:?}",
                 ctx,
                 spec
             );
@@ -267,9 +267,11 @@ proptest! {
             threads: effective_threads(THREAD_COUNTS[threads_sel]),
             morsel_rows: MORSEL_SIZES[morsel_sel],
             mem_budget: env_mem_budget(),
+            ..ExecContext::default()
         };
-        let sequential = selection_mask(&p, batch).expect("mask evaluates");
-        let parallel = selection_mask_with(&p, batch, &ctx).expect("parallel mask evaluates");
+        let sequential =
+            selection_mask(&p, batch, &ExecContext::default()).expect("mask evaluates");
+        let parallel = selection_mask(&p, batch, &ctx).expect("parallel mask evaluates");
         prop_assert_eq!(sequential, parallel);
     }
 
@@ -291,9 +293,11 @@ proptest! {
             threads: effective_threads(THREAD_COUNTS[threads_sel]),
             morsel_rows: MORSEL_SIZES[morsel_sel],
             mem_budget: env_mem_budget(),
+            ..ExecContext::default()
         };
-        let (base_table, base_io) = measure(&q, &db, f64::from(bf)).expect("iosim executes");
-        let (table, io) = measure_with(&q, &db, f64::from(bf), &ctx)
+        let (base_table, base_io) = measure(&q, &db, f64::from(bf), &ExecContext::default())
+            .expect("iosim executes");
+        let (table, io) = measure(&q, &db, f64::from(bf), &ctx)
             .expect("parallel iosim executes");
         prop_assert_eq!(base_io, io);
         prop_assert_eq!(base_table.batch(), table.batch());
@@ -337,21 +341,22 @@ fn morsel_boundaries_do_not_reorder_output() {
             AggExpr::count_star("n"),
         ],
     );
-    for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-        let sequential = execute_with(&q, &db, algo).expect("sequential");
+    for join_algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+        let single = ExecContext {
+            join_algo,
+            ..ExecContext::default()
+        };
+        let sequential = execute(&q, &db, &single).expect("sequential");
         for morsel_rows in MORSEL_SIZES {
             for threads in [2, 4, 8] {
                 let ctx = ExecContext {
+                    join_algo,
                     threads,
                     morsel_rows,
                     mem_budget: env_mem_budget(),
                 };
-                let parallel = execute_with_context(&q, &db, algo, &ctx).expect("parallel");
-                assert_eq!(
-                    sequential.batch(),
-                    parallel.batch(),
-                    "{algo:?} differs at {ctx:?}"
-                );
+                let parallel = execute(&q, &db, &ctx).expect("parallel");
+                assert_eq!(sequential.batch(), parallel.batch(), "differs at {ctx:?}");
             }
         }
     }
@@ -370,12 +375,17 @@ fn all_cores_context_matches_sequential() {
         text_or: false,
         top: 2,
     });
+    let single = ExecContext {
+        join_algo: JoinAlgo::Hash,
+        ..ExecContext::default()
+    };
     let ctx = ExecContext {
         threads: 0,
         morsel_rows: 16,
         mem_budget: env_mem_budget(),
+        ..single
     };
-    let sequential = execute_with(&q, &db, JoinAlgo::Hash).expect("sequential");
-    let parallel = execute_with_context(&q, &db, JoinAlgo::Hash, &ctx).expect("all cores");
+    let sequential = execute(&q, &db, &single).expect("sequential");
+    let parallel = execute(&q, &db, &ctx).expect("all cores");
     assert_eq!(sequential.batch(), parallel.batch());
 }

@@ -21,8 +21,8 @@ use mvdesign::algebra::{
 };
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
-    batch_bytes, execute_with, execute_with_context, measure, measure_paged, BufferPool, Database,
-    ExecContext, Generator, GeneratorConfig, JoinAlgo, Table,
+    batch_bytes, execute, measure, BufferPool, Database, ExecContext, Generator, GeneratorConfig,
+    JoinAlgo, Table,
 };
 
 /// A three-relation catalog with an integer join key, an integer payload and
@@ -233,20 +233,20 @@ proptest! {
         let q = build_query(&spec);
         let (paged, _pool, op_budget) =
             paged_copy(&db, BUDGETS[budget_sel], PAGE_SIZES[page_sel]);
-        let ctx = ExecContext {
-            threads: THREAD_COUNTS[threads_sel],
-            morsel_rows: 16,
-            mem_budget: op_budget,
-        };
-        for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let resident = execute_with(&q, &db, algo).expect("resident executes");
-            let out = execute_with_context(&q, &paged, algo, &ctx)
-                .expect("paged engine executes");
+        for join_algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            let plain = ExecContext { join_algo, ..ExecContext::default() };
+            let ctx = ExecContext {
+                join_algo,
+                threads: THREAD_COUNTS[threads_sel],
+                morsel_rows: 16,
+                mem_budget: op_budget,
+            };
+            let resident = execute(&q, &db, &plain).expect("resident executes");
+            let out = execute(&q, &paged, &ctx).expect("paged engine executes");
             prop_assert_eq!(
                 resident.batch(),
                 out.batch(),
-                "bit-identity broken under {:?} at {:?}/{} pages with {:?} for {:?}",
-                algo,
+                "bit-identity broken at {:?}/{} pages with {:?} for {:?}",
                 BUDGETS[budget_sel],
                 PAGE_SIZES[page_sel],
                 ctx,
@@ -274,10 +274,14 @@ proptest! {
         let q = build_query(&spec);
         let (paged, _pool, op_budget) =
             paged_copy(&db, BUDGETS[budget_sel], PAGE_SIZES[page_sel]);
-        let ctx = ExecContext { threads: 1, morsel_rows: 16, mem_budget: op_budget };
-        let (rt, rio) = measure(&q, &db, f64::from(bf)).expect("resident iosim");
-        let (pt, pio) = measure_paged(&q, &paged, f64::from(bf), &ctx)
-            .expect("paged iosim");
+        let ctx = ExecContext {
+            morsel_rows: 16,
+            mem_budget: op_budget,
+            ..ExecContext::default()
+        };
+        let (rt, rio) = measure(&q, &db, f64::from(bf), &ExecContext::default())
+            .expect("resident iosim");
+        let (pt, pio) = measure(&q, &paged, f64::from(bf), &ctx).expect("paged iosim");
         prop_assert_eq!(rt.batch(), pt.batch());
         prop_assert_eq!(rio.total(), pio.total());
         prop_assert_eq!(rio.blocks_read, pio.blocks_read);
@@ -332,19 +336,24 @@ fn spilled_join_and_aggregate_match_resident() {
     let pool = BufferPool::new(Some(0));
     let mut paged = db.clone();
     paged.page_out(&pool, 64);
-    for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-        let resident = execute_with(&q, &db, algo).expect("resident");
+    for join_algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+        let plain = ExecContext {
+            join_algo,
+            ..ExecContext::default()
+        };
+        let resident = execute(&q, &db, &plain).expect("resident");
         for threads in [1, 4] {
             let ctx = ExecContext {
+                join_algo,
                 threads,
                 morsel_rows: 64,
                 mem_budget: Some(1024),
             };
-            let out = execute_with_context(&q, &paged, algo, &ctx).expect("paged");
+            let out = execute(&q, &paged, &ctx).expect("paged");
             assert_eq!(
                 resident.batch(),
                 out.batch(),
-                "{algo:?} differs at {threads} thread(s)"
+                "{join_algo:?} differs at {threads} thread(s)"
             );
         }
     }
@@ -374,14 +383,15 @@ fn repeated_runs_over_an_evicting_pool_are_identical() {
         top: 2,
     });
     let ctx = ExecContext {
+        join_algo: JoinAlgo::Hash,
         threads: 1,
         morsel_rows: 16,
         mem_budget: op_budget,
     };
-    let first = execute_with_context(&q, &paged, JoinAlgo::Hash, &ctx).expect("first run");
+    let first = execute(&q, &paged, &ctx).expect("first run");
     let evictions_after_first = pool.stats().evictions;
     for _ in 0..3 {
-        let again = execute_with_context(&q, &paged, JoinAlgo::Hash, &ctx).expect("re-run");
+        let again = execute(&q, &paged, &ctx).expect("re-run");
         assert_eq!(first.batch(), again.batch(), "rerun differs");
     }
     // Unless the env knob lifted the budget, the half-data pool kept

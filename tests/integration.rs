@@ -10,7 +10,7 @@ use mvdesign::core::{
     UpdateWeighting, Workload,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
-use mvdesign::engine::{execute, measure, Database, Generator, GeneratorConfig};
+use mvdesign::engine::{execute, measure, Database, ExecContext, Generator, GeneratorConfig};
 use mvdesign::optimizer::Planner;
 use mvdesign::prelude::Designer;
 use mvdesign::workload::{paper_example, StarSchema, StarSchemaConfig};
@@ -38,10 +38,10 @@ fn optimizer_preserves_query_results_on_real_data() {
     let db = paper_db();
     let planner = Planner::new();
     for q in scenario.workload.queries() {
-        let naive =
-            execute(q.root(), &db).unwrap_or_else(|e| panic!("{} naive failed: {e}", q.name()));
+        let naive = execute(q.root(), &db, &ExecContext::default())
+            .unwrap_or_else(|e| panic!("{} naive failed: {e}", q.name()));
         let optimized_plan = planner.optimize(q.root(), &est);
-        let optimized = execute(&optimized_plan, &db)
+        let optimized = execute(&optimized_plan, &db, &ExecContext::default())
             .unwrap_or_else(|e| panic!("{} optimized failed: {e}", q.name()));
         assert_eq!(
             naive.canonicalized().rows(),
@@ -73,8 +73,9 @@ fn mvpp_merge_preserves_query_results_on_real_data() {
                 .workload
                 .query(name)
                 .expect("root name comes from the workload");
-            let expected = execute(original.root(), &db).expect("original executes");
-            let merged = execute(mvpp.node(*root).expr(), &db)
+            let expected =
+                execute(original.root(), &db, &ExecContext::default()).expect("original executes");
+            let merged = execute(mvpp.node(*root).expr(), &db, &ExecContext::default())
                 .unwrap_or_else(|e| panic!("MVPP {i} {name} failed: {e}"));
             assert_eq!(
                 expected.canonicalized().rows(),
@@ -99,9 +100,11 @@ fn measured_io_agrees_with_cost_model_on_actual_cardinalities() {
     let db = paper_db();
     let planner = Planner::new();
     for q in scenario.workload.queries() {
-        let (_, io_naive) = measure(q.root(), &db, 10.0).expect("naive executes");
+        let (_, io_naive) =
+            measure(q.root(), &db, 10.0, &ExecContext::default()).expect("naive executes");
         let optimized = planner.optimize(q.root(), &est);
-        let (_, io_opt) = measure(&optimized, &db, 10.0).expect("optimized executes");
+        let (_, io_opt) =
+            measure(&optimized, &db, 10.0, &ExecContext::default()).expect("optimized executes");
         assert!(
             io_opt.total() <= io_naive.total() * 1.05,
             "{}: optimized measured {} vs naive {}",
@@ -144,7 +147,7 @@ fn materialized_views_are_nondegenerate_tables() {
     assert!(!design.materialized.is_empty());
     for id in &design.materialized {
         let node = design.mvpp.mvpp().node(*id);
-        let view = execute(node.expr(), &db).expect("view computes");
+        let view = execute(node.expr(), &db, &ExecContext::default()).expect("view computes");
         assert!(!view.attrs().is_empty());
     }
 }
@@ -211,8 +214,9 @@ fn merged_star_queries_still_execute_correctly() {
     )[0];
     for (name, _, root) in mvpp.roots() {
         let original = scenario.workload.query(name).expect("known query");
-        let a = execute(original.root(), &db).expect("original executes");
-        let b = execute(mvpp.node(*root).expr(), &db).expect("merged executes");
+        let a = execute(original.root(), &db, &ExecContext::default()).expect("original executes");
+        let b = execute(mvpp.node(*root).expr(), &db, &ExecContext::default())
+            .expect("merged executes");
         assert_eq!(
             a.canonicalized().rows(),
             b.canonicalized().rows(),
@@ -302,12 +306,13 @@ fn expr_for_paper_q1_round_trips_through_engine_and_estimator() {
     let stats = est.stats(q1);
     assert!(stats.records > 0.0);
     let db = paper_db();
-    execute(q1, &db).expect("Q1 executes on generated data");
+    execute(q1, &db, &ExecContext::default()).expect("Q1 executes on generated data");
 }
 
 #[test]
 fn base_relation_expr_executes_directly() {
     let db = paper_db();
-    let t = execute(&Expr::base("Customer"), &db).expect("customer table exists");
+    let t = execute(&Expr::base("Customer"), &db, &ExecContext::default())
+        .expect("customer table exists");
     assert!(!t.is_empty());
 }

@@ -108,12 +108,12 @@ proptest! {
     ) {
         let (catalog, design) = fixture();
         let mut warehouse = Warehouse::new(catalog.clone(), base_db(seed), design)
-            .expect("warehouse builds")
-            .with_refresh_policy(if global == 0 {
-                RefreshPolicy::Recompute
-            } else {
-                RefreshPolicy::Delta
-            });
+            .expect("warehouse builds");
+        warehouse.set_refresh_policy(if global == 0 {
+            RefreshPolicy::Recompute
+        } else {
+            RefreshPolicy::Delta
+        });
         let view_names: Vec<_> = warehouse
             .views()
             .views()
@@ -198,9 +198,9 @@ proptest! {
 /// append round, with refresh not yet run.
 fn grown_warehouse(policy: RefreshPolicy) -> Warehouse {
     let (catalog, design) = fixture();
-    let mut warehouse = Warehouse::new(catalog.clone(), base_db(11), design)
-        .expect("warehouse builds")
-        .with_refresh_policy(policy);
+    let mut warehouse =
+        Warehouse::new(catalog.clone(), base_db(11), design).expect("warehouse builds");
+    warehouse.set_refresh_policy(policy);
     for (relation, rows) in append_batches(11, &[3, 2, 4, 1]) {
         warehouse.append(relation, rows).expect("append is valid");
     }

@@ -14,7 +14,7 @@ use mvdesign::core::{
     SelectionAlgorithm, UpdateWeighting,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
-use mvdesign::engine::{execute, execute_with, Database, Generator, GeneratorConfig, JoinAlgo};
+use mvdesign::engine::{execute, Database, ExecContext, Generator, GeneratorConfig, JoinAlgo};
 use mvdesign::optimizer::{push_selections, Planner};
 
 /// A three-relation catalog whose statistics are drawn from the strategy.
@@ -117,8 +117,8 @@ proptest! {
         let db = small_db(&catalog, seed);
         let q = build_query(&spec);
         let pushed = push_selections(&q);
-        let a = execute(&q, &db).expect("original executes").canonicalized();
-        let b = execute(&pushed, &db).expect("pushed executes").canonicalized();
+        let a = execute(&q, &db, &ExecContext::default()).expect("original executes").canonicalized();
+        let b = execute(&pushed, &db, &ExecContext::default()).expect("pushed executes").canonicalized();
         prop_assert_eq!(a.rows(), b.rows());
     }
 
@@ -134,8 +134,8 @@ proptest! {
         let est = CostEstimator::new(&catalog, EstimationMode::Analytic, PaperCostModel::default());
         let opt = Planner::new().optimize(&q, &est);
         prop_assert!(est.tree_cost(&opt) <= est.tree_cost(&q) + 1e-9);
-        let a = execute(&q, &db).expect("original executes").canonicalized();
-        let b = execute(&opt, &db).expect("optimized executes").canonicalized();
+        let a = execute(&q, &db, &ExecContext::default()).expect("original executes").canonicalized();
+        let b = execute(&opt, &db, &ExecContext::default()).expect("optimized executes").canonicalized();
         prop_assert_eq!(a.rows(), b.rows());
     }
 
@@ -266,15 +266,11 @@ proptest! {
         let catalog = make_catalog(sizes, 0.3);
         let db = small_db(&catalog, seed);
         let q = build_query(&spec);
-        let nested = execute_with(&q, &db, JoinAlgo::NestedLoop)
-            .expect("nested executes")
-            .canonicalized();
-        let hash = execute_with(&q, &db, JoinAlgo::Hash)
-            .expect("hash executes")
-            .canonicalized();
-        let merge = execute_with(&q, &db, JoinAlgo::SortMerge)
-            .expect("merge executes")
-            .canonicalized();
+        let [nested, hash, merge] =
+            [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge].map(|join_algo| {
+                let ctx = ExecContext { join_algo, ..ExecContext::default() };
+                execute(&q, &db, &ctx).expect("executes").canonicalized()
+            });
         prop_assert_eq!(nested.rows(), hash.rows());
         prop_assert_eq!(nested.rows(), merge.rows());
     }
@@ -316,10 +312,10 @@ proptest! {
             }
         });
         for (name, definition) in views.views().to_vec() {
-            materialize_view(name, &definition, &mut db).expect("view materializes");
+            materialize_view(name, &definition, &mut db, &ExecContext::default()).expect("view materializes");
         }
-        let direct = execute(&q, &db).expect("direct executes").canonicalized();
-        let routed = execute(&views.rewrite(&q), &db)
+        let direct = execute(&q, &db, &ExecContext::default()).expect("direct executes").canonicalized();
+        let routed = execute(&views.rewrite(&q), &db, &ExecContext::default())
             .expect("routed executes")
             .canonicalized();
         prop_assert_eq!(direct.rows(), routed.rows());

@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use mvdesign::algebra::{parse_query_with, Expr, Value};
 use mvdesign::catalog::Catalog;
 use mvdesign::core::DesignResult;
-use mvdesign::engine::{execute, Database, Generator, GeneratorConfig};
+use mvdesign::engine::{execute, Database, ExecContext, Generator, GeneratorConfig};
 use mvdesign::prelude::Designer;
 use mvdesign::warehouse::{Warehouse, WarehouseSnapshot};
 use mvdesign::workload::paper_example;
@@ -392,7 +392,7 @@ fn held_snapshot_is_stable_across_published_refresh() {
             .table(name.as_str())
             .expect("view stored")
             .canonicalized();
-        let recomputed = execute(definition, held.database())
+        let recomputed = execute(definition, held.database(), &ExecContext::default())
             .expect("view recomputes")
             .canonicalized();
         assert_eq!(

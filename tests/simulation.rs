@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use mvdesign::core::ViewCatalog;
-use mvdesign::engine::{Generator, GeneratorConfig};
+use mvdesign::engine::{ExecContext, Generator, GeneratorConfig};
 use mvdesign::prelude::Designer;
 use mvdesign::warehouse::{measured_design_cost, measured_period_cost, MeasuredPeriod};
 use mvdesign::workload::paper_example;
@@ -44,7 +44,8 @@ fn strategies() -> (MeasuredPeriod, MeasuredPeriod, MeasuredPeriod) {
     let mut maintenance_io = 0.0;
     for (vname, definition) in all_views.views() {
         let (result, io) =
-            mvdesign::engine::measure(definition, &working, 10.0).expect("view computes");
+            mvdesign::engine::measure(definition, &working, 10.0, &ExecContext::default())
+                .expect("view computes");
         maintenance_io += io.total();
         working.insert_table(mvdesign::engine::Table::new(
             vname.clone(),
@@ -55,7 +56,8 @@ fn strategies() -> (MeasuredPeriod, MeasuredPeriod, MeasuredPeriod) {
     for (_, fq, root) in design.mvpp.mvpp().roots() {
         let merged = design.mvpp.mvpp().node(*root).expr();
         let routed = all_views.rewrite(merged);
-        let (_, io) = mvdesign::engine::measure(&routed, &working, 10.0).expect("query runs");
+        let (_, io) = mvdesign::engine::measure(&routed, &working, 10.0, &ExecContext::default())
+            .expect("query runs");
         query_io += fq * io.total();
     }
     let all = MeasuredPeriod {

@@ -3,7 +3,9 @@
 //! identical answers at lower measured I/O.
 
 use mvdesign::core::ViewCatalog;
-use mvdesign::engine::{execute, materialize_view, measure, Generator, GeneratorConfig};
+use mvdesign::engine::{
+    execute, materialize_view, measure, ExecContext, Generator, GeneratorConfig,
+};
 use mvdesign::prelude::Designer;
 use mvdesign::workload::paper_example;
 
@@ -25,7 +27,8 @@ fn rewritten_queries_match_and_cost_less() {
     })
     .database(&scenario.catalog);
     for (name, definition) in views.views() {
-        materialize_view(name.clone(), definition, &mut db).expect("view materializes");
+        materialize_view(name.clone(), definition, &mut db, &ExecContext::default())
+            .expect("view materializes");
     }
 
     let mut any_rewritten = false;
@@ -47,10 +50,10 @@ fn rewritten_queries_match_and_cost_less() {
             assert_ne!(rewritten.semantic_key(), merged.semantic_key());
         }
 
-        let expected = execute(q.root(), &db)
+        let expected = execute(q.root(), &db, &ExecContext::default())
             .expect("original executes")
             .canonicalized();
-        let got = execute(&rewritten, &db)
+        let got = execute(&rewritten, &db, &ExecContext::default())
             .expect("rewritten executes")
             .canonicalized();
         assert_eq!(
@@ -61,8 +64,10 @@ fn rewritten_queries_match_and_cost_less() {
         );
 
         // Reading the stored view must not cost more than recomputing it.
-        let (_, io_merged) = measure(merged, &db, 10.0).expect("merged measures");
-        let (_, io_rewritten) = measure(&rewritten, &db, 10.0).expect("rewritten measures");
+        let (_, io_merged) =
+            measure(merged, &db, 10.0, &ExecContext::default()).expect("merged measures");
+        let (_, io_rewritten) =
+            measure(&rewritten, &db, 10.0, &ExecContext::default()).expect("rewritten measures");
         assert!(
             io_rewritten.total() <= io_merged.total(),
             "{}: rewritten {} > merged {}",
@@ -114,10 +119,13 @@ fn ad_hoc_query_not_in_the_workload_still_hits_the_views() {
     })
     .database(&scenario.catalog);
     for (name, definition) in views.views() {
-        materialize_view(name.clone(), definition, &mut db).expect("materializes");
+        materialize_view(name.clone(), definition, &mut db, &ExecContext::default())
+            .expect("materializes");
     }
-    let direct = execute(&ad_hoc, &db).expect("direct").canonicalized();
-    let via_views = execute(&views.rewrite(&ad_hoc), &db)
+    let direct = execute(&ad_hoc, &db, &ExecContext::default())
+        .expect("direct")
+        .canonicalized();
+    let via_views = execute(&views.rewrite(&ad_hoc), &db, &ExecContext::default())
         .expect("rewritten")
         .canonicalized();
     assert_eq!(direct.rows(), via_views.rows());
