@@ -1,47 +1,34 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! Regenerates every table and figure of the paper's evaluation. Nothing
+//! here times anything: measurement lives in `benchmark/` (retired
+//! trajectories: `docs/history/`).
 //!
 //! ```text
 //! cargo run -p mvdesign-bench --bin repro            # the paper's tables/figures + extensions
 //! cargo run -p mvdesign-bench --bin repro table2     # one artifact
-//! cargo run -p mvdesign-bench --bin repro perf       # perf*/audit run only when named
+//! cargo run -p mvdesign-bench --bin repro audit      # the correctness gate; runs only when named
 //! ```
 //!
-//! An unknown name prints the list of sections to stderr and exits 2.
+//! No section takes an argument: an unknown name, or anything after the
+//! section name, prints the list of sections to stderr and exits 2.
 //!
-//! Artifacts: `table1`, `table2`, `fig2`, `fig3`, `fig5`, `fig6`, `fig7`,
-//! `fig8`, `fig9` (the paper), and the extensions `distributed`, `ablation`,
+//! Sections: `table1`, `table2`, `fig2`, `fig3`, `fig5`, `fig6`, `fig7`,
+//! `fig8`, `fig9` (the paper); the extensions `distributed`, `ablation`,
 //! `sweep` (update-frequency crossover), `algorithms` (selection quality),
 //! `mqp` (§3.2 comparison), `scale` (workload growth), `simulate`
 //! (engine-measured I/O), `tpch` (TPC-H-lite design), `breakeven`
-//! (closed-form U*), `perf` (memoized search engine vs naive re-evaluation;
-//! writes `BENCH_selection.json`), `perf-engine` (columnar batch engine vs
-//! the tuple-at-a-time reference on star-schema scan/join/aggregate
-//! microbenchmarks; writes `BENCH_engine.json`), `perf-maintain`
-//! (delta-fold refresh vs full recompute across append fractions, plus the
-//! joint policy-selection flip; writes `BENCH_maintain.json`), `perf-serve`
-//! (the async serving layer under thousands of simulated clients over a
-//! mixed query/maintenance load, QPS and p50/p95/p99 latency; writes
-//! `BENCH_serve.json`), `audit` (the correctness battery: structural
-//! invariants, differential cost oracles, executable semantics over the
-//! paper/star/TPC-H/degenerate scenarios).
-//!
-//! `perf`, `perf-engine`, `perf-maintain` and `perf-serve` take an optional
-//! label (`repro perf <label>`, default `working-tree`); re-running a label
-//! replaces that entry in the artifact instead of appending a duplicate.
-//! `perf-engine` additionally accepts `--threads N` to add an explicit
-//! thread count to its morsel scaling section (default: 1, 2 and all host
-//! cores). `perf-serve` accepts `--clients N`, `--duration-ms D`,
-//! `--append-fraction F` and `--no-write` (run without touching the
-//! artifact, for CI smokes).
+//! (closed-form U*); and `audit` (structural invariants, differential cost
+//! oracles, executable semantics over the paper/star/TPC-H/degenerate
+//! scenarios).
 
 use std::collections::BTreeSet;
 
 use mvdesign::algebra::{dot_graph, Expr};
+use mvdesign::catalog::Catalog;
 use mvdesign::core::{
-    evaluate, generate_mvpps, mqp_batch_cost, AnnotatedMvpp, ExhaustiveSelection, GenerateConfig,
-    GeneticSelection, GreedySelection, MaintenanceMode, MaintenancePolicy, MaterializeAll,
-    MaterializeNone, RandomSearch, SelectionAlgorithm, SimulatedAnnealing, TraceVerdict,
-    UpdateWeighting,
+    evaluate, generate_mvpps, mqp_batch_cost, AnnotatedMvpp, CostBreakdown, ExhaustiveSelection,
+    GenerateConfig, GeneticSelection, GreedySelection, MaintenanceMode, MaintenancePolicy,
+    MaterializeAll, MaterializeNone, NodeId, RandomSearch, SelectionAlgorithm, SimulatedAnnealing,
+    TraceVerdict, UpdateWeighting,
 };
 use mvdesign::cost::{
     CostEstimator, EstimationMode, NestedLoopCostModel, PaperCostModel, SortMergeCostModel,
@@ -51,11 +38,10 @@ use mvdesign::distributed::{
 };
 use mvdesign::optimizer::{pull_up, Planner};
 use mvdesign::workload::{paper_example, paper_figure7_example, StarSchema, StarSchemaConfig};
-use mvdesign_bench::{join_node, paper_annotated, table2_rows};
 
-/// The paper's tables and figures plus the model extensions, in print
-/// order: what a bare `repro` regenerates.
-const PAPER_SECTIONS: &[(&str, fn())] = &[
+/// Every section, in print order: the paper's tables and figures, the
+/// model extensions, then the `audit` gate.
+const SECTIONS: &[(&str, fn())] = &[
     ("table1", table1),
     ("table2", table2),
     ("fig2", fig2),
@@ -74,38 +60,130 @@ const PAPER_SECTIONS: &[(&str, fn())] = &[
     ("simulate", simulate),
     ("tpch", tpch),
     ("breakeven", breakeven),
-];
-
-/// Sections that run only when named: the `perf*` runs take minutes and
-/// rewrite the checked-in `BENCH_*.json`, and `audit` is a gate, not an
-/// artifact.
-const NAMED_SECTIONS: &[(&str, fn())] = &[
-    ("perf", perf),
-    ("perf-engine", perf_engine),
-    ("perf-maintain", perf_maintain),
-    ("perf-serve", perf_serve),
     ("audit", audit),
 ];
 
 fn main() {
-    let Some(name) = std::env::args().nth(1) else {
-        for (_, run) in PAPER_SECTIONS {
-            run();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let named = match args.as_slice() {
+        [] => {
+            // A bare run regenerates the artifacts; `audit` is a gate (it
+            // exits non-zero on a violation), so it runs only when named.
+            for (name, run) in SECTIONS {
+                if *name != "audit" {
+                    run();
+                }
+            }
+            return;
         }
-        return;
+        [name] => SECTIONS.iter().find(|(n, _)| n == name),
+        _ => None,
     };
-    let known = || PAPER_SECTIONS.iter().chain(NAMED_SECTIONS);
-    match known().find(|(n, _)| *n == name) {
-        Some((_, run)) => run(),
-        None => {
-            let names: Vec<&str> = known().map(|(n, _)| *n).collect();
-            eprintln!(
-                "repro: unknown section `{name}`; one of: {}",
-                names.join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
+    let Some((_, run)) = named else {
+        let names: Vec<&str> = SECTIONS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "repro: expected one section name and nothing after it, got `{}`; one of: {}",
+            args.join(" "),
+            names.join(", ")
+        );
+        std::process::exit(2);
+    };
+    run();
+}
+
+/// The estimator the paper's sections share: calibrated cardinalities under
+/// the paper's cost model.
+fn paper_estimator(catalog: &Catalog) -> CostEstimator<'_, PaperCostModel> {
+    CostEstimator::new(
+        catalog,
+        EstimationMode::Calibrated,
+        PaperCostModel::default(),
+    )
+}
+
+/// Builds the best annotated MVPP for the paper's running example (the one
+/// the designer would keep).
+fn paper_annotated() -> AnnotatedMvpp {
+    let scenario = paper_example();
+    let est = paper_estimator(&scenario.catalog);
+    let candidates = generate_mvpps(
+        &scenario.workload,
+        &est,
+        &Planner::new(),
+        GenerateConfig::default(),
+    );
+    candidates
+        .into_iter()
+        .map(|mvpp| {
+            let a = AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max);
+            let (m, _) = GreedySelection::new().run(&a);
+            (evaluate(&a, &m, MaintenanceMode::SharedRecompute).total, a)
+        })
+        .min_by(|x, y| x.0.total_cmp(&y.0))
+        .expect("paper workload yields candidates")
+        .1
+}
+
+/// Finds the MVPP node joining exactly this set of base relations.
+fn join_node(a: &AnnotatedMvpp, rels: &[&str]) -> Option<NodeId> {
+    let want: BTreeSet<_> = rels.iter().map(|r| (*r).into()).collect();
+    a.mvpp()
+        .nodes()
+        .iter()
+        .find(|n| matches!(&**n.expr(), Expr::Join { .. }) && n.expr().base_relations() == want)
+        .map(|n| n.id())
+}
+
+/// One row of the Table-2 comparison: a strategy, the paper's reported
+/// (query processing, maintenance, total) in block accesses, and ours.
+struct Table2Row {
+    label: &'static str,
+    paper: (f64, f64, f64),
+    measured: CostBreakdown,
+}
+
+/// Evaluates the five strategies of the paper's Table 2 against an annotated
+/// MVPP of the running example.
+fn table2_rows(a: &AnnotatedMvpp) -> Vec<Table2Row> {
+    let mode = MaintenanceMode::SharedRecompute;
+    let tmp2 = join_node(a, &["Division", "Product"]);
+    let tmp4 = join_node(a, &["Customer", "Order"]);
+    let tmp6 = join_node(a, &["Customer", "Division", "Order", "Product"]);
+    let set =
+        |ids: &[Option<NodeId>]| -> BTreeSet<NodeId> { ids.iter().flatten().copied().collect() };
+    let all_queries: BTreeSet<NodeId> = a.mvpp().roots().iter().map(|r| r.2).collect();
+    let row = |label, paper, m: &BTreeSet<NodeId>| Table2Row {
+        label,
+        paper,
+        measured: evaluate(a, m, mode),
+    };
+    vec![
+        row(
+            "base relations only (all virtual)",
+            (95_671_000.0, 0.0, 95_671_000.0),
+            &BTreeSet::new(),
+        ),
+        row(
+            "tmp2, tmp4, tmp6",
+            (85_237_000.0, 12_583_000.0, 97_820_000.0),
+            &set(&[tmp2, tmp4, tmp6]),
+        ),
+        row(
+            "tmp2, tmp6",
+            (25_506_000.0, 12_382_000.0, 37_888_000.0),
+            &set(&[tmp2, tmp6]),
+        ),
+        row(
+            "tmp2, tmp4 (the paper's pick)",
+            (25_512_000.0, 12_065_000.0, 37_577_000.0),
+            &set(&[tmp2, tmp4]),
+        ),
+        row(
+            "Q1, Q2, Q3, Q4 (all query results)",
+            (7_250.0, 62_653_000.0, 62_660_000.0),
+            &all_queries,
+        ),
+    ]
 }
 
 fn section(title: &str) {
@@ -148,7 +226,7 @@ fn table2() {
         "", "paper qp", "paper maint", "paper total", "ours qp", "ours maint", "ours total"
     );
     for row in table2_rows(&a) {
-        let (pq, pm, pt) = row.paper.unwrap_or((f64::NAN, f64::NAN, f64::NAN));
+        let (pq, pm, pt) = row.paper;
         println!(
             "{:<36} | {:>12.3e} {:>12.3e} {:>12.3e} | {:>12.3e} {:>12.3e} {:>12.3e}",
             row.label,
@@ -170,11 +248,7 @@ fn table2() {
 fn fig2() {
     section("Figure 2: individual plans for Q1/Q2 and their merge on tmp1/tmp2");
     let scenario = paper_example();
-    let est = CostEstimator::new(
-        &scenario.catalog,
-        EstimationMode::Calibrated,
-        PaperCostModel::default(),
-    );
+    let est = paper_estimator(&scenario.catalog);
     let planner = Planner::new();
     let q1 = planner.optimize(scenario.workload.query("Q1").expect("Q1").root(), &est);
     let q2 = planner.optimize(scenario.workload.query("Q2").expect("Q2").root(), &est);
@@ -221,11 +295,7 @@ fn fig3() {
 fn fig5() {
     section("Figure 5: individual optimal plans, selects/projects pushed up");
     let scenario = paper_example();
-    let est = CostEstimator::new(
-        &scenario.catalog,
-        EstimationMode::Calibrated,
-        PaperCostModel::default(),
-    );
+    let est = paper_estimator(&scenario.catalog);
     let planner = Planner::new();
     for q in scenario.workload.queries() {
         let optimal = planner.optimize(q.root(), &est);
@@ -244,11 +314,7 @@ fn fig5() {
 fn fig6() {
     section("Figure 6: the k rotated MVPP candidates");
     let scenario = paper_example();
-    let est = CostEstimator::new(
-        &scenario.catalog,
-        EstimationMode::Calibrated,
-        PaperCostModel::default(),
-    );
+    let est = paper_estimator(&scenario.catalog);
     let candidates = generate_mvpps(
         &scenario.workload,
         &est,
@@ -292,11 +358,7 @@ fn fig6() {
 /// Figure 7 and Figure 8 print from.
 fn figure7_mvpp() -> mvdesign::core::Mvpp {
     let scenario = paper_figure7_example();
-    let est = CostEstimator::new(
-        &scenario.catalog,
-        EstimationMode::Calibrated,
-        PaperCostModel::default(),
-    );
+    let est = paper_estimator(&scenario.catalog);
     let config = GenerateConfig { max_rotations: 1 };
     generate_mvpps(&scenario.workload, &est, &Planner::new(), config).swap_remove(0)
 }
@@ -478,11 +540,7 @@ fn ablation() {
     // 4. Maintenance-policy ablation: cheap incremental refreshes shift the
     // design toward materializing more (paper future work / its ref. [11]).
     let scenario2 = paper_example();
-    let est = CostEstimator::new(
-        &scenario2.catalog,
-        EstimationMode::Calibrated,
-        PaperCostModel::default(),
-    );
+    let est = paper_estimator(&scenario2.catalog);
     for (label, policy) in [
         ("recompute (paper)", MaintenancePolicy::Recompute),
         (
@@ -533,11 +591,7 @@ fn ablation() {
         ("no indexes", &paper_example()),
         ("σ-column indexes", &indexed),
     ] {
-        let est = CostEstimator::new(
-            &s.catalog,
-            EstimationMode::Calibrated,
-            PaperCostModel::default(),
-        );
+        let est = paper_estimator(&s.catalog);
         let mvpp = generate_mvpps(
             &s.workload,
             &est,
@@ -575,11 +629,7 @@ fn sweep() {
                 .set_update_frequency(r, fu)
                 .expect("known relation");
         }
-        let est = CostEstimator::new(
-            &scenario.catalog,
-            EstimationMode::Calibrated,
-            PaperCostModel::default(),
-        );
+        let est = paper_estimator(&scenario.catalog);
         let mvpp = generate_mvpps(
             &scenario.workload,
             &est,
@@ -888,1593 +938,6 @@ fn breakeven() {
     );
 }
 
-/// Wall-clock comparison of the memoized/parallel search engine against
-/// naive full re-evaluation (the straightforward implementation: one
-/// complete `evaluate` per candidate frontier). Both sides are asserted to
-/// return the *identical* selected set, so the speedup is free. Writes
-/// machine-readable results to `BENCH_selection.json` as one labelled run
-/// (`repro perf <label>`, default `working-tree`) so before/after revisions
-/// can be recorded side by side.
-fn perf() {
-    use std::time::Instant;
-
-    section("Perf: memoized incremental search engine vs naive re-evaluation");
-    let label = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "working-tree".to_string());
-    let mode = MaintenanceMode::SharedRecompute;
-    let cores = mvdesign_bench::host_cores();
-    let mut rows: Vec<String> = Vec::new();
-    println!(
-        "{:>8} {:>7} {:<14} {:>12} {:>12} {:>9} {:>10} {:>14}",
-        "queries",
-        "nodes",
-        "algorithm",
-        "naive ms",
-        "engine ms",
-        "speedup",
-        "evals",
-        "engine eval/s"
-    );
-    for queries in [10usize, 20, 40] {
-        let scenario = StarSchema::with_config(StarSchemaConfig {
-            queries,
-            dimensions: 5,
-            ..StarSchemaConfig::default()
-        })
-        .scenario();
-        let est = CostEstimator::new(
-            &scenario.catalog,
-            EstimationMode::Analytic,
-            PaperCostModel::default(),
-        );
-        let mvpp = generate_mvpps(
-            &scenario.workload,
-            &est,
-            &Planner::new(),
-            GenerateConfig { max_rotations: 1 },
-        )
-        .remove(0);
-        let a = AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max);
-        let nodes = a.mvpp().len();
-
-        // Exact search over the 2^16 subsets of the highest-weight nodes.
-        let ex = ExhaustiveSelection {
-            max_nodes: 16,
-            parallelism: 0,
-        };
-        let t = Instant::now();
-        let engine_pick = ex.select(&a, mode);
-        let engine_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        let (naive_pick, evals) = naive_exhaustive(&a, mode, 16);
-        let naive_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            engine_pick, naive_pick,
-            "engine must return the naive optimum"
-        );
-        perf_row(
-            &mut rows,
-            queries,
-            nodes,
-            "exhaustive16",
-            naive_ms,
-            engine_ms,
-            evals,
-        );
-
-        // Genetic algorithm, default knobs; both sides drive the identical
-        // RNG stream, so the evolved populations match gene for gene.
-        let ga = GeneticSelection::default();
-        let t = Instant::now();
-        let engine_pick = ga.select(&a, mode);
-        let engine_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        let (naive_pick, evals) = naive_genetic(&a, mode, &ga);
-        let naive_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            engine_pick, naive_pick,
-            "memoized GA must evolve the identical population"
-        );
-        perf_row(
-            &mut rows, queries, nodes, "genetic", naive_ms, engine_ms, evals,
-        );
-    }
-    write_bench_artifact("BENCH_selection.json", &label, cores, &rows);
-}
-
-/// Upserts one labelled run into a `BENCH_*.json` artifact: existing runs
-/// survive, a re-run label replaces its previous entry (exact match — no
-/// unbounded duplicate growth), and the file is rewritten whole.
-///
-/// A label that repeats an existing run's stem under a different `rev`
-/// prefix (say `pr8-paged` next to an existing `pr7-paged`) draws a
-/// warning but still writes: such near-duplicates usually mean the new
-/// label was meant to *replace* the old trajectory point, not fork it.
-fn write_bench_artifact(path: &str, label: &str, cores: usize, rows: &[String]) {
-    let run = format!(
-        "    {{\n      \"rev\": \"{label}\",\n      \"results\": [\n{}\n      ]\n    }}",
-        rows.join(",\n")
-    );
-    let mem = mvdesign_bench::host_mem_bytes();
-    let existing = mvdesign_bench::load_runs(path);
-    for shadow in mvdesign_bench::shadowed_labels(&existing, label) {
-        eprintln!(
-            "warning: {path} run \"{label}\" shadows existing run \"{shadow}\" \
-             (same stem, different prefix); re-use the old label to replace it, \
-             or keep both on purpose"
-        );
-    }
-    let runs = mvdesign_bench::upsert_run(existing, label, run);
-    let json = mvdesign_bench::render_bench_file(cores, mem, &runs);
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("\nwrote {path} run \"{label}\" ({cores} core(s), {mem} bytes RAM)");
-}
-
-/// Wall-clock comparison of delta-fold refresh against full recompute on
-/// the paper warehouse, across append fractions from 0.1% to 50% of the
-/// base data. Both policies are first asserted to leave bit-identical
-/// canonical stored views — only then is the refresh timed (best of three
-/// fresh warehouses per policy, so every timed refresh starts from the
-/// same appended-but-stale state). A second section records the joint
-/// policy-selection scenario in which the delta cost model flips the
-/// exhaustive optimum from "materialize nothing" to "materialize the join
-/// and fold its deltas". Writes `BENCH_maintain.json`
-/// (`repro perf-maintain <label>`, default `working-tree`).
-fn perf_maintain() {
-    use std::time::Instant;
-
-    use mvdesign::algebra::{AttrRef, JoinCondition, Value};
-    use mvdesign::catalog::{AttrType, Catalog};
-    use mvdesign::core::Mvpp;
-    use mvdesign::engine::{Generator, GeneratorConfig, JoinAlgo};
-    use mvdesign::prelude::Designer;
-    use mvdesign::warehouse::{RefreshPolicy, Warehouse};
-
-    section("Perf: delta-fold refresh vs full recompute");
-    let label = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "working-tree".to_string());
-    let cores = mvdesign_bench::host_cores();
-    let mut rows: Vec<String> = Vec::new();
-
-    let scenario = paper_example();
-    let design = Designer::new()
-        .design(&scenario.catalog, &scenario.workload)
-        .expect("paper example designs");
-    let gen = GeneratorConfig {
-        seed: 0xbe7a,
-        scale: 1.0,
-        max_rows: 30_000,
-    };
-    let base = Generator::with_config(gen).database(&scenario.catalog);
-    let twin = Generator::with_config(GeneratorConfig {
-        seed: gen.seed ^ 0xA99E,
-        ..gen
-    })
-    .database(&scenario.catalog);
-
-    println!(
-        "{:>11} {:>9} {:>13} {:>10} {:>9} {:>7} {:>11}",
-        "append frac", "rows", "recompute ms", "delta ms", "speedup", "folded", "recomputed"
-    );
-    for fraction in [0.001f64, 0.01, 0.05, 0.2, 0.5] {
-        let batches: Vec<(String, Vec<Vec<Value>>)> = base
-            .iter()
-            .map(|(name, t)| {
-                let src = twin.table(name.as_str()).expect("twin relation");
-                let take = ((t.len() as f64 * fraction).ceil() as usize).clamp(1, src.len());
-                (name.to_string(), src.rows()[..take].to_vec())
-            })
-            .collect();
-        let appended: usize = batches.iter().map(|(_, r)| r.len()).sum();
-
-        let build = |policy: RefreshPolicy| {
-            let mut w = Warehouse::new_with_join_algo(
-                scenario.catalog.clone(),
-                base.clone(),
-                &design,
-                JoinAlgo::Hash,
-            )
-            .expect("warehouse builds");
-            w.set_refresh_policy(policy);
-            for (rel, rows) in &batches {
-                w.append(rel.clone(), rows.clone())
-                    .expect("append is valid");
-            }
-            w
-        };
-
-        // Correctness gate: both maintenance policies must leave the
-        // identical stored views before either is timed.
-        let mut delta_w = build(RefreshPolicy::Delta);
-        let delta_report = delta_w.refresh().expect("delta refresh");
-        let mut rec_w = build(RefreshPolicy::Recompute);
-        rec_w.refresh().expect("recompute refresh");
-        for (vname, _) in delta_w.views().views() {
-            let folded = delta_w
-                .database()
-                .table(vname.as_str())
-                .expect("delta view stored")
-                .canonicalized();
-            let recomputed = rec_w
-                .database()
-                .table(vname.as_str())
-                .expect("recomputed view stored")
-                .canonicalized();
-            assert_eq!(
-                folded.rows(),
-                recomputed.rows(),
-                "view {vname}: delta fold and recompute disagree at fraction {fraction}"
-            );
-        }
-
-        let time_refresh = |policy: RefreshPolicy| {
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let mut w = build(policy);
-                let t = Instant::now();
-                std::hint::black_box(w.refresh().expect("refresh runs"));
-                best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            }
-            best
-        };
-        let delta_ms = time_refresh(RefreshPolicy::Delta);
-        let recompute_ms = time_refresh(RefreshPolicy::Recompute);
-        let speedup = recompute_ms / delta_ms.max(1e-9);
-        println!(
-            "{:>10.1}% {appended:>9} {recompute_ms:>13.3} {delta_ms:>10.3} {speedup:>8.1}x {:>7} {:>11}",
-            fraction * 100.0,
-            delta_report.folded,
-            delta_report.recomputed
-        );
-        rows.push(format!(
-            "    {{\"delta_fraction\": {fraction}, \"appended_rows\": {appended}, \
-             \"recompute_ms\": {recompute_ms:.3}, \"delta_ms\": {delta_ms:.3}, \
-             \"speedup\": {speedup:.2}, \"folded\": {}, \"recomputed\": {}}}",
-            delta_report.folded, delta_report.recomputed
-        ));
-    }
-
-    section("Joint policy selection: the delta cost model flips the optimum");
-    let mut c = Catalog::new();
-    for (name, records, blocks) in [("A", 10_000.0, 1_000.0), ("B", 20_000.0, 2_000.0)] {
-        c.relation(name)
-            .attr("k", AttrType::Int)
-            .records(records)
-            .blocks(blocks)
-            .update_frequency(5.0)
-            .finish()
-            .expect("relation is valid");
-    }
-    c.set_join_selectivity(
-        AttrRef::new("A", "k"),
-        AttrRef::new("B", "k"),
-        1.0 / 20_000.0,
-    )
-    .expect("join selectivity registers");
-    let ab = Expr::join(
-        Expr::base("A"),
-        Expr::base("B"),
-        JoinCondition::on(AttrRef::new("A", "k"), AttrRef::new("B", "k")),
-    );
-    let mut m = Mvpp::new();
-    m.insert_query("Q1", 2.0, &ab);
-    let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-    let a = AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max);
-    let mode = MaintenanceMode::SharedRecompute;
-    let ex = ExhaustiveSelection::default();
-    let plain = ex.select(&a, mode);
-    let plain_cost = evaluate(&a, &plain, mode);
-    let joint = ex.select_with_policies(&a, mode);
-    assert!(
-        joint.cost.total < plain_cost.total,
-        "joint policy selection must beat recompute-only here"
-    );
-    println!(
-        "recompute-only optimum: |M|={}, total {:.0}",
-        plain.len(),
-        plain_cost.total
-    );
-    println!(
-        "joint optimum:          |M|={}, delta-maintained {}, total {:.0}",
-        joint.views.len(),
-        joint.delta_views.len(),
-        joint.cost.total
-    );
-    rows.push(format!(
-        "    {{\"scenario\": \"policy-flip\", \"plain_views\": {}, \"plain_total\": {:.1}, \
-         \"joint_views\": {}, \"joint_delta_views\": {}, \"joint_total\": {:.1}}}",
-        plain.len(),
-        plain_cost.total,
-        joint.views.len(),
-        joint.delta_views.len(),
-        joint.cost.total
-    ));
-
-    write_bench_artifact("BENCH_maintain.json", &label, cores, &rows);
-}
-
-/// Throughput/latency trajectory of the async serving layer
-/// (`mvdesign-serve`): thousands of simulated client sessions over a mixed
-/// query/maintenance load against the paper warehouse, run twice — fully
-/// resident, then under a memory budget of half the base data (paged
-/// tables, spilling operators, concurrent eviction). Before anything is
-/// timed, a fixed concurrent schedule is pushed through the server and its
-/// version-tagged answers are asserted bag-equal to a sequential
-/// `Warehouse` replay of the same events, so the numbers only exist if
-/// snapshot isolation held on this exact build. Latency quantiles are
-/// exact (per-answer submission→completion durations, merged and sorted),
-/// not the serve-side histogram estimate. Writes `BENCH_serve.json`
-/// (`repro perf-serve <label> [--clients N] [--duration-ms D]
-/// [--append-fraction F] [--no-write]`; defaults `working-tree`, 1200
-/// clients, 2000 ms, 0.02 — refreshes run at half the append fraction).
-fn perf_serve() {
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    use mvdesign::algebra::{parse_query_with, Expr};
-    use mvdesign::engine::{batch_bytes, Generator, GeneratorConfig, JoinAlgo};
-    use mvdesign::prelude::Designer;
-    use mvdesign::warehouse::Warehouse;
-    use mvdesign_serve::{ServeConfig, Server};
-
-    section("Perf: async serving layer under concurrent mixed load");
-    let cores = mvdesign_bench::host_cores();
-    let mut label = "working-tree".to_string();
-    let mut clients = 1200usize;
-    let mut duration_ms = 2000u64;
-    let mut append_fraction = 0.02f64;
-    let mut write_artifact = true;
-    let mut argv = std::env::args().skip(2);
-    while let Some(arg) = argv.next() {
-        if arg == "--clients" {
-            let n: usize = argv
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--clients takes a positive integer");
-            clients = n.max(1);
-        } else if arg == "--duration-ms" {
-            duration_ms = argv
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--duration-ms takes a positive integer");
-        } else if arg == "--append-fraction" {
-            append_fraction = argv
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--append-fraction takes a number in [0, 1]");
-            assert!(
-                (0.0..=0.5).contains(&append_fraction),
-                "--append-fraction must be in [0, 0.5]"
-            );
-        } else if arg == "--no-write" {
-            write_artifact = false;
-        } else {
-            label = arg;
-        }
-    }
-
-    /// The shared per-thread RNG: one multiplicative step of PCG's LCG,
-    /// top bits returned — deterministic per seed, no crate needed.
-    fn lcg(state: &mut u64) -> u64 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *state >> 33
-    }
-
-    let scenario = paper_example();
-    let design = Designer::new()
-        .design(&scenario.catalog, &scenario.workload)
-        .expect("paper example designs");
-    let gen = GeneratorConfig {
-        seed: 0x5e2e,
-        scale: 1.0,
-        max_rows: 10_000,
-    };
-    let base = Generator::with_config(gen).database(&scenario.catalog);
-    let twin = Generator::with_config(GeneratorConfig {
-        seed: gen.seed ^ 0xA99E,
-        ..gen
-    })
-    .database(&scenario.catalog);
-    let rel_names: Vec<String> = base.iter().map(|(n, _)| n.to_string()).collect();
-    let twin_rows: Vec<_> = rel_names
-        .iter()
-        .map(|n| twin.table(n).expect("twin relation").rows().to_vec())
-        .collect::<Vec<_>>();
-    let data_bytes: usize = base.iter().map(|(_, t)| batch_bytes(t.batch())).sum();
-
-    // The queries clients draw from: the four workload queries
-    // (view-routed) plus ad hoc scans the design never saw.
-    let mut pool: Vec<Arc<Expr>> = scenario
-        .workload
-        .queries()
-        .iter()
-        .map(|q| Arc::clone(q.root()))
-        .collect();
-    for sql in [
-        "SELECT name FROM Customer",
-        "SELECT name FROM Customer WHERE city = 'v0'",
-    ] {
-        pool.push(parse_query_with(sql, &scenario.catalog).expect("ad hoc SQL parses"));
-    }
-
-    let build = || {
-        Warehouse::new_with_join_algo(
-            scenario.catalog.clone(),
-            base.clone(),
-            &design,
-            JoinAlgo::Hash,
-        )
-        .expect("warehouse builds")
-    };
-
-    // ----- Correctness gate: concurrent history ≡ sequential replay -----
-    // A fixed schedule (decoded once, so the replay sees the same events)
-    // is served concurrently; every answer carries the snapshot version it
-    // was answered at, every applied write the version it produced. The
-    // replay applies writes in version order and re-answers each query at
-    // its version — bag equality or the bench refuses to time anything.
-    #[derive(Clone, Copy)]
-    enum GateOp {
-        Query(usize),
-        Append { rel: usize, at: usize, n: usize },
-        Refresh,
-    }
-    struct QueryRec {
-        version: u64,
-        pool: usize,
-        rows: Vec<Vec<mvdesign::algebra::Value>>,
-    }
-    enum WriteRec {
-        Append {
-            version: u64,
-            rel: usize,
-            at: usize,
-            n: usize,
-        },
-        Refresh {
-            version: u64,
-        },
-    }
-    fn write_version(w: &WriteRec) -> u64 {
-        match w {
-            WriteRec::Append { version, .. } | WriteRec::Refresh { version } => *version,
-        }
-    }
-
-    let gate_sessions = clients.min(64);
-    let scripts: Vec<Vec<GateOp>> = (0..gate_sessions)
-        .map(|s| {
-            let mut state = 0x5EED ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            (0..4)
-                .map(|_| {
-                    let roll = lcg(&mut state) % 100;
-                    if roll < 60 {
-                        GateOp::Query((lcg(&mut state) as usize) % pool.len())
-                    } else if roll < 85 {
-                        let rel = (lcg(&mut state) as usize) % rel_names.len();
-                        let n = 1 + roll as usize % 3;
-                        let at = (lcg(&mut state) as usize)
-                            % twin_rows[rel].len().saturating_sub(n).max(1);
-                        GateOp::Append { rel, at, n }
-                    } else {
-                        GateOp::Refresh
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    let server = Server::start(build(), ServeConfig { readers: 0 });
-    let per_session: Vec<(Vec<QueryRec>, Vec<WriteRec>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = scripts
-            .iter()
-            .map(|script| {
-                let h = server.handle();
-                let (pool, rel_names, twin_rows) = (&pool, &rel_names, &twin_rows);
-                s.spawn(move || {
-                    let mut queries = Vec::new();
-                    let mut writes = Vec::new();
-                    for op in script {
-                        match *op {
-                            GateOp::Query(p) => {
-                                let a = h.query_expr(&pool[p]).wait().expect("gate query answers");
-                                queries.push(QueryRec {
-                                    version: a.version,
-                                    pool: p,
-                                    rows: a.table.canonicalized().into_rows(),
-                                });
-                            }
-                            GateOp::Append { rel, at, n } => {
-                                let applied = h
-                                    .append(
-                                        rel_names[rel].clone(),
-                                        twin_rows[rel][at..at + n].to_vec(),
-                                    )
-                                    .wait()
-                                    .expect("gate append applies");
-                                writes.push(WriteRec::Append {
-                                    version: applied.version,
-                                    rel,
-                                    at,
-                                    n,
-                                });
-                            }
-                            GateOp::Refresh => {
-                                let applied = h.refresh().wait().expect("gate refresh applies");
-                                writes.push(WriteRec::Refresh {
-                                    version: applied.version,
-                                });
-                            }
-                        }
-                    }
-                    (queries, writes)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("gate session panicked"))
-            .collect()
-    });
-    drop(server.shutdown());
-
-    let mut queries: Vec<QueryRec> = Vec::new();
-    let mut writes: Vec<WriteRec> = Vec::new();
-    for (q, w) in per_session {
-        queries.extend(q);
-        writes.extend(w);
-    }
-    writes.sort_by_key(write_version);
-    for (i, w) in writes.iter().enumerate() {
-        assert_eq!(
-            write_version(w),
-            i as u64 + 1,
-            "publish versions must be contiguous"
-        );
-    }
-    let mut by_version: BTreeMap<u64, Vec<QueryRec>> = BTreeMap::new();
-    for q in queries {
-        by_version.entry(q.version).or_default().push(q);
-    }
-    let served_queries: usize = by_version.values().map(Vec::len).sum();
-    let mut reference = build();
-    let answer_at = |reference: &Warehouse, recs: &[QueryRec]| {
-        for rec in recs {
-            let want = reference
-                .query_expr(&pool[rec.pool])
-                .expect("replay answers")
-                .canonicalized()
-                .into_rows();
-            assert_eq!(
-                rec.rows, want,
-                "served answer for pool[{}] at version {} diverges from the sequential replay",
-                rec.pool, rec.version
-            );
-        }
-    };
-    if let Some(recs) = by_version.get(&0) {
-        answer_at(&reference, recs);
-    }
-    for w in &writes {
-        match w {
-            WriteRec::Append { rel, at, n, .. } => reference
-                .append(
-                    rel_names[*rel].clone(),
-                    twin_rows[*rel][*at..at + n].to_vec(),
-                )
-                .expect("replay append applies"),
-            WriteRec::Refresh { .. } => {
-                reference.refresh().expect("replay refresh applies");
-            }
-        }
-        if let Some(recs) = by_version.get(&write_version(w)) {
-            answer_at(&reference, recs);
-        }
-    }
-    println!(
-        "gate: {gate_sessions} concurrent sessions, {served_queries} answers, {} writes — \
-         history ≡ sequential replay",
-        writes.len()
-    );
-
-    // ----- Timed runs: resident, then paged at half the data ------------
-    let budget = (data_bytes / 2).max(1);
-    println!(
-        "\n{} clients for {duration_ms} ms, append fraction {append_fraction} \
-         (refresh at half that); base data {data_bytes} bytes",
-        clients
-    );
-    println!(
-        "{:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>9} {:>10} {:>10}",
-        "mode",
-        "queries",
-        "qps",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "max ms",
-        "maint",
-        "snapshots",
-        "stale ans"
-    );
-    let mut rows: Vec<String> = Vec::new();
-    for (mode, mem_budget) in [("resident", None), ("paged", Some(budget))] {
-        let mut warehouse = build();
-        if let Some(b) = mem_budget {
-            warehouse = warehouse.with_mem_budget(Some(b));
-        }
-        let server = Server::start(warehouse, ServeConfig { readers: 0 });
-        let drivers = cores.clamp(1, 8).min(clients);
-        let deadline = Instant::now() + Duration::from_millis(duration_ms);
-        let t0 = Instant::now();
-        let latencies: Vec<Vec<u64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..drivers)
-                .map(|d| {
-                    let h = server.handle();
-                    let (pool, rel_names, twin_rows) = (&pool, &rel_names, &twin_rows);
-                    // Balanced split of the simulated sessions over driver
-                    // threads: each in-flight ticket is one client waiting.
-                    let sessions = clients / drivers + usize::from(d < clients % drivers);
-                    s.spawn(move || {
-                        let mut state = 0xD05EED ^ (d as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                        let mut lat: Vec<u64> = Vec::new();
-                        while Instant::now() < deadline {
-                            let tickets: Vec<_> = (0..sessions)
-                                .map(|_| {
-                                    let roll = (lcg(&mut state) % 1_000_000) as f64 / 1e6;
-                                    if roll < append_fraction {
-                                        let rel = (lcg(&mut state) as usize) % rel_names.len();
-                                        let at = (lcg(&mut state) as usize)
-                                            % twin_rows[rel].len().saturating_sub(2).max(1);
-                                        drop(h.append(
-                                            rel_names[rel].clone(),
-                                            twin_rows[rel][at..at + 2].to_vec(),
-                                        ));
-                                        None
-                                    } else if roll < append_fraction * 1.5 {
-                                        drop(h.refresh());
-                                        None
-                                    } else {
-                                        let p = (lcg(&mut state) as usize) % pool.len();
-                                        Some(h.query_expr(&pool[p]))
-                                    }
-                                })
-                                .collect();
-                            for t in tickets.into_iter().flatten() {
-                                let a = t.wait().expect("bench query answers");
-                                lat.push(a.elapsed.as_nanos() as u64);
-                            }
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("driver panicked"))
-                .collect()
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = server.handle().stats();
-        drop(server.shutdown());
-        assert_eq!(
-            stats.snapshots_published,
-            stats.appends + stats.refreshes,
-            "every applied write publishes exactly one snapshot"
-        );
-
-        let mut lat: Vec<u64> = latencies.into_iter().flatten().collect();
-        lat.sort_unstable();
-        let quantile = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
-            }
-            let rank = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-            lat[rank - 1] as f64 / 1e6
-        };
-        let served = lat.len() as u64;
-        let qps = served as f64 / wall.max(1e-9);
-        let (p50, p95, p99) = (quantile(0.50), quantile(0.95), quantile(0.99));
-        let max_ms = lat.last().map_or(0.0, |&n| n as f64 / 1e6);
-        let maintenance = stats.appends + stats.refreshes;
-        println!(
-            "{mode:>9} {served:>9} {qps:>9.0} {p50:>9.3} {p95:>9.3} {p99:>9.3} {max_ms:>8.1} \
-             {maintenance:>9} {:>10} {:>10}",
-            stats.snapshots_published, stats.stale_answers
-        );
-        rows.push(format!(
-            "    {{\"mode\": \"{mode}\", \"clients\": {clients}, \"duration_ms\": {duration_ms}, \
-             \"append_fraction\": {append_fraction}, \"mem_budget_bytes\": {}, \
-             \"queries\": {served}, \"qps\": {qps:.1}, \"p50_ms\": {p50:.3}, \
-             \"p95_ms\": {p95:.3}, \"p99_ms\": {p99:.3}, \"max_ms\": {max_ms:.3}, \
-             \"appends\": {}, \"refreshes\": {}, \"snapshots_published\": {}, \
-             \"stale_answers\": {}, \"max_staleness_rows\": {}}}",
-            mem_budget.map_or("null".to_string(), |b| b.to_string()),
-            stats.appends,
-            stats.refreshes,
-            stats.snapshots_published,
-            stats.stale_answers,
-            stats.max_staleness_rows
-        ));
-    }
-
-    if write_artifact {
-        write_bench_artifact("BENCH_serve.json", &label, cores, &rows);
-    } else {
-        println!("\n--no-write: BENCH_serve.json left untouched");
-    }
-}
-
-/// Wall-clock comparison of the columnar batch engine against the preserved
-/// tuple-at-a-time reference (`mvdesign_verify::row_reference`) on
-/// star-schema scan, join (nested-loop and hash) and aggregation
-/// microbenchmarks over generated data, plus a dictionary-keyed catalog that
-/// pits the text-key join/aggregate kernels against the int-key fast path
-/// and runs a selective selection-vector scan (the `"baseline"` field names
-/// what each row was measured against). Both sides are asserted bag-equal
-/// before timing. A
-/// second section times the morsel-driven parallel engine on a 1M-row
-/// scenario at several thread counts (default 1, 2 and all cores;
-/// `--threads N` adds an explicit count), asserting every parallel result
-/// bit-identical to the single-threaded run before timing. A third,
-/// out-of-core section ([`perf_engine_paged`]) sweeps buffer-pool budgets
-/// from an eighth of the data to twice the data (or the single
-/// `--mem-budget <bytes>` value) and records each operator's
-/// measured-vs-predicted block accesses. Writes `BENCH_engine.json` as one
-/// labelled run (`repro perf-engine <label> [--threads N]
-/// [--mem-budget <bytes>]`, default `working-tree`).
-fn perf_engine() {
-    use mvdesign::algebra::{AggExpr, AggFunc, AttrRef, CompareOp, JoinCondition, Predicate};
-    use mvdesign::catalog::{AttrType, Catalog};
-    use mvdesign::engine::{execute, ExecContext, Generator, GeneratorConfig, JoinAlgo};
-    use mvdesign_verify::row_reference;
-
-    section("Perf: columnar batch engine vs tuple-at-a-time reference");
-    let cores = mvdesign_bench::host_cores();
-    let mut label = "working-tree".to_string();
-    let mut thread_counts: Vec<usize> = vec![1, 2, cores.max(1)];
-    let mut mem_budget: Option<usize> = None;
-    let mut argv = std::env::args().skip(2);
-    while let Some(arg) = argv.next() {
-        if arg == "--mem-budget" {
-            let bytes: usize = argv
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--mem-budget takes a byte count");
-            mem_budget = Some(bytes.max(1));
-        } else if arg == "--threads" {
-            let n: usize = argv
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--threads takes a positive integer");
-            thread_counts.push(n.max(1));
-        } else {
-            label = arg;
-        }
-    }
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-
-    // Star schema at a size where the row engine's nested loop is painful
-    // but not intolerable: 8 000 fact rows × 800 rows per dimension.
-    let scenario = StarSchema::with_config(StarSchemaConfig {
-        dimensions: 4,
-        queries: 4,
-        ..StarSchemaConfig::default()
-    })
-    .scenario();
-    let db = Generator::with_config(GeneratorConfig {
-        seed: 0xC0111,
-        scale: 0.08,
-        max_rows: 8_000,
-    })
-    .database(&scenario.catalog);
-    let fact_rows = db.table("Fact").expect("fact").len();
-    let dim_rows = db.table("Dim0").expect("dim").len();
-
-    // A second, dictionary-keyed catalog with the same fact/dimension sizes:
-    // the dimension key exists both as an int (`skuid`/`did`) and as text
-    // (`sku`), drawn from the same 800-value domain, so the text-key kernels
-    // are directly comparable with the int-key fast path in the same run.
-    let mut dict_catalog = Catalog::new();
-    dict_catalog
-        .relation("TFact")
-        .attr("fid", AttrType::Int)
-        .attr("skuid", AttrType::Int)
-        .attr("sku", AttrType::Text)
-        .attr("tier", AttrType::Text)
-        .attr("grade", AttrType::Text)
-        .attr("flag", AttrType::Int)
-        .attr("qty", AttrType::Int)
-        .records(100_000.0)
-        .blocks(10_000.0)
-        .selectivity("tier", 0.25)
-        .selectivity("grade", 0.2)
-        .selectivity("flag", 0.5)
-        .finish()
-        .expect("TFact");
-    dict_catalog
-        .relation("TDim")
-        .attr("did", AttrType::Int)
-        .attr("sku", AttrType::Text)
-        .records(10_000.0)
-        .blocks(1_000.0)
-        .finish()
-        .expect("TDim");
-    dict_catalog
-        .set_join_selectivity(
-            AttrRef::new("TFact", "skuid"),
-            AttrRef::new("TDim", "did"),
-            1e-4,
-        )
-        .expect("int join key");
-    dict_catalog
-        .set_join_selectivity(
-            AttrRef::new("TFact", "sku"),
-            AttrRef::new("TDim", "sku"),
-            1e-4,
-        )
-        .expect("text join key");
-    let tdb = Generator::with_config(GeneratorConfig {
-        seed: 0xD1C7,
-        scale: 0.08,
-        max_rows: 8_000,
-    })
-    .database(&dict_catalog);
-    let tfact_rows = tdb.table("TFact").expect("tfact").len();
-    let tdim_rows = tdb.table("TDim").expect("tdim").len();
-
-    // `measure` draws from a two-value domain (selectivity 0.5), so this
-    // keeps about half the fact table.
-    let scan = Expr::select(
-        Expr::base("Fact"),
-        Predicate::cmp(AttrRef::new("Fact", "measure"), CompareOp::Gt, 0),
-    );
-    let join = Expr::join(
-        Expr::base("Fact"),
-        Expr::base("Dim0"),
-        JoinCondition::on(AttrRef::new("Fact", "d0"), AttrRef::new("Dim0", "id")),
-    );
-    let aggregate = Expr::aggregate(
-        Expr::base("Fact"),
-        [AttrRef::new("Fact", "d1")],
-        [
-            AggExpr::new(AggFunc::Sum, AttrRef::new("Fact", "measure"), "total"),
-            AggExpr::count_star("n"),
-        ],
-    );
-    // Dict-catalog queries: the same hash join through the int and the text
-    // key, a text group-by aggregate, and a multi-conjunct scan whose first
-    // conjunct keeps ~1/800 of the fact table (the selection-vector case).
-    let join_int = Expr::join(
-        Expr::base("TFact"),
-        Expr::base("TDim"),
-        JoinCondition::on(AttrRef::new("TFact", "skuid"), AttrRef::new("TDim", "did")),
-    );
-    let join_text = Expr::join(
-        Expr::base("TFact"),
-        Expr::base("TDim"),
-        JoinCondition::on(AttrRef::new("TFact", "sku"), AttrRef::new("TDim", "sku")),
-    );
-    let aggregate_text = Expr::aggregate(
-        Expr::base("TFact"),
-        [AttrRef::new("TFact", "tier")],
-        [
-            AggExpr::new(AggFunc::Sum, AttrRef::new("TFact", "qty"), "total"),
-            AggExpr::count_star("n"),
-        ],
-    );
-    let selective = Predicate::and([
-        Predicate::cmp(AttrRef::new("TFact", "sku"), CompareOp::Eq, "v7"),
-        Predicate::cmp(AttrRef::new("TFact", "qty"), CompareOp::Gt, 1_000),
-        Predicate::cmp(AttrRef::new("TFact", "tier"), CompareOp::Ne, "v3"),
-        Predicate::cmp(AttrRef::new("TFact", "grade"), CompareOp::Ne, "v4"),
-        Predicate::cmp(AttrRef::new("TFact", "flag"), CompareOp::Eq, 1),
-    ]);
-    let scan_selective = Expr::select(Expr::base("TFact"), selective);
-
-    type Case<'a> = (
-        &'a str,
-        &'a std::sync::Arc<Expr>,
-        JoinAlgo,
-        usize,
-        &'a mvdesign::engine::Database,
-    );
-    let cases: Vec<Case<'_>> = vec![
-        ("scan-filter", &scan, JoinAlgo::NestedLoop, fact_rows, &db),
-        (
-            "join-nested-loop",
-            &join,
-            JoinAlgo::NestedLoop,
-            fact_rows + dim_rows,
-            &db,
-        ),
-        (
-            "join-hash",
-            &join,
-            JoinAlgo::Hash,
-            fact_rows + dim_rows,
-            &db,
-        ),
-        (
-            "join-sort-merge",
-            &join,
-            JoinAlgo::SortMerge,
-            fact_rows + dim_rows,
-            &db,
-        ),
-        (
-            "hash-aggregate",
-            &aggregate,
-            JoinAlgo::NestedLoop,
-            fact_rows,
-            &db,
-        ),
-        (
-            "join-hash-int-key",
-            &join_int,
-            JoinAlgo::Hash,
-            tfact_rows + tdim_rows,
-            &tdb,
-        ),
-        (
-            "join-hash-text",
-            &join_text,
-            JoinAlgo::Hash,
-            tfact_rows + tdim_rows,
-            &tdb,
-        ),
-        (
-            "hash-aggregate-dict",
-            &aggregate_text,
-            JoinAlgo::NestedLoop,
-            tfact_rows,
-            &tdb,
-        ),
-        (
-            "scan-filter-selective",
-            &scan_selective,
-            JoinAlgo::NestedLoop,
-            tfact_rows,
-            &tdb,
-        ),
-    ];
-
-    println!(
-        "{:<22} {:<14} {:>9} {:>9} {:>12} {:>12} {:>9} {:>16}",
-        "kernel",
-        "baseline",
-        "rows in",
-        "rows out",
-        "base ms",
-        "batch ms",
-        "speedup",
-        "batch rows/s"
-    );
-    let mut rows_json: Vec<String> = Vec::new();
-    let mut batch_times: std::collections::HashMap<&str, f64> = std::collections::HashMap::new();
-    for (kernel, expr, algo, rows_in, data) in cases {
-        let ctx = ExecContext {
-            join_algo: algo,
-            ..ExecContext::default()
-        };
-        let reference = row_reference::execute(expr, data, algo)
-            .expect("reference executes")
-            .canonicalized();
-        let batch = execute(expr, data, &ctx)
-            .expect("batch executes")
-            .canonicalized();
-        assert_eq!(
-            reference.rows(),
-            batch.rows(),
-            "{kernel}: batch and reference engines disagree"
-        );
-        let rows_out = batch.len();
-        let row_ms = time_ms(|| {
-            row_reference::execute(expr, data, algo)
-                .expect("reference executes")
-                .len()
-        });
-        let batch_ms = time_ms(|| execute(expr, data, &ctx).expect("batch executes").len());
-        batch_times.insert(kernel, batch_ms);
-        engine_row(
-            &mut rows_json,
-            kernel,
-            "row-reference",
-            rows_in,
-            rows_out,
-            row_ms,
-            batch_ms,
-        );
-    }
-
-    let text_vs_int = batch_times["join-hash-text"] / batch_times["join-hash-int-key"].max(1e-9);
-    println!(
-        "\ntext-key hash join vs int-key fast path: {text_vs_int:.2}x batch time \
-         (target: within 2x)"
-    );
-    perf_engine_parallel(&mut rows_json, &thread_counts);
-    perf_engine_paged(&mut rows_json, mem_budget);
-    write_bench_artifact("BENCH_engine.json", &label, cores, &rows_json);
-}
-
-/// The morsel-driven scaling section of `perf-engine`: a 1M-row fact table
-/// (built straight from typed columns — the row-major constructor would
-/// dominate setup) scanned, hash-joined against a 10k-row dimension and
-/// hash-aggregated under an [`ExecContext`](mvdesign::engine::ExecContext)
-/// per requested thread count.
-/// Every parallel result batch is asserted **bit-identical** to the
-/// single-threaded one before anything is timed, so the scaling numbers are
-/// for provably-equivalent plans.
-fn perf_engine_parallel(rows_json: &mut Vec<String>, thread_counts: &[usize]) {
-    use std::sync::Arc;
-
-    use mvdesign::algebra::{AggExpr, AggFunc, AttrRef, CompareOp, JoinCondition, Predicate};
-    use mvdesign::engine::{execute, Batch, Column, Database, ExecContext, JoinAlgo, Table};
-
-    const FACT_ROWS: usize = 1_000_000;
-    const DIM_ROWS: usize = 10_000;
-
-    let mut db = Database::new();
-    db.insert_table(Table::from_batch(
-        "PFact",
-        Batch::new(
-            vec![
-                AttrRef::new("PFact", "id"),
-                AttrRef::new("PFact", "k"),
-                AttrRef::new("PFact", "m"),
-            ],
-            vec![
-                Arc::new(Column::Int((0..FACT_ROWS as i64).collect())),
-                Arc::new(Column::Int(
-                    (0..FACT_ROWS as i64)
-                        .map(|i| i.wrapping_mul(2_654_435_761) % DIM_ROWS as i64)
-                        .collect(),
-                )),
-                Arc::new(Column::Int(
-                    (0..FACT_ROWS as i64).map(|i| i % 100).collect(),
-                )),
-            ],
-        ),
-    ));
-    db.insert_table(Table::from_batch(
-        "PDim",
-        Batch::new(
-            vec![AttrRef::new("PDim", "did")],
-            vec![Arc::new(Column::Int((0..DIM_ROWS as i64).collect()))],
-        ),
-    ));
-
-    // ~Half-selective scan, fact⋈dim hash join, 100-group hash aggregate.
-    let scan = Expr::select(
-        Expr::base("PFact"),
-        Predicate::cmp(AttrRef::new("PFact", "m"), CompareOp::Lt, 50),
-    );
-    let join = Expr::join(
-        Expr::base("PFact"),
-        Expr::base("PDim"),
-        JoinCondition::on(AttrRef::new("PFact", "k"), AttrRef::new("PDim", "did")),
-    );
-    let aggregate = Expr::aggregate(
-        Expr::base("PFact"),
-        [AttrRef::new("PFact", "m")],
-        [
-            AggExpr::new(AggFunc::Sum, AttrRef::new("PFact", "id"), "total"),
-            AggExpr::count_star("n"),
-        ],
-    );
-    type PCase<'a> = (&'a str, &'a std::sync::Arc<Expr>, JoinAlgo, usize);
-    let cases: Vec<PCase<'_>> = vec![
-        ("scan-filter-1m", &scan, JoinAlgo::NestedLoop, FACT_ROWS),
-        ("join-hash-1m", &join, JoinAlgo::Hash, FACT_ROWS + DIM_ROWS),
-        (
-            "hash-aggregate-1m",
-            &aggregate,
-            JoinAlgo::NestedLoop,
-            FACT_ROWS,
-        ),
-    ];
-
-    println!(
-        "\n{:<22} {:>8} {:>9} {:>12} {:>9} {:>16}",
-        "kernel (morsels)", "threads", "rows out", "batch ms", "scaling", "batch rows/s"
-    );
-    for (kernel, expr, join_algo, rows_in) in cases {
-        let single = ExecContext {
-            join_algo,
-            ..ExecContext::default()
-        };
-        let baseline = execute(expr, &db, &single).expect("executes");
-        let mut single_ms = f64::NAN;
-        for &threads in thread_counts {
-            let ctx = ExecContext { threads, ..single };
-            let out = execute(expr, &db, &ctx).expect("executes");
-            assert_eq!(
-                baseline.batch(),
-                out.batch(),
-                "{kernel}: morsel result differs at {threads} thread(s)"
-            );
-            let ms = time_ms(|| execute(expr, &db, &ctx).expect("executes").len());
-            if threads == 1 {
-                single_ms = ms;
-            }
-            let scaling = single_ms / ms.max(1e-9);
-            let throughput = rows_in as f64 / (ms / 1e3).max(1e-9);
-            println!(
-                "{kernel:<22} {threads:>8} {:>9} {ms:>12.3} {scaling:>8.2}x {throughput:>16.0}",
-                out.len()
-            );
-            rows_json.push(format!(
-                "    {{\"kernel\": \"{kernel}\", \"baseline\": \"single-thread\", \
-                 \"threads\": {threads}, \"rows_in\": {rows_in}, \"rows_out\": {}, \
-                 \"batch_ms\": {ms:.4}, \"speedup\": {scaling:.2}, \
-                 \"batch_rows_per_sec\": {throughput:.0}}}",
-                out.len()
-            ));
-        }
-    }
-}
-
-/// The out-of-core section of `perf-engine`: a fact table several times any
-/// pool budget in the sweep, paged into a
-/// [`BufferPool`](mvdesign::engine::BufferPool) and scanned,
-/// hash-joined and hash-aggregated under memory budgets from an eighth of
-/// the data to twice the data (`--mem-budget <bytes>` pins a single
-/// budget instead). At the smallest budget the data is ≥8× the pool and
-/// both the hash join and the aggregation outgrow the operator budget, so
-/// eviction **and** operator spill are exercised. Every paged result is
-/// asserted bit-identical to the resident run before timing, and each row
-/// records the per-operator measured-vs-predicted block-access
-/// differential: predicted blocks from the paper's `iosim` model with one
-/// block per page, measured block reads from the pool's cold-start miss
-/// counters ([`measure`](mvdesign::engine::measure)), plus the relative
-/// error between them.
-fn perf_engine_paged(rows_json: &mut Vec<String>, budget_override: Option<usize>) {
-    use std::sync::Arc;
-
-    use mvdesign::algebra::{AggExpr, AggFunc, AttrRef, CompareOp, JoinCondition, Predicate};
-    use mvdesign::engine::{
-        batch_bytes, execute, measure, Batch, BufferPool, Column, Database, ExecContext, JoinAlgo,
-        Table, DEFAULT_PAGE_ROWS,
-    };
-
-    const FACT_ROWS: usize = 200_000;
-    const DIM_ROWS: usize = 5_000;
-
-    let mut resident = Database::new();
-    resident.insert_table(Table::from_batch(
-        "OFact",
-        Batch::new(
-            vec![
-                AttrRef::new("OFact", "id"),
-                AttrRef::new("OFact", "k"),
-                AttrRef::new("OFact", "m"),
-            ],
-            vec![
-                Arc::new(Column::Int((0..FACT_ROWS as i64).collect())),
-                Arc::new(Column::Int(
-                    (0..FACT_ROWS as i64)
-                        .map(|i| i.wrapping_mul(2_654_435_761) % DIM_ROWS as i64)
-                        .collect(),
-                )),
-                Arc::new(Column::Int(
-                    (0..FACT_ROWS as i64).map(|i| i % 100).collect(),
-                )),
-            ],
-        ),
-    ));
-    resident.insert_table(Table::from_batch(
-        "ODim",
-        Batch::new(
-            vec![AttrRef::new("ODim", "did")],
-            vec![Arc::new(Column::Int((0..DIM_ROWS as i64).collect()))],
-        ),
-    ));
-    let data_bytes: usize = resident.iter().map(|(_, t)| batch_bytes(t.batch())).sum();
-    let budgets: Vec<usize> = match budget_override {
-        Some(b) => vec![b],
-        None => vec![data_bytes / 8, data_bytes / 2, data_bytes, data_bytes * 2],
-    };
-    if budget_override.is_none() {
-        assert!(
-            data_bytes >= 8 * budgets[0],
-            "the smallest default budget must make the data at least 8x the pool"
-        );
-    }
-
-    let scan = Expr::select(
-        Expr::base("OFact"),
-        Predicate::cmp(AttrRef::new("OFact", "m"), CompareOp::Lt, 50),
-    );
-    let join = Expr::join(
-        Expr::base("OFact"),
-        Expr::base("ODim"),
-        JoinCondition::on(AttrRef::new("OFact", "k"), AttrRef::new("ODim", "did")),
-    );
-    let aggregate = Expr::aggregate(
-        Expr::base("OFact"),
-        [AttrRef::new("OFact", "m")],
-        [
-            AggExpr::new(AggFunc::Sum, AttrRef::new("OFact", "id"), "total"),
-            AggExpr::count_star("n"),
-        ],
-    );
-    type OCase<'a> = (&'a str, &'a std::sync::Arc<Expr>, JoinAlgo, usize);
-    let cases: Vec<OCase<'_>> = vec![
-        ("scan-filter-paged", &scan, JoinAlgo::NestedLoop, FACT_ROWS),
-        (
-            "join-hash-paged",
-            &join,
-            JoinAlgo::Hash,
-            FACT_ROWS + DIM_ROWS,
-        ),
-        (
-            "hash-aggregate-paged",
-            &aggregate,
-            JoinAlgo::NestedLoop,
-            FACT_ROWS,
-        ),
-    ];
-
-    println!(
-        "\n{:<22} {:>12} {:>9} {:>12} {:>16}   per-operator predicted vs measured blocks",
-        "kernel (paged)", "budget B", "rows out", "batch ms", "batch rows/s"
-    );
-    for &budget in &budgets {
-        for &(kernel, expr, join_algo, rows_in) in &cases {
-            let resident_ctx = ExecContext {
-                join_algo,
-                ..ExecContext::default()
-            };
-            let baseline = execute(expr, &resident, &resident_ctx).expect("resident");
-
-            let mut pdb = resident.clone();
-            let pool = BufferPool::new(Some(budget));
-            pdb.page_out(&pool, DEFAULT_PAGE_ROWS);
-            let ctx = ExecContext {
-                mem_budget: Some(budget),
-                ..resident_ctx
-            };
-            let out = execute(expr, &pdb, &ctx).expect("paged executes");
-            assert_eq!(
-                baseline.batch(),
-                out.batch(),
-                "{kernel}: paged result differs at budget {budget}"
-            );
-            let ms = time_ms(|| execute(expr, &pdb, &ctx).expect("paged executes").len());
-            if budget * 8 <= data_bytes {
-                assert!(
-                    pool.stats().evictions > 0,
-                    "{kernel}: an 8x-oversized dataset must force eviction"
-                );
-            }
-
-            // The differential runs on a cold pool so the miss counters
-            // measure every block the operators actually read.
-            let mut cold = resident.clone();
-            let cold_pool = BufferPool::new(Some(budget));
-            cold.page_out(&cold_pool, DEFAULT_PAGE_ROWS);
-            let (_, io) = measure(expr, &cold, DEFAULT_PAGE_ROWS as f64, &ctx).expect("measures");
-            let mut ops: Vec<String> = Vec::new();
-            let mut ops_text = String::new();
-            for (op, charge) in io.per_operator() {
-                let predicted = charge.read;
-                let measured = charge.pool_misses;
-                let rel_err = if predicted > 0.0 {
-                    (measured as f64 - predicted).abs() / predicted
-                } else {
-                    0.0
-                };
-                ops.push(format!(
-                    "{{\"op\": \"{op}\", \"predicted_blocks\": {predicted:.1}, \
-                     \"measured_block_reads\": {measured}, \"rel_err\": {rel_err:.4}}}"
-                ));
-                ops_text.push_str(&format!(" {op}:{predicted:.0}/{measured}"));
-            }
-            let throughput = rows_in as f64 / (ms / 1e3).max(1e-9);
-            println!(
-                "{kernel:<22} {budget:>12} {:>9} {ms:>12.3} {throughput:>16.0}  {ops_text}",
-                out.len()
-            );
-            rows_json.push(format!(
-                "    {{\"kernel\": \"{kernel}\", \"baseline\": \"resident\", \
-                 \"mem_budget\": {budget}, \"data_bytes\": {data_bytes}, \
-                 \"rows_in\": {rows_in}, \"rows_out\": {}, \"batch_ms\": {ms:.4}, \
-                 \"batch_rows_per_sec\": {throughput:.0}, \"operators\": [{}]}}",
-                out.len(),
-                ops.join(", ")
-            ));
-        }
-    }
-}
-
-/// Prints and serializes one `perf-engine` result row. `baseline` names what
-/// `base_ms` measured: the tuple-at-a-time reference engine, or the PR 4
-/// full-width mask evaluation for the selection-vector ablation.
-fn engine_row(
-    rows_json: &mut Vec<String>,
-    kernel: &str,
-    baseline: &str,
-    rows_in: usize,
-    rows_out: usize,
-    base_ms: f64,
-    batch_ms: f64,
-) {
-    let speedup = base_ms / batch_ms.max(1e-9);
-    let throughput = rows_in as f64 / (batch_ms / 1e3).max(1e-9);
-    println!(
-        "{kernel:<22} {baseline:<14} {rows_in:>9} {rows_out:>9} {base_ms:>12.3} {batch_ms:>12.3} {speedup:>8.1}x {throughput:>16.0}"
-    );
-    rows_json.push(format!(
-        "    {{\"kernel\": \"{kernel}\", \"baseline\": \"{baseline}\", \"rows_in\": {rows_in}, \
-         \"rows_out\": {rows_out}, \"row_ms\": {base_ms:.4}, \"batch_ms\": {batch_ms:.4}, \
-         \"speedup\": {speedup:.2}, \"batch_rows_per_sec\": {throughput:.0}}}"
-    ));
-}
-
-/// Milliseconds per execution, measured over enough repetitions to fill
-/// ~200 ms of wall clock (one calibration pass, then the timed loop).
-fn time_ms(mut f: impl FnMut() -> usize) -> f64 {
-    use std::time::Instant;
-    let t = Instant::now();
-    std::hint::black_box(f());
-    let once = t.elapsed().as_secs_f64();
-    let iters = ((0.2 / once.max(1e-9)) as usize).clamp(1, 500);
-    let t = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    t.elapsed().as_secs_f64() * 1e3 / iters as f64
-}
-
-fn perf_row(
-    rows: &mut Vec<String>,
-    queries: usize,
-    nodes: usize,
-    algo: &str,
-    naive_ms: f64,
-    engine_ms: f64,
-    evals: u64,
-) {
-    let speedup = naive_ms / engine_ms.max(1e-9);
-    let evals_per_sec = evals as f64 / (engine_ms / 1e3).max(1e-9);
-    println!(
-        "{queries:>8} {nodes:>7} {algo:<14} {naive_ms:>12.1} {engine_ms:>12.1} {speedup:>8.1}x {evals:>10} {evals_per_sec:>14.0}"
-    );
-    rows.push(format!(
-        "    {{\"queries\": {queries}, \"mvpp_nodes\": {nodes}, \"algorithm\": \"{algo}\", \
-         \"naive_ms\": {naive_ms:.3}, \"engine_ms\": {engine_ms:.3}, \"speedup\": {speedup:.2}, \
-         \"evaluations\": {evals}, \"engine_evals_per_sec\": {evals_per_sec:.0}}}"
-    ));
-}
-
-/// The pre-engine total-cost evaluation, mirrored verbatim as the perf
-/// baseline: `BTreeSet` frontier and visited sets, and the maintenance
-/// closure re-derived by DAG traversal on every probe. The current
-/// `evaluate`/`evaluate_set` are bit-identical to this by construction,
-/// which is why `perf` can assert both sides select the same views.
-fn seed_total(
-    a: &AnnotatedMvpp,
-    m: &BTreeSet<mvdesign::core::NodeId>,
-    mode: MaintenanceMode,
-) -> f64 {
-    let mvpp = a.mvpp();
-    let mut query_processing = 0.0;
-    for (_, fq, root) in mvpp.roots() {
-        query_processing += fq * seed_query_cost(a, m, *root);
-    }
-    let maintenance: f64 = match mode {
-        MaintenanceMode::Isolated => m
-            .iter()
-            .filter(|v| !mvpp.node(**v).is_leaf())
-            .map(|v| {
-                let ann = a.annotation(*v);
-                ann.fu_weight * ann.cm
-            })
-            .sum(),
-        MaintenanceMode::SharedRecompute => {
-            let fraction = a.maintenance_policy().work_fraction();
-            let apply: f64 = match a.maintenance_policy() {
-                MaintenancePolicy::Recompute => 0.0,
-                MaintenancePolicy::Incremental { .. } => m
-                    .iter()
-                    .filter(|v| !mvpp.node(**v).is_leaf())
-                    .map(|v| {
-                        let ann = a.annotation(*v);
-                        ann.fu_weight * ann.scan
-                    })
-                    .sum(),
-            };
-            let mut needed: BTreeSet<mvdesign::core::NodeId> = BTreeSet::new();
-            for v in m {
-                if mvpp.node(*v).is_leaf() {
-                    continue;
-                }
-                needed.insert(*v);
-                needed.extend(mvpp.descendants(*v));
-            }
-            needed
-                .into_iter()
-                .map(|n| {
-                    let ann = a.annotation(n);
-                    ann.fu_weight * ann.op_cost * fraction
-                })
-                .sum::<f64>()
-                + apply
-        }
-    };
-    query_processing + maintenance + 0.0
-}
-
-fn seed_query_cost(
-    a: &AnnotatedMvpp,
-    m: &BTreeSet<mvdesign::core::NodeId>,
-    root: mvdesign::core::NodeId,
-) -> f64 {
-    if m.contains(&root) && !a.mvpp().node(root).is_leaf() {
-        return a.annotation(root).scan;
-    }
-    let mut visited = BTreeSet::new();
-    seed_walk(a, m, root, root, &mut visited)
-}
-
-fn seed_walk(
-    a: &AnnotatedMvpp,
-    m: &BTreeSet<mvdesign::core::NodeId>,
-    v: mvdesign::core::NodeId,
-    root: mvdesign::core::NodeId,
-    visited: &mut BTreeSet<mvdesign::core::NodeId>,
-) -> f64 {
-    if !visited.insert(v) {
-        return 0.0;
-    }
-    let node = a.mvpp().node(v);
-    if node.is_leaf() {
-        return 0.0;
-    }
-    if v != root && m.contains(&v) {
-        return a.annotation(v).scan;
-    }
-    let mut cost = a.annotation(v).op_cost;
-    for c in node.children() {
-        cost += seed_walk(a, m, *c, root, visited);
-    }
-    cost
-}
-
-/// The straightforward exact search: every subset mask in ascending order,
-/// one full seed-style evaluation each, keeping the first strict minimum —
-/// exactly what `ExhaustiveSelection` did before the incremental engine.
-fn naive_exhaustive(
-    a: &AnnotatedMvpp,
-    mode: MaintenanceMode,
-    max_nodes: usize,
-) -> (BTreeSet<mvdesign::core::NodeId>, u64) {
-    let mut candidates = a.mvpp().interior();
-    if candidates.len() > max_nodes {
-        candidates.sort_by(|x, y| {
-            let wx = a.annotation(*x).weight;
-            let wy = a.annotation(*y).weight;
-            wy.total_cmp(&wx)
-        });
-        candidates.truncate(max_nodes);
-    }
-    let total: u64 = 1 << candidates.len();
-    let mut best = (f64::INFINITY, 0u64);
-    for mask in 0..total {
-        let set: BTreeSet<_> = candidates
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, id)| *id)
-            .collect();
-        let cost = seed_total(a, &set, mode);
-        if cost < best.0 {
-            best = (cost, mask);
-        }
-    }
-    let pick: BTreeSet<_> = candidates
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| best.1 & (1 << i) != 0)
-        .map(|(_, id)| *id)
-        .collect();
-    (pick, total)
-}
-
-/// `GeneticSelection`'s exact control flow with the memoized engine
-/// replaced by the seed-style full evaluation per individual. Same seed,
-/// same RNG stream, same evolution — only slower.
-fn naive_genetic(
-    a: &AnnotatedMvpp,
-    mode: MaintenanceMode,
-    ga: &GeneticSelection,
-) -> (BTreeSet<mvdesign::core::NodeId>, u64) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let candidates = a.mvpp().interior();
-    let n = candidates.len();
-    if n == 0 {
-        return (BTreeSet::new(), 0);
-    }
-    let mut rng = StdRng::seed_from_u64(ga.seed);
-    let mut evals: u64 = 0;
-    let decode = |genes: &[bool]| -> BTreeSet<_> {
-        genes
-            .iter()
-            .zip(&candidates)
-            .filter(|(g, _)| **g)
-            .map(|(_, id)| *id)
-            .collect()
-    };
-    let mut fitness = |genes: &[bool]| -> f64 {
-        evals += 1;
-        seed_total(a, &decode(genes), mode)
-    };
-
-    let greedy = GreedySelection::new().run(a).0;
-    let target = ga.population.max(4);
-    let mut seeds: Vec<Vec<bool>> = Vec::with_capacity(target);
-    seeds.push(candidates.iter().map(|c| greedy.contains(c)).collect());
-    seeds.push(vec![false; n]);
-    while seeds.len() < target {
-        seeds.push((0..n).map(|_| rng.gen_bool(0.3)).collect());
-    }
-    let mut population: Vec<(f64, Vec<bool>)> =
-        seeds.into_iter().map(|g| (fitness(&g), g)).collect();
-
-    for _ in 0..ga.generations {
-        population.sort_by(|x, y| x.0.total_cmp(&y.0));
-        let elite: Vec<(f64, Vec<bool>)> = population
-            .iter()
-            .take(ga.elite.min(population.len()))
-            .cloned()
-            .collect();
-        let mut offspring: Vec<Vec<bool>> = Vec::with_capacity(population.len());
-        while elite.len() + offspring.len() < population.len() {
-            let pick = |rng: &mut StdRng| -> usize {
-                let i = rng.gen_range(0..population.len());
-                let j = rng.gen_range(0..population.len());
-                if population[i].0 <= population[j].0 {
-                    i
-                } else {
-                    j
-                }
-            };
-            let p1 = pick(&mut rng);
-            let p2 = pick(&mut rng);
-            let mut child: Vec<bool> = if rng.gen_bool(ga.crossover_rate.clamp(0.0, 1.0)) {
-                population[p1]
-                    .1
-                    .iter()
-                    .zip(&population[p2].1)
-                    .map(|(x, y)| if rng.gen_bool(0.5) { *x } else { *y })
-                    .collect()
-            } else {
-                population[p1.min(p2)].1.clone()
-            };
-            for gene in child.iter_mut() {
-                if rng.gen_bool(ga.mutation_rate.clamp(0.0, 1.0)) {
-                    *gene = !*gene;
-                }
-            }
-            offspring.push(child);
-        }
-        let mut next = elite;
-        next.extend(offspring.into_iter().map(|g| (fitness(&g), g)));
-        population = next;
-    }
-    population.sort_by(|x, y| x.0.total_cmp(&y.0));
-    let pick = decode(&population[0].1);
-    (pick, evals)
-}
-
 fn audit() {
     section("Audit: structural, differential and executable correctness oracles");
     let config = mvdesign_verify::AuditConfig::default();
@@ -2494,4 +957,27 @@ fn audit() {
     println!("\nall scenarios clean (MVPP invariants, three-way cost differential,");
     println!("distributed zero-link equality, greedy trace replay, prune tripwire,");
     println!("executable semantics on generated data)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table2_has_five_strategies_and_finds_the_paper_nodes() {
+        let a = paper_annotated();
+        assert!(join_node(&a, &["Division", "Product"]).is_some());
+        assert!(join_node(&a, &["Customer", "Order"]).is_some());
+        let rows = table2_rows(&a);
+        assert_eq!(rows.len(), 5);
+        // The paper's pick is the best of the five measured totals.
+        let pick = rows[3].measured.total;
+        for row in &rows {
+            assert!(
+                pick <= row.measured.total + 1e-6,
+                "{} beat the pick",
+                row.label
+            );
+        }
+    }
 }

@@ -43,6 +43,9 @@ fn run(args: &[String]) -> Result<(), String> {
         "design" => design(&args[1..]),
         "explain" => explain(&args[1..]),
         "validate" => validate(&args[1..]),
+        "example" | "--help" | "-h" | "help" if args.len() > 1 => {
+            Err(with_usage(format!("`{command}` takes no arguments")))
+        }
         "example" => {
             print!("{}", example_file());
             Ok(())
@@ -51,7 +54,7 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        other => Err(with_usage(format!("unknown command `{other}`"))),
     }
 }
 
@@ -71,42 +74,77 @@ fn usage() -> String {
         .to_string()
 }
 
-fn load(args: &[String]) -> Result<Scenario, String> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_option_value(args, a))
-        .ok_or_else(|| format!("missing scenario file\n{}", usage()))?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_scenario(&text).map_err(|e| format!("{path}: {e}"))
+/// An argument error: the message, then the usage.
+fn with_usage(message: String) -> String {
+    format!("{message}\n{}", usage())
 }
 
-fn is_option_value(args: &[String], candidate: &String) -> bool {
-    // A bare word directly after a value-taking option is that option's value.
-    let value_options = [
-        "--algorithm",
-        "--maintenance",
-        "--incremental",
-        "--rotations",
-        "--parallelism",
-    ];
-    args.iter()
-        .zip(args.iter().skip(1))
-        .any(|(opt, val)| value_options.contains(&opt.as_str()) && val == candidate)
+/// Options of `design` that take a value, and its bare flags. `explain` and
+/// `validate` take none.
+const DESIGN_VALUE_OPTIONS: [&str; 5] = [
+    "--algorithm",
+    "--maintenance",
+    "--incremental",
+    "--rotations",
+    "--parallelism",
+];
+const DESIGN_FLAGS: [&str; 2] = ["--trace", "--dot"];
+
+/// A subcommand's arguments, split in one pass so that nothing is silently
+/// ignored: the scenario path, `--option value` pairs and bare `--flag`s.
+struct Parsed<'a> {
+    path: &'a str,
+    values: Vec<(&'a str, &'a str)>,
+    flags: Vec<&'a str>,
 }
 
-fn option<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+impl<'a> Parsed<'a> {
+    fn new(args: &'a [String], value_options: &[&str], flags: &[&str]) -> Result<Self, String> {
+        let (mut path, mut values, mut set_flags) = (None, Vec::new(), Vec::new());
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if value_options.contains(&arg) {
+                let value = rest
+                    .next()
+                    .ok_or_else(|| with_usage(format!("option `{arg}` needs a value")))?;
+                values.push((arg, value));
+            } else if flags.contains(&arg) {
+                set_flags.push(arg);
+            } else if arg.starts_with("--") {
+                return Err(with_usage(format!("unknown option `{arg}`")));
+            } else if path.is_none() {
+                path = Some(arg);
+            } else {
+                return Err(with_usage(format!("unexpected argument `{arg}`")));
+            }
+        }
+        Ok(Parsed {
+            path: path.ok_or_else(|| with_usage("missing scenario file".into()))?,
+            values,
+            flags: set_flags,
+        })
+    }
+
+    fn load(&self) -> Result<Scenario, String> {
+        let path = self.path;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        parse_scenario(&text).map_err(|e| format!("{path}: {e}"))
+    }
+
+    fn option(&self, name: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
+    fn flag(&self, name: &str) -> bool {
+        self.flags.contains(&name)
+    }
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn maintenance_mode(args: &[String]) -> Result<MaintenanceMode, String> {
-    match option(args, "--maintenance") {
+fn maintenance_mode(args: &Parsed) -> Result<MaintenanceMode, String> {
+    match args.option("--maintenance") {
         None | Some("shared") => Ok(MaintenanceMode::SharedRecompute),
         Some("isolated") => Ok(MaintenanceMode::Isolated),
         Some(other) => Err(format!("unknown maintenance mode `{other}`")),
@@ -114,7 +152,7 @@ fn maintenance_mode(args: &[String]) -> Result<MaintenanceMode, String> {
 }
 
 fn validate(args: &[String]) -> Result<(), String> {
-    let scenario = load(args)?;
+    let scenario = Parsed::new(args, &[], &[])?.load()?;
     println!(
         "ok: {} relations, {} queries",
         scenario.catalog.len(),
@@ -124,25 +162,26 @@ fn validate(args: &[String]) -> Result<(), String> {
 }
 
 fn design(args: &[String]) -> Result<(), String> {
-    let scenario = load(args)?;
+    let args = &Parsed::new(args, &DESIGN_VALUE_OPTIONS, &DESIGN_FLAGS)?;
+    let scenario = args.load()?;
     let mode = maintenance_mode(args)?;
-    let rotations: usize = match option(args, "--rotations") {
+    let rotations: usize = match args.option("--rotations") {
         Some(k) => k.parse().map_err(|_| format!("`{k}` is not a number"))?,
         None => 8,
     };
-    let policy = match option(args, "--incremental") {
+    let policy = match args.option("--incremental") {
         Some(f) => MaintenancePolicy::Incremental {
             update_fraction: f.parse().map_err(|_| format!("`{f}` is not a number"))?,
         },
         None => MaintenancePolicy::Recompute,
     };
 
-    let parallelism: usize = match option(args, "--parallelism") {
+    let parallelism: usize = match args.option("--parallelism") {
         Some(n) => n.parse().map_err(|_| format!("`{n}` is not a number"))?,
         None => 0,
     };
 
-    let algorithm: Box<dyn SelectionAlgorithm> = match option(args, "--algorithm") {
+    let algorithm: Box<dyn SelectionAlgorithm> = match args.option("--algorithm") {
         None | Some("greedy") => Box::new(GreedySelection::new()),
         Some("exhaustive") => Box::new(ExhaustiveSelection {
             parallelism,
@@ -214,19 +253,19 @@ fn design(args: &[String]) -> Result<(), String> {
             100.0 * (none.total - cost.total) / none.total
         );
     }
-    if flag(args, "--trace") {
+    if args.flag("--trace") {
         let (_, trace) = GreedySelection::new().run(&annotated);
         println!("\ndecision trace (paper greedy):");
         print!("{}", mvdesign::core::render_trace(&trace, &annotated));
     }
-    if flag(args, "--dot") {
+    if args.flag("--dot") {
         println!("\n{}", annotated.to_dot("design"));
     }
     Ok(())
 }
 
 fn explain(args: &[String]) -> Result<(), String> {
-    let scenario = load(args)?;
+    let scenario = Parsed::new(args, &[], &[])?.load()?;
     let design = Designer::with_config(DesignerConfig::default())
         .design(&scenario.catalog, &scenario.workload)
         .map_err(|e| e.to_string())?;

@@ -30,9 +30,8 @@
 //! and bumps the publish version; every answer carries the version it was
 //! served at. Concurrent execution is therefore equivalent to the
 //! sequential history "apply writes in version order; answer each query at
-//! its version" — which is exactly what the test battery and the
-//! `repro perf-serve` gate replay against a plain single-threaded
-//! [`Warehouse`].
+//! its version" — which is exactly what the test battery replays against
+//! a plain single-threaded [`Warehouse`].
 //!
 //! **Shutdown.** [`Server::shutdown`] drains: the queue closes to new
 //! submissions, readers finish every in-flight and queued query, the

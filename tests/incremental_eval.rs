@@ -111,6 +111,37 @@ proptest! {
         prop_assert_eq!(sequential.select(&a, mode), parallel.select(&a, mode));
     }
 
+    /// The Gray-code walk picks exactly the subset a plain ascending-mask
+    /// scan keeps (one full `evaluate` per subset, first strict minimum):
+    /// the optimum, with the same tie-break.
+    #[test]
+    fn exhaustive_pick_is_the_brute_force_optimum(seed in 0_u64..500) {
+        let scenario = star(seed, 2);
+        let a = annotate(&scenario);
+        let mode = MaintenanceMode::SharedRecompute;
+        let candidates = a.mvpp().interior();
+        let subset = |mask: u64| -> BTreeSet<_> {
+            candidates
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, v)| *v)
+                .collect()
+        };
+        let mut best = (f64::INFINITY, 0_u64);
+        for mask in 0..1_u64 << candidates.len() {
+            let cost = evaluate(&a, &subset(mask), mode).total;
+            if cost < best.0 {
+                best = (cost, mask);
+            }
+        }
+        let exhaustive = ExhaustiveSelection {
+            max_nodes: candidates.len(),
+            ..ExhaustiveSelection::default()
+        };
+        prop_assert_eq!(exhaustive.select(&a, mode), subset(best.1));
+    }
+
     /// The genetic algorithm evolves the same population — and picks the
     /// same set — whether fitness is scored on one thread or many.
     #[test]
