@@ -104,6 +104,40 @@ impl Comparison {
     }
 }
 
+impl Comparison {
+    /// Whether every value satisfying `self` also satisfies `other`.
+    ///
+    /// Decided for two literal comparisons of the same attribute by range
+    /// containment under [`Value`]'s total order (the order the engine
+    /// evaluates with, so it holds across value variants too); anything else
+    /// implies only itself. `false` means "not proven", never "refuted".
+    pub fn implies(&self, other: &Comparison) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        use CompareOp::{Eq, Ge, Gt, Le, Lt, Ne};
+        if self == other {
+            return true;
+        }
+        let (Rhs::Literal(a), Rhs::Literal(b)) = (&self.rhs, &other.rhs) else {
+            return false;
+        };
+        if self.attr != other.attr {
+            return false;
+        }
+        // `self` is `x op a`; does it force `x op' b`?
+        let a_vs_b = a.cmp(b);
+        match (self.op, other.op) {
+            (Eq, op) => op.eval(a, b),
+            (Ne, Ne) => a_vs_b == Equal,
+            (Ne, _) | (_, Eq) => false,
+            (Lt, Lt | Le | Ne) | (Le, Le) => a_vs_b != Greater,
+            (Le, Lt | Ne) => a_vs_b == Less,
+            (Gt, Gt | Ge | Ne) | (Ge, Ge) => a_vs_b != Less,
+            (Ge, Gt | Ne) => a_vs_b == Greater,
+            (Lt | Le, Gt | Ge) | (Gt | Ge, Lt | Le) => false,
+        }
+    }
+}
+
 impl fmt::Display for Comparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{}{}", self.attr, self.op, self.rhs)
@@ -185,6 +219,43 @@ impl Predicate {
     /// Whether this predicate is the trivial `True`.
     pub fn is_true(&self) -> bool {
         matches!(self, Predicate::True)
+    }
+
+    /// The top-level conjuncts: the operands of an `And`, nothing for
+    /// `True`, the predicate itself otherwise.
+    pub fn conjuncts(&self) -> &[Predicate] {
+        match self {
+            Predicate::True => &[],
+            Predicate::And(ps) => ps,
+            other => std::slice::from_ref(other),
+        }
+    }
+
+    /// Whether every row satisfying `self` also satisfies `other` — a sound,
+    /// incomplete test: `true` is a proof, `false` only means "not shown".
+    ///
+    /// Structural over the normalised AND/OR shape: a conjunction implies
+    /// what any one of its conjuncts implies, a disjunction implies what all
+    /// of its disjuncts imply, and a disjunction is implied through any one
+    /// disjunct (so `a` and `a ∨ b` both imply `a ∨ b ∨ c` — the shape of an
+    /// MVPP's pushed-down selections); comparisons fall back to
+    /// [`Comparison::implies`].
+    pub fn implies(&self, other: &Predicate) -> bool {
+        if self == other {
+            return true;
+        }
+        match (self, other) {
+            (_, Predicate::True) => true,
+            (Predicate::True, _) => false,
+            (Predicate::Or(qs), _) => qs.iter().all(|q| q.implies(other)),
+            (_, Predicate::And(vs)) => vs.iter().all(|v| self.implies(v)),
+            (Predicate::And(qs), _) => {
+                qs.iter().any(|q| q.implies(other))
+                    || matches!(other, Predicate::Or(vs) if vs.iter().any(|v| self.implies(v)))
+            }
+            (_, Predicate::Or(vs)) => vs.iter().any(|v| self.implies(v)),
+            (Predicate::Cmp(q), Predicate::Cmp(v)) => q.implies(v),
+        }
     }
 
     /// All attributes referenced anywhere in the predicate.
@@ -330,6 +401,59 @@ mod tests {
         let and = Predicate::and([city_la(), city_sf()]);
         assert!((and.selectivity(&c) - 0.0004).abs() < 1e-12);
         assert_eq!(Predicate::True.selectivity(&c), 1.0);
+    }
+
+    #[test]
+    fn comparison_implication_is_range_containment() {
+        let x = |op, v: i64| Comparison::literal(AttrRef::new("R", "x"), op, v);
+        use CompareOp::{Eq, Ge, Gt, Le, Lt, Ne};
+        // Soundness by brute force over a small integer domain: whenever
+        // `implies` says yes, no value satisfies the left side only.
+        let ops = [Eq, Ne, Lt, Le, Gt, Ge];
+        for (p, q) in ops.iter().flat_map(|p| ops.iter().map(move |q| (*p, *q))) {
+            for (a, b) in (0..5).flat_map(|a| (0..5).map(move |b| (a, b))) {
+                if x(p, a).implies(&x(q, b)) {
+                    let holds = (-3..8).all(|v: i64| !p.eval(&v, &a) || q.eval(&v, &b));
+                    assert!(holds, "x{p}{a} does not imply x{q}{b}");
+                }
+            }
+        }
+        // The containments view matching leans on.
+        assert!(x(Gt, 5).implies(&x(Gt, 3)));
+        assert!(x(Gt, 5).implies(&x(Ge, 5)));
+        assert!(x(Ge, 5).implies(&x(Gt, 4)));
+        assert!(x(Eq, 5).implies(&x(Le, 5)));
+        assert!(x(Lt, 2).implies(&x(Ne, 2)));
+        assert!(!x(Gt, 3).implies(&x(Gt, 5)));
+        assert!(!x(Ge, 5).implies(&x(Gt, 5)));
+        assert!(!x(Ne, 5).implies(&x(Gt, 0)));
+        // Different attributes and attribute right-hand sides prove nothing.
+        let y = Comparison::literal(AttrRef::new("R", "y"), Gt, 1);
+        assert!(!x(Gt, 5).implies(&y));
+        // Cross-variant literals order by variant tag, as the engine does.
+        let d = Comparison::literal(AttrRef::new("R", "x"), Lt, Value::date(1996, 1, 1));
+        assert!(x(Eq, 7).implies(&d));
+    }
+
+    #[test]
+    fn predicate_implication_follows_the_and_or_shape() {
+        let gt = |v: i64| Predicate::cmp(AttrRef::new("R", "x"), CompareOp::Gt, v);
+        let wide = Predicate::or([city_la(), city_sf(), gt(100)]);
+        assert!(city_la().implies(&wide));
+        assert!(Predicate::or([city_la(), gt(200)]).implies(&wide));
+        assert!(Predicate::and([city_la(), gt(0)]).implies(&wide));
+        assert!(!wide.implies(&city_la()));
+        assert!(!gt(50).implies(&wide));
+        assert!(Predicate::and([city_la(), gt(7)]).implies(&Predicate::and([gt(3), city_la()])));
+        assert!(!city_la().implies(&Predicate::and([gt(3), city_la()])));
+        assert!(wide.implies(&Predicate::True));
+        assert!(!Predicate::True.implies(&wide));
+        // A conjunction inside a disjunct is reached through the disjunct.
+        let nested = Predicate::or([Predicate::and([city_la(), gt(3)]), city_sf()]);
+        assert!(Predicate::and([gt(3), city_la()]).implies(&nested));
+        assert_eq!(wide.conjuncts().len(), 1);
+        assert_eq!(Predicate::True.conjuncts().len(), 0);
+        assert_eq!(Predicate::and([city_la(), gt(1)]).conjuncts().len(), 2);
     }
 
     #[test]

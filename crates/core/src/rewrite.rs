@@ -1,30 +1,374 @@
 //! Answering queries *from* the materialized views: rewrite an expression
-//! so every subexpression that matches a registered view becomes a scan of
-//! the stored view.
+//! so the parts of it a registered view can answer become scans of the
+//! stored view.
 //!
 //! This closes the loop the paper's architecture (Figure 1) implies: after
 //! the design phase decides what to materialize, the warehouse must route
 //! incoming queries — including *ad hoc* ones that were not in the design
 //! workload — through the stored views.
+//!
+//! # How a node is matched
+//!
+//! [`ViewCatalog::route`] walks the expression top-down and tries, at every
+//! node, in this order:
+//!
+//! 1. **Exact class.** The node's interned [`ExprArena`] class equals a
+//!    view's: the node becomes a scan of the view, under a reordering π when
+//!    the view stores its columns in another order than the node lists them
+//!    (classes compare attribute and aggregate lists as sets).
+//! 2. **Containment.** Only at π/γ-rooted nodes (whose output attribute list
+//!    can be read off the expression, so the replacement provably has the
+//!    same header) and only when nothing beneath the node is an exact hit
+//!    (a plan that already contains stored views verbatim — the designer's
+//!    merged plans — keeps them and its own shape). Node and views are
+//!    compared in the optimizer's pulled-up normal form
+//!    ([`mvdesign_optimizer::pull_up`]): a pure join tree over base
+//!    relations, one conjoined predicate, an optional outer π/γ. Interior
+//!    projections are dropped — they are bag projections and cannot change
+//!    multiplicities — but what a view *stores* is read off its definition.
+//!    * A **γ-view** over the same relations, join pairs and (mutually
+//!      implied) predicate answers a γ-node by a scan when the group keys
+//!      are equal, and by re-aggregation (SUM→SUM, COUNT→SUM of counts,
+//!      MIN/MAX) when the node groups on a subset of them.
+//!    * Otherwise **SPJ views** cover disjoint subsets `S` of the node's
+//!      relations: the node's join pairs inside `S` equal the view's, its
+//!      conjuncts local to `S` imply the view's predicate
+//!      ([`Predicate::implies`]) and the view keeps every `S`-attribute the
+//!      node uses above it. The node becomes
+//!      `π/γ(σ_spanning(σ_residual(scan V) ⋈ … ⋈ σ_local(R) …))`, covers
+//!      chosen widest first, then by fewest estimated blocks.
+//! 3. **Children.** Otherwise the node is kept and its children are routed.
+//!
+//! Every refusal is conservative: an undecided implication, a repeated
+//! relation name, an aggregate the algebra cannot re-derive or an opaque
+//! (aggregated) join leaf leaves the node as it was and says why
+//! ([`MissReason`]).
 
+use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
-use mvdesign_algebra::{Expr, ExprArena, RelName};
+use mvdesign_algebra::{
+    AggExpr, AggFunc, AttrRef, Expr, ExprArena, JoinCondition, Predicate, RelName,
+};
+use mvdesign_optimizer::pull_up;
 
 use crate::designer::DesignResult;
 
 /// A registry of materialized views: a stored name per view definition.
 ///
-/// Matching is by interned semantic class ([`ExprArena`]), so any expression
-/// equivalent up to join commutativity/associativity and predicate
-/// normalisation hits the view, not just syntactically identical ones.
+/// A query node is answered from a view when it is in the view's interned
+/// semantic class ([`ExprArena`]: equal up to join commutativity and
+/// associativity and predicate normalisation) or when the view *contains*
+/// it and a residual selection, projection, re-aggregation or join to the
+/// uncovered relations compensates for the difference — see the module
+/// documentation for the rules.
 #[derive(Debug, Clone, Default)]
 pub struct ViewCatalog {
     views: Vec<(RelName, Arc<Expr>)>,
+    /// What matching needs to know about each view, parallel to `views`.
+    sigs: Vec<ViewSig>,
     arena: ExprArena,
-    /// Stored name per arena class, indexed by [`mvdesign_algebra::ExprId`];
+    /// View index per arena class, indexed by [`mvdesign_algebra::ExprId`];
     /// `None` for classes interned only as view subexpressions.
-    name_of: Vec<Option<RelName>>,
+    view_of: Vec<Option<usize>>,
+    /// Views with a normal form, under the smallest relation they read: a
+    /// node over relations `R` finds every view reading a subset of `R` by
+    /// probing each member of `R`.
+    by_relation: HashMap<RelName, Vec<usize>>,
+}
+
+/// One output column of an expression, as far as its syntax tells.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Col {
+    /// Every attribute of a bare base relation, in catalog order.
+    Whole(RelName),
+    /// One listed attribute.
+    One(AttrRef),
+}
+
+/// The output columns of `expr`, left to right.
+fn columns(expr: &Expr, out: &mut Vec<Col>) {
+    match expr {
+        Expr::Base(r) => out.push(Col::Whole(r.clone())),
+        Expr::Select { input, .. } => columns(input, out),
+        Expr::Project { attrs, .. } => out.extend(attrs.iter().cloned().map(Col::One)),
+        Expr::Aggregate { group_by, aggs, .. } => {
+            out.extend(gamma_output(group_by, aggs).into_iter().map(Col::One));
+        }
+        Expr::Join { left, right, .. } => {
+            columns(left, out);
+            columns(right, out);
+        }
+    }
+}
+
+/// The attribute list, when every column is a listed one.
+fn listed(cols: &[Col]) -> Option<Vec<AttrRef>> {
+    cols.iter()
+        .map(|c| match c {
+            Col::One(a) => Some(a.clone()),
+            Col::Whole(_) => None,
+        })
+        .collect()
+}
+
+fn keeps(cols: &[Col], attr: &AttrRef) -> bool {
+    cols.iter().any(|c| match c {
+        Col::Whole(r) => *r == attr.relation,
+        Col::One(a) => a == attr,
+    })
+}
+
+/// A γ's output header: group keys, then aggregate outputs.
+fn gamma_output(group_by: &[AttrRef], aggs: &[AggExpr]) -> Vec<AttrRef> {
+    group_by
+        .iter()
+        .cloned()
+        .chain(aggs.iter().map(AggExpr::output_attr))
+        .collect()
+}
+
+/// An expression in pulled-up normal form, flattened for set comparison.
+#[derive(Debug, Clone)]
+struct Core {
+    /// Base relations of the join tree, sorted, each read once.
+    relations: Vec<RelName>,
+    /// Every equi-join pair of the tree, normalised and sorted.
+    pairs: Vec<(AttrRef, AttrRef)>,
+    /// Conjunction of every selection in the expression.
+    predicate: Predicate,
+    projection: Option<Vec<AttrRef>>,
+    aggregate: Option<(Vec<AttrRef>, Vec<AggExpr>)>,
+}
+
+impl Core {
+    /// The normal form of `expr`, or why it has none.
+    fn of(expr: &Arc<Expr>) -> Result<Self, MissReason> {
+        fn flatten(
+            e: &Expr,
+            relations: &mut Vec<RelName>,
+            on: &mut JoinCondition,
+        ) -> Result<(), MissReason> {
+            match e {
+                Expr::Base(r) => relations.push(r.clone()),
+                Expr::Join {
+                    left,
+                    right,
+                    on: here,
+                } => {
+                    *on = on.merged(here);
+                    flatten(left, relations, on)?;
+                    flatten(right, relations, on)?;
+                }
+                // `pull_up` leaves only an aggregation it could not peel.
+                _ => return Err(MissReason::InteriorAggregate),
+            }
+            Ok(())
+        }
+        let pulled = pull_up(expr);
+        let mut relations = Vec::new();
+        let mut on = JoinCondition::cross();
+        flatten(&pulled.join_tree, &mut relations, &mut on)?;
+        relations.sort();
+        if let Some(w) = relations.windows(2).find(|w| w[0] == w[1]) {
+            return Err(MissReason::RepeatedRelation(w[0].clone()));
+        }
+        // Compensation re-derives every join from the pair set, so each
+        // pair must link two different relations of the tree.
+        let links = |a: &AttrRef, b: &AttrRef| {
+            a.relation != b.relation
+                && relations.contains(&a.relation)
+                && relations.contains(&b.relation)
+        };
+        if !on.pairs().iter().all(|(a, b)| links(a, b)) {
+            return Err(MissReason::JoinMismatch);
+        }
+        Ok(Self {
+            relations,
+            pairs: on.pairs().to_vec(),
+            predicate: pulled.predicate,
+            projection: pulled.projection,
+            aggregate: pulled.aggregate,
+        })
+    }
+
+    fn reads(&self, attr: &AttrRef) -> bool {
+        self.relations.contains(&attr.relation)
+    }
+}
+
+#[derive(Debug, Clone)]
+struct ViewSig {
+    /// The stored table's columns, in stored order.
+    columns: Vec<Col>,
+    /// `None` when the definition has no normal form (repeated relation,
+    /// aggregated join leaf): such a view answers exact hits only.
+    core: Option<Core>,
+    /// Estimated size, when the view came out of a design.
+    blocks: Option<f64>,
+}
+
+/// Why a view did or did not answer one node of a routed expression.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Decision {
+    /// The node is in the view's semantic class: a bare scan (under a
+    /// reordering π when the stored column order differs).
+    Exact(RelName),
+    /// The view contains (part of) the node and the plan compensates.
+    Compensated {
+        /// The view scanned.
+        view: RelName,
+        /// Selection applied to the scan (`True` when none is needed).
+        residual: Predicate,
+        /// Whether the view's groups are rolled up by a second γ.
+        reaggregated: bool,
+    },
+    /// A refusal: `view` could not answer the node, or — with no view
+    /// named — the node itself cannot be matched by containment.
+    Miss {
+        /// The refused candidate.
+        view: Option<RelName>,
+        /// The rule that refused it.
+        reason: MissReason,
+    },
+}
+
+impl Decision {
+    /// The view this decision scans; `None` for a [`Decision::Miss`].
+    pub fn scanned(&self) -> Option<&RelName> {
+        match self {
+            Decision::Exact(view) | Decision::Compensated { view, .. } => Some(view),
+            Decision::Miss { .. } => None,
+        }
+    }
+}
+
+impl fmt::Display for Decision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Decision::Exact(view) => write!(f, "hit {view}: exact class"),
+            Decision::Compensated {
+                view,
+                residual,
+                reaggregated,
+            } => {
+                write!(f, "hit {view}: contained")?;
+                if !residual.is_true() {
+                    write!(f, ", residual σ[{residual}]")?;
+                }
+                if *reaggregated {
+                    f.write_str(", re-aggregated")?;
+                }
+                Ok(())
+            }
+            Decision::Miss {
+                view: Some(view),
+                reason,
+            } => write!(f, "miss {view}: {reason}"),
+            Decision::Miss { view: None, reason } => write!(f, "miss: {reason}"),
+        }
+    }
+}
+
+/// The rule that kept a view from answering a node.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MissReason {
+    /// No registered view reads a subset of the node's relations.
+    NoCandidate,
+    /// The node lists no output attributes (a bare join or `SELECT *`), so
+    /// a replacement with the same header cannot be built without a catalog.
+    OutputUnknown,
+    /// The node reads this relation more than once; attribute names alone
+    /// no longer tell the occurrences apart.
+    RepeatedRelation(RelName),
+    /// A join leaf is itself an aggregation.
+    InteriorAggregate,
+    /// The node's conjuncts over the view's relations do not (provably)
+    /// imply the view's predicate — or, for an aggregated view, the view's
+    /// do not imply the node's: its groups hold rows the node filters out.
+    PredicateNotImplied,
+    /// The node uses this attribute above the view, which does not store it.
+    AttributeNotKept(AttrRef),
+    /// The node joins the view's relations on other pairs than the view.
+    JoinMismatch,
+    /// The view stores the aggregate under another alias than the node asks.
+    AliasMismatch(AttrRef),
+    /// A roll-up needs this aggregate, which cannot be derived from the
+    /// view's groups (`AVG`, or an aggregate the view does not store).
+    NotDecomposable(AttrRef),
+    /// The view is aggregated and the node is not an aggregation over the
+    /// same relations.
+    AggregatedView,
+    /// An exact hit whose stored column order differs from the node's, with
+    /// no attribute list to reorder by and no π/γ above to restore it.
+    ColumnOrder,
+}
+
+impl fmt::Display for MissReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MissReason::NoCandidate => f.write_str("no view reads a subset of these relations"),
+            MissReason::OutputUnknown => f.write_str("the query lists no output attributes"),
+            MissReason::RepeatedRelation(r) => write!(f, "{r} is read more than once"),
+            MissReason::InteriorAggregate => f.write_str("a join input is an aggregation"),
+            MissReason::PredicateNotImplied => {
+                f.write_str("the query's predicate is not shown to fit the view's")
+            }
+            MissReason::AttributeNotKept(a) => write!(f, "{a} is needed but not stored"),
+            MissReason::JoinMismatch => f.write_str("the join pairs differ"),
+            MissReason::AliasMismatch(a) => write!(f, "{a} is stored under another alias"),
+            MissReason::NotDecomposable(a) => {
+                write!(f, "{a} cannot be derived from the view's groups")
+            }
+            MissReason::AggregatedView => {
+                f.write_str("the view is aggregated over other relations or the query is not")
+            }
+            MissReason::ColumnOrder => f.write_str("stored column order differs"),
+        }
+    }
+}
+
+/// A routed expression and how each part of it was decided.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Routed {
+    /// The expression to execute over base tables plus stored views.
+    pub plan: Arc<Expr>,
+    /// One entry per view scan in `plan` and one per refusal met on the
+    /// way, in the order the walk took them.
+    pub decisions: Vec<Decision>,
+}
+
+/// What one walk collects: always the number of view scans, the decisions
+/// only when the caller wants them.
+struct Trace {
+    scans: usize,
+    decisions: Option<Vec<Decision>>,
+}
+
+impl Trace {
+    fn new(decisions: bool) -> Self {
+        Self {
+            scans: 0,
+            decisions: decisions.then(Vec::new),
+        }
+    }
+
+    fn hit(&mut self, decision: impl FnOnce() -> Decision) {
+        self.scans += 1;
+        if let Some(log) = &mut self.decisions {
+            log.push(decision());
+        }
+    }
+
+    fn miss(&mut self, view: Option<&RelName>, reason: MissReason) {
+        if let Some(log) = &mut self.decisions {
+            log.push(Decision::Miss {
+                view: view.cloned(),
+                reason,
+            });
+        }
+    }
 }
 
 impl ViewCatalog {
@@ -36,28 +380,53 @@ impl ViewCatalog {
     /// Registers a view definition under a stored-table name.
     ///
     /// Returns `false` (and keeps the existing entry) when an equivalent
-    /// view is already registered.
+    /// view is already registered or the name is already taken.
     pub fn register(&mut self, name: impl Into<RelName>, definition: Arc<Expr>) -> bool {
+        self.register_sized(name.into(), definition, None)
+    }
+
+    fn register_sized(
+        &mut self,
+        name: RelName,
+        definition: Arc<Expr>,
+        blocks: Option<f64>,
+    ) -> bool {
         let id = self.arena.intern(&definition);
-        if self.name_of.len() < self.arena.len() {
-            self.name_of.resize(self.arena.len(), None);
+        if self.view_of.len() < self.arena.len() {
+            self.view_of.resize(self.arena.len(), None);
         }
-        if self.name_of[id.index()].is_some() {
+        if self.view_of[id.index()].is_some() || self.views.iter().any(|(n, _)| *n == name) {
             return false;
         }
-        let name = name.into();
-        self.name_of[id.index()] = Some(name.clone());
+        let index = self.views.len();
+        self.view_of[id.index()] = Some(index);
+        let core = Core::of(&definition).ok();
+        if let Some(first) = core.as_ref().and_then(|c| c.relations.first()) {
+            self.by_relation
+                .entry(first.clone())
+                .or_default()
+                .push(index);
+        }
+        let mut cols = Vec::new();
+        columns(&definition, &mut cols);
+        self.sigs.push(ViewSig {
+            columns: cols,
+            core,
+            blocks,
+        });
         self.views.push((name, definition));
         true
     }
 
     /// Builds a registry from a finished design, naming each view after its
-    /// MVPP node label (`tmp2`, `tmp7`, …).
+    /// MVPP node label (`tmp2`, `tmp7`, …) and remembering the node's
+    /// estimated size for choosing among views that cover the same query.
     pub fn from_design(design: &DesignResult) -> Self {
         let mut out = Self::new();
         for id in &design.materialized {
             let node = design.mvpp.mvpp().node(*id);
-            out.register(node.label(), Arc::clone(node.expr()));
+            let blocks = design.mvpp.annotation(*id).stats.blocks;
+            out.register_sized(node.label().into(), Arc::clone(node.expr()), Some(blocks));
         }
         out
     }
@@ -77,30 +446,84 @@ impl ViewCatalog {
         self.views.is_empty()
     }
 
-    /// The stored name answering `expr` exactly, if any. Non-mutating: the
-    /// probe never interns new classes.
-    pub fn exact_match(&self, expr: &Arc<Expr>) -> Option<&RelName> {
-        let id = self.arena.lookup(expr)?;
-        self.name_of.get(id.index())?.as_ref()
-    }
-
-    /// Rewrites `expr`, replacing every maximal subexpression that matches a
-    /// registered view with a scan of the stored view.
+    /// Rewrites `expr` so every part of it a registered view can answer
+    /// reads the stored view instead — [`ViewCatalog::route`] without the
+    /// decisions.
     ///
-    /// The replacement is a [`Expr::Base`] leaf named after the view; the
+    /// A view scan is a [`Expr::Base`] leaf named after the view; the
     /// stored table keeps the original qualified attributes, so operators
     /// above the replacement still resolve (the engine looks attributes up
-    /// by name, not by table). Returns the input unchanged when nothing
-    /// matches.
+    /// by name, not by table). Every replaced node keeps its attribute list
+    /// and order. Returns the input unchanged when nothing matches.
     pub fn rewrite(&self, expr: &Arc<Expr>) -> Arc<Expr> {
-        if let Some(name) = self.exact_match(expr) {
-            return Expr::base(name.clone());
+        self.walk(expr, true, &mut Trace::new(false))
+    }
+
+    /// How many view scans [`ViewCatalog::rewrite`] introduces.
+    pub fn match_count(&self, expr: &Arc<Expr>) -> usize {
+        let mut trace = Trace::new(false);
+        self.walk(expr, true, &mut trace);
+        trace.scans
+    }
+
+    /// Routes `expr` through the views and reports why each part of it hit
+    /// or missed: one [`Decision`] per view scan in the plan and one per
+    /// refusal.
+    pub fn route(&self, expr: &Arc<Expr>) -> Routed {
+        let mut trace = Trace::new(true);
+        let plan = self.walk(expr, true, &mut trace);
+        if trace.scans == 0 && !lists_output(expr) && !self.is_empty() {
+            trace.miss(None, MissReason::OutputUnknown);
         }
-        let children = expr.children();
-        if children.is_empty() {
+        Routed {
+            plan,
+            decisions: trace.decisions.unwrap_or_default(),
+        }
+    }
+
+    fn name(&self, view: usize) -> &RelName {
+        &self.views[view].0
+    }
+
+    fn scan(&self, view: usize) -> Arc<Expr> {
+        Expr::base(self.name(view).clone())
+    }
+
+    /// The view answering `expr` exactly, if any. Non-mutating: the probe
+    /// never interns new classes.
+    fn exact_match(&self, expr: &Arc<Expr>) -> Option<usize> {
+        let id = self.arena.lookup(expr)?;
+        *self.view_of.get(id.index())?
+    }
+
+    /// Whether anything strictly beneath `expr` is an exact hit.
+    fn holds_exact(&self, expr: &Expr) -> bool {
+        expr.children()
+            .into_iter()
+            .any(|c| self.exact_match(c).is_some() || self.holds_exact(c))
+    }
+
+    /// Routes one node. `ordered` says the node's column order reaches the
+    /// caller: no π or γ above restores it by name.
+    fn walk(&self, expr: &Arc<Expr>, ordered: bool, trace: &mut Trace) -> Arc<Expr> {
+        if self.is_empty() {
             return Arc::clone(expr);
         }
-        let rewritten: Vec<Arc<Expr>> = children.iter().map(|c| self.rewrite(c)).collect();
+        if let Some(plan) = self.exact(expr, ordered, trace) {
+            return plan;
+        }
+        let lists = lists_output(expr);
+        if lists && !self.holds_exact(expr) {
+            if let Some(plan) = self.contain(expr, trace) {
+                return plan;
+            }
+        }
+        let ordered = ordered && !lists;
+        let children = expr.children();
+        let rewritten: Vec<Arc<Expr>> = children
+            .iter()
+            .map(|c| self.walk(c, ordered, trace))
+            .collect();
         if rewritten
             .iter()
             .zip(&children)
@@ -108,36 +531,323 @@ impl ViewCatalog {
         {
             return Arc::clone(expr);
         }
+        let mut rewritten = rewritten.into_iter();
+        let mut next = || rewritten.next().expect("one plan per child");
         match &**expr {
             Expr::Select { predicate, .. } => Arc::new(Expr::Select {
-                input: rewritten.into_iter().next().expect("one child"),
+                input: next(),
                 predicate: predicate.clone(),
             }),
-            Expr::Project { attrs, .. } => Arc::new(Expr::Project {
-                input: rewritten.into_iter().next().expect("one child"),
-                attrs: attrs.clone(),
-            }),
-            Expr::Aggregate { group_by, aggs, .. } => Arc::new(Expr::Aggregate {
-                input: rewritten.into_iter().next().expect("one child"),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            }),
+            Expr::Project { attrs, .. } => Expr::project(next(), attrs.clone()),
+            Expr::Aggregate { group_by, aggs, .. } => {
+                Expr::aggregate(next(), group_by.clone(), aggs.clone())
+            }
             Expr::Join { on, .. } => {
-                let mut it = rewritten.into_iter();
-                let left = it.next().expect("two children");
-                let right = it.next().expect("two children");
-                Expr::join(left, right, on.clone())
+                let left = next();
+                Expr::join(left, next(), on.clone())
             }
             Expr::Base(_) => unreachable!("bases have no children"),
         }
     }
 
-    /// How many view scans `rewrite` would introduce for this expression.
-    pub fn match_count(&self, expr: &Arc<Expr>) -> usize {
-        if self.exact_match(expr).is_some() {
-            return 1;
+    /// Step 1: the node is in a view's class.
+    fn exact(&self, expr: &Arc<Expr>, ordered: bool, trace: &mut Trace) -> Option<Arc<Expr>> {
+        let view = self.exact_match(expr)?;
+        let scan = self.scan(view);
+        let plan = if Arc::ptr_eq(expr, &self.views[view].1) {
+            scan
+        } else {
+            let mut cols = Vec::new();
+            columns(expr, &mut cols);
+            if cols == self.sigs[view].columns {
+                scan
+            } else if let Some(attrs) = listed(&cols) {
+                Expr::project(scan, attrs)
+            } else if !ordered {
+                scan
+            } else {
+                trace.miss(Some(self.name(view)), MissReason::ColumnOrder);
+                return None;
+            }
+        };
+        trace.hit(|| Decision::Exact(self.name(view).clone()));
+        Some(plan)
+    }
+
+    /// Step 2: views that contain the π/γ-rooted node, with compensation.
+    fn contain(&self, expr: &Arc<Expr>, trace: &mut Trace) -> Option<Arc<Expr>> {
+        let node = match Core::of(expr) {
+            Ok(node) => node,
+            Err(reason) => {
+                trace.miss(None, reason);
+                return None;
+            }
+        };
+        let candidates: Vec<(usize, &Core)> = node
+            .relations
+            .iter()
+            .filter_map(|r| self.by_relation.get(r))
+            .flatten()
+            .filter_map(|&v| Some(v).zip(self.sigs[v].core.as_ref()))
+            .filter(|(_, core)| core.relations.iter().all(|r| node.relations.contains(r)))
+            .collect();
+        if candidates.is_empty() {
+            trace.miss(None, MissReason::NoCandidate);
+            return None;
         }
-        expr.children().iter().map(|c| self.match_count(c)).sum()
+
+        let mut covers = Vec::new();
+        for &(v, core) in &candidates {
+            if core.aggregate.is_some() {
+                match self.groups_answer(&node, v, core) {
+                    Ok((plan, reaggregated)) => {
+                        trace.hit(|| Decision::Compensated {
+                            view: self.name(v).clone(),
+                            residual: Predicate::True,
+                            reaggregated,
+                        });
+                        return Some(plan);
+                    }
+                    Err(reason) => trace.miss(Some(self.name(v)), reason),
+                }
+            } else {
+                match self.covers(&node, v, core) {
+                    Ok(residual) => covers.push((v, core, residual)),
+                    Err(reason) => trace.miss(Some(self.name(v)), reason),
+                }
+            }
+        }
+        // Widest cover first (every covered relation is a join not run),
+        // then the smallest stored table, then registration order.
+        let size = |v: usize| self.sigs[v].blocks.unwrap_or(f64::INFINITY);
+        covers.sort_by(|(a, ac, _), (b, bc, _)| {
+            (bc.relations.len().cmp(&ac.relations.len()))
+                .then(size(*a).total_cmp(&size(*b)))
+                .then(a.cmp(b))
+        });
+        let mut parts: Vec<Part> = Vec::new();
+        for (v, core, residual) in covers {
+            let free = |r| parts.iter().all(|p: &Part| !p.relations.contains(r));
+            if core.relations.iter().all(free) {
+                trace.hit(|| Decision::Compensated {
+                    view: self.name(v).clone(),
+                    residual: residual.clone(),
+                    reaggregated: false,
+                });
+                parts.push(Part {
+                    plan: Expr::select(self.scan(v), residual),
+                    relations: core.relations.clone(),
+                    stored: listed(&self.sigs[v].columns),
+                });
+            }
+        }
+        if parts.is_empty() {
+            return None;
+        }
+        Some(assemble(&node, parts))
+    }
+
+    /// Whether SPJ view `v` answers the node's relations `S = core.relations`;
+    /// the selection still to apply to its scan when it does.
+    fn covers(&self, node: &Core, v: usize, core: &Core) -> Result<Predicate, MissReason> {
+        let inside = |(a, b): &&(AttrRef, AttrRef)| core.reads(a) && core.reads(b);
+        if !node.pairs.iter().filter(inside).eq(core.pairs.iter()) {
+            return Err(MissReason::JoinMismatch);
+        }
+        // Attributes of `S` the node uses above the view scan.
+        let mut needed: Vec<&AttrRef> = Vec::new();
+        let mut local = Vec::new();
+        for conjunct in node.predicate.conjuncts() {
+            let attrs = conjunct.attrs();
+            if attrs.iter().all(|a| core.reads(a)) {
+                local.push(conjunct);
+            } else {
+                needed.extend(attrs);
+            }
+        }
+        if !Predicate::and(local.iter().map(|&c| c.clone())).implies(&core.predicate) {
+            return Err(MissReason::PredicateNotImplied);
+        }
+        local.retain(|c| !core.predicate.implies(c));
+        needed.extend(local.iter().flat_map(|c| c.attrs()));
+        // Pairs inside `S` are the view's own; the crossing ones join its
+        // scan to the rest.
+        let crossing = node.pairs.iter().filter(|p| !inside(p));
+        needed.extend(crossing.flat_map(|(a, b)| [a, b]));
+        match &node.aggregate {
+            Some((keys, aggs)) => {
+                needed.extend(keys);
+                needed.extend(aggs.iter().filter_map(|a| a.input.as_ref()));
+            }
+            None => needed.extend(node.projection.iter().flatten()),
+        }
+        let columns = &self.sigs[v].columns;
+        match needed
+            .into_iter()
+            .find(|a| core.reads(a) && !keeps(columns, a))
+        {
+            Some(lost) => Err(MissReason::AttributeNotKept(lost.clone())),
+            None => Ok(Predicate::and(local.into_iter().cloned())),
+        }
+    }
+
+    /// Whether γ-view `v` answers the γ-node: by a scan (same group keys) or
+    /// by rolling its groups up (a subset of them). Returns the plan and
+    /// whether it re-aggregates.
+    fn groups_answer(
+        &self,
+        node: &Core,
+        v: usize,
+        core: &Core,
+    ) -> Result<(Arc<Expr>, bool), MissReason> {
+        let (Some((keys, aggs)), Some((view_keys, view_aggs))) = (&node.aggregate, &core.aggregate)
+        else {
+            return Err(MissReason::AggregatedView);
+        };
+        if core.relations != node.relations {
+            return Err(MissReason::AggregatedView);
+        }
+        if core.pairs != node.pairs {
+            return Err(MissReason::JoinMismatch);
+        }
+        if !(node.predicate.implies(&core.predicate) && core.predicate.implies(&node.predicate)) {
+            return Err(MissReason::PredicateNotImplied);
+        }
+        let stored = listed(&self.sigs[v].columns).expect("a γ-view lists its output");
+        if let Some(lost) = keys
+            .iter()
+            .find(|k| !(view_keys.contains(k) && stored.contains(k)))
+        {
+            return Err(MissReason::AttributeNotKept(lost.clone()));
+        }
+        let roll_up = !view_keys.iter().all(|k| keys.contains(k));
+        let mut rolled = Vec::new();
+        for agg in aggs {
+            let out = agg.output_attr();
+            let same_source = |s: &&AggExpr| s.func == agg.func && s.input == agg.input;
+            if roll_up && agg.func == AggFunc::Avg {
+                return Err(MissReason::NotDecomposable(out));
+            }
+            if !view_aggs.contains(agg) {
+                return Err(match view_aggs.iter().find(same_source) {
+                    Some(_) => MissReason::AliasMismatch(out),
+                    None if roll_up => MissReason::NotDecomposable(out),
+                    None => MissReason::AttributeNotKept(out),
+                });
+            }
+            if !stored.contains(&out) {
+                return Err(MissReason::AttributeNotKept(out));
+            }
+            let func = match agg.func {
+                AggFunc::Count => AggFunc::Sum,
+                other => other,
+            };
+            rolled.push(AggExpr::new(func, out, agg.alias.clone()));
+        }
+        let scan = self.scan(v);
+        let (plan, have) = if roll_up {
+            let plan = Expr::aggregate(scan, keys.clone(), rolled);
+            (plan, gamma_output(keys, aggs))
+        } else {
+            (scan, stored)
+        };
+        let want = match &node.projection {
+            Some(attrs) => attrs.clone(),
+            None => gamma_output(keys, aggs),
+        };
+        Ok((project_unless(plan, want, Some(&have)), roll_up))
+    }
+}
+
+/// Whether the node's output attribute list can be read off the expression.
+fn lists_output(expr: &Expr) -> bool {
+    matches!(expr, Expr::Project { .. } | Expr::Aggregate { .. })
+}
+
+fn project_unless(plan: Arc<Expr>, want: Vec<AttrRef>, have: Option<&[AttrRef]>) -> Arc<Expr> {
+    if have == Some(&want[..]) {
+        plan
+    } else {
+        Expr::project(plan, want)
+    }
+}
+
+/// One input of a compensated join: a view scan or an uncovered relation.
+struct Part {
+    plan: Arc<Expr>,
+    relations: Vec<RelName>,
+    /// The plan's header, when known (a view that lists its columns).
+    stored: Option<Vec<AttrRef>>,
+}
+
+impl Part {
+    fn reads(&self, attr: &AttrRef) -> bool {
+        self.relations.contains(&attr.relation)
+    }
+}
+
+/// Joins the covers (given, widest first) to the node's uncovered relations
+/// and re-applies what the node does above its join tree. The first cover
+/// stays leftmost: the hash join builds on its right input.
+fn assemble(node: &Core, mut parts: Vec<Part>) -> Arc<Expr> {
+    let covered = parts.len();
+    for r in &node.relations {
+        if parts.iter().all(|p| !p.relations.contains(r)) {
+            parts.push(Part {
+                plan: Expr::base(r.clone()),
+                relations: vec![r.clone()],
+                stored: None,
+            });
+        }
+    }
+    // Conjuncts inside a cover are already in its residual (or implied by
+    // the view); the others go to their one relation or stay on top.
+    let mut spanning = Vec::new();
+    for conjunct in node.predicate.conjuncts() {
+        let attrs = conjunct.attrs();
+        let home = |p: &Part| attrs.iter().all(|a| p.reads(a));
+        match parts.iter().position(home) {
+            Some(k) if k < covered => {}
+            Some(k) => parts[k].plan = Expr::select(Arc::clone(&parts[k].plan), conjunct.clone()),
+            None => spanning.push(conjunct.clone()),
+        }
+    }
+    let mut parts = parts.into_iter();
+    let mut joined = parts.next().expect("at least one cover");
+    let mut rest: Vec<Part> = parts.collect();
+    while !rest.is_empty() {
+        let links = |p: &Part, (a, b): &(AttrRef, AttrRef)| {
+            (joined.reads(a) && p.reads(b)) || (joined.reads(b) && p.reads(a))
+        };
+        // Prefer an input some pair connects; a true cross product last.
+        let k = rest
+            .iter()
+            .position(|p| node.pairs.iter().any(|pair| links(p, pair)))
+            .unwrap_or(0);
+        let on = JoinCondition::new(
+            node.pairs
+                .iter()
+                .filter(|pair| links(&rest[k], pair))
+                .cloned(),
+        );
+        let next = rest.remove(k);
+        joined.plan = Expr::join(joined.plan, next.plan, on);
+        joined.relations.extend(next.relations);
+        joined.stored = None;
+    }
+    let core = Expr::select(joined.plan, Predicate::and(spanning));
+    match &node.aggregate {
+        Some((keys, aggs)) => {
+            let plan = Expr::aggregate(core, keys.clone(), aggs.clone());
+            match &node.projection {
+                Some(attrs) => Expr::project(plan, attrs.clone()),
+                None => plan,
+            }
+        }
+        None => {
+            let want = node.projection.clone().expect("a π-node lists its output");
+            project_unless(core, want, joined.stored.as_deref())
+        }
     }
 }
 
@@ -214,5 +924,39 @@ mod tests {
         assert!(v.register("a", tmp2()));
         assert!(!v.register("b", tmp2()));
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn a_taken_name_is_rejected_for_a_different_definition() {
+        let mut v = ViewCatalog::new();
+        assert!(v.register("a", tmp2()));
+        assert!(!v.register("a", Expr::base("Pd")));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v.views()[0].1, tmp2());
+        // The refused definition does not route to the name either.
+        assert_eq!(v.match_count(&Expr::base("Pd")), 0);
+    }
+
+    #[test]
+    fn a_commuted_bare_join_keeps_its_own_column_order() {
+        let mut v = ViewCatalog::new();
+        v.register("v", tmp2());
+        let la = Predicate::cmp(AttrRef::new("Div", "city"), CompareOp::Eq, "LA");
+        let commuted = Expr::join(
+            Expr::select(Expr::base("Div"), la),
+            Expr::base("Pd"),
+            JoinCondition::on(AttrRef::new("Pd", "Did"), AttrRef::new("Div", "Did")),
+        );
+        // At the root nothing restores the order Div.*, Pd.* and there is
+        // no attribute list to reorder the scan by: the view is refused …
+        let routed = v.route(&commuted);
+        assert!(Arc::ptr_eq(&routed.plan, &commuted));
+        assert!(routed.decisions.contains(&Decision::Miss {
+            view: Some("v".into()),
+            reason: MissReason::ColumnOrder,
+        }));
+        // … under a projection the order is restored by name.
+        let listed = Expr::project(commuted, [AttrRef::new("Pd", "name")]);
+        assert_eq!(v.rewrite(&listed).to_string(), "π[Pd.name](v)");
     }
 }

@@ -461,8 +461,11 @@ impl Warehouse {
             .collect();
     }
 
-    /// Answers a SQL query, routing it through the materialized views when
-    /// a subexpression matches.
+    /// Answers a SQL query, routing it through the materialized views
+    /// wherever one contains part of it ([`ViewCatalog::route`]). An answer
+    /// read from a view reflects the last [`Warehouse::refresh`] —
+    /// [`Warehouse::pending_rows`] says how much it lacks — exactly like a
+    /// merged plan's.
     ///
     /// # Errors
     ///

@@ -9,10 +9,10 @@
 //!   core [`evaluate`] bit-for-bit, for both maintenance modes and both
 //!   filter-shipping strategies;
 //! - **executable semantics** ([`check_semantics`]): the merged, pushed-down
-//!   MVPP plan of every query — and its rewrite against the materialized
-//!   views — must return exactly the rows of the original plan when run on
-//!   `engine`-generated data. The original plan runs on the preserved
-//!   tuple-at-a-time engine ([`row_reference`], kept here so the shipped
+//!   MVPP plan of every query — and both that plan and the raw query routed
+//!   through the materialized views — must return exactly the rows of the
+//!   original plan when run on `engine`-generated data. The original plan
+//!   runs on the preserved tuple-at-a-time engine ([`row_reference`], kept here so the shipped
 //!   engine has one execution path) while the merged and rewritten plans
 //!   run on the columnar batch engine, so the check doubles as a batch ≡
 //!   row differential test on every audit;
@@ -178,9 +178,10 @@ pub fn check_prune_safety_with(a: &AnnotatedMvpp, tolerance: f64) -> AuditReport
     report
 }
 
-/// Runs every query's merged MVPP plan — and, when a design is given, its
-/// rewrite against the materialized views — on generated data and checks the
-/// rows equal the original plan's, after canonicalization.
+/// Runs every query's merged MVPP plan — and, when a design is given, both
+/// the merged plan and the raw query routed through the materialized views —
+/// on generated data and checks the rows equal the original plan's, after
+/// canonicalization.
 pub fn check_semantics(
     catalog: &Catalog,
     workload: &Workload,
@@ -238,20 +239,21 @@ pub fn check_semantics(
                 ),
             );
         }
-        if let Some(views) = views {
-            let rewritten = views.rewrite(merged);
-            match execute(&rewritten, &db, &ctx) {
-                Ok(t) => {
-                    if expected.rows() != t.canonicalized().rows() {
-                        report.push(
-                            "semantics",
-                            format!("{}: view rewrite changes the answer", q.name()),
-                        );
-                    }
-                }
-                Err(e) => {
-                    report.push("semantics", format!("{} rewrite fails: {e}", q.name()));
-                }
+        // Both forms a warehouse is asked: the merged plan, which holds the
+        // views verbatim, and the raw query, which reaches them only through
+        // containment matching.
+        let Some(views) = views else { continue };
+        for (form, plan) in [("merged", merged), ("raw", q.root())] {
+            match execute(&views.rewrite(plan), &db, &ctx) {
+                Ok(t) if expected.rows() == t.canonicalized().rows() => {}
+                Ok(_) => report.push(
+                    "semantics",
+                    format!("{}: routing the {form} plan changes the answer", q.name()),
+                ),
+                Err(e) => report.push(
+                    "semantics",
+                    format!("{}: routed {form} plan fails: {e}", q.name()),
+                ),
             }
         }
     }

@@ -167,25 +167,30 @@ fn main() {
     for id in &m {
         let node = a.mvpp().node(*id);
         views.register(node.label(), std::sync::Arc::clone(node.expr()));
+        println!("  {} = {}", node.label(), node.expr());
         materialize_view(node.label(), node.expr(), &mut db, &ExecContext::default())
             .expect("view materializes");
     }
 
-    let (_, _, root) = a
-        .mvpp()
-        .roots()
-        .iter()
-        .find(|(n, _, _)| n == "revenue_by_city")
-        .expect("dashboard query exists");
-    let merged = a.mvpp().node(*root).expr();
-    let rewritten = views.rewrite(merged);
-    let answer = execute(&rewritten, &db, &ExecContext::default()).expect("dashboard answers");
-    println!(
-        "revenue_by_city uses {} stored view(s); first rows:",
-        views.match_count(merged)
-    );
-    for row in answer.canonicalized().rows().iter().take(5) {
-        let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-        println!("  {}", cells.join(" | "));
+    // Raw SQL, as a dashboard would send it: the registry says which views
+    // answered each query, how it compensated, and why the others did not.
+    for sql in [
+        "SELECT city, SUM(amount) AS revenue FROM Sales, Stores \
+         WHERE Sales.store = Stores.store GROUP BY Stores.city",
+        "SELECT city, MAX(amount) AS biggest FROM Sales, Stores \
+         WHERE Sales.store = Stores.store AND amount > 500 GROUP BY Stores.city",
+    ] {
+        let query = parse_query_with(sql, &catalog).expect("parses");
+        let routed = views.route(&query);
+        println!("\n{sql}\n  runs as {}", routed.plan);
+        for decision in &routed.decisions {
+            println!("  {decision}");
+        }
+        let answer =
+            execute(&routed.plan, &db, &ExecContext::default()).expect("dashboard answers");
+        for row in answer.canonicalized().rows().iter().take(3) {
+            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+            println!("    {}", cells.join(" | "));
+        }
     }
 }

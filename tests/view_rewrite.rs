@@ -1,13 +1,37 @@
-//! End-to-end test of the answering-queries-using-views loop: design →
-//! materialize the chosen views as tables → rewrite queries against them →
+//! End-to-end tests of the answering-queries-using-views loop: design →
+//! materialize the chosen views as tables → route queries through them →
 //! identical answers at lower measured I/O.
+//!
+//! Soundness of the matcher is the point of most of this file: a proptest
+//! routes random SPJ/γ queries through random view sets and compares every
+//! answer — header, order and bag — with the row-at-a-time reference over
+//! the base tables alone; unit tests produce each refusal rule's
+//! [`MissReason`]; and two pins hold the routings the benchmark depends on
+//! (merged plans route as before, raw TPC-H-lite SQL reaches the views).
+//! `MVDESIGN_MEM_BUDGET` (bytes) pages every table and bounds the operators,
+//! the way `tests/maintain.rs` honours it, so compensated plans also run
+//! over paged views.
 
-use mvdesign::core::ViewCatalog;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use proptest::strategy::Strategy;
+use rand::{rngs::StdRng, SeedableRng};
+
+use mvdesign::algebra::{
+    parse_query_with, AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate, Query,
+    Value,
+};
+use mvdesign::catalog::{AttrType, Catalog};
+use mvdesign::core::{Decision, DesignResult, MissReason, Routed, ViewCatalog, Workload};
 use mvdesign::engine::{
-    execute, materialize_view, measure, ExecContext, Generator, GeneratorConfig,
+    execute, materialize_view, measure, BufferPool, Database, ExecContext, Generator,
+    GeneratorConfig, JoinAlgo, Table,
 };
 use mvdesign::prelude::Designer;
-use mvdesign::workload::paper_example;
+use mvdesign::warehouse::Warehouse;
+use mvdesign::workload::{paper_example, tpch_catalog, tpch_lite, Scenario};
+use mvdesign_verify::row_reference;
 
 #[test]
 fn rewritten_queries_match_and_cost_less() {
@@ -129,4 +153,951 @@ fn ad_hoc_query_not_in_the_workload_still_hits_the_views() {
         .expect("rewritten")
         .canonicalized();
     assert_eq!(direct.rows(), via_views.rows());
+}
+
+// ---------------------------------------------------------------------------
+// Shared helpers
+// ---------------------------------------------------------------------------
+
+fn mem_budget() -> Option<usize> {
+    std::env::var("MVDESIGN_MEM_BUDGET")
+        .ok()
+        .map(|v| v.parse().expect("MVDESIGN_MEM_BUDGET is a byte count"))
+}
+
+/// Materializes `views` into a copy of `base` and returns the database to
+/// serve from with its context: resident and unbounded by default, every
+/// table paged into a pool of `MVDESIGN_MEM_BUDGET` bytes when that is set.
+fn serving(base: &Database, views: &ViewCatalog) -> (Database, ExecContext) {
+    let mut db = base.clone();
+    let mut ctx = ExecContext::default();
+    for (name, definition) in views.views() {
+        materialize_view(name.clone(), definition, &mut db, &ctx).expect("view materializes");
+    }
+    if let Some(bytes) = mem_budget() {
+        db.page_out(&BufferPool::new(Some(bytes)), 7);
+        ctx.mem_budget = Some(bytes);
+    }
+    (db, ctx)
+}
+
+/// The answer a routed plan must give: the row-at-a-time reference over
+/// the base tables, no views anywhere.
+fn reference(query: &Arc<Expr>, base: &Database) -> Table {
+    row_reference::execute(query, base, JoinAlgo::NestedLoop).expect("reference executes")
+}
+
+/// Header, column order and bag of rows all equal.
+fn assert_same_answer(got: &Table, want: &Table, what: &str) {
+    assert_eq!(got.attrs(), want.attrs(), "{what}: header differs");
+    assert_eq!(
+        got.canonicalized().rows(),
+        want.canonicalized().rows(),
+        "{what}: rows differ"
+    );
+}
+
+fn view_scans(plan: &Arc<Expr>, views: &ViewCatalog) -> Vec<String> {
+    let mut out = Vec::new();
+    mvdesign::algebra::postorder(plan, &mut |n| {
+        if let Expr::Base(r) = &**n {
+            if views.views().iter().any(|(v, _)| v == r) {
+                out.push(r.to_string());
+            }
+        }
+    });
+    out
+}
+
+fn scanned(routed: &Routed) -> Vec<String> {
+    routed
+        .decisions
+        .iter()
+        .filter_map(|d| d.scanned().map(ToString::to_string))
+        .collect()
+}
+
+/// Routes `query`, executes the plan over base tables plus views and checks
+/// it against the reference; also that `route`, `rewrite` and `match_count`
+/// are one code path. Returns the routing for further assertions.
+fn check_routed(
+    query: &Arc<Expr>,
+    views: &ViewCatalog,
+    base: &Database,
+    db: &Database,
+    ctx: &ExecContext,
+) -> Routed {
+    let routed = views.route(query);
+    assert_eq!(
+        views.rewrite(query),
+        routed.plan,
+        "rewrite ≠ route for {query}"
+    );
+    let mut in_plan = view_scans(&routed.plan, views);
+    assert_eq!(
+        in_plan.len(),
+        views.match_count(query),
+        "match_count for {query}"
+    );
+    let mut decided = scanned(&routed);
+    in_plan.sort();
+    decided.sort();
+    assert_eq!(in_plan, decided, "decisions ≠ scans for {query}");
+    let got = execute(&routed.plan, db, ctx)
+        .unwrap_or_else(|e| panic!("routed plan {} fails: {e}", routed.plan));
+    assert_same_answer(
+        &got,
+        &reference(query, base),
+        &format!("{query} routed as {}", routed.plan),
+    );
+    routed
+}
+
+fn design_of(scenario: &Scenario) -> DesignResult {
+    Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("scenario designs")
+}
+
+fn small_db(catalog: &Catalog, seed: u64) -> Database {
+    Generator::with_config(GeneratorConfig {
+        seed,
+        scale: 0.0002,
+        max_rows: 300,
+    })
+    .database(catalog)
+}
+
+fn sql(text: &str) -> Arc<Expr> {
+    parse_query_with(text, &tpch_catalog()).expect("test SQL parses")
+}
+
+fn catalog_of(views: &[(&str, &str)]) -> ViewCatalog {
+    let mut out = ViewCatalog::new();
+    for (name, text) in views {
+        assert!(out.register(*name, sql(text)), "{name} registers");
+    }
+    out
+}
+
+fn miss(view: Option<&str>, reason: MissReason) -> Decision {
+    Decision::Miss {
+        view: view.map(Into::into),
+        reason,
+    }
+}
+
+/// Routes `query` through `views` over TPC-H-lite data, checks the answer
+/// and returns the routing.
+fn route_over_tpch(views: &ViewCatalog, query: &Arc<Expr>) -> Routed {
+    let base = small_db(&tpch_catalog(), 5);
+    let (db, ctx) = serving(&base, views);
+    check_routed(query, views, &base, &db, &ctx)
+}
+
+// ---------------------------------------------------------------------------
+// Regressions: an exact class hit keeps the query's column order
+// ---------------------------------------------------------------------------
+
+#[test]
+fn exact_hit_on_a_reordered_projection_keeps_the_query_order() {
+    let views = catalog_of(&[(
+        "v",
+        "SELECT Lineitem.ok, qty, price FROM Lineitem WHERE shipdate > 6/1/95",
+    )]);
+    let query = sql("SELECT price, qty, Lineitem.ok FROM Lineitem WHERE shipdate > 6/1/95");
+    let routed = route_over_tpch(&views, &query);
+    assert_eq!(routed.decisions, [Decision::Exact("v".into())]);
+    assert_eq!(
+        routed.plan.to_string(),
+        "π[Lineitem.price,Lineitem.qty,Lineitem.ok](v)"
+    );
+    // The view's own order stays a bare scan: no π that `measure` would charge.
+    assert_eq!(views.rewrite(&views.views()[0].1).to_string(), "v");
+}
+
+#[test]
+fn exact_hit_on_reordered_aggregates_keeps_the_query_order() {
+    let views = catalog_of(&[(
+        "v",
+        "SELECT priority, COUNT(*) AS n, MIN(ok) AS lo FROM Orders GROUP BY Orders.priority",
+    )]);
+    let query =
+        sql("SELECT priority, MIN(ok) AS lo, COUNT(*) AS n FROM Orders GROUP BY Orders.priority");
+    let routed = route_over_tpch(&views, &query);
+    assert_eq!(routed.decisions, [Decision::Exact("v".into())]);
+    assert_eq!(
+        routed.plan.to_string(),
+        "π[Orders.priority,#agg.lo,#agg.n](v)"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Containment: what compensates, and one refusal per rule
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_narrower_range_is_answered_with_a_residual_selection() {
+    let views = catalog_of(&[(
+        "v",
+        "SELECT Lineitem.ok, qty, price FROM Lineitem WHERE qty > 3",
+    )]);
+    let routed = route_over_tpch(
+        &views,
+        &sql("SELECT price, Lineitem.ok FROM Lineitem WHERE qty > 20 AND price > 5"),
+    );
+    let [Decision::Compensated {
+        view,
+        residual,
+        reaggregated: false,
+    }] = &routed.decisions[..]
+    else {
+        panic!("expected one compensated hit, got {:?}", routed.decisions);
+    };
+    assert_eq!(view, "v");
+    assert_eq!(residual.conjuncts().len(), 2, "{residual}");
+    // The same range needs no residual, and the stored order no π.
+    let same = sql("SELECT Lineitem.ok, qty, price FROM Lineitem WHERE qty > 3");
+    assert_eq!(views.rewrite(&same).to_string(), "v");
+}
+
+#[test]
+fn a_disjunct_of_a_pushed_down_disjunction_is_contained() {
+    let la_or_big = Predicate::or([
+        Predicate::cmp(AttrRef::new("Orders", "priority"), CompareOp::Eq, "v1"),
+        Predicate::cmp(AttrRef::new("Orders", "ok"), CompareOp::Gt, 100),
+    ]);
+    let mut views = ViewCatalog::new();
+    views.register("v", Expr::select(Expr::base("Orders"), la_or_big));
+    let routed = route_over_tpch(
+        &views,
+        &sql("SELECT ok, ck FROM Orders WHERE priority = 'v1'"),
+    );
+    assert_eq!(scanned(&routed), ["v"]);
+    assert_eq!(
+        routed.plan.to_string(),
+        "π[Orders.ok,Orders.ck](σ[Orders.priority='v1'](v))"
+    );
+}
+
+#[test]
+fn a_view_grouped_finer_is_rolled_up() {
+    let views = catalog_of(&[(
+        "v",
+        "SELECT priority, ck, COUNT(*) AS n, SUM(ok) AS s, MAX(ok) AS hi \
+         FROM Orders GROUP BY Orders.priority, Orders.ck",
+    )]);
+    let routed = route_over_tpch(
+        &views,
+        &sql(
+            "SELECT priority, SUM(ok) AS s, COUNT(*) AS n, MAX(ok) AS hi \
+              FROM Orders GROUP BY Orders.priority",
+        ),
+    );
+    assert_eq!(
+        routed.decisions,
+        [Decision::Compensated {
+            view: "v".into(),
+            residual: Predicate::True,
+            reaggregated: true,
+        }]
+    );
+    assert_eq!(
+        routed.plan.to_string(),
+        "γ[Orders.priority; SUM(#agg.s) AS s,SUM(#agg.n) AS n,MAX(#agg.hi) AS hi](v)"
+    );
+}
+
+#[test]
+fn refused_when_the_predicate_is_not_implied() {
+    let views = catalog_of(&[("v", "SELECT Lineitem.ok, qty FROM Lineitem WHERE qty > 5")]);
+    let query = sql("SELECT Lineitem.ok, qty FROM Lineitem WHERE qty > 3");
+    let routed = route_over_tpch(&views, &query);
+    assert_eq!(
+        routed.decisions,
+        [miss(Some("v"), MissReason::PredicateNotImplied)]
+    );
+    assert!(Arc::ptr_eq(&routed.plan, &query));
+}
+
+#[test]
+fn refused_when_a_needed_attribute_is_projected_away() {
+    let views = catalog_of(&[(
+        "v",
+        "SELECT Lineitem.ok, qty FROM Lineitem WHERE shipdate > 6/1/95",
+    )]);
+    let price = MissReason::AttributeNotKept(AttrRef::new("Lineitem", "price"));
+    let shipdate = MissReason::AttributeNotKept(AttrRef::new("Lineitem", "shipdate"));
+    // Needed by the output list …
+    let routed = route_over_tpch(
+        &views,
+        &sql("SELECT Lineitem.ok, price FROM Lineitem WHERE shipdate > 6/1/95"),
+    );
+    assert_eq!(routed.decisions, [miss(Some("v"), price)]);
+    // … or by the residual selection.
+    let routed = route_over_tpch(
+        &views,
+        &sql("SELECT Lineitem.ok FROM Lineitem WHERE shipdate > 9/1/95"),
+    );
+    assert_eq!(routed.decisions, [miss(Some("v"), shipdate)]);
+}
+
+#[test]
+fn refused_when_the_join_pairs_differ() {
+    let views = catalog_of(&[(
+        "v",
+        "SELECT Orders.ok, priority, qty FROM Orders, Lineitem WHERE Lineitem.ok = Orders.ok",
+    )]);
+    let routed = route_over_tpch(
+        &views,
+        &sql("SELECT priority, qty FROM Orders, Lineitem WHERE Lineitem.lk = Orders.ok"),
+    );
+    assert_eq!(
+        routed.decisions,
+        [miss(Some("v"), MissReason::JoinMismatch)]
+    );
+}
+
+#[test]
+fn refused_when_the_alias_differs() {
+    let views = catalog_of(&[(
+        "v",
+        "SELECT priority, COUNT(*) AS n FROM Orders GROUP BY Orders.priority",
+    )]);
+    let routed = route_over_tpch(
+        &views,
+        &sql("SELECT priority, COUNT(*) AS total FROM Orders GROUP BY Orders.priority"),
+    );
+    let total = AggExpr::count_star("total").output_attr();
+    assert_eq!(
+        routed.decisions,
+        [miss(Some("v"), MissReason::AliasMismatch(total))]
+    );
+}
+
+#[test]
+fn refused_when_a_roll_up_needs_a_non_decomposable_aggregate() {
+    let views = catalog_of(&[(
+        "v",
+        "SELECT priority, ck, AVG(ok) AS m, COUNT(*) AS n \
+         FROM Orders GROUP BY Orders.priority, Orders.ck",
+    )]);
+    let m = AttrRef::new("#agg", "m");
+    let routed = route_over_tpch(
+        &views,
+        &sql("SELECT priority, AVG(ok) AS m FROM Orders GROUP BY Orders.priority"),
+    );
+    assert_eq!(
+        routed.decisions,
+        [miss(Some("v"), MissReason::NotDecomposable(m))]
+    );
+    // On the view's own keys the stored average is the answer.
+    let same =
+        sql("SELECT ck, priority, AVG(ok) AS m FROM Orders GROUP BY Orders.ck, Orders.priority");
+    assert_eq!(scanned(&route_over_tpch(&views, &same)), ["v"]);
+    // An aggregate the view does not store cannot be rolled up either.
+    let routed = route_over_tpch(
+        &views,
+        &sql("SELECT priority, MIN(ok) AS lo FROM Orders GROUP BY Orders.priority"),
+    );
+    let lo = AttrRef::new("#agg", "lo");
+    assert_eq!(
+        routed.decisions,
+        [miss(Some("v"), MissReason::NotDecomposable(lo))]
+    );
+}
+
+#[test]
+fn refused_when_a_relation_repeats() {
+    let views = catalog_of(&[("v", "SELECT ok, ck FROM Orders WHERE priority = 'v1'")]);
+    let twice = Expr::project(
+        Expr::join(
+            Expr::base("Orders"),
+            Expr::base("Orders"),
+            JoinCondition::cross(),
+        ),
+        [AttrRef::new("Orders", "ok")],
+    );
+    let routed = views.route(&twice);
+    assert_eq!(
+        routed.decisions,
+        [miss(None, MissReason::RepeatedRelation("Orders".into()))]
+    );
+    assert!(Arc::ptr_eq(&routed.plan, &twice));
+}
+
+#[test]
+fn refused_above_an_interior_aggregation_but_matched_below_it() {
+    let views = catalog_of(&[("v", "SELECT ok, priority FROM Orders WHERE ck >= 0")]);
+    // The select order puts a π over the HAVING filter over the γ.
+    let query = sql("SELECT COUNT(*) AS n, priority FROM Orders WHERE ck >= 0 \
+         GROUP BY Orders.priority HAVING n > 1");
+    let routed = route_over_tpch(&views, &query);
+    assert_eq!(
+        routed.decisions[0],
+        miss(None, MissReason::InteriorAggregate)
+    );
+    assert_eq!(scanned(&routed), ["v"], "{:?}", routed.decisions);
+    assert_eq!(
+        routed.plan.to_string(),
+        "π[#agg.n,Orders.priority](σ[#agg.n>1](γ[Orders.priority; COUNT(*) AS n](v)))"
+    );
+}
+
+#[test]
+fn the_remaining_refusals_say_why() {
+    let views = catalog_of(&[(
+        "g",
+        "SELECT priority, COUNT(*) AS n FROM Orders GROUP BY Orders.priority",
+    )]);
+    // Nothing stored reads a subset of these relations.
+    let routed = route_over_tpch(&views, &sql("SELECT name FROM Nation"));
+    assert_eq!(routed.decisions, [miss(None, MissReason::NoCandidate)]);
+    // An aggregated view cannot stand in for its base relation.
+    let routed = route_over_tpch(&views, &sql("SELECT ok FROM Orders"));
+    assert_eq!(
+        routed.decisions,
+        [miss(Some("g"), MissReason::AggregatedView)]
+    );
+    // `SELECT *` lists no output to rebuild.
+    let routed = views.route(&sql("SELECT * FROM Orders WHERE priority = 'v1'"));
+    assert_eq!(routed.decisions, [miss(None, MissReason::OutputUnknown)]);
+}
+
+// ---------------------------------------------------------------------------
+// Pins: the two routings the benchmark depends on
+// ---------------------------------------------------------------------------
+
+/// The routing merged plans have always had, re-implemented independently:
+/// replace every maximal subtree whose semantic key equals a view's.
+fn exact_oracle(expr: &Arc<Expr>, views: &ViewCatalog) -> Arc<Expr> {
+    let key = expr.semantic_key();
+    if let Some((name, _)) = views.views().iter().find(|(_, d)| d.semantic_key() == key) {
+        return Expr::base(name.clone());
+    }
+    let kids: Vec<Arc<Expr>> = expr
+        .children()
+        .into_iter()
+        .map(|c| exact_oracle(c, views))
+        .collect();
+    match &**expr {
+        Expr::Base(_) => Arc::clone(expr),
+        Expr::Select { predicate, .. } => Arc::new(Expr::Select {
+            input: Arc::clone(&kids[0]),
+            predicate: predicate.clone(),
+        }),
+        Expr::Project { attrs, .. } => Expr::project(Arc::clone(&kids[0]), attrs.clone()),
+        Expr::Aggregate { group_by, aggs, .. } => {
+            Expr::aggregate(Arc::clone(&kids[0]), group_by.clone(), aggs.clone())
+        }
+        Expr::Join { on, .. } => Expr::join(Arc::clone(&kids[0]), Arc::clone(&kids[1]), on.clone()),
+    }
+}
+
+#[test]
+fn merged_plans_route_exactly_as_before_containment() {
+    for scenario in [tpch_lite(), paper_example()] {
+        let design = design_of(&scenario);
+        let views = ViewCatalog::from_design(&design);
+        let mvpp = design.mvpp.mvpp();
+        for (name, _, root) in mvpp.roots() {
+            let merged = mvpp.node(*root).expr();
+            assert_eq!(
+                views.rewrite(merged),
+                exact_oracle(merged, &views),
+                "merged plan of {name} routes differently"
+            );
+        }
+    }
+}
+
+#[test]
+fn raw_tpch_lite_queries_reach_the_views() {
+    let scenario = tpch_lite();
+    let design = design_of(&scenario);
+    let views = ViewCatalog::from_design(&design);
+    let base = small_db(&scenario.catalog, 11);
+    let (db, ctx) = serving(&base, &views);
+    // The same answers through the warehouse's front door, paged when
+    // `MVDESIGN_MEM_BUDGET` says so.
+    let warehouse = Warehouse::new(scenario.catalog.clone(), base.clone(), &design)
+        .expect("warehouse builds")
+        .with_mem_budget(mem_budget());
+    for q in scenario.workload.queries() {
+        let routed = check_routed(q.root(), &views, &base, &db, &ctx);
+        assert!(!scanned(&routed).is_empty(), "{} reaches no view", q.name());
+        let plan = routed.plan.to_string();
+        match q.name() {
+            "revenue_by_segment" => assert_eq!(
+                plan,
+                "γ[Customer.segment; SUM(Lineitem.price) AS revenue](tmp5)"
+            ),
+            "revenue_by_nation" => assert_eq!(
+                plan,
+                "γ[Nation.name; SUM(Lineitem.price) AS revenue]\
+                 ((tmp5 ⋈[Customer.nk=Nation.nk] Nation))"
+            ),
+            _ => assert!(
+                matches!(&*routed.plan, Expr::Base(_)),
+                "{} should be a bare view scan, got {plan}",
+                q.name()
+            ),
+        }
+        let served = warehouse.query_expr(q.root()).expect("warehouse answers");
+        assert_same_answer(&served, &reference(q.root(), &base), q.name());
+    }
+}
+
+#[test]
+fn raw_paper_queries_reach_tmp2_and_tmp7() {
+    let scenario = paper_example();
+    let design = design_of(&scenario);
+    let views = ViewCatalog::from_design(&design);
+    let base = Generator::with_config(GeneratorConfig {
+        seed: 21,
+        scale: 0.004,
+        max_rows: 300,
+    })
+    .database(&scenario.catalog);
+    let (db, ctx) = serving(&base, &views);
+    for (query, expected) in [
+        ("Q1", vec!["tmp7"]),
+        ("Q2", vec!["tmp7"]),
+        ("Q3", vec!["tmp2", "tmp7"]),
+        ("Q4", vec!["tmp2"]),
+    ] {
+        let q = scenario
+            .workload
+            .queries()
+            .iter()
+            .find(|q| q.name() == query)
+            .expect("paper query");
+        let mut hit = scanned(&check_routed(q.root(), &views, &base, &db, &ctx));
+        hit.sort();
+        assert_eq!(hit, expected, "{query}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Soundness proptest
+// ---------------------------------------------------------------------------
+
+/// A TPC-H-lite-shaped join graph (Nation–Customer–Orders–Lineitem–Part)
+/// with cardinalities and domains small enough that joins and groups are
+/// populated at a few dozen rows per table.
+fn tiny_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    let mut relation = |name: &str, attrs: &[(&str, AttrType, f64)], records: f64| {
+        let mut b = c.relation(name);
+        for (attr, ty, selectivity) in attrs {
+            b = b.attr(*attr, *ty);
+            if *selectivity > 0.0 {
+                b = b.selectivity(*attr, *selectivity);
+            }
+        }
+        b.records(records)
+            .blocks((records / 10.0).ceil())
+            .finish()
+            .expect("tiny catalog");
+    };
+    use AttrType::{Date, Int, Text};
+    relation("Nation", &[("nk", Int, 0.0), ("name", Text, 0.25)], 6.0);
+    relation(
+        "Customer",
+        &[("ck", Int, 0.0), ("nk", Int, 0.0), ("segment", Text, 0.34)],
+        12.0,
+    );
+    relation(
+        "Orders",
+        &[
+            ("ok", Int, 0.0),
+            ("ck", Int, 0.0),
+            ("odate", Date, 0.1),
+            ("priority", Text, 0.5),
+        ],
+        25.0,
+    );
+    relation(
+        "Lineitem",
+        &[
+            ("ok", Int, 0.0),
+            ("pk", Int, 0.0),
+            ("qty", Int, 0.2),
+            ("price", Int, 0.1),
+            ("shipdate", Date, 0.1),
+        ],
+        40.0,
+    );
+    relation("Part", &[("pk", Int, 0.0), ("brand", Text, 0.34)], 8.0);
+    for (a, b, domain) in EDGES.iter().map(|e| (e.2, e.3, e.4)) {
+        c.set_join_selectivity(attr(a), attr(b), 1.0 / domain)
+            .expect("tiny catalog");
+    }
+    c
+}
+
+const RELATIONS: [&str; 5] = ["Nation", "Customer", "Orders", "Lineitem", "Part"];
+
+/// `(relation index, relation index, left attr, right attr, key domain)`.
+const EDGES: [(usize, usize, &str, &str, f64); 4] = [
+    (0, 1, "Nation.nk", "Customer.nk", 5.0),
+    (1, 2, "Customer.ck", "Orders.ck", 8.0),
+    (2, 3, "Orders.ok", "Lineitem.ok", 12.0),
+    (3, 4, "Lineitem.pk", "Part.pk", 6.0),
+];
+
+fn attr(qualified: &str) -> AttrRef {
+    AttrRef::parse(qualified).expect("qualified attribute")
+}
+
+/// The conjuncts queries and views draw from: few enough that a query's
+/// predicate often equals, narrows or widens a view's.
+fn conjunct_pool() -> Vec<Predicate> {
+    let cmp = |a: &str, op, v: Value| Predicate::cmp(attr(a), op, v);
+    let day = |m| Value::date(1996, m, 1);
+    use CompareOp::{Eq, Gt, Le, Lt, Ne};
+    vec![
+        cmp("Lineitem.qty", Gt, 1.into()),
+        cmp("Lineitem.qty", Gt, 2.into()),
+        cmp("Lineitem.qty", Eq, 3.into()),
+        cmp("Lineitem.price", Le, 6.into()),
+        cmp("Lineitem.price", Lt, 4.into()),
+        cmp("Lineitem.shipdate", Gt, day(4)),
+        cmp("Lineitem.shipdate", Gt, day(8)),
+        cmp("Orders.priority", Eq, "v0".into()),
+        cmp("Orders.odate", Gt, day(6)),
+        Predicate::or([
+            cmp("Orders.priority", Eq, "v0".into()),
+            cmp("Orders.odate", Gt, day(6)),
+        ]),
+        cmp("Customer.segment", Eq, "v1".into()),
+        Predicate::or([
+            cmp("Customer.segment", Eq, "v1".into()),
+            cmp("Customer.segment", Eq, "v2".into()),
+        ]),
+        cmp("Part.brand", Ne, "v0".into()),
+        cmp("Nation.name", Eq, "v1".into()),
+        // Spans two relations: stays above every single-relation cover.
+        Predicate::or([
+            cmp("Customer.segment", Eq, "v1".into()),
+            cmp("Orders.priority", Eq, "v1".into()),
+        ]),
+    ]
+}
+
+/// A random SPJ or γ expression over a connected piece of the join graph,
+/// as indices a builder resolves — so shrinking stays meaningful.
+#[derive(Debug, Clone)]
+struct Spec {
+    /// Interval of `RELATIONS` joined (the graph is a path).
+    first: usize,
+    len: usize,
+    /// Indices into [`conjunct_pool`] (those over other relations are
+    /// dropped), each with whether it is pushed onto its relation's leaf
+    /// instead of staying on top.
+    conjuncts: Vec<(usize, bool)>,
+    /// Per join: swap its inputs.
+    commuted: Vec<bool>,
+    /// Join the interval right-to-left instead of left-to-right.
+    reversed: bool,
+    /// Output attributes (π) or group keys (γ), as indices into the attributes
+    /// of the joined relations.
+    attrs: Vec<usize>,
+    /// `(function, argument, alias)` picks; empty for an SPJ expression.
+    aggs: Vec<(usize, usize, usize)>,
+    /// Put a reversing π over the γ.
+    reorder: bool,
+}
+
+fn spec_strategy() -> impl Strategy<Value = Spec> {
+    let core = (
+        (0usize..5, 1usize..4),
+        proptest::collection::vec((0usize..15, any::<bool>()), 0..3),
+        proptest::collection::vec(any::<bool>(), 4..5),
+        any::<bool>(),
+    );
+    let output = (
+        proptest::collection::vec(0usize..16, 0..4),
+        proptest::collection::vec((0usize..6, 0usize..16, 0usize..3), 0..3),
+        any::<bool>(),
+    );
+    (core, output).prop_map(
+        |(((first, len), conjuncts, commuted, reversed), (attrs, aggs, reorder))| Spec {
+            first,
+            len,
+            conjuncts,
+            commuted,
+            reversed,
+            attrs,
+            aggs,
+            reorder,
+        },
+    )
+}
+
+fn build(spec: &Spec, catalog: &Catalog) -> Arc<Expr> {
+    let first = spec.first.min(RELATIONS.len() - 1);
+    let last = (first + spec.len - 1).min(RELATIONS.len() - 1);
+    let reads = |a: &AttrRef| RELATIONS[first..=last].contains(&a.relation.as_str());
+    let pool = conjunct_pool();
+    let mut conjuncts: Vec<(&Predicate, bool)> = spec
+        .conjuncts
+        .iter()
+        .map(|(i, pushed)| (&pool[*i], *pushed))
+        .filter(|(p, _)| p.attrs().into_iter().all(reads))
+        .collect();
+    conjuncts.dedup_by(|a, b| a.0 == b.0);
+
+    let leaf = |i: usize| {
+        let local = conjuncts
+            .iter()
+            .filter(|(p, pushed)| *pushed && p.attrs().iter().all(|a| a.relation == RELATIONS[i]));
+        Expr::select(
+            Expr::base(RELATIONS[i]),
+            Predicate::and(local.map(|(p, _)| (*p).clone())),
+        )
+    };
+    let order: Vec<usize> = if spec.reversed {
+        (first..=last).rev().collect()
+    } else {
+        (first..=last).collect()
+    };
+    let mut tree = leaf(order[0]);
+    for (step, pair) in order.windows(2).enumerate() {
+        let edge = EDGES
+            .iter()
+            .find(|e| (e.0, e.1) == (pair[0].min(pair[1]), pair[0].max(pair[1])))
+            .expect("neighbours on the path");
+        let on = JoinCondition::on(attr(edge.2), attr(edge.3));
+        tree = if spec.commuted[step] {
+            Expr::join(leaf(pair[1]), tree, on)
+        } else {
+            Expr::join(tree, leaf(pair[1]), on)
+        };
+    }
+    let on_top = conjuncts.iter().filter(|(p, pushed)| {
+        !*pushed
+            || p.attrs()
+                .iter()
+                .any(|a| a.relation != p.attrs()[0].relation)
+    });
+    let core = Expr::select(tree, Predicate::and(on_top.map(|(p, _)| (*p).clone())));
+
+    let available: Vec<AttrRef> = RELATIONS[first..=last]
+        .iter()
+        .flat_map(|r| {
+            let schema = &catalog.meta(r).expect("tiny relation").schema;
+            schema
+                .attributes()
+                .iter()
+                .map(|a| AttrRef::new(*r, a.name.clone()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let pick = |i: usize| available[i % available.len()].clone();
+    let mut attrs: Vec<AttrRef> = Vec::new();
+    for a in spec.attrs.iter().map(|i| pick(*i)) {
+        if !attrs.contains(&a) {
+            attrs.push(a);
+        }
+    }
+    if spec.aggs.is_empty() {
+        if attrs.is_empty() {
+            attrs.push(pick(0));
+        }
+        return Expr::project(core, attrs);
+    }
+    const FUNCS: [AggFunc; 5] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+    let mut aggs: Vec<AggExpr> = Vec::new();
+    for (func, arg, alias) in &spec.aggs {
+        let alias = ["a", "b", "c"][*alias];
+        if aggs.iter().any(|g| g.alias == alias) {
+            continue;
+        }
+        aggs.push(match FUNCS.get(*func) {
+            Some(f) => AggExpr::new(*f, pick(*arg), alias),
+            None => AggExpr::count_star(alias),
+        });
+    }
+    attrs.truncate(2);
+    let grouped = Expr::aggregate(core, attrs.clone(), aggs.clone());
+    if spec.reorder {
+        let mut out: Vec<AttrRef> = aggs.iter().map(AggExpr::output_attr).collect();
+        out.extend(attrs.into_iter().rev());
+        Expr::project(grouped, out)
+    } else {
+        grouped
+    }
+}
+
+/// A query a view should contain: the view's own core under an optional
+/// extra conjunct, asking for a prefix of its attributes (for a γ-view: a
+/// roll-up to fewer keys) and of its aggregates, listed back to front — so
+/// a query that narrows nothing is in the view's class in another order.
+fn narrowed_spec(view: &Spec, (attrs, aggs, conjunct): (usize, usize, usize)) -> Spec {
+    let mut spec = view.clone();
+    spec.attrs.truncate(attrs % (spec.attrs.len() + 1));
+    spec.aggs.truncate((aggs % (spec.aggs.len() + 1)).max(1));
+    if conjunct < conjunct_pool().len() {
+        spec.conjuncts.push((conjunct, false));
+    }
+    spec.attrs.reverse();
+    spec.aggs.reverse();
+    spec.reversed = !spec.reversed;
+    spec
+}
+
+/// One proptest case: hand-built views, a workload whose MVPP nodes (a
+/// random subset, not only the designer's pick) are registered too, and as
+/// queries: fresh ones, the workload's raw and merged plans, and one
+/// narrowed from each hand-built view.
+#[derive(Debug, Clone)]
+struct Case {
+    views: Vec<Spec>,
+    narrowings: Vec<(usize, usize, usize)>,
+    workload: Vec<Spec>,
+    node_mask: u32,
+    queries: Vec<Spec>,
+    seed: u64,
+}
+
+fn case_strategy() -> impl Strategy<Value = Case> {
+    (
+        proptest::collection::vec(spec_strategy(), 0..4),
+        proptest::collection::vec((0usize..4, 0usize..4, 0usize..30), 3..4),
+        proptest::collection::vec(spec_strategy(), 0..4),
+        any::<u32>(),
+        proptest::collection::vec(spec_strategy(), 1..4),
+        0u64..1000,
+    )
+        .prop_map(
+            |(views, narrowings, workload, node_mask, queries, seed)| Case {
+                views,
+                narrowings,
+                workload,
+                node_mask,
+                queries,
+                seed,
+            },
+        )
+}
+
+/// Builds the case's view set and queries, routes every query and checks
+/// it against the reference. Returns every decision taken.
+fn run_case(case: &Case) -> Vec<Decision> {
+    let catalog = tiny_catalog();
+    let mut views = ViewCatalog::new();
+    for (i, spec) in case.views.iter().enumerate() {
+        views.register(format!("hand{i}"), build(spec, &catalog));
+    }
+    let mut queries: Vec<Arc<Expr>> = case.queries.iter().map(|s| build(s, &catalog)).collect();
+    let narrowed = case.views.iter().zip(&case.narrowings);
+    queries.extend(narrowed.map(|(view, cut)| build(&narrowed_spec(view, *cut), &catalog)));
+    let workload: Vec<Query> = case
+        .workload
+        .iter()
+        .enumerate()
+        .map(|(i, s)| Query::new(format!("w{i}"), (i + 1) as f64, build(s, &catalog)))
+        .collect();
+    queries.extend(workload.iter().map(|q| Arc::clone(q.root())));
+    if let Ok(design) = Workload::new(workload)
+        .map_err(|e| e.to_string())
+        .and_then(|w| {
+            Designer::new()
+                .design(&catalog, &w)
+                .map_err(|e| e.to_string())
+        })
+    {
+        let mvpp = design.mvpp.mvpp();
+        for (bit, id) in mvpp.interior().into_iter().enumerate() {
+            if case.node_mask >> (bit % 32) & 1 == 1 {
+                let node = mvpp.node(id);
+                views.register(node.label(), Arc::clone(node.expr()));
+            }
+        }
+        // The merged plans contain the registered nodes verbatim.
+        queries.extend(
+            mvpp.roots()
+                .iter()
+                .map(|(_, _, r)| Arc::clone(mvpp.node(*r).expr())),
+        );
+    }
+    let base = Generator::with_config(GeneratorConfig {
+        seed: case.seed,
+        scale: 1.0,
+        max_rows: 40,
+    })
+    .database(&catalog);
+    let (db, ctx) = serving(&base, &views);
+    queries
+        .iter()
+        .flat_map(|q| check_routed(q, &views, &base, &db, &ctx).decisions)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random queries × random view sets × generated data: whatever the
+    /// matcher decides, the routed plan answers with the query's header in
+    /// the query's order and the reference's bag of rows.
+    #[test]
+    fn routed_answers_equal_the_no_views_reference(case in case_strategy()) {
+        run_case(&case);
+    }
+}
+
+/// The proptest above is only as good as its generator: over a fixed sample
+/// it must take every kind of decision, not just miss.
+#[test]
+fn the_soundness_generator_reaches_every_kind_of_decision() {
+    let mut rng = StdRng::seed_from_u64(18);
+    let strategy = case_strategy();
+    let (mut exact, mut residual, mut plain, mut rolled) = (0, 0, 0, 0);
+    let mut reasons: Vec<String> = Vec::new();
+    for _ in 0..200 {
+        for decision in run_case(&strategy.sample(&mut rng)) {
+            match decision {
+                Decision::Exact(_) => exact += 1,
+                Decision::Compensated {
+                    reaggregated: true, ..
+                } => rolled += 1,
+                Decision::Compensated {
+                    residual: Predicate::True,
+                    ..
+                } => plain += 1,
+                Decision::Compensated { .. } => residual += 1,
+                Decision::Miss { reason, .. } => {
+                    let kind = format!("{reason:?}");
+                    let kind = kind.split('(').next().expect("variant name").to_string();
+                    if !reasons.contains(&kind) {
+                        reasons.push(kind);
+                    }
+                }
+            }
+        }
+    }
+    eprintln!("exact {exact}, contained {plain}, with residual {residual}, rolled up {rolled}");
+    assert!(
+        exact > 20 && plain > 20 && residual > 20 && rolled > 5,
+        "exact {exact}, contained {plain}, with residual {residual}, rolled up {rolled}"
+    );
+    for kind in [
+        "NoCandidate",
+        "PredicateNotImplied",
+        "AttributeNotKept",
+        "AggregatedView",
+        "NotDecomposable",
+    ] {
+        assert!(
+            reasons.iter().any(|r| r == kind),
+            "{kind} never met: {reasons:?}"
+        );
+    }
 }
