@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod result_cache;
 pub mod warehouse;
 
 pub use mvdesign_algebra as algebra;

@@ -1,0 +1,212 @@
+//! The warehouse's result cache: answers kept between two changes of the
+//! data they were computed from, so a query asked `fq` times over unchanged
+//! views pays its `Ca(q)` once (DESIGN §18).
+//!
+//! Served from it: prepared expressions (`query_expr`) on a warehouse with
+//! no memory budget; SQL text and budgeted warehouses run their plans as
+//! before (`route_and_execute` is handed no cache for them).
+//!
+//! An entry is keyed by the submitted expression and stamped with the
+//! content version of every stored relation its routed plan read. A lookup
+//! hits only when every stamp equals the asker's version of that relation —
+//! nothing is ever invalidated, a stale entry is simply replaced by the
+//! next answer computed under its key.
+
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use mvdesign_algebra::Expr;
+use mvdesign_catalog::RelName;
+use mvdesign_engine::{batch_bytes, Table};
+
+/// Content version per stored relation; a relation never written reads 0.
+pub(crate) type Versions = BTreeMap<RelName, u64>;
+
+/// Largest answer kept, in bytes. The answers worth keeping are aggregates
+/// (the TPC-H-lite `revenue_by_*` results are under 1 KiB); 256 KiB is a
+/// γ of ~10⁴ groups, and anything wider is mostly a copy of stored data.
+const MAX_ENTRY_BYTES: usize = 256 * 1024;
+
+/// Bytes the cache may hold: 32 answers of the largest size, and a fifth of
+/// the 40 MB the `dash` benchmark workload peaks at (its `peak_rss_mb` bound
+/// is a quarter).
+const MAX_TOTAL_BYTES: usize = 8 * 1024 * 1024;
+
+/// Charged per entry on top of its columns (key, stamps, map slots), so
+/// empty answers cannot pile up without bound.
+const ENTRY_OVERHEAD_BYTES: usize = 256;
+
+/// Counters of a warehouse's result cache, read with
+/// [`Warehouse::result_cache_stats`](crate::warehouse::Warehouse::result_cache_stats).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ResultCacheStats {
+    /// Queries answered from a stored result (the plan did not run).
+    pub hits: u64,
+    /// Queries that ran their plan; `hits + misses` is every query asked.
+    pub misses: u64,
+    /// The misses that found their key with a stamp from another data
+    /// version (the entry is replaced by the fresh answer).
+    pub stale: u64,
+    /// Answers not stored because they exceed the per-entry size.
+    pub skipped_large: u64,
+    /// Entries dropped, least recently used first, to stay under the cap.
+    pub evictions: u64,
+    /// Entries held now.
+    pub entries: usize,
+    /// Bytes held now (columns plus a fixed charge per entry).
+    pub bytes: usize,
+}
+
+impl fmt::Display for ResultCacheStats {
+    /// One `result_cache.<counter> <value>` line per counter.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "result_cache.hits {}", self.hits)?;
+        writeln!(f, "result_cache.misses {}", self.misses)?;
+        writeln!(f, "result_cache.stale {}", self.stale)?;
+        writeln!(f, "result_cache.skipped_large {}", self.skipped_large)?;
+        writeln!(f, "result_cache.evictions {}", self.evictions)?;
+        writeln!(f, "result_cache.entries {}", self.entries)?;
+        write!(f, "result_cache.bytes {}", self.bytes)
+    }
+}
+
+struct Entry {
+    table: Table,
+    /// `(relation, version)` of every stored relation the routed plan read.
+    stamps: Vec<(RelName, u64)>,
+    bytes: usize,
+    /// Key into `Inner::by_use`.
+    used: u64,
+}
+
+#[derive(Default)]
+struct Inner {
+    entries: HashMap<Arc<Expr>, Entry>,
+    /// Keys by last use, oldest first.
+    by_use: BTreeMap<u64, Arc<Expr>>,
+    clock: u64,
+    stats: ResultCacheStats,
+}
+
+impl Inner {
+    fn remove(&mut self, key: &Expr) {
+        if let Some(old) = self.entries.remove(key) {
+            self.by_use.remove(&old.used);
+            self.stats.bytes -= old.bytes;
+        }
+    }
+
+    fn oldest(&self) -> Option<Arc<Expr>> {
+        self.by_use.values().next().cloned()
+    }
+}
+
+/// See the module documentation.
+#[derive(Default)]
+pub(crate) struct ResultCache(Mutex<Inner>);
+
+impl fmt::Debug for ResultCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ResultCache").field(&self.stats()).finish()
+    }
+}
+
+impl ResultCache {
+    /// Every update below leaves the maps and counters consistent before it
+    /// can panic, so a poisoned lock still guards a valid cache.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn stats(&self) -> ResultCacheStats {
+        let inner = self.lock();
+        ResultCacheStats {
+            entries: inner.entries.len(),
+            ..inner.stats
+        }
+    }
+
+    /// The stored answer to `expr`, if it was computed from the data
+    /// `versions` describes. Counts the hit, or the miss the caller is
+    /// about to run.
+    pub(crate) fn get(&self, expr: &Expr, versions: &Versions) -> Option<Table> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.clock += 1;
+        let now = inner.clock;
+        match inner.entries.get_mut(expr) {
+            Some(entry)
+                if entry
+                    .stamps
+                    .iter()
+                    .all(|(name, at)| version_of(versions, name) == *at) =>
+            {
+                if let Some(key) = inner.by_use.remove(&entry.used) {
+                    inner.by_use.insert(now, key);
+                }
+                entry.used = now;
+                inner.stats.hits += 1;
+                Some(entry.table.clone())
+            }
+            found => {
+                inner.stats.stale += u64::from(found.is_some());
+                inner.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Stores the answer `routed` gave to `expr` over the data `versions`
+    /// describes, replacing whatever was stored under `expr`, then drops
+    /// least-recently-used entries until at most [`MAX_TOTAL_BYTES`] are
+    /// held.
+    ///
+    /// Not stored: an answer over the per-entry size, and the answer of a
+    /// plan that routed to a bare stored relation — running it is already a
+    /// pointer clone, and keeping the clone would pin a table the next
+    /// refresh replaces.
+    pub(crate) fn put(&self, expr: &Arc<Expr>, routed: &Expr, versions: &Versions, table: &Table) {
+        if matches!(routed, Expr::Base(_)) {
+            return;
+        }
+        let bytes = batch_bytes(table.batch()) + ENTRY_OVERHEAD_BYTES;
+        let stamps = routed
+            .base_relations()
+            .into_iter()
+            .map(|name| {
+                let at = version_of(versions, &name);
+                (name, at)
+            })
+            .collect();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if bytes > MAX_ENTRY_BYTES {
+            inner.stats.skipped_large += 1;
+            return;
+        }
+        inner.remove(expr);
+        inner.clock += 1;
+        let used = inner.clock;
+        inner.by_use.insert(used, Arc::clone(expr));
+        inner.entries.insert(
+            Arc::clone(expr),
+            Entry {
+                table: table.clone(),
+                stamps,
+                bytes,
+                used,
+            },
+        );
+        inner.stats.bytes += bytes;
+        while inner.stats.bytes > MAX_TOTAL_BYTES {
+            let Some(oldest) = inner.oldest() else { break };
+            inner.remove(&oldest);
+            inner.stats.evictions += 1;
+        }
+    }
+}
+
+fn version_of(versions: &Versions, name: &RelName) -> u64 {
+    versions.get(name).copied().unwrap_or(0)
+}

@@ -16,6 +16,9 @@ use mvdesign_engine::{
     ExecError, JoinAlgo, Table, DEFAULT_PAGE_ROWS,
 };
 
+pub use crate::result_cache::ResultCacheStats;
+use crate::result_cache::{ResultCache, Versions};
+
 /// Errors raised by [`Warehouse`] operations.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -104,6 +107,13 @@ pub struct Warehouse {
     exec: ExecContext,
     /// Buffer pool backing paged tables when a memory budget is set.
     pool: Option<Arc<BufferPool>>,
+    /// Content version of every stored relation: bumped by `append` (that
+    /// base relation) and by `refresh` (each view it folds or recomputes).
+    /// The warehouse is the only writer of `db`, so equal versions mean
+    /// equal contents — what the result cache stamps its entries with.
+    versions: Arc<Versions>,
+    /// Answers kept per data version, shared with every snapshot.
+    cache: Arc<ResultCache>,
 }
 
 /// How [`Warehouse::refresh`] brings a stale view up to date.
@@ -189,6 +199,8 @@ impl Warehouse {
             last_refresh: RefreshReport::default(),
             exec,
             pool: None,
+            versions: Arc::default(),
+            cache: Arc::default(),
         };
         warehouse.refresh()?;
         Ok(warehouse)
@@ -200,13 +212,15 @@ impl Warehouse {
     /// current one goes through [`Warehouse::set_mem_budget`], so paging
     /// and operator spilling never disagree. Answers and stored views are
     /// bag-identical under every join algorithm and bit-identical under
-    /// every other field — only row order and wall-clock change.
+    /// every other field — only row order and wall-clock change. Because
+    /// row order may change, the result cache starts over empty.
     #[must_use]
     pub fn with_exec_context(mut self, exec: ExecContext) -> Self {
         if exec.mem_budget != self.exec.mem_budget {
             self.set_mem_budget(exec.mem_budget);
         }
         self.exec = exec;
+        self.cache = Arc::default();
         self
     }
 
@@ -221,7 +235,9 @@ impl Warehouse {
     /// aggregation operators spill to disk when their transient state
     /// outgrows the budget. `None` returns the warehouse to fully resident
     /// operation. Answers and stored views are bit-identical under every
-    /// budget — only residency and wall-clock change.
+    /// budget — only residency and wall-clock change. Under a budget the
+    /// result cache keeps nothing: its bytes are not the pool's to account
+    /// for.
     #[must_use]
     pub fn with_mem_budget(mut self, budget: Option<usize>) -> Self {
         self.set_mem_budget(budget);
@@ -237,6 +253,7 @@ impl Warehouse {
                 let pool = BufferPool::new(Some(bytes));
                 self.db.page_out(&pool, DEFAULT_PAGE_ROWS);
                 self.pool = Some(pool);
+                self.cache = Arc::default();
             }
             None => {
                 self.db.make_resident();
@@ -263,6 +280,12 @@ impl Warehouse {
     /// The view registry.
     pub fn views(&self) -> &ViewCatalog {
         &self.views
+    }
+
+    /// Counters of the result cache this warehouse and its snapshots
+    /// answer repeated queries from.
+    pub fn result_cache_stats(&self) -> ResultCacheStats {
+        self.cache.stats()
     }
 
     /// Rows appended to base relations since the last refresh — the data
@@ -297,6 +320,8 @@ impl Warehouse {
             db: Arc::new(self.db.clone()),
             views: Arc::clone(&self.views),
             exec: self.exec,
+            versions: Arc::clone(&self.versions),
+            cache: Arc::clone(&self.cache),
             version: 0,
             refreshes: self.refreshes,
             stale_views: self.stale.len(),
@@ -383,6 +408,7 @@ impl Warehouse {
             return Ok(());
         }
         existing.extend_rows(rows);
+        self.bump_version(&relation);
         for (name, definition) in self.views.views() {
             if definition.base_relations().contains(&relation) {
                 self.stale.insert(name.clone());
@@ -426,12 +452,14 @@ impl Warehouse {
             match folded {
                 Some(batch) => {
                     self.db.insert_table(Table::from_batch(name.clone(), batch));
+                    self.bump_version(&name);
                     report.folded += 1;
                 }
                 None => {
                     let result = execute(&definition, &self.db, &self.exec)?;
                     self.db
                         .insert_table(Table::from_batch(name.clone(), result.into_batch()));
+                    self.bump_version(&name);
                     report.recomputed += 1;
                 }
             }
@@ -447,6 +475,13 @@ impl Warehouse {
         self.refreshes += 1;
         self.last_refresh = report;
         Ok(report)
+    }
+
+    /// Marks the stored contents of `relation` as changed.
+    fn bump_version(&mut self, relation: &RelName) {
+        *Arc::make_mut(&mut self.versions)
+            .entry(relation.clone())
+            .or_insert(0) += 1;
     }
 
     /// Records the per-relation row counts the views now reflect; the next
@@ -465,7 +500,9 @@ impl Warehouse {
     /// wherever one contains part of it ([`ViewCatalog::route`]). An answer
     /// read from a view reflects the last [`Warehouse::refresh`] —
     /// [`Warehouse::pending_rows`] says how much it lacks — exactly like a
-    /// merged plan's.
+    /// merged plan's. SQL text is an ad hoc question: its plan runs every
+    /// time; parse it once and ask through [`Warehouse::query_expr`] to
+    /// have a repeated question answered from the result cache.
     ///
     /// # Errors
     ///
@@ -473,30 +510,60 @@ impl Warehouse {
     /// [`WarehouseError::Exec`] for execution failures.
     pub fn query(&self, sql: &str) -> Result<Table, WarehouseError> {
         let expr = parse_query_with(sql, &self.catalog)?;
-        self.query_expr(&expr)
+        route_and_execute(&self.views, &self.db, &self.exec, None, &expr).map(|(table, _)| table)
     }
 
-    /// Answers an already-built expression through the views.
+    /// Answers an already-built expression through the views. Asked again
+    /// before the stored relations its plan reads have changed, it is
+    /// answered from the result cache — unless a memory budget is set (see
+    /// [`Warehouse::with_mem_budget`]).
     ///
     /// # Errors
     ///
     /// Returns [`WarehouseError::Exec`] for execution failures.
     pub fn query_expr(&self, expr: &Arc<Expr>) -> Result<Table, WarehouseError> {
-        route_and_execute(&self.views, &self.db, &self.exec, expr)
+        let kept = kept_answers(&self.exec, &self.cache, &self.versions);
+        route_and_execute(&self.views, &self.db, &self.exec, kept, expr).map(|(table, _)| table)
     }
 }
 
+/// The result cache with the asker's relation versions, when the asker may
+/// use it: not under a memory budget, because the budget bounds what the
+/// warehouse holds resident and kept answers sit outside the buffer pool
+/// that accounts for it.
+fn kept_answers<'a>(
+    exec: &ExecContext,
+    cache: &'a ResultCache,
+    versions: &'a Versions,
+) -> Option<(&'a ResultCache, &'a Versions)> {
+    exec.mem_budget.is_none().then_some((cache, versions))
+}
+
 /// The one query path both [`Warehouse`] and [`WarehouseSnapshot`] serve
-/// through: route the expression through the materialized views, then run
-/// the batch engine under the configured context.
+/// through: with `kept` (the result cache and the asker's relation
+/// versions), answer from the cache when it holds `expr` computed over the
+/// asker's data; otherwise route the expression through the materialized
+/// views, run the batch engine under the configured context and, with
+/// `kept`, keep the answer. The flag says whether the cache answered.
+///
+/// The view registry is fixed for a warehouse's life, so the routed plan is
+/// a function of `expr` alone and a hit skips routing too.
 fn route_and_execute(
     views: &ViewCatalog,
     db: &Database,
     exec: &ExecContext,
+    kept: Option<(&ResultCache, &Versions)>,
     expr: &Arc<Expr>,
-) -> Result<Table, WarehouseError> {
+) -> Result<(Table, bool), WarehouseError> {
+    if let Some(table) = kept.and_then(|(cache, versions)| cache.get(expr, versions)) {
+        return Ok((table, true));
+    }
     let routed = views.rewrite(expr);
-    Ok(execute(&routed, db, exec)?)
+    let table = execute(&routed, db, exec)?;
+    if let Some((cache, versions)) = kept {
+        cache.put(expr, &routed, versions, &table);
+    }
+    Ok((table, false))
 }
 
 /// An immutable picture of a warehouse's serve state, produced by
@@ -519,6 +586,9 @@ pub struct WarehouseSnapshot {
     db: Arc<Database>,
     views: Arc<ViewCatalog>,
     exec: ExecContext,
+    /// The source warehouse's relation versions when the snapshot was taken.
+    versions: Arc<Versions>,
+    cache: Arc<ResultCache>,
     version: u64,
     refreshes: u64,
     stale_views: usize,
@@ -535,7 +605,7 @@ impl WarehouseSnapshot {
     /// [`WarehouseError::Exec`] for execution failures.
     pub fn query(&self, sql: &str) -> Result<Table, WarehouseError> {
         let expr = parse_query_with(sql, &self.catalog)?;
-        self.query_expr(&expr)
+        route_and_execute(&self.views, &self.db, &self.exec, None, &expr).map(|(table, _)| table)
     }
 
     /// Answers an already-built expression against the snapshot's state
@@ -545,7 +615,24 @@ impl WarehouseSnapshot {
     ///
     /// Returns [`WarehouseError::Exec`] for execution failures.
     pub fn query_expr(&self, expr: &Arc<Expr>) -> Result<Table, WarehouseError> {
-        route_and_execute(&self.views, &self.db, &self.exec, expr)
+        self.answer(expr).map(|(table, _)| table)
+    }
+
+    /// [`WarehouseSnapshot::query_expr`], also saying whether the answer
+    /// came from the result cache (`true`) or the plan ran (`false`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WarehouseError::Exec`] for execution failures.
+    pub fn answer(&self, expr: &Arc<Expr>) -> Result<(Table, bool), WarehouseError> {
+        let kept = kept_answers(&self.exec, &self.cache, &self.versions);
+        route_and_execute(&self.views, &self.db, &self.exec, kept, expr)
+    }
+
+    /// Counters of the result cache, shared with the source warehouse and
+    /// every other snapshot of it.
+    pub fn result_cache_stats(&self) -> ResultCacheStats {
+        self.cache.stats()
     }
 
     /// The snapshot's (frozen) base-plus-views database.

@@ -155,6 +155,11 @@ pub struct Answer {
     pub pending_rows: usize,
     /// Submission-to-completion latency, measured at the worker.
     pub elapsed: Duration,
+    /// Whether the warehouse's result cache answered (the plan did not
+    /// run): the same expression had been asked since the stored relations
+    /// its plan reads last changed. Never set for SQL text, nor under a
+    /// memory budget.
+    pub cached: bool,
 }
 
 /// A completed write: the publish version it created.
@@ -418,6 +423,7 @@ impl ServeHandle {
             stale_answers: self.shared.stale_answers.load(Ordering::Relaxed),
             max_staleness_rows: self.shared.max_staleness_rows.load(Ordering::Relaxed),
             latency: self.shared.latency.summary(),
+            result_cache: self.shared.current_snapshot().result_cache_stats(),
         }
     }
 }
@@ -479,8 +485,8 @@ fn reader_loop(shared: &Shared) {
         };
         let snapshot = shared.current_snapshot();
         let result = match &job.request {
-            Request::Sql(sql) => snapshot.query(sql),
-            Request::Expr(expr) => snapshot.query_expr(expr),
+            Request::Sql(sql) => snapshot.query(sql).map(|table| (table, false)),
+            Request::Expr(expr) => snapshot.answer(expr),
         };
         let elapsed = job.submitted.elapsed();
         shared.queries.fetch_add(1, Ordering::Relaxed);
@@ -493,8 +499,9 @@ fn reader_loop(shared: &Shared) {
         shared
             .max_staleness_rows
             .fetch_max(snapshot.pending_rows() as u64, Ordering::Relaxed);
-        let answer = result.map(|table| Answer {
+        let answer = result.map(|(table, cached)| Answer {
             table,
+            cached,
             version: snapshot.version(),
             stale_views: snapshot.stale_views(),
             pending_rows: snapshot.pending_rows(),

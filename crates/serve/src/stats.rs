@@ -8,7 +8,10 @@
 //! quantile estimates carry at most `1/2^SUB_BITS` (≈12.5%) relative
 //! error — plenty for p50/p95/p99 tail tracking under load.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use mvdesign::warehouse::ResultCacheStats;
 
 /// Sub-bucket resolution: each power-of-two range splits into `2^SUB_BITS`
 /// buckets.
@@ -136,6 +139,29 @@ pub struct ServeStats {
     pub max_staleness_rows: u64,
     /// Query latency quantiles (submission → completion).
     pub latency: LatencySummary,
+    /// The warehouse's result cache: how many of `queries` were answered
+    /// without running their plan.
+    pub result_cache: ResultCacheStats,
+}
+
+impl fmt::Display for ServeStats {
+    /// The text export: one `name value` line per counter, the result
+    /// cache's counters, then the latency summary.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "queries {}", self.queries)?;
+        writeln!(f, "appends {}", self.appends)?;
+        writeln!(f, "refreshes {}", self.refreshes)?;
+        writeln!(f, "snapshots_published {}", self.snapshots_published)?;
+        writeln!(f, "stale_answers {}", self.stale_answers)?;
+        writeln!(f, "max_staleness_rows {}", self.max_staleness_rows)?;
+        writeln!(f, "{}", self.result_cache)?;
+        let l = &self.latency;
+        write!(
+            f,
+            "latency_us count {} p50 {:.1} p95 {:.1} p99 {:.1} max {:.1}",
+            l.count, l.p50_us, l.p95_us, l.p99_us, l.max_us
+        )
+    }
 }
 
 #[cfg(test)]
@@ -195,6 +221,34 @@ mod tests {
         assert!((950.0..=1070.0).contains(&s.p95_us), "p95 {}", s.p95_us);
         assert!((990.0..=1120.0).contains(&s.p99_us), "p99 {}", s.p99_us);
         assert_eq!(s.max_us, 1000.0);
+    }
+
+    #[test]
+    fn text_export_has_one_line_per_counter_and_the_latency_summary() {
+        let stats = ServeStats {
+            queries: 7,
+            appends: 2,
+            refreshes: 1,
+            snapshots_published: 3,
+            stale_answers: 4,
+            max_staleness_rows: 5,
+            latency: Histogram::new().summary(),
+            result_cache: ResultCacheStats {
+                hits: 6,
+                misses: 1,
+                ..ResultCacheStats::default()
+            },
+        };
+        let text = stats.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 6 + 7 + 1, "{text}");
+        assert_eq!(lines[0], "queries 7");
+        assert_eq!(lines[6], "result_cache.hits 6");
+        assert_eq!(lines[7], "result_cache.misses 1");
+        assert!(
+            lines[13].starts_with("latency_us count 0 p50 0.0"),
+            "{text}"
+        );
     }
 
     #[test]

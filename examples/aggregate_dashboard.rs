@@ -12,6 +12,7 @@ use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::engine::{execute, materialize_view, Generator, GeneratorConfig};
 use mvdesign::optimizer::Planner;
 use mvdesign::prelude::*;
+use mvdesign::warehouse::Warehouse;
 
 fn main() {
     // A sales mart: one fact table, two dimensions, dashboards that all
@@ -157,12 +158,13 @@ fn main() {
     // Materialize the genetic design's views over generated data and answer
     // a dashboard query straight from a view.
     println!("\nmaterializing {} views over generated data…", m.len());
-    let mut db = Generator::with_config(GeneratorConfig {
+    let base = Generator::with_config(GeneratorConfig {
         seed: 99,
         scale: 0.002,
         max_rows: 1_500,
     })
     .database(&catalog);
+    let mut db = base.clone();
     let mut views = ViewCatalog::new();
     for id in &m {
         let node = a.mvpp().node(*id);
@@ -193,4 +195,21 @@ fn main() {
             println!("    {}", cells.join(" | "));
         }
     }
+
+    // A period of dashboard traffic through a warehouse: each query arrives
+    // in proportion to its frequency over data that does not change, so it
+    // is computed once and then answered from the result cache.
+    let design = Designer::new()
+        .design(&catalog, &workload)
+        .expect("dashboard workload designs");
+    let warehouse = Warehouse::new(catalog, base, &design).expect("views materialize");
+    for query in workload.queries() {
+        for _ in 0..(query.frequency() / 10.0) as usize {
+            warehouse
+                .query_expr(query.root())
+                .expect("dashboard answers");
+        }
+    }
+    println!("\none period of dashboard traffic, asked through the warehouse:");
+    println!("{}", warehouse.result_cache_stats());
 }

@@ -33,6 +33,7 @@ MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_paged
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_delta
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test maintain
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test view_rewrite
+MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test result_cache
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign-serve --test serve
 
 # benchmark/ is a package outside the workspace: nothing above compiles it,

@@ -6,6 +6,10 @@
 //! write carries the version it produced, so the concurrent history
 //! collapses to "apply writes in version order, answer each query at its
 //! version" — which is exactly what the replay executes, single-threaded.
+//! The replay answers by running the routed plan with `execute` directly,
+//! never through `Warehouse::query_expr`: the served side answers repeated
+//! queries from the warehouse's result cache, and an oracle that did too
+//! could be wrong in the same way.
 //!
 //! The battery runs every schedule twice: on a fully resident warehouse
 //! and on a `with_mem_budget` one (tables paged into a shared buffer pool,
@@ -33,7 +37,7 @@ use mvdesign::engine::{execute, Database, ExecContext, Generator, GeneratorConfi
 use mvdesign::prelude::Designer;
 use mvdesign::warehouse::{Warehouse, WarehouseSnapshot};
 use mvdesign::workload::paper_example;
-use mvdesign_serve::{ServeConfig, Server};
+use mvdesign_serve::{ServeConfig, ServeStats, Server};
 
 // The compile-time thread-safety contract the serving layer rests on: a
 // future non-`Send`/`Sync` field in any of these breaks this test file at
@@ -131,6 +135,8 @@ struct QueryRec {
     version: u64,
     pool: usize,
     rows: Vec<Vec<Value>>,
+    /// Answered from the result cache.
+    cached: bool,
 }
 
 /// An applied write, tagged with the version it produced.
@@ -156,13 +162,13 @@ impl WriteRec {
 
 /// Drives every client script against a live server (one OS thread per
 /// client, so cross-client interleaving is scheduler-random), then shuts
-/// the server down and returns the tagged history.
+/// the server down and returns the tagged history with the final stats.
 fn run_serve(
     warehouse: Warehouse,
     scripts: &[Vec<Op>],
     readers: usize,
     seed: u64,
-) -> (Vec<QueryRec>, Vec<WriteRec>) {
+) -> (Vec<QueryRec>, Vec<WriteRec>, ServeStats) {
     let pool = query_pool();
     let rel_names: Vec<String> = base_db(seed).iter().map(|(n, _)| n.to_string()).collect();
     let twin = base_db(seed ^ 0xA99E);
@@ -189,6 +195,7 @@ fn run_serve(
                                     version: a.version,
                                     pool: p,
                                     rows: a.table.canonicalized().into_rows(),
+                                    cached: a.cached,
                                 });
                             }
                             Op::Append { rel, rows } => {
@@ -223,6 +230,7 @@ fn run_serve(
             .map(|h| h.join().expect("client panicked"))
             .collect()
     });
+    let stats = server.handle().stats();
     drop(server.shutdown());
     let mut queries = Vec::new();
     let mut writes = Vec::new();
@@ -230,7 +238,25 @@ fn run_serve(
         queries.extend(q);
         writes.extend(w);
     }
-    (queries, writes)
+    (queries, writes, stats)
+}
+
+/// The cache's counters account for every served query (the pool is all
+/// prepared expressions), and every answer it gave was first computed for
+/// the same query in this session. A budgeted warehouse keeps nothing.
+fn assert_cache_accounting(queries: &[QueryRec], stats: &ServeStats, budgeted: bool, label: &str) {
+    let cache = stats.result_cache;
+    let cached = queries.iter().filter(|q| q.cached).count() as u64;
+    assert_eq!(cache.hits, cached, "{label}: {cache:?}");
+    let probes = if budgeted { 0 } else { queries.len() as u64 };
+    assert_eq!(cache.hits + cache.misses, probes, "{label}: {cache:?}");
+    for q in queries.iter().filter(|q| q.cached) {
+        assert!(
+            queries.iter().any(|f| !f.cached && f.pool == q.pool),
+            "{label}: pool[{}] answered from the cache before anything filled it",
+            q.pool
+        );
+    }
 }
 
 /// Replays the writes in version order on a sequential warehouse,
@@ -258,11 +284,14 @@ fn replay_and_assert(
     let max_version = writes.len() as u64;
     let answer_at = |reference: &Warehouse, version: u64, recs: &[QueryRec]| {
         for rec in recs {
-            let want = reference
-                .query_expr(&pool[rec.pool])
-                .expect("replay answers")
-                .canonicalized()
-                .into_rows();
+            let want = execute(
+                &reference.views().rewrite(&pool[rec.pool]),
+                reference.database(),
+                &reference.exec_context(),
+            )
+            .expect("replay answers")
+            .canonicalized()
+            .into_rows();
             assert_eq!(
                 rec.rows, want,
                 "{label}: query pool[{}] served at version {version} diverges from the \
@@ -320,11 +349,13 @@ proptest! {
             .map(|ops| ops.iter().map(|&(k, a)| decode(k, a, pool, rels)).collect())
             .collect();
 
-        let (queries, writes) = run_serve(resident_warehouse(seed), &scripts, 3, seed);
+        let (queries, writes, stats) = run_serve(resident_warehouse(seed), &scripts, 3, seed);
+        assert_cache_accounting(&queries, &stats, false, "resident");
         replay_and_assert(resident_warehouse(seed), queries, writes, "resident");
 
         let budgeted = resident_warehouse(seed).with_mem_budget(Some(mem_budget()));
-        let (queries, writes) = run_serve(budgeted, &scripts, 3, seed);
+        let (queries, writes, stats) = run_serve(budgeted, &scripts, 3, seed);
+        assert_cache_accounting(&queries, &stats, true, "mem-budget");
         replay_and_assert(resident_warehouse(seed), queries, writes, "mem-budget");
     }
 }
@@ -341,16 +372,20 @@ fn held_snapshot_is_stable_across_published_refresh() {
     let held = h.snapshot();
     assert_eq!(held.version(), 0);
 
+    // Every query is asked twice on each side of the refresh: the second
+    // ask may come from the result cache and must not differ.
     let pool = query_pool();
-    let before: Vec<Vec<Vec<Value>>> = pool
-        .iter()
-        .map(|q| {
+    let ask_twice = |q: &Arc<Expr>| {
+        let [first, second] = [(); 2].map(|()| {
             held.query_expr(q)
                 .expect("held snapshot answers")
                 .canonicalized()
                 .into_rows()
-        })
-        .collect();
+        });
+        assert_eq!(first, second, "held snapshot's repeated answer differs");
+        first
+    };
+    let before: Vec<Vec<Vec<Value>>> = pool.iter().map(ask_twice).collect();
     let customer_rows = held
         .database()
         .table("Customer")
@@ -368,12 +403,7 @@ fn held_snapshot_is_stable_across_published_refresh() {
 
     // End-to-end stability of the held snapshot: same answers…
     for (q, want) in pool.iter().zip(&before) {
-        let got = held
-            .query_expr(q)
-            .expect("held snapshot still answers")
-            .canonicalized()
-            .into_rows();
-        assert_eq!(&got, want, "held snapshot changed an answer");
+        assert_eq!(&ask_twice(q), want, "held snapshot changed an answer");
     }
     // …same base tables…
     assert_eq!(
@@ -411,6 +441,62 @@ fn held_snapshot_is_stable_across_published_refresh() {
             .len(),
         customer_rows + 3
     );
+    drop(server.shutdown());
+}
+
+/// A kept answer outlives every publish that leaves the relations its plan
+/// reads alone — it is served at a later version than the one it was
+/// computed at — and not the one that changes them.
+#[test]
+fn a_kept_answer_is_served_across_publishes_that_leave_its_inputs_alone() {
+    let seed = 5;
+    let server = Server::start(resident_warehouse(seed), ServeConfig { readers: 2 });
+    let h = server.handle();
+    let (catalog, _) = fixture();
+    // Reads `Customer` and nothing else (no view covers it alone).
+    let query = parse_query_with("SELECT name FROM Customer WHERE city = 'v0'", catalog)
+        .expect("ad hoc SQL parses");
+    let oracle = |version: u64| {
+        let snapshot = h.snapshot();
+        assert_eq!(snapshot.version(), version);
+        execute(
+            &snapshot.views().rewrite(&query),
+            snapshot.database(),
+            &ExecContext::default(),
+        )
+        .expect("oracle executes")
+    };
+    let twin = base_db(seed ^ 0xA99E);
+    let rows = |relation: &str| twin.table(relation).expect("twin").rows()[..2].to_vec();
+
+    let filled = h.query_expr(&query).wait().expect("answers");
+    assert!(!filled.cached && filled.version == 0);
+    assert_eq!(filled.table.batch(), oracle(0).batch());
+
+    h.append("Part", rows("Part"))
+        .wait()
+        .expect("append applies");
+    let kept = h.query_expr(&query).wait().expect("answers");
+    assert!(
+        kept.cached,
+        "an append to Part leaves the Customer plan's entry valid"
+    );
+    assert!(
+        kept.version > filled.version,
+        "served at a later version than it was filled at"
+    );
+    assert_eq!(kept.table.batch(), oracle(1).batch());
+
+    h.append("Customer", rows("Customer"))
+        .wait()
+        .expect("append applies");
+    let recomputed = h.query_expr(&query).wait().expect("answers");
+    assert!(!recomputed.cached && recomputed.version == 2);
+    assert_eq!(recomputed.table.batch(), oracle(2).batch());
+
+    let cache = h.stats().result_cache;
+    assert!(cache.hits > 0, "{cache:?}");
+    assert_eq!((cache.hits, cache.misses, cache.stale), (1, 2, 1));
     drop(server.shutdown());
 }
 
