@@ -26,7 +26,7 @@ use mvdesign_algebra::{AggExpr, AttrRef, Expr, JoinCondition, Predicate, Query, 
 use mvdesign_cost::{CostEstimator, CostModel};
 use mvdesign_optimizer::{pull_up, Planner};
 
-use crate::mvpp::{Mvpp, NodeId};
+use crate::mvpp::Mvpp;
 use crate::workload::Workload;
 
 /// Tuning knobs for [`generate_mvpps`].
@@ -49,7 +49,7 @@ struct PreparedQuery {
     name: String,
     fq: f64,
     bases: BTreeSet<RelName>,
-    conds: Vec<(AttrRef, AttrRef)>,
+    conds: BTreeSet<(AttrRef, AttrRef)>,
     /// Single-relation conjunctions, per relation.
     per_rel: BTreeMap<RelName, Predicate>,
     /// Conjuncts spanning several relations.
@@ -145,7 +145,7 @@ fn prepare<M: CostModel>(
         Some(Arc::clone(&optimal))
     };
 
-    let mut conds = Vec::new();
+    let mut conds = BTreeSet::new();
     flatten_conds(&pulled.join_tree, &mut conds);
 
     let mut per_rel: BTreeMap<RelName, Vec<Predicate>> = BTreeMap::new();
@@ -214,7 +214,7 @@ fn is_pure_join_tree(expr: &Arc<Expr>) -> bool {
     }
 }
 
-fn flatten_conds(expr: &Arc<Expr>, out: &mut Vec<(AttrRef, AttrRef)>) {
+fn flatten_conds(expr: &Arc<Expr>, out: &mut BTreeSet<(AttrRef, AttrRef)>) {
     if let Expr::Join { left, right, on } = &**expr {
         out.extend(on.pairs().iter().cloned());
         flatten_conds(left, out);
@@ -233,7 +233,8 @@ fn shared_leaves<M: CostModel>(
     // Raw (non-SPJ) plans keep their own operators; they neither contribute
     // to nor consume the shared leaves.
     let prepared: Vec<&PreparedQuery> = prepared.iter().filter(|q| q.raw.is_none()).collect();
-    for rel in prepared.iter().flat_map(|q| q.bases.iter()) {
+    let rels: BTreeSet<&RelName> = prepared.iter().flat_map(|q| q.bases.iter()).collect();
+    for rel in rels {
         // Figure 4, step 5: the leaf filter is the disjunction of every
         // query's selection on this relation; a query with no selection
         // forces the filter to True.
@@ -308,6 +309,59 @@ fn shared_leaves<M: CostModel>(
     SharedLeaves { exprs, filters }
 }
 
+/// What step 4.3 asks of a join node of the MVPP under construction. None of
+/// it depends on the asking query, and nodes only append, so it is worked
+/// out once, when the node appears, not once per later query.
+struct JoinNode {
+    expr: Arc<Expr>,
+    /// The base relations below the join.
+    bases: BTreeSet<RelName>,
+    /// Every join condition in its subtree.
+    conds: BTreeSet<(AttrRef, AttrRef)>,
+    /// Whether every non-join subtree is one of the workload's shared leaf
+    /// expressions, so that reusing the node cannot change a query's result.
+    ///
+    /// Decided by interned identity: a subtree of an MVPP node is itself an
+    /// MVPP node, and it is the shared leaf exactly when both map to the
+    /// same vertex — which, being a statement about expression classes,
+    /// stays true or false as the MVPP grows.
+    over_shared_leaves: bool,
+}
+
+/// [`JoinNode`]s of an MVPP, by node index (`None` for every other node).
+#[derive(Default)]
+struct JoinIndex(Vec<Option<JoinNode>>);
+
+impl JoinIndex {
+    /// Indexes the nodes appended to `mvpp` since the last call.
+    fn extend(&mut self, mvpp: &Mvpp, leaves: &SharedLeaves) {
+        for node in &mvpp.nodes()[self.0.len()..] {
+            let join = matches!(&**node.expr(), Expr::Join { .. }).then(|| {
+                let mut conds = BTreeSet::new();
+                flatten_conds(node.expr(), &mut conds);
+                // Children precede their parents, so they are indexed.
+                let over_shared_leaves = node.children().iter().all(|&c| match &self.0[c.0] {
+                    Some(child) => child.over_shared_leaves,
+                    None => {
+                        let below = mvpp.node(c).expr().base_relations();
+                        below
+                            .first()
+                            .and_then(|rel| leaves.exprs.get(rel))
+                            .is_some_and(|leaf| mvpp.find(leaf) == Some(c))
+                    }
+                });
+                JoinNode {
+                    expr: Arc::clone(node.expr()),
+                    bases: node.expr().base_relations(),
+                    conds,
+                    over_shared_leaves,
+                }
+            });
+            self.0.push(join);
+        }
+    }
+}
+
 /// Figure 4, step 4: merge the prepared plans in order over shared leaves.
 fn merge_prepared<M: CostModel>(
     order: &[&PreparedQuery],
@@ -315,8 +369,10 @@ fn merge_prepared<M: CostModel>(
     est: &CostEstimator<'_, M>,
 ) -> Mvpp {
     let mut mvpp = Mvpp::new();
+    let mut joins = JoinIndex::default();
     for q in order {
-        let expr = build_query_expr(q, leaves, &mvpp, est);
+        joins.extend(&mvpp, leaves);
+        let expr = build_query_expr(q, leaves, &joins, est);
         mvpp.insert_query(q.name.clone(), q.fq, &expr);
     }
     mvpp
@@ -325,59 +381,41 @@ fn merge_prepared<M: CostModel>(
 fn build_query_expr<M: CostModel>(
     q: &PreparedQuery,
     leaves: &SharedLeaves,
-    mvpp: &Mvpp,
+    joins: &JoinIndex,
     est: &CostEstimator<'_, M>,
 ) -> Arc<Expr> {
     if let Some(raw) = &q.raw {
         return Arc::clone(raw);
     }
     // Step 4.3.1–4.3.2: cover the query's relations with existing join
-    // nodes whose relations AND conditions agree, largest first.
-    let q_conds: BTreeSet<(AttrRef, AttrRef)> = q.conds.iter().cloned().collect();
-    // Node ids of the shared leaf expressions in this MVPP (`None` while a
-    // leaf's class has no vertex yet). Computed once so the per-node leaf
-    // check below compares interned ids instead of building key strings.
-    let leaf_nodes: BTreeMap<&RelName, Option<NodeId>> = leaves
-        .exprs
+    // nodes whose relations AND conditions agree, largest first. The node's
+    // conditions must be exactly the query's conditions among its relations;
+    // both sides iterate in set order, so they compare element by element.
+    let mut candidates: Vec<&JoinNode> = joins
+        .0
         .iter()
-        .map(|(rel, e)| (rel, mvpp.find(e)))
+        .flatten()
+        .filter(|node| {
+            node.over_shared_leaves
+                && node.bases.is_subset(&q.bases)
+                && q.conds
+                    .iter()
+                    .filter(|(a, b)| {
+                        node.bases.contains(&a.relation) && node.bases.contains(&b.relation)
+                    })
+                    .eq(&node.conds)
+        })
         .collect();
-    let mut candidates: Vec<(BTreeSet<RelName>, Arc<Expr>)> = Vec::new();
-    for node in mvpp.nodes() {
-        if !matches!(&**node.expr(), Expr::Join { .. }) {
-            continue;
-        }
-        let bases = node.expr().base_relations();
-        if !bases.is_subset(&q.bases) {
-            continue;
-        }
-        let mut node_conds = Vec::new();
-        flatten_conds(node.expr(), &mut node_conds);
-        let node_conds: BTreeSet<_> = node_conds.into_iter().collect();
-        let q_local: BTreeSet<_> = q_conds
-            .iter()
-            .filter(|(a, b)| bases.contains(&a.relation) && bases.contains(&b.relation))
-            .cloned()
-            .collect();
-        if node_conds != q_local {
-            continue;
-        }
-        // The node must be built over this workload's shared leaves.
-        if !join_leaves_match(node.expr(), mvpp, &leaf_nodes) {
-            continue;
-        }
-        candidates.push((bases, Arc::clone(node.expr())));
-    }
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.0.len()));
+    candidates.sort_by_key(|node| std::cmp::Reverse(node.bases.len()));
 
     let mut covered: BTreeSet<RelName> = BTreeSet::new();
     let mut pieces: Vec<(BTreeSet<RelName>, Arc<Expr>)> = Vec::new();
-    for (bases, expr) in candidates {
-        if bases.len() < 2 || !bases.is_disjoint(&covered) {
+    for node in candidates {
+        if node.bases.len() < 2 || !node.bases.is_disjoint(&covered) {
             continue;
         }
-        covered.extend(bases.iter().cloned());
-        pieces.push((bases, expr));
+        covered.extend(node.bases.iter().cloned());
+        pieces.push((node.bases.clone(), Arc::clone(&node.expr)));
     }
     for rel in &q.bases {
         if !covered.contains(rel) {
@@ -397,7 +435,8 @@ fn build_query_expr<M: CostModel>(
         let mut best: Option<BestJoin> = None;
         for i in 0..pieces.len() {
             for j in (i + 1)..pieces.len() {
-                let pairs: Vec<(AttrRef, AttrRef)> = q_conds
+                let pairs: Vec<(AttrRef, AttrRef)> = q
+                    .conds
                     .iter()
                     .filter(|(a, b)| {
                         (pieces[i].0.contains(&a.relation) && pieces[j].0.contains(&b.relation))
@@ -448,34 +487,6 @@ fn build_query_expr<M: CostModel>(
         out = Expr::project(out, attrs.clone());
     }
     out
-}
-
-/// Checks that every non-join subtree of a join node is one of the shared
-/// leaf expressions (so reusing the node cannot change any query's result).
-///
-/// Equality is decided by interned identity: a subtree of an MVPP node is
-/// itself an MVPP node, so it matches the shared leaf exactly when both map
-/// to the same vertex.
-fn join_leaves_match(
-    expr: &Arc<Expr>,
-    mvpp: &Mvpp,
-    leaf_nodes: &BTreeMap<&RelName, Option<NodeId>>,
-) -> bool {
-    match &**expr {
-        Expr::Join { left, right, .. } => {
-            join_leaves_match(left, mvpp, leaf_nodes) && join_leaves_match(right, mvpp, leaf_nodes)
-        }
-        other => {
-            let bases = other.base_relations();
-            let Some(rel) = bases.iter().next() else {
-                return false;
-            };
-            match leaf_nodes.get(rel) {
-                Some(&Some(leaf)) => mvpp.find(expr) == Some(leaf),
-                _ => false,
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -88,6 +88,8 @@ pub struct Mvpp {
     /// Node computing each arena class, indexed by [`ExprId`]; `None` for
     /// classes the arena knows but no vertex computes.
     node_of: Vec<Option<NodeId>>,
+    /// How many interior nodes there are: the last `tmpN` given out.
+    interior: usize,
 }
 
 impl Mvpp {
@@ -119,9 +121,14 @@ impl Mvpp {
         }
         let children: Vec<NodeId> = expr.children().iter().map(|c| self.intern(c)).collect();
         let id = NodeId(self.nodes.len());
+        // Nodes only append, so the count of interior nodes so far numbers
+        // this one for good: no label ever changes after it is given.
         let label = match &**expr {
             Expr::Base(r) => r.to_string(),
-            _ => String::new(), // assigned by `relabel` below
+            _ => {
+                self.interior += 1;
+                format!("tmp{}", self.interior)
+            }
         };
         self.nodes.push(MvppNode {
             id,
@@ -135,18 +142,7 @@ impl Mvpp {
             self.nodes[c.0].parents.push(id);
         }
         self.node_of[expr_id.index()] = Some(id);
-        self.relabel();
         id
-    }
-
-    fn relabel(&mut self) {
-        let mut counter = 0;
-        for i in 0..self.nodes.len() {
-            if !self.nodes[i].is_leaf() {
-                counter += 1;
-                self.nodes[i].label = format!("tmp{counter}");
-            }
-        }
     }
 
     /// All nodes, in insertion (= topological) order.
@@ -384,6 +380,22 @@ mod tests {
         assert!(labels.contains(&"Div"));
         assert!(labels.contains(&"tmp1"));
         assert!(labels.contains(&"tmp3"));
+    }
+
+    #[test]
+    fn labels_count_interior_nodes_in_insertion_order_and_never_change() {
+        let labels =
+            |m: &Mvpp| -> Vec<String> { m.nodes().iter().map(|n| n.label().to_string()).collect() };
+        let mut m = Mvpp::new();
+        m.insert_query("Q1", 10.0, &tmp2());
+        let before = labels(&m);
+        assert_eq!(before, ["Pd", "Div", "tmp1", "tmp2"]);
+        // A later query appends nodes and numbers them on from the count;
+        // re-inserting a plan already there adds nothing.
+        m.insert_query("Q2", 0.5, &q2_plan());
+        m.insert_query("Q3", 1.0, &tmp2());
+        assert_eq!(labels(&m)[..before.len()], before);
+        assert_eq!(labels(&m)[before.len()..], ["Pt", "tmp3"]);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::annotate::AnnotatedMvpp;
 use crate::evaluate::{
-    choose_policies, evaluate_set, evaluate_set_with_policies, CostBreakdown, MaintenanceMode,
+    choose_policies, evaluate_set_with_policies, CostBreakdown, MaintenanceMode,
 };
 use crate::greedy::GreedySelection;
 use crate::incremental::IncrementalEvaluator;
@@ -18,9 +18,13 @@ use crate::mvpp::NodeId;
 use crate::nodeset::NodeSet;
 use crate::parallel;
 
-/// MVPPs below this node count run every algorithm sequentially: thread
-/// spawn overhead would dominate the per-evaluation work.
+/// MVPPs below this node count are enumerated on one thread: spawning
+/// would cost more than the Gray-code flips it spreads.
 const PARALLEL_MIN_NODES: usize = 64;
+
+/// Most nodes [`ExhaustiveSelection`] enumerates: subset masks and Gray
+/// indices are `u64`, and the index range `0..2^n` has to fit in one too.
+const MASK_NODES: usize = (u64::BITS - 1) as usize;
 
 /// A joint materialization + maintenance-policy decision: which nodes to
 /// materialize and, of those, which to maintain by delta propagation (the
@@ -138,7 +142,8 @@ impl SelectionAlgorithm for MaterializeNone {
 /// the result is identical at any thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct ExhaustiveSelection {
-    /// Cap on nodes enumerated exactly (`2^max_nodes` evaluations).
+    /// Cap on nodes enumerated exactly (`2^max_nodes` evaluations). Values
+    /// above 63 enumerate 63 nodes: the subset masks are `u64`.
     pub max_nodes: usize,
     /// Worker threads for partitioning the subset space; `0` = all cores,
     /// `1` = sequential. The selected set is identical at any setting.
@@ -172,6 +177,22 @@ fn mask_to_set(mask: u64, candidates: &[NodeId], capacity: usize) -> NodeSet {
 }
 
 impl ExhaustiveSelection {
+    /// The nodes whose subsets are enumerated: every interior node, or the
+    /// highest-weight ones when there are more than the cap allows.
+    fn candidates(&self, a: &AnnotatedMvpp) -> Vec<NodeId> {
+        let mut candidates: Vec<NodeId> = a.mvpp().interior();
+        let cap = self.max_nodes.min(MASK_NODES);
+        if candidates.len() > cap {
+            candidates.sort_by(|x, y| {
+                let wx = a.annotation(*x).weight;
+                let wy = a.annotation(*y).weight;
+                wy.total_cmp(&wx)
+            });
+            candidates.truncate(cap);
+        }
+        candidates
+    }
+
     /// Scans Gray indices `[start, end)`, flipping one node per step, and
     /// returns the lexicographically-least `(cost, mask)` seen.
     fn scan_range(
@@ -200,23 +221,30 @@ impl ExhaustiveSelection {
     }
 }
 
+/// How many subsets `n` candidates have.
+fn subset_count(n: usize) -> u64 {
+    assert!(n <= MASK_NODES, "candidates are capped at MASK_NODES");
+    1 << n
+}
+
+/// Splits Gray indices `0..total` into up to `threads` contiguous,
+/// non-empty ranges, in order.
+fn gray_ranges(total: u64, threads: usize) -> Vec<(u64, u64)> {
+    let chunk = total.div_ceil(threads as u64);
+    (0..threads as u64)
+        .map(|t| (t * chunk, ((t + 1) * chunk).min(total)))
+        .filter(|(s, e)| s < e)
+        .collect()
+}
+
 impl SelectionAlgorithm for ExhaustiveSelection {
     fn name(&self) -> &'static str {
         "exhaustive"
     }
 
     fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId> {
-        let mut candidates: Vec<NodeId> = a.mvpp().interior();
-        if candidates.len() > self.max_nodes {
-            candidates.sort_by(|x, y| {
-                let wx = a.annotation(*x).weight;
-                let wy = a.annotation(*y).weight;
-                wy.total_cmp(&wx)
-            });
-            candidates.truncate(self.max_nodes);
-        }
-        let n = candidates.len();
-        let total: u64 = 1 << n;
+        let candidates = self.candidates(a);
+        let total = subset_count(candidates.len());
         let threads = if a.mvpp().len() < PARALLEL_MIN_NODES || total < 4_096 {
             1
         } else {
@@ -225,14 +253,10 @@ impl SelectionAlgorithm for ExhaustiveSelection {
         let best = if threads <= 1 {
             Self::scan_range(a, mode, &candidates, 0, total)
         } else {
-            let chunk = total.div_ceil(threads as u64);
-            let ranges: Vec<(u64, u64)> = (0..threads as u64)
-                .map(|t| (t * chunk, ((t + 1) * chunk).min(total)))
-                .filter(|(s, e)| s < e)
-                .collect();
-            let per_thread = parallel::ordered_map(ranges, threads, &|_, (s, e)| {
-                Self::scan_range(a, mode, &candidates, s, e)
-            });
+            let per_thread =
+                parallel::ordered_map(gray_ranges(total, threads), threads, &|_, (s, e)| {
+                    Self::scan_range(a, mode, &candidates, s, e)
+                });
             per_thread
                 .into_iter()
                 .reduce(|x, y| {
@@ -253,16 +277,8 @@ impl SelectionAlgorithm for ExhaustiveSelection {
     /// stays cheap — and keeps the numerically-smallest mask among cost
     /// ties, as in [`select`](Self::select).
     fn select_with_policies(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> PolicyChoice {
-        let mut candidates: Vec<NodeId> = a.mvpp().interior();
-        if candidates.len() > self.max_nodes {
-            candidates.sort_by(|x, y| {
-                let wx = a.annotation(*x).weight;
-                let wy = a.annotation(*y).weight;
-                wy.total_cmp(&wx)
-            });
-            candidates.truncate(self.max_nodes);
-        }
-        let total: u64 = 1 << candidates.len();
+        let candidates = self.candidates(a);
+        let total = subset_count(candidates.len());
         let mut eval = IncrementalEvaluator::new(a, mode);
         let mut best = (f64::INFINITY, 0u64, NodeSet::with_capacity(a.mvpp().len()));
         for i in 0..total {
@@ -433,11 +449,6 @@ pub struct GeneticSelection {
     pub elite: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for fitness evaluation; `0` = all cores, `1` =
-    /// sequential. Reproduction stays sequential (it drives the RNG), so the
-    /// evolved population — and the selected set — is identical at any
-    /// setting.
-    pub parallelism: usize,
 }
 
 impl Default for GeneticSelection {
@@ -449,33 +460,37 @@ impl Default for GeneticSelection {
             crossover_rate: 0.9,
             elite: 2,
             seed: 7,
-            parallelism: 0,
         }
     }
 }
 
 impl GeneticSelection {
-    fn decode(genes: &[bool], candidates: &[NodeId]) -> BTreeSet<NodeId> {
-        genes
-            .iter()
-            .zip(candidates)
-            .filter(|(g, _)| **g)
-            .map(|(_, id)| *id)
-            .collect()
+    /// The materialization set a genome stands for.
+    fn frontier(genes: &[bool], candidates: &[NodeId], capacity: usize) -> NodeSet {
+        NodeSet::from_ids(
+            capacity,
+            genes
+                .iter()
+                .zip(candidates)
+                .filter(|(g, _)| **g)
+                .map(|(_, id)| *id),
+        )
     }
 
-    /// Seeds the population (greedy, empty, random fill) and evolves it with
-    /// the supplied batch scorer, returning the fittest genome. All
-    /// randomness flows from `self.seed`; the scorer consumes none, so two
-    /// runs with scorers that agree on every genome evolve identically.
+    /// Seeds the population (greedy, empty, random fill) and evolves it,
+    /// scoring each genome once with `score`, in population order; returns
+    /// the fittest genome. All randomness flows from `self.seed`; the scorer
+    /// consumes none, so two runs with scorers that agree on every genome
+    /// evolve identically.
     fn evolve(
         &self,
         a: &AnnotatedMvpp,
         candidates: &[NodeId],
-        mut score: impl FnMut(Vec<Vec<bool>>) -> Vec<(f64, Vec<bool>)>,
+        mut score: impl FnMut(&[bool]) -> f64,
     ) -> Vec<bool> {
         let n = candidates.len();
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut scored = |genes: Vec<bool>| (score(&genes), genes);
 
         // Seed population: greedy, empty, random fill.
         let greedy = GreedySelection::new().run(a).0;
@@ -486,7 +501,7 @@ impl GeneticSelection {
         while seeds.len() < target {
             seeds.push((0..n).map(|_| rng.gen_bool(0.3)).collect());
         }
-        let mut population = score(seeds);
+        let mut population: Vec<(f64, Vec<bool>)> = seeds.into_iter().map(&mut scored).collect();
 
         for _ in 0..self.generations {
             population.sort_by(|x, y| x.0.total_cmp(&y.0));
@@ -527,7 +542,7 @@ impl GeneticSelection {
                 offspring.push(child);
             }
             let mut next = elite;
-            next.extend(score(offspring));
+            next.extend(offspring.into_iter().map(&mut scored));
             population = next;
         }
         population.sort_by(|x, y| x.0.total_cmp(&y.0));
@@ -540,66 +555,30 @@ impl SelectionAlgorithm for GeneticSelection {
         "genetic"
     }
 
+    /// Every genome is scored by one persistent incremental evaluator:
+    /// elites and convergent offspring revisit frontiers, so its per-root
+    /// memo turns most scorings into lookups — which is why the search does
+    /// not fan genomes out over threads (a memo per thread sees a fraction
+    /// of the repeats, and a spawn per generation costs more than the
+    /// generation). [`crate::Designer`] runs whole candidates in parallel
+    /// instead.
     fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId> {
         let candidates = a.mvpp().interior();
         if candidates.is_empty() {
             return BTreeSet::new();
         }
         let capacity = a.mvpp().len();
-        let fitness = |genes: &[bool]| -> f64 {
-            let set = NodeSet::from_ids(
-                capacity,
-                genes
-                    .iter()
-                    .zip(&candidates)
-                    .filter(|(g, _)| **g)
-                    .map(|(_, id)| *id),
-            );
-            evaluate_set(a, &set, mode).total
-        };
-        let threads = if capacity < PARALLEL_MIN_NODES {
-            1
-        } else {
-            parallel::threads_for(self.parallelism, usize::MAX)
-        };
-        // Fitness consumes no randomness, so evaluating a batch of
-        // individuals in parallel (in population order) leaves the RNG stream
-        // — and therefore the whole evolution — untouched. On a single
-        // thread a persistent incremental evaluator is used instead: elites
-        // and convergent offspring revisit frontiers, so the per-root memo
-        // turns most scorings into cache hits. `set_frontier` produces the
-        // identical float as `evaluate_set`, so the evolved population — and
-        // the selected set — does not depend on which path scored it.
-        let mut seq_eval = (threads <= 1).then(|| IncrementalEvaluator::new(a, mode));
-        let score = |batch: Vec<Vec<bool>>| -> Vec<(f64, Vec<bool>)> {
-            match seq_eval.as_mut() {
-                Some(eval) => batch
-                    .into_iter()
-                    .map(|genes| {
-                        let set = NodeSet::from_ids(
-                            capacity,
-                            genes
-                                .iter()
-                                .zip(&candidates)
-                                .filter(|(g, _)| **g)
-                                .map(|(_, id)| *id),
-                        );
-                        eval.set_frontier(&set);
-                        (eval.total(), genes)
-                    })
-                    .collect(),
-                None => parallel::ordered_map(batch, threads, &|_, genes| (fitness(&genes), genes)),
-            }
-        };
-        let best = self.evolve(a, &candidates, score);
-        Self::decode(&best, &candidates)
+        let mut eval = IncrementalEvaluator::new(a, mode);
+        let best = self.evolve(a, &candidates, |genes| {
+            eval.set_frontier(&Self::frontier(genes, &candidates, capacity));
+            eval.total()
+        });
+        Self::frontier(&best, &candidates, capacity).to_btree()
     }
 
     /// Joint evolution: the same seeded run as [`select`](Self::select),
-    /// but every genome is scored at its policy-optimal total. Scoring
-    /// shares one incremental evaluator (policy re-costing touches only the
-    /// maintenance term), so it always runs sequentially; the RNG stream —
-    /// and hence the evolution — is still fully determined by the seed.
+    /// but every genome is scored at its policy-optimal total (policy
+    /// re-costing touches only the maintenance term).
     fn select_with_policies(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> PolicyChoice {
         let candidates = a.mvpp().interior();
         let capacity = a.mvpp().len();
@@ -607,33 +586,14 @@ impl SelectionAlgorithm for GeneticSelection {
             return joint_choice(a, mode, NodeSet::with_capacity(capacity));
         }
         let mut eval = IncrementalEvaluator::new(a, mode);
-        let best = self.evolve(a, &candidates, |batch: Vec<Vec<bool>>| {
-            batch
-                .into_iter()
-                .map(|genes| {
-                    let set = NodeSet::from_ids(
-                        capacity,
-                        genes
-                            .iter()
-                            .zip(&candidates)
-                            .filter(|(g, _)| **g)
-                            .map(|(_, id)| *id),
-                    );
-                    let delta = choose_policies(a, &set, mode);
-                    eval.set_frontier(&set);
-                    eval.set_delta_policies(&delta);
-                    (eval.total(), genes)
-                })
-                .collect()
+        let best = self.evolve(a, &candidates, |genes| {
+            let set = Self::frontier(genes, &candidates, capacity);
+            let delta = choose_policies(a, &set, mode);
+            eval.set_frontier(&set);
+            eval.set_delta_policies(&delta);
+            eval.total()
         });
-        let m = NodeSet::from_ids(
-            capacity,
-            best.iter()
-                .zip(&candidates)
-                .filter(|(g, _)| **g)
-                .map(|(_, id)| *id),
-        );
-        joint_choice(a, mode, m)
+        joint_choice(a, mode, Self::frontier(&best, &candidates, capacity))
     }
 }
 
@@ -805,6 +765,51 @@ mod tests {
         // With one candidate, the result is either empty or that single
         // highest-weight node.
         assert!(m.len() <= 1);
+    }
+
+    #[test]
+    fn exhaustive_enumeration_stays_inside_the_mask() {
+        // Seventy interior nodes: more than a `u64` mask can enumerate.
+        let mut m = Mvpp::new();
+        for i in 0..70 {
+            let pred = Predicate::cmp(AttrRef::new("A", "x"), CompareOp::Eq, i);
+            m.insert_query(format!("Q{i}"), 1.0, &Expr::select(Expr::base("A"), pred));
+        }
+        let c = catalog();
+        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
+        let a = AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max);
+        assert_eq!(a.mvpp().interior().len(), 70);
+
+        // `max_nodes` above the mask width enumerates the width, not
+        // `1 << 64` (a panic in debug, a zero-length scan in release).
+        for (max_nodes, enumerated) in [
+            (10, 10),
+            (MASK_NODES, MASK_NODES),
+            (64, MASK_NODES),
+            (usize::MAX, MASK_NODES),
+        ] {
+            let wide = ExhaustiveSelection {
+                max_nodes,
+                parallelism: 1,
+            };
+            assert_eq!(wide.candidates(&a).len(), enumerated);
+        }
+        assert_eq!(subset_count(0), 1);
+        assert_eq!(subset_count(MASK_NODES), 1 << 63);
+
+        // The widest scan still splits into contiguous ranges that cover it.
+        for threads in [1, 2, 3, 7, 64] {
+            let ranges = gray_ranges(subset_count(MASK_NODES), threads);
+            assert_eq!(ranges.first().map(|r| r.0), Some(0));
+            assert_eq!(ranges.last().map(|r| r.1), Some(1 << 63));
+            assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0));
+            assert!(ranges.len() <= threads && ranges.iter().all(|(s, e)| s < e));
+        }
+
+        // The top candidate's bit decodes to the top candidate.
+        let candidates: Vec<NodeId> = (0..MASK_NODES).map(NodeId).collect();
+        let top = mask_to_set(1 << (MASK_NODES - 1), &candidates, MASK_NODES);
+        assert_eq!(top.to_btree(), [NodeId(MASK_NODES - 1)].into());
     }
 
     #[test]

@@ -15,10 +15,9 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use mvdesign::core::{
-    evaluate, generate_mvpps, AnnotatedMvpp, Designer, DesignerConfig, ExhaustiveSelection,
-    GenerateConfig, GeneticSelection, GreedySelection, MaintenanceMode, MaintenancePolicy,
-    MaterializeAll, MaterializeNone, RandomSearch, SelectionAlgorithm, SimulatedAnnealing,
-    UpdateWeighting,
+    evaluate, Designer, DesignerConfig, ExhaustiveSelection, GenerateConfig, GeneticSelection,
+    GreedySelection, MaintenanceMode, MaintenancePolicy, MaterializeAll, MaterializeNone,
+    RandomSearch, SelectionAlgorithm, SimulatedAnnealing,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::optimizer::Planner;
@@ -65,10 +64,11 @@ fn usage() -> String {
        --maintenance shared|isolated\n\
        --incremental FRACTION      (delta maintenance instead of recompute)\n\
        --rotations K               (candidate MVPPs to try, default 8)\n\
-       --parallelism N             (worker threads for exhaustive/genetic\n\
-                                    search: 0 = all cores (default), 1 =\n\
-                                    sequential; the result is identical at\n\
-                                    any setting)\n\
+       --parallelism N             (worker threads: candidate MVPPs are\n\
+                                    designed side by side, and exhaustive\n\
+                                    search splits its subsets; 0 = all cores\n\
+                                    (default), 1 = sequential; the result is\n\
+                                    identical at any setting)\n\
        --trace                     (print the greedy decision trace)\n\
        --dot                       (also print the chosen MVPP as Graphviz)"
         .to_string()
@@ -187,10 +187,7 @@ fn design(args: &[String]) -> Result<(), String> {
             parallelism,
             ..ExhaustiveSelection::default()
         }),
-        Some("genetic") => Box::new(GeneticSelection {
-            parallelism,
-            ..GeneticSelection::default()
-        }),
+        Some("genetic") => Box::new(GeneticSelection::default()),
         Some("annealing") => Box::new(SimulatedAnnealing::default()),
         Some("random") => Box::new(RandomSearch::default()),
         Some("all") => Box::new(MaterializeAll),
@@ -198,35 +195,23 @@ fn design(args: &[String]) -> Result<(), String> {
         Some(other) => return Err(format!("unknown algorithm `{other}`")),
     };
 
-    // Generate candidates once; run the chosen algorithm on each.
-    let est = CostEstimator::new(
-        &scenario.catalog,
-        EstimationMode::Calibrated,
-        PaperCostModel::default(),
-    );
-    let candidates = generate_mvpps(
-        &scenario.workload,
-        &est,
-        &Planner::new(),
-        GenerateConfig {
+    let designer = Designer::with_config(DesignerConfig {
+        generate: GenerateConfig {
             max_rotations: rotations,
         },
-    );
-    let mut best: Option<(AnnotatedMvpp, BTreeSet<_>, f64)> = None;
-    for mvpp in candidates {
-        let a = AnnotatedMvpp::annotate_with(mvpp, &est, UpdateWeighting::Max, policy);
-        let m = algorithm.select(&a, mode);
-        let total = evaluate(&a, &m, mode).total;
-        if best.as_ref().is_none_or(|(_, _, t)| total < *t) {
-            best = Some((a, m, total));
-        }
-    }
-    let (annotated, materialized, _) = best.ok_or("no candidates generated")?;
-    let cost = evaluate(&annotated, &materialized, mode);
+        maintenance: mode,
+        maintenance_policy: policy,
+        parallelism,
+        ..DesignerConfig::default()
+    });
+    let design = designer
+        .design_with(&scenario.catalog, &scenario.workload, algorithm.as_ref())
+        .map_err(|e| e.to_string())?;
+    let (annotated, materialized, cost) = (&design.mvpp, &design.materialized, &design.cost);
 
     println!("algorithm: {}", algorithm.name());
     println!("materialize {} view(s):", materialized.len());
-    for id in &materialized {
+    for id in materialized {
         let node = annotated.mvpp().node(*id);
         let ann = annotated.annotation(*id);
         println!(
@@ -245,7 +230,7 @@ fn design(args: &[String]) -> Result<(), String> {
     for (name, c) in &cost.per_query {
         println!("  {name:<16} {c:>16.0}");
     }
-    let none = evaluate(&annotated, &BTreeSet::new(), mode);
+    let none = evaluate(annotated, &BTreeSet::new(), mode);
     if none.total > 0.0 {
         println!(
             "\nvs. no materialization: {:.0} ({:.1}% saved)",
@@ -254,9 +239,8 @@ fn design(args: &[String]) -> Result<(), String> {
         );
     }
     if args.flag("--trace") {
-        let (_, trace) = GreedySelection::new().run(&annotated);
         println!("\ndecision trace (paper greedy):");
-        print!("{}", mvdesign::core::render_trace(&trace, &annotated));
+        print!("{}", mvdesign::core::render_trace(&design.trace, annotated));
     }
     if args.flag("--dot") {
         println!("\n{}", annotated.to_dot("design"));

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   release build  →  fmt, clippy, docs  →  full test suite  →  low-memory
-#   batteries  →  benchmark smoke (`benchmark all --smoke`: the correctness
-#   gate on all four workloads, traced and untraced; a failed gate fails
-#   tier-1)  →  bare `repro` compared byte-for-byte with
-#   docs/repro_output.txt  →  audit  →  surface report
+#   release build  →  fmt, clippy, docs  →  full test suite  →  float-bit
+#   pins in release  →  low-memory batteries  →  benchmark smoke
+#   (`benchmark all --smoke`: the correctness gate on all four workloads,
+#   traced and untraced; a failed gate fails tier-1)  →  bare `repro`
+#   compared byte-for-byte with docs/repro_output.txt  →  audit  →  surface
+#   report
 #
 # Run from the repository root: ./scripts/tier1.sh
 
@@ -26,6 +27,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== tier-1: tests =="
 cargo test -q --workspace
+
+# The golden designs and the incremental evaluator are pinned to the f64
+# bit; the pins must hold with the optimiser on too.
+echo "== tier-1: float-bit pins under optimisation =="
+cargo test -q --release -p mvdesign --test designer_golden
+cargo test -q --release -p mvdesign --test incremental_eval
 
 echo "== tier-1: low-memory batteries (forced eviction + spill) =="
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_morsel
@@ -57,5 +64,7 @@ for crate in crates/*/; do
 done
 printf '%-12s %6d lines\n' "vendor/" "$(rust_lines vendor)"
 printf '%-12s %6d lines (every .rs under crates/)\n' "workspace" "$(rust_lines crates)"
+printf '%-12s %6d `pub parallelism` fields (thread-count knobs)\n' "knobs" \
+  "$(grep -rhE '^\s*pub parallelism:' crates --include='*.rs' | wc -l)"
 
 echo "tier-1 OK"

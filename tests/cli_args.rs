@@ -1,15 +1,21 @@
 //! `mvdesign-cli` rejects what it does not understand instead of running
-//! the default design: `error: …` plus the usage on stderr, exit 1.
+//! the default design: `error: …` plus the usage on stderr, exit 1. What it
+//! does understand it hands to the one `Designer`, and prints as it always
+//! has.
 
 use std::process::{Command, Output};
 
-fn design(options: &[&str]) -> Output {
-    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.mvd");
+fn design_on(scenario: &str, options: &[&str]) -> Output {
+    let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
     Command::new(env!("CARGO_BIN_EXE_mvdesign-cli"))
-        .args(["design", scenario])
+        .args(["design", &format!("{scenarios}/{scenario}.mvd")])
         .args(options)
         .output()
         .expect("mvdesign-cli runs")
+}
+
+fn design(options: &[&str]) -> Output {
+    design_on("paper", options)
 }
 
 /// Exit 1, nothing designed, and stderr starts `error:` and names `token`.
@@ -46,4 +52,53 @@ fn known_options_still_design() {
     let out = design(&["--algorithm", "exhaustive", "--parallelism", "1"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("9597644"));
+}
+
+/// FNV-1a of `design <scenario> --algorithm <name> --trace --dot`'s stdout,
+/// taken from the command while it still ran its own generate → annotate →
+/// select → keep-cheapest loop. Going through `Designer::design_with` (which
+/// fans the candidates out over `--parallelism` threads) must print the same
+/// bytes, at any thread count.
+const DESIGN_OUTPUT: [(&str, &str, u64); 14] = [
+    ("paper", "greedy", 0xd211730916d55b7b),
+    ("paper", "exhaustive", 0x75d49ff8be0f530c),
+    ("paper", "genetic", 0x93a1200adb9dd1a0),
+    ("paper", "annealing", 0x547d95d0f54ee175),
+    ("paper", "random", 0x905877871a5927cd),
+    ("paper", "all", 0x6f3c7a29f4b02a28),
+    ("paper", "none", 0x27036aa7581a5de9),
+    ("tpch", "greedy", 0xac5a4cef590d1c8b),
+    ("tpch", "exhaustive", 0xf8cd5e1cade99c82),
+    ("tpch", "genetic", 0x48d3c4f43e9a845c),
+    ("tpch", "annealing", 0xe8b4def76cf0cf58),
+    ("tpch", "random", 0x2e44102a92c6f941),
+    ("tpch", "all", 0x9fecbe5f7e3e292c),
+    ("tpch", "none", 0xad70ed5297c370ca),
+];
+
+#[test]
+fn design_output_is_unchanged_for_every_algorithm_at_any_parallelism() {
+    for (scenario, algorithm, recorded) in DESIGN_OUTPUT {
+        for parallelism in ["1", "3"] {
+            let options = [
+                "--algorithm",
+                algorithm,
+                "--parallelism",
+                parallelism,
+                "--trace",
+                "--dot",
+            ];
+            let out = design_on(scenario, &options);
+            assert_eq!(out.status.code(), Some(0), "{scenario} {options:?}");
+            let digest = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(
+                digest,
+                recorded,
+                "{scenario} {options:?} now prints:\n{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+    }
 }

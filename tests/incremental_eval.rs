@@ -1,7 +1,7 @@
 //! Equivalence guarantees for the memoized/parallel search engine: the
 //! incremental evaluator must agree with full evaluation on arbitrary flip
-//! sequences, and every parallelised algorithm must produce the same answer
-//! at any thread count.
+//! and jump sequences, and every parallelised algorithm must produce the
+//! same answer at any thread count.
 
 use std::collections::BTreeSet;
 
@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use mvdesign::core::{
     evaluate, evaluate_set, generate_mvpps, AnnotatedMvpp, Designer, DesignerConfig,
-    ExhaustiveSelection, GenerateConfig, GeneticSelection, IncrementalEvaluator, MaintenanceMode,
-    NodeSet, SelectionAlgorithm, UpdateWeighting,
+    ExhaustiveSelection, GenerateConfig, IncrementalEvaluator, MaintenanceMode, NodeSet,
+    SelectionAlgorithm, UpdateWeighting,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::optimizer::Planner;
@@ -142,22 +142,38 @@ proptest! {
         prop_assert_eq!(exhaustive.select(&a, mode), subset(best.1));
     }
 
-    /// The genetic algorithm evolves the same population — and picks the
-    /// same set — whether fitness is scored on one thread or many.
+    /// Any sequence of arbitrary frontiers through one evaluator — the
+    /// genetic search's only scoring path: each genome is a jump, not a
+    /// flip — leaves `total()` bit-equal to a fresh `evaluate_set` at every
+    /// step, whatever the memo has seen before.
     #[test]
-    fn genetic_is_thread_count_invariant(seed in 0_u64..500) {
+    fn frontier_jumps_agree_with_evaluate_set_bit_for_bit(
+        seed in 0_u64..1_000,
+        frontiers in proptest::collection::vec(
+            proptest::collection::vec(proptest::arbitrary::any::<bool>(), 64..=64_usize),
+            1..24,
+        ),
+    ) {
         let scenario = star(seed, 6);
         let a = annotate(&scenario);
-        let base = GeneticSelection {
-            population: 12,
-            generations: 8,
-            seed,
-            ..GeneticSelection::default()
-        };
-        let sequential = GeneticSelection { parallelism: 1, ..base };
-        let parallel = GeneticSelection { parallelism: 4, ..base };
-        let mode = MaintenanceMode::SharedRecompute;
-        prop_assert_eq!(sequential.select(&a, mode), parallel.select(&a, mode));
+        let interior = a.mvpp().interior();
+        for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
+            let mut eval = IncrementalEvaluator::new(&a, mode);
+            for picks in &frontiers {
+                let frontier = NodeSet::from_ids(
+                    a.mvpp().len(),
+                    interior
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| picks[i % picks.len()])
+                        .map(|(_, v)| *v),
+                );
+                eval.set_frontier(&frontier);
+                let full = evaluate_set(&a, &frontier, mode);
+                prop_assert_eq!(eval.total().to_bits(), full.total.to_bits());
+                prop_assert_eq!(eval.breakdown(), full);
+            }
+        }
     }
 }
 
