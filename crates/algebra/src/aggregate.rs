@@ -19,7 +19,13 @@ pub const AGG_RELATION: &str = "#agg";
 pub enum AggFunc {
     /// `COUNT(*)` or `COUNT(attr)` — number of rows in the group.
     Count,
-    /// `SUM(attr)` over integer attributes.
+    /// `SUM(attr)` over integer attributes, in two's-complement `i64`
+    /// arithmetic: a sum past `i64::MAX` (or below `i64::MIN`) **wraps**, in
+    /// every build profile — the engine's kernels, its delta fold and the
+    /// row reference all add with `wrapping_add`, so a debug build does not
+    /// panic where a release build answers. Wrapping addition is associative
+    /// and commutative, so the result does not depend on row order, morsel
+    /// boundaries or spill partitioning.
     Sum,
     /// `MIN(attr)`.
     Min,

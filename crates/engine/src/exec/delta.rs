@@ -332,7 +332,11 @@ fn fold_aggregate(
 fn combine(func: AggFunc, stored: &Value, partial: &Value, sign: i64) -> Option<Value> {
     match func {
         AggFunc::Count | AggFunc::Sum => match (stored, partial) {
-            (Value::Int(a), Value::Int(b)) => Some(Value::Int(a + sign * b)),
+            // Wrapping, like the kernels that produced both sides (see
+            // `AggFunc::Sum`): fold ≡ recompute must hold past i64::MAX too.
+            (Value::Int(a), Value::Int(b)) => {
+                Some(Value::Int(a.wrapping_add(sign.wrapping_mul(*b))))
+            }
             _ => None,
         },
         AggFunc::Min if sign > 0 => Some(stored.clone().min(partial.clone())),
@@ -514,21 +518,27 @@ mod tests {
         );
         let ctx = ExecContext::default();
         let view = execute(&expr, &old, &ctx).unwrap().into_batch();
-        let appended = vec![ints(&[1, 99]), ints(&[5, 1])];
-        let mut deltas = DeltaMap::new();
-        deltas.insert(RelName::new("R"), insert_only(&r_attrs, appended.clone()));
-        let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
-            .unwrap()
-            .expect("count/sum/max fold inserts");
+        // The second append takes group 1's SUM past i64::MAX: the fold
+        // must wrap exactly as the recomputation does.
+        for appended in [
+            vec![ints(&[1, 99]), ints(&[5, 1])],
+            vec![ints(&[1, i64::MAX]), ints(&[1, 99])],
+        ] {
+            let mut deltas = DeltaMap::new();
+            deltas.insert(RelName::new("R"), insert_only(&r_attrs, appended.clone()));
+            let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
+                .unwrap()
+                .expect("count/sum/max fold inserts");
 
-        let mut new = old.clone();
-        new.table_mut("R").unwrap().extend_rows(appended);
-        let want = execute(&expr, &new, &ctx).unwrap().into_batch();
-        let mut got_rows = folded.to_rows();
-        got_rows.sort();
-        let mut want_rows = want.to_rows();
-        want_rows.sort();
-        assert_eq!(got_rows, want_rows);
+            let mut new = old.clone();
+            new.table_mut("R").unwrap().extend_rows(appended);
+            let want = execute(&expr, &new, &ctx).unwrap().into_batch();
+            let mut got_rows = folded.to_rows();
+            got_rows.sort();
+            let mut want_rows = want.to_rows();
+            want_rows.sort();
+            assert_eq!(got_rows, want_rows);
+        }
     }
 
     #[test]

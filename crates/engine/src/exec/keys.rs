@@ -8,10 +8,126 @@
 //! never hash a string. Group keys pack up to [`COMPACT_GROUP_KEY_COLS`]
 //! column values into a fixed-width `[i64; 4]`, padded with `i64::MIN` —
 //! every key in one aggregation shares a width, so padding never collides.
+//!
+//! Every integer-keyed map in the engine hashes with [`IntHasher`], and the
+//! three hash joins share one build-side index, [`ChainTable`].
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::batch::Column;
+
+/// A multiply-rotate hasher (the FxHash recipe) for the engine's integer
+/// keys: raw `i64` join keys and packed [`CompactKey`]s.
+///
+/// `std`'s default SipHash is keyed per process to resist collision
+/// flooding by whoever chooses the keys of a long-lived map. These maps are
+/// not that: they live for one operator call, their keys are dictionary
+/// codes and integer columns of tables the warehouse's operator loaded, and
+/// a collision costs probe time, never a wrong result (equality is still
+/// checked on the full key). At a few nanoseconds per row SipHash was most
+/// of a group-by's or a probe's cost, so the integer paths trade the
+/// flooding resistance for one multiply per word. Maps keyed by anything
+/// else (`Vec<Value>` join keys, strings) keep the default hasher.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IntHasher(u64);
+
+/// 2^64 / φ, odd: multiplying by it spreads every input bit upwards (the
+/// hasher's mix and the radix partitioner's Fibonacci hash).
+pub(crate) const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl IntHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(HASH_MUL);
+    }
+}
+
+impl Hasher for IntHasher {
+    /// `[i64; N]` hashes as one byte slice; consume it a word at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.mix(v as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+
+    /// The multiply leaves the entropy in the high bits; the table picks
+    /// buckets from the low ones, so rotate the high bits down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The `BuildHasher` of every integer-keyed map in the engine.
+pub(crate) type IntBuildHasher = BuildHasherDefault<IntHasher>;
+
+/// A hash map under [`IntHasher`].
+pub(crate) type IntMap<K, V> = HashMap<K, V, IntBuildHasher>;
+
+/// End of a [`ChainTable`] chain.
+const NIL: u32 = u32::MAX;
+
+/// The build side of a hash join on raw `i64` keys — the one index behind
+/// the sequential, the partitioned-parallel and the Grace (spilled) join.
+///
+/// One map entry per *distinct* key holds the head of a chain threaded
+/// through `next`; entries with equal keys are linked in the order they
+/// were given. No per-key `Vec`, no allocation per build row.
+pub(crate) struct ChainTable {
+    heads: IntMap<i64, u32>,
+    /// `next[e]`: the next entry with entry `e`'s key, or [`NIL`].
+    next: Vec<u32>,
+    /// `rows[e]`: the build-side row of entry `e`.
+    rows: Vec<usize>,
+}
+
+impl ChainTable {
+    /// Indexes `(key, row)` entries. Entries are linked back to front, so
+    /// each chain runs in the order the entries were given: callers pass
+    /// rows ascending and [`ChainTable::probe`] emits matches ascending in
+    /// the build row — the order a `Vec` of matches per key used to give.
+    ///
+    /// # Panics
+    ///
+    /// Panics at 2^32 − 1 entries or more (chain links are `u32`).
+    pub(crate) fn build(
+        entries: impl ExactSizeIterator<Item = (i64, usize)> + DoubleEndedIterator,
+    ) -> Self {
+        let n = entries.len();
+        assert!(n < NIL as usize, "hash-join build side exceeds u32 links");
+        let mut heads = IntMap::with_capacity_and_hasher(n, IntBuildHasher::default());
+        let mut next = vec![NIL; n];
+        let mut rows = vec![0; n];
+        for (e, (key, row)) in entries.enumerate().rev() {
+            rows[e] = row;
+            if let Some(later) = heads.insert(key, e as u32) {
+                next[e] = later;
+            }
+        }
+        Self { heads, next, rows }
+    }
+
+    /// Appends `(i, j)` to the index vectors for every build row `j` whose
+    /// key is `key` — the one inner loop of every hash join.
+    pub(crate) fn probe(&self, i: usize, key: i64, lidx: &mut Vec<usize>, ridx: &mut Vec<usize>) {
+        let mut e = self.heads.get(&key).copied().unwrap_or(NIL);
+        while e != NIL {
+            lidx.push(i);
+            ridx.push(self.rows[e as usize]);
+            e = self.next[e as usize];
+        }
+    }
+}
 
 /// Widest group-by the compact fixed-width aggregate key covers.
 pub(crate) const COMPACT_GROUP_KEY_COLS: usize = 4;
@@ -97,15 +213,36 @@ pub(crate) fn raw_keys<'a>(
         .unwrap_or_default()
 }
 
-/// The column's values as raw `i64`s: borrowed for `Int`/`Date`, owned
-/// codes for dictionary columns (code equality is value equality, which is
-/// all grouping needs).
-pub(crate) fn raw_ints(col: &Column) -> Option<RawKeys<'_>> {
+/// One group-key column as grouping reads it: `Int`/`Date` storage or a
+/// dictionary column's codes, borrowed either way (code equality is value
+/// equality, which is all grouping needs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KeyLane<'a> {
+    Ints(&'a [i64]),
+    /// Dictionary codes, with the dictionary's size (every code is below it).
+    Codes {
+        codes: &'a [u32],
+        dict_len: usize,
+    },
+}
+
+impl KeyLane<'_> {
+    fn at(&self, i: usize) -> i64 {
+        match self {
+            KeyLane::Ints(v) => v[i],
+            KeyLane::Codes { codes, .. } => i64::from(codes[i]),
+        }
+    }
+}
+
+/// The column as a group-key lane, if it is integer-representable.
+pub(crate) fn key_lane(col: &Column) -> Option<KeyLane<'_>> {
     match col {
-        Column::Int(v) | Column::Date(v) => Some(RawKeys::Borrowed(v)),
-        Column::Dict { codes, .. } => Some(RawKeys::Owned(
-            codes.iter().map(|&c| i64::from(c)).collect(),
-        )),
+        Column::Int(v) | Column::Date(v) => Some(KeyLane::Ints(v)),
+        Column::Dict { codes, values } => Some(KeyLane::Codes {
+            codes,
+            dict_len: values.len(),
+        }),
         _ => None,
     }
 }
@@ -114,11 +251,11 @@ pub(crate) fn raw_ints(col: &Column) -> Option<RawKeys<'_>> {
 /// unused lanes with `i64::MIN`. Within one aggregation every key uses the
 /// same number of lanes, so two packed keys are equal iff the underlying
 /// key tuples are equal — the round-trip property the unit tests pin.
-pub(crate) fn pack_key(key_slices: &[&[i64]], i: usize) -> CompactKey {
-    debug_assert!(key_slices.len() <= COMPACT_GROUP_KEY_COLS);
+pub(crate) fn pack_key(lanes: &[KeyLane<'_>], i: usize) -> CompactKey {
+    debug_assert!(lanes.len() <= COMPACT_GROUP_KEY_COLS);
     let mut key = [i64::MIN; COMPACT_GROUP_KEY_COLS];
-    for (k, s) in key_slices.iter().enumerate() {
-        key[k] = s[i];
+    for (k, lane) in lanes.iter().enumerate() {
+        key[k] = lane.at(i);
     }
     key
 }
@@ -158,13 +295,13 @@ mod tests {
         let c0 = vec![1i64, 2, 3];
         let c1 = vec![-7i64, 0, i64::MAX];
         let c2 = vec![i64::MIN, 5, 9];
-        let cols: Vec<&[i64]> = vec![&c0, &c1, &c2];
+        let cols = [KeyLane::Ints(&c0), KeyLane::Ints(&c1), KeyLane::Ints(&c2)];
         for width in 1..=cols.len() {
             let slices = &cols[..width];
             for i in 0..3 {
                 let packed = pack_key(slices, i);
                 let unpacked = unpack_key(&packed, width);
-                let expected: Vec<i64> = slices.iter().map(|s| s[i]).collect();
+                let expected: Vec<i64> = slices.iter().map(|s| s.at(i)).collect();
                 assert_eq!(unpacked, expected.as_slice(), "width {width}, row {i}");
                 // Padding lanes are inert.
                 assert!(packed[width..].iter().all(|&p| p == i64::MIN));
@@ -178,7 +315,7 @@ mod tests {
         // to distinct keys, and equal tuples pack to equal keys.
         let a = vec![1i64, 1, i64::MIN];
         let b = vec![2i64, 2, 2];
-        let slices: Vec<&[i64]> = vec![&a, &b];
+        let slices = [KeyLane::Ints(&a), KeyLane::Ints(&b)];
         let keys: Vec<CompactKey> = (0..3).map(|i| pack_key(&slices, i)).collect();
         assert_ne!(keys[0], keys[2]); // (1,2) ≠ (MIN,2)
         assert_eq!(keys[0], keys[1]); // (1,2) = (1,2)
@@ -213,6 +350,46 @@ mod tests {
         assert_eq!(lk.as_slice(), &[0, 1, 0]);
         // "b" → left code 1, "zz" → -1 (never equals a left code).
         assert_eq!(rk.as_slice(), &[1, -1]);
+    }
+
+    #[test]
+    fn dictionary_lanes_read_codes_in_place() {
+        let d = Column::Dict {
+            codes: vec![2, 0, 2],
+            values: vec!["a".into(), "b".into(), "c".into()].into(),
+        };
+        let lane = key_lane(&d).expect("dict lane");
+        assert!(matches!(lane, KeyLane::Codes { dict_len: 3, .. }));
+        assert_eq!(pack_key(&[lane], 0)[0], 2);
+        assert!(key_lane(&Column::Text(vec![])).is_none());
+    }
+
+    #[test]
+    fn chains_emit_build_rows_in_the_order_given() {
+        // Key 7 at rows 1, 4, 9 and key i64::MIN at row 3; the chain of a
+        // key lists its rows as given, whatever other keys sit between.
+        let entries = [(7, 1), (i64::MIN, 3), (7, 4), (0, 5), (7, 9)];
+        let table = ChainTable::build(entries.into_iter());
+        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+        table.probe(0, 7, &mut lidx, &mut ridx);
+        table.probe(1, 8, &mut lidx, &mut ridx);
+        table.probe(2, i64::MIN, &mut lidx, &mut ridx);
+        assert_eq!(lidx, [0, 0, 0, 2]);
+        assert_eq!(ridx, [1, 4, 9, 3]);
+        let empty = ChainTable::build(std::iter::empty());
+        empty.probe(0, 7, &mut lidx, &mut ridx);
+        assert_eq!(lidx.len(), 4);
+    }
+
+    #[test]
+    fn int_hasher_spreads_strided_keys_over_low_bits() {
+        // Keys that differ only above bit 16 must not share their low hash
+        // bits — the bucket index — which a bare multiply would leave zero.
+        use std::hash::BuildHasher;
+        let low: std::collections::HashSet<u64> = (0..256i64)
+            .map(|k| IntBuildHasher::default().hash_one(k << 16) & 0xFF)
+            .collect();
+        assert!(low.len() > 128, "only {} distinct low bytes", low.len());
     }
 
     #[test]

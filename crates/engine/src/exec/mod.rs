@@ -48,8 +48,8 @@ use crate::batch::{Batch, Column};
 use crate::table::{Database, Table};
 
 use keys::{
-    group_cardinality_hint, pack_key, raw_ints, raw_keys, CompactKey, RawKeys,
-    COMPACT_GROUP_KEY_COLS,
+    group_cardinality_hint, key_lane, pack_key, raw_keys, ChainTable, CompactKey, IntMap, KeyLane,
+    COMPACT_GROUP_KEY_COLS, HASH_MUL,
 };
 use morsel::{run_morsels, run_tasks};
 pub use morsel::{ExecContext, DEFAULT_MORSEL_ROWS};
@@ -159,36 +159,20 @@ pub(crate) fn project_batch(batch: &Batch, attrs: &[AttrRef]) -> Result<Batch, E
     Ok(batch.select_columns(&idx))
 }
 
-/// Join kernel: resolves the condition to column offsets once, produces
-/// matching (left, right) index vectors under the context's algorithm, then
-/// gathers both sides and glues them.
+/// Join kernel over two resident batches, every column kept: the walker's
+/// [`paged::join_view`] with nothing pruned.
 pub(crate) fn join_batch(
     l: &Batch,
     r: &Batch,
     on: &JoinCondition,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
-    // Resolve each condition pair to (left index, right index).
-    let mut pairs = Vec::with_capacity(on.pairs().len());
-    for (a, b) in on.pairs() {
-        let resolved = match (l.index_of(a), r.index_of(b)) {
-            (Some(la), Some(rb)) => (la, rb),
-            _ => match (l.index_of(b), r.index_of(a)) {
-                (Some(lb), Some(ra)) => (lb, ra),
-                _ => return Err(ExecError::MissingAttr(a.clone())),
-            },
-        };
-        pairs.push(resolved);
-    }
-    let lcols: Vec<&Column> = pairs.iter().map(|&(li, _)| l.column(li)).collect();
-    let rcols: Vec<&Column> = pairs.iter().map(|&(_, ri)| r.column(ri)).collect();
-    let (lidx, ridx) = join_indices(l.rows(), r.rows(), &lcols, &rcols, ctx)?;
-    Ok(Batch::hstack(&l.gather(&lidx), &r.gather(&ridx)))
+    let (l, r) = (View::Resident(l.clone()), View::Resident(r.clone()));
+    paged::join_view(&l, &r, on, None, ctx).map(View::into_batch)
 }
 
-/// Dispatches the resolved key columns to the context's join algorithm.
-/// Shared by the resident kernel ([`join_batch`]) and the paged view kernel,
-/// so both sides of the differential battery run the very same index code.
+/// Dispatches the resolved key columns to the context's join algorithm —
+/// the same index code whether the inputs are resident or paged.
 fn join_indices(
     ln: usize,
     rn: usize,
@@ -285,8 +269,6 @@ fn hash_indices(
     ctx: &ExecContext,
 ) -> Result<(Vec<usize>, Vec<usize>), ExecError> {
     use std::collections::HashMap;
-    let mut lidx = Vec::new();
-    let mut ridx = Vec::new();
     if let [(lk, rk)] = raw_keys(lcols, rcols).as_slice() {
         let (lk, rk) = (lk.as_slice(), rk.as_slice());
         // The spill check comes before the parallel check: under a small
@@ -299,20 +281,16 @@ fn hash_indices(
         if ctx.is_parallel(ln.max(rn)) {
             return Ok(partitioned_hash_join(lk, rk, ctx));
         }
-        let mut built: HashMap<i64, Vec<usize>> = HashMap::new();
-        for (j, b) in rk.iter().enumerate() {
-            built.entry(*b).or_default().push(j);
-        }
+        let table = ChainTable::build(rk.iter().copied().zip(0..rn));
+        // One match per probe row is the foreign-key case; reserve for it.
+        let (mut lidx, mut ridx) = (Vec::with_capacity(ln), Vec::with_capacity(ln));
         for (i, a) in lk.iter().enumerate() {
-            if let Some(matches) = built.get(a) {
-                for &j in matches {
-                    lidx.push(i);
-                    ridx.push(j);
-                }
-            }
+            table.probe(i, *a, &mut lidx, &mut ridx);
         }
         return Ok((lidx, ridx));
     }
+    let mut lidx = Vec::new();
+    let mut ridx = Vec::new();
     let mut built: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
     for j in 0..rn {
         let key: Vec<Value> = rcols.iter().map(|c| c.value(j)).collect();
@@ -419,10 +397,10 @@ fn read_raw_records(
 ///
 /// Both sides scatter `(key, row)` records into radix partitions on an
 /// operator-local [`crate::storage::SpillStore`] file; each partition is
-/// then small enough to build and probe in memory on its own. A key lives
-/// in exactly one partition, so per-partition output pairs are the
-/// sequential join's pairs for that partition's probe rows, with per-key
-/// build matches ascending in `j`. The final merge walks probe rows
+/// then small enough to build (one [`ChainTable`]) and probe in memory on
+/// its own. A key lives in exactly one partition, so per-partition output
+/// pairs are the sequential join's pairs for that partition's probe rows,
+/// with per-key build matches ascending in `j`. The final merge walks probe rows
 /// `i = 0..ln` and drains partition `partition_of(lk[i])`'s pair cursor
 /// while it still points at `i` — reproducing the sequential probe order
 /// bit-for-bit at any partition count.
@@ -431,43 +409,33 @@ fn grace_hash_join(
     rk: &[i64],
     ctx: &ExecContext,
 ) -> Result<(Vec<usize>, Vec<usize>), ExecError> {
-    use std::collections::HashMap;
     let parts = spill_partitions((lk.len() + rk.len()) * JOIN_RECORD_BYTES, ctx);
     let shift = 64 - parts.trailing_zeros();
     let store = crate::storage::SpillStore::create().map_err(spill_error)?;
     let right_runs = scatter_raw_keys(rk, &store, parts, shift)?;
     let left_runs = scatter_raw_keys(lk, &store, parts, shift)?;
 
-    let mut part_pairs: Vec<std::vec::IntoIter<(usize, usize)>> = Vec::with_capacity(parts);
+    // Per partition: its (probe row, build row) pairs, probe rows ascending.
+    let mut part_pairs: Vec<(Vec<usize>, Vec<usize>)> = Vec::with_capacity(parts);
     for p in 0..parts {
-        let mut built: HashMap<i64, Vec<usize>> = HashMap::new();
-        for (key, j) in read_raw_records(&store, &right_runs[p])? {
-            built.entry(key).or_default().push(j);
-        }
-        let mut pairs = Vec::new();
+        let table = ChainTable::build(read_raw_records(&store, &right_runs[p])?.into_iter());
+        let mut pairs = (Vec::new(), Vec::new());
         for (key, i) in read_raw_records(&store, &left_runs[p])? {
-            if let Some(matches) = built.get(&key) {
-                for &j in matches {
-                    pairs.push((i, j));
-                }
-            }
+            table.probe(i, key, &mut pairs.0, &mut pairs.1);
         }
-        part_pairs.push(pairs.into_iter());
+        part_pairs.push(pairs);
     }
 
-    let mut lidx = Vec::new();
-    let mut ridx = Vec::new();
-    let mut heads: Vec<Option<(usize, usize)>> =
-        part_pairs.iter_mut().map(Iterator::next).collect();
+    let total: usize = part_pairs.iter().map(|(l, _)| l.len()).sum();
+    let (mut lidx, mut ridx) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    let mut cursors = vec![0usize; parts];
     for (i, k) in lk.iter().enumerate() {
         let p = partition_of(*k, shift);
-        while let Some((pi, pj)) = heads[p] {
-            if pi != i {
-                break;
-            }
-            lidx.push(pi);
-            ridx.push(pj);
-            heads[p] = part_pairs[p].next();
+        let (pl, pr) = &part_pairs[p];
+        while pl.get(cursors[p]) == Some(&i) {
+            lidx.push(i);
+            ridx.push(pr[cursors[p]]);
+            cursors[p] += 1;
         }
     }
     Ok((lidx, ridx))
@@ -477,22 +445,21 @@ fn grace_hash_join(
 /// the top bits well-mixed, and the top `log2(partitions)` bits pick the
 /// partition.
 fn partition_of(key: i64, shift: u32) -> usize {
-    (((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> shift) as usize
+    (((key as u64).wrapping_mul(HASH_MUL)) >> shift) as usize
 }
 
 /// Partitioned parallel hash join on raw `i64` keys.
 ///
 /// Build: right rows scatter into radix partitions (one sequential pass, so
 /// each partition's row list is ascending in `j`), then one worker per
-/// partition builds that partition's hash table — every key lives in
-/// exactly one partition, so each key's match list is ascending in `j`,
-/// exactly as the sequential build produces. Probe: left rows split into
+/// partition builds that partition's [`ChainTable`] — every key lives in
+/// exactly one partition, so each key's chain is ascending in `j`, exactly
+/// as the sequential build produces. Probe: left rows split into
 /// morsels, each worker emits `(i, j)` pairs in left order against the
 /// partition tables, and the per-morsel vectors concatenate in morsel
 /// order. Output is therefore bit-identical to the sequential hash join
 /// for every partition count, thread count and interleaving.
 fn partitioned_hash_join(lk: &[i64], rk: &[i64], ctx: &ExecContext) -> (Vec<usize>, Vec<usize>) {
-    use std::collections::HashMap;
     let workers = ctx.effective_threads();
     let parts = (workers * 2).next_power_of_two().clamp(2, 64);
     let shift = 64 - parts.trailing_zeros();
@@ -500,24 +467,16 @@ fn partitioned_hash_join(lk: &[i64], rk: &[i64], ctx: &ExecContext) -> (Vec<usiz
     for (j, b) in rk.iter().enumerate() {
         part_rows[partition_of(*b, shift)].push(j);
     }
-    let tables: Vec<HashMap<i64, Vec<usize>>> = run_tasks(parts, workers, |p| {
-        let mut table: HashMap<i64, Vec<usize>> = HashMap::with_capacity(part_rows[p].len());
-        for &j in &part_rows[p] {
-            table.entry(rk[j]).or_default().push(j);
-        }
-        table
+    let tables: Vec<ChainTable> = run_tasks(parts, workers, |p| {
+        ChainTable::build(part_rows[p].iter().map(|&j| (rk[j], j)))
     });
     merge_index_morsels(run_morsels(lk.len(), ctx, |range| {
-        let mut lidx = Vec::new();
-        let mut ridx = Vec::new();
+        let (mut lidx, mut ridx) = (
+            Vec::with_capacity(range.len()),
+            Vec::with_capacity(range.len()),
+        );
         for i in range {
-            let a = lk[i];
-            if let Some(matches) = tables[partition_of(a, shift)].get(&a) {
-                for &j in matches {
-                    lidx.push(i);
-                    ridx.push(j);
-                }
-            }
+            tables[partition_of(lk[i], shift)].probe(i, lk[i], &mut lidx, &mut ridx);
         }
         (lidx, ridx)
     }))
@@ -620,8 +579,26 @@ fn sort_merge_raw(lk: &[i64], rk: &[i64]) -> (Vec<usize>, Vec<usize>) {
     (lidx, ridx)
 }
 
-/// Hash-aggregation kernel: offsets resolved once, keys and accumulator
-/// feeds read straight from the columns, output built column-wise.
+/// Hash-aggregation kernel, in two passes over typed columns. Pass 1
+/// ([`assign_group_ids`]) gives every row a dense group id; pass 2
+/// ([`GroupStates::fold`]) runs one loop per aggregate that folds the input
+/// column into per-group accumulators, computing only what that aggregate
+/// reads. [`finalize_groups`] then sorts the groups by key and lays the
+/// result out column-wise, so the output does not depend on which of the
+/// three schedules built the groups:
+///
+/// * one call of each pass over all rows;
+/// * under a parallel context, one call of each per morsel, the partials
+///   merged **in morsel order** — morsel order is row order, so a group's
+///   first appearance among the merged partials is its globally first row;
+/// * spill-partitioned ([`aggregate_spill`]) when the packed-key state
+///   would exceed the memory budget — checked first, mirroring the hash
+///   join, so low-memory reruns take it at every thread count.
+///
+/// The last two need integer-representable keys (at most
+/// [`COMPACT_GROUP_KEY_COLS`] `Int`/`Date`/`Dict` columns); any other
+/// grouping — text or mixed keys, wider keys, no keys — groups by value in
+/// one sequential call.
 pub(crate) fn aggregate_batch(
     batch: &Batch,
     group_by: &[AttrRef],
@@ -648,172 +625,308 @@ pub(crate) fn aggregate_batch(
         })
         .collect::<Result<_, _>>()?;
 
-    if !gcols.is_empty() && gcols.len() <= COMPACT_GROUP_KEY_COLS {
-        if let Some(keys) = gcols
+    let rows = batch.rows();
+    let lanes: Option<Vec<KeyLane<'_>>> =
+        if gcols.is_empty() || gcols.len() > COMPACT_GROUP_KEY_COLS {
+            None
+        } else {
+            gcols.iter().map(|c| key_lane(c)).collect()
+        };
+    let keys = GroupKeys {
+        cols: &gcols,
+        lanes: lanes.as_deref(),
+    };
+    let mut reps = Vec::new();
+    let mut states = GroupStates::new(aggs, &acols);
+    if lanes.is_some() && spill_needed(ctx, rows * AGG_RECORD_BYTES) {
+        aggregate_spill(rows, &keys, &mut reps, &mut states, ctx)?;
+    } else if lanes.is_some() && ctx.is_parallel(rows) {
+        let parts = run_morsels(rows, ctx, |range| {
+            let mut reps = Vec::new();
+            let gids = assign_group_ids(&keys, range.clone(), &mut reps);
+            let mut states = GroupStates::new(aggs, &acols);
+            states.fold(range, &gids, reps.len());
+            (reps, states)
+        });
+        // A partial group's key is its representative row's key, so merging
+        // is pass 1 over the representatives, in morsel order.
+        let part_reps: Vec<usize> = parts.iter().flat_map(|(r, _)| r).copied().collect();
+        let dst = assign_group_ids(&keys, part_reps.iter().copied(), &mut reps);
+        let mut at = 0;
+        for (part_reps, part) in &parts {
+            states.absorb(part, &dst[at..at + part_reps.len()], reps.len());
+            at += part_reps.len();
+        }
+    } else {
+        let gids = assign_group_ids(&keys, 0..rows, &mut reps);
+        states.fold(0..rows, &gids, reps.len());
+    }
+    Ok(finalize_groups(group_by, aggs, &gcols, &reps, &states))
+}
+
+/// The grouping columns of one aggregation: as columns, and as integer
+/// lanes when every one of them is integer-representable.
+struct GroupKeys<'a> {
+    cols: &'a [&'a Column],
+    lanes: Option<&'a [KeyLane<'a>]>,
+}
+
+/// Table slot of a key no row has shown yet.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Pass 1 of aggregation — the one place group ids are assigned. Returns a
+/// dense group id per row of `rows`, numbering groups in first-appearance
+/// order from `reps.len()` and appending each new group's first row to
+/// `reps`; keys `rows` does not visit are unknown to it, so successive
+/// calls over disjoint key sets (spill partitions) number on.
+///
+/// A single dictionary key whose dictionary is no larger than the input
+/// indexes a direct table by code; other integer keys look their packed key
+/// up in a map under the engine's integer hasher; anything else groups by
+/// value. The choice reads the columns, never a setting, and does not show
+/// in the ids.
+fn assign_group_ids(
+    keys: &GroupKeys<'_>,
+    rows: impl ExactSizeIterator<Item = usize>,
+    reps: &mut Vec<usize>,
+) -> Vec<u32> {
+    let mut gids = Vec::with_capacity(rows.len());
+    let mut id_at = |slot: &mut u32, row: usize| {
+        if *slot == NO_GROUP {
+            assert!(reps.len() < NO_GROUP as usize, "group ids are u32");
+            *slot = reps.len() as u32;
+            reps.push(row);
+        }
+        *slot
+    };
+    match keys.lanes {
+        Some([KeyLane::Codes { codes, dict_len }]) if *dict_len <= rows.len() => {
+            let mut table = vec![NO_GROUP; *dict_len];
+            for i in rows {
+                gids.push(id_at(&mut table[codes[i] as usize], i));
+            }
+        }
+        Some(lanes) => {
+            let hint = group_cardinality_hint(keys.cols, rows.len());
+            let mut table: IntMap<CompactKey, u32> =
+                IntMap::with_capacity_and_hasher(hint, Default::default());
+            for i in rows {
+                gids.push(id_at(
+                    table.entry(pack_key(lanes, i)).or_insert(NO_GROUP),
+                    i,
+                ));
+            }
+        }
+        None => {
+            let mut table: BTreeMap<Vec<Value>, u32> = BTreeMap::new();
+            for i in rows {
+                let key = keys.cols.iter().map(|c| c.value(i)).collect();
+                gids.push(id_at(table.entry(key).or_insert(NO_GROUP), i));
+            }
+        }
+    }
+    gids
+}
+
+/// How one aggregate accumulates: only what its [`AggFunc`] reads.
+enum Acc<'a> {
+    /// `COUNT`, of anything: reads the shared per-group row counts.
+    Count,
+    /// `SUM`/`AVG`/`MIN`/`MAX` over an `Int` or `Date` column: one `i64`
+    /// per group, folded over the column's storage; `wrap` re-types the
+    /// finished value (`MIN`/`MAX` of dates are dates, sums are integers).
+    Ints {
+        vals: &'a [i64],
+        fold: IntFold,
+        wrap: fn(i64) -> Value,
+        acc: Vec<i64>,
+    },
+    /// Text, mixed or absent input: the row-at-a-time fallback.
+    Rows {
+        col: Option<&'a Column>,
+        states: Vec<AggState>,
+    },
+}
+
+/// The three folds of an `i64` accumulator.
+#[derive(Debug, Clone, Copy)]
+enum IntFold {
+    /// Wrapping addition (`SUM`, `AVG`, and merging row counts).
+    Sum,
+    Min,
+    Max,
+}
+
+impl IntFold {
+    /// What a group that has seen no row holds.
+    fn identity(self) -> i64 {
+        match self {
+            IntFold::Sum => 0,
+            IntFold::Min => i64::MAX,
+            IntFold::Max => i64::MIN,
+        }
+    }
+
+    /// `acc[gids[k]] ∘= vals[rows[k]]` for every `k` — the typed inner loop
+    /// of pass 2, and of merging partial accumulators (where the "rows" are
+    /// a partial's groups). One monomorphic loop per fold.
+    fn run(self, acc: &mut [i64], vals: &[i64], rows: impl Iterator<Item = usize>, gids: &[u32]) {
+        fn each(
+            acc: &mut [i64],
+            vals: &[i64],
+            rows: impl Iterator<Item = usize>,
+            gids: &[u32],
+            f: impl Fn(i64, i64) -> i64,
+        ) {
+            for (i, &g) in rows.zip(gids) {
+                let a = &mut acc[g as usize];
+                *a = f(*a, vals[i]);
+            }
+        }
+        match self {
+            IntFold::Sum => each(acc, vals, rows, gids, i64::wrapping_add),
+            IntFold::Min => each(acc, vals, rows, gids, i64::min),
+            IntFold::Max => each(acc, vals, rows, gids, i64::max),
+        }
+    }
+}
+
+/// Pass 2 of aggregation: per-group accumulators, one [`Acc`] per aggregate
+/// plus the row counts `COUNT` and `AVG` share.
+struct GroupStates<'a> {
+    /// Rows per group; maintained only when an aggregate reads it.
+    counts: Option<Vec<i64>>,
+    accs: Vec<Acc<'a>>,
+}
+
+impl<'a> GroupStates<'a> {
+    fn new(aggs: &[AggExpr], acols: &[Option<&'a Column>]) -> Self {
+        let accs = aggs
             .iter()
-            .map(|c| raw_ints(c))
-            .collect::<Option<Vec<_>>>()
-        {
-            return aggregate_compact(batch.rows(), group_by, aggs, &gcols, &acols, &keys, ctx);
+            .zip(acols)
+            .map(|(agg, col)| {
+                let (vals, wrap): (&[i64], fn(i64) -> Value) = match (agg.func, col) {
+                    (AggFunc::Count, _) => return Acc::Count,
+                    (_, Some(Column::Int(v))) => (v, Value::Int),
+                    (AggFunc::Min | AggFunc::Max, Some(Column::Date(v))) => (v, Value::Date),
+                    (_, Some(Column::Date(v))) => (v, Value::Int),
+                    _ => {
+                        return Acc::Rows {
+                            col: *col,
+                            states: Vec::new(),
+                        }
+                    }
+                };
+                let fold = match agg.func {
+                    AggFunc::Min => IntFold::Min,
+                    AggFunc::Max => IntFold::Max,
+                    _ => IntFold::Sum,
+                };
+                Acc::Ints {
+                    vals,
+                    fold,
+                    wrap,
+                    acc: Vec::new(),
+                }
+            })
+            .collect();
+        let counted = aggs
+            .iter()
+            .any(|a| matches!(a.func, AggFunc::Count | AggFunc::Avg));
+        Self {
+            counts: counted.then(Vec::new),
+            accs,
         }
     }
 
-    // BTreeMap keeps group output deterministic (sorted by key), matching
-    // the row reference.
-    let mut groups: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-    for i in 0..batch.rows() {
-        let key: Vec<Value> = gcols.iter().map(|c| c.value(i)).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| vec![AggState::default(); aggs.len()]);
-        for (state, col) in states.iter_mut().zip(&acols) {
-            state.feed(col.map(|c| c.value(i)));
+    /// Extends every accumulator to `n_groups` groups, new ones at their
+    /// fold's identity.
+    fn grow(&mut self, n_groups: usize) {
+        if let Some(counts) = &mut self.counts {
+            counts.resize(n_groups, 0);
+        }
+        for acc in &mut self.accs {
+            match acc {
+                Acc::Count => {}
+                Acc::Ints { fold, acc, .. } => acc.resize(n_groups, fold.identity()),
+                Acc::Rows { states, .. } => states.resize(n_groups, AggState::default()),
+            }
         }
     }
 
-    let mut attrs = group_by.to_vec();
-    attrs.extend(aggs.iter().map(|a| a.output_attr()));
-    let mut columns: Vec<Column> = attrs.iter().map(|_| Column::empty()).collect();
-    let n_groups = groups.len();
-    for (key, states) in groups {
-        for (col, v) in columns.iter_mut().zip(key) {
-            col.push(v);
+    /// Folds `rows` into the groups `gids` assigns them (`gids[k]` is the
+    /// group of the `k`-th of `rows`, below `n_groups`).
+    fn fold(&mut self, rows: impl Iterator<Item = usize> + Clone, gids: &[u32], n_groups: usize) {
+        self.grow(n_groups);
+        if let Some(counts) = &mut self.counts {
+            for &g in gids {
+                counts[g as usize] += 1;
+            }
         }
-        for ((col, state), agg) in columns[group_by.len()..].iter_mut().zip(&states).zip(aggs) {
-            col.push(state.finish(agg.func));
-        }
-    }
-    let columns = columns.into_iter().map(Arc::new).collect();
-    let out = Batch::new(attrs, columns);
-    debug_assert_eq!(out.rows(), n_groups);
-    Ok(out)
-}
-
-/// The hash-build of one row range: groups in first-appearance order, with
-/// the packed key, representative row and accumulator states per group.
-struct GroupBuild {
-    keys: Vec<CompactKey>,
-    reps: Vec<usize>,
-    states: Vec<Vec<AggState>>,
-}
-
-/// Builds group states for `range`'s rows. Groups come out in
-/// first-appearance order within the range; `reps` holds each group's first
-/// row index (absolute, not range-relative).
-fn build_groups(
-    range: Range<usize>,
-    key_slices: &[&[i64]],
-    acols: &[Option<&Column>],
-    n_aggs: usize,
-    capacity: usize,
-) -> GroupBuild {
-    use std::collections::HashMap;
-    let mut map: HashMap<CompactKey, usize> = HashMap::with_capacity(capacity);
-    let mut build = GroupBuild {
-        keys: Vec::new(),
-        reps: Vec::new(),
-        states: Vec::new(),
-    };
-    for i in range {
-        let key = pack_key(key_slices, i);
-        let next = build.states.len();
-        let gid = *map.entry(key).or_insert(next);
-        if gid == next {
-            build.keys.push(key);
-            build.reps.push(i);
-            build.states.push(vec![AggState::default(); n_aggs]);
-        }
-        for (state, col) in build.states[gid].iter_mut().zip(acols) {
-            state.feed(col.map(|c| c.value(i)));
-        }
-    }
-    build
-}
-
-/// Merges per-morsel group builds **in morsel order**. Because morsel order
-/// is row order, a group's first appearance across the merged builds is its
-/// globally first row — so the merged `reps` and group order are exactly
-/// what a single sequential build over all rows produces, and state merging
-/// ([`AggState::merge`]) folds later-row partials into earlier-row partials
-/// just as sequential `feed`s would.
-fn merge_group_builds(parts: Vec<GroupBuild>, capacity: usize) -> GroupBuild {
-    use std::collections::HashMap;
-    let mut map: HashMap<CompactKey, usize> = HashMap::with_capacity(capacity);
-    let mut merged = GroupBuild {
-        keys: Vec::new(),
-        reps: Vec::new(),
-        states: Vec::new(),
-    };
-    for part in parts {
-        for ((key, rep), states) in part.keys.into_iter().zip(part.reps).zip(part.states) {
-            let next = merged.states.len();
-            let gid = *map.entry(key).or_insert(next);
-            if gid == next {
-                merged.keys.push(key);
-                merged.reps.push(rep);
-                merged.states.push(states);
-            } else {
-                for (dst, src) in merged.states[gid].iter_mut().zip(&states) {
-                    dst.merge(src);
+        for acc in &mut self.accs {
+            match acc {
+                Acc::Count => {}
+                Acc::Ints {
+                    vals, fold, acc, ..
+                } => fold.run(acc, vals, rows.clone(), gids),
+                Acc::Rows { col, states } => {
+                    for (i, &g) in rows.clone().zip(gids) {
+                        states[g as usize].feed(col.map(|c| c.value(i)));
+                    }
                 }
             }
         }
     }
-    merged
-}
 
-/// Hash-aggregation fast path for int/date/dict group keys: a fixed-width
-/// `[i64; 4]` key padded with `i64::MIN` (every key in one aggregation
-/// shares a width, so padding never collides), a hash map pre-sized from
-/// [`group_cardinality_hint`], and flat per-group state vectors. Output
-/// groups are sorted by decoded key order afterwards, matching the
-/// `BTreeMap` slow path and the row reference exactly. Under a parallel
-/// context each worker builds groups for its morsels locally and the
-/// partials merge in morsel order — bit-identical output either way.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_compact(
-    rows: usize,
-    group_by: &[AttrRef],
-    aggs: &[AggExpr],
-    gcols: &[&Column],
-    acols: &[Option<&Column>],
-    keys: &[RawKeys<'_>],
-    ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    let key_slices: Vec<&[i64]> = keys.iter().map(RawKeys::as_slice).collect();
-    // The spill check comes before the parallel check, mirroring the hash
-    // join: under a small budget the aggregation partitions its key records
-    // to disk at every thread count.
-    if spill_needed(ctx, rows * AGG_RECORD_BYTES) {
-        return aggregate_spill(rows, group_by, aggs, gcols, acols, &key_slices, ctx);
+    /// Folds `part`'s groups in, group `g` of `part` into group `dst[g]`.
+    /// `part` must cover rows strictly after every row already folded
+    /// (morsel merge order), so ties between extrema keep the earlier row's
+    /// value exactly as one sequential [`GroupStates::fold`] would.
+    fn absorb(&mut self, part: &GroupStates<'_>, dst: &[u32], n_groups: usize) {
+        self.grow(n_groups);
+        if let (Some(counts), Some(part)) = (&mut self.counts, &part.counts) {
+            IntFold::Sum.run(counts, part, 0..dst.len(), dst);
+        }
+        for (acc, part) in self.accs.iter_mut().zip(&part.accs) {
+            match (acc, part) {
+                (Acc::Ints { fold, acc, .. }, Acc::Ints { acc: part, .. }) => {
+                    fold.run(acc, part, 0..dst.len(), dst);
+                }
+                (Acc::Rows { states, .. }, Acc::Rows { states: part, .. }) => {
+                    for (src, &g) in part.iter().zip(dst) {
+                        states[g as usize].merge(src);
+                    }
+                }
+                _ => {}
+            }
+        }
     }
-    let hint = group_cardinality_hint(gcols, rows);
-    let GroupBuild { reps, states, .. } = if ctx.is_parallel(rows) {
-        let morsel_hint = hint.min(ctx.morsel());
-        merge_group_builds(
-            run_morsels(rows, ctx, |range| {
-                build_groups(range, &key_slices, acols, aggs.len(), morsel_hint)
-            }),
-            hint,
-        )
-    } else {
-        build_groups(0..rows, &key_slices, acols, aggs.len(), hint)
-    };
-    Ok(finalize_groups(group_by, aggs, gcols, &reps, &states))
+
+    /// The finished value of aggregate `a` (computing `func`) for group `g`.
+    fn finish(&self, g: usize, a: usize, func: AggFunc) -> Value {
+        let count = || self.counts.as_ref().expect("COUNT/AVG keep counts")[g];
+        match &self.accs[a] {
+            Acc::Count => Value::Int(count()),
+            // A group holds at least one row, so the divisor is positive.
+            Acc::Ints { acc, .. } if func == AggFunc::Avg => Value::Int(acc[g] / count()),
+            Acc::Ints { acc, wrap, .. } => wrap(acc[g]),
+            Acc::Rows { states, .. } => states[g].finish(func),
+        }
+    }
 }
 
 /// Sorts finished groups by decoded key order and lays the result out
-/// column-wise — the shared tail of the in-memory and spilled compact
-/// aggregation paths. Distinct groups have distinct decoded keys (raw keys
-/// are values or dictionary codes, and dictionary tables hold unique
-/// strings), so the sort has a unique total order and the output does not
-/// depend on which path — or which partitioning — produced the groups.
+/// column-wise — the shared tail of every aggregation schedule. Distinct
+/// groups have distinct decoded keys (raw keys are values or dictionary
+/// codes, and dictionary tables hold unique strings), so the sort has a
+/// unique total order and the output does not depend on which schedule — or
+/// which partitioning — produced the groups.
 fn finalize_groups(
     group_by: &[AttrRef],
     aggs: &[AggExpr],
     gcols: &[&Column],
     reps: &[usize],
-    states: &[Vec<AggState>],
+    states: &GroupStates<'_>,
 ) -> Batch {
     let mut order: Vec<usize> = (0..reps.len()).collect();
     order.sort_by(|&x, &y| {
@@ -830,12 +943,8 @@ fn finalize_groups(
         for (col, gc) in columns.iter_mut().zip(gcols) {
             col.push(gc.value(reps[g]));
         }
-        for ((col, state), agg) in columns[group_by.len()..]
-            .iter_mut()
-            .zip(&states[g])
-            .zip(aggs)
-        {
-            col.push(state.finish(agg.func));
+        for (a, (col, agg)) in columns[group_by.len()..].iter_mut().zip(aggs).enumerate() {
+            col.push(states.finish(g, a, agg.func));
         }
     }
     Batch::new(attrs, columns.into_iter().map(Arc::new).collect())
@@ -855,24 +964,22 @@ fn fold_compact_key(key: &CompactKey) -> i64 {
 ///
 /// One buffered sequential pass scatters `(packed key, row)` records into
 /// radix partitions on an operator-local spill file, so each partition's
-/// records come back in ascending row order. Every group key lives in
-/// exactly one partition, so building that partition's groups by feeding
-/// `acols` at the stored row indices produces, for each group, exactly the
-/// states and first-row representative the single in-memory build produces.
-/// The concatenated per-partition groups then share [`finalize_groups`]'s
-/// key-order sort, which makes the output identical to the in-memory path
-/// at any partition count.
-#[allow(clippy::too_many_arguments)]
+/// rows come back in ascending order. Every group key lives in exactly one
+/// partition, so running both passes over one partition's rows at a time —
+/// the very [`assign_group_ids`] and [`GroupStates::fold`] the in-memory
+/// schedules run, with the key table dropped between partitions — yields
+/// for each group exactly the state and first-row representative a single
+/// in-memory build produces. Groups come out partition by partition;
+/// [`finalize_groups`]'s key-order sort makes the output identical to the
+/// in-memory path at any partition count.
 fn aggregate_spill(
     rows: usize,
-    group_by: &[AttrRef],
-    aggs: &[AggExpr],
-    gcols: &[&Column],
-    acols: &[Option<&Column>],
-    key_slices: &[&[i64]],
+    keys: &GroupKeys<'_>,
+    reps: &mut Vec<usize>,
+    states: &mut GroupStates<'_>,
     ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    use std::collections::HashMap;
+) -> Result<(), ExecError> {
+    let lanes = keys.lanes.expect("spilled aggregation has integer keys");
     let parts = spill_partitions(rows * AGG_RECORD_BYTES, ctx);
     let shift = 64 - parts.trailing_zeros();
     let store = crate::storage::SpillStore::create().map_err(spill_error)?;
@@ -880,7 +987,7 @@ fn aggregate_spill(
     let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); parts];
     let mut runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); parts];
     for i in 0..rows {
-        let key = pack_key(key_slices, i);
+        let key = pack_key(lanes, i);
         let p = partition_of(fold_compact_key(&key), shift);
         for lane in &key {
             bufs[p].extend_from_slice(&lane.to_le_bytes());
@@ -897,33 +1004,21 @@ fn aggregate_spill(
         }
     }
 
-    let mut reps: Vec<usize> = Vec::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    for part_runs in runs.iter().take(parts) {
-        let mut map: HashMap<CompactKey, usize> = HashMap::new();
+    for part_runs in &runs {
+        // The key columns are resident, so pass 1 re-reads each key at its
+        // row; the record's key lanes only had to pick the partition.
+        let mut part_rows: Vec<usize> = Vec::new();
         for &(offset, len) in part_runs {
             let bytes = store.read(offset, len).map_err(spill_error)?;
             for rec in bytes.chunks_exact(AGG_RECORD_BYTES) {
-                let mut key = CompactKey::default();
-                for (lane, chunk) in key.iter_mut().zip(rec.chunks_exact(8)) {
-                    *lane = i64::from_le_bytes(chunk.try_into().expect("8-byte lane"));
-                }
-                let i =
-                    u64::from_le_bytes(rec[AGG_RECORD_BYTES - 8..].try_into().expect("8-byte row"))
-                        as usize;
-                let next = states.len();
-                let gid = *map.entry(key).or_insert(next);
-                if gid == next {
-                    reps.push(i);
-                    states.push(vec![AggState::default(); aggs.len()]);
-                }
-                for (state, col) in states[gid].iter_mut().zip(acols) {
-                    state.feed(col.map(|c| c.value(i)));
-                }
+                let row = rec[AGG_RECORD_BYTES - 8..].try_into().expect("8-byte row");
+                part_rows.push(u64::from_le_bytes(row) as usize);
             }
         }
+        let gids = assign_group_ids(keys, part_rows.iter().copied(), reps);
+        states.fold(part_rows.iter().copied(), &gids, reps.len());
     }
-    Ok(finalize_groups(group_by, aggs, gcols, &reps, &states))
+    Ok(())
 }
 
 /// Computes `definition` and stores the result under `name`, so later
@@ -1234,7 +1329,9 @@ fn retain_where(p: &Predicate, b: &Batch, idx: &mut Vec<usize>) -> Result<(), Ex
     }
 }
 
-/// Running aggregate state for one group and one aggregate.
+/// Running aggregate state for one group and one aggregate over a column
+/// with no `&[i64]` storage — [`Acc::Rows`], the row-at-a-time fallback.
+/// `SUM` wraps on overflow, like the typed path (see `AggFunc::Sum`).
 #[derive(Debug, Clone, Default)]
 struct AggState {
     count: i64,
@@ -1251,7 +1348,7 @@ impl AggState {
             // Numeric folding treats dates as their day numbers; text
             // contributes only to COUNT/MIN/MAX.
             match &v {
-                Value::Int(i) | Value::Date(i) => self.sum += i,
+                Value::Int(i) | Value::Date(i) => self.sum = self.sum.wrapping_add(*i),
                 Value::Text(_) => {}
             }
             if self.min.as_ref().is_none_or(|m| v < *m) {
@@ -1268,7 +1365,7 @@ impl AggState {
     /// ties matches what sequential `feed`s of the same rows produce.
     fn merge(&mut self, other: &AggState) {
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.wrapping_add(other.sum);
         if let Some(m) = &other.min {
             if self.min.as_ref().is_none_or(|cur| *m < *cur) {
                 self.min = Some(m.clone());

@@ -6,17 +6,25 @@
 //! the I/O simulator both run it; every operator kernel matches on its
 //! input's residency:
 //!
-//! * **Resident** inputs delegate verbatim to the existing batch kernels
-//!   ([`select_batch`], [`project_batch`], [`join_batch`],
-//!   [`aggregate_batch`]) — resident execution is byte-for-byte the code
-//!   that ran before this layer existed.
+//! * **Resident** inputs run the batch kernels ([`selection_mask`],
+//!   [`project_batch`], [`join_indices`], [`aggregate_batch`]) directly.
 //! * **Paged** inputs stream. Selection pins one page per column at a
 //!   time, masks and filters the chunk, and concatenates the per-page
 //!   survivors with the representation-reproducing [`Column::concat`].
 //!   Projection re-shares page handles without touching a page. Joins
 //!   materialise only the key columns, reuse the shared index kernels, and
-//!   gather payloads page-on-demand. Aggregation materialises only the
-//!   grouping and aggregate-input columns.
+//!   gather payloads page-on-demand.
+//!
+//! **Required columns.** The walker hands every operator the attribute set
+//! its consumer will read ([`Needed`]) and the operator moves no other
+//! column: γ asks its input for its group keys and aggregate inputs, ⋈ asks
+//! each side for what its own consumer reads plus its join attributes and
+//! gathers only the former, σ adds its predicate's attributes, π passes its
+//! list. Pruning is [`View::keep`] — header work, resident or paged. The
+//! root's consumer is the caller, who may read anything, so the root asks
+//! for everything (`None`) and every returned table carries all of its
+//! columns; row counts are never affected, so [`crate::measure`]'s charges
+//! are not either.
 //!
 //! Because eviction never changes page *content* (see [`crate::storage`])
 //! and the streaming kernels reproduce the resident kernels' output
@@ -32,10 +40,38 @@ use crate::storage::PagedBatch;
 use crate::table::{Database, Table};
 
 use super::morsel::run_tasks;
-use super::{
-    aggregate_batch, join_batch, join_indices, project_batch, select_batch, selection_mask,
-    ExecContext, ExecError,
-};
+use super::{aggregate_batch, join_indices, project_batch, selection_mask, ExecContext, ExecError};
+
+/// The attributes an operator's consumer will read, borrowed from the plan
+/// — `None` for "all of them". A lower bound, not a schema: a name the
+/// input does not carry is ignored here and reported, as ever, by the
+/// operator that looks it up.
+type Needed<'a, 'e> = Option<&'a [&'e AttrRef]>;
+
+/// `needed` widened by an operator's own reads, for its input.
+fn widen<'e>(
+    needed: Needed<'_, 'e>,
+    own: impl IntoIterator<Item = &'e AttrRef>,
+) -> Option<Vec<&'e AttrRef>> {
+    needed.map(|n| n.iter().copied().chain(own).collect())
+}
+
+/// Header positions of the columns a consumer reading `needed` can observe
+/// — every column of that name, in header order, so `index_of` resolves as
+/// it would on the full header. A non-empty header never prunes to nothing:
+/// a column-less paged batch could not carry its row count.
+fn kept_columns(attrs: &[AttrRef], needed: Needed<'_, '_>) -> Vec<usize> {
+    let Some(needed) = needed else {
+        return (0..attrs.len()).collect();
+    };
+    let mut idx: Vec<usize> = (0..attrs.len())
+        .filter(|&i| needed.contains(&&attrs[i]))
+        .collect();
+    if idx.is_empty() && !attrs.is_empty() {
+        idx.push(0);
+    }
+    idx
+}
 
 /// An operator input or output: resident columns or pool-backed pages.
 #[derive(Debug, Clone)]
@@ -65,11 +101,29 @@ impl View {
         }
     }
 
+    /// The qualified attribute header.
+    fn attrs(&self) -> &[AttrRef] {
+        match self {
+            View::Resident(b) => b.attrs(),
+            View::Paged(p) => p.attrs(),
+        }
+    }
+
     /// Index of an attribute in the header.
     pub(crate) fn index_of(&self, attr: &AttrRef) -> Option<usize> {
+        self.attrs().iter().position(|a| a == attr)
+    }
+
+    /// The view without the columns a consumer reading `needed` cannot
+    /// observe (see [`kept_columns`]) — header work, no row is touched.
+    fn keep(self, needed: Needed<'_, '_>) -> View {
+        let idx = kept_columns(self.attrs(), needed);
+        if idx.len() == self.attrs().len() {
+            return self;
+        }
         match self {
-            View::Resident(b) => b.index_of(attr),
-            View::Paged(p) => p.index_of(attr),
+            View::Resident(b) => View::Resident(b.select_columns(&idx)),
+            View::Paged(p) => View::Paged(Arc::new(p.select_columns(&idx))),
         }
     }
 
@@ -116,41 +170,66 @@ pub(crate) fn exec_view<F>(
 where
     F: FnMut(&Expr, &[&View], &View),
 {
-    match &**expr {
+    walk(expr, db, ctx, None, on_op)
+}
+
+/// [`exec_view`]'s recursion: evaluates `expr` for a consumer that reads
+/// only `needed` (see the module docs for what each operator asks of its
+/// input). The views `on_op` sees may carry fewer columns than the
+/// operator's full schema, never fewer rows.
+fn walk<'e, F>(
+    expr: &'e Arc<Expr>,
+    db: &Database,
+    ctx: &ExecContext,
+    needed: Needed<'_, 'e>,
+    on_op: &mut F,
+) -> Result<View, ExecError>
+where
+    F: FnMut(&Expr, &[&View], &View),
+{
+    let out = match &**expr {
         Expr::Base(name) => db
             .table(name.as_str())
             .map(View::of_table)
-            .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
+            .ok_or_else(|| ExecError::UnknownRelation(name.clone()))?,
         Expr::Select { input, predicate } => {
-            let v = exec_view(input, db, ctx, on_op)?;
-            let out = select_view(&v, predicate, ctx)?;
+            let below = widen(needed, predicate.attrs());
+            let v = walk(input, db, ctx, below.as_deref(), on_op)?;
+            let out = select_view(&v, predicate, needed, ctx)?;
             on_op(expr, &[&v], &out);
-            Ok(out)
+            out
         }
         Expr::Project { input, attrs } => {
-            let v = exec_view(input, db, ctx, on_op)?;
+            let below: Vec<&AttrRef> = attrs.iter().collect();
+            let v = walk(input, db, ctx, Some(&below), on_op)?;
             let out = project_view(&v, attrs)?;
             on_op(expr, &[&v], &out);
-            Ok(out)
+            out
         }
         Expr::Join { left, right, on } => {
-            let l = exec_view(left, db, ctx, on_op)?;
-            let r = exec_view(right, db, ctx, on_op)?;
-            let out = join_view(&l, &r, on, ctx)?;
+            let below = widen(needed, on.pairs().iter().flat_map(|(a, b)| [a, b]));
+            let l = walk(left, db, ctx, below.as_deref(), on_op)?;
+            let r = walk(right, db, ctx, below.as_deref(), on_op)?;
+            let out = join_view(&l, &r, on, needed, ctx)?;
             on_op(expr, &[&l, &r], &out);
-            Ok(out)
+            out
         }
         Expr::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let v = exec_view(input, db, ctx, on_op)?;
+            let below: Vec<&AttrRef> = group_by
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.input.as_ref()))
+                .collect();
+            let v = walk(input, db, ctx, Some(&below), on_op)?;
             let out = aggregate_view(&v, group_by, aggs, ctx)?;
             on_op(expr, &[&v], &out);
-            Ok(out)
+            out
         }
-    }
+    };
+    Ok(out.keep(needed))
 }
 
 /// Stacks per-page result chunks into one resident batch.
@@ -169,18 +248,28 @@ fn vstack(attrs: &[AttrRef], chunks: &[Batch]) -> Batch {
     Batch::new(attrs.to_vec(), columns)
 }
 
-/// Selection over a view. Paged inputs stream: each page pins as a
-/// zero-copy chunk, evaluates the (pure, per-row) predicate mask and
-/// filters — one worker per page under a parallel context, with per-page
-/// results concatenated in page (= row) order.
-fn select_view(view: &View, predicate: &Predicate, ctx: &ExecContext) -> Result<View, ExecError> {
+/// Selection over a view: the mask reads the predicate's columns, the
+/// filter moves only the columns `needed` keeps. Paged inputs stream: each
+/// page pins as a zero-copy chunk, evaluates the (pure, per-row) predicate
+/// mask and filters — one worker per page under a parallel context, with
+/// per-page results concatenated in page (= row) order.
+fn select_view(
+    view: &View,
+    predicate: &Predicate,
+    needed: Needed<'_, '_>,
+    ctx: &ExecContext,
+) -> Result<View, ExecError> {
+    let keep = kept_columns(view.attrs(), needed);
     match view {
-        View::Resident(b) => select_batch(b, predicate, ctx).map(View::Resident),
+        View::Resident(b) => {
+            let mask = selection_mask(predicate, b, ctx)?;
+            Ok(View::Resident(b.select_columns(&keep).filter(&mask)))
+        }
         View::Paged(p) => {
             let pages = p.page_count();
             if pages == 0 {
                 // Zero pages: rebuild the exact empty column variants.
-                return Ok(View::Resident(p.to_batch()));
+                return Ok(View::Resident(p.to_batch().select_columns(&keep)));
             }
             // Pages are the unit of fan-out, so each chunk evaluates its
             // mask single-threaded; the mask is bit-identical either way.
@@ -188,13 +277,14 @@ fn select_view(view: &View, predicate: &Predicate, ctx: &ExecContext) -> Result<
             let parts = run_tasks(pages, ctx.effective_threads(), |pg| {
                 let chunk = p.page_chunk(pg);
                 let mask = selection_mask(predicate, &chunk, &inner)?;
-                Ok(chunk.filter(&mask))
+                Ok(chunk.select_columns(&keep).filter(&mask))
             });
             let mut chunks = Vec::with_capacity(pages);
             for part in parts {
                 chunks.push(part?);
             }
-            Ok(View::Resident(vstack(p.attrs(), &chunks)))
+            let attrs: Vec<AttrRef> = keep.iter().map(|&i| p.attrs()[i].clone()).collect();
+            Ok(View::Resident(vstack(&attrs, &chunks)))
         }
     }
 }
@@ -224,15 +314,20 @@ fn project_view(view: &View, attrs: &[AttrRef]) -> Result<View, ExecError> {
     }
 }
 
-/// Join over views. Two resident inputs delegate to the resident kernel;
-/// otherwise only the key columns materialise (the index kernels need
-/// contiguous slices), the shared [`join_indices`] dispatch produces the
-/// match vectors, and both payloads gather page-on-demand.
-fn join_view(l: &View, r: &View, on: &JoinCondition, ctx: &ExecContext) -> Result<View, ExecError> {
-    if let (View::Resident(lb), View::Resident(rb)) = (l, r) {
-        return join_batch(lb, rb, on, ctx).map(View::Resident);
-    }
-    // Same pair resolution as the resident kernel, so errors match.
+/// Join over views. Only the key columns materialise (the index kernels
+/// need contiguous slices; resident columns are shared, not copied), the
+/// shared [`join_indices`] dispatch produces the match vectors, and each
+/// side gathers — page-on-demand when paged — only the columns `needed`
+/// keeps: the join attributes themselves move only if the consumer reads
+/// them.
+pub(crate) fn join_view(
+    l: &View,
+    r: &View,
+    on: &JoinCondition,
+    needed: Needed<'_, '_>,
+    ctx: &ExecContext,
+) -> Result<View, ExecError> {
+    // Resolve each condition pair to (left index, right index).
     let mut pairs = Vec::with_capacity(on.pairs().len());
     for (a, b) in on.pairs() {
         let resolved = match (l.index_of(a), r.index_of(b)) {
@@ -256,55 +351,23 @@ fn join_view(l: &View, r: &View, on: &JoinCondition, ctx: &ExecContext) -> Resul
     let rcols: Vec<&Column> = rkeys.iter().map(Arc::as_ref).collect();
     let (lidx, ridx) = join_indices(l.rows(), r.rows(), &lcols, &rcols, ctx)?;
     Ok(View::Resident(Batch::hstack(
-        &l.gather(&lidx),
-        &r.gather(&ridx),
+        &l.clone().keep(needed).gather(&lidx),
+        &r.clone().keep(needed).gather(&ridx),
     )))
 }
 
-/// Aggregation over a view. Paged inputs materialise only the columns the
-/// aggregation reads — grouping keys and aggregate inputs — and then run
-/// the resident kernel over that pruned batch: aggregation output is built
-/// value-by-value from those columns, so pruning cannot change it.
+/// Aggregation over a view. A paged input arrives pruned to the grouping
+/// keys and aggregate inputs (the walker asked for exactly those), so
+/// materialising it reads no other page; the resident kernel does the rest.
 fn aggregate_view(
     view: &View,
     group_by: &[AttrRef],
     aggs: &[AggExpr],
     ctx: &ExecContext,
 ) -> Result<View, ExecError> {
-    match view {
-        View::Resident(b) => aggregate_batch(b, group_by, aggs, ctx).map(View::Resident),
-        View::Paged(p) => {
-            // Resolve in the resident kernel's order (grouping attributes,
-            // then aggregate inputs) so the surfaced MissingAttr matches.
-            let mut needed: Vec<usize> = Vec::new();
-            for a in group_by {
-                let i = p
-                    .index_of(a)
-                    .ok_or_else(|| ExecError::MissingAttr(a.clone()))?;
-                if !needed.contains(&i) {
-                    needed.push(i);
-                }
-            }
-            for agg in aggs {
-                if let Some(attr) = &agg.input {
-                    let i = p
-                        .index_of(attr)
-                        .ok_or_else(|| ExecError::MissingAttr(attr.clone()))?;
-                    if !needed.contains(&i) {
-                        needed.push(i);
-                    }
-                }
-            }
-            if needed.is_empty() && !p.attrs().is_empty() {
-                // COUNT(*) with no grouping reads no column, but the pruned
-                // batch still has to carry the row count — keep one column.
-                needed.push(0);
-            }
-            let attrs: Vec<AttrRef> = needed.iter().map(|&i| p.attrs()[i].clone()).collect();
-            let columns: Vec<Arc<Column>> =
-                needed.iter().map(|&i| p.materialize_column(i)).collect();
-            let pruned = Batch::new(attrs, columns);
-            aggregate_batch(&pruned, group_by, aggs, ctx).map(View::Resident)
-        }
-    }
+    let batch = match view {
+        View::Resident(b) => aggregate_batch(b, group_by, aggs, ctx)?,
+        View::Paged(p) => aggregate_batch(&p.to_batch(), group_by, aggs, ctx)?,
+    };
+    Ok(View::Resident(batch))
 }

@@ -244,7 +244,8 @@ impl AggState {
             // Numeric folding treats dates as their day numbers; text
             // contributes only to COUNT/MIN/MAX.
             match v {
-                Value::Int(i) | Value::Date(i) => self.sum += i,
+                // Wrapping: the semantics `AggFunc::Sum` documents.
+                Value::Int(i) | Value::Date(i) => self.sum = self.sum.wrapping_add(*i),
                 Value::Text(_) => {}
             }
             if self.min.as_ref().is_none_or(|m| v < m) {

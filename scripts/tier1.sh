@@ -29,12 +29,16 @@ echo "== tier-1: tests =="
 cargo test -q --workspace
 
 # The golden designs and the incremental evaluator are pinned to the f64
-# bit; the pins must hold with the optimiser on too.
-echo "== tier-1: float-bit pins under optimisation =="
+# bit; the pins must hold with the optimiser on too. So must the
+# benchmark's `period_io_blocks` (tests/simulation.rs pins the number), in
+# the build the benchmark measures.
+echo "== tier-1: float-bit and block-count pins under optimisation =="
 cargo test -q --release -p mvdesign --test designer_golden
 cargo test -q --release -p mvdesign --test incremental_eval
+cargo test -q --release -p mvdesign --test simulation
 
 echo "== tier-1: low-memory batteries (forced eviction + spill) =="
+MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_batch
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_morsel
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_paged
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_delta
@@ -66,5 +70,7 @@ printf '%-12s %6d lines\n' "vendor/" "$(rust_lines vendor)"
 printf '%-12s %6d lines (every .rs under crates/)\n' "workspace" "$(rust_lines crates)"
 printf '%-12s %6d `pub parallelism` fields (thread-count knobs)\n' "knobs" \
   "$(grep -rhE '^\s*pub parallelism:' crates --include='*.rs' | wc -l)"
+printf '%-12s %6d `HashMap<i64, Vec<usize>>` under crates/engine (per-key match lists; one chain table instead)\n' \
+  "hash builds" "$(grep -rhoF 'HashMap<i64, Vec<usize>>' crates/engine --include='*.rs' | wc -l || true)"
 
 echo "tier-1 OK"

@@ -6,6 +6,12 @@
 //! A fixture-based regression pins the I/O simulator's block totals, which
 //! must not move under per-batch accounting (every charge is a function of
 //! row counts alone).
+//!
+//! `MVDESIGN_MEM_BUDGET` (bytes) overrides every pool and operator budget
+//! the kernel batteries below draw, the way `engine_paged.rs` reads it:
+//! tier-1 reruns this file at 256 bytes, so the typed group-by kernel, its
+//! spilled twin and the chain table inside the Grace join are diffed
+//! against the row reference at the forced-spill budget on every PR.
 
 use std::sync::Arc;
 
@@ -16,8 +22,8 @@ use mvdesign::algebra::{
 };
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
-    execute, measure, selection_mask, BufferPool, Database, ExecContext, Generator,
-    GeneratorConfig, JoinAlgo, Table,
+    execute, measure, selection_mask, Batch, BufferPool, Column, Database, ExecContext, ExecError,
+    Generator, GeneratorConfig, JoinAlgo, OpCharge, Table,
 };
 use mvdesign_verify::row_reference;
 
@@ -160,6 +166,24 @@ fn small_db(catalog: &Catalog, seed: u64) -> Database {
     .database(catalog)
 }
 
+/// The byte budget a battery runs at: the drawn one, unless the
+/// `MVDESIGN_MEM_BUDGET` env knob overrides it (tier-1's low-memory rerun
+/// sets a value small enough to force eviction and spill everywhere).
+fn effective_budget(drawn: Option<usize>) -> Option<usize> {
+    match std::env::var("MVDESIGN_MEM_BUDGET") {
+        Ok(v) => Some(v.parse().expect("MVDESIGN_MEM_BUDGET is a byte count")),
+        Err(_) => drawn,
+    }
+}
+
+/// A copy of `db` with every table paged into a zero-byte pool (or the env
+/// knob's): every pin is a miss, so paged kernels really stream.
+fn paged_twin(db: &Database, page_rows: usize) -> Database {
+    let mut paged = db.clone();
+    paged.page_out(&BufferPool::new(effective_budget(Some(0))), page_rows);
+    paged
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -254,6 +278,60 @@ proptest! {
         let fast = selection_mask(&p, table.batch(), &ExecContext::default())
             .expect("adaptive mask evaluates");
         prop_assert_eq!(fast, row_wise_mask(&p, table));
+    }
+
+    /// Required-column propagation is invisible: projecting a plan onto any
+    /// subset `A` of its output attributes — which lets the walker prune
+    /// every operator below the π to what `A` needs — yields, **bit for
+    /// bit** (columns, representation, row order), the unprojected plan's
+    /// result with `select_columns(A)`. Resident and paged, under all three
+    /// join algorithms.
+    #[test]
+    fn projection_pushdown_is_bit_identical_to_projecting_the_result(
+        spec in query_strategy(),
+        sizes in proptest::array::uniform3(8u32..100),
+        seed in 0u64..1_000,
+        subset in 1u32..512,
+        reversed in any::<bool>(),
+    ) {
+        let catalog = make_catalog(sizes);
+        let db = small_db(&catalog, seed);
+        let paged = paged_twin(&db, 7);
+        let q = build_query(&spec);
+        for join_algo in ALGOS {
+            let ctx = ExecContext {
+                join_algo,
+                mem_budget: effective_budget(None),
+                ..ExecContext::default()
+            };
+            let full = execute(&q, &db, &ctx).expect("plan executes");
+            let mut idx: Vec<usize> = (0..full.attrs().len())
+                .filter(|i| subset >> i & 1 == 1)
+                .collect();
+            if idx.is_empty() {
+                idx.push(0);
+            }
+            if reversed {
+                idx.reverse();
+            }
+            let expected = full.batch().select_columns(&idx);
+            let projected = Expr::project(
+                Arc::clone(&q),
+                idx.iter().map(|&i| full.attrs()[i].clone()),
+            );
+            for (name, db) in [("resident", &db), ("paged", &paged)] {
+                let out = execute(&projected, db, &ctx).expect("projected plan executes");
+                prop_assert_eq!(
+                    out.batch(),
+                    &expected,
+                    "π{:?} differs, {} under {:?} for {:?}",
+                    idx,
+                    name,
+                    join_algo,
+                    spec
+                );
+            }
+        }
     }
 }
 
@@ -504,4 +582,436 @@ fn empty_batch_filter_matches_resident_and_paged() {
         );
         assert_eq!(out.attrs(), &attrs, "attrs lost through an empty filter");
     }
+}
+
+/// A γ or ⋈ naming an attribute its input lacks reports that attribute,
+/// whatever the walker pruned beneath it: the expected errors below are the
+/// ones the engine returned before it pruned anything. The γ's input is a
+/// join, and the ⋈ sits under a π and under a γ, so in each plan the
+/// operator that fails has a consumer asking for fewer columns than exist.
+#[test]
+fn missing_attributes_report_the_same_error_under_pruning() {
+    let db = fixture_db();
+    let join = |on: JoinCondition| Expr::join(Expr::base("R"), Expr::base("S"), on);
+    let good = JoinCondition::on(AttrRef::new("R", "k"), AttrRef::new("S", "k"));
+    let ghost = AttrRef::new("R", "ghost");
+    let sum_x = || AggExpr::new(AggFunc::Sum, AttrRef::new("R", "x"), "sx");
+    let plans: Vec<(Arc<Expr>, AttrRef)> = vec![
+        // γ groups by a missing attribute, then aggregates one.
+        (
+            Expr::aggregate(join(good.clone()), [ghost.clone()], [sum_x()]),
+            ghost.clone(),
+        ),
+        (
+            Expr::aggregate(
+                join(good.clone()),
+                [AttrRef::new("R", "k")],
+                [
+                    sum_x(),
+                    AggExpr::new(AggFunc::Min, AttrRef::new("S", "ghost"), "m"),
+                ],
+            ),
+            AttrRef::new("S", "ghost"),
+        ),
+        // ⋈ on a missing attribute, under a π that needs one column…
+        (
+            Expr::project(
+                join(JoinCondition::on(ghost.clone(), AttrRef::new("S", "k"))),
+                [AttrRef::new("R", "x")],
+            ),
+            ghost.clone(),
+        ),
+        // …and under a γ, second pair of two.
+        (
+            Expr::aggregate(
+                join(JoinCondition::new([
+                    (AttrRef::new("R", "k"), AttrRef::new("S", "k")),
+                    (AttrRef::new("S", "ghost"), AttrRef::new("R", "x")),
+                ])),
+                [AttrRef::new("R", "k")],
+                [AggExpr::count_star("n")],
+            ),
+            // A pair is reported by its first attribute in the condition's
+            // normalised order, found or not.
+            AttrRef::new("R", "x"),
+        ),
+        // A π naming a missing attribute after an existing one, above a
+        // join that could have pruned to the existing one alone.
+        (
+            Expr::project(
+                join(good.clone()),
+                [AttrRef::new("R", "x"), AttrRef::new("S", "ghost")],
+            ),
+            AttrRef::new("S", "ghost"),
+        ),
+    ];
+    let paged = paged_twin(&db, 7);
+    for (plan, missing) in &plans {
+        for join_algo in ALGOS {
+            let ctx = ExecContext {
+                join_algo,
+                mem_budget: effective_budget(None),
+                ..ExecContext::default()
+            };
+            for db in [&db, &paged] {
+                assert_eq!(
+                    execute(plan, db, &ctx).expect_err("plan names a missing attribute"),
+                    ExecError::MissingAttr(missing.clone()),
+                    "{plan} under {join_algo:?}"
+                );
+            }
+            assert_eq!(
+                row_reference::execute(plan, &db, join_algo).expect_err("reference agrees"),
+                ExecError::MissingAttr(missing.clone()),
+            );
+        }
+    }
+}
+
+/// `measure` is untouched by pruning: a γ over a ⋈ whose 12-column left
+/// input is pruned to two columns on the way up is charged exactly what its
+/// row counts say — the whole `charges()` vector, computed here from the
+/// fixture's arithmetic alone.
+#[test]
+fn iosim_charges_over_a_wide_pruned_join_are_row_counts_alone() {
+    let mut db = fixture_db();
+    let wide: Vec<AttrRef> = (0..12)
+        .map(|c| AttrRef::new("W", format!("c{c}")))
+        .collect();
+    db.insert_table(Table::new(
+        "W",
+        wide.clone(),
+        (0..95i64)
+            .map(|i| (0..12).map(|c| Value::Int((i + c) % 7)).collect())
+            .collect(),
+    ));
+    // W.c0 = i mod 7 over 95 rows; S.k = j mod 7 over 30 rows.
+    let q = Expr::aggregate(
+        Expr::join(
+            Expr::base("W"),
+            Expr::base("S"),
+            JoinCondition::on(wide[0].clone(), AttrRef::new("S", "k")),
+        ),
+        [wide[3].clone()],
+        [AggExpr::new(AggFunc::Sum, wide[5].clone(), "s")],
+    );
+    let per_key = |n: i64, k: i64| (n - k + 6) / 7; // rows with value k among 0..n mod 7
+    let matches: i64 = (0..7).map(|k| per_key(95, k) * per_key(30, k)).sum();
+    let blocks = |rows: i64| (rows as f64 / 10.0).ceil();
+    let expected = [
+        OpCharge {
+            op: "⋈",
+            read: blocks(95) * blocks(30),
+            written: blocks(matches),
+            pool_misses: 0,
+        },
+        OpCharge {
+            op: "γ",
+            read: blocks(matches),
+            written: blocks(7),
+            pool_misses: 0,
+        },
+    ];
+    for join_algo in ALGOS {
+        let ctx = ExecContext {
+            join_algo,
+            ..ExecContext::default()
+        };
+        let (out, report) = measure(&q, &db, 10.0, &ctx).expect("iosim executes");
+        assert_eq!(out.len(), 7);
+        assert_eq!(report.charges(), expected, "{join_algo:?}");
+        assert_eq!(
+            out.batch(),
+            execute(&q, &db, &ctx).expect("executes").batch()
+        );
+    }
+}
+
+/// Every context of the kernel batteries: threads 1/2/8 × operator budget
+/// unbounded/256 bytes (the env knob overrides both), with morsels small
+/// enough that more than one thread really fans out.
+fn battery_contexts(join_algo: JoinAlgo) -> Vec<ExecContext> {
+    let mut contexts = Vec::new();
+    for threads in [1, 2, 8] {
+        for budget in [None, Some(256)] {
+            contexts.push(ExecContext {
+                join_algo,
+                threads,
+                morsel_rows: 16,
+                mem_budget: effective_budget(budget),
+            });
+        }
+    }
+    contexts
+}
+
+/// Runs `q` in every battery context, resident and paged: each result must
+/// equal the row reference's as a bag, and all of them must be bit-identical
+/// to one another. Returns the (common) result.
+fn assert_battery(q: &Arc<Expr>, db: &Database, join_algo: JoinAlgo, what: &str) -> Table {
+    let reference = row_reference::execute(q, db, join_algo)
+        .expect("row reference executes")
+        .canonicalized();
+    let paged = paged_twin(db, 5);
+    let mut first: Option<Table> = None;
+    for ctx in battery_contexts(join_algo) {
+        for db in [db, &paged] {
+            let out = execute(q, db, &ctx).expect("engine executes");
+            assert_eq!(
+                out.canonicalized().rows(),
+                reference.rows(),
+                "{what}: ≠ row reference at {ctx:?}"
+            );
+            let first = first.get_or_insert_with(|| out.clone());
+            assert_eq!(out.batch(), first.batch(), "{what}: bits differ at {ctx:?}");
+        }
+    }
+    first.expect("at least one context")
+}
+
+fn dict_column(codes: Vec<u32>, values: &[&str]) -> Arc<Column> {
+    let table: Vec<Arc<str>> = values.iter().map(|s| Arc::from(*s)).collect();
+    Arc::new(Column::dict(codes, table.into()))
+}
+
+/// One relation `T` for the group-by battery: a dictionary key with unused
+/// entries, an integer key that takes the packed key's padding sentinel, a
+/// date key, and integer / date / dictionary aggregate inputs.
+fn group_by_db(rows: usize) -> Database {
+    let n = rows as i64;
+    let attrs = ["d", "i", "dt", "v", "when", "tag"].map(|a| AttrRef::new("T", a));
+    // Codes 0, 2 and 5 of the eight-entry dictionary never occur, and the
+    // first group to appear is neither the smallest code nor string.
+    let d = dict_column(
+        (0..n)
+            .map(|r| [6u32, 1, 4, 3, 7, 1][r as usize % 6])
+            .collect(),
+        &["a0", "z1", "b2", "y3", "c4", "x5", "d6", "w7"],
+    );
+    let i = Column::Int(
+        (0..n)
+            .map(|r| [i64::MIN, -3, 0, i64::MAX, -3][r as usize % 5])
+            .collect(),
+    );
+    let dt = Column::Date((0..n).map(|r| 9_000 + r % 4).collect());
+    let v = Column::Int((0..n).map(|r| r * 37 % 101 - 50).collect());
+    let when = Column::Date((0..n).map(|r| 10_000 - r * 13 % 97).collect());
+    let tag = dict_column(
+        (0..n).map(|r| (r * 7 % 5) as u32).collect(),
+        &["m", "k", "q", "c", "t"],
+    );
+    let columns = vec![
+        d,
+        Arc::new(i),
+        Arc::new(dt),
+        Arc::new(v),
+        Arc::new(when),
+        tag,
+    ];
+    let mut db = Database::new();
+    db.insert_table(Table::from_batch("T", Batch::new(attrs.to_vec(), columns)));
+    db
+}
+
+/// The typed group-by kernel at its edges, against the row reference, in
+/// every battery context.
+#[test]
+fn group_by_kernel_edge_cases_match_the_row_reference() {
+    let t = |a: &str| AttrRef::new("T", a);
+    let aggs = || {
+        [
+            AggExpr::new(AggFunc::Sum, t("v"), "sum_v"),
+            AggExpr::new(AggFunc::Avg, t("v"), "avg_v"),
+            AggExpr::new(AggFunc::Min, t("v"), "min_v"),
+            AggExpr::new(AggFunc::Max, t("when"), "max_when"),
+            AggExpr::new(AggFunc::Min, t("when"), "min_when"),
+            AggExpr::new(AggFunc::Sum, t("when"), "sum_when"),
+            AggExpr::new(AggFunc::Min, t("tag"), "min_tag"),
+            AggExpr::new(AggFunc::Max, t("tag"), "max_tag"),
+            AggExpr::new(AggFunc::Sum, t("tag"), "sum_tag"),
+            AggExpr::new(AggFunc::Count, t("tag"), "n_tag"),
+            AggExpr::count_star("n"),
+        ]
+    };
+    // 64 rows: the eight-entry dictionary is smaller than the input (the
+    // direct table); 5 rows: it is larger (the packed-key map).
+    for rows in [64usize, 5] {
+        let db = group_by_db(rows);
+        let keysets: [&[&str]; 6] = [
+            &["d"],
+            &["i"],
+            &["d", "i"],
+            &["dt", "d", "i"],
+            &["i", "dt", "d", "tag"],
+            &[],
+        ];
+        for keys in keysets {
+            let q = Expr::aggregate(Expr::base("T"), keys.iter().map(|k| t(k)), aggs());
+            let out = assert_battery(&q, &db, JoinAlgo::Hash, &format!("γ{keys:?} × {rows}"));
+            // MIN/MAX over a date column are dates; SUM over one is an integer.
+            let col = |name: &str| {
+                let at = out
+                    .index_of(&AttrRef::new("#agg", name))
+                    .expect("aggregate");
+                out.batch().column(at).value(0)
+            };
+            assert!(matches!(col("max_when"), Value::Date(_)), "{keys:?}");
+            assert!(matches!(col("min_when"), Value::Date(_)), "{keys:?}");
+            assert!(matches!(col("sum_when"), Value::Int(_)), "{keys:?}");
+            assert!(matches!(col("min_tag"), Value::Text(_)), "{keys:?}");
+            assert_eq!(col("sum_tag"), Value::Int(0), "{keys:?}");
+        }
+    }
+    // Groups come out in key order, not first-appearance or code order, and
+    // a dictionary entry no row carries makes no group.
+    let by_d = execute(
+        &Expr::aggregate(Expr::base("T"), [t("d")], [AggExpr::count_star("n")]),
+        &group_by_db(64),
+        &ExecContext::default(),
+    )
+    .expect("executes");
+    let groups: Vec<String> = by_d.rows().iter().map(|r| r[0].to_string()).collect();
+    assert_eq!(groups, ["'c4'", "'d6'", "'w7'", "'y3'", "'z1'"]);
+}
+
+/// `COUNT(*)` with no grouping reads no column at all: one row over a
+/// non-empty input, none over an empty one — resident and paged, and with
+/// the input pruned to nothing beneath a join.
+#[test]
+fn ungrouped_count_star_over_empty_and_non_empty_inputs() {
+    for rows in [0usize, 23] {
+        let mut db = group_by_db(rows);
+        db.insert_table(Table::new(
+            "U",
+            [AttrRef::new("U", "i")],
+            vec![vec![Value::Int(-3)], vec![Value::Int(-3)]],
+        ));
+        let count = |input| Expr::aggregate(input, [], [AggExpr::count_star("n")]);
+        let scan = assert_battery(&count(Expr::base("T")), &db, JoinAlgo::Hash, "COUNT(*)");
+        let expected: Vec<Vec<Value>> = match rows {
+            0 => vec![],
+            n => vec![vec![Value::Int(n as i64)]],
+        };
+        assert_eq!(scan.rows(), expected);
+        // T.i = -3 on two rows in five; U holds -3 twice.
+        let joined = count(Expr::join(
+            Expr::base("T"),
+            Expr::base("U"),
+            JoinCondition::on(AttrRef::new("T", "i"), AttrRef::new("U", "i")),
+        ));
+        for join_algo in ALGOS {
+            let out = assert_battery(&joined, &db, join_algo, "COUNT(*) over ⋈");
+            let matches = (0..rows).filter(|r| r % 5 == 1 || r % 5 == 4).count() * 2;
+            match matches {
+                0 => assert!(out.is_empty()),
+                n => assert_eq!(out.rows(), [vec![Value::Int(n as i64)]]),
+            }
+        }
+    }
+}
+
+/// The chain table at its edges: a build side repeating one key 1 000 times
+/// (the chain must list its rows ascending, as a `Vec` of matches per key
+/// did), keys at both ends of `i64`, and an empty build or probe side. The
+/// row reference's hash join emits matches per probe row in build order, so
+/// under `JoinAlgo::Hash` the rows must agree in order, not just as a bag.
+#[test]
+fn hash_join_chain_order_and_empty_sides_match_the_row_reference() {
+    let side = |name: &str, keys: Vec<i64>| {
+        Table::new(
+            name,
+            [AttrRef::new(name, "k"), AttrRef::new(name, "id")],
+            keys.into_iter()
+                .enumerate()
+                .map(|(id, k)| vec![Value::Int(k), Value::Int(id as i64)])
+                .collect(),
+        )
+    };
+    let q = Expr::join(
+        Expr::base("P"),
+        Expr::base("B"),
+        JoinCondition::on(AttrRef::new("P", "k"), AttrRef::new("B", "k")),
+    );
+    let probe: Vec<i64> = vec![7, i64::MIN, 3, 7, i64::MAX, 8];
+    // Key 7 a thousand times, other keys strewn between its occurrences.
+    let build: Vec<i64> = (0..1_500)
+        .map(|j| match j % 3 {
+            0 | 1 if j * 2 / 3 < 1_000 => 7,
+            _ => [i64::MIN, i64::MAX, 5][j as usize % 3],
+        })
+        .collect();
+    let sevens = build.iter().filter(|&&k| k == 7).count();
+    assert_eq!(sevens, 1_000);
+    for (what, probe, build) in [
+        ("repeated key", probe.clone(), build.clone()),
+        ("empty build side", probe.clone(), vec![]),
+        ("empty probe side", vec![], build.clone()),
+    ] {
+        let mut db = Database::new();
+        db.insert_table(side("P", probe));
+        db.insert_table(side("B", build));
+        for join_algo in ALGOS {
+            let out = assert_battery(&q, &db, join_algo, what);
+            if join_algo == JoinAlgo::Hash {
+                let reference = row_reference::execute(&q, &db, join_algo).expect("reference");
+                assert_eq!(out.rows(), reference.rows(), "{what}: row order");
+            }
+        }
+    }
+}
+
+/// `SUM` past `i64::MAX` wraps — in debug and release builds alike, on the
+/// typed path, the row-at-a-time fallback (a mixed column), across a morsel
+/// merge and a spill, and in the row reference (see `AggFunc::Sum`).
+#[test]
+fn sum_wraps_at_i64_max_in_every_build_profile() {
+    let mut db = Database::new();
+    db.insert_table(Table::new(
+        "O",
+        ["g", "big", "mixed"].map(|a| AttrRef::new("O", a)),
+        (0..40)
+            .map(|r| {
+                vec![
+                    Value::Int(r % 2),
+                    Value::Int(if r < 2 { i64::MAX } else { 1 }),
+                    if r == 5 {
+                        Value::text("not a number")
+                    } else {
+                        Value::Int(if r < 2 { i64::MAX } else { 1 })
+                    },
+                ]
+            })
+            .collect(),
+    ));
+    let q = Expr::aggregate(
+        Expr::base("O"),
+        [AttrRef::new("O", "g")],
+        [
+            AggExpr::new(AggFunc::Sum, AttrRef::new("O", "big"), "typed"),
+            AggExpr::new(AggFunc::Sum, AttrRef::new("O", "mixed"), "fallback"),
+            AggExpr::new(AggFunc::Avg, AttrRef::new("O", "big"), "avg"),
+        ],
+    );
+    let out = assert_battery(&q, &db, JoinAlgo::Hash, "SUM at i64::MAX");
+    // Each group: i64::MAX once, then 19 ones (18 for the mixed column's
+    // group 1, whose row 5 is text).
+    let wrapped = i64::MAX.wrapping_add(19);
+    assert!(wrapped < 0);
+    assert_eq!(
+        out.rows(),
+        [
+            vec![
+                Value::Int(0),
+                Value::Int(wrapped),
+                Value::Int(wrapped),
+                Value::Int(wrapped / 20)
+            ],
+            vec![
+                Value::Int(1),
+                Value::Int(wrapped),
+                Value::Int(wrapped - 1),
+                Value::Int(wrapped / 20)
+            ],
+        ]
+    );
 }
