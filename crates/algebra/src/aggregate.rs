@@ -24,8 +24,8 @@ pub enum AggFunc {
     /// every build profile — the engine's kernels, its delta fold and the
     /// row reference all add with `wrapping_add`, so a debug build does not
     /// panic where a release build answers. Wrapping addition is associative
-    /// and commutative, so the result does not depend on row order, morsel
-    /// boundaries or spill partitioning.
+    /// and commutative, so the result does not depend on row order or spill
+    /// partitioning.
     Sum,
     /// `MIN(attr)`.
     Min,

@@ -251,29 +251,14 @@ impl Column {
     /// the vectorised comparison kernel behind selection predicates.
     pub fn compare_literal_and(&self, op: CompareOp, lit: &Value, mask: &mut [bool]) {
         debug_assert_eq!(mask.len(), self.len());
-        self.compare_literal_and_from(op, lit, 0, mask);
-    }
-
-    /// Range variant of [`Column::compare_literal_and`]: `mask[k]` covers
-    /// row `start + k`, so morsel workers can evaluate disjoint mask slices
-    /// of one column. Bit-identical to running the full-width kernel and
-    /// slicing its result.
-    pub(crate) fn compare_literal_and_from(
-        &self,
-        op: CompareOp,
-        lit: &Value,
-        start: usize,
-        mask: &mut [bool],
-    ) {
-        debug_assert!(start + mask.len() <= self.len());
         match (self, lit) {
             (Column::Int(v), Value::Int(x)) | (Column::Date(v), Value::Date(x)) => {
-                for (m, a) in mask.iter_mut().zip(&v[start..]) {
+                for (m, a) in mask.iter_mut().zip(v) {
                     *m = *m && op.eval(a, x);
                 }
             }
             (Column::Text(v), Value::Text(x)) => {
-                for (m, a) in mask.iter_mut().zip(&v[start..]) {
+                for (m, a) in mask.iter_mut().zip(v) {
                     *m = *m && op.eval(a, x);
                 }
             }
@@ -286,21 +271,21 @@ impl Column {
                 if keep.iter().all(|&k| !k) {
                     mask.fill(false);
                 } else if !keep.iter().all(|&k| k) {
-                    for (m, c) in mask.iter_mut().zip(&codes[start..]) {
+                    for (m, c) in mask.iter_mut().zip(codes) {
                         *m = *m && keep[*c as usize];
                     }
                 }
             }
             (Column::Mixed(v), _) => {
-                for (m, a) in mask.iter_mut().zip(&v[start..]) {
+                for (m, a) in mask.iter_mut().zip(v) {
                     *m = *m && op.eval(a, lit);
                 }
             }
             // Variant mismatch on a typed column: every value compares to
             // the literal by variant tag alone, so the outcome is constant
-            // (any in-range row stands in for the whole column).
+            // (the first row stands in for the whole column).
             _ => {
-                if !mask.is_empty() && !op.eval(&self.value(start), lit) {
+                if !mask.is_empty() && !op.eval(&self.value(0), lit) {
                     mask.fill(false);
                 }
             }
@@ -328,30 +313,16 @@ impl Column {
     /// attribute comparison kernel.
     pub fn compare_column_and(&self, op: CompareOp, other: &Column, mask: &mut [bool]) {
         debug_assert_eq!(mask.len(), self.len());
-        self.compare_column_and_from(op, other, 0, mask);
-    }
-
-    /// Range variant of [`Column::compare_column_and`]: `mask[k]` covers
-    /// row `start + k` of both columns (see
-    /// [`Column::compare_literal_and_from`]).
-    pub(crate) fn compare_column_and_from(
-        &self,
-        op: CompareOp,
-        other: &Column,
-        start: usize,
-        mask: &mut [bool],
-    ) {
         debug_assert_eq!(self.len(), other.len());
-        debug_assert!(start + mask.len() <= self.len());
         match (self, other) {
             (Column::Int(a), Column::Int(b)) | (Column::Date(a), Column::Date(b)) => {
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && op.eval(&a[start + i], &b[start + i]);
+                    *m = *m && op.eval(&a[i], &b[i]);
                 }
             }
             (Column::Text(a), Column::Text(b)) => {
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && op.eval(&a[start + i], &b[start + i]);
+                    *m = *m && op.eval(&a[i], &b[i]);
                 }
             }
             // Shared value table + (in)equality: compare raw codes.
@@ -366,21 +337,21 @@ impl Column {
                 },
             ) if Arc::ptr_eq(va, vb) && matches!(op, CompareOp::Eq | CompareOp::Ne) => {
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && op.eval(&a[start + i], &b[start + i]);
+                    *m = *m && op.eval(&a[i], &b[i]);
                 }
             }
             _ if self.is_text_backed() && other.is_text_backed() => {
                 for (i, m) in mask.iter_mut().enumerate() {
                     *m = *m
                         && op.eval(
-                            &self.str_at(start + i).expect("text-backed"),
-                            &other.str_at(start + i).expect("text-backed"),
+                            &self.str_at(i).expect("text-backed"),
+                            &other.str_at(i).expect("text-backed"),
                         );
                 }
             }
             _ => {
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && op.eval(&self.value(start + i), &other.value(start + i));
+                    *m = *m && op.eval(&self.value(i), &other.value(i));
                 }
             }
         }

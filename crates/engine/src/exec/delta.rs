@@ -9,8 +9,8 @@
 //! deltas into the view's new contents — appending SPJ inserts, cancelling
 //! SPJ deletes, and folding per-group aggregate partials. Everything reuses
 //! the resident kernels under the caller's [`ExecContext`], so delta
-//! refresh is deterministic at any thread count, morsel size or memory
-//! budget, exactly like full execution.
+//! refresh is deterministic at any memory budget, exactly like full
+//! execution.
 //!
 //! Unsupported shapes (per the algebra rules) return `Ok(None)`: the caller
 //! recomputes. That fallback is the contract — delta maintenance is an
@@ -119,8 +119,8 @@ pub fn execute_delta(
                 return Ok(None);
             };
             Ok(Some(Delta::new(
-                select_batch(&d.insert, predicate, ctx)?,
-                select_batch(&d.delete, predicate, ctx)?,
+                select_batch(&d.insert, predicate)?,
+                select_batch(&d.delete, predicate)?,
             )))
         }
         Expr::Project { input, attrs } => {
@@ -358,7 +358,6 @@ fn rows_to_batch(attrs: &[AttrRef], rows: Vec<Vec<Value>>) -> Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::JoinAlgo;
     use mvdesign_algebra::{CompareOp, JoinCondition, Predicate};
 
     fn attr(rel: &str, a: &str) -> AttrRef {
@@ -417,10 +416,7 @@ mod tests {
             .unwrap()
             .extend_rows(vec![ints(&[1, 9]), ints(&[3, 6])]);
 
-        let ctx = ExecContext {
-            join_algo: JoinAlgo::Hash,
-            ..ExecContext::default()
-        };
+        let ctx = ExecContext::default();
         let d = execute_delta(&expr, &old, &deltas, &ctx)
             .unwrap()
             .expect("insert deltas propagate through joins");

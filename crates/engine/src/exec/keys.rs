@@ -1,5 +1,5 @@
 //! Raw integer join/group keys shared by the hash join and hash-aggregation
-//! kernels (single-threaded and partitioned/morsel variants alike).
+//! kernels (in-memory and spill-partitioned variants alike).
 //!
 //! `Int`/`Date` columns borrow their `i64` storage directly. Dictionary
 //! columns contribute their codes: code equality is value equality within

@@ -6,7 +6,8 @@
 //! single typed [`Batch::gather`] turns into output columns. The
 //! tuple-at-a-time implementation this replaced lives on outside the
 //! engine, as `mvdesign-verify`'s row reference, the differential baseline;
-//! both engines are property-tested to produce identical bags.
+//! both engines are property-tested to produce identical rows in identical
+//! order.
 //!
 //! Two adaptive refinements sit on top of the kernels. Joins and aggregates
 //! whose keys are integer-, date- or dictionary-backed run over raw `i64`
@@ -19,24 +20,14 @@
 //! survive, evaluates the remaining conjuncts only at the surviving
 //! indices (the row reference's per-row predicate evaluation is the
 //! differential baseline).
-//!
-//! On top of both sits morsel-driven parallelism (see [`morsel`]): the
-//! [`ExecContext`] — default single-threaded — lets the hot kernels split
-//! their input into fixed-size morsels and fan out across scoped worker
-//! threads. Per-morsel partial results merge **in morsel order**, never in
-//! completion order, so every parallel kernel is bit-identical to its
-//! single-threaded twin regardless of thread count, morsel size or OS
-//! scheduling.
 
 pub mod delta;
 mod keys;
-mod morsel;
 mod paged;
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 use mvdesign_algebra::{
@@ -51,8 +42,6 @@ use keys::{
     group_cardinality_hint, key_lane, pack_key, raw_keys, ChainTable, CompactKey, IntMap, KeyLane,
     COMPACT_GROUP_KEY_COLS, HASH_MUL,
 };
-use morsel::{run_morsels, run_tasks};
-pub use morsel::{ExecContext, DEFAULT_MORSEL_ROWS};
 pub(crate) use paged::{exec_view, View};
 
 /// Errors raised while executing an expression.
@@ -79,32 +68,39 @@ impl fmt::Display for ExecError {
 
 impl Error for ExecError {}
 
-/// The physical join algorithm, chosen by [`ExecContext::join_algo`].
-///
-/// All three produce identical bags; they differ in the I/O pattern the cost
-/// models charge for (`PaperCostModel` assumes `NestedLoop`,
-/// `NestedLoopCostModel`/`SortMergeCostModel` the alternatives).
+/// The engine's one configuration type, taken by every entry point —
+/// [`crate::execute`], [`crate::measure`], [`crate::materialize_view`],
+/// [`crate::refresh_view_delta`], the warehouse and its snapshots. It holds
+/// the one setting two callers set differently: how much transient operator
+/// state may stay in memory. It never changes *what* is computed: results
+/// are bit-identical under every budget (pinned by `tests/engine_paged.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExecContext {
+    /// Operator memory budget in bytes (`None`, the default, = unbounded).
+    /// When set, the join and the aggregation switch to their
+    /// spill-partitioned (Grace) variants once their estimated state exceeds
+    /// half the budget — only the memory high-water changes.
+    pub mem_budget: Option<usize>,
+}
+
+// Exists for the frozen `benchmark/src/layers.rs`, which names
+// `JoinAlgo::Hash`; goes with ROADMAP item 1(e), beside `measure_paged`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAlgo {
-    /// Naive nested loop — the paper's assumption.
-    #[default]
-    NestedLoop,
-    /// Build a hash table on the right input, probe with the left.
     Hash,
-    /// Sort both inputs on the join key and merge.
-    SortMerge,
 }
 
 /// Evaluates an SPJ expression against a database, producing a result
 /// table with bag semantics — the engine's one execution entry point.
 ///
-/// Under [`ExecContext::default`] selection is a linear scan, join is a
-/// naive nested loop and projection keeps duplicates — exactly the operator
-/// algorithms the paper's cost model assumes, executed as columnar batch
-/// kernels. The context picks a different join algorithm, fans the hot
-/// kernels out across cores or bounds operator memory; the result is
-/// bag-identical under every join algorithm and bit-identical under every
-/// thread count, morsel size and memory budget.
+/// Selection is a linear scan, join a hash join that emits exactly the
+/// rows, in exactly the order, of the naive nested loop the paper assumes
+/// (left rows ascending, their matches ascending), projection keeps
+/// duplicates. The paper's nested-loop discipline is an accounting and
+/// lives in [`crate::measure`]'s per-operator charge, not in which kernel
+/// runs. The context bounds operator memory; the result is bit-identical
+/// under every budget.
 ///
 /// # Errors
 ///
@@ -136,12 +132,8 @@ pub(crate) fn op_label(expr: &Expr) -> &'static str {
 }
 
 /// Selection kernel: one vectorised predicate pass, one gather.
-pub(crate) fn select_batch(
-    batch: &Batch,
-    predicate: &Predicate,
-    ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    let mask = selection_mask(predicate, batch, ctx)?;
+pub(crate) fn select_batch(batch: &Batch, predicate: &Predicate) -> Result<Batch, ExecError> {
+    let mask = selection_mask(predicate, batch)?;
     Ok(batch.filter(&mask))
 }
 
@@ -171,97 +163,16 @@ pub(crate) fn join_batch(
     paged::join_view(&l, &r, on, None, ctx).map(View::into_batch)
 }
 
-/// Dispatches the resolved key columns to the context's join algorithm —
-/// the same index code whether the inputs are resident or paged.
+/// The join over row indices — the same code whether the inputs are
+/// resident or paged: a hash join, build on the right, probe with the left.
+/// Probe rows go in order and a key's build rows are kept ascending, so the
+/// pairs come out `(i asc, j asc)` — the naive nested loop's output, row
+/// for row. A cross join hashes everything under the empty key,
+/// degenerating gracefully. The single-key integer/dictionary case hashes
+/// raw `i64`s — text-keyed joins over dictionary columns never hash a
+/// string — and goes spill-partitioned (Grace) when the key state exceeds
+/// the memory budget.
 fn join_indices(
-    ln: usize,
-    rn: usize,
-    lcols: &[&Column],
-    rcols: &[&Column],
-    ctx: &ExecContext,
-) -> Result<(Vec<usize>, Vec<usize>), ExecError> {
-    match ctx.join_algo {
-        JoinAlgo::NestedLoop => Ok(nested_loop_indices(ln, rn, lcols, rcols, ctx)),
-        JoinAlgo::Hash => hash_indices(ln, rn, lcols, rcols, ctx),
-        // Sort-merge stays single-threaded: the sort dominates its cost and
-        // a deterministic parallel merge would need a different (range
-        // partitioned) decomposition than morsels provide.
-        JoinAlgo::SortMerge => Ok(sort_merge_indices(ln, rn, lcols, rcols)),
-    }
-}
-
-/// Concatenates per-morsel (left, right) index vectors in morsel order —
-/// the deterministic merge every parallel join variant shares.
-fn merge_index_morsels(parts: Vec<(Vec<usize>, Vec<usize>)>) -> (Vec<usize>, Vec<usize>) {
-    let total: usize = parts.iter().map(|(l, _)| l.len()).sum();
-    let mut lidx = Vec::with_capacity(total);
-    let mut ridx = Vec::with_capacity(total);
-    for (l, r) in parts {
-        lidx.extend(l);
-        ridx.extend(r);
-    }
-    (lidx, ridx)
-}
-
-/// Nested loop over row indices; the single-key integer/dictionary case
-/// runs over raw `&[i64]` slices. Under a parallel context the left side
-/// splits into morsels (each worker scans the whole right side), and the
-/// per-morsel index vectors concatenate in morsel order — identical output
-/// to the sequential loop.
-fn nested_loop_indices(
-    ln: usize,
-    rn: usize,
-    lcols: &[&Column],
-    rcols: &[&Column],
-    ctx: &ExecContext,
-) -> (Vec<usize>, Vec<usize>) {
-    if let [(lk, rk)] = raw_keys(lcols, rcols).as_slice() {
-        let (lk, rk) = (lk.as_slice(), rk.as_slice());
-        let scan = |range: Range<usize>| {
-            let mut lidx = Vec::new();
-            let mut ridx = Vec::new();
-            for i in range {
-                let a = lk[i];
-                for (j, b) in rk.iter().enumerate() {
-                    if a == *b {
-                        lidx.push(i);
-                        ridx.push(j);
-                    }
-                }
-            }
-            (lidx, ridx)
-        };
-        if ctx.is_parallel(ln) {
-            return merge_index_morsels(run_morsels(ln, ctx, scan));
-        }
-        return scan(0..ln);
-    }
-    let scan = |range: Range<usize>| {
-        let mut lidx = Vec::new();
-        let mut ridx = Vec::new();
-        for i in range {
-            for j in 0..rn {
-                if lcols.iter().zip(rcols).all(|(lc, rc)| lc.eq_at(i, rc, j)) {
-                    lidx.push(i);
-                    ridx.push(j);
-                }
-            }
-        }
-        (lidx, ridx)
-    };
-    if ctx.is_parallel(ln) {
-        return merge_index_morsels(run_morsels(ln, ctx, scan));
-    }
-    scan(0..ln)
-}
-
-/// Hash join over row indices: build on the right, probe with the left. A
-/// cross join hashes everything under the empty key, degenerating
-/// gracefully. The single-key integer/dictionary case hashes raw `i64`s —
-/// text-keyed joins over dictionary columns never hash a string — and is
-/// the path that goes partitioned-parallel under a parallel context, or
-/// spill-partitioned (Grace) when the key state exceeds the memory budget.
-fn hash_indices(
     ln: usize,
     rn: usize,
     lcols: &[&Column],
@@ -271,15 +182,8 @@ fn hash_indices(
     use std::collections::HashMap;
     if let [(lk, rk)] = raw_keys(lcols, rcols).as_slice() {
         let (lk, rk) = (lk.as_slice(), rk.as_slice());
-        // The spill check comes before the parallel check: under a small
-        // budget the join partitions to disk whether or not it would also
-        // have fanned out, so low-memory reruns exercise the Grace path at
-        // every thread count.
         if spill_needed(ctx, (ln + rn) * JOIN_RECORD_BYTES) {
             return grace_hash_join(lk, rk, ctx);
-        }
-        if ctx.is_parallel(ln.max(rn)) {
-            return Ok(partitioned_hash_join(lk, rk, ctx));
         }
         let table = ChainTable::build(rk.iter().copied().zip(0..rn));
         // One match per probe row is the foreign-key case; reserve for it.
@@ -329,10 +233,9 @@ fn spill_needed(ctx: &ExecContext, bytes: usize) -> bool {
 
 /// Partition count for a spilling operator: enough budget-sized chunks to
 /// cover the state, rounded to a power of two so [`partition_of`]'s top-bit
-/// radix applies, clamped to keep per-partition buffers sane. A pure
-/// function of sizes — never of thread count — though nothing downstream
-/// depends on that: the order-restoring merges make results identical at
-/// any partition count.
+/// radix applies, clamped to keep per-partition buffers sane. Nothing
+/// downstream depends on the count: the order-restoring merges make results
+/// identical at any partition count.
 fn spill_partitions(state_bytes: usize, ctx: &ExecContext) -> usize {
     let budget = ctx.mem_budget.unwrap_or(state_bytes).max(1);
     state_bytes
@@ -448,157 +351,18 @@ fn partition_of(key: i64, shift: u32) -> usize {
     (((key as u64).wrapping_mul(HASH_MUL)) >> shift) as usize
 }
 
-/// Partitioned parallel hash join on raw `i64` keys.
-///
-/// Build: right rows scatter into radix partitions (one sequential pass, so
-/// each partition's row list is ascending in `j`), then one worker per
-/// partition builds that partition's [`ChainTable`] — every key lives in
-/// exactly one partition, so each key's chain is ascending in `j`, exactly
-/// as the sequential build produces. Probe: left rows split into
-/// morsels, each worker emits `(i, j)` pairs in left order against the
-/// partition tables, and the per-morsel vectors concatenate in morsel
-/// order. Output is therefore bit-identical to the sequential hash join
-/// for every partition count, thread count and interleaving.
-fn partitioned_hash_join(lk: &[i64], rk: &[i64], ctx: &ExecContext) -> (Vec<usize>, Vec<usize>) {
-    let workers = ctx.effective_threads();
-    let parts = (workers * 2).next_power_of_two().clamp(2, 64);
-    let shift = 64 - parts.trailing_zeros();
-    let mut part_rows: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (j, b) in rk.iter().enumerate() {
-        part_rows[partition_of(*b, shift)].push(j);
-    }
-    let tables: Vec<ChainTable> = run_tasks(parts, workers, |p| {
-        ChainTable::build(part_rows[p].iter().map(|&j| (rk[j], j)))
-    });
-    merge_index_morsels(run_morsels(lk.len(), ctx, |range| {
-        let (mut lidx, mut ridx) = (
-            Vec::with_capacity(range.len()),
-            Vec::with_capacity(range.len()),
-        );
-        for i in range {
-            tables[partition_of(lk[i], shift)].probe(i, lk[i], &mut lidx, &mut ridx);
-        }
-        (lidx, ridx)
-    }))
-}
-
-/// Sort-merge join over row indices: sorts index permutations of both sides
-/// by their key columns, then merges group × group.
-fn sort_merge_indices(
-    ln: usize,
-    rn: usize,
-    lcols: &[&Column],
-    rcols: &[&Column],
-) -> (Vec<usize>, Vec<usize>) {
-    if lcols.is_empty() {
-        // No key to sort on: fall back to the nested loop (cross product).
-        return nested_loop_indices(ln, rn, lcols, rcols, &ExecContext::default());
-    }
-    if let [(lk, rk)] = raw_keys(lcols, rcols).as_slice() {
-        // Raw fast path: sort and merge on `i64` keys. For dictionary
-        // columns these are translated codes — code order differs from
-        // string order, but the merge only needs *some* total order with
-        // the same equality classes, and code equality is value equality.
-        return sort_merge_raw(lk.as_slice(), rk.as_slice());
-    }
-    let key_cmp = |xcols: &[&Column], x: usize, ycols: &[&Column], y: usize| {
-        xcols
-            .iter()
-            .zip(ycols)
-            .map(|(xc, yc)| xc.cmp_at(x, yc, y))
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    };
-    let mut ls: Vec<usize> = (0..ln).collect();
-    let mut rs: Vec<usize> = (0..rn).collect();
-    ls.sort_by(|&a, &b| key_cmp(lcols, a, lcols, b));
-    rs.sort_by(|&a, &b| key_cmp(rcols, a, rcols, b));
-
-    let mut lidx = Vec::new();
-    let mut ridx = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < ls.len() && j < rs.len() {
-        match key_cmp(lcols, ls[i], rcols, rs[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the full group × group block.
-                let gi_end = (i..ls.len())
-                    .take_while(|&x| key_cmp(lcols, ls[x], lcols, ls[i]).is_eq())
-                    .last()
-                    .expect("group is non-empty")
-                    + 1;
-                let gj_end = (j..rs.len())
-                    .take_while(|&x| key_cmp(rcols, rs[x], rcols, rs[j]).is_eq())
-                    .last()
-                    .expect("group is non-empty")
-                    + 1;
-                for &li in &ls[i..gi_end] {
-                    for &rj in &rs[j..gj_end] {
-                        lidx.push(li);
-                        ridx.push(rj);
-                    }
-                }
-                i = gi_end;
-                j = gj_end;
-            }
-        }
-    }
-    (lidx, ridx)
-}
-
-/// Single-key sort-merge over raw `i64` keys: sorts index permutations of
-/// both sides, then merges group × group.
-fn sort_merge_raw(lk: &[i64], rk: &[i64]) -> (Vec<usize>, Vec<usize>) {
-    let mut ls: Vec<usize> = (0..lk.len()).collect();
-    let mut rs: Vec<usize> = (0..rk.len()).collect();
-    ls.sort_by_key(|&i| lk[i]);
-    rs.sort_by_key(|&j| rk[j]);
-    let mut lidx = Vec::new();
-    let mut ridx = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < ls.len() && j < rs.len() {
-        let (a, b) = (lk[ls[i]], rk[rs[j]]);
-        match a.cmp(&b) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let gi_end = i + ls[i..].iter().take_while(|&&x| lk[x] == a).count();
-                let gj_end = j + rs[j..].iter().take_while(|&&x| rk[x] == b).count();
-                for &li in &ls[i..gi_end] {
-                    for &rj in &rs[j..gj_end] {
-                        lidx.push(li);
-                        ridx.push(rj);
-                    }
-                }
-                i = gi_end;
-                j = gj_end;
-            }
-        }
-    }
-    (lidx, ridx)
-}
-
 /// Hash-aggregation kernel, in two passes over typed columns. Pass 1
 /// ([`assign_group_ids`]) gives every row a dense group id; pass 2
 /// ([`GroupStates::fold`]) runs one loop per aggregate that folds the input
 /// column into per-group accumulators, computing only what that aggregate
 /// reads. [`finalize_groups`] then sorts the groups by key and lays the
 /// result out column-wise, so the output does not depend on which of the
-/// three schedules built the groups:
-///
-/// * one call of each pass over all rows;
-/// * under a parallel context, one call of each per morsel, the partials
-///   merged **in morsel order** — morsel order is row order, so a group's
-///   first appearance among the merged partials is its globally first row;
-/// * spill-partitioned ([`aggregate_spill`]) when the packed-key state
-///   would exceed the memory budget — checked first, mirroring the hash
-///   join, so low-memory reruns take it at every thread count.
-///
-/// The last two need integer-representable keys (at most
-/// [`COMPACT_GROUP_KEY_COLS`] `Int`/`Date`/`Dict` columns); any other
+/// two schedules built the groups: one call of each pass over all rows, or
+/// spill-partitioned ([`aggregate_spill`]) when the packed-key state would
+/// exceed the memory budget. The latter needs integer-representable keys (at
+/// most [`COMPACT_GROUP_KEY_COLS`] `Int`/`Date`/`Dict` columns); any other
 /// grouping — text or mixed keys, wider keys, no keys — groups by value in
-/// one sequential call.
+/// memory.
 pub(crate) fn aggregate_batch(
     batch: &Batch,
     group_by: &[AttrRef],
@@ -640,23 +404,6 @@ pub(crate) fn aggregate_batch(
     let mut states = GroupStates::new(aggs, &acols);
     if lanes.is_some() && spill_needed(ctx, rows * AGG_RECORD_BYTES) {
         aggregate_spill(rows, &keys, &mut reps, &mut states, ctx)?;
-    } else if lanes.is_some() && ctx.is_parallel(rows) {
-        let parts = run_morsels(rows, ctx, |range| {
-            let mut reps = Vec::new();
-            let gids = assign_group_ids(&keys, range.clone(), &mut reps);
-            let mut states = GroupStates::new(aggs, &acols);
-            states.fold(range, &gids, reps.len());
-            (reps, states)
-        });
-        // A partial group's key is its representative row's key, so merging
-        // is pass 1 over the representatives, in morsel order.
-        let part_reps: Vec<usize> = parts.iter().flat_map(|(r, _)| r).copied().collect();
-        let dst = assign_group_ids(&keys, part_reps.iter().copied(), &mut reps);
-        let mut at = 0;
-        for (part_reps, part) in &parts {
-            states.absorb(part, &dst[at..at + part_reps.len()], reps.len());
-            at += part_reps.len();
-        }
     } else {
         let gids = assign_group_ids(&keys, 0..rows, &mut reps);
         states.fold(0..rows, &gids, reps.len());
@@ -751,7 +498,7 @@ enum Acc<'a> {
 /// The three folds of an `i64` accumulator.
 #[derive(Debug, Clone, Copy)]
 enum IntFold {
-    /// Wrapping addition (`SUM`, `AVG`, and merging row counts).
+    /// Wrapping addition (`SUM`, `AVG`).
     Sum,
     Min,
     Max,
@@ -768,8 +515,7 @@ impl IntFold {
     }
 
     /// `acc[gids[k]] ∘= vals[rows[k]]` for every `k` — the typed inner loop
-    /// of pass 2, and of merging partial accumulators (where the "rows" are
-    /// a partial's groups). One monomorphic loop per fold.
+    /// of pass 2. One monomorphic loop per fold.
     fn run(self, acc: &mut [i64], vals: &[i64], rows: impl Iterator<Item = usize>, gids: &[u32]) {
         fn each(
             acc: &mut [i64],
@@ -874,30 +620,6 @@ impl<'a> GroupStates<'a> {
                         states[g as usize].feed(col.map(|c| c.value(i)));
                     }
                 }
-            }
-        }
-    }
-
-    /// Folds `part`'s groups in, group `g` of `part` into group `dst[g]`.
-    /// `part` must cover rows strictly after every row already folded
-    /// (morsel merge order), so ties between extrema keep the earlier row's
-    /// value exactly as one sequential [`GroupStates::fold`] would.
-    fn absorb(&mut self, part: &GroupStates<'_>, dst: &[u32], n_groups: usize) {
-        self.grow(n_groups);
-        if let (Some(counts), Some(part)) = (&mut self.counts, &part.counts) {
-            IntFold::Sum.run(counts, part, 0..dst.len(), dst);
-        }
-        for (acc, part) in self.accs.iter_mut().zip(&part.accs) {
-            match (acc, part) {
-                (Acc::Ints { fold, acc, .. }, Acc::Ints { acc: part, .. }) => {
-                    fold.run(acc, part, 0..dst.len(), dst);
-                }
-                (Acc::Rows { states, .. }, Acc::Rows { states: part, .. }) => {
-                    for (src, &g) in part.iter().zip(dst) {
-                        states[g as usize].merge(src);
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -1025,8 +747,9 @@ fn aggregate_spill(
 /// queries rewritten against the view (see `mvdesign-core`'s `ViewCatalog`)
 /// can read it as a base table. The stored table keeps the definition's
 /// qualified attributes and its columnar layout — no row materialization.
-/// Like [`execute`], the stored view is bag-identical under every join
-/// algorithm and bit-identical under every other context field.
+/// Like [`execute`], the stored view is bit-identical under every memory
+/// budget; the paper's nested-loop discipline is [`crate::measure`]'s
+/// charge for building it, not the kernel that does.
 ///
 /// # Errors
 ///
@@ -1058,64 +781,32 @@ const SELECTION_VECTOR_DENSITY_DEN: usize = 8;
 /// conjuncts evaluate only over the surviving row indices.
 /// Disjunctions are handled symmetrically — once most rows are already
 /// accepted, remaining disjuncts evaluate only over the still-undecided
-/// rows.
-///
-/// Under a parallel context the batch splits into morsels, each morsel
-/// evaluates the adaptive mask independently (short-circuiting within the
-/// morsel), and the per-morsel masks concatenate in morsel order.
-/// Predicates are pure per-row functions, so the mask is bit-identical to
-/// row-at-a-time evaluation for every context (pinned against the row
-/// reference in `tests/engine_batch.rs`).
+/// rows. Predicates are pure per-row functions, so the mask is bit-identical
+/// to row-at-a-time evaluation (pinned against the row reference in
+/// `tests/engine_batch.rs`).
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::MissingAttr`] when the predicate references an
 /// attribute the batch does not carry.
-pub fn selection_mask(
-    predicate: &Predicate,
-    batch: &Batch,
-    ctx: &ExecContext,
-) -> Result<Vec<bool>, ExecError> {
-    let rows = batch.rows();
-    if !ctx.is_parallel(rows) {
-        let mut mask = vec![true; rows];
-        and_predicate_adaptive(predicate, batch, &mut mask, 0)?;
-        return Ok(mask);
-    }
-    let parts = run_morsels(rows, ctx, |range| {
-        let mut part = vec![true; range.len()];
-        and_predicate_adaptive(predicate, batch, &mut part, range.start).map(|()| part)
-    });
-    // Every morsel evaluates the same predicate against the same schema, so
-    // all failures are identical; surfacing the first in morsel order keeps
-    // errors deterministic too.
-    let mut mask = Vec::with_capacity(rows);
-    for part in parts {
-        mask.extend(part?);
-    }
+pub fn selection_mask(predicate: &Predicate, batch: &Batch) -> Result<Vec<bool>, ExecError> {
+    let mut mask = vec![true; batch.rows()];
+    and_predicate_adaptive(predicate, batch, &mut mask)?;
     Ok(mask)
 }
 
 /// ANDs one comparison into `mask` with a full-width vectorised kernel.
-/// `mask` covers batch rows `start .. start + mask.len()` — the morsel being
-/// evaluated.
-fn and_comparison(
-    c: &Comparison,
-    b: &Batch,
-    mask: &mut [bool],
-    start: usize,
-) -> Result<(), ExecError> {
+fn and_comparison(c: &Comparison, b: &Batch, mask: &mut [bool]) -> Result<(), ExecError> {
     let li = b
         .index_of(&c.attr)
         .ok_or_else(|| ExecError::MissingAttr(c.attr.clone()))?;
     match &c.rhs {
-        Rhs::Literal(v) => b.column(li).compare_literal_and_from(c.op, v, start, mask),
+        Rhs::Literal(v) => b.column(li).compare_literal_and(c.op, v, mask),
         Rhs::Attr(a) => {
             let ri = b
                 .index_of(a)
                 .ok_or_else(|| ExecError::MissingAttr(a.clone()))?;
-            b.column(li)
-                .compare_column_and_from(c.op, b.column(ri), start, mask);
+            b.column(li).compare_column_and(c.op, b.column(ri), mask);
         }
     }
     Ok(())
@@ -1123,20 +814,12 @@ fn and_comparison(
 
 /// ANDs `p`'s value into `mask`, starting with full-width kernels and
 /// switching to survivor-index (selection-vector) evaluation when density
-/// drops. `mask` covers batch rows `start .. start + mask.len()`. The
-/// switch is decided per morsel (`mask` is one morsel starting at batch row
-/// `start`; survivor indices are absolute batch rows), so each morsel
-/// short-circuits independently without changing any mask bit.
-fn and_predicate_adaptive(
-    p: &Predicate,
-    b: &Batch,
-    mask: &mut [bool],
-    start: usize,
-) -> Result<(), ExecError> {
+/// drops.
+fn and_predicate_adaptive(p: &Predicate, b: &Batch, mask: &mut [bool]) -> Result<(), ExecError> {
     let rows = mask.len();
     match p {
         Predicate::True => Ok(()),
-        Predicate::Cmp(c) => and_comparison(c, b, mask, start),
+        Predicate::Cmp(c) => and_comparison(c, b, mask),
         Predicate::And(ps) => {
             // Conjunct intersection commutes, so the evaluation order is
             // free to choose — but only after every attribute offset has
@@ -1156,9 +839,9 @@ fn and_predicate_adaptive(
                 match &mut idx {
                     Some(idx) => retain_where(p, b, idx)?,
                     None => {
-                        and_predicate_adaptive(p, b, mask, start)?;
+                        and_predicate_adaptive(p, b, mask)?;
                         if rows >= SELECTION_VECTOR_MIN_ROWS && k + 1 < ps.len() {
-                            idx = sparse_indices(mask, true, start);
+                            idx = sparse_indices(mask, true);
                         }
                     }
                 }
@@ -1166,7 +849,7 @@ fn and_predicate_adaptive(
             if let Some(idx) = idx {
                 mask.fill(false);
                 for i in idx {
-                    mask[i - start] = true;
+                    mask[i] = true;
                 }
             }
             Ok(())
@@ -1182,18 +865,18 @@ fn and_predicate_adaptive(
                         let mut holds = undecided.clone();
                         retain_where(p, b, &mut holds)?;
                         for &i in &holds {
-                            any[i - start] = true;
+                            any[i] = true;
                         }
-                        undecided.retain(|&i| !any[i - start]);
+                        undecided.retain(|&i| !any[i]);
                     }
                     None => {
                         let mut sub = vec![true; rows];
-                        and_predicate_adaptive(p, b, &mut sub, start)?;
+                        and_predicate_adaptive(p, b, &mut sub)?;
                         for (a, s) in any.iter_mut().zip(&sub) {
                             *a = *a || *s;
                         }
                         if rows >= SELECTION_VECTOR_MIN_ROWS && k + 1 < ps.len() {
-                            idx = sparse_indices(&any, false, start);
+                            idx = sparse_indices(&any, false);
                         }
                     }
                 }
@@ -1231,9 +914,7 @@ fn resolve_attrs(p: &Predicate, b: &Batch) -> Result<(), ExecError> {
 /// real distinct count, so `=` on it estimates `1/|dictionary|`; everything
 /// else falls back on the classic textbook constants. Estimates never touch
 /// results — they only pick which conjunct gets the chance to drop the
-/// evaluation into selection-vector mode first. They are also morsel-free
-/// (computed from whole-column statistics), so every morsel orders its
-/// conjuncts identically.
+/// evaluation into selection-vector mode first.
 fn selectivity_estimate(p: &Predicate, b: &Batch) -> f64 {
     match p {
         Predicate::True => 1.0,
@@ -1257,13 +938,13 @@ fn selectivity_estimate(p: &Predicate, b: &Batch) -> f64 {
     }
 }
 
-/// The absolute batch indices (mask offset + `base`) whose mask entry
-/// equals `target`, or `None` as soon as their count reaches the
-/// 1-in-[`SELECTION_VECTOR_DENSITY_DEN`] density bound. Deciding *whether*
-/// to switch to selection-vector mode and building the vector itself share
-/// this single traversal, so a morsel that stays dense pays at most one
-/// abandoned scan — not a count pass plus a collect pass.
-fn sparse_indices(mask: &[bool], target: bool, base: usize) -> Option<Vec<usize>> {
+/// The row indices whose mask entry equals `target`, or `None` as soon as
+/// their count reaches the 1-in-[`SELECTION_VECTOR_DENSITY_DEN`] density
+/// bound. Deciding *whether* to switch to selection-vector mode and building
+/// the vector itself share this single traversal, so a batch that stays
+/// dense pays at most one abandoned scan — not a count pass plus a collect
+/// pass.
+fn sparse_indices(mask: &[bool], target: bool) -> Option<Vec<usize>> {
     let rows = mask.len();
     let mut idx = Vec::with_capacity(rows / SELECTION_VECTOR_DENSITY_DEN + 1);
     for (i, &m) in mask.iter().enumerate() {
@@ -1271,14 +952,14 @@ fn sparse_indices(mask: &[bool], target: bool, base: usize) -> Option<Vec<usize>
             if (idx.len() + 1) * SELECTION_VECTOR_DENSITY_DEN >= rows {
                 return None;
             }
-            idx.push(base + i);
+            idx.push(i);
         }
     }
     Some(idx)
 }
 
 /// Keeps the rows of `idx` where `p` holds — predicate evaluation in
-/// selection-vector mode over absolute batch row indices. Attribute
+/// selection-vector mode over batch row indices. Attribute
 /// offsets resolve once per comparison (never per row), and the scalar
 /// column kernels agree bit-for-bit with their vectorised twins.
 fn retain_where(p: &Predicate, b: &Batch, idx: &mut Vec<usize>) -> Result<(), ExecError> {
@@ -1360,24 +1041,6 @@ impl AggState {
         }
     }
 
-    /// Folds another state's rows in. `other` must cover rows strictly
-    /// after `self`'s (morsel merge order), so keeping `self`'s extremum on
-    /// ties matches what sequential `feed`s of the same rows produce.
-    fn merge(&mut self, other: &AggState) {
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        if let Some(m) = &other.min {
-            if self.min.as_ref().is_none_or(|cur| *m < *cur) {
-                self.min = Some(m.clone());
-            }
-        }
-        if let Some(m) = &other.max {
-            if self.max.as_ref().is_none_or(|cur| *m > *cur) {
-                self.max = Some(m.clone());
-            }
-        }
-    }
-
     fn finish(&self, func: AggFunc) -> Value {
         match func {
             AggFunc::Count => Value::Int(self.count),
@@ -1398,7 +1061,7 @@ mod tests {
     use super::*;
     use mvdesign_algebra::{parse_query, CompareOp, JoinCondition};
 
-    /// Runs `e` under the default context — the paper's discipline.
+    /// Runs `e` under the default context.
     fn run(e: &Arc<Expr>, db: &Database) -> Result<Table, ExecError> {
         execute(e, db, &ExecContext::default())
     }
@@ -1556,16 +1219,12 @@ mod tests {
 }
 
 #[cfg(test)]
-mod join_algo_tests {
-    use super::*;
+mod join_tests {
+    //! The join at its edges against a nested loop written out here;
+    //! `tests/engine_batch.rs` holds the randomized battery against the row
+    //! reference.
 
-    /// The default context under each join algorithm, nested loop first.
-    fn algo_contexts() -> [ExecContext; 3] {
-        [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge].map(|join_algo| ExecContext {
-            join_algo,
-            ..ExecContext::default()
-        })
-    }
+    use super::*;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -1588,283 +1247,88 @@ mod join_algo_tests {
         db
     }
 
-    fn join_expr() -> Arc<Expr> {
-        Expr::join(
-            Expr::base("L"),
-            Expr::base("R"),
-            mvdesign_algebra::JoinCondition::on(AttrRef::new("L", "k"), AttrRef::new("R", "k")),
-        )
+    /// `L ⋈ R` on `L.k = R.k`, or the cross product without `on_k`.
+    fn join_expr(on_k: bool) -> Arc<Expr> {
+        let on = if on_k {
+            JoinCondition::on(AttrRef::new("L", "k"), AttrRef::new("R", "k"))
+        } else {
+            JoinCondition::cross()
+        };
+        Expr::join(Expr::base("L"), Expr::base("R"), on)
     }
 
-    #[test]
-    fn all_join_algorithms_agree() {
-        let db = db();
-        let e = join_expr();
-        let [nested, hash, merge] =
-            algo_contexts().map(|ctx| execute(&e, &db, &ctx).expect("executes").canonicalized());
-        assert!(!nested.is_empty());
-        assert_eq!(nested.rows(), hash.rows());
-        assert_eq!(nested.rows(), merge.rows());
-    }
-
-    /// A view is stored under the context's join algorithm: sort-merge
-    /// emits matches in key order, the nested loop in left-row order, so the
-    /// two stored views are bag-equal but differently ordered.
-    #[test]
-    fn materialize_view_honours_the_context_join_algorithm() {
-        let [nested, _, merge] = algo_contexts();
-        let e = join_expr();
-        let mut nested_db = db();
-        materialize_view("V", &e, &mut nested_db, &nested).expect("nested view");
-        let mut merge_db = db();
-        materialize_view("V", &e, &mut merge_db, &merge).expect("sort-merge view");
-        let (nested_view, merge_view) = (
-            nested_db.table("V").expect("stored"),
-            merge_db.table("V").expect("stored"),
-        );
-        let executed = execute(&e, &db(), &merge).expect("executes");
-        assert_eq!(merge_view.batch(), executed.batch());
-        assert_ne!(merge_view.batch(), nested_view.batch(), "same row order");
-        assert_eq!(
-            merge_view.canonicalized().rows(),
-            nested_view.canonicalized().rows()
-        );
-    }
-
-    #[test]
-    fn cross_products_agree_too() {
-        let db = db();
-        let e = Expr::join(
-            Expr::base("L"),
-            Expr::base("R"),
-            mvdesign_algebra::JoinCondition::cross(),
-        );
-        for ctx in algo_contexts() {
-            let out = execute(&e, &db, &ctx).expect("executes");
-            assert_eq!(out.len(), 40 * 25, "{:?}", ctx.join_algo);
+    /// Executes `join_expr(on_k)` and checks it, row for row, against the
+    /// naive nested loop over the two tables' rows. Returns the row count.
+    fn assert_is_the_nested_loop(db: &Database, on_k: bool) -> usize {
+        let (l, r) = (db.table("L").expect("L"), db.table("R").expect("R"));
+        let key = |t: &Table| t.index_of(&AttrRef::new(t.name().clone(), "k")).expect("k");
+        let (lk, rk) = (key(l), key(r));
+        let mut expected = Vec::new();
+        for lrow in l.rows() {
+            for rrow in r.rows() {
+                if !on_k || lrow[lk] == rrow[rk] {
+                    expected.push([lrow.as_slice(), rrow.as_slice()].concat());
+                }
+            }
         }
+        let out = execute(&join_expr(on_k), db, &ExecContext::default()).expect("executes");
+        assert_eq!(out.rows(), expected);
+        expected.len()
     }
 
     #[test]
-    fn duplicates_multiply_in_every_algorithm() {
+    fn cross_products_match_the_nested_loop() {
+        assert_eq!(assert_is_the_nested_loop(&db(), false), 40 * 25);
+    }
+
+    #[test]
+    fn duplicate_keys_multiply_in_nested_loop_order() {
+        // 40 and 25 rows over seven keys: every key repeats on both sides
+        // (4 keys 6 × 4, one 6 × 3, two 5 × 3).
+        assert_eq!(assert_is_the_nested_loop(&db(), true), 144);
         // Two identical keys on each side ⇒ 4 output rows.
         let mut db = Database::new();
-        db.insert_table(Table::new(
-            "A",
-            [AttrRef::new("A", "k")],
-            vec![vec![Value::Int(1)], vec![Value::Int(1)]],
-        ));
-        db.insert_table(Table::new(
-            "B",
-            [AttrRef::new("B", "k")],
-            vec![vec![Value::Int(1)], vec![Value::Int(1)]],
-        ));
-        let e = Expr::join(
-            Expr::base("A"),
-            Expr::base("B"),
-            mvdesign_algebra::JoinCondition::on(AttrRef::new("A", "k"), AttrRef::new("B", "k")),
-        );
-        for ctx in algo_contexts() {
-            assert_eq!(
-                execute(&e, &db, &ctx).expect("executes").len(),
-                4,
-                "{:?}",
-                ctx.join_algo
-            );
+        for name in ["L", "R"] {
+            db.insert_table(Table::new(
+                name,
+                [AttrRef::new(name, "k"), AttrRef::new(name, "id")],
+                vec![
+                    vec![Value::Int(1), Value::Int(0)],
+                    vec![Value::Int(1), Value::Int(1)],
+                ],
+            ));
         }
+        assert_eq!(assert_is_the_nested_loop(&db, true), 4);
     }
 
     #[test]
     fn empty_inputs_yield_empty_joins() {
-        let mut db = db();
-        db.insert_table(Table::new(
-            "L",
-            [AttrRef::new("L", "id"), AttrRef::new("L", "k")],
-            vec![],
-        ));
-        let e = join_expr();
-        for ctx in algo_contexts() {
-            assert!(
-                execute(&e, &db, &ctx).expect("executes").is_empty(),
-                "{:?}",
-                ctx.join_algo
-            );
+        for empty in ["L", "R"] {
+            let mut db = db();
+            let attrs = db.table(empty).expect("table").attrs().to_vec();
+            db.insert_table(Table::new(empty, attrs, vec![]));
+            assert_eq!(assert_is_the_nested_loop(&db, true), 0, "{empty} empty");
+            assert_eq!(assert_is_the_nested_loop(&db, false), 0, "{empty} empty");
         }
     }
 
     #[test]
-    fn text_keyed_joins_agree_across_algorithms() {
-        // Exercise the non-integer key path (Text columns).
+    fn text_keys_match_the_nested_loop() {
+        // Row-major tables store text as plain `Text` columns: the
+        // non-integer (`Vec<Value>`) key path.
         let mut db = Database::new();
         let rows: Vec<Vec<Value>> = (0..20)
             .map(|i| vec![Value::text(format!("k{}", i % 5)), Value::Int(i)])
             .collect();
         db.insert_table(Table::new(
-            "A",
-            [AttrRef::new("A", "k"), AttrRef::new("A", "v")],
+            "L",
+            [AttrRef::new("L", "k"), AttrRef::new("L", "v")],
             rows,
         ));
         let rows: Vec<Vec<Value>> = (0..10)
             .map(|i| vec![Value::text(format!("k{}", i % 4))])
             .collect();
-        db.insert_table(Table::new("B", [AttrRef::new("B", "k")], rows));
-        let e = Expr::join(
-            Expr::base("A"),
-            Expr::base("B"),
-            mvdesign_algebra::JoinCondition::on(AttrRef::new("A", "k"), AttrRef::new("B", "k")),
-        );
-        let [nested, hash, merge] =
-            algo_contexts().map(|ctx| execute(&e, &db, &ctx).expect("executes").canonicalized());
-        assert!(!nested.is_empty());
-        assert_eq!(nested.rows(), hash.rows());
-        assert_eq!(nested.rows(), merge.rows());
-    }
-}
-
-#[cfg(test)]
-mod morsel_exec_tests {
-    //! Fixture-level determinism checks for the parallel kernels; the broad
-    //! randomized battery lives in `tests/engine_morsel.rs`.
-
-    use super::*;
-
-    /// Keys engineered so duplicate groups and join matches straddle every
-    /// morsel boundary at morsel_rows = 2 and 7.
-    fn db() -> Database {
-        let mut db = Database::new();
-        let rows: Vec<Vec<Value>> = (0..100)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 5), Value::Int(i % 3)])
-            .collect();
-        db.insert_table(Table::new(
-            "F",
-            [
-                AttrRef::new("F", "id"),
-                AttrRef::new("F", "k"),
-                AttrRef::new("F", "g"),
-            ],
-            rows,
-        ));
-        let rows: Vec<Vec<Value>> = (0..20).map(|i| vec![Value::Int(i % 5)]).collect();
-        db.insert_table(Table::new("D", [AttrRef::new("D", "k")], rows));
-        db
-    }
-
-    fn contexts() -> Vec<ExecContext> {
-        [1, 2, 4, 8]
-            .into_iter()
-            .flat_map(|threads| {
-                [1, 2, 7, 4096]
-                    .into_iter()
-                    .map(move |morsel_rows| ExecContext {
-                        threads,
-                        morsel_rows,
-                        ..ExecContext::default()
-                    })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_plans_are_bit_identical_to_sequential() {
-        let db = db();
-        let plans: Vec<Arc<Expr>> = vec![
-            Expr::select(
-                Expr::base("F"),
-                Predicate::and([
-                    Predicate::cmp(AttrRef::new("F", "k"), CompareOp::Eq, 2),
-                    Predicate::cmp(AttrRef::new("F", "id"), CompareOp::Lt, 90),
-                ]),
-            ),
-            Expr::join(
-                Expr::base("F"),
-                Expr::base("D"),
-                JoinCondition::on(AttrRef::new("F", "k"), AttrRef::new("D", "k")),
-            ),
-            Expr::aggregate(
-                Expr::base("F"),
-                [AttrRef::new("F", "k"), AttrRef::new("F", "g")],
-                [
-                    AggExpr::new(AggFunc::Sum, AttrRef::new("F", "id"), "total"),
-                    AggExpr::new(AggFunc::Min, AttrRef::new("F", "id"), "lo"),
-                    AggExpr::new(AggFunc::Max, AttrRef::new("F", "id"), "hi"),
-                    AggExpr::count_star("n"),
-                ],
-            ),
-        ];
-        for plan in &plans {
-            for join_algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-                let sequential = ExecContext {
-                    join_algo,
-                    ..ExecContext::default()
-                };
-                let baseline = execute(plan, &db, &sequential).expect("sequential");
-                for ctx in contexts() {
-                    let ctx = ExecContext { join_algo, ..ctx };
-                    let out = execute(plan, &db, &ctx).expect("parallel");
-                    assert_eq!(baseline.batch(), out.batch(), "ctx {ctx:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mask_matches_sequential_mask() {
-        let db = db();
-        let batch = db.table("F").unwrap().batch();
-        let p = Predicate::or([
-            Predicate::cmp(AttrRef::new("F", "k"), CompareOp::Eq, 1),
-            Predicate::and([
-                Predicate::cmp(AttrRef::new("F", "g"), CompareOp::Eq, 0),
-                Predicate::cmp(AttrRef::new("F", "id"), CompareOp::Ge, 50),
-            ]),
-        ]);
-        let sequential = selection_mask(&p, batch, &ExecContext::default()).expect("mask");
-        assert_eq!(sequential.iter().filter(|&&m| m).count(), 33);
-        for ctx in contexts() {
-            let mask = selection_mask(&p, batch, &ctx).expect("mask");
-            assert_eq!(sequential, mask, "ctx {ctx:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_errors_match_sequential_errors() {
-        let db = db();
-        let plan = Expr::select(
-            Expr::base("F"),
-            Predicate::cmp(AttrRef::new("F", "ghost"), CompareOp::Eq, 1),
-        );
-        let sequential = execute(&plan, &db, &ExecContext::default()).unwrap_err();
-        let ctx = ExecContext {
-            threads: 4,
-            morsel_rows: 7,
-            ..ExecContext::default()
-        };
-        let parallel = execute(&plan, &db, &ctx).unwrap_err();
-        assert_eq!(sequential, parallel);
-    }
-
-    #[test]
-    fn materialized_views_are_context_independent() {
-        let db = db();
-        let definition = Expr::aggregate(
-            Expr::join(
-                Expr::base("F"),
-                Expr::base("D"),
-                JoinCondition::on(AttrRef::new("F", "k"), AttrRef::new("D", "k")),
-            ),
-            [AttrRef::new("F", "g")],
-            [AggExpr::count_star("n")],
-        );
-        let mut seq_db = db.clone();
-        materialize_view("V", &definition, &mut seq_db, &ExecContext::default())
-            .expect("sequential view");
-        let mut par_db = db.clone();
-        let ctx = ExecContext {
-            threads: 8,
-            morsel_rows: 7,
-            ..ExecContext::default()
-        };
-        materialize_view("V", &definition, &mut par_db, &ctx).expect("parallel view");
-        assert_eq!(seq_db.table("V"), par_db.table("V"));
+        db.insert_table(Table::new("R", [AttrRef::new("R", "k")], rows));
+        assert_eq!(assert_is_the_nested_loop(&db, true), 40);
     }
 }

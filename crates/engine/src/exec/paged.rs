@@ -12,7 +12,7 @@
 //!   time, masks and filters the chunk, and concatenates the per-page
 //!   survivors with the representation-reproducing [`Column::concat`].
 //!   Projection re-shares page handles without touching a page. Joins
-//!   materialise only the key columns, reuse the shared index kernels, and
+//!   materialise only the key columns, reuse the shared index kernel, and
 //!   gather payloads page-on-demand.
 //!
 //! **Required columns.** The walker hands every operator the attribute set
@@ -29,7 +29,7 @@
 //! Because eviction never changes page *content* (see [`crate::storage`])
 //! and the streaming kernels reproduce the resident kernels' output
 //! representation exactly (pinned by `tests/engine_paged.rs`), results are
-//! bit-identical at any pool budget, eviction order, or thread count.
+//! bit-identical at any pool budget and eviction order.
 
 use std::sync::Arc;
 
@@ -39,7 +39,6 @@ use crate::batch::{Batch, Column};
 use crate::storage::PagedBatch;
 use crate::table::{Database, Table};
 
-use super::morsel::run_tasks;
 use super::{aggregate_batch, join_indices, project_batch, selection_mask, ExecContext, ExecError};
 
 /// The attributes an operator's consumer will read, borrowed from the plan
@@ -195,7 +194,7 @@ where
         Expr::Select { input, predicate } => {
             let below = widen(needed, predicate.attrs());
             let v = walk(input, db, ctx, below.as_deref(), on_op)?;
-            let out = select_view(&v, predicate, needed, ctx)?;
+            let out = select_view(&v, predicate, needed)?;
             on_op(expr, &[&v], &out);
             out
         }
@@ -251,18 +250,17 @@ fn vstack(attrs: &[AttrRef], chunks: &[Batch]) -> Batch {
 /// Selection over a view: the mask reads the predicate's columns, the
 /// filter moves only the columns `needed` keeps. Paged inputs stream: each
 /// page pins as a zero-copy chunk, evaluates the (pure, per-row) predicate
-/// mask and filters — one worker per page under a parallel context, with
-/// per-page results concatenated in page (= row) order.
+/// mask and filters, and the per-page results concatenate in page (= row)
+/// order.
 fn select_view(
     view: &View,
     predicate: &Predicate,
     needed: Needed<'_, '_>,
-    ctx: &ExecContext,
 ) -> Result<View, ExecError> {
     let keep = kept_columns(view.attrs(), needed);
     match view {
         View::Resident(b) => {
-            let mask = selection_mask(predicate, b, ctx)?;
+            let mask = selection_mask(predicate, b)?;
             Ok(View::Resident(b.select_columns(&keep).filter(&mask)))
         }
         View::Paged(p) => {
@@ -271,18 +269,13 @@ fn select_view(
                 // Zero pages: rebuild the exact empty column variants.
                 return Ok(View::Resident(p.to_batch().select_columns(&keep)));
             }
-            // Pages are the unit of fan-out, so each chunk evaluates its
-            // mask single-threaded; the mask is bit-identical either way.
-            let inner = ExecContext { threads: 1, ..*ctx };
-            let parts = run_tasks(pages, ctx.effective_threads(), |pg| {
-                let chunk = p.page_chunk(pg);
-                let mask = selection_mask(predicate, &chunk, &inner)?;
-                Ok(chunk.select_columns(&keep).filter(&mask))
-            });
-            let mut chunks = Vec::with_capacity(pages);
-            for part in parts {
-                chunks.push(part?);
-            }
+            let chunks = (0..pages)
+                .map(|pg| {
+                    let chunk = p.page_chunk(pg);
+                    let mask = selection_mask(predicate, &chunk)?;
+                    Ok(chunk.select_columns(&keep).filter(&mask))
+                })
+                .collect::<Result<Vec<_>, ExecError>>()?;
             let attrs: Vec<AttrRef> = keep.iter().map(|&i| p.attrs()[i].clone()).collect();
             Ok(View::Resident(vstack(&attrs, &chunks)))
         }
@@ -315,8 +308,8 @@ fn project_view(view: &View, attrs: &[AttrRef]) -> Result<View, ExecError> {
 }
 
 /// Join over views. Only the key columns materialise (the index kernels
-/// need contiguous slices; resident columns are shared, not copied), the
-/// shared [`join_indices`] dispatch produces the match vectors, and each
+/// need contiguous slices; resident columns are shared, not copied),
+/// [`join_indices`] produces the match vectors, and each
 /// side gathers — page-on-demand when paged — only the columns `needed`
 /// keeps: the join attributes themselves move only if the consumer reads
 /// them.

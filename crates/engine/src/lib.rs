@@ -25,15 +25,13 @@
 //! suite check the two engines produce identical bags on every plan they
 //! run.
 //!
-//! [`ExecContext`] is the one configuration type — join algorithm, threads,
-//! morsel rows, memory budget — taken by every entry point. Its default is
-//! the paper's discipline (nested-loop join, single-threaded, unbounded
-//! memory). With more threads it splits batches into fixed-size morsels and
-//! runs the hot kernels — selection masks, the raw-key hash join, compact
-//! hash aggregation — on scoped worker threads. Per-morsel partial results
-//! always merge in morsel order, so results are bit-identical at every
-//! thread count; the `engine_morsel` differential battery pins that
-//! property.
+//! [`ExecContext`] is the one configuration type, taken by every entry
+//! point; it holds the operator memory budget and nothing else. The join is
+//! a hash join whose output is the nested loop's, row for row — the paper's
+//! nested-loop discipline is an accounting, and lives in [`measure`]'s
+//! per-operator charge. One query runs on one thread: a warehouse's cores
+//! are shared out per query (`mvdesign-serve`'s reader pool) and per
+//! candidate design (`Designer`), never per kernel.
 //!
 //! Storage can be *out-of-core*: [`storage`] cuts columns into fixed-size
 //! pages held in a [`BufferPool`] with a byte budget and clock eviction to
@@ -81,10 +79,9 @@ mod table;
 pub use crate::batch::{Batch, Column};
 pub use crate::datagen::{Generator, GeneratorConfig};
 pub use crate::exec::delta::{execute_delta, refresh_view_delta, split_appends, DeltaMap};
-pub use crate::exec::{
-    execute, materialize_view, selection_mask, ExecContext, ExecError, JoinAlgo,
-    DEFAULT_MORSEL_ROWS,
-};
+#[doc(hidden)]
+pub use crate::exec::JoinAlgo;
+pub use crate::exec::{execute, materialize_view, selection_mask, ExecContext, ExecError};
 #[doc(hidden)]
 pub use crate::iosim::measure as measure_paged;
 pub use crate::iosim::{measure, IoReport, OpCharge};

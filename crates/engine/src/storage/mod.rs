@@ -16,9 +16,8 @@
 //! never content: a page read back from spill is representation-identical
 //! (same variant, same values, same shared dictionary pointer) to the page
 //! that was evicted. Every kernel is a pure function of column content, so
-//! query results are bit-identical at any pool size, eviction order, or
-//! thread count — pinned by the differential battery in
-//! `tests/engine_paged.rs`.
+//! query results are bit-identical at any pool size and eviction order —
+//! pinned by the differential battery in `tests/engine_paged.rs`.
 
 mod page;
 mod paged;

@@ -17,9 +17,7 @@ use mvdesign_algebra::Value;
 
 use crate::batch::{Batch, Column};
 
-/// Default rows per page. Matches the default morsel size
-/// ([`crate::DEFAULT_MORSEL_ROWS`]): the morsel scheduler is the natural
-/// pin/unpin granularity, so one morsel touches one page per column.
+/// Default rows per page: the unit a streaming kernel pins and releases.
 pub const DEFAULT_PAGE_ROWS: usize = 4096;
 
 const TAG_INT: u8 = 0;

@@ -30,9 +30,9 @@ pub struct PageId(pub(crate) usize);
 /// `misses` is the measured analogue of the paper's per-operator block
 /// charges: each miss is one real page fetched from spill (or, for a cold
 /// pool, decoded on first touch after eviction). Note that miss counts are
-/// *measurements*, not outputs — under parallel execution the eviction
-/// order depends on thread interleaving, so counts may vary run to run
-/// even though query results never do.
+/// *measurements*, not outputs — when several readers share the pool the
+/// eviction order depends on thread interleaving, so counts may vary run to
+/// run even though query results never do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Pins satisfied by a resident page.
@@ -79,7 +79,7 @@ struct PoolInner {
 /// A byte-budgeted cache of immutable column pages (see the module docs).
 ///
 /// The pool is shared behind an `Arc` and internally synchronised, so the
-/// morsel engine's scoped workers pin and release pages concurrently.
+/// serving layer's readers pin and release pages concurrently.
 #[derive(Debug)]
 pub struct BufferPool {
     inner: Mutex<PoolInner>,

@@ -8,8 +8,8 @@
 //! strings are only built (one `Arc` bump per cell) when the row façade is
 //! actually asked for, never on the batch execution path.
 //!
-//! Tables are `Sync` and safe to share by reference across the morsel
-//! engine's scoped workers: columns are immutable behind `Arc`s, and the
+//! Tables are `Sync` and safe to share by reference across the serving
+//! layer's reader threads: columns are immutable behind `Arc`s, and the
 //! lazy row cache is a [`OnceLock`], so concurrent first calls to
 //! [`Table::rows`] race only on which thread's (identical) materialisation
 //! wins publication.

@@ -49,7 +49,7 @@ use mvdesign_cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign_distributed::{DistributedEvaluator, FilterShipping, Placement, Topology};
 use mvdesign_engine::{
     execute, materialize_view, refresh_view_delta, split_appends, ExecContext, Generator,
-    GeneratorConfig, JoinAlgo, Table,
+    GeneratorConfig, Table,
 };
 use mvdesign_optimizer::Planner;
 use mvdesign_workload::{
@@ -214,7 +214,7 @@ pub fn check_semantics(
         // The expected side runs on the tuple-at-a-time reference engine, so
         // this check is *differential*: an engine bug cannot cancel out of
         // both sides of the comparison.
-        let expected = match row_reference::execute(q.root(), &db, ctx.join_algo) {
+        let expected = match row_reference::execute(q.root(), &db) {
             Ok(t) => t.canonicalized(),
             Err(e) => {
                 report.push("semantics", format!("{} original fails: {e}", q.name()));
@@ -281,17 +281,11 @@ pub fn check_delta_refresh(
     rounds: usize,
 ) -> AuditReport {
     let mut report = AuditReport::new();
-    // Recompute under the paper's nested loop, fold under the hash join the
-    // warehouse serves with: the oracle also crosses join algorithms.
-    let recompute = ExecContext::default();
-    let fold = ExecContext {
-        join_algo: JoinAlgo::Hash,
-        ..recompute
-    };
+    let ctx = ExecContext::default();
     let mut db = Generator::with_config(gen_config).database(catalog);
     let mut stored = Vec::new();
     for (name, definition) in views.views() {
-        match execute(definition, &db, &recompute) {
+        match execute(definition, &db, &ctx) {
             Ok(t) => stored.push((name.clone(), definition, t.into_batch())),
             Err(e) => {
                 report.push("delta-refresh", format!("view {name} fails to build: {e}"));
@@ -325,14 +319,14 @@ pub fn check_delta_refresh(
 
         let (old, deltas) = split_appends(&db, &snapshot);
         for (name, definition, batch) in stored.iter_mut() {
-            let recomputed = match execute(definition, &db, &recompute) {
+            let recomputed = match execute(definition, &db, &ctx) {
                 Ok(t) => t.canonicalized(),
                 Err(e) => {
                     report.push("delta-refresh", format!("{name} recompute fails: {e}"));
                     continue;
                 }
             };
-            match refresh_view_delta(batch, definition, &old, &deltas, &fold) {
+            match refresh_view_delta(batch, definition, &old, &deltas, &ctx) {
                 Ok(Some(fresh)) => {
                     let folded = Table::from_batch(name.clone(), fresh.clone()).canonicalized();
                     if folded.rows() != recomputed.rows() {

@@ -2,10 +2,11 @@
 //!
 //! When the execution layer moved to columnar batches
 //! ([`mvdesign_engine::execute`]), this module kept the row-at-a-time
-//! implementation byte-for-byte: a deliberately independent baseline with
-//! no shared operator code, so the executable-semantics oracle
+//! implementation: a deliberately independent baseline with no shared
+//! operator code, so the executable-semantics oracle
 //! ([`crate::check_semantics`]) and the `tests/engine_batch.rs` property
-//! suite can assert batch ≡ row as bags without the two sides sharing the
+//! suite can assert batch ≡ row — row for row, the engine's join emitting
+//! exactly this nested loop's output — without the two sides sharing the
 //! bugs they are checking for. It lives here, outside the shipped engine,
 //! and uses only the engine's public types.
 //!
@@ -18,25 +19,25 @@ use std::sync::Arc;
 
 use mvdesign_algebra::{AggFunc, Expr, Predicate, Rhs, Value};
 
-use mvdesign_engine::{Database, ExecError, JoinAlgo, Table};
+use mvdesign_engine::{Database, ExecError, Table};
 
-/// Evaluates an SPJ expression tuple-at-a-time under the given physical
-/// join algorithm, producing a result table with bag semantics. The
-/// reference implementation behind [`mvdesign_engine::execute`]'s
-/// differential tests.
+/// Evaluates an SPJ expression tuple-at-a-time — selection by linear scan,
+/// join by naive nested loop, the simplest thing that can be right —
+/// producing a result table with bag semantics. The reference
+/// implementation behind [`mvdesign_engine::execute`]'s differential tests.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError`] when a base relation is missing from the database
 /// or an attribute reference cannot be resolved.
-pub fn execute(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<Table, ExecError> {
+pub fn execute(expr: &Arc<Expr>, db: &Database) -> Result<Table, ExecError> {
     match &**expr {
         Expr::Base(name) => db
             .table(name.as_str())
             .cloned()
             .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
         Expr::Select { input, predicate } => {
-            let t = execute(input, db, algo)?;
+            let t = execute(input, db)?;
             let rows = t
                 .rows()
                 .iter()
@@ -49,7 +50,7 @@ pub fn execute(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<Table,
             Ok(Table::new("σ", t.attrs().to_vec(), rows))
         }
         Expr::Project { input, attrs } => {
-            let t = execute(input, db, algo)?;
+            let t = execute(input, db)?;
             let idx: Vec<usize> = attrs
                 .iter()
                 .map(|a| {
@@ -65,8 +66,8 @@ pub fn execute(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<Table,
             Ok(Table::new("π", attrs.clone(), rows))
         }
         Expr::Join { left, right, on } => {
-            let l = execute(left, db, algo)?;
-            let r = execute(right, db, algo)?;
+            let l = execute(left, db)?;
+            let r = execute(right, db)?;
             // Resolve each condition pair to (left index, right index).
             let mut pairs = Vec::with_capacity(on.pairs().len());
             for (a, b) in on.pairs() {
@@ -81,19 +82,14 @@ pub fn execute(expr: &Arc<Expr>, db: &Database, algo: JoinAlgo) -> Result<Table,
             }
             let mut attrs = l.attrs().to_vec();
             attrs.extend(r.attrs().iter().cloned());
-            let rows = match algo {
-                JoinAlgo::NestedLoop => nested_loop_join(&l, &r, &pairs),
-                JoinAlgo::Hash => hash_join(&l, &r, &pairs),
-                JoinAlgo::SortMerge => sort_merge_join(&l, &r, &pairs),
-            };
-            Ok(Table::new("⋈", attrs, rows))
+            Ok(Table::new("⋈", attrs, nested_loop_join(&l, &r, &pairs)))
         }
         Expr::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let t = execute(input, db, algo)?;
+            let t = execute(input, db)?;
             let gidx: Vec<usize> = group_by
                 .iter()
                 .map(|a| {
@@ -148,79 +144,6 @@ fn nested_loop_join(l: &Table, r: &Table, pairs: &[(usize, usize)]) -> Vec<Vec<V
                 let mut row = lrow.clone();
                 row.extend(rrow.iter().cloned());
                 rows.push(row);
-            }
-        }
-    }
-    rows
-}
-
-fn hash_join(l: &Table, r: &Table, pairs: &[(usize, usize)]) -> Vec<Vec<Value>> {
-    use std::collections::HashMap;
-    // Build on the right input, probe with the left. A cross join hashes
-    // everything under the empty key, degenerating gracefully.
-    let mut built: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::new();
-    for rrow in r.rows() {
-        let key: Vec<Value> = pairs.iter().map(|&(_, ri)| rrow[ri].clone()).collect();
-        built.entry(key).or_default().push(rrow);
-    }
-    let mut rows = Vec::new();
-    for lrow in l.rows() {
-        let key: Vec<Value> = pairs.iter().map(|&(li, _)| lrow[li].clone()).collect();
-        if let Some(matches) = built.get(&key) {
-            for rrow in matches {
-                let mut row = lrow.clone();
-                row.extend(rrow.iter().cloned());
-                rows.push(row);
-            }
-        }
-    }
-    rows
-}
-
-fn sort_merge_join(l: &Table, r: &Table, pairs: &[(usize, usize)]) -> Vec<Vec<Value>> {
-    if pairs.is_empty() {
-        // No key to sort on: fall back to the nested loop (cross product).
-        return nested_loop_join(l, r, pairs);
-    }
-    let key_of = |row: &[Value], idx: &[usize]| -> Vec<Value> {
-        idx.iter().map(|&i| row[i].clone()).collect()
-    };
-    let lkeys: Vec<usize> = pairs.iter().map(|&(li, _)| li).collect();
-    let rkeys: Vec<usize> = pairs.iter().map(|&(_, ri)| ri).collect();
-    let mut ls: Vec<&Vec<Value>> = l.rows().iter().collect();
-    let mut rs: Vec<&Vec<Value>> = r.rows().iter().collect();
-    ls.sort_by_key(|row| key_of(row, &lkeys));
-    rs.sort_by_key(|row| key_of(row, &rkeys));
-
-    let mut rows = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < ls.len() && j < rs.len() {
-        let lk = key_of(ls[i], &lkeys);
-        let rk = key_of(rs[j], &rkeys);
-        match lk.cmp(&rk) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the full group × group block.
-                let gi_end = (i..ls.len())
-                    .take_while(|&x| key_of(ls[x], &lkeys) == lk)
-                    .last()
-                    .expect("group is non-empty")
-                    + 1;
-                let gj_end = (j..rs.len())
-                    .take_while(|&x| key_of(rs[x], &rkeys) == rk)
-                    .last()
-                    .expect("group is non-empty")
-                    + 1;
-                for lrow in &ls[i..gi_end] {
-                    for rrow in &rs[j..gj_end] {
-                        let mut row = (*lrow).clone();
-                        row.extend(rrow.iter().cloned());
-                        rows.push(row);
-                    }
-                }
-                i = gi_end;
-                j = gj_end;
             }
         }
     }
@@ -372,17 +295,10 @@ mod tests {
             ),
         ];
         for e in &exprs {
-            for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-                let reference = execute(e, &db, algo).expect("row engine").canonicalized();
-                let ctx = ExecContext {
-                    join_algo: algo,
-                    ..ExecContext::default()
-                };
-                let batch = mvdesign_engine::execute(e, &db, &ctx)
-                    .expect("batch engine")
-                    .canonicalized();
-                assert_eq!(reference.rows(), batch.rows(), "{e} under {algo:?}");
-            }
+            let reference = execute(e, &db).expect("row engine");
+            let batch =
+                mvdesign_engine::execute(e, &db, &ExecContext::default()).expect("batch engine");
+            assert_eq!(reference.rows(), batch.rows(), "{e}");
         }
     }
 
@@ -390,7 +306,7 @@ mod tests {
     fn missing_relation_errors() {
         let e = Expr::base("Ghost");
         assert!(matches!(
-            execute(&e, &db(), JoinAlgo::NestedLoop),
+            execute(&e, &db()),
             Err(ExecError::UnknownRelation(_))
         ));
     }

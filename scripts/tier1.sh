@@ -39,7 +39,6 @@ cargo test -q --release -p mvdesign --test simulation
 
 echo "== tier-1: low-memory batteries (forced eviction + spill) =="
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_batch
-MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_morsel
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_paged
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test engine_delta
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test maintain
@@ -68,8 +67,13 @@ for crate in crates/*/; do
 done
 printf '%-12s %6d lines\n' "vendor/" "$(rust_lines vendor)"
 printf '%-12s %6d lines (every .rs under crates/)\n' "workspace" "$(rust_lines crates)"
+printf '%-12s %6d lines (every .rs under tests/)\n' "tests/" "$(rust_lines tests)"
 printf '%-12s %6d `pub parallelism` fields (thread-count knobs)\n' "knobs" \
   "$(grep -rhE '^\s*pub parallelism:' crates --include='*.rs' | wc -l)"
+printf '%-12s %6d public fields of `ExecContext` (should read 1: `mem_budget`)\n' "" \
+  "$(sed -n '/^pub struct ExecContext {/,/^}/p' crates/engine/src/exec/mod.rs | grep -cE '^\s+pub ' || true)"
+printf '%-12s %6d `thread::` under crates/engine/src (should read 0: cores go per query, not per kernel)\n' "" \
+  "$(grep -rhoF 'thread::' crates/engine/src --include='*.rs' | wc -l || true)"
 printf '%-12s %6d `HashMap<i64, Vec<usize>>` under crates/engine (per-key match lists; one chain table instead)\n' \
   "hash builds" "$(grep -rhoF 'HashMap<i64, Vec<usize>>' crates/engine --include='*.rs' | wc -l || true)"
 

@@ -1,7 +1,8 @@
 //! Differential tests for the columnar batch engine: on random
 //! select-project-join-aggregate expressions over randomly generated data,
-//! the batch kernels must produce exactly the bag of tuples the preserved
-//! tuple-at-a-time reference engine produces — for every join algorithm.
+//! the batch kernels must produce exactly the rows, in exactly the order,
+//! the preserved tuple-at-a-time reference engine produces — over
+//! dictionary-encoded and plain-text keys, resident and paged.
 //!
 //! A fixture-based regression pins the I/O simulator's block totals, which
 //! must not move under per-batch accounting (every charge is a function of
@@ -23,11 +24,9 @@ use mvdesign::algebra::{
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
     execute, measure, selection_mask, Batch, BufferPool, Column, Database, ExecContext, ExecError,
-    Generator, GeneratorConfig, JoinAlgo, OpCharge, Table,
+    Generator, GeneratorConfig, OpCharge, Table,
 };
 use mvdesign_verify::row_reference;
-
-const ALGOS: [JoinAlgo; 3] = [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge];
 
 /// The mask the row reference computes: its per-row predicate evaluation
 /// over every row of the table, sharing no kernel with the engine.
@@ -166,6 +165,21 @@ fn small_db(catalog: &Catalog, seed: u64) -> Database {
     .database(catalog)
 }
 
+/// The same data rebuilt through the row-major constructor, which stores
+/// text as plain `Text` columns — so the identical plans also take the
+/// non-dictionary (`Vec<Value>`-key) join and group-by paths.
+fn plain_text_db(db: &Database) -> Database {
+    let mut plain = Database::new();
+    for (name, t) in db.iter() {
+        plain.insert_table(Table::new(
+            name.clone(),
+            t.attrs().to_vec(),
+            t.rows().to_vec(),
+        ));
+    }
+    plain
+}
+
 /// The byte budget a battery runs at: the drawn one, unless the
 /// `MVDESIGN_MEM_BUDGET` env knob overrides it (tier-1's low-memory rerun
 /// sets a value small enough to force eviction and spill everywhere).
@@ -187,30 +201,33 @@ fn paged_twin(db: &Database, page_rows: usize) -> Database {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The batch engine and the row-reference oracle agree — as bags, for
-    /// every join algorithm — on random SPJ + aggregate plans.
+    /// The batch engine and the row-reference oracle agree **row for row**
+    /// — the join emits the reference's nested-loop order, the group-by its
+    /// key order — on random SPJ + aggregate plans, over dictionary-encoded
+    /// and plain-text columns, resident and paged, at the environment's
+    /// operator budget.
     #[test]
     fn batch_matches_row_reference_on_random_plans(
         spec in query_strategy(),
         sizes in proptest::array::uniform3(8u32..150),
         seed in 0u64..1_000,
+        plain_text in any::<bool>(),
     ) {
         let catalog = make_catalog(sizes);
-        let db = small_db(&catalog, seed);
+        let generated = small_db(&catalog, seed);
+        let db = if plain_text { plain_text_db(&generated) } else { generated };
+        let paged = paged_twin(&db, 7);
         let q = build_query(&spec);
-        for algo in ALGOS {
-            let ctx = ExecContext { join_algo: algo, ..ExecContext::default() };
-            let batch = execute(&q, &db, &ctx)
-                .expect("batch engine executes")
-                .canonicalized();
-            let reference = row_reference::execute(&q, &db, algo)
-                .expect("row reference executes")
-                .canonicalized();
+        let ctx = ExecContext { mem_budget: effective_budget(None) };
+        let reference = row_reference::execute(&q, &db).expect("row reference executes");
+        for (name, db) in [("resident", &db), ("paged", &paged)] {
+            let batch = execute(&q, db, &ctx).expect("batch engine executes");
             prop_assert_eq!(
                 batch.rows(),
                 reference.rows(),
-                "bag mismatch under {:?} for {:?}",
-                algo,
+                "rows differ, {} (plain text: {}) for {:?}",
+                name,
+                plain_text,
                 spec
             );
         }
@@ -275,8 +292,7 @@ proptest! {
         }
         let p = Predicate::and(preds);
         let table = db.table("R0").expect("table generated");
-        let fast = selection_mask(&p, table.batch(), &ExecContext::default())
-            .expect("adaptive mask evaluates");
+        let fast = selection_mask(&p, table.batch()).expect("adaptive mask evaluates");
         prop_assert_eq!(fast, row_wise_mask(&p, table));
     }
 
@@ -284,8 +300,7 @@ proptest! {
     /// subset `A` of its output attributes — which lets the walker prune
     /// every operator below the π to what `A` needs — yields, **bit for
     /// bit** (columns, representation, row order), the unprojected plan's
-    /// result with `select_columns(A)`. Resident and paged, under all three
-    /// join algorithms.
+    /// result with `select_columns(A)`. Resident and paged.
     #[test]
     fn projection_pushdown_is_bit_identical_to_projecting_the_result(
         spec in query_strategy(),
@@ -298,39 +313,32 @@ proptest! {
         let db = small_db(&catalog, seed);
         let paged = paged_twin(&db, 7);
         let q = build_query(&spec);
-        for join_algo in ALGOS {
-            let ctx = ExecContext {
-                join_algo,
-                mem_budget: effective_budget(None),
-                ..ExecContext::default()
-            };
-            let full = execute(&q, &db, &ctx).expect("plan executes");
-            let mut idx: Vec<usize> = (0..full.attrs().len())
-                .filter(|i| subset >> i & 1 == 1)
-                .collect();
-            if idx.is_empty() {
-                idx.push(0);
-            }
-            if reversed {
-                idx.reverse();
-            }
-            let expected = full.batch().select_columns(&idx);
-            let projected = Expr::project(
-                Arc::clone(&q),
-                idx.iter().map(|&i| full.attrs()[i].clone()),
+        let ctx = ExecContext { mem_budget: effective_budget(None) };
+        let full = execute(&q, &db, &ctx).expect("plan executes");
+        let mut idx: Vec<usize> = (0..full.attrs().len())
+            .filter(|i| subset >> i & 1 == 1)
+            .collect();
+        if idx.is_empty() {
+            idx.push(0);
+        }
+        if reversed {
+            idx.reverse();
+        }
+        let expected = full.batch().select_columns(&idx);
+        let projected = Expr::project(
+            Arc::clone(&q),
+            idx.iter().map(|&i| full.attrs()[i].clone()),
+        );
+        for (name, db) in [("resident", &db), ("paged", &paged)] {
+            let out = execute(&projected, db, &ctx).expect("projected plan executes");
+            prop_assert_eq!(
+                out.batch(),
+                &expected,
+                "π{:?} differs, {} for {:?}",
+                idx,
+                name,
+                spec
             );
-            for (name, db) in [("resident", &db), ("paged", &paged)] {
-                let out = execute(&projected, db, &ctx).expect("projected plan executes");
-                prop_assert_eq!(
-                    out.batch(),
-                    &expected,
-                    "π{:?} differs, {} under {:?} for {:?}",
-                    idx,
-                    name,
-                    join_algo,
-                    spec
-                );
-            }
         }
     }
 }
@@ -372,13 +380,12 @@ fn selection_vector_switch_is_bit_identical_on_dense_fixture() {
             .collect(),
     ));
     let table = db.table("R").expect("table");
-    let ctx = ExecContext::default();
 
     let and = Predicate::and([
         Predicate::cmp(AttrRef::new("R", "a"), CompareOp::Eq, 5),
         Predicate::cmp(AttrRef::new("R", "b"), CompareOp::Gt, 0),
     ]);
-    let fast = selection_mask(&and, table.batch(), &ctx).expect("evaluates");
+    let fast = selection_mask(&and, table.batch()).expect("evaluates");
     assert_eq!(fast, row_wise_mask(&and, table));
     assert_eq!(fast.iter().filter(|&&m| m).count(), 7); // i%100==5 ∧ i%3>0
 
@@ -386,7 +393,7 @@ fn selection_vector_switch_is_bit_identical_on_dense_fixture() {
         Predicate::cmp(AttrRef::new("R", "a"), CompareOp::Ne, 5),
         Predicate::cmp(AttrRef::new("R", "b"), CompareOp::Eq, 1),
     ]);
-    let fast = selection_mask(&or, table.batch(), &ctx).expect("evaluates");
+    let fast = selection_mask(&or, table.batch()).expect("evaluates");
     assert_eq!(fast, row_wise_mask(&or, table));
     assert_eq!(fast.iter().filter(|&&m| m).count(), 993); // ¬(a=5 ∧ b≠1)
 }
@@ -533,15 +540,10 @@ fn paged_gather_spanning_page_boundaries_matches_resident() {
     let mut paged = resident.clone();
     let pool = BufferPool::new(Some(0));
     paged.page_out(&pool, 3);
-    for join_algo in ALGOS {
-        let ctx = ExecContext {
-            join_algo,
-            ..ExecContext::default()
-        };
-        let base = execute(&q, &resident, &ctx).expect("resident");
-        let out = execute(&q, &paged, &ctx).expect("paged");
-        assert_eq!(base.batch(), out.batch(), "{join_algo:?} gather differs");
-    }
+    let ctx = ExecContext::default();
+    let base = execute(&q, &resident, &ctx).expect("resident");
+    let out = execute(&q, &paged, &ctx).expect("paged");
+    assert_eq!(base.batch(), out.batch(), "gather differs");
     assert!(
         pool.stats().misses > 0,
         "a zero-byte pool must re-read pages"
@@ -646,25 +648,21 @@ fn missing_attributes_report_the_same_error_under_pruning() {
         ),
     ];
     let paged = paged_twin(&db, 7);
+    let ctx = ExecContext {
+        mem_budget: effective_budget(None),
+    };
     for (plan, missing) in &plans {
-        for join_algo in ALGOS {
-            let ctx = ExecContext {
-                join_algo,
-                mem_budget: effective_budget(None),
-                ..ExecContext::default()
-            };
-            for db in [&db, &paged] {
-                assert_eq!(
-                    execute(plan, db, &ctx).expect_err("plan names a missing attribute"),
-                    ExecError::MissingAttr(missing.clone()),
-                    "{plan} under {join_algo:?}"
-                );
-            }
+        for db in [&db, &paged] {
             assert_eq!(
-                row_reference::execute(plan, &db, join_algo).expect_err("reference agrees"),
+                execute(plan, db, &ctx).expect_err("plan names a missing attribute"),
                 ExecError::MissingAttr(missing.clone()),
+                "{plan}"
             );
         }
+        assert_eq!(
+            row_reference::execute(plan, &db).expect_err("reference agrees"),
+            ExecError::MissingAttr(missing.clone()),
+        );
     }
 }
 
@@ -712,53 +710,32 @@ fn iosim_charges_over_a_wide_pruned_join_are_row_counts_alone() {
             pool_misses: 0,
         },
     ];
-    for join_algo in ALGOS {
-        let ctx = ExecContext {
-            join_algo,
-            ..ExecContext::default()
-        };
-        let (out, report) = measure(&q, &db, 10.0, &ctx).expect("iosim executes");
-        assert_eq!(out.len(), 7);
-        assert_eq!(report.charges(), expected, "{join_algo:?}");
-        assert_eq!(
-            out.batch(),
-            execute(&q, &db, &ctx).expect("executes").batch()
-        );
-    }
+    let ctx = ExecContext::default();
+    let (out, report) = measure(&q, &db, 10.0, &ctx).expect("iosim executes");
+    assert_eq!(out.len(), 7);
+    assert_eq!(report.charges(), expected);
+    assert_eq!(
+        out.batch(),
+        execute(&q, &db, &ctx).expect("executes").batch()
+    );
 }
 
-/// Every context of the kernel batteries: threads 1/2/8 × operator budget
-/// unbounded/256 bytes (the env knob overrides both), with morsels small
-/// enough that more than one thread really fans out.
-fn battery_contexts(join_algo: JoinAlgo) -> Vec<ExecContext> {
-    let mut contexts = Vec::new();
-    for threads in [1, 2, 8] {
-        for budget in [None, Some(256)] {
-            contexts.push(ExecContext {
-                join_algo,
-                threads,
-                morsel_rows: 16,
-                mem_budget: effective_budget(budget),
-            });
-        }
-    }
-    contexts
-}
-
-/// Runs `q` in every battery context, resident and paged: each result must
-/// equal the row reference's as a bag, and all of them must be bit-identical
-/// to one another. Returns the (common) result.
-fn assert_battery(q: &Arc<Expr>, db: &Database, join_algo: JoinAlgo, what: &str) -> Table {
-    let reference = row_reference::execute(q, db, join_algo)
-        .expect("row reference executes")
-        .canonicalized();
+/// Runs `q` at both operator budgets of the kernel batteries — unbounded
+/// and 256 bytes (the env knob overrides both) — resident and paged: each
+/// result must equal the row reference's row for row, and all of them must
+/// be bit-identical to one another. Returns the (common) result.
+fn assert_battery(q: &Arc<Expr>, db: &Database, what: &str) -> Table {
+    let reference = row_reference::execute(q, db).expect("row reference executes");
     let paged = paged_twin(db, 5);
     let mut first: Option<Table> = None;
-    for ctx in battery_contexts(join_algo) {
+    for budget in [None, Some(256)] {
+        let ctx = ExecContext {
+            mem_budget: effective_budget(budget),
+        };
         for db in [db, &paged] {
             let out = execute(q, db, &ctx).expect("engine executes");
             assert_eq!(
-                out.canonicalized().rows(),
+                out.rows(),
                 reference.rows(),
                 "{what}: ≠ row reference at {ctx:?}"
             );
@@ -766,7 +743,7 @@ fn assert_battery(q: &Arc<Expr>, db: &Database, join_algo: JoinAlgo, what: &str)
             assert_eq!(out.batch(), first.batch(), "{what}: bits differ at {ctx:?}");
         }
     }
-    first.expect("at least one context")
+    first.expect("at least one budget")
 }
 
 fn dict_column(codes: Vec<u32>, values: &[&str]) -> Arc<Column> {
@@ -813,8 +790,8 @@ fn group_by_db(rows: usize) -> Database {
     db
 }
 
-/// The typed group-by kernel at its edges, against the row reference, in
-/// every battery context.
+/// The typed group-by kernel at its edges, against the row reference, at
+/// every battery budget.
 #[test]
 fn group_by_kernel_edge_cases_match_the_row_reference() {
     let t = |a: &str| AttrRef::new("T", a);
@@ -847,7 +824,7 @@ fn group_by_kernel_edge_cases_match_the_row_reference() {
         ];
         for keys in keysets {
             let q = Expr::aggregate(Expr::base("T"), keys.iter().map(|k| t(k)), aggs());
-            let out = assert_battery(&q, &db, JoinAlgo::Hash, &format!("γ{keys:?} × {rows}"));
+            let out = assert_battery(&q, &db, &format!("γ{keys:?} × {rows}"));
             // MIN/MAX over a date column are dates; SUM over one is an integer.
             let col = |name: &str| {
                 let at = out
@@ -887,7 +864,7 @@ fn ungrouped_count_star_over_empty_and_non_empty_inputs() {
             vec![vec![Value::Int(-3)], vec![Value::Int(-3)]],
         ));
         let count = |input| Expr::aggregate(input, [], [AggExpr::count_star("n")]);
-        let scan = assert_battery(&count(Expr::base("T")), &db, JoinAlgo::Hash, "COUNT(*)");
+        let scan = assert_battery(&count(Expr::base("T")), &db, "COUNT(*)");
         let expected: Vec<Vec<Value>> = match rows {
             0 => vec![],
             n => vec![vec![Value::Int(n as i64)]],
@@ -899,22 +876,20 @@ fn ungrouped_count_star_over_empty_and_non_empty_inputs() {
             Expr::base("U"),
             JoinCondition::on(AttrRef::new("T", "i"), AttrRef::new("U", "i")),
         ));
-        for join_algo in ALGOS {
-            let out = assert_battery(&joined, &db, join_algo, "COUNT(*) over ⋈");
-            let matches = (0..rows).filter(|r| r % 5 == 1 || r % 5 == 4).count() * 2;
-            match matches {
-                0 => assert!(out.is_empty()),
-                n => assert_eq!(out.rows(), [vec![Value::Int(n as i64)]]),
-            }
+        let out = assert_battery(&joined, &db, "COUNT(*) over ⋈");
+        let matches = (0..rows).filter(|r| r % 5 == 1 || r % 5 == 4).count() * 2;
+        match matches {
+            0 => assert!(out.is_empty()),
+            n => assert_eq!(out.rows(), [vec![Value::Int(n as i64)]]),
         }
     }
 }
 
 /// The chain table at its edges: a build side repeating one key 1 000 times
-/// (the chain must list its rows ascending, as a `Vec` of matches per key
-/// did), keys at both ends of `i64`, and an empty build or probe side. The
-/// row reference's hash join emits matches per probe row in build order, so
-/// under `JoinAlgo::Hash` the rows must agree in order, not just as a bag.
+/// (the chain must list its rows ascending), keys at both ends of `i64`,
+/// and an empty build or probe side. The row reference's nested loop emits
+/// matches per probe row in build order, and the battery compares rows in
+/// order, not as a bag.
 #[test]
 fn hash_join_chain_order_and_empty_sides_match_the_row_reference() {
     let side = |name: &str, keys: Vec<i64>| {
@@ -950,19 +925,13 @@ fn hash_join_chain_order_and_empty_sides_match_the_row_reference() {
         let mut db = Database::new();
         db.insert_table(side("P", probe));
         db.insert_table(side("B", build));
-        for join_algo in ALGOS {
-            let out = assert_battery(&q, &db, join_algo, what);
-            if join_algo == JoinAlgo::Hash {
-                let reference = row_reference::execute(&q, &db, join_algo).expect("reference");
-                assert_eq!(out.rows(), reference.rows(), "{what}: row order");
-            }
-        }
+        assert_battery(&q, &db, what);
     }
 }
 
 /// `SUM` past `i64::MAX` wraps — in debug and release builds alike, on the
-/// typed path, the row-at-a-time fallback (a mixed column), across a morsel
-/// merge and a spill, and in the row reference (see `AggFunc::Sum`).
+/// typed path, the row-at-a-time fallback (a mixed column), across a spill,
+/// and in the row reference (see `AggFunc::Sum`).
 #[test]
 fn sum_wraps_at_i64_max_in_every_build_profile() {
     let mut db = Database::new();
@@ -992,7 +961,7 @@ fn sum_wraps_at_i64_max_in_every_build_profile() {
             AggExpr::new(AggFunc::Avg, AttrRef::new("O", "big"), "avg"),
         ],
     );
-    let out = assert_battery(&q, &db, JoinAlgo::Hash, "SUM at i64::MAX");
+    let out = assert_battery(&q, &db, "SUM at i64::MAX");
     // Each group: i64::MAX once, then 19 ones (18 for the mixed column's
     // group 1, whose row 5 is text).
     let wrapped = i64::MAX.wrapping_add(19);

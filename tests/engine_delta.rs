@@ -2,10 +2,9 @@
 //! SPJ + aggregate plans over int/dict/plain-text join keys, folding the
 //! append deltas captured by `split_appends` into a stored view
 //! (`refresh_view_delta`) must produce exactly the bag of rows a full
-//! recompute returns on the grown database — for every join algorithm,
-//! across chained append rounds (including empty ones), and with the base
-//! tables paged out to a starved buffer pool with a spill-forcing operator
-//! budget.
+//! recompute returns on the grown database — across chained append rounds
+//! (including empty ones), and with the base tables paged out to a starved
+//! buffer pool with a spill-forcing operator budget.
 //!
 //! CI's low-memory job re-runs this battery with the `MVDESIGN_MEM_BUDGET`
 //! env knob set to a few hundred bytes, pushing even the resident draws
@@ -21,12 +20,12 @@ use mvdesign::algebra::{
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
     execute, refresh_view_delta, split_appends, BufferPool, Database, ExecContext, Generator,
-    GeneratorConfig, JoinAlgo, Table,
+    GeneratorConfig, Table,
 };
 
 /// A three-relation catalog with an integer join key, an integer payload
 /// and a low-cardinality text attribute per relation — the same plan space
-/// as the paged and morsel batteries, so delta maintenance is probed on
+/// as the batch and paged batteries, so delta maintenance is probed on
 /// exactly the shapes the rest of the engine is verified on.
 fn make_catalog(sizes: [u32; 3]) -> Catalog {
     let mut c = Catalog::new();
@@ -188,13 +187,11 @@ fn mem_budget() -> usize {
     }
 }
 
-const ALGOS: [JoinAlgo; 3] = [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The tentpole invariant: for random view definitions × key encodings
-    /// × join algorithms × chained random append rounds, a delta fold —
+    /// × chained random append rounds, a delta fold —
     /// whenever the maintenance plan offers one — is bag-equal to a full
     /// recompute on the grown database. Views whose plan falls back to
     /// recompute re-enter the next round, so fallbacks are chained with
@@ -206,23 +203,18 @@ proptest! {
         seed in 0u64..1_000,
         rounds in proptest::collection::vec(proptest::array::uniform3(0usize..=4), 1..3),
         plain_text in any::<bool>(),
-        algo_sel in 0usize..ALGOS.len(),
     ) {
         let catalog = make_catalog(sizes);
         let generated = dict_db(&catalog, seed);
         let mut db = if plain_text { plain_text_db(&generated) } else { generated };
         let view = build_view(&spec);
-        // Recompute under the default nested loop, fold under the drawn
-        // algorithm: the differential also crosses join kernels.
-        let recompute = ExecContext::default();
-        let algo = ALGOS[algo_sel];
-        let ctx = ExecContext { join_algo: algo, ..recompute };
+        let ctx = ExecContext::default();
 
-        let mut stored = execute(&view, &db, &recompute).expect("view builds").into_batch();
+        let mut stored = execute(&view, &db, &ctx).expect("view builds").into_batch();
         for (r, quarters) in rounds.iter().enumerate() {
             let snapshot = append_round(&mut db, &catalog, seed + r as u64, *quarters);
             let (old, deltas) = split_appends(&db, &snapshot);
-            let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
+            let recomputed = execute(&view, &db, &ctx).expect("recompute runs");
             match refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
                 .expect("delta refresh runs")
             {
@@ -232,8 +224,8 @@ proptest! {
                     prop_assert_eq!(
                         canon.rows(),
                         recomputed.canonicalized().rows(),
-                        "fold diverges in round {} under {:?} for {:?}",
-                        r, algo, spec
+                        "fold diverges in round {} for {:?}",
+                        r, spec
                     );
                     stored = folded;
                 }
@@ -253,19 +245,12 @@ proptest! {
         seed in 0u64..500,
         quarters in proptest::array::uniform3(0usize..=4),
         page_rows in 1usize..16,
-        algo_sel in 0usize..ALGOS.len(),
     ) {
         let catalog = make_catalog(sizes);
         let mut db = dict_db(&catalog, seed);
         let view = build_view(&spec);
-        let algo = ALGOS[algo_sel];
         let recompute = ExecContext::default();
-        let ctx = ExecContext {
-            join_algo: algo,
-            threads: 1,
-            morsel_rows: 16,
-            mem_budget: Some(mem_budget()),
-        };
+        let ctx = ExecContext { mem_budget: Some(mem_budget()) };
 
         let stored = execute(&view, &db, &recompute).expect("view builds").into_batch();
         let snapshot = append_round(&mut db, &catalog, seed, quarters);
@@ -285,8 +270,8 @@ proptest! {
                 prop_assert_eq!(
                     canon.rows(),
                     recomputed.canonicalized().rows(),
-                    "paged fold diverges under {:?} for {:?}",
-                    algo, spec
+                    "paged fold diverges for {:?}",
+                    spec
                 );
             }
             None => {
@@ -311,20 +296,14 @@ fn join_view_folds_insert_only_appends() {
         text_select: vec![],
         top: 0,
     });
-    let recompute = ExecContext::default();
-    let hash = ExecContext {
-        join_algo: JoinAlgo::Hash,
-        ..recompute
-    };
-    let stored = execute(&view, &db, &recompute)
-        .expect("view builds")
-        .into_batch();
+    let ctx = ExecContext::default();
+    let stored = execute(&view, &db, &ctx).expect("view builds").into_batch();
     let snapshot = append_round(&mut db, &catalog, 7, [2, 3, 0]);
     let (old, deltas) = split_appends(&db, &snapshot);
-    let folded = refresh_view_delta(&stored, &view, &old, &deltas, &hash)
+    let folded = refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
         .expect("delta refresh runs")
         .expect("insert-only join delta folds");
-    let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
+    let recomputed = execute(&view, &db, &ctx).expect("recompute runs");
     assert_eq!(
         Table::from_batch("v", folded).canonicalized().rows(),
         recomputed.canonicalized().rows()

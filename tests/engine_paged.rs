@@ -1,16 +1,14 @@
 //! Differential battery for paged out-of-core execution: on random
-//! SPJ + aggregate plans, every join algorithm, int/dict/plain-text join
-//! keys, pool budgets {tiny (forces eviction and operator spill),
-//! half-data, unbounded} and thread counts {1, 4}, the paged engine must
-//! produce tables **bit-identical** to the fully resident kernels — same
-//! column representation, same row order, not merely the same bag.
-//! Eviction changes residency, never content, so no pool size, eviction
-//! order or spill path may show through in a result.
+//! SPJ + aggregate plans, int/dict/plain-text join keys and pool budgets
+//! {tiny (forces eviction and operator spill), half-data, unbounded}, the
+//! paged engine must produce tables **bit-identical** to the fully resident
+//! kernels — same column representation, same row order, not merely the
+//! same bag. Eviction changes residency, never content, so no pool size,
+//! eviction order or spill path may show through in a result.
 //!
-//! CI's low-memory job re-runs this battery (and `engine_morsel`) with the
-//! `MVDESIGN_MEM_BUDGET` env knob set to a few hundred bytes, which
-//! overrides the sampled budgets so even the "unbounded" draws evict and
-//! spill.
+//! CI's low-memory job re-runs this battery with the `MVDESIGN_MEM_BUDGET`
+//! env knob set to a few hundred bytes, which overrides the sampled budgets
+//! so even the "unbounded" draws evict and spill.
 
 use std::sync::Arc;
 
@@ -22,12 +20,12 @@ use mvdesign::algebra::{
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
     batch_bytes, execute, measure, BufferPool, Database, ExecContext, Generator, GeneratorConfig,
-    JoinAlgo, Table,
+    Table,
 };
 
 /// A three-relation catalog with an integer join key, an integer payload and
-/// a low-cardinality text attribute per relation (same shape as the morsel
-/// battery, so the two suites cover the same plan space).
+/// a low-cardinality text attribute per relation (same shape as
+/// `engine_batch`'s, so the two suites cover the same plan space).
 fn make_catalog(sizes: [u32; 3]) -> Catalog {
     let mut c = Catalog::new();
     for (i, name) in ["R0", "R1", "R2"].iter().enumerate() {
@@ -179,7 +177,6 @@ enum Budget {
 }
 
 const BUDGETS: [Budget; 3] = [Budget::Tiny, Budget::HalfData, Budget::Unbounded];
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 const PAGE_SIZES: [usize; 3] = [1, 7, 64];
 
 /// The byte budget the battery runs at: the sampled tier, unless the
@@ -214,16 +211,15 @@ fn paged_copy(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The tentpole invariant: for random plans × join algorithms × key
-    /// encodings × pool budgets × page sizes × thread counts, the paged
-    /// engine's output equals the resident engine's **bit for bit**.
+    /// The tentpole invariant: for random plans × key encodings × pool
+    /// budgets × page sizes, the paged engine's output equals the resident
+    /// engine's **bit for bit**.
     #[test]
     fn paged_engine_is_bit_identical_to_resident(
         spec in query_strategy(),
         sizes in proptest::array::uniform3(8u32..100),
         seed in 0u64..1_000,
         budget_sel in 0usize..BUDGETS.len(),
-        threads_sel in 0usize..THREAD_COUNTS.len(),
         page_sel in 0usize..PAGE_SIZES.len(),
         plain_text in any::<bool>(),
     ) {
@@ -233,26 +229,18 @@ proptest! {
         let q = build_query(&spec);
         let (paged, _pool, op_budget) =
             paged_copy(&db, BUDGETS[budget_sel], PAGE_SIZES[page_sel]);
-        for join_algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let plain = ExecContext { join_algo, ..ExecContext::default() };
-            let ctx = ExecContext {
-                join_algo,
-                threads: THREAD_COUNTS[threads_sel],
-                morsel_rows: 16,
-                mem_budget: op_budget,
-            };
-            let resident = execute(&q, &db, &plain).expect("resident executes");
-            let out = execute(&q, &paged, &ctx).expect("paged engine executes");
-            prop_assert_eq!(
-                resident.batch(),
-                out.batch(),
-                "bit-identity broken at {:?}/{} pages with {:?} for {:?}",
-                BUDGETS[budget_sel],
-                PAGE_SIZES[page_sel],
-                ctx,
-                spec
-            );
-        }
+        let ctx = ExecContext { mem_budget: op_budget };
+        let resident = execute(&q, &db, &ExecContext::default()).expect("resident executes");
+        let out = execute(&q, &paged, &ctx).expect("paged engine executes");
+        prop_assert_eq!(
+            resident.batch(),
+            out.batch(),
+            "bit-identity broken at {:?}/{} pages with {:?} for {:?}",
+            BUDGETS[budget_sel],
+            PAGE_SIZES[page_sel],
+            ctx,
+            spec
+        );
     }
 
     /// The I/O simulator's *modelled* charges are storage-invariant: the
@@ -274,11 +262,7 @@ proptest! {
         let q = build_query(&spec);
         let (paged, _pool, op_budget) =
             paged_copy(&db, BUDGETS[budget_sel], PAGE_SIZES[page_sel]);
-        let ctx = ExecContext {
-            morsel_rows: 16,
-            mem_budget: op_budget,
-            ..ExecContext::default()
-        };
+        let ctx = ExecContext { mem_budget: op_budget };
         let (rt, rio) = measure(&q, &db, f64::from(bf), &ExecContext::default())
             .expect("resident iosim");
         let (pt, pio) = measure(&q, &paged, f64::from(bf), &ctx).expect("paged iosim");
@@ -296,74 +280,65 @@ proptest! {
     }
 }
 
-/// A deterministic fixture big enough that a 1 KiB operator budget forces
-/// the Grace hash join (5 500 × 16-byte key records) and spilling
-/// aggregation (5 000 × 40-byte records), over a zero-byte pool where every
-/// pin re-reads its page from spill: the fully out-of-core path must match
-/// the fully resident path on every algorithm and thread count.
+/// Two deterministic fixtures big enough that a 1 KiB operator budget (the
+/// env knob's, when set) forces the Grace hash join and the spilling
+/// aggregation — 5 000 rows over 37 keys against 500 (5 500 × 16-byte key
+/// records, 5 000 × 40-byte records), and 1 000 rows over 11 keys against
+/// 121, where every key repeats 11 times on the build side and every group
+/// recurs in every spill partition's row range — over a zero-byte pool where
+/// every pin re-reads its page from spill: the fully out-of-core path must
+/// match the fully resident path.
 #[test]
 fn spilled_join_and_aggregate_match_resident() {
-    let mut db = Database::new();
-    db.insert_table(Table::new(
-        "L",
-        [
-            AttrRef::new("L", "id"),
-            AttrRef::new("L", "k"),
-            AttrRef::new("L", "g"),
-        ],
-        (0..5_000)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 37), Value::Int(i % 11)])
-            .collect(),
-    ));
-    db.insert_table(Table::new(
-        "R",
-        [AttrRef::new("R", "k")],
-        (0..500).map(|j| vec![Value::Int(j % 37)]).collect(),
-    ));
-    let q = Expr::aggregate(
-        Expr::join(
-            Expr::base("L"),
-            Expr::base("R"),
-            JoinCondition::on(AttrRef::new("L", "k"), AttrRef::new("R", "k")),
-        ),
-        [AttrRef::new("L", "g")],
-        [
-            AggExpr::new(AggFunc::Sum, AttrRef::new("L", "id"), "total"),
-            AggExpr::new(AggFunc::Min, AttrRef::new("L", "id"), "lo"),
-            AggExpr::count_star("n"),
-        ],
-    );
-    let pool = BufferPool::new(Some(0));
-    let mut paged = db.clone();
-    paged.page_out(&pool, 64);
-    for join_algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-        let plain = ExecContext {
-            join_algo,
-            ..ExecContext::default()
+    for (l_rows, keys, groups, r_rows) in [(5_000, 37, 11, 500), (1_000, 11, 4, 121)] {
+        let mut db = Database::new();
+        db.insert_table(Table::new(
+            "L",
+            [
+                AttrRef::new("L", "id"),
+                AttrRef::new("L", "k"),
+                AttrRef::new("L", "g"),
+            ],
+            (0..l_rows)
+                .map(|i| vec![Value::Int(i), Value::Int(i % keys), Value::Int(i % groups)])
+                .collect(),
+        ));
+        db.insert_table(Table::new(
+            "R",
+            [AttrRef::new("R", "k")],
+            (0..r_rows).map(|j| vec![Value::Int(j % keys)]).collect(),
+        ));
+        let q = Expr::aggregate(
+            Expr::join(
+                Expr::base("L"),
+                Expr::base("R"),
+                JoinCondition::on(AttrRef::new("L", "k"), AttrRef::new("R", "k")),
+            ),
+            [AttrRef::new("L", "g")],
+            [
+                AggExpr::new(AggFunc::Sum, AttrRef::new("L", "id"), "total"),
+                AggExpr::new(AggFunc::Min, AttrRef::new("L", "id"), "lo"),
+                AggExpr::new(AggFunc::Max, AttrRef::new("L", "id"), "hi"),
+                AggExpr::count_star("n"),
+            ],
+        );
+        let pool = BufferPool::new(Some(0));
+        let mut paged = db.clone();
+        paged.page_out(&pool, 64);
+        let ctx = ExecContext {
+            mem_budget: effective_budget(Some(1024)),
         };
-        let resident = execute(&q, &db, &plain).expect("resident");
-        for threads in [1, 4] {
-            let ctx = ExecContext {
-                join_algo,
-                threads,
-                morsel_rows: 64,
-                mem_budget: Some(1024),
-            };
-            let out = execute(&q, &paged, &ctx).expect("paged");
-            assert_eq!(
-                resident.batch(),
-                out.batch(),
-                "{join_algo:?} differs at {threads} thread(s)"
-            );
-        }
+        let resident = execute(&q, &db, &ExecContext::default()).expect("resident");
+        let out = execute(&q, &paged, &ctx).expect("paged");
+        assert_eq!(resident.batch(), out.batch(), "{l_rows} × {r_rows} differs");
+        let stats = pool.stats();
+        assert!(stats.evictions > 0, "a zero-byte pool must evict");
+        assert!(stats.misses > 0, "a zero-byte pool must re-read pages");
+        assert!(
+            stats.spill_bytes > 0,
+            "evicted pages must hit the spill file"
+        );
     }
-    let stats = pool.stats();
-    assert!(stats.evictions > 0, "a zero-byte pool must evict");
-    assert!(stats.misses > 0, "a zero-byte pool must re-read pages");
-    assert!(
-        stats.spill_bytes > 0,
-        "evicted pages must hit the spill file"
-    );
 }
 
 /// Re-running the same plan over the same paged database (now with warm —
@@ -383,9 +358,6 @@ fn repeated_runs_over_an_evicting_pool_are_identical() {
         top: 2,
     });
     let ctx = ExecContext {
-        join_algo: JoinAlgo::Hash,
-        threads: 1,
-        morsel_rows: 16,
         mem_budget: op_budget,
     };
     let first = execute(&q, &paged, &ctx).expect("first run");

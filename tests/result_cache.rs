@@ -24,9 +24,7 @@ use proptest::prelude::*;
 use mvdesign::algebra::{parse_query_with, Expr, Value};
 use mvdesign::catalog::Catalog;
 use mvdesign::core::DesignResult;
-use mvdesign::engine::{
-    execute, Database, ExecContext, Generator, GeneratorConfig, JoinAlgo, Table,
-};
+use mvdesign::engine::{execute, Database, ExecContext, Generator, GeneratorConfig, Table};
 use mvdesign::prelude::Designer;
 use mvdesign::warehouse::{RefreshPolicy, ResultCacheStats, Warehouse, WarehouseSnapshot};
 use mvdesign::workload::{paper_example, tpch_lite};
@@ -140,15 +138,14 @@ fn mem_budget() -> Option<usize> {
         .map(|v| v.parse().expect("MVDESIGN_MEM_BUDGET is a byte count"))
 }
 
-/// A resident warehouse over `pool`'s design, serving with hash joins like
-/// the benchmark's. The pins use it whatever the environment says: what
-/// hits and what misses is a statement about a cache that has room.
+/// A resident warehouse over `pool`'s design. The pins use it whatever the
+/// environment says: what hits and what misses is a statement about a cache
+/// that has room.
 fn resident(pool: &Pool, seed: u64, size: (f64, usize)) -> Warehouse {
-    Warehouse::new_with_join_algo(
+    Warehouse::new(
         pool.catalog.clone(),
         data(&pool.catalog, seed, size),
         &pool.design,
-        JoinAlgo::Hash,
     )
     .expect("warehouse builds")
 }
@@ -620,39 +617,5 @@ fn under_a_memory_budget_nothing_is_kept() {
     assert_eq!(
         delta(w.result_cache_stats(), ResultCacheStats::default()),
         (1, 1, 0)
-    );
-}
-
-/// Answers are only bag-identical across join algorithms, so a kept answer
-/// must not outlive a change of `ExecContext`.
-#[test]
-fn changing_the_exec_context_starts_from_an_empty_cache() {
-    let pool = tpch();
-    let nested = ExecContext::default();
-    let sort_merge = ExecContext {
-        join_algo: JoinAlgo::SortMerge,
-        ..ExecContext::default()
-    };
-    let build = || {
-        Warehouse::new(
-            pool.catalog.clone(),
-            data(&pool.catalog, 23, SMALL),
-            &pool.design,
-        )
-        .expect("warehouse builds")
-    };
-    let mut w = build().with_exec_context(nested);
-    let mut order_differs = 0;
-    for ask in &pool.asks {
-        let kept = ask_warehouse(&w, ask);
-        w = w.with_exec_context(sort_merge);
-        assert_eq!(w.result_cache_stats(), ResultCacheStats::default());
-        check_warehouse(&w, ask, "first ask under the new context");
-        order_differs += usize::from(ask_warehouse(&w, ask).batch() != kept.batch());
-        w = w.with_exec_context(nested);
-    }
-    assert!(
-        order_differs > 0,
-        "fixture: some pool query must order its rows by the join algorithm"
     );
 }

@@ -26,7 +26,7 @@ use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::core::{Decision, DesignResult, MissReason, Routed, ViewCatalog, Workload};
 use mvdesign::engine::{
     execute, materialize_view, measure, BufferPool, Database, ExecContext, Generator,
-    GeneratorConfig, JoinAlgo, Table,
+    GeneratorConfig, Table,
 };
 use mvdesign::prelude::Designer;
 use mvdesign::warehouse::Warehouse;
@@ -184,7 +184,7 @@ fn serving(base: &Database, views: &ViewCatalog) -> (Database, ExecContext) {
 /// The answer a routed plan must give: the row-at-a-time reference over
 /// the base tables, no views anywhere.
 fn reference(query: &Arc<Expr>, base: &Database) -> Table {
-    row_reference::execute(query, base, JoinAlgo::NestedLoop).expect("reference executes")
+    row_reference::execute(query, base).expect("reference executes")
 }
 
 /// Header, column order and bag of rows all equal.
