@@ -215,8 +215,8 @@ pub fn refresh_view_delta(
             let Some(d) = execute_delta(input, old, deltas, ctx)? else {
                 return Ok(None);
             };
-            let ins = aggregate_batch(&d.insert, group_by, aggs, ctx)?;
-            let del = aggregate_batch(&d.delete, group_by, aggs, ctx)?;
+            let (ins, _) = aggregate_batch(&d.insert, group_by, aggs, ctx)?;
+            let (del, _) = aggregate_batch(&d.delete, group_by, aggs, ctx)?;
             Ok(fold_aggregate(old_view, &ins, &del, group_by, aggs))
         }
     }

@@ -1,25 +1,35 @@
-//! Raw integer join/group keys shared by the hash join and hash-aggregation
+//! One `i64` key per row, shared by the hash join and hash-aggregation
 //! kernels (in-memory and spill-partitioned variants alike).
 //!
-//! `Int`/`Date` columns borrow their `i64` storage directly. Dictionary
-//! columns contribute their codes: code equality is value equality within
-//! one dictionary, and across dictionaries the right side's *entries* are
+//! A key is **exact** when equal keys mean equal values: a single `Int` or
+//! `Date` column borrows its `i64` storage, and a single dictionary column
+//! contributes its codes — code equality is value equality within one
+//! dictionary, and across dictionaries the right side's *entries* are
 //! translated into the left code space once per batch, so text-keyed joins
-//! never hash a string. Group keys pack up to [`COMPACT_GROUP_KEY_COLS`]
-//! column values into a fixed-width `[i64; 4]`, padded with `i64::MIN` —
-//! every key in one aggregation shares a width, so padding never collides.
+//! never hash a string. Any other key — several columns, plain text, mixed
+//! values — is a **hash** of the row's values ([`row_hashes`]); equal values
+//! hash equal, and the kernels confirm a hash match on the columns
+//! themselves ([`Column::eq_at`]). Either way every join and every group-by
+//! runs over one `i64` per row, so every one can be radix-partitioned and
+//! spilled.
 //!
-//! Every integer-keyed map in the engine hashes with [`IntHasher`], and the
-//! three hash joins share one build-side index, [`ChainTable`].
+//! Every integer-keyed map in the engine hashes with [`IntHasher`]; the
+//! hash join's build side is one [`ChainTable`]. Both report the bytes they
+//! hold ([`ChainTable::bytes`]) and bound them before they are built
+//! ([`ChainTable::bytes_for`]) — the currency of the engine's spill
+//! decisions.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
 use std::sync::Arc;
+
+use mvdesign_algebra::Value;
 
 use crate::batch::Column;
 
 /// A multiply-rotate hasher (the FxHash recipe) for the engine's integer
-/// keys: raw `i64` join keys and packed [`CompactKey`]s.
+/// keys and for the row hashes of [`row_hashes`].
 ///
 /// `std`'s default SipHash is keyed per process to resist collision
 /// flooding by whoever chooses the keys of a long-lived map. These maps are
@@ -29,7 +39,7 @@ use crate::batch::Column;
 /// checked on the full key). At a few nanoseconds per row SipHash was most
 /// of a group-by's or a probe's cost, so the integer paths trade the
 /// flooding resistance for one multiply per word. Maps keyed by anything
-/// else (`Vec<Value>` join keys, strings) keep the default hasher.
+/// else (strings) keep the default hasher.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct IntHasher(u64);
 
@@ -74,11 +84,29 @@ pub(crate) type IntBuildHasher = BuildHasherDefault<IntHasher>;
 /// A hash map under [`IntHasher`].
 pub(crate) type IntMap<K, V> = HashMap<K, V, IntBuildHasher>;
 
+/// Bytes of one slot of a map holding `(K, V)`: the entry and its control
+/// byte. A map's footprint is its capacity times this.
+pub(crate) const fn slot_bytes<K, V>() -> usize {
+    size_of::<(K, V)>() + 1
+}
+
+/// An upper bound on the capacity of a map that was pre-sized for, or grew
+/// to, `n` entries. `std`'s map keeps a power-of-two bucket count at most
+/// 7/8 full (the smallest table holds 3), so it never holds more than
+/// `2n` slots — pinned for every `n` below 5 000 by a unit test.
+pub(crate) fn map_slots_bound(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        (2 * n).max(3)
+    }
+}
+
 /// End of a [`ChainTable`] chain.
 const NIL: u32 = u32::MAX;
 
-/// The build side of a hash join on raw `i64` keys — the one index behind
-/// the sequential, the partitioned-parallel and the Grace (spilled) join.
+/// The build side of a hash join on `i64` keys — the one index behind the
+/// in-memory and the Grace (spilled) join.
 ///
 /// One map entry per *distinct* key holds the head of a chain threaded
 /// through `next`; entries with equal keys are linked in the order they
@@ -118,25 +146,46 @@ impl ChainTable {
     }
 
     /// Appends `(i, j)` to the index vectors for every build row `j` whose
-    /// key is `key` — the one inner loop of every hash join.
-    pub(crate) fn probe(&self, i: usize, key: i64, lidx: &mut Vec<usize>, ridx: &mut Vec<usize>) {
+    /// key is `key` and for which `matches(j)` holds — the one inner loop of
+    /// every hash join. Exact keys pass `|_| true`; hashed keys confirm the
+    /// match on the key columns.
+    pub(crate) fn probe(
+        &self,
+        i: usize,
+        key: i64,
+        lidx: &mut Vec<usize>,
+        ridx: &mut Vec<usize>,
+        matches: impl Fn(usize) -> bool,
+    ) {
         let mut e = self.heads.get(&key).copied().unwrap_or(NIL);
         while e != NIL {
-            lidx.push(i);
-            ridx.push(self.rows[e as usize]);
+            let j = self.rows[e as usize];
+            if matches(j) {
+                lidx.push(i);
+                ridx.push(j);
+            }
             e = self.next[e as usize];
         }
     }
+
+    /// Bytes the table holds, by capacity: the head map's slots and the two
+    /// per-entry arrays.
+    pub(crate) fn bytes(&self) -> usize {
+        self.heads.capacity() * slot_bytes::<i64, u32>()
+            + self.next.capacity() * size_of::<u32>()
+            + self.rows.capacity() * size_of::<usize>()
+    }
+
+    /// An upper bound on [`ChainTable::bytes`] for a table built from
+    /// `entries` entries — what a join asks before it builds one.
+    pub(crate) fn bytes_for(entries: usize) -> usize {
+        map_slots_bound(entries) * slot_bytes::<i64, u32>()
+            + entries * (size_of::<u32>() + size_of::<usize>())
+    }
 }
 
-/// Widest group-by the compact fixed-width aggregate key covers.
-pub(crate) const COMPACT_GROUP_KEY_COLS: usize = 4;
-
-/// A fixed-width packed group key (see [`pack_key`]).
-pub(crate) type CompactKey = [i64; COMPACT_GROUP_KEY_COLS];
-
-/// Raw `i64` join keys — borrowed straight from `Int`/`Date` storage, or
-/// materialised once per batch for dictionary codes.
+/// One `i64` key per row — borrowed straight from `Int`/`Date` storage, or
+/// owned: dictionary codes, translated codes, row hashes.
 pub(crate) enum RawKeys<'a> {
     Borrowed(&'a [i64]),
     Owned(Vec<i64>),
@@ -198,79 +247,144 @@ pub(crate) fn raw_key_pair<'a>(
     }
 }
 
-/// When every key pair is integer-representable (`Int`/`Int`, `Date`/`Date`
-/// or `Dict`/`Dict`), returns the raw keys; empty otherwise. Kernels use
-/// the single-pair case as their fast path.
-pub(crate) fn raw_keys<'a>(
+/// One `i64` per row on each side of an equi-join, and whether equal keys
+/// are equal values (`exact`) or only equal hashes, to be confirmed on the
+/// key columns.
+pub(crate) struct JoinKeys<'a> {
+    pub(crate) left: RawKeys<'a>,
+    pub(crate) right: RawKeys<'a>,
+    pub(crate) exact: bool,
+}
+
+/// The keys of a join on `lcols[k] = rcols[k]`: a single integer-
+/// representable pair ([`raw_key_pair`]) is exact; a cross join keys every
+/// row `0`, which is exact too (every pair matches); anything else hashes
+/// each side's rows with [`row_hashes`].
+pub(crate) fn join_keys<'a>(
     lcols: &[&'a Column],
     rcols: &[&'a Column],
-) -> Vec<(RawKeys<'a>, RawKeys<'a>)> {
-    lcols
-        .iter()
-        .zip(rcols)
-        .map(|(lc, rc)| raw_key_pair(lc, rc))
-        .collect::<Option<Vec<_>>>()
-        .unwrap_or_default()
+    ln: usize,
+    rn: usize,
+) -> JoinKeys<'a> {
+    if let ([lc], [rc]) = (lcols, rcols) {
+        if let Some((left, right)) = raw_key_pair(lc, rc) {
+            return JoinKeys {
+                left,
+                right,
+                exact: true,
+            };
+        }
+    }
+    JoinKeys {
+        left: RawKeys::Owned(row_hashes(lcols, ln)),
+        right: RawKeys::Owned(row_hashes(rcols, rn)),
+        exact: lcols.is_empty(),
+    }
 }
 
-/// One group-key column as grouping reads it: `Int`/`Date` storage or a
-/// dictionary column's codes, borrowed either way (code equality is value
-/// equality, which is all grouping needs).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum KeyLane<'a> {
+/// One group-by key per row, read in place where a column is one.
+pub(crate) enum GroupKeyRows<'a> {
+    /// A single `Int`/`Date` column: the value is the key.
     Ints(&'a [i64]),
-    /// Dictionary codes, with the dictionary's size (every code is below it).
-    Codes {
-        codes: &'a [u32],
-        dict_len: usize,
-    },
+    /// A single dictionary column: the code is the key (every code is below
+    /// `dict_len`, the dictionary's size).
+    Codes { codes: &'a [u32], dict_len: usize },
+    /// Row hashes ([`row_hashes`]) of several or non-integer columns, or
+    /// `0` for every row of a γ without group columns.
+    Owned(Vec<i64>),
 }
 
-impl KeyLane<'_> {
-    fn at(&self, i: usize) -> i64 {
+impl GroupKeyRows<'_> {
+    /// The key of row `i`.
+    pub(crate) fn at(&self, i: usize) -> i64 {
         match self {
-            KeyLane::Ints(v) => v[i],
-            KeyLane::Codes { codes, .. } => i64::from(codes[i]),
+            GroupKeyRows::Ints(v) => v[i],
+            GroupKeyRows::Codes { codes, .. } => i64::from(codes[i]),
+            GroupKeyRows::Owned(v) => v[i],
         }
     }
 }
 
-/// The column as a group-key lane, if it is integer-representable.
-pub(crate) fn key_lane(col: &Column) -> Option<KeyLane<'_>> {
-    match col {
-        Column::Int(v) | Column::Date(v) => Some(KeyLane::Ints(v)),
-        Column::Dict { codes, values } => Some(KeyLane::Codes {
-            codes,
-            dict_len: values.len(),
-        }),
-        _ => None,
+/// The group keys of `rows` rows over `gcols`, and whether equal keys are
+/// equal groups (`exact`) or only equal hashes, to be confirmed on the
+/// columns: a single integer or dictionary column, and no column at all
+/// (one group), are exact; anything else is a row hash.
+pub(crate) fn group_keys<'a>(gcols: &[&'a Column], rows: usize) -> (GroupKeyRows<'a>, bool) {
+    match gcols {
+        [] => (GroupKeyRows::Owned(vec![0; rows]), true),
+        [Column::Int(v) | Column::Date(v)] => (GroupKeyRows::Ints(v), true),
+        [Column::Dict { codes, values }] => (
+            GroupKeyRows::Codes {
+                codes,
+                dict_len: values.len(),
+            },
+            true,
+        ),
+        _ => (GroupKeyRows::Owned(row_hashes(gcols, rows)), false),
     }
 }
 
-/// Packs row `i` of the group-key columns into a fixed-width key, padding
-/// unused lanes with `i64::MIN`. Within one aggregation every key uses the
-/// same number of lanes, so two packed keys are equal iff the underlying
-/// key tuples are equal — the round-trip property the unit tests pin.
-pub(crate) fn pack_key(lanes: &[KeyLane<'_>], i: usize) -> CompactKey {
-    debug_assert!(lanes.len() <= COMPACT_GROUP_KEY_COLS);
-    let mut key = [i64::MIN; COMPACT_GROUP_KEY_COLS];
-    for (k, lane) in lanes.iter().enumerate() {
-        key[k] = lane.at(i);
+/// Tag words that keep an integer, a date and a string with the same bits
+/// apart in [`row_hashes`] (values of different variants are never equal).
+const INT_TAG: u64 = 1;
+const DATE_TAG: u64 = 2;
+const TEXT_TAG: u64 = 3;
+
+fn hash_int(tag: u64, v: i64) -> u64 {
+    let mut h = IntHasher(tag);
+    h.write_i64(v);
+    h.finish()
+}
+
+fn hash_str(s: &str) -> u64 {
+    let mut h = IntHasher(TEXT_TAG);
+    h.write(s.as_bytes());
+    h.write_usize(s.len());
+    h.finish()
+}
+
+fn hash_value(v: &Value) -> u64 {
+    match v {
+        Value::Int(x) => hash_int(INT_TAG, *x),
+        Value::Date(x) => hash_int(DATE_TAG, *x),
+        Value::Text(s) => hash_str(s),
     }
-    key
 }
 
-/// Unpacks the first `width` lanes of a packed key — the inverse of
-/// [`pack_key`] for an aggregation with `width` group columns.
-#[cfg(test)]
-pub(crate) fn unpack_key(key: &CompactKey, width: usize) -> &[i64] {
-    &key[..width]
+/// A hash of each row's values over `cols` (`rows` rows; all `0` without
+/// columns). Equal values hash equal whatever represents them — a
+/// dictionary code and a plain string, a typed integer and a `Mixed` one —
+/// so two columns compare by hash exactly when [`Column::eq_at`] could hold.
+/// Dictionary entries are hashed once, not once per row. The mix is
+/// [`IntHasher`]'s, unkeyed, on the same argument as the integer keys: a
+/// collision costs a comparison on the columns, never a wrong result.
+pub(crate) fn row_hashes(cols: &[&Column], rows: usize) -> Vec<i64> {
+    fn fold(h: &mut [u64], value_hashes: impl Iterator<Item = u64>) {
+        for (acc, v) in h.iter_mut().zip(value_hashes) {
+            *acc = (acc.rotate_left(5) ^ v).wrapping_mul(HASH_MUL);
+        }
+    }
+    let mut h = vec![0u64; rows];
+    for col in cols {
+        match col {
+            Column::Int(v) => fold(&mut h, v.iter().map(|&x| hash_int(INT_TAG, x))),
+            Column::Date(v) => fold(&mut h, v.iter().map(|&x| hash_int(DATE_TAG, x))),
+            Column::Text(v) => fold(&mut h, v.iter().map(|s| hash_str(s))),
+            Column::Dict { codes, values } => {
+                let entry: Vec<u64> = values.iter().map(|s| hash_str(s)).collect();
+                fold(&mut h, codes.iter().map(|&c| entry[c as usize]));
+            }
+            Column::Mixed(v) => fold(&mut h, v.iter().map(hash_value)),
+        }
+    }
+    h.into_iter().map(|x| x as i64).collect()
 }
 
-/// Upper-bound hint for the group count: dictionary columns bound their
-/// distinct count by the value-table size, other columns only by the row
-/// count. Pre-sizing the map from `min(rows, Π per-column hints)` avoids
-/// rehashing during the build.
+/// Upper bound on the group count: dictionary columns bound their distinct
+/// count by the value-table size, other columns only by the row count, no
+/// column makes one group. `min(rows, Π per-column bounds)` pre-sizes the
+/// group table (no rehash during the build) and is the group count a
+/// γ's state estimate assumes — exact for one dictionary key.
 pub(crate) fn group_cardinality_hint(gcols: &[&Column], rows: usize) -> usize {
     let mut hint = 1usize;
     for c in gcols {
@@ -291,34 +405,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pack_round_trips_every_width() {
-        let c0 = vec![1i64, 2, 3];
-        let c1 = vec![-7i64, 0, i64::MAX];
-        let c2 = vec![i64::MIN, 5, 9];
-        let cols = [KeyLane::Ints(&c0), KeyLane::Ints(&c1), KeyLane::Ints(&c2)];
-        for width in 1..=cols.len() {
-            let slices = &cols[..width];
-            for i in 0..3 {
-                let packed = pack_key(slices, i);
-                let unpacked = unpack_key(&packed, width);
-                let expected: Vec<i64> = slices.iter().map(|s| s.at(i)).collect();
-                assert_eq!(unpacked, expected.as_slice(), "width {width}, row {i}");
-                // Padding lanes are inert.
-                assert!(packed[width..].iter().all(|&p| p == i64::MIN));
-            }
-        }
+    fn row_hashes_agree_across_representations() {
+        // The same values hash the same whether typed, mixed, plain text or
+        // dictionary codes (under any dictionary); an integer and a date
+        // with the same bits do not.
+        let ints = Column::Int(vec![5, -7, i64::MIN]);
+        let mixed = Column::Mixed(vec![Value::Int(5), Value::Int(-7), Value::Int(i64::MIN)]);
+        let dates = Column::Date(vec![5, -7, i64::MIN]);
+        let text = Column::Text(vec!["b".into(), "".into(), "héllo".into()]);
+        let dict = Column::Dict {
+            codes: vec![2, 0, 1],
+            values: vec!["".into(), "héllo".into(), "b".into()].into(),
+        };
+        assert_eq!(row_hashes(&[&ints], 3), row_hashes(&[&mixed], 3));
+        assert_eq!(
+            row_hashes(&[&text, &ints], 3),
+            row_hashes(&[&dict, &mixed], 3)
+        );
+        let (i, d) = (row_hashes(&[&ints], 3), row_hashes(&[&dates], 3));
+        assert!(i.iter().zip(&d).all(|(a, b)| a != b));
+        assert_eq!(row_hashes(&[], 2), [0, 0]);
     }
 
     #[test]
-    fn packed_equality_is_tuple_equality() {
-        // Distinct tuples (even ones containing the padding sentinel) pack
-        // to distinct keys, and equal tuples pack to equal keys.
-        let a = vec![1i64, 1, i64::MIN];
-        let b = vec![2i64, 2, 2];
-        let slices = [KeyLane::Ints(&a), KeyLane::Ints(&b)];
-        let keys: Vec<CompactKey> = (0..3).map(|i| pack_key(&slices, i)).collect();
-        assert_ne!(keys[0], keys[2]); // (1,2) ≠ (MIN,2)
-        assert_eq!(keys[0], keys[1]); // (1,2) = (1,2)
+    fn equal_tuples_hash_equal_and_distinct_ones_apart() {
+        // (1,2) twice, then (MIN,2) and the swapped tuple (2,1): equal
+        // tuples share a hash, these distinct ones do not.
+        let a = Column::Int(vec![1, 1, i64::MIN, 2]);
+        let b = Column::Int(vec![2, 2, 2, 1]);
+        let (h, exact) = group_keys(&[&a, &b], 4);
+        let h: Vec<i64> = (0..4).map(|i| h.at(i)).collect();
+        assert!(!exact, "a two-column key is a hash");
+        assert_eq!(h[0], h[1]);
+        assert_ne!(h[0], h[2]);
+        assert_ne!(h[0], h[3]);
+    }
+
+    #[test]
+    fn footprints_bound_what_tables_hold() {
+        // The map-capacity bound, pre-sized and grown by insertion.
+        let mut grown: IntMap<i64, u32> = IntMap::default();
+        for n in 0..5_000usize {
+            let sized: IntMap<i64, u32> = IntMap::with_capacity_and_hasher(n, Default::default());
+            assert!(sized.capacity() <= map_slots_bound(n), "with_capacity({n})");
+            assert!(grown.capacity() <= map_slots_bound(n), "grown to {n}");
+            grown.insert(n as i64, 0);
+        }
+        // A chain table never holds more than it said it would, with all
+        // keys distinct or all equal.
+        for n in [0usize, 1, 2, 3, 7, 8, 100, 1_000] {
+            for distinct in [true, false] {
+                let entries = (0..n).map(|j| (if distinct { j as i64 } else { 7 }, j));
+                let table = ChainTable::build(entries.collect::<Vec<_>>().into_iter());
+                assert!(table.bytes() <= ChainTable::bytes_for(n), "{n} entries");
+            }
+        }
     }
 
     #[test]
@@ -354,14 +495,23 @@ mod tests {
 
     #[test]
     fn dictionary_lanes_read_codes_in_place() {
+        // A single dictionary key groups by its codes, exactly; a plain text
+        // key by hash.
         let d = Column::Dict {
             codes: vec![2, 0, 2],
             values: vec!["a".into(), "b".into(), "c".into()].into(),
         };
-        let lane = key_lane(&d).expect("dict lane");
-        assert!(matches!(lane, KeyLane::Codes { dict_len: 3, .. }));
-        assert_eq!(pack_key(&[lane], 0)[0], 2);
-        assert!(key_lane(&Column::Text(vec![])).is_none());
+        let (codes, exact) = group_keys(&[&d], 3);
+        assert!(exact);
+        assert!(matches!(codes, GroupKeyRows::Codes { dict_len: 3, .. }));
+        assert_eq!([0, 1, 2].map(|i| codes.at(i)), [2, 0, 2]);
+        let text = Column::Text(vec!["c".into(), "a".into(), "c".into()]);
+        let (hashes, exact) = group_keys(&[&text], 3);
+        assert!(!exact);
+        assert_eq!(
+            [0, 1, 2].map(|i| hashes.at(i)).to_vec(),
+            row_hashes(&[&d], 3)
+        );
     }
 
     #[test]
@@ -371,14 +521,17 @@ mod tests {
         let entries = [(7, 1), (i64::MIN, 3), (7, 4), (0, 5), (7, 9)];
         let table = ChainTable::build(entries.into_iter());
         let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
-        table.probe(0, 7, &mut lidx, &mut ridx);
-        table.probe(1, 8, &mut lidx, &mut ridx);
-        table.probe(2, i64::MIN, &mut lidx, &mut ridx);
+        table.probe(0, 7, &mut lidx, &mut ridx, |_| true);
+        table.probe(1, 8, &mut lidx, &mut ridx, |_| true);
+        table.probe(2, i64::MIN, &mut lidx, &mut ridx, |_| true);
         assert_eq!(lidx, [0, 0, 0, 2]);
         assert_eq!(ridx, [1, 4, 9, 3]);
+        // A hash match the columns refuse emits nothing.
+        table.probe(3, 7, &mut lidx, &mut ridx, |j| j != 4);
+        assert_eq!(ridx[4..], [1, 9]);
         let empty = ChainTable::build(std::iter::empty());
-        empty.probe(0, 7, &mut lidx, &mut ridx);
-        assert_eq!(lidx.len(), 4);
+        empty.probe(0, 7, &mut lidx, &mut ridx, |_| true);
+        assert_eq!(lidx.len(), 6);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! both engines are property-tested to produce identical rows in identical
 //! order.
 //!
-//! Two adaptive refinements sit on top of the kernels. Joins and aggregates
-//! whose keys are integer-, date- or dictionary-backed run over raw `i64`
-//! keys (dictionary codes translate between value tables once per batch, so
-//! text-keyed joins never hash a string — see [`keys`]). Selections
+//! Two adaptive refinements sit on top of the kernels. Every join and
+//! aggregate runs over one `i64` key per row — the value itself for a single
+//! integer, date or dictionary key (dictionary codes translate between value
+//! tables once per batch, so text-keyed joins never hash a string), a row
+//! hash confirmed on the columns otherwise; see [`keys`]. Selections
 //! short-circuit through *selection vectors*: [`selection_mask`] orders AND
 //! conjuncts by estimated selectivity (dictionary cardinalities give `=` on
 //! a text column a real distinct count; intersection commutes, so the order
@@ -25,9 +26,9 @@ pub mod delta;
 mod keys;
 mod paged;
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use mvdesign_algebra::{
@@ -39,8 +40,8 @@ use crate::batch::{Batch, Column};
 use crate::table::{Database, Table};
 
 use keys::{
-    group_cardinality_hint, key_lane, pack_key, raw_keys, ChainTable, CompactKey, IntMap, KeyLane,
-    COMPACT_GROUP_KEY_COLS, HASH_MUL,
+    group_cardinality_hint, group_keys, join_keys, map_slots_bound, slot_bytes, ChainTable,
+    GroupKeyRows, IntMap, HASH_MUL,
 };
 pub(crate) use paged::{exec_view, View};
 
@@ -77,10 +78,34 @@ impl Error for ExecError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecContext {
     /// Operator memory budget in bytes (`None`, the default, = unbounded).
-    /// When set, the join and the aggregation switch to their
-    /// spill-partitioned (Grace) variants once their estimated state exceeds
-    /// half the budget — only the memory high-water changes.
+    /// An operator's *state* — the hash join's build-side hash table,
+    /// the aggregation's group table with its representatives and
+    /// accumulators — may take half of it. A join whose build side, or a γ
+    /// whose group bound, would hold more goes spill-partitioned (Grace),
+    /// one partition's state within that half at a time; the rows it reads
+    /// and writes are not state. Only the memory high-water changes, and
+    /// [`crate::measure`] reports it per operator
+    /// ([`crate::OpCharge::state_bytes`]).
     pub mem_budget: Option<usize>,
+}
+
+/// What an operator held while it ran: the largest keyed state in memory
+/// at once — a join's [`ChainTable`], a γ's group table with its
+/// representatives and accumulators, in bytes by capacity — and whether it
+/// spilled to keep that within the budget. Selection and projection hold
+/// none. [`crate::measure`] records it as [`crate::OpCharge`]'s
+/// `state_bytes` and `spilled`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Held {
+    pub(crate) state_bytes: usize,
+    pub(crate) spilled: bool,
+}
+
+impl Held {
+    /// Widens the high-water to `bytes`.
+    fn hold(&mut self, bytes: usize) {
+        self.state_bytes = self.state_bytes.max(bytes);
+    }
 }
 
 // Exists for the frozen `benchmark/src/layers.rs`, which names
@@ -113,7 +138,7 @@ pub fn execute(expr: &Arc<Expr>, db: &Database, ctx: &ExecContext) -> Result<Tab
             .cloned()
             .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
         _ => {
-            let view = exec_view(expr, db, ctx, &mut |_, _, _| {})?;
+            let view = exec_view(expr, db, ctx, &mut |_, _, _, _| {})?;
             Ok(Table::from_batch(op_label(expr), view.into_batch()))
         }
     }
@@ -160,109 +185,122 @@ pub(crate) fn join_batch(
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
     let (l, r) = (View::Resident(l.clone()), View::Resident(r.clone()));
-    paged::join_view(&l, &r, on, None, ctx).map(View::into_batch)
+    paged::join_view(&l, &r, on, None, ctx).map(|(out, _)| out.into_batch())
 }
 
 /// The join over row indices — the same code whether the inputs are
 /// resident or paged: a hash join, build on the right, probe with the left.
 /// Probe rows go in order and a key's build rows are kept ascending, so the
 /// pairs come out `(i asc, j asc)` — the naive nested loop's output, row
-/// for row. A cross join hashes everything under the empty key,
-/// degenerating gracefully. The single-key integer/dictionary case hashes
-/// raw `i64`s — text-keyed joins over dictionary columns never hash a
-/// string — and goes spill-partitioned (Grace) when the key state exceeds
-/// the memory budget.
+/// for row. Every join runs over one `i64` key per row ([`join_keys`]):
+/// exact for a single integer or dictionary pair (text-keyed joins over
+/// dictionary columns never hash a string), `0` for a cross join, a row
+/// hash otherwise, confirmed on the key columns.
+///
+/// The state is the build side's [`ChainTable`]; the probe side streams
+/// through it and its key column is already materialised. A build side
+/// whose table would exceed half the budget goes spill-partitioned
+/// ([`grace_hash_join`]). Returns the pairs and what the join held.
 fn join_indices(
     ln: usize,
     rn: usize,
     lcols: &[&Column],
     rcols: &[&Column],
     ctx: &ExecContext,
-) -> Result<(Vec<usize>, Vec<usize>), ExecError> {
-    use std::collections::HashMap;
-    if let [(lk, rk)] = raw_keys(lcols, rcols).as_slice() {
-        let (lk, rk) = (lk.as_slice(), rk.as_slice());
-        if spill_needed(ctx, (ln + rn) * JOIN_RECORD_BYTES) {
-            return grace_hash_join(lk, rk, ctx);
-        }
-        let table = ChainTable::build(rk.iter().copied().zip(0..rn));
-        // One match per probe row is the foreign-key case; reserve for it.
-        let (mut lidx, mut ridx) = (Vec::with_capacity(ln), Vec::with_capacity(ln));
-        for (i, a) in lk.iter().enumerate() {
-            table.probe(i, *a, &mut lidx, &mut ridx);
-        }
-        return Ok((lidx, ridx));
+) -> Result<(Vec<usize>, Vec<usize>, Held), ExecError> {
+    let keys = join_keys(lcols, rcols, ln, rn);
+    let (lk, rk) = (keys.left.as_slice(), keys.right.as_slice());
+    let matches =
+        |i: usize, j: usize| keys.exact || lcols.iter().zip(rcols).all(|(l, r)| l.eq_at(i, r, j));
+    let limit = state_limit(ctx);
+    let estimate = ChainTable::bytes_for(rn);
+    if estimate > limit {
+        return grace_hash_join(lk, rk, &matches, estimate, limit);
     }
-    let mut lidx = Vec::new();
-    let mut ridx = Vec::new();
-    let mut built: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for j in 0..rn {
-        let key: Vec<Value> = rcols.iter().map(|c| c.value(j)).collect();
-        built.entry(key).or_default().push(j);
+    let table = ChainTable::build(rk.iter().copied().zip(0..rn));
+    debug_assert!(table.bytes() <= estimate, "chain table outgrew its bound");
+    // One match per probe row is the foreign-key case; reserve for it.
+    let (mut lidx, mut ridx) = (Vec::with_capacity(ln), Vec::with_capacity(ln));
+    for (i, a) in lk.iter().enumerate() {
+        table.probe(i, *a, &mut lidx, &mut ridx, |j| matches(i, j));
     }
-    for i in 0..ln {
-        let key: Vec<Value> = lcols.iter().map(|c| c.value(i)).collect();
-        if let Some(matches) = built.get(&key) {
-            for &j in matches {
-                lidx.push(i);
-                ridx.push(j);
-            }
-        }
-    }
-    Ok((lidx, ridx))
+    let held = Held {
+        state_bytes: table.bytes(),
+        spilled: false,
+    };
+    Ok((lidx, ridx, held))
 }
 
-/// Bytes per spilled join record: a raw `i64` key plus a `u64` row index.
-const JOIN_RECORD_BYTES: usize = 16;
-
-/// Bytes per spilled aggregation record: a packed [`CompactKey`] plus a
-/// `u64` row index.
-const AGG_RECORD_BYTES: usize = std::mem::size_of::<CompactKey>() + 8;
+/// Bytes per spilled record: an `i64` key plus a `u64` row index.
+const RECORD_BYTES: usize = 16;
 
 /// Spilled partition runs are flushed in buffers of this many bytes, so
 /// scatter memory stays bounded by `partitions × SPILL_RUN_BYTES` no matter
 /// how large the inputs are.
 const SPILL_RUN_BYTES: usize = 64 * 1024;
 
-/// Whether an operator about to hold `bytes` of transient state must switch
-/// to its spill-partitioned variant. The threshold is half the budget — the
-/// operator shares memory with the input pages it is reading.
-fn spill_needed(ctx: &ExecContext, bytes: usize) -> bool {
-    ctx.mem_budget.is_some_and(|budget| bytes > budget / 2)
+/// The most state one operator may hold in memory: half the budget — it
+/// shares the rest with the input pages it reads — or everything without
+/// one.
+fn state_limit(ctx: &ExecContext) -> usize {
+    ctx.mem_budget.map_or(usize::MAX, |budget| budget / 2)
 }
 
-/// Partition count for a spilling operator: enough budget-sized chunks to
-/// cover the state, rounded to a power of two so [`partition_of`]'s top-bit
-/// radix applies, clamped to keep per-partition buffers sane. Nothing
-/// downstream depends on the count: the order-restoring merges make results
-/// identical at any partition count.
-fn spill_partitions(state_bytes: usize, ctx: &ExecContext) -> usize {
-    let budget = ctx.mem_budget.unwrap_or(state_bytes).max(1);
+/// Partition count for a spilling operator whose state is estimated at
+/// `state_bytes`: enough `limit`-sized shares to cover it, rounded to a
+/// power of two so [`partition_of`]'s top-bit radix applies, clamped to
+/// keep per-partition buffers sane. A partition that still holds more than
+/// `limit` — skewed keys, or the clamp — is cut further where it is
+/// processed. Nothing downstream depends on the count: the order-restoring
+/// merges make results identical at any partition count.
+fn spill_partitions(state_bytes: usize, limit: usize) -> usize {
     state_bytes
-        .div_ceil(budget)
+        .div_ceil(limit.max(1))
         .next_power_of_two()
         .clamp(2, 256)
+}
+
+/// The most entries a table can take while `bytes_for` of them stays
+/// within `limit` — at least one, the unit no partitioning can split.
+/// `bytes_for` must be monotone.
+fn entries_within(limit: usize, bytes_for: impl Fn(usize) -> usize) -> usize {
+    let (mut lo, mut hi) = (1usize, 2usize);
+    while bytes_for(hi) <= limit {
+        lo = hi;
+        hi *= 2;
+    }
+    // bytes_for(lo) ≤ limit (or lo = 1) < bytes_for(hi): bisect.
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if bytes_for(mid) <= limit {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 fn spill_error(e: std::io::Error) -> ExecError {
     ExecError::Spill(e.to_string())
 }
 
-/// Scatters `(key, row)` records into per-partition runs on `store`, one
-/// buffered sequential pass. Each record is [`JOIN_RECORD_BYTES`]: key as
-/// `i64` LE then row index as `u64` LE. Because the pass is sequential,
-/// every partition's concatenated runs hold its rows in ascending row
-/// order — the property the order-restoring merges rely on.
+/// Scatters `(key, row)` records — row `i` keyed by the `i`-th of `keys` —
+/// into per-partition runs on `store`, one buffered sequential pass. Each
+/// record is [`RECORD_BYTES`]: key as `i64` LE then row index as `u64` LE.
+/// Because the pass is sequential, every partition's concatenated runs hold
+/// its rows in ascending row order — the property the order-restoring
+/// merges rely on.
 fn scatter_raw_keys(
-    keys: &[i64],
+    keys: impl Iterator<Item = i64>,
     store: &crate::storage::SpillStore,
     parts: usize,
     shift: u32,
 ) -> Result<Vec<Vec<(u64, u64)>>, ExecError> {
     let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); parts];
     let mut runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); parts];
-    for (i, k) in keys.iter().enumerate() {
-        let p = partition_of(*k, shift);
+    for (i, k) in keys.enumerate() {
+        let p = partition_of(k, shift);
         bufs[p].extend_from_slice(&k.to_le_bytes());
         bufs[p].extend_from_slice(&(i as u64).to_le_bytes());
         if bufs[p].len() >= SPILL_RUN_BYTES {
@@ -286,7 +324,7 @@ fn read_raw_records(
     let mut records = Vec::new();
     for &(offset, len) in runs {
         let bytes = store.read(offset, len).map_err(spill_error)?;
-        for rec in bytes.chunks_exact(JOIN_RECORD_BYTES) {
+        for rec in bytes.chunks_exact(RECORD_BYTES) {
             let key = i64::from_le_bytes(rec[..8].try_into().expect("8-byte key"));
             let row = u64::from_le_bytes(rec[8..].try_into().expect("8-byte row index"));
             records.push((key, row as usize));
@@ -295,53 +333,76 @@ fn read_raw_records(
     Ok(records)
 }
 
-/// Grace (spill-partitioned) hash join on raw `i64` keys, used when the
-/// key state would blow the memory budget.
+/// Grace (spill-partitioned) hash join, used when the build side's
+/// [`ChainTable`] (estimated at `estimate` bytes) would exceed `limit`.
 ///
 /// Both sides scatter `(key, row)` records into radix partitions on an
-/// operator-local [`crate::storage::SpillStore`] file; each partition is
-/// then small enough to build (one [`ChainTable`]) and probe in memory on
-/// its own. A key lives in exactly one partition, so per-partition output
-/// pairs are the sequential join's pairs for that partition's probe rows,
-/// with per-key build matches ascending in `j`. The final merge walks probe rows
-/// `i = 0..ln` and drains partition `partition_of(lk[i])`'s pair cursor
-/// while it still points at `i` — reproducing the sequential probe order
-/// bit-for-bit at any partition count.
+/// operator-local [`crate::storage::SpillStore`] file, as many as it takes
+/// for one partition's table to fit `limit`. Each partition then builds and
+/// probes in memory on its own — in build-side chunks of as many entries
+/// as fit `limit` when its keys are skewed past that, each chunk probed by
+/// all of the partition's probe rows. A key lives in exactly one partition,
+/// and a partition's chunks hold ascending build rows, so chunk by chunk
+/// the pairs are the sequential join's pairs for that partition's probe
+/// rows, probe rows ascending. The final merge walks probe rows `i = 0..ln`
+/// and drains partition `partition_of(lk[i])`'s chunk cursors in chunk
+/// order while they still point at `i` — reproducing the sequential probe
+/// order bit-for-bit at any partition count and chunk size. What it held is
+/// its largest chunk's table.
 fn grace_hash_join(
     lk: &[i64],
     rk: &[i64],
-    ctx: &ExecContext,
-) -> Result<(Vec<usize>, Vec<usize>), ExecError> {
-    let parts = spill_partitions((lk.len() + rk.len()) * JOIN_RECORD_BYTES, ctx);
+    matches: &impl Fn(usize, usize) -> bool,
+    estimate: usize,
+    limit: usize,
+) -> Result<(Vec<usize>, Vec<usize>, Held), ExecError> {
+    let parts = spill_partitions(estimate, limit);
     let shift = 64 - parts.trailing_zeros();
+    let chunk = entries_within(limit, ChainTable::bytes_for);
     let store = crate::storage::SpillStore::create().map_err(spill_error)?;
-    let right_runs = scatter_raw_keys(rk, &store, parts, shift)?;
-    let left_runs = scatter_raw_keys(lk, &store, parts, shift)?;
+    let right_runs = scatter_raw_keys(rk.iter().copied(), &store, parts, shift)?;
+    let left_runs = scatter_raw_keys(lk.iter().copied(), &store, parts, shift)?;
 
-    // Per partition: its (probe row, build row) pairs, probe rows ascending.
-    let mut part_pairs: Vec<(Vec<usize>, Vec<usize>)> = Vec::with_capacity(parts);
+    // Per partition, per build chunk: its (probe row, build row) pairs,
+    // probe rows ascending.
+    type Pairs = (Vec<usize>, Vec<usize>);
+    let mut part_pairs: Vec<Vec<Pairs>> = Vec::with_capacity(parts);
+    let mut held = Held {
+        state_bytes: 0,
+        spilled: true,
+    };
     for p in 0..parts {
-        let table = ChainTable::build(read_raw_records(&store, &right_runs[p])?.into_iter());
-        let mut pairs = (Vec::new(), Vec::new());
-        for (key, i) in read_raw_records(&store, &left_runs[p])? {
-            table.probe(i, key, &mut pairs.0, &mut pairs.1);
+        let build = read_raw_records(&store, &right_runs[p])?;
+        let probe = read_raw_records(&store, &left_runs[p])?;
+        let mut chunks = Vec::new();
+        if !probe.is_empty() {
+            for entries in build.chunks(chunk) {
+                let table = ChainTable::build(entries.iter().copied());
+                held.hold(table.bytes());
+                let mut pairs: Pairs = (Vec::new(), Vec::new());
+                for &(key, i) in &probe {
+                    table.probe(i, key, &mut pairs.0, &mut pairs.1, |j| matches(i, j));
+                }
+                chunks.push(pairs);
+            }
         }
-        part_pairs.push(pairs);
+        part_pairs.push(chunks);
     }
 
-    let total: usize = part_pairs.iter().map(|(l, _)| l.len()).sum();
+    let total: usize = part_pairs.iter().flatten().map(|(l, _)| l.len()).sum();
     let (mut lidx, mut ridx) = (Vec::with_capacity(total), Vec::with_capacity(total));
-    let mut cursors = vec![0usize; parts];
+    let mut cursors: Vec<Vec<usize>> = part_pairs.iter().map(|c| vec![0; c.len()]).collect();
     for (i, k) in lk.iter().enumerate() {
         let p = partition_of(*k, shift);
-        let (pl, pr) = &part_pairs[p];
-        while pl.get(cursors[p]) == Some(&i) {
-            lidx.push(i);
-            ridx.push(pr[cursors[p]]);
-            cursors[p] += 1;
+        for ((pl, pr), at) in part_pairs[p].iter().zip(&mut cursors[p]) {
+            while pl.get(*at) == Some(&i) {
+                lidx.push(i);
+                ridx.push(pr[*at]);
+                *at += 1;
+            }
         }
     }
-    Ok((lidx, ridx))
+    Ok((lidx, ridx, held))
 }
 
 /// Radix partition of a raw key: a multiplicative (Fibonacci) hash keeps
@@ -355,20 +416,24 @@ fn partition_of(key: i64, shift: u32) -> usize {
 /// ([`assign_group_ids`]) gives every row a dense group id; pass 2
 /// ([`GroupStates::fold`]) runs one loop per aggregate that folds the input
 /// column into per-group accumulators, computing only what that aggregate
-/// reads. [`finalize_groups`] then sorts the groups by key and lays the
-/// result out column-wise, so the output does not depend on which of the
-/// two schedules built the groups: one call of each pass over all rows, or
-/// spill-partitioned ([`aggregate_spill`]) when the packed-key state would
-/// exceed the memory budget. The latter needs integer-representable keys (at
-/// most [`COMPACT_GROUP_KEY_COLS`] `Int`/`Date`/`Dict` columns); any other
-/// grouping — text or mixed keys, wider keys, no keys — groups by value in
-/// memory.
+/// reads. [`GroupOutput`] then lays the finished groups out and sorts them
+/// by key, so the output does not depend on which schedule built them: one
+/// call of each pass over all rows, or one per spill partition
+/// ([`aggregate_spill`]).
+///
+/// The state is the group table with each group's representative row and
+/// accumulators. Before building it the kernel bounds it
+/// ([`GroupKeys::state_bound`]) for [`group_cardinality_hint`] groups —
+/// tight for a dictionary key, the row count for integer or text keys, so a
+/// wide γ over those still spills — and goes spill-partitioned when the
+/// bound exceeds half the budget. Returns the result and what the
+/// aggregation held.
 pub(crate) fn aggregate_batch(
     batch: &Batch,
     group_by: &[AttrRef],
     aggs: &[AggExpr],
     ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
+) -> Result<(Batch, Held), ExecError> {
     let gcols: Vec<&Column> = group_by
         .iter()
         .map(|a| {
@@ -390,89 +455,223 @@ pub(crate) fn aggregate_batch(
         .collect::<Result<_, _>>()?;
 
     let rows = batch.rows();
-    let lanes: Option<Vec<KeyLane<'_>>> =
-        if gcols.is_empty() || gcols.len() > COMPACT_GROUP_KEY_COLS {
-            None
-        } else {
-            gcols.iter().map(|c| key_lane(c)).collect()
-        };
+    let (per_row, exact) = group_keys(&gcols, rows);
     let keys = GroupKeys {
         cols: &gcols,
-        lanes: lanes.as_deref(),
+        per_row,
+        exact,
+        len: rows,
     };
-    let mut reps = Vec::new();
-    let mut states = GroupStates::new(aggs, &acols);
-    if lanes.is_some() && spill_needed(ctx, rows * AGG_RECORD_BYTES) {
-        aggregate_spill(rows, &keys, &mut reps, &mut states, ctx)?;
+    let per_group = GroupStates::new(aggs, &acols).group_bytes();
+    let estimate = keys.state_bound(group_cardinality_hint(&gcols, rows), per_group);
+    let limit = state_limit(ctx);
+    let mut out = GroupOutput::new(group_by, aggs, &gcols);
+    let held = if estimate > limit {
+        aggregate_spill(&keys, aggs, &acols, per_group, &mut out, estimate, limit)?
     } else {
-        let gids = assign_group_ids(&keys, 0..rows, &mut reps);
-        states.fold(0..rows, &gids, reps.len());
-    }
-    Ok(finalize_groups(group_by, aggs, &gcols, &reps, &states))
+        let groups = group_rows(&keys, 0..rows, usize::MAX, aggs, &acols)
+            .expect("an unbounded group table takes every group");
+        debug_assert!(groups.state_bytes() <= estimate, "γ outgrew its bound");
+        out.emit(&groups);
+        Held {
+            state_bytes: groups.state_bytes(),
+            spilled: false,
+        }
+    };
+    Ok((out.finish(), held))
 }
 
-/// The grouping columns of one aggregation: as columns, and as integer
-/// lanes when every one of them is integer-representable.
+/// The grouping of one aggregation: its columns and one key per row (see
+/// [`group_keys`]).
 struct GroupKeys<'a> {
     cols: &'a [&'a Column],
-    lanes: Option<&'a [KeyLane<'a>]>,
+    per_row: GroupKeyRows<'a>,
+    /// Equal keys are equal groups; otherwise a key match is confirmed on
+    /// `cols`.
+    exact: bool,
+    /// Rows of the input.
+    len: usize,
+}
+
+impl GroupKeys<'_> {
+    /// The dictionary size when pass 1 over `rows` rows indexes a direct
+    /// table by code: a single dictionary key whose dictionary is no larger
+    /// than those rows, and no larger than `limit` groups.
+    fn direct(&self, rows: usize, limit: usize) -> Option<usize> {
+        match self.per_row {
+            GroupKeyRows::Codes { dict_len, .. } if dict_len <= rows.min(limit) => Some(dict_len),
+            _ => None,
+        }
+    }
+
+    /// Whether rows `a` and `b` hold the same group key.
+    fn same(&self, a: usize, b: usize) -> bool {
+        self.exact || self.cols.iter().all(|c| c.eq_at(a, c, b))
+    }
+
+    /// An upper bound on [`Grouped::state_bytes`] over the whole input for
+    /// `groups` — the [`group_cardinality_hint`] pass 1 sizes its table by —
+    /// with accumulators of `per_group` bytes a group: one code slot, one
+    /// representative and the accumulators a group for the direct table
+    /// (whose dictionary then has exactly `groups` entries), the hashed
+    /// bound otherwise.
+    fn state_bound(&self, groups: usize, per_group: usize) -> usize {
+        match self.direct(self.len, usize::MAX) {
+            Some(_) => groups * (size_of::<u32>() + size_of::<usize>() + per_group),
+            None => hashed_state_bound(groups, per_group),
+        }
+    }
+}
+
+/// An upper bound on [`Grouped::state_bytes`] for a hash table sized for
+/// `groups` groups, whose accumulators take `per_group` bytes a group: the
+/// map, and per group a collision link, a representative and the
+/// accumulators, each by the capacity [`assign_group_ids`] and
+/// [`GroupStates::fold`] give them. A direct table of at most `groups`
+/// codes holds less.
+fn hashed_state_bound(groups: usize, per_group: usize) -> usize {
+    map_slots_bound(groups) * slot_bytes::<i64, u32>()
+        + groups * (size_of::<u32>() + size_of::<usize>() + per_group)
 }
 
 /// Table slot of a key no row has shown yet.
 const NO_GROUP: u32 = u32::MAX;
 
+/// The group ids pass 1 assigned: one per row, each group's first row, and
+/// the bytes of the table that assigned them.
+struct GroupIds {
+    gids: Vec<u32>,
+    reps: Vec<usize>,
+    table_bytes: usize,
+}
+
 /// Pass 1 of aggregation — the one place group ids are assigned. Returns a
 /// dense group id per row of `rows`, numbering groups in first-appearance
-/// order from `reps.len()` and appending each new group's first row to
-/// `reps`; keys `rows` does not visit are unknown to it, so successive
-/// calls over disjoint key sets (spill partitions) number on.
+/// order, with each group's first row; or `None`, as soon as `rows` show
+/// more than `limit` groups.
 ///
 /// A single dictionary key whose dictionary is no larger than the input
-/// indexes a direct table by code; other integer keys look their packed key
-/// up in a map under the engine's integer hasher; anything else groups by
-/// value. The choice reads the columns, never a setting, and does not show
-/// in the ids.
+/// (and than `limit`) indexes a direct table by code; any other key looks
+/// its row key up in a map under the engine's integer hasher, chaining the
+/// groups whose hashed keys collide. The choice reads the columns, never a
+/// setting, and does not show in the ids.
 fn assign_group_ids(
     keys: &GroupKeys<'_>,
     rows: impl ExactSizeIterator<Item = usize>,
-    reps: &mut Vec<usize>,
-) -> Vec<u32> {
-    let mut gids = Vec::with_capacity(rows.len());
-    let mut id_at = |slot: &mut u32, row: usize| {
-        if *slot == NO_GROUP {
-            assert!(reps.len() < NO_GROUP as usize, "group ids are u32");
-            *slot = reps.len() as u32;
-            reps.push(row);
-        }
-        *slot
-    };
-    match keys.lanes {
-        Some([KeyLane::Codes { codes, dict_len }]) if *dict_len <= rows.len() => {
-            let mut table = vec![NO_GROUP; *dict_len];
-            for i in rows {
-                gids.push(id_at(&mut table[codes[i] as usize], i));
-            }
-        }
-        Some(lanes) => {
-            let hint = group_cardinality_hint(keys.cols, rows.len());
-            let mut table: IntMap<CompactKey, u32> =
-                IntMap::with_capacity_and_hasher(hint, Default::default());
-            for i in rows {
-                gids.push(id_at(
-                    table.entry(pack_key(lanes, i)).or_insert(NO_GROUP),
-                    i,
-                ));
-            }
-        }
-        None => {
-            let mut table: BTreeMap<Vec<Value>, u32> = BTreeMap::new();
-            for i in rows {
-                let key = keys.cols.iter().map(|c| c.value(i)).collect();
-                gids.push(id_at(table.entry(key).or_insert(NO_GROUP), i));
-            }
-        }
+    limit: usize,
+) -> Option<GroupIds> {
+    if let (GroupKeyRows::Codes { codes, .. }, Some(dict_len)) =
+        (&keys.per_row, keys.direct(rows.len(), limit))
+    {
+        let mut table = vec![NO_GROUP; dict_len];
+        let mut reps = Vec::with_capacity(dict_len);
+        let gids = rows
+            .map(|i| {
+                let slot = &mut table[codes[i] as usize];
+                if *slot == NO_GROUP {
+                    *slot = reps.len() as u32;
+                    reps.push(i);
+                }
+                *slot
+            })
+            .collect();
+        let table_bytes = table.capacity() * size_of::<u32>();
+        return Some(GroupIds {
+            gids,
+            reps,
+            table_bytes,
+        });
     }
-    gids
+    match &keys.per_row {
+        GroupKeyRows::Ints(v) => assign_hashed(keys, |i| v[i], rows, limit),
+        GroupKeyRows::Codes { codes, .. } => {
+            assign_hashed(keys, |i| i64::from(codes[i]), rows, limit)
+        }
+        GroupKeyRows::Owned(v) => assign_hashed(keys, |i| v[i], rows, limit),
+    }
+}
+
+/// [`assign_group_ids`] through a map from a row's key to the first group
+/// with it; groups whose keys share a hash but differ on the columns are
+/// chained through `next`. `key` is monomorphised per key representation.
+/// The table is sized once for the most groups the rows can show (at most
+/// `limit`), so it never rehashes.
+fn assign_hashed(
+    keys: &GroupKeys<'_>,
+    key: impl Fn(usize) -> i64,
+    rows: impl ExactSizeIterator<Item = usize>,
+    limit: usize,
+) -> Option<GroupIds> {
+    let hint = group_cardinality_hint(keys.cols, rows.len()).min(limit);
+    let mut heads: IntMap<i64, u32> = IntMap::with_capacity_and_hasher(hint, Default::default());
+    let (mut reps, mut next) = (Vec::with_capacity(hint), Vec::with_capacity(hint));
+    let mut gids = Vec::with_capacity(rows.len());
+    for i in rows {
+        let head = heads.get(&key(i)).copied();
+        let mut g = head.unwrap_or(NO_GROUP);
+        let mut last = NO_GROUP;
+        while g != NO_GROUP && !keys.same(reps[g as usize], i) {
+            last = g;
+            g = next[g as usize];
+        }
+        if g == NO_GROUP {
+            if reps.len() == limit {
+                return None;
+            }
+            assert!(reps.len() < NO_GROUP as usize, "group ids are u32");
+            g = reps.len() as u32;
+            reps.push(i);
+            next.push(NO_GROUP);
+            match last {
+                NO_GROUP => {
+                    heads.insert(key(i), g);
+                }
+                at => next[at as usize] = g,
+            }
+        }
+        gids.push(g);
+    }
+    let table_bytes =
+        heads.capacity() * slot_bytes::<i64, u32>() + next.capacity() * size_of::<u32>();
+    Some(GroupIds {
+        gids,
+        reps,
+        table_bytes,
+    })
+}
+
+/// The groups of one set of rows: what passes 1 and 2 hold for them.
+struct Grouped<'a> {
+    reps: Vec<usize>,
+    states: GroupStates<'a>,
+    table_bytes: usize,
+}
+
+impl Grouped<'_> {
+    /// The aggregation's state, by capacity: the group table, the
+    /// representatives and the accumulators.
+    fn state_bytes(&self) -> usize {
+        self.table_bytes + self.reps.capacity() * size_of::<usize>() + self.states.bytes()
+    }
+}
+
+/// Passes 1 and 2 over `rows`, or `None` when they show more than `limit`
+/// groups.
+fn group_rows<'a>(
+    keys: &GroupKeys<'_>,
+    rows: impl ExactSizeIterator<Item = usize> + Clone,
+    limit: usize,
+    aggs: &[AggExpr],
+    acols: &[Option<&'a Column>],
+) -> Option<Grouped<'a>> {
+    let ids = assign_group_ids(keys, rows.clone(), limit)?;
+    let mut states = GroupStates::new(aggs, acols);
+    states.fold(rows, &ids.gids, ids.reps.len());
+    Some(Grouped {
+        reps: ids.reps,
+        states,
+        table_bytes: ids.table_bytes,
+    })
 }
 
 /// How one aggregate accumulates: only what its [`AggFunc`] reads.
@@ -585,17 +784,54 @@ impl<'a> GroupStates<'a> {
         }
     }
 
-    /// Extends every accumulator to `n_groups` groups, new ones at their
+    /// Bytes one group's accumulators take.
+    fn group_bytes(&self) -> usize {
+        let counts = self.counts.as_ref().map_or(0, |_| size_of::<i64>());
+        let accs: usize = self
+            .accs
+            .iter()
+            .map(|acc| match acc {
+                Acc::Count => 0,
+                Acc::Ints { .. } => size_of::<i64>(),
+                Acc::Rows { .. } => size_of::<AggState>(),
+            })
+            .sum();
+        counts + accs
+    }
+
+    /// Bytes the accumulators hold, by capacity.
+    fn bytes(&self) -> usize {
+        let counts = self
+            .counts
+            .as_ref()
+            .map_or(0, |c| c.capacity() * size_of::<i64>());
+        let accs: usize = self
+            .accs
+            .iter()
+            .map(|acc| match acc {
+                Acc::Count => 0,
+                Acc::Ints { acc, .. } => acc.capacity() * size_of::<i64>(),
+                Acc::Rows { states, .. } => states.capacity() * size_of::<AggState>(),
+            })
+            .sum();
+        counts + accs
+    }
+
+    /// Sizes every accumulator for exactly `n_groups` groups, each at its
     /// fold's identity.
     fn grow(&mut self, n_groups: usize) {
+        fn sized<T: Clone>(v: &mut Vec<T>, n: usize, identity: T) {
+            v.reserve_exact(n.saturating_sub(v.len()));
+            v.resize(n, identity);
+        }
         if let Some(counts) = &mut self.counts {
-            counts.resize(n_groups, 0);
+            sized(counts, n_groups, 0);
         }
         for acc in &mut self.accs {
             match acc {
                 Acc::Count => {}
-                Acc::Ints { fold, acc, .. } => acc.resize(n_groups, fold.identity()),
-                Acc::Rows { states, .. } => states.resize(n_groups, AggState::default()),
+                Acc::Ints { fold, acc, .. } => sized(acc, n_groups, fold.identity()),
+                Acc::Rows { states, .. } => sized(states, n_groups, AggState::default()),
             }
         }
     }
@@ -637,110 +873,153 @@ impl<'a> GroupStates<'a> {
     }
 }
 
-/// Sorts finished groups by decoded key order and lays the result out
-/// column-wise — the shared tail of every aggregation schedule. Distinct
-/// groups have distinct decoded keys (raw keys are values or dictionary
-/// codes, and dictionary tables hold unique strings), so the sort has a
-/// unique total order and the output does not depend on which schedule — or
-/// which partitioning — produced the groups.
-fn finalize_groups(
-    group_by: &[AttrRef],
-    aggs: &[AggExpr],
-    gcols: &[&Column],
-    reps: &[usize],
-    states: &GroupStates<'_>,
-) -> Batch {
-    let mut order: Vec<usize> = (0..reps.len()).collect();
-    order.sort_by(|&x, &y| {
-        gcols
+/// A γ's result as its groups finish: each group's key (its representative
+/// row of the key columns) and finished values, in emission order — the
+/// shared tail of every aggregation schedule. Distinct groups have distinct
+/// keys, so [`GroupOutput::finish`]'s key-order sort has a unique total
+/// order and the output does not depend on which schedule — or which
+/// partitioning — produced the groups. The output is not state: it is what
+/// the operator returns.
+struct GroupOutput<'a> {
+    aggs: &'a [AggExpr],
+    gcols: &'a [&'a Column],
+    attrs: Vec<AttrRef>,
+    reps: Vec<usize>,
+    columns: Vec<Column>,
+}
+
+impl<'a> GroupOutput<'a> {
+    fn new(group_by: &[AttrRef], aggs: &'a [AggExpr], gcols: &'a [&'a Column]) -> Self {
+        let mut attrs = group_by.to_vec();
+        attrs.extend(aggs.iter().map(|a| a.output_attr()));
+        let columns = attrs.iter().map(|_| Column::empty()).collect();
+        Self {
+            aggs,
+            gcols,
+            attrs,
+            reps: Vec::new(),
+            columns,
+        }
+    }
+
+    /// Key order of two rows of the key columns.
+    fn cmp_keys(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        self.gcols
             .iter()
-            .map(|c| c.cmp_at(reps[x], c, reps[y]))
+            .map(|c| c.cmp_at(a, c, b))
             .find(|o| o.is_ne())
             .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut attrs = group_by.to_vec();
-    attrs.extend(aggs.iter().map(|a| a.output_attr()));
-    let mut columns: Vec<Column> = attrs.iter().map(|_| Column::empty()).collect();
-    for &g in &order {
-        for (col, gc) in columns.iter_mut().zip(gcols) {
-            col.push(gc.value(reps[g]));
-        }
-        for (a, (col, agg)) in columns[group_by.len()..].iter_mut().zip(aggs).enumerate() {
-            col.push(states.finish(g, a, agg.func));
+    }
+
+    /// Appends `groups`' finished groups, in key order.
+    fn emit(&mut self, groups: &Grouped<'_>) {
+        let reps = &groups.reps;
+        let mut order: Vec<usize> = (0..reps.len()).collect();
+        order.sort_by(|&x, &y| self.cmp_keys(reps[x], reps[y]));
+        let width = self.gcols.len();
+        for g in order {
+            for (col, gc) in self.columns.iter_mut().zip(self.gcols) {
+                col.push(gc.value(reps[g]));
+            }
+            for (a, (col, agg)) in self.columns[width..].iter_mut().zip(self.aggs).enumerate() {
+                col.push(groups.states.finish(g, a, agg.func));
+            }
+            self.reps.push(reps[g]);
         }
     }
-    Batch::new(attrs, columns.into_iter().map(Arc::new).collect())
-}
 
-/// Mixes a packed group key down to one `i64` for radix partitioning.
-fn fold_compact_key(key: &CompactKey) -> i64 {
-    let mut h: i64 = 0;
-    for lane in key {
-        h = h.wrapping_mul(0x0100_0000_01B3).wrapping_add(*lane);
+    /// The result, every group in key order. One emission is in order
+    /// already; several (spill partitions) are sorted together.
+    fn finish(self) -> Batch {
+        let mut order: Vec<usize> = (0..self.reps.len()).collect();
+        order.sort_by(|&x, &y| self.cmp_keys(self.reps[x], self.reps[y]));
+        let columns = if order.iter().enumerate().all(|(k, &g)| k == g) {
+            self.columns
+        } else {
+            self.columns.iter().map(|c| c.gather(&order)).collect()
+        };
+        Batch::new(self.attrs, columns.into_iter().map(Arc::new).collect())
     }
-    h
 }
 
-/// Spill-partitioned hash aggregation, used when the packed-key record
-/// state would blow the memory budget.
+/// Spill-partitioned hash aggregation, used when the group table's bound
+/// (`estimate`) exceeds `limit`.
 ///
-/// One buffered sequential pass scatters `(packed key, row)` records into
-/// radix partitions on an operator-local spill file, so each partition's
-/// rows come back in ascending order. Every group key lives in exactly one
-/// partition, so running both passes over one partition's rows at a time —
-/// the very [`assign_group_ids`] and [`GroupStates::fold`] the in-memory
-/// schedules run, with the key table dropped between partitions — yields
+/// One buffered sequential pass scatters `(key, row)` records into radix
+/// partitions on an operator-local spill file — as many as it takes for
+/// one partition's groups to fit `limit` — so each partition's rows come
+/// back in ascending order. Every group key lives in exactly one partition,
+/// so running both passes over one partition's rows at a time — the very
+/// [`group_rows`] the in-memory schedule runs, with its table and
+/// accumulators dropped once the partition's groups are emitted — yields
 /// for each group exactly the state and first-row representative a single
-/// in-memory build produces. Groups come out partition by partition;
-/// [`finalize_groups`]'s key-order sort makes the output identical to the
-/// in-memory path at any partition count.
-fn aggregate_spill(
-    rows: usize,
+/// in-memory build produces. A partition that shows more groups than fit
+/// `limit` (skewed keys) is cut in four by the next bits of its keys'
+/// radix hash, down to a single key if need be. What the aggregation held
+/// is its largest partition's state.
+fn aggregate_spill<'a>(
     keys: &GroupKeys<'_>,
-    reps: &mut Vec<usize>,
-    states: &mut GroupStates<'_>,
-    ctx: &ExecContext,
-) -> Result<(), ExecError> {
-    let lanes = keys.lanes.expect("spilled aggregation has integer keys");
-    let parts = spill_partitions(rows * AGG_RECORD_BYTES, ctx);
+    aggs: &[AggExpr],
+    acols: &[Option<&'a Column>],
+    per_group: usize,
+    out: &mut GroupOutput<'_>,
+    estimate: usize,
+    limit: usize,
+) -> Result<Held, ExecError> {
+    let parts = spill_partitions(estimate, limit);
     let shift = 64 - parts.trailing_zeros();
+    let max_groups = entries_within(limit, |g| hashed_state_bound(g, per_group));
     let store = crate::storage::SpillStore::create().map_err(spill_error)?;
-
-    let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); parts];
-    let mut runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); parts];
-    for i in 0..rows {
-        let key = pack_key(lanes, i);
-        let p = partition_of(fold_compact_key(&key), shift);
-        for lane in &key {
-            bufs[p].extend_from_slice(&lane.to_le_bytes());
-        }
-        bufs[p].extend_from_slice(&(i as u64).to_le_bytes());
-        if bufs[p].len() >= SPILL_RUN_BYTES {
-            runs[p].push(store.write(&bufs[p]).map_err(spill_error)?);
-            bufs[p].clear();
-        }
-    }
-    for (p, buf) in bufs.iter().enumerate() {
-        if !buf.is_empty() {
-            runs[p].push(store.write(buf).map_err(spill_error)?);
-        }
-    }
-
+    let row_keys = (0..keys.len).map(|i| keys.per_row.at(i));
+    let runs = scatter_raw_keys(row_keys, &store, parts, shift)?;
+    let mut held = Held {
+        state_bytes: 0,
+        spilled: true,
+    };
+    let group = &mut |groups: Grouped<'a>| {
+        held.hold(groups.state_bytes());
+        out.emit(&groups);
+    };
     for part_runs in &runs {
-        // The key columns are resident, so pass 1 re-reads each key at its
-        // row; the record's key lanes only had to pick the partition.
-        let mut part_rows: Vec<usize> = Vec::new();
-        for &(offset, len) in part_runs {
-            let bytes = store.read(offset, len).map_err(spill_error)?;
-            for rec in bytes.chunks_exact(AGG_RECORD_BYTES) {
-                let row = rec[AGG_RECORD_BYTES - 8..].try_into().expect("8-byte row");
-                part_rows.push(u64::from_le_bytes(row) as usize);
+        let records = read_raw_records(&store, part_runs)?;
+        group_partition(keys, &records, 64 - shift, max_groups, aggs, acols, group);
+    }
+    Ok(held)
+}
+
+/// Groups one spill partition's `(key, row)` records (rows ascending) and
+/// hands the groups to `group` — within `limit` groups, cutting the records
+/// in four by bits `used..used + 2` of their keys' radix hash whenever they
+/// show more. Distinct exact keys have distinct radix hashes, so the cuts
+/// end at single keys; past the hash's last bits, the table takes what
+/// comes.
+fn group_partition<'a>(
+    keys: &GroupKeys<'_>,
+    records: &[(i64, usize)],
+    used: u32,
+    limit: usize,
+    aggs: &[AggExpr],
+    acols: &[Option<&'a Column>],
+    group: &mut impl FnMut(Grouped<'a>),
+) {
+    if records.is_empty() {
+        return;
+    }
+    let limit_here = if used < 62 { limit } else { usize::MAX };
+    let rows = records.iter().map(|&(_, i)| i);
+    match group_rows(keys, rows, limit_here, aggs, acols) {
+        Some(groups) => group(groups),
+        None => {
+            let mut quarters: [Vec<(i64, usize)>; 4] = Default::default();
+            for &(key, i) in records {
+                let q = ((key as u64).wrapping_mul(HASH_MUL) << used) >> 62;
+                quarters[q as usize].push((key, i));
+            }
+            for quarter in &quarters {
+                group_partition(keys, quarter, used + 2, limit, aggs, acols, group);
             }
         }
-        let gids = assign_group_ids(keys, part_rows.iter().copied(), reps);
-        states.fold(part_rows.iter().copied(), &gids, reps.len());
     }
-    Ok(())
 }
 
 /// Computes `definition` and stores the result under `name`, so later
@@ -1315,7 +1594,7 @@ mod join_tests {
     #[test]
     fn text_keys_match_the_nested_loop() {
         // Row-major tables store text as plain `Text` columns: the
-        // non-integer (`Vec<Value>`) key path.
+        // hashed-key path, each hash match confirmed on the strings.
         let mut db = Database::new();
         let rows: Vec<Vec<Value>> = (0..20)
             .map(|i| vec![Value::text(format!("k{}", i % 5)), Value::Int(i)])
@@ -1330,5 +1609,127 @@ mod join_tests {
             .collect();
         db.insert_table(Table::new("R", [AttrRef::new("R", "k")], rows));
         assert_eq!(assert_is_the_nested_loop(&db, true), 40);
+    }
+}
+
+#[cfg(test)]
+mod spill_tests {
+    //! The spill rule at its edges, asserted through what
+    //! [`crate::measure`] reports each operator held.
+
+    use super::*;
+    use crate::OpCharge;
+
+    /// `L(k, v)` with `ln` rows keyed `k = i mod keys`, and `R(k)` with
+    /// `rn` rows keyed `j mod keys`.
+    fn db(ln: i64, rn: i64, keys: i64) -> Database {
+        let mut db = Database::new();
+        db.insert_table(Table::new(
+            "L",
+            [AttrRef::new("L", "k"), AttrRef::new("L", "v")],
+            (0..ln)
+                .map(|i| vec![Value::Int(i % keys), Value::Int(i)])
+                .collect(),
+        ));
+        db.insert_table(Table::new(
+            "R",
+            [AttrRef::new("R", "k")],
+            (0..rn).map(|j| vec![Value::Int(j % keys)]).collect(),
+        ));
+        db
+    }
+
+    /// Measures `e` under `budget`, checks its result against the
+    /// unbounded run bit for bit, and returns its charges.
+    fn charges(e: &Arc<Expr>, db: &Database, budget: usize) -> Vec<OpCharge> {
+        let ctx = ExecContext {
+            mem_budget: Some(budget),
+        };
+        let (out, io) = crate::measure(e, db, 10.0, &ctx).expect("measures");
+        let resident = execute(e, db, &ExecContext::default()).expect("executes");
+        assert_eq!(out.batch(), resident.batch(), "bits differ at {budget} B");
+        io.charges().to_vec()
+    }
+
+    fn join(left: &str, right: &str) -> Arc<Expr> {
+        Expr::join(
+            Expr::base(left),
+            Expr::base(right),
+            JoinCondition::on(AttrRef::new(left, "k"), AttrRef::new(right, "k")),
+        )
+    }
+
+    /// A join is sized by its build side: 2 000 probe rows against 3 build
+    /// rows stay in memory under a budget that the old `(ln + rn) × 16`
+    /// rule would have spilled at. With the sides swapped the build side
+    /// spills, and — its three keys skewed over 2 000 rows, far more than
+    /// one partition can take — every chunk of every partition still holds
+    /// at most half the budget.
+    #[test]
+    fn a_join_spills_by_its_build_side_and_every_chunk_fits() {
+        let budget = 4096;
+        assert!((2_000 + 3) * 16 > budget / 2, "the old rule spilled");
+        let db = db(2_000, 3, 3);
+        let [probe_big] = charges(&join("L", "R"), &db, budget)[..] else {
+            panic!("one operator")
+        };
+        assert!(!probe_big.spilled);
+        assert!(probe_big.state_bytes <= ChainTable::bytes_for(3));
+        let [build_big] = charges(&join("R", "L"), &db, budget)[..] else {
+            panic!("one operator")
+        };
+        assert!(build_big.spilled);
+        assert!(build_big.state_bytes > 0);
+        assert!(build_big.state_bytes <= budget / 2, "{build_big:?}");
+    }
+
+    /// A γ is sized by its group bound: a four-entry dictionary key over
+    /// 5 000 rows stays in memory (the old `rows × 40` rule spilled it);
+    /// the same rows keyed by a wide integer column spill, and the
+    /// partitions are sized against half the budget — the threshold — so
+    /// each one's group table, representatives and accumulators fit it.
+    #[test]
+    fn a_group_by_spills_by_its_group_bound_and_partitions_fit_half_the_budget() {
+        let budget = 64 * 1024;
+        let rows = 5_000usize;
+        assert!(rows * 40 > budget / 2, "the old rule spilled");
+        let dict: Arc<[Arc<str>]> = ["a", "b", "c", "d"].map(Arc::from).into();
+        let mut db = Database::new();
+        db.insert_table(Table::from_batch(
+            "G",
+            Batch::new(
+                ["d", "i", "v"].map(|a| AttrRef::new("G", a)).to_vec(),
+                vec![
+                    Arc::new(Column::dict(
+                        (0..rows).map(|r| (r % 4) as u32).collect(),
+                        dict,
+                    )),
+                    Arc::new(Column::Int(
+                        (0..rows as i64).map(|r| r * 7 % 4_001).collect(),
+                    )),
+                    Arc::new(Column::Int((0..rows as i64).collect())),
+                ],
+            ),
+        ));
+        let sum_by = |key: &str| {
+            Expr::aggregate(
+                Expr::base("G"),
+                [AttrRef::new("G", key)],
+                [AggExpr::new(AggFunc::Sum, AttrRef::new("G", "v"), "s")],
+            )
+        };
+        let [narrow] = charges(&sum_by("d"), &db, budget)[..] else {
+            panic!("one operator")
+        };
+        assert!(!narrow.spilled);
+        assert!(narrow.state_bytes <= 1_024, "{narrow:?}");
+        let [wide] = charges(&sum_by("i"), &db, budget)[..] else {
+            panic!("one operator")
+        };
+        assert!(wide.spilled);
+        assert!(wide.state_bytes > 0);
+        assert!(wide.state_bytes <= budget / 2, "{wide:?}");
+        // Four half-budgets of state take four partitions, not two.
+        assert_eq!(spill_partitions(4 * (budget / 2), budget / 2), 4);
     }
 }

@@ -13,7 +13,14 @@
 //!   survivors with the representation-reproducing [`Column::concat`].
 //!   Projection re-shares page handles without touching a page. Joins
 //!   materialise only the key columns, reuse the shared index kernel, and
-//!   gather payloads page-on-demand.
+//!   gather payloads page-on-demand, one pin per run of indexes into a
+//!   page ([`PagedBatch::gather`]).
+//!
+//! **Held state.** The join and the aggregation return, beside their
+//! output, what they [`Held`]: the bytes of their keyed state (the join's
+//! build-side table, the γ's group table) and whether they spilled to keep
+//! it within half of [`ExecContext::mem_budget`]. The walker hands it to
+//! `on_op`; [`crate::measure`] records it per operator.
 //!
 //! **Required columns.** The walker hands every operator the attribute set
 //! its consumer will read ([`Needed`]) and the operator moves no other
@@ -39,7 +46,9 @@ use crate::batch::{Batch, Column};
 use crate::storage::PagedBatch;
 use crate::table::{Database, Table};
 
-use super::{aggregate_batch, join_indices, project_batch, selection_mask, ExecContext, ExecError};
+use super::{
+    aggregate_batch, join_indices, project_batch, selection_mask, ExecContext, ExecError, Held,
+};
 
 /// The attributes an operator's consumer will read, borrowed from the plan
 /// — `None` for "all of them". A lower bound, not a schema: a name the
@@ -155,11 +164,12 @@ impl View {
 }
 
 /// Recursive view evaluation — the engine's one plan walker. `on_op` runs
-/// after each operator's kernel with the operator, its input views and its
-/// output: [`crate::execute`] passes a no-op closure (monomorphised away, so
-/// serving pays nothing), [`crate::measure`] records the operator's charge.
-/// Base scans share table handles and pin no page, so between two
-/// consecutive `on_op` calls nothing but the later operator's kernel ran.
+/// after each operator's kernel with the operator, its input views, its
+/// output and what the kernel [`Held`]: [`crate::execute`] passes a no-op
+/// closure (monomorphised away, so serving pays nothing), [`crate::measure`]
+/// records the operator's charge. Base scans share table handles and pin no
+/// page, so between two consecutive `on_op` calls nothing but the later
+/// operator's kernel ran.
 pub(crate) fn exec_view<F>(
     expr: &Arc<Expr>,
     db: &Database,
@@ -167,7 +177,7 @@ pub(crate) fn exec_view<F>(
     on_op: &mut F,
 ) -> Result<View, ExecError>
 where
-    F: FnMut(&Expr, &[&View], &View),
+    F: FnMut(&Expr, &[&View], &View, Held),
 {
     walk(expr, db, ctx, None, on_op)
 }
@@ -184,7 +194,7 @@ fn walk<'e, F>(
     on_op: &mut F,
 ) -> Result<View, ExecError>
 where
-    F: FnMut(&Expr, &[&View], &View),
+    F: FnMut(&Expr, &[&View], &View, Held),
 {
     let out = match &**expr {
         Expr::Base(name) => db
@@ -195,22 +205,22 @@ where
             let below = widen(needed, predicate.attrs());
             let v = walk(input, db, ctx, below.as_deref(), on_op)?;
             let out = select_view(&v, predicate, needed)?;
-            on_op(expr, &[&v], &out);
+            on_op(expr, &[&v], &out, Held::default());
             out
         }
         Expr::Project { input, attrs } => {
             let below: Vec<&AttrRef> = attrs.iter().collect();
             let v = walk(input, db, ctx, Some(&below), on_op)?;
             let out = project_view(&v, attrs)?;
-            on_op(expr, &[&v], &out);
+            on_op(expr, &[&v], &out, Held::default());
             out
         }
         Expr::Join { left, right, on } => {
             let below = widen(needed, on.pairs().iter().flat_map(|(a, b)| [a, b]));
             let l = walk(left, db, ctx, below.as_deref(), on_op)?;
             let r = walk(right, db, ctx, below.as_deref(), on_op)?;
-            let out = join_view(&l, &r, on, needed, ctx)?;
-            on_op(expr, &[&l, &r], &out);
+            let (out, held) = join_view(&l, &r, on, needed, ctx)?;
+            on_op(expr, &[&l, &r], &out, held);
             out
         }
         Expr::Aggregate {
@@ -223,8 +233,8 @@ where
                 .chain(aggs.iter().filter_map(|a| a.input.as_ref()))
                 .collect();
             let v = walk(input, db, ctx, Some(&below), on_op)?;
-            let out = aggregate_view(&v, group_by, aggs, ctx)?;
-            on_op(expr, &[&v], &out);
+            let (out, held) = aggregate_view(&v, group_by, aggs, ctx)?;
+            on_op(expr, &[&v], &out, held);
             out
         }
     };
@@ -310,16 +320,16 @@ fn project_view(view: &View, attrs: &[AttrRef]) -> Result<View, ExecError> {
 /// Join over views. Only the key columns materialise (the index kernels
 /// need contiguous slices; resident columns are shared, not copied),
 /// [`join_indices`] produces the match vectors, and each
-/// side gathers — page-on-demand when paged — only the columns `needed`
-/// keeps: the join attributes themselves move only if the consumer reads
-/// them.
+/// side gathers — page-on-demand when paged, one pin per run of indexes
+/// into one page — only the columns `needed` keeps: the join attributes
+/// themselves move only if the consumer reads them.
 pub(crate) fn join_view(
     l: &View,
     r: &View,
     on: &JoinCondition,
     needed: Needed<'_, '_>,
     ctx: &ExecContext,
-) -> Result<View, ExecError> {
+) -> Result<(View, Held), ExecError> {
     // Resolve each condition pair to (left index, right index).
     let mut pairs = Vec::with_capacity(on.pairs().len());
     for (a, b) in on.pairs() {
@@ -342,11 +352,12 @@ pub(crate) fn join_view(
         .collect();
     let lcols: Vec<&Column> = lkeys.iter().map(Arc::as_ref).collect();
     let rcols: Vec<&Column> = rkeys.iter().map(Arc::as_ref).collect();
-    let (lidx, ridx) = join_indices(l.rows(), r.rows(), &lcols, &rcols, ctx)?;
-    Ok(View::Resident(Batch::hstack(
+    let (lidx, ridx, held) = join_indices(l.rows(), r.rows(), &lcols, &rcols, ctx)?;
+    let out = Batch::hstack(
         &l.clone().keep(needed).gather(&lidx),
         &r.clone().keep(needed).gather(&ridx),
-    )))
+    );
+    Ok((View::Resident(out), held))
 }
 
 /// Aggregation over a view. A paged input arrives pruned to the grouping
@@ -357,10 +368,10 @@ fn aggregate_view(
     group_by: &[AttrRef],
     aggs: &[AggExpr],
     ctx: &ExecContext,
-) -> Result<View, ExecError> {
-    let batch = match view {
+) -> Result<(View, Held), ExecError> {
+    let (batch, held) = match view {
         View::Resident(b) => aggregate_batch(b, group_by, aggs, ctx)?,
         View::Paged(p) => aggregate_batch(&p.to_batch(), group_by, aggs, ctx)?,
     };
-    Ok(View::Resident(batch))
+    Ok((View::Resident(batch), held))
 }

@@ -23,6 +23,13 @@
 //! physical analogue of the block read the model predicts. A fully resident
 //! database has no pool, so its misses read 0.
 //!
+//! A second measurement is what each operator *held*: the bytes of its
+//! keyed state and whether it spilled ([`OpCharge::state_bytes`],
+//! [`OpCharge::spilled`]). The engine decides to spill from an upper bound
+//! on that state; the charge reports what the tables actually held, so a
+//! test can check that an operator that did not spill stayed within half
+//! the budget — "does not spill" never silently becomes "does not fit".
+//!
 //! There is no second plan recursion here: [`measure`] runs the executor's
 //! own walker ([`exec_view`]) and does its accounting in the per-operator
 //! callback, so what is charged is by construction what was executed.
@@ -32,7 +39,7 @@ use std::sync::Arc;
 
 use mvdesign_algebra::Expr;
 
-use crate::exec::{exec_view, op_label, ExecContext, ExecError, View};
+use crate::exec::{exec_view, op_label, ExecContext, ExecError, Held, View};
 use crate::storage::BufferPool;
 use crate::table::{Database, Table};
 
@@ -50,6 +57,17 @@ pub struct OpCharge {
     /// pages actually decoded from memory-or-spill. A measurement, not a
     /// model; always zero over a fully resident database.
     pub pool_misses: u64,
+    /// Bytes of keyed state the operator held at once, by capacity — a
+    /// join's build-side hash table, a γ's group table with its
+    /// representatives and accumulators; for a spilled operator, its
+    /// largest partition's. Selection and projection hold none; the rows
+    /// an operator reads and returns are not state. A measurement, like
+    /// `pool_misses`: under [`ExecContext::mem_budget`] an operator that did
+    /// not spill holds at most half the budget.
+    pub state_bytes: usize,
+    /// Whether the operator went spill-partitioned to stay within the
+    /// budget.
+    pub spilled: bool,
 }
 
 impl OpCharge {
@@ -84,7 +102,9 @@ impl IoReport {
     }
 
     /// Charges summed per operator label — one [`OpCharge`] per distinct
-    /// `op`, keyed and ordered by the label.
+    /// `op`, keyed and ordered by the label. State is a high-water, not a
+    /// sum: `state_bytes` is the largest of the label's operators, and
+    /// `spilled` whether any of them spilled.
     pub fn per_operator(&self) -> BTreeMap<&'static str, OpCharge> {
         let mut per_op: BTreeMap<&'static str, OpCharge> = BTreeMap::new();
         for c in &self.charges {
@@ -95,6 +115,8 @@ impl IoReport {
             e.read += c.read;
             e.written += c.written;
             e.pool_misses += c.pool_misses;
+            e.state_bytes = e.state_bytes.max(c.state_bytes);
+            e.spilled |= c.spilled;
         }
         per_op
     }
@@ -146,7 +168,7 @@ pub fn measure(
         expr,
         db,
         ctx,
-        &mut |op: &Expr, inputs: &[&View], out: &View| {
+        &mut |op: &Expr, inputs: &[&View], out: &View, held: Held| {
             // Scans pin no page, so everything the pools missed since the
             // previous operator finished belongs to this operator's kernel.
             let misses_now = pool_misses();
@@ -156,6 +178,8 @@ pub fn measure(
                 read: inputs.iter().map(|v| blocks(v.rows())).product(),
                 written: blocks(out.rows()),
                 pool_misses: misses_now - misses_so_far,
+                state_bytes: held.state_bytes,
+                spilled: held.spilled,
             };
             misses_so_far = misses_now;
             report.blocks_read += charge.read;
@@ -341,26 +365,28 @@ mod tests {
 
     /// The walker regression: the plan reports the exact per-operator
     /// charges in plan post-order, the exact totals and zero misses over the
-    /// resident database — and the same report, with `execute`'s own result
-    /// batch, when a 256-byte operator budget sends the join and the
-    /// aggregation down their spill paths.
+    /// resident database — and the same modelled charges, with `execute`'s
+    /// own result batch, when a 256-byte operator budget sends the join and
+    /// the aggregation down their spill paths. What changes with the budget
+    /// is what the two held: everything in memory unbounded, at most half
+    /// the budget at a time under it.
     #[test]
     fn charges_are_exact_in_post_order_at_any_budget() {
         let e = three_operator_plan();
         let db = db();
         let (base_table, base_io) = measure10(&e, &db);
-        let charge = |op, read, written| OpCharge {
-            op,
-            read,
-            written,
-            pool_misses: 0,
+        let modelled = |io: &IoReport| -> Vec<(&str, f64, f64, u64)> {
+            io.charges()
+                .iter()
+                .map(|c| (c.op, c.read, c.written, c.pool_misses))
+                .collect()
         };
         assert_eq!(
-            base_io.charges(),
+            modelled(&base_io),
             [
-                charge("⋈", 10.0 * 5.0, 50.0), // 100 × 50 rows, 5 matches per R row
-                charge("σ", 50.0, 40.0),       // 500 rows in, id < 80 keeps 400
-                charge("γ", 40.0, 1.0),        // 400 rows in, 10 groups out
+                ("⋈", 10.0 * 5.0, 50.0, 0), // 100 × 50 rows, 5 matches per R row
+                ("σ", 50.0, 40.0, 0),       // 500 rows in, id < 80 keeps 400
+                ("γ", 40.0, 1.0, 0),        // 400 rows in, 10 groups out
             ]
         );
         assert_eq!(base_io.blocks_read, 140.0);
@@ -369,10 +395,20 @@ mod tests {
         for mem_budget in [None, Some(256)] {
             let ctx = ExecContext { mem_budget };
             let (table, io) = measure(&e, &db, 10.0, &ctx).unwrap();
-            assert_eq!(io, base_io, "{ctx:?}");
+            assert_eq!(modelled(&io), modelled(&base_io), "{ctx:?}");
+            assert_eq!(io.total(), base_io.total(), "{ctx:?}");
             assert_eq!(table.batch(), base_table.batch(), "{ctx:?}");
             let plain = execute(&e, &db, &ctx).unwrap();
             assert_eq!(table.batch(), plain.batch(), "{ctx:?}: measure ≠ execute");
+            let [join, select, group] = io.charges() else {
+                panic!("three operators")
+            };
+            assert_eq!((select.state_bytes, select.spilled), (0, false));
+            for held in [join, group] {
+                assert_eq!(held.spilled, mem_budget.is_some(), "{ctx:?}: {held:?}");
+                assert!(held.state_bytes > 0, "{ctx:?}: {held:?}");
+                assert!(held.state_bytes <= mem_budget.map_or(usize::MAX, |b| b / 2));
+            }
         }
     }
 }

@@ -5,8 +5,9 @@
 //! page by page: [`PagedBatch::page_chunk`] pins one page per column and
 //! wraps the shared `Arc`s as a zero-copy resident [`Batch`] — the page is
 //! droppable again the moment the chunk is — while [`PagedBatch::gather`]
-//! and [`PagedBatch::value_at`] pin pages on demand for index-driven row
-//! movement (join payloads, aggregate representatives).
+//! (join payloads) pins one page per run of indexes into it and copies the
+//! run in one typed loop, and [`PagedBatch::value_at`] pins one page per
+//! value.
 //!
 //! Reconstruction is representation-exact: pages are cut with the
 //! variant-preserving [`Column::slice`] and reassembled with
@@ -216,8 +217,11 @@ impl PagedBatch {
     }
 
     /// A resident batch holding the rows `idx`, in order — the paged twin
-    /// of [`Batch::gather`], pinning pages on demand (consecutive indexes
-    /// into one page pin it once).
+    /// of [`Batch::gather`], representation-exact. Each column walks `idx`
+    /// in *runs*, maximal stretches of consecutive indexes into one page,
+    /// and pins each run's page once and copies the run in one typed loop:
+    /// a join's ascending probe-side indexes over `n` pages pin `n` times,
+    /// whatever the row count.
     ///
     /// # Panics
     ///
@@ -232,72 +236,87 @@ impl PagedBatch {
         Batch::new(self.attrs.clone(), columns)
     }
 
-    fn gather_column(&self, col: &PagedColumn, idx: &[usize]) -> Column {
-        let mut pinned: Option<(usize, Arc<Column>)> = None;
-        let page_at = |i: usize, pinned: &mut Option<(usize, Arc<Column>)>| {
+    /// Walks `idx` in runs and calls `copy(page, run, first)` once per run:
+    /// the run's page, pinned once, the run's indexes, and the page's first
+    /// row (so `i - first` is `i`'s offset in the page).
+    fn for_each_run(
+        &self,
+        col: &PagedColumn,
+        idx: &[usize],
+        mut copy: impl FnMut(&Column, &[usize], usize),
+    ) {
+        let mut rest = idx;
+        while let Some(&i) = rest.first() {
             let p = i / self.page_rows;
-            match pinned {
-                Some((cur, page)) if *cur == p => Arc::clone(page),
-                _ => {
-                    let page = self.pool.pin(col.pages[p]);
-                    *pinned = Some((p, Arc::clone(&page)));
-                    page
+            let first = p * self.page_rows;
+            let len = rest
+                .iter()
+                .position(|&j| j.wrapping_sub(first) >= self.page_rows)
+                .unwrap_or(rest.len());
+            copy(&self.pool.pin(col.pages[p]), &rest[..len], first);
+            rest = &rest[len..];
+        }
+    }
+
+    fn gather_column(&self, col: &PagedColumn, idx: &[usize]) -> Column {
+        /// Appends the run's values to `out`, reading the page's storage
+        /// through `get`.
+        fn copy_run<T: Clone>(
+            out: &mut Vec<T>,
+            page: &Column,
+            run: &[usize],
+            first: usize,
+            get: impl Fn(&Column) -> Option<&[T]>,
+        ) {
+            let src = get(page).expect("a paged column's pages share its representation");
+            out.extend(run.iter().map(|&i| src[i - first].clone()));
+        }
+        match &col.kind {
+            ColKind::Int | ColKind::Date => {
+                let mut out = Vec::with_capacity(idx.len());
+                self.for_each_run(col, idx, |page, run, first| {
+                    copy_run(&mut out, page, run, first, |c| match c {
+                        Column::Int(v) | Column::Date(v) => Some(v),
+                        _ => None,
+                    });
+                });
+                match col.kind {
+                    ColKind::Int => Column::Int(out),
+                    _ => Column::Date(out),
                 }
             }
-        };
-        match &col.kind {
-            ColKind::Int => Column::Int(
-                idx.iter()
-                    .map(|&i| {
-                        let page = page_at(i, &mut pinned);
-                        match &*page {
-                            Column::Int(v) => v[i % self.page_rows],
-                            _ => unreachable!("Int column holds Int pages"),
-                        }
-                    })
-                    .collect(),
-            ),
-            ColKind::Date => Column::Date(
-                idx.iter()
-                    .map(|&i| {
-                        let page = page_at(i, &mut pinned);
-                        match &*page {
-                            Column::Date(v) => v[i % self.page_rows],
-                            _ => unreachable!("Date column holds Date pages"),
-                        }
-                    })
-                    .collect(),
-            ),
-            ColKind::Text => Column::Text(
-                idx.iter()
-                    .map(|&i| {
-                        let page = page_at(i, &mut pinned);
-                        match &*page {
-                            Column::Text(v) => Arc::clone(&v[i % self.page_rows]),
-                            _ => unreachable!("Text column holds Text pages"),
-                        }
-                    })
-                    .collect(),
-            ),
-            ColKind::Dict(values) => Column::Dict {
-                codes: idx
-                    .iter()
-                    .map(|&i| {
-                        let page = page_at(i, &mut pinned);
-                        match &*page {
-                            Column::Dict { codes, .. } => codes[i % self.page_rows],
-                            _ => unreachable!("Dict column holds Dict pages"),
-                        }
-                    })
-                    .collect(),
-                values: Arc::clone(values),
-            },
+            ColKind::Text => {
+                let mut out = Vec::with_capacity(idx.len());
+                self.for_each_run(col, idx, |page, run, first| {
+                    copy_run(&mut out, page, run, first, |c| match c {
+                        Column::Text(v) => Some(v),
+                        _ => None,
+                    });
+                });
+                Column::Text(out)
+            }
+            ColKind::Dict(values) => {
+                let mut codes = Vec::with_capacity(idx.len());
+                self.for_each_run(col, idx, |page, run, first| {
+                    copy_run(&mut codes, page, run, first, |c| match c {
+                        Column::Dict { codes, .. } => Some(codes),
+                        _ => None,
+                    });
+                });
+                Column::Dict {
+                    codes,
+                    values: Arc::clone(values),
+                }
+            }
             // Re-canonicalise exactly like the resident `Column::gather`
             // on a Mixed column.
-            ColKind::Mixed => Column::from_values(idx.iter().map(|&i| {
-                let page = page_at(i, &mut pinned);
-                page.value(i % self.page_rows)
-            })),
+            ColKind::Mixed => {
+                let mut out = Vec::with_capacity(idx.len());
+                self.for_each_run(col, idx, |page, run, first| {
+                    out.extend(run.iter().map(|&i| page.value(i - first)));
+                });
+                Column::from_values(out)
+            }
         }
     }
 
@@ -375,6 +394,96 @@ mod tests {
         let idx = [3usize, 4, 5, 22, 0, 7, 7, 8, 15];
         assert_eq!(paged.gather(&idx), batch.gather(&idx));
         assert_eq!(paged.gather(&[]), batch.gather(&[]));
+    }
+
+    /// One column of every [`ColKind`]: `Int`, `Date`, `Text`, `Dict` and a
+    /// `Mixed` column that really mixes variants.
+    fn every_kind(n: usize) -> Batch {
+        let table: Arc<[Arc<str>]> = vec![Arc::from("x"), Arc::from("y"), Arc::from("z")].into();
+        let attrs = ["i", "d", "t", "c", "m"].map(|a| AttrRef::new("K", a));
+        let columns = vec![
+            Column::Int((0..n as i64).map(|i| i * 3 - 7).collect()),
+            Column::Date((0..n as i64).map(|i| 9_000 + i).collect()),
+            Column::Text((0..n).map(|i| Arc::from(format!("t{}", i % 11))).collect()),
+            Column::dict((0..n).map(|i| (i % 3) as u32).collect(), table),
+            Column::Mixed(
+                (0..n)
+                    .map(|i| match i % 3 {
+                        0 => Value::Int(i as i64),
+                        1 => Value::Date(i as i64),
+                        _ => Value::text(format!("m{i}")),
+                    })
+                    .collect(),
+            ),
+        ];
+        Batch::new(attrs.to_vec(), columns.into_iter().map(Arc::new).collect())
+    }
+
+    /// The index shapes a gather sees: a join's ascending probe side (with
+    /// repeats), descending, random, empty, all inside one page, and a
+    /// zig-zag across page boundaries.
+    fn index_shape(shape: usize, n: usize, page_rows: usize, seed: u64) -> Vec<usize> {
+        let mut state = seed | 1;
+        let mut draw = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        match shape {
+            0 => {
+                let mut v: Vec<usize> = (0..2 * n).map(|_| draw(n)).collect();
+                v.sort_unstable();
+                v
+            }
+            1 => (0..n).rev().collect(),
+            2 => (0..n).map(|_| draw(n)).collect(),
+            3 => Vec::new(),
+            4 => {
+                let p = draw(n) / page_rows;
+                let (lo, hi) = (p * page_rows, n.min((p + 1) * page_rows));
+                (0..3 * (hi - lo)).map(|_| lo + draw(hi - lo)).collect()
+            }
+            _ => (0..n)
+                .map(|k| if k % 2 == 0 { k / 2 } else { n - 1 - k / 2 })
+                .collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The run gather is `Batch::gather`, representation-exact — the
+        /// dictionary table shared by pointer — for every column kind, page
+        /// size, pool budget and index shape; and it pins each column's
+        /// page once per run of indexes into it.
+        #[test]
+        fn run_gather_is_batch_gather_with_one_pin_per_run(
+            n in 1usize..300,
+            page_sel in 0usize..4,
+            bounded in proptest::prelude::any::<bool>(),
+            shape in 0usize..6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let page_rows = [1, 3, 7, 4096][page_sel];
+            let batch = every_kind(n);
+            let pool = BufferPool::new(bounded.then_some(64));
+            let paged = PagedBatch::from_batch(&batch, &pool, page_rows);
+            let idx = index_shape(shape, n, page_rows, seed);
+            let before = pool.stats();
+            let got = paged.gather(&idx);
+            let after = pool.stats();
+            proptest::prop_assert_eq!(&got, &batch.gather(&idx));
+            proptest::prop_assert!(Arc::ptr_eq(
+                got.column(3).dict_values().expect("dictionary column"),
+                batch.column(3).dict_values().expect("dictionary column"),
+            ));
+            let runs = (0..idx.len())
+                .filter(|&k| k == 0 || idx[k] / page_rows != idx[k - 1] / page_rows)
+                .count();
+            let pins = (after.hits + after.misses) - (before.hits + before.misses);
+            proptest::prop_assert_eq!(pins, (runs * batch.columns().len()) as u64);
+        }
     }
 
     #[test]

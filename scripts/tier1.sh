@@ -46,6 +46,13 @@ MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test view_rewrite
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign --test result_cache
 MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign-serve --test serve
 
+# 256 bytes spills every keyed operator and no budget spills none; 64 KiB is
+# the mixed regime the state-sized spill rule creates, where some operators
+# spill and others do not (the held-bytes oracle checks both kinds).
+echo "== tier-1: mixed-spill batteries (64 KiB operator budget) =="
+MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_batch
+MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_paged
+
 # benchmark/ is a package outside the workspace: nothing above compiles it,
 # so an API change could break it with every other step green. Its smoke
 # builds it and runs every workload's correctness gate before its timing.

@@ -12,7 +12,11 @@
 //! the kernel batteries below draw, the way `engine_paged.rs` reads it:
 //! tier-1 reruns this file at 256 bytes, so the typed group-by kernel, its
 //! spilled twin and the chain table inside the Grace join are diffed
-//! against the row reference at the forced-spill budget on every PR.
+//! against the row reference at the forced-spill budget on every PR, and
+//! at 65 536 bytes, where some operators spill and others do not. Every
+//! battery run goes through `measure` and its held-bytes oracle
+//! ([`assert_held_within`]): what an operator that did not spill held is
+//! within half the budget.
 
 use std::sync::Arc;
 
@@ -24,7 +28,7 @@ use mvdesign::algebra::{
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
     execute, measure, selection_mask, Batch, BufferPool, Column, Database, ExecContext, ExecError,
-    Generator, GeneratorConfig, OpCharge, Table,
+    Generator, GeneratorConfig, IoReport, OpCharge, Table,
 };
 use mvdesign_verify::row_reference;
 
@@ -167,7 +171,7 @@ fn small_db(catalog: &Catalog, seed: u64) -> Database {
 
 /// The same data rebuilt through the row-major constructor, which stores
 /// text as plain `Text` columns — so the identical plans also take the
-/// non-dictionary (`Vec<Value>`-key) join and group-by paths.
+/// hashed-key join and group-by paths (row hashes confirmed on the columns).
 fn plain_text_db(db: &Database) -> Database {
     let mut plain = Database::new();
     for (name, t) in db.iter() {
@@ -221,7 +225,8 @@ proptest! {
         let ctx = ExecContext { mem_budget: effective_budget(None) };
         let reference = row_reference::execute(&q, &db).expect("row reference executes");
         for (name, db) in [("resident", &db), ("paged", &paged)] {
-            let batch = execute(&q, db, &ctx).expect("batch engine executes");
+            let (batch, report) = measure(&q, db, 10.0, &ctx).expect("batch engine executes");
+            assert_held_within(&report, ctx.mem_budget, 0, name);
             prop_assert_eq!(
                 batch.rows(),
                 reference.rows(),
@@ -697,43 +702,76 @@ fn iosim_charges_over_a_wide_pruned_join_are_row_counts_alone() {
     let matches: i64 = (0..7).map(|k| per_key(95, k) * per_key(30, k)).sum();
     let blocks = |rows: i64| (rows as f64 / 10.0).ceil();
     let expected = [
-        OpCharge {
-            op: "⋈",
-            read: blocks(95) * blocks(30),
-            written: blocks(matches),
-            pool_misses: 0,
-        },
-        OpCharge {
-            op: "γ",
-            read: blocks(matches),
-            written: blocks(7),
-            pool_misses: 0,
-        },
+        ("⋈", blocks(95) * blocks(30), blocks(matches), 0),
+        ("γ", blocks(matches), blocks(7), 0),
     ];
     let ctx = ExecContext::default();
     let (out, report) = measure(&q, &db, 10.0, &ctx).expect("iosim executes");
     assert_eq!(out.len(), 7);
-    assert_eq!(report.charges(), expected);
+    let modelled: Vec<(&str, f64, f64, u64)> = report
+        .charges()
+        .iter()
+        .map(|c: &OpCharge| (c.op, c.read, c.written, c.pool_misses))
+        .collect();
+    assert_eq!(modelled, expected);
     assert_eq!(
         out.batch(),
         execute(&q, &db, &ctx).expect("executes").batch()
     );
 }
 
+/// The held-bytes oracle over one measured run at `budget`: unbounded,
+/// nothing spills; under a budget, an operator that did not spill held at
+/// most half of it, and so did every partition of one that did — except a
+/// γ partition down to a single group whose accumulators alone outgrow
+/// half the budget (no partitioning splits a group), which holds no more
+/// than `one_group` (see [`one_group_state`]).
+fn assert_held_within(report: &IoReport, budget: Option<usize>, one_group: usize, what: &str) {
+    for c in report.charges() {
+        match budget {
+            None => assert!(!c.spilled, "{what}: spilled with no budget: {c:?}"),
+            Some(b) => assert!(
+                c.state_bytes <= b / 2 || c.spilled && c.op == "γ" && c.state_bytes <= one_group,
+                "{what}: held {} B under a {b} B budget: {c:?}",
+                c.state_bytes
+            ),
+        }
+    }
+}
+
+/// The largest single-group state of `q`'s γ operators: what they hold
+/// under a one-byte budget, which cuts every spill partition down to one
+/// group.
+fn one_group_state(q: &Arc<Expr>, db: &Database) -> usize {
+    let ctx = ExecContext {
+        mem_budget: Some(1),
+    };
+    let (_, io) = measure(q, db, 10.0, &ctx).expect("plan measures at one byte");
+    io.charges()
+        .iter()
+        .filter(|c| c.op == "γ")
+        .map(|c| c.state_bytes)
+        .max()
+        .unwrap_or(0)
+}
+
 /// Runs `q` at both operator budgets of the kernel batteries — unbounded
 /// and 256 bytes (the env knob overrides both) — resident and paged: each
-/// result must equal the row reference's row for row, and all of them must
-/// be bit-identical to one another. Returns the (common) result.
+/// result must equal the row reference's row for row, all of them must be
+/// bit-identical to one another, and every run must pass the held-bytes
+/// oracle. Returns the (common) result.
 fn assert_battery(q: &Arc<Expr>, db: &Database, what: &str) -> Table {
     let reference = row_reference::execute(q, db).expect("row reference executes");
     let paged = paged_twin(db, 5);
+    let one_group = one_group_state(q, db);
     let mut first: Option<Table> = None;
     for budget in [None, Some(256)] {
         let ctx = ExecContext {
             mem_budget: effective_budget(budget),
         };
         for db in [db, &paged] {
-            let out = execute(q, db, &ctx).expect("engine executes");
+            let (out, report) = measure(q, db, 10.0, &ctx).expect("engine executes");
+            assert_held_within(&report, ctx.mem_budget, one_group, what);
             assert_eq!(
                 out.rows(),
                 reference.rows(),
@@ -752,7 +790,7 @@ fn dict_column(codes: Vec<u32>, values: &[&str]) -> Arc<Column> {
 }
 
 /// One relation `T` for the group-by battery: a dictionary key with unused
-/// entries, an integer key that takes the packed key's padding sentinel, a
+/// entries, an integer key that takes the extreme `i64` values, a
 /// date key, and integer / date / dictionary aggregate inputs.
 fn group_by_db(rows: usize) -> Database {
     let n = rows as i64;
@@ -811,7 +849,7 @@ fn group_by_kernel_edge_cases_match_the_row_reference() {
         ]
     };
     // 64 rows: the eight-entry dictionary is smaller than the input (the
-    // direct table); 5 rows: it is larger (the packed-key map).
+    // direct table); 5 rows: it is larger (the hashed map).
     for rows in [64usize, 5] {
         let db = group_by_db(rows);
         let keysets: [&[&str]; 6] = [

@@ -8,7 +8,9 @@
 //!
 //! CI's low-memory job re-runs this battery with the `MVDESIGN_MEM_BUDGET`
 //! env knob set to a few hundred bytes, which overrides the sampled budgets
-//! so even the "unbounded" draws evict and spill.
+//! so even the "unbounded" draws evict and spill, and again at 65 536
+//! bytes, where some operators spill and others do not. Every run passes
+//! the held-bytes oracle ([`assert_held_within`]).
 
 use std::sync::Arc;
 
@@ -20,8 +22,27 @@ use mvdesign::algebra::{
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
     batch_bytes, execute, measure, BufferPool, Database, ExecContext, Generator, GeneratorConfig,
-    Table,
+    IoReport, Table,
 };
+use mvdesign::prelude::Designer;
+use mvdesign::warehouse::Warehouse;
+use mvdesign::workload::tpch_lite;
+
+/// The held-bytes oracle over one measured run at `budget`: unbounded,
+/// nothing spills; under a budget, an operator that did not spill held at
+/// most half of it, and so did every partition of one that did.
+fn assert_held_within(report: &IoReport, budget: Option<usize>) {
+    for c in report.charges() {
+        match budget {
+            None => assert!(!c.spilled, "spilled with no budget: {c:?}"),
+            Some(b) => assert!(
+                c.state_bytes <= b / 2,
+                "held {} B under a {b} B budget: {c:?}",
+                c.state_bytes
+            ),
+        }
+    }
+}
 
 /// A three-relation catalog with an integer join key, an integer payload and
 /// a low-cardinality text attribute per relation (same shape as
@@ -231,7 +252,8 @@ proptest! {
             paged_copy(&db, BUDGETS[budget_sel], PAGE_SIZES[page_sel]);
         let ctx = ExecContext { mem_budget: op_budget };
         let resident = execute(&q, &db, &ExecContext::default()).expect("resident executes");
-        let out = execute(&q, &paged, &ctx).expect("paged engine executes");
+        let (out, io) = measure(&q, &paged, 10.0, &ctx).expect("paged engine executes");
+        assert_held_within(&io, op_budget);
         prop_assert_eq!(
             resident.batch(),
             out.batch(),
@@ -266,6 +288,8 @@ proptest! {
         let (rt, rio) = measure(&q, &db, f64::from(bf), &ExecContext::default())
             .expect("resident iosim");
         let (pt, pio) = measure(&q, &paged, f64::from(bf), &ctx).expect("paged iosim");
+        assert_held_within(&rio, None);
+        assert_held_within(&pio, op_budget);
         prop_assert_eq!(rt.batch(), pt.batch());
         prop_assert_eq!(rio.total(), pio.total());
         prop_assert_eq!(rio.blocks_read, pio.blocks_read);
@@ -282,12 +306,13 @@ proptest! {
 
 /// Two deterministic fixtures big enough that a 1 KiB operator budget (the
 /// env knob's, when set) forces the Grace hash join and the spilling
-/// aggregation — 5 000 rows over 37 keys against 500 (5 500 × 16-byte key
-/// records, 5 000 × 40-byte records), and 1 000 rows over 11 keys against
-/// 121, where every key repeats 11 times on the build side and every group
-/// recurs in every spill partition's row range — over a zero-byte pool where
-/// every pin re-reads its page from spill: the fully out-of-core path must
-/// match the fully resident path.
+/// aggregation — 5 000 rows over 37 keys against a 500-row build side, and
+/// 1 000 rows over 11 keys against 121, where every key repeats 11 times on
+/// the build side and every group recurs in every spill partition's row
+/// range; either γ groups an integer column, so its bound is its input's
+/// row count — over a zero-byte pool where every pin re-reads its page from
+/// spill: the fully out-of-core path must match the fully resident path,
+/// and hold at most half the budget at a time.
 #[test]
 fn spilled_join_and_aggregate_match_resident() {
     for (l_rows, keys, groups, r_rows) in [(5_000, 37, 11, 500), (1_000, 11, 4, 121)] {
@@ -329,8 +354,12 @@ fn spilled_join_and_aggregate_match_resident() {
             mem_budget: effective_budget(Some(1024)),
         };
         let resident = execute(&q, &db, &ExecContext::default()).expect("resident");
-        let out = execute(&q, &paged, &ctx).expect("paged");
+        let (out, io) = measure(&q, &paged, 10.0, &ctx).expect("paged");
         assert_eq!(resident.batch(), out.batch(), "{l_rows} × {r_rows} differs");
+        assert_held_within(&io, ctx.mem_budget);
+        if ctx.mem_budget <= Some(1024) {
+            assert!(io.charges().iter().all(|c| c.spilled), "{:?}", io.charges());
+        }
         let stats = pool.stats();
         assert!(stats.evictions > 0, "a zero-byte pool must evict");
         assert!(stats.misses > 0, "a zero-byte pool must re-read pages");
@@ -373,5 +402,76 @@ fn repeated_runs_over_an_evicting_pool_are_identical() {
             pool.stats().evictions >= evictions_after_first,
             "eviction counter went backwards"
         );
+    }
+}
+
+/// The spill rule's regression pin, on the benchmark's own shape: TPC-H-lite
+/// at scale 0.004, the greedy design, every table paged. The two routed
+/// plans that do engine work are `revenue_by_segment` = `γ(tmp5)`, five
+/// groups, and `revenue_by_nation` = `γ(tmp5 ⋈ Nation)`, whose build side is
+/// Nation's one row. Under a quarter of the base data (`mixed-paged`'s
+/// budget) the input-sized rule (`rows × 40 B`, `(ln + rn) × 16 B` against
+/// half the budget) spilled both; sized by their state, neither spills. Nor
+/// at 256 bytes: the γ's table, representatives and sums take 100 bytes,
+/// the join's one-entry chain table 63 — both within 128. At 160 bytes the
+/// γ spills into one-group partitions within 80 bytes while the join, whose
+/// single build row no partitioning could split, still fits. At every
+/// budget the answers are bit-identical to the resident ones and every
+/// routed plan passes the held-bytes oracle.
+#[test]
+fn tpch_lite_view_plans_spill_by_state_not_by_rows() {
+    let scenario = tpch_lite();
+    let design = Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("tpch-lite designs");
+    let base = Generator::with_config(GeneratorConfig {
+        seed: 0x5eed,
+        scale: 0.004,
+        max_rows: usize::MAX,
+    })
+    .database(&scenario.catalog);
+    let base_bytes: usize = base.iter().map(|(_, t)| batch_bytes(t.batch())).sum();
+    let warehouse = |budget: Option<usize>| {
+        Warehouse::new(scenario.catalog.clone(), base.clone(), &design)
+            .expect("warehouse builds")
+            .with_mem_budget(budget)
+    };
+    let resident = warehouse(None);
+    let tmp5 = resident
+        .database()
+        .table("tmp5")
+        .expect("tmp5 stored")
+        .len();
+    let quarter = base_bytes / 4;
+    assert!(
+        tmp5 * 40 > quarter / 2 && (tmp5 + 1) * 16 > quarter / 2,
+        "the old rule spilled"
+    );
+    // Budget, and whether `revenue_by_segment`'s γ spills at it.
+    for (budget, segment_spills) in [(quarter, false), (256, false), (160, true)] {
+        let paged = warehouse(Some(budget));
+        let ctx = paged.exec_context();
+        assert_eq!(ctx.mem_budget, Some(budget));
+        for q in scenario.workload.queries() {
+            let plan = paged.views().route(q.root()).plan;
+            let (out, io) = measure(&plan, paged.database(), 10.0, &ctx).expect("paged measures");
+            let (want, _) = measure(&plan, resident.database(), 10.0, &ExecContext::default())
+                .expect("resident measures");
+            assert_eq!(out.batch(), want.batch(), "{} at {budget} B", q.name());
+            assert_held_within(&io, Some(budget));
+            let held: Vec<(&str, bool)> = io
+                .charges()
+                .iter()
+                .filter(|c| c.op != "σ")
+                .map(|c| (c.op, c.spilled))
+                .collect();
+            match q.name() {
+                "revenue_by_segment" => assert_eq!(held, [("γ", segment_spills)], "{budget} B"),
+                "revenue_by_nation" => {
+                    assert_eq!(held, [("⋈", false), ("γ", false)], "{budget} B");
+                }
+                _ => {}
+            }
+        }
     }
 }
