@@ -102,21 +102,40 @@ pub(crate) fn map_slots_bound(n: usize) -> usize {
     }
 }
 
-/// End of a [`ChainTable`] chain.
+/// End of a [`ChainTable`] chain, and the head of a key with no entry.
 const NIL: u32 = u32::MAX;
+
+/// Probe rows the branch-free probe buffers between appends: two arrays of
+/// this many indexes (16 KiB) stay in the L1 cache.
+const PROBE_RUN: usize = 1024;
+
+/// Where a [`ChainTable`] keeps the head of each key's chain. Which one is
+/// read off the keys ([`ChainTable::build`]), never set.
+enum Heads {
+    /// A compact key range: `slots[k − min]` for every `k` in `min..=max`,
+    /// then one sentinel slot, always [`NIL`], that out-of-range keys are
+    /// clamped onto — a lookup is a subtraction, a clamp and a load.
+    Direct { min: i64, slots: Vec<u32> },
+    /// Any other keys: one map entry per distinct key.
+    Map(IntMap<i64, u32>),
+}
 
 /// The build side of a hash join on `i64` keys — the one index behind the
 /// in-memory and the Grace (spilled) join.
 ///
-/// One map entry per *distinct* key holds the head of a chain threaded
-/// through `next`; entries with equal keys are linked in the order they
-/// were given. No per-key `Vec`, no allocation per build row.
+/// Each distinct key has the head of a chain threaded through `next`;
+/// entries with equal keys are linked in the order they were given. No
+/// per-key `Vec`, no allocation per build row. The heads sit in an array
+/// indexed by key when the keys span a range whose array is no larger than
+/// the map's bound ([`ChainTable::bytes_for`]), and in a map otherwise.
 pub(crate) struct ChainTable {
-    heads: IntMap<i64, u32>,
+    heads: Heads,
     /// `next[e]`: the next entry with entry `e`'s key, or [`NIL`].
     next: Vec<u32>,
     /// `rows[e]`: the build-side row of entry `e`.
     rows: Vec<usize>,
+    /// No two entries share a key: every chain is one entry long.
+    unique: bool,
 }
 
 impl ChainTable {
@@ -125,63 +144,169 @@ impl ChainTable {
     /// rows ascending and [`ChainTable::probe`] emits matches ascending in
     /// the build row — the order a `Vec` of matches per key used to give.
     ///
+    /// The heads are direct when the keys' `[min, max]` fits
+    /// ([`direct_fits`]), so the table never holds more than
+    /// [`ChainTable::bytes_for`] either way.
+    ///
     /// # Panics
     ///
     /// Panics at 2^32 − 1 entries or more (chain links are `u32`).
     pub(crate) fn build(
+        entries: impl ExactSizeIterator<Item = (i64, usize)> + DoubleEndedIterator + Clone,
+    ) -> Self {
+        let n = entries.len();
+        let range = entries
+            .clone()
+            .map(|(k, _)| (k, k))
+            .reduce(|(lo, hi), (k, _)| (lo.min(k), hi.max(k)));
+        let direct = range.filter(|&(min, max)| direct_fits(n, min, max));
+        Self::build_with(entries, direct)
+    }
+
+    /// [`ChainTable::build`] with the heads chosen by the caller: direct
+    /// over `min..=max` (which must hold every key), or a map on `None`.
+    fn build_with(
         entries: impl ExactSizeIterator<Item = (i64, usize)> + DoubleEndedIterator,
+        direct: Option<(i64, i64)>,
     ) -> Self {
         let n = entries.len();
         assert!(n < NIL as usize, "hash-join build side exceeds u32 links");
-        let mut heads = IntMap::with_capacity_and_hasher(n, IntBuildHasher::default());
+        let mut heads = match direct {
+            Some((min, max)) => Heads::Direct {
+                min,
+                slots: vec![NIL; direct_slots(min, max).expect("a direct range fits")],
+            },
+            None => Heads::Map(IntMap::with_capacity_and_hasher(
+                n,
+                IntBuildHasher::default(),
+            )),
+        };
         let mut next = vec![NIL; n];
         let mut rows = vec![0; n];
+        let mut unique = true;
         for (e, (key, row)) in entries.enumerate().rev() {
             rows[e] = row;
-            if let Some(later) = heads.insert(key, e as u32) {
-                next[e] = later;
-            }
+            // The entry becomes its key's head; the old head, if any, is next.
+            let later = match &mut heads {
+                Heads::Direct { min, slots } => {
+                    std::mem::replace(&mut slots[key.wrapping_sub(*min) as u64 as usize], e as u32)
+                }
+                Heads::Map(map) => map.insert(key, e as u32).unwrap_or(NIL),
+            };
+            next[e] = later;
+            unique &= later == NIL;
         }
-        Self { heads, next, rows }
+        Self {
+            heads,
+            next,
+            rows,
+            unique,
+        }
     }
 
-    /// Appends `(i, j)` to the index vectors for every build row `j` whose
-    /// key is `key` and for which `matches(j)` holds — the one inner loop of
-    /// every hash join. Exact keys pass `|_| true`; hashed keys confirm the
-    /// match on the key columns.
+    /// The first entry of `key`'s chain, or [`NIL`].
+    fn head(&self, key: i64) -> u32 {
+        match &self.heads {
+            Heads::Direct { min, slots } => slots[direct_slot(key, *min, slots.len())],
+            Heads::Map(map) => map.get(&key).copied().unwrap_or(NIL),
+        }
+    }
+
+    /// Appends `(i, j)` to the index vectors for every probe entry
+    /// `(key, i)`, in the order given, and every build row `j` whose key is
+    /// `key` — ascending in `j` — for which `exact || matches(i, j)` holds:
+    /// the one inner loop of every hash join. Exact keys are equal values;
+    /// hashed keys confirm the match on the key columns with `matches`.
+    ///
+    /// Exact keys into direct heads with every build key unique — the
+    /// foreign-key-to-dimension join — take a loop with no branch on
+    /// whether a probe row matches: each row writes its candidate pair at
+    /// a cursor into a small buffer and advances the cursor only on a hit,
+    /// so a probe side that half misses costs no mispredictions. The buffer
+    /// is appended to the index vectors every [`PROBE_RUN`] rows, which
+    /// grow by what matched and by nothing else.
     pub(crate) fn probe(
         &self,
-        i: usize,
-        key: i64,
+        mut probe: impl ExactSizeIterator<Item = (i64, usize)>,
+        exact: bool,
         lidx: &mut Vec<usize>,
         ridx: &mut Vec<usize>,
-        matches: impl Fn(usize) -> bool,
+        matches: impl Fn(usize, usize) -> bool,
     ) {
-        let mut e = self.heads.get(&key).copied().unwrap_or(NIL);
-        while e != NIL {
-            let j = self.rows[e as usize];
-            if matches(j) {
-                lidx.push(i);
-                ridx.push(j);
+        match &self.heads {
+            Heads::Direct { min, slots } if exact && self.unique && !self.rows.is_empty() => {
+                let last_entry = self.rows.len() - 1;
+                let (mut li, mut ri) = ([0; PROBE_RUN], [0; PROBE_RUN]);
+                while probe.len() > 0 {
+                    let mut cursor = 0;
+                    for (key, i) in probe.by_ref().take(PROBE_RUN) {
+                        let e = slots[direct_slot(key, *min, slots.len())];
+                        // A miss (`NIL`) reads some real row, written where
+                        // the next pair will overwrite it.
+                        li[cursor] = i;
+                        ri[cursor] = self.rows[(e as usize).min(last_entry)];
+                        cursor += usize::from(e != NIL);
+                    }
+                    lidx.extend_from_slice(&li[..cursor]);
+                    ridx.extend_from_slice(&ri[..cursor]);
+                }
             }
-            e = self.next[e as usize];
+            _ => {
+                for (key, i) in probe {
+                    let mut e = self.head(key);
+                    while e != NIL {
+                        let j = self.rows[e as usize];
+                        if exact || matches(i, j) {
+                            lidx.push(i);
+                            ridx.push(j);
+                        }
+                        e = self.next[e as usize];
+                    }
+                }
+            }
         }
     }
 
-    /// Bytes the table holds, by capacity: the head map's slots and the two
-    /// per-entry arrays.
+    /// Bytes the table holds, by capacity: the heads (map slots or the
+    /// direct array) and the two per-entry arrays.
     pub(crate) fn bytes(&self) -> usize {
-        self.heads.capacity() * slot_bytes::<i64, u32>()
-            + self.next.capacity() * size_of::<u32>()
-            + self.rows.capacity() * size_of::<usize>()
+        let heads = match &self.heads {
+            Heads::Direct { slots, .. } => slots.capacity() * size_of::<u32>(),
+            Heads::Map(map) => map.capacity() * slot_bytes::<i64, u32>(),
+        };
+        heads + self.next.capacity() * size_of::<u32>() + self.rows.capacity() * size_of::<usize>()
     }
 
     /// An upper bound on [`ChainTable::bytes`] for a table built from
-    /// `entries` entries — what a join asks before it builds one.
+    /// `entries` entries — what a join asks before it builds one. It is the
+    /// map's bound: a table takes direct heads only within it.
     pub(crate) fn bytes_for(entries: usize) -> usize {
         map_slots_bound(entries) * slot_bytes::<i64, u32>()
             + entries * (size_of::<u32>() + size_of::<usize>())
     }
+}
+
+/// Head slots of a direct table over `min..=max`: one per key and the
+/// sentinel, or `None` if that count does not fit a `usize`.
+fn direct_slots(min: i64, max: i64) -> Option<usize> {
+    usize::try_from(max.abs_diff(min)).ok()?.checked_add(2)
+}
+
+/// Whether `entries` entries keyed within `min..=max` take direct heads:
+/// the head array is no larger than the map slots [`ChainTable::bytes_for`]
+/// allows, so the table fits that bound with either heads.
+fn direct_fits(entries: usize, min: i64, max: i64) -> bool {
+    let heads = direct_slots(min, max).and_then(|s| s.checked_mul(size_of::<u32>()));
+    heads.is_some_and(|h| h <= map_slots_bound(entries) * slot_bytes::<i64, u32>())
+}
+
+/// The slot of `key` among a direct table's `len` slots over keys from
+/// `min`: `key − min` inside the range, the sentinel `len − 1` outside it.
+/// The subtraction wraps, so a key below `min` comes out above any range
+/// and is clamped like one above `max`; none wraps back into the range,
+/// which would take `key + 2^64 ≤ max`.
+fn direct_slot(key: i64, min: i64, len: usize) -> usize {
+    (key.wrapping_sub(min) as u64).min(len as u64 - 1) as usize
 }
 
 /// One `i64` key per row — borrowed straight from `Int`/`Date` storage, or
@@ -452,14 +577,188 @@ mod tests {
             grown.insert(n as i64, 0);
         }
         // A chain table never holds more than it said it would, with all
-        // keys distinct or all equal.
+        // keys distinct or all equal, under either head representation.
         for n in [0usize, 1, 2, 3, 7, 8, 100, 1_000] {
             for distinct in [true, false] {
-                let entries = (0..n).map(|j| (if distinct { j as i64 } else { 7 }, j));
-                let table = ChainTable::build(entries.collect::<Vec<_>>().into_iter());
-                assert!(table.bytes() <= ChainTable::bytes_for(n), "{n} entries");
+                let entries: Vec<(i64, usize)> = (0..n)
+                    .map(|j| (if distinct { j as i64 } else { 7 }, j))
+                    .collect();
+                let auto = ChainTable::build(entries.iter().copied());
+                assert_eq!(is_direct(&auto), n > 0, "{n} compact entries");
+                let map = ChainTable::build_with(entries.iter().copied(), None);
+                for table in [auto, map] {
+                    assert!(table.bytes() <= ChainTable::bytes_for(n), "{n} entries");
+                }
             }
         }
+        // The switch at its boundary: `widest` is the largest `max − min`
+        // whose head array (a slot per key and the sentinel) fits in the
+        // map slots of the bound. One key more of range and the heads are a
+        // map — at any offset, the extremes of `i64` included. (One entry
+        // spans one key.)
+        for n in [2usize, 3, 5, 64, 1_000] {
+            let widest = map_slots_bound(n) * slot_bytes::<i64, u32>() / size_of::<u32>() - 2;
+            for min in [0, -1, i64::MIN, i64::MAX - widest as i64 - 1] {
+                for (span, direct) in [(widest, true), (widest + 1, false)] {
+                    let max = min + span as i64;
+                    // `n` distinct keys from `min` to `max`.
+                    let entries: Vec<(i64, usize)> = (0..n)
+                        .map(|j| (if j + 1 == n { max } else { min + j as i64 }, j))
+                        .collect();
+                    assert_eq!(direct_fits(n, min, max), direct, "{n} over {span}");
+                    let table = ChainTable::build(entries.iter().copied());
+                    assert_eq!(is_direct(&table), direct, "{n} entries over {span}");
+                    assert!(table.bytes() <= ChainTable::bytes_for(n), "{n} over {span}");
+                    if direct {
+                        // At the boundary the heads fill the bound to within
+                        // one slot.
+                        assert!(table.bytes() + size_of::<u32>() > ChainTable::bytes_for(n));
+                    }
+                }
+            }
+        }
+        // The widest ranges never overflow the slot arithmetic.
+        assert!(!direct_fits(2, i64::MIN, i64::MAX));
+        assert!(!direct_fits(usize::MAX / 64, i64::MIN, i64::MAX));
+        assert_eq!(direct_slots(i64::MIN, i64::MAX), None);
+    }
+
+    fn is_direct(table: &ChainTable) -> bool {
+        matches!(table.heads, Heads::Direct { .. })
+    }
+
+    /// The pairs a nested loop over `probe` × `build` emits: probe entries
+    /// in the order given, each one's build rows ascending.
+    fn nested_loop(
+        probe: &[(i64, usize)],
+        build: &[(i64, usize)],
+        exact: bool,
+        matches: impl Fn(usize, usize) -> bool,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+        for &(a, i) in probe {
+            for &(b, j) in build {
+                if a == b && (exact || matches(i, j)) {
+                    lidx.push(i);
+                    ridx.push(j);
+                }
+            }
+        }
+        (lidx, ridx)
+    }
+
+    /// Key `r`, drawn as `kind`, near `center` within `span`, or at an
+    /// edge: the dictionary-translation sentinel `-1`, the ends of `i64`, or
+    /// anywhere.
+    fn draw_key(kind: u8, r: u64, center: i64, span: u64) -> i64 {
+        match kind {
+            0..=4 => center.wrapping_add((r % span) as i64),
+            5 => i64::MIN,
+            6 => i64::MAX,
+            7 => -1,
+            _ => r as i64,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Direct heads and map heads emit the same pairs — the nested
+        /// loop's, pair for pair — for random build and probe keys: compact
+        /// and wide ranges, with and without duplicates, probe keys below
+        /// and above the build range, at the ends of `i64`, negative and
+        /// `-1`, empty and one-entry build sides; exact keys (the
+        /// branch-free probe when the build keys are unique) and hashed ones
+        /// confirmed by `matches`. Whichever heads `build` picks, the table
+        /// holds no more than `bytes_for`.
+        #[test]
+        fn direct_and_map_heads_emit_the_nested_loops_pairs(
+            center_kind in 0usize..5,
+            anywhere in proptest::prelude::any::<i64>(),
+            span in 1u64..80,
+            build_keys in proptest::collection::vec((0u8..10, proptest::prelude::any::<u64>()), 0..40),
+            probe_keys in proptest::collection::vec((0u8..10, proptest::prelude::any::<u64>()), 0..60),
+            compact in proptest::prelude::any::<bool>(),
+            distinct in proptest::prelude::any::<bool>(),
+        ) {
+            let center = [0, -1, i64::MIN, i64::MAX - 20, anywhere][center_kind];
+            // A compact build side draws every key near `center`.
+            let mut keys: Vec<i64> = build_keys
+                .iter()
+                .map(|&(kind, r)| draw_key(if compact { kind % 5 } else { kind }, r, center, span))
+                .collect();
+            if distinct {
+                let mut seen = std::collections::HashSet::new();
+                keys.retain(|k| seen.insert(*k));
+            }
+            // Build rows ascending but not contiguous, as a Grace chunk's are.
+            let build: Vec<(i64, usize)> =
+                keys.iter().enumerate().map(|(j, &k)| (k, 2 * j + 1)).collect();
+            let range = keys
+                .iter()
+                .map(|&k| (k, k))
+                .reduce(|(lo, hi), (k, _)| (lo.min(k), hi.max(k)));
+            // Probe keys straddle the build range: below, inside, above.
+            let (lo, hi) = range.unwrap_or((center, center));
+            let probe: Vec<(i64, usize)> = probe_keys
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, r))| {
+                    let k = match kind {
+                        8 => lo.wrapping_sub(1 + (r % 3) as i64),
+                        9 => hi.wrapping_add(1 + (r % 3) as i64),
+                        _ => draw_key(kind, r, center, span),
+                    };
+                    (k, 3 * i)
+                })
+                .collect();
+
+            let n = build.len();
+            let auto = ChainTable::build(build.iter().copied());
+            let map = ChainTable::build_with(build.iter().copied(), None);
+            proptest::prop_assert_eq!(
+                is_direct(&auto),
+                range.is_some_and(|(lo, hi)| direct_fits(n, lo, hi))
+            );
+            proptest::prop_assert!(auto.bytes() <= ChainTable::bytes_for(n));
+            proptest::prop_assert!(map.bytes() <= ChainTable::bytes_for(n));
+            let mut tables = vec![auto, map];
+            // Forced direct heads wherever the range is small enough to
+            // allocate, whether or not `build` would pick them.
+            if let Some(range) = range.filter(|&(lo, hi)| hi.abs_diff(lo) < 1 << 12) {
+                tables.push(ChainTable::build_with(build.iter().copied(), Some(range)));
+            }
+            let confirm = |i: usize, j: usize| !(i + j).is_multiple_of(3);
+            for exact in [true, false] {
+                let want = nested_loop(&probe, &build, exact, confirm);
+                for table in &tables {
+                    let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+                    table.probe(probe.iter().copied(), exact, &mut lidx, &mut ridx, confirm);
+                    proptest::prop_assert_eq!((&lidx, &ridx), (&want.0, &want.1), "exact {}", exact);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cross_join_and_the_dictionary_sentinel_probe_like_any_key() {
+        // A cross join keys every row 0: a one-row build side is direct and
+        // unique, and every probe row matches it.
+        let table = ChainTable::build([(0, 4)].into_iter());
+        assert!(is_direct(&table) && table.unique);
+        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+        let probe = (0..2_500).map(|i| (0, i));
+        table.probe(probe, true, &mut lidx, &mut ridx, |_, _| false);
+        assert_eq!(lidx, (0..2_500).collect::<Vec<_>>());
+        assert!(ridx.iter().all(|&j| j == 4));
+        // Translated dictionary codes: right values missing from the left
+        // dictionary are -1 and match no left code; left code 0 and 2 do.
+        let table = ChainTable::build([(-1, 0), (2, 1), (-1, 2), (0, 3)].into_iter());
+        assert!(is_direct(&table) && !table.unique);
+        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+        let probe = [(0, 0), (1, 1), (2, 2), (3, 3)].into_iter();
+        table.probe(probe, true, &mut lidx, &mut ridx, |_, _| false);
+        assert_eq!((lidx, ridx), (vec![0, 2], vec![3, 1]));
     }
 
     #[test]
@@ -521,16 +820,18 @@ mod tests {
         let entries = [(7, 1), (i64::MIN, 3), (7, 4), (0, 5), (7, 9)];
         let table = ChainTable::build(entries.into_iter());
         let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
-        table.probe(0, 7, &mut lidx, &mut ridx, |_| true);
-        table.probe(1, 8, &mut lidx, &mut ridx, |_| true);
-        table.probe(2, i64::MIN, &mut lidx, &mut ridx, |_| true);
+        let probe = [(7, 0), (8, 1), (i64::MIN, 2)];
+        table.probe(probe.into_iter(), true, &mut lidx, &mut ridx, |_, _| false);
         assert_eq!(lidx, [0, 0, 0, 2]);
         assert_eq!(ridx, [1, 4, 9, 3]);
         // A hash match the columns refuse emits nothing.
-        table.probe(3, 7, &mut lidx, &mut ridx, |j| j != 4);
+        let refuse_4 = |_: usize, j: usize| j != 4;
+        table.probe([(7, 3)].into_iter(), false, &mut lidx, &mut ridx, refuse_4);
         assert_eq!(ridx[4..], [1, 9]);
         let empty = ChainTable::build(std::iter::empty());
-        empty.probe(0, 7, &mut lidx, &mut ridx, |_| true);
+        empty.probe([(7, 0)].into_iter(), true, &mut lidx, &mut ridx, |_, _| {
+            true
+        });
         assert_eq!(lidx.len(), 6);
     }
 

@@ -210,20 +210,18 @@ fn join_indices(
 ) -> Result<(Vec<usize>, Vec<usize>, Held), ExecError> {
     let keys = join_keys(lcols, rcols, ln, rn);
     let (lk, rk) = (keys.left.as_slice(), keys.right.as_slice());
-    let matches =
-        |i: usize, j: usize| keys.exact || lcols.iter().zip(rcols).all(|(l, r)| l.eq_at(i, r, j));
+    let matches = |i: usize, j: usize| lcols.iter().zip(rcols).all(|(l, r)| l.eq_at(i, r, j));
     let limit = state_limit(ctx);
     let estimate = ChainTable::bytes_for(rn);
     if estimate > limit {
-        return grace_hash_join(lk, rk, &matches, estimate, limit);
+        return grace_hash_join(lk, rk, keys.exact, &matches, estimate, limit);
     }
     let table = ChainTable::build(rk.iter().copied().zip(0..rn));
     debug_assert!(table.bytes() <= estimate, "chain table outgrew its bound");
     // One match per probe row is the foreign-key case; reserve for it.
     let (mut lidx, mut ridx) = (Vec::with_capacity(ln), Vec::with_capacity(ln));
-    for (i, a) in lk.iter().enumerate() {
-        table.probe(i, *a, &mut lidx, &mut ridx, |j| matches(i, j));
-    }
+    let probe = lk.iter().copied().zip(0..ln);
+    table.probe(probe, keys.exact, &mut lidx, &mut ridx, matches);
     let held = Held {
         state_bytes: table.bytes(),
         spilled: false,
@@ -352,6 +350,7 @@ fn read_raw_records(
 fn grace_hash_join(
     lk: &[i64],
     rk: &[i64],
+    exact: bool,
     matches: &impl Fn(usize, usize) -> bool,
     estimate: usize,
     limit: usize,
@@ -380,9 +379,8 @@ fn grace_hash_join(
                 let table = ChainTable::build(entries.iter().copied());
                 held.hold(table.bytes());
                 let mut pairs: Pairs = (Vec::new(), Vec::new());
-                for &(key, i) in &probe {
-                    table.probe(i, key, &mut pairs.0, &mut pairs.1, |j| matches(i, j));
-                }
+                let records = probe.iter().copied();
+                table.probe(records, exact, &mut pairs.0, &mut pairs.1, matches);
                 chunks.push(pairs);
             }
         }

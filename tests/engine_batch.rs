@@ -18,6 +18,7 @@
 //! ([`assert_held_within`]): what an operator that did not spill held is
 //! within half the budget.
 
+use std::mem::size_of;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -30,6 +31,9 @@ use mvdesign::engine::{
     execute, measure, selection_mask, Batch, BufferPool, Column, Database, ExecContext, ExecError,
     Generator, GeneratorConfig, IoReport, OpCharge, Table,
 };
+use mvdesign::prelude::Designer;
+use mvdesign::warehouse::Warehouse;
+use mvdesign::workload::tpch_lite;
 use mvdesign_verify::row_reference;
 
 /// The mask the row reference computes: its per-row predicate evaluation
@@ -184,6 +188,35 @@ fn plain_text_db(db: &Database) -> Database {
     plain
 }
 
+/// The same data with every relation's integer key `k` moved into a compact
+/// domain from `offset`: `R1` and `R2` hold each key once, so a join into
+/// them builds unique direct heads and probes without a branch per row, and
+/// `R0`'s keys spread over twice the largest relation, so about half of its
+/// probe rows miss.
+fn compact_keys(db: &Database, offset: i64) -> Database {
+    let widest = db.iter().map(|(_, t)| t.len()).max().unwrap_or(1) as i64;
+    let mut out = Database::new();
+    for (name, t) in db.iter() {
+        let batch = t.batch();
+        let at = batch
+            .index_of(&AttrRef::new(name.clone(), "k"))
+            .expect("every relation has k");
+        let rows = batch.rows() as i64;
+        let keys = if name.as_str() == "R0" {
+            (0..rows)
+                .map(|r| offset + (r * 7 + 3) % (2 * widest))
+                .collect()
+        } else {
+            (0..rows).map(|r| offset + r).collect()
+        };
+        let mut columns = batch.columns().to_vec();
+        columns[at] = Arc::new(Column::Int(keys));
+        let batch = Batch::new(batch.attrs().to_vec(), columns);
+        out.insert_table(Table::from_batch(name.clone(), batch));
+    }
+    out
+}
+
 /// The byte budget a battery runs at: the drawn one, unless the
 /// `MVDESIGN_MEM_BUDGET` env knob overrides it (tier-1's low-memory rerun
 /// sets a value small enough to force eviction and spill everywhere).
@@ -208,18 +241,21 @@ proptest! {
     /// The batch engine and the row-reference oracle agree **row for row**
     /// — the join emits the reference's nested-loop order, the group-by its
     /// key order — on random SPJ + aggregate plans, over dictionary-encoded
-    /// and plain-text columns, resident and paged, at the environment's
-    /// operator budget.
+    /// and plain-text columns, generated or compact unique integer keys,
+    /// resident and paged, at the environment's operator budget.
     #[test]
     fn batch_matches_row_reference_on_random_plans(
         spec in query_strategy(),
         sizes in proptest::array::uniform3(8u32..150),
         seed in 0u64..1_000,
         plain_text in any::<bool>(),
+        compact in any::<bool>(),
+        offset in -64i64..64,
     ) {
         let catalog = make_catalog(sizes);
         let generated = small_db(&catalog, seed);
         let db = if plain_text { plain_text_db(&generated) } else { generated };
+        let db = if compact { compact_keys(&db, offset) } else { db };
         let paged = paged_twin(&db, 7);
         let q = build_query(&spec);
         let ctx = ExecContext { mem_budget: effective_budget(None) };
@@ -964,6 +1000,64 @@ fn hash_join_chain_order_and_empty_sides_match_the_row_reference() {
         db.insert_table(side("P", probe));
         db.insert_table(side("B", build));
         assert_battery(&q, &db, what);
+    }
+}
+
+/// The motivating plan's regression pin: TPC-H-lite at the benchmark's scale
+/// 0.02, the greedy design, and `revenue_by_nation` routed to
+/// `γ(tmp5 ⋈ Nation)`. Nation's one row is a unique key in a compact range,
+/// so the join's chain table takes direct heads — the key's slot and the
+/// sentinel — and probes the 120 531 rows of `tmp5` without a branch on
+/// whether each matches. At every battery budget the join holds that
+/// table and does not spill, the modelled charges are the ones a map-headed
+/// table gave, and the answer is the row reference's, row for row.
+#[test]
+fn revenue_by_nation_joins_through_direct_heads_at_every_budget() {
+    let scenario = tpch_lite();
+    let design = Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("tpch-lite designs");
+    let base = Generator::with_config(GeneratorConfig {
+        seed: 0x5eed,
+        scale: 0.02,
+        max_rows: usize::MAX,
+    })
+    .database(&scenario.catalog);
+    let warehouse = Warehouse::new(scenario.catalog.clone(), base, &design).expect("builds");
+    let class = scenario
+        .workload
+        .queries()
+        .iter()
+        .find(|q| q.name() == "revenue_by_nation")
+        .expect("a workload class");
+    let plan = warehouse.views().route(class.root()).plan;
+    let db = warehouse.database();
+    let reference = row_reference::execute(&plan, db).expect("row reference executes");
+    // Two head slots, one chain link and one build row (a map-headed table
+    // held 63 bytes).
+    let direct = 2 * size_of::<u32>() + size_of::<u32>() + size_of::<usize>();
+    for budget in [None, Some(65_536), Some(256)] {
+        let ctx = ExecContext { mem_budget: budget };
+        let (out, io) = measure(&plan, db, 10.0, &ctx).expect("plan measures");
+        assert_eq!(
+            out.rows(),
+            reference.rows(),
+            "≠ row reference at {budget:?}"
+        );
+        let charges: Vec<(&str, f64, f64, usize, bool)> = io
+            .charges()
+            .iter()
+            .map(|c| (c.op, c.read, c.written, c.state_bytes, c.spilled))
+            .collect();
+        // 12 054 blocks of `tmp5` against Nation's one; about half match.
+        assert_eq!(
+            charges,
+            [
+                ("⋈", 12_054.0, 5_927.0, direct, false),
+                ("γ", 5_927.0, 1.0, 20, false)
+            ],
+            "at {budget:?}"
+        );
     }
 }
 

@@ -413,7 +413,8 @@ fn repeated_runs_over_an_evicting_pool_are_identical() {
 /// budget) the input-sized rule (`rows × 40 B`, `(ln + rn) × 16 B` against
 /// half the budget) spilled both; sized by their state, neither spills. Nor
 /// at 256 bytes: the γ's table, representatives and sums take 100 bytes,
-/// the join's one-entry chain table 63 — both within 128. At 160 bytes the
+/// the join's one-entry chain table 20 (direct heads: the key's slot and a
+/// sentinel) — both within 128. At 160 bytes the
 /// γ spills into one-group partitions within 80 bytes while the join, whose
 /// single build row no partitioning could split, still fits. At every
 /// budget the answers are bit-identical to the resident ones and every
