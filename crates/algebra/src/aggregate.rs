@@ -84,6 +84,21 @@ impl AggExpr {
     pub fn output_attr(&self) -> AttrRef {
         AttrRef::new(AGG_RELATION, self.alias.clone())
     }
+
+    /// How a stored result of this aggregate re-aggregates: the aggregate
+    /// over the stored `#agg.alias` column of several groups (or of stored
+    /// groups and delta partials) that yields this aggregate over all their
+    /// rows. `COUNT` rolls up as `SUM` of the counts; `SUM`, `MIN` and `MAX`
+    /// keep their function; `AVG` is stored finalized and does not: `None`.
+    /// The view matcher's roll-up and the delta fold both use it.
+    pub fn rolled_up(&self) -> Option<AggExpr> {
+        let func = match self.func {
+            AggFunc::Count => AggFunc::Sum,
+            AggFunc::Avg => return None,
+            other => other,
+        };
+        Some(AggExpr::new(func, self.output_attr(), self.alias.clone()))
+    }
 }
 
 impl fmt::Display for AggExpr {

@@ -17,12 +17,14 @@
 //!   un-deltaed side). Deletions flowing into a join would need the
 //!   counting algorithm to cancel derived tuples, so they force
 //!   recomputation.
-//! * **γ folds** mergeable per-group partials: `COUNT`/`SUM` absorb inserts
-//!   and deletes by addition and subtraction, `MIN`/`MAX` absorb inserts by
-//!   taking the extremum but cannot absorb deletes (the extremum may have
-//!   been deleted), and `AVG` is finalized as `SUM/COUNT` so the stored
-//!   value cannot be re-opened at all. Deletions additionally need a
-//!   `COUNT` column to witness groups emptying out.
+//! * **γ folds** as a roll-up: the new view is the γ, under each
+//!   aggregate's [`rolled_up`](crate::AggExpr::rolled_up) form, of the
+//!   stored groups and the delta's per-group partials. `COUNT`/`SUM` absorb
+//!   inserts and (negated) deletes by addition, `MIN`/`MAX` absorb inserts
+//!   by taking the extremum but cannot absorb deletes (the extremum may
+//!   have been deleted), and `AVG` is finalized as `SUM/COUNT` so it does
+//!   not roll up at all. Deletions additionally need a `COUNT` column to
+//!   witness groups emptying out.
 //!
 //! Anything outside these rules falls back to recomputation — the fallback
 //! is part of the contract, not an error, and every [`MaintenancePlan::Recompute`]
@@ -206,9 +208,10 @@ fn join_label(children: &[NodeDelta]) -> NodeDelta {
     NodeDelta::Mode(mode)
 }
 
-/// Whether γ can fold the stated delta kind given its aggregate list.
+/// Whether γ can fold the stated delta kind given its aggregate list: every
+/// aggregate must roll up ([`rolled_up`](crate::AggExpr::rolled_up)).
 fn aggregate_label(mode: DeltaMode, aggs: &[crate::AggExpr]) -> NodeDelta {
-    if aggs.iter().any(|a| a.func == AggFunc::Avg) {
+    if aggs.iter().any(|a| a.rolled_up().is_none()) {
         return NodeDelta::Recompute(reason::AVG_FOLD);
     }
     match mode {

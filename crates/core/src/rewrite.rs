@@ -28,8 +28,9 @@
 //!    multiplicities — but what a view *stores* is read off its definition.
 //!    * A **γ-view** over the same relations, join pairs and (mutually
 //!      implied) predicate answers a γ-node by a scan when the group keys
-//!      are equal, and by re-aggregation (SUM→SUM, COUNT→SUM of counts,
-//!      MIN/MAX) when the node groups on a subset of them.
+//!      are equal, and by re-aggregation ([`AggExpr::rolled_up`]: SUM→SUM,
+//!      COUNT→SUM of counts, MIN/MAX) when the node groups on a subset of
+//!      them.
 //!    * Otherwise **SPJ views** cover disjoint subsets `S` of the node's
 //!      relations: the node's join pairs inside `S` equal the view's, its
 //!      conjuncts local to `S` imply the view's predicate
@@ -48,9 +49,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use mvdesign_algebra::{
-    AggExpr, AggFunc, AttrRef, Expr, ExprArena, JoinCondition, Predicate, RelName,
-};
+use mvdesign_algebra::{AggExpr, AttrRef, Expr, ExprArena, JoinCondition, Predicate, RelName};
 use mvdesign_optimizer::pull_up;
 
 use crate::designer::DesignResult;
@@ -725,7 +724,8 @@ impl ViewCatalog {
         for agg in aggs {
             let out = agg.output_attr();
             let same_source = |s: &&AggExpr| s.func == agg.func && s.input == agg.input;
-            if roll_up && agg.func == AggFunc::Avg {
+            let re_agg = agg.rolled_up();
+            if roll_up && re_agg.is_none() {
                 return Err(MissReason::NotDecomposable(out));
             }
             if !view_aggs.contains(agg) {
@@ -738,11 +738,7 @@ impl ViewCatalog {
             if !stored.contains(&out) {
                 return Err(MissReason::AttributeNotKept(out));
             }
-            let func = match agg.func {
-                AggFunc::Count => AggFunc::Sum,
-                other => other,
-            };
-            rolled.push(AggExpr::new(func, out, agg.alias.clone()));
+            rolled.extend(re_agg);
         }
         let scan = self.scan(v);
         let (plan, have) = if roll_up {

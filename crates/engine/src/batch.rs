@@ -655,6 +655,16 @@ impl Batch {
         }
     }
 
+    /// The rows `range`, variant-preserving ([`Column::slice`]).
+    #[must_use]
+    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> Batch {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| Arc::new(c.slice(range.clone())));
+        Batch::new(self.attrs.clone(), columns.collect())
+    }
+
     /// Reorders the header to `idx` without touching the data — projection
     /// is O(#attrs), never O(#rows).
     ///

@@ -6,11 +6,11 @@
 //! [`Delta<Batch>`]s through σ/π/⋈ (selections and projections apply to both
 //! delta sides, joins expand via `ΔL⋈R ∪ L⋈ΔR ∪ ΔL⋈ΔR` against the *old*
 //! database), and [`refresh_view_delta`] turns one stored view plus the
-//! deltas into the view's new contents — appending SPJ inserts, cancelling
-//! SPJ deletes, and folding per-group aggregate partials. Everything reuses
-//! the resident kernels under the caller's [`ExecContext`], so delta
-//! refresh is deterministic at any memory budget, exactly like full
-//! execution.
+//! deltas into the view's new contents. An SPJ view cancels its deletes by
+//! tuple id and appends its inserts. A γ-view is a roll-up on the query's
+//! own aggregation kernel, so a folded γ-view is bit-identical to its
+//! recomputation. Everything runs under the caller's [`ExecContext`]: the
+//! roll-up spills under a budget like any γ.
 //!
 //! Unsupported shapes (per the algebra rules) return `Ok(None)`: the caller
 //! recomputes. That fallback is the contract — delta maintenance is an
@@ -20,10 +20,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mvdesign_algebra::delta::{maintenance_plan, Delta, DeltaMode, MaintenancePlan};
-use mvdesign_algebra::{AggExpr, AggFunc, AttrRef, Expr, ExprArena, RelName, Value};
+use mvdesign_algebra::{AggExpr, AggFunc, AttrRef, Expr, ExprArena, RelName};
 
 use super::{
-    aggregate_batch, execute, join_batch, project_batch, select_batch, ExecContext, ExecError,
+    aggregate_batch, assign_group_ids, execute, join_batch, project_batch, select_batch,
+    ExecContext, ExecError, GroupKeys,
 };
 use crate::batch::{Batch, Column};
 use crate::table::{Database, Table};
@@ -52,23 +53,11 @@ pub fn split_appends(db: &Database, snapshot: &BTreeMap<RelName, usize>) -> (Dat
             continue;
         }
         let batch = table.batch();
-        let insert = slice_rows(batch, snap..rows);
         let empty = Batch::empty(batch.attrs().to_vec());
-        old.insert_table(Table::from_batch(rel.clone(), slice_rows(batch, 0..snap)));
-        deltas.insert(rel.clone(), Delta::new(insert, empty));
+        old.insert_table(Table::from_batch(rel.clone(), batch.slice(0..snap)));
+        deltas.insert(rel.clone(), Delta::new(batch.slice(snap..rows), empty));
     }
     (old, deltas)
-}
-
-/// A row range of a batch, variant-preserving (dictionary slices keep the
-/// shared value table).
-fn slice_rows(batch: &Batch, range: std::ops::Range<usize>) -> Batch {
-    let columns = batch
-        .columns()
-        .iter()
-        .map(|c| Arc::new(c.slice(range.clone())))
-        .collect();
-    Batch::new(batch.attrs().to_vec(), columns)
 }
 
 /// Vertical concatenation in argument order; empty parts are skipped and a
@@ -101,36 +90,29 @@ pub fn execute_delta(
     ctx: &ExecContext,
 ) -> Result<Option<Delta<Batch>>, ExecError> {
     match &**expr {
-        Expr::Base(name) => {
-            if let Some(d) = deltas.get(name) {
-                return Ok(Some(d.clone()));
+        Expr::Base(name) => match deltas.get(name) {
+            Some(d) => Ok(Some(d.clone())),
+            None => {
+                let table = old
+                    .table(name.as_str())
+                    .ok_or_else(|| ExecError::UnknownRelation(name.clone()))?;
+                let empty = Batch::empty(table.attrs().to_vec());
+                Ok(Some(Delta::new(empty.clone(), empty)))
             }
-            let table = old
-                .table(name.as_str())
-                .ok_or_else(|| ExecError::UnknownRelation(name.clone()))?;
-            let attrs = table.batch().attrs().to_vec();
-            Ok(Some(Delta::new(
-                Batch::empty(attrs.clone()),
-                Batch::empty(attrs),
-            )))
-        }
+        },
         Expr::Select { input, predicate } => {
             let Some(d) = execute_delta(input, old, deltas, ctx)? else {
                 return Ok(None);
             };
-            Ok(Some(Delta::new(
-                select_batch(&d.insert, predicate)?,
-                select_batch(&d.delete, predicate)?,
-            )))
+            let d = d.map(|side| select_batch(&side, predicate));
+            Ok(Some(Delta::new(d.insert?, d.delete?)))
         }
         Expr::Project { input, attrs } => {
             let Some(d) = execute_delta(input, old, deltas, ctx)? else {
                 return Ok(None);
             };
-            Ok(Some(Delta::new(
-                project_batch(&d.insert, attrs)?,
-                project_batch(&d.delete, attrs)?,
-            )))
+            let d = d.map(|side| project_batch(&side, attrs));
+            Ok(Some(Delta::new(d.insert?, d.delete?)))
         }
         Expr::Join { left, right, on } => {
             let Some(dl) = execute_delta(left, old, deltas, ctx)? else {
@@ -147,7 +129,7 @@ pub fn execute_delta(
             }
             // ΔL⋈ΔR also fixes the joined schema for the empty fallback.
             let both = join_batch(&dl.insert, &dr.insert, on, ctx)?;
-            let mut terms: Vec<Batch> = Vec::with_capacity(3);
+            let mut terms = Vec::with_capacity(2);
             if dl.insert.rows() > 0 {
                 let old_right = execute(right, old, ctx)?.into_batch();
                 terms.push(join_batch(&dl.insert, &old_right, on, ctx)?);
@@ -156,11 +138,9 @@ pub fn execute_delta(
                 let old_left = execute(left, old, ctx)?.into_batch();
                 terms.push(join_batch(&old_left, &dr.insert, on, ctx)?);
             }
-            terms.push(both);
-            let attrs = terms[terms.len() - 1].attrs().to_vec();
-            let refs: Vec<&Batch> = terms.iter().collect();
-            let insert = vstack(&attrs, &refs);
-            let delete = Batch::empty(attrs);
+            let refs: Vec<&Batch> = terms.iter().chain([&both]).collect();
+            let insert = vstack(both.attrs(), &refs);
+            let delete = Batch::empty(both.attrs().to_vec());
             Ok(Some(Delta::new(insert, delete)))
         }
         Expr::Aggregate { .. } => Ok(None),
@@ -191,9 +171,6 @@ pub fn refresh_view_delta(
         };
         changed.insert(rel.clone(), mode);
     }
-    if changed.is_empty() {
-        return Ok(Some(old_view.clone()));
-    }
     match maintenance_plan(&mut ExprArena::new(), definition, &changed) {
         MaintenancePlan::Noop => Ok(Some(old_view.clone())),
         MaintenancePlan::Recompute(_) => Ok(None),
@@ -217,151 +194,119 @@ pub fn refresh_view_delta(
             };
             let (ins, _) = aggregate_batch(&d.insert, group_by, aggs, ctx)?;
             let (del, _) = aggregate_batch(&d.delete, group_by, aggs, ctx)?;
-            Ok(fold_aggregate(old_view, &ins, &del, group_by, aggs))
+            roll_up(old_view, &ins, &del, group_by, aggs, ctx)
         }
     }
 }
 
-/// Applies an SPJ view delta: appends the inserts and cancels the deletes
-/// (one stored occurrence per deleted tuple — bag semantics).
+/// Applies an SPJ view delta: cancels the deletes (one stored occurrence
+/// per deleted tuple, the first — bag semantics) and appends the inserts,
+/// so the surviving rows keep their stored order.
 fn apply_spj(old_view: &Batch, d: &Delta<Batch>) -> Option<Batch> {
-    if d.delete.rows() == 0 {
-        return Some(vstack(old_view.attrs(), &[old_view, &d.insert]));
-    }
-    let mut cancel: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
-    for row in d.delete.to_rows() {
-        *cancel.entry(row).or_insert(0) += 1;
-    }
-    let mut rows = Vec::with_capacity(old_view.rows());
-    for row in old_view.to_rows() {
-        match cancel.get_mut(&row) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => rows.push(row),
-        }
-    }
-    // Every delete must have cancelled a stored tuple; a miss means the
-    // deltas disagree with the stored view.
-    if cancel.values().any(|n| *n > 0) {
-        return None;
-    }
-    rows.extend(d.insert.to_rows());
-    Some(rows_to_batch(old_view.attrs(), rows))
+    let kept = match d.delete.rows() {
+        0 => old_view.clone(),
+        _ => old_view.filter(&surviving(old_view, &d.delete)?),
+    };
+    Some(vstack(old_view.attrs(), &[&kept, &d.insert]))
 }
 
-/// Folds finalized per-group delta partials into the stored groups.
-///
-/// `COUNT`/`SUM` add (inserts) and subtract (deletes); `MIN`/`MAX` take the
-/// extremum of the stored value and the insert partial — valid because the
-/// algebra rules route deletions away from them. Groups whose `COUNT`
-/// reaches zero are dropped; groups first seen in the delta are appended in
-/// partial order. Row order is old-view order then appendees — deterministic
-/// for a deterministic kernel, like everything else in the engine.
-fn fold_aggregate(
+/// Which rows of `view` survive cancelling `delete`, or `None` when a
+/// deleted tuple is not stored (the deltas disagree with the view). Pass 1
+/// of the aggregation kernel over every column of `delete ⊎ view` numbers
+/// the distinct tuples: a row hash confirmed with [`Column::eq_at`].
+fn surviving(view: &Batch, delete: &Batch) -> Option<Vec<bool>> {
+    let both = vstack(view.attrs(), &[delete, view]);
+    let cols: Vec<&Column> = both.columns().iter().map(|c| &**c).collect();
+    let keys = GroupKeys::new(&cols, both.rows());
+    let ids = assign_group_ids(&keys, 0..both.rows(), usize::MAX)
+        .expect("an unbounded group table takes every tuple");
+    let (deleted, stored) = ids.gids.split_at(delete.rows());
+    // Deletes pending per tuple: a stored row is cancelled while its
+    // tuple's count is still positive, and kept once it has gone below 0.
+    let mut pending = vec![0isize; ids.reps.len()];
+    for &g in deleted {
+        pending[g as usize] += 1;
+    }
+    let keep = stored
+        .iter()
+        .map(|&g| {
+            pending[g as usize] -= 1;
+            pending[g as usize] < 0
+        })
+        .collect();
+    pending.iter().all(|&n| n <= 0).then_some(keep)
+}
+
+/// Folds per-group delta partials into the stored groups as one roll-up:
+/// the aggregation kernel, every aggregate [`AggExpr::rolled_up`], over the
+/// stored groups, the insert partials and the negated delete partials. It
+/// emits groups in key order, as recomputation does, so the two are
+/// bit-identical. A `COUNT` at zero drops its group; below zero, a delete
+/// named a group that is not stored: the deltas disagree with the view.
+fn roll_up(
     old_view: &Batch,
     ins: &Batch,
     del: &Batch,
     group_by: &[AttrRef],
     aggs: &[AggExpr],
-) -> Option<Batch> {
+    ctx: &ExecContext,
+) -> Result<Option<Batch>, ExecError> {
     let attrs = old_view.attrs();
-    let key_idx: Vec<usize> = group_by
-        .iter()
-        .map(|a| old_view.index_of(a))
-        .collect::<Option<_>>()?;
-    let agg_idx: Vec<usize> = aggs
-        .iter()
-        .map(|a| old_view.index_of(&a.output_attr()))
-        .collect::<Option<_>>()?;
     // The partials come out of the same kernel with the same column layout.
     if ins.attrs() != attrs || del.attrs() != attrs {
-        return None;
+        return Ok(None);
     }
-    let count_col = aggs
-        .iter()
-        .position(|a| a.func == AggFunc::Count)
-        .map(|i| agg_idx[i]);
-
-    let key_of =
-        |row: &[Value]| -> Vec<Value> { key_idx.iter().map(|&i| row[i].clone()).collect() };
-    let mut rows: Vec<Vec<Value>> = old_view.to_rows();
-    let mut index: BTreeMap<Vec<Value>, usize> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (key_of(r), i))
-        .collect();
-
-    for partial in ins.to_rows() {
-        match index.get(&key_of(&partial)) {
-            Some(&i) => {
-                for (a, &j) in aggs.iter().zip(&agg_idx) {
-                    rows[i][j] = combine(a.func, &rows[i][j], &partial[j], 1)?;
-                }
-            }
-            None => {
-                index.insert(key_of(&partial), rows.len());
-                rows.push(partial);
-            }
+    let rolled: Option<Vec<AggExpr>> = aggs.iter().map(AggExpr::rolled_up).collect();
+    let (Some(rolled), Some(del)) = (rolled, negated(del, group_by.len(), aggs)) else {
+        return Ok(None);
+    };
+    let stacked = vstack(attrs, &[old_view, ins, &del]);
+    let (folded, _) = aggregate_batch(&stacked, group_by, &rolled, ctx)?;
+    let Some(n) = aggs.iter().position(|a| a.func == AggFunc::Count) else {
+        return Ok(Some(folded));
+    };
+    match folded.column(group_by.len() + n) {
+        Column::Int(counts) if counts.iter().all(|&c| c >= 0) => {
+            let live: Vec<bool> = counts.iter().map(|&c| c > 0).collect();
+            Ok(Some(folded.filter(&live)))
         }
-    }
-    let mut dropped = vec![false; rows.len()];
-    for partial in del.to_rows() {
-        // A deleted tuple's group must already be stored (or have just been
-        // inserted); otherwise the deltas disagree with the old state.
-        let &i = index.get(&key_of(&partial))?;
-        for (a, &j) in aggs.iter().zip(&agg_idx) {
-            rows[i][j] = combine(a.func, &rows[i][j], &partial[j], -1)?;
-        }
-        if let Some(c) = count_col {
-            match rows[i][c] {
-                Value::Int(n) if n <= 0 => dropped[i] = true,
-                _ => {}
-            }
-        }
-    }
-    let rows: Vec<Vec<Value>> = rows
-        .into_iter()
-        .zip(dropped)
-        .filter(|(_, d)| !*d)
-        .map(|(r, _)| r)
-        .collect();
-    Some(rows_to_batch(attrs, rows))
-}
-
-/// Combines one stored aggregate value with one delta partial. `sign` is
-/// `+1` for inserts, `-1` for deletes.
-fn combine(func: AggFunc, stored: &Value, partial: &Value, sign: i64) -> Option<Value> {
-    match func {
-        AggFunc::Count | AggFunc::Sum => match (stored, partial) {
-            // Wrapping, like the kernels that produced both sides (see
-            // `AggFunc::Sum`): fold ≡ recompute must hold past i64::MAX too.
-            (Value::Int(a), Value::Int(b)) => {
-                Some(Value::Int(a.wrapping_add(sign.wrapping_mul(*b))))
-            }
-            _ => None,
-        },
-        AggFunc::Min if sign > 0 => Some(stored.clone().min(partial.clone())),
-        AggFunc::Max if sign > 0 => Some(stored.clone().max(partial.clone())),
-        // MIN/MAX deletes and AVG are routed to recomputation upstream.
-        _ => None,
+        _ => Ok(None),
     }
 }
 
-/// Builds a batch from rows, keeping the empty case well-typed.
-fn rows_to_batch(attrs: &[AttrRef], rows: Vec<Vec<Value>>) -> Batch {
-    if rows.is_empty() {
-        Batch::empty(attrs.to_vec())
-    } else {
-        Batch::from_rows(attrs.to_vec(), rows)
+/// The delete partials with their `COUNT`/`SUM` negated (wrapping, like
+/// every sum), or `None` when a delete reaches any other aggregate — the
+/// algebra rules let only those through with deletes.
+fn negated(del: &Batch, keys: usize, aggs: &[AggExpr]) -> Option<Batch> {
+    if del.rows() == 0 {
+        return Some(del.clone());
     }
+    let mut columns = del.columns().to_vec();
+    for (col, agg) in columns[keys..].iter_mut().zip(aggs) {
+        let (AggFunc::Count | AggFunc::Sum, Column::Int(v)) = (agg.func, &**col) else {
+            return None;
+        };
+        *col = Arc::new(Column::Int(v.iter().map(|x| x.wrapping_neg()).collect()));
+    }
+    Some(Batch::new(del.attrs().to_vec(), columns))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvdesign_algebra::{CompareOp, JoinCondition, Predicate};
+    use mvdesign_algebra::{CompareOp, JoinCondition, Predicate, Value};
 
     fn attr(rel: &str, a: &str) -> AttrRef {
         AttrRef::new(rel, a)
+    }
+
+    /// Builds a batch from rows, keeping the empty case well-typed.
+    fn rows_to_batch(attrs: &[AttrRef], rows: Vec<Vec<Value>>) -> Batch {
+        if rows.is_empty() {
+            Batch::empty(attrs.to_vec())
+        } else {
+            Batch::from_rows(attrs.to_vec(), rows)
+        }
     }
 
     fn table(name: &str, attrs: &[AttrRef], rows: Vec<Vec<Value>>) -> Table {
@@ -514,10 +459,11 @@ mod tests {
         );
         let ctx = ExecContext::default();
         let view = execute(&expr, &old, &ctx).unwrap().into_batch();
-        // The second append takes group 1's SUM past i64::MAX: the fold
-        // must wrap exactly as the recomputation does.
+        // The first append opens groups on both sides of the stored keys;
+        // the second takes group 1's SUM past i64::MAX: the fold must place
+        // and wrap exactly as the recomputation does.
         for appended in [
-            vec![ints(&[1, 99]), ints(&[5, 1])],
+            vec![ints(&[1, 99]), ints(&[5, 1]), ints(&[0, 7])],
             vec![ints(&[1, i64::MAX]), ints(&[1, 99])],
         ] {
             let mut deltas = DeltaMap::new();
@@ -529,11 +475,7 @@ mod tests {
             let mut new = old.clone();
             new.table_mut("R").unwrap().extend_rows(appended);
             let want = execute(&expr, &new, &ctx).unwrap().into_batch();
-            let mut got_rows = folded.to_rows();
-            got_rows.sort();
-            let mut want_rows = want.to_rows();
-            want_rows.sort();
-            assert_eq!(got_rows, want_rows);
+            assert_eq!(folded, want, "a folded γ-view is its recomputation");
         }
     }
 

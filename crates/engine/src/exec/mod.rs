@@ -453,13 +453,7 @@ pub(crate) fn aggregate_batch(
         .collect::<Result<_, _>>()?;
 
     let rows = batch.rows();
-    let (per_row, exact) = group_keys(&gcols, rows);
-    let keys = GroupKeys {
-        cols: &gcols,
-        per_row,
-        exact,
-        len: rows,
-    };
+    let keys = GroupKeys::new(&gcols, rows);
     let per_group = GroupStates::new(aggs, &acols).group_bytes();
     let estimate = keys.state_bound(group_cardinality_hint(&gcols, rows), per_group);
     let limit = state_limit(ctx);
@@ -491,7 +485,18 @@ struct GroupKeys<'a> {
     len: usize,
 }
 
-impl GroupKeys<'_> {
+impl<'a> GroupKeys<'a> {
+    /// The grouping of `len` rows over `cols`.
+    fn new(cols: &'a [&'a Column], len: usize) -> Self {
+        let (per_row, exact) = group_keys(cols, len);
+        Self {
+            cols,
+            per_row,
+            exact,
+            len,
+        }
+    }
+
     /// The dictionary size when pass 1 over `rows` rows indexes a direct
     /// table by code: a single dictionary key whose dictionary is no larger
     /// than those rows, and no larger than `limit` groups.

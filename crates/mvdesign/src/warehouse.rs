@@ -125,8 +125,10 @@ pub enum RefreshPolicy {
     Recompute,
     /// Fold only the appended deltas into the stored view
     /// ([`refresh_view_delta`]), falling back to recomputation whenever the
-    /// delta algebra declines the plan. Results are bit-identical to
-    /// [`RefreshPolicy::Recompute`] up to row order and always bag-equal.
+    /// delta algebra declines the plan. A γ-view comes out bit-identical to
+    /// [`RefreshPolicy::Recompute`]'s, row for row: its fold is a roll-up on
+    /// the same aggregation kernel. An SPJ view is bag-equal: its fold
+    /// appends the delta after the stored rows.
     #[default]
     Delta,
 }
@@ -253,6 +255,13 @@ impl Warehouse {
         self.cache.stats()
     }
 
+    /// The content version of every stored relation written since the
+    /// warehouse was built — bumped by each append to it and each refresh
+    /// that rewrites it; what the result cache stamps its answers with.
+    pub fn versions(&self) -> &BTreeMap<RelName, u64> {
+        &self.versions
+    }
+
     /// Rows appended to base relations since the last refresh — the data
     /// the stale views do not yet reflect.
     pub fn pending_rows(&self) -> usize {
@@ -311,7 +320,8 @@ impl Warehouse {
     }
 
     /// Sets the warehouse-wide maintenance policy. Stored views and answers
-    /// are bag-equal under every policy — only refresh work changes.
+    /// are equal under every policy (row for row for γ-views, as bags for
+    /// SPJ views) — only refresh work changes.
     pub fn set_refresh_policy(&mut self, policy: RefreshPolicy) {
         self.policy = policy;
     }
@@ -391,43 +401,45 @@ impl Warehouse {
     /// Views keep the engine's columnar layout: dictionary-encoded text
     /// columns move by `Arc` clone, so a materialized view shares its value
     /// tables with the base tables it was computed from — refreshing copies
-    /// codes, never strings. Delta folds rebuild only the touched view.
+    /// codes, never strings. Delta folds rebuild only the touched view. A
+    /// pass commits every view or none: a failed pass leaves views,
+    /// staleness, versions and append marks as they were, so its retry folds
+    /// the same appends into the same stored views.
     ///
     /// # Errors
     ///
     /// Returns [`WarehouseError::Exec`] when a view definition fails.
     pub fn refresh(&mut self) -> Result<RefreshReport, WarehouseError> {
         let mut report = RefreshReport::default();
+        // `old` holds every pre-refresh table by `Arc`: staging adds no high-water.
         let (old, deltas) = split_appends(&self.db, &self.base_rows);
-        for (name, definition) in self.views.views().to_vec() {
-            if !self.stale.contains(&name) && self.db.table(name.as_str()).is_some() {
+        let mut staged = Vec::new();
+        for (name, definition) in self.views.views() {
+            if !self.stale.contains(name) && self.db.table(name.as_str()).is_some() {
                 report.skipped += 1;
                 continue;
             }
-            let stored = match self.refresh_policy(&name) {
-                RefreshPolicy::Delta => old.table(name.as_str()),
-                RefreshPolicy::Recompute => None,
-            };
-            let folded = match stored {
-                Some(table) => {
-                    refresh_view_delta(table.batch(), &definition, &old, &deltas, &self.exec)?
+            let folded = match (self.refresh_policy(name), old.table(name.as_str())) {
+                (RefreshPolicy::Delta, Some(table)) => {
+                    refresh_view_delta(table.batch(), definition, &old, &deltas, &self.exec)?
                 }
-                None => None,
+                _ => None,
             };
-            match folded {
+            let batch = match folded {
                 Some(batch) => {
-                    self.db.insert_table(Table::from_batch(name.clone(), batch));
-                    self.bump_version(&name);
                     report.folded += 1;
+                    batch
                 }
                 None => {
-                    let result = execute(&definition, &self.db, &self.exec)?;
-                    self.db
-                        .insert_table(Table::from_batch(name.clone(), result.into_batch()));
-                    self.bump_version(&name);
                     report.recomputed += 1;
+                    execute(definition, &self.db, &self.exec)?.into_batch()
                 }
-            }
+            };
+            staged.push((name.clone(), batch));
+        }
+        for (name, batch) in staged {
+            self.bump_version(&name);
+            self.db.insert_table(Table::from_batch(name, batch));
         }
         if let Some(pool) = &self.pool {
             // Freshly materialized views (and appended-to base tables) are

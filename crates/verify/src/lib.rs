@@ -18,8 +18,9 @@
 //!   row differential test on every audit;
 //! - **delta maintenance** ([`check_delta_refresh`]): folding captured
 //!   append deltas into a stored view
-//!   ([`mvdesign_engine::refresh_view_delta`]) must reproduce, bag-exactly,
-//!   a full recompute of the view on the grown database — across several
+//!   ([`mvdesign_engine::refresh_view_delta`]) must reproduce a full
+//!   recompute of the view on the grown database — row for row for a
+//!   γ-view, as a bag for an SPJ view, whose fold appends — across several
 //!   rounds of deterministic appends of varying size, including empty ones.
 //!
 //! [`audit_scenario`] bundles everything (structural validation, rewrite
@@ -39,6 +40,7 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use mvdesign_algebra::Expr;
 use mvdesign_catalog::Catalog;
 use mvdesign_core::{
     audit_annotated, check_query_rewrite, evaluate, generate_mvpps, greedy_no_prune, AnnotatedMvpp,
@@ -261,8 +263,11 @@ pub fn check_semantics(
 }
 
 /// Differential oracle for incremental view maintenance: folding captured
-/// append deltas into each stored view must reproduce, bag-exactly, a full
-/// recompute of the view on the grown database.
+/// append deltas into each stored view must reproduce a full recompute of
+/// the view on the grown database — row for row for a γ-rooted view (the
+/// fold is a roll-up on the recomputation's own kernel, so it emits the
+/// same groups in the same key order), as a bag for an SPJ view (its fold
+/// appends the delta after the stored rows, by design).
 ///
 /// Appends are synthesized deterministically by re-running the data
 /// generator with a round-derived seed and taking a prefix of each
@@ -320,7 +325,7 @@ pub fn check_delta_refresh(
         let (old, deltas) = split_appends(&db, &snapshot);
         for (name, definition, batch) in stored.iter_mut() {
             let recomputed = match execute(definition, &db, &ctx) {
-                Ok(t) => t.canonicalized(),
+                Ok(t) => t,
                 Err(e) => {
                     report.push("delta-refresh", format!("{name} recompute fails: {e}"));
                     continue;
@@ -328,8 +333,13 @@ pub fn check_delta_refresh(
             };
             match refresh_view_delta(batch, definition, &old, &deltas, &ctx) {
                 Ok(Some(fresh)) => {
-                    let folded = Table::from_batch(name.clone(), fresh.clone()).canonicalized();
-                    if folded.rows() != recomputed.rows() {
+                    let folded = Table::from_batch(name.clone(), fresh.clone());
+                    let differs = if matches!(***definition, Expr::Aggregate { .. }) {
+                        folded.rows() != recomputed.rows()
+                    } else {
+                        folded.canonicalized().rows() != recomputed.canonicalized().rows()
+                    };
+                    if differs {
                         report.push(
                             "delta-refresh",
                             format!(

@@ -52,6 +52,7 @@ MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign-serve --test serve
 echo "== tier-1: mixed-spill batteries (64 KiB operator budget) =="
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_batch
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_paged
+MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_delta
 
 # benchmark/ is a package outside the workspace: nothing above compiles it,
 # so an API change could break it with every other step green. Its smoke
@@ -83,5 +84,7 @@ printf '%-12s %6d `thread::` under crates/engine/src (should read 0: cores go pe
   "$(grep -rhoF 'thread::' crates/engine/src --include='*.rs' | wc -l || true)"
 printf '%-12s %6d `HashMap<i64, Vec<usize>>` under crates/engine (per-key match lists; one chain table instead)\n' \
   "hash builds" "$(grep -rhoF 'HashMap<i64, Vec<usize>>' crates/engine --include='*.rs' | wc -l || true)"
+printf '%-12s %6d `BTreeMap<Vec<Value>`/`HashMap<Vec<Value>` under crates/engine/src (row-keyed maps; should read 0: keys are one i64 per row)\n' \
+  "row maps" "$(grep -rhoE '(BTreeMap|HashMap)<Vec<Value>' crates/engine/src --include='*.rs' | wc -l || true)"
 
 echo "tier-1 OK"

@@ -1,26 +1,32 @@
 //! Differential battery for delta-propagation maintenance: on random
 //! SPJ + aggregate plans over int/dict/plain-text join keys, folding the
 //! append deltas captured by `split_appends` into a stored view
-//! (`refresh_view_delta`) must produce exactly the bag of rows a full
-//! recompute returns on the grown database — across chained append rounds
-//! (including empty ones), and with the base tables paged out to a starved
-//! buffer pool with a spill-forcing operator budget.
+//! (`refresh_view_delta`) must produce what a full recompute returns on the
+//! grown database — row for row for a γ-view (the fold is a roll-up on the
+//! recomputation's own kernel), as a bag for an SPJ view (its fold appends)
+//! — across chained append rounds (including empty ones), and with the base
+//! tables paged out to a starved buffer pool with a spill-forcing operator
+//! budget. The appended rows open groups whose keys sort before the stored
+//! ones, so a fold that placed new groups after the stored ones would show.
+//! A third battery folds deltas that delete a random sub-bag of the stored
+//! base rows besides inserting: negated γ partials and SPJ cancellation.
 //!
-//! CI's low-memory job re-runs this battery with the `MVDESIGN_MEM_BUDGET`
-//! env knob set to a few hundred bytes, pushing even the resident draws
-//! through the eviction and spill paths.
+//! `scripts/tier1.sh` re-runs this battery with the `MVDESIGN_MEM_BUDGET`
+//! env knob at 256 bytes and at 64 KiB, pushing the folds through the
+//! eviction and spill paths.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use mvdesign::algebra::delta::Delta;
 use mvdesign::algebra::{
-    AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate, Value,
+    AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate, RelName, Value,
 };
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
-    execute, refresh_view_delta, split_appends, BufferPool, Database, ExecContext, Generator,
-    GeneratorConfig, Table,
+    execute, refresh_view_delta, split_appends, Batch, BufferPool, Database, DeltaMap, ExecContext,
+    Generator, GeneratorConfig, Table,
 };
 
 /// A three-relation catalog with an integer join key, an integer payload
@@ -155,6 +161,21 @@ fn plain_text_db(db: &Database) -> Database {
     plain
 }
 
+/// The first `take` rows of relation `name` of the twin database seeded from
+/// `seed`. Every third row's text attribute is rewritten into `u0`/`u1`,
+/// below the generator's `v…` domain, so the rows open groups (and join
+/// keys) that sort before every stored one.
+fn twin_rows(catalog: &Catalog, seed: u64, name: &str, quarters: usize) -> Vec<Vec<Value>> {
+    let twin = dict_db(catalog, seed ^ 0x5EED);
+    let src = twin.table(name).expect("twin has the relation");
+    let take = src.len() * quarters.min(4) / 4;
+    let mut rows = src.rows()[..take].to_vec();
+    for (i, row) in rows.iter_mut().enumerate().step_by(3) {
+        row[2] = Value::text(format!("u{}", i % 2));
+    }
+    rows
+}
+
 /// Appends a deterministic prefix of each relation's twin rows to `db` and
 /// returns the pre-append row counts. `quarters[i]` ∈ 0..=4 selects how
 /// much of relation `i`'s twin lands in the delta (0 = untouched).
@@ -163,27 +184,69 @@ fn append_round(
     catalog: &Catalog,
     seed: u64,
     quarters: [usize; 3],
-) -> std::collections::BTreeMap<mvdesign::algebra::RelName, usize> {
+) -> std::collections::BTreeMap<RelName, usize> {
     let snapshot = db.iter().map(|(n, t)| (n.clone(), t.len())).collect();
-    let twin = dict_db(catalog, seed ^ 0x5EED);
     for (i, name) in ["R0", "R1", "R2"].iter().enumerate() {
-        let src = twin.table(name).expect("twin has the relation");
-        let take = src.len() * quarters[i].min(4) / 4;
-        if take == 0 {
-            continue;
+        let rows = twin_rows(catalog, seed, name, quarters[i]);
+        if !rows.is_empty() {
+            db.table_mut(name).expect("base table").extend_rows(rows);
         }
-        let rows = src.rows()[..take].to_vec();
-        db.table_mut(name).expect("base table").extend_rows(rows);
     }
     snapshot
 }
 
-/// Byte budget for the paged variant — overridable by the CI low-memory
-/// knob.
+/// The maintenance oracle: a folded γ-view is its recomputation row for
+/// row; an SPJ fold appends its delta, so it matches as a bag.
+fn same_contents(view: &Expr, folded: Batch, recomputed: &Table) -> bool {
+    let folded = Table::from_batch("v", folded);
+    if matches!(view, Expr::Aggregate { .. }) {
+        folded.rows() == recomputed.rows()
+    } else {
+        folded.canonicalized().rows() == recomputed.canonicalized().rows()
+    }
+}
+
+/// The `MVDESIGN_MEM_BUDGET` env knob, when set.
+fn budget_override() -> Option<usize> {
+    std::env::var("MVDESIGN_MEM_BUDGET")
+        .ok()
+        .map(|v| v.parse().expect("MVDESIGN_MEM_BUDGET is a byte count"))
+}
+
+/// Byte budget for the paged variant — overridable by the low-memory knob.
 fn mem_budget() -> usize {
-    match std::env::var("MVDESIGN_MEM_BUDGET") {
-        Ok(v) => v.parse().expect("MVDESIGN_MEM_BUDGET is a byte count"),
-        Err(_) => 512,
+    budget_override().unwrap_or(512)
+}
+
+/// The view of `spec` over `R0` alone (deletes do not propagate through a
+/// join), its γ carrying only the aggregates a delete can fold: `COUNT`
+/// and `SUM` (a `MIN` would send it to recomputation).
+fn deletable_view(spec: &ViewSpec) -> Arc<Expr> {
+    let view = build_view(&ViewSpec {
+        joins: 0,
+        ..spec.clone()
+    });
+    match &*view {
+        Expr::Aggregate {
+            input, group_by, ..
+        } => Expr::aggregate(
+            Arc::clone(input),
+            group_by.clone(),
+            [
+                AggExpr::new(AggFunc::Sum, AttrRef::new("R0", "x"), "sx"),
+                AggExpr::count_star("n"),
+            ],
+        ),
+        _ => view,
+    }
+}
+
+/// `rows` of relation `R0`, keeping the empty case well-typed.
+fn r0_batch(db: &Database, rows: Vec<Vec<Value>>) -> Batch {
+    let attrs = db.table("R0").expect("R0").attrs().to_vec();
+    match rows.is_empty() {
+        true => Batch::empty(attrs),
+        false => Batch::from_rows(attrs, rows),
     }
 }
 
@@ -191,9 +254,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The tentpole invariant: for random view definitions × key encodings
-    /// × chained random append rounds, a delta fold —
-    /// whenever the maintenance plan offers one — is bag-equal to a full
-    /// recompute on the grown database. Views whose plan falls back to
+    /// × chained random append rounds, a delta fold — whenever the
+    /// maintenance plan offers one — equals a full recompute on the grown
+    /// database (row for row for γ, as a bag for SPJ). Views whose plan falls back to
     /// recompute re-enter the next round, so fallbacks are chained with
     /// folds in one history.
     #[test]
@@ -208,22 +271,20 @@ proptest! {
         let generated = dict_db(&catalog, seed);
         let mut db = if plain_text { plain_text_db(&generated) } else { generated };
         let view = build_view(&spec);
-        let ctx = ExecContext::default();
+        let recompute = ExecContext::default();
+        let ctx = ExecContext { mem_budget: budget_override() };
 
-        let mut stored = execute(&view, &db, &ctx).expect("view builds").into_batch();
+        let mut stored = execute(&view, &db, &recompute).expect("view builds").into_batch();
         for (r, quarters) in rounds.iter().enumerate() {
             let snapshot = append_round(&mut db, &catalog, seed + r as u64, *quarters);
             let (old, deltas) = split_appends(&db, &snapshot);
-            let recomputed = execute(&view, &db, &ctx).expect("recompute runs");
+            let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
             match refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
                 .expect("delta refresh runs")
             {
                 Some(folded) => {
-                    let canon =
-                        Table::from_batch("v", folded.clone()).canonicalized();
-                    prop_assert_eq!(
-                        canon.rows(),
-                        recomputed.canonicalized().rows(),
+                    prop_assert!(
+                        same_contents(&view, folded.clone(), &recomputed),
                         "fold diverges in round {} for {:?}",
                         r, spec
                     );
@@ -266,10 +327,8 @@ proptest! {
             .expect("paged delta refresh runs")
         {
             Some(folded) => {
-                let canon = Table::from_batch("v", folded).canonicalized();
-                prop_assert_eq!(
-                    canon.rows(),
-                    recomputed.canonicalized().rows(),
+                prop_assert!(
+                    same_contents(&view, folded, &recomputed),
                     "paged fold diverges for {:?}",
                     spec
                 );
@@ -278,6 +337,69 @@ proptest! {
                 // Recompute fallback: nothing folded, nothing to compare —
                 // the resident recompute above is the refreshed state.
             }
+        }
+    }
+
+    /// Deletes: a delta that removes a random sub-bag of `R0`'s stored rows
+    /// and inserts twin rows folds into σ/π views (by cancellation) and
+    /// COUNT/SUM γ-views (by negated partials) exactly as recomputation over
+    /// old − deleted + inserted — row for row for γ, as a bag for SPJ. A
+    /// delete of a tuple that was never stored makes the fold decline
+    /// (`Ok(None)`) whenever that tuple reaches the view. Runs under the
+    /// `MVDESIGN_MEM_BUDGET` knob when set, so the roll-up spills.
+    #[test]
+    fn delete_deltas_fold_like_recompute(
+        spec in view_strategy(),
+        size in 8u32..60,
+        seed in 0u64..1_000,
+        deleted in proptest::collection::vec(any::<bool>(), 1..8),
+        quarters in 0usize..=4,
+        phantom in any::<bool>(),
+        plain_text in any::<bool>(),
+    ) {
+        let catalog = make_catalog([size; 3]);
+        let generated = dict_db(&catalog, seed);
+        let old = if plain_text { plain_text_db(&generated) } else { generated };
+        let view = deletable_view(&spec);
+        let recompute = ExecContext::default();
+        let ctx = ExecContext { mem_budget: budget_override() };
+
+        let mut delete = Vec::new();
+        let mut kept = Vec::new();
+        let stored_rows = old.table("R0").expect("R0").rows().to_vec();
+        for (row, gone) in stored_rows.into_iter().zip(deleted.iter().cycle()) {
+            if *gone { delete.push(row) } else { kept.push(row) }
+        }
+        // A tuple no generated row holds: `k` and `t` lie outside their
+        // domains.
+        let ghost = vec![Value::Int(999), Value::Int(3), Value::text("zz")];
+        if phantom {
+            delete.push(ghost.clone());
+        }
+        let insert = twin_rows(&catalog, seed, "R0", quarters);
+        let mut new = old.clone();
+        new.insert_table(Table::from_batch("R0", r0_batch(&old, [kept, insert.clone()].concat())));
+        let mut deltas = DeltaMap::new();
+        deltas.insert(
+            RelName::new("R0"),
+            Delta::new(r0_batch(&old, insert), r0_batch(&old, delete)),
+        );
+
+        let stored = execute(&view, &old, &recompute).expect("view builds").into_batch();
+        let mut probe = old.clone();
+        probe.insert_table(Table::from_batch("R0", r0_batch(&old, vec![ghost])));
+        let reaches = phantom && !execute(&view, &probe, &recompute).expect("probe runs").is_empty();
+        match refresh_view_delta(&stored, &view, &old, &deltas, &ctx).expect("delta refresh runs") {
+            Some(folded) => {
+                prop_assert!(!reaches, "a delete of an unstored tuple folded for {:?}", spec);
+                let recomputed = execute(&view, &new, &recompute).expect("recompute runs");
+                prop_assert!(
+                    same_contents(&view, folded, &recomputed),
+                    "delete fold diverges for {:?}",
+                    spec
+                );
+            }
+            None => prop_assert!(reaches, "a consistent delete delta must fold: {:?}", spec),
         }
     }
 }
