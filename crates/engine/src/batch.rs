@@ -521,6 +521,28 @@ impl Batch {
         }
     }
 
+    /// A batch of `rows` rows — which a batch without columns cannot read
+    /// off a column.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Batch::new`] does, or when a column's length is not
+    /// `rows`.
+    pub(crate) fn with_rows(attrs: Vec<AttrRef>, columns: Vec<Arc<Column>>, rows: usize) -> Self {
+        let batch = Self::new(attrs, columns);
+        assert!(
+            batch.columns.is_empty() || batch.rows == rows,
+            "columns of {} rows in a batch of {rows}",
+            batch.rows
+        );
+        Self { rows, ..batch }
+    }
+
+    /// The columns, in header order, by value.
+    pub(crate) fn into_columns(self) -> Vec<Arc<Column>> {
+        self.columns
+    }
+
     /// An empty batch with the given header.
     pub fn empty(attrs: Vec<AttrRef>) -> Self {
         let columns = attrs.iter().map(|_| Arc::new(Column::empty())).collect();
@@ -653,16 +675,6 @@ impl Batch {
             columns,
             rows: idx.len(),
         }
-    }
-
-    /// The rows `range`, variant-preserving ([`Column::slice`]).
-    #[must_use]
-    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> Batch {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Arc::new(c.slice(range.clone())));
-        Batch::new(self.attrs.clone(), columns.collect())
     }
 
     /// Reorders the header to `idx` without touching the data — projection

@@ -104,7 +104,7 @@ impl Generator {
     }
 
     /// Generates one table per catalog relation and pages every table into
-    /// `pool` (see [`Database::page_out`]). The data is identical to
+    /// `pool` (see [`Database::rehome`]). The data is identical to
     /// [`Generator::database`] under the same seed — paging changes
     /// residency, never content — so out-of-core fixtures and benchmarks
     /// share their seeds with the resident ones.
@@ -115,7 +115,7 @@ impl Generator {
         page_rows: usize,
     ) -> Database {
         let mut db = self.database(catalog);
-        db.page_out(pool, page_rows);
+        db.rehome(Some(pool), page_rows);
         db
     }
 

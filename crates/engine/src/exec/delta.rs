@@ -7,10 +7,11 @@
 //! delta sides, joins expand via `ΔL⋈R ∪ L⋈ΔR ∪ ΔL⋈ΔR` against the *old*
 //! database), and [`refresh_view_delta`] turns one stored view plus the
 //! deltas into the view's new contents. An SPJ view cancels its deletes by
-//! tuple id and appends its inserts. A γ-view is a roll-up on the query's
-//! own aggregation kernel, so a folded γ-view is bit-identical to its
-//! recomputation. Everything runs under the caller's [`ExecContext`]: the
-//! roll-up spills under a budget like any γ.
+//! tuple id and appends its inserts — an insert-only fold is a page append
+//! to the stored view, which copies at most each column's tail page. A
+//! γ-view is a roll-up on the query's own aggregation kernel, so a folded
+//! γ-view is bit-identical to its recomputation. Everything runs under the
+//! caller's [`ExecContext`]: the roll-up spills under a budget like any γ.
 //!
 //! Unsupported shapes (per the algebra rules) return `Ok(None)`: the caller
 //! recomputes. That fallback is the contract — delta maintenance is an
@@ -37,9 +38,11 @@ pub type DeltaMap = BTreeMap<RelName, Delta<Batch>>;
 /// deltas — the warehouse's append-only change capture.
 ///
 /// Relations absent from `snapshot` (freshly materialized views, say) are
-/// left as they are in the old state and produce no delta. Appended suffixes
-/// become insert-only deltas; the old state holds the prefix via column
-/// slices, so dictionary value tables stay shared with the live database.
+/// left as they are in the old state and produce no delta. A grown table
+/// splits by page: its old prefix shares every full page before the mark
+/// and slices only the page the mark falls in, and only the appended rows
+/// are gathered into the insert delta. Dictionary value tables stay shared
+/// with the live database.
 pub fn split_appends(db: &Database, snapshot: &BTreeMap<RelName, usize>) -> (Database, DeltaMap) {
     let mut old = db.clone();
     let mut deltas = DeltaMap::new();
@@ -47,15 +50,15 @@ pub fn split_appends(db: &Database, snapshot: &BTreeMap<RelName, usize>) -> (Dat
         let Some(table) = db.table(rel.as_str()) else {
             continue;
         };
-        // `len` is cheap on paged tables; only changed tables materialize.
         let rows = table.len();
         if rows <= snap {
             continue;
         }
-        let batch = table.batch();
-        let empty = Batch::empty(batch.attrs().to_vec());
-        old.insert_table(Table::from_batch(rel.clone(), batch.slice(0..snap)));
-        deltas.insert(rel.clone(), Delta::new(batch.slice(snap..rows), empty));
+        let pages = table.pages();
+        let appended: Vec<usize> = (snap..rows).collect();
+        let empty = Batch::empty(table.attrs().to_vec());
+        old.insert_table(Table::with_pages(rel.clone(), Arc::new(pages.prefix(snap))));
+        deltas.insert(rel.clone(), Delta::new(pages.gather(&appended), empty));
     }
     (old, deltas)
 }
@@ -150,18 +153,21 @@ pub fn execute_delta(
 /// Maintains one stored view incrementally: given its current contents, its
 /// definition, the old base state and the per-relation deltas, returns the
 /// view's new contents — or `Ok(None)` when the algebra rules (or a value
-/// shape the fold cannot absorb) demand recomputation.
+/// shape the fold cannot absorb) demand recomputation. The new contents
+/// share the stored view's pages wherever they can: an insert-only SPJ
+/// fold is an append to them, in the stored view's home; a γ-view's
+/// roll-up is a new table of held pages.
 ///
 /// The caller is responsible for the deltas being consistent with `old`
 /// (deletes must name existing tuples); inconsistent inputs fall back to
 /// `None` rather than producing a wrong view.
 pub fn refresh_view_delta(
-    old_view: &Batch,
+    old_view: &Table,
     definition: &Arc<Expr>,
     old: &Database,
     deltas: &DeltaMap,
     ctx: &ExecContext,
-) -> Result<Option<Batch>, ExecError> {
+) -> Result<Option<Table>, ExecError> {
     let mut changed: BTreeMap<RelName, DeltaMode> = BTreeMap::new();
     for (rel, d) in deltas {
         let mode = match (d.insert.rows() > 0, d.delete.rows() > 0) {
@@ -194,20 +200,27 @@ pub fn refresh_view_delta(
             };
             let (ins, _) = aggregate_batch(&d.insert, group_by, aggs, ctx)?;
             let (del, _) = aggregate_batch(&d.delete, group_by, aggs, ctx)?;
-            roll_up(old_view, &ins, &del, group_by, aggs, ctx)
+            let folded = roll_up(old_view.batch(), &ins, &del, group_by, aggs, ctx)?;
+            Ok(folded.map(|batch| Table::from_batch(old_view.name().clone(), batch)))
         }
     }
 }
 
 /// Applies an SPJ view delta: cancels the deletes (one stored occurrence
 /// per deleted tuple, the first — bag semantics) and appends the inserts,
-/// so the surviving rows keep their stored order.
-fn apply_spj(old_view: &Batch, d: &Delta<Batch>) -> Option<Batch> {
-    let kept = match d.delete.rows() {
+/// so the surviving rows keep their stored order. Without deletes the
+/// stored view's pages are kept and appended to.
+fn apply_spj(old_view: &Table, d: &Delta<Batch>) -> Option<Table> {
+    let mut view = match d.delete.rows() {
         0 => old_view.clone(),
-        _ => old_view.filter(&surviving(old_view, &d.delete)?),
+        _ => {
+            let stored = old_view.batch();
+            let kept = stored.filter(&surviving(stored, &d.delete)?);
+            Table::from_batch(old_view.name().clone(), kept)
+        }
     };
-    Some(vstack(old_view.attrs(), &[&kept, &d.insert]))
+    view.append(&d.insert);
+    Some(view)
 }
 
 /// Which rows of `view` survive cancelling `delete`, or `None` when a
@@ -427,7 +440,7 @@ mod tests {
             Predicate::cmp(attr("R", "v"), CompareOp::Lt, 100),
         );
         let ctx = ExecContext::default();
-        let view = execute(&expr, &old, &ctx).unwrap().into_batch();
+        let view = execute(&expr, &old, &ctx).unwrap();
         let mut deltas = DeltaMap::new();
         deltas.insert(
             RelName::new("R"),
@@ -440,8 +453,8 @@ mod tests {
             .unwrap()
             .expect("σ view maintains deletes");
         assert_eq!(
-            new_view.to_rows(),
-            vec![ints(&[1, 10]), ints(&[1, 30]), ints(&[9, 90])]
+            new_view.rows(),
+            [ints(&[1, 10]), ints(&[1, 30]), ints(&[9, 90])]
         );
     }
 
@@ -458,7 +471,7 @@ mod tests {
             ],
         );
         let ctx = ExecContext::default();
-        let view = execute(&expr, &old, &ctx).unwrap().into_batch();
+        let view = execute(&expr, &old, &ctx).unwrap();
         // The first append opens groups on both sides of the stored keys;
         // the second takes group 1's SUM past i64::MAX: the fold must place
         // and wrap exactly as the recomputation does.
@@ -474,8 +487,12 @@ mod tests {
 
             let mut new = old.clone();
             new.table_mut("R").unwrap().extend_rows(appended);
-            let want = execute(&expr, &new, &ctx).unwrap().into_batch();
-            assert_eq!(folded, want, "a folded γ-view is its recomputation");
+            let want = execute(&expr, &new, &ctx).unwrap();
+            assert_eq!(
+                folded.batch(),
+                want.batch(),
+                "a folded γ-view is its recomputation"
+            );
         }
     }
 
@@ -491,7 +508,7 @@ mod tests {
             ],
         );
         let ctx = ExecContext::default();
-        let view = execute(&expr, &old, &ctx).unwrap().into_batch();
+        let view = execute(&expr, &old, &ctx).unwrap();
         // Delete the only row of group k=2: the group must vanish.
         let mut deltas = DeltaMap::new();
         deltas.insert(
@@ -504,7 +521,7 @@ mod tests {
         let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
             .unwrap()
             .expect("count/sum fold deletes");
-        assert_eq!(folded.to_rows(), vec![ints(&[1, 2, 40])]);
+        assert_eq!(folded.rows(), [ints(&[1, 2, 40])]);
     }
 
     #[test]

@@ -37,13 +37,14 @@ use mvdesign_algebra::{
 };
 
 use crate::batch::{Batch, Column};
+use crate::storage::PagedBatch;
 use crate::table::{Database, Table};
 
 use keys::{
     group_cardinality_hint, group_keys, join_keys, map_slots_bound, slot_bytes, ChainTable,
     GroupKeyRows, IntMap, HASH_MUL,
 };
-pub(crate) use paged::{exec_view, View};
+pub(crate) use paged::exec_view;
 
 /// Errors raised while executing an expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,8 +139,8 @@ pub fn execute(expr: &Arc<Expr>, db: &Database, ctx: &ExecContext) -> Result<Tab
             .cloned()
             .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
         _ => {
-            let view = exec_view(expr, db, ctx, &mut |_, _, _, _| {})?;
-            Ok(Table::from_batch(op_label(expr), view.into_batch()))
+            let out = exec_view(expr, db, ctx, &mut |_, _, _, _| {})?;
+            Ok(Table::from_batch(op_label(expr), out.to_batch()))
         }
     }
 }
@@ -176,20 +177,20 @@ pub(crate) fn project_batch(batch: &Batch, attrs: &[AttrRef]) -> Result<Batch, E
     Ok(batch.select_columns(&idx))
 }
 
-/// Join kernel over two resident batches, every column kept: the walker's
-/// [`paged::join_view`] with nothing pruned.
+/// Join kernel over two batches, every column kept: the walker's
+/// [`paged::join_view`] over their columns as held pages, nothing pruned.
 pub(crate) fn join_batch(
     l: &Batch,
     r: &Batch,
     on: &JoinCondition,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
-    let (l, r) = (View::Resident(l.clone()), View::Resident(r.clone()));
-    paged::join_view(&l, &r, on, None, ctx).map(|(out, _)| out.into_batch())
+    let (l, r) = (PagedBatch::held(l.clone()), PagedBatch::held(r.clone()));
+    paged::join_view(&l, &r, on, None, ctx).map(|(out, _)| out)
 }
 
-/// The join over row indices — the same code whether the inputs are
-/// resident or paged: a hash join, build on the right, probe with the left.
+/// The join over row indices — the same code whether the inputs' pages
+/// are held or pooled: a hash join, build on the right, probe with the left.
 /// Probe rows go in order and a key's build rows are kept ascending, so the
 /// pairs come out `(i asc, j asc)` — the naive nested loop's output, row
 /// for row. Every join runs over one `i64` key per row ([`join_keys`]):

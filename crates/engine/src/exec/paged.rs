@@ -1,20 +1,24 @@
-//! View-based execution: one spine over resident and paged inputs.
+//! Page-streaming execution: one plan walker over [`PagedBatch`]es.
 //!
-//! A [`View`] is either a fully resident [`Batch`] or a handle to a
-//! [`PagedBatch`] whose pages live in a [`crate::storage::BufferPool`].
-//! [`exec_view`] is the one recursion over the plan — plain execution and
-//! the I/O simulator both run it; every operator kernel matches on its
-//! input's residency:
+//! Every operator input and output is a [`PagedBatch`] — a base table's
+//! pages, held or pooled (see [`crate::storage`]), or an operator's result,
+//! one held page per column. [`exec_view`] is the one recursion over the
+//! plan — plain execution and the I/O simulator both run it — and every
+//! operator kernel has one arm, which streams pages:
 //!
-//! * **Resident** inputs run the batch kernels ([`selection_mask`],
-//!   [`project_batch`], [`join_indices`], [`aggregate_batch`]) directly.
-//! * **Paged** inputs stream. Selection pins one page per column at a
-//!   time, masks and filters the chunk, and concatenates the per-page
-//!   survivors with the representation-reproducing [`Column::concat`].
-//!   Projection re-shares page handles without touching a page. Joins
-//!   materialise only the key columns, reuse the shared index kernel, and
-//!   gather payloads page-on-demand, one pin per run of indexes into a
-//!   page ([`PagedBatch::gather`]).
+//! * Selection pins one page per column at a time, masks and filters the
+//!   chunk, and stacks the per-page survivors ([`PagedBatch::stack`]): one
+//!   chunk's columns move, several concatenate exactly as the whole-column
+//!   filter would have built them.
+//! * Projection re-shares pages without touching one.
+//! * Joins materialise only the key columns — one `Arc` clone for a held
+//!   page — reuse the shared index kernel, and gather payloads one pin per
+//!   run of indexes into a page ([`PagedBatch::gather`]; a held column is
+//!   one run).
+//! * Aggregation materialises its pruned input and runs the batch kernel.
+//!
+//! On held pages each arm does exactly the batch kernels' work
+//! ([`selection_mask`], [`join_indices`], [`aggregate_batch`]).
 //!
 //! **Held state.** The join and the aggregation return, beside their
 //! output, what they [`Held`]: the bytes of their keyed state (the join's
@@ -27,28 +31,25 @@
 //! column: γ asks its input for its group keys and aggregate inputs, ⋈ asks
 //! each side for what its own consumer reads plus its join attributes and
 //! gathers only the former, σ adds its predicate's attributes, π passes its
-//! list. Pruning is [`View::keep`] — header work, resident or paged. The
-//! root's consumer is the caller, who may read anything, so the root asks
-//! for everything (`None`) and every returned table carries all of its
-//! columns; row counts are never affected, so [`crate::measure`]'s charges
-//! are not either.
+//! list. Pruning is [`keep`] — header work. The root's consumer is the
+//! caller, who may read anything, so the root asks for everything (`None`)
+//! and every returned table carries all of its columns; row counts are
+//! never affected, so [`crate::measure`]'s charges are not either.
 //!
 //! Because eviction never changes page *content* (see [`crate::storage`])
-//! and the streaming kernels reproduce the resident kernels' output
+//! and the streaming kernels reproduce the batch kernels' output
 //! representation exactly (pinned by `tests/engine_paged.rs`), results are
 //! bit-identical at any pool budget and eviction order.
 
 use std::sync::Arc;
 
-use mvdesign_algebra::{AggExpr, AttrRef, Expr, JoinCondition, Predicate};
+use mvdesign_algebra::{AttrRef, Expr, JoinCondition, Predicate};
 
 use crate::batch::{Batch, Column};
 use crate::storage::PagedBatch;
-use crate::table::{Database, Table};
+use crate::table::Database;
 
-use super::{
-    aggregate_batch, join_indices, project_batch, selection_mask, ExecContext, ExecError, Held,
-};
+use super::{aggregate_batch, join_indices, selection_mask, ExecContext, ExecError, Held};
 
 /// The attributes an operator's consumer will read, borrowed from the plan
 /// — `None` for "all of them". A lower bound, not a schema: a name the
@@ -81,110 +82,38 @@ fn kept_columns(attrs: &[AttrRef], needed: Needed<'_, '_>) -> Vec<usize> {
     idx
 }
 
-/// An operator input or output: resident columns or pool-backed pages.
-#[derive(Debug, Clone)]
-pub(crate) enum View {
-    /// Fully in-memory columns.
-    Resident(Batch),
-    /// Page handles into a buffer pool.
-    Paged(Arc<PagedBatch>),
+/// `view` without the columns a consumer reading `needed` cannot observe
+/// (see [`kept_columns`]) — header work, no page is touched.
+fn keep(view: Arc<PagedBatch>, needed: Needed<'_, '_>) -> Arc<PagedBatch> {
+    let idx = kept_columns(view.attrs(), needed);
+    if idx.len() == view.attrs().len() {
+        return view;
+    }
+    Arc::new(view.select_columns(&idx))
 }
 
-impl View {
-    /// The view of a base table: paged tables are shared by handle
-    /// (zero-copy — no page is touched), resident tables by `Arc`'d
-    /// columns.
-    pub(crate) fn of_table(table: &Table) -> View {
-        match table.paged() {
-            Some(p) => View::Paged(Arc::clone(p)),
-            None => View::Resident(table.batch().clone()),
-        }
-    }
-
-    /// Number of rows.
-    pub(crate) fn rows(&self) -> usize {
-        match self {
-            View::Resident(b) => b.rows(),
-            View::Paged(p) => p.rows(),
-        }
-    }
-
-    /// The qualified attribute header.
-    fn attrs(&self) -> &[AttrRef] {
-        match self {
-            View::Resident(b) => b.attrs(),
-            View::Paged(p) => p.attrs(),
-        }
-    }
-
-    /// Index of an attribute in the header.
-    pub(crate) fn index_of(&self, attr: &AttrRef) -> Option<usize> {
-        self.attrs().iter().position(|a| a == attr)
-    }
-
-    /// The view without the columns a consumer reading `needed` cannot
-    /// observe (see [`kept_columns`]) — header work, no row is touched.
-    fn keep(self, needed: Needed<'_, '_>) -> View {
-        let idx = kept_columns(self.attrs(), needed);
-        if idx.len() == self.attrs().len() {
-            return self;
-        }
-        match self {
-            View::Resident(b) => View::Resident(b.select_columns(&idx)),
-            View::Paged(p) => View::Paged(Arc::new(p.select_columns(&idx))),
-        }
-    }
-
-    /// Materialises the view as one resident batch (representation-exact
-    /// for paged data).
-    pub(crate) fn into_batch(self) -> Batch {
-        match self {
-            View::Resident(b) => b,
-            View::Paged(p) => p.to_batch(),
-        }
-    }
-
-    /// Fully materialises one column — the index kernels (join keys,
-    /// aggregation inputs) need contiguous slices.
-    pub(crate) fn materialize_column(&self, i: usize) -> Arc<Column> {
-        match self {
-            View::Resident(b) => Arc::clone(&b.columns()[i]),
-            View::Paged(p) => p.materialize_column(i),
-        }
-    }
-
-    /// The rows `idx`, in order, as a resident batch — [`Batch::gather`]
-    /// or its page-on-demand twin.
-    pub(crate) fn gather(&self, idx: &[usize]) -> Batch {
-        match self {
-            View::Resident(b) => b.gather(idx),
-            View::Paged(p) => p.gather(idx),
-        }
-    }
-}
-
-/// Recursive view evaluation — the engine's one plan walker. `on_op` runs
-/// after each operator's kernel with the operator, its input views, its
-/// output and what the kernel [`Held`]: [`crate::execute`] passes a no-op
-/// closure (monomorphised away, so serving pays nothing), [`crate::measure`]
-/// records the operator's charge. Base scans share table handles and pin no
-/// page, so between two consecutive `on_op` calls nothing but the later
+/// Recursive plan evaluation — the engine's one plan walker. `on_op` runs
+/// after each operator's kernel with the operator, its inputs, its output
+/// and what the kernel [`Held`]: [`crate::execute`] passes a no-op closure
+/// (monomorphised away, so serving pays nothing), [`crate::measure`]
+/// records the operator's charge. Base scans share table pages and pin
+/// none, so between two consecutive `on_op` calls nothing but the later
 /// operator's kernel ran.
 pub(crate) fn exec_view<F>(
     expr: &Arc<Expr>,
     db: &Database,
     ctx: &ExecContext,
     on_op: &mut F,
-) -> Result<View, ExecError>
+) -> Result<Arc<PagedBatch>, ExecError>
 where
-    F: FnMut(&Expr, &[&View], &View, Held),
+    F: FnMut(&Expr, &[&PagedBatch], &PagedBatch, Held),
 {
     walk(expr, db, ctx, None, on_op)
 }
 
 /// [`exec_view`]'s recursion: evaluates `expr` for a consumer that reads
 /// only `needed` (see the module docs for what each operator asks of its
-/// input). The views `on_op` sees may carry fewer columns than the
+/// input). The batches `on_op` sees may carry fewer columns than the
 /// operator's full schema, never fewer rows.
 fn walk<'e, F>(
     expr: &'e Arc<Expr>,
@@ -192,36 +121,37 @@ fn walk<'e, F>(
     ctx: &ExecContext,
     needed: Needed<'_, 'e>,
     on_op: &mut F,
-) -> Result<View, ExecError>
+) -> Result<Arc<PagedBatch>, ExecError>
 where
-    F: FnMut(&Expr, &[&View], &View, Held),
+    F: FnMut(&Expr, &[&PagedBatch], &PagedBatch, Held),
 {
     let out = match &**expr {
         Expr::Base(name) => db
             .table(name.as_str())
-            .map(View::of_table)
+            .map(|t| Arc::clone(t.pages()))
             .ok_or_else(|| ExecError::UnknownRelation(name.clone()))?,
         Expr::Select { input, predicate } => {
             let below = widen(needed, predicate.attrs());
             let v = walk(input, db, ctx, below.as_deref(), on_op)?;
-            let out = select_view(&v, predicate, needed)?;
+            let out = PagedBatch::held(select_view(&v, predicate, needed)?);
             on_op(expr, &[&v], &out, Held::default());
-            out
+            Arc::new(out)
         }
         Expr::Project { input, attrs } => {
             let below: Vec<&AttrRef> = attrs.iter().collect();
             let v = walk(input, db, ctx, Some(&below), on_op)?;
             let out = project_view(&v, attrs)?;
             on_op(expr, &[&v], &out, Held::default());
-            out
+            Arc::new(out)
         }
         Expr::Join { left, right, on } => {
             let below = widen(needed, on.pairs().iter().flat_map(|(a, b)| [a, b]));
             let l = walk(left, db, ctx, below.as_deref(), on_op)?;
             let r = walk(right, db, ctx, below.as_deref(), on_op)?;
             let (out, held) = join_view(&l, &r, on, needed, ctx)?;
+            let out = PagedBatch::held(out);
             on_op(expr, &[&l, &r], &out, held);
-            out
+            Arc::new(out)
         }
         Expr::Aggregate {
             input,
@@ -233,103 +163,62 @@ where
                 .chain(aggs.iter().filter_map(|a| a.input.as_ref()))
                 .collect();
             let v = walk(input, db, ctx, Some(&below), on_op)?;
-            let (out, held) = aggregate_view(&v, group_by, aggs, ctx)?;
+            let (out, held) = aggregate_batch(&v.to_batch(), group_by, aggs, ctx)?;
+            let out = PagedBatch::held(out);
             on_op(expr, &[&v], &out, held);
-            out
+            Arc::new(out)
         }
     };
-    Ok(out.keep(needed))
+    Ok(keep(out, needed))
 }
 
-/// Stacks per-page result chunks into one resident batch.
-/// [`Column::concat`] reproduces the representation the resident kernel's
-/// single whole-batch gather builds: same-variant parts concatenate typed
-/// (dictionary parts share their table), anything else re-canonicalises
-/// through `Column::from_values` — exactly what a resident gather over a
-/// `Mixed` column does.
-fn vstack(attrs: &[AttrRef], chunks: &[Batch]) -> Batch {
-    let columns = (0..attrs.len())
-        .map(|c| {
-            let parts: Vec<&Column> = chunks.iter().map(|b| b.column(c)).collect();
-            Arc::new(Column::concat(&parts))
-        })
-        .collect();
-    Batch::new(attrs.to_vec(), columns)
-}
-
-/// Selection over a view: the mask reads the predicate's columns, the
-/// filter moves only the columns `needed` keeps. Paged inputs stream: each
-/// page pins as a zero-copy chunk, evaluates the (pure, per-row) predicate
-/// mask and filters, and the per-page results concatenate in page (= row)
-/// order.
+/// Selection: the mask reads the predicate's columns, the filter moves only
+/// the columns `needed` keeps. Each page pins as a zero-copy chunk,
+/// evaluates the (pure, per-row) predicate mask and filters, and the
+/// per-page results stack in page (= row) order. An empty input is one
+/// empty chunk, so a predicate naming a missing attribute fails on it too.
 fn select_view(
-    view: &View,
+    view: &PagedBatch,
     predicate: &Predicate,
     needed: Needed<'_, '_>,
-) -> Result<View, ExecError> {
+) -> Result<Batch, ExecError> {
     let keep = kept_columns(view.attrs(), needed);
-    match view {
-        View::Resident(b) => {
-            let mask = selection_mask(predicate, b)?;
-            Ok(View::Resident(b.select_columns(&keep).filter(&mask)))
-        }
-        View::Paged(p) => {
-            let pages = p.page_count();
-            if pages == 0 {
-                // Zero pages: rebuild the exact empty column variants.
-                return Ok(View::Resident(p.to_batch().select_columns(&keep)));
-            }
-            let chunks = (0..pages)
-                .map(|pg| {
-                    let chunk = p.page_chunk(pg);
-                    let mask = selection_mask(predicate, &chunk)?;
-                    Ok(chunk.select_columns(&keep).filter(&mask))
-                })
-                .collect::<Result<Vec<_>, ExecError>>()?;
-            let attrs: Vec<AttrRef> = keep.iter().map(|&i| p.attrs()[i].clone()).collect();
-            Ok(View::Resident(vstack(&attrs, &chunks)))
-        }
-    }
+    let chunks = (0..view.page_count().max(1))
+        .map(|p| {
+            let chunk = view.page_chunk(p);
+            let mask = selection_mask(predicate, &chunk)?;
+            Ok(chunk.select_columns(&keep).filter(&mask))
+        })
+        .collect::<Result<Vec<_>, ExecError>>()?;
+    Ok(view.stack(&keep, chunks))
 }
 
-/// Projection over a view. Paged inputs re-share page handles — like the
-/// resident kernel, O(#attrs) with no row movement, and the output stays
-/// paged so downstream operators keep streaming.
-fn project_view(view: &View, attrs: &[AttrRef]) -> Result<View, ExecError> {
-    match view {
-        View::Resident(b) => project_batch(b, attrs).map(View::Resident),
-        View::Paged(p) => {
-            let idx: Vec<usize> = attrs
-                .iter()
-                .map(|a| {
-                    p.index_of(a)
-                        .ok_or_else(|| ExecError::MissingAttr(a.clone()))
-                })
-                .collect::<Result<_, _>>()?;
-            if idx.is_empty() {
-                // A zero-column PagedBatch could not carry its row count
-                // through later `Batch::new` calls — keep the degenerate
-                // projection resident, where `select_columns` preserves it.
-                return Ok(View::Resident(p.to_batch().select_columns(&idx)));
-            }
-            Ok(View::Paged(Arc::new(p.select_columns(&idx))))
-        }
-    }
+/// Projection: resolves attribute offsets once and re-shares the picked
+/// columns' pages — O(#attrs), no row movement, and the output keeps the
+/// input's pages so downstream operators keep streaming.
+fn project_view(view: &PagedBatch, attrs: &[AttrRef]) -> Result<PagedBatch, ExecError> {
+    let idx: Vec<usize> = attrs
+        .iter()
+        .map(|a| {
+            view.index_of(a)
+                .ok_or_else(|| ExecError::MissingAttr(a.clone()))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(view.select_columns(&idx))
 }
 
-/// Join over views. Only the key columns materialise (the index kernels
-/// need contiguous slices; resident columns are shared, not copied),
-/// [`join_indices`] produces the match vectors, and each
-/// side gathers — page-on-demand when paged, one pin per run of indexes
-/// into one page — only the columns `needed` keeps: the join attributes
-/// themselves move only if the consumer reads them.
+/// Join. Only the key columns materialise (the index kernels need
+/// contiguous slices; a held column is shared, not copied),
+/// [`join_indices`] produces the match vectors, and each side gathers — one
+/// pin per run of indexes into one page — only the columns `needed` keeps:
+/// the join attributes themselves move only if the consumer reads them.
 pub(crate) fn join_view(
-    l: &View,
-    r: &View,
+    l: &PagedBatch,
+    r: &PagedBatch,
     on: &JoinCondition,
     needed: Needed<'_, '_>,
     ctx: &ExecContext,
-) -> Result<(View, Held), ExecError> {
+) -> Result<(Batch, Held), ExecError> {
     // Resolve each condition pair to (left index, right index).
     let mut pairs = Vec::with_capacity(on.pairs().len());
     for (a, b) in on.pairs() {
@@ -353,25 +242,10 @@ pub(crate) fn join_view(
     let lcols: Vec<&Column> = lkeys.iter().map(Arc::as_ref).collect();
     let rcols: Vec<&Column> = rkeys.iter().map(Arc::as_ref).collect();
     let (lidx, ridx, held) = join_indices(l.rows(), r.rows(), &lcols, &rcols, ctx)?;
-    let out = Batch::hstack(
-        &l.clone().keep(needed).gather(&lidx),
-        &r.clone().keep(needed).gather(&ridx),
-    );
-    Ok((View::Resident(out), held))
-}
-
-/// Aggregation over a view. A paged input arrives pruned to the grouping
-/// keys and aggregate inputs (the walker asked for exactly those), so
-/// materialising it reads no other page; the resident kernel does the rest.
-fn aggregate_view(
-    view: &View,
-    group_by: &[AttrRef],
-    aggs: &[AggExpr],
-    ctx: &ExecContext,
-) -> Result<(View, Held), ExecError> {
-    let (batch, held) = match view {
-        View::Resident(b) => aggregate_batch(b, group_by, aggs, ctx)?,
-        View::Paged(p) => aggregate_batch(&p.to_batch(), group_by, aggs, ctx)?,
+    let gather = |side: &PagedBatch, idx: &[usize]| {
+        side.select_columns(&kept_columns(side.attrs(), needed))
+            .gather(idx)
     };
-    Ok((View::Resident(batch), held))
+    let out = Batch::hstack(&gather(l, &lidx), &gather(r, &ridx));
+    Ok((out, held))
 }

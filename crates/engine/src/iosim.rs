@@ -20,8 +20,8 @@
 //! one: [`measure`] reads the database's buffer-pool miss counters after
 //! each operator kernel and records the growth since the previous one. A
 //! pool miss is a page actually decoded from memory-or-spill — the closest
-//! physical analogue of the block read the model predicts. A fully resident
-//! database has no pool, so its misses read 0.
+//! physical analogue of the block read the model predicts. A database of
+//! held pages has no pool, so its misses read 0.
 //!
 //! A second measurement is what each operator *held*: the bytes of its
 //! keyed state and whether it spilled ([`OpCharge::state_bytes`],
@@ -39,8 +39,8 @@ use std::sync::Arc;
 
 use mvdesign_algebra::Expr;
 
-use crate::exec::{exec_view, op_label, ExecContext, ExecError, Held, View};
-use crate::storage::BufferPool;
+use crate::exec::{exec_view, op_label, ExecContext, ExecError, Held};
+use crate::storage::{BufferPool, PagedBatch};
 use crate::table::{Database, Table};
 
 /// One operator's charge, recorded in plan (post-)order. The final report
@@ -55,7 +55,7 @@ pub struct OpCharge {
     pub written: f64,
     /// Buffer-pool misses observed while the operator's kernel ran —
     /// pages actually decoded from memory-or-spill. A measurement, not a
-    /// model; always zero over a fully resident database.
+    /// model; always zero over a database of held pages.
     pub pool_misses: u64,
     /// Bytes of keyed state the operator held at once, by capacity — a
     /// join's build-side hash table, a γ's group table with its
@@ -164,11 +164,11 @@ pub fn measure(
 
     let mut report = IoReport::default();
     let mut misses_so_far = pool_misses();
-    let view = exec_view(
+    let result = exec_view(
         expr,
         db,
         ctx,
-        &mut |op: &Expr, inputs: &[&View], out: &View, held: Held| {
+        &mut |op: &Expr, inputs: &[&PagedBatch], out: &PagedBatch, held: Held| {
             // Scans pin no page, so everything the pools missed since the
             // previous operator finished belongs to this operator's kernel.
             let misses_now = pool_misses();
@@ -187,7 +187,7 @@ pub fn measure(
             report.charges.push(charge);
         },
     )?;
-    let batch = view.into_batch();
+    let batch = result.to_batch();
     report.rows_out = batch.rows();
     let table = match &**expr {
         Expr::Base(name) => Table::from_batch(name.clone(), batch),
@@ -327,7 +327,7 @@ mod tests {
         // scan pin decodes it again — the fully cold case.
         let mut cold_db = resident_db.clone();
         let cold_pool = BufferPool::new(Some(0));
-        cold_db.page_out(&cold_pool, 10);
+        cold_db.rehome(Some(&cold_pool), 10);
 
         let e = Expr::select(
             Expr::base("S"),

@@ -18,8 +18,9 @@
 //!
 //! Execution is *columnar*: operators evaluate over [`Batch`]es of typed
 //! [`Column`]s, resolving attribute offsets once per operator rather than
-//! once per row. [`Table`] is a thin façade over a batch that still exposes
-//! the original row-major API. The retired tuple-at-a-time engine is not
+//! once per row. A [`Table`] names one [`PagedBatch`] — its columns as
+//! pages — and still exposes the original row-major API, materialised on
+//! request. The retired tuple-at-a-time engine is not
 //! part of this crate: it lives in `mvdesign-verify` as the row-reference
 //! differential oracle, and the audit plus the `engine_batch` property
 //! suite check the two engines produce identical bags on every plan they
@@ -33,15 +34,17 @@
 //! are shared out per query (`mvdesign-serve`'s reader pool) and per
 //! candidate design (`Designer`), never per kernel.
 //!
-//! Storage can be *out-of-core*: [`storage`] cuts columns into fixed-size
-//! pages held in a [`BufferPool`] with a byte budget and clock eviction to
-//! a spill file, the executor streams paged tables page-by-page, and hash
-//! joins/aggregations whose state outgrows [`ExecContext::mem_budget`]
-//! take Grace-style partitioned spill paths. Eviction changes residency,
-//! never content, so results stay bit-identical at any pool size — and
-//! [`measure`] reports each operator's *measured* pool misses next to the
-//! modelled block charges, grounding the paper's cost model in actual page
-//! traffic.
+//! Storage has one spine, the page ([`storage`]): without a budget a
+//! table's columns are held pages, one per column; under one they are cut
+//! into fixed-size pages of a [`BufferPool`] with a byte budget and clock
+//! eviction to a spill file, and pages leave the pool when nothing holds
+//! them. Appends copy at most each column's tail page. The executor streams
+//! pages whatever their home, and hash joins/aggregations whose state
+//! outgrows [`ExecContext::mem_budget`] take Grace-style partitioned spill
+//! paths. Eviction changes residency, never content, so results stay
+//! bit-identical at any pool size — and [`measure`] reports each
+//! operator's *measured* pool misses next to the modelled block charges,
+//! grounding the paper's cost model in actual page traffic.
 //!
 //! # Example
 //!

@@ -1,26 +1,24 @@
-//! In-memory tables and databases.
+//! Tables and databases.
 //!
-//! Since the columnar refactor a [`Table`] is a thin façade over a
-//! [`Batch`]: data lives in typed columns, and the row-major view that the
-//! original API exposed ([`Table::rows`]) is materialised lazily and cached,
-//! so legacy callers and tests keep working while the engine itself never
-//! touches tuples. Dictionary-encoded text columns rehydrate the same way:
-//! strings are only built (one `Arc` bump per cell) when the row façade is
-//! actually asked for, never on the batch execution path.
+//! A [`Table`] is a name over one shared [`PagedBatch`], the one
+//! representation of relation data (see [`crate::storage`]): without a
+//! memory budget its columns are held pages, one per column; under one they
+//! are pages of a [`BufferPool`]. [`Table::rehome`] moves a table between
+//! those homes; nothing else needs to know which it is. The engine streams
+//! pages, while [`Table::batch`] and the row-major view ([`Table::rows`])
+//! are materialised lazily and cached, so legacy callers and tests keep
+//! working while the engine itself never touches tuples.
+//! Dictionary-encoded text columns rehydrate the same way: strings are only
+//! built (one `Arc` bump per cell) when the row façade is actually asked
+//! for, never on the batch execution path.
 //!
 //! Tables are `Sync` and safe to share by reference across the serving
-//! layer's reader threads: columns are immutable behind `Arc`s, and the
-//! lazy row cache is a [`OnceLock`], so concurrent first calls to
-//! [`Table::rows`] race only on which thread's (identical) materialisation
-//! wins publication.
-//!
-//! Since the paged-storage refactor a table's data lives in one of two
-//! homes: fully *resident* (the historical layout — one [`Batch`]) or
-//! *paged* (a [`PagedBatch`] of fixed-size page handles into a shared
-//! [`BufferPool`]). [`Table::page_out`] and [`Table::make_resident`] move
-//! between the two; the engine's view-based spine streams paged tables
-//! page-at-a-time, while legacy callers of [`Table::batch`] see a lazily
-//! materialised (and cached) resident batch either way.
+//! layer's reader threads: pages are immutable behind `Arc`s, and the lazy
+//! caches are [`OnceLock`]s, so concurrent first calls race only on which
+//! thread's (identical) materialisation wins publication. Cloning a table
+//! shares its pages, so a snapshot of a database is O(tables); an append
+//! copies at most each column's tail page and leaves every other page
+//! shared with the snapshots that hold it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,22 +30,13 @@ use mvdesign_catalog::RelName;
 use crate::batch::Batch;
 use crate::storage::{BufferPool, PagedBatch};
 
-/// Where a table's columns live: resident in one batch, or cut into pages
-/// owned by a buffer pool.
-#[derive(Debug, Clone)]
-enum TableData {
-    Resident(Batch),
-    Paged(Arc<PagedBatch>),
-}
-
 /// A materialized relation: a header of qualified attributes plus columnar
 /// data (bag semantics — duplicates are kept).
 #[derive(Debug)]
 pub struct Table {
     name: RelName,
-    data: TableData,
-    /// Lazily materialised resident batch backing [`Table::batch`] when the
-    /// data is paged (unused — never initialised — while resident).
+    pages: Arc<PagedBatch>,
+    /// Lazily materialised batch backing [`Table::batch`].
     batch_cache: OnceLock<Batch>,
     /// Lazily materialised row-major view backing [`Table::rows`].
     row_cache: OnceLock<Vec<Vec<Value>>>,
@@ -55,21 +44,16 @@ pub struct Table {
 
 impl Clone for Table {
     fn clone(&self) -> Self {
-        // Cloning shares the (Arc'd) columns or page handles and drops the
-        // caches — the clone rebuilds them only if someone asks.
-        Self {
-            name: self.name.clone(),
-            data: self.data.clone(),
-            batch_cache: OnceLock::new(),
-            row_cache: OnceLock::new(),
-        }
+        // Cloning shares the pages and drops the caches — the clone
+        // rebuilds them only if someone asks.
+        Self::with_pages(self.name.clone(), Arc::clone(&self.pages))
     }
 }
 
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
-        // Paged data compares through materialisation, which is
-        // representation-exact — so a table equals its paged-out twin.
+        // Materialisation is representation-exact, so a table equals its
+        // twin in any home.
         self.name == other.name && self.batch() == other.batch()
     }
 }
@@ -92,21 +76,17 @@ impl Table {
         Self::from_batch(name, Batch::from_rows(attrs, rows))
     }
 
-    /// Wraps a finished batch as a named table (no data movement).
+    /// Wraps a finished batch as a named table: its columns become held
+    /// pages, one per column (no data movement).
     pub fn from_batch(name: impl Into<RelName>, batch: Batch) -> Self {
-        Self {
-            name: name.into(),
-            data: TableData::Resident(batch),
-            batch_cache: OnceLock::new(),
-            row_cache: OnceLock::new(),
-        }
+        Self::with_pages(name, Arc::new(PagedBatch::held(batch)))
     }
 
-    /// Wraps an already-paged batch as a named table (shares the handles).
-    pub fn from_paged(name: impl Into<RelName>, paged: Arc<PagedBatch>) -> Self {
+    /// Names shared pages.
+    pub(crate) fn with_pages(name: impl Into<RelName>, pages: Arc<PagedBatch>) -> Self {
         Self {
             name: name.into(),
-            data: TableData::Paged(paged),
+            pages,
             batch_cache: OnceLock::new(),
             row_cache: OnceLock::new(),
         }
@@ -119,74 +99,46 @@ impl Table {
 
     /// The qualified attribute header.
     pub fn attrs(&self) -> &[AttrRef] {
-        match &self.data {
-            TableData::Resident(b) => b.attrs(),
-            TableData::Paged(p) => p.attrs(),
-        }
+        self.pages.attrs()
     }
 
-    /// The columnar data as one resident batch. For a paged table this
-    /// pins and concatenates every page on first use and caches the result
-    /// — the engine's execution spine never calls it on paged data (it
+    /// The columnar data as one batch, materialised on first use and
+    /// cached: held pages by `Arc` clone, pooled ones pinned and
+    /// concatenated. The engine's execution spine never calls it (it
     /// streams pages instead); it exists for legacy callers, display, and
     /// the row façade.
     pub fn batch(&self) -> &Batch {
-        match &self.data {
-            TableData::Resident(b) => b,
-            TableData::Paged(p) => self.batch_cache.get_or_init(|| p.to_batch()),
-        }
+        self.batch_cache.get_or_init(|| self.pages.to_batch())
     }
 
-    /// Consumes the table and returns its batch (materialising if paged).
+    /// Consumes the table and returns its batch.
     pub fn into_batch(self) -> Batch {
-        match self.data {
-            TableData::Resident(b) => b,
-            TableData::Paged(p) => match self.batch_cache.into_inner() {
-                Some(b) => b,
-                None => p.to_batch(),
-            },
-        }
-    }
-
-    /// The page handles, when the table is paged.
-    pub(crate) fn paged(&self) -> Option<&Arc<PagedBatch>> {
-        match &self.data {
-            TableData::Resident(_) => None,
-            TableData::Paged(p) => Some(p),
-        }
-    }
-
-    /// The buffer pool owning this table's pages, when paged.
-    pub fn pool(&self) -> Option<&Arc<BufferPool>> {
-        self.paged().map(|p| p.pool())
-    }
-
-    /// Cuts the table's columns into pages owned by `pool` and drops the
-    /// resident copy — subsequent execution streams pages (pin, evict,
-    /// reload) instead of holding the data in memory. Results are
-    /// bit-identical either way. Re-paging an already-paged table re-cuts
-    /// it into the given pool.
-    pub fn page_out(&mut self, pool: &Arc<BufferPool>, page_rows: usize) {
-        let paged = PagedBatch::from_batch(self.batch(), pool, page_rows);
-        self.data = TableData::Paged(Arc::new(paged));
-        self.batch_cache = OnceLock::new();
-        self.row_cache = OnceLock::new();
-    }
-
-    /// Brings a paged table fully back into memory, detaching it from its
-    /// pool. A no-op on resident tables.
-    pub fn make_resident(&mut self) {
-        if matches!(self.data, TableData::Resident(_)) {
-            return;
-        }
-        let batch = match self.batch_cache.take() {
+        match self.batch_cache.into_inner() {
             Some(b) => b,
-            None => match &self.data {
-                TableData::Paged(p) => p.to_batch(),
-                TableData::Resident(_) => unreachable!("checked above"),
-            },
-        };
-        self.data = TableData::Resident(batch);
+            None => self.pages.to_batch(),
+        }
+    }
+
+    /// The table's pages.
+    pub fn pages(&self) -> &Arc<PagedBatch> {
+        &self.pages
+    }
+
+    /// The buffer pool the table's pages live in; `None` when they are
+    /// held.
+    pub fn pool(&self) -> Option<&Arc<BufferPool>> {
+        self.pages.pool()
+    }
+
+    /// Moves the table's pages to another home: `page_rows`-row pages of
+    /// `pool`, where execution streams them (pin, evict, reload), or —
+    /// without a pool — held, one page per column. Results are
+    /// bit-identical in every home.
+    pub fn rehome(&mut self, pool: Option<&Arc<BufferPool>>, page_rows: usize) {
+        *self = Self::with_pages(
+            self.name.clone(),
+            Arc::new(self.pages.rehome(pool, page_rows)),
+        );
     }
 
     /// The rows, materialised from the columns on first use and cached.
@@ -196,10 +148,7 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.data {
-            TableData::Resident(b) => b.rows(),
-            TableData::Paged(p) => p.rows(),
-        }
+        self.pages.rows()
     }
 
     /// Whether the table has no rows.
@@ -209,15 +158,20 @@ impl Table {
 
     /// Index of an attribute in the header.
     pub fn index_of(&self, attr: &AttrRef) -> Option<usize> {
-        match &self.data {
-            TableData::Resident(b) => b.index_of(attr),
-            TableData::Paged(p) => p.index_of(attr),
-        }
+        self.pages.index_of(attr)
+    }
+
+    /// Whether appending `value` to column `col` keeps the column's
+    /// representation: a typed column admits its own variant (a dictionary
+    /// column any text), a `Mixed` column — or any column of an empty
+    /// table — anything.
+    pub fn admits(&self, col: usize, value: &Value) -> bool {
+        self.pages.admits(col, value)
     }
 
     /// Appends row-major tuples to the columns (the warehouse's base-load
-    /// path). A paged table is brought resident first — appends re-page via
-    /// [`Table::page_out`] if the caller wants them paged again.
+    /// path), each value as [`crate::Column::push`] would. Copies at most
+    /// each column's tail page; new pages go where the table's live.
     ///
     /// # Panics
     ///
@@ -226,14 +180,24 @@ impl Table {
         if rows.is_empty() {
             return;
         }
-        self.make_resident();
-        let TableData::Resident(batch) = &mut self.data else {
-            unreachable!("make_resident leaves the table resident");
-        };
-        for row in rows {
-            batch.push_row(row);
+        self.mutate(|pages| pages.push_rows(rows));
+    }
+
+    /// Appends `part`'s rows (same header), each column as
+    /// [`crate::Column::concat`] of the stored column and the part's would
+    /// — how an SPJ view folds its insert delta.
+    pub(crate) fn append(&mut self, part: &Batch) {
+        if part.rows() > 0 {
+            self.mutate(|pages| pages.append(part));
         }
+    }
+
+    /// Runs `write` on the table's own pages: the caches go first, so a
+    /// held page is shared only with other holders of the table.
+    fn mutate(&mut self, write: impl FnOnce(&mut PagedBatch)) {
+        self.batch_cache = OnceLock::new();
         self.row_cache = OnceLock::new();
+        write(Arc::make_mut(&mut self.pages));
     }
 
     /// A copy with rows sorted, for order-insensitive comparison in tests:
@@ -250,12 +214,9 @@ impl Table {
         if let Some(rows) = self.row_cache.into_inner() {
             return rows;
         }
-        match self.data {
-            TableData::Resident(b) => b.to_rows(),
-            TableData::Paged(p) => match self.batch_cache.into_inner() {
-                Some(b) => b.to_rows(),
-                None => p.to_batch().to_rows(),
-            },
+        match self.batch_cache.into_inner() {
+            Some(b) => b.to_rows(),
+            None => self.pages.to_batch().to_rows(),
         }
     }
 }
@@ -323,33 +284,12 @@ impl Database {
         self.tables.is_empty()
     }
 
-    /// Pages every table's columns out into `pool` (see [`Table::page_out`]).
-    /// Queries over the database then stream pages through the pool —
-    /// results stay bit-identical at any pool budget.
-    pub fn page_out(&mut self, pool: &Arc<BufferPool>, page_rows: usize) {
+    /// Moves every table to another home (see [`Table::rehome`]).
+    /// Queries over the database then stream pages through the pool, or
+    /// read held pages — results stay bit-identical in every home.
+    pub fn rehome(&mut self, pool: Option<&Arc<BufferPool>>, page_rows: usize) {
         for table in self.tables.values_mut() {
-            table.page_out(pool, page_rows);
-        }
-    }
-
-    /// Pages out only the tables that are currently resident —
-    /// already-paged tables keep their existing pages (and the pool keeps
-    /// its statistics). The warehouse uses this to re-page freshly
-    /// materialized views after a refresh without rebuilding untouched
-    /// base-table pages.
-    pub fn page_out_resident(&mut self, pool: &Arc<BufferPool>, page_rows: usize) {
-        for table in self.tables.values_mut() {
-            if table.pool().is_none() {
-                table.page_out(pool, page_rows);
-            }
-        }
-    }
-
-    /// Brings every paged table fully back into memory (see
-    /// [`Table::make_resident`]).
-    pub fn make_resident(&mut self) {
-        for table in self.tables.values_mut() {
-            table.make_resident();
+            table.rehome(pool, page_rows);
         }
     }
 }
@@ -438,25 +378,14 @@ mod tests {
         let resident = t();
         let mut paged = resident.clone();
         let pool = BufferPool::new(Some(64));
-        paged.page_out(&pool, 1);
+        paged.rehome(Some(&pool), 1);
         assert!(paged.pool().is_some());
         assert_eq!(paged.len(), 2);
         assert_eq!(paged, resident, "materialisation is representation-exact");
         assert_eq!(paged.rows(), resident.rows());
-        paged.make_resident();
+        paged.rehome(None, 1);
         assert!(paged.pool().is_none());
         assert_eq!(paged, resident);
-    }
-
-    #[test]
-    fn extend_rows_on_a_paged_table_goes_through_resident() {
-        let mut table = t();
-        let pool = BufferPool::unbounded();
-        table.page_out(&pool, 1);
-        table.extend_rows(vec![vec![Value::Int(3), Value::text("z")]]);
-        assert_eq!(table.len(), 3);
-        assert!(table.pool().is_none(), "appends land in a resident table");
-        assert_eq!(table.rows()[2], vec![Value::Int(3), Value::text("z")]);
     }
 
     #[test]
@@ -464,10 +393,21 @@ mod tests {
         let mut db = Database::new();
         db.insert_table(t());
         let pool = BufferPool::new(Some(128));
-        db.page_out(&pool, 1);
+        db.rehome(Some(&pool), 1);
         assert!(db.table("R").expect("table exists").pool().is_some());
-        db.make_resident();
+        db.rehome(None, 1);
         assert!(db.table("R").expect("table exists").pool().is_none());
+    }
+
+    #[test]
+    fn admits_what_keeps_each_column_representation() {
+        let table = t();
+        assert!(table.admits(0, &Value::Int(9)));
+        assert!(!table.admits(0, &Value::text("9")));
+        assert!(table.admits(1, &Value::text("w")));
+        assert!(!table.admits(1, &Value::Date(3)));
+        let empty = Table::new("E", [AttrRef::new("E", "a")], Vec::new());
+        assert!(empty.admits(0, &Value::text("anything")));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use mvdesign_algebra::{parse_query_with, Expr, ParseError, Value};
 use mvdesign_catalog::{Catalog, RelName};
 use mvdesign_core::{DesignResult, ViewCatalog};
 use mvdesign_engine::{
-    execute, measure, refresh_view_delta, split_appends, BufferPool, Column, Database, ExecContext,
+    execute, measure, refresh_view_delta, split_appends, BufferPool, Database, ExecContext,
     ExecError, JoinAlgo, Table, DEFAULT_PAGE_ROWS,
 };
 
@@ -197,14 +197,14 @@ impl Warehouse {
     }
 
     /// Caps warehouse memory, returning the warehouse for chaining: every
-    /// table pages out into a [`BufferPool`] with this byte budget, serve
-    /// and refresh stream pages through the pool, and the hash-join and
-    /// aggregation operators spill to disk when their transient state
-    /// outgrows the budget. `None` returns the warehouse to fully resident
-    /// operation. Answers and stored views are bit-identical under every
-    /// budget — only residency and wall-clock change. Under a budget the
-    /// result cache keeps nothing: its bytes are not the pool's to account
-    /// for.
+    /// table moves into a [`BufferPool`] with this byte budget, serve and
+    /// refresh stream pages through the pool, appends and refreshes write
+    /// their pages into it, and the hash-join and aggregation operators
+    /// spill to disk when their transient state outgrows the budget. `None`
+    /// returns every table to held pages, one per column. Answers and
+    /// stored views are bit-identical under every budget — only residency
+    /// and wall-clock change. Under a budget the result cache keeps
+    /// nothing: its bytes are not the pool's to account for.
     #[must_use]
     pub fn with_mem_budget(mut self, budget: Option<usize>) -> Self {
         self.set_mem_budget(budget);
@@ -215,17 +215,10 @@ impl Warehouse {
     /// [`Warehouse::with_mem_budget`]).
     pub fn set_mem_budget(&mut self, budget: Option<usize>) {
         self.exec.mem_budget = budget;
-        match budget {
-            Some(bytes) => {
-                let pool = BufferPool::new(Some(bytes));
-                self.db.page_out(&pool, DEFAULT_PAGE_ROWS);
-                self.pool = Some(pool);
-                self.cache = Arc::default();
-            }
-            None => {
-                self.db.make_resident();
-                self.pool = None;
-            }
+        self.pool = budget.map(|bytes| BufferPool::new(Some(bytes)));
+        self.db.rehome(self.pool.as_ref(), DEFAULT_PAGE_ROWS);
+        if budget.is_some() {
+            self.cache = Arc::default();
         }
     }
 
@@ -358,8 +351,9 @@ impl Warehouse {
     /// Appends rows to a base relation (a member-database load). Views
     /// reading the relation go stale until [`Warehouse::refresh`] runs —
     /// the paper's once-per-period update model; views over other relations
-    /// stay fresh. Appends go straight into the table's column storage
-    /// ([`Table::extend_rows`]) — no rebuild of the existing data.
+    /// stay fresh. Appends go straight into the table's pages
+    /// ([`Table::extend_rows`]): at most each column's tail page is copied,
+    /// and new pages land in the pool under a budget.
     ///
     /// # Errors
     ///
@@ -401,17 +395,18 @@ impl Warehouse {
     /// Views keep the engine's columnar layout: dictionary-encoded text
     /// columns move by `Arc` clone, so a materialized view shares its value
     /// tables with the base tables it was computed from — refreshing copies
-    /// codes, never strings. Delta folds rebuild only the touched view. A
-    /// pass commits every view or none: a failed pass leaves views,
-    /// staleness, versions and append marks as they were, so its retry folds
-    /// the same appends into the same stored views.
+    /// codes, never strings. An SPJ fold appends to the stored view's
+    /// pages; under a budget every other new view is written into the pool
+    /// while it is staged. A pass commits every view or none: a failed pass
+    /// leaves views, staleness, versions and append marks as they were, so
+    /// its retry folds the same appends into the same stored views.
     ///
     /// # Errors
     ///
     /// Returns [`WarehouseError::Exec`] when a view definition fails.
     pub fn refresh(&mut self) -> Result<RefreshReport, WarehouseError> {
         let mut report = RefreshReport::default();
-        // `old` holds every pre-refresh table by `Arc`: staging adds no high-water.
+        // `old` shares every pre-refresh page: staging adds no high-water.
         let (old, deltas) = split_appends(&self.db, &self.base_rows);
         let mut staged = Vec::new();
         for (name, definition) in self.views.views() {
@@ -421,31 +416,31 @@ impl Warehouse {
             }
             let folded = match (self.refresh_policy(name), old.table(name.as_str())) {
                 (RefreshPolicy::Delta, Some(table)) => {
-                    refresh_view_delta(table.batch(), definition, &old, &deltas, &self.exec)?
+                    refresh_view_delta(table, definition, &old, &deltas, &self.exec)?
                 }
                 _ => None,
             };
-            let batch = match folded {
-                Some(batch) => {
+            let mut table = match folded {
+                Some(table) => {
                     report.folded += 1;
-                    batch
+                    table
                 }
                 None => {
                     report.recomputed += 1;
-                    execute(definition, &self.db, &self.exec)?.into_batch()
+                    let result = execute(definition, &self.db, &self.exec)?;
+                    Table::from_batch(name.clone(), result.into_batch())
                 }
             };
-            staged.push((name.clone(), batch));
+            if let Some(pool) = &self.pool {
+                if !table.pool().is_some_and(|home| Arc::ptr_eq(home, pool)) {
+                    table.rehome(Some(pool), DEFAULT_PAGE_ROWS);
+                }
+            }
+            staged.push(table);
         }
-        for (name, batch) in staged {
-            self.bump_version(&name);
-            self.db.insert_table(Table::from_batch(name, batch));
-        }
-        if let Some(pool) = &self.pool {
-            // Freshly materialized views (and appended-to base tables) are
-            // resident; fold them back into the pool. Untouched tables keep
-            // their existing pages.
-            self.db.page_out_resident(pool, DEFAULT_PAGE_ROWS);
+        for table in staged {
+            self.bump_version(table.name());
+            self.db.insert_table(table);
         }
         self.snapshot_base_rows();
         self.stale.clear();
@@ -681,12 +676,11 @@ const _: () = {
 
 /// Checks appended rows against a table's schema before any mutation:
 /// every row must match the header arity, and every value must fit the
-/// column it lands in (typed columns accept their own variant; `Mixed` and
-/// empty columns accept anything, like [`Column::push`] does). Returns a
+/// column it lands in ([`Table::admits`]: typed columns accept their own
+/// variant; `Mixed` columns and empty tables accept anything). Returns a
 /// description of the first offence, `None` when the rows are clean.
 fn reject_rows(table: &Table, rows: &[Vec<Value>]) -> Option<String> {
     let attrs = table.attrs();
-    let empty = table.is_empty();
     for (i, row) in rows.iter().enumerate() {
         if row.len() != attrs.len() {
             return Some(format!(
@@ -696,18 +690,8 @@ fn reject_rows(table: &Table, rows: &[Vec<Value>]) -> Option<String> {
                 attrs.len()
             ));
         }
-        if empty {
-            continue;
-        }
         for (j, value) in row.iter().enumerate() {
-            let fits = match (table.batch().column(j), value) {
-                (Column::Int(_), Value::Int(_))
-                | (Column::Text(_) | Column::Dict { .. }, Value::Text(_))
-                | (Column::Date(_), Value::Date(_))
-                | (Column::Mixed(_), _) => true,
-                (col, _) => col.is_empty(),
-            };
-            if !fits {
+            if !table.admits(j, value) {
                 return Some(format!(
                     "row {i} value {value:?} does not fit column `{}`",
                     attrs[j]
@@ -931,8 +915,8 @@ mod tests {
             pool.stats().misses > 0,
             "a 4 KiB pool over this data must evict and re-read pages"
         );
-        // Refresh rebuilds views resident, then folds them back into the
-        // same pool; answers stay identical.
+        // Refresh writes the views it rebuilds into the same pool; answers
+        // stay identical.
         budgeted.refresh().expect("budgeted refresh");
         assert!(budgeted
             .buffer_pool()
@@ -942,7 +926,7 @@ mod tests {
             let b = budgeted.query_expr(q.root()).expect("refreshed budgeted");
             assert_eq!(a.batch(), b.batch(), "{} differs after refresh", q.name());
         }
-        // Lifting the budget returns the warehouse to resident operation.
+        // Lifting the budget returns every table to held pages.
         budgeted.set_mem_budget(None);
         assert_eq!(budgeted.exec_context().mem_budget, None);
         assert!(budgeted.buffer_pool().is_none());

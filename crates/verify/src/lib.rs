@@ -51,7 +51,7 @@ use mvdesign_cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign_distributed::{DistributedEvaluator, FilterShipping, Placement, Topology};
 use mvdesign_engine::{
     execute, materialize_view, refresh_view_delta, split_appends, ExecContext, Generator,
-    GeneratorConfig, Table,
+    GeneratorConfig,
 };
 use mvdesign_optimizer::Planner;
 use mvdesign_workload::{
@@ -291,7 +291,7 @@ pub fn check_delta_refresh(
     let mut stored = Vec::new();
     for (name, definition) in views.views() {
         match execute(definition, &db, &ctx) {
-            Ok(t) => stored.push((name.clone(), definition, t.into_batch())),
+            Ok(t) => stored.push((name.clone(), definition, t)),
             Err(e) => {
                 report.push("delta-refresh", format!("view {name} fails to build: {e}"));
                 return report;
@@ -323,7 +323,7 @@ pub fn check_delta_refresh(
         }
 
         let (old, deltas) = split_appends(&db, &snapshot);
-        for (name, definition, batch) in stored.iter_mut() {
+        for (name, definition, table) in stored.iter_mut() {
             let recomputed = match execute(definition, &db, &ctx) {
                 Ok(t) => t,
                 Err(e) => {
@@ -331,9 +331,8 @@ pub fn check_delta_refresh(
                     continue;
                 }
             };
-            match refresh_view_delta(batch, definition, &old, &deltas, &ctx) {
-                Ok(Some(fresh)) => {
-                    let folded = Table::from_batch(name.clone(), fresh.clone());
+            match refresh_view_delta(table, definition, &old, &deltas, &ctx) {
+                Ok(Some(folded)) => {
                     let differs = if matches!(***definition, Expr::Aggregate { .. }) {
                         folded.rows() != recomputed.rows()
                     } else {
@@ -350,9 +349,9 @@ pub fn check_delta_refresh(
                             ),
                         );
                     }
-                    *batch = fresh;
+                    *table = folded;
                 }
-                Ok(None) => *batch = recomputed.into_batch(),
+                Ok(None) => *table = recomputed,
                 Err(e) => report.push("delta-refresh", format!("{name} fold fails: {e}")),
             }
         }

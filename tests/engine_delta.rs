@@ -197,8 +197,7 @@ fn append_round(
 
 /// The maintenance oracle: a folded γ-view is its recomputation row for
 /// row; an SPJ fold appends its delta, so it matches as a bag.
-fn same_contents(view: &Expr, folded: Batch, recomputed: &Table) -> bool {
-    let folded = Table::from_batch("v", folded);
+fn same_contents(view: &Expr, folded: &Table, recomputed: &Table) -> bool {
     if matches!(view, Expr::Aggregate { .. }) {
         folded.rows() == recomputed.rows()
     } else {
@@ -274,7 +273,7 @@ proptest! {
         let recompute = ExecContext::default();
         let ctx = ExecContext { mem_budget: budget_override() };
 
-        let mut stored = execute(&view, &db, &recompute).expect("view builds").into_batch();
+        let mut stored = execute(&view, &db, &recompute).expect("view builds");
         for (r, quarters) in rounds.iter().enumerate() {
             let snapshot = append_round(&mut db, &catalog, seed + r as u64, *quarters);
             let (old, deltas) = split_appends(&db, &snapshot);
@@ -284,13 +283,13 @@ proptest! {
             {
                 Some(folded) => {
                     prop_assert!(
-                        same_contents(&view, folded.clone(), &recomputed),
+                        same_contents(&view, &folded, &recomputed),
                         "fold diverges in round {} for {:?}",
                         r, spec
                     );
                     stored = folded;
                 }
-                None => stored = recomputed.into_batch(),
+                None => stored = recomputed,
             }
         }
     }
@@ -313,7 +312,7 @@ proptest! {
         let recompute = ExecContext::default();
         let ctx = ExecContext { mem_budget: Some(mem_budget()) };
 
-        let stored = execute(&view, &db, &recompute).expect("view builds").into_batch();
+        let stored = execute(&view, &db, &recompute).expect("view builds");
         let snapshot = append_round(&mut db, &catalog, seed, quarters);
         let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
 
@@ -321,14 +320,14 @@ proptest! {
         // delta splitting and old-side evaluation misses and reloads.
         let pool = BufferPool::new(Some(0));
         let mut paged = db.clone();
-        paged.page_out(&pool, page_rows);
+        paged.rehome(Some(&pool), page_rows);
         let (old, deltas) = split_appends(&paged, &snapshot);
         match refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
             .expect("paged delta refresh runs")
         {
             Some(folded) => {
                 prop_assert!(
-                    same_contents(&view, folded, &recomputed),
+                    same_contents(&view, &folded, &recomputed),
                     "paged fold diverges for {:?}",
                     spec
                 );
@@ -385,7 +384,7 @@ proptest! {
             Delta::new(r0_batch(&old, insert), r0_batch(&old, delete)),
         );
 
-        let stored = execute(&view, &old, &recompute).expect("view builds").into_batch();
+        let stored = execute(&view, &old, &recompute).expect("view builds");
         let mut probe = old.clone();
         probe.insert_table(Table::from_batch("R0", r0_batch(&old, vec![ghost])));
         let reaches = phantom && !execute(&view, &probe, &recompute).expect("probe runs").is_empty();
@@ -394,7 +393,7 @@ proptest! {
                 prop_assert!(!reaches, "a delete of an unstored tuple folded for {:?}", spec);
                 let recomputed = execute(&view, &new, &recompute).expect("recompute runs");
                 prop_assert!(
-                    same_contents(&view, folded, &recomputed),
+                    same_contents(&view, &folded, &recomputed),
                     "delete fold diverges for {:?}",
                     spec
                 );
@@ -419,7 +418,7 @@ fn join_view_folds_insert_only_appends() {
         top: 0,
     });
     let ctx = ExecContext::default();
-    let stored = execute(&view, &db, &ctx).expect("view builds").into_batch();
+    let stored = execute(&view, &db, &ctx).expect("view builds");
     let snapshot = append_round(&mut db, &catalog, 7, [2, 3, 0]);
     let (old, deltas) = split_appends(&db, &snapshot);
     let folded = refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
@@ -427,7 +426,7 @@ fn join_view_folds_insert_only_appends() {
         .expect("insert-only join delta folds");
     let recomputed = execute(&view, &db, &ctx).expect("recompute runs");
     assert_eq!(
-        Table::from_batch("v", folded).canonicalized().rows(),
+        folded.canonicalized().rows(),
         recomputed.canonicalized().rows()
     );
 }

@@ -21,8 +21,8 @@ use mvdesign::algebra::{
 };
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::engine::{
-    batch_bytes, execute, measure, BufferPool, Database, ExecContext, Generator, GeneratorConfig,
-    IoReport, Table,
+    batch_bytes, execute, measure, Batch, BufferPool, Column, Database, ExecContext, Generator,
+    GeneratorConfig, IoReport, Table,
 };
 use mvdesign::prelude::Designer;
 use mvdesign::warehouse::Warehouse;
@@ -225,7 +225,7 @@ fn paged_copy(
     };
     let pool = BufferPool::new(effective_budget(pool_budget));
     let mut paged = db.clone();
-    paged.page_out(&pool, page_rows);
+    paged.rehome(Some(&pool), page_rows);
     (paged, pool, effective_budget(op_budget))
 }
 
@@ -304,6 +304,138 @@ proptest! {
     }
 }
 
+/// A table with one column of every kind — `Int`, `Date`, `Text`, a
+/// dictionary over `x`/`y`/`z`, and a `Mixed` column — holding `n` rows.
+fn every_kind(n: usize) -> Batch {
+    let attrs = ["i", "d", "t", "c", "m"]
+        .map(|a| AttrRef::new("K", a))
+        .to_vec();
+    let table: Arc<[Arc<str>]> = ["x", "y", "z"].map(Arc::from).to_vec().into();
+    let columns = vec![
+        Column::Int((0..n as i64).collect()),
+        Column::Date((0..n as i64).map(|i| 9_000 + i).collect()),
+        Column::Text((0..n).map(|i| Arc::from(format!("t{}", i % 5))).collect()),
+        Column::dict((0..n).map(|i| (i % 3) as u32).collect(), table),
+        Column::Mixed(
+            (0..n)
+                .map(|i| match i % 2 {
+                    0 => Value::Int(i as i64),
+                    _ => Value::text(format!("m{i}")),
+                })
+                .collect(),
+        ),
+    ];
+    Batch::new(attrs, columns.into_iter().map(Arc::new).collect())
+}
+
+/// `rows` rows for [`every_kind`]'s header drawn from `seed`: dictionary
+/// strings the table knows and, with `fresh`, ones it does not; and with
+/// `retype`, a text value in the integer column.
+fn appended_rows(rows: usize, seed: u64, fresh: bool, retype: bool) -> Vec<Vec<Value>> {
+    let mut state = seed | 1;
+    let mut draw = move |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    (0..rows)
+        .map(|r| {
+            let k = draw(1_000) as i64;
+            let dict = match draw(4) {
+                3 if fresh => format!("n{}", draw(3)),
+                c => ["x", "y", "z", "x"][c as usize].to_string(),
+            };
+            let int = match retype && r == rows / 2 {
+                true => Value::text("retyped"),
+                false => Value::Int(k),
+            };
+            let mixed = match draw(3) {
+                0 => Value::Int(k),
+                1 => Value::Date(k),
+                _ => Value::text(format!("m{k}")),
+            };
+            vec![
+                int,
+                Value::Date(k),
+                Value::text(format!("t{}", k % 7)),
+                Value::text(dict),
+                mixed,
+            ]
+        })
+        .collect()
+}
+
+/// The pool budget tiers of the append test: `None` holds the pages, the
+/// others page into a pool of that budget (`Some(None)` unbounded).
+const APPEND_HOMES: [Option<Option<usize>>; 4] =
+    [None, Some(Some(64)), Some(Some(256)), Some(None)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An append copies at most each column's tail page. For random append
+    /// sequences over every column kind — a dictionary column receiving
+    /// strings its table lacks, an integer column receiving text — at every
+    /// page size and home, the table equals the same rows pushed into one
+    /// `Batch`, representation-exact, its dictionary table shared by
+    /// pointer while no string was new; a clone taken before each append
+    /// still reads the old rows; and every page of a column but the tail
+    /// before the append is, after it, the very page it was — unless the
+    /// append changed the column's representation (the text in the integer
+    /// column), which re-cuts it.
+    #[test]
+    fn appends_copy_only_the_tail_page(
+        initial in 0usize..3 * 4096,
+        appends in proptest::collection::vec((0usize..3 * 4096, any::<u64>()), 1..4),
+        page_sel in 0usize..4,
+        home_sel in 0usize..APPEND_HOMES.len(),
+        fresh in any::<bool>(),
+        retype in any::<bool>(),
+    ) {
+        let page_rows = [1, 3, 7, 4096][page_sel];
+        // Row counts below three pages at every page size.
+        let initial = every_kind(initial % (3 * page_rows));
+        let mut table = Table::from_batch("K", initial.clone());
+        if let Some(budget) = APPEND_HOMES[home_sel] {
+            table.rehome(Some(&BufferPool::new(budget)), page_rows);
+        }
+        let mut reference = initial.clone();
+        for (k, &(rows, seed)) in appends.iter().enumerate() {
+            let rows = appended_rows(rows % (3 * page_rows), seed, fresh, retype && k == 1);
+            let before = table.clone();
+            let reference_before = reference.clone();
+            // Pin every page: a pinned frame stays resident, so a page the
+            // append kept pins to the very same `Arc` afterwards.
+            let pages = before.pages();
+            let pinned: Vec<Vec<Arc<Column>>> = (0..initial.columns().len())
+                .map(|c| (0..pages.page_count()).map(|p| pages.page(c, p)).collect())
+                .collect();
+            table.extend_rows(rows.clone());
+            for row in rows {
+                reference.push_row(row);
+            }
+            prop_assert_eq!(table.batch(), &reference);
+            prop_assert_eq!(before.batch(), &reference_before, "the clone moved");
+            let full = before.len() / table.pages().page_rows();
+            for (c, old) in pinned.iter().enumerate() {
+                let kept = std::mem::discriminant(reference.column(c))
+                    == std::mem::discriminant(reference_before.column(c));
+                for (p, page) in old.iter().enumerate().take(if kept { full } else { 0 }) {
+                    prop_assert!(
+                        Arc::ptr_eq(page, &table.pages().page(c, p)),
+                        "column {} page {} of {} was copied", c, p, full
+                    );
+                }
+            }
+        }
+        let dict = |b: &Batch| Arc::clone(b.column(3).dict_values().expect("a dictionary column"));
+        if !fresh {
+            prop_assert!(Arc::ptr_eq(&dict(table.batch()), &dict(&initial)));
+        }
+    }
+}
+
 /// Two deterministic fixtures big enough that a 1 KiB operator budget (the
 /// env knob's, when set) forces the Grace hash join and the spilling
 /// aggregation — 5 000 rows over 37 keys against a 500-row build side, and
@@ -349,7 +481,7 @@ fn spilled_join_and_aggregate_match_resident() {
         );
         let pool = BufferPool::new(Some(0));
         let mut paged = db.clone();
-        paged.page_out(&pool, 64);
+        paged.rehome(Some(&pool), 64);
         let ctx = ExecContext {
             mem_budget: effective_budget(Some(1024)),
         };

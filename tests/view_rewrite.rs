@@ -175,7 +175,7 @@ fn serving(base: &Database, views: &ViewCatalog) -> (Database, ExecContext) {
         materialize_view(name.clone(), definition, &mut db, &ctx).expect("view materializes");
     }
     if let Some(bytes) = mem_budget() {
-        db.page_out(&BufferPool::new(Some(bytes)), 7);
+        db.rehome(Some(&BufferPool::new(Some(bytes))), 7);
         ctx.mem_budget = Some(bytes);
     }
     (db, ctx)
