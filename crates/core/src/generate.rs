@@ -14,7 +14,10 @@
 //! 5. (and 6.) push selections (as per-leaf *disjunctions* across queries)
 //!    and projections (as per-leaf attribute *unions*, plus join attributes)
 //!    back down to the leaves; each query re-applies its own predicate above
-//!    its join subtree when the shared leaf filter is weaker than its own.
+//!    its join subtree when the shared leaf filter is weaker than its own;
+//! 7. (the aggregate counterpart of 5–6, which the paper does not have)
+//!    above every join that several γ roots share, add the roll-up candidate
+//!    `γ[∪ keys; ∪ aggregates]` and rebuild those roots over it.
 //!
 //! With `k` queries, rotating the merge order yields `k` MVPPs (Figure 6);
 //! [`crate::Designer`] then runs view selection on each and keeps the best.
@@ -27,6 +30,7 @@ use mvdesign_cost::{CostEstimator, CostModel};
 use mvdesign_optimizer::{pull_up, Planner};
 
 use crate::mvpp::Mvpp;
+use crate::rewrite::answer_from_groups;
 use crate::workload::Workload;
 
 /// Tuning knobs for [`generate_mvpps`].
@@ -362,7 +366,8 @@ impl JoinIndex {
     }
 }
 
-/// Figure 4, step 4: merge the prepared plans in order over shared leaves.
+/// Figure 4, step 4: merge the prepared plans in order over shared leaves,
+/// then roll up the joins several aggregations share.
 fn merge_prepared<M: CostModel>(
     order: &[&PreparedQuery],
     leaves: &SharedLeaves,
@@ -375,7 +380,135 @@ fn merge_prepared<M: CostModel>(
         let expr = build_query_expr(q, leaves, &joins, est);
         mvpp.insert_query(q.name.clone(), q.fq, &expr);
     }
-    mvpp
+    roll_up_shared_joins(mvpp, order)
+}
+
+/// The aggregate counterpart of steps 5–6. Steps 5–6 push the disjunction
+/// of the queries' selections and the union of their projections down onto
+/// the shared subtrees; this adds, above every join that two or more γ
+/// roots read, the roll-up candidate `γ[∪ keys; ∪ aggregates]` over that
+/// join, and rebuilds those roots over it. The candidate is annotated and
+/// selected like any other node; nothing here decides whether it is kept.
+///
+/// A root is rebuilt by the view matcher's own rule
+/// ([`crate::rewrite`]'s eager aggregation), so a merged plan and the same
+/// query routed from SQL text read the candidate through the same plan.
+/// A root whose aggregates do not roll up (`AVG`) stays as it was.
+fn roll_up_shared_joins(mvpp: Mvpp, order: &[&PreparedQuery]) -> Mvpp {
+    let grouped = |q: &PreparedQuery| q.aggregate.is_some() && q.raw.is_none();
+    if order.iter().filter(|q| grouped(q)).count() < 2 {
+        return mvpp;
+    }
+    // The γ roots (indices into `order`) reading each join node.
+    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); mvpp.len()];
+    for (i, (_, _, root)) in mvpp.roots().iter().enumerate() {
+        if !grouped(order[i]) {
+            continue;
+        }
+        for d in mvpp.descendants(*root) {
+            if matches!(&**mvpp.node(d).expr(), Expr::Join { .. }) {
+                readers[d.0].push(i);
+            }
+        }
+    }
+    let mut plans: Vec<Arc<Expr>> = mvpp
+        .roots()
+        .iter()
+        .map(|(_, _, root)| Arc::clone(mvpp.node(*root).expr()))
+        .collect();
+    let mut folded = vec![false; plans.len()];
+    for node in mvpp.nodes() {
+        let shared_by = &readers[node.id().0];
+        // The widest join each set of roots shares: a join whose parent join
+        // is read by the same roots is inside that parent's candidate.
+        if shared_by.len() < 2 || node.parents().iter().any(|p| readers[p.0] == *shared_by) {
+            continue;
+        }
+        let open: Vec<usize> = shared_by.iter().copied().filter(|&i| !folded[i]).collect();
+        let Some(candidate) = roll_up_candidate(node.expr(), open.iter().map(|&i| order[i])) else {
+            continue;
+        };
+        let rebuilt: Vec<(usize, Arc<Expr>)> = open
+            .into_iter()
+            .filter_map(|i| {
+                answer_from_groups(&plans[i], &candidate, Arc::clone(&candidate))
+                    .ok()
+                    .map(|plan| (i, plan))
+            })
+            .collect();
+        if rebuilt.len() < 2 {
+            continue;
+        }
+        for (i, plan) in rebuilt {
+            plans[i] = plan;
+            folded[i] = true;
+        }
+    }
+    if !folded.contains(&true) {
+        return mvpp;
+    }
+    let mut out = Mvpp::new();
+    for (q, plan) in order.iter().zip(&plans) {
+        out.insert_query(q.name.clone(), q.fq, plan);
+    }
+    out
+}
+
+/// `γ[keys; aggregates]` over `join` for the γ roots that read it. The keys
+/// are each root's group keys on the join's relations `S`, plus every
+/// attribute of `S` a root compares above the join: the join-side attribute
+/// of each pair linking `S` to a relation joined above (the dimension joins
+/// stay above the γ) and what its conjuncts spanning `S` and other
+/// relations read. A root with an aggregate that does not roll up, one over
+/// a relation outside `S`, or an alias another root gives a different
+/// aggregate adds nothing. `None` when no root adds anything.
+fn roll_up_candidate<'q>(
+    join: &Arc<Expr>,
+    roots: impl Iterator<Item = &'q PreparedQuery>,
+) -> Option<Arc<Expr>> {
+    let s = join.base_relations();
+    let in_s = |a: &AttrRef| s.contains(&a.relation);
+    let mut keys: Vec<AttrRef> = Vec::new();
+    let mut compared: Vec<AttrRef> = Vec::new();
+    let mut aggs: Vec<AggExpr> = Vec::new();
+    for q in roots {
+        let Some((group_by, q_aggs)) = &q.aggregate else {
+            continue;
+        };
+        let folds = |a: &AggExpr| {
+            a.rolled_up().is_some()
+                && a.input.as_ref().is_none_or(in_s)
+                && aggs.iter().all(|b| b.alias != a.alias || b == a)
+        };
+        if !q_aggs.iter().all(folds) {
+            continue;
+        }
+        keys.extend(group_by.iter().filter(|a| in_s(a)).cloned());
+        for (a, b) in &q.conds {
+            if in_s(a) != in_s(b) {
+                compared.push(if in_s(a) { a.clone() } else { b.clone() });
+            }
+        }
+        for p in q
+            .residual
+            .iter()
+            .filter(|p| !p.attrs().into_iter().all(in_s))
+        {
+            compared.extend(p.attrs().into_iter().filter(|a| in_s(a)).cloned());
+        }
+        for a in q_aggs {
+            if !aggs.contains(a) {
+                aggs.push(a.clone());
+            }
+        }
+    }
+    if aggs.is_empty() {
+        return None;
+    }
+    keys.extend(compared);
+    let mut seen = BTreeSet::new();
+    keys.retain(|k| seen.insert(k.clone()));
+    Some(Expr::aggregate(Arc::clone(join), keys, aggs))
 }
 
 fn build_query_expr<M: CostModel>(

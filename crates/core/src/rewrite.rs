@@ -26,11 +26,18 @@
 //!    relations, one conjoined predicate, an optional outer π/γ. Interior
 //!    projections are dropped — they are bag projections and cannot change
 //!    multiplicities — but what a view *stores* is read off its definition.
-//!    * A **γ-view** over the same relations, join pairs and (mutually
-//!      implied) predicate answers a γ-node by a scan when the group keys
-//!      are equal, and by re-aggregation ([`AggExpr::rolled_up`]: SUM→SUM,
-//!      COUNT→SUM of counts, MIN/MAX) when the node groups on a subset of
-//!      them.
+//!    * A **γ-view** over relations `S` ⊆ the node's answers a γ-node when
+//!      the node's join pairs inside `S` equal the view's, its conjuncts
+//!      over `S` and the view's predicate imply each other, and its group
+//!      keys, crossing join pairs and conjuncts above `S` read from `S` only
+//!      the view's group keys. Over the same relations and keys the view
+//!      is scanned; otherwise the node becomes
+//!      `γ[keys; rolled up](σ(scan V ⋈ uncovered relations))`, each
+//!      aggregate re-aggregated by [`AggExpr::rolled_up`] (SUM→SUM,
+//!      COUNT→SUM of counts, MIN/MAX; AVG refuses) — eager aggregation.
+//!      Members of one view group carry the same keys, so they meet the
+//!      same rows of the uncovered relations, and summing the groups'
+//!      partials over those matches sums the rows'.
 //!    * Otherwise **SPJ views** cover disjoint subsets `S` of the node's
 //!      relations: the node's join pairs inside `S` equal the view's, its
 //!      conjuncts local to `S` imply the view's predicate
@@ -287,17 +294,19 @@ pub enum MissReason {
     /// imply the view's predicate — or, for an aggregated view, the view's
     /// do not imply the node's: its groups hold rows the node filters out.
     PredicateNotImplied,
-    /// The node uses this attribute above the view, which does not store it.
+    /// The node uses this attribute above the view, which does not store it
+    /// (for an aggregated view: does not group by it).
     AttributeNotKept(AttrRef),
     /// The node joins the view's relations on other pairs than the view.
     JoinMismatch,
     /// The view stores the aggregate under another alias than the node asks.
     AliasMismatch(AttrRef),
     /// A roll-up needs this aggregate, which cannot be derived from the
-    /// view's groups (`AVG`, or an aggregate the view does not store).
+    /// view's groups (`AVG`, an aggregate the view does not store, or one
+    /// over a relation the view does not read).
     NotDecomposable(AttrRef),
-    /// The view is aggregated and the node is not an aggregation over the
-    /// same relations.
+    /// The view is aggregated and the node is not: rows cannot be recovered
+    /// from groups.
     AggregatedView,
     /// An exact hit whose stored column order differs from the node's, with
     /// no attribute list to reorder by and no π/γ above to restore it.
@@ -321,7 +330,7 @@ impl fmt::Display for MissReason {
                 write!(f, "{a} cannot be derived from the view's groups")
             }
             MissReason::AggregatedView => {
-                f.write_str("the view is aggregated over other relations or the query is not")
+                f.write_str("the view is aggregated and the query is not")
             }
             MissReason::ColumnOrder => f.write_str("stored column order differs"),
         }
@@ -598,7 +607,8 @@ impl ViewCatalog {
         let mut covers = Vec::new();
         for &(v, core) in &candidates {
             if core.aggregate.is_some() {
-                match self.groups_answer(&node, v, core) {
+                let stored = listed(&self.sigs[v].columns).expect("a γ-view lists its output");
+                match groups_answer(&node, core, &stored, self.scan(v)) {
                     Ok((plan, reaggregated)) => {
                         trace.hit(|| Decision::Compensated {
                             view: self.name(v).clone(),
@@ -643,7 +653,7 @@ impl ViewCatalog {
         if parts.is_empty() {
             return None;
         }
-        Some(assemble(&node, parts))
+        Some(assemble(&node, parts, None))
     }
 
     /// Whether SPJ view `v` answers the node's relations `S = core.relations`;
@@ -689,70 +699,114 @@ impl ViewCatalog {
             None => Ok(Predicate::and(local.into_iter().cloned())),
         }
     }
+}
 
-    /// Whether γ-view `v` answers the γ-node: by a scan (same group keys) or
-    /// by rolling its groups up (a subset of them). Returns the plan and
-    /// whether it re-aggregates.
-    fn groups_answer(
-        &self,
-        node: &Core,
-        v: usize,
-        core: &Core,
-    ) -> Result<(Arc<Expr>, bool), MissReason> {
-        let (Some((keys, aggs)), Some((view_keys, view_aggs))) = (&node.aggregate, &core.aggregate)
-        else {
-            return Err(MissReason::AggregatedView);
-        };
-        if core.relations != node.relations {
-            return Err(MissReason::AggregatedView);
+/// The plan answering the γ-node `expr` from the γ-view `view`, read through
+/// `scan`: the rule [`ViewCatalog::route`] applies to a registered γ-view,
+/// for a view that is not stored yet (the designer's roll-up candidates,
+/// which it reads through their own definition).
+pub(crate) fn answer_from_groups(
+    expr: &Arc<Expr>,
+    view: &Arc<Expr>,
+    scan: Arc<Expr>,
+) -> Result<Arc<Expr>, MissReason> {
+    let node = Core::of(expr)?;
+    let core = Core::of(view)?;
+    if !core.relations.iter().all(|r| node.relations.contains(r)) {
+        return Err(MissReason::NoCandidate);
+    }
+    let mut stored = Vec::new();
+    columns(view, &mut stored);
+    let stored = listed(&stored).ok_or(MissReason::OutputUnknown)?;
+    groups_answer(&node, &core, &stored, scan).map(|(plan, _)| plan)
+}
+
+/// Whether the γ-view with normal form `core` over relations `S` (a subset
+/// of the node's), storing the columns `stored` and read through `scan`,
+/// answers the γ-node: by the scan itself when `S` is all of the node's
+/// relations and the group keys are equal, otherwise by rolling its groups
+/// up ([`AggExpr::rolled_up`]), joined first to the relations it does not
+/// cover (eager aggregation). Returns the plan and whether it
+/// re-aggregates.
+///
+/// Every member of a view group carries the same group keys. When every
+/// crossing join pair and every conjunct above `S` reads only keys from `S`,
+/// all members of a group therefore meet the same rows of the other
+/// relations: a SUM or COUNT over the (row, other rows) pairs is the sum of
+/// the stored partials over the (group, other rows) pairs, and MIN/MAX do
+/// not see duplicates. No uniqueness of the other side's join key is
+/// needed. The view's groups cannot be filtered below their keys, so the
+/// node's conjuncts over `S` must select exactly the view's rows.
+fn groups_answer(
+    node: &Core,
+    core: &Core,
+    stored: &[AttrRef],
+    scan: Arc<Expr>,
+) -> Result<(Arc<Expr>, bool), MissReason> {
+    let (Some((keys, aggs)), Some((view_keys, view_aggs))) = (&node.aggregate, &core.aggregate)
+    else {
+        return Err(MissReason::AggregatedView);
+    };
+    let inside = |(a, b): &&(AttrRef, AttrRef)| core.reads(a) && core.reads(b);
+    if !node.pairs.iter().filter(inside).eq(core.pairs.iter()) {
+        return Err(MissReason::JoinMismatch);
+    }
+    let (local, above): (Vec<&Predicate>, Vec<&Predicate>) = node
+        .predicate
+        .conjuncts()
+        .iter()
+        .partition(|c| c.attrs().iter().all(|a| core.reads(a)));
+    let local = Predicate::and(local.into_iter().cloned());
+    if !(local.implies(&core.predicate) && core.predicate.implies(&local)) {
+        return Err(MissReason::PredicateNotImplied);
+    }
+    // What the node reads from `S` above the view: its group keys and what
+    // the crossing pairs and the conjuncts above `S` compare.
+    let crossing = node.pairs.iter().filter(|p| !inside(p));
+    let read_above = keys
+        .iter()
+        .chain(crossing.flat_map(|(a, b)| [a, b]))
+        .chain(above.iter().flat_map(|c| c.attrs()));
+    if let Some(lost) = read_above
+        .filter(|a| core.reads(a))
+        .find(|a| !(view_keys.contains(a) && stored.contains(a)))
+    {
+        return Err(MissReason::AttributeNotKept(lost.clone()));
+    }
+    let roll_up = core.relations != node.relations || !view_keys.iter().all(|k| keys.contains(k));
+    let mut rolled = Vec::new();
+    for agg in aggs {
+        let out = agg.output_attr();
+        let same_source = |s: &&AggExpr| s.func == agg.func && s.input == agg.input;
+        let re_agg = agg.rolled_up();
+        if roll_up && re_agg.is_none() {
+            return Err(MissReason::NotDecomposable(out));
         }
-        if core.pairs != node.pairs {
-            return Err(MissReason::JoinMismatch);
+        if !view_aggs.contains(agg) {
+            return Err(match view_aggs.iter().find(same_source) {
+                Some(_) => MissReason::AliasMismatch(out),
+                None if roll_up => MissReason::NotDecomposable(out),
+                None => MissReason::AttributeNotKept(out),
+            });
         }
-        if !(node.predicate.implies(&core.predicate) && core.predicate.implies(&node.predicate)) {
-            return Err(MissReason::PredicateNotImplied);
+        if !stored.contains(&out) {
+            return Err(MissReason::AttributeNotKept(out));
         }
-        let stored = listed(&self.sigs[v].columns).expect("a γ-view lists its output");
-        if let Some(lost) = keys
-            .iter()
-            .find(|k| !(view_keys.contains(k) && stored.contains(k)))
-        {
-            return Err(MissReason::AttributeNotKept(lost.clone()));
-        }
-        let roll_up = !view_keys.iter().all(|k| keys.contains(k));
-        let mut rolled = Vec::new();
-        for agg in aggs {
-            let out = agg.output_attr();
-            let same_source = |s: &&AggExpr| s.func == agg.func && s.input == agg.input;
-            let re_agg = agg.rolled_up();
-            if roll_up && re_agg.is_none() {
-                return Err(MissReason::NotDecomposable(out));
-            }
-            if !view_aggs.contains(agg) {
-                return Err(match view_aggs.iter().find(same_source) {
-                    Some(_) => MissReason::AliasMismatch(out),
-                    None if roll_up => MissReason::NotDecomposable(out),
-                    None => MissReason::AttributeNotKept(out),
-                });
-            }
-            if !stored.contains(&out) {
-                return Err(MissReason::AttributeNotKept(out));
-            }
-            rolled.extend(re_agg);
-        }
-        let scan = self.scan(v);
-        let (plan, have) = if roll_up {
-            let plan = Expr::aggregate(scan, keys.clone(), rolled);
-            (plan, gamma_output(keys, aggs))
-        } else {
-            (scan, stored)
-        };
+        rolled.extend(re_agg);
+    }
+    if !roll_up {
         let want = match &node.projection {
             Some(attrs) => attrs.clone(),
             None => gamma_output(keys, aggs),
         };
-        Ok((project_unless(plan, want, Some(&have)), roll_up))
+        return Ok((project_unless(scan, want, Some(stored)), false));
     }
+    let view = Part {
+        plan: scan,
+        relations: core.relations.clone(),
+        stored: None,
+    };
+    Ok((assemble(node, vec![view], Some(rolled)), true))
 }
 
 /// Whether the node's output attribute list can be read off the expression.
@@ -783,9 +837,10 @@ impl Part {
 }
 
 /// Joins the covers (given, widest first) to the node's uncovered relations
-/// and re-applies what the node does above its join tree. The first cover
-/// stays leftmost: the hash join builds on its right input.
-fn assemble(node: &Core, mut parts: Vec<Part>) -> Arc<Expr> {
+/// and re-applies what the node does above its join tree: its own
+/// aggregates, or `rolled` when the covers store partial ones. The first
+/// cover stays leftmost: the hash join builds on its right input.
+fn assemble(node: &Core, mut parts: Vec<Part>, rolled: Option<Vec<AggExpr>>) -> Arc<Expr> {
     let covered = parts.len();
     for r in &node.relations {
         if parts.iter().all(|p| !p.relations.contains(r)) {
@@ -834,11 +889,12 @@ fn assemble(node: &Core, mut parts: Vec<Part>) -> Arc<Expr> {
     let core = Expr::select(joined.plan, Predicate::and(spanning));
     match &node.aggregate {
         Some((keys, aggs)) => {
-            let plan = Expr::aggregate(core, keys.clone(), aggs.clone());
-            match &node.projection {
-                Some(attrs) => Expr::project(plan, attrs.clone()),
-                None => plan,
-            }
+            let plan = Expr::aggregate(core, keys.clone(), rolled.unwrap_or_else(|| aggs.clone()));
+            let want = match &node.projection {
+                Some(attrs) => attrs.clone(),
+                None => return plan,
+            };
+            project_unless(plan, want, Some(&gamma_output(keys, aggs)))
         }
         None => {
             let want = node.projection.clone().expect("a π-node lists its output");

@@ -239,4 +239,71 @@ mod tests {
             .count();
         assert!(shared >= 1, "no shared joins in the TPC-H-lite MVPP");
     }
+
+    /// The γ-nodes of `workload`'s first MVPP that are no query's root.
+    fn roll_ups(catalog: &Catalog, workload: &Workload) -> Vec<String> {
+        use mvdesign_cost::{CostEstimator, EstimationMode, PaperCostModel};
+        use mvdesign_optimizer::Planner;
+
+        let est = CostEstimator::new(catalog, EstimationMode::Analytic, PaperCostModel::default());
+        let mvpp = &mvdesign_core::generate_mvpps(
+            workload,
+            &est,
+            &Planner::new(),
+            mvdesign_core::GenerateConfig { max_rotations: 1 },
+        )[0];
+        mvpp.interior()
+            .into_iter()
+            .filter(|&id| {
+                matches!(
+                    &**mvpp.node(id).expr(),
+                    mvdesign_algebra::Expr::Aggregate { .. }
+                ) && mvpp.roots().iter().all(|(_, _, root)| *root != id)
+            })
+            .map(|id| {
+                let node = mvpp.node(id);
+                let readers: Vec<&str> = mvpp
+                    .queries_using(id)
+                    .into_iter()
+                    .map(|q| mvpp.roots()[q].0.as_str())
+                    .collect();
+                format!("{} read by {readers:?}", node.expr().op_label())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_revenue_queries_read_one_roll_up_candidate() {
+        let s = tpch_lite();
+        assert_eq!(
+            roll_ups(&s.catalog, &s.workload),
+            [
+                "γ[Customer.segment,Customer.nk; SUM(Lineitem.price) AS revenue] \
+                 read by [\"revenue_by_segment\", \"revenue_by_nation\"]"
+            ]
+        );
+    }
+
+    #[test]
+    fn an_average_is_not_rolled_up() {
+        let s = tpch_lite();
+        let queries = s.workload.queries().iter().map(|q| match q.name() {
+            "revenue_by_nation" => Query::new(
+                q.name(),
+                q.frequency(),
+                parse_query_with(
+                    "SELECT Nation.name, AVG(price) AS revenue \
+                     FROM Nation, Customer, Orders, Lineitem \
+                     WHERE Customer.nk = Nation.nk AND Orders.ck = Customer.ck \
+                     AND Lineitem.ok = Orders.ok GROUP BY Nation.name",
+                    &s.catalog,
+                )
+                .expect("parses"),
+            ),
+            _ => q.clone(),
+        });
+        let workload = Workload::new(queries).expect("valid workload");
+        // One γ root is left over the join: no roll-up is worth adding.
+        assert!(roll_ups(&s.catalog, &workload).is_empty());
+    }
 }

@@ -48,11 +48,14 @@ MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign-serve --test serve
 
 # 256 bytes spills every keyed operator and no budget spills none; 64 KiB is
 # the mixed regime the state-sized spill rule creates, where some operators
-# spill and others do not (the held-bytes oracle checks both kinds).
+# spill and others do not (the held-bytes oracle checks both kinds). The
+# routed γ-over-join plans of roll-up views run there too.
 echo "== tier-1: mixed-spill batteries (64 KiB operator budget) =="
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_batch
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_paged
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_delta
+MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test view_rewrite
+MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test result_cache
 
 # benchmark/ is a package outside the workspace: nothing above compiles it,
 # so an API change could break it with every other step green. Its smoke

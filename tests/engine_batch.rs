@@ -27,12 +27,12 @@ use mvdesign::algebra::{
     AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate, Value,
 };
 use mvdesign::catalog::{AttrType, Catalog};
+use mvdesign::core::ViewCatalog;
 use mvdesign::engine::{
-    execute, measure, selection_mask, Batch, BufferPool, Column, Database, ExecContext, ExecError,
-    Generator, GeneratorConfig, IoReport, OpCharge, Table,
+    execute, materialize_view, measure, selection_mask, Batch, BufferPool, Column, Database,
+    ExecContext, ExecError, Generator, GeneratorConfig, IoReport, OpCharge, Table,
 };
 use mvdesign::prelude::Designer;
-use mvdesign::warehouse::Warehouse;
 use mvdesign::workload::tpch_lite;
 use mvdesign_verify::row_reference;
 
@@ -972,34 +972,59 @@ fn hash_join_chain_order_and_empty_sides_match_the_row_reference() {
 }
 
 /// The motivating plan's regression pin: TPC-H-lite at the benchmark's scale
-/// 0.02, the greedy design, and `revenue_by_nation` routed to
-/// `γ(tmp5 ⋈ Nation)`. Nation's one row is a unique key in a compact range,
-/// so the join's chain table takes direct heads — the key's slot and the
-/// sentinel — and probes the 120 531 rows of `tmp5` without a branch on
-/// whether each matches. At every battery budget the join holds that
-/// table and does not spill, the modelled charges are the ones a map-headed
-/// table gave, and the answer is the row reference's, row for row.
+/// 0.02, the join `tmp5` = Customer ⋈ Orders ⋈ Lineitem of the greedy
+/// design's MVPP stored on its own (the design stores the roll-up candidate
+/// over it instead), and `revenue_by_nation` routed to `γ(tmp5 ⋈ Nation)`.
+/// Nation's one row is a unique key in a compact range, so the join's chain
+/// table takes direct heads — the key's slot and the sentinel — and probes
+/// the 120 531 rows of `tmp5` without a branch on whether each matches. At
+/// every battery budget the join holds that table and does not spill, the
+/// modelled charges are the ones a map-headed table gave, and the answer is
+/// the row reference's, row for row.
 #[test]
 fn revenue_by_nation_joins_through_direct_heads_at_every_budget() {
     let scenario = tpch_lite();
     let design = Designer::new()
         .design(&scenario.catalog, &scenario.workload)
         .expect("tpch-lite designs");
-    let base = Generator::with_config(GeneratorConfig {
+    let mvpp = design.mvpp.mvpp();
+    let tmp5 = mvpp
+        .nodes()
+        .iter()
+        .find(|n| n.label() == "tmp5")
+        .expect("the MVPP has a tmp5");
+    assert!(
+        matches!(&**tmp5.expr(), Expr::Join { .. }),
+        "{}",
+        tmp5.expr()
+    );
+    assert_eq!(
+        tmp5.expr().base_relations(),
+        ["Customer", "Orders", "Lineitem"].map(Into::into).into()
+    );
+    let mut db = Generator::with_config(GeneratorConfig {
         seed: 0x5eed,
         scale: 0.02,
         max_rows: usize::MAX,
     })
     .database(&scenario.catalog);
-    let warehouse = Warehouse::new(scenario.catalog.clone(), base, &design).expect("builds");
+    let ctx = ExecContext::default();
+    materialize_view("tmp5", tmp5.expr(), &mut db, &ctx).expect("tmp5 materializes");
+    assert_eq!(db.table("tmp5").expect("stored").len(), 120_531);
+    let mut views = ViewCatalog::new();
+    views.register("tmp5", Arc::clone(tmp5.expr()));
     let class = scenario
         .workload
         .queries()
         .iter()
         .find(|q| q.name() == "revenue_by_nation")
         .expect("a workload class");
-    let plan = warehouse.views().route(class.root()).plan;
-    let db = warehouse.database();
+    let plan = views.route(class.root()).plan;
+    assert_eq!(
+        plan.to_string(),
+        "γ[Nation.name; SUM(Lineitem.price) AS revenue]((tmp5 ⋈[Customer.nk=Nation.nk] Nation))"
+    );
+    let db = &db;
     let reference = row_reference::execute(&plan, db).expect("row reference executes");
     // Two head slots, one chain link and one build row (a map-headed table
     // held 63 bytes).

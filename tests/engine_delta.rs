@@ -24,10 +24,13 @@ use mvdesign::algebra::{
     AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate, RelName, Value,
 };
 use mvdesign::catalog::{AttrType, Catalog};
+use mvdesign::core::ViewCatalog;
 use mvdesign::engine::{
     execute, refresh_view_delta, split_appends, Batch, BufferPool, Database, DeltaMap, ExecContext,
     Generator, GeneratorConfig, Table,
 };
+use mvdesign::prelude::Designer;
+use mvdesign::workload::tpch_lite;
 
 /// A three-relation catalog with an integer join key, an integer payload
 /// and a low-cardinality text attribute per relation — the same plan space
@@ -401,6 +404,66 @@ proptest! {
             None => prop_assert!(reaches, "a consistent delete delta must fold: {:?}", spec),
         }
     }
+}
+
+/// The roll-up candidate of the greedy TPC-H-lite design — `γ[segment, nk;
+/// SUM(price)]` over Customer ⋈ Orders ⋈ Lineitem — under chained rounds
+/// that append to both `Lineitem` and `Orders`, so the delta runs through
+/// two sides of the three-way join: every round folds, and the fold is its
+/// recomputation row for row, at the `MVDESIGN_MEM_BUDGET` operator budget
+/// when set. `check_delta_refresh` then runs the whole design's views.
+#[test]
+fn tpch_lite_roll_up_candidate_folds_appends_to_lineitem_and_orders() {
+    let scenario = tpch_lite();
+    let design = Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("tpch-lite designs");
+    let views = ViewCatalog::from_design(&design);
+    let mvpp = design.mvpp.mvpp();
+    let candidate = design
+        .materialized
+        .iter()
+        .map(|&id| mvpp.node(id).expr())
+        .find(|e| {
+            matches!(&***e, Expr::Aggregate { input, .. } if matches!(&**input, Expr::Join { .. }))
+                && e.base_relations().len() == 3
+        })
+        .expect("the design stores the roll-up candidate");
+    let generator = GeneratorConfig {
+        seed: 31,
+        scale: 0.0002,
+        max_rows: 300,
+    };
+    let mut db = Generator::with_config(generator).database(&scenario.catalog);
+    let recompute = ExecContext::default();
+    let ctx = ExecContext {
+        mem_budget: budget_override(),
+    };
+    let mut stored = execute(candidate, &db, &recompute).expect("candidate builds");
+    assert!(!stored.is_empty());
+    for round in 0..3u64 {
+        let twin = Generator::with_config(GeneratorConfig {
+            seed: generator.seed + 1 + round,
+            ..generator
+        })
+        .database(&scenario.catalog);
+        let snapshot = db.iter().map(|(n, t)| (n.clone(), t.len())).collect();
+        for name in ["Lineitem", "Orders"] {
+            let rows = twin.table(name).expect("twin relation").rows();
+            let rows = rows[..rows.len() / 2].to_vec();
+            db.table_mut(name).expect("base table").extend_rows(rows);
+        }
+        let (old, deltas) = split_appends(&db, &snapshot);
+        assert_eq!(deltas.len(), 2, "round {round}");
+        let folded = refresh_view_delta(&stored, candidate, &old, &deltas, &ctx)
+            .expect("delta refresh runs")
+            .expect("an insert-only SUM roll-up folds");
+        let recomputed = execute(candidate, &db, &recompute).expect("recompute runs");
+        assert_eq!(folded.rows(), recomputed.rows(), "round {round}");
+        stored = folded;
+    }
+    mvdesign_verify::check_delta_refresh(&scenario.catalog, &views, generator, 4)
+        .assert_clean("tpch-lite greedy design");
 }
 
 /// Deterministic spot check: an insert-only delta through a two-way join

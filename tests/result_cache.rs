@@ -120,7 +120,8 @@ fn paper() -> &'static Pool {
 }
 
 /// A few hundred rows per relation, at a scale where the foreign keys
-/// still meet (TPC-H-lite's `tmp5` join keeps nearly every `Lineitem` row).
+/// still meet (TPC-H-lite's Customer ⋈ Orders ⋈ Lineitem join, which its roll-up
+/// candidate aggregates, keeps nearly every `Lineitem` row).
 const SMALL: (f64, usize) = (0.0002, 300);
 
 fn data(catalog: &Catalog, seed: u64, (scale, max_rows): (f64, usize)) -> Database {
@@ -414,14 +415,14 @@ fn a_miss_executes_once_and_a_hit_not_at_all() {
 fn an_append_invalidates_exactly_the_plans_that_read_the_relation() {
     let pool = tpch();
     let mut w = resident(pool, 7, SMALL);
-    let segment = ask_named(pool, "revenue_by_segment"); // γ(tmp5)
-    let nation = ask_named(pool, "revenue_by_nation"); // γ(tmp5 ⋈ Nation)
+    let segment = ask_named(pool, "revenue_by_segment"); // γ(candidate)
+    let nation = ask_named(pool, "revenue_by_nation"); // γ(candidate ⋈ Nation)
     for ask in [&segment, &nation] {
         ask_warehouse(&w, ask);
     }
 
-    // Lineitem feeds tmp5, but the stored tmp5 does not change until the
-    // refresh: both entries keep hitting, and are exactly as stale as
+    // Lineitem feeds the roll-up candidate, but the stored candidate does
+    // not change until the refresh: both entries keep hitting, and are exactly as stale as
     // running the plan would be.
     w.append("Lineitem", twin_rows(&pool.catalog, "Lineitem", 7, 5))
         .expect("append applies");
@@ -440,8 +441,8 @@ fn an_append_invalidates_exactly_the_plans_that_read_the_relation() {
     check_warehouse(&w, &nation, "reads Nation directly");
     assert_eq!(delta(w.result_cache_stats(), before), (1, 1, 1));
 
-    // The refresh folds Lineitem's rows into tmp5: both miss once, as
-    // stale entries, then hit again.
+    // The refresh folds Lineitem's rows into the candidate's groups: both
+    // miss once, as stale entries, then hit again.
     let report = w.refresh().expect("refresh applies");
     assert!(report.folded + report.recomputed > 0);
     let before = w.result_cache_stats();
@@ -461,7 +462,7 @@ fn a_refresh_that_skips_a_view_keeps_its_entries() {
     let mut w = resident(pool, 9, SMALL);
     let segment = ask_named(pool, "revenue_by_segment");
     ask_warehouse(&w, &segment);
-    // Supplier feeds neither tmp5 nor anything the segment plan reads.
+    // Supplier feeds nothing the segment plan reads.
     w.append("Supplier", twin_rows(&pool.catalog, "Supplier", 9, 2))
         .expect("append applies");
     let report = w.refresh().expect("refresh applies");

@@ -23,7 +23,9 @@ use mvdesign::algebra::{
     Value,
 };
 use mvdesign::catalog::{AttrType, Catalog};
-use mvdesign::core::{Decision, DesignResult, MissReason, Routed, ViewCatalog, Workload};
+use mvdesign::core::{
+    Decision, DesignResult, MissReason, Mvpp, NodeId, Routed, ViewCatalog, Workload,
+};
 use mvdesign::engine::{
     execute, materialize_view, measure, BufferPool, Database, ExecContext, Generator,
     GeneratorConfig, Table,
@@ -565,6 +567,133 @@ fn the_remaining_refusals_say_why() {
 }
 
 // ---------------------------------------------------------------------------
+// Eager aggregation: a γ-view over part of the node's relations
+// ---------------------------------------------------------------------------
+
+/// The shape of TPC-H-lite's roll-up candidate, with every aggregate kind
+/// that rolls up: revenue per segment and customer nation over the order
+/// join.
+const SEGMENT_NATION_VIEW: &str = "SELECT segment, Customer.nk, SUM(price) AS revenue, \
+     COUNT(*) AS n, MIN(price) AS lo, MAX(price) AS hi \
+     FROM Customer, Orders, Lineitem \
+     WHERE Orders.ck = Customer.ck AND Lineitem.ok = Orders.ok \
+     GROUP BY Customer.segment, Customer.nk";
+
+/// `select` and `filter` spliced into a query over the candidate's relations
+/// joined to Nation.
+fn by_nation(select: &str, filter: &str) -> Arc<Expr> {
+    sql(&format!(
+        "SELECT {select} FROM Nation, Customer, Orders, Lineitem \
+         WHERE Customer.nk = Nation.nk AND Orders.ck = Customer.ck \
+         AND Lineitem.ok = Orders.ok {filter} GROUP BY Nation.name"
+    ))
+}
+
+fn rolled_up_from(view: &str) -> Vec<Decision> {
+    vec![Decision::Compensated {
+        view: view.into(),
+        residual: Predicate::True,
+        reaggregated: true,
+    }]
+}
+
+#[test]
+fn a_dimension_joined_above_a_view_reads_its_groups() {
+    let views = catalog_of(&[("v", SEGMENT_NATION_VIEW)]);
+    let query = by_nation(
+        "Nation.name, MAX(price) AS hi, SUM(price) AS revenue, COUNT(*) AS n, MIN(price) AS lo",
+        "",
+    );
+    let base = small_db(&tpch_catalog(), 5);
+    assert!(!reference(&query, &base).rows().is_empty());
+    let routed = route_over_tpch(&views, &query);
+    assert_eq!(routed.decisions, rolled_up_from("v"));
+    assert_eq!(
+        routed.plan.to_string(),
+        "γ[Nation.name; MAX(#agg.hi) AS hi,SUM(#agg.revenue) AS revenue,\
+         SUM(#agg.n) AS n,MIN(#agg.lo) AS lo]((v ⋈[Customer.nk=Nation.nk] Nation))"
+    );
+}
+
+#[test]
+fn a_residual_selection_on_the_dimension_stays_on_the_dimension() {
+    let views = catalog_of(&[("v", SEGMENT_NATION_VIEW)]);
+    let routed = route_over_tpch(
+        &views,
+        &by_nation(
+            "Nation.name, COUNT(*) AS n",
+            "AND Nation.name <> 'v3' AND (Nation.name = 'v0' OR segment = 'v1')",
+        ),
+    );
+    assert_eq!(routed.decisions, rolled_up_from("v"));
+    assert_eq!(
+        routed.plan.to_string(),
+        "γ[Nation.name; SUM(#agg.n) AS n]\
+         (σ[(Customer.segment='v1' ∨ Nation.name='v0')]\
+         ((v ⋈[Customer.nk=Nation.nk] σ[Nation.name<>'v3'](Nation))))"
+    );
+}
+
+#[test]
+fn eager_aggregation_refusals_say_why() {
+    let views = catalog_of(&[("v", SEGMENT_NATION_VIEW)]);
+    let refused = |query: Arc<Expr>, reason: MissReason| {
+        let routed = route_over_tpch(&views, &query);
+        assert_eq!(routed.decisions, [miss(Some("v"), reason)], "{query}");
+        assert!(Arc::ptr_eq(&routed.plan, &query));
+    };
+    // AVG is stored finalized: it does not roll up over the joined groups.
+    let avg = catalog_of(&[(
+        "v",
+        "SELECT Customer.nk, AVG(price) AS m FROM Customer, Orders, Lineitem \
+         WHERE Orders.ck = Customer.ck AND Lineitem.ok = Orders.ok GROUP BY Customer.nk",
+    )]);
+    let query = by_nation("Nation.name, AVG(price) AS m", "");
+    let routed = route_over_tpch(&avg, &query);
+    assert_eq!(
+        routed.decisions,
+        [miss(
+            Some("v"),
+            MissReason::NotDecomposable(AttrRef::new("#agg", "m"))
+        )]
+    );
+    // An aggregate over a relation the view does not cover.
+    refused(
+        by_nation("Nation.name, MAX(Nation.rk) AS hi", ""),
+        MissReason::NotDecomposable(AttrRef::new("#agg", "hi")),
+    );
+    // A crossing pair on an attribute the view does not group by.
+    let no_nk = catalog_of(&[(
+        "v",
+        "SELECT segment, SUM(price) AS revenue FROM Customer, Orders, Lineitem \
+         WHERE Orders.ck = Customer.ck AND Lineitem.ok = Orders.ok GROUP BY Customer.segment",
+    )]);
+    let query = by_nation("Nation.name, SUM(price) AS revenue", "");
+    let routed = route_over_tpch(&no_nk, &query);
+    assert_eq!(
+        routed.decisions,
+        [miss(
+            Some("v"),
+            MissReason::AttributeNotKept(AttrRef::new("Customer", "nk"))
+        )]
+    );
+    // A conjunct above the view on a column its groups do not keep …
+    refused(
+        by_nation(
+            "Nation.name, SUM(price) AS revenue",
+            "AND (Nation.name = 'v0' OR Orders.priority = 'v1')",
+        ),
+        MissReason::AttributeNotKept(AttrRef::new("Orders", "priority")),
+    );
+    // … and a narrower range over the view's own relations: its groups
+    // cannot be filtered below their keys.
+    refused(
+        by_nation("Nation.name, SUM(price) AS revenue", "AND Lineitem.qty > 3"),
+        MissReason::PredicateNotImplied,
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Pins: the two routings the benchmark depends on
 // ---------------------------------------------------------------------------
 
@@ -611,11 +740,38 @@ fn merged_plans_route_exactly_as_before_containment() {
     }
 }
 
+/// Whether `id` is a roll-up candidate: a γ-node that is no query's root.
+fn is_roll_up(mvpp: &Mvpp, id: NodeId) -> bool {
+    matches!(&**mvpp.node(id).expr(), Expr::Aggregate { .. })
+        && mvpp.roots().iter().all(|(_, _, root)| *root != id)
+}
+
+/// The labels of the roll-up candidates a design stores.
+fn roll_ups(design: &DesignResult) -> Vec<String> {
+    let mvpp = design.mvpp.mvpp();
+    design
+        .materialized
+        .iter()
+        .filter(|&&id| is_roll_up(mvpp, id))
+        .map(|&id| mvpp.node(id).label().to_string())
+        .collect()
+}
+
 #[test]
 fn raw_tpch_lite_queries_reach_the_views() {
     let scenario = tpch_lite();
     let design = design_of(&scenario);
     let views = ViewCatalog::from_design(&design);
+    // The greedy design stores the roll-up candidate over Customer ⋈ Orders
+    // ⋈ Lineitem and not the join itself.
+    let [candidate] = &roll_ups(&design)[..] else {
+        panic!("one roll-up candidate expected: {:?}", roll_ups(&design));
+    };
+    assert!(
+        !design.materialized_labels().contains(&"tmp5".to_string()),
+        "{:?}",
+        design.materialized_labels()
+    );
     let base = small_db(&scenario.catalog, 11);
     let (db, ctx) = serving(&base, &views);
     // The same answers through the warehouse's front door, paged when
@@ -623,20 +779,57 @@ fn raw_tpch_lite_queries_reach_the_views() {
     let warehouse = Warehouse::new(scenario.catalog.clone(), base.clone(), &design)
         .expect("warehouse builds")
         .with_mem_budget(mem_budget());
+    let mvpp = design.mvpp.mvpp();
     for q in scenario.workload.queries() {
         let routed = check_routed(q.root(), &views, &base, &db, &ctx);
         assert!(!scanned(&routed).is_empty(), "{} reaches no view", q.name());
         let plan = routed.plan.to_string();
         match q.name() {
-            "revenue_by_segment" => assert_eq!(
-                plan,
-                "γ[Customer.segment; SUM(Lineitem.price) AS revenue](tmp5)"
-            ),
-            "revenue_by_nation" => assert_eq!(
-                plan,
-                "γ[Nation.name; SUM(Lineitem.price) AS revenue]\
-                 ((tmp5 ⋈[Customer.nk=Nation.nk] Nation))"
-            ),
+            "revenue_by_segment" | "revenue_by_nation" => {
+                let want = if q.name() == "revenue_by_segment" {
+                    format!("γ[Customer.segment; SUM(#agg.revenue) AS revenue]({candidate})")
+                } else {
+                    format!(
+                        "γ[Nation.name; SUM(#agg.revenue) AS revenue]\
+                         (({candidate} ⋈[Customer.nk=Nation.nk] Nation))"
+                    )
+                };
+                assert_eq!(plan, want);
+                assert_eq!(
+                    routed.decisions,
+                    [Decision::Compensated {
+                        view: candidate.as_str().into(),
+                        residual: Predicate::True,
+                        reaggregated: true,
+                    }]
+                );
+                // The merged plan holds the candidate verbatim: an exact hit
+                // under the same roll-up, so both forms run one plan, which
+                // reads no relation the candidate covers.
+                let (_, _, root) = mvpp
+                    .roots()
+                    .iter()
+                    .find(|(name, _, _)| name == q.name())
+                    .expect("a merged root");
+                let merged = views.route(mvpp.node(*root).expr());
+                assert_eq!(merged.plan, routed.plan, "{}", q.name());
+                assert_eq!(
+                    merged.decisions,
+                    [Decision::Exact(candidate.as_str().into())]
+                );
+                let mut read = Vec::new();
+                mvdesign::algebra::postorder(&routed.plan, &mut |n| {
+                    if let Expr::Base(r) = &**n {
+                        read.push(r.to_string());
+                    }
+                });
+                assert!(
+                    read.iter()
+                        .all(|r| !["Customer", "Orders", "Lineitem"].contains(&r.as_str())),
+                    "{} reads {read:?}",
+                    q.name()
+                );
+            }
             _ => assert!(
                 matches!(&*routed.plan, Expr::Base(_)),
                 "{} should be a bare view scan, got {plan}",
@@ -989,8 +1182,10 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 }
 
 /// Builds the case's view set and queries, routes every query and checks
-/// it against the reference. Returns every decision taken.
-fn run_case(case: &Case) -> Vec<Decision> {
+/// it against the reference. Returns every decision taken and how many
+/// roll-up candidates (γ-nodes that are no query's root) the workload's
+/// MVPP holds.
+fn run_case(case: &Case) -> (Vec<Decision>, usize) {
     let catalog = tiny_catalog();
     let mut views = ViewCatalog::new();
     for (i, spec) in case.views.iter().enumerate() {
@@ -1006,6 +1201,7 @@ fn run_case(case: &Case) -> Vec<Decision> {
         .map(|(i, s)| Query::new(format!("w{i}"), (i + 1) as f64, build(s, &catalog)))
         .collect();
     queries.extend(workload.iter().map(|q| Arc::clone(q.root())));
+    let mut candidates = 0;
     if let Ok(design) = Workload::new(workload)
         .map_err(|e| e.to_string())
         .and_then(|w| {
@@ -1015,6 +1211,11 @@ fn run_case(case: &Case) -> Vec<Decision> {
         })
     {
         let mvpp = design.mvpp.mvpp();
+        candidates = mvpp
+            .interior()
+            .into_iter()
+            .filter(|&id| is_roll_up(mvpp, id))
+            .count();
         for (bit, id) in mvpp.interior().into_iter().enumerate() {
             if case.node_mask >> (bit % 32) & 1 == 1 {
                 let node = mvpp.node(id);
@@ -1035,10 +1236,11 @@ fn run_case(case: &Case) -> Vec<Decision> {
     })
     .database(&catalog);
     let (db, ctx) = serving(&base, &views);
-    queries
+    let decisions = queries
         .iter()
         .flat_map(|q| check_routed(q, &views, &base, &db, &ctx).decisions)
-        .collect()
+        .collect();
+    (decisions, candidates)
 }
 
 proptest! {
@@ -1060,9 +1262,12 @@ fn the_soundness_generator_reaches_every_kind_of_decision() {
     let mut rng = StdRng::seed_from_u64(18);
     let strategy = case_strategy();
     let (mut exact, mut residual, mut plain, mut rolled) = (0, 0, 0, 0);
+    let mut with_candidates = 0;
     let mut reasons: Vec<String> = Vec::new();
     for _ in 0..200 {
-        for decision in run_case(&strategy.sample(&mut rng)) {
+        let (decisions, candidates) = run_case(&strategy.sample(&mut rng));
+        with_candidates += usize::from(candidates > 0);
+        for decision in decisions {
             match decision {
                 Decision::Exact(_) => exact += 1,
                 Decision::Compensated {
@@ -1083,7 +1288,14 @@ fn the_soundness_generator_reaches_every_kind_of_decision() {
             }
         }
     }
-    eprintln!("exact {exact}, contained {plain}, with residual {residual}, rolled up {rolled}");
+    eprintln!(
+        "exact {exact}, contained {plain}, with residual {residual}, rolled up {rolled}; \
+         {with_candidates} designs with roll-up candidates"
+    );
+    assert!(
+        with_candidates > 20,
+        "{with_candidates} designs with roll-up candidates"
+    );
     assert!(
         exact > 20 && plain > 20 && residual > 20 && rolled > 5,
         "exact {exact}, contained {plain}, with residual {residual}, rolled up {rolled}"
