@@ -3,8 +3,9 @@
 //! queries such as query with aggregation functions").
 
 use std::fmt;
+use std::sync::OnceLock;
 
-use mvdesign_catalog::{AttrName, AttrRef};
+use mvdesign_catalog::{AttrName, AttrRef, RelName};
 use serde::{Deserialize, Serialize};
 
 /// The pseudo-relation qualifying aggregate output attributes.
@@ -82,7 +83,12 @@ impl AggExpr {
 
     /// The qualified output attribute (`#agg.alias`).
     pub fn output_attr(&self) -> AttrRef {
-        AttrRef::new(AGG_RELATION, self.alias.clone())
+        // One `#agg` name per process: every output attribute shares it.
+        static AGG: OnceLock<RelName> = OnceLock::new();
+        AttrRef {
+            relation: AGG.get_or_init(|| RelName::new(AGG_RELATION)).clone(),
+            attr: self.alias.clone(),
+        }
     }
 
     /// How a stored result of this aggregate re-aggregates: the aggregate

@@ -14,15 +14,30 @@
 //! distinct classes beneath it — the traversal order cost caches and other
 //! per-class analyses need.
 //!
+//! A node's class is found from its children's classes: the node's
+//! semantic hash comes from theirs (joins flatten through the leaf classes
+//! and merged condition of the join beneath), one hash-map probe finds the
+//! candidate classes, and only a candidate is compared against the node —
+//! by writing the node's predicate and attribute names into a comparison,
+//! never into a `String`. [`ExprArena::classify`] does this for every node
+//! of an expression in one children-first pass without interning anything,
+//! so a lookup that misses — what most nodes of a parsed query do — costs
+//! one probe and allocates nothing per node.
+//!
 //! The arena is an *internal currency*: expressions are still constructed
 //! through the public [`Arc<Expr>`] builders and the parser, and ids are
 //! only meaningful relative to the arena that issued them.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::expr::{hash_display, Expr, Fnv1a, JoinCondition};
+use mvdesign_catalog::{AttrRef, RelName};
+
+use crate::aggregate::AggExpr;
+use crate::expr::{hash_display, write_pairs, Expr, Fnv1a, JoinCondition};
+use crate::predicate::Predicate;
 
 /// A dense identifier for one semantic-equivalence class of expressions.
 ///
@@ -46,13 +61,15 @@ impl fmt::Display for ExprId {
     }
 }
 
-/// The exact class signature of one node, given interned children.
+/// The exact class signature of one interned class, given its children's
+/// classes.
 ///
 /// Two expressions have equal signatures exactly when their semantic keys
 /// are equal: the signature embeds the same display strings the key does,
 /// with subexpressions replaced by their (already unique) class ids and
 /// joins flattened to their sorted leaf-class multiset. Unlike a 64-bit
-/// hash, signature equality cannot collide.
+/// hash, signature equality cannot collide. Only interned classes carry
+/// one; a probe compares a [`Key`] against it in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Sig {
     /// `B(name)`.
@@ -65,6 +82,108 @@ enum Sig {
     Join(Vec<ExprId>, String),
     /// `G(input; sorted deduped groups; sorted aggregates)`.
     Aggregate(ExprId, Vec<String>, Vec<String>),
+}
+
+/// One node's signature in borrowed form, built from the node and its
+/// children's classes without allocating.
+#[derive(Clone, Copy)]
+enum Key<'k> {
+    Base(&'k RelName),
+    Select(ExprId, &'k Predicate),
+    Project(ExprId, &'k [AttrRef]),
+    /// Sorted flattened leaf classes; sorted, de-duplicated merged pairs.
+    Join(&'k [ExprId], &'k [&'k (AttrRef, AttrRef)]),
+    Aggregate(ExprId, &'k [AttrRef], &'k [AggExpr]),
+}
+
+impl Key<'_> {
+    /// The signature an interned class of this key stores.
+    fn sig(self) -> Sig {
+        fn sorted(items: impl Iterator<Item = String>, dedup: bool) -> Vec<String> {
+            let mut v: Vec<String> = items.collect();
+            v.sort();
+            if dedup {
+                v.dedup();
+            }
+            v
+        }
+        match self {
+            Key::Base(r) => Sig::Base(r.to_string()),
+            Key::Select(input, p) => Sig::Select(input, p.to_string()),
+            Key::Project(input, attrs) => {
+                Sig::Project(input, sorted(attrs.iter().map(|a| a.to_string()), true))
+            }
+            Key::Join(leaves, pairs) => {
+                let mut cond = String::new();
+                let _ = write_pairs(&mut cond, pairs);
+                Sig::Join(leaves.to_vec(), cond)
+            }
+            Key::Aggregate(input, groups, aggs) => Sig::Aggregate(
+                input,
+                sorted(groups.iter().map(|a| a.to_string()), true),
+                sorted(aggs.iter().map(|a| a.to_string()), false),
+            ),
+        }
+    }
+
+    /// Whether an interned class with signature `sig` is this key's class:
+    /// `self.sig() == *sig`, decided without building `self.sig()`.
+    fn is(self, sig: &Sig) -> bool {
+        match (self, sig) {
+            (Key::Base(r), Sig::Base(name)) => r.as_str() == name,
+            (Key::Select(input, p), Sig::Select(id, text)) => {
+                input == *id && writes(text, |w| write!(w, "{p}"))
+            }
+            (Key::Project(input, attrs), Sig::Project(id, names)) => {
+                input == *id && same_attr_set(attrs, names)
+            }
+            (Key::Join(leaves, pairs), Sig::Join(ids, cond)) => {
+                leaves == &ids[..] && writes(cond, |w| write_pairs(w, pairs))
+            }
+            (Key::Aggregate(input, groups, aggs), Sig::Aggregate(id, group_names, funcs)) => {
+                input == *id
+                    && same_attr_set(groups, group_names)
+                    // Equal multisets: as long, and each stored text shown
+                    // as often as it is stored.
+                    && aggs.len() == funcs.len()
+                    && funcs.iter().all(|f| {
+                        let shown = |a: &&AggExpr| writes(f, |w| write!(w, "{a}"));
+                        aggs.iter().filter(shown).count() == funcs.iter().filter(|g| *g == f).count()
+                    })
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Whether `attrs`, displayed, are exactly the sorted de-duplicated `names`.
+fn same_attr_set(attrs: &[AttrRef], names: &[String]) -> bool {
+    let shown = |a: &AttrRef, n: &String| writes(n, |w| write!(w, "{a}"));
+    attrs.iter().all(|a| names.iter().any(|n| shown(a, n)))
+        && names.iter().all(|n| attrs.iter().any(|a| shown(a, n)))
+}
+
+/// Whether `write` writes exactly `text`. The comparison stops at the first
+/// differing piece and allocates nothing.
+fn writes(text: &str, write: impl FnOnce(&mut SameText<'_>) -> fmt::Result) -> bool {
+    let mut w = SameText(text);
+    write(&mut w).is_ok() && w.0.is_empty()
+}
+
+/// A [`fmt::Write`] sink holding the text still expected; a piece that does
+/// not continue it is an error.
+struct SameText<'a>(&'a str);
+
+impl fmt::Write for SameText<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        match self.0.strip_prefix(s) {
+            Some(rest) => {
+                self.0 = rest;
+                Ok(())
+            }
+            None => Err(fmt::Error),
+        }
+    }
 }
 
 /// One interned equivalence class.
@@ -119,6 +238,75 @@ pub struct ExprArena {
     by_ptr: HashMap<usize, (Arc<Expr>, ExprId)>,
 }
 
+/// The class of every node of one expression, as
+/// [`ExprArena::classify`] found it: `None` where no class is interned.
+///
+/// Nodes are numbered in postorder — a node's children (left before right)
+/// before the node, the root last — so a router walking the expression top
+/// down finds each node's slot from its parent's ([`Classes::children`]),
+/// and the nodes strictly beneath a node are one contiguous run
+/// ([`Classes::below`]).
+#[derive(Debug, Clone, Default)]
+pub struct Classes {
+    slots: Vec<Slot>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    class: Option<ExprId>,
+    /// The first slot of the node's subtree.
+    first: u32,
+    /// Number of children.
+    arity: u8,
+}
+
+impl Classes {
+    /// The root's node number.
+    pub fn root(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// The class of node `node`, if interned.
+    pub fn class(&self, node: usize) -> Option<ExprId> {
+        self.slots[node].class
+    }
+
+    /// The node numbers of `node`'s children, left to right.
+    pub fn children(&self, node: usize) -> impl Iterator<Item = usize> {
+        let last = node.wrapping_sub(1);
+        let (first, count) = match self.slots[node].arity {
+            0 => (0, 0),
+            1 => (last, 1),
+            _ => (self.slots[last].first as usize - 1, 2),
+        };
+        [first, last].into_iter().skip(2 - count)
+    }
+
+    /// The classes of the nodes strictly beneath `node`.
+    pub fn below(&self, node: usize) -> impl Iterator<Item = Option<ExprId>> + '_ {
+        let first = self.slots[node].first as usize;
+        self.slots[first..node].iter().map(|s| s.class)
+    }
+}
+
+/// Scratch a classification pass reuses across nodes: join leaves and pairs
+/// flattened so far, and the child hashes a node sorts into its own.
+#[derive(Default)]
+struct Scratch<'e> {
+    leaves: Vec<ExprId>,
+    pairs: Vec<&'e (AttrRef, AttrRef)>,
+    hashes: Vec<u64>,
+}
+
+/// What a join above needs from one classified node.
+enum Seen {
+    /// A non-join node and its class.
+    Leaf(Option<ExprId>),
+    /// A join: where its flattened leaf classes and pairs sit in
+    /// [`Scratch`], or `None` when a leaf has no class.
+    Join(Option<(Range<usize>, Range<usize>)>),
+}
+
 impl ExprArena {
     /// An empty arena.
     pub fn new() -> Self {
@@ -166,80 +354,16 @@ impl ExprArena {
     /// Re-interning any expression with an equal semantic key — including
     /// structurally different members of the class — returns the same id.
     pub fn intern(&mut self, expr: &Arc<Expr>) -> ExprId {
-        let ptr = Arc::as_ptr(expr) as usize;
-        if let Some((_, id)) = self.by_ptr.get(&ptr) {
-            return *id;
+        if let Some(id) = self.known(expr) {
+            return id;
         }
-        let children: Vec<ExprId> = expr.children().iter().map(|c| self.intern(c)).collect();
-        let sig = self.signature(expr, &children);
-        let hash = self.hash_of(expr, &sig);
-        let id = match self.probe(hash, &sig) {
-            Some(id) => id,
-            None => self.insert(expr, children, sig, hash),
-        };
-        self.by_ptr.insert(ptr, (Arc::clone(expr), id));
-        id
-    }
-
-    /// The class of `expr` if one is interned, without modifying the arena.
-    pub fn lookup(&self, expr: &Arc<Expr>) -> Option<ExprId> {
-        let ptr = Arc::as_ptr(expr) as usize;
-        if let Some((_, id)) = self.by_ptr.get(&ptr) {
-            return Some(*id);
-        }
-        // If this expression's class were interned, every leaf class of its
-        // flattened form would be too (interning a member interns its whole
-        // subtree), so a missing child class decides the question.
-        let children: Vec<ExprId> = match &**expr {
-            Expr::Join { .. } => {
-                let mut leaves = Vec::new();
-                let mut cond = JoinCondition::cross();
-                flatten_expr(expr, &mut leaves, &mut cond);
-                leaves
-                    .iter()
-                    .map(|l| self.lookup(l))
-                    .collect::<Option<_>>()?
-            }
-            _ => expr
-                .children()
-                .iter()
-                .map(|c| self.lookup(c))
-                .collect::<Option<_>>()?,
-        };
-        let sig = match &**expr {
-            Expr::Join { .. } => {
-                // `children` already holds the flattened leaf classes; the
-                // merged condition still comes from the expression itself.
-                let mut raw = Vec::new();
-                let mut cond = JoinCondition::cross();
-                flatten_expr(expr, &mut raw, &mut cond);
-                let mut leaf_ids = children;
-                leaf_ids.sort_unstable();
-                Sig::Join(leaf_ids, cond.to_string())
-            }
-            _ => self.signature(expr, &children),
-        };
-        let hash = self.hash_of(expr, &sig);
-        self.probe(hash, &sig)
-    }
-
-    /// Builds the class signature of `expr` given its children's classes.
-    /// For joins, `children` are the direct children (flattening through
-    /// interned join classes happens here).
-    fn signature(&self, expr: &Arc<Expr>, children: &[ExprId]) -> Sig {
-        match &**expr {
-            Expr::Base(r) => Sig::Base(r.to_string()),
-            Expr::Select { predicate, .. } => Sig::Select(children[0], predicate.to_string()),
-            Expr::Project { attrs, .. } => {
-                let mut names: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
-                names.sort();
-                names.dedup();
-                Sig::Project(children[0], names)
-            }
+        let children: Vec<ExprId> = expr.child_iter().map(|c| self.intern(c)).collect();
+        let mut hashes = Vec::new();
+        let id = match &**expr {
             Expr::Join { on, .. } => {
                 let mut leaf_ids = Vec::new();
                 let mut cond = on.clone();
-                for child in children {
+                for child in &children {
                     match &self.entries[child.index()].join_flat {
                         Some(flat) => {
                             leaf_ids.extend_from_slice(&flat.leaf_ids);
@@ -249,104 +373,226 @@ impl ExprArena {
                     }
                 }
                 leaf_ids.sort_unstable();
-                Sig::Join(leaf_ids, cond.to_string())
+                let pairs: Vec<&(AttrRef, AttrRef)> = cond.pairs().iter().collect();
+                let key = Key::Join(&leaf_ids, &pairs);
+                match self.probe(key, &mut hashes) {
+                    Ok(id) => id,
+                    Err(hash) => {
+                        let sig = key.sig();
+                        drop(pairs);
+                        let flat = JoinFlat { leaf_ids, cond };
+                        self.insert(expr, children, sig, hash, Some(flat))
+                    }
+                }
             }
-            Expr::Aggregate { group_by, aggs, .. } => {
-                let mut groups: Vec<String> = group_by.iter().map(|a| a.to_string()).collect();
-                groups.sort();
-                groups.dedup();
-                let mut funcs: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
-                funcs.sort();
-                Sig::Aggregate(children[0], groups, funcs)
+            node => {
+                let key = match node {
+                    Expr::Base(r) => Key::Base(r),
+                    Expr::Select { predicate, .. } => Key::Select(children[0], predicate),
+                    Expr::Project { attrs, .. } => Key::Project(children[0], attrs),
+                    Expr::Aggregate { group_by, aggs, .. } => {
+                        Key::Aggregate(children[0], group_by, aggs)
+                    }
+                    Expr::Join { .. } => unreachable!("matched above"),
+                };
+                match self.probe(key, &mut hashes) {
+                    Ok(id) => id,
+                    Err(hash) => self.insert(expr, children, key.sig(), hash, None),
+                }
             }
+        };
+        self.by_ptr
+            .insert(Arc::as_ptr(expr) as usize, (Arc::clone(expr), id));
+        id
+    }
+
+    /// The class of `expr` if one is interned, without modifying the arena.
+    pub fn lookup(&self, expr: &Arc<Expr>) -> Option<ExprId> {
+        self.known(expr).or_else(|| {
+            let classes = self.classify(expr);
+            classes.class(classes.root())
+        })
+    }
+
+    /// The class of every node of `expr`, children first, without
+    /// interning anything (see [`Classes`]).
+    ///
+    /// If a node's class were interned, so would be every class of its
+    /// flattened form (interning a member interns its whole subtree), so a
+    /// child without a class decides its parent without a probe; any other
+    /// node costs one probe of the hash its children's hashes give, and
+    /// builds no string.
+    pub fn classify(&self, expr: &Arc<Expr>) -> Classes {
+        let mut classes = Classes {
+            slots: Vec::with_capacity(expr.node_count()),
+        };
+        self.classify_node(expr, &mut classes.slots, &mut Scratch::default());
+        classes
+    }
+
+    /// Classifies `expr`'s subtree into `slots`, children first, and says
+    /// what a join above needs to know about it.
+    fn classify_node<'e>(
+        &self,
+        expr: &'e Arc<Expr>,
+        slots: &mut Vec<Slot>,
+        scratch: &mut Scratch<'e>,
+    ) -> Seen {
+        let first = u32::try_from(slots.len()).expect("fewer than 2^32 nodes");
+        let known = self.known(expr);
+        let mut input = |input: &'e Arc<Expr>, scratch: &mut Scratch<'e>| {
+            self.classify_node(input, slots, scratch);
+            slots.last().and_then(|s| s.class)
+        };
+        let (class, arity, seen) = match &**expr {
+            Expr::Base(r) => {
+                let class = known.or_else(|| self.probe(Key::Base(r), &mut scratch.hashes).ok());
+                (class, 0, None)
+            }
+            Expr::Select {
+                input: i,
+                predicate,
+            } => {
+                let key = input(i, scratch).map(|i| Key::Select(i, predicate));
+                (self.class_of(known, key, scratch), 1, None)
+            }
+            Expr::Project { input: i, attrs } => {
+                let key = input(i, scratch).map(|i| Key::Project(i, attrs));
+                (self.class_of(known, key, scratch), 1, None)
+            }
+            Expr::Aggregate {
+                input: i,
+                group_by,
+                aggs,
+            } => {
+                let key = input(i, scratch).map(|i| Key::Aggregate(i, group_by, aggs));
+                (self.class_of(known, key, scratch), 1, None)
+            }
+            Expr::Join { left, right, on } => {
+                let sides = [
+                    self.classify_node(left, slots, scratch),
+                    self.classify_node(right, slots, scratch),
+                ];
+                let mut flat = flatten(&sides, on, scratch);
+                if let (Some((leaves, pairs)), None) = (&mut flat, known) {
+                    scratch.leaves[leaves.clone()].sort_unstable();
+                    pairs.end = pairs.start + sort_dedup(&mut scratch.pairs[pairs.clone()]);
+                    scratch.pairs.truncate(pairs.end);
+                }
+                let class = known.or_else(|| {
+                    let (leaves, pairs) = flat.clone()?;
+                    let Scratch {
+                        leaves: l,
+                        pairs: p,
+                        hashes,
+                    } = scratch;
+                    self.probe(Key::Join(&l[leaves], &p[pairs]), hashes).ok()
+                });
+                (class, 2, Some(flat))
+            }
+        };
+        slots.push(Slot {
+            class,
+            first,
+            arity,
+        });
+        match seen {
+            Some(flat) => Seen::Join(flat),
+            None => Seen::Leaf(class),
         }
     }
 
-    /// Computes [`Expr::semantic_hash`] from memoized child hashes —
-    /// bit-identical to the recursive version, without re-walking subtrees.
-    fn hash_of(&self, expr: &Arc<Expr>, sig: &Sig) -> u64 {
-        use std::fmt::Write as _;
-        let mut h = Fnv1a::new();
-        match (&**expr, sig) {
-            (Expr::Base(r), _) => {
-                h.byte(b'B');
-                let _ = write!(h, "{r}");
+    /// A non-join node's class: the pointer's, or the probed key's (no key
+    /// when a child has no class).
+    fn class_of(
+        &self,
+        known: Option<ExprId>,
+        key: Option<Key<'_>>,
+        scratch: &mut Scratch<'_>,
+    ) -> Option<ExprId> {
+        known.or_else(|| self.probe(key?, &mut scratch.hashes).ok())
+    }
+
+    /// The class interned for this very `Arc`, if any.
+    fn known(&self, expr: &Arc<Expr>) -> Option<ExprId> {
+        self.by_ptr
+            .get(&(Arc::as_ptr(expr) as usize))
+            .map(|(_, id)| *id)
+    }
+
+    /// The existing class of `key`, or the key's hash when there is none.
+    fn probe(&self, key: Key<'_>, hashes: &mut Vec<u64>) -> Result<ExprId, u64> {
+        let hash = self.hash_of(key, hashes);
+        self.by_hash
+            .get(&hash)
+            .and_then(|ids| {
+                ids.iter()
+                    .copied()
+                    .find(|id| key.is(&self.entries[id.index()].sig))
+            })
+            .ok_or(hash)
+    }
+
+    /// Computes [`Expr::semantic_hash`] of a node from its children's
+    /// memoized hashes — bit-identical to the recursive version, without
+    /// re-walking subtrees. `hashes` is scratch for sorting child hashes.
+    fn hash_of(&self, key: Key<'_>, hashes: &mut Vec<u64>) -> u64 {
+        let hash = |id: ExprId| self.entries[id.index()].hash;
+        let feed = |h: &mut Fnv1a, hashes: &mut Vec<u64>, dedup: bool| {
+            hashes.sort_unstable();
+            if dedup {
+                hashes.dedup();
             }
-            (Expr::Select { predicate, .. }, Sig::Select(input, _)) => {
+            for x in hashes.drain(..) {
+                h.u64(x);
+            }
+        };
+        let mut h = Fnv1a::new();
+        hashes.clear();
+        match key {
+            Key::Base(r) => {
+                h.byte(b'B');
+                let _ = h.write_str(r.as_str());
+            }
+            Key::Select(input, predicate) => {
                 h.byte(b'S');
-                h.u64(self.entries[input.index()].hash);
+                h.u64(hash(input));
                 let _ = write!(h, "{predicate}");
             }
-            (Expr::Project { attrs, .. }, Sig::Project(input, _)) => {
+            Key::Project(input, attrs) => {
                 h.byte(b'P');
-                h.u64(self.entries[input.index()].hash);
-                let mut names: Vec<u64> = attrs.iter().map(hash_display).collect();
-                names.sort_unstable();
-                names.dedup();
-                for x in names {
-                    h.u64(x);
-                }
+                h.u64(hash(input));
+                hashes.extend(attrs.iter().map(hash_display));
+                feed(&mut h, hashes, true);
             }
-            (Expr::Join { .. }, Sig::Join(leaf_ids, _)) => {
+            Key::Join(leaves, pairs) => {
                 h.byte(b'J');
-                let mut leaves: Vec<u64> = leaf_ids
-                    .iter()
-                    .map(|l| self.entries[l.index()].hash)
-                    .collect();
-                leaves.sort_unstable();
-                for x in leaves {
-                    h.u64(x);
-                }
-                // The merged condition, exactly as the signature carries it.
-                let Sig::Join(_, cond) = sig else {
-                    unreachable!()
-                };
-                let _ = write!(h, "{cond}");
+                hashes.extend(leaves.iter().map(|&l| hash(l)));
+                feed(&mut h, hashes, false);
+                let _ = write_pairs(&mut h, pairs);
             }
-            (Expr::Aggregate { group_by, aggs, .. }, Sig::Aggregate(input, ..)) => {
+            Key::Aggregate(input, groups, aggs) => {
                 h.byte(b'G');
-                h.u64(self.entries[input.index()].hash);
-                let mut groups: Vec<u64> = group_by.iter().map(hash_display).collect();
-                groups.sort_unstable();
-                groups.dedup();
-                for x in groups {
-                    h.u64(x);
-                }
-                let mut funcs: Vec<u64> = aggs.iter().map(hash_display).collect();
-                funcs.sort_unstable();
-                for x in funcs {
-                    h.u64(x);
-                }
+                h.u64(hash(input));
+                hashes.extend(groups.iter().map(hash_display));
+                feed(&mut h, hashes, true);
+                hashes.extend(aggs.iter().map(hash_display));
+                feed(&mut h, hashes, false);
             }
-            _ => unreachable!("signature built from the same expression"),
         }
         h.finish()
     }
 
-    /// Finds an existing class with this hash and signature.
-    fn probe(&self, hash: u64, sig: &Sig) -> Option<ExprId> {
-        self.by_hash
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|id| self.entries[id.index()].sig == *sig)
-    }
-
     /// Creates a new class; `expr` becomes its representative.
-    fn insert(&mut self, expr: &Arc<Expr>, children: Vec<ExprId>, sig: Sig, hash: u64) -> ExprId {
+    fn insert(
+        &mut self,
+        expr: &Arc<Expr>,
+        children: Vec<ExprId>,
+        sig: Sig,
+        hash: u64,
+        join_flat: Option<JoinFlat>,
+    ) -> ExprId {
         let id = ExprId(u32::try_from(self.entries.len()).expect("fewer than 2^32 classes"));
-        let join_flat = match &sig {
-            Sig::Join(leaf_ids, _) => {
-                let mut cond = JoinCondition::cross();
-                let mut raw = Vec::new();
-                flatten_expr(expr, &mut raw, &mut cond);
-                Some(JoinFlat {
-                    leaf_ids: leaf_ids.clone(),
-                    cond,
-                })
-            }
-            _ => None,
-        };
         let mut postorder = Vec::new();
         let mut seen = vec![false; self.entries.len()];
         for child in &children {
@@ -371,17 +617,41 @@ impl ExprArena {
     }
 }
 
-/// Flattens a maximal join subtree into its non-join leaf expressions and
-/// the union of its conditions (the normalisation `semantic_key` applies).
-fn flatten_expr(expr: &Arc<Expr>, leaves: &mut Vec<Arc<Expr>>, cond: &mut JoinCondition) {
-    match &**expr {
-        Expr::Join { left, right, on } => {
-            *cond = cond.merged(on);
-            flatten_expr(left, leaves, cond);
-            flatten_expr(right, leaves, cond);
+/// Sorts `items` and moves one of each distinct value to the front;
+/// returns how many there are.
+fn sort_dedup<T: Ord + Copy>(items: &mut [T]) -> usize {
+    items.sort_unstable();
+    let mut kept = 0;
+    for at in 0..items.len() {
+        if kept == 0 || items[kept - 1] != items[at] {
+            items[kept] = items[at];
+            kept += 1;
         }
-        _ => leaves.push(Arc::clone(expr)),
     }
+    kept
+}
+
+/// Appends a join's flattened leaf classes and pairs — its two sides' and
+/// its own condition's — to the scratch tails, and returns where they sit;
+/// `None` when a leaf has no class.
+fn flatten<'e>(
+    sides: &[Seen; 2],
+    on: &'e JoinCondition,
+    scratch: &mut Scratch<'e>,
+) -> Option<(Range<usize>, Range<usize>)> {
+    let (leaves, pairs) = (scratch.leaves.len(), scratch.pairs.len());
+    for side in sides {
+        match side {
+            Seen::Leaf(Some(class)) => scratch.leaves.push(*class),
+            Seen::Join(Some((l, p))) => {
+                scratch.leaves.extend_from_within(l.clone());
+                scratch.pairs.extend_from_within(p.clone());
+            }
+            Seen::Leaf(None) | Seen::Join(None) => return None,
+        }
+    }
+    scratch.pairs.extend(on.pairs());
+    Some((leaves..scratch.leaves.len(), pairs..scratch.pairs.len()))
 }
 
 #[cfg(test)]

@@ -66,17 +66,28 @@ impl JoinCondition {
 
 impl fmt::Display for JoinCondition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_cross() {
-            return f.write_str("×");
-        }
-        for (i, (a, b)) in self.pairs.iter().enumerate() {
-            if i > 0 {
-                f.write_str(" ∧ ")?;
-            }
-            write!(f, "{a}={b}")?;
-        }
-        Ok(())
+        write_pairs(f, &self.pairs)
     }
+}
+
+/// Writes sorted, de-duplicated join pairs the way [`JoinCondition`]
+/// displays them, so a merged condition can be rendered (or hashed, or
+/// compared) from borrowed pairs without building the condition.
+pub(crate) fn write_pairs<P: std::borrow::Borrow<(AttrRef, AttrRef)>>(
+    w: &mut impl fmt::Write,
+    pairs: &[P],
+) -> fmt::Result {
+    if pairs.is_empty() {
+        return w.write_str("×");
+    }
+    for (i, pair) in pairs.iter().enumerate() {
+        if i > 0 {
+            w.write_str(" ∧ ")?;
+        }
+        let (a, b) = pair.borrow();
+        write!(w, "{a}={b}")?;
+    }
+    Ok(())
 }
 
 /// A relational-algebra expression over base relations.
@@ -185,6 +196,19 @@ impl Expr {
         }
     }
 
+    /// Direct children of this node, left to right, without collecting
+    /// them.
+    pub(crate) fn child_iter(&self) -> impl Iterator<Item = &Arc<Expr>> {
+        let (first, second) = match self {
+            Expr::Base(_) => (None, None),
+            Expr::Select { input, .. }
+            | Expr::Project { input, .. }
+            | Expr::Aggregate { input, .. } => (Some(input), None),
+            Expr::Join { left, right, .. } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
+    }
+
     /// The set of base relations this expression reads.
     pub fn base_relations(&self) -> BTreeSet<RelName> {
         let mut out = BTreeSet::new();
@@ -212,11 +236,7 @@ impl Expr {
 
     /// Number of nodes in the tree.
     pub fn node_count(&self) -> usize {
-        1 + self
-            .children()
-            .iter()
-            .map(|c| c.node_count())
-            .sum::<usize>()
+        1 + self.child_iter().map(|c| c.node_count()).sum::<usize>()
     }
 
     /// Height of the tree (a leaf has height 1).

@@ -46,7 +46,7 @@ mod value;
 mod visit;
 
 pub use crate::aggregate::{AggExpr, AggFunc, AGG_RELATION};
-pub use crate::arena::{ExprArena, ExprId};
+pub use crate::arena::{Classes, ExprArena, ExprId};
 pub use crate::delta::{
     label_deltas, maintenance_plan, Delta, DeltaLabels, DeltaMode, MaintenancePlan, NodeDelta,
 };

@@ -6,14 +6,25 @@
 //! remaining predicates form one selection on top, and the `SELECT` list
 //! becomes a final projection. The optimizer crate then rewrites this into
 //! the "individual optimal plans" of the paper's Figure 5.
+//!
+//! Parsing copies no names: tokens borrow identifiers and string literals
+//! from the query text, and with a catalog every relation and attribute it
+//! knows resolves to the catalog's own [`RelName`]/[`AttrName`] — a
+//! reference-count bump. What the query's `Expr` owns anew is its nodes,
+//! its lists and its text literals.
+//!
+//! Malformed input is a [`ParseError`], never a panic: an integer that does
+//! not fit 64 bits and a date whose month or day is out of range are
+//! [`ParseError::OutOfRange`], and a character the lexer does not know is
+//! reported as written.
 
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use mvdesign_catalog::{AttrRef, Catalog};
+use mvdesign_catalog::{AttrName, AttrRef, Catalog, RelName, RelationSchema};
 
-use crate::aggregate::{AggExpr, AggFunc};
+use crate::aggregate::{AggExpr, AggFunc, AGG_RELATION};
 use crate::expr::{Expr, JoinCondition};
 use crate::predicate::{CompareOp, Comparison, Predicate, Rhs};
 use crate::value::Value;
@@ -42,6 +53,9 @@ pub enum ParseError {
     AmbiguousAttribute(String),
     /// A construct outside the supported SPJ dialect.
     Unsupported(String),
+    /// A literal outside its domain: an integer that does not fit 64 bits,
+    /// or a date whose month or day is out of range.
+    OutOfRange(String),
 }
 
 impl fmt::Display for ParseError {
@@ -60,6 +74,7 @@ impl fmt::Display for ParseError {
                 write!(f, "attribute `{a}` is ambiguous among the FROM relations")
             }
             ParseError::Unsupported(what) => write!(f, "unsupported construct: {what}"),
+            ParseError::OutOfRange(literal) => write!(f, "literal `{literal}` is out of range"),
         }
     }
 }
@@ -94,16 +109,17 @@ fn parse_with_resolver(sql: &str, catalog: Option<&Catalog>) -> Result<Arc<Expr>
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.statement()?;
     p.expect_end()?;
-    build(stmt, catalog)
+    Scope::new(&stmt.from, catalog).build(&stmt)
 }
 
 // ---------------------------------------------------------------- lexer --
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// One token. Identifiers and string literals borrow the query text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'s> {
+    Ident(&'s str),
     Int(i64),
-    Str(String),
+    Str(&'s str),
     /// `m/d/yy` date literal, as written in the paper (`date > 7/1/96`).
     Date(i64, i64, i64),
     Comma,
@@ -114,7 +130,7 @@ enum Tok {
     Op(CompareOp),
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -131,14 +147,18 @@ impl fmt::Display for Tok {
     }
 }
 
-fn lex(sql: &str) -> Result<Vec<Tok>, ParseError> {
+fn lex(sql: &str) -> Result<Vec<Tok<'_>>, ParseError> {
     let bytes = sql.as_bytes();
-    let mut toks = Vec::new();
+    // Tokens are mostly separated by a blank: one allocation, not a doubling
+    // series.
+    let mut toks = Vec::with_capacity(sql.len() / 2 + 1);
     let mut i = 0;
+    // Every token is ASCII or ends on an ASCII quote, so `i` is always at a
+    // character boundary.
     while i < bytes.len() {
         let c = bytes[i] as char;
         match c {
-            c if c.is_whitespace() => i += 1,
+            c if c.is_ascii() && c.is_whitespace() => i += 1,
             ',' => {
                 toks.push(Tok::Comma);
                 i += 1;
@@ -185,32 +205,29 @@ fn lex(sql: &str) -> Result<Vec<Tok>, ParseError> {
                 }
             }
             '\'' | '"' => {
-                let quote = c;
+                let quote = bytes[i];
                 let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] as char != quote {
-                    j += 1;
-                }
-                if j >= bytes.len() {
+                let Some(len) = bytes[start..].iter().position(|&b| b == quote) else {
                     return Err(ParseError::Unexpected {
-                        expected: format!("closing {quote}"),
+                        expected: format!("closing {c}"),
                         found: "end of input".into(),
                     });
-                }
-                toks.push(Tok::Str(sql[start..j].to_string()));
-                i = j + 1;
+                };
+                toks.push(Tok::Str(&sql[start..start + len]));
+                i = start + len + 1;
             }
             c if c.is_ascii_digit() => {
                 let start = i;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
-                let first: i64 = sql[start..i].parse().expect("digits");
+                let (first, next) = lex_number(sql, i)?;
+                i = next;
                 // Date literal `m/d/yy`?
                 if bytes.get(i) == Some(&b'/') {
                     let (d, ni) = lex_number(sql, i + 1)?;
                     if bytes.get(ni) == Some(&b'/') {
                         let (y, nj) = lex_number(sql, ni + 1)?;
+                        if date(first, d, y).is_none() {
+                            return Err(ParseError::OutOfRange(sql[start..nj].to_string()));
+                        }
                         toks.push(Tok::Date(first, d, y));
                         i = nj;
                         continue;
@@ -224,18 +241,15 @@ fn lex(sql: &str) -> Result<Vec<Tok>, ParseError> {
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
-                while i < bytes.len() && {
-                    let ch = bytes[i] as char;
-                    ch.is_ascii_alphanumeric() || ch == '_'
-                } {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                toks.push(Tok::Ident(sql[start..i].to_string()));
+                toks.push(Tok::Ident(&sql[start..i]));
             }
-            other => {
+            _ => {
                 return Err(ParseError::Lex {
                     pos: i,
-                    found: other,
+                    found: sql[i..].chars().next().expect("a character starts at i"),
                 })
             }
         }
@@ -243,10 +257,11 @@ fn lex(sql: &str) -> Result<Vec<Tok>, ParseError> {
     Ok(toks)
 }
 
+/// The decimal number starting at byte `i` and the byte after it.
 fn lex_number(sql: &str, mut i: usize) -> Result<(i64, usize), ParseError> {
     let bytes = sql.as_bytes();
     let start = i;
-    while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
+    while i < bytes.len() && bytes[i].is_ascii_digit() {
         i += 1;
     }
     if start == i {
@@ -258,77 +273,109 @@ fn lex_number(sql: &str, mut i: usize) -> Result<(i64, usize), ParseError> {
                 .map_or("end of input".into(), |c| c.to_string()),
         });
     }
-    Ok((sql[start..i].parse().expect("digits"), i))
+    // Digits only: the parse fails exactly when the number overflows.
+    let digits = &sql[start..i];
+    let n = digits
+        .parse()
+        .map_err(|_| ParseError::OutOfRange(digits.to_string()))?;
+    Ok((n, i))
+}
+
+/// The date `m/d/y` (a two-digit year is in the 1900s), or `None` when the
+/// month or day is out of range or the day number overflows.
+fn date(month: i64, day: i64, year: i64) -> Option<Value> {
+    if !((1..=12).contains(&month) && (1..=31).contains(&day)) {
+        return None;
+    }
+    let year = if year < 100 { 1900 + year } else { year };
+    // `Value::date`'s day number must fit.
+    year.checked_mul(372)?.checked_add(11 * 31 + 30)?;
+    Some(Value::date(year, month, day))
 }
 
 // --------------------------------------------------------------- parser --
 
-#[derive(Debug, Clone, PartialEq)]
-struct AttrSpec {
-    relation: Option<String>,
-    attr: String,
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct AttrSpec<'s> {
+    relation: Option<&'s str>,
+    attr: &'s str,
 }
 
-impl fmt::Display for AttrSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.relation {
-            Some(r) => write!(f, "{r}.{}", self.attr),
-            None => write!(f, "{}", self.attr),
-        }
-    }
-}
-
+/// A literal or an attribute on the right of a comparison.
 #[derive(Debug, Clone)]
-enum RawRhs {
+enum RawRhs<'s> {
     Value(Value),
-    Attr(AttrSpec),
+    Attr(AttrSpec<'s>),
 }
 
 #[derive(Debug, Clone)]
-enum Cond {
-    Cmp(AttrSpec, CompareOp, RawRhs),
-    And(Vec<Cond>),
-    Or(Vec<Cond>),
+enum Cond<'s> {
+    Cmp(AttrSpec<'s>, CompareOp, RawRhs<'s>),
+    And(Vec<Cond<'s>>),
+    Or(Vec<Cond<'s>>),
 }
 
 #[derive(Debug, Clone)]
-enum SelectItem {
-    Attr(AttrSpec),
+enum SelectItem<'s> {
+    Attr(AttrSpec<'s>),
     Agg {
         func: AggFunc,
-        arg: Option<AttrSpec>, // None = COUNT(*)
-        alias: Option<String>,
+        arg: Option<AttrSpec<'s>>, // None = COUNT(*)
+        alias: Option<&'s str>,
     },
 }
 
-struct Statement {
-    select: Option<Vec<SelectItem>>, // None = `*`
-    from: Vec<String>,
-    where_: Option<Cond>,
-    group_by: Vec<AttrSpec>,
-    having: Option<Cond>,
+struct Statement<'s> {
+    select: Option<Vec<SelectItem<'s>>>, // None = `*`
+    from: Vec<&'s str>,
+    where_: Option<Cond<'s>>,
+    group_by: Vec<AttrSpec<'s>>,
+    having: Option<Cond<'s>>,
 }
 
-struct Parser {
-    tokens: Vec<Tok>,
+struct Parser<'s> {
+    tokens: Vec<Tok<'s>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos)
+/// The aggregate function an identifier names, in any case.
+fn agg_func(name: &str) -> Option<AggFunc> {
+    [
+        ("count", AggFunc::Count),
+        ("sum", AggFunc::Sum),
+        ("min", AggFunc::Min),
+        ("max", AggFunc::Max),
+        ("avg", AggFunc::Avg),
+    ]
+    .into_iter()
+    .find(|(kw, _)| name.eq_ignore_ascii_case(kw))
+    .map(|(_, func)| func)
+}
+
+fn found(tok: Option<Tok<'_>>) -> String {
+    tok.map_or("end of input".into(), |t| t.to_string())
+}
+
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Tok<'s>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn found(&self) -> String {
-        self.peek().map_or("end of input".into(), |t| t.to_string())
+    /// Consumes the next token when it is `tok`.
+    fn eat(&mut self, tok: Tok<'_>) -> bool {
+        let hit = self.peek() == Some(tok);
+        if hit {
+            self.pos += 1;
+        }
+        hit
     }
 
     fn keyword(&mut self, kw: &str) -> Result<(), ParseError> {
@@ -337,64 +384,72 @@ impl Parser {
         } else {
             Err(ParseError::Unexpected {
                 expected: format!("`{kw}`"),
-                found: self.found(),
+                found: found(self.peek()),
             })
         }
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if let Some(Tok::Ident(s)) = self.peek() {
-            if s.eq_ignore_ascii_case(kw) {
-                self.pos += 1;
-                return true;
-            }
+        let hit = matches!(self.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case(kw));
+        if hit {
+            self.pos += 1;
         }
-        false
+        hit
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'s str, ParseError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(ParseError::Unexpected {
                 expected: "identifier".into(),
-                found: other.map_or("end of input".into(), |t| t.to_string()),
+                found: found(other),
             }),
         }
     }
 
-    fn statement(&mut self) -> Result<Statement, ParseError> {
+    fn close_paren(&mut self) -> Result<(), ParseError> {
+        match self.next() {
+            Some(Tok::RParen) => Ok(()),
+            other => Err(ParseError::Unexpected {
+                expected: "`)`".into(),
+                found: found(other),
+            }),
+        }
+    }
+
+    /// One or more `item`s separated by commas.
+    fn list<T>(
+        &mut self,
+        item: impl Fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
+        let mut items = Vec::with_capacity(4);
+        items.push(item(self)?);
+        while self.eat(Tok::Comma) {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn statement(&mut self) -> Result<Statement<'s>, ParseError> {
         self.keyword("select")?;
-        let select = if matches!(self.peek(), Some(Tok::Star)) {
-            self.pos += 1;
+        let select = if self.eat(Tok::Star) {
             None
         } else {
-            let mut list = vec![self.select_item()?];
-            while matches!(self.peek(), Some(Tok::Comma)) {
-                self.pos += 1;
-                list.push(self.select_item()?);
-            }
-            Some(list)
+            Some(self.list(Self::select_item)?)
         };
         self.keyword("from")?;
-        let mut from = vec![self.ident()?];
-        while matches!(self.peek(), Some(Tok::Comma)) {
-            self.pos += 1;
-            from.push(self.ident()?);
-        }
+        let from = self.list(Self::ident)?;
         let where_ = if self.eat_keyword("where") {
             Some(self.disjunction()?)
         } else {
             None
         };
-        let mut group_by = Vec::new();
-        if self.eat_keyword("group") {
+        let group_by = if self.eat_keyword("group") {
             self.keyword("by")?;
-            group_by.push(self.attr_spec()?);
-            while matches!(self.peek(), Some(Tok::Comma)) {
-                self.pos += 1;
-                group_by.push(self.attr_spec()?);
-            }
-        }
+            self.list(Self::attr_spec)?
+        } else {
+            Vec::new()
+        };
         let having = if self.eat_keyword("having") {
             Some(self.disjunction()?)
         } else {
@@ -409,107 +464,86 @@ impl Parser {
         })
     }
 
-    fn select_item(&mut self) -> Result<SelectItem, ParseError> {
+    fn select_item(&mut self) -> Result<SelectItem<'s>, ParseError> {
         // Aggregate call? An aggregate keyword immediately followed by `(`.
-        if let Some(Tok::Ident(name)) = self.peek() {
-            let func = match name.to_ascii_lowercase().as_str() {
-                "count" => Some(AggFunc::Count),
-                "sum" => Some(AggFunc::Sum),
-                "min" => Some(AggFunc::Min),
-                "max" => Some(AggFunc::Max),
-                "avg" => Some(AggFunc::Avg),
-                _ => None,
-            };
-            if let Some(func) = func {
-                if matches!(self.tokens.get(self.pos + 1), Some(Tok::LParen)) {
-                    self.pos += 2; // the function name and `(`
-                    let arg = if matches!(self.peek(), Some(Tok::Star)) {
-                        if func != AggFunc::Count {
-                            return Err(ParseError::Unsupported(format!(
-                                "{func}(*) — only COUNT accepts *"
-                            )));
-                        }
-                        self.pos += 1;
-                        None
-                    } else {
-                        Some(self.attr_spec()?)
-                    };
-                    match self.next() {
-                        Some(Tok::RParen) => {}
-                        other => {
-                            return Err(ParseError::Unexpected {
-                                expected: "`)`".into(),
-                                found: other.map_or("end of input".into(), |t| t.to_string()),
-                            })
-                        }
-                    }
-                    let alias = if self.eat_keyword("as") {
-                        Some(self.ident()?)
-                    } else {
-                        None
-                    };
-                    return Ok(SelectItem::Agg { func, arg, alias });
-                }
+        let call = match self.peek() {
+            Some(Tok::Ident(name)) => {
+                agg_func(name).filter(|_| self.tokens.get(self.pos + 1) == Some(&Tok::LParen))
             }
-        }
-        let attr = self.attr_spec()?;
-        Ok(SelectItem::Attr(attr))
+            _ => None,
+        };
+        let Some(func) = call else {
+            return Ok(SelectItem::Attr(self.attr_spec()?));
+        };
+        self.pos += 2; // the function name and `(`
+        let arg = if self.eat(Tok::Star) {
+            if func != AggFunc::Count {
+                return Err(ParseError::Unsupported(format!(
+                    "{func}(*) — only COUNT accepts *"
+                )));
+            }
+            None
+        } else {
+            Some(self.attr_spec()?)
+        };
+        self.close_paren()?;
+        let alias = if self.eat_keyword("as") {
+            Some(self.ident()?)
+        } else {
+            None
+        };
+        Ok(SelectItem::Agg { func, arg, alias })
     }
 
-    fn attr_spec(&mut self) -> Result<AttrSpec, ParseError> {
+    fn attr_spec(&mut self) -> Result<AttrSpec<'s>, ParseError> {
         let first = self.ident()?;
-        if matches!(self.peek(), Some(Tok::Dot)) {
-            self.pos += 1;
-            let attr = self.ident()?;
-            Ok(AttrSpec {
+        self.attr_after(first)
+    }
+
+    /// The attribute whose first identifier, `first`, is already consumed.
+    fn attr_after(&mut self, first: &'s str) -> Result<AttrSpec<'s>, ParseError> {
+        Ok(if self.eat(Tok::Dot) {
+            AttrSpec {
                 relation: Some(first),
-                attr,
-            })
+                attr: self.ident()?,
+            }
         } else {
-            Ok(AttrSpec {
+            AttrSpec {
                 relation: None,
                 attr: first,
-            })
-        }
+            }
+        })
     }
 
-    fn disjunction(&mut self) -> Result<Cond, ParseError> {
-        let mut parts = vec![self.conjunction()?];
+    fn disjunction(&mut self) -> Result<Cond<'s>, ParseError> {
+        let first = self.conjunction()?;
+        if !self.eat_keyword("or") {
+            return Ok(first);
+        }
+        let mut parts = vec![first, self.conjunction()?];
         while self.eat_keyword("or") {
             parts.push(self.conjunction()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("len checked")
-        } else {
-            Cond::Or(parts)
-        })
+        Ok(Cond::Or(parts))
     }
 
-    fn conjunction(&mut self) -> Result<Cond, ParseError> {
-        let mut parts = vec![self.atom()?];
+    fn conjunction(&mut self) -> Result<Cond<'s>, ParseError> {
+        let first = self.atom()?;
+        if !self.eat_keyword("and") {
+            return Ok(first);
+        }
+        let mut parts = vec![first, self.atom()?];
         while self.eat_keyword("and") {
             parts.push(self.atom()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("len checked")
-        } else {
-            Cond::And(parts)
-        })
+        Ok(Cond::And(parts))
     }
 
-    fn atom(&mut self) -> Result<Cond, ParseError> {
-        if matches!(self.peek(), Some(Tok::LParen)) {
-            self.pos += 1;
+    fn atom(&mut self) -> Result<Cond<'s>, ParseError> {
+        if self.eat(Tok::LParen) {
             let inner = self.disjunction()?;
-            match self.next() {
-                Some(Tok::RParen) => return Ok(inner),
-                other => {
-                    return Err(ParseError::Unexpected {
-                        expected: "`)`".into(),
-                        found: other.map_or("end of input".into(), |t| t.to_string()),
-                    })
-                }
-            }
+            self.close_paren()?;
+            return Ok(inner);
         }
         let lhs = self.attr_spec()?;
         let op = match self.next() {
@@ -517,7 +551,7 @@ impl Parser {
             other => {
                 return Err(ParseError::Unexpected {
                     expected: "comparison operator".into(),
-                    found: other.map_or("end of input".into(), |t| t.to_string()),
+                    found: found(other),
                 })
             }
         };
@@ -525,28 +559,13 @@ impl Parser {
             Some(Tok::Int(i)) => RawRhs::Value(Value::Int(i)),
             Some(Tok::Str(s)) => RawRhs::Value(Value::text(s)),
             Some(Tok::Date(m, d, y)) => {
-                let year = if y < 100 { 1900 + y } else { y };
-                RawRhs::Value(Value::date(year, m, d))
+                RawRhs::Value(date(m, d, y).expect("the lexer checked the date"))
             }
-            Some(Tok::Ident(first)) => {
-                if matches!(self.peek(), Some(Tok::Dot)) {
-                    self.pos += 1;
-                    let attr = self.ident()?;
-                    RawRhs::Attr(AttrSpec {
-                        relation: Some(first),
-                        attr,
-                    })
-                } else {
-                    RawRhs::Attr(AttrSpec {
-                        relation: None,
-                        attr: first,
-                    })
-                }
-            }
+            Some(Tok::Ident(first)) => RawRhs::Attr(self.attr_after(first)?),
             other => {
                 return Err(ParseError::Unexpected {
                     expected: "literal or attribute".into(),
-                    found: other.map_or("end of input".into(), |t| t.to_string()),
+                    found: found(other),
                 })
             }
         };
@@ -559,7 +578,7 @@ impl Parser {
         } else {
             Err(ParseError::Unexpected {
                 expected: "end of input".into(),
-                found: self.found(),
+                found: found(self.peek()),
             })
         }
     }
@@ -567,33 +586,21 @@ impl Parser {
 
 // -------------------------------------------------------------- builder --
 
-fn resolve(
-    spec: &AttrSpec,
-    from: &[String],
-    catalog: Option<&Catalog>,
-) -> Result<AttrRef, ParseError> {
-    if let Some(rel) = &spec.relation {
-        return Ok(AttrRef::new(rel.as_str(), spec.attr.as_str()));
-    }
-    if let Some(catalog) = catalog {
-        let mut owners: Vec<&String> = Vec::new();
-        for rel in from {
-            if let Some(schema) = catalog.schema(rel) {
-                if schema.contains(&spec.attr) {
-                    owners.push(rel);
-                }
-            }
-        }
-        return match owners.len() {
-            0 => Err(ParseError::UnresolvedAttribute(spec.attr.clone())),
-            1 => Ok(AttrRef::new(owners[0].as_str(), spec.attr.as_str())),
-            _ => Err(ParseError::AmbiguousAttribute(spec.attr.clone())),
-        };
-    }
-    if from.len() == 1 {
-        Ok(AttrRef::new(from[0].as_str(), spec.attr.as_str()))
-    } else {
-        Err(ParseError::UnresolvedAttribute(spec.attr.clone()))
+/// The `FROM` relations a query's attributes resolve against. With a
+/// catalog, every name the catalog knows resolves to the catalog's own
+/// [`RelName`]/[`AttrName`] — a reference-count bump, not an allocation.
+struct Scope<'c> {
+    /// Each `FROM` relation, with its schema when the catalog knows it.
+    from: Vec<(RelName, Option<&'c RelationSchema>)>,
+    catalog: Option<&'c Catalog>,
+}
+
+/// The relation named `name`, as the catalog spells it when it knows it,
+/// with its schema.
+fn relation<'c>(catalog: Option<&'c Catalog>, name: &str) -> (RelName, Option<&'c RelationSchema>) {
+    match catalog.and_then(|c| c.schema(name)) {
+        Some(schema) => (schema.name().clone(), Some(schema)),
+        None => (RelName::new(name), None),
     }
 }
 
@@ -603,277 +610,292 @@ enum Conjunct {
     Filter(Predicate),
 }
 
-fn resolve_cond(
-    cond: &Cond,
-    from: &[String],
-    catalog: Option<&Catalog>,
-    top_level: bool,
-) -> Result<Vec<Conjunct>, ParseError> {
-    match cond {
-        Cond::And(parts) if top_level => {
-            let mut out = Vec::new();
-            for p in parts {
-                out.extend(resolve_cond(p, from, catalog, true)?);
-            }
-            Ok(out)
+impl<'c> Scope<'c> {
+    fn new(from: &[&str], catalog: Option<&'c Catalog>) -> Self {
+        let from = from.iter().map(|r| relation(catalog, r)).collect();
+        Self { from, catalog }
+    }
+
+    fn resolve(&self, spec: &AttrSpec<'_>) -> Result<AttrRef, ParseError> {
+        if let Some(rel) = spec.relation {
+            let (relation, schema) = match self.from.iter().find(|(r, _)| r == rel) {
+                Some((r, schema)) => (r.clone(), *schema),
+                None => relation(self.catalog, rel),
+            };
+            let attr = schema
+                .and_then(|s| s.attribute(spec.attr))
+                .map_or_else(|| AttrName::new(spec.attr), |a| a.name.clone());
+            return Ok(AttrRef { relation, attr });
         }
-        Cond::Cmp(lhs, op, RawRhs::Attr(rhs_spec)) => {
-            let l = resolve(lhs, from, catalog)?;
-            let r = resolve(rhs_spec, from, catalog)?;
-            if *op == CompareOp::Eq && l.relation != r.relation {
-                Ok(vec![Conjunct::Join(l, r)])
-            } else {
+        if self.catalog.is_some() {
+            let mut owners = self
+                .from
+                .iter()
+                .filter_map(|(r, s)| Some(r).zip(s.and_then(|s| s.attribute(spec.attr))));
+            return match (owners.next(), owners.next()) {
+                (None, _) => Err(ParseError::UnresolvedAttribute(spec.attr.to_string())),
+                (Some((r, a)), None) => Ok(AttrRef {
+                    relation: r.clone(),
+                    attr: a.name.clone(),
+                }),
+                (Some(_), Some(_)) => Err(ParseError::AmbiguousAttribute(spec.attr.to_string())),
+            };
+        }
+        if let [(only, _)] = &self.from[..] {
+            Ok(AttrRef::new(only.clone(), spec.attr))
+        } else {
+            Err(ParseError::UnresolvedAttribute(spec.attr.to_string()))
+        }
+    }
+
+    fn comparison(
+        &self,
+        lhs: &AttrSpec<'_>,
+        op: CompareOp,
+        rhs: &RawRhs<'_>,
+    ) -> Result<Conjunct, ParseError> {
+        let attr = self.resolve(lhs)?;
+        let rhs = match rhs {
+            RawRhs::Attr(spec) => {
+                let r = self.resolve(spec)?;
+                if op == CompareOp::Eq && attr.relation != r.relation {
+                    return Ok(Conjunct::Join(attr, r));
+                }
                 // Attribute-vs-attribute comparison within one relation (or
                 // a theta comparison): keep as a filter.
-                Ok(vec![Conjunct::Filter(Predicate::Cmp(Comparison {
-                    attr: l,
-                    op: *op,
-                    rhs: Rhs::Attr(r),
-                }))])
+                Rhs::Attr(r)
             }
-        }
-        Cond::Cmp(lhs, op, RawRhs::Value(v)) => {
-            let l = resolve(lhs, from, catalog)?;
-            Ok(vec![Conjunct::Filter(Predicate::Cmp(Comparison {
-                attr: l,
-                op: *op,
-                rhs: Rhs::Literal(v.clone()),
-            }))])
-        }
-        Cond::And(parts) => {
-            // Nested under an OR: must be pure filters.
-            let mut preds = Vec::new();
-            for p in parts {
-                for c in resolve_cond(p, from, catalog, false)? {
-                    match c {
-                        Conjunct::Filter(f) => preds.push(f),
-                        Conjunct::Join(a, b) => {
-                            return Err(ParseError::Unsupported(format!(
-                                "join condition {a}={b} nested under OR"
-                            )))
-                        }
-                    }
-                }
-            }
-            Ok(vec![Conjunct::Filter(Predicate::and(preds))])
-        }
-        Cond::Or(parts) => {
-            let mut preds = Vec::new();
-            for p in parts {
-                for c in resolve_cond(p, from, catalog, false)? {
-                    match c {
-                        Conjunct::Filter(f) => preds.push(f),
-                        Conjunct::Join(a, b) => {
-                            return Err(ParseError::Unsupported(format!(
-                                "join condition {a}={b} nested under OR"
-                            )))
-                        }
-                    }
-                }
-            }
-            Ok(vec![Conjunct::Filter(Predicate::or(preds))])
-        }
+            RawRhs::Value(v) => Rhs::Literal(v.clone()),
+        };
+        Ok(Conjunct::Filter(Predicate::Cmp(Comparison {
+            attr,
+            op,
+            rhs,
+        })))
     }
-}
 
-fn build(stmt: Statement, catalog: Option<&Catalog>) -> Result<Arc<Expr>, ParseError> {
-    let from = &stmt.from;
-    let mut joins: Vec<(AttrRef, AttrRef)> = Vec::new();
-    let mut filters: Vec<Predicate> = Vec::new();
-    if let Some(w) = &stmt.where_ {
-        for c in resolve_cond(w, from, catalog, true)? {
-            match c {
-                Conjunct::Join(a, b) => joins.push((a, b)),
+    /// The conjuncts of a top-level condition: nested ANDs flatten, and an
+    /// equality across two relations is a join condition.
+    fn conjuncts(
+        &self,
+        cond: &Cond<'_>,
+        joins: &mut Vec<Option<(AttrRef, AttrRef)>>,
+        filters: &mut Vec<Predicate>,
+    ) -> Result<(), ParseError> {
+        match cond {
+            Cond::And(parts) => {
+                for p in parts {
+                    self.conjuncts(p, joins, filters)?;
+                }
+            }
+            Cond::Cmp(lhs, op, rhs) => match self.comparison(lhs, *op, rhs)? {
+                Conjunct::Join(a, b) => joins.push(Some((a, b))),
                 Conjunct::Filter(f) => filters.push(f),
-            }
+            },
+            Cond::Or(_) => filters.push(self.filter(cond)?),
+        }
+        Ok(())
+    }
+
+    /// A condition under an OR: a pure filter.
+    fn filter(&self, cond: &Cond<'_>) -> Result<Predicate, ParseError> {
+        let parts = |parts: &[Cond<'_>]| {
+            parts
+                .iter()
+                .map(|p| self.filter(p))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        match cond {
+            Cond::Cmp(lhs, op, rhs) => match self.comparison(lhs, *op, rhs)? {
+                Conjunct::Filter(f) => Ok(f),
+                Conjunct::Join(a, b) => Err(ParseError::Unsupported(format!(
+                    "join condition {a}={b} nested under OR"
+                ))),
+            },
+            Cond::And(ps) => Ok(Predicate::and(parts(ps)?)),
+            Cond::Or(ps) => Ok(Predicate::or(parts(ps)?)),
         }
     }
 
-    // Left-deep join in FROM order, attaching each equi-condition at the
-    // first join where both sides are available.
-    let mut in_tree: Vec<&str> = vec![from[0].as_str()];
-    let mut used = vec![false; joins.len()];
-    let mut expr = Expr::base(from[0].as_str());
-    for rel in &from[1..] {
-        let mut pairs = Vec::new();
-        for (i, (a, b)) in joins.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            let a_in = in_tree.contains(&a.relation.as_str());
-            let b_in = in_tree.contains(&b.relation.as_str());
-            let a_new = a.relation == rel.as_str();
-            let b_new = b.relation == rel.as_str();
-            if (a_in && b_new) || (b_in && a_new) {
-                pairs.push((a.clone(), b.clone()));
-                used[i] = true;
-            }
+    fn build(&self, stmt: &Statement<'_>) -> Result<Arc<Expr>, ParseError> {
+        let mut joins = Vec::new();
+        let mut filters = Vec::new();
+        if let Some(w) = &stmt.where_ {
+            self.conjuncts(w, &mut joins, &mut filters)?;
         }
-        expr = Expr::join(expr, Expr::base(rel.as_str()), JoinCondition::new(pairs));
-        in_tree.push(rel.as_str());
-    }
 
-    // Join conditions whose relations never both appeared become equality
-    // filters (e.g. a self-referential condition, or a condition over
-    // relations missing from FROM — let schema inference report the latter).
-    for (i, (a, b)) in joins.iter().enumerate() {
-        if !used[i] {
+        // Left-deep join in FROM order, attaching each equi-condition at the
+        // first join where both sides are available.
+        let mut expr = Expr::base(self.from[0].0.clone());
+        for (k, (rel, _)) in self.from.iter().enumerate().skip(1) {
+            let in_tree = |r: &RelName| self.from[..k].iter().any(|(t, _)| t == r);
+            let here = |(a, b): &(AttrRef, AttrRef)| {
+                (in_tree(&a.relation) && b.relation == *rel)
+                    || (in_tree(&b.relation) && a.relation == *rel)
+            };
+            let pairs = joins.iter_mut().filter_map(|j| {
+                if j.as_ref().is_some_and(here) {
+                    j.take()
+                } else {
+                    None
+                }
+            });
+            let on = JoinCondition::new(pairs);
+            expr = Expr::join(expr, Expr::base(rel.clone()), on);
+        }
+
+        // Join conditions whose relations never both appeared become equality
+        // filters (e.g. a self-referential condition, or a condition over
+        // relations missing from FROM — let schema inference report the latter).
+        for (a, b) in joins.into_iter().flatten() {
             filters.push(Predicate::Cmp(Comparison {
-                attr: a.clone(),
+                attr: a,
                 op: CompareOp::Eq,
-                rhs: Rhs::Attr(b.clone()),
+                rhs: Rhs::Attr(b),
             }));
         }
-    }
 
-    expr = Expr::select(expr, Predicate::and(filters));
+        expr = Expr::select(expr, Predicate::and(filters));
 
-    let has_aggs = stmt
-        .select
-        .as_ref()
-        .is_some_and(|l| l.iter().any(|i| matches!(i, SelectItem::Agg { .. })));
+        let has_aggs = stmt
+            .select
+            .as_ref()
+            .is_some_and(|l| l.iter().any(|i| matches!(i, SelectItem::Agg { .. })));
 
-    if !has_aggs && stmt.group_by.is_empty() {
-        if stmt.having.is_some() {
-            return Err(ParseError::Unsupported(
-                "HAVING without GROUP BY or aggregates".into(),
-            ));
+        if !has_aggs && stmt.group_by.is_empty() {
+            if stmt.having.is_some() {
+                return Err(ParseError::Unsupported(
+                    "HAVING without GROUP BY or aggregates".into(),
+                ));
+            }
+            if let Some(list) = &stmt.select {
+                let attrs = list
+                    .iter()
+                    .map(|item| match item {
+                        SelectItem::Attr(a) => self.resolve(a),
+                        SelectItem::Agg { .. } => unreachable!("has_aggs is false"),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                expr = Expr::project(expr, attrs);
+            }
+            return Ok(expr);
         }
-        if let Some(list) = &stmt.select {
-            let attrs = list
-                .iter()
-                .map(|item| match item {
-                    SelectItem::Attr(a) => resolve(a, from, catalog),
-                    SelectItem::Agg { .. } => unreachable!("has_aggs is false"),
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            expr = Expr::project(expr, attrs);
-        }
-        return Ok(expr);
-    }
 
-    // Aggregation query. Group keys: the GROUP BY clause, or — when absent —
-    // the plain attributes of the select list.
-    let list = stmt.select.as_ref().ok_or_else(|| {
-        ParseError::Unsupported("SELECT * together with GROUP BY/aggregates".into())
-    })?;
-    let mut group_by: Vec<AttrRef> = stmt
-        .group_by
-        .iter()
-        .map(|g| resolve(g, from, catalog))
-        .collect::<Result<_, _>>()?;
-    if group_by.is_empty() {
+        // Aggregation query. Group keys: the GROUP BY clause, or — when absent —
+        // the plain attributes of the select list.
+        let list = stmt.select.as_ref().ok_or_else(|| {
+            ParseError::Unsupported("SELECT * together with GROUP BY/aggregates".into())
+        })?;
+        let mut group_by: Vec<AttrRef> = stmt
+            .group_by
+            .iter()
+            .map(|g| self.resolve(g))
+            .collect::<Result<_, _>>()?;
+        if group_by.is_empty() {
+            for item in list {
+                if let SelectItem::Attr(a) = item {
+                    let r = self.resolve(a)?;
+                    if !group_by.contains(&r) {
+                        group_by.push(r);
+                    }
+                }
+            }
+        }
+
+        // Build the aggregates, generating aliases where none were given.
+        let mut aggs: Vec<AggExpr> = Vec::new();
+        let mut output: Vec<AttrRef> = Vec::new();
         for item in list {
-            if let SelectItem::Attr(a) = item {
-                let r = resolve(a, from, catalog)?;
-                if !group_by.contains(&r) {
-                    group_by.push(r);
+            match item {
+                SelectItem::Attr(a) => {
+                    let r = self.resolve(a)?;
+                    if !group_by.contains(&r) {
+                        return Err(ParseError::Unsupported(format!(
+                            "non-aggregated attribute {r} outside GROUP BY"
+                        )));
+                    }
+                    output.push(r);
+                }
+                SelectItem::Agg { func, arg, alias } => {
+                    let input = arg.as_ref().map(|a| self.resolve(a)).transpose()?;
+                    let mut name = match (alias, &input) {
+                        (Some(alias), _) => alias.to_string(),
+                        (None, Some(a)) => {
+                            format!("{}_{}", func.to_string().to_ascii_lowercase(), a.attr)
+                        }
+                        (None, None) => "count_star".to_string(),
+                    };
+                    while aggs.iter().any(|g| g.alias == name.as_str()) {
+                        name.push('_');
+                    }
+                    let agg = AggExpr {
+                        func: *func,
+                        input,
+                        alias: name.into(),
+                    };
+                    output.push(agg.output_attr());
+                    aggs.push(agg);
                 }
             }
         }
+
+        let having = match &stmt.having {
+            Some(having) => Some(self.having(having, &aggs)?),
+            None => None,
+        };
+        // The aggregate's natural order: groups, then aggregates.
+        let keys = group_by.len();
+        let natural = output.len() == keys + aggs.len()
+            && output[..keys] == group_by[..]
+            && output[keys..]
+                .iter()
+                .zip(&aggs)
+                .all(|(o, a)| o.relation == AGG_RELATION && o.attr == a.alias);
+        expr = Expr::aggregate(expr, group_by, aggs);
+        if let Some(predicate) = having {
+            expr = Arc::new(Expr::Select {
+                input: expr,
+                predicate,
+            });
+        }
+        // Reorder with a projection when the listed order differs.
+        if !natural {
+            expr = Expr::project(expr, output);
+        }
+        Ok(expr)
     }
 
-    // Build the aggregates, generating aliases where none were given.
-    let mut aggs: Vec<AggExpr> = Vec::new();
-    let mut output: Vec<AttrRef> = Vec::new();
-    for item in list {
-        match item {
-            SelectItem::Attr(a) => {
-                let r = resolve(a, from, catalog)?;
-                if !group_by.contains(&r) {
-                    return Err(ParseError::Unsupported(format!(
-                        "non-aggregated attribute {r} outside GROUP BY"
-                    )));
+    /// Resolves a HAVING condition: unqualified attributes naming an aggregate
+    /// alias become `#agg.alias`; everything else resolves like a WHERE
+    /// condition. Attribute-vs-attribute comparisons stay filters (no join
+    /// extraction above an aggregation).
+    fn having(&self, cond: &Cond<'_>, aggs: &[AggExpr]) -> Result<Predicate, ParseError> {
+        let resolve = |spec: &AttrSpec<'_>| -> Result<AttrRef, ParseError> {
+            if spec.relation.is_none() {
+                if let Some(agg) = aggs.iter().find(|a| a.alias == spec.attr) {
+                    return Ok(agg.output_attr());
                 }
-                output.push(r);
             }
-            SelectItem::Agg { func, arg, alias } => {
-                let input = match arg {
-                    Some(a) => Some(resolve(a, from, catalog)?),
-                    None => None,
-                };
-                let mut name = alias.clone().unwrap_or_else(|| match &input {
-                    Some(a) => format!(
-                        "{}_{}",
-                        func.to_string().to_ascii_lowercase(),
-                        a.attr.as_str()
-                    ),
-                    None => "count_star".to_string(),
-                });
-                while aggs.iter().any(|g| g.alias == name.as_str()) {
-                    name.push('_');
-                }
-                let agg = AggExpr {
-                    func: *func,
-                    input,
-                    alias: name.as_str().into(),
-                };
-                output.push(agg.output_attr());
-                aggs.push(agg);
-            }
-        }
-    }
-
-    expr = Expr::aggregate(expr, group_by.clone(), aggs.clone());
-    if let Some(having) = &stmt.having {
-        let predicate = resolve_having(having, from, catalog, &aggs)?;
-        expr = Arc::new(Expr::Select {
-            input: expr,
-            predicate,
-        });
-    }
-    // Reorder with a projection when the listed order differs from the
-    // aggregate's natural (groups, then aggs) order.
-    let natural: Vec<AttrRef> = group_by
-        .iter()
-        .cloned()
-        .chain(aggs.iter().map(AggExpr::output_attr))
-        .collect();
-    if output != natural {
-        expr = Expr::project(expr, output);
-    }
-    Ok(expr)
-}
-
-/// Resolves a HAVING condition: unqualified attributes naming an aggregate
-/// alias become `#agg.alias`; everything else resolves like a WHERE
-/// condition. Attribute-vs-attribute comparisons stay filters (no join
-/// extraction above an aggregation).
-fn resolve_having(
-    cond: &Cond,
-    from: &[String],
-    catalog: Option<&Catalog>,
-    aggs: &[AggExpr],
-) -> Result<Predicate, ParseError> {
-    let resolve_spec = |spec: &AttrSpec| -> Result<AttrRef, ParseError> {
-        if spec.relation.is_none() {
-            if let Some(agg) = aggs.iter().find(|a| a.alias == spec.attr.as_str()) {
-                return Ok(agg.output_attr());
-            }
-        }
-        resolve(spec, from, catalog)
-    };
-    match cond {
-        Cond::Cmp(lhs, op, rhs) => {
-            let attr = resolve_spec(lhs)?;
-            let rhs = match rhs {
-                RawRhs::Value(v) => Rhs::Literal(v.clone()),
-                RawRhs::Attr(spec) => Rhs::Attr(resolve_spec(spec)?),
-            };
-            Ok(Predicate::Cmp(Comparison { attr, op: *op, rhs }))
-        }
-        Cond::And(parts) => Ok(Predicate::and(
+            self.resolve(spec)
+        };
+        let parts = |parts: &[Cond<'_>]| {
             parts
                 .iter()
-                .map(|p| resolve_having(p, from, catalog, aggs))
-                .collect::<Result<Vec<_>, _>>()?,
-        )),
-        Cond::Or(parts) => Ok(Predicate::or(
-            parts
-                .iter()
-                .map(|p| resolve_having(p, from, catalog, aggs))
-                .collect::<Result<Vec<_>, _>>()?,
-        )),
+                .map(|p| self.having(p, aggs))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        match cond {
+            Cond::Cmp(lhs, op, rhs) => {
+                let attr = resolve(lhs)?;
+                let rhs = match rhs {
+                    RawRhs::Attr(spec) => Rhs::Attr(resolve(spec)?),
+                    RawRhs::Value(v) => Rhs::Literal(v.clone()),
+                };
+                Ok(Predicate::Cmp(Comparison { attr, op: *op, rhs }))
+            }
+            Cond::And(ps) => Ok(Predicate::and(parts(ps)?)),
+            Cond::Or(ps) => Ok(Predicate::or(parts(ps)?)),
+        }
     }
 }
 
@@ -1022,6 +1044,57 @@ mod tests {
     fn lex_rejects_strange_characters() {
         let err = parse_query("Select # From A").unwrap_err();
         assert!(matches!(err, ParseError::Lex { .. }));
+    }
+
+    #[test]
+    fn lex_errors_name_the_character_as_written() {
+        let err = parse_query("SELECT é FROM R").unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::Lex {
+                pos: 7, found: 'é'
+            }
+        );
+        let err = parse_query("SELECT R.x FROM R WHERE R.x = 日").unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::Lex {
+                pos: 30,
+                found: '日'
+            }
+        );
+        // Inside a string literal any character is text.
+        assert!(parse_query("SELECT R.x FROM R WHERE R.x = 'é日'").is_ok());
+    }
+
+    #[test]
+    fn out_of_range_literals_are_errors_not_panics() {
+        for (sql, literal) in [
+            (
+                "SELECT * FROM R WHERE R.a > 99999999999999999999",
+                "99999999999999999999",
+            ),
+            (
+                "SELECT * FROM R WHERE R.d > 1/99999999999999999999/5",
+                "99999999999999999999",
+            ),
+            ("SELECT * FROM R WHERE R.d > 13/1/96", "13/1/96"),
+            ("SELECT * FROM R WHERE R.d > 0/1/96", "0/1/96"),
+            ("SELECT * FROM R WHERE R.d > 7/32/96", "7/32/96"),
+            ("SELECT * FROM R WHERE R.d > 7/0/96", "7/0/96"),
+            (
+                "SELECT * FROM R WHERE R.d > 7/1/99999999999999999",
+                "7/1/99999999999999999",
+            ),
+        ] {
+            let err = parse_query(sql).unwrap_err();
+            assert_eq!(err, ParseError::OutOfRange(literal.into()), "{sql}");
+            assert!(err.to_string().contains(literal), "{err}");
+        }
+        // The largest accepted values still parse.
+        let e = parse_query("SELECT * FROM R WHERE R.a > 9223372036854775807 AND R.d < 12/31/99")
+            .unwrap();
+        assert!(e.to_string().contains("9223372036854775807"), "{e}");
     }
 
     #[test]

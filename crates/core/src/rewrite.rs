@@ -9,8 +9,11 @@
 //!
 //! # How a node is matched
 //!
-//! [`ViewCatalog::route`] walks the expression top-down and tries, at every
-//! node, in this order:
+//! [`ViewCatalog::route`] first classifies every node of the expression
+//! once, children first ([`ExprArena::classify`]): a node's class comes
+//! from its children's, and a node no view subexpression shares costs one
+//! hash probe and no allocation. It then walks the expression top-down,
+//! reading that table, and tries, at every node, in this order:
 //!
 //! 1. **Exact class.** The node's interned [`ExprArena`] class equals a
 //!    view's: the node becomes a scan of the view, under a reordering π when
@@ -56,7 +59,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use mvdesign_algebra::{AggExpr, AttrRef, Expr, ExprArena, JoinCondition, Predicate, RelName};
+use mvdesign_algebra::{
+    AggExpr, AttrRef, Classes, Expr, ExprArena, ExprId, JoinCondition, Predicate, RelName,
+};
 use mvdesign_optimizer::pull_up;
 
 use crate::designer::DesignResult;
@@ -154,18 +159,14 @@ impl Core {
         fn flatten(
             e: &Expr,
             relations: &mut Vec<RelName>,
-            on: &mut JoinCondition,
+            pairs: &mut Vec<(AttrRef, AttrRef)>,
         ) -> Result<(), MissReason> {
             match e {
                 Expr::Base(r) => relations.push(r.clone()),
-                Expr::Join {
-                    left,
-                    right,
-                    on: here,
-                } => {
-                    *on = on.merged(here);
-                    flatten(left, relations, on)?;
-                    flatten(right, relations, on)?;
+                Expr::Join { left, right, on } => {
+                    pairs.extend_from_slice(on.pairs());
+                    flatten(left, relations, pairs)?;
+                    flatten(right, relations, pairs)?;
                 }
                 // `pull_up` leaves only an aggregation it could not peel.
                 _ => return Err(MissReason::InteriorAggregate),
@@ -174,8 +175,12 @@ impl Core {
         }
         let pulled = pull_up(expr);
         let mut relations = Vec::new();
-        let mut on = JoinCondition::cross();
-        flatten(&pulled.join_tree, &mut relations, &mut on)?;
+        let mut pairs = Vec::new();
+        flatten(&pulled.join_tree, &mut relations, &mut pairs)?;
+        // Each condition's pairs are normalised: their sorted, de-duplicated
+        // union is the merged condition.
+        pairs.sort();
+        pairs.dedup();
         relations.sort();
         if let Some(w) = relations.windows(2).find(|w| w[0] == w[1]) {
             return Err(MissReason::RepeatedRelation(w[0].clone()));
@@ -187,12 +192,12 @@ impl Core {
                 && relations.contains(&a.relation)
                 && relations.contains(&b.relation)
         };
-        if !on.pairs().iter().all(|(a, b)| links(a, b)) {
+        if !pairs.iter().all(|(a, b)| links(a, b)) {
             return Err(MissReason::JoinMismatch);
         }
         Ok(Self {
             relations,
-            pairs: on.pairs().to_vec(),
+            pairs,
             predicate: pulled.predicate,
             projection: pulled.projection,
             aggregate: pulled.aggregate,
@@ -464,13 +469,13 @@ impl ViewCatalog {
     /// by name, not by table). Every replaced node keeps its attribute list
     /// and order. Returns the input unchanged when nothing matches.
     pub fn rewrite(&self, expr: &Arc<Expr>) -> Arc<Expr> {
-        self.walk(expr, true, &mut Trace::new(false))
+        self.route_tree(expr, &mut Trace::new(false))
     }
 
     /// How many view scans [`ViewCatalog::rewrite`] introduces.
     pub fn match_count(&self, expr: &Arc<Expr>) -> usize {
         let mut trace = Trace::new(false);
-        self.walk(expr, true, &mut trace);
+        self.route_tree(expr, &mut trace);
         trace.scans
     }
 
@@ -479,7 +484,7 @@ impl ViewCatalog {
     /// refusal.
     pub fn route(&self, expr: &Arc<Expr>) -> Routed {
         let mut trace = Trace::new(true);
-        let plan = self.walk(expr, true, &mut trace);
+        let plan = self.route_tree(expr, &mut trace);
         if trace.scans == 0 && !lists_output(expr) && !self.is_empty() {
             trace.miss(None, MissReason::OutputUnknown);
         }
@@ -487,6 +492,16 @@ impl ViewCatalog {
             plan,
             decisions: trace.decisions.unwrap_or_default(),
         }
+    }
+
+    /// Classifies every node of `expr` once, children first, then routes
+    /// it top down reading those classes.
+    fn route_tree(&self, expr: &Arc<Expr>, trace: &mut Trace) -> Arc<Expr> {
+        if self.is_empty() {
+            return Arc::clone(expr);
+        }
+        let classes = self.arena.classify(expr);
+        self.walk(expr, classes.root(), &classes, true, trace)
     }
 
     fn name(&self, view: usize) -> &RelName {
@@ -497,70 +512,77 @@ impl ViewCatalog {
         Expr::base(self.name(view).clone())
     }
 
-    /// The view answering `expr` exactly, if any. Non-mutating: the probe
-    /// never interns new classes.
-    fn exact_match(&self, expr: &Arc<Expr>) -> Option<usize> {
-        let id = self.arena.lookup(expr)?;
-        *self.view_of.get(id.index())?
+    /// The view stored for `class`, if any.
+    fn view(&self, class: Option<ExprId>) -> Option<usize> {
+        *self.view_of.get(class?.index())?
     }
 
-    /// Whether anything strictly beneath `expr` is an exact hit.
-    fn holds_exact(&self, expr: &Expr) -> bool {
-        expr.children()
-            .into_iter()
-            .any(|c| self.exact_match(c).is_some() || self.holds_exact(c))
-    }
-
-    /// Routes one node. `ordered` says the node's column order reaches the
-    /// caller: no π or γ above restores it by name.
-    fn walk(&self, expr: &Arc<Expr>, ordered: bool, trace: &mut Trace) -> Arc<Expr> {
-        if self.is_empty() {
-            return Arc::clone(expr);
-        }
-        if let Some(plan) = self.exact(expr, ordered, trace) {
+    /// Routes node `node` of `classes`, which is `expr`. `ordered` says the
+    /// node's column order reaches the caller: no π or γ above restores it
+    /// by name.
+    fn walk(
+        &self,
+        expr: &Arc<Expr>,
+        node: usize,
+        classes: &Classes,
+        ordered: bool,
+        trace: &mut Trace,
+    ) -> Arc<Expr> {
+        if let Some(plan) = self.exact(expr, classes.class(node), ordered, trace) {
             return plan;
         }
         let lists = lists_output(expr);
-        if lists && !self.holds_exact(expr) {
+        // Containment only where nothing beneath is an exact hit.
+        if lists && classes.below(node).all(|c| self.view(c).is_none()) {
             if let Some(plan) = self.contain(expr, trace) {
                 return plan;
             }
         }
         let ordered = ordered && !lists;
-        let children = expr.children();
-        let rewritten: Vec<Arc<Expr>> = children
-            .iter()
-            .map(|c| self.walk(c, ordered, trace))
-            .collect();
-        if rewritten
-            .iter()
-            .zip(&children)
-            .all(|(new, old)| Arc::ptr_eq(new, old))
-        {
-            return Arc::clone(expr);
-        }
-        let mut rewritten = rewritten.into_iter();
-        let mut next = || rewritten.next().expect("one plan per child");
+        let mut at = classes.children(node);
+        let mut route = |child: &Arc<Expr>, trace: &mut Trace| {
+            let node = at.next().expect("one slot per child");
+            let plan = self.walk(child, node, classes, ordered, trace);
+            (!Arc::ptr_eq(&plan, child)).then_some(plan)
+        };
         match &**expr {
-            Expr::Select { predicate, .. } => Arc::new(Expr::Select {
-                input: next(),
-                predicate: predicate.clone(),
+            Expr::Base(_) => None,
+            Expr::Select { input, predicate } => route(input, trace).map(|input| {
+                Arc::new(Expr::Select {
+                    input,
+                    predicate: predicate.clone(),
+                })
             }),
-            Expr::Project { attrs, .. } => Expr::project(next(), attrs.clone()),
-            Expr::Aggregate { group_by, aggs, .. } => {
-                Expr::aggregate(next(), group_by.clone(), aggs.clone())
+            Expr::Project { input, attrs } => {
+                route(input, trace).map(|input| Expr::project(input, attrs.clone()))
             }
-            Expr::Join { on, .. } => {
-                let left = next();
-                Expr::join(left, next(), on.clone())
+            Expr::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => route(input, trace)
+                .map(|input| Expr::aggregate(input, group_by.clone(), aggs.clone())),
+            Expr::Join { left, right, on } => {
+                let (l, r) = (route(left, trace), route(right, trace));
+                (l.is_some() || r.is_some()).then(|| {
+                    let l = l.unwrap_or_else(|| Arc::clone(left));
+                    let r = r.unwrap_or_else(|| Arc::clone(right));
+                    Expr::join(l, r, on.clone())
+                })
             }
-            Expr::Base(_) => unreachable!("bases have no children"),
         }
+        .unwrap_or_else(|| Arc::clone(expr))
     }
 
     /// Step 1: the node is in a view's class.
-    fn exact(&self, expr: &Arc<Expr>, ordered: bool, trace: &mut Trace) -> Option<Arc<Expr>> {
-        let view = self.exact_match(expr)?;
+    fn exact(
+        &self,
+        expr: &Arc<Expr>,
+        class: Option<ExprId>,
+        ordered: bool,
+        trace: &mut Trace,
+    ) -> Option<Arc<Expr>> {
+        let view = self.view(class)?;
         let scan = self.scan(view);
         let plan = if Arc::ptr_eq(expr, &self.views[view].1) {
             scan
@@ -940,7 +962,7 @@ mod tests {
             Expr::base("Pd"),
             JoinCondition::on(AttrRef::new("Pd", "Did"), AttrRef::new("Div", "Did")),
         );
-        assert!(v.exact_match(&commuted).is_some());
+        assert!(v.view(v.arena.lookup(&commuted)).is_some());
     }
 
     #[test]

@@ -29,11 +29,13 @@ echo "== tier-1: tests =="
 cargo test -q --workspace
 
 # The golden designs and the incremental evaluator are pinned to the f64
-# bit; the pins must hold with the optimiser on too. So must the
+# bit, the golden routes byte for byte; the pins must hold with the
+# optimiser on too. So must the
 # benchmark's `period_io_blocks` (tests/simulation.rs pins the number), in
 # the build the benchmark measures.
 echo "== tier-1: float-bit and block-count pins under optimisation =="
 cargo test -q --release -p mvdesign --test designer_golden
+cargo test -q --release -p mvdesign --test route_golden
 cargo test -q --release -p mvdesign --test incremental_eval
 cargo test -q --release -p mvdesign --test simulation
 
@@ -91,5 +93,8 @@ printf '%-12s %6d `BTreeMap<Vec<Value>`/`HashMap<Vec<Value>` under crates/engine
   "row maps" "$(grep -rhoE '(BTreeMap|HashMap)<Vec<Value>' crates/engine/src --include='*.rs' | wc -l || true)"
 printf '%-12s %6d `Resident`/`make_resident`/`page_out_resident` under crates/ outside crates/engine/src/storage/ (should read 0: only the storage layer knows where a page lives)\n' \
   "residency" "$(grep -rnoE 'Resident|make_resident|page_out_resident' crates --include='*.rs' | grep -vc '^crates/engine/src/storage/' || true)"
+
+printf '%-12s per TPC-H-lite class, parse and rewrite (ceilings in tests/front_end_allocs.rs):\n' "allocations"
+cargo test -q --release -p mvdesign --test front_end_allocs -- --nocapture | grep '^front-end allocs'
 
 echo "tier-1 OK"

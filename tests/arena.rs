@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mvdesign::algebra::{AttrRef, CompareOp, Expr, ExprArena, JoinCondition, Predicate};
+use mvdesign::algebra::{
+    AggExpr, AggFunc, AttrRef, CompareOp, Expr, ExprArena, JoinCondition, Predicate,
+};
 
 const RELS: [&str; 4] = ["A", "B", "C", "D"];
 
@@ -156,6 +158,57 @@ proptest! {
         let id = arena.intern(&e);
         let noisy = scramble(&e, flip);
         prop_assert_eq!(arena.lookup(&noisy), Some(id));
+    }
+
+    /// `classify`, the router's children-first probe, gives every node the
+    /// class interning it would find — and none where interning would have
+    /// to create one — whether the node's `Arc` was interned (half of the
+    /// probe is `a` itself) or is new (a scrambled `b`). Its slots number
+    /// the nodes in postorder.
+    #[test]
+    fn classify_agrees_with_intern(
+        ra in proptest::collection::vec(any::<u8>(), 0..32),
+        rb in proptest::collection::vec(any::<u8>(), 0..32),
+        flip in any::<u64>(),
+    ) {
+        // γ over `b`, with a repeated aggregate: the probe lists the
+        // aggregates in the other order and the keys twice.
+        let gamma = |input: Arc<Expr>, reversed: bool| {
+            let mut aggs = vec![
+                AggExpr::new(AggFunc::Sum, AttrRef::new("A", "x"), "s"),
+                AggExpr::count_star("n"),
+                AggExpr::count_star("n"),
+            ];
+            let mut keys = vec![AttrRef::new("A", "k")];
+            if reversed {
+                aggs.reverse();
+                keys.push(AttrRef::new("A", "k"));
+            }
+            Expr::aggregate(input, keys, aggs)
+        };
+        let a = build(&ra);
+        let mut arena = ExprArena::new();
+        arena.intern(&a);
+        arena.intern(&gamma(build(&rb), false));
+        let b = gamma(scramble(&build(&rb), flip), true);
+        let probe = Expr::join(Arc::clone(&a), b, JoinCondition::cross());
+        let classes = arena.classify(&probe);
+        let nodes = mvdesign::algebra::collect_subexprs(&probe);
+        prop_assert_eq!(classes.root(), nodes.len() - 1);
+        for (k, node) in nodes.iter().enumerate() {
+            let mut copy = arena.clone();
+            let interned = copy.intern(node);
+            let existing = (interned.index() < arena.len()).then_some(interned);
+            prop_assert_eq!(classes.class(k), existing, "{}", node);
+            let children: Vec<&Arc<Expr>> = classes.children(k).map(|c| &nodes[c]).collect();
+            prop_assert!(children.len() == node.children().len());
+            for (slot, child) in children.iter().zip(node.children()) {
+                prop_assert!(Arc::ptr_eq(slot, child));
+            }
+            prop_assert_eq!(classes.below(k).count(), node.node_count() - 1);
+        }
+        // The scrambled γ is in the interned γ's class.
+        prop_assert!(classes.class(nodes.len() - 2).is_some());
     }
 }
 

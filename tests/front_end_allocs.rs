@@ -1,0 +1,136 @@
+//! Allocation ceilings for the SQL front end: parsing a TPC-H-lite class
+//! and routing it through the designed views must not allocate more than
+//! the counts recorded here.
+//!
+//! A counting global allocator counts heap allocations on the calling
+//! thread only (a `const` thread-local `Cell`), so the test threads the
+//! harness runs in parallel do not disturb each other's counts. Unlike a
+//! timing, a count is deterministic: a change that makes the front end
+//! allocate per name again fails here, on any host.
+//!
+//! Run with `--nocapture` to print the counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mvdesign::algebra::parse_query_with;
+use mvdesign::core::{Designer, ViewCatalog};
+use mvdesign::workload::tpch_lite;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a plain thread-local cell that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread; what it returns is dropped
+/// after the count is taken.
+fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let count = ALLOCATIONS.with(Cell::get) - before;
+    drop(out);
+    count
+}
+
+/// Each class's text as clients send it, with the most its parse and its
+/// `rewrite` may allocate. Recorded from this code; the parser that copied
+/// every name and the router that re-classified every subtree took
+/// 46/44/99/120/76/95 and 32/24/64/97/40/62.
+const CLASSES: [(&str, &str, u64, u64); 6] = [
+    (
+        "recent_shipments",
+        "SELECT Lineitem.ok, qty, price FROM Lineitem WHERE shipdate > 6/1/95",
+        10,
+        17,
+    ),
+    (
+        "orders_by_priority",
+        "SELECT priority, COUNT(*) AS n FROM Orders GROUP BY Orders.priority",
+        12,
+        10,
+    ),
+    (
+        "revenue_by_segment",
+        "SELECT segment, SUM(price) AS revenue FROM Customer, Orders, Lineitem \
+         WHERE Orders.ck = Customer.ck AND Lineitem.ok = Orders.ok GROUP BY Customer.segment",
+        20,
+        17,
+    ),
+    (
+        "revenue_by_nation",
+        "SELECT Nation.name, SUM(price) AS revenue FROM Nation, Customer, Orders, Lineitem \
+         WHERE Customer.nk = Nation.nk AND Orders.ck = Customer.ck AND Lineitem.ok = Orders.ok \
+         GROUP BY Nation.name",
+        24,
+        26,
+    ),
+    (
+        "volume_by_brand",
+        "SELECT brand, SUM(qty) AS volume FROM Part, Lineitem \
+         WHERE Lineitem.pk = Part.pk GROUP BY Part.brand",
+        16,
+        13,
+    ),
+    (
+        "supplier_nation_activity",
+        "SELECT Nation.name, COUNT(*) AS shipments FROM Supplier, Nation, Lineitem \
+         WHERE Supplier.nk = Nation.nk AND Lineitem.sk = Supplier.sk GROUP BY Nation.name",
+        20,
+        14,
+    ),
+];
+
+#[test]
+fn parse_and_rewrite_stay_under_their_allocation_ceilings() {
+    let scenario = tpch_lite();
+    let design = Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("tpch_lite designs");
+    let views = ViewCatalog::from_design(&design);
+    let mut over = Vec::new();
+    for (name, sql, parse_ceiling, rewrite_ceiling) in CLASSES {
+        // One uncounted round first: anything initialised once per process
+        // is not a per-query cost.
+        let query = parse_query_with(sql, &scenario.catalog).expect("class SQL parses");
+        drop(views.rewrite(&query));
+        let parse = allocations(|| parse_query_with(sql, &scenario.catalog));
+        let rewrite = allocations(|| views.rewrite(&query));
+        println!(
+            "front-end allocs {name:<25} parse {parse:>4} (ceiling {parse_ceiling:>4})  \
+             rewrite {rewrite:>4} (ceiling {rewrite_ceiling:>4})"
+        );
+        if parse > parse_ceiling || rewrite > rewrite_ceiling {
+            over.push(format!(
+                "{name}: parse {parse} > {parse_ceiling} or rewrite {rewrite} > {rewrite_ceiling}"
+            ));
+        }
+    }
+    assert!(over.is_empty(), "allocation ceilings exceeded: {over:?}");
+}

@@ -314,10 +314,11 @@ proptest! {
 
     #[test]
     fn sql_parser_never_panics_on_arbitrary_text(
-        text in "[ -~]{0,200}",
+        text in "[ -~é日\u{a0}\\t\\n]{0,200}",
     ) {
         let catalog = make_catalog([50, 50, 50], 0.3);
         let _ = mvdesign::algebra::parse_query_with(&text, &catalog);
+        parse_and_route(&text);
     }
 
     #[test]
@@ -370,5 +371,159 @@ proptest! {
         if w > 0.0 {
             prop_assert!(ustar >= 1.0, "w>0 but U*={} < fu", ustar);
         }
+    }
+}
+
+// ------------------------------------------------ SQL front-end robustness --
+
+/// Every SQL text the pinned scenarios are written in, and ad hoc ones.
+const CORPUS_SQL: [&str; 10] = [
+    "SELECT Lineitem.ok, qty, price FROM Lineitem WHERE shipdate > 6/1/95",
+    "SELECT priority, COUNT(*) AS n FROM Orders GROUP BY Orders.priority",
+    "SELECT segment, SUM(price) AS revenue FROM Customer, Orders, Lineitem \
+     WHERE Orders.ck = Customer.ck AND Lineitem.ok = Orders.ok GROUP BY Customer.segment",
+    "SELECT Nation.name, SUM(price) AS revenue FROM Nation, Customer, Orders, Lineitem \
+     WHERE Customer.nk = Nation.nk AND Orders.ck = Customer.ck AND Lineitem.ok = Orders.ok \
+     GROUP BY Nation.name",
+    "SELECT brand, SUM(qty) AS volume FROM Part, Lineitem \
+     WHERE Lineitem.pk = Part.pk GROUP BY Part.brand",
+    "SELECT Nation.name, COUNT(*) AS shipments FROM Supplier, Nation, Lineitem \
+     WHERE Supplier.nk = Nation.nk AND Lineitem.sk = Supplier.sk GROUP BY Nation.name",
+    "SELECT ok, ck FROM Orders WHERE priority = 'v1' OR (ck >= 3 AND ck <> 7)",
+    "SELECT segment, MIN(price) AS lo FROM Customer, Orders, Lineitem \
+     WHERE Orders.ck = Customer.ck AND Lineitem.ok = Orders.ok \
+     GROUP BY Customer.segment HAVING lo < 10",
+    "SELECT * FROM Orders WHERE odate <= 12/31/1998",
+    "select name from Nation where name = \"x\"",
+];
+
+/// Tokens a mutation splices in: what breaks the lexer, the parser or the
+/// resolver.
+const SPLICES: [&str; 14] = [
+    "99999999999999999999",
+    "1/99999999999999999999/5",
+    "13/1/96",
+    "1/32/96",
+    "0/1/96",
+    "7/1/99999999999999999",
+    "é",
+    "日本",
+    "'",
+    "(",
+    ")",
+    "#agg",
+    "Ghost.x",
+    "GROUP",
+];
+
+/// The query split into tokens: identifier/number runs, quoted strings and
+/// single punctuation characters.
+fn sql_tokens(sql: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut chars = sql.chars().peekable();
+    while let Some(c) = chars.next() {
+        if c.is_whitespace() {
+            continue;
+        }
+        let mut token = c.to_string();
+        if c.is_alphanumeric() || c == '_' || c == '/' {
+            while let Some(&n) = chars.peek() {
+                if !(n.is_alphanumeric() || n == '_' || n == '/') {
+                    break;
+                }
+                token.push(n);
+                chars.next();
+            }
+        } else if c == '\'' {
+            for n in chars.by_ref() {
+                token.push(n);
+                if n == '\'' {
+                    break;
+                }
+            }
+        }
+        out.push(token);
+    }
+    out
+}
+
+/// Applies `edits` to the corpus text `base`: each edit drops, duplicates,
+/// swaps or replaces a token, picked by its numbers.
+fn mutate(base: &str, edits: &[(u8, usize, usize)]) -> String {
+    let mut tokens = sql_tokens(base);
+    for &(kind, at, with) in edits {
+        if tokens.is_empty() {
+            break;
+        }
+        let at = at % tokens.len();
+        match kind % 4 {
+            0 => {
+                tokens.remove(at);
+            }
+            1 => {
+                let t = tokens[at].clone();
+                tokens.insert(at, t);
+            }
+            2 => {
+                let other = with % tokens.len();
+                tokens.swap(at, other);
+            }
+            _ => tokens[at] = SPLICES[with % SPLICES.len()].to_string(),
+        }
+    }
+    tokens.join(" ")
+}
+
+/// The TPC-H-lite and paper scenarios with their designed views.
+fn designed() -> &'static [(Catalog, mvdesign::core::ViewCatalog); 2] {
+    use mvdesign::core::{Designer, ViewCatalog};
+    static DESIGNED: std::sync::OnceLock<[(Catalog, ViewCatalog); 2]> = std::sync::OnceLock::new();
+    DESIGNED.get_or_init(|| {
+        [
+            mvdesign::workload::tpch_lite(),
+            mvdesign::workload::paper_example(),
+        ]
+        .map(|s| {
+            let design = Designer::new()
+                .design(&s.catalog, &s.workload)
+                .expect("pinned scenarios design");
+            (s.catalog, ViewCatalog::from_design(&design))
+        })
+    })
+}
+
+/// Parses `text` with and without each scenario's catalog: each parse is
+/// `Ok` or `Err` (a panic fails the test), and every `Ok` must route.
+fn parse_and_route(text: &str) {
+    for (catalog, views) in designed() {
+        let parses = [
+            mvdesign::algebra::parse_query(text),
+            mvdesign::algebra::parse_query_with(text, catalog),
+        ];
+        for query in parses.into_iter().flatten() {
+            let routed = views.route(&query);
+            assert_eq!(views.rewrite(&query), routed.plan, "{text}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn sql_front_end_never_panics_on_mutated_corpus_queries(
+        base in 0usize..CORPUS_SQL.len(),
+        edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..4),
+    ) {
+        parse_and_route(&mutate(CORPUS_SQL[base], &edits));
+    }
+}
+
+#[test]
+fn unmutated_corpus_queries_parse_and_route() {
+    let (tpch, _) = &designed()[0];
+    for sql in CORPUS_SQL {
+        mvdesign::algebra::parse_query_with(sql, tpch).expect("corpus SQL parses");
+        parse_and_route(sql);
     }
 }

@@ -21,7 +21,8 @@
 //! Deterministic companions pin what the proptests rely on: a
 //! snapshot-stability fixture (a reader holding a snapshot across a
 //! published refresh sees the old, internally consistent state
-//! end-to-end), a drain-on-shutdown check, and a 64-client × 500 ms mixed
+//! end-to-end), a drain-on-shutdown check, a malformed-SQL check (a parse
+//! error, not a dead reader), and a 64-client × 500 ms mixed
 //! query/maintenance smoke.
 
 use std::collections::BTreeMap;
@@ -30,14 +31,14 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use mvdesign::algebra::{parse_query_with, Expr, Value};
+use mvdesign::algebra::{parse_query_with, Expr, ParseError, Value};
 use mvdesign::catalog::Catalog;
 use mvdesign::core::DesignResult;
 use mvdesign::engine::{execute, Database, ExecContext, Generator, GeneratorConfig};
 use mvdesign::prelude::Designer;
-use mvdesign::warehouse::{Warehouse, WarehouseSnapshot};
+use mvdesign::warehouse::{Warehouse, WarehouseError, WarehouseSnapshot};
 use mvdesign::workload::paper_example;
-use mvdesign_serve::{ServeConfig, ServeStats, Server};
+use mvdesign_serve::{ServeConfig, ServeError, ServeStats, Server};
 
 // The compile-time thread-safety contract the serving layer rests on: a
 // future non-`Send`/`Sync` field in any of these breaks this test file at
@@ -518,6 +519,33 @@ fn shutdown_drains_every_accepted_query() {
             .unwrap_or_else(|e| panic!("query {i} dropped at shutdown: {e}"));
         assert_eq!(a.version, 0);
     }
+}
+
+/// Malformed SQL is an error for its asker, never a dead reader: an
+/// integer or date literal out of range comes back as a parse error, the
+/// one reader goes on answering, and shutdown joins every thread cleanly.
+#[test]
+fn out_of_range_sql_is_a_parse_error_and_the_server_keeps_serving() {
+    let server = Server::start(resident_warehouse(5), ServeConfig { readers: 1 });
+    let h = server.handle();
+    for sql in [
+        "SELECT name FROM Customer WHERE Customer.Cid > 99999999999999999999",
+        "SELECT Customer.city, date FROM Order, Customer \
+         WHERE date > 1/99999999999999999999/5 AND Order.Cid = Customer.Cid",
+        "SELECT Customer.city, date FROM Order, Customer \
+         WHERE date > 13/1/96 AND Order.Cid = Customer.Cid",
+    ] {
+        match h.query(sql).wait() {
+            Err(ServeError::Warehouse(WarehouseError::Parse(ParseError::OutOfRange(_)))) => {}
+            other => panic!("{sql}: expected an out-of-range parse error, got {other:?}"),
+        }
+    }
+    let answer = h
+        .query("SELECT name FROM Customer WHERE city = 'v0'")
+        .wait()
+        .expect("the reader still answers");
+    assert_eq!(answer.version, 0);
+    drop(server.shutdown());
 }
 
 /// The CI smoke: 64 simulated clients over a mixed query/maintenance load
