@@ -12,7 +12,8 @@
 //! section name, prints the list of sections to stderr and exits 2.
 //!
 //! Sections: `table1`, `table2`, `fig2`, `fig3`, `fig5`, `fig6`, `fig7`,
-//! `fig8`, `fig9` (the paper); the extensions `distributed`, `ablation`,
+//! `fig8`, `fig9` (the paper); the extensions `distributed` (§4.1
+//! data-transfer costs), `ablation`,
 //! `sweep` (update-frequency crossover), `algorithms` (selection quality),
 //! `mqp` (§3.2 comparison), `scale` (workload growth), `simulate`
 //! (engine-measured I/O), `tpch` (TPC-H-lite design), `breakeven`
@@ -32,9 +33,6 @@ use mvdesign::core::{
 };
 use mvdesign::cost::{
     CostEstimator, EstimationMode, NestedLoopCostModel, PaperCostModel, SortMergeCostModel,
-};
-use mvdesign::distributed::{
-    DistributedEvaluator, FilterShipping, MarginalGreedy, Placement, Topology,
 };
 use mvdesign::optimizer::{pull_up, Planner};
 use mvdesign::workload::{paper_example, paper_figure7_example, StarSchema, StarSchemaConfig};
@@ -460,39 +458,41 @@ fn fig9() {
     );
 }
 
+/// The running example with every base relation at a remote site, three
+/// block accesses per shipped block. The same central MVPP is annotated
+/// once per catalog; every strategy is priced under both annotations, and
+/// exhaustive search runs on the transfer-aware one.
 fn distributed() {
     section("Extension (§4.1): distributed warehouse with data-transfer costs");
-    let a = paper_annotated();
-    let topology = Topology::uniform(3, 3.0);
-    let wh = topology.site(0).expect("site 0");
-    let sales = topology.site(1).expect("site 1");
-    let mfg = topology.site(2).expect("site 2");
-    let mut placement = Placement::new(wh);
-    placement.assign("Order", sales);
-    placement.assign("Customer", sales);
-    placement.assign("Product", mfg);
-    placement.assign("Division", mfg);
-    placement.assign("Part", mfg);
-    let eval = DistributedEvaluator::new(&a, topology, placement, FilterShipping::AtSource);
+    let central = paper_annotated();
+    let mut catalog = paper_example().catalog;
+    for rel in ["Order", "Customer", "Product", "Division", "Part"] {
+        catalog.set_transfer_cost(rel, 3.0).expect("paper relation");
+    }
+    let remote = AnnotatedMvpp::annotate(
+        central.mvpp().clone(),
+        &paper_estimator(&catalog),
+        UpdateWeighting::Max,
+    );
+    let mode = MaintenanceMode::SharedRecompute;
+    let (paper_set, _) = GreedySelection::new().run(&central);
+    let aware_set = ExhaustiveSelection::default().select(&remote, mode);
     println!(
         "{:<28} {:>14} {:>14}",
         "strategy", "central total", "distributed"
     );
-    let (paper_set, _) = GreedySelection::new().run(&a);
-    let (aware_set, aware_cost) = MarginalGreedy::default().run(&eval);
     for (label, set) in [
         ("materialize nothing", BTreeSet::new()),
         ("paper greedy", paper_set),
-        ("shipping-aware greedy", aware_set.clone()),
+        ("exhaustive (transfer-aware)", aware_set.clone()),
     ] {
-        let central = evaluate(&a, &set, MaintenanceMode::SharedRecompute).total;
-        let dist = eval.evaluate(&set, MaintenanceMode::SharedRecompute).total;
-        println!("{label:<28} {central:>14.0} {dist:>14.0}");
+        let c = evaluate(&central, &set, mode).total;
+        let d = evaluate(&remote, &set, mode).total;
+        println!("{label:<28} {c:>14.0} {d:>14.0}");
     }
     println!(
-        "\nshipping-aware design materializes {} views, total {:.0}",
-        aware_set.len(),
-        aware_cost.total
+        "\ntransfer-aware design materializes {} views",
+        aware_set.len()
     );
 }
 
@@ -954,9 +954,9 @@ fn audit() {
         eprintln!("audit: {dirty} scenario(s) reported violations");
         std::process::exit(1);
     }
-    println!("\nall scenarios clean (MVPP invariants, three-way cost differential,");
-    println!("distributed zero-link equality, greedy trace replay, prune tripwire,");
-    println!("executable semantics on generated data)");
+    println!("\nall scenarios clean (MVPP invariants, three-way cost differential on the");
+    println!("central and the transfer-cost twin annotation, greedy trace replay, prune");
+    println!("tripwire, executable semantics on generated data)");
 }
 
 #[cfg(test)]

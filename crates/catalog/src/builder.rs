@@ -39,6 +39,7 @@ pub struct RelationBuilder<'c> {
     records: f64,
     blocks: f64,
     update_frequency: f64,
+    transfer_cost: f64,
     selectivities: BTreeMap<AttrName, f64>,
 }
 
@@ -51,6 +52,7 @@ impl<'c> RelationBuilder<'c> {
             records: 0.0,
             blocks: 0.0,
             update_frequency: 0.0,
+            transfer_cost: 0.0,
             selectivities: BTreeMap::new(),
         }
     }
@@ -79,6 +81,13 @@ impl<'c> RelationBuilder<'c> {
         self
     }
 
+    /// Sets the per-block cost of shipping the relation to the warehouse
+    /// (default `0`: the relation is local).
+    pub fn transfer_cost(mut self, t: f64) -> Self {
+        self.transfer_cost = t;
+        self
+    }
+
     /// Sets the selection selectivity of an attribute.
     pub fn selectivity(mut self, attr: impl Into<AttrName>, s: f64) -> Self {
         self.selectivities.insert(attr.into(), s);
@@ -91,14 +100,16 @@ impl<'c> RelationBuilder<'c> {
     ///
     /// Propagates every validation error of [`Catalog::insert_relation`]:
     /// duplicate relation or attribute names, unknown selectivity targets,
-    /// out-of-range selectivities or frequencies, and negative, non-finite or
-    /// inconsistent (`records > 0` with `blocks <= 0`) physical statistics.
+    /// out-of-range selectivities, frequencies or transfer costs, and
+    /// negative, non-finite or inconsistent (`records > 0` with
+    /// `blocks <= 0`) physical statistics.
     pub fn finish(self) -> Result<(), CatalogError> {
         Catalog::validate_stats(self.records, self.blocks)?;
         let meta = RelationMeta {
             schema: RelationSchema::new(self.name, self.attributes),
             stats: RelationStats::new(self.records, self.blocks),
             update_frequency: self.update_frequency,
+            transfer_cost: self.transfer_cost,
             selectivities: self.selectivities,
         };
         self.catalog.insert_relation(meta)
@@ -202,6 +213,30 @@ mod tests {
             .finish()
             .expect("(0 records, 0 blocks) stays legal");
         assert_eq!(c.meta("Empty").unwrap().stats.records, 0.0);
+    }
+
+    #[test]
+    fn builder_sets_and_validates_transfer_cost() {
+        let mut c = Catalog::new();
+        c.relation("R")
+            .attr("a", AttrType::Int)
+            .transfer_cost(4.0)
+            .finish()
+            .unwrap();
+        assert_eq!(c.meta("R").unwrap().transfer_cost, 4.0);
+        let err = c
+            .relation("S")
+            .attr("a", AttrType::Int)
+            .transfer_cost(-1.0)
+            .finish()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CatalogError::InvalidValue {
+                what: "transfer cost",
+                ..
+            }
+        ));
     }
 
     #[test]

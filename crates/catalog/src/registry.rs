@@ -20,6 +20,9 @@ pub struct RelationMeta {
     pub stats: RelationStats,
     /// How often the relation is updated per unit period (`fu` in the paper).
     pub update_frequency: f64,
+    /// Cost per block of shipping the relation to the warehouse (§4.1's
+    /// "data transferring among different sites"); `0` means local.
+    pub transfer_cost: f64,
     /// Per-attribute selection selectivities (fraction of rows kept by a
     /// selection on that attribute).
     pub selectivities: BTreeMap<AttrName, f64>,
@@ -135,9 +138,9 @@ impl Catalog {
     ///
     /// Returns an error if the name is already registered, the schema has
     /// duplicate attributes, a selectivity references an unknown attribute or
-    /// lies outside `[0, 1]`, the update frequency is negative, or the
-    /// statistics are negative, non-finite or inconsistent (`records > 0`
-    /// with `blocks <= 0`).
+    /// lies outside `[0, 1]`, the update frequency or transfer cost is
+    /// negative, or the statistics are negative, non-finite or inconsistent
+    /// (`records > 0` with `blocks <= 0`).
     pub fn insert_relation(&mut self, meta: RelationMeta) -> Result<(), CatalogError> {
         let name = meta.schema.name().clone();
         if self.relations.contains_key(&name) {
@@ -147,12 +150,8 @@ impl Catalog {
             return Err(CatalogError::DuplicateAttribute(name, dup.clone()));
         }
         Self::validate_stats(meta.stats.records, meta.stats.blocks)?;
-        if !(meta.update_frequency.is_finite() && meta.update_frequency >= 0.0) {
-            return Err(CatalogError::InvalidValue {
-                what: "update frequency",
-                value: meta.update_frequency,
-            });
-        }
+        validate_non_negative("update frequency", meta.update_frequency)?;
+        validate_non_negative("transfer cost", meta.transfer_cost)?;
         for (attr, s) in &meta.selectivities {
             if !meta.schema.contains(attr.as_str()) {
                 return Err(CatalogError::UnknownAttribute(name, attr.clone()));
@@ -195,19 +194,33 @@ impl Catalog {
     /// Returns an error if the relation is unknown or the frequency is
     /// negative/not finite.
     pub fn set_update_frequency(&mut self, name: &str, fu: f64) -> Result<(), CatalogError> {
-        if !(fu.is_finite() && fu >= 0.0) {
-            return Err(CatalogError::InvalidValue {
-                what: "update frequency",
-                value: fu,
-            });
-        }
-        match self.relations.get_mut(name) {
-            Some(meta) => {
-                meta.update_frequency = fu;
-                Ok(())
-            }
-            None => Err(CatalogError::UnknownRelation(RelName::new(name))),
-        }
+        validate_non_negative("update frequency", fu)?;
+        self.meta_mut(name)?.update_frequency = fu;
+        Ok(())
+    }
+
+    /// A relation's per-block cost of shipping to the warehouse, `0.0` (local)
+    /// if unknown.
+    pub fn transfer_cost(&self, name: &str) -> f64 {
+        self.meta(name).map_or(0.0, |m| m.transfer_cost)
+    }
+
+    /// Overwrites a relation's per-block transfer cost.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the relation is unknown or the cost is
+    /// negative/not finite.
+    pub fn set_transfer_cost(&mut self, name: &str, t: f64) -> Result<(), CatalogError> {
+        validate_non_negative("transfer cost", t)?;
+        self.meta_mut(name)?.transfer_cost = t;
+        Ok(())
+    }
+
+    fn meta_mut(&mut self, name: &str) -> Result<&mut RelationMeta, CatalogError> {
+        self.relations
+            .get_mut(name)
+            .ok_or_else(|| CatalogError::UnknownRelation(RelName::new(name)))
     }
 
     /// Iterates over all registered relations in name order.
@@ -383,6 +396,15 @@ impl Catalog {
     }
 }
 
+/// Rejects a negative or non-finite per-relation figure.
+fn validate_non_negative(what: &'static str, value: f64) -> Result<(), CatalogError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(CatalogError::InvalidValue { what, value })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,6 +461,7 @@ mod tests {
             ),
             stats: RelationStats::empty(),
             update_frequency: 0.0,
+            transfer_cost: 0.0,
             selectivities: BTreeMap::new(),
         };
         assert!(matches!(
@@ -498,6 +521,29 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(c.size_override(&key).unwrap().stats.blocks, 5_000.0);
+    }
+
+    #[test]
+    fn transfer_cost_defaults_to_local_and_rejects_bad_values() {
+        let mut c = sample();
+        assert_eq!(c.transfer_cost("Product"), 0.0);
+        assert_eq!(c.transfer_cost("Ghost"), 0.0);
+        c.set_transfer_cost("Product", 3.0).unwrap();
+        assert_eq!(c.transfer_cost("Product"), 3.0);
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                c.set_transfer_cost("Product", bad),
+                Err(CatalogError::InvalidValue {
+                    what: "transfer cost",
+                    ..
+                })
+            ));
+        }
+        assert_eq!(
+            c.set_transfer_cost("Ghost", 1.0),
+            Err(CatalogError::UnknownRelation(RelName::new("Ghost")))
+        );
+        assert_eq!(c.transfer_cost("Product"), 3.0);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! | [`engine`]  | in-memory executor, data generator, I/O simulator (`mvdesign-engine`) |
 //! | [`core`]    | MVPP construction, view selection, cost evaluation (`mvdesign-core`) |
 //! | [`workload`] | the paper's running example, synthetic star schemas (`mvdesign-workload`) |
-//! | [`distributed`] | inter-site transfer costs, distributed selection (`mvdesign-distributed`) |
 //! | [`warehouse`] | an operational runtime: loads, refreshes, view-routed queries |
 //!
 //! # Quickstart
@@ -52,7 +51,6 @@ pub use mvdesign_algebra as algebra;
 pub use mvdesign_catalog as catalog;
 pub use mvdesign_core as core;
 pub use mvdesign_cost as cost;
-pub use mvdesign_distributed as distributed;
 pub use mvdesign_engine as engine;
 pub use mvdesign_optimizer as optimizer;
 pub use mvdesign_workload as workload;

@@ -1,13 +1,14 @@
 //! Cross-crate correctness-audit harness (C-VERIFY).
 //!
 //! The core audit layer ([`mvdesign_core::audit_annotated`]) can only
-//! cross-check what lives *inside* the core crate. This harness layers the
-//! remaining two oracles on top:
+//! cross-check what lives *inside* the core crate. This harness layers two
+//! oracles on top of it and widens what it sees:
 //!
-//! - **distributed differential** ([`check_distributed_zero_link`]): at zero
-//!   link cost the shipping-aware [`DistributedEvaluator`] must reproduce the
-//!   core [`evaluate`] bit-for-bit, for both maintenance modes and both
-//!   filter-shipping strategies;
+//! - **transfer-cost twin** ([`remote_twin`]): the core audit also runs on
+//!   a second annotation of the same MVPP whose catalog puts a seeded half
+//!   of the relations at remote sites, so the bit-exact three-way cost
+//!   differential (`evaluate` ≡ `evaluate_set` ≡ `IncrementalEvaluator`)
+//!   covers costs that carry the §4.1 data-transfer term;
 //! - **executable semantics** ([`check_semantics`]): the merged, pushed-down
 //!   MVPP plan of every query — and both that plan and the raw query routed
 //!   through the materialized views — must return exactly the rows of the
@@ -24,9 +25,9 @@
 //!   rounds of deterministic appends of varying size, including empty ones.
 //!
 //! [`audit_scenario`] bundles everything (structural validation, rewrite
-//! coverage, the three-way cost differential over deterministic random
-//! materialization choices, the greedy-trace replay, prune-safety and the
-//! executable oracle) into a single pass over one catalog + workload, and
+//! coverage, the three-way cost differential on the central and the twin
+//! annotation, the greedy-trace replay, prune-safety and the executable
+//! oracle) into a single pass over one catalog + workload, and
 //! [`audit_standard_scenarios`] runs that pass over the paper example, a star
 //! schema, TPC-H lite and every degenerate case.
 
@@ -35,20 +36,16 @@
 
 pub mod row_reference;
 
-use std::collections::BTreeSet;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::prelude::*;
 
 use mvdesign_algebra::Expr;
-use mvdesign_catalog::Catalog;
+use mvdesign_catalog::{Catalog, RelName};
 use mvdesign_core::{
     audit_annotated, check_query_rewrite, evaluate, generate_mvpps, greedy_no_prune, AnnotatedMvpp,
-    AuditReport, GenerateConfig, GreedySelection, MaintenanceMode, MaintenancePolicy, NodeId,
+    AuditReport, GenerateConfig, GreedySelection, MaintenanceMode, MaintenancePolicy,
     UpdateWeighting, ViewCatalog, Workload,
 };
 use mvdesign_cost::{CostEstimator, EstimationMode, PaperCostModel};
-use mvdesign_distributed::{DistributedEvaluator, FilterShipping, Placement, Topology};
 use mvdesign_engine::{
     execute, materialize_view, refresh_view_delta, split_appends, ExecContext, Generator,
     GeneratorConfig,
@@ -58,67 +55,20 @@ use mvdesign_workload::{
     degenerate_scenarios, paper_example, tpch_lite, Scenario, StarSchema, StarSchemaConfig,
 };
 
-/// Materialization choices used by the differential oracles: nothing,
-/// everything, every singleton, the greedy's own pick, and `extra`
-/// deterministic random subsets.
-pub fn standard_choices(a: &AnnotatedMvpp, seed: u64, extra: usize) -> Vec<BTreeSet<NodeId>> {
-    let interior = a.mvpp().interior();
-    let mut choices: Vec<BTreeSet<NodeId>> = Vec::new();
-    choices.push(BTreeSet::new());
-    choices.push(interior.iter().copied().collect());
-    for v in &interior {
-        choices.push([*v].into());
-    }
-    let (greedy_m, _) = GreedySelection::new().run(a);
-    choices.push(greedy_m);
+/// A copy of `catalog` in which a seeded half of the relations (rounded
+/// up) sit at a remote site: each gets a transfer cost drawn from
+/// `{1, 3, 10}`, the rest stay local.
+pub fn remote_twin(catalog: &Catalog, seed: u64) -> Catalog {
     let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..extra {
-        let m: BTreeSet<NodeId> = interior
-            .iter()
-            .copied()
-            .filter(|_| rng.gen_bool(0.5))
-            .collect();
-        choices.push(m);
+    let mut names: Vec<RelName> = catalog.relation_names().cloned().collect();
+    names.shuffle(&mut rng);
+    let mut twin = catalog.clone();
+    for name in &names[..names.len().div_ceil(2)] {
+        let t = *[1.0, 3.0, 10.0].choose(&mut rng).expect("non-empty");
+        twin.set_transfer_cost(name.as_str(), t)
+            .expect("a relation of this catalog, a finite cost");
     }
-    choices
-}
-
-/// At zero link cost the distributed evaluator adds no shipping anywhere, so
-/// its breakdown must equal the core [`evaluate`] **bit-for-bit** on every
-/// choice, maintenance mode and filter-shipping strategy.
-pub fn check_distributed_zero_link(a: &AnnotatedMvpp, choices: &[BTreeSet<NodeId>]) -> AuditReport {
-    let mut report = AuditReport::new();
-    let topo = Topology::uniform(3, 0.0);
-    let warehouse = topo.site(0).expect("site 0 exists");
-    let placement = Placement::new(warehouse);
-    for shipping in [FilterShipping::AtWarehouse, FilterShipping::AtSource] {
-        let eval = DistributedEvaluator::new(a, topo.clone(), placement.clone(), shipping);
-        for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
-            for m in choices {
-                let core = evaluate(a, m, mode);
-                let dist = eval.evaluate(m, mode);
-                for (field, x, y) in [
-                    (
-                        "query_processing",
-                        core.query_processing,
-                        dist.query_processing,
-                    ),
-                    ("maintenance", core.maintenance, dist.maintenance),
-                    ("total", core.total, dist.total),
-                ] {
-                    if x.to_bits() != y.to_bits() {
-                        report.push(
-                            "distributed-zero-link",
-                            format!(
-                                "{shipping:?}/{mode:?}: distributed {field} = {y} != core {x} for {m:?}"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    report
+    twin
 }
 
 /// Maximum relative total-cost loss that [`check_prune_safety`] tolerates
@@ -362,10 +312,8 @@ pub fn check_delta_refresh(
 /// Configuration for one full audit pass.
 #[derive(Debug, Clone, Copy)]
 pub struct AuditConfig {
-    /// Seed for the deterministic random materialization choices.
+    /// Seed for the [`remote_twin`] catalog.
     pub seed: u64,
-    /// Number of random choices on top of the standard ones.
-    pub random_choices: usize,
     /// MVPP merge-order rotations to audit.
     pub max_rotations: usize,
     /// Data-generation settings for the executable semantics oracle.
@@ -376,7 +324,6 @@ impl Default for AuditConfig {
     fn default() -> Self {
         Self {
             seed: 0xA0D1,
-            random_choices: 8,
             max_rotations: 2,
             generator: GeneratorConfig {
                 seed: 21,
@@ -388,15 +335,21 @@ impl Default for AuditConfig {
 }
 
 /// Runs every oracle over one scenario: for each candidate MVPP, structural
-/// and schema validation, per-query rewrite coverage, the greedy replay, the
-/// three-way in-core cost differential, the distributed differential at zero
-/// link cost, prune safety, the executable semantics oracle (with and
-/// without the greedy design's materialized views), and the delta-refresh
-/// oracle over the greedy design's views.
+/// and schema validation, per-query rewrite coverage, the greedy replay and
+/// the three-way in-core cost differential (on the central annotation and
+/// on its [`remote_twin`]), prune safety, the executable semantics oracle
+/// (with and without the greedy design's materialized views), and the
+/// delta-refresh oracle over the greedy design's views.
 pub fn audit_scenario(scenario: &Scenario, config: &AuditConfig) -> AuditReport {
     let mut report = AuditReport::new();
     let est = CostEstimator::new(
         &scenario.catalog,
+        EstimationMode::Calibrated,
+        PaperCostModel::default(),
+    );
+    let twin_catalog = remote_twin(&scenario.catalog, config.seed);
+    let twin_est = CostEstimator::new(
+        &twin_catalog,
         EstimationMode::Calibrated,
         PaperCostModel::default(),
     );
@@ -419,8 +372,7 @@ pub fn audit_scenario(scenario: &Scenario, config: &AuditConfig) -> AuditReport 
         }
 
         // Audit under both maintenance policies: the incremental policy
-        // exercises the work-fraction and delta-apply terms, which is where
-        // the distributed evaluator's SharedRecompute path once diverged.
+        // exercises the work-fraction and delta-apply terms.
         for policy in [
             MaintenancePolicy::Recompute,
             MaintenancePolicy::Incremental {
@@ -430,8 +382,9 @@ pub fn audit_scenario(scenario: &Scenario, config: &AuditConfig) -> AuditReport 
             let a = AnnotatedMvpp::annotate_with(mvpp.clone(), &est, UpdateWeighting::Max, policy);
             report.merge(audit_annotated(&a, &scenario.catalog));
             report.merge(check_prune_safety(&a));
-            let choices = standard_choices(&a, config.seed, config.random_choices);
-            report.merge(check_distributed_zero_link(&a, &choices));
+            let twin =
+                AnnotatedMvpp::annotate_with(mvpp.clone(), &twin_est, UpdateWeighting::Max, policy);
+            report.merge(audit_annotated(&twin, &twin_catalog));
         }
 
         let a = AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max);

@@ -24,7 +24,8 @@
 //! ```
 //!
 //! Statements: `relation NAME { … }` with `attr NAME int|text|date`,
-//! `records N`, `blocks N`, `update_frequency F`, `selectivity ATTR F`
+//! `records N`, `blocks N`, `update_frequency F`, `selectivity ATTR F` and
+//! `transfer_cost F` (per block shipped to the warehouse; default 0, local)
 //! inside; `join R.A S.B JS`; `joint_size R S … RECORDS BLOCKS`;
 //! `index R.A`; `default_selectivity F`; `query NAME FQ { SQL… }`. `#`
 //! starts a comment.
@@ -227,6 +228,7 @@ fn parse_relation(
     let mut records = 0.0;
     let mut blocks = 0.0;
     let mut fu = 0.0;
+    let mut transfer: Option<(usize, f64)> = None;
     let mut selectivities: Vec<(String, f64)> = Vec::new();
     loop {
         if i >= lines.len() {
@@ -258,6 +260,9 @@ fn parse_relation(
             "records" => records = field(&words, lineno, "records N")?,
             "blocks" => blocks = field(&words, lineno, "blocks N")?,
             "update_frequency" => fu = field(&words, lineno, "update_frequency F")?,
+            "transfer_cost" => {
+                transfer = Some((lineno, field(&words, lineno, "transfer_cost F")?));
+            }
             "selectivity" => {
                 if words.len() != 3 {
                     return Err(syntax(lineno, "expected `selectivity ATTR F`"));
@@ -279,6 +284,11 @@ fn parse_relation(
         line: start,
         source,
     })?;
+    if let Some((line, t)) = transfer {
+        catalog
+            .set_transfer_cost(name, t)
+            .map_err(|source| DslError::Catalog { line, source })?;
+    }
     Ok(i)
 }
 
@@ -338,6 +348,9 @@ pub fn render_catalog(catalog: &Catalog) -> String {
         let _ = writeln!(out, "    records {}", meta.stats.records);
         let _ = writeln!(out, "    blocks {}", meta.stats.blocks);
         let _ = writeln!(out, "    update_frequency {}", meta.update_frequency);
+        if meta.transfer_cost != 0.0 {
+            let _ = writeln!(out, "    transfer_cost {}", meta.transfer_cost);
+        }
         for (attr, s) in &meta.selectivities {
             let _ = writeln!(out, "    selectivity {attr} {s}");
         }
@@ -385,6 +398,7 @@ relation Sales {
     records 100000
     blocks 10000
     update_frequency 2
+    transfer_cost 3.5
 }
 
 join Sales.store Stores.store 0.001
@@ -477,6 +491,27 @@ query by_city 25 {
         ))
         .expect("round-trips");
         assert_eq!(original.catalog, reparsed.catalog);
+        assert_eq!(reparsed.catalog.transfer_cost("Sales"), 3.5);
+        // Local relations render exactly as before the field existed.
+        assert_eq!(text.matches("transfer_cost").count(), 1);
+    }
+
+    #[test]
+    fn negative_transfer_cost_is_a_catalog_error_on_its_line() {
+        let text = "relation R {\n attr a int\n records 1\n blocks 1\n transfer_cost -2\n}\nquery q 1 {\nSELECT a FROM R\n}";
+        match parse_scenario(text).unwrap_err() {
+            DslError::Catalog { line, source } => {
+                assert_eq!(line, 5);
+                assert!(matches!(
+                    source,
+                    CatalogError::InvalidValue {
+                        what: "transfer cost",
+                        ..
+                    }
+                ));
+            }
+            other => panic!("unexpected error {other}"),
+        }
     }
 
     #[test]

@@ -1,117 +1,54 @@
 //! The distributed extension (paper §4.1): the same running example, but
-//! with member databases spread over three sites. Shipping remote blocks
-//! changes which views are worth materializing — the paper's note that
-//! distributed cost "should incorporate the costs of data transferring
-//! among different sites" made concrete.
+//! with the member databases at remote sites. A relation's transfer cost —
+//! block accesses per block shipped to the warehouse — is one catalog
+//! statistic, so the ordinary `Designer` designs the distributed warehouse:
+//! the paper's note that distributed cost "should incorporate the costs of
+//! data transferring among different sites" made concrete.
 //!
 //! Run with: `cargo run -p mvdesign --example distributed_warehouse`
 
-use std::collections::BTreeSet;
-
-use mvdesign::core::{
-    evaluate, generate_mvpps, AnnotatedMvpp, GenerateConfig, GreedySelection, MaintenanceMode,
-    UpdateWeighting,
-};
-use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
-use mvdesign::distributed::{
-    DistributedEvaluator, FilterShipping, MarginalGreedy, Placement, Topology,
-};
-use mvdesign::optimizer::Planner;
+use mvdesign::prelude::*;
 use mvdesign::workload::paper_example;
 
 fn main() {
     let scenario = paper_example();
-    let est = CostEstimator::new(
-        &scenario.catalog,
-        EstimationMode::Calibrated,
-        PaperCostModel::default(),
-    );
-    let mvpp = generate_mvpps(
-        &scenario.workload,
-        &est,
-        &Planner::new(),
-        GenerateConfig::default(),
-    )
-    .into_iter()
-    .next()
-    .expect("paper workload yields candidates");
-    let annotated = AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max);
-
-    // Three sites: the warehouse, a sales system (Order/Customer), and a
-    // manufacturing system (Product/Division/Part).
-    let topology = Topology::uniform(3, 3.0); // 3 block-accesses per shipped block
-    let warehouse = topology.site(0).expect("site 0 exists");
-    let sales = topology.site(1).expect("site 1 exists");
-    let manufacturing = topology.site(2).expect("site 2 exists");
-    let mut placement = Placement::new(warehouse);
-    placement.assign("Order", sales);
-    placement.assign("Customer", sales);
-    placement.assign("Product", manufacturing);
-    placement.assign("Division", manufacturing);
-    placement.assign("Part", manufacturing);
-
-    let eval = DistributedEvaluator::new(&annotated, topology, placement, FilterShipping::AtSource);
-
-    println!("== distributed warehouse: 3 sites, link cost 3 per block ==\n");
-
-    // Strategy 1: the centralized design (blind to shipping).
-    let (central_set, _) = GreedySelection::new().run(&annotated);
-    // Strategy 2: the shipping-aware marginal greedy.
-    let (dist_set, _) = MarginalGreedy::default().run(&eval);
-
-    let name_of = |set: &BTreeSet<_>| -> String {
-        let names: Vec<String> = set
-            .iter()
-            .map(|id| {
-                let n = annotated.mvpp().node(*id);
-                let rels: Vec<String> = n
-                    .expr()
-                    .base_relations()
-                    .iter()
-                    .map(|r| r.as_str().chars().take(2).collect())
-                    .collect();
-                format!("{}[{}]", n.label(), rels.join("+"))
-            })
-            .collect();
-        format!("{{{}}}", names.join(", "))
-    };
-
-    println!(
-        "  {:<44} {:>14} {:>14} {:>14}",
-        "strategy", "central cost", "distrib. cost", "Δ shipping"
-    );
-    for (label, set) in [
-        ("materialize nothing", BTreeSet::new()),
-        (
-            &*format!("paper greedy {}", name_of(&central_set)),
-            central_set.clone(),
-        ),
-        (
-            &*format!("shipping-aware {}", name_of(&dist_set)),
-            dist_set.clone(),
-        ),
-    ] {
-        let central = evaluate(&annotated, &set, MaintenanceMode::SharedRecompute).total;
-        let distributed = eval.evaluate(&set, MaintenanceMode::SharedRecompute).total;
-        println!(
-            "  {:<44} {:>14.0} {:>14.0} {:>14.0}",
-            label,
-            central,
-            distributed,
-            distributed - central
-        );
+    // A sales system (Order/Customer) and a manufacturing system
+    // (Product/Division/Part), both 3 block accesses per shipped block away.
+    let mut remote = scenario.catalog.clone();
+    for rel in ["Order", "Customer", "Product", "Division", "Part"] {
+        remote.set_transfer_cost(rel, 3.0).expect("paper relation");
     }
 
-    let central_under_shipping = eval
-        .evaluate(&central_set, MaintenanceMode::SharedRecompute)
-        .total;
-    let aware = eval
-        .evaluate(&dist_set, MaintenanceMode::SharedRecompute)
-        .total;
+    println!("== distributed warehouse: every relation remote, 3 per shipped block ==\n");
     println!(
-        "\nshipping-aware selection saves {:.0} block-equivalents over the \
-         centralized design ({:.1}%).",
-        central_under_shipping - aware,
-        100.0 * (central_under_shipping - aware) / central_under_shipping.max(1.0)
+        "  {:<8} {:>12} {:>12} {:>12}  materialized",
+        "catalog", "query", "maintenance", "total"
     );
+    for (label, catalog) in [("central", &scenario.catalog), ("remote", &remote)] {
+        let design = Designer::new()
+            .design(catalog, &scenario.workload)
+            .expect("paper workload designs");
+        let views: Vec<String> = design
+            .materialized
+            .iter()
+            .map(|id| {
+                let node = design.mvpp.mvpp().node(*id);
+                let rels: Vec<String> = node
+                    .expr()
+                    .base_relations()
+                    .into_iter()
+                    .map(|r| r.as_str().to_string())
+                    .collect();
+                format!("{}[{}]", node.label(), rels.join("+"))
+            })
+            .collect();
+        println!(
+            "  {:<8} {:>12.0} {:>12.0} {:>12.0}  {{{}}}",
+            label,
+            design.cost.query_processing,
+            design.cost.maintenance,
+            design.cost.total,
+            views.join(", ")
+        );
+    }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   release build  →  fmt, clippy, docs  →  full test suite  →  float-bit
-#   pins in release  →  low-memory batteries  →  benchmark smoke
+#   release build  →  fmt, clippy, docs  →  full test suite  →  every
+#   example runs  →  float-bit pins in release  →  low-memory batteries  →
+#   benchmark smoke
 #   (`benchmark all --smoke`: the correctness gate on all four workloads,
 #   traced and untraced; a failed gate fails tier-1)  →  bare `repro`
 #   compared byte-for-byte with docs/repro_output.txt  →  audit  →  surface
@@ -27,6 +28,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== tier-1: tests =="
 cargo test -q --workspace
+
+# `cargo test` only compiles the examples; run each so one that panics at
+# runtime fails the gate.
+echo "== tier-1: examples run to completion (output discarded) =="
+for example in examples/*.rs; do
+  cargo run -q --release -p mvdesign --example "$(basename "$example" .rs)" > /dev/null
+done
 
 # The golden designs and the incremental evaluator are pinned to the f64
 # bit, the golden routes byte for byte; the pins must hold with the

@@ -4,12 +4,12 @@
 //! cost oracle and the greedy-trace replay over hundreds of randomly
 //! generated star-schema workloads; a named regression corpus under
 //! `tests/corpus/` pins one scenario per previously fixed bug
-//! (NaN-weight sort panics, zero-block catalog stats, the distributed
+//! (NaN-weight sort panics, zero-block catalog stats, a second evaluator's
 //! SharedRecompute maintenance formula).
 
 use proptest::prelude::*;
 
-use mvdesign::catalog::CatalogError;
+use mvdesign::catalog::{Catalog, CatalogError};
 use mvdesign::core::{audit_annotated, check_greedy_trace, validate_mvpp, validate_schemas};
 use mvdesign::core::{
     evaluate, generate_mvpps, AnnotatedMvpp, ExhaustiveSelection, GenerateConfig, GeneticSelection,
@@ -21,9 +21,7 @@ use mvdesign::optimizer::Planner;
 use mvdesign::workload::{
     degenerate_scenarios, parse_scenario, DslError, Scenario, StarSchema, StarSchemaConfig,
 };
-use mvdesign_verify::{
-    audit_scenario, check_distributed_zero_link, check_prune_safety, standard_choices, AuditConfig,
-};
+use mvdesign_verify::{audit_scenario, check_prune_safety, remote_twin, AuditConfig};
 
 fn corpus(name: &str) -> String {
     let path = format!("{}/../../tests/corpus/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -52,6 +50,18 @@ fn annotate(
     )
 }
 
+/// The same MVPP as `a`, annotated over `twin` — a catalog that differs
+/// from the one `a` was annotated with only in transfer costs.
+fn annotate_twin(a: &AnnotatedMvpp, twin: &Catalog) -> AnnotatedMvpp {
+    let est = CostEstimator::new(twin, EstimationMode::Calibrated, PaperCostModel::default());
+    AnnotatedMvpp::annotate_with(
+        a.mvpp().clone(),
+        &est,
+        UpdateWeighting::Max,
+        a.maintenance_policy(),
+    )
+}
+
 const POLICIES: [MaintenancePolicy; 2] = [
     MaintenancePolicy::Recompute,
     MaintenancePolicy::Incremental {
@@ -66,8 +76,10 @@ proptest! {
     /// maintenance policies: MVPP structural invariants, per-node schemas,
     /// the bit-exact three-way cost differential (`evaluate` ≡
     /// `evaluate_set` ≡ `IncrementalEvaluator`), the greedy trace replay
-    /// with its same-branch pruning invariant, the bounded-loss prune
-    /// tripwire, and the distributed evaluator at zero link cost.
+    /// with its same-branch pruning invariant and the bounded-loss prune
+    /// tripwire; then the structural and cost oracles again on a twin
+    /// annotation of the same MVPP whose catalog ships a seeded half of the
+    /// relations from remote sites.
     #[test]
     fn random_star_workloads_audit_clean(
         seed in 0u64..10_000,
@@ -89,9 +101,10 @@ proptest! {
             prop_assert!(report.is_clean(), "{policy:?} audit: {report}");
             let report = check_prune_safety(&a);
             prop_assert!(report.is_clean(), "{policy:?} prune: {report}");
-            let choices = standard_choices(&a, seed, 4);
-            let report = check_distributed_zero_link(&a, &choices);
-            prop_assert!(report.is_clean(), "{policy:?} distributed: {report}");
+            let twin_catalog = remote_twin(&scenario.catalog, seed);
+            let twin = annotate_twin(&a, &twin_catalog);
+            let report = audit_annotated(&twin, &twin_catalog);
+            prop_assert!(report.is_clean(), "{policy:?} transfer-cost twin: {report}");
         }
     }
 }
@@ -178,20 +191,39 @@ fn corpus_zero_blocks_relation_is_rejected() {
     }
 }
 
-/// Regression (distributed SharedRecompute): the distributed evaluator
-/// billed full recomputation and dropped the incremental delta-apply term,
-/// so under `MaintenancePolicy::Incremental` it disagreed with the core
-/// evaluator even at zero link cost. It must now be bit-exact for every
-/// materialization choice under both policies.
+/// Regression (distributed SharedRecompute): a separate distributed
+/// evaluator once billed full recomputation and dropped the incremental
+/// delta-apply term, so under `MaintenancePolicy::Incremental` it disagreed
+/// with the core evaluator. Transfer costs are now priced inside `op_cost`,
+/// so the one core evaluator covers them: on this corpus scenario with a
+/// transfer-cost twin catalog, its three cost paths stay bit-exact under
+/// both policies, and the twin with every transfer cost at 0 annotates
+/// every node exactly as the central catalog does.
 #[test]
 fn corpus_distributed_shared_recompute_bit_exact() {
     let scenario =
         parse_scenario(&corpus("distributed-shared-recompute.dsl")).expect("corpus parses");
+    let twin_catalog = remote_twin(&scenario.catalog, 0xD15C);
+    let mut local = twin_catalog.clone();
+    for name in scenario.catalog.relation_names() {
+        local.set_transfer_cost(name.as_str(), 0.0).expect("known");
+    }
     for policy in POLICIES {
         let (a, _est) = annotate(&scenario, policy);
-        let choices = standard_choices(&a, 0xD15C, 8);
-        let report = check_distributed_zero_link(&a, &choices);
+        let twin = annotate_twin(&a, &twin_catalog);
+        let report = audit_annotated(&twin, &twin_catalog);
         assert!(report.is_clean(), "{policy:?}: {report}");
+        let none = std::collections::BTreeSet::new();
+        for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
+            assert!(
+                evaluate(&twin, &none, mode).total > evaluate(&a, &none, mode).total,
+                "{policy:?}/{mode:?}: remote relations must cost more"
+            );
+        }
+        let zero = annotate_twin(&a, &local);
+        for v in a.mvpp().interior() {
+            assert_eq!(zero.annotation(v), a.annotation(v), "{policy:?}: {v:?}");
+        }
     }
 }
 

@@ -1,6 +1,9 @@
 //! The shipped scenario files must stay in sync with the programmatic
 //! fixtures: same catalogs, same queries, same designs.
 
+use std::collections::BTreeSet;
+
+use mvdesign::core::{evaluate, MaintenanceMode};
 use mvdesign::prelude::Designer;
 use mvdesign::workload::{paper_example, parse_scenario, tpch_lite};
 
@@ -38,6 +41,33 @@ fn shipped_paper_scenario_matches_the_fixture() {
         .expect("designs");
     assert!((a.cost.total - b.cost.total).abs() < 1e-6);
     assert_eq!(a.materialized.len(), b.materialized.len());
+}
+
+#[test]
+fn design_with_alternative_algorithms_is_exposed_on_the_designer() {
+    use mvdesign::core::{Designer, GeneticSelection, MaterializeNone};
+    let scenario = paper_example();
+    let genetic = Designer::new()
+        .design_with(
+            &scenario.catalog,
+            &scenario.workload,
+            &GeneticSelection::default(),
+        )
+        .expect("designs");
+    let greedy = Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("designs");
+    assert!(genetic.cost.total <= greedy.cost.total + 1e-9);
+    let none = Designer::new()
+        .design_with(&scenario.catalog, &scenario.workload, &MaterializeNone)
+        .expect("designs");
+    assert!(none.materialized.is_empty());
+    let centralized_none = evaluate(
+        &none.mvpp,
+        &BTreeSet::new(),
+        MaintenanceMode::SharedRecompute,
+    );
+    assert!((none.cost.total - centralized_none.total).abs() < 1e-6);
 }
 
 #[test]
