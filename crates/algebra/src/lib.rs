@@ -35,7 +35,6 @@
 
 mod aggregate;
 mod arena;
-pub mod delta;
 mod dot;
 mod expr;
 mod predicate;
@@ -47,9 +46,6 @@ mod visit;
 
 pub use crate::aggregate::{AggExpr, AggFunc, AGG_RELATION};
 pub use crate::arena::{Classes, ExprArena, ExprId};
-pub use crate::delta::{
-    label_deltas, maintenance_plan, Delta, DeltaLabels, DeltaMode, MaintenancePlan, NodeDelta,
-};
 pub use crate::dot::dot_graph;
 pub use crate::expr::{Expr, JoinCondition};
 pub use crate::predicate::{CompareOp, Comparison, Predicate, Rhs};

@@ -1,48 +1,54 @@
-//! Delta-propagation execution: the engine half of incremental view
-//! maintenance.
+//! Incremental view maintenance over append deltas.
 //!
-//! The symbolic rules live in [`mvdesign_algebra::delta`]; this module runs
-//! them over the batch kernels. [`execute_delta`] pushes per-relation
-//! [`Delta<Batch>`]s through σ/π/⋈ (selections and projections apply to both
-//! delta sides, joins expand via `ΔL⋈R ∪ L⋈ΔR ∪ ΔL⋈ΔR` against the *old*
-//! database), and [`refresh_view_delta`] turns one stored view plus the
-//! deltas into the view's new contents. An SPJ view cancels its deletes by
-//! tuple id and appends its inserts — an insert-only fold is a page append
-//! to the stored view, which copies at most each column's tail page. A
-//! γ-view is a roll-up on the query's own aggregation kernel, so a folded
-//! γ-view is bit-identical to its recomputation. Everything runs under the
-//! caller's [`ExecContext`]: the roll-up spills under a budget like any γ.
+//! The warehouse only appends, so a change to a base relation is a
+//! [`Batch`] of inserted rows ([`split_appends`] cuts it off the grown
+//! table). [`refresh_view_delta`] turns one stored view plus those deltas
+//! into the view's new contents, and one private function decides how:
 //!
-//! Unsupported shapes (per the algebra rules) return `Ok(None)`: the caller
-//! recomputes. That fallback is the contract — delta maintenance is an
-//! optimization, never a semantics change.
+//! * no relation under the view gained rows: keep the stored table;
+//! * a γ strictly below the root gained rows: recompute — it has no stored
+//!   partials to fold into;
+//! * a γ root whose every aggregate rolls up ([`AggExpr::rolled_up`]):
+//!   fold; one that does not (`AVG`): recompute;
+//! * otherwise: append the view's delta to the stored rows.
+//!
+//! The delta of a plan runs on the batch kernels: σ and π apply to it, and
+//! a join expands as `ΔL⋈R ∪ L⋈ΔR ∪ ΔL⋈ΔR` against the *old* database. An
+//! SPJ fold is a page append to the stored view, which copies at most each
+//! column's tail page. A γ fold is a roll-up on the query's own aggregation
+//! kernel — self-maintainable under inserts: `COUNT`/`SUM`/`MIN`/`MAX`
+//! re-aggregate from the stored groups and the delta's partials — so a
+//! folded γ-view is bit-identical to its recomputation. Everything runs
+//! under the caller's [`ExecContext`]: the roll-up spills under a budget
+//! like any γ.
+//!
+//! A recompute is answered `Ok(None)` and the caller recomputes: delta
+//! maintenance is an optimization, never a semantics change.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mvdesign_algebra::delta::{maintenance_plan, Delta, DeltaMode, MaintenancePlan};
-use mvdesign_algebra::{AggExpr, AggFunc, AttrRef, Expr, ExprArena, RelName};
+use mvdesign_algebra::{AggExpr, AttrRef, Expr, RelName};
 
 use super::{
-    aggregate_batch, assign_group_ids, execute, join_batch, project_batch, select_batch,
-    ExecContext, ExecError, GroupKeys,
+    aggregate_batch, execute, join_batch, project_batch, select_batch, ExecContext, ExecError,
 };
 use crate::batch::{Batch, Column};
 use crate::table::{Database, Table};
 
-/// Per-relation deltas feeding one refresh pass.
-pub type DeltaMap = BTreeMap<RelName, Delta<Batch>>;
+/// Per-relation append deltas feeding one refresh pass.
+pub type DeltaMap = BTreeMap<RelName, Batch>;
 
 /// Splits a database that has only *grown* since `snapshot` (per-relation
-/// row counts taken at the last refresh) into the old state and the insert
-/// deltas — the warehouse's append-only change capture.
+/// row counts taken at the last refresh) into the old state and the append
+/// deltas — the warehouse's change capture.
 ///
 /// Relations absent from `snapshot` (freshly materialized views, say) are
 /// left as they are in the old state and produce no delta. A grown table
 /// splits by page: its old prefix shares every full page before the mark
 /// and slices only the page the mark falls in, and only the appended rows
-/// are gathered into the insert delta. Dictionary value tables stay shared
-/// with the live database.
+/// are gathered into the delta. Dictionary value tables stay shared with
+/// the live database.
 pub fn split_appends(db: &Database, snapshot: &BTreeMap<RelName, usize>) -> (Database, DeltaMap) {
     let mut old = db.clone();
     let mut deltas = DeltaMap::new();
@@ -56,9 +62,8 @@ pub fn split_appends(db: &Database, snapshot: &BTreeMap<RelName, usize>) -> (Dat
         }
         let pages = table.pages();
         let appended: Vec<usize> = (snap..rows).collect();
-        let empty = Batch::empty(table.attrs().to_vec());
         old.insert_table(Table::with_pages(rel.clone(), Arc::new(pages.prefix(snap))));
-        deltas.insert(rel.clone(), Delta::new(pages.gather(&appended), empty));
+        deltas.insert(rel.clone(), pages.gather(&appended));
     }
     (old, deltas)
 }
@@ -82,85 +87,132 @@ fn vstack(attrs: &[AttrRef], parts: &[&Batch]) -> Batch {
     }
 }
 
-/// Evaluates the delta of `expr` given the old database and per-relation
-/// deltas. Returns `Ok(None)` when the expression cannot propagate the
-/// deltas (deletions through a join, any aggregate — those fold only at a
-/// view root via [`refresh_view_delta`]).
-pub fn execute_delta(
+/// How a view takes the appends.
+enum Maintenance<'a> {
+    /// No relation under the view gained rows: keep the stored table.
+    Noop,
+    /// Append the view's delta to the stored rows.
+    Append,
+    /// Roll the delta's per-group partials of `input` up with the stored
+    /// groups under `rolled`, each aggregate's rolled-up form.
+    Fold {
+        input: &'a Arc<Expr>,
+        group_by: &'a [AttrRef],
+        aggs: &'a [AggExpr],
+        rolled: Vec<AggExpr>,
+    },
+    /// The delta cannot be folded: recompute the view.
+    Recompute,
+}
+
+/// The one decision of how `view` is maintained under `deltas` (see the
+/// module docs for the four cases).
+fn maintenance<'a>(view: &'a Expr, deltas: &DeltaMap) -> Maintenance<'a> {
+    /// Whether a relation under `e` gained rows, and whether one under a γ
+    /// in `e` (`e` included) did.
+    fn grown(e: &Expr, deltas: &DeltaMap) -> (bool, bool) {
+        match e {
+            Expr::Base(name) => (deltas.get(name).is_some_and(|d| d.rows() > 0), false),
+            Expr::Select { input, .. } | Expr::Project { input, .. } => grown(input, deltas),
+            Expr::Aggregate { input, .. } => {
+                let (grew, _) = grown(input, deltas);
+                (grew, grew)
+            }
+            Expr::Join { left, right, .. } => {
+                let (l, l_agg) = grown(left, deltas);
+                let (r, r_agg) = grown(right, deltas);
+                (l || r, l_agg || r_agg)
+            }
+        }
+    }
+    let below_root = match view {
+        Expr::Aggregate { input, .. } => input,
+        _ => view,
+    };
+    match grown(below_root, deltas) {
+        (false, _) => return Maintenance::Noop,
+        (true, true) => return Maintenance::Recompute,
+        (true, false) => {}
+    }
+    match view {
+        Expr::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => match aggs.iter().map(AggExpr::rolled_up).collect() {
+            Some(rolled) => Maintenance::Fold {
+                input,
+                group_by,
+                aggs,
+                rolled,
+            },
+            None => Maintenance::Recompute,
+        },
+        _ => Maintenance::Append,
+    }
+}
+
+/// Evaluates the delta of `expr` given the old database and the append
+/// deltas. [`maintenance`] recomputes a view with a grown γ below its root,
+/// so a γ reached here is untouched and its delta is empty.
+fn execute_delta(
     expr: &Arc<Expr>,
     old: &Database,
     deltas: &DeltaMap,
     ctx: &ExecContext,
-) -> Result<Option<Delta<Batch>>, ExecError> {
+) -> Result<Batch, ExecError> {
     match &**expr {
         Expr::Base(name) => match deltas.get(name) {
-            Some(d) => Ok(Some(d.clone())),
+            Some(d) => Ok(d.clone()),
             None => {
                 let table = old
                     .table(name.as_str())
                     .ok_or_else(|| ExecError::UnknownRelation(name.clone()))?;
-                let empty = Batch::empty(table.attrs().to_vec());
-                Ok(Some(Delta::new(empty.clone(), empty)))
+                Ok(Batch::empty(table.attrs().to_vec()))
             }
         },
         Expr::Select { input, predicate } => {
-            let Some(d) = execute_delta(input, old, deltas, ctx)? else {
-                return Ok(None);
-            };
-            let d = d.map(|side| select_batch(&side, predicate));
-            Ok(Some(Delta::new(d.insert?, d.delete?)))
+            select_batch(&execute_delta(input, old, deltas, ctx)?, predicate)
         }
         Expr::Project { input, attrs } => {
-            let Some(d) = execute_delta(input, old, deltas, ctx)? else {
-                return Ok(None);
-            };
-            let d = d.map(|side| project_batch(&side, attrs));
-            Ok(Some(Delta::new(d.insert?, d.delete?)))
+            project_batch(&execute_delta(input, old, deltas, ctx)?, attrs)
         }
         Expr::Join { left, right, on } => {
-            let Some(dl) = execute_delta(left, old, deltas, ctx)? else {
-                return Ok(None);
-            };
-            let Some(dr) = execute_delta(right, old, deltas, ctx)? else {
-                return Ok(None);
-            };
-            // Deletions through a join need the counting algorithm; the
-            // algebra layer routes such views to recomputation, and this
-            // guard keeps direct callers honest too.
-            if dl.delete.rows() > 0 || dr.delete.rows() > 0 {
-                return Ok(None);
-            }
+            let dl = execute_delta(left, old, deltas, ctx)?;
+            let dr = execute_delta(right, old, deltas, ctx)?;
             // ΔL⋈ΔR also fixes the joined schema for the empty fallback.
-            let both = join_batch(&dl.insert, &dr.insert, on, ctx)?;
+            let both = join_batch(&dl, &dr, on, ctx)?;
             let mut terms = Vec::with_capacity(2);
-            if dl.insert.rows() > 0 {
+            if dl.rows() > 0 {
                 let old_right = execute(right, old, ctx)?.into_batch();
-                terms.push(join_batch(&dl.insert, &old_right, on, ctx)?);
+                terms.push(join_batch(&dl, &old_right, on, ctx)?);
             }
-            if dr.insert.rows() > 0 {
+            if dr.rows() > 0 {
                 let old_left = execute(left, old, ctx)?.into_batch();
-                terms.push(join_batch(&old_left, &dr.insert, on, ctx)?);
+                terms.push(join_batch(&old_left, &dr, on, ctx)?);
             }
             let refs: Vec<&Batch> = terms.iter().chain([&both]).collect();
-            let insert = vstack(both.attrs(), &refs);
-            let delete = Batch::empty(both.attrs().to_vec());
-            Ok(Some(Delta::new(insert, delete)))
+            Ok(vstack(both.attrs(), &refs))
         }
-        Expr::Aggregate { .. } => Ok(None),
+        Expr::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => {
+            // The kernel over the empty input gives the γ's schema.
+            let input = execute_delta(input, old, deltas, ctx)?;
+            let (out, _) = aggregate_batch(&input, group_by, aggs, ctx)?;
+            Ok(Batch::empty(out.attrs().to_vec()))
+        }
     }
 }
 
 /// Maintains one stored view incrementally: given its current contents, its
-/// definition, the old base state and the per-relation deltas, returns the
-/// view's new contents — or `Ok(None)` when the algebra rules (or a value
-/// shape the fold cannot absorb) demand recomputation. The new contents
-/// share the stored view's pages wherever they can: an insert-only SPJ
-/// fold is an append to them, in the stored view's home; a γ-view's
-/// roll-up is a new table of held pages.
-///
-/// The caller is responsible for the deltas being consistent with `old`
-/// (deletes must name existing tuples); inconsistent inputs fall back to
-/// `None` rather than producing a wrong view.
+/// definition, the old base state and the append deltas, returns the view's
+/// new contents — or `Ok(None)` when the view must be recomputed. The new
+/// contents share the stored view's pages wherever they can: an SPJ fold is
+/// an append to them, in the stored view's home; a γ-view's roll-up is a
+/// new table of held pages.
 pub fn refresh_view_delta(
     old_view: &Table,
     definition: &Arc<Expr>,
@@ -168,146 +220,36 @@ pub fn refresh_view_delta(
     deltas: &DeltaMap,
     ctx: &ExecContext,
 ) -> Result<Option<Table>, ExecError> {
-    let mut changed: BTreeMap<RelName, DeltaMode> = BTreeMap::new();
-    for (rel, d) in deltas {
-        let mode = match (d.insert.rows() > 0, d.delete.rows() > 0) {
-            (false, false) => continue,
-            (_, true) => DeltaMode::InsertDelete,
-            (true, false) => DeltaMode::InsertOnly,
-        };
-        changed.insert(rel.clone(), mode);
-    }
-    match maintenance_plan(&mut ExprArena::new(), definition, &changed) {
-        MaintenancePlan::Noop => Ok(Some(old_view.clone())),
-        MaintenancePlan::Recompute(_) => Ok(None),
-        MaintenancePlan::Apply(_) => {
-            let Some(d) = execute_delta(definition, old, deltas, ctx)? else {
-                return Ok(None);
-            };
-            Ok(apply_spj(old_view, &d))
+    match maintenance(definition, deltas) {
+        Maintenance::Noop => Ok(Some(old_view.clone())),
+        Maintenance::Recompute => Ok(None),
+        Maintenance::Append => {
+            let mut view = old_view.clone();
+            view.append(&execute_delta(definition, old, deltas, ctx)?);
+            Ok(Some(view))
         }
-        MaintenancePlan::FoldAggregate(_) => {
-            let Expr::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } = &**definition
-            else {
-                return Ok(None);
-            };
-            let Some(d) = execute_delta(input, old, deltas, ctx)? else {
-                return Ok(None);
-            };
-            let (ins, _) = aggregate_batch(&d.insert, group_by, aggs, ctx)?;
-            let (del, _) = aggregate_batch(&d.delete, group_by, aggs, ctx)?;
-            let folded = roll_up(old_view.batch(), &ins, &del, group_by, aggs, ctx)?;
-            Ok(folded.map(|batch| Table::from_batch(old_view.name().clone(), batch)))
-        }
-    }
-}
-
-/// Applies an SPJ view delta: cancels the deletes (one stored occurrence
-/// per deleted tuple, the first — bag semantics) and appends the inserts,
-/// so the surviving rows keep their stored order. Without deletes the
-/// stored view's pages are kept and appended to.
-fn apply_spj(old_view: &Table, d: &Delta<Batch>) -> Option<Table> {
-    let mut view = match d.delete.rows() {
-        0 => old_view.clone(),
-        _ => {
+        Maintenance::Fold {
+            input,
+            group_by,
+            aggs,
+            rolled,
+        } => {
+            let delta = execute_delta(input, old, deltas, ctx)?;
+            let (partials, _) = aggregate_batch(&delta, group_by, aggs, ctx)?;
             let stored = old_view.batch();
-            let kept = stored.filter(&surviving(stored, &d.delete)?);
-            Table::from_batch(old_view.name().clone(), kept)
+            debug_assert_eq!(partials.attrs(), stored.attrs(), "one kernel, one layout");
+            // The roll-up emits groups in key order, as recomputation does.
+            let stacked = vstack(stored.attrs(), &[stored, &partials]);
+            let (folded, _) = aggregate_batch(&stacked, group_by, &rolled, ctx)?;
+            Ok(Some(Table::from_batch(old_view.name().clone(), folded)))
         }
-    };
-    view.append(&d.insert);
-    Some(view)
-}
-
-/// Which rows of `view` survive cancelling `delete`, or `None` when a
-/// deleted tuple is not stored (the deltas disagree with the view). Pass 1
-/// of the aggregation kernel over every column of `delete ⊎ view` numbers
-/// the distinct tuples: a row hash confirmed with [`Column::eq_at`].
-fn surviving(view: &Batch, delete: &Batch) -> Option<Vec<bool>> {
-    let both = vstack(view.attrs(), &[delete, view]);
-    let cols: Vec<&Column> = both.columns().iter().map(|c| &**c).collect();
-    let keys = GroupKeys::new(&cols, both.rows());
-    let ids = assign_group_ids(&keys, 0..both.rows(), usize::MAX)
-        .expect("an unbounded group table takes every tuple");
-    let (deleted, stored) = ids.gids.split_at(delete.rows());
-    // Deletes pending per tuple: a stored row is cancelled while its
-    // tuple's count is still positive, and kept once it has gone below 0.
-    let mut pending = vec![0isize; ids.reps.len()];
-    for &g in deleted {
-        pending[g as usize] += 1;
     }
-    let keep = stored
-        .iter()
-        .map(|&g| {
-            pending[g as usize] -= 1;
-            pending[g as usize] < 0
-        })
-        .collect();
-    pending.iter().all(|&n| n <= 0).then_some(keep)
-}
-
-/// Folds per-group delta partials into the stored groups as one roll-up:
-/// the aggregation kernel, every aggregate [`AggExpr::rolled_up`], over the
-/// stored groups, the insert partials and the negated delete partials. It
-/// emits groups in key order, as recomputation does, so the two are
-/// bit-identical. A `COUNT` at zero drops its group; below zero, a delete
-/// named a group that is not stored: the deltas disagree with the view.
-fn roll_up(
-    old_view: &Batch,
-    ins: &Batch,
-    del: &Batch,
-    group_by: &[AttrRef],
-    aggs: &[AggExpr],
-    ctx: &ExecContext,
-) -> Result<Option<Batch>, ExecError> {
-    let attrs = old_view.attrs();
-    // The partials come out of the same kernel with the same column layout.
-    if ins.attrs() != attrs || del.attrs() != attrs {
-        return Ok(None);
-    }
-    let rolled: Option<Vec<AggExpr>> = aggs.iter().map(AggExpr::rolled_up).collect();
-    let (Some(rolled), Some(del)) = (rolled, negated(del, group_by.len(), aggs)) else {
-        return Ok(None);
-    };
-    let stacked = vstack(attrs, &[old_view, ins, &del]);
-    let (folded, _) = aggregate_batch(&stacked, group_by, &rolled, ctx)?;
-    let Some(n) = aggs.iter().position(|a| a.func == AggFunc::Count) else {
-        return Ok(Some(folded));
-    };
-    match folded.column(group_by.len() + n) {
-        Column::Int(counts) if counts.iter().all(|&c| c >= 0) => {
-            let live: Vec<bool> = counts.iter().map(|&c| c > 0).collect();
-            Ok(Some(folded.filter(&live)))
-        }
-        _ => Ok(None),
-    }
-}
-
-/// The delete partials with their `COUNT`/`SUM` negated (wrapping, like
-/// every sum), or `None` when a delete reaches any other aggregate — the
-/// algebra rules let only those through with deletes.
-fn negated(del: &Batch, keys: usize, aggs: &[AggExpr]) -> Option<Batch> {
-    if del.rows() == 0 {
-        return Some(del.clone());
-    }
-    let mut columns = del.columns().to_vec();
-    for (col, agg) in columns[keys..].iter_mut().zip(aggs) {
-        let (AggFunc::Count | AggFunc::Sum, Column::Int(v)) = (agg.func, &**col) else {
-            return None;
-        };
-        *col = Arc::new(Column::Int(v.iter().map(|x| x.wrapping_neg()).collect()));
-    }
-    Some(Batch::new(del.attrs().to_vec(), columns))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvdesign_algebra::{CompareOp, JoinCondition, Predicate, Value};
+    use mvdesign_algebra::{AggFunc, CompareOp, JoinCondition, Predicate, Value};
 
     fn attr(rel: &str, a: &str) -> AttrRef {
         AttrRef::new(rel, a)
@@ -344,118 +286,174 @@ mod tests {
         (db, r_attrs, s_attrs)
     }
 
-    fn insert_only(attrs: &[AttrRef], rows: Vec<Vec<Value>>) -> Delta<Batch> {
-        Delta::new(rows_to_batch(attrs, rows), Batch::empty(attrs.to_vec()))
+    /// One appended row for each named relation.
+    fn appended_to(names: &[&str]) -> DeltaMap {
+        names
+            .iter()
+            .map(|n| {
+                let row = Batch::from_rows(vec![attr(n, "a")], vec![ints(&[1])]);
+                (RelName::new(*n), row)
+            })
+            .collect()
+    }
+
+    fn spj() -> Arc<Expr> {
+        Expr::project(
+            Expr::join(
+                Expr::select(
+                    Expr::base("R"),
+                    Predicate::cmp(attr("R", "a"), CompareOp::Lt, 10),
+                ),
+                Expr::base("S"),
+                JoinCondition::on(attr("R", "k"), attr("S", "k")),
+            ),
+            [attr("R", "a"), attr("S", "b")],
+        )
+    }
+
+    fn gamma(aggs: Vec<AggExpr>) -> Arc<Expr> {
+        Expr::aggregate(Expr::base("R"), [attr("R", "g")], aggs)
+    }
+
+    #[test]
+    fn untouched_relations_leave_the_view_unchanged() {
+        assert!(matches!(
+            maintenance(&spj(), &appended_to(&["T"])),
+            Maintenance::Noop
+        ));
+        // A relation whose delta is empty did not grow.
+        let mut empty = DeltaMap::new();
+        empty.insert(RelName::new("R"), Batch::empty(vec![attr("R", "a")]));
+        assert!(matches!(maintenance(&spj(), &empty), Maintenance::Noop));
+    }
+
+    #[test]
+    fn select_project_append_inserts() {
+        let view = Expr::project(
+            Expr::select(
+                Expr::base("R"),
+                Predicate::cmp(attr("R", "a"), CompareOp::Eq, 1),
+            ),
+            [attr("R", "a")],
+        );
+        assert!(matches!(
+            maintenance(&view, &appended_to(&["R"])),
+            Maintenance::Append
+        ));
+    }
+
+    #[test]
+    fn insert_deltas_expand_through_joins() {
+        assert!(matches!(
+            maintenance(&spj(), &appended_to(&["R", "S"])),
+            Maintenance::Append
+        ));
+    }
+
+    #[test]
+    fn count_sum_fold_inserts() {
+        let view = gamma(vec![
+            AggExpr::count_star("n"),
+            AggExpr::new(AggFunc::Sum, attr("R", "v"), "total"),
+        ]);
+        let Maintenance::Fold { rolled, .. } = maintenance(&view, &appended_to(&["R"])) else {
+            panic!("COUNT/SUM fold inserts");
+        };
+        let funcs: Vec<AggFunc> = rolled.iter().map(|a| a.func).collect();
+        assert_eq!(funcs, [AggFunc::Sum, AggFunc::Sum], "COUNT rolls up as SUM");
+    }
+
+    #[test]
+    fn min_max_fold_inserts() {
+        let view = gamma(vec![
+            AggExpr::count_star("n"),
+            AggExpr::new(AggFunc::Min, attr("R", "v"), "low"),
+            AggExpr::new(AggFunc::Max, attr("R", "v"), "high"),
+        ]);
+        assert!(matches!(
+            maintenance(&view, &appended_to(&["R"])),
+            Maintenance::Fold { .. }
+        ));
+    }
+
+    #[test]
+    fn avg_always_recomputes() {
+        let view = gamma(vec![AggExpr::new(AggFunc::Avg, attr("R", "v"), "mean")]);
+        assert!(matches!(
+            maintenance(&view, &appended_to(&["R"])),
+            Maintenance::Recompute
+        ));
+    }
+
+    #[test]
+    fn nested_aggregates_recompute() {
+        let inner = gamma(vec![AggExpr::count_star("n")]);
+        let view = Expr::select(
+            Arc::clone(&inner),
+            Predicate::cmp(attr("#agg", "n"), CompareOp::Gt, 5),
+        );
+        assert!(matches!(
+            maintenance(&view, &appended_to(&["R"])),
+            Maintenance::Recompute
+        ));
+        let rolled_again = Expr::aggregate(inner, [attr("R", "g")], [AggExpr::count_star("m")]);
+        assert!(matches!(
+            maintenance(&rolled_again, &appended_to(&["R"])),
+            Maintenance::Recompute
+        ));
+        // A γ nothing was appended to does not stop the view above it
+        // from appending.
+        let view = Expr::join(
+            gamma(vec![AggExpr::count_star("n")]),
+            Expr::base("S"),
+            JoinCondition::on(attr("R", "g"), attr("S", "k")),
+        );
+        assert!(matches!(
+            maintenance(&view, &appended_to(&["S"])),
+            Maintenance::Append
+        ));
     }
 
     #[test]
     fn join_delta_matches_recompute_difference() {
         let (old, r_attrs, s_attrs) = fixture();
-        let expr = Expr::join(
+        let on = JoinCondition::on(attr("R", "k"), attr("S", "k"));
+        let counts = Expr::aggregate(
             Expr::base("R"),
-            Expr::base("S"),
-            JoinCondition::on(attr("R", "k"), attr("S", "k")),
+            [attr("R", "k")],
+            [AggExpr::count_star("n")],
         );
-        let mut deltas = DeltaMap::new();
-        deltas.insert(
-            RelName::new("R"),
-            insert_only(&r_attrs, vec![ints(&[3, 40])]),
-        );
-        deltas.insert(
-            RelName::new("S"),
-            insert_only(&s_attrs, vec![ints(&[1, 9]), ints(&[3, 6])]),
-        );
-        // New state for the recompute oracle.
-        let mut new = old.clone();
-        new.table_mut("R")
-            .unwrap()
-            .extend_rows(vec![ints(&[3, 40])]);
-        new.table_mut("S")
-            .unwrap()
-            .extend_rows(vec![ints(&[1, 9]), ints(&[3, 6])]);
-
-        let ctx = ExecContext::default();
-        let d = execute_delta(&expr, &old, &deltas, &ctx)
-            .unwrap()
-            .expect("insert deltas propagate through joins");
-        assert_eq!(d.delete.rows(), 0);
-
-        let old_out = execute(&expr, &old, &ctx).unwrap();
-        let new_out = execute(&expr, &new, &ctx).unwrap();
-        let mut folded: Vec<Vec<Value>> = old_out.batch().to_rows();
-        folded.extend(d.insert.to_rows());
-        folded.sort();
-        let mut want = new_out.batch().to_rows();
-        want.sort();
-        assert_eq!(folded, want, "old ∪ Δ must equal the recomputed join");
-    }
-
-    #[test]
-    fn select_distributes_over_deletes() {
-        let (old, r_attrs, _) = fixture();
-        let expr = Expr::select(
-            Expr::base("R"),
-            Predicate::cmp(attr("R", "v"), CompareOp::Lt, 25),
-        );
-        let mut deltas = DeltaMap::new();
-        deltas.insert(
-            RelName::new("R"),
-            Delta::new(
-                rows_to_batch(&r_attrs, vec![ints(&[4, 5]), ints(&[4, 99])]),
-                rows_to_batch(&r_attrs, vec![ints(&[2, 20])]),
+        let r_rows = vec![ints(&[3, 40])];
+        let s_rows = vec![ints(&[1, 9]), ints(&[3, 6])];
+        // Both sides grow; then a γ nothing is appended to passes an empty
+        // delta, and only the grown side's terms remain.
+        for (expr, r_rows) in [
+            (
+                Expr::join(Expr::base("R"), Expr::base("S"), on.clone()),
+                r_rows,
             ),
-        );
-        let d = execute_delta(&expr, &old, &deltas, &ExecContext::default())
-            .unwrap()
-            .expect("σ passes deltas through");
-        assert_eq!(d.insert.to_rows(), vec![ints(&[4, 5])]);
-        assert_eq!(d.delete.to_rows(), vec![ints(&[2, 20])]);
-    }
+            (Expr::join(counts, Expr::base("S"), on), vec![]),
+        ] {
+            let mut deltas = DeltaMap::new();
+            deltas.insert(RelName::new("R"), rows_to_batch(&r_attrs, r_rows.clone()));
+            deltas.insert(RelName::new("S"), rows_to_batch(&s_attrs, s_rows.clone()));
+            // New state for the recompute oracle.
+            let mut new = old.clone();
+            new.table_mut("R").unwrap().extend_rows(r_rows);
+            new.table_mut("S").unwrap().extend_rows(s_rows.clone());
 
-    #[test]
-    fn join_refuses_deletes() {
-        let (old, r_attrs, _) = fixture();
-        let expr = Expr::join(
-            Expr::base("R"),
-            Expr::base("S"),
-            JoinCondition::on(attr("R", "k"), attr("S", "k")),
-        );
-        let mut deltas = DeltaMap::new();
-        deltas.insert(
-            RelName::new("R"),
-            Delta::new(
-                Batch::empty(r_attrs.clone()),
-                rows_to_batch(&r_attrs, vec![ints(&[1, 10])]),
-            ),
-        );
-        let out = execute_delta(&expr, &old, &deltas, &ExecContext::default()).unwrap();
-        assert!(out.is_none(), "join deltas with deletions must fall back");
-    }
+            let ctx = ExecContext::default();
+            let d = execute_delta(&expr, &old, &deltas, &ctx).unwrap();
 
-    #[test]
-    fn spj_apply_cancels_deleted_rows() {
-        let (old, r_attrs, _) = fixture();
-        let expr = Expr::select(
-            Expr::base("R"),
-            Predicate::cmp(attr("R", "v"), CompareOp::Lt, 100),
-        );
-        let ctx = ExecContext::default();
-        let view = execute(&expr, &old, &ctx).unwrap();
-        let mut deltas = DeltaMap::new();
-        deltas.insert(
-            RelName::new("R"),
-            Delta::new(
-                rows_to_batch(&r_attrs, vec![ints(&[9, 90])]),
-                rows_to_batch(&r_attrs, vec![ints(&[2, 20])]),
-            ),
-        );
-        let new_view = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
-            .unwrap()
-            .expect("σ view maintains deletes");
-        assert_eq!(
-            new_view.rows(),
-            [ints(&[1, 10]), ints(&[1, 30]), ints(&[9, 90])]
-        );
+            let old_out = execute(&expr, &old, &ctx).unwrap();
+            let new_out = execute(&expr, &new, &ctx).unwrap();
+            let mut folded: Vec<Vec<Value>> = old_out.batch().to_rows();
+            folded.extend(d.to_rows());
+            folded.sort();
+            let mut want = new_out.batch().to_rows();
+            want.sort();
+            assert_eq!(folded, want, "old ∪ Δ must equal the recomputed join");
+        }
     }
 
     #[test]
@@ -480,7 +478,7 @@ mod tests {
             vec![ints(&[1, i64::MAX]), ints(&[1, 99])],
         ] {
             let mut deltas = DeltaMap::new();
-            deltas.insert(RelName::new("R"), insert_only(&r_attrs, appended.clone()));
+            deltas.insert(RelName::new("R"), rows_to_batch(&r_attrs, appended.clone()));
             let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
                 .unwrap()
                 .expect("count/sum/max fold inserts");
@@ -497,34 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_fold_drops_emptied_groups_on_delete() {
-        let (old, r_attrs, _) = fixture();
-        let expr = Expr::aggregate(
-            Expr::base("R"),
-            [attr("R", "k")],
-            [
-                AggExpr::count_star("n"),
-                AggExpr::new(AggFunc::Sum, attr("R", "v"), "total"),
-            ],
-        );
-        let ctx = ExecContext::default();
-        let view = execute(&expr, &old, &ctx).unwrap();
-        // Delete the only row of group k=2: the group must vanish.
-        let mut deltas = DeltaMap::new();
-        deltas.insert(
-            RelName::new("R"),
-            Delta::new(
-                Batch::empty(r_attrs.clone()),
-                rows_to_batch(&r_attrs, vec![ints(&[2, 20])]),
-            ),
-        );
-        let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
-            .unwrap()
-            .expect("count/sum fold deletes");
-        assert_eq!(folded.rows(), [ints(&[1, 2, 40])]);
-    }
-
-    #[test]
     fn split_appends_slices_suffixes() {
         let (db, _, _) = fixture();
         let mut snapshot = BTreeMap::new();
@@ -538,8 +508,9 @@ mod tests {
             "unchanged S keeps all rows"
         );
         assert_eq!(deltas.len(), 1);
-        let d = &deltas[&RelName::new("R")];
-        assert_eq!(d.insert.to_rows(), vec![ints(&[2, 20]), ints(&[1, 30])]);
-        assert_eq!(d.delete.rows(), 0);
+        assert_eq!(
+            deltas[&RelName::new("R")].to_rows(),
+            vec![ints(&[2, 20]), ints(&[1, 30])]
+        );
     }
 }

@@ -81,7 +81,7 @@ mod table;
 
 pub use crate::batch::{Batch, Column};
 pub use crate::datagen::{Generator, GeneratorConfig};
-pub use crate::exec::delta::{execute_delta, refresh_view_delta, split_appends, DeltaMap};
+pub use crate::exec::delta::{refresh_view_delta, split_appends, DeltaMap};
 #[doc(hidden)]
 pub use crate::exec::JoinAlgo;
 pub use crate::exec::{execute, materialize_view, selection_mask, ExecContext, ExecError};

@@ -27,7 +27,8 @@ pub enum WarehouseError {
     Parse(ParseError),
     /// Plan execution failed.
     Exec(ExecError),
-    /// Rows were appended to a relation the database does not hold.
+    /// Rows were appended to a name that is not a base relation: the
+    /// database holds no such table, or it is a materialized view.
     UnknownRelation(RelName),
     /// Appended rows do not fit the relation's schema (wrong arity or a
     /// value whose type mismatches the column it lands in).
@@ -97,8 +98,6 @@ pub struct Warehouse {
     refreshes: u64,
     /// How stale views are brought up to date (default: [`RefreshPolicy::Delta`]).
     policy: RefreshPolicy,
-    /// Per-view overrides of the warehouse-wide policy.
-    view_policies: BTreeMap<RelName, RefreshPolicy>,
     /// What the last refresh pass did per view.
     last_refresh: RefreshReport,
     /// The one configuration serve and refresh run under (default:
@@ -124,11 +123,12 @@ pub enum RefreshPolicy {
     /// recomputation maintenance).
     Recompute,
     /// Fold only the appended deltas into the stored view
-    /// ([`refresh_view_delta`]), falling back to recomputation whenever the
-    /// delta algebra declines the plan. A γ-view comes out bit-identical to
-    /// [`RefreshPolicy::Recompute`]'s, row for row: its fold is a roll-up on
-    /// the same aggregation kernel. An SPJ view is bag-equal: its fold
-    /// appends the delta after the stored rows.
+    /// ([`refresh_view_delta`]), falling back to recomputation for a view
+    /// the appends cannot fold into (an `AVG`, or a grown γ below the root).
+    /// A γ-view comes out bit-identical to [`RefreshPolicy::Recompute`]'s,
+    /// row for row: its fold is a roll-up on the same aggregation kernel.
+    /// An SPJ view is bag-equal: its fold appends the delta after the
+    /// stored rows.
     #[default]
     Delta,
 }
@@ -168,7 +168,6 @@ impl Warehouse {
             base_rows: BTreeMap::new(),
             refreshes: 0,
             policy: RefreshPolicy::default(),
-            view_policies: BTreeMap::new(),
             last_refresh: RefreshReport::default(),
             exec: ExecContext::default(),
             pool: None,
@@ -319,30 +318,6 @@ impl Warehouse {
         self.policy = policy;
     }
 
-    /// Overrides the maintenance policy for one view — how the design
-    /// layer's per-view `MaintenancePolicy` choice is carried into the
-    /// runtime. `None` returns the view to the warehouse-wide policy.
-    pub fn set_view_refresh_policy(
-        &mut self,
-        view: impl Into<RelName>,
-        policy: Option<RefreshPolicy>,
-    ) {
-        let view = view.into();
-        match policy {
-            Some(p) => {
-                self.view_policies.insert(view, p);
-            }
-            None => {
-                self.view_policies.remove(&view);
-            }
-        }
-    }
-
-    /// The policy [`Warehouse::refresh`] will use for `view`.
-    pub fn refresh_policy(&self, view: &RelName) -> RefreshPolicy {
-        self.view_policies.get(view).copied().unwrap_or(self.policy)
-    }
-
     /// What the most recent refresh pass did, per view.
     pub fn last_refresh(&self) -> RefreshReport {
         self.last_refresh
@@ -357,18 +332,22 @@ impl Warehouse {
     ///
     /// # Errors
     ///
-    /// Returns [`WarehouseError::UnknownRelation`] when the relation has no
-    /// table and [`WarehouseError::BadRows`] when a row's arity or a
-    /// value's type mismatches the table schema (nothing is appended).
+    /// Returns [`WarehouseError::UnknownRelation`] when the relation is not
+    /// a base relation — no table holds it, or it is a materialized view,
+    /// which only [`Warehouse::refresh`] writes — and
+    /// [`WarehouseError::BadRows`] when a row's arity or a value's type
+    /// mismatches the table schema (nothing is appended).
     pub fn append(
         &mut self,
         relation: impl Into<RelName>,
         rows: Vec<Vec<Value>>,
     ) -> Result<(), WarehouseError> {
         let relation = relation.into();
+        let is_view = self.views.views().iter().any(|(name, _)| *name == relation);
         let existing = self
             .db
             .table_mut(relation.as_str())
+            .filter(|_| !is_view)
             .ok_or_else(|| WarehouseError::UnknownRelation(relation.clone()))?;
         if let Some(reason) = reject_rows(existing, &rows) {
             return Err(WarehouseError::BadRows { relation, reason });
@@ -388,9 +367,9 @@ impl Warehouse {
 
     /// Brings every stale view up to date and snapshots the base state the
     /// views now reflect. Fresh views are skipped outright; stale ones are
-    /// maintained per their [`RefreshPolicy`] — incrementally folding the
-    /// appended deltas where the delta algebra allows, recomputing
-    /// otherwise. Reports what happened per view.
+    /// maintained per the [`RefreshPolicy`] — incrementally folding the
+    /// appended deltas where the view allows, recomputing otherwise.
+    /// Reports what happened per view.
     ///
     /// Views keep the engine's columnar layout: dictionary-encoded text
     /// columns move by `Arc` clone, so a materialized view shares its value
@@ -414,7 +393,7 @@ impl Warehouse {
                 report.skipped += 1;
                 continue;
             }
-            let folded = match (self.refresh_policy(name), old.table(name.as_str())) {
+            let folded = match (self.policy, old.table(name.as_str())) {
                 (RefreshPolicy::Delta, Some(table)) => {
                     refresh_view_delta(table, definition, &old, &deltas, &self.exec)?
                 }
@@ -1055,27 +1034,6 @@ mod tests {
                 .expect("recompute")
                 .canonicalized();
             assert_eq!(a.rows(), b.rows(), "{} differs across policies", q.name());
-        }
-    }
-
-    #[test]
-    fn per_view_policy_override_forces_recompute() {
-        let mut w = warehouse();
-        let names: Vec<RelName> = w.views().views().iter().map(|(n, _)| n.clone()).collect();
-        for name in &names {
-            w.set_view_refresh_policy(name.clone(), Some(RefreshPolicy::Recompute));
-            assert_eq!(w.refresh_policy(name), RefreshPolicy::Recompute);
-        }
-        w.append("Customer", vec![customer_row(&w)])
-            .expect("appends");
-        let report = w.refresh().expect("refreshes");
-        assert_eq!(
-            report.folded, 0,
-            "overrides force recomputation: {report:?}"
-        );
-        for name in &names {
-            w.set_view_refresh_policy(name.clone(), None);
-            assert_eq!(w.refresh_policy(name), RefreshPolicy::Delta);
         }
     }
 

@@ -226,9 +226,9 @@ pub fn check_semantics(
 /// fixtures. Rounds chain: round `r` appends on top of round `r-1`'s
 /// database and folds into the view state round `r-1` left behind, with the
 /// per-relation append size cycling through zero (a no-op delta) up to the
-/// whole twin table. Views whose maintenance plan falls back to recompute
-/// (deletions through joins, non-foldable aggregates) are rebuilt and keep
-/// participating in later rounds.
+/// whole twin table. Views that cannot fold appends (an `AVG`, or a grown
+/// γ below the root) are recomputed and keep participating in later
+/// rounds.
 pub fn check_delta_refresh(
     catalog: &Catalog,
     views: &ViewCatalog,

@@ -101,6 +101,8 @@ printf '%-12s %6d `BTreeMap<Vec<Value>`/`HashMap<Vec<Value>` under crates/engine
   "row maps" "$(grep -rhoE '(BTreeMap|HashMap)<Vec<Value>' crates/engine/src --include='*.rs' | wc -l || true)"
 printf '%-12s %6d `Resident`/`make_resident`/`page_out_resident` under crates/ outside crates/engine/src/storage/ (should read 0: only the storage layer knows where a page lives)\n' \
   "residency" "$(grep -rnoE 'Resident|make_resident|page_out_resident' crates --include='*.rs' | grep -vc '^crates/engine/src/storage/' || true)"
+printf '%-12s %6d `InsertDelete`/`pub struct Delta<` under crates/ (should read 0: a delta is a batch of appended rows)\n' \
+  "delete deltas" "$(grep -rhoE 'InsertDelete|pub struct Delta<' crates --include='*.rs' | wc -l || true)"
 
 printf '%-12s per TPC-H-lite class, parse and rewrite (ceilings in tests/front_end_allocs.rs):\n' "allocations"
 cargo test -q --release -p mvdesign --test front_end_allocs -- --nocapture | grep '^front-end allocs'

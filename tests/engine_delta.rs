@@ -6,10 +6,10 @@
 //! recomputation's own kernel), as a bag for an SPJ view (its fold appends)
 //! — across chained append rounds (including empty ones), and with the base
 //! tables paged out to a starved buffer pool with a spill-forcing operator
-//! budget. The appended rows open groups whose keys sort before the stored
-//! ones, so a fold that placed new groups after the stored ones would show.
-//! A third battery folds deltas that delete a random sub-bag of the stored
-//! base rows besides inserting: negated γ partials and SPJ cancellation.
+//! budget. Every view the batteries build folds (none carries an `AVG` or a
+//! γ below its root), so a fold that declines fails them too. The appended
+//! rows open groups whose keys sort before the stored ones, so a fold that
+//! placed new groups after the stored ones would show.
 //!
 //! `scripts/tier1.sh` re-runs this battery with the `MVDESIGN_MEM_BUDGET`
 //! env knob at 256 bytes and at 64 KiB, pushing the folds through the
@@ -19,15 +19,14 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mvdesign::algebra::delta::Delta;
 use mvdesign::algebra::{
     AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate, RelName, Value,
 };
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::core::ViewCatalog;
 use mvdesign::engine::{
-    execute, refresh_view_delta, split_appends, Batch, BufferPool, Database, DeltaMap, ExecContext,
-    Generator, GeneratorConfig, Table,
+    execute, refresh_view_delta, split_appends, BufferPool, Database, ExecContext, Generator,
+    GeneratorConfig, Table,
 };
 use mvdesign::prelude::Designer;
 use mvdesign::workload::tpch_lite;
@@ -220,47 +219,13 @@ fn mem_budget() -> usize {
     budget_override().unwrap_or(512)
 }
 
-/// The view of `spec` over `R0` alone (deletes do not propagate through a
-/// join), its γ carrying only the aggregates a delete can fold: `COUNT`
-/// and `SUM` (a `MIN` would send it to recomputation).
-fn deletable_view(spec: &ViewSpec) -> Arc<Expr> {
-    let view = build_view(&ViewSpec {
-        joins: 0,
-        ..spec.clone()
-    });
-    match &*view {
-        Expr::Aggregate {
-            input, group_by, ..
-        } => Expr::aggregate(
-            Arc::clone(input),
-            group_by.clone(),
-            [
-                AggExpr::new(AggFunc::Sum, AttrRef::new("R0", "x"), "sx"),
-                AggExpr::count_star("n"),
-            ],
-        ),
-        _ => view,
-    }
-}
-
-/// `rows` of relation `R0`, keeping the empty case well-typed.
-fn r0_batch(db: &Database, rows: Vec<Vec<Value>>) -> Batch {
-    let attrs = db.table("R0").expect("R0").attrs().to_vec();
-    match rows.is_empty() {
-        true => Batch::empty(attrs),
-        false => Batch::from_rows(attrs, rows),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The tentpole invariant: for random view definitions × key encodings
-    /// × chained random append rounds, a delta fold — whenever the
-    /// maintenance plan offers one — equals a full recompute on the grown
-    /// database (row for row for γ, as a bag for SPJ). Views whose plan falls back to
-    /// recompute re-enter the next round, so fallbacks are chained with
-    /// folds in one history.
+    /// × chained random append rounds, every round folds, and the fold
+    /// equals a full recompute on the grown database (row for row for γ, as
+    /// a bag for SPJ). Folds chain on folds in one history.
     #[test]
     fn delta_fold_matches_full_recompute(
         spec in view_strategy(),
@@ -281,19 +246,17 @@ proptest! {
             let snapshot = append_round(&mut db, &catalog, seed + r as u64, *quarters);
             let (old, deltas) = split_appends(&db, &snapshot);
             let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
-            match refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
+            let Some(folded) = refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
                 .expect("delta refresh runs")
-            {
-                Some(folded) => {
-                    prop_assert!(
-                        same_contents(&view, &folded, &recomputed),
-                        "fold diverges in round {} for {:?}",
-                        r, spec
-                    );
-                    stored = folded;
-                }
-                None => stored = recomputed,
-            }
+            else {
+                panic!("round {r} recomputes instead of folding {spec:?}");
+            };
+            prop_assert!(
+                same_contents(&view, &folded, &recomputed),
+                "fold diverges in round {} for {:?}",
+                r, spec
+            );
+            stored = folded;
         }
     }
 
@@ -325,84 +288,16 @@ proptest! {
         let mut paged = db.clone();
         paged.rehome(Some(&pool), page_rows);
         let (old, deltas) = split_appends(&paged, &snapshot);
-        match refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
+        let Some(folded) = refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
             .expect("paged delta refresh runs")
-        {
-            Some(folded) => {
-                prop_assert!(
-                    same_contents(&view, &folded, &recomputed),
-                    "paged fold diverges for {:?}",
-                    spec
-                );
-            }
-            None => {
-                // Recompute fallback: nothing folded, nothing to compare —
-                // the resident recompute above is the refreshed state.
-            }
-        }
-    }
-
-    /// Deletes: a delta that removes a random sub-bag of `R0`'s stored rows
-    /// and inserts twin rows folds into σ/π views (by cancellation) and
-    /// COUNT/SUM γ-views (by negated partials) exactly as recomputation over
-    /// old − deleted + inserted — row for row for γ, as a bag for SPJ. A
-    /// delete of a tuple that was never stored makes the fold decline
-    /// (`Ok(None)`) whenever that tuple reaches the view. Runs under the
-    /// `MVDESIGN_MEM_BUDGET` knob when set, so the roll-up spills.
-    #[test]
-    fn delete_deltas_fold_like_recompute(
-        spec in view_strategy(),
-        size in 8u32..60,
-        seed in 0u64..1_000,
-        deleted in proptest::collection::vec(any::<bool>(), 1..8),
-        quarters in 0usize..=4,
-        phantom in any::<bool>(),
-        plain_text in any::<bool>(),
-    ) {
-        let catalog = make_catalog([size; 3]);
-        let generated = dict_db(&catalog, seed);
-        let old = if plain_text { plain_text_db(&generated) } else { generated };
-        let view = deletable_view(&spec);
-        let recompute = ExecContext::default();
-        let ctx = ExecContext { mem_budget: budget_override() };
-
-        let mut delete = Vec::new();
-        let mut kept = Vec::new();
-        let stored_rows = old.table("R0").expect("R0").rows().to_vec();
-        for (row, gone) in stored_rows.into_iter().zip(deleted.iter().cycle()) {
-            if *gone { delete.push(row) } else { kept.push(row) }
-        }
-        // A tuple no generated row holds: `k` and `t` lie outside their
-        // domains.
-        let ghost = vec![Value::Int(999), Value::Int(3), Value::text("zz")];
-        if phantom {
-            delete.push(ghost.clone());
-        }
-        let insert = twin_rows(&catalog, seed, "R0", quarters);
-        let mut new = old.clone();
-        new.insert_table(Table::from_batch("R0", r0_batch(&old, [kept, insert.clone()].concat())));
-        let mut deltas = DeltaMap::new();
-        deltas.insert(
-            RelName::new("R0"),
-            Delta::new(r0_batch(&old, insert), r0_batch(&old, delete)),
+        else {
+            panic!("paged refresh recomputes instead of folding {spec:?}");
+        };
+        prop_assert!(
+            same_contents(&view, &folded, &recomputed),
+            "paged fold diverges for {:?}",
+            spec
         );
-
-        let stored = execute(&view, &old, &recompute).expect("view builds");
-        let mut probe = old.clone();
-        probe.insert_table(Table::from_batch("R0", r0_batch(&old, vec![ghost])));
-        let reaches = phantom && !execute(&view, &probe, &recompute).expect("probe runs").is_empty();
-        match refresh_view_delta(&stored, &view, &old, &deltas, &ctx).expect("delta refresh runs") {
-            Some(folded) => {
-                prop_assert!(!reaches, "a delete of an unstored tuple folded for {:?}", spec);
-                let recomputed = execute(&view, &new, &recompute).expect("recompute runs");
-                prop_assert!(
-                    same_contents(&view, &folded, &recomputed),
-                    "delete fold diverges for {:?}",
-                    spec
-                );
-            }
-            None => prop_assert!(reaches, "a consistent delete delta must fold: {:?}", spec),
-        }
     }
 }
 

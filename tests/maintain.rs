@@ -1,5 +1,5 @@
 //! Warehouse maintenance battery: on the paper's running example, random
-//! append workloads under random per-view refresh-policy assignments must
+//! append workloads under a random warehouse-wide refresh policy must
 //! leave the warehouse answering every workload query exactly as a
 //! warehouse *freshly built* over the grown database would — delta folds,
 //! recomputes and skips are implementation detail, never answer-visible.
@@ -8,8 +8,9 @@
 //! views that must be pinned back in first.
 //!
 //! Deterministic companions pin the bookkeeping the proptests rely on:
-//! append validation (`WarehouseError::BadRows`), per-view staleness, and
-//! the fold/recompute/skip split in [`RefreshReport`].
+//! append validation (`WarehouseError::BadRows`, and
+//! `WarehouseError::UnknownRelation` for a materialized view), per-view
+//! staleness, and the fold/recompute/skip split in [`RefreshReport`].
 
 use std::sync::OnceLock;
 
@@ -21,7 +22,7 @@ use mvdesign::core::DesignResult;
 use mvdesign::engine::{Database, Generator, GeneratorConfig};
 use mvdesign::prelude::Designer;
 use mvdesign::warehouse::{RefreshPolicy, Warehouse, WarehouseError};
-use mvdesign::workload::paper_example;
+use mvdesign::workload::{paper_example, tpch_lite};
 
 /// The design is deterministic, so compute it once for every proptest case.
 fn fixture() -> &'static (Catalog, DesignResult) {
@@ -85,44 +86,27 @@ fn assert_answers_match(warehouse: &Warehouse, reference: &Warehouse, label: &st
     }
 }
 
-const POLICIES: [Option<RefreshPolicy>; 3] = [
-    None,
-    Some(RefreshPolicy::Recompute),
-    Some(RefreshPolicy::Delta),
-];
+const POLICIES: [RefreshPolicy; 2] = [RefreshPolicy::Recompute, RefreshPolicy::Delta];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Satellite invariant: append → refresh → query equals a freshly
     /// built warehouse over the grown database, for random append sizes,
-    /// random global and per-view refresh policies, across two rounds
-    /// (so folds chain on folds).
+    /// a random refresh policy, across two rounds (so folds chain on
+    /// folds).
     #[test]
     fn maintained_warehouse_equals_fresh_rebuild(
         seed in 0u64..100,
         rounds in proptest::collection::vec(
             proptest::collection::vec(0usize..=4, 4..8), 1..3),
-        global in 0usize..2,
-        view_policy in proptest::collection::vec(0usize..POLICIES.len(), 8..9),
+        policy in 0usize..POLICIES.len(),
     ) {
         let (catalog, design) = fixture();
         let mut warehouse = Warehouse::new(catalog.clone(), base_db(seed), design)
             .expect("warehouse builds");
-        warehouse.set_refresh_policy(if global == 0 {
-            RefreshPolicy::Recompute
-        } else {
-            RefreshPolicy::Delta
-        });
-        let view_names: Vec<_> = warehouse
-            .views()
-            .views()
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect();
-        for (i, name) in view_names.iter().enumerate() {
-            warehouse.set_view_refresh_policy(name.clone(), POLICIES[view_policy[i % view_policy.len()]]);
-        }
+        warehouse.set_refresh_policy(POLICIES[policy]);
+        let views = warehouse.views().len();
 
         let mut grown = base_db(seed);
         for (r, quarters) in rounds.iter().enumerate() {
@@ -136,7 +120,7 @@ proptest! {
             let report = warehouse.refresh().expect("refresh succeeds");
             prop_assert_eq!(
                 report.recomputed + report.folded + report.skipped,
-                view_names.len(),
+                views,
                 "every view is accounted for in round {}", r
             );
         }
@@ -153,7 +137,7 @@ proptest! {
     fn maintained_warehouse_equals_fresh_rebuild_under_mem_budget(
         seed in 0u64..100,
         quarters in proptest::collection::vec(0usize..=4, 4..8),
-        view_policy in proptest::collection::vec(0usize..POLICIES.len(), 8..9),
+        policy in 0usize..POLICIES.len(),
     ) {
         let (catalog, design) = fixture();
         let budget = std::env::var("MVDESIGN_MEM_BUDGET")
@@ -163,15 +147,8 @@ proptest! {
         let mut warehouse = Warehouse::new(catalog.clone(), base_db(seed), design)
             .expect("warehouse builds")
             .with_mem_budget(Some(budget));
-        let view_names: Vec<_> = warehouse
-            .views()
-            .views()
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect();
-        for (i, name) in view_names.iter().enumerate() {
-            warehouse.set_view_refresh_policy(name.clone(), POLICIES[view_policy[i % view_policy.len()]]);
-        }
+        warehouse.set_refresh_policy(POLICIES[policy]);
+        let views = warehouse.views().len();
 
         let mut grown = base_db(seed);
         for (relation, rows) in append_batches(seed, &quarters) {
@@ -182,10 +159,7 @@ proptest! {
             warehouse.append(relation, rows).expect("append is valid");
         }
         let report = warehouse.refresh().expect("refresh under budget succeeds");
-        prop_assert_eq!(
-            report.recomputed + report.folded + report.skipped,
-            view_names.len()
-        );
+        prop_assert_eq!(report.recomputed + report.folded + report.skipped, views);
 
         let reference = Warehouse::new(catalog.clone(), grown, design)
             .expect("reference warehouse builds")
@@ -265,4 +239,58 @@ fn append_rejects_malformed_rows() {
         !warehouse.is_stale(),
         "rejected append must not mark views stale"
     );
+}
+
+/// Appending to a materialized view is rejected as an unknown relation:
+/// only a refresh writes a view, so its rows, version and freshness stay
+/// as they were — and no later fold builds on a row no base relation holds.
+/// TPC-H-lite, whose default design stores non-empty SPJ and roll-up views.
+#[test]
+fn append_rejects_materialized_views() {
+    let scenario = tpch_lite();
+    let design = Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("tpch-lite designs");
+    let db = Generator::with_config(GeneratorConfig {
+        seed: 77,
+        scale: 0.01,
+        ..GeneratorConfig::default()
+    })
+    .database(&scenario.catalog);
+    let mut warehouse = Warehouse::new(scenario.catalog, db, &design).expect("warehouse builds");
+    let views: Vec<_> = warehouse
+        .views()
+        .views()
+        .iter()
+        .map(|(n, _)| n.clone())
+        .collect();
+    let mut tried = 0;
+    for view in views {
+        let before = warehouse
+            .database()
+            .table(view.as_str())
+            .expect("view stored")
+            .rows()
+            .to_vec();
+        let Some(row) = before.first().cloned() else {
+            continue;
+        };
+        let version = warehouse.versions().get(&view).copied();
+        let err = warehouse
+            .append(view.clone(), vec![row])
+            .expect_err("a materialized view takes no appends");
+        assert!(
+            matches!(err, WarehouseError::UnknownRelation(ref r) if *r == view),
+            "unexpected error: {err}"
+        );
+        let after = warehouse
+            .database()
+            .table(view.as_str())
+            .expect("view stored");
+        assert_eq!(after.rows(), before, "{view} changed");
+        assert_eq!(warehouse.versions().get(&view).copied(), version);
+        assert!(!warehouse.is_stale(), "{view} went stale");
+        tried += 1;
+    }
+    assert!(tried > 0, "the fixture stores a non-empty view");
 }
