@@ -60,12 +60,19 @@ pub fn split_appends(db: &Database, snapshot: &BTreeMap<RelName, usize>) -> (Dat
         if rows <= snap {
             continue;
         }
-        let pages = table.pages();
-        let appended: Vec<usize> = (snap..rows).collect();
-        old.insert_table(Table::with_pages(rel.clone(), Arc::new(pages.prefix(snap))));
-        deltas.insert(rel.clone(), pages.gather(&appended));
+        let prefix = table.pages().prefix(snap);
+        old.insert_table(Table::with_pages(rel.clone(), Arc::new(prefix)));
+        deltas.insert(rel.clone(), appended_since(table, snap));
     }
     (old, deltas)
+}
+
+/// The rows of `table` past its first `mark`, gathered into one batch: the
+/// appends since a table had `mark` rows, or what an SPJ fold appended to a
+/// view that had `mark` rows. Dictionary value tables stay shared.
+pub fn appended_since(table: &Table, mark: usize) -> Batch {
+    let appended: Vec<usize> = (mark..table.len()).collect();
+    table.pages().gather(&appended)
 }
 
 /// Vertical concatenation in argument order; empty parts are skipped and a

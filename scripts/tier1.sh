@@ -59,11 +59,13 @@ MVDESIGN_MEM_BUDGET=256 cargo test -q --release -p mvdesign-serve --test serve
 # 256 bytes spills every keyed operator and no budget spills none; 64 KiB is
 # the mixed regime the state-sized spill rule creates, where some operators
 # spill and others do not (the held-bytes oracle checks both kinds). The
-# routed γ-over-join plans of roll-up views run there too.
+# routed γ-over-join plans of roll-up views run there too, and so do refresh
+# passes along the MVPP DAG with their transients paged into the pool.
 echo "== tier-1: mixed-spill batteries (64 KiB operator budget) =="
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_batch
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_paged
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test engine_delta
+MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test maintain
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test view_rewrite
 MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test result_cache
 
@@ -103,6 +105,9 @@ printf '%-12s %6d `Resident`/`make_resident`/`page_out_resident` under crates/ o
   "residency" "$(grep -rnoE 'Resident|make_resident|page_out_resident' crates --include='*.rs' | grep -vc '^crates/engine/src/storage/' || true)"
 printf '%-12s %6d `InsertDelete`/`pub struct Delta<` under crates/ (should read 0: a delta is a batch of appended rows)\n' \
   "delete deltas" "$(grep -rhoE 'InsertDelete|pub struct Delta<' crates --include='*.rs' | wc -l || true)"
+
+printf '%-12s measured period, query and refresh halves (refresh along the MVPP DAG; pins in tests/simulation.rs):\n' "period"
+cargo test -q --release -p mvdesign --test simulation -- --nocapture | grep -o 'period halves.*'
 
 printf '%-12s per TPC-H-lite class, parse and rewrite (ceilings in tests/front_end_allocs.rs):\n' "allocations"
 cargo test -q --release -p mvdesign --test front_end_allocs -- --nocapture | grep '^front-end allocs'
