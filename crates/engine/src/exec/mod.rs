@@ -145,6 +145,26 @@ pub fn execute(expr: &Arc<Expr>, db: &Database, ctx: &ExecContext) -> Result<Tab
     }
 }
 
+/// [`execute`] for a result that is kept under `name` rather than read
+/// back: it stays in the pages the plan left it in instead of being
+/// gathered into one batch. A projection of a stored table so shares that
+/// table's pages — pool pages under a budget — and copies nothing; every
+/// other operator's output is held pages, as [`execute`]'s. The rows are
+/// [`execute`]'s, bit for bit.
+///
+/// # Errors
+///
+/// As [`execute`].
+pub fn execute_shared(
+    name: impl Into<RelName>,
+    expr: &Arc<Expr>,
+    db: &Database,
+    ctx: &ExecContext,
+) -> Result<Table, ExecError> {
+    let pages = exec_view(expr, db, ctx, &mut |_, _, _, _| {})?;
+    Ok(Table::with_pages(name, pages))
+}
+
 /// The operator glyph used as the result-table name (matches the paper's
 /// notation and the row engine's historical output).
 pub(crate) fn op_label(expr: &Expr) -> &'static str {
@@ -1387,6 +1407,31 @@ mod tests {
         let mut names: Vec<String> = out.rows().iter().map(|r| r[0].to_string()).collect();
         names.sort();
         assert_eq!(names, ["'sprocket'", "'widget'"]);
+    }
+
+    /// A kept projection of a pooled table is the table's own pool pages
+    /// (the pool gains no frame); a kept selection is held. Both hold
+    /// [`execute`]'s rows.
+    #[test]
+    fn a_kept_projection_shares_its_tables_pages() {
+        let mut db = db();
+        let pool = crate::BufferPool::new(Some(1 << 20));
+        db.rehome(Some(&pool), 2);
+        let ctx = ExecContext::default();
+        let frames = pool.stats().pages;
+        let projection = Expr::project(Expr::base("Pd"), [AttrRef::new("Pd", "name")]);
+        let kept = execute_shared("kept", &projection, &db, &ctx).unwrap();
+        assert_eq!(kept.name().as_str(), "kept");
+        assert!(kept.pool().is_some_and(|home| Arc::ptr_eq(home, &pool)));
+        assert_eq!(pool.stats().pages, frames, "a projection copies no page");
+        assert_eq!(kept.rows(), run(&projection, &db).unwrap().rows());
+        let selection = Expr::select(
+            Expr::base("Div"),
+            Predicate::cmp(AttrRef::new("Div", "city"), CompareOp::Eq, "LA"),
+        );
+        let kept = execute_shared("kept", &selection, &db, &ctx).unwrap();
+        assert!(kept.pool().is_none());
+        assert_eq!(kept.rows(), run(&selection, &db).unwrap().rows());
     }
 
     #[test]

@@ -264,6 +264,11 @@ impl Database {
         self.tables.get(name)
     }
 
+    /// Removes a table, returning it.
+    pub fn remove_table(&mut self, name: &str) -> Option<Table> {
+        self.tables.remove(name)
+    }
+
     /// Looks up a table for in-place mutation (appends).
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.tables.get_mut(name)
