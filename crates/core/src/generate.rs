@@ -30,7 +30,7 @@ use mvdesign_cost::{CostEstimator, CostModel};
 use mvdesign_optimizer::{pull_up, Planner};
 
 use crate::mvpp::Mvpp;
-use crate::rewrite::answer_from_groups;
+use crate::rewrite::{answer_from_groups, roll_up_keys};
 use crate::workload::Workload;
 
 /// Tuning knobs for [`generate_mvpps`].
@@ -455,7 +455,8 @@ fn roll_up_shared_joins(mvpp: Mvpp, order: &[&PreparedQuery]) -> Mvpp {
 }
 
 /// `γ[keys; aggregates]` over `join` for the γ roots that read it. The keys
-/// are each root's group keys on the join's relations `S`, plus every
+/// ([`roll_up_keys`], the rule eager aggregation groups a join input by
+/// too) are each root's group keys on the join's relations `S`, plus every
 /// attribute of `S` a root compares above the join: the join-side attribute
 /// of each pair linking `S` to a relation joined above (the dimension joins
 /// stay above the γ) and what its conjuncts spanning `S` and other
@@ -468,8 +469,7 @@ fn roll_up_candidate<'q>(
 ) -> Option<Arc<Expr>> {
     let s = join.base_relations();
     let in_s = |a: &AttrRef| s.contains(&a.relation);
-    let mut keys: Vec<AttrRef> = Vec::new();
-    let mut compared: Vec<AttrRef> = Vec::new();
+    let mut taken = Vec::new();
     let mut aggs: Vec<AggExpr> = Vec::new();
     for q in roots {
         let Some((group_by, q_aggs)) = &q.aggregate else {
@@ -483,31 +483,17 @@ fn roll_up_candidate<'q>(
         if !q_aggs.iter().all(folds) {
             continue;
         }
-        keys.extend(group_by.iter().filter(|a| in_s(a)).cloned());
-        for (a, b) in &q.conds {
-            if in_s(a) != in_s(b) {
-                compared.push(if in_s(a) { a.clone() } else { b.clone() });
-            }
-        }
-        for p in q
-            .residual
-            .iter()
-            .filter(|p| !p.attrs().into_iter().all(in_s))
-        {
-            compared.extend(p.attrs().into_iter().filter(|a| in_s(a)).cloned());
-        }
         for a in q_aggs {
             if !aggs.contains(a) {
                 aggs.push(a.clone());
             }
         }
+        taken.push((&group_by[..], &q.conds, &q.residual[..]));
     }
     if aggs.is_empty() {
         return None;
     }
-    keys.extend(compared);
-    let mut seen = BTreeSet::new();
-    keys.retain(|k| seen.insert(k.clone()));
+    let keys = roll_up_keys(&s, taken);
     Some(Expr::aggregate(Arc::clone(join), keys, aggs))
 }
 

@@ -89,7 +89,7 @@ pub use crate::incremental::IncrementalEvaluator;
 pub use crate::mvpp::{Mvpp, MvppNode, NodeId};
 pub use crate::nodeset::NodeSet;
 pub use crate::report::{render_design, render_trace};
-pub use crate::rewrite::{Decision, MissReason, Routed, ViewCatalog};
+pub use crate::rewrite::{eager_aggregation, Decision, MissReason, Routed, ViewCatalog};
 pub use crate::search::{
     ExhaustiveSelection, GeneticSelection, MaterializeAll, MaterializeNone, PolicyChoice,
     RandomSearch, SelectionAlgorithm, SimulatedAnnealing,

@@ -910,6 +910,8 @@ struct GroupOutput<'a> {
     attrs: Vec<AttrRef>,
     reps: Vec<usize>,
     columns: Vec<Column>,
+    /// How many times [`GroupOutput::emit`] ran.
+    emissions: usize,
 }
 
 impl<'a> GroupOutput<'a> {
@@ -923,6 +925,7 @@ impl<'a> GroupOutput<'a> {
             attrs,
             reps: Vec::new(),
             columns,
+            emissions: 0,
         }
     }
 
@@ -935,11 +938,19 @@ impl<'a> GroupOutput<'a> {
             .unwrap_or(std::cmp::Ordering::Equal)
     }
 
-    /// Appends `groups`' finished groups, in key order.
+    /// Appends `groups`' finished groups, in key order. A single integer
+    /// or date key sorts by its `i64`; distinct groups have distinct keys,
+    /// so the order is total either way.
     fn emit(&mut self, groups: &Grouped<'_>) {
         let reps = &groups.reps;
         let mut order: Vec<usize> = (0..reps.len()).collect();
-        order.sort_by(|&x, &y| self.cmp_keys(reps[x], reps[y]));
+        match self.gcols {
+            [Column::Int(keys) | Column::Date(keys)] => {
+                order.sort_unstable_by_key(|&g| keys[reps[g]]);
+            }
+            _ => order.sort_by(|&x, &y| self.cmp_keys(reps[x], reps[y])),
+        }
+        self.emissions += 1;
         let width = self.gcols.len();
         for g in order {
             for (col, gc) in self.columns.iter_mut().zip(self.gcols) {
@@ -955,12 +966,16 @@ impl<'a> GroupOutput<'a> {
     /// The result, every group in key order. One emission is in order
     /// already; several (spill partitions) are sorted together.
     fn finish(self) -> Batch {
-        let mut order: Vec<usize> = (0..self.reps.len()).collect();
-        order.sort_by(|&x, &y| self.cmp_keys(self.reps[x], self.reps[y]));
-        let columns = if order.iter().enumerate().all(|(k, &g)| k == g) {
+        let columns = if self.emissions <= 1 {
             self.columns
         } else {
-            self.columns.iter().map(|c| c.gather(&order)).collect()
+            let mut order: Vec<usize> = (0..self.reps.len()).collect();
+            order.sort_by(|&x, &y| self.cmp_keys(self.reps[x], self.reps[y]));
+            if order.iter().enumerate().all(|(k, &g)| k == g) {
+                self.columns
+            } else {
+                self.columns.iter().map(|c| c.gather(&order)).collect()
+            }
         };
         Batch::new(self.attrs, columns.into_iter().map(Arc::new).collect())
     }

@@ -154,6 +154,9 @@ pub struct RefreshReport {
     /// Subplans shared by two or more rebuilt views, each computed once as
     /// a transient table the pass dropped at its end.
     pub transients: usize,
+    /// Rebuilt views whose plan grouped a join input first (eager
+    /// aggregation), so the join read per-key partials instead of rows.
+    pub eager: usize,
     /// Wall time spent folding appends into views.
     pub fold_time: Duration,
     /// Wall time spent rebuilding views from scratch.
@@ -180,8 +183,8 @@ impl Warehouse {
         let stale = views.views().iter().map(|(n, _)| n.clone()).collect();
         let mut warehouse = Self {
             catalog: Arc::new(catalog),
+            planner: RefreshPlanner::new(&views, &db),
             db,
-            planner: RefreshPlanner::new(&views),
             views: Arc::new(views),
             stale,
             base_rows: BTreeMap::new(),
@@ -394,9 +397,12 @@ impl Warehouse {
     /// warehouse lays it out: views go children first, each definition is
     /// routed through the views already fresh in the pass, and a subplan
     /// two or more rebuilt views still need is computed once, as a
-    /// transient table dropped once its last reader has run. A view folds
-    /// through the child views it was routed through when each of them the
-    /// pass changes is an SPJ view it folds too: the rows the child's fold
+    /// transient table dropped once its last reader has run. A rebuilt
+    /// view of the form `γ[G; A](X ⋈ Y)` groups the child holding every
+    /// aggregate input first ([`mvdesign_core::eager_aggregation`]), so its
+    /// join reads per-key partials instead of rows. A view folds through
+    /// the child views it was routed through when each of them the pass
+    /// changes is an SPJ view it folds too: the rows the child's fold
     /// appended are the view's delta of it, and the stored child is the
     /// old side of a Δ⋈. Otherwise the view folds its unrouted definition.
     ///
@@ -439,6 +445,7 @@ impl Warehouse {
                     name,
                     plan,
                     rebuild,
+                    eager,
                     feeds,
                 } => {
                     let stored = old.table(name.as_str()).filter(|_| !rebuild);
@@ -461,6 +468,7 @@ impl Warehouse {
                         None => {
                             let result = execute(plan, working, exec)?;
                             report.recomputed += 1;
+                            report.eager += usize::from(*eager);
                             report.recompute_time += started.elapsed();
                             Table::from_batch((*name).clone(), result.into_batch())
                         }
@@ -807,7 +815,8 @@ pub fn measured_design_cost(
 /// join `b(L)·b(R)`, the nested loop's reads, whatever kernel produced it.
 /// The refresh is [`Warehouse::refresh`]'s plan for a warehouse whose views
 /// are all still to build: children first, each routed through the views
-/// before it, shared subplans computed once as transients and charged once.
+/// before it, γ-over-join views grouped eagerly, shared subplans computed
+/// once as transients and charged once.
 fn measured_period<'a>(
     views: &ViewCatalog,
     queries: impl Iterator<Item = (f64, &'a Arc<Expr>)>,
@@ -816,7 +825,7 @@ fn measured_period<'a>(
 ) -> Result<MeasuredPeriod, WarehouseError> {
     let ctx = ExecContext::default();
     let mut maintenance_io = 0.0;
-    let planner = RefreshPlanner::new(views);
+    let planner = RefreshPlanner::new(views, db);
     let built = planner.pass(|_| true, |_| true).run(db, |work, working| {
         let (result, io) = measure(work.plan(), working, records_per_block, &ctx)?;
         maintenance_io += io.total();

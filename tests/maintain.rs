@@ -15,8 +15,9 @@
 //! Deterministic companions pin the bookkeeping the proptests rely on:
 //! append validation (`WarehouseError::BadRows`, and
 //! `WarehouseError::UnknownRelation` for a materialized view), per-view
-//! staleness, the fold/recompute/skip split in [`RefreshReport`], and that
-//! no transient outlives the pass that computed it.
+//! staleness, the fold/recompute/skip split in [`RefreshReport`], that
+//! no transient outlives the pass that computed it, and that eager
+//! aggregation rebuilds γ-views without changing which views fold.
 //!
 //! [`RefreshReport`]: mvdesign::warehouse::RefreshReport
 
@@ -320,6 +321,50 @@ fn a_view_over_a_folded_gamma_view_folds_its_definition() {
     assert!(over_gamma, "the fixture routes a view through a γ-view");
     let rounds = vec![vec![4, 2, 3, 1, 4, 2, 3], vec![1, 3, 2, 4, 1, 3, 2]];
     refresh_rounds_match_isolated_builds(&catalog, &design, 144, &rounds, RefreshPolicy::Delta);
+}
+
+/// Eager aggregation is for rebuilds only. TPC-H-lite grown by appends to
+/// Lineitem and Orders: under `Delta` the pass folds and recomputes exactly
+/// the views it did when every rebuild ran its routed definition (five
+/// folds, no recompute), none through an eager plan. Under `Recompute`
+/// the three γ-over-join views are rebuilt eagerly, paged under
+/// `MVDESIGN_MEM_BUDGET` when that is set. Every view equals its isolated
+/// build after each pass.
+#[test]
+fn eager_aggregation_rebuilds_and_leaves_folds_alone() {
+    let scenario = tpch_lite();
+    let design = Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("TPC-H-lite designs");
+    let mut warehouse = Warehouse::new(
+        scenario.catalog.clone(),
+        data(&scenario.catalog, 3),
+        &design,
+    )
+    .expect("warehouse builds")
+    .with_mem_budget(env_budget());
+    assert_eq!(warehouse.last_refresh().eager, 3);
+    let twin = data(&scenario.catalog, 3 ^ 0xA99E);
+    let grow = |warehouse: &mut Warehouse| {
+        for relation in ["Lineitem", "Orders"] {
+            let rows = twin.table(relation).expect("twin relation").rows();
+            let half = rows[..rows.len() / 2].to_vec();
+            warehouse.append(relation, half).expect("append is valid");
+        }
+    };
+    grow(&mut warehouse);
+    let report = warehouse.refresh().expect("delta refresh");
+    assert_eq!(
+        (report.folded, report.recomputed, report.eager),
+        (5, 0, 0),
+        "{report:?}"
+    );
+    assert_views_match_isolated_builds(&warehouse, "tpch-lite delta");
+    warehouse.set_refresh_policy(RefreshPolicy::Recompute);
+    grow(&mut warehouse);
+    let report = warehouse.refresh().expect("recompute refresh");
+    assert_eq!(report.eager, 3, "{report:?}");
+    assert_views_match_isolated_builds(&warehouse, "tpch-lite recompute");
 }
 
 /// Live pool frames a table holds: one per page of each column.

@@ -8,6 +8,9 @@
 //! the base tables alone; unit tests produce each refusal rule's
 //! [`MissReason`]; and two pins hold the routings the benchmark depends on
 //! (merged plans route as before, raw TPC-H-lite SQL reaches the views).
+//! A last proptest rebuilds random γ-over-join plans by eager aggregation,
+//! the rule refresh rebuilds use, and checks them against the definition
+//! and against the matcher's plan over the same partials.
 //! `MVDESIGN_MEM_BUDGET` (bytes) pages every table and bounds the operators,
 //! the way `tests/maintain.rs` honours it, so compensated plans also run
 //! over paged views.
@@ -1312,4 +1315,362 @@ fn the_soundness_generator_reaches_every_kind_of_decision() {
             "{kind} never met: {reasons:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Eager aggregation of a γ over a join (refresh rebuilds)
+// ---------------------------------------------------------------------------
+
+/// A random `γ[G; A](X ⋈ Y)` over a piece of the tiny join graph: the
+/// interval of `RELATIONS` cut in two, each side a chain join with some
+/// leaf selections, the aggregate inputs all on one side.
+#[derive(Debug, Clone)]
+struct EagerSpec {
+    first: usize,
+    len: usize,
+    /// Relations of the interval in the left side.
+    cut: usize,
+    /// Aggregate inputs on the right side rather than the left.
+    inputs_right: bool,
+    /// Group keys, as indices into the attributes of the interval.
+    keys: Vec<usize>,
+    /// `(function, argument)`: COUNT, SUM, MIN, MAX, or COUNT(*) past them,
+    /// the argument an index into the input side's attributes.
+    aggs: Vec<(usize, usize)>,
+    /// Indices into [`conjunct_pool`], pushed onto their leaves.
+    conjuncts: Vec<usize>,
+    /// A relation of the interval whose table holds no rows.
+    empty: Option<usize>,
+    seed: u64,
+}
+
+fn eager_spec_strategy() -> impl Strategy<Value = EagerSpec> {
+    (
+        (0usize..4, 2usize..6, 1usize..5, any::<bool>()),
+        proptest::collection::vec(0usize..16, 1..4),
+        proptest::collection::vec((0usize..5, 0usize..16), 1..4),
+        proptest::collection::vec(0usize..15, 0..3),
+        0usize..25,
+        0u64..1000,
+    )
+        .prop_map(
+            |((first, len, cut, inputs_right), keys, aggs, conjuncts, empty, seed)| EagerSpec {
+                first,
+                len,
+                cut,
+                inputs_right,
+                keys,
+                aggs,
+                conjuncts,
+                // One case in five empties a relation.
+                empty: (empty < 5).then_some(empty),
+                seed,
+            },
+        )
+}
+
+/// The attributes of `relations`, in catalog order.
+fn attributes_of(relations: &[usize], catalog: &Catalog) -> Vec<AttrRef> {
+    relations
+        .iter()
+        .flat_map(|&r| {
+            let schema = &catalog.meta(RELATIONS[r]).expect("tiny relation").schema;
+            schema
+                .attributes()
+                .iter()
+                .map(|a| AttrRef::new(RELATIONS[r], a.name.clone()))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// The join along the path of `relations` (consecutive indices), each leaf
+/// under the single-relation conjuncts of `conjuncts` over it.
+fn chain(relations: &[usize], conjuncts: &[Predicate]) -> Arc<Expr> {
+    let leaf = |r: usize| {
+        let local = conjuncts
+            .iter()
+            .filter(|p| p.attrs().iter().all(|a| a.relation == RELATIONS[r]));
+        Expr::select(Expr::base(RELATIONS[r]), Predicate::and(local.cloned()))
+    };
+    let mut tree = leaf(relations[0]);
+    for pair in relations.windows(2) {
+        tree = Expr::join(tree, leaf(pair[1]), edge(pair[0], pair[1]));
+    }
+    tree
+}
+
+/// The join pair between neighbours `a < b` of the path.
+fn edge(a: usize, b: usize) -> JoinCondition {
+    let e = EDGES
+        .iter()
+        .find(|e| (e.0, e.1) == (a, b))
+        .expect("neighbours on the path");
+    JoinCondition::on(attr(e.2), attr(e.3))
+}
+
+/// The spec's plan and its base data.
+fn eager_case(spec: &EagerSpec, catalog: &Catalog) -> (Arc<Expr>, Database) {
+    let first = spec.first.min(RELATIONS.len() - 2);
+    let last = (first + spec.len - 1).min(RELATIONS.len() - 1);
+    let relations: Vec<usize> = (first..=last).collect();
+    let cut = spec.cut.clamp(1, relations.len() - 1);
+    let (left, right) = relations.split_at(cut);
+    let pool = conjunct_pool();
+    let conjuncts: Vec<Predicate> = spec.conjuncts.iter().map(|&i| pool[i].clone()).collect();
+    let join = Expr::join(
+        chain(left, &conjuncts),
+        chain(right, &conjuncts),
+        edge(left[left.len() - 1], right[0]),
+    );
+    let everything = attributes_of(&relations, catalog);
+    let mut keys: Vec<AttrRef> = Vec::new();
+    for k in spec
+        .keys
+        .iter()
+        .map(|&i| everything[i % everything.len()].clone())
+    {
+        if !keys.contains(&k) {
+            keys.push(k);
+        }
+    }
+    let inputs = attributes_of(if spec.inputs_right { right } else { left }, catalog);
+    const FUNCS: [AggFunc; 4] = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max];
+    let aggs: Vec<AggExpr> = spec
+        .aggs
+        .iter()
+        .zip(["a", "b", "c"])
+        .map(|(&(func, arg), alias)| match FUNCS.get(func) {
+            Some(&f) => AggExpr::new(f, inputs[arg % inputs.len()].clone(), alias),
+            None => AggExpr::count_star(alias),
+        })
+        .collect();
+    let plan = Expr::aggregate(join, keys, aggs);
+    let mut db = Generator::with_config(GeneratorConfig {
+        seed: spec.seed,
+        scale: 1.0,
+        max_rows: 40,
+    })
+    .database(catalog);
+    if let Some(r) = spec.empty.map(|i| relations[i % relations.len()]) {
+        let attrs = db.table(RELATIONS[r]).expect("generated").attrs().to_vec();
+        db.insert_table(Table::new(RELATIONS[r], attrs, Vec::new()));
+    }
+    (plan, db)
+}
+
+/// Base rows per relation of `db`.
+fn rows_in(db: &Database) -> impl Fn(&mvdesign::algebra::RelName) -> usize + '_ {
+    |r| db.table(r.as_str()).map_or(0, Table::len)
+}
+
+/// The per-key partials an eager plan joins: the γ below its join.
+fn partials(eager: &Arc<Expr>) -> Arc<Expr> {
+    let Expr::Aggregate { input, .. } = &**eager else {
+        panic!("an eager plan is a γ: {eager}");
+    };
+    let Expr::Join { left, right, .. } = &**input else {
+        panic!("over a join: {eager}");
+    };
+    [left, right]
+        .into_iter()
+        .find(|side| matches!(***side, Expr::Aggregate { .. }))
+        .map(Arc::clone)
+        .unwrap_or_else(|| panic!("one side grouped: {eager}"))
+}
+
+/// Runs one spec: the eager plan exists, equals the definition row for row,
+/// and equals the plan the view matcher builds from the same partials
+/// stored as a view. Returns whether the case had an empty join side and
+/// whether both sides held duplicate join keys.
+fn run_eager_case(spec: &EagerSpec) -> (bool, bool) {
+    let catalog = tiny_catalog();
+    let (plan, base) = eager_case(spec, &catalog);
+    let eager = mvdesign::core::eager_aggregation(&plan, rows_in(&base))
+        .unwrap_or_else(|| panic!("eager aggregation applies to {plan}"));
+    let pre = partials(&eager);
+    let mut views = ViewCatalog::new();
+    assert!(views.register("pre", Arc::clone(&pre)));
+    let (db, ctx) = serving(&base, &views);
+    let run =
+        |e: &Arc<Expr>| execute(e, &db, &ctx).unwrap_or_else(|err| panic!("{e} fails: {err}"));
+    let want = run(&plan);
+    let got = run(&eager);
+    assert_eq!(got.attrs(), want.attrs(), "{plan} as {eager}: header");
+    assert_eq!(got.rows(), want.rows(), "{plan} as {eager}: rows");
+    assert_eq!(
+        want.rows(),
+        reference(&plan, &base).rows(),
+        "{plan}: engine against the row reference"
+    );
+    let routed = views.route(&plan);
+    assert!(
+        routed.decisions.iter().any(|d| matches!(
+            d,
+            Decision::Compensated { view, reaggregated: true, .. } if view.as_str() == "pre"
+        )),
+        "{plan} routes through its own partials: {:?}",
+        routed.decisions
+    );
+    let matched = run(&routed.plan);
+    assert_eq!(
+        matched.attrs(),
+        got.attrs(),
+        "{plan} routed as {}",
+        routed.plan
+    );
+    assert_eq!(
+        matched.rows(),
+        got.rows(),
+        "{plan} routed as {}",
+        routed.plan
+    );
+
+    let Expr::Aggregate { input, .. } = &*plan else {
+        unreachable!("built as a γ")
+    };
+    let Expr::Join { left, right, on } = &**input else {
+        unreachable!("over a join")
+    };
+    let side_rows = |side: &Arc<Expr>| run(side).len();
+    let empty_side = side_rows(left) == 0 || side_rows(right) == 0;
+    let (a, b) = &on.pairs()[0];
+    let duplicated = |side: &Arc<Expr>| {
+        let table = run(side);
+        let key = if table.attrs().contains(a) { a } else { b };
+        let i = table
+            .attrs()
+            .iter()
+            .position(|x| x == key)
+            .expect("join key");
+        let mut seen = std::collections::BTreeSet::new();
+        !table.rows().iter().all(|row| seen.insert(row[i].clone()))
+    };
+    (empty_side, duplicated(left) && duplicated(right))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random γ-over-join plans (SUM, COUNT, COUNT(*), MIN, MAX; keys from
+    /// either side; duplicate join keys on both sides; sometimes an empty
+    /// side) rebuilt by eager aggregation give the definition's rows, in
+    /// its order, and the view matcher's plan over the same partials.
+    #[test]
+    fn eager_aggregation_equals_the_definition_and_the_matcher(spec in eager_spec_strategy()) {
+        run_eager_case(&spec);
+    }
+}
+
+/// The generator above reaches the cases it claims: an empty join side,
+/// and duplicate join keys on both sides.
+#[test]
+fn the_eager_generator_reaches_empty_sides_and_duplicate_keys() {
+    let mut rng = StdRng::seed_from_u64(38);
+    let strategy = eager_spec_strategy();
+    let (mut empty, mut duplicated) = (0, 0);
+    for _ in 0..100 {
+        let (e, d) = run_eager_case(&strategy.sample(&mut rng));
+        empty += usize::from(e);
+        duplicated += usize::from(d);
+    }
+    eprintln!("of 100 eager cases: {empty} with an empty join side, {duplicated} with duplicate join keys on both sides");
+    assert!(
+        empty > 5 && duplicated > 20,
+        "empty {empty}, duplicated {duplicated}"
+    );
+}
+
+/// Every case the rule refuses, and which child it groups when both could
+/// be: the one with more base rows.
+#[test]
+fn eager_aggregation_refusals_and_child_choice() {
+    let lineitem_orders = || Expr::join(Expr::base("Lineitem"), Expr::base("Orders"), edge(2, 3));
+    let sum = AggExpr::new(AggFunc::Sum, attr("Lineitem.price"), "s");
+    let priority = attr("Orders.priority");
+    let rows = |r: &mvdesign::algebra::RelName| if r.as_str() == "Lineitem" { 40 } else { 25 };
+    let eager = |plan: Arc<Expr>| mvdesign::core::eager_aggregation(&plan, rows);
+
+    assert!(eager(Expr::aggregate(
+        lineitem_orders(),
+        [priority.clone()],
+        [sum.clone()]
+    ))
+    .is_some());
+    // AVG does not roll up.
+    let avg = AggExpr::new(AggFunc::Avg, attr("Lineitem.price"), "m");
+    assert!(eager(Expr::aggregate(
+        lineitem_orders(),
+        [priority.clone()],
+        [avg]
+    ))
+    .is_none());
+    // A global aggregate has no group keys.
+    assert!(eager(Expr::aggregate(lineitem_orders(), [], [sum.clone()])).is_none());
+    // A σ or a π between the γ and the join.
+    let filtered = Expr::select(
+        lineitem_orders(),
+        Predicate::cmp(attr("Lineitem.qty"), CompareOp::Gt, 2),
+    );
+    assert!(eager(Expr::aggregate(filtered, [priority.clone()], [sum.clone()])).is_none());
+    let projected = Expr::project(
+        lineitem_orders(),
+        [priority.clone(), attr("Lineitem.price")],
+    );
+    assert!(eager(Expr::aggregate(
+        projected,
+        [priority.clone()],
+        [sum.clone()]
+    ))
+    .is_none());
+    // No child holds every aggregate input.
+    let both = [
+        sum.clone(),
+        AggExpr::new(AggFunc::Max, attr("Orders.odate"), "d"),
+    ];
+    assert!(eager(Expr::aggregate(lineitem_orders(), [priority.clone()], both)).is_none());
+    // Not a γ over a join at all.
+    assert!(eager(Expr::aggregate(
+        Expr::base("Lineitem"),
+        [attr("Lineitem.ok")],
+        [sum.clone()]
+    ))
+    .is_none());
+    assert!(eager(lineitem_orders()).is_none());
+    // A child that aggregates already.
+    let grouped = Expr::aggregate(Expr::base("Lineitem"), [attr("Lineitem.ok")], [sum.clone()]);
+    let over_groups = Expr::join(grouped, Expr::base("Orders"), edge(2, 3));
+    let count = AggExpr::count_star("n");
+    assert!(eager(Expr::aggregate(
+        over_groups,
+        [priority.clone()],
+        [count.clone()]
+    ))
+    .is_none());
+
+    // COUNT(*) alone: either child could be grouped; the larger one is, on
+    // whichever side of the join it sits.
+    for plan in [
+        lineitem_orders(),
+        Expr::join(Expr::base("Orders"), Expr::base("Lineitem"), edge(2, 3)),
+    ] {
+        let plan = Expr::aggregate(plan, [priority.clone()], [count.clone()]);
+        let pre = partials(&eager(Arc::clone(&plan)).expect("COUNT(*) rolls up"));
+        assert_eq!(
+            pre.base_relations()
+                .iter()
+                .map(|r| r.as_str())
+                .collect::<Vec<_>>(),
+            ["Lineitem"],
+            "{plan}"
+        );
+    }
+    let orders_larger =
+        |r: &mvdesign::algebra::RelName| if r.as_str() == "Orders" { 50 } else { 40 };
+    let plan = Expr::aggregate(lineitem_orders(), [priority], [count]);
+    let pre = partials(&mvdesign::core::eager_aggregation(&plan, orders_larger).expect("applies"));
+    assert_eq!(
+        pre.to_string(),
+        "γ[Orders.priority,Orders.ok; COUNT(*) AS n](Orders)"
+    );
 }
