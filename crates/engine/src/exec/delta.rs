@@ -2,30 +2,31 @@
 //!
 //! The warehouse only appends, so a change to a base relation is a
 //! [`Batch`] of inserted rows ([`split_appends`] cuts it off the grown
-//! table). [`refresh_view_delta`] turns one stored view plus those deltas
-//! into the view's new contents, and one private function decides how:
+//! table). [`maintenance`] is the one decision of how a stored view takes
+//! them, from the relations that grew and the [`RefreshPolicy`]:
 //!
-//! * no relation under the view gained rows: keep the stored table;
-//! * a γ strictly below the root gained rows: recompute — it has no stored
-//!   partials to fold into;
+//! * no relation under the view grew: [`Maintenance::Skip`] — keep the
+//!   stored table;
+//! * the policy is [`RefreshPolicy::Recompute`], a γ strictly below the
+//!   root grew (it has no stored partials to fold into), or a γ root has
+//!   an aggregate that does not roll up (`AVG`): [`Maintenance::Rebuild`];
 //! * a γ root whose every aggregate rolls up ([`AggExpr::rolled_up`]):
-//!   fold; one that does not (`AVG`): recompute;
-//! * otherwise: append the view's delta to the stored rows.
+//!   [`Maintenance::Fold`];
+//! * otherwise: [`Maintenance::Append`] — the view's delta goes after the
+//!   stored rows.
 //!
-//! The delta of a plan runs on the batch kernels: σ and π apply to it, and
-//! a join expands as `ΔL⋈R ∪ L⋈ΔR ∪ ΔL⋈ΔR` against the *old* database. An
-//! SPJ fold is a page append to the stored view, which copies at most each
-//! column's tail page. A γ fold is a roll-up on the query's own aggregation
-//! kernel — self-maintainable under inserts: `COUNT`/`SUM`/`MIN`/`MAX`
-//! re-aggregate from the stored groups and the delta's partials — so a
-//! folded γ-view is bit-identical to its recomputation. Everything runs
-//! under the caller's [`ExecContext`]: the roll-up spills under a budget
-//! like any γ.
-//!
-//! A recompute is answered `Ok(None)` and the caller recomputes: delta
-//! maintenance is an optimization, never a semantics change.
+//! [`refresh_view_delta`] carries out an append or a fold; a rebuild is
+//! the caller's plain execution. The delta of a plan runs on the batch
+//! kernels: σ and π apply to it, and a join expands as
+//! `ΔL⋈R ∪ L⋈ΔR ∪ ΔL⋈ΔR` against the *old* database. An append copies at
+//! most each column's tail page of the stored view. A fold is a roll-up on
+//! the query's own aggregation kernel — self-maintainable under inserts:
+//! `COUNT`/`SUM`/`MIN`/`MAX` re-aggregate from the stored groups and the
+//! delta's partials — so a folded γ-view is bit-identical to its
+//! recomputation. Everything runs under the caller's [`ExecContext`]: the
+//! roll-up spills under a budget like any γ.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use mvdesign_algebra::{AggExpr, AttrRef, Expr, RelName};
@@ -94,40 +95,53 @@ fn vstack(attrs: &[AttrRef], parts: &[&Batch]) -> Batch {
     }
 }
 
-/// How a view takes the appends.
-enum Maintenance<'a> {
-    /// No relation under the view gained rows: keep the stored table.
-    Noop,
-    /// Append the view's delta to the stored rows.
-    Append,
-    /// Roll the delta's per-group partials of `input` up with the stored
-    /// groups under `rolled`, each aggregate's rolled-up form.
-    Fold {
-        input: &'a Arc<Expr>,
-        group_by: &'a [AttrRef],
-        aggs: &'a [AggExpr],
-        rolled: Vec<AggExpr>,
-    },
-    /// The delta cannot be folded: recompute the view.
+/// How stale views may be brought up to date: the one input of
+/// [`maintenance`] besides the view and what grew.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RefreshPolicy {
+    /// Rebuild every view whose inputs grew (the paper's recomputation
+    /// maintenance).
     Recompute,
+    /// Fold the appends into every view that can take them and rebuild the
+    /// rest. A γ-view comes out bit-identical to
+    /// [`RefreshPolicy::Recompute`]'s, row for row: its fold is a roll-up
+    /// on the same aggregation kernel. An SPJ view is bag-equal: its fold
+    /// appends the delta after the stored rows.
+    #[default]
+    Delta,
 }
 
-/// The one decision of how `view` is maintained under `deltas` (see the
+/// How one stored view takes the appends, as [`maintenance`] decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Maintenance {
+    /// No relation under the view grew: keep the stored table.
+    Skip,
+    /// Append the view's delta to the stored rows ([`refresh_view_delta`]).
+    Append,
+    /// Roll the delta's per-group partials up with the stored groups
+    /// ([`refresh_view_delta`]).
+    Fold,
+    /// Compute the view from scratch.
+    Rebuild,
+}
+
+/// The one decision of how the view defined by `view` is maintained when
+/// the relations in `grown` have gained rows, under `policy` (see the
 /// module docs for the four cases).
-fn maintenance<'a>(view: &'a Expr, deltas: &DeltaMap) -> Maintenance<'a> {
-    /// Whether a relation under `e` gained rows, and whether one under a γ
-    /// in `e` (`e` included) did.
-    fn grown(e: &Expr, deltas: &DeltaMap) -> (bool, bool) {
+pub fn maintenance(view: &Expr, grown: &BTreeSet<RelName>, policy: RefreshPolicy) -> Maintenance {
+    /// Whether a relation under `e` grew, and whether one under a γ in `e`
+    /// (`e` included) did.
+    fn grown_under(e: &Expr, grown: &BTreeSet<RelName>) -> (bool, bool) {
         match e {
-            Expr::Base(name) => (deltas.get(name).is_some_and(|d| d.rows() > 0), false),
-            Expr::Select { input, .. } | Expr::Project { input, .. } => grown(input, deltas),
+            Expr::Base(name) => (grown.contains(name), false),
+            Expr::Select { input, .. } | Expr::Project { input, .. } => grown_under(input, grown),
             Expr::Aggregate { input, .. } => {
-                let (grew, _) = grown(input, deltas);
+                let (grew, _) = grown_under(input, grown);
                 (grew, grew)
             }
             Expr::Join { left, right, .. } => {
-                let (l, l_agg) = grown(left, deltas);
-                let (r, r_agg) = grown(right, deltas);
+                let (l, l_agg) = grown_under(left, grown);
+                let (r, r_agg) = grown_under(right, grown);
                 (l || r, l_agg || r_agg)
             }
         }
@@ -136,31 +150,22 @@ fn maintenance<'a>(view: &'a Expr, deltas: &DeltaMap) -> Maintenance<'a> {
         Expr::Aggregate { input, .. } => input,
         _ => view,
     };
-    match grown(below_root, deltas) {
-        (false, _) => return Maintenance::Noop,
-        (true, true) => return Maintenance::Recompute,
-        (true, false) => {}
-    }
-    match view {
-        Expr::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => match aggs.iter().map(AggExpr::rolled_up).collect() {
-            Some(rolled) => Maintenance::Fold {
-                input,
-                group_by,
-                aggs,
-                rolled,
-            },
-            None => Maintenance::Recompute,
+    match grown_under(below_root, grown) {
+        (false, _) => Maintenance::Skip,
+        (true, true) => Maintenance::Rebuild,
+        (true, false) if policy == RefreshPolicy::Recompute => Maintenance::Rebuild,
+        (true, false) => match view {
+            Expr::Aggregate { aggs, .. } if aggs.iter().all(|a| a.rolled_up().is_some()) => {
+                Maintenance::Fold
+            }
+            Expr::Aggregate { .. } => Maintenance::Rebuild,
+            _ => Maintenance::Append,
         },
-        _ => Maintenance::Append,
     }
 }
 
 /// Evaluates the delta of `expr` given the old database and the append
-/// deltas. [`maintenance`] recomputes a view with a grown γ below its root,
+/// deltas. [`maintenance`] rebuilds a view with a grown γ below its root,
 /// so a γ reached here is untouched and its delta is empty.
 fn execute_delta(
     expr: &Arc<Expr>,
@@ -214,43 +219,65 @@ fn execute_delta(
     }
 }
 
-/// Maintains one stored view incrementally: given its current contents, its
-/// definition, the old base state and the append deltas, returns the view's
-/// new contents — or `Ok(None)` when the view must be recomputed. The new
-/// contents share the stored view's pages wherever they can: an SPJ fold is
-/// an append to them, in the stored view's home; a γ-view's roll-up is a
-/// new table of held pages.
+/// Carries out a [`Maintenance::Append`] or [`Maintenance::Fold`] of one
+/// stored view: given its current contents, the plan it folds through (its
+/// definition, or a routed form reading child views whose appended rows
+/// `deltas` holds), the old base state and the append deltas, returns the
+/// view's new contents. They share the stored view's pages wherever they
+/// can: an append extends them, in the stored view's home; a γ-view's
+/// roll-up is a new table of held pages, or the stored table itself when
+/// the delta yields no group. `plan` must be one [`maintenance`] does not
+/// rebuild under `deltas`; debug builds check it.
+///
+/// # Panics
+///
+/// When `plan` is a γ with an aggregate that does not roll up (`AVG`).
 pub fn refresh_view_delta(
-    old_view: &Table,
-    definition: &Arc<Expr>,
+    stored: &Table,
+    plan: &Arc<Expr>,
     old: &Database,
     deltas: &DeltaMap,
     ctx: &ExecContext,
-) -> Result<Option<Table>, ExecError> {
-    match maintenance(definition, deltas) {
-        Maintenance::Noop => Ok(Some(old_view.clone())),
-        Maintenance::Recompute => Ok(None),
-        Maintenance::Append => {
-            let mut view = old_view.clone();
-            view.append(&execute_delta(definition, old, deltas, ctx)?);
-            Ok(Some(view))
-        }
-        Maintenance::Fold {
-            input,
-            group_by,
-            aggs,
-            rolled,
-        } => {
-            let delta = execute_delta(input, old, deltas, ctx)?;
-            let (partials, _) = aggregate_batch(&delta, group_by, aggs, ctx)?;
-            let stored = old_view.batch();
-            debug_assert_eq!(partials.attrs(), stored.attrs(), "one kernel, one layout");
-            // The roll-up emits groups in key order, as recomputation does.
-            let stacked = vstack(stored.attrs(), &[stored, &partials]);
-            let (folded, _) = aggregate_batch(&stacked, group_by, &rolled, ctx)?;
-            Ok(Some(Table::from_batch(old_view.name().clone(), folded)))
-        }
+) -> Result<Table, ExecError> {
+    debug_assert_ne!(
+        maintenance(plan, &grown(deltas), RefreshPolicy::Delta),
+        Maintenance::Rebuild,
+        "a view that cannot fold is rebuilt"
+    );
+    let Expr::Aggregate {
+        input,
+        group_by,
+        aggs,
+    } = &**plan
+    else {
+        let mut view = stored.clone();
+        view.append(&execute_delta(plan, old, deltas, ctx)?);
+        return Ok(view);
+    };
+    let delta = execute_delta(input, old, deltas, ctx)?;
+    let (partials, _) = aggregate_batch(&delta, group_by, aggs, ctx)?;
+    if partials.rows() == 0 {
+        return Ok(stored.clone());
     }
+    let rolled: Vec<AggExpr> = aggs
+        .iter()
+        .map(|a| a.rolled_up().expect("a folded aggregate rolls up"))
+        .collect();
+    let batch = stored.batch();
+    debug_assert_eq!(partials.attrs(), batch.attrs(), "one kernel, one layout");
+    // The roll-up emits groups in key order, as recomputation does.
+    let stacked = vstack(batch.attrs(), &[batch, &partials]);
+    let (folded, _) = aggregate_batch(&stacked, group_by, &rolled, ctx)?;
+    Ok(Table::from_batch(stored.name().clone(), folded))
+}
+
+/// The relations whose delta holds a row.
+pub fn grown(deltas: &DeltaMap) -> BTreeSet<RelName> {
+    deltas
+        .iter()
+        .filter(|(_, delta)| delta.rows() > 0)
+        .map(|(name, _)| name.clone())
+        .collect()
 }
 
 #[cfg(test)]
@@ -293,15 +320,14 @@ mod tests {
         (db, r_attrs, s_attrs)
     }
 
-    /// One appended row for each named relation.
-    fn appended_to(names: &[&str]) -> DeltaMap {
-        names
-            .iter()
-            .map(|n| {
-                let row = Batch::from_rows(vec![attr(n, "a")], vec![ints(&[1])]);
-                (RelName::new(*n), row)
-            })
-            .collect()
+    /// The named relations, as the set that grew.
+    fn grew(names: &[&str]) -> BTreeSet<RelName> {
+        names.iter().map(|n| RelName::new(*n)).collect()
+    }
+
+    /// The decision under the `Delta` policy.
+    fn under_delta(view: &Expr, names: &[&str]) -> Maintenance {
+        maintenance(view, &grew(names), RefreshPolicy::Delta)
     }
 
     fn spj() -> Arc<Expr> {
@@ -324,14 +350,14 @@ mod tests {
 
     #[test]
     fn untouched_relations_leave_the_view_unchanged() {
-        assert!(matches!(
-            maintenance(&spj(), &appended_to(&["T"])),
-            Maintenance::Noop
-        ));
+        assert_eq!(under_delta(&spj(), &["T"]), Maintenance::Skip);
         // A relation whose delta is empty did not grow.
         let mut empty = DeltaMap::new();
         empty.insert(RelName::new("R"), Batch::empty(vec![attr("R", "a")]));
-        assert!(matches!(maintenance(&spj(), &empty), Maintenance::Noop));
+        assert_eq!(
+            maintenance(&spj(), &grown(&empty), RefreshPolicy::Delta),
+            Maintenance::Skip
+        );
     }
 
     #[test]
@@ -343,30 +369,27 @@ mod tests {
             ),
             [attr("R", "a")],
         );
-        assert!(matches!(
-            maintenance(&view, &appended_to(&["R"])),
-            Maintenance::Append
-        ));
+        assert_eq!(under_delta(&view, &["R"]), Maintenance::Append);
     }
 
     #[test]
     fn insert_deltas_expand_through_joins() {
-        assert!(matches!(
-            maintenance(&spj(), &appended_to(&["R", "S"])),
-            Maintenance::Append
-        ));
+        assert_eq!(under_delta(&spj(), &["R", "S"]), Maintenance::Append);
     }
 
     #[test]
     fn count_sum_fold_inserts() {
-        let view = gamma(vec![
+        let aggs = vec![
             AggExpr::count_star("n"),
             AggExpr::new(AggFunc::Sum, attr("R", "v"), "total"),
-        ]);
-        let Maintenance::Fold { rolled, .. } = maintenance(&view, &appended_to(&["R"])) else {
-            panic!("COUNT/SUM fold inserts");
-        };
-        let funcs: Vec<AggFunc> = rolled.iter().map(|a| a.func).collect();
+        ];
+        assert_eq!(under_delta(&gamma(aggs.clone()), &["R"]), Maintenance::Fold);
+        // The fold's roll-up: COUNT rolls up as SUM.
+        let funcs: Vec<AggFunc> = aggs
+            .iter()
+            .filter_map(AggExpr::rolled_up)
+            .map(|a| a.func)
+            .collect();
         assert_eq!(funcs, [AggFunc::Sum, AggFunc::Sum], "COUNT rolls up as SUM");
     }
 
@@ -377,19 +400,13 @@ mod tests {
             AggExpr::new(AggFunc::Min, attr("R", "v"), "low"),
             AggExpr::new(AggFunc::Max, attr("R", "v"), "high"),
         ]);
-        assert!(matches!(
-            maintenance(&view, &appended_to(&["R"])),
-            Maintenance::Fold { .. }
-        ));
+        assert_eq!(under_delta(&view, &["R"]), Maintenance::Fold);
     }
 
     #[test]
     fn avg_always_recomputes() {
         let view = gamma(vec![AggExpr::new(AggFunc::Avg, attr("R", "v"), "mean")]);
-        assert!(matches!(
-            maintenance(&view, &appended_to(&["R"])),
-            Maintenance::Recompute
-        ));
+        assert_eq!(under_delta(&view, &["R"]), Maintenance::Rebuild);
     }
 
     #[test]
@@ -399,15 +416,9 @@ mod tests {
             Arc::clone(&inner),
             Predicate::cmp(attr("#agg", "n"), CompareOp::Gt, 5),
         );
-        assert!(matches!(
-            maintenance(&view, &appended_to(&["R"])),
-            Maintenance::Recompute
-        ));
+        assert_eq!(under_delta(&view, &["R"]), Maintenance::Rebuild);
         let rolled_again = Expr::aggregate(inner, [attr("R", "g")], [AggExpr::count_star("m")]);
-        assert!(matches!(
-            maintenance(&rolled_again, &appended_to(&["R"])),
-            Maintenance::Recompute
-        ));
+        assert_eq!(under_delta(&rolled_again, &["R"]), Maintenance::Rebuild);
         // A γ nothing was appended to does not stop the view above it
         // from appending.
         let view = Expr::join(
@@ -415,10 +426,18 @@ mod tests {
             Expr::base("S"),
             JoinCondition::on(attr("R", "g"), attr("S", "k")),
         );
-        assert!(matches!(
-            maintenance(&view, &appended_to(&["S"])),
-            Maintenance::Append
-        ));
+        assert_eq!(under_delta(&view, &["S"]), Maintenance::Append);
+    }
+
+    #[test]
+    fn recompute_policy_rebuilds_only_what_grew() {
+        let fold = gamma(vec![AggExpr::count_star("n")]);
+        for view in [spj(), fold] {
+            let decide =
+                |names: &[&str]| maintenance(&view, &grew(names), RefreshPolicy::Recompute);
+            assert_eq!(decide(&["R"]), Maintenance::Rebuild);
+            assert_eq!(decide(&["T"]), Maintenance::Skip);
+        }
     }
 
     #[test]
@@ -486,9 +505,12 @@ mod tests {
         ] {
             let mut deltas = DeltaMap::new();
             deltas.insert(RelName::new("R"), rows_to_batch(&r_attrs, appended.clone()));
-            let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx)
-                .unwrap()
-                .expect("count/sum/max fold inserts");
+            assert_eq!(
+                maintenance(&expr, &grown(&deltas), RefreshPolicy::Delta),
+                Maintenance::Fold,
+                "count/sum/max fold inserts"
+            );
+            let folded = refresh_view_delta(&view, &expr, &old, &deltas, &ctx).unwrap();
 
             let mut new = old.clone();
             new.table_mut("R").unwrap().extend_rows(appended);

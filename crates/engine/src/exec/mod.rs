@@ -71,8 +71,9 @@ impl fmt::Display for ExecError {
 impl Error for ExecError {}
 
 /// The engine's one configuration type, taken by every entry point —
-/// [`crate::execute`], [`crate::measure`], [`crate::materialize_view`],
-/// [`crate::refresh_view_delta`], the warehouse and its snapshots. It holds
+/// [`crate::execute`], [`crate::execute_shared`], [`crate::measure`],
+/// [`crate::materialize_view`] and [`crate::refresh_view_delta`] — and kept
+/// by the warehouse and its snapshots for each call they make. It holds
 /// the one setting two callers set differently: how much transient operator
 /// state may stay in memory. It never changes *what* is computed: results
 /// are bit-identical under every budget (pinned by `tests/engine_paged.rs`).

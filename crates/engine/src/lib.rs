@@ -81,7 +81,10 @@ mod table;
 
 pub use crate::batch::{Batch, Column};
 pub use crate::datagen::{Generator, GeneratorConfig};
-pub use crate::exec::delta::{appended_since, refresh_view_delta, split_appends, DeltaMap};
+pub use crate::exec::delta::{
+    appended_since, grown, maintenance, refresh_view_delta, split_appends, DeltaMap, Maintenance,
+    RefreshPolicy,
+};
 #[doc(hidden)]
 pub use crate::exec::JoinAlgo;
 pub use crate::exec::{

@@ -7,14 +7,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mvdesign_algebra::{parse_query_with, Expr, ParseError, Value};
 use mvdesign_catalog::{Catalog, RelName};
 use mvdesign_core::{DesignResult, ViewCatalog};
+pub use mvdesign_engine::RefreshPolicy;
 use mvdesign_engine::{
-    appended_since, execute, execute_shared, measure, refresh_view_delta, split_appends,
-    BufferPool, Database, DeltaMap, ExecContext, ExecError, JoinAlgo, Table, DEFAULT_PAGE_ROWS,
+    execute, maintenance, measure, BufferPool, Database, ExecContext, ExecError, JoinAlgo,
+    Maintenance, Table, DEFAULT_PAGE_ROWS,
 };
 
 pub use crate::result_cache::ResultCacheStats;
@@ -22,7 +23,7 @@ use crate::result_cache::{ResultCache, Versions};
 
 mod refresh;
 
-use refresh::{RefreshPlanner, Work};
+use refresh::{Pass, RefreshPlanner};
 
 /// Errors raised by [`Warehouse`] operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,10 +99,9 @@ pub struct Warehouse {
     /// What every refresh pass computes, planned once: the registry is fixed
     /// for the warehouse's life.
     planner: RefreshPlanner,
-    /// Views whose inputs changed since they were last (re)built.
-    stale: BTreeSet<RelName>,
     /// Per-base-relation row counts at the last refresh — the appends since
-    /// then are exactly the suffix past these marks (append-only capture).
+    /// then are exactly the suffix past these marks (append-only capture),
+    /// and a view is stale exactly when a relation under it grew past its.
     base_rows: BTreeMap<RelName, usize>,
     refreshes: u64,
     /// How stale views are brought up to date (default: [`RefreshPolicy::Delta`]).
@@ -116,7 +116,7 @@ pub struct Warehouse {
     /// Buffer pool backing paged tables when a memory budget is set.
     pool: Option<Arc<BufferPool>>,
     /// Content version of every stored relation: bumped by `append` (that
-    /// base relation) and by `refresh` (each view it folds or recomputes).
+    /// base relation) and by `refresh` (each view whose pages it replaces).
     /// The warehouse is the only writer of `db`, so equal versions mean
     /// equal contents — what the result cache stamps its entries with.
     versions: Arc<Versions>,
@@ -124,30 +124,15 @@ pub struct Warehouse {
     cache: Arc<ResultCache>,
 }
 
-/// How [`Warehouse::refresh`] brings a stale view up to date.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefreshPolicy {
-    /// Re-evaluate the view definition over the full base data (the paper's
-    /// recomputation maintenance).
-    Recompute,
-    /// Fold only the appended deltas into the stored view
-    /// ([`refresh_view_delta`]), falling back to recomputation for a view
-    /// the appends cannot fold into (an `AVG`, or a grown γ below the root).
-    /// A γ-view comes out bit-identical to [`RefreshPolicy::Recompute`]'s,
-    /// row for row: its fold is a roll-up on the same aggregation kernel.
-    /// An SPJ view is bag-equal: its fold appends the delta after the
-    /// stored rows.
-    #[default]
-    Delta,
-}
-
 /// What one [`Warehouse::refresh`] pass did: per view, and where its wall
 /// time went. The three view counts add up to the number of views.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefreshReport {
-    /// Views rebuilt from scratch (policy choice or delta fallback).
+    /// Views rebuilt from scratch: by the policy, because the appends
+    /// cannot fold into them, or in the warehouse's first build.
     pub recomputed: usize,
-    /// Views maintained incrementally from append deltas.
+    /// Views brought up to date from the appends alone: appended to or
+    /// folded into.
     pub folded: usize,
     /// Views left untouched because none of their inputs changed.
     pub skipped: usize,
@@ -180,13 +165,11 @@ impl Warehouse {
         design: &DesignResult,
     ) -> Result<Self, WarehouseError> {
         let views = ViewCatalog::from_design(design);
-        let stale = views.views().iter().map(|(n, _)| n.clone()).collect();
         let mut warehouse = Self {
             catalog: Arc::new(catalog),
             planner: RefreshPlanner::new(&views, &db),
             db,
             views: Arc::new(views),
-            stale,
             base_rows: BTreeMap::new(),
             refreshes: 0,
             policy: RefreshPolicy::default(),
@@ -196,7 +179,8 @@ impl Warehouse {
             versions: Arc::default(),
             cache: Arc::default(),
         };
-        warehouse.refresh()?;
+        let build = warehouse.planner.build();
+        warehouse.apply(&build)?;
         Ok(warehouse)
     }
 
@@ -312,20 +296,41 @@ impl Warehouse {
             cache: Arc::clone(&self.cache),
             version: 0,
             refreshes: self.refreshes,
-            stale_views: self.stale.len(),
+            stale_views: self.stale_views().count(),
             pending_rows: self.pending_rows(),
         }
     }
 
     /// Whether any view's inputs changed since it was last (re)built.
     pub fn is_stale(&self) -> bool {
-        !self.stale.is_empty()
+        self.stale_views().next().is_some()
     }
 
     /// The views whose inputs changed since the last refresh — exactly the
-    /// ones the next [`Warehouse::refresh`] will touch.
+    /// ones the next [`Warehouse::refresh`] will touch: those
+    /// [`maintenance`] does not skip.
     pub fn stale_views(&self) -> impl Iterator<Item = &RelName> {
-        self.stale.iter()
+        let grown = self.grown();
+        self.views
+            .views()
+            .iter()
+            .filter(move |(_, definition)| {
+                maintenance(definition, &grown, self.policy) != Maintenance::Skip
+            })
+            .map(|(name, _)| name)
+    }
+
+    /// The base relations that gained rows since the last refresh.
+    fn grown(&self) -> BTreeSet<RelName> {
+        self.base_rows
+            .iter()
+            .filter(|(name, mark)| {
+                self.db
+                    .table(name.as_str())
+                    .is_some_and(|table| table.len() > **mark)
+            })
+            .map(|(name, _)| name.clone())
+            .collect()
     }
 
     /// How many refresh passes have run.
@@ -379,139 +384,43 @@ impl Warehouse {
         }
         existing.extend_rows(rows);
         self.bump_version(&relation);
-        for (name, definition) in self.views.views() {
-            if definition.base_relations().contains(&relation) {
-                self.stale.insert(name.clone());
-            }
-        }
         Ok(())
     }
 
-    /// Brings every stale view up to date and snapshots the base state the
-    /// views now reflect. Fresh views are skipped outright; stale ones are
-    /// maintained per the [`RefreshPolicy`] — incrementally folding the
-    /// appended deltas where the view allows, recomputing otherwise.
-    /// Reports what happened per view, and where the time went.
-    ///
-    /// The pass runs along the MVPP DAG, as one planner built with the
-    /// warehouse lays it out: views go children first, each definition is
-    /// routed through the views already fresh in the pass, and a subplan
-    /// two or more rebuilt views still need is computed once, as a
-    /// transient table dropped once its last reader has run. A rebuilt
-    /// view of the form `γ[G; A](X ⋈ Y)` groups the child holding every
-    /// aggregate input first ([`mvdesign_core::eager_aggregation`]), so its
-    /// join reads per-key partials instead of rows. A view folds through
-    /// the child views it was routed through when each of them the pass
-    /// changes is an SPJ view it folds too: the rows the child's fold
-    /// appended are the view's delta of it, and the stored child is the
-    /// old side of a Δ⋈. Otherwise the view folds its unrouted definition.
-    ///
-    /// Views keep the engine's columnar layout: dictionary-encoded text
-    /// columns move by `Arc` clone, so a materialized view shares its value
-    /// tables with the base tables it was computed from — refreshing copies
-    /// codes, never strings. An SPJ fold appends to the stored view's
-    /// pages; under a budget every other new view, and every transient
-    /// that is not a projection of a stored table (which shares that
-    /// table's pages), is written into the pool while it is staged. A pass
-    /// commits every view or none: a failed pass leaves views, staleness,
-    /// versions and append marks as they were, so its retry folds the same
-    /// appends into the same stored views.
+    /// Brings every stale view up to date in one pass along the MVPP DAG,
+    /// as the `refresh` module docs (DESIGN §15) lay out, and snapshots the
+    /// base state the views now reflect. It commits every view or none: a
+    /// failed pass leaves views, versions and append marks as they were.
     ///
     /// # Errors
     ///
     /// Returns [`WarehouseError::Exec`] when a view definition fails.
     pub fn refresh(&mut self) -> Result<RefreshReport, WarehouseError> {
-        let mut report = RefreshReport::default();
-        let (db, policy) = (&self.db, self.policy);
-        let pass = self.planner.pass(
-            |view| self.stale.contains(view) || db.table(view.as_str()).is_none(),
-            |view| policy == RefreshPolicy::Recompute || db.table(view.as_str()).is_none(),
-        );
-        // `old` shares every pre-refresh page: staging adds no high-water.
-        // Its stored views reflect exactly the old state.
-        let (old, mut deltas) = self.appends_under_stale();
-        let (exec, pool) = (&self.exec, self.pool.as_ref());
-        let staged = pass.run(db, |work, working| {
-            let started = Instant::now();
-            let mut table = match work {
-                Work::Transient { name, plan } => {
-                    // Kept in its pages: a π of a stored table copies nothing.
-                    let table = execute_shared(name.clone(), plan, working, exec)?;
-                    report.transients += 1;
-                    report.transient_time += started.elapsed();
-                    table
-                }
-                Work::View {
-                    name,
-                    plan,
-                    rebuild,
-                    eager,
-                    feeds,
-                } => {
-                    let stored = old.table(name.as_str()).filter(|_| !rebuild);
-                    let folded = match stored {
-                        Some(stored) => refresh_view_delta(stored, plan, &old, &deltas, exec)?
-                            .map(|table| (stored, table)),
-                        None => None,
-                    };
-                    match folded {
-                        Some((stored, table)) => {
-                            if *feeds {
-                                // An SPJ fold: the rows it appended.
-                                let rows = appended_since(&table, stored.len());
-                                deltas.insert((*name).clone(), rows);
-                            }
-                            report.folded += 1;
-                            report.fold_time += started.elapsed();
-                            table
-                        }
-                        None => {
-                            let result = execute(plan, working, exec)?;
-                            report.recomputed += 1;
-                            report.eager += usize::from(*eager);
-                            report.recompute_time += started.elapsed();
-                            Table::from_batch((*name).clone(), result.into_batch())
-                        }
-                    }
-                }
-            };
-            if let Some(pool) = pool {
-                if !table.pool().is_some_and(|home| Arc::ptr_eq(home, pool)) {
-                    table.rehome(Some(pool), DEFAULT_PAGE_ROWS);
-                }
-            }
-            Ok::<_, WarehouseError>(table)
-        })?;
+        let pass = self.planner.pass(&self.grown(), self.policy);
+        self.apply(&pass)
+    }
+
+    /// Runs `pass` and commits what it staged. A view whose staged table
+    /// shares the stored table's pages keeps its version, and so its cached
+    /// answers.
+    fn apply(&mut self, pass: &Pass) -> Result<RefreshReport, WarehouseError> {
+        let (staged, mut report) =
+            pass.refresh(&self.db, &self.base_rows, &self.exec, self.pool.as_ref())?;
         report.skipped = self.views.len() - report.folded - report.recomputed;
         for table in staged {
-            self.bump_version(table.name());
-            self.db.insert_table(table);
+            let kept = self
+                .db
+                .table(table.name().as_str())
+                .is_some_and(|stored| Arc::ptr_eq(stored.pages(), table.pages()));
+            if !kept {
+                self.bump_version(table.name());
+                self.db.insert_table(table);
+            }
         }
         self.snapshot_base_rows();
-        self.stale.clear();
         self.refreshes += 1;
         self.last_refresh = report;
         Ok(report)
-    }
-
-    /// The old state and the append deltas of the relations some stale view
-    /// reads ([`split_appends`]). Every other relation is left whole and
-    /// gathers nothing, so a pass with no stale view copies no row.
-    fn appends_under_stale(&self) -> (Database, DeltaMap) {
-        let under: BTreeSet<RelName> = self
-            .views
-            .views()
-            .iter()
-            .filter(|(name, _)| self.stale.contains(name))
-            .flat_map(|(_, definition)| definition.base_relations())
-            .collect();
-        let marks = self
-            .base_rows
-            .iter()
-            .filter(|(relation, _)| under.contains(*relation))
-            .map(|(relation, mark)| (relation.clone(), *mark))
-            .collect();
-        split_appends(&self.db, &marks)
     }
 
     /// Marks the stored contents of `relation` as changed.
@@ -826,7 +735,7 @@ fn measured_period<'a>(
     let ctx = ExecContext::default();
     let mut maintenance_io = 0.0;
     let planner = RefreshPlanner::new(views, db);
-    let built = planner.pass(|_| true, |_| true).run(db, |work, working| {
+    let built = planner.build().run(db, |work, working| {
         let (result, io) = measure(work.plan(), working, records_per_block, &ctx)?;
         maintenance_io += io.total();
         Ok::<_, WarehouseError>(Table::from_batch(work.name().clone(), result.into_batch()))
@@ -913,19 +822,7 @@ mod tests {
     #[test]
     fn appends_go_stale_and_refresh_catches_up() {
         let mut w = warehouse();
-        let customer_attrs = w
-            .database()
-            .table("Customer")
-            .expect("customer exists")
-            .attrs()
-            .to_vec();
-        let row: Vec<Value> = customer_attrs
-            .iter()
-            .map(|a| match a.attr.as_str() {
-                "Cid" => Value::Int(999_999),
-                _ => Value::text("fresh"),
-            })
-            .collect();
+        let row = customer_row(&w);
         let before = w.query("SELECT name FROM Customer").expect("counts").len();
         w.append("Customer", vec![row]).expect("appends");
         assert!(w.is_stale());
@@ -1143,10 +1040,15 @@ mod tests {
                 .all(|(_, d)| !d.base_relations().contains(&unread)),
             "fixture needs a relation no view reads"
         );
+        let cut = |w: &Warehouse| {
+            w.planner
+                .pass(&w.grown(), w.policy)
+                .appends(w.database(), &w.base_rows)
+        };
         let row = w.database().table("Part").expect("Part exists").rows()[0].clone();
         w.append(unread, vec![row]).expect("appends");
         assert!(!w.is_stale(), "no view reads Part");
-        let (old, deltas) = w.appends_under_stale();
+        let (old, deltas) = cut(&w);
         assert!(deltas.is_empty(), "gathered {:?}", deltas.keys());
         let pages = |db: &Database| -> Vec<_> {
             db.iter()
@@ -1163,6 +1065,17 @@ mod tests {
         for ((name, was), (_, is)) in before.iter().zip(pages(w.database())) {
             assert!(Arc::ptr_eq(was, &is), "{name} changed");
         }
+        // Customer's views fold under `Delta`; under `Recompute` the same
+        // pass rebuilds them and reads no delta.
+        w.append("Customer", vec![customer_row(&w)])
+            .expect("appends");
+        let (_, deltas) = cut(&w);
+        let cut_off: Vec<&RelName> = deltas.keys().collect();
+        assert_eq!(cut_off, [&RelName::new("Customer")]);
+        w.set_refresh_policy(RefreshPolicy::Recompute);
+        assert!(w.is_stale());
+        let (_, deltas) = cut(&w);
+        assert!(deltas.is_empty(), "gathered {:?}", deltas.keys());
     }
 
     /// A fresh Customer row matching the generated schema.

@@ -18,7 +18,8 @@
 //!   run on the columnar batch engine, so the check doubles as a batch ≡
 //!   row differential test on every audit;
 //! - **delta maintenance** ([`check_delta_refresh`]): folding captured
-//!   append deltas into a stored view
+//!   append deltas into a stored view that the maintenance decision
+//!   ([`mvdesign_engine::maintenance`]) does not rebuild
 //!   ([`mvdesign_engine::refresh_view_delta`]) must reproduce a full
 //!   recompute of the view on the grown database — row for row for a
 //!   γ-view, as a bag for an SPJ view, whose fold appends — across several
@@ -47,8 +48,8 @@ use mvdesign_core::{
 };
 use mvdesign_cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign_engine::{
-    execute, materialize_view, refresh_view_delta, split_appends, ExecContext, Generator,
-    GeneratorConfig,
+    execute, grown, maintenance, materialize_view, refresh_view_delta, split_appends, ExecContext,
+    Generator, GeneratorConfig, Maintenance, RefreshPolicy,
 };
 use mvdesign_optimizer::Planner;
 use mvdesign_workload::{
@@ -226,9 +227,10 @@ pub fn check_semantics(
 /// fixtures. Rounds chain: round `r` appends on top of round `r-1`'s
 /// database and folds into the view state round `r-1` left behind, with the
 /// per-relation append size cycling through zero (a no-op delta) up to the
-/// whole twin table. Views that cannot fold appends (an `AVG`, or a grown
-/// γ below the root) are recomputed and keep participating in later
-/// rounds.
+/// whole twin table. Each round asks [`maintenance`] how each view takes
+/// its appends under [`RefreshPolicy::Delta`]: a view it skips must still
+/// equal its recompute, and a view it rebuilds (an `AVG`, or a grown γ
+/// below the root) is recomputed and keeps participating in later rounds.
 pub fn check_delta_refresh(
     catalog: &Catalog,
     views: &ViewCatalog,
@@ -273,6 +275,7 @@ pub fn check_delta_refresh(
         }
 
         let (old, deltas) = split_appends(&db, &snapshot);
+        let grown = grown(&deltas);
         for (name, definition, table) in stored.iter_mut() {
             let recomputed = match execute(definition, &db, &ctx) {
                 Ok(t) => t,
@@ -281,8 +284,12 @@ pub fn check_delta_refresh(
                     continue;
                 }
             };
+            if maintenance(definition, &grown, RefreshPolicy::Delta) == Maintenance::Rebuild {
+                *table = recomputed;
+                continue;
+            }
             match refresh_view_delta(table, definition, &old, &deltas, &ctx) {
-                Ok(Some(folded)) => {
+                Ok(folded) => {
                     let differs = if matches!(***definition, Expr::Aggregate { .. }) {
                         folded.rows() != recomputed.rows()
                     } else {
@@ -301,7 +308,6 @@ pub fn check_delta_refresh(
                     }
                     *table = folded;
                 }
-                Ok(None) => *table = recomputed,
                 Err(e) => report.push("delta-refresh", format!("{name} fold fails: {e}")),
             }
         }

@@ -21,7 +21,7 @@ echo "== tier-1: formatting =="
 cargo fmt --all -- --check
 
 echo "== tier-1: clippy =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: docs (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -7,7 +7,8 @@
 //! — across chained append rounds (including empty ones), and with the base
 //! tables paged out to a starved buffer pool with a spill-forcing operator
 //! budget. Every view the batteries build folds (none carries an `AVG` or a
-//! γ below its root), so a fold that declines fails them too. The appended
+//! γ below its root): each asks the maintenance decision (`maintenance`)
+//! first, and a view it would rebuild fails them. The appended
 //! rows open groups whose keys sort before the stored ones, so a fold that
 //! placed new groups after the stored ones would show.
 //!
@@ -25,8 +26,8 @@ use mvdesign::algebra::{
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::core::ViewCatalog;
 use mvdesign::engine::{
-    execute, refresh_view_delta, split_appends, BufferPool, Database, ExecContext, Generator,
-    GeneratorConfig, Table,
+    execute, grown, maintenance, refresh_view_delta, split_appends, BufferPool, Database, DeltaMap,
+    ExecContext, Generator, GeneratorConfig, Maintenance, RefreshPolicy, Table,
 };
 use mvdesign::prelude::Designer;
 use mvdesign::workload::tpch_lite;
@@ -214,6 +215,24 @@ fn budget_override() -> Option<usize> {
         .map(|v| v.parse().expect("MVDESIGN_MEM_BUDGET is a byte count"))
 }
 
+/// Asserts the maintenance decision folds `view` under `deltas` (a view
+/// nothing under grew is skipped, and folds to itself), then folds it.
+fn fold(
+    stored: &Table,
+    view: &Arc<Expr>,
+    old: &Database,
+    deltas: &DeltaMap,
+    ctx: &ExecContext,
+) -> Table {
+    let kind = maintenance(view, &grown(deltas), RefreshPolicy::Delta);
+    assert_ne!(
+        kind,
+        Maintenance::Rebuild,
+        "{view} rebuilds instead of folding"
+    );
+    refresh_view_delta(stored, view, old, deltas, ctx).expect("delta refresh runs")
+}
+
 /// Byte budget for the paged variant — overridable by the low-memory knob.
 fn mem_budget() -> usize {
     budget_override().unwrap_or(512)
@@ -246,11 +265,7 @@ proptest! {
             let snapshot = append_round(&mut db, &catalog, seed + r as u64, *quarters);
             let (old, deltas) = split_appends(&db, &snapshot);
             let recomputed = execute(&view, &db, &recompute).expect("recompute runs");
-            let Some(folded) = refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
-                .expect("delta refresh runs")
-            else {
-                panic!("round {r} recomputes instead of folding {spec:?}");
-            };
+            let folded = fold(&stored, &view, &old, &deltas, &ctx);
             prop_assert!(
                 same_contents(&view, &folded, &recomputed),
                 "fold diverges in round {} for {:?}",
@@ -288,11 +303,7 @@ proptest! {
         let mut paged = db.clone();
         paged.rehome(Some(&pool), page_rows);
         let (old, deltas) = split_appends(&paged, &snapshot);
-        let Some(folded) = refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
-            .expect("paged delta refresh runs")
-        else {
-            panic!("paged refresh recomputes instead of folding {spec:?}");
-        };
+        let folded = fold(&stored, &view, &old, &deltas, &ctx);
         prop_assert!(
             same_contents(&view, &folded, &recomputed),
             "paged fold diverges for {:?}",
@@ -350,9 +361,12 @@ fn tpch_lite_roll_up_candidate_folds_appends_to_lineitem_and_orders() {
         }
         let (old, deltas) = split_appends(&db, &snapshot);
         assert_eq!(deltas.len(), 2, "round {round}");
-        let folded = refresh_view_delta(&stored, candidate, &old, &deltas, &ctx)
-            .expect("delta refresh runs")
-            .expect("an insert-only SUM roll-up folds");
+        assert_eq!(
+            maintenance(candidate, &grown(&deltas), RefreshPolicy::Delta),
+            Maintenance::Fold,
+            "an insert-only SUM roll-up folds"
+        );
+        let folded = fold(&stored, candidate, &old, &deltas, &ctx);
         let recomputed = execute(candidate, &db, &recompute).expect("recompute runs");
         assert_eq!(folded.rows(), recomputed.rows(), "round {round}");
         stored = folded;
@@ -379,9 +393,12 @@ fn join_view_folds_insert_only_appends() {
     let stored = execute(&view, &db, &ctx).expect("view builds");
     let snapshot = append_round(&mut db, &catalog, 7, [2, 3, 0]);
     let (old, deltas) = split_appends(&db, &snapshot);
-    let folded = refresh_view_delta(&stored, &view, &old, &deltas, &ctx)
-        .expect("delta refresh runs")
-        .expect("insert-only join delta folds");
+    assert_eq!(
+        maintenance(&view, &grown(&deltas), RefreshPolicy::Delta),
+        Maintenance::Append,
+        "an insert-only join delta appends"
+    );
+    let folded = fold(&stored, &view, &old, &deltas, &ctx);
     let recomputed = execute(&view, &db, &ctx).expect("recompute runs");
     assert_eq!(
         folded.canonicalized().rows(),

@@ -472,6 +472,54 @@ fn a_refresh_that_skips_a_view_keeps_its_entries() {
     assert_eq!(delta(w.result_cache_stats(), before), (1, 0, 0));
 }
 
+/// A refresh that folds an empty delta into a view leaves the view's pages
+/// as they were, so it keeps the view's version and the answers read from
+/// it. Paper example: a Division row outside `'LA'` makes `tmp7` =
+/// σ[city='LA'](Division) ⋈ Product stale, and its fold appends nothing.
+#[test]
+fn a_refresh_that_leaves_a_views_pages_keeps_its_entries() {
+    let pool = paper();
+    let mut w = resident(pool, 13, SMALL);
+    let q1 = paper_example()
+        .workload
+        .queries()
+        .iter()
+        .find(|q| q.name() == "Q1")
+        .map(|q| Ask::Expr(Arc::clone(q.root())))
+        .expect("paper Q1");
+    assert_eq!(
+        w.views().rewrite(&parsed(&q1, w.catalog())).to_string(),
+        "π[Product.name](tmp7)",
+        "fixture: Q1 reads tmp7 through a projection"
+    );
+    ask_warehouse(&w, &q1);
+    let division = w.database().table("Division").expect("Division");
+    let mut row = division.rows()[0].clone();
+    let city = division
+        .attrs()
+        .iter()
+        .position(|a| a.attr.as_str() == "city")
+        .expect("Division.city");
+    row[city] = Value::text("nowhere");
+    let (pages, version) = (
+        Arc::clone(w.database().table("tmp7").expect("tmp7").pages()),
+        w.versions()["tmp7"],
+    );
+    w.append("Division", vec![row]).expect("append applies");
+    assert!(w.stale_views().any(|v| v.as_str() == "tmp7"));
+    let report = w.refresh().expect("refresh applies");
+    assert!(report.folded > 0, "{report:?}");
+    let stored = w.database().table("tmp7").expect("tmp7");
+    assert!(
+        Arc::ptr_eq(&pages, stored.pages()),
+        "the empty fold kept the pages"
+    );
+    assert_eq!(w.versions()["tmp7"], version, "the version stays");
+    let before = w.result_cache_stats();
+    check_warehouse(&w, &q1, "across a refresh that left tmp7's pages");
+    assert_eq!(delta(w.result_cache_stats(), before), (1, 0, 0));
+}
+
 #[test]
 fn a_held_snapshot_and_a_fresh_one_alternate_on_one_key() {
     let pool = tpch();
