@@ -57,6 +57,7 @@
 mod annotate;
 mod audit;
 mod designer;
+mod eager;
 mod evaluate;
 mod generate;
 mod greedy;
@@ -78,6 +79,7 @@ pub use crate::audit::{
     AuditReport, AuditViolation,
 };
 pub use crate::designer::{DesignError, DesignResult, Designer, DesignerConfig};
+pub use crate::eager::{eager_aggregation, eager_chain, estimate, Estimate, Statistics};
 pub use crate::evaluate::{
     break_even_update_weight, choose_policies, evaluate, evaluate_set, evaluate_set_with_policies,
     evaluate_with_policies, mqp_batch_cost, query_cost, query_cost_set, CostBreakdown,
@@ -89,7 +91,7 @@ pub use crate::incremental::IncrementalEvaluator;
 pub use crate::mvpp::{Mvpp, MvppNode, NodeId};
 pub use crate::nodeset::NodeSet;
 pub use crate::report::{render_design, render_trace};
-pub use crate::rewrite::{eager_aggregation, Decision, MissReason, Routed, ViewCatalog};
+pub use crate::rewrite::{Decision, MissReason, Routed, ViewCatalog};
 pub use crate::search::{
     ExhaustiveSelection, GeneticSelection, MaterializeAll, MaterializeNone, PolicyChoice,
     RandomSearch, SelectionAlgorithm, SimulatedAnnealing,

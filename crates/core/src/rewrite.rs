@@ -782,84 +782,6 @@ where
     keys
 }
 
-/// `γ[G; A](X ⋈ Y)` rebuilt by eager aggregation: the child holding every
-/// aggregate input is grouped first, by its keys in `G` and the attributes
-/// the join compares (the key rule of the designer's roll-up candidates),
-/// and the join reads those per-key partials instead of its rows:
-/// `γ[G; rolled(A)](γ[keys; A](X) ⋈ Y)`, each aggregate re-aggregated by
-/// [`AggExpr::rolled_up`]. The other child is
-/// kept as it is, and so is the join's orientation. This is the rule
-/// [`ViewCatalog::route`] answers a γ-node by from a γ-view over some of
-/// its relations, with the partials computed in the plan instead of read
-/// from a stored view; the result is the definition's, row for row.
-///
-/// When both children qualify (only `COUNT(*)`), the one whose base
-/// relations hold more rows by `rows` is grouped. `None` when the rule does
-/// not apply: the root is not a γ directly over a join (a σ or π between
-/// them included), `G` is empty, an aggregate does not roll up (`AVG`), a
-/// child already aggregates, a join pair does not link the two children,
-/// or no child holds every aggregate input.
-pub fn eager_aggregation(expr: &Arc<Expr>, rows: impl Fn(&RelName) -> usize) -> Option<Arc<Expr>> {
-    let Expr::Aggregate {
-        input,
-        group_by,
-        aggs,
-    } = &**expr
-    else {
-        return None;
-    };
-    let Expr::Join { left, right, on } = &**input else {
-        return None;
-    };
-    let rolled: Vec<AggExpr> = aggs.iter().map(AggExpr::rolled_up).collect::<Option<_>>()?;
-    let aggregates = |e: &Arc<Expr>| {
-        let mut found = false;
-        mvdesign_algebra::postorder(e, &mut |n| {
-            found |= matches!(**n, Expr::Aggregate { .. });
-        });
-        found
-    };
-    if group_by.is_empty() || aggregates(left) || aggregates(right) {
-        return None;
-    }
-    let left_relations = left.base_relations();
-    let crossing = |(a, b): &(AttrRef, AttrRef)| {
-        left_relations.contains(&a.relation) != left_relations.contains(&b.relation)
-    };
-    if !on.pairs().iter().all(crossing) {
-        return None;
-    }
-    let holds_inputs = |s: &BTreeSet<RelName>| {
-        aggs.iter()
-            .filter_map(|a| a.input.as_ref())
-            .all(|a| s.contains(&a.relation))
-    };
-    let right_relations = right.base_relations();
-    let weight = |s: &BTreeSet<RelName>| s.iter().map(&rows).sum::<usize>();
-    let pre_left = match (
-        holds_inputs(&left_relations),
-        holds_inputs(&right_relations),
-    ) {
-        (true, true) => weight(&left_relations) >= weight(&right_relations),
-        (true, false) => true,
-        (false, true) => false,
-        (false, false) => return None,
-    };
-    let (child, s) = if pre_left {
-        (left, &left_relations)
-    } else {
-        (right, &right_relations)
-    };
-    let keys = roll_up_keys(s, [(&group_by[..], on.pairs(), &[][..])]);
-    let partials = Expr::aggregate(Arc::clone(child), keys, aggs.clone());
-    let joined = if pre_left {
-        Expr::join(partials, Arc::clone(right), on.clone())
-    } else {
-        Expr::join(Arc::clone(left), partials, on.clone())
-    };
-    Some(Expr::aggregate(joined, group_by.clone(), rolled))
-}
-
 /// Whether the γ-view with normal form `core` over relations `S` (a subset
 /// of the node's), storing the columns `stored` and read through `scan`,
 /// answers the γ-node: by the scan itself when `S` is all of the node's

@@ -733,13 +733,14 @@ fn measured_period<'a>(
     records_per_block: f64,
 ) -> Result<MeasuredPeriod, WarehouseError> {
     let ctx = ExecContext::default();
-    let mut maintenance_io = 0.0;
+    let mut refresh = Vec::new();
     let planner = RefreshPlanner::new(views, db);
     let built = planner.build().run(db, |work, working| {
         let (result, io) = measure(work.plan(), working, records_per_block, &ctx)?;
-        maintenance_io += io.total();
+        refresh.push((work.name().clone(), io.total()));
         Ok::<_, WarehouseError>(Table::from_batch(work.name().clone(), result.into_batch()))
     })?;
+    let maintenance_io = refresh.iter().fold(0.0, |io, (_, blocks)| io + blocks);
     // Queries read the views, never the transients.
     let mut working = db.clone();
     for view in built {
@@ -754,11 +755,12 @@ fn measured_period<'a>(
         query_io,
         maintenance_io,
         total_io: query_io + maintenance_io,
+        refresh,
     })
 }
 
 /// Observed block I/O of one simulated period.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredPeriod {
     /// Frequency-weighted I/O of answering every workload query.
     pub query_io: f64,
@@ -767,6 +769,10 @@ pub struct MeasuredPeriod {
     pub maintenance_io: f64,
     /// `query_io + maintenance_io`.
     pub total_io: f64,
+    /// Every unit of that refresh in the order it ran — a view, or a
+    /// transient subplan views share (`~transientN`) — with its I/O;
+    /// they sum to `maintenance_io`.
+    pub refresh: Vec<(RelName, f64)>,
 }
 
 #[cfg(test)]

@@ -20,16 +20,26 @@
 //!   | skip | none: the stored table stays | no relation under the view grew |
 //!   | append | routed, else definition | no γ root, no grown γ below it |
 //!   | fold | routed, else definition | a γ root whose aggregates roll up, no grown γ below it |
-//!   | rebuild | rebuilt: the eager form, routed | the policy is `Recompute`, an `AVG` root, a grown γ below the root, or a build |
+//!   | rebuild | rebuilt: the cheapest routed form | the policy is `Recompute`, an `AVG` root, a grown γ below the root, or a build |
 //!
 //!   An append or fold runs its routed plan only when every child view it
 //!   reads that the pass changes is appended to: the rows the child's
 //!   append added are the view's delta of it, and the stored child is the
 //!   old side of a Δ⋈.
-//! * **Eager aggregation.** A rebuild of `γ[G; A](X ⋈ Y)` groups the child
-//!   holding every aggregate input first ([`eager_aggregation`]), so the
-//!   join reads per-key partials of `X`. The eager form is routed like the
-//!   definition.
+//! * **Eager aggregation.** A γ over joins has up to three rebuild forms,
+//!   each routed like the definition: the definition itself; the one-level
+//!   form ([`eager_aggregation`]: `γ[G; A](X ⋈ Y)` groups the child holding
+//!   every aggregate input first, so the join reads per-key partials of
+//!   `X`); and the chain form ([`eager_chain`]: starting from the relation
+//!   holding every aggregate input, one adjacent relation joined at a time,
+//!   with a partial γ by the roll-up key rule before each join
+//!   where it shrinks the rows, and a σ under the γ pushed down conjunct by
+//!   conjunct). The planner keeps the form [`estimate`] prices lowest, the
+//!   earlier one on a tie: `measure`'s charges (`b(in) + b(out)` per σ, π
+//!   and γ, `b(L)·b(R) + b(out)` per join, 10 records per block) over the
+//!   exact rows of the base tables, the estimated rows of the views before
+//!   it, and distinct counts read from the base tables' pages once per
+//!   column a candidate groups by or joins on.
 //! * **Transients.** Every non-view subplan two or more rebuilt views
 //!   still need is computed once, largest first, as a transient table that
 //!   lives in the pass's working database from right before its first
@@ -42,17 +52,18 @@
 //! [`measured_period_cost`]: super::measured_period_cost
 //! [`measured_design_cost`]: super::measured_design_cost
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mvdesign_algebra::{postorder, Expr};
+use mvdesign_algebra::{postorder, AttrRef, Expr, Value};
 use mvdesign_catalog::RelName;
-use mvdesign_core::{eager_aggregation, ViewCatalog};
+use mvdesign_core::{eager_aggregation, eager_chain, estimate, Statistics, ViewCatalog};
 use mvdesign_engine::{
     appended_since, execute, execute_shared, maintenance, refresh_view_delta, split_appends,
-    BufferPool, Database, DeltaMap, ExecContext, ExecError, Maintenance, RefreshPolicy, Table,
-    DEFAULT_PAGE_ROWS,
+    BufferPool, Column, Database, DeltaMap, ExecContext, ExecError, Maintenance, RefreshPolicy,
+    Table, DEFAULT_PAGE_ROWS,
 };
 
 use super::RefreshReport;
@@ -71,10 +82,10 @@ struct Step {
     definition: Arc<Expr>,
     /// `definition` routed through the views before this one.
     routed: Arc<Expr>,
-    /// What a rebuild computes: the eager-aggregation form of `definition`
-    /// routed like it, or `routed` when that rule does not apply.
+    /// What a rebuild computes: of `routed` and the eager-aggregation
+    /// forms of `definition` routed like it, the one estimated cheapest.
     rebuilt: Arc<Expr>,
-    /// Whether `rebuilt` is the eager-aggregation form.
+    /// Whether `rebuilt` is an eager-aggregation form.
     eager: bool,
     /// The views `routed` scans.
     reads: Vec<RelName>,
@@ -131,12 +142,15 @@ pub(super) struct Pass {
 }
 
 impl RefreshPlanner {
-    /// Orders the registered views children first and routes each
-    /// definition through the views before it. `db` sizes the base
-    /// relations: where both children of a join could be grouped first,
-    /// the larger one is.
+    /// Orders the registered views children first, routes each definition
+    /// through the views before it, and picks each view's rebuild plan:
+    /// of the definition, its one-level eager form and its chain form, each
+    /// routed, the one [`estimate`] prices lowest, the earlier on a tie.
+    /// `db` sizes the base relations; distinct counts are read from its
+    /// pages once per column a candidate groups by or joins on.
     pub(super) fn new(views: &ViewCatalog, db: &Database) -> Self {
         let rows = |relation: &RelName| db.table(relation.as_str()).map_or(0, Table::len);
+        let mut sizes = Sizes::new(db);
         let mut order: Vec<&(RelName, Arc<Expr>)> = views.views().iter().collect();
         order.sort_by_key(|(_, definition)| definition.node_count());
         let mut before = ViewCatalog::new();
@@ -144,10 +158,26 @@ impl RefreshPlanner {
             .into_iter()
             .map(|(name, definition)| {
                 let routed = before.rewrite(definition);
-                let eager = eager_aggregation(definition, rows);
-                let rebuilt = eager
-                    .as_ref()
-                    .map_or_else(|| Arc::clone(&routed), |plan| before.rewrite(plan));
+                let eager_forms: Vec<Arc<Expr>> = [
+                    eager_aggregation(definition, rows),
+                    eager_chain(definition, &sizes),
+                ]
+                .into_iter()
+                .flatten()
+                .map(|form| before.rewrite(&form))
+                .collect();
+                let blocks =
+                    |plan: &Arc<Expr>| estimate(plan, &sizes, ESTIMATE_RECORDS_PER_BLOCK).blocks;
+                let mut rebuilt = Arc::clone(&routed);
+                if !eager_forms.is_empty() {
+                    let mut cheapest = blocks(&routed);
+                    for plan in eager_forms {
+                        let cost = blocks(&plan);
+                        if cost < cheapest {
+                            (rebuilt, cheapest) = (plan, cost);
+                        }
+                    }
+                }
                 let reads = before
                     .views()
                     .iter()
@@ -155,12 +185,13 @@ impl RefreshPlanner {
                     .map(|(view, _)| view.clone())
                     .collect();
                 before.register(name.clone(), Arc::clone(definition));
+                sizes.views.insert(name.clone(), Arc::clone(definition));
                 Step {
                     name: name.clone(),
                     definition: Arc::clone(definition),
+                    eager: !Arc::ptr_eq(&rebuilt, &routed),
                     routed,
                     rebuilt,
-                    eager: eager.is_some(),
                     reads,
                 }
             })
@@ -190,6 +221,132 @@ impl RefreshPlanner {
                 .map(|step| (step, Maintenance::Rebuild))
                 .collect(),
         )
+    }
+}
+
+/// The blocking factor rebuild plans are compared at: the one the measured
+/// period is charged at.
+const ESTIMATE_RECORDS_PER_BLOCK: f64 = 10.0;
+
+/// The [`Statistics`] a planner estimates by: rows of `db`'s tables, the
+/// estimated rows of the views planned so far (their definitions'), and
+/// distinct counts of `db`'s columns, each counted once, on first use.
+struct Sizes<'a> {
+    db: &'a Database,
+    views: BTreeMap<RelName, Arc<Expr>>,
+    distinct: RefCell<HashMap<AttrRef, f64>>,
+}
+
+impl<'a> Sizes<'a> {
+    fn new(db: &'a Database) -> Self {
+        Self {
+            db,
+            views: BTreeMap::new(),
+            distinct: RefCell::default(),
+        }
+    }
+}
+
+impl Statistics for Sizes<'_> {
+    fn rows(&self, relation: &RelName) -> f64 {
+        match self.views.get(relation) {
+            Some(definition) => estimate(definition, self, ESTIMATE_RECORDS_PER_BLOCK).rows,
+            None => self
+                .db
+                .table(relation.as_str())
+                .map_or(0.0, |table| table.len() as f64),
+        }
+    }
+
+    fn distinct(&self, attr: &AttrRef) -> f64 {
+        *self
+            .distinct
+            .borrow_mut()
+            .entry(attr.clone())
+            .or_insert_with(|| {
+                self.db
+                    .table(attr.relation.as_str())
+                    .and_then(|table| Some(count_distinct(table, table.index_of(attr)?) as f64))
+                    .unwrap_or(f64::INFINITY)
+            })
+    }
+}
+
+/// Distinct values in column `col` of `table`, read page by page. A
+/// column of integers, dates or dictionary codes (which index a table of
+/// distinct values) is counted by its [`Keys`]: in a bitmap over their
+/// range when it is at most 64 slots per row (the keys of a generated or
+/// loaded table are dense), by a sort otherwise. Any other column is
+/// counted in a hash set of its values.
+fn count_distinct(table: &Table, col: usize) -> usize {
+    let pages = table.pages();
+    let columns = || (0..pages.page_count()).map(|p| pages.page(col, p));
+    let (mut low, mut high, mut rows) = (i64::MAX, i64::MIN, 0_usize);
+    for column in columns() {
+        let Some(keys) = Keys::of(&column) else {
+            let values = columns().flat_map(|c| (0..c.len()).map(move |i| c.value(i)));
+            return values.collect::<HashSet<Value>>().len();
+        };
+        if let Some((page_low, page_high)) = keys.range() {
+            low = low.min(page_low);
+            high = high.max(page_high);
+        }
+        rows += column.len();
+    }
+    if rows == 0 {
+        return 0;
+    }
+    let span = high.abs_diff(low);
+    if span / 64 < rows as u64 {
+        let mut bits = vec![0_u64; (span / 64) as usize + 1];
+        for column in columns() {
+            Keys::of(&column).expect("a key column").for_each(|key| {
+                let slot = key.abs_diff(low);
+                bits[(slot / 64) as usize] |= 1 << (slot % 64);
+            });
+        }
+        return bits.iter().map(|word| word.count_ones() as usize).sum();
+    }
+    let mut keys = Vec::with_capacity(rows);
+    for column in columns() {
+        Keys::of(&column)
+            .expect("a key column")
+            .for_each(|key| keys.push(key));
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len()
+}
+
+/// The keys of a page of integers, dates or dictionary codes.
+enum Keys<'a> {
+    Ints(&'a [i64]),
+    Codes(&'a [u32]),
+}
+
+impl<'a> Keys<'a> {
+    /// `None` for a page of text or mixed values.
+    fn of(column: &'a Column) -> Option<Self> {
+        match column {
+            Column::Int(values) | Column::Date(values) => Some(Keys::Ints(values)),
+            Column::Dict { codes, .. } => Some(Keys::Codes(codes)),
+            Column::Text(_) | Column::Mixed(_) => None,
+        }
+    }
+
+    /// The smallest and largest key; `None` on an empty page.
+    fn range(&self) -> Option<(i64, i64)> {
+        match self {
+            Keys::Ints(v) => Some((*v.iter().min()?, *v.iter().max()?)),
+            Keys::Codes(v) => Some(((*v.iter().min()?).into(), (*v.iter().max()?).into())),
+        }
+    }
+
+    fn for_each(&self, f: impl FnMut(i64)) {
+        match self {
+            Keys::Ints(v) => v.iter().copied().for_each(f),
+            Keys::Codes(v) => v.iter().map(|&code| i64::from(code)).for_each(f),
+        }
     }
 }
 
@@ -563,37 +720,34 @@ mod tests {
         }
     }
 
-    /// The greedy TPC-H-lite design on the benchmark's quality data (seed
-    /// 0x5eed, 0.4 % of scale factor 1): exactly its three γ-over-join
-    /// views are rebuilt by eager aggregation, and every view's rebuild
-    /// plan measures no more blocks than its routed definition.
-    #[test]
-    fn eager_rebuilds_of_the_tpch_lite_design_measure_no_more_than_routed() {
-        let scenario = tpch_lite();
-        let design = Designer::new()
-            .design(&scenario.catalog, &scenario.workload)
-            .expect("designs");
-        let mut db = Generator::with_config(GeneratorConfig {
+    /// The benchmark's quality data: seed 0x5eed, 0.4 % of scale factor 1.
+    fn quality_data(catalog: &mvdesign_catalog::Catalog) -> Database {
+        Generator::with_config(GeneratorConfig {
             seed: 0x5eed,
             scale: 0.004,
             max_rows: usize::MAX,
         })
-        .database(&scenario.catalog);
-        let planner = RefreshPlanner::new(&ViewCatalog::from_design(&design), &db);
+        .database(catalog)
+    }
+
+    /// Measures every view's rebuild plan and routed definition over `db`
+    /// with every view stored (each plan reads only views before its own):
+    /// the two give the same rows, and the rebuild costs no more blocks —
+    /// strictly fewer when it is eager. Returns `db` with the views stored
+    /// and the names of the views rebuilt eagerly, in planner order.
+    fn rebuilds_measure_no_more_than_routed(
+        planner: &RefreshPlanner,
+        mut db: Database,
+    ) -> (Database, Vec<String>) {
         let ctx = ExecContext::default();
-        // Every plan reads only views before its own: store them all.
         for step in &planner.steps {
             materialize_view(step.name.clone(), &step.definition, &mut db, &ctx)
                 .expect("view materializes");
         }
-        let blocks = |plan: &Arc<Expr>| {
-            let (result, io) = measure(plan, &db, 10.0, &ctx).expect("plan measures");
-            (result, io.total())
-        };
         let mut eager = Vec::new();
         for step in &planner.steps {
-            let (rebuilt, rebuilt_blocks) = blocks(&step.rebuilt);
-            let (routed, routed_blocks) = blocks(&step.routed);
+            let (rebuilt, rebuilt_blocks) = blocks(&step.rebuilt, &db);
+            let (routed, routed_blocks) = blocks(&step.routed, &db);
             assert!(
                 rebuilt_blocks <= routed_blocks,
                 "{}: rebuilt {rebuilt_blocks} > routed {routed_blocks}",
@@ -606,7 +760,109 @@ mod tests {
                 eager.push(step.name.to_string());
             }
         }
+        (db, eager)
+    }
+
+    /// `plan`'s result and the blocks `measure` charges it at 10 records
+    /// per block.
+    fn blocks(plan: &Arc<Expr>, db: &Database) -> (Table, f64) {
+        let (result, io) = measure(plan, db, 10.0, &ExecContext::default()).expect("plan measures");
+        (result, io.total())
+    }
+
+    /// The greedy TPC-H-lite design on the benchmark's quality data:
+    /// exactly its three γ-over-join views are rebuilt by eager
+    /// aggregation, and every view's rebuild plan measures no more blocks
+    /// than its routed definition. `tmp6` (γ over Lineitem ⋈ Customer ⋈
+    /// Orders) takes the chain form, which measures strictly below its
+    /// one-level eager form.
+    #[test]
+    fn eager_rebuilds_of_the_tpch_lite_design_measure_no_more_than_routed() {
+        let scenario = tpch_lite();
+        let design = Designer::new()
+            .design(&scenario.catalog, &scenario.workload)
+            .expect("designs");
+        let db = quality_data(&scenario.catalog);
+        let planner = RefreshPlanner::new(&ViewCatalog::from_design(&design), &db);
+        let (stored, eager) = rebuilds_measure_no_more_than_routed(&planner, db.clone());
         assert_eq!(eager, ["tmp12", "tmp6", "tmp17"]);
+
+        let at = planner.steps.iter().position(|s| s.name.as_str() == "tmp6");
+        let tmp6 = &planner.steps[at.expect("the design stores tmp6")];
+        let mut before = ViewCatalog::new();
+        for step in &planner.steps[..at.unwrap()] {
+            before.register(step.name.clone(), Arc::clone(&step.definition));
+        }
+        let rows = |relation: &RelName| db.table(relation.as_str()).map_or(0, Table::len);
+        let one_level = eager_aggregation(&tmp6.definition, rows).expect("one level applies");
+        let (_, one_level_blocks) = blocks(&before.rewrite(&one_level), &stored);
+        let (_, chain_blocks) = blocks(&tmp6.rebuilt, &stored);
+        assert!(
+            chain_blocks < one_level_blocks,
+            "chain {chain_blocks} against one level {one_level_blocks}"
+        );
+    }
+
+    /// Star-6×10 (seed 42) with every query a γ over a σ over Fact ⋈ Dims,
+    /// on the benchmark's quality data: the build pass rebuilds some views
+    /// eagerly, every view equals its isolated build, and every rebuild
+    /// measures no more blocks than its routed definition.
+    #[test]
+    fn eager_rebuilds_of_an_aggregating_star_design_match_isolated_builds() {
+        let scenario = StarSchema::with_config(StarSchemaConfig {
+            seed: 42,
+            dimensions: 6,
+            queries: 10,
+            aggregate_probability: 1.0,
+            ..StarSchemaConfig::default()
+        })
+        .scenario();
+        let design = Designer::new()
+            .design(&scenario.catalog, &scenario.workload)
+            .expect("designs");
+        let db = quality_data(&scenario.catalog);
+        let planner = RefreshPlanner::new(&ViewCatalog::from_design(&design), &db);
+        let ctx = ExecContext::default();
+        let marks = db.iter().map(|(n, t)| (n.clone(), t.len())).collect();
+        let (built, report) = planner.build().refresh(&db, &marks, &ctx, None).unwrap();
+        assert!(report.eager > 0, "{report:?}");
+        for (view, step) in built.iter().zip(&planner.steps) {
+            let isolated = execute(&step.definition, &db, &ctx).unwrap();
+            assert_eq!(view.attrs(), isolated.attrs(), "{}", step.name);
+            if matches!(*step.definition, Expr::Aggregate { .. }) {
+                assert_eq!(view.rows(), isolated.rows(), "{}", step.name);
+            } else {
+                let bag = |t: &Table| t.canonicalized().rows().to_vec();
+                assert_eq!(bag(view), bag(&isolated), "{}", step.name);
+            }
+        }
+        let (_, eager) = rebuilds_measure_no_more_than_routed(&planner, db);
+        assert_eq!(eager.len(), report.eager);
+    }
+
+    /// Distinct counts by bitmap (a dense range), by sort (a sparse one)
+    /// and by hash set (text) agree with a set's, over one page or several.
+    #[test]
+    fn count_distinct_agrees_with_a_set() {
+        let ints = |values: &[i64]| values.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+        let texts = [Value::text("b"), Value::text("a"), Value::text("b")];
+        let cases: [Vec<Value>; 7] = [
+            Vec::new(),
+            ints(&[5]),
+            ints(&[3, 1, 3, 2, 1, 64, 63, 65]),
+            ints(&[-7, 0, -7, 120]),
+            ints(&[-7, i64::MAX, -7, 0]),
+            ints(&[i64::MIN, i64::MAX, i64::MIN]),
+            texts.to_vec(),
+        ];
+        for values in cases {
+            let want = values.iter().collect::<BTreeSet<_>>().len();
+            let rows: Vec<Vec<Value>> = values.iter().map(|v| vec![v.clone()]).collect();
+            let mut table = Table::new("T", [AttrRef::new("T", "a")], rows);
+            assert_eq!(count_distinct(&table, 0), want, "{values:?}");
+            table.rehome(Some(&BufferPool::new(Some(64))), 2);
+            assert_eq!(count_distinct(&table, 0), want, "{values:?} in pages of 2");
+        }
     }
 
     /// Star-6×10 (seed 42) built from scratch shares joins as transients;

@@ -106,8 +106,8 @@ printf '%-12s %6d `Resident`/`make_resident`/`page_out_resident` under crates/ o
 printf '%-12s %6d `InsertDelete`/`pub struct Delta<` under crates/ (should read 0: a delta is a batch of appended rows)\n' \
   "delete deltas" "$(grep -rhoE 'InsertDelete|pub struct Delta<' crates --include='*.rs' | wc -l || true)"
 
-printf '%-12s measured period, query and refresh halves, and the views a first build rebuilds by eager aggregation (pins in tests/simulation.rs):\n' "period"
-cargo test -q --release -p mvdesign --test simulation -- --nocapture | grep -o 'period halves.*'
+printf '%-12s measured period, query and refresh halves, the views a first build rebuilds by eager aggregation, and each unit (view or transient) of the TPC-H-lite build pass with its blocks (pins in tests/simulation.rs):\n' "period"
+cargo test -q --release -p mvdesign --test simulation -- --nocapture | grep -oE '(period halves|refresh unit).*'
 
 printf '%-12s per TPC-H-lite class, parse and rewrite (ceilings in tests/front_end_allocs.rs):\n' "allocations"
 cargo test -q --release -p mvdesign --test front_end_allocs -- --nocapture | grep '^front-end allocs'

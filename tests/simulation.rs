@@ -65,6 +65,7 @@ fn strategies() -> (MeasuredPeriod, MeasuredPeriod, MeasuredPeriod) {
         query_io,
         maintenance_io,
         total_io: query_io + maintenance_io,
+        refresh: Vec::new(),
     };
     (none, designed, all)
 }
@@ -145,14 +146,23 @@ fn measured_ordering_matches_estimated_ordering() {
 /// 1 483 848 to 394 876 blocks, `tmp12` (`γ[brand; SUM(qty)]` over the
 /// stored π(Part), by `pk`) from 196 787 to 9 043, and `tmp17`
 /// (`γ[name; COUNT(*)]` over the stored Nation ⋈ Supplier, by `sk`) from
-/// 9 949 to 2 423. The refresh now costs 422 720 blocks, and the period
-/// 422 820. A warehouse built over the same data reports the three.
+/// 9 949 to 2 423. The refresh cost 422 720 blocks, and the period
+/// 422 820.
+///
+/// `tmp6` is now rebuilt along its whole join path: Lineitem's per-`ok`
+/// partials join π(Orders), are grouped by `ck`, and only those join
+/// π(Customer) — `γ[segment, nk](γ[O.ck](γ[L.ok](π L) ⋈ π O) ⋈ π C)`, the
+/// plan the refresh planner estimates cheapest. Its rebuild falls from
+/// 394 876 to 361 466 blocks, the refresh from 422 720 to 389 310, and the
+/// period from 422 820 to 389 410. A warehouse built over the same data
+/// reports the three eager rebuilds.
 #[test]
 fn measured_cost_of_the_greedy_tpch_lite_design_is_pinned() {
     const JOIN_STORED: MeasuredPeriod = MeasuredPeriod {
         query_io: 117_600.0,
         maintenance_io: 1_720_375.0,
         total_io: 1_837_975.0,
+        refresh: Vec::new(),
     };
     let scenario = tpch_lite();
     let design = Designer::new()
@@ -164,9 +174,17 @@ fn measured_cost_of_the_greedy_tpch_lite_design_is_pinned() {
         .expect("warehouse builds")
         .last_refresh();
     println!("{}", halves("tpch-lite", &measured, built.eager));
+    for (unit, blocks) in &measured.refresh {
+        println!("refresh unit tpch-lite: {unit} {blocks} blocks");
+    }
     assert_eq!(measured.query_io, 100.0);
-    assert_eq!(measured.total_io, 422_820.0);
+    assert_eq!(measured.total_io, 389_410.0);
     assert_eq!(built.eager, 3, "{built:?}");
+    let tmp6 = measured
+        .refresh
+        .iter()
+        .find(|(unit, _)| unit.as_str() == "tmp6");
+    assert_eq!(tmp6.map(|(_, blocks)| *blocks), Some(361_466.0));
 
     let mvpp = design.mvpp.mvpp();
     let candidate = design
@@ -212,8 +230,9 @@ fn planned_refresh_of_the_star_design_shares_its_joins() {
         .expect("warehouse builds")
         .last_refresh();
     println!("{}", halves("star-6x10", &measured, built.eager));
-    // Its γ-views aggregate a σ or π over their joins: none is rebuilt by
-    // eager aggregation, and the refresh stays where it was.
+    // Its queries are all plain projections (`aggregate_probability` is 0
+    // by default): the design has no γ-view to rebuild eagerly. The
+    // refresh planner's tests rebuild an aggregating star-6×10 design.
     assert_eq!(built.eager, 0, "{built:?}");
     let isolated: f64 = ViewCatalog::from_design(&design)
         .views()

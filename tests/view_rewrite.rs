@@ -8,9 +8,10 @@
 //! the base tables alone; unit tests produce each refusal rule's
 //! [`MissReason`]; and two pins hold the routings the benchmark depends on
 //! (merged plans route as before, raw TPC-H-lite SQL reaches the views).
-//! A last proptest rebuilds random γ-over-join plans by eager aggregation,
-//! the rule refresh rebuilds use, and checks them against the definition
-//! and against the matcher's plan over the same partials.
+//! Two last proptests rebuild random γ-over-join plans by eager
+//! aggregation, the rules refresh rebuilds use: one level (checked against
+//! the definition and against the matcher's plan over the same partials)
+//! and along the whole join path (checked against the definition).
 //! `MVDESIGN_MEM_BUDGET` (bytes) pages every table and bounds the operators,
 //! the way `tests/maintain.rs` honours it, so compensated plans also run
 //! over paged views.
@@ -27,7 +28,7 @@ use mvdesign::algebra::{
 };
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::core::{
-    Decision, DesignResult, MissReason, Mvpp, NodeId, Routed, ViewCatalog, Workload,
+    Decision, DesignResult, MissReason, Mvpp, NodeId, Routed, Statistics, ViewCatalog, Workload,
 };
 use mvdesign::engine::{
     execute, materialize_view, measure, BufferPool, Database, ExecContext, Generator,
@@ -1673,4 +1674,393 @@ fn eager_aggregation_refusals_and_child_choice() {
         pre.to_string(),
         "γ[Orders.priority,Orders.ok; COUNT(*) AS n](Orders)"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Eager aggregation along the whole join path (the chain form)
+// ---------------------------------------------------------------------------
+
+/// Sizes under which every group-by of a chain shrinks its input: many rows,
+/// one distinct value per attribute.
+struct Shrinking;
+
+impl Statistics for Shrinking {
+    fn rows(&self, _: &mvdesign::algebra::RelName) -> f64 {
+        1e6
+    }
+
+    fn distinct(&self, _: &AttrRef) -> f64 {
+        1.0
+    }
+}
+
+/// Sizes under which no group-by shrinks anything: every value distinct.
+struct Distinct;
+
+impl Statistics for Distinct {
+    fn rows(&self, _: &mvdesign::algebra::RelName) -> f64 {
+        1e6
+    }
+
+    fn distinct(&self, _: &AttrRef) -> f64 {
+        f64::INFINITY
+    }
+}
+
+/// The exact sizes of a database's tables.
+struct Exact<'a>(&'a Database);
+
+impl Statistics for Exact<'_> {
+    fn rows(&self, relation: &mvdesign::algebra::RelName) -> f64 {
+        self.0
+            .table(relation.as_str())
+            .map_or(0.0, |t| t.len() as f64)
+    }
+
+    fn distinct(&self, attr: &AttrRef) -> f64 {
+        let Some(table) = self.0.table(attr.relation.as_str()) else {
+            return f64::INFINITY;
+        };
+        let i = table.index_of(attr).expect("attribute of its relation");
+        let values: std::collections::BTreeSet<&Value> =
+            table.rows().iter().map(|r| &r[i]).collect();
+        values.len() as f64
+    }
+}
+
+/// A random `γ[G; A]` over a join tree of 3 or 4 relations of the tiny
+/// path, possibly under a σ: the tree shaped by `splits`, the aggregate
+/// inputs on one relation.
+#[derive(Debug, Clone)]
+struct ChainSpec {
+    first: usize,
+    len: usize,
+    /// Per join, top-down: where it cuts its relations, and whether it
+    /// swaps its inputs.
+    splits: Vec<(usize, bool)>,
+    /// The relation of the interval holding the aggregate inputs.
+    inputs_at: usize,
+    /// Group keys, as indices into the attributes of the interval.
+    keys: Vec<usize>,
+    /// `(function, argument)`: SUM, MIN, MAX or COUNT over an attribute of
+    /// the inputs' relation; ignored when `count_star`.
+    aggs: Vec<(usize, usize)>,
+    /// `COUNT(*)` is the only aggregate.
+    count_star: bool,
+    /// Indices into [`conjunct_pool`], each on its leaf or on the σ under
+    /// the γ.
+    conjuncts: Vec<(usize, bool)>,
+    /// Two relations of the interval a disjunction on the σ under the γ
+    /// spans.
+    spanning: Option<(usize, usize)>,
+    /// A relation of the interval whose table holds no rows.
+    empty: Option<usize>,
+    seed: u64,
+}
+
+fn chain_spec_strategy() -> impl Strategy<Value = ChainSpec> {
+    (
+        (0usize..2, 3usize..5, 0usize..4, any::<bool>()),
+        proptest::collection::vec((0usize..3, any::<bool>()), 3..4),
+        proptest::collection::vec(0usize..16, 1..3),
+        proptest::collection::vec((0usize..4, 0usize..16), 1..3),
+        proptest::collection::vec((0usize..15, any::<bool>()), 0..3),
+        (0usize..8, 0usize..4, 0usize..4, 0usize..25, 0u64..1000),
+    )
+        .prop_map(
+            |(
+                (first, len, inputs_at, count_star),
+                splits,
+                keys,
+                aggs,
+                conjuncts,
+                (spans, a, b, empty, seed),
+            )| ChainSpec {
+                first,
+                len,
+                splits,
+                inputs_at,
+                keys,
+                aggs,
+                count_star,
+                conjuncts,
+                // Half the cases span two relations.
+                spanning: (spans < 4).then_some((a, b)),
+                // One case in ten empties a relation.
+                empty: (empty < 3).then_some(empty),
+                seed,
+            },
+        )
+}
+
+/// The join tree over `relations` (consecutive indices) cut by `splits`.
+fn join_tree(
+    relations: &[usize],
+    splits: &mut impl Iterator<Item = (usize, bool)>,
+    leaf: &dyn Fn(usize) -> Arc<Expr>,
+) -> Arc<Expr> {
+    if let [only] = relations {
+        return leaf(*only);
+    }
+    let (split, swap) = splits.next().unwrap_or((0, false));
+    let (l, r) = relations.split_at(split % (relations.len() - 1) + 1);
+    let on = edge(l[l.len() - 1], r[0]);
+    let (l, r) = (join_tree(l, splits, leaf), join_tree(r, splits, leaf));
+    if swap {
+        Expr::join(r, l, on)
+    } else {
+        Expr::join(l, r, on)
+    }
+}
+
+/// The single-relation conjuncts of [`conjunct_pool`] over relation `r`.
+fn local_conjuncts(r: usize) -> Vec<Predicate> {
+    conjunct_pool()
+        .into_iter()
+        .filter(|p| p.attrs().iter().all(|a| a.relation == RELATIONS[r]))
+        .collect()
+}
+
+/// The spec's plan and its base data.
+fn chain_case(spec: &ChainSpec, catalog: &Catalog) -> (Arc<Expr>, Database) {
+    let first = spec.first;
+    let relations: Vec<usize> = (first..first + spec.len).collect();
+    let pool = conjunct_pool();
+    let reads = |p: &Predicate| {
+        p.attrs()
+            .iter()
+            .all(|a| relations.iter().any(|&r| a.relation == RELATIONS[r]))
+    };
+    let chosen: Vec<(Predicate, bool)> = spec
+        .conjuncts
+        .iter()
+        .map(|&(i, top)| (pool[i].clone(), top))
+        .filter(|(p, _)| reads(p))
+        .collect();
+    let leaf = |r: usize| {
+        let local = chosen
+            .iter()
+            .filter(|(p, top)| !top && p.attrs().iter().all(|a| a.relation == RELATIONS[r]))
+            .map(|(p, _)| p.clone());
+        Expr::select(Expr::base(RELATIONS[r]), Predicate::and(local))
+    };
+    let tree = join_tree(&relations, &mut spec.splits.iter().copied(), &leaf);
+    let mut above: Vec<Predicate> = chosen
+        .iter()
+        .filter(|(p, top)| {
+            *top || p
+                .attrs()
+                .iter()
+                .map(|a| &a.relation)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len()
+                > 1
+        })
+        .map(|(p, _)| p.clone())
+        .collect();
+    if let Some((a, b)) = spec.spanning {
+        let (a, b) = (relations[a % spec.len], relations[b % spec.len]);
+        if a != b {
+            above.push(Predicate::or([
+                local_conjuncts(a)[0].clone(),
+                local_conjuncts(b)[0].clone(),
+            ]));
+        }
+    }
+    let everything = attributes_of(&relations, catalog);
+    let mut keys: Vec<AttrRef> = Vec::new();
+    for k in spec
+        .keys
+        .iter()
+        .map(|&i| everything[i % everything.len()].clone())
+    {
+        if !keys.contains(&k) {
+            keys.push(k);
+        }
+    }
+    let inputs = attributes_of(&[relations[spec.inputs_at % spec.len]], catalog);
+    const FUNCS: [AggFunc; 4] = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count];
+    let aggs: Vec<AggExpr> = if spec.count_star {
+        vec![AggExpr::count_star("n")]
+    } else {
+        spec.aggs
+            .iter()
+            .zip(["a", "b"])
+            .map(|(&(func, arg), alias)| {
+                AggExpr::new(FUNCS[func], inputs[arg % inputs.len()].clone(), alias)
+            })
+            .collect()
+    };
+    let plan = Expr::aggregate(Expr::select(tree, Predicate::and(above)), keys, aggs);
+    let mut db = Generator::with_config(GeneratorConfig {
+        seed: spec.seed,
+        scale: 1.0,
+        max_rows: 40,
+    })
+    .database(catalog);
+    if let Some(r) = spec.empty.map(|i| relations[i % relations.len()]) {
+        let attrs = db.table(RELATIONS[r]).expect("generated").attrs().to_vec();
+        db.insert_table(Table::new(RELATIONS[r], attrs, Vec::new()));
+    }
+    (plan, db)
+}
+
+/// The γ nodes of `plan`.
+fn gammas(plan: &Arc<Expr>) -> usize {
+    let mut n = 0;
+    mvdesign::algebra::postorder(plan, &mut |e| {
+        n += usize::from(matches!(**e, Expr::Aggregate { .. }));
+    });
+    n
+}
+
+/// Runs one spec: the chain form under [`Shrinking`] groups before every
+/// join and equals the definition row for row, the definition equals the
+/// row reference, and the chain form under the data's exact sizes, where
+/// it exists, equals it too. Returns whether the case had 4 relations,
+/// `COUNT(*)` alone, a conjunct spanning two relations, and a join pair
+/// with duplicate keys on both sides.
+fn run_chain_case(spec: &ChainSpec) -> (bool, bool, bool, bool) {
+    let catalog = tiny_catalog();
+    let (plan, base) = chain_case(spec, &catalog);
+    let chain = mvdesign::core::eager_chain(&plan, &Shrinking)
+        .unwrap_or_else(|| panic!("the chain form applies to {plan}"));
+    assert_eq!(
+        gammas(&chain),
+        spec.len,
+        "{plan} as {chain}: a γ per join and one on top"
+    );
+    let (db, ctx) = serving(&base, &ViewCatalog::new());
+    let run =
+        |e: &Arc<Expr>| execute(e, &db, &ctx).unwrap_or_else(|err| panic!("{e} fails: {err}"));
+    let want = run(&plan);
+    assert_eq!(
+        want.rows(),
+        reference(&plan, &base).rows(),
+        "{plan}: engine against the row reference"
+    );
+    let mut forms = vec![chain];
+    forms.extend(mvdesign::core::eager_chain(&plan, &Exact(&base)));
+    for form in forms {
+        let got = run(&form);
+        assert_eq!(got.attrs(), want.attrs(), "{plan} as {form}: header");
+        assert_eq!(got.rows(), want.rows(), "{plan} as {form}: rows");
+    }
+
+    let Expr::Aggregate { input, .. } = &*plan else {
+        unreachable!("built as a γ")
+    };
+    let spans = match &**input {
+        Expr::Select { predicate, .. } => predicate.conjuncts().iter().any(|p| {
+            let relations: std::collections::BTreeSet<_> =
+                p.attrs().iter().map(|a| a.relation.clone()).collect();
+            relations.len() > 1
+        }),
+        _ => false,
+    };
+    let duplicated = |a: &AttrRef| {
+        let table = base.table(a.relation.as_str()).expect("base relation");
+        let i = table.index_of(a).expect("join key");
+        let mut seen = std::collections::BTreeSet::new();
+        !table.rows().iter().all(|row| seen.insert(row[i].clone()))
+    };
+    let many_to_many = (spec.first..spec.first + spec.len - 1).any(|r| {
+        let e = &EDGES[r];
+        duplicated(&attr(e.2)) && duplicated(&attr(e.3))
+    });
+    (spec.len == 4, spec.count_star, spans, many_to_many)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random γ plans over 3- and 4-relation join trees (SUM, MIN, MAX,
+    /// COUNT, or COUNT(*) alone; keys anywhere; σ on leaves and under the
+    /// γ, some spanning two relations; duplicate join keys on both sides;
+    /// sometimes an empty relation) rebuilt along the whole join path give
+    /// the definition's rows, in its order.
+    #[test]
+    fn eager_chain_equals_the_definition(spec in chain_spec_strategy()) {
+        run_chain_case(&spec);
+    }
+}
+
+/// The generator above reaches the cases it claims.
+#[test]
+fn the_chain_generator_reaches_every_claimed_case() {
+    let mut rng = StdRng::seed_from_u64(40);
+    let strategy = chain_spec_strategy();
+    let mut counts = [0; 4];
+    for _ in 0..100 {
+        let (four, count_star, spans, many_to_many) = run_chain_case(&strategy.sample(&mut rng));
+        for (count, hit) in counts
+            .iter_mut()
+            .zip([four, count_star, spans, many_to_many])
+        {
+            *count += usize::from(hit);
+        }
+    }
+    eprintln!("of 100 chain cases: [4 relations, COUNT(*) only, spanning conjunct, M:N join] = {counts:?}");
+    assert!(counts.iter().all(|&c| c > 10), "{counts:?}");
+}
+
+/// The chain of `γ[segment, nk; SUM(price)](Lineitem ⋈ (Customer ⋈
+/// Orders))` starts from Lineitem, groups it by `ok`, joins Orders, groups
+/// by `ck` and joins Customer; a σ under the γ goes down conjunct by
+/// conjunct. Every case the rule refuses.
+#[test]
+fn eager_chain_shape_and_refusals() {
+    let customer_orders = Expr::join(Expr::base("Customer"), Expr::base("Orders"), edge(1, 2));
+    let tree = Expr::join(Expr::base("Lineitem"), customer_orders, edge(2, 3));
+    let keys = [attr("Customer.segment"), attr("Customer.nk")];
+    let sum = AggExpr::new(AggFunc::Sum, attr("Lineitem.price"), "r");
+    let chain = |input: &Arc<Expr>, keys: &[AttrRef], aggs: &[AggExpr]| {
+        let plan = Expr::aggregate(Arc::clone(input), keys.to_vec(), aggs.to_vec());
+        mvdesign::core::eager_chain(&plan, &Shrinking)
+    };
+    let plan = chain(&tree, &keys, std::slice::from_ref(&sum)).expect("applies");
+    assert_eq!(
+        plan.to_string(),
+        "γ[Customer.segment,Customer.nk; SUM(#agg.r) AS r]((γ[Orders.ck; SUM(#agg.r) AS r]((γ[Lineitem.ok; SUM(Lineitem.price) AS r](Lineitem) ⋈[Lineitem.ok=Orders.ok] Orders)) ⋈[Customer.ck=Orders.ck] Customer))"
+    );
+
+    let local = Predicate::cmp(attr("Lineitem.qty"), CompareOp::Gt, 1);
+    let spanning = Predicate::or([
+        Predicate::cmp(attr("Customer.segment"), CompareOp::Eq, "v1"),
+        Predicate::cmp(attr("Orders.priority"), CompareOp::Eq, "v1"),
+    ]);
+    let filtered = Expr::select(Arc::clone(&tree), Predicate::and([local, spanning]));
+    let plan = chain(&filtered, &keys, std::slice::from_ref(&sum)).expect("applies");
+    assert_eq!(
+        plan.to_string(),
+        "γ[Customer.segment,Customer.nk; SUM(#agg.r) AS r](σ[(Customer.segment='v1' ∨ Orders.priority='v1')]((γ[Orders.ck,Orders.priority; SUM(#agg.r) AS r]((γ[Lineitem.ok; SUM(Lineitem.price) AS r](σ[Lineitem.qty>1](Lineitem)) ⋈[Lineitem.ok=Orders.ok] Orders)) ⋈[Customer.ck=Orders.ck] Customer)))"
+    );
+
+    // AVG does not roll up.
+    let avg = AggExpr::new(AggFunc::Avg, attr("Lineitem.price"), "m");
+    assert!(chain(&tree, &keys, &[avg]).is_none());
+    // A global aggregate has no group keys.
+    assert!(chain(&tree, &[], std::slice::from_ref(&sum)).is_none());
+    // No relation holds every aggregate input.
+    let both = [
+        sum.clone(),
+        AggExpr::new(AggFunc::Max, attr("Orders.odate"), "d"),
+    ];
+    assert!(chain(&tree, &keys, &both).is_none());
+    // The join pairs do not connect every relation.
+    let cross = Expr::join(
+        Expr::base("Lineitem"),
+        Expr::base("Customer"),
+        JoinCondition::cross(),
+    );
+    assert!(chain(&cross, &[attr("Customer.nk")], std::slice::from_ref(&sum)).is_none());
+    // Two leaves read one relation.
+    let twice = Expr::join(Arc::clone(&tree), Expr::base("Lineitem"), edge(2, 3));
+    assert!(chain(&twice, &keys, std::slice::from_ref(&sum)).is_none());
+    // A π between the γ and the join.
+    let projected = Expr::project(Arc::clone(&tree), [keys[0].clone(), attr("Lineitem.price")]);
+    assert!(chain(&projected, &keys[..1], std::slice::from_ref(&sum)).is_none());
+    // No group-by shrinks its input.
+    let plan = Expr::aggregate(Arc::clone(&tree), keys.to_vec(), [sum]);
+    assert!(mvdesign::core::eager_chain(&plan, &Distinct).is_none());
 }
