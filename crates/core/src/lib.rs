@@ -79,7 +79,7 @@ pub use crate::audit::{
     AuditReport, AuditViolation,
 };
 pub use crate::designer::{DesignError, DesignResult, Designer, DesignerConfig};
-pub use crate::eager::{eager_aggregation, eager_chain, estimate, Estimate, Statistics};
+pub use crate::eager::{eager_aggregation, eager_chain};
 pub use crate::evaluate::{
     break_even_update_weight, choose_policies, evaluate, evaluate_set, evaluate_set_with_policies,
     evaluate_with_policies, mqp_batch_cost, query_cost, query_cost_set, CostBreakdown,

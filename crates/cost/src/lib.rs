@@ -5,8 +5,9 @@
 //! materialized views are read by scanning their blocks. This crate provides:
 //!
 //! * [`CostModel`] — the operator-cost interface, with the paper's model
-//!   ([`PaperCostModel`]) plus buffered nested-loop and sort-merge
-//!   alternatives for ablation studies;
+//!   ([`PaperCostModel`]), the engine's measured charges
+//!   ([`MeasureCostModel`], which refresh plans are chosen by), plus
+//!   buffered nested-loop and sort-merge alternatives for ablation studies;
 //! * [`CardinalityEstimator`] — derives [`RelationStats`] for every
 //!   subexpression, either purely from selectivities
 //!   ([`EstimationMode::Analytic`]) or honouring the catalog's stated
@@ -57,6 +58,8 @@ mod model;
 
 pub use crate::estimate::{CardinalityEstimator, CostEstimator, EstimationMode};
 pub use crate::explain::explain;
-pub use crate::model::{CostModel, NestedLoopCostModel, PaperCostModel, SortMergeCostModel};
+pub use crate::model::{
+    CostModel, MeasureCostModel, NestedLoopCostModel, PaperCostModel, SortMergeCostModel,
+};
 
 pub use mvdesign_catalog::RelationStats;

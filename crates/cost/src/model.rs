@@ -9,11 +9,17 @@ use mvdesign_catalog::RelationStats;
 /// Implementations must be cheap to call — the view-selection search costs
 /// the same nodes many times.
 pub trait CostModel: Debug {
-    /// Cost of a selection scanning `input` and writing `output`.
-    fn select(&self, input: &RelationStats, output: &RelationStats) -> f64;
+    /// Cost of a selection scanning `input` and writing `output`. The
+    /// default is the paper's linear scan, `b(in)`.
+    fn select(&self, input: &RelationStats, _output: &RelationStats) -> f64 {
+        input.blocks
+    }
 
-    /// Cost of a projection scanning `input` and writing `output`.
-    fn project(&self, input: &RelationStats, output: &RelationStats) -> f64;
+    /// Cost of a projection scanning `input` and writing `output`. The
+    /// default is the paper's linear scan, `b(in)`.
+    fn project(&self, input: &RelationStats, _output: &RelationStats) -> f64 {
+        input.blocks
+    }
 
     /// Cost of joining `left` (outer) with `right` (inner), producing
     /// `output`.
@@ -76,16 +82,53 @@ impl PaperCostModel {
 }
 
 impl CostModel for PaperCostModel {
-    fn select(&self, input: &RelationStats, _output: &RelationStats) -> f64 {
-        input.blocks
+    fn join(&self, left: &RelationStats, right: &RelationStats, output: &RelationStats) -> f64 {
+        left.blocks * right.blocks + self.out(output)
+    }
+}
+
+/// The charges the engine's `measure` counts at
+/// [`RECORDS_PER_BLOCK`](Self::RECORDS_PER_BLOCK): σ, π and γ cost
+/// `b(in) + b(out)`, a join `b(L)·b(R) + b(out)`, with every
+/// `b = ⌈records / 10⌉` — never [`RelationStats::blocks`]. Unlike
+/// [`PaperCostModel`] it charges σ and π their output, and an indexed σ as
+/// a scan, since `measure` scans.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MeasureCostModel;
+
+impl MeasureCostModel {
+    /// Records per block: the blocking factor a measured period is charged
+    /// at.
+    pub const RECORDS_PER_BLOCK: f64 = 10.0;
+
+    fn blocks(&self, stats: &RelationStats) -> f64 {
+        (stats.records / Self::RECORDS_PER_BLOCK).ceil()
+    }
+}
+
+impl CostModel for MeasureCostModel {
+    fn select(&self, input: &RelationStats, output: &RelationStats) -> f64 {
+        self.aggregate(input, output)
     }
 
-    fn project(&self, input: &RelationStats, _output: &RelationStats) -> f64 {
-        input.blocks
+    fn project(&self, input: &RelationStats, output: &RelationStats) -> f64 {
+        self.aggregate(input, output)
     }
 
     fn join(&self, left: &RelationStats, right: &RelationStats, output: &RelationStats) -> f64 {
-        left.blocks * right.blocks + self.out(output)
+        self.blocks(left) * self.blocks(right) + self.blocks(output)
+    }
+
+    fn indexed_select(&self, input: &RelationStats, output: &RelationStats) -> f64 {
+        self.aggregate(input, output)
+    }
+
+    fn aggregate(&self, input: &RelationStats, output: &RelationStats) -> f64 {
+        self.blocks(input) + self.blocks(output)
+    }
+
+    fn scan(&self, stats: &RelationStats) -> f64 {
+        self.blocks(stats)
     }
 }
 
@@ -107,14 +150,6 @@ impl Default for NestedLoopCostModel {
 }
 
 impl CostModel for NestedLoopCostModel {
-    fn select(&self, input: &RelationStats, _output: &RelationStats) -> f64 {
-        input.blocks
-    }
-
-    fn project(&self, input: &RelationStats, _output: &RelationStats) -> f64 {
-        input.blocks
-    }
-
     fn join(&self, left: &RelationStats, right: &RelationStats, output: &RelationStats) -> f64 {
         let b = f64::from(self.buffer_pages.max(3)) - 2.0;
         let passes = (left.blocks / b).ceil().max(1.0);
@@ -127,14 +162,6 @@ impl CostModel for NestedLoopCostModel {
 pub struct SortMergeCostModel;
 
 impl CostModel for SortMergeCostModel {
-    fn select(&self, input: &RelationStats, _output: &RelationStats) -> f64 {
-        input.blocks
-    }
-
-    fn project(&self, input: &RelationStats, _output: &RelationStats) -> f64 {
-        input.blocks
-    }
-
     fn join(&self, left: &RelationStats, right: &RelationStats, output: &RelationStats) -> f64 {
         let sort = |b: f64| if b > 1.0 { b * b.log2() } else { 0.0 };
         sort(left.blocks) + sort(right.blocks) + left.blocks + right.blocks + output.blocks
@@ -199,6 +226,19 @@ mod tests {
         // Clamped to 3 pages → 1 outer page at a time.
         let c = m.join(&st(20.0, 2.0), &st(10.0, 1.0), &st(0.0, 0.0));
         assert_eq!(c, 2.0 + 2.0 * 1.0);
+    }
+
+    #[test]
+    fn measure_charges_ignore_the_stated_blocks() {
+        let m = MeasureCostModel;
+        // 95 records are 10 blocks whatever the stats say, 1 record one.
+        let (input, output) = (st(95.0, 1.0), st(1.0, 7.0));
+        for charge in [CostModel::select, CostModel::project, CostModel::aggregate] {
+            assert_eq!(charge(&m, &input, &output), 10.0 + 1.0);
+        }
+        assert_eq!(m.indexed_select(&input, &output), 11.0);
+        assert_eq!(m.join(&input, &st(21.0, 1.0), &st(0.0, 0.0)), 10.0 * 3.0);
+        assert_eq!(m.scan(&st(30.0, 500.0)), 3.0);
     }
 
     #[test]

@@ -134,8 +134,10 @@ impl IoReport {
 ///
 /// Returns the result table together with the I/O report, so callers can
 /// check both *what* was computed and *how much* it cost. The observed cost
-/// is what the `mvdesign-cost` crate's `PaperCostModel` estimates, evaluated
-/// on actual (not estimated) cardinalities. Charges are per logical batch —
+/// is what the `mvdesign-cost` crate's `MeasureCostModel` estimates,
+/// evaluated on actual (not estimated) cardinalities. Its `PaperCostModel`
+/// differs for σ and π: it charges `b(in)` only, where these charges add
+/// `b(out)`. Charges are per logical batch —
 /// functions of row counts alone — so they are identical for every context;
 /// each operator's observed buffer-pool misses (see the module docs) sit
 /// next to them. Pools are discovered from the database's paged tables.

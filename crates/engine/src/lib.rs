@@ -93,6 +93,6 @@ pub use crate::exec::{
 #[doc(hidden)]
 pub use crate::iosim::measure as measure_paged;
 pub use crate::iosim::{measure, IoReport, OpCharge};
-pub use crate::profile::{profile_database, ProfileConfig};
+pub use crate::profile::profile_database;
 pub use crate::storage::{batch_bytes, BufferPool, PagedBatch, PoolStats, DEFAULT_PAGE_ROWS};
 pub use crate::table::{Database, Table};

@@ -34,12 +34,14 @@
 //!   holding every aggregate input, one adjacent relation joined at a time,
 //!   with a partial γ by the roll-up key rule before each join
 //!   where it shrinks the rows, and a σ under the γ pushed down conjunct by
-//!   conjunct). The planner keeps the form [`estimate`] prices lowest, the
-//!   earlier one on a tie: `measure`'s charges (`b(in) + b(out)` per σ, π
-//!   and γ, `b(L)·b(R) + b(out)` per join, 10 records per block) over the
-//!   exact rows of the base tables, the estimated rows of the views before
-//!   it, and distinct counts read from the base tables' pages once per
-//!   column a candidate groups by or joins on.
+//!   conjunct). The planner keeps the form [`CostEstimator::tree_cost`]
+//!   prices lowest, the earlier one on a tie, under [`MeasureCostModel`]:
+//!   `measure`'s charges (`b(in) + b(out)` per σ, π and γ,
+//!   `b(L)·b(R) + b(out)` per join, 10 records per block). Its catalog is
+//!   [`profile_database`]'s for the view definitions — exact rows of the
+//!   base tables, distinct counts read from their pages for the columns
+//!   the definitions group by, join on or filter on — with each view
+//!   registered at its definition's estimated rows.
 //! * **Transients.** Every non-view subplan two or more rebuilt views
 //!   still need is computed once, largest first, as a transient table that
 //!   lives in the pass's working database from right before its first
@@ -52,18 +54,18 @@
 //! [`measured_period_cost`]: super::measured_period_cost
 //! [`measured_design_cost`]: super::measured_design_cost
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mvdesign_algebra::{postorder, AttrRef, Expr, Value};
-use mvdesign_catalog::RelName;
-use mvdesign_core::{eager_aggregation, eager_chain, estimate, Statistics, ViewCatalog};
+use mvdesign_algebra::{postorder, Expr};
+use mvdesign_catalog::{Catalog, RelName};
+use mvdesign_core::{eager_aggregation, eager_chain, ViewCatalog};
+use mvdesign_cost::{CardinalityEstimator, CostEstimator, EstimationMode, MeasureCostModel};
 use mvdesign_engine::{
-    appended_since, execute, execute_shared, maintenance, refresh_view_delta, split_appends,
-    BufferPool, Column, Database, DeltaMap, ExecContext, ExecError, Maintenance, RefreshPolicy,
-    Table, DEFAULT_PAGE_ROWS,
+    appended_since, execute, execute_shared, maintenance, profile_database, refresh_view_delta,
+    split_appends, BufferPool, Database, DeltaMap, ExecContext, ExecError, Maintenance,
+    RefreshPolicy, Table, DEFAULT_PAGE_ROWS,
 };
 
 use super::RefreshReport;
@@ -145,12 +147,11 @@ impl RefreshPlanner {
     /// Orders the registered views children first, routes each definition
     /// through the views before it, and picks each view's rebuild plan:
     /// of the definition, its one-level eager form and its chain form, each
-    /// routed, the one [`estimate`] prices lowest, the earlier on a tie.
-    /// `db` sizes the base relations; distinct counts are read from its
-    /// pages once per column a candidate groups by or joins on.
+    /// routed, the one [`CostEstimator::tree_cost`] prices lowest over
+    /// [`estimates`]' catalog of `db`, the earlier on a tie.
     pub(super) fn new(views: &ViewCatalog, db: &Database) -> Self {
-        let rows = |relation: &RelName| db.table(relation.as_str()).map_or(0, Table::len);
-        let mut sizes = Sizes::new(db);
+        let catalog = estimates(views, db);
+        let estimator = estimator(&catalog);
         let mut order: Vec<&(RelName, Arc<Expr>)> = views.views().iter().collect();
         order.sort_by_key(|(_, definition)| definition.node_count());
         let mut before = ViewCatalog::new();
@@ -158,24 +159,13 @@ impl RefreshPlanner {
             .into_iter()
             .map(|(name, definition)| {
                 let routed = before.rewrite(definition);
-                let eager_forms: Vec<Arc<Expr>> = [
-                    eager_aggregation(definition, rows),
-                    eager_chain(definition, &sizes),
-                ]
-                .into_iter()
-                .flatten()
-                .map(|form| before.rewrite(&form))
-                .collect();
-                let blocks =
-                    |plan: &Arc<Expr>| estimate(plan, &sizes, ESTIMATE_RECORDS_PER_BLOCK).blocks;
                 let mut rebuilt = Arc::clone(&routed);
-                if !eager_forms.is_empty() {
-                    let mut cheapest = blocks(&routed);
-                    for plan in eager_forms {
-                        let cost = blocks(&plan);
-                        if cost < cheapest {
-                            (rebuilt, cheapest) = (plan, cost);
-                        }
+                let mut cheapest = estimator.tree_cost(&routed);
+                let forms = eager_forms(definition, &before, estimator.cardinalities());
+                for plan in forms.into_iter().flatten() {
+                    let cost = estimator.tree_cost(&plan);
+                    if cost < cheapest {
+                        (rebuilt, cheapest) = (plan, cost);
                     }
                 }
                 let reads = before
@@ -185,7 +175,6 @@ impl RefreshPlanner {
                     .map(|(view, _)| view.clone())
                     .collect();
                 before.register(name.clone(), Arc::clone(definition));
-                sizes.views.insert(name.clone(), Arc::clone(definition));
                 Step {
                     name: name.clone(),
                     definition: Arc::clone(definition),
@@ -224,130 +213,38 @@ impl RefreshPlanner {
     }
 }
 
-/// The blocking factor rebuild plans are compared at: the one the measured
-/// period is charged at.
-const ESTIMATE_RECORDS_PER_BLOCK: f64 = 10.0;
-
-/// The [`Statistics`] a planner estimates by: rows of `db`'s tables, the
-/// estimated rows of the views planned so far (their definitions'), and
-/// distinct counts of `db`'s columns, each counted once, on first use.
-struct Sizes<'a> {
-    db: &'a Database,
-    views: BTreeMap<RelName, Arc<Expr>>,
-    distinct: RefCell<HashMap<AttrRef, f64>>,
+/// The catalog a planner estimates by: [`profile_database`] of `db` for
+/// the view definitions, with every view registered at its definition's
+/// estimated rows.
+fn estimates(views: &ViewCatalog, db: &Database) -> Catalog {
+    let profile = profile_database(db, views.views().iter().map(|(_, definition)| definition));
+    let cards = CardinalityEstimator::new(&profile, EstimationMode::Analytic);
+    let mut catalog = profile.clone();
+    for (name, definition) in views.views() {
+        let records = cards.stats(definition).records;
+        catalog
+            .relation(name.clone())
+            .records(records)
+            .blocks((records / MeasureCostModel::RECORDS_PER_BLOCK).ceil())
+            .finish()
+            .expect("a view is named apart from the relations");
+    }
+    catalog
 }
 
-impl<'a> Sizes<'a> {
-    fn new(db: &'a Database) -> Self {
-        Self {
-            db,
-            views: BTreeMap::new(),
-            distinct: RefCell::default(),
-        }
-    }
+/// Prices plans over `catalog` under `measure`'s charges.
+fn estimator(catalog: &Catalog) -> CostEstimator<'_, MeasureCostModel> {
+    CostEstimator::new(catalog, EstimationMode::Analytic, MeasureCostModel)
 }
 
-impl Statistics for Sizes<'_> {
-    fn rows(&self, relation: &RelName) -> f64 {
-        match self.views.get(relation) {
-            Some(definition) => estimate(definition, self, ESTIMATE_RECORDS_PER_BLOCK).rows,
-            None => self
-                .db
-                .table(relation.as_str())
-                .map_or(0.0, |table| table.len() as f64),
-        }
-    }
-
-    fn distinct(&self, attr: &AttrRef) -> f64 {
-        *self
-            .distinct
-            .borrow_mut()
-            .entry(attr.clone())
-            .or_insert_with(|| {
-                self.db
-                    .table(attr.relation.as_str())
-                    .and_then(|table| Some(count_distinct(table, table.index_of(attr)?) as f64))
-                    .unwrap_or(f64::INFINITY)
-            })
-    }
-}
-
-/// Distinct values in column `col` of `table`, read page by page. A
-/// column of integers, dates or dictionary codes (which index a table of
-/// distinct values) is counted by its [`Keys`]: in a bitmap over their
-/// range when it is at most 64 slots per row (the keys of a generated or
-/// loaded table are dense), by a sort otherwise. Any other column is
-/// counted in a hash set of its values.
-fn count_distinct(table: &Table, col: usize) -> usize {
-    let pages = table.pages();
-    let columns = || (0..pages.page_count()).map(|p| pages.page(col, p));
-    let (mut low, mut high, mut rows) = (i64::MAX, i64::MIN, 0_usize);
-    for column in columns() {
-        let Some(keys) = Keys::of(&column) else {
-            let values = columns().flat_map(|c| (0..c.len()).map(move |i| c.value(i)));
-            return values.collect::<HashSet<Value>>().len();
-        };
-        if let Some((page_low, page_high)) = keys.range() {
-            low = low.min(page_low);
-            high = high.max(page_high);
-        }
-        rows += column.len();
-    }
-    if rows == 0 {
-        return 0;
-    }
-    let span = high.abs_diff(low);
-    if span / 64 < rows as u64 {
-        let mut bits = vec![0_u64; (span / 64) as usize + 1];
-        for column in columns() {
-            Keys::of(&column).expect("a key column").for_each(|key| {
-                let slot = key.abs_diff(low);
-                bits[(slot / 64) as usize] |= 1 << (slot % 64);
-            });
-        }
-        return bits.iter().map(|word| word.count_ones() as usize).sum();
-    }
-    let mut keys = Vec::with_capacity(rows);
-    for column in columns() {
-        Keys::of(&column)
-            .expect("a key column")
-            .for_each(|key| keys.push(key));
-    }
-    keys.sort_unstable();
-    keys.dedup();
-    keys.len()
-}
-
-/// The keys of a page of integers, dates or dictionary codes.
-enum Keys<'a> {
-    Ints(&'a [i64]),
-    Codes(&'a [u32]),
-}
-
-impl<'a> Keys<'a> {
-    /// `None` for a page of text or mixed values.
-    fn of(column: &'a Column) -> Option<Self> {
-        match column {
-            Column::Int(values) | Column::Date(values) => Some(Keys::Ints(values)),
-            Column::Dict { codes, .. } => Some(Keys::Codes(codes)),
-            Column::Text(_) | Column::Mixed(_) => None,
-        }
-    }
-
-    /// The smallest and largest key; `None` on an empty page.
-    fn range(&self) -> Option<(i64, i64)> {
-        match self {
-            Keys::Ints(v) => Some((*v.iter().min()?, *v.iter().max()?)),
-            Keys::Codes(v) => Some(((*v.iter().min()?).into(), (*v.iter().max()?).into())),
-        }
-    }
-
-    fn for_each(&self, f: impl FnMut(i64)) {
-        match self {
-            Keys::Ints(v) => v.iter().copied().for_each(f),
-            Keys::Codes(v) => v.iter().map(|&code| i64::from(code)).for_each(f),
-        }
-    }
+/// The one-level and the chain eager form of `definition`, each routed
+/// through `before`; `None` where the rule does not apply.
+fn eager_forms(
+    definition: &Arc<Expr>,
+    before: &ViewCatalog,
+    cards: &CardinalityEstimator<'_>,
+) -> [Option<Arc<Expr>>; 2] {
+    [eager_aggregation, eager_chain].map(|form| Some(before.rewrite(&form(definition, cards)?)))
 }
 
 /// Lays out the pass over the `due` views, each with its planned kind.
@@ -633,6 +530,7 @@ fn replace(expr: &Arc<Expr>, part: &Expr, with: &Arc<Expr>) -> Arc<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warehouse::measured_design_cost;
     use mvdesign_algebra::{AggExpr, AggFunc, AttrRef, JoinCondition, Value};
     use mvdesign_core::Designer;
     use mvdesign_engine::{materialize_view, measure, Generator, GeneratorConfig};
@@ -772,10 +670,11 @@ mod tests {
 
     /// The greedy TPC-H-lite design on the benchmark's quality data:
     /// exactly its three γ-over-join views are rebuilt by eager
-    /// aggregation, and every view's rebuild plan measures no more blocks
-    /// than its routed definition. `tmp6` (γ over Lineitem ⋈ Customer ⋈
-    /// Orders) takes the chain form, which measures strictly below its
-    /// one-level eager form.
+    /// aggregation, chosen by the estimates pinned below (routed, one-level
+    /// and chain blocks), and every view's rebuild plan measures no more
+    /// blocks than its routed definition. `tmp6` (γ over Lineitem ⋈
+    /// Customer ⋈ Orders) takes the chain form, which measures strictly
+    /// below its one-level eager form.
     #[test]
     fn eager_rebuilds_of_the_tpch_lite_design_measure_no_more_than_routed() {
         let scenario = tpch_lite();
@@ -783,30 +682,49 @@ mod tests {
             .design(&scenario.catalog, &scenario.workload)
             .expect("designs");
         let db = quality_data(&scenario.catalog);
-        let planner = RefreshPlanner::new(&ViewCatalog::from_design(&design), &db);
+        let views = ViewCatalog::from_design(&design);
+        let planner = RefreshPlanner::new(&views, &db);
         let (stored, eager) = rebuilds_measure_no_more_than_routed(&planner, db.clone());
         assert_eq!(eager, ["tmp12", "tmp6", "tmp17"]);
 
-        let at = planner.steps.iter().position(|s| s.name.as_str() == "tmp6");
-        let tmp6 = &planner.steps[at.expect("the design stores tmp6")];
+        let catalog = estimates(&views, &db);
+        let estimator = estimator(&catalog);
+        let cost = |plan: &Arc<Expr>| estimator.tree_cost(plan);
         let mut before = ViewCatalog::new();
-        for step in &planner.steps[..at.unwrap()] {
+        let mut estimated = Vec::new();
+        for step in &planner.steps {
+            let [one_level, chain] =
+                eager_forms(&step.definition, &before, estimator.cardinalities());
+            if one_level.is_some() || chain.is_some() {
+                let name = step.name.as_str();
+                let (one, all) = (one_level.as_ref().map(cost), chain.as_ref().map(cost));
+                estimated.push((name, cost(&step.routed), one, all));
+            }
+            if step.name.as_str() == "tmp6" {
+                let (_, one_level_blocks) = blocks(&one_level.expect("one level"), &stored);
+                let (_, chain_blocks) = blocks(&step.rebuilt, &stored);
+                assert!(
+                    chain_blocks < one_level_blocks,
+                    "chain {chain_blocks} against one level {one_level_blocks}"
+                );
+            }
             before.register(step.name.clone(), Arc::clone(&step.definition));
         }
-        let rows = |relation: &RelName| db.table(relation.as_str()).map_or(0, Table::len);
-        let one_level = eager_aggregation(&tmp6.definition, rows).expect("one level applies");
-        let (_, one_level_blocks) = blocks(&before.rewrite(&one_level), &stored);
-        let (_, chain_blocks) = blocks(&tmp6.rebuilt, &stored);
-        assert!(
-            chain_blocks < one_level_blocks,
-            "chain {chain_blocks} against one level {one_level_blocks}"
+        assert_eq!(
+            estimated,
+            [
+                ("tmp12", 201_603.0, Some(13_843.0), Some(13_843.0)),
+                ("tmp6", 1_487_619.0, Some(400_310.0), Some(367_490.0)),
+                ("tmp17", 12_001.0, Some(7_217.0), Some(7_243.0)),
+            ]
         );
     }
 
     /// Star-6×10 (seed 42) with every query a γ over a σ over Fact ⋈ Dims,
-    /// on the benchmark's quality data: the build pass rebuilds some views
-    /// eagerly, every view equals its isolated build, and every rebuild
-    /// measures no more blocks than its routed definition.
+    /// on the benchmark's quality data: the build pass rebuilds `tmp21` and
+    /// `tmp12` eagerly, at 14 295 measured blocks, every view equals its
+    /// isolated build, and every rebuild measures no more blocks than its
+    /// routed definition.
     #[test]
     fn eager_rebuilds_of_an_aggregating_star_design_match_isolated_builds() {
         let scenario = StarSchema::with_config(StarSchemaConfig {
@@ -825,7 +743,7 @@ mod tests {
         let ctx = ExecContext::default();
         let marks = db.iter().map(|(n, t)| (n.clone(), t.len())).collect();
         let (built, report) = planner.build().refresh(&db, &marks, &ctx, None).unwrap();
-        assert!(report.eager > 0, "{report:?}");
+        assert_eq!(report.eager, 2, "{report:?}");
         for (view, step) in built.iter().zip(&planner.steps) {
             let isolated = execute(&step.definition, &db, &ctx).unwrap();
             assert_eq!(view.attrs(), isolated.attrs(), "{}", step.name);
@@ -836,33 +754,10 @@ mod tests {
                 assert_eq!(bag(view), bag(&isolated), "{}", step.name);
             }
         }
+        let period = measured_design_cost(&design, &db, 10.0).expect("measures");
+        assert_eq!(period.maintenance_io, 14_295.0);
         let (_, eager) = rebuilds_measure_no_more_than_routed(&planner, db);
-        assert_eq!(eager.len(), report.eager);
-    }
-
-    /// Distinct counts by bitmap (a dense range), by sort (a sparse one)
-    /// and by hash set (text) agree with a set's, over one page or several.
-    #[test]
-    fn count_distinct_agrees_with_a_set() {
-        let ints = |values: &[i64]| values.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
-        let texts = [Value::text("b"), Value::text("a"), Value::text("b")];
-        let cases: [Vec<Value>; 7] = [
-            Vec::new(),
-            ints(&[5]),
-            ints(&[3, 1, 3, 2, 1, 64, 63, 65]),
-            ints(&[-7, 0, -7, 120]),
-            ints(&[-7, i64::MAX, -7, 0]),
-            ints(&[i64::MIN, i64::MAX, i64::MIN]),
-            texts.to_vec(),
-        ];
-        for values in cases {
-            let want = values.iter().collect::<BTreeSet<_>>().len();
-            let rows: Vec<Vec<Value>> = values.iter().map(|v| vec![v.clone()]).collect();
-            let mut table = Table::new("T", [AttrRef::new("T", "a")], rows);
-            assert_eq!(count_distinct(&table, 0), want, "{values:?}");
-            table.rehome(Some(&BufferPool::new(Some(64))), 2);
-            assert_eq!(count_distinct(&table, 0), want, "{values:?} in pages of 2");
-        }
+        assert_eq!(eager, ["tmp21", "tmp12"]);
     }
 
     /// Star-6×10 (seed 42) built from scratch shares joins as transients;

@@ -4,13 +4,16 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mvdesign::algebra::{parse_query_with, Expr};
+use mvdesign::algebra::{parse_query_with, AttrRef, Expr, JoinCondition};
 use mvdesign::core::{
     evaluate, generate_mvpps, AnnotatedMvpp, GenerateConfig, GreedySelection, MaintenanceMode,
-    UpdateWeighting, Workload,
+    UpdateWeighting, ViewCatalog, Workload,
 };
-use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
-use mvdesign::engine::{execute, measure, Database, ExecContext, Generator, GeneratorConfig};
+use mvdesign::cost::{CardinalityEstimator, CostEstimator, EstimationMode, PaperCostModel};
+use mvdesign::engine::{
+    execute, measure, profile_database, BufferPool, Database, ExecContext, Generator,
+    GeneratorConfig,
+};
 use mvdesign::optimizer::Planner;
 use mvdesign::prelude::Designer;
 use mvdesign::workload::{paper_example, StarSchema, StarSchemaConfig};
@@ -315,4 +318,49 @@ fn base_relation_expr_executes_directly() {
     let t = execute(&Expr::base("Customer"), &db, &ExecContext::default())
         .expect("customer table exists");
     assert!(!t.is_empty());
+}
+
+/// Profiling a star design's view definitions (star-6×10, seed 42, every
+/// query a γ, on 0.4 % of scale factor 1) registers every `Fact.dN ⋈
+/// DimN.id` pair they join on at `1 / max(V)`, so `Fact ⋈ Dim1` keeps every
+/// Fact row, and no pair of dimensions, which never join; tables in pages
+/// of 2 rows profile to the same catalog.
+#[test]
+fn the_star_profile_registers_exactly_the_joined_pairs() {
+    let scenario = StarSchema::with_config(StarSchemaConfig {
+        seed: 42,
+        dimensions: 6,
+        queries: 10,
+        aggregate_probability: 1.0,
+        ..StarSchemaConfig::default()
+    })
+    .scenario();
+    let design = Designer::new()
+        .design(&scenario.catalog, &scenario.workload)
+        .expect("designs");
+    let mut db = Generator::with_config(GeneratorConfig {
+        seed: 0x5eed,
+        scale: 0.004,
+        max_rows: usize::MAX,
+    })
+    .database(&scenario.catalog);
+    let views = ViewCatalog::from_design(&design);
+    let definitions = || views.views().iter().map(|(_, definition)| definition);
+    let catalog = profile_database(&db, definitions());
+    let distinct = |a: &AttrRef| 1.0 / catalog.selectivity(a.relation.as_str(), a.attr.as_str());
+    let mut joined = Vec::new();
+    for (key, js) in catalog.join_selectivities() {
+        let (a, b) = (key.lo(), key.hi());
+        assert_eq!(js, 1.0 / distinct(a).max(distinct(b)), "{a}~{b}");
+        joined.push(format!("{a}~{b}"));
+    }
+    let want: Vec<String> = (0..6).map(|n| format!("Dim{n}.id~Fact.d{n}")).collect();
+    assert_eq!(joined, want);
+    let on = JoinCondition::on(AttrRef::new("Fact", "d1"), AttrRef::new("Dim1", "id"));
+    let fact_dim1 = Expr::join(Expr::base("Fact"), Expr::base("Dim1"), on);
+    let cards = CardinalityEstimator::new(&catalog, EstimationMode::Analytic);
+    let facts = db.table("Fact").expect("generated").len() as f64;
+    assert_eq!(cards.stats(&fact_dim1).records, facts);
+    db.rehome(Some(&BufferPool::new(Some(64 << 20))), 2);
+    assert_eq!(profile_database(&db, definitions()), catalog);
 }

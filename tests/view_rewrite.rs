@@ -26,13 +26,14 @@ use mvdesign::algebra::{
     parse_query_with, AggExpr, AggFunc, AttrRef, CompareOp, Expr, JoinCondition, Predicate, Query,
     Value,
 };
-use mvdesign::catalog::{AttrType, Catalog};
+use mvdesign::catalog::{AttrType, Catalog, RelationStats};
 use mvdesign::core::{
-    Decision, DesignResult, MissReason, Mvpp, NodeId, Routed, Statistics, ViewCatalog, Workload,
+    Decision, DesignResult, MissReason, Mvpp, NodeId, Routed, ViewCatalog, Workload,
 };
+use mvdesign::cost::{CardinalityEstimator, EstimationMode};
 use mvdesign::engine::{
-    execute, materialize_view, measure, BufferPool, Database, ExecContext, Generator,
-    GeneratorConfig, Table,
+    execute, materialize_view, measure, profile_database, BufferPool, Database, ExecContext,
+    Generator, GeneratorConfig, Table,
 };
 use mvdesign::prelude::Designer;
 use mvdesign::warehouse::Warehouse;
@@ -1460,9 +1461,10 @@ fn eager_case(spec: &EagerSpec, catalog: &Catalog) -> (Arc<Expr>, Database) {
     (plan, db)
 }
 
-/// Base rows per relation of `db`.
-fn rows_in(db: &Database) -> impl Fn(&mvdesign::algebra::RelName) -> usize + '_ {
-    |r| db.table(r.as_str()).map_or(0, Table::len)
+/// `plan`'s one-level eager form, sized by `catalog`.
+fn one_level_under(plan: &Arc<Expr>, catalog: &Catalog) -> Option<Arc<Expr>> {
+    let cards = CardinalityEstimator::new(catalog, EstimationMode::Analytic);
+    mvdesign::core::eager_aggregation(plan, &cards)
 }
 
 /// The per-key partials an eager plan joins: the γ below its join.
@@ -1487,7 +1489,7 @@ fn partials(eager: &Arc<Expr>) -> Arc<Expr> {
 fn run_eager_case(spec: &EagerSpec) -> (bool, bool) {
     let catalog = tiny_catalog();
     let (plan, base) = eager_case(spec, &catalog);
-    let eager = mvdesign::core::eager_aggregation(&plan, rows_in(&base))
+    let eager = one_level_under(&plan, &profile_database(&base, [&plan]))
         .unwrap_or_else(|| panic!("eager aggregation applies to {plan}"));
     let pre = partials(&eager);
     let mut views = ViewCatalog::new();
@@ -1589,8 +1591,9 @@ fn eager_aggregation_refusals_and_child_choice() {
     let lineitem_orders = || Expr::join(Expr::base("Lineitem"), Expr::base("Orders"), edge(2, 3));
     let sum = AggExpr::new(AggFunc::Sum, attr("Lineitem.price"), "s");
     let priority = attr("Orders.priority");
-    let rows = |r: &mvdesign::algebra::RelName| if r.as_str() == "Lineitem" { 40 } else { 25 };
-    let eager = |plan: Arc<Expr>| mvdesign::core::eager_aggregation(&plan, rows);
+    // Lineitem holds 40 rows, Orders 25.
+    let catalog = tiny_catalog();
+    let eager = |plan: Arc<Expr>| one_level_under(&plan, &catalog);
 
     assert!(eager(Expr::aggregate(
         lineitem_orders(),
@@ -1666,10 +1669,17 @@ fn eager_aggregation_refusals_and_child_choice() {
             "{plan}"
         );
     }
-    let orders_larger =
-        |r: &mvdesign::algebra::RelName| if r.as_str() == "Orders" { 50 } else { 40 };
+    let mut orders_larger = Catalog::new();
+    for (name, rows) in [("Orders", 50.0), ("Lineitem", 40.0)] {
+        orders_larger
+            .relation(name)
+            .records(rows)
+            .blocks(rows / 10.0)
+            .finish()
+            .expect("sized");
+    }
     let plan = Expr::aggregate(lineitem_orders(), [priority], [count]);
-    let pre = partials(&mvdesign::core::eager_aggregation(&plan, orders_larger).expect("applies"));
+    let pre = partials(&one_level_under(&plan, &orders_larger).expect("applies"));
     assert_eq!(
         pre.to_string(),
         "γ[Orders.priority,Orders.ok; COUNT(*) AS n](Orders)"
@@ -1680,52 +1690,46 @@ fn eager_aggregation_refusals_and_child_choice() {
 // Eager aggregation along the whole join path (the chain form)
 // ---------------------------------------------------------------------------
 
-/// Sizes under which every group-by of a chain shrinks its input: many rows,
-/// one distinct value per attribute.
-struct Shrinking;
-
-impl Statistics for Shrinking {
-    fn rows(&self, _: &mvdesign::algebra::RelName) -> f64 {
-        1e6
+/// The tiny path's relations at a million rows each, every attribute at
+/// `selectivity` and, when given, every edge at `join_selectivity` (else the
+/// `1 / max(|R|, |S|)` fallback prices the joins).
+fn sized(selectivity: f64, join_selectivity: Option<f64>) -> Catalog {
+    let mut c = Catalog::new();
+    for (_, meta) in tiny_catalog().iter() {
+        let mut meta = meta.clone();
+        meta.stats = RelationStats::new(1e6, 1e5);
+        meta.selectivities = meta
+            .schema
+            .attributes()
+            .iter()
+            .map(|a| (a.name.clone(), selectivity))
+            .collect();
+        c.insert_relation(meta).expect("tiny relation");
     }
-
-    fn distinct(&self, _: &AttrRef) -> f64 {
-        1.0
+    if let Some(js) = join_selectivity {
+        for e in EDGES {
+            c.set_join_selectivity(attr(e.2), attr(e.3), js)
+                .expect("tiny edge");
+        }
     }
+    c
+}
+
+/// Sizes under which every group-by of a chain shrinks its input: many
+/// rows, one distinct value per attribute, every join a cross product.
+fn shrinking() -> Catalog {
+    sized(1.0, Some(1.0))
 }
 
 /// Sizes under which no group-by shrinks anything: every value distinct.
-struct Distinct;
-
-impl Statistics for Distinct {
-    fn rows(&self, _: &mvdesign::algebra::RelName) -> f64 {
-        1e6
-    }
-
-    fn distinct(&self, _: &AttrRef) -> f64 {
-        f64::INFINITY
-    }
+fn distinct() -> Catalog {
+    sized(1e-6, None)
 }
 
-/// The exact sizes of a database's tables.
-struct Exact<'a>(&'a Database);
-
-impl Statistics for Exact<'_> {
-    fn rows(&self, relation: &mvdesign::algebra::RelName) -> f64 {
-        self.0
-            .table(relation.as_str())
-            .map_or(0.0, |t| t.len() as f64)
-    }
-
-    fn distinct(&self, attr: &AttrRef) -> f64 {
-        let Some(table) = self.0.table(attr.relation.as_str()) else {
-            return f64::INFINITY;
-        };
-        let i = table.index_of(attr).expect("attribute of its relation");
-        let values: std::collections::BTreeSet<&Value> =
-            table.rows().iter().map(|r| &r[i]).collect();
-        values.len() as f64
-    }
+/// `plan`'s chain form, sized by `catalog`.
+fn chain_under(plan: &Arc<Expr>, catalog: &Catalog) -> Option<Arc<Expr>> {
+    let cards = CardinalityEstimator::new(catalog, EstimationMode::Analytic);
+    mvdesign::core::eager_chain(plan, &cards)
 }
 
 /// A random `γ[G; A]` over a join tree of 3 or 4 relations of the tiny
@@ -1914,16 +1918,16 @@ fn gammas(plan: &Arc<Expr>) -> usize {
     n
 }
 
-/// Runs one spec: the chain form under [`Shrinking`] groups before every
-/// join and equals the definition row for row, the definition equals the
-/// row reference, and the chain form under the data's exact sizes, where
+/// Runs one spec: the chain form under [`shrinking`] sizes groups before
+/// every join and equals the definition row for row, the definition equals
+/// the row reference, and the chain form under the data's profile, where
 /// it exists, equals it too. Returns whether the case had 4 relations,
 /// `COUNT(*)` alone, a conjunct spanning two relations, and a join pair
 /// with duplicate keys on both sides.
 fn run_chain_case(spec: &ChainSpec) -> (bool, bool, bool, bool) {
     let catalog = tiny_catalog();
     let (plan, base) = chain_case(spec, &catalog);
-    let chain = mvdesign::core::eager_chain(&plan, &Shrinking)
+    let chain = chain_under(&plan, &shrinking())
         .unwrap_or_else(|| panic!("the chain form applies to {plan}"));
     assert_eq!(
         gammas(&chain),
@@ -1940,7 +1944,7 @@ fn run_chain_case(spec: &ChainSpec) -> (bool, bool, bool, bool) {
         "{plan}: engine against the row reference"
     );
     let mut forms = vec![chain];
-    forms.extend(mvdesign::core::eager_chain(&plan, &Exact(&base)));
+    forms.extend(chain_under(&plan, &profile_database(&base, [&plan])));
     for form in forms {
         let got = run(&form);
         assert_eq!(got.attrs(), want.attrs(), "{plan} as {form}: header");
@@ -2016,7 +2020,7 @@ fn eager_chain_shape_and_refusals() {
     let sum = AggExpr::new(AggFunc::Sum, attr("Lineitem.price"), "r");
     let chain = |input: &Arc<Expr>, keys: &[AttrRef], aggs: &[AggExpr]| {
         let plan = Expr::aggregate(Arc::clone(input), keys.to_vec(), aggs.to_vec());
-        mvdesign::core::eager_chain(&plan, &Shrinking)
+        chain_under(&plan, &shrinking())
     };
     let plan = chain(&tree, &keys, std::slice::from_ref(&sum)).expect("applies");
     assert_eq!(
@@ -2062,5 +2066,5 @@ fn eager_chain_shape_and_refusals() {
     assert!(chain(&projected, &keys[..1], std::slice::from_ref(&sum)).is_none());
     // No group-by shrinks its input.
     let plan = Expr::aggregate(Arc::clone(&tree), keys.to_vec(), [sum]);
-    assert!(mvdesign::core::eager_chain(&plan, &Distinct).is_none());
+    assert!(chain_under(&plan, &distinct()).is_none());
 }
