@@ -6,19 +6,24 @@
 //! every probe; [`IncrementalEvaluator`] instead keeps the per-query cost of
 //! the current frontier and, on a flip, re-walks only the queries whose
 //! sub-DAG contains the flipped node — and even those walks are memoized on
-//! the *visible part* of the frontier, so revisiting a previously-seen
-//! configuration costs a hash lookup.
+//! the *visible part* of the frontier. Each root keeps that part as a small
+//! integer, one bit per interior node the root can see, which every flip
+//! updates by XOR; revisiting a previously-seen configuration costs one
+//! array load per re-costed root.
 //!
 //! Results are bit-identical to [`evaluate_set`](crate::evaluate::evaluate_set): the per-query walks are the
 //! same function, and the total is re-summed in root order on every change so
 //! floating-point association never differs.
 
-use std::collections::HashMap;
-
 use crate::annotate::{AnnotatedMvpp, MaintenancePolicy};
 use crate::evaluate::{evaluate_set_with_policies, query_cost_set, CostBreakdown, MaintenanceMode};
 use crate::mvpp::NodeId;
 use crate::nodeset::NodeSet;
+
+/// Most interior nodes a root's memo is indexed by: `2^12` slots of `f64`,
+/// 32 KiB per root. A root that sees more gets no table and is walked on
+/// every probe.
+const DENSE_BITS: usize = 12;
 
 /// Memoized evaluator over single-node changes to a materialization frontier.
 ///
@@ -53,14 +58,17 @@ pub struct IncrementalEvaluator<'a> {
     m: NodeSet,
     /// Unweighted query cost per root, in root order, for the current `m`.
     per_root: Vec<f64>,
-    /// Interior nodes each root's cost can depend on:
-    /// `(descendants(root) ∪ {root}) ∩ interior`.
-    relevant: Vec<NodeSet>,
-    /// For each node id, the indices of roots whose cost can change when the
-    /// node's materialization flips.
-    affected: Vec<Vec<usize>>,
-    /// Per-root memo: masked frontier words → unweighted query cost.
-    memo: Vec<HashMap<Box<[u64]>, f64>>,
+    /// For each node id, the roots whose cost can change when the node's
+    /// materialization flips, each with the node's bit in that root's
+    /// `index` (`0` for a root without a memo table).
+    affected: Vec<Vec<(usize, u64)>>,
+    /// Per root: the current frontier projected onto the interior nodes the
+    /// root's cost can depend on, `(descendants(root) ∪ {root}) ∩
+    /// interior`, numbered in ascending id order.
+    index: Vec<u64>,
+    /// Per root: unweighted query cost by `index`, `NaN` where not walked
+    /// yet. Empty for a root that sees more than [`DENSE_BITS`] nodes.
+    memo: Vec<Vec<f64>>,
     /// Per-node maintenance term for the active mode, precomputed so each
     /// re-sum is pure bit-scans and adds: `fu_weight · cm` (Isolated) or
     /// `fu_weight · op_cost · work_fraction` (SharedRecompute).
@@ -76,11 +84,10 @@ pub struct IncrementalEvaluator<'a> {
     /// Word mask of non-leaf nodes (leaves are stored relations and never
     /// charge maintenance).
     notleaf: Vec<u64>,
-    /// Reusable buffers: nodes needing a refresh pass, dirty root indices,
-    /// and the masked memo key — kept to avoid per-probe allocation.
+    /// Reusable buffers: nodes needing a refresh pass and dirty root
+    /// indices — kept to avoid per-probe allocation.
     scratch_needed: Vec<u64>,
     scratch_dirty: Vec<u64>,
-    scratch_key: Vec<u64>,
     query_processing: f64,
     maintenance: f64,
     walks: u64,
@@ -93,16 +100,21 @@ impl<'a> IncrementalEvaluator<'a> {
         let n = mvpp.len();
         let interior = NodeSet::from_ids(n, mvpp.interior());
         let roots = mvpp.roots();
-        let mut relevant = Vec::with_capacity(roots.len());
-        let mut affected: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut affected: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        let mut memo = Vec::with_capacity(roots.len());
         for (i, (_, _, root)) in roots.iter().enumerate() {
-            let mut rel = a.descendant_set(*root).clone();
-            rel.insert(*root);
-            rel.intersect_with(&interior);
-            for v in rel.iter() {
-                affected[v.0].push(i);
+            let mut relevant = a.descendant_set(*root).clone();
+            relevant.insert(*root);
+            relevant.intersect_with(&interior);
+            let dense = relevant.len() <= DENSE_BITS;
+            for (bit, v) in relevant.iter().enumerate() {
+                affected[v.0].push((i, if dense { 1 << bit } else { 0 }));
             }
-            relevant.push(rel);
+            memo.push(if dense {
+                vec![f64::NAN; 1 << relevant.len()]
+            } else {
+                Vec::new()
+            });
         }
         let policy = a.maintenance_policy();
         let fraction = policy.work_fraction();
@@ -141,9 +153,9 @@ impl<'a> IncrementalEvaluator<'a> {
             mode,
             m: NodeSet::with_capacity(n),
             per_root: vec![0.0; roots.len()],
-            relevant,
             affected,
-            memo: (0..roots.len()).map(|_| HashMap::new()).collect(),
+            index: vec![0; roots.len()],
+            memo,
             recompute_term,
             apply_term,
             delta: NodeSet::with_capacity(n),
@@ -151,7 +163,6 @@ impl<'a> IncrementalEvaluator<'a> {
             notleaf,
             scratch_needed: Vec::new(),
             scratch_dirty: Vec::new(),
-            scratch_key: Vec::new(),
             query_processing: 0.0,
             maintenance: 0.0,
             walks: 0,
@@ -165,8 +176,8 @@ impl<'a> IncrementalEvaluator<'a> {
 
     /// Repositions the evaluator at an arbitrary frontier. Only the roots
     /// whose sub-DAG intersects the symmetric difference between the old and
-    /// new frontier are re-costed — for an unaffected root the masked memo
-    /// key is unchanged, so its stored cost is already the right one. Callers
+    /// new frontier are re-costed — for an unaffected root the memo index is
+    /// unchanged, so its stored cost is already the right one. Callers
     /// that probe a stream of similar frontiers (e.g. a converging genetic
     /// population) therefore pay only for what actually moved.
     pub fn set_frontier(&mut self, m: &NodeSet) {
@@ -181,7 +192,8 @@ impl<'a> IncrementalEvaluator<'a> {
                 while x != 0 {
                     let v = w * 64 + x.trailing_zeros() as usize;
                     x &= x - 1;
-                    for &i in self.affected.get(v).map_or(&[][..], Vec::as_slice) {
+                    for &(i, bit) in self.affected.get(v).map_or(&[][..], Vec::as_slice) {
+                        self.index[i] ^= bit;
                         dirty[i / 64] |= 1 << (i % 64);
                     }
                 }
@@ -206,7 +218,8 @@ impl<'a> IncrementalEvaluator<'a> {
     pub fn flip(&mut self, v: NodeId) -> f64 {
         self.m.toggle(v);
         for k in 0..self.affected[v.0].len() {
-            let i = self.affected[v.0][k];
+            let (i, bit) = self.affected[v.0][k];
+            self.index[i] ^= bit;
             self.per_root[i] = self.root_cost(i);
         }
         self.resum();
@@ -258,30 +271,18 @@ impl<'a> IncrementalEvaluator<'a> {
     }
 
     /// Unweighted cost of root `i` under the current frontier, memoized on
-    /// the frontier masked to the root's relevant nodes.
+    /// the root's index: the frontier projected onto the nodes it can see.
     fn root_cost(&mut self, i: usize) -> f64 {
-        let mut key = std::mem::take(&mut self.scratch_key);
-        key.clear();
-        {
-            let m_words = self.m.words();
-            key.extend(
-                self.relevant[i]
-                    .words()
-                    .iter()
-                    .enumerate()
-                    .map(|(w, r)| r & m_words.get(w).copied().unwrap_or(0)),
-            );
-        }
-        // Probing by slice avoids allocating the boxed key on the hit path.
-        if let Some(&cached) = self.memo[i].get(key.as_slice()) {
-            self.scratch_key = key;
+        let slot = self.index[i] as usize;
+        if let Some(&cached) = self.memo[i].get(slot).filter(|c| !c.is_nan()) {
             return cached;
         }
         let root = self.a.mvpp().roots()[i].2;
         let cost = query_cost_set(self.a, &self.m, root);
         self.walks += 1;
-        self.memo[i].insert(key.as_slice().into(), cost);
-        self.scratch_key = key;
+        if let Some(cached) = self.memo[i].get_mut(slot) {
+            *cached = cost;
+        }
         cost
     }
 

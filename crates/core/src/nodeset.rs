@@ -17,7 +17,7 @@ use crate::mvpp::NodeId;
 /// All sets over one MVPP share the same capacity (the MVPP's node count);
 /// operations between sets of different capacities are supported by treating
 /// missing high words as zero.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct NodeSet {
     words: Vec<u64>,
     len: usize,
@@ -167,6 +167,17 @@ impl NodeSet {
     }
 }
 
+/// Two sets are equal when they hold the same ids, whatever their
+/// capacities: missing high words count as zero, like everywhere else.
+impl PartialEq for NodeSet {
+    fn eq(&self, other: &Self) -> bool {
+        let word = |s: &Self, w: usize| s.words.get(w).copied().unwrap_or(0);
+        (0..self.words.len().max(other.words.len())).all(|w| word(self, w) == word(other, w))
+    }
+}
+
+impl Eq for NodeSet {}
+
 impl fmt::Debug for NodeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
@@ -267,6 +278,21 @@ mod tests {
         b.copy_from(&a);
         assert_eq!(b, a);
         assert_eq!(b.len(), 3);
+    }
+
+    #[test]
+    fn equality_ignores_capacity() {
+        let small = NodeSet::from_ids(10, ids(&[1]));
+        assert_eq!(small, NodeSet::from_ids(200, ids(&[1])));
+        assert_eq!(NodeSet::from_ids(200, ids(&[1])), small);
+        let mut grown = small.clone();
+        grown.insert(NodeId(150));
+        assert_ne!(grown, small);
+        assert_ne!(small, grown);
+        grown.remove(NodeId(150));
+        assert_eq!(grown, small);
+        assert_ne!(small, NodeSet::from_ids(200, ids(&[2])));
+        assert_eq!(NodeSet::default(), NodeSet::with_capacity(500));
     }
 
     #[test]

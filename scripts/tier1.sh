@@ -40,8 +40,10 @@ done
 # bit, the golden routes byte for byte; the pins must hold with the
 # optimiser on too. So must the
 # benchmark's `period_io_blocks` (tests/simulation.rs pins the number), in
-# the build the benchmark measures.
+# the build the benchmark measures. The evaluator's own bit-exact flip and
+# policy tests are unit tests of mvdesign-core, hence its release run.
 echo "== tier-1: float-bit and block-count pins under optimisation =="
+cargo test -q --release -p mvdesign-core
 cargo test -q --release -p mvdesign --test designer_golden
 cargo test -q --release -p mvdesign --test route_golden
 cargo test -q --release -p mvdesign --test incremental_eval

@@ -11,12 +11,14 @@ use mvdesign::algebra::{AttrRef, CompareOp, Expr, JoinCondition, Predicate};
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::core::{
     evaluate, evaluate_set, generate_mvpps, AnnotatedMvpp, Designer, DesignerConfig,
-    ExhaustiveSelection, GenerateConfig, IncrementalEvaluator, MaintenanceMode, Mvpp, NodeId,
-    NodeSet, SelectionAlgorithm, UpdateWeighting,
+    ExhaustiveSelection, GenerateConfig, GeneticSelection, GreedySelection, IncrementalEvaluator,
+    MaintenanceMode, Mvpp, NodeId, NodeSet, SelectionAlgorithm, UpdateWeighting,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::optimizer::Planner;
 use mvdesign::workload::{paper_example, Scenario, StarSchema, StarSchemaConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn star(seed: u64, queries: usize) -> Scenario {
     StarSchema::with_config(StarSchemaConfig {
@@ -208,7 +210,8 @@ fn designer_is_thread_count_invariant() {
 }
 
 /// Sanity: memoization actually kicks in — a flip cycle revisits cached
-/// frontiers without re-walking any query.
+/// frontiers without re-walking any query, and so does a jump back to any
+/// frontier `set_frontier` has been at before (the genetic search's path).
 #[test]
 fn incremental_memoization_reuses_walks() {
     let scenario = star(3, 8);
@@ -225,7 +228,287 @@ fn incremental_memoization_reuses_walks() {
         eval.flip(*v);
     }
     assert_eq!(eval.walks(), walks, "repeat cycle must be fully memoized");
+
+    let frontiers: Vec<NodeSet> = (1..=3)
+        .map(|step| NodeSet::from_ids(a.mvpp().len(), interior.iter().copied().step_by(step)))
+        .collect();
+    for m in &frontiers {
+        eval.set_frontier(m);
+    }
+    let walks = eval.walks();
+    for m in frontiers.iter().rev().chain(&frontiers) {
+        eval.set_frontier(m);
+        assert_eq!(
+            eval.total().to_bits(),
+            evaluate_set(&a, m, MaintenanceMode::SharedRecompute)
+                .total
+                .to_bits()
+        );
+    }
+    assert_eq!(eval.walks(), walks, "revisited frontiers must be memoized");
 }
+
+/// A left-deep join of 14 relations (13 join nodes under one root, more
+/// than the evaluator's per-root memo indexes) beside a selection over its
+/// first join, whose root sees two interior nodes.
+fn wide_join() -> AnnotatedMvpp {
+    let mut c = Catalog::new();
+    let names: Vec<String> = (0..14).map(|i| format!("R{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        c.relation(name.as_str())
+            .attr("k", AttrType::Int)
+            .attr("x", AttrType::Int)
+            .records(1_000.0 * (i + 1) as f64)
+            .blocks(100.0 * (i + 1) as f64)
+            .update_frequency(1.0)
+            .selectivity("x", 0.1)
+            .finish()
+            .unwrap();
+    }
+    let key = |name: &str| AttrRef::new(name, "k");
+    let mut joins = vec![Expr::base(names[0].as_str())];
+    for pair in names.windows(2) {
+        let (left, right) = (key(&pair[0]), key(&pair[1]));
+        c.set_join_selectivity(left.clone(), right.clone(), 1e-3)
+            .unwrap();
+        let below = joins.last().unwrap().clone();
+        joins.push(Expr::join(
+            below,
+            Expr::base(pair[1].as_str()),
+            JoinCondition::on(left, right),
+        ));
+    }
+    let filtered = Expr::select(
+        joins[1].clone(),
+        Predicate::cmp(AttrRef::new("R0", "x"), CompareOp::Eq, 5),
+    );
+    let mut m = Mvpp::new();
+    m.insert_query("wide", 3.0, joins.last().unwrap());
+    m.insert_query("narrow", 7.0, &filtered);
+    let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
+    AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max)
+}
+
+/// A root that sees more interior nodes than the memo indexes is walked on
+/// every probe through the same path: flips and jumps still equal
+/// `evaluate_set` to the bit, and revisiting a frontier walks that root
+/// again but never the memoized one.
+#[test]
+fn roots_past_the_memo_cap_agree_bit_for_bit() {
+    let a = wide_join();
+    let interior = a.mvpp().interior();
+    assert_eq!(interior.len(), 14);
+    let wide = a.mvpp().roots()[0].2;
+    let seen = a.mvpp().descendants(wide);
+    assert_eq!(interior.iter().filter(|v| seen.contains(v)).count() + 1, 13);
+    for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
+        let mut eval = IncrementalEvaluator::new(&a, mode);
+        let mut m = NodeSet::with_capacity(a.mvpp().len());
+        let mut x = 0x2545f4914f6cdd1d_u64;
+        for step in 0..300 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = interior[(x % interior.len() as u64) as usize];
+            if step % 3 == 0 {
+                m = NodeSet::from_ids(
+                    a.mvpp().len(),
+                    interior
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| x >> i & 1 == 1)
+                        .map(|(_, v)| *v),
+                );
+                eval.set_frontier(&m);
+            } else {
+                m.toggle(v);
+                eval.flip(v);
+            }
+            let full = evaluate_set(&a, &m, mode);
+            assert_eq!(eval.total().to_bits(), full.total.to_bits(), "{mode:?}");
+            assert_eq!(eval.breakdown(), full);
+        }
+        // The top join is seen by the wide root alone: each flip walks it.
+        let walks = eval.walks();
+        for _ in 0..4 {
+            eval.flip(wide);
+        }
+        assert_eq!(eval.walks(), walks + 4);
+        // The narrow root's two nodes: after one cycle, all memoized.
+        let narrow = a.mvpp().roots()[1].2;
+        eval.flip(narrow);
+        eval.flip(narrow);
+        let walks = eval.walks();
+        eval.flip(narrow);
+        eval.flip(narrow);
+        assert_eq!(eval.walks(), walks);
+    }
+}
+
+/// The default designer's candidate MVPPs of a star schema at the default
+/// seed, annotated as the designer annotates them, in rotation order.
+fn designer_candidates(dimensions: usize, queries: usize) -> Vec<AnnotatedMvpp> {
+    let scenario = StarSchema::with_config(StarSchemaConfig {
+        dimensions,
+        queries,
+        ..StarSchemaConfig::default()
+    })
+    .scenario();
+    let config = DesignerConfig::default();
+    let est = CostEstimator::new(
+        &scenario.catalog,
+        config.estimation,
+        PaperCostModel::default(),
+    );
+    generate_mvpps(
+        &scenario.workload,
+        &est,
+        &Planner::with_config(config.planner),
+        config.generate,
+    )
+    .into_iter()
+    .map(|mvpp| {
+        AnnotatedMvpp::annotate_with(
+            mvpp,
+            &est,
+            config.update_weighting,
+            config.maintenance_policy,
+        )
+    })
+    .collect()
+}
+
+/// `GeneticSelection::default().select` step for step: the same seeded
+/// evolution (greedy, empty and random seeds; tournaments of two, uniform
+/// crossover, per-gene mutation, elitism), every genome scored by
+/// `set_frontier` on one evaluator. Returns the evaluator's walks and the
+/// fittest set, which the caller checks against `select`'s.
+fn genetic_walks(a: &AnnotatedMvpp, mode: MaintenanceMode) -> (u64, BTreeSet<NodeId>) {
+    let ga = GeneticSelection::default();
+    let candidates = a.mvpp().interior();
+    let frontier = |genes: &[bool]| {
+        NodeSet::from_ids(
+            a.mvpp().len(),
+            genes
+                .iter()
+                .zip(&candidates)
+                .filter(|(g, _)| **g)
+                .map(|(_, id)| *id),
+        )
+    };
+    let mut eval = IncrementalEvaluator::new(a, mode);
+    let mut scored = |genes: Vec<bool>| {
+        eval.set_frontier(&frontier(&genes));
+        (eval.total(), genes)
+    };
+    let mut rng = StdRng::seed_from_u64(ga.seed);
+    let greedy = GreedySelection::new().run(a).0;
+    let target = ga.population.max(4);
+    let mut seeds = vec![
+        candidates.iter().map(|c| greedy.contains(c)).collect(),
+        vec![false; candidates.len()],
+    ];
+    while seeds.len() < target {
+        seeds.push((0..candidates.len()).map(|_| rng.gen_bool(0.3)).collect());
+    }
+    let mut population: Vec<(f64, Vec<bool>)> = seeds.into_iter().map(&mut scored).collect();
+    for _ in 0..ga.generations {
+        population.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let mut next: Vec<(f64, Vec<bool>)> = population[..ga.elite.min(population.len())].to_vec();
+        let mut offspring = Vec::new();
+        while next.len() + offspring.len() < population.len() {
+            let mut pick = || {
+                let i = rng.gen_range(0..population.len());
+                let j = rng.gen_range(0..population.len());
+                if population[i].0 <= population[j].0 {
+                    i
+                } else {
+                    j
+                }
+            };
+            let (p1, p2) = (pick(), pick());
+            let mut child: Vec<bool> = if rng.gen_bool(ga.crossover_rate) {
+                population[p1]
+                    .1
+                    .iter()
+                    .zip(&population[p2].1)
+                    .map(|(a, b)| if rng.gen_bool(0.5) { *a } else { *b })
+                    .collect()
+            } else {
+                population[p1.min(p2)].1.clone()
+            };
+            for gene in child.iter_mut() {
+                if rng.gen_bool(ga.mutation_rate) {
+                    *gene = !*gene;
+                }
+            }
+            offspring.push(child);
+        }
+        next.extend(offspring.into_iter().map(&mut scored));
+        population = next;
+    }
+    population.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let best = frontier(&population[0].1).to_btree();
+    (eval.walks(), best)
+}
+
+/// `ExhaustiveSelection::default().select` on an MVPP small enough to
+/// enumerate whole on one thread: every Gray-code subset of the interior
+/// nodes, one flip per step, on one evaluator. Returns the evaluator's
+/// walks and the cheapest set (least mask among ties).
+fn exhaustive_walks(a: &AnnotatedMvpp, mode: MaintenanceMode) -> (u64, BTreeSet<NodeId>) {
+    let candidates = a.mvpp().interior();
+    assert!(candidates.len() <= ExhaustiveSelection::default().max_nodes);
+    assert!(a.mvpp().len() < 64, "enumerated on one thread");
+    let mut eval = IncrementalEvaluator::new(a, mode);
+    let mut best = (eval.total(), 0_u64);
+    for i in 1_u64..1 << candidates.len() {
+        let cost = eval.flip(candidates[i.trailing_zeros() as usize]);
+        let mask = i ^ (i >> 1);
+        if cost < best.0 || (cost == best.0 && mask < best.1) {
+            best = (cost, mask);
+        }
+    }
+    let set = candidates
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| best.1 & (1 << i) != 0)
+        .map(|(_, v)| *v)
+        .collect();
+    (eval.walks(), set)
+}
+
+/// How many query walks the searches' evaluators make on the benchmark's
+/// star schemas, candidate by candidate: the memo's key may change shape,
+/// but what counts as the same frontier for a root must not. Each replica
+/// is first checked to choose what its search chooses.
+#[test]
+fn search_walk_counts_are_pinned() {
+    let mode = DesignerConfig::default().maintenance;
+    let genetic: Vec<u64> = designer_candidates(6, 40)
+        .iter()
+        .map(|a| {
+            let (walks, best) = genetic_walks(a, mode);
+            assert_eq!(best, GeneticSelection::default().select(a, mode));
+            walks
+        })
+        .collect();
+    let exhaustive: Vec<u64> = designer_candidates(4, 4)
+        .iter()
+        .map(|a| {
+            let (walks, best) = exhaustive_walks(a, mode);
+            assert_eq!(best, ExhaustiveSelection::default().select(a, mode));
+            walks
+        })
+        .collect();
+    assert_eq!(genetic, GENETIC_STAR_6X40_WALKS);
+    assert_eq!(exhaustive, EXHAUSTIVE_STAR_4X4_WALKS);
+}
+
+/// Walks per candidate of genetic search (default seed) on star-6×40.
+const GENETIC_STAR_6X40_WALKS: [u64; 8] = [1524, 1542, 1537, 1530, 1516, 1519, 1520, 1527];
+/// Walks per candidate of exhaustive search on star-4×4.
+const EXHAUSTIVE_STAR_4X4_WALKS: [u64; 4] = [520, 520, 520, 520];
 
 /// Two 1 000-block relations `R` and `S`, both shipped to the warehouse at
 /// `t` per block; `Q1` (fq 10) reads `R ⋈ S`, `Q2` (fq 2) a selection over
