@@ -2,11 +2,14 @@
 //! ("we are working on materialized view design for more complicated
 //! queries such as query with aggregation functions").
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::OnceLock;
 
 use mvdesign_catalog::{AttrName, AttrRef, RelName};
 use serde::{Deserialize, Serialize};
+
+use crate::Predicate;
 
 /// The pseudo-relation qualifying aggregate output attributes.
 ///
@@ -105,6 +108,46 @@ impl AggExpr {
         };
         Some(AggExpr::new(func, self.output_attr(), self.alias.clone()))
     }
+}
+
+/// The group keys of a roll-up of the relations `s` that answers the γ
+/// roots above it, each root given as its group keys, its join pairs and
+/// its conjuncts spanning several relations: every root's keys on `s`, then
+/// every attribute of `s` a root compares with one outside `s` — the
+/// `s`-side of each pair crossing out of `s`, and what a conjunct reading
+/// both sides reads of `s` — each once, in that order. Members of one group
+/// then carry the same values of everything read above the roll-up, so
+/// they meet the same rows outside `s`, and each aggregate over them
+/// re-aggregates by [`AggExpr::rolled_up`] (eager aggregation, Yan & Larson,
+/// VLDB 1995).
+pub fn roll_up_keys<'a, P>(
+    s: &BTreeSet<RelName>,
+    roots: impl IntoIterator<Item = (&'a [AttrRef], P, &'a [Predicate])>,
+) -> Vec<AttrRef>
+where
+    P: IntoIterator<Item = &'a (AttrRef, AttrRef)>,
+{
+    let in_s = |a: &AttrRef| s.contains(&a.relation);
+    let mut keys: Vec<AttrRef> = Vec::new();
+    let mut compared: Vec<AttrRef> = Vec::new();
+    for (group_by, pairs, conjuncts) in roots {
+        keys.extend(group_by.iter().filter(|a| in_s(a)).cloned());
+        for (a, b) in pairs {
+            if in_s(a) != in_s(b) {
+                compared.push(if in_s(a) { a.clone() } else { b.clone() });
+            }
+        }
+        for p in conjuncts
+            .iter()
+            .filter(|p| !p.attrs().into_iter().all(in_s))
+        {
+            compared.extend(p.attrs().into_iter().filter(|a| in_s(a)).cloned());
+        }
+    }
+    keys.extend(compared);
+    let mut seen = BTreeSet::new();
+    keys.retain(|k| seen.insert(k.clone()));
+    keys
 }
 
 impl fmt::Display for AggExpr {

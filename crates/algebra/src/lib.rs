@@ -44,7 +44,7 @@ mod sql;
 mod value;
 mod visit;
 
-pub use crate::aggregate::{AggExpr, AggFunc, AGG_RELATION};
+pub use crate::aggregate::{roll_up_keys, AggExpr, AggFunc, AGG_RELATION};
 pub use crate::arena::{Classes, ExprArena, ExprId};
 pub use crate::dot::dot_graph;
 pub use crate::expr::{Expr, JoinCondition};

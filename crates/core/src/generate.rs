@@ -25,12 +25,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use mvdesign_algebra::{AggExpr, AttrRef, Expr, JoinCondition, Predicate, Query, RelName};
+use mvdesign_algebra::{
+    roll_up_keys, AggExpr, AttrRef, Expr, JoinCondition, Predicate, Query, RelName,
+};
 use mvdesign_cost::{CostEstimator, CostModel};
 use mvdesign_optimizer::{pull_up, Planner};
 
 use crate::mvpp::Mvpp;
-use crate::rewrite::{answer_from_groups, roll_up_keys};
+use crate::rewrite::answer_from_groups;
 use crate::workload::Workload;
 
 /// Tuning knobs for [`generate_mvpps`].

@@ -57,7 +57,6 @@
 mod annotate;
 mod audit;
 mod designer;
-mod eager;
 mod evaluate;
 mod generate;
 mod greedy;
@@ -79,7 +78,6 @@ pub use crate::audit::{
     AuditReport, AuditViolation,
 };
 pub use crate::designer::{DesignError, DesignResult, Designer, DesignerConfig};
-pub use crate::eager::{eager_aggregation, eager_chain};
 pub use crate::evaluate::{
     break_even_update_weight, choose_policies, evaluate, evaluate_set, evaluate_set_with_policies,
     evaluate_with_policies, mqp_batch_cost, query_cost, query_cost_set, CostBreakdown,

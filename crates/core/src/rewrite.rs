@@ -55,7 +55,7 @@
 //! (aggregated) join leaf leaves the node as it was and says why
 //! ([`MissReason`]).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -741,45 +741,6 @@ pub(crate) fn answer_from_groups(
     columns(view, &mut stored);
     let stored = listed(&stored).ok_or(MissReason::OutputUnknown)?;
     groups_answer(&node, &core, &stored, scan).map(|(plan, _)| plan)
-}
-
-/// The group keys of a roll-up of the relations `s` that answers the γ
-/// roots above it, each root given as its group keys, its join pairs and
-/// its conjuncts spanning several relations: every root's keys on `s`, then
-/// every attribute of `s` a root compares with one outside `s` — the
-/// `s`-side of each pair crossing out of `s`, and what a conjunct reading
-/// both sides reads of `s` — each once, in that order. Members of one group
-/// then carry the same values of everything read above the roll-up, so
-/// they meet the same rows outside `s` (the eager-aggregation condition of
-/// [`groups_answer`]).
-pub(crate) fn roll_up_keys<'a, P>(
-    s: &BTreeSet<RelName>,
-    roots: impl IntoIterator<Item = (&'a [AttrRef], P, &'a [Predicate])>,
-) -> Vec<AttrRef>
-where
-    P: IntoIterator<Item = &'a (AttrRef, AttrRef)>,
-{
-    let in_s = |a: &AttrRef| s.contains(&a.relation);
-    let mut keys: Vec<AttrRef> = Vec::new();
-    let mut compared: Vec<AttrRef> = Vec::new();
-    for (group_by, pairs, conjuncts) in roots {
-        keys.extend(group_by.iter().filter(|a| in_s(a)).cloned());
-        for (a, b) in pairs {
-            if in_s(a) != in_s(b) {
-                compared.push(if in_s(a) { a.clone() } else { b.clone() });
-            }
-        }
-        for p in conjuncts
-            .iter()
-            .filter(|p| !p.attrs().into_iter().all(in_s))
-        {
-            compared.extend(p.attrs().into_iter().filter(|a| in_s(a)).cloned());
-        }
-    }
-    keys.extend(compared);
-    let mut seen = BTreeSet::new();
-    keys.retain(|k| seen.insert(k.clone()));
-    keys
 }
 
 /// Whether the γ-view with normal form `core` over relations `S` (a subset

@@ -26,22 +26,18 @@
 //!   reads that the pass changes is appended to: the rows the child's
 //!   append added are the view's delta of it, and the stored child is the
 //!   old side of a Δ⋈.
-//! * **Eager aggregation.** A γ over joins has up to three rebuild forms,
-//!   each routed like the definition: the definition itself; the one-level
-//!   form ([`eager_aggregation`]: `γ[G; A](X ⋈ Y)` groups the child holding
-//!   every aggregate input first, so the join reads per-key partials of
-//!   `X`); and the chain form ([`eager_chain`]: starting from the relation
-//!   holding every aggregate input, one adjacent relation joined at a time,
-//!   with a partial γ by the roll-up key rule before each join
-//!   where it shrinks the rows, and a σ under the γ pushed down conjunct by
-//!   conjunct). The planner keeps the form [`CostEstimator::tree_cost`]
-//!   prices lowest, the earlier one on a tie, under [`MeasureCostModel`]:
-//!   `measure`'s charges (`b(in) + b(out)` per σ, π and γ,
-//!   `b(L)·b(R) + b(out)` per join, 10 records per block). Its catalog is
-//!   [`profile_database`]'s for the view definitions — exact rows of the
-//!   base tables, distinct counts read from their pages for the columns
-//!   the definitions group by, join on or filter on — with each view
-//!   registered at its definition's estimated rows.
+//! * **Eager aggregation.** A γ over joins is rebuilt by its eager plan
+//!   ([`Planner::eager`]: the join DP over the routed definition's leaves,
+//!   a view scan covering its definition's relations, keeping per subset
+//!   the cheapest plan under a partial γ as well as the cheapest without)
+//!   where [`CostEstimator::tree_cost`] prices it strictly below the routed
+//!   definition, under [`MeasureCostModel`]: `measure`'s charges
+//!   (`b(in) + b(out)` per σ, π and γ, `b(L)·b(R) + b(out)` per join, 10
+//!   records per block). Its catalog is [`profile_database`]'s for the view
+//!   definitions — exact rows of the base tables, distinct counts read from
+//!   their pages for the columns the definitions group by, join on or
+//!   filter on — with each view registered at its definition's estimated
+//!   rows.
 //! * **Transients.** Every non-view subplan two or more rebuilt views
 //!   still need is computed once, largest first, as a transient table that
 //!   lives in the pass's working database from right before its first
@@ -60,13 +56,14 @@ use std::time::Instant;
 
 use mvdesign_algebra::{postorder, Expr};
 use mvdesign_catalog::{Catalog, RelName};
-use mvdesign_core::{eager_aggregation, eager_chain, ViewCatalog};
+use mvdesign_core::ViewCatalog;
 use mvdesign_cost::{CardinalityEstimator, CostEstimator, EstimationMode, MeasureCostModel};
 use mvdesign_engine::{
     appended_since, execute, execute_shared, maintenance, profile_database, refresh_view_delta,
     split_appends, BufferPool, Database, DeltaMap, ExecContext, ExecError, Maintenance,
     RefreshPolicy, Table, DEFAULT_PAGE_ROWS,
 };
+use mvdesign_optimizer::Planner;
 
 use super::RefreshReport;
 
@@ -84,10 +81,10 @@ struct Step {
     definition: Arc<Expr>,
     /// `definition` routed through the views before this one.
     routed: Arc<Expr>,
-    /// What a rebuild computes: of `routed` and the eager-aggregation
-    /// forms of `definition` routed like it, the one estimated cheapest.
+    /// What a rebuild computes: the eager-aggregation plan of `routed`
+    /// where it is estimated cheaper, else `routed`.
     rebuilt: Arc<Expr>,
-    /// Whether `rebuilt` is an eager-aggregation form.
+    /// Whether `rebuilt` is the eager-aggregation plan.
     eager: bool,
     /// The views `routed` scans.
     reads: Vec<RelName>,
@@ -145,10 +142,10 @@ pub(super) struct Pass {
 
 impl RefreshPlanner {
     /// Orders the registered views children first, routes each definition
-    /// through the views before it, and picks each view's rebuild plan:
-    /// of the definition, its one-level eager form and its chain form, each
-    /// routed, the one [`CostEstimator::tree_cost`] prices lowest over
-    /// [`estimates`]' catalog of `db`, the earlier on a tie.
+    /// through the views before it, and picks each view's rebuild plan: the
+    /// routed definition's eager-aggregation plan ([`eager_plan`]) where
+    /// [`CostEstimator::tree_cost`] prices it strictly lower over
+    /// [`estimates`]' catalog of `db`, else the routed definition.
     pub(super) fn new(views: &ViewCatalog, db: &Database) -> Self {
         let catalog = estimates(views, db);
         let estimator = estimator(&catalog);
@@ -159,15 +156,8 @@ impl RefreshPlanner {
             .into_iter()
             .map(|(name, definition)| {
                 let routed = before.rewrite(definition);
-                let mut rebuilt = Arc::clone(&routed);
-                let mut cheapest = estimator.tree_cost(&routed);
-                let forms = eager_forms(definition, &before, estimator.cardinalities());
-                for plan in forms.into_iter().flatten() {
-                    let cost = estimator.tree_cost(&plan);
-                    if cost < cheapest {
-                        (rebuilt, cheapest) = (plan, cost);
-                    }
-                }
+                let eager = eager_plan(&routed, &before, &estimator)
+                    .filter(|plan| estimator.tree_cost(plan) < estimator.tree_cost(&routed));
                 let reads = before
                     .views()
                     .iter()
@@ -178,9 +168,9 @@ impl RefreshPlanner {
                 Step {
                     name: name.clone(),
                     definition: Arc::clone(definition),
-                    eager: !Arc::ptr_eq(&rebuilt, &routed),
+                    eager: eager.is_some(),
+                    rebuilt: eager.unwrap_or_else(|| Arc::clone(&routed)),
                     routed,
-                    rebuilt,
                     reads,
                 }
             })
@@ -237,14 +227,26 @@ fn estimator(catalog: &Catalog) -> CostEstimator<'_, MeasureCostModel> {
     CostEstimator::new(catalog, EstimationMode::Analytic, MeasureCostModel)
 }
 
-/// The one-level and the chain eager form of `definition`, each routed
-/// through `before`; `None` where the rule does not apply.
-fn eager_forms(
-    definition: &Arc<Expr>,
+/// The eager-aggregation plan of the routed definition `routed`
+/// ([`Planner::eager`]), priced by `estimator`, each scan of a view in
+/// `before` covering its definition's base relations; `None` where the rule
+/// does not apply.
+fn eager_plan(
+    routed: &Arc<Expr>,
     before: &ViewCatalog,
-    cards: &CardinalityEstimator<'_>,
-) -> [Option<Arc<Expr>>; 2] {
-    [eager_aggregation, eager_chain].map(|form| Some(before.rewrite(&form(definition, cards)?)))
+    estimator: &CostEstimator<'_, MeasureCostModel>,
+) -> Option<Arc<Expr>> {
+    let covers = |leaf: &Arc<Expr>| {
+        let covered = |r: RelName| match before.views().iter().find(|(view, _)| *view == r) {
+            Some((_, definition)) => definition.base_relations(),
+            None => BTreeSet::from([r]),
+        };
+        leaf.base_relations()
+            .into_iter()
+            .flat_map(covered)
+            .collect()
+    };
+    Planner::new().eager(routed, covers, estimator)
 }
 
 /// Lays out the pass over the `due` views, each with its planned kind.
@@ -631,12 +633,12 @@ mod tests {
     /// Measures every view's rebuild plan and routed definition over `db`
     /// with every view stored (each plan reads only views before its own):
     /// the two give the same rows, and the rebuild costs no more blocks —
-    /// strictly fewer when it is eager. Returns `db` with the views stored
-    /// and the names of the views rebuilt eagerly, in planner order.
+    /// strictly fewer when it is eager. Returns the names of the views
+    /// rebuilt eagerly, in planner order.
     fn rebuilds_measure_no_more_than_routed(
         planner: &RefreshPlanner,
         mut db: Database,
-    ) -> (Database, Vec<String>) {
+    ) -> Vec<String> {
         let ctx = ExecContext::default();
         for step in &planner.steps {
             materialize_view(step.name.clone(), &step.definition, &mut db, &ctx)
@@ -658,7 +660,7 @@ mod tests {
                 eager.push(step.name.to_string());
             }
         }
-        (db, eager)
+        eager
     }
 
     /// `plan`'s result and the blocks `measure` charges it at 10 records
@@ -670,11 +672,9 @@ mod tests {
 
     /// The greedy TPC-H-lite design on the benchmark's quality data:
     /// exactly its three γ-over-join views are rebuilt by eager
-    /// aggregation, chosen by the estimates pinned below (routed, one-level
-    /// and chain blocks), and every view's rebuild plan measures no more
-    /// blocks than its routed definition. `tmp6` (γ over Lineitem ⋈
-    /// Customer ⋈ Orders) takes the chain form, which measures strictly
-    /// below its one-level eager form.
+    /// aggregation, chosen by the estimates pinned below (routed and eager
+    /// blocks), and every view's rebuild plan measures no more blocks than
+    /// its routed definition.
     #[test]
     fn eager_rebuilds_of_the_tpch_lite_design_measure_no_more_than_routed() {
         let scenario = tpch_lite();
@@ -684,38 +684,24 @@ mod tests {
         let db = quality_data(&scenario.catalog);
         let views = ViewCatalog::from_design(&design);
         let planner = RefreshPlanner::new(&views, &db);
-        let (stored, eager) = rebuilds_measure_no_more_than_routed(&planner, db.clone());
+        let eager = rebuilds_measure_no_more_than_routed(&planner, db.clone());
         assert_eq!(eager, ["tmp12", "tmp6", "tmp17"]);
 
         let catalog = estimates(&views, &db);
         let estimator = estimator(&catalog);
         let cost = |plan: &Arc<Expr>| estimator.tree_cost(plan);
-        let mut before = ViewCatalog::new();
-        let mut estimated = Vec::new();
-        for step in &planner.steps {
-            let [one_level, chain] =
-                eager_forms(&step.definition, &before, estimator.cardinalities());
-            if one_level.is_some() || chain.is_some() {
-                let name = step.name.as_str();
-                let (one, all) = (one_level.as_ref().map(cost), chain.as_ref().map(cost));
-                estimated.push((name, cost(&step.routed), one, all));
-            }
-            if step.name.as_str() == "tmp6" {
-                let (_, one_level_blocks) = blocks(&one_level.expect("one level"), &stored);
-                let (_, chain_blocks) = blocks(&step.rebuilt, &stored);
-                assert!(
-                    chain_blocks < one_level_blocks,
-                    "chain {chain_blocks} against one level {one_level_blocks}"
-                );
-            }
-            before.register(step.name.clone(), Arc::clone(&step.definition));
-        }
+        let estimated: Vec<_> = planner
+            .steps
+            .iter()
+            .filter(|step| step.eager)
+            .map(|step| (step.name.as_str(), cost(&step.routed), cost(&step.rebuilt)))
+            .collect();
         assert_eq!(
             estimated,
             [
-                ("tmp12", 201_603.0, Some(13_843.0), Some(13_843.0)),
-                ("tmp6", 1_487_619.0, Some(400_310.0), Some(367_490.0)),
-                ("tmp17", 12_001.0, Some(7_217.0), Some(7_243.0)),
+                ("tmp12", 201_603.0, 13_843.0),
+                ("tmp6", 1_487_619.0, 367_490.0),
+                ("tmp17", 12_001.0, 7_217.0),
             ]
         );
     }
@@ -756,7 +742,7 @@ mod tests {
         }
         let period = measured_design_cost(&design, &db, 10.0).expect("measures");
         assert_eq!(period.maintenance_io, 14_295.0);
-        let (_, eager) = rebuilds_measure_no_more_than_routed(&planner, db);
+        let eager = rebuilds_measure_no_more_than_routed(&planner, db);
         assert_eq!(eager, ["tmp21", "tmp12"]);
     }
 

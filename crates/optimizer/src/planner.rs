@@ -1,9 +1,10 @@
 //! The single-query planner: Figure 4, step 1 ("generate an optimal query
 //! processing plan").
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mvdesign_algebra::{Expr, Predicate};
+use mvdesign_algebra::{AttrRef, Expr, Predicate, RelName};
 use mvdesign_cost::{CostEstimator, CostModel};
 
 use crate::joinorder::JoinGraph;
@@ -14,17 +15,15 @@ use crate::pushdown::{push_projections, push_selections};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
     /// Largest number of join leaves planned with exact subset DP; larger
-    /// queries fall back to greedy pairing.
+    /// queries fall back to greedy pairing, and are not planned eagerly
+    /// ([`Planner::eager`]).
     pub max_dp_relations: usize,
-    /// Insert projections above the leaves after ordering.
-    pub projection_pushdown: bool,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
             max_dp_relations: 12,
-            projection_pushdown: true,
         }
     }
 }
@@ -57,10 +56,11 @@ impl Planner {
     /// 2. push single-relation conjuncts onto their leaves,
     /// 3. enumerate join orders cost-optimally,
     /// 4. re-apply the residual predicate and the final projection,
-    /// 5. optionally push projections down to the leaves.
+    /// 5. push projections down to the leaves.
     ///
     /// Queries the machinery cannot restructure (self-joins, non-base
-    /// leaves) fall back to plain selection push-down. The returned plan is
+    /// leaves, a join pair inside one relation) fall back to plain
+    /// selection push-down. The returned plan is
     /// never costlier than `expr` under `est`.
     pub fn optimize<M: CostModel>(
         &self,
@@ -68,16 +68,51 @@ impl Planner {
         est: &CostEstimator<'_, M>,
     ) -> Arc<Expr> {
         let candidate = self.restructure(expr, est);
-        let candidate = if self.config.projection_pushdown {
-            push_projections(&candidate, est.cardinalities().catalog())
-        } else {
-            candidate
-        };
+        let candidate = push_projections(&candidate, est.cardinalities().catalog());
         if est.tree_cost(&candidate) <= est.tree_cost(expr) {
             candidate
         } else {
             Arc::clone(expr)
         }
+    }
+
+    /// The eager-aggregation plan of `expr`, a `γ[G; A]` over a join tree
+    /// (a σ between them included): [`JoinGraph::eager_order`] over the
+    /// tree's leaves, its maximal subtrees that are not joins, each
+    /// covering the base relations `covers` gives it. A σ directly under
+    /// the γ goes down conjunct by conjunct. `None` where the rule does not
+    /// apply, a π between the γ and the join included, and for more leaves
+    /// than [`PlannerConfig::max_dp_relations`]. The plan is the cheapest
+    /// the DP finds, not necessarily cheaper than `expr`.
+    pub fn eager<M: CostModel>(
+        &self,
+        expr: &Arc<Expr>,
+        covers: impl Fn(&Arc<Expr>) -> BTreeSet<RelName>,
+        est: &CostEstimator<'_, M>,
+    ) -> Option<Arc<Expr>> {
+        let Expr::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } = &**expr
+        else {
+            return None;
+        };
+        let (tree, conjuncts) = match &**input {
+            Expr::Select { input, predicate } => (input, predicate.conjuncts().to_vec()),
+            _ => (input, Vec::new()),
+        };
+        let mut leaves = Vec::new();
+        let mut conds = Vec::new();
+        flatten(tree, &mut leaves, &mut conds);
+        let leaves = leaves.iter().map(|l| (Arc::clone(l), covers(l))).collect();
+        JoinGraph::new(leaves, conds)?.eager_order(
+            group_by,
+            aggs,
+            conjuncts,
+            est,
+            self.config.max_dp_relations,
+        )
     }
 
     fn restructure<M: CostModel>(&self, expr: &Arc<Expr>, est: &CostEstimator<'_, M>) -> Arc<Expr> {
@@ -113,16 +148,19 @@ impl Planner {
             }
             residual.push(conjunct);
         }
-        let annotated: Vec<Arc<Expr>> = leaves
-            .iter()
-            .zip(per_leaf)
-            .map(|(leaf, preds)| Expr::select(Arc::clone(leaf), Predicate::and(preds)))
-            .collect();
-
-        let ordered = match JoinGraph::new(annotated, conds) {
+        let annotated = leaves.iter().zip(per_leaf).map(|(leaf, preds)| {
+            let bases = leaf.base_relations();
+            let leaf = Expr::select(Arc::clone(leaf), Predicate::and(preds));
+            (bases.len() == 1).then_some((leaf, bases))
+        });
+        let graph = annotated
+            .collect::<Option<_>>()
+            .and_then(|annotated| JoinGraph::new(annotated, conds));
+        let ordered = match graph {
             Some(graph) => graph.optimal_order(est, self.config.max_dp_relations),
-            // Degenerate (self-join, >63 relations…): keep the original
-            // shape, just push selections down.
+            // Degenerate (a leaf over several relations, self-join, a pair
+            // no join applies, >63 relations…): keep the original shape,
+            // just push selections down.
             None => return push_selections(expr),
         };
 
@@ -138,11 +176,7 @@ impl Planner {
 }
 
 /// Flattens a pure join tree into leaves and condition pairs.
-fn flatten(
-    expr: &Arc<Expr>,
-    leaves: &mut Vec<Arc<Expr>>,
-    conds: &mut Vec<(mvdesign_algebra::AttrRef, mvdesign_algebra::AttrRef)>,
-) {
+fn flatten(expr: &Arc<Expr>, leaves: &mut Vec<Arc<Expr>>, conds: &mut Vec<(AttrRef, AttrRef)>) {
     match &**expr {
         Expr::Join { left, right, on } => {
             conds.extend(on.pairs().iter().cloned());
@@ -302,30 +336,5 @@ mod tests {
         let naive = parse_query_with("SELECT name FROM Cust WHERE city='LA'", &c).unwrap();
         let opt = Planner::new().optimize(&naive, &est);
         assert_eq!(opt.semantic_key(), naive.semantic_key());
-    }
-
-    #[test]
-    fn projection_pushdown_can_be_disabled() {
-        let c = catalog();
-        let est = CostEstimator::new(&c, EstimationMode::Calibrated, PaperCostModel::default());
-        let naive = parse_query_with(
-            "SELECT Pd.name FROM Pd, Div WHERE Div.city='LA' AND Pd.Did=Div.Did",
-            &c,
-        )
-        .unwrap();
-        let planner = Planner::with_config(PlannerConfig {
-            projection_pushdown: false,
-            ..PlannerConfig::default()
-        });
-        let opt = planner.optimize(&naive, &est);
-        let mut interior_proj = 0;
-        mvdesign_algebra::postorder(&opt, &mut |n| {
-            if let Expr::Project { input, .. } = &**n {
-                if input.is_base() {
-                    interior_proj += 1;
-                }
-            }
-        });
-        assert_eq!(interior_proj, 0, "plan: {opt}");
     }
 }
