@@ -1,20 +1,29 @@
-//! The warehouse's result cache: answers kept between two changes of the
-//! data they were computed from, so a query asked `fq` times over unchanged
-//! views pays its `Ca(q)` once (DESIGN §18).
+//! The warehouse's two caches, both shared with every snapshot through an
+//! `Arc` (DESIGN §18).
 //!
-//! Served from it: prepared expressions (`query_expr`) on a warehouse with
-//! no memory budget; SQL text and budgeted warehouses run their plans as
-//! before (`route_and_execute` is handed no cache for them).
+//! [`ResultCache`] keeps answers between two changes of the data they were
+//! computed from, so a query asked `fq` times over unchanged views pays its
+//! `Ca(q)` once. Served from it: prepared expressions (`query_expr`) and SQL
+//! text (`query`, under the parsed expression's key) on a warehouse with no
+//! memory budget; a budgeted warehouse runs every plan.
 //!
 //! An entry is keyed by the submitted expression and stamped with the
 //! content version of every stored relation its routed plan read. A lookup
 //! hits only when every stamp equals the asker's version of that relation —
 //! nothing is ever invalidated, a stale entry is simply replaced by the
 //! next answer computed under its key.
+//!
+//! [`StatementCache`] keeps, per exact SQL text, the parsed expression and
+//! its routed plan. The catalog and the view registry are fixed for a
+//! warehouse's life, so both are functions of the text alone and never go
+//! stale; a repeated text skips parsing and routing under any budget. It
+//! keeps at most [`MAX_STATEMENTS`] texts of at most
+//! [`MAX_STATEMENT_BYTES`] each, and empties itself when a new text arrives
+//! at the cap.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use mvdesign_algebra::Expr;
 use mvdesign_catalog::RelName;
@@ -36,6 +45,17 @@ const MAX_TOTAL_BYTES: usize = 8 * 1024 * 1024;
 /// Charged per entry on top of its columns (key, stamps, map slots), so
 /// empty answers cannot pile up without bound.
 const ENTRY_OVERHEAD_BYTES: usize = 256;
+
+/// SQL texts kept parsed and routed. It bounds a client that never repeats
+/// a text, not a workload that does; reaching it empties the map.
+const MAX_STATEMENTS: usize = 1024;
+
+/// Longest SQL text kept, in bytes: a longer one is parsed and routed on
+/// every ask. TPC-H-lite texts are 67–188 bytes. A text's parsed and routed
+/// plans measured 7–15 bytes per byte of text, so however long the texts a
+/// client sends (wide `OR` lists), the statements hold about 8 MiB at most,
+/// as much as the result cache.
+const MAX_STATEMENT_BYTES: usize = 512;
 
 /// Counters of a warehouse's result cache, read with
 /// [`Warehouse::result_cache_stats`](crate::warehouse::Warehouse::result_cache_stats).
@@ -207,6 +227,133 @@ impl ResultCache {
     }
 }
 
+/// What a SQL text parses to, and the plan that expression routes to.
+#[derive(Clone)]
+pub(crate) struct Statement {
+    pub(crate) parsed: Arc<Expr>,
+    pub(crate) routed: Arc<Expr>,
+}
+
+/// See the module documentation.
+#[derive(Default)]
+pub(crate) struct StatementCache(RwLock<HashMap<Box<str>, Statement>>);
+
+impl fmt::Debug for StatementCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("StatementCache").field(&self.len()).finish()
+    }
+}
+
+impl StatementCache {
+    /// The statement kept for `sql`, or the one `prepare` makes of it, kept
+    /// unless `prepare` fails or `sql` is longer than
+    /// [`MAX_STATEMENT_BYTES`]. A hit takes the read lock only; the write
+    /// lock is held for the insert, never across `prepare`: two readers
+    /// missing on one text at once both prepare it and store equal
+    /// statements. A new text at [`MAX_STATEMENTS`] empties the map first.
+    ///
+    /// No update can leave the map half-written, so a poisoned lock still
+    /// guards a valid cache.
+    pub(crate) fn get_or_prepare<E>(
+        &self,
+        sql: &str,
+        prepare: impl FnOnce() -> Result<Statement, E>,
+    ) -> Result<Statement, E> {
+        if let Some(statement) = self
+            .0
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(sql)
+        {
+            return Ok(statement.clone());
+        }
+        let statement = prepare()?;
+        if sql.len() <= MAX_STATEMENT_BYTES {
+            let mut map = self.0.write().unwrap_or_else(PoisonError::into_inner);
+            if map.len() >= MAX_STATEMENTS && !map.contains_key(sql) {
+                map.clear();
+            }
+            map.insert(sql.into(), statement.clone());
+        }
+        Ok(statement)
+    }
+
+    /// Texts held now.
+    pub(crate) fn len(&self) -> usize {
+        self.0.read().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
 fn version_of(versions: &Versions, name: &RelName) -> u64 {
     versions.get(name).copied().unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn statement(name: &str) -> Statement {
+        let expr = Arc::new(Expr::Base(RelName::new(name)));
+        Statement {
+            parsed: Arc::clone(&expr),
+            routed: expr,
+        }
+    }
+
+    fn prepare(cache: &StatementCache, text: &str) {
+        cache
+            .get_or_prepare(text, || Ok::<_, ()>(statement(text)))
+            .expect("prepares");
+    }
+
+    fn kept(cache: &StatementCache, text: &str) -> bool {
+        cache
+            .get_or_prepare(text, || Err::<Statement, _>(()))
+            .is_ok()
+    }
+
+    #[test]
+    fn a_new_text_at_the_cap_empties_the_map_first() {
+        let cache = StatementCache::default();
+        for i in 0..MAX_STATEMENTS {
+            prepare(&cache, &format!("q{i}"));
+        }
+        assert_eq!(cache.len(), MAX_STATEMENTS);
+        // A repeat at the cap is a hit and keeps every text.
+        prepare(&cache, "q0");
+        assert_eq!(cache.len(), MAX_STATEMENTS);
+        prepare(&cache, "one more");
+        assert_eq!(cache.len(), 1);
+        assert!(kept(&cache, "one more"));
+        assert!(!kept(&cache, "q0"));
+    }
+
+    #[test]
+    fn a_text_past_the_byte_cap_is_prepared_every_time_and_never_kept() {
+        let cache = StatementCache::default();
+        let long = "x".repeat(MAX_STATEMENT_BYTES + 1);
+        let at_cap = "y".repeat(MAX_STATEMENT_BYTES);
+        prepare(&cache, &long);
+        assert!(!kept(&cache, &long));
+        prepare(&cache, &at_cap);
+        assert!(kept(&cache, &at_cap));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_failed_prepare_keeps_nothing_and_is_retried() {
+        let cache = StatementCache::default();
+        for _ in 0..2 {
+            assert_eq!(
+                cache.get_or_prepare("bad", || Err::<Statement, _>(7)).err(),
+                Some(7)
+            );
+        }
+        assert_eq!(cache.len(), 0);
+        let got = cache
+            .get_or_prepare("bad", || Ok::<_, ()>(statement("Fixed")))
+            .expect("prepares");
+        assert_eq!(*got.parsed, Expr::Base(RelName::new("Fixed")));
+        assert_eq!(cache.len(), 1);
+    }
 }

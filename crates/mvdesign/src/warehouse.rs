@@ -19,7 +19,7 @@ use mvdesign_engine::{
 };
 
 pub use crate::result_cache::ResultCacheStats;
-use crate::result_cache::{ResultCache, Versions};
+use crate::result_cache::{ResultCache, Statement, StatementCache, Versions};
 
 mod refresh;
 
@@ -122,6 +122,8 @@ pub struct Warehouse {
     versions: Arc<Versions>,
     /// Answers kept per data version, shared with every snapshot.
     cache: Arc<ResultCache>,
+    /// SQL texts parsed and routed, shared with every snapshot.
+    statements: Arc<StatementCache>,
 }
 
 /// What one [`Warehouse::refresh`] pass did: per view, and where its wall
@@ -178,6 +180,7 @@ impl Warehouse {
             pool: None,
             versions: Arc::default(),
             cache: Arc::default(),
+            statements: Arc::default(),
         };
         let build = warehouse.planner.build();
         warehouse.apply(&build)?;
@@ -253,6 +256,12 @@ impl Warehouse {
         self.cache.stats()
     }
 
+    /// SQL texts this warehouse and its snapshots hold parsed and routed,
+    /// so asking one again skips the parser and the router.
+    pub fn statements_kept(&self) -> usize {
+        self.statements.len()
+    }
+
     /// The content version of every stored relation written since the
     /// warehouse was built — bumped by each append to it and each refresh
     /// that rewrites it; what the result cache stamps its answers with.
@@ -294,6 +303,7 @@ impl Warehouse {
             exec: self.exec,
             versions: Arc::clone(&self.versions),
             cache: Arc::clone(&self.cache),
+            statements: Arc::clone(&self.statements),
             version: 0,
             refreshes: self.refreshes,
             stale_views: self.stale_views().count(),
@@ -446,17 +456,20 @@ impl Warehouse {
     /// wherever one contains part of it ([`ViewCatalog::route`]). An answer
     /// read from a view reflects the last [`Warehouse::refresh`] —
     /// [`Warehouse::pending_rows`] says how much it lacks — exactly like a
-    /// merged plan's. SQL text is an ad hoc question: its plan runs every
-    /// time; parse it once and ask through [`Warehouse::query_expr`] to
-    /// have a repeated question answered from the result cache.
+    /// merged plan's. A text is parsed and routed once per warehouse (the
+    /// catalog and the views never change), and its answer is kept like
+    /// that of [`Warehouse::query_expr`] on its parsed expression: asked
+    /// again before the stored relations its plan reads have changed, it
+    /// comes from the result cache — unless a memory budget is set, where
+    /// the plan runs but parsing and routing are still skipped.
     ///
     /// # Errors
     ///
-    /// Returns [`WarehouseError::Parse`] for bad SQL and
-    /// [`WarehouseError::Exec`] for execution failures.
+    /// Returns [`WarehouseError::Parse`] for bad SQL (never kept: the next
+    /// ask parses again) and [`WarehouseError::Exec`] for execution
+    /// failures.
     pub fn query(&self, sql: &str) -> Result<Table, WarehouseError> {
-        let expr = parse_query_with(sql, &self.catalog)?;
-        route_and_execute(&self.views, &self.db, &self.exec, None, &expr).map(|(table, _)| table)
+        self.asker().sql(sql).map(|(table, _)| table)
     }
 
     /// Answers an already-built expression through the views. Asked again
@@ -468,48 +481,87 @@ impl Warehouse {
     ///
     /// Returns [`WarehouseError::Exec`] for execution failures.
     pub fn query_expr(&self, expr: &Arc<Expr>) -> Result<Table, WarehouseError> {
-        let kept = kept_answers(&self.exec, &self.cache, &self.versions);
-        route_and_execute(&self.views, &self.db, &self.exec, kept, expr).map(|(table, _)| table)
+        self.asker().expr(expr).map(|(table, _)| table)
+    }
+
+    fn asker(&self) -> Asker<'_> {
+        Asker {
+            catalog: &self.catalog,
+            views: &self.views,
+            db: &self.db,
+            exec: &self.exec,
+            versions: &self.versions,
+            cache: &self.cache,
+            statements: &self.statements,
+        }
     }
 }
 
-/// The result cache with the asker's relation versions, when the asker may
-/// use it: not under a memory budget, because the budget bounds what the
-/// warehouse holds resident and kept answers sit outside the buffer pool
-/// that accounts for it.
-fn kept_answers<'a>(
-    exec: &ExecContext,
-    cache: &'a ResultCache,
+/// What answering a query reads, borrowed from a [`Warehouse`] or a
+/// [`WarehouseSnapshot`]: the one query path both serve through.
+struct Asker<'a> {
+    catalog: &'a Catalog,
+    views: &'a ViewCatalog,
+    db: &'a Database,
+    exec: &'a ExecContext,
+    /// The asker's relation versions, what kept answers are checked against.
     versions: &'a Versions,
-) -> Option<(&'a ResultCache, &'a Versions)> {
-    exec.mem_budget.is_none().then_some((cache, versions))
+    cache: &'a ResultCache,
+    statements: &'a StatementCache,
 }
 
-/// The one query path both [`Warehouse`] and [`WarehouseSnapshot`] serve
-/// through: with `kept` (the result cache and the asker's relation
-/// versions), answer from the cache when it holds `expr` computed over the
-/// asker's data; otherwise route the expression through the materialized
-/// views, run the batch engine under the configured context and, with
-/// `kept`, keep the answer. The flag says whether the cache answered.
-///
-/// The view registry is fixed for a warehouse's life, so the routed plan is
-/// a function of `expr` alone and a hit skips routing too.
-fn route_and_execute(
-    views: &ViewCatalog,
-    db: &Database,
-    exec: &ExecContext,
-    kept: Option<(&ResultCache, &Versions)>,
-    expr: &Arc<Expr>,
-) -> Result<(Table, bool), WarehouseError> {
-    if let Some(table) = kept.and_then(|(cache, versions)| cache.get(expr, versions)) {
-        return Ok((table, true));
+impl Asker<'_> {
+    /// A SQL text: its statement, kept or parsed and routed now, then the
+    /// parsed expression's answer. The flag says whether the cache answered.
+    fn sql(&self, sql: &str) -> Result<(Table, bool), WarehouseError> {
+        let Statement { parsed, routed } = self.statements.get_or_prepare(sql, || {
+            let parsed = parse_query_with(sql, self.catalog)?;
+            let routed = self.views.rewrite(&parsed);
+            Ok::<_, WarehouseError>(Statement { parsed, routed })
+        })?;
+        self.route_and_execute(&parsed, || routed)
     }
-    let routed = views.rewrite(expr);
-    let table = execute(&routed, db, exec)?;
-    if let Some((cache, versions)) = kept {
-        cache.put(expr, &routed, versions, &table);
+
+    /// A prepared expression's answer, routed only when the cache misses.
+    fn expr(&self, expr: &Arc<Expr>) -> Result<(Table, bool), WarehouseError> {
+        self.route_and_execute(expr, || self.views.rewrite(expr))
     }
-    Ok((table, false))
+
+    /// The result cache with the asker's relation versions, when the asker
+    /// may use it: not under a memory budget, because the budget bounds
+    /// what the warehouse holds resident and kept answers sit outside the
+    /// buffer pool that accounts for it.
+    fn kept(&self) -> Option<(&ResultCache, &Versions)> {
+        self.exec
+            .mem_budget
+            .is_none()
+            .then_some((self.cache, self.versions))
+    }
+
+    /// Where every query ends: when the asker may keep answers, answer from
+    /// the cache if it holds `expr` computed over the asker's data;
+    /// otherwise run the plan `route` gives under the configured context
+    /// and, when the asker may, keep the answer. The flag says whether the
+    /// cache answered. The only caller of `execute` for a query.
+    ///
+    /// The view registry is fixed for a warehouse's life, so the routed
+    /// plan is a function of `expr` alone and a hit skips routing too.
+    fn route_and_execute(
+        &self,
+        expr: &Arc<Expr>,
+        route: impl FnOnce() -> Arc<Expr>,
+    ) -> Result<(Table, bool), WarehouseError> {
+        let kept = self.kept();
+        if let Some(table) = kept.and_then(|(cache, versions)| cache.get(expr, versions)) {
+            return Ok((table, true));
+        }
+        let routed = route();
+        let table = execute(&routed, self.db, self.exec)?;
+        if let Some((cache, versions)) = kept {
+            cache.put(expr, &routed, versions, &table);
+        }
+        Ok((table, false))
+    }
 }
 
 /// An immutable picture of a warehouse's serve state, produced by
@@ -535,6 +587,7 @@ pub struct WarehouseSnapshot {
     /// The source warehouse's relation versions when the snapshot was taken.
     versions: Arc<Versions>,
     cache: Arc<ResultCache>,
+    statements: Arc<StatementCache>,
     version: u64,
     refreshes: u64,
     stale_views: usize,
@@ -543,15 +596,26 @@ pub struct WarehouseSnapshot {
 
 impl WarehouseSnapshot {
     /// Answers a SQL query against the snapshot's state, routing through
-    /// the materialized views exactly like [`Warehouse::query`].
+    /// the materialized views exactly like [`Warehouse::query`], with the
+    /// source warehouse's statements and kept answers.
     ///
     /// # Errors
     ///
     /// Returns [`WarehouseError::Parse`] for bad SQL and
     /// [`WarehouseError::Exec`] for execution failures.
     pub fn query(&self, sql: &str) -> Result<Table, WarehouseError> {
-        let expr = parse_query_with(sql, &self.catalog)?;
-        route_and_execute(&self.views, &self.db, &self.exec, None, &expr).map(|(table, _)| table)
+        self.answer_sql(sql).map(|(table, _)| table)
+    }
+
+    /// [`WarehouseSnapshot::query`], also saying whether the answer came
+    /// from the result cache (`true`) or the plan ran (`false`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WarehouseError::Parse`] for bad SQL and
+    /// [`WarehouseError::Exec`] for execution failures.
+    pub fn answer_sql(&self, sql: &str) -> Result<(Table, bool), WarehouseError> {
+        self.asker().sql(sql)
     }
 
     /// Answers an already-built expression against the snapshot's state
@@ -571,8 +635,19 @@ impl WarehouseSnapshot {
     ///
     /// Returns [`WarehouseError::Exec`] for execution failures.
     pub fn answer(&self, expr: &Arc<Expr>) -> Result<(Table, bool), WarehouseError> {
-        let kept = kept_answers(&self.exec, &self.cache, &self.versions);
-        route_and_execute(&self.views, &self.db, &self.exec, kept, expr)
+        self.asker().expr(expr)
+    }
+
+    fn asker(&self) -> Asker<'_> {
+        Asker {
+            catalog: &self.catalog,
+            views: &self.views,
+            db: &self.db,
+            exec: &self.exec,
+            versions: &self.versions,
+            cache: &self.cache,
+            statements: &self.statements,
+        }
     }
 
     /// Counters of the result cache, shared with the source warehouse and

@@ -156,9 +156,9 @@ pub struct Answer {
     /// Submission-to-completion latency, measured at the worker.
     pub elapsed: Duration,
     /// Whether the warehouse's result cache answered (the plan did not
-    /// run): the same expression had been asked since the stored relations
-    /// its plan reads last changed. Never set for SQL text, nor under a
-    /// memory budget.
+    /// run): the same expression — or SQL text parsing to it — had been
+    /// asked since the stored relations its plan reads last changed. Never
+    /// set under a memory budget.
     pub cached: bool,
 }
 
@@ -485,7 +485,7 @@ fn reader_loop(shared: &Shared) {
         };
         let snapshot = shared.current_snapshot();
         let result = match &job.request {
-            Request::Sql(sql) => snapshot.query(sql).map(|table| (table, false)),
+            Request::Sql(sql) => snapshot.answer_sql(sql),
             Request::Expr(expr) => snapshot.answer(expr),
         };
         let elapsed = job.submitted.elapsed();
@@ -585,6 +585,7 @@ mod tests {
         let before = h.query(sql).wait().expect("answers");
         assert_eq!(before.version, 0);
         assert_eq!(before.pending_rows, 0);
+        assert!(!before.cached, "the first ask of a text runs its plan");
 
         // A fresh Customer row matching the generated schema.
         let row: Vec<Value> = h
@@ -606,6 +607,7 @@ mod tests {
         assert_eq!(after.table.len(), before.table.len() + 1);
         assert!(after.stale_views > 0, "append leaves views stale");
         assert_eq!(after.pending_rows, 1);
+        assert!(!after.cached, "the append changed the relation it reads");
 
         let refreshed = h.refresh().wait().expect("refreshes");
         assert_eq!(refreshed.version, 2);
@@ -613,6 +615,8 @@ mod tests {
         let fresh = h.query(sql).wait().expect("answers");
         assert_eq!(fresh.stale_views, 0);
         assert_eq!(fresh.pending_rows, 0);
+        assert!(fresh.cached, "the refresh left Customer as it was");
+        assert_eq!(fresh.table.batch(), after.table.batch());
 
         let stats = h.stats();
         assert_eq!(stats.queries, 3);

@@ -1,6 +1,7 @@
 //! Result-cache battery: the warehouse keeps the answers of prepared
-//! expressions (`query_expr`) between two changes of the stored relations
-//! their plans read, and **every answer it serves — computed or kept — must
+//! expressions (`query_expr`) and of SQL text (`query`, under the parsed
+//! expression's key) between two changes of the stored relations their
+//! plans read, and **every answer it serves — computed or kept — must
 //! be bit-equal (header, row order, rows) to running the routed plan on the
 //! asker's own state**. The oracle needs no off-switch:
 //! `execute(&views.rewrite(e), database, &exec_context)` never touches the
@@ -10,8 +11,9 @@
 //! the queried views), refreshes under `Delta` and `Recompute`, and repeated
 //! `query`/`query_expr` on the live warehouse *and* on snapshots held across
 //! later writes. The pins name what the cache promises: what hits, what
-//! misses at once, what is never stored (SQL text, bare scans, anything
-//! under a memory budget), and that the byte caps hold.
+//! misses at once, what is never stored (bare scans, anything under a
+//! memory budget, parse errors), that a text and its parsed expression
+//! share one entry, and that the byte caps hold.
 //!
 //! `MVDESIGN_MEM_BUDGET` (bytes) pages every table of the proptest's
 //! warehouses, and a budgeted warehouse keeps nothing — CI's low-memory job
@@ -26,7 +28,9 @@ use mvdesign::catalog::Catalog;
 use mvdesign::core::DesignResult;
 use mvdesign::engine::{execute, Database, ExecContext, Generator, GeneratorConfig, Table};
 use mvdesign::prelude::Designer;
-use mvdesign::warehouse::{RefreshPolicy, ResultCacheStats, Warehouse, WarehouseSnapshot};
+use mvdesign::warehouse::{
+    RefreshPolicy, ResultCacheStats, Warehouse, WarehouseError, WarehouseSnapshot,
+};
 use mvdesign::workload::{paper_example, tpch_lite};
 
 /// The cache's total byte cap (`MAX_TOTAL_BYTES` in
@@ -365,24 +369,149 @@ fn second_ask_is_a_hit_and_shares_the_first_answers_columns() {
         assert_eq!(delta(snap.result_cache_stats(), before), (2, 1, 0));
         assert_bit_equal(&third, &first, "snapshot's kept answer");
     }
-    // SQL text is an ad hoc question: it neither reads nor fills the cache,
-    // on the warehouse or on a snapshot — but parsed once and asked as an
-    // expression it is the kept expression's key.
-    let before = w.result_cache_stats();
+}
+
+/// SQL text is kept like the expression it parses to: the second ask of a
+/// text, on the warehouse or on a snapshot, is a hit that hands out the
+/// kept columns.
+#[test]
+fn a_repeated_sql_text_is_a_hit_and_shares_the_first_answers_columns() {
+    let pool = tpch();
+    let w = resident(pool, 3, SMALL);
     let snap = w.snapshot();
     for text in [SEGMENT_SQL, NATION_SQL] {
-        for _ in 0..2 {
-            check_warehouse(&w, &Ask::Sql(text), "SQL text");
-            check_snapshot(&snap, &w.exec_context(), &Ask::Sql(text), "SQL text");
+        let ask = Ask::Sql(text);
+        let before = w.result_cache_stats();
+        let first = ask_warehouse(&w, &ask);
+        assert_eq!(delta(w.result_cache_stats(), before), (0, 1, 0));
+        let second = ask_warehouse(&w, &ask);
+        let third = ask_snapshot(&snap, &ask);
+        assert_eq!(
+            delta(w.result_cache_stats(), before),
+            (2, 1, 0),
+            "the second and third ask of {text} are hits"
+        );
+        for kept in [&second, &third] {
+            assert_bit_equal(kept, &first, "kept answer to SQL text");
+            for (a, b) in first.batch().columns().iter().zip(kept.batch().columns()) {
+                assert!(Arc::ptr_eq(a, b), "a hit must hand out the kept columns");
+            }
+        }
+        check_warehouse(&w, &ask, "SQL text");
+        check_snapshot(&snap, &w.exec_context(), &ask, "SQL text");
+    }
+    assert_eq!(w.statements_kept(), 2);
+}
+
+/// A text and `query_expr` of its parsed expression are one key, whichever
+/// comes first.
+#[test]
+fn a_text_and_its_parsed_expression_share_one_entry() {
+    let pool = tpch();
+    let w = resident(pool, 4, SMALL);
+    let before = w.result_cache_stats();
+    let sql_first = Ask::Sql(SEGMENT_SQL);
+    let expr_first = Ask::Sql(NATION_SQL);
+    check_warehouse(&w, &sql_first, "text fills");
+    check_warehouse(
+        &w,
+        &Ask::Expr(parsed(&sql_first, w.catalog())),
+        "expression hits",
+    );
+    check_warehouse(
+        &w,
+        &Ask::Expr(parsed(&expr_first, w.catalog())),
+        "expression fills",
+    );
+    check_warehouse(&w, &expr_first, "text hits");
+    assert_eq!(delta(w.result_cache_stats(), before), (2, 2, 0));
+    assert_eq!(w.result_cache_stats().entries, 2);
+}
+
+/// An append and a refresh the plan reads turn a repeated text into a
+/// `stale` miss that returns the fresh answer; the text is not parsed again.
+#[test]
+fn a_repeated_text_after_a_refresh_is_a_stale_miss_with_the_fresh_answer() {
+    let pool = tpch();
+    let mut w = resident(pool, 6, SMALL);
+    let ask = Ask::Sql(SEGMENT_SQL);
+    let old = ask_warehouse(&w, &ask);
+    w.append("Lineitem", twin_rows(&pool.catalog, "Lineitem", 6, 20))
+        .expect("append applies");
+    w.refresh().expect("refresh applies");
+    let before = w.result_cache_stats();
+    let fresh = ask_warehouse(&w, &ask);
+    assert_eq!(delta(w.result_cache_stats(), before), (0, 1, 1));
+    assert_ne!(
+        fresh.batch(),
+        old.batch(),
+        "fixture: the refresh must change the answer"
+    );
+    check_warehouse(&w, &ask, "after the refresh");
+    assert_eq!(delta(w.result_cache_stats(), before), (1, 1, 1));
+    assert_eq!(w.statements_kept(), 1);
+}
+
+/// Under a memory budget SQL text keeps its statement but never an answer:
+/// every ask runs its plan and equals the oracle.
+#[test]
+fn under_a_memory_budget_sql_text_runs_its_plan() {
+    let budget = mem_budget().unwrap_or(64 * 1024);
+    let pool = tpch();
+    let w = resident(pool, 8, SMALL).with_mem_budget(Some(budget));
+    let snap = w.snapshot();
+    let texts: Vec<&Ask> = pool
+        .asks
+        .iter()
+        .filter(|a| matches!(a, Ask::Sql(_)))
+        .collect();
+    for _ in 0..2 {
+        for ask in &texts {
+            check_warehouse(&w, ask, "budgeted SQL");
+            check_snapshot(&snap, &w.exec_context(), ask, "budgeted SQL");
         }
     }
-    assert_eq!(w.result_cache_stats(), before);
-    for text in [SEGMENT_SQL, NATION_SQL] {
-        let prepared = Ask::Expr(parsed(&Ask::Sql(text), w.catalog()));
-        check_warehouse(&w, &prepared, "SQL text parsed once");
+    assert_eq!(w.result_cache_stats(), ResultCacheStats::default());
+    assert_eq!(w.statements_kept(), texts.len());
+}
+
+/// A text far longer than any statement worth keeping (here a class text
+/// padded with 64 KiB of blanks) is parsed on every ask and adds no
+/// statement; its answer is still kept under its parsed expression's key,
+/// which the unpadded text shares.
+#[test]
+fn a_text_too_long_to_keep_adds_no_statement() {
+    let pool = tpch();
+    let w = resident(pool, 9, SMALL);
+    let long: &'static str =
+        Box::leak(format!("{SEGMENT_SQL}{}", " ".repeat(64 * 1024)).into_boxed_str());
+    let ask = Ask::Sql(long);
+    let before = w.result_cache_stats();
+    for _ in 0..3 {
+        check_warehouse(&w, &ask, "long text");
     }
-    assert_eq!(delta(w.result_cache_stats(), before), (2, 0, 0));
-    assert_eq!(w.result_cache_stats().entries, 2);
+    check_snapshot(&w.snapshot(), &w.exec_context(), &ask, "long text");
+    assert_eq!(w.statements_kept(), 0);
+    assert_eq!(delta(w.result_cache_stats(), before), (3, 1, 0));
+    check_warehouse(&w, &Ask::Sql(SEGMENT_SQL), "unpadded text");
+    assert_eq!(delta(w.result_cache_stats(), before), (4, 1, 0));
+    assert_eq!(w.statements_kept(), 1);
+}
+
+/// A parse error is returned on every ask and never kept.
+#[test]
+fn malformed_sql_is_a_parse_error_every_time_and_keeps_no_statement() {
+    let pool = tpch();
+    let w = resident(pool, 10, SMALL);
+    let snap = w.snapshot();
+    for _ in 0..3 {
+        for sql in ["SELEC oops", "SELECT nothing FROM Nowhere"] {
+            assert!(matches!(w.query(sql), Err(WarehouseError::Parse(_))));
+            assert!(matches!(snap.query(sql), Err(WarehouseError::Parse(_))));
+        }
+    }
+    assert_eq!(w.statements_kept(), 0);
+    assert_eq!(w.result_cache_stats(), ResultCacheStats::default());
 }
 
 /// No timing: a miss runs the plan exactly once and a hit not at all. A γ
@@ -555,8 +684,6 @@ fn plans_that_route_to_a_bare_stored_relation_store_nothing() {
     let w = resident(pool, 13, SMALL);
     let mut bare = 0;
     for ask in &pool.asks {
-        // Asked as a prepared expression, or it would not probe at all.
-        let ask = &Ask::Expr(parsed(ask, w.catalog()));
         let routed = w.views().rewrite(&parsed(ask, w.catalog()));
         if !matches!(&*routed, Expr::Base(_)) {
             continue;

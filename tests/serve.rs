@@ -6,10 +6,12 @@
 //! write carries the version it produced, so the concurrent history
 //! collapses to "apply writes in version order, answer each query at its
 //! version" — which is exactly what the replay executes, single-threaded.
-//! The replay answers by running the routed plan with `execute` directly,
-//! never through `Warehouse::query_expr`: the served side answers repeated
-//! queries from the warehouse's result cache, and an oracle that did too
-//! could be wrong in the same way.
+//! Clients send a pinned third of their reads as SQL text and the rest as
+//! the text's parsed expression, so both doors share one result cache. The
+//! replay answers by running the routed plan with `execute` directly,
+//! never through `Warehouse::{query, query_expr}`: the served side answers
+//! repeated queries from the warehouse's result cache, and an oracle that
+//! did too could be wrong in the same way.
 //!
 //! The battery runs every schedule twice: on a fully resident warehouse
 //! and on a `with_mem_budget` one (tables paged into a shared buffer pool,
@@ -84,24 +86,37 @@ fn mem_budget() -> usize {
         .unwrap_or(4096)
 }
 
-/// The queries clients draw from: the four workload queries (view-routed)
-/// plus ad hoc scans the design never saw.
+/// The texts of the queries clients draw from: the four workload queries
+/// (view-routed) plus ad hoc scans the design never saw.
+const POOL_SQL: [&str; 6] = [
+    "SELECT Product.name FROM Product, Division \
+     WHERE Division.city = 'LA' AND Product.Did = Division.Did",
+    "SELECT Part.name FROM Product, Part, Division \
+     WHERE Division.city = 'LA' AND Product.Did = Division.Did \
+     AND Part.Pid = Product.Pid",
+    "SELECT Customer.name, Product.name, quantity \
+     FROM Product, Division, Order, Customer \
+     WHERE Division.city = 'LA' AND Product.Did = Division.Did \
+     AND Product.Pid = Order.Pid AND Order.Cid = Customer.Cid \
+     AND date > 7/1/96",
+    "SELECT Customer.city, date FROM Order, Customer \
+     WHERE quantity > 100 AND Order.Cid = Customer.Cid",
+    "SELECT name FROM Customer",
+    "SELECT name FROM Customer WHERE city = 'v0'",
+];
+
+/// `POOL_SQL` parsed, entry for entry.
 fn query_pool() -> &'static Vec<Arc<Expr>> {
     static POOL: OnceLock<Vec<Arc<Expr>>> = OnceLock::new();
     POOL.get_or_init(|| {
         let (catalog, _) = fixture();
-        let scenario = paper_example();
-        let mut pool: Vec<Arc<Expr>> = scenario
-            .workload
-            .queries()
+        let pool: Vec<Arc<Expr>> = POOL_SQL
             .iter()
-            .map(|q| Arc::clone(q.root()))
+            .map(|sql| parse_query_with(sql, catalog).expect("pool SQL parses"))
             .collect();
-        for sql in [
-            "SELECT name FROM Customer",
-            "SELECT name FROM Customer WHERE city = 'v0'",
-        ] {
-            pool.push(parse_query_with(sql, catalog).expect("ad hoc SQL parses"));
+        let workload = paper_example().workload;
+        for (query, parsed) in workload.queries().iter().zip(&pool) {
+            assert_eq!(query.root(), parsed, "{} is the workload's", query.name());
         }
         pool
     })
@@ -191,7 +206,12 @@ fn run_serve(
                     for (oi, op) in script.iter().enumerate() {
                         match *op {
                             Op::Query(p) => {
-                                let a = h.query_expr(&pool[p]).wait().expect("query answers");
+                                let ticket = if (ci + oi) % 3 == 0 {
+                                    h.query(POOL_SQL[p])
+                                } else {
+                                    h.query_expr(&pool[p])
+                                };
+                                let a = ticket.wait().expect("query answers");
                                 queries.push(QueryRec {
                                     version: a.version,
                                     pool: p,
@@ -242,9 +262,9 @@ fn run_serve(
     (queries, writes, stats)
 }
 
-/// The cache's counters account for every served query (the pool is all
-/// prepared expressions), and every answer it gave was first computed for
-/// the same query in this session. A budgeted warehouse keeps nothing.
+/// The cache's counters account for every served query, asked as text or
+/// as an expression, and every answer it gave was first computed for the
+/// same query in this session. A budgeted warehouse keeps nothing.
 fn assert_cache_accounting(queries: &[QueryRec], stats: &ServeStats, budgeted: bool, label: &str) {
     let cache = stats.result_cache;
     let cached = queries.iter().filter(|q| q.cached).count() as u64;
