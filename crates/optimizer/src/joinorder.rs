@@ -1,6 +1,7 @@
-//! Cost-based join ordering: exact dynamic programming over subsets for
-//! small queries, greedy pairing beyond. The same subset DP plans a γ over
-//! the join by eager aggregation ([`JoinGraph::eager_order`]).
+//! Cost-based join ordering: exact dynamic programming over connected
+//! pairs of subsets for small queries, greedy pairing beyond. One entry,
+//! [`JoinGraph::order`], plans a σ over the join, and with a γ above it
+//! plans that γ by eager aggregation too.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -11,10 +12,9 @@ use mvdesign_cost::{CostEstimator, CostModel};
 /// A plan and its cost.
 type Plan = (f64, Arc<Expr>);
 
-/// A join graph: annotated leaves (base relations with their pushed-down
-/// selections, or any other subtree that is not a join), each covering a
-/// set of base relations no other leaf covers, plus the equi-join
-/// conditions connecting them.
+/// A join graph: leaves (base relations, or any other subtree that is not
+/// a join), each covering a set of base relations no other leaf covers,
+/// plus the equi-join conditions connecting them.
 #[derive(Debug, Clone)]
 pub struct JoinGraph {
     leaves: Vec<Arc<Expr>>,
@@ -25,8 +25,25 @@ pub struct JoinGraph {
     ends: Vec<(u64, u64)>,
 }
 
-/// The γ a subset DP plans eagerly: `γ[group_by; aggs]` over
-/// `σ[conjuncts]` over the join.
+/// The conjuncts of the σ over the join, each with the leaves it reads.
+struct Conjuncts {
+    preds: Vec<Predicate>,
+    reads: Vec<u64>,
+}
+
+impl Conjuncts {
+    /// The conjuncts `set` covers first when built from `parts` (none for
+    /// a leaf): those reading only leaves of `set`, but not only leaves of
+    /// one part. This is the one σ placer: each conjunct filters the first
+    /// leaf or join that covers what it reads.
+    fn filter(&self, set: u64, parts: &[u64]) -> Predicate {
+        let first = |&m: &u64| m & !set == 0 && parts.iter().all(|p| m & !p != 0);
+        let covered = self.preds.iter().zip(&self.reads);
+        Predicate::and(covered.filter(|(_, m)| first(m)).map(|(c, _)| c.clone()))
+    }
+}
+
+/// The γ a subset DP plans eagerly: `γ[group_by; aggs]` over the join.
 struct Grouping<'a> {
     group_by: &'a [AttrRef],
     aggs: &'a [AggExpr],
@@ -35,20 +52,6 @@ struct Grouping<'a> {
     /// The leaves holding aggregate inputs: only a subset holding all of
     /// them is grouped under `aggs`.
     inputs: u64,
-    conjuncts: Vec<Predicate>,
-    /// Per conjunct, the leaves it reads.
-    reads: Vec<u64>,
-}
-
-impl Grouping<'_> {
-    /// The conjuncts `set` covers first when built from `parts` (none for
-    /// a leaf): those reading only leaves of `set`, but not only leaves of
-    /// one part.
-    fn filter(&self, set: u64, parts: &[u64]) -> Predicate {
-        let first = |&m: &u64| m & !set == 0 && parts.iter().all(|p| m & !p != 0);
-        let covered = self.conjuncts.iter().zip(&self.reads);
-        Predicate::and(covered.filter(|(_, m)| first(m)).map(|(c, _)| c.clone()))
-    }
 }
 
 impl JoinGraph {
@@ -95,6 +98,13 @@ impl JoinGraph {
         })
     }
 
+    /// The leaves a condition links to a leaf of `mask`, as a mask.
+    fn neighbours(&self, mask: u64) -> u64 {
+        let across = |from: u64, to: u64| if from & mask != 0 { to } else { 0 };
+        let ends = self.ends.iter();
+        ends.fold(0, |acc, &(x, y)| acc | across(x, y) | across(y, x))
+    }
+
     /// Join condition pairs connecting subset `a` with subset `b`.
     fn pairs_between(&self, a: u64, b: u64) -> Vec<(AttrRef, AttrRef)> {
         self.conds
@@ -105,61 +115,90 @@ impl JoinGraph {
             .collect()
     }
 
-    /// Finds the cheapest join order by exact subset DP (when
-    /// `len() <= dp_limit`) or greedily otherwise.
-    pub fn optimal_order<M: CostModel>(
-        &self,
-        est: &CostEstimator<'_, M>,
-        dp_limit: usize,
-    ) -> Arc<Expr> {
-        if self.leaves.len() == 1 {
-            return Arc::clone(&self.leaves[0]);
-        }
-        if self.leaves.len() <= dp_limit {
-            self.dp(est, None).0
-        } else {
-            self.greedy_order(est)
-        }
+    /// The splits of `set` the DP joins, each unordered split once, in
+    /// submask order: `(sub, other)`, both `planned`, that a condition
+    /// links or, where `set` is a union of whole connected components, that
+    /// are two such unions. So only a connected subset or a union of
+    /// components gets a plan, and a cross product joins only components
+    /// (Moerkotte & Neumann's connected pairs, VLDB 2006).
+    fn splits<'a>(
+        &'a self,
+        set: u64,
+        planned: impl Fn(u64) -> bool + 'a,
+    ) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let closed = self.neighbours(set) & !set == 0;
+        let next = move |&sub: &u64| Some((sub - 1) & set).filter(|&s| s != 0);
+        let subs = std::iter::successors(next(&set), next);
+        // The paper's join-cost model is symmetric in its inputs, so
+        // operand order never changes the cost.
+        subs.map(move |sub| (sub, set & !sub))
+            .filter(move |&(sub, other)| {
+                sub < other
+                    && planned(sub)
+                    && planned(other)
+                    && (closed || self.neighbours(sub) & other != 0)
+            })
     }
 
-    /// The cheapest plan of `γ[group_by; aggs](σ[conjuncts](join))` that
-    /// groups before a join: eager aggregation (Yan & Larson, VLDB 1995)
-    /// planned by the subset DP, as Chaudhuri & Shim's "Including Group-By
-    /// in Query Optimization" (VLDB 1994).
+    /// The cheapest plan of `σ[conjuncts]` over the join, by exact DP
+    /// (when `len() <= dp_limit`) or greedily otherwise. Each conjunct
+    /// filters the first leaf or join that covers what it reads.
     ///
-    /// Beside its cheapest plain plan, the DP keeps for each subset `S` of
-    /// the leaves the cheapest plan under a partial `γ[keys(S); A]`, whose
-    /// keys ([`roll_up_keys`]) are the group keys on `S` and every attribute
-    /// of `S` a join pair or a conjunct compares outside `S`. The partial
-    /// is either `A` over `S`'s plain plan, where `S` holds every aggregate
-    /// input, or `A` rolled up ([`AggExpr::rolled_up`]) over a grouped
-    /// subset joined, on the left, to a plain one. Two grouped sides are
-    /// never joined. The DP keeps that join without the γ too, as a third
-    /// plan of `S`, since cost alone cannot rank the two: the join left
-    /// ungrouped prices below the same join regrouped, but a later join
-    /// reads all its rows. So a partial γ that shrinks nothing is skipped.
-    /// The result is `γ[group_by; rolled(A)]` over the cheapest such join
-    /// covering every leaf. Each conjunct filters the first subset that
-    /// covers what it reads: a leaf, or a join. Members of a partial group
-    /// carry the same values of everything read above it, so they meet the
-    /// same rows there, and the plan gives the definition's rows; the
-    /// engine's γ emits its groups sorted by key, so in the definition's
-    /// order too.
+    /// With a `grouping` `(G, A)`, the cheapest plan of
+    /// `γ[G; A](σ[conjuncts](join))` that groups before a join: eager
+    /// aggregation (Yan & Larson, VLDB 1995) planned by the same DP, as
+    /// Chaudhuri & Shim's "Including Group-By in Query Optimization" (VLDB
+    /// 1994). Beside its cheapest plain plan, the DP keeps for each subset
+    /// `S` of the leaves the cheapest plan under a partial `γ[keys(S); A]`,
+    /// whose keys ([`roll_up_keys`]) are the group keys on `S` and every
+    /// attribute of `S` a join pair or a conjunct compares outside `S`. The
+    /// partial is either `A` over `S`'s plain plan, where `S` holds every
+    /// aggregate input, or `A` rolled up ([`AggExpr::rolled_up`]) over a
+    /// grouped subset joined, on the left, to a plain one. Two grouped
+    /// sides are never joined. The DP keeps that join without the γ too, as
+    /// a third plan of `S`, since cost alone cannot rank the two: the join
+    /// left ungrouped prices below the same join regrouped, but a later
+    /// join reads all its rows. So a partial γ that shrinks nothing is
+    /// skipped. The result is `γ[G; rolled(A)]` over the cheapest such join
+    /// covering every leaf. Members of a partial group carry the same
+    /// values of everything read above it, so they meet the same rows
+    /// there, and the plan gives the definition's rows; the engine's γ
+    /// emits its groups sorted by key, so in the definition's order too.
     ///
-    /// `None` when the rule does not apply: fewer than two leaves or more
-    /// than `dp_limit`, no group keys, an aggregate that does not roll up
-    /// (`AVG`), a group key, aggregate input or conjunct reading a relation
-    /// no leaf covers, or no subset short of every leaf holding the
-    /// aggregate inputs.
-    pub fn eager_order<M: CostModel>(
+    /// All three plans of a subset are built from the same splits: two
+    /// sides a condition links, or two unions of whole connected
+    /// components. So on a connected graph no plan holds a cross product.
+    ///
+    /// `None` only with a `grouping`, where the rule does not apply: fewer
+    /// than two leaves or more than `dp_limit`, no group keys, an aggregate
+    /// that does not roll up (`AVG`), a group key, aggregate input or
+    /// conjunct reading a relation no leaf covers, or no split of every
+    /// leaf one of whose sides has a plan and holds the aggregate inputs.
+    pub fn order<M: CostModel>(
         &self,
-        group_by: &[AttrRef],
-        aggs: &[AggExpr],
         conjuncts: Vec<Predicate>,
+        grouping: Option<(&[AttrRef], &[AggExpr])>,
         est: &CostEstimator<'_, M>,
         dp_limit: usize,
     ) -> Option<Arc<Expr>> {
-        if group_by.is_empty() || !(2..=dp_limit).contains(&self.leaves.len()) {
+        let n = self.leaves.len();
+        // Without a γ, a conjunct reading a relation no leaf covers filters
+        // the whole join.
+        let everything = grouping.is_none().then_some((1 << n) - 1);
+        let reads = conjuncts
+            .iter()
+            .map(|c| self.mask_of(c.attrs()).or(everything));
+        let conjuncts = Conjuncts {
+            reads: reads.collect::<Option<_>>()?,
+            preds: conjuncts,
+        };
+        let Some((group_by, aggs)) = grouping else {
+            if n > dp_limit {
+                return Some(self.greedy_order(est, &conjuncts));
+            }
+            return self.dp(est, &conjuncts, None).0.map(|(_, e)| e);
+        };
+        if group_by.is_empty() || !(2..=dp_limit).contains(&n) {
             return None;
         }
         self.mask_of(group_by)?;
@@ -168,13 +207,8 @@ impl JoinGraph {
             aggs,
             rolled: aggs.iter().map(AggExpr::rolled_up).collect::<Option<_>>()?,
             inputs: self.mask_of(aggs.iter().filter_map(|a| a.input.as_ref()))?,
-            reads: conjuncts
-                .iter()
-                .map(|c| self.mask_of(c.attrs()))
-                .collect::<Option<_>>()?,
-            conjuncts,
         };
-        let (_, joined) = self.dp(est, Some(&grouping)).1?;
+        let (_, joined) = self.dp(est, &conjuncts, Some(&grouping)).1?;
         Some(Expr::aggregate(joined, group_by.to_vec(), grouping.rolled))
     }
 
@@ -201,15 +235,16 @@ impl JoinGraph {
         (cost, expr)
     }
 
-    /// The subset DP: the cheapest plain plan of the whole join and, with a
-    /// `grouping` to plan, the cheapest join of every leaf holding a
-    /// partial γ (see [`eager_order`](Self::eager_order)). Without one it
-    /// keeps no grouped plans.
+    /// The subset DP over [`splits`](Self::splits): the cheapest plain plan
+    /// of the whole join and, with a `grouping` to plan, the cheapest join
+    /// of every leaf holding a partial γ (see [`order`](Self::order)).
+    /// Without one it keeps no grouped plans.
     fn dp<M: CostModel>(
         &self,
         est: &CostEstimator<'_, M>,
+        conjuncts: &Conjuncts,
         grouping: Option<&Grouping<'_>>,
-    ) -> (Arc<Expr>, Option<Plan>) {
+    ) -> (Option<Plan>, Option<Plan>) {
         let n = self.leaves.len();
         let full: u64 = (1 << n) - 1;
         let mut best: Vec<Option<Plan>> = vec![None; 1 << n];
@@ -218,10 +253,7 @@ impl JoinGraph {
         let mut grouped: Vec<Option<Plan>> = vec![None; grouping.map_or(0, |_| 1 << n)];
         let mut open = grouped.clone();
         for (i, leaf) in self.leaves.iter().enumerate() {
-            let leaf = match grouping {
-                Some(g) => Expr::select(Arc::clone(leaf), g.filter(1 << i, &[])),
-                None => Arc::clone(leaf),
-            };
+            let leaf = Expr::select(Arc::clone(leaf), conjuncts.filter(1 << i, &[]));
             best[1 << i] = Some((est.tree_cost(&leaf), leaf));
         }
         for set in 1..=full {
@@ -236,69 +268,36 @@ impl JoinGraph {
                     .filter(|i| set & (1 << i) != 0)
                     .flat_map(|i| self.covers[i].iter().cloned())
                     .collect();
-                roll_up_keys(&covered, [(g.group_by, &self.conds, &g.conjuncts[..])])
+                roll_up_keys(&covered, [(g.group_by, &self.conds, &conjuncts.preds[..])])
             });
             let partial = |keys: &[AttrRef], plan: &Plan, aggs: &[AggExpr]| -> Plan {
                 let expr = Expr::aggregate(Arc::clone(&plan.1), keys.to_vec(), aggs.to_vec());
                 (plan.0 + est.op_cost(&expr), expr)
             };
-            let mut saw_connected = false;
-            // Two passes: connected splits first; cross products only if the
-            // subset admits no connected split at all.
-            for pass in 0..2 {
-                if pass == 1 && saw_connected {
-                    break;
-                }
-                let mut sub = (set - 1) & set;
-                while sub > 0 {
-                    let other = set & !sub;
-                    if sub < other {
-                        // Each unordered split visited once; the paper's
-                        // join-cost model is symmetric in its inputs, so
-                        // operand order never changes the cost.
-                        let pairs = self.pairs_between(sub, other);
-                        let connected = !pairs.is_empty();
-                        if connected {
-                            saw_connected = true;
+            for (sub, other) in self.splits(set, |x| best[x as usize].is_some()) {
+                let pairs = self.pairs_between(sub, other);
+                let filter = conjuncts.filter(set, &[sub, other]);
+                // The grouped side on the left, where the engine probes:
+                // the join kept as it is, and under the partial γ of `set`.
+                for (x, y) in [(sub, other), (other, sub)] {
+                    let (Some(g), Some(r)) = (grouping, &best[y as usize]) else {
+                        continue;
+                    };
+                    for l in [&grouped[x as usize], &open[x as usize]] {
+                        let Some(l) = l else { continue };
+                        let joined = self.join_of(est, l, r, pairs.clone(), filter.clone());
+                        if let Some(keys) = &keys {
+                            keep_cheaper(&mut grouped_candidate, partial(keys, &joined, &g.rolled));
                         }
-                        if (pass == 0) == connected {
-                            let filter =
-                                grouping.map_or(Predicate::True, |g| g.filter(set, &[sub, other]));
-                            // The grouped side on the left, where the engine
-                            // probes: the join kept as it is, and under the
-                            // partial γ of `set`.
-                            for (x, y) in [(sub, other), (other, sub)] {
-                                let (Some(g), Some(r)) = (grouping, &best[y as usize]) else {
-                                    continue;
-                                };
-                                for l in [&grouped[x as usize], &open[x as usize]] {
-                                    let Some(l) = l else { continue };
-                                    let joined =
-                                        self.join_of(est, l, r, pairs.clone(), filter.clone());
-                                    if let Some(keys) = &keys {
-                                        keep_cheaper(
-                                            &mut grouped_candidate,
-                                            partial(keys, &joined, &g.rolled),
-                                        );
-                                    }
-                                    keep_cheaper(&mut open_candidate, joined);
-                                }
-                            }
-                            if let (Some(l), Some(r)) = (&best[sub as usize], &best[other as usize])
-                            {
-                                keep_cheaper(
-                                    &mut candidate,
-                                    self.join_of(est, l, r, pairs, filter),
-                                );
-                            }
-                        }
+                        keep_cheaper(&mut open_candidate, joined);
                     }
-                    sub = (sub - 1) & set;
+                }
+                if let (Some(l), Some(r)) = (&best[sub as usize], &best[other as usize]) {
+                    keep_cheaper(&mut candidate, self.join_of(est, l, r, pairs, filter));
                 }
             }
-            if let (Some(g), Some(keys)) = (grouping, &keys) {
+            if let (Some(g), Some(keys), Some(plain)) = (grouping, &keys, &candidate) {
                 if g.inputs & !set == 0 {
-                    let plain = candidate.as_ref().expect("every subset has a plain plan");
                     keep_cheaper(&mut grouped_candidate, partial(keys, plain, g.aggs));
                 }
             }
@@ -308,53 +307,47 @@ impl JoinGraph {
             }
             best[set as usize] = candidate;
         }
-        let plain = best[full as usize]
-            .take()
-            .map(|(_, e)| e)
-            .expect("every subset with >=2 leaves has at least a cross-product plan");
-        (plain, open.get_mut(full as usize).and_then(Option::take))
+        let open = open.get_mut(full as usize).and_then(Option::take);
+        (best[full as usize].take(), open)
     }
 
-    fn greedy_order<M: CostModel>(&self, est: &CostEstimator<'_, M>) -> Arc<Expr> {
-        let mut parts: Vec<(u64, f64, Arc<Expr>)> = self
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (1 << i, est.tree_cost(l), Arc::clone(l)))
-            .collect();
+    /// Greedy pairing: joins the cheapest linked pair of parts, or the
+    /// cheapest pair where none is linked, until one part remains.
+    fn greedy_order<M: CostModel>(
+        &self,
+        est: &CostEstimator<'_, M>,
+        conjuncts: &Conjuncts,
+    ) -> Arc<Expr> {
+        let leaves = self.leaves.iter().enumerate().map(|(i, l)| {
+            let leaf = Expr::select(Arc::clone(l), conjuncts.filter(1 << i, &[]));
+            (1 << i, (est.tree_cost(&leaf), leaf))
+        });
+        let mut parts: Vec<(u64, Plan)> = leaves.collect();
         while parts.len() > 1 {
-            let mut best: Option<(usize, usize, f64, Arc<Expr>, bool)> = None;
+            let mut best: Option<(bool, usize, usize, Plan)> = None;
             for i in 0..parts.len() {
                 for j in (i + 1)..parts.len() {
-                    let pairs = self.pairs_between(parts[i].0, parts[j].0);
-                    let connected = !pairs.is_empty();
-                    let (cost, expr) = self.join_of(
-                        est,
-                        &(parts[i].1, Arc::clone(&parts[i].2)),
-                        &(parts[j].1, Arc::clone(&parts[j].2)),
-                        pairs,
-                        Predicate::True,
-                    );
-                    let better = match &best {
-                        None => true,
-                        Some((.., best_cost, _, best_conn)) => {
-                            // Prefer connected joins; among equals, cheapest.
-                            (connected, -cost) > (*best_conn, -*best_cost)
-                        }
-                    };
-                    if better {
-                        best = Some((i, j, cost, expr, connected));
+                    let ((a, l), (b, r)) = (&parts[i], &parts[j]);
+                    let pairs = self.pairs_between(*a, *b);
+                    let linked = !pairs.is_empty();
+                    let plan = self.join_of(est, l, r, pairs, conjuncts.filter(a | b, &[*a, *b]));
+                    // Linked joins first; among equals, the cheapest.
+                    if best
+                        .as_ref()
+                        .is_none_or(|(was, .., p)| (linked, -plan.0) > (*was, -p.0))
+                    {
+                        best = Some((linked, i, j, plan));
                     }
                 }
             }
-            let (i, j, cost, expr, _) = best.expect("len > 1");
+            let (_, i, j, plan) = best.expect("len > 1");
             let mask = parts[i].0 | parts[j].0;
             // Removing j first keeps index i valid because i < j.
             parts.swap_remove(j);
             parts.swap_remove(i);
-            parts.push((mask, cost, expr));
+            parts.push((mask, plan));
         }
-        parts.pop().expect("one part remains").2
+        parts.pop().map(|(_, (_, e))| e).expect("one part remains")
     }
 }
 
@@ -390,18 +383,13 @@ mod tests {
                 .finish()
                 .unwrap();
         }
-        c.set_join_selectivity(
-            AttrRef::new("Pd", "Did"),
-            AttrRef::new("Div", "Did"),
-            1.0 / 5_000.0,
-        )
-        .unwrap();
-        c.set_join_selectivity(
-            AttrRef::new("Pt", "Pid"),
-            AttrRef::new("Pd", "Pid"),
-            1.0 / 30_000.0,
-        )
-        .unwrap();
+        for (a, b, js) in [
+            (("Pd", "Did"), ("Div", "Did"), 1.0 / 5_000.0),
+            (("Pt", "Pid"), ("Pd", "Pid"), 1.0 / 30_000.0),
+        ] {
+            c.set_join_selectivity(AttrRef::new(a.0, a.1), AttrRef::new(b.0, b.1), js)
+                .unwrap();
+        }
         c
     }
 
@@ -414,69 +402,76 @@ mod tests {
         JoinGraph::new(covered.collect(), conds)
     }
 
-    fn leaves_and_conds() -> (Vec<Arc<Expr>>, Vec<(AttrRef, AttrRef)>) {
+    /// Pd ⋈ σ[city='LA'](Div) ⋈ Pt.
+    fn three() -> JoinGraph {
         let selected_div = Expr::select(
             Expr::base("Div"),
             Predicate::cmp(AttrRef::new("Div", "city"), CompareOp::Eq, "LA"),
         );
-        (
+        let conds = vec![
+            (AttrRef::new("Pd", "Did"), AttrRef::new("Div", "Did")),
+            (AttrRef::new("Pt", "Pid"), AttrRef::new("Pd", "Pid")),
+        ];
+        graph(
             vec![Expr::base("Pd"), selected_div, Expr::base("Pt")],
-            vec![
-                (AttrRef::new("Pd", "Did"), AttrRef::new("Div", "Did")),
-                (AttrRef::new("Pt", "Pid"), AttrRef::new("Pd", "Pid")),
-            ],
+            conds,
         )
+        .unwrap()
     }
 
-    #[test]
-    fn dp_prefers_selective_join_first() {
+    /// `g`'s plan over [`catalog`]: by the DP up to `dp_limit` leaves,
+    /// greedily beyond.
+    fn planned(g: &JoinGraph, dp_limit: usize) -> Arc<Expr> {
         let c = catalog();
         let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        let (leaves, conds) = leaves_and_conds();
-        let g = graph(leaves, conds).unwrap();
-        let plan = g.optimal_order(&est, 12);
-        // The optimal plan joins (Pd ⋈ σDiv) before bringing in the huge Pt.
-        match &*plan {
-            Expr::Join { left, right, .. } => {
-                let joined_first: BTreeSet<_> = if matches!(&**left, Expr::Join { .. }) {
-                    left.base_relations()
-                } else {
-                    right.base_relations()
-                };
-                assert!(joined_first.contains("Div"), "plan: {plan}");
-                assert!(joined_first.contains("Pd"), "plan: {plan}");
-            }
-            other => panic!("expected join, got {other}"),
-        }
+        g.order(Vec::new(), None, &est, dp_limit).unwrap()
+    }
+
+    /// The optimal plan joins (Pd ⋈ σDiv) before bringing in the huge Pt.
+    #[test]
+    fn dp_prefers_selective_join_first() {
+        assert_eq!(
+            planned(&three(), 12).to_string(),
+            "((Pd ⋈[Div.Did=Pd.Did] σ[Div.city='LA'](Div)) ⋈[Pd.Pid=Pt.Pid] Pt)"
+        );
     }
 
     #[test]
     fn dp_and_greedy_agree_on_small_inputs() {
         let c = catalog();
         let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        let (leaves, conds) = leaves_and_conds();
-        let g = graph(leaves, conds).unwrap();
-        let dp = g.optimal_order(&est, 12);
-        let greedy = g.optimal_order(&est, 1);
+        let (dp, greedy) = (planned(&three(), 12), planned(&three(), 1));
         assert!(est.tree_cost(&greedy) >= est.tree_cost(&dp));
         assert_eq!(dp.base_relations(), greedy.base_relations());
     }
 
     #[test]
     fn single_leaf_passes_through() {
-        let c = catalog();
-        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
         let g = graph(vec![Expr::base("Pd")], vec![]).unwrap();
-        assert!(g.optimal_order(&est, 12).is_base());
+        assert!(planned(&g, 12).is_base());
     }
 
+    /// Two components, Pd ⋈ Div and Pt, are crossed whole; and over five
+    /// leaves in a chain of three and a pair, the DP joins the chain's four
+    /// pairs and the pair's one, and crosses only the two components.
     #[test]
     fn disconnected_graph_still_plans_via_cross_product() {
-        let c = catalog();
-        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        let g = graph(vec![Expr::base("Pd"), Expr::base("Div")], vec![]).unwrap();
-        let plan = g.optimal_order(&est, 12);
-        assert_eq!(plan.base_relations().len(), 2);
+        let on_did = vec![(AttrRef::new("Pd", "Did"), AttrRef::new("Div", "Did"))];
+        let g = graph(
+            vec![Expr::base("Pd"), Expr::base("Pt"), Expr::base("Div")],
+            on_did,
+        );
+        assert_eq!(
+            planned(&g.unwrap(), 12).to_string(),
+            "(Pt ⋈[×] (Pd ⋈[Div.Did=Pd.Did] Div))"
+        );
+        let g = shaped(5, [(0, 1), (1, 2), (3, 4)]);
+        let joined = joined_splits(&g);
+        assert_eq!(joined.len(), 6);
+        let crossed = joined
+            .into_iter()
+            .filter(|&(a, b)| g.pairs_between(a, b).is_empty());
+        assert_eq!(crossed.collect::<Vec<_>>(), [(0b00111, 0b11000)]);
     }
 
     #[test]
@@ -487,12 +482,7 @@ mod tests {
 
     #[test]
     fn dp_result_covers_all_relations() {
-        let c = catalog();
-        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        let (leaves, conds) = leaves_and_conds();
-        let g = graph(leaves, conds).unwrap();
-        let plan = g.optimal_order(&est, 12);
-        assert_eq!(plan.base_relations().len(), 3);
+        assert_eq!(planned(&three(), 12).base_relations().len(), 3);
     }
 
     #[test]
@@ -510,8 +500,6 @@ mod tests {
     /// `v` holding Div ⋈ Pd joins Pt on `Pd.Pid`.
     #[test]
     fn a_view_leaf_joins_on_a_relation_it_covers() {
-        let c = catalog();
-        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
         let covers = |rels: &[&str]| rels.iter().map(|r| RelName::new(*r)).collect();
         let leaves = vec![
             (Expr::base("v"), covers(&["Div", "Pd"])),
@@ -519,9 +507,64 @@ mod tests {
         ];
         let on_pid = vec![(AttrRef::new("Pt", "Pid"), AttrRef::new("Pd", "Pid"))];
         let g = JoinGraph::new(leaves, on_pid).unwrap();
-        assert_eq!(
-            g.optimal_order(&est, 12).to_string(),
-            "(v ⋈[Pd.Pid=Pt.Pid] Pt)"
-        );
+        assert_eq!(planned(&g, 12).to_string(), "(v ⋈[Pd.Pid=Pt.Pid] Pt)");
+    }
+
+    /// A graph of `n` leaves `R0`, `R1`, … with one condition per `(i, j)`.
+    fn shaped(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> JoinGraph {
+        let rel = |i: usize| format!("R{i}");
+        let leaves = (0..n).map(|i| Expr::base(rel(i).as_str())).collect();
+        let on = |(i, j)| (AttrRef::new(rel(i), "k"), AttrRef::new(rel(j), "k"));
+        graph(leaves, edges.into_iter().map(on).collect()).unwrap()
+    }
+
+    /// Every split the DP joins, subset by subset, through the iterator it
+    /// consumes: a subset is planned when it is a leaf or has a split.
+    fn joined_splits(g: &JoinGraph) -> Vec<(u64, u64)> {
+        let mut planned = vec![false; 1 << g.leaves.len()];
+        let mut joined = Vec::new();
+        for set in 1..planned.len() as u64 {
+            let before = joined.len();
+            joined.extend(g.splits(set, |x| planned[x as usize]));
+            planned[set as usize] = set.is_power_of_two() || joined.len() > before;
+        }
+        joined
+    }
+
+    /// On a connected graph the DP joins each connected-subgraph/complement
+    /// pair once and nothing else: the closed forms of Moerkotte & Neumann
+    /// (VLDB 2006) per shape.
+    #[test]
+    fn the_dp_joins_exactly_the_connected_pairs() {
+        for n in 2..=8usize {
+            let pow = |b: usize, e: usize| b.pow(e as u32);
+            let chain = (1..n).map(|i| (i - 1, i));
+            let clique = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+            let cases = [
+                ("chain", shaped(n, chain.clone()), (pow(n, 3) - n) / 6),
+                (
+                    "star",
+                    shaped(n, (1..n).map(|i| (0, i))),
+                    (n - 1) * pow(2, n - 2),
+                ),
+                (
+                    "cycle",
+                    shaped(n, chain.chain([(n - 1, 0)])),
+                    (pow(n, 3) - 2 * pow(n, 2) + n) / 2,
+                ),
+                (
+                    "clique",
+                    shaped(n, clique),
+                    (pow(3, n) + 1 - pow(2, n + 1)) / 2,
+                ),
+            ];
+            for (shape, g, pairs) in cases {
+                let joined = joined_splits(&g);
+                assert_eq!(joined.len(), pairs, "{shape} of {n}");
+                assert!(joined
+                    .iter()
+                    .all(|&(a, b)| !g.pairs_between(a, b).is_empty()));
+            }
+        }
     }
 }

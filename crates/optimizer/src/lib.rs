@@ -10,9 +10,11 @@
 //! * [`push_selections`] / [`push_projections`] — the classic heuristic
 //!   push-down rewrites (Figure 4, steps 5–6 use the same machinery with
 //!   disjunction/union merging, implemented in `mvdesign-core`);
-//! * [`Planner`] — cost-based join-order enumeration (dynamic programming
-//!   over connected subsets, greedy beyond a size threshold), producing the
-//!   "optimal query processing plan" (Figure 4, step 1).
+//! * [`Planner`] — cost-based join-order enumeration by one
+//!   [`JoinGraph::order`] (dynamic programming over connected subsets, a
+//!   cross product only between components; greedy beyond a size
+//!   threshold), producing the "optimal query processing plan" (Figure 4,
+//!   step 1).
 //!
 //! # Example
 //!

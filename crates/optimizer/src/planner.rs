@@ -4,11 +4,11 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mvdesign_algebra::{AttrRef, Expr, Predicate, RelName};
+use mvdesign_algebra::{AggExpr, AttrRef, Expr, Predicate, RelName};
 use mvdesign_cost::{CostEstimator, CostModel};
 
 use crate::joinorder::JoinGraph;
-use crate::pulled::pull_up;
+use crate::pulled::{pull_up, PulledPlan};
 use crate::pushdown::{push_projections, push_selections};
 
 /// Tuning knobs for [`Planner`].
@@ -45,30 +45,25 @@ impl Planner {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &PlannerConfig {
-        &self.config
-    }
-
     /// Rewrites `expr` into a cheaper equivalent plan:
     ///
-    /// 1. pull selections/projection above the join tree,
-    /// 2. push single-relation conjuncts onto their leaves,
-    /// 3. enumerate join orders cost-optimally,
-    /// 4. re-apply the residual predicate and the final projection,
-    /// 5. push projections down to the leaves.
+    /// 1. pull selections, the γ and the final projection above the join
+    ///    tree ([`pull_up`]),
+    /// 2. order the joins cost-optimally ([`JoinGraph::order`]), each
+    ///    conjunct filtering the first leaf or join that covers what it
+    ///    reads,
+    /// 3. re-apply the γ and the final projection,
+    /// 4. push projections down to the leaves.
     ///
-    /// Queries the machinery cannot restructure (self-joins, non-base
-    /// leaves, a join pair inside one relation) fall back to plain
-    /// selection push-down. The returned plan is
-    /// never costlier than `expr` under `est`.
+    /// Queries the join graph refuses (self-joins, a join pair inside one
+    /// leaf, more than 63 leaves) fall back to plain selection push-down.
+    /// The returned plan is never costlier than `expr` under `est`.
     pub fn optimize<M: CostModel>(
         &self,
         expr: &Arc<Expr>,
         est: &CostEstimator<'_, M>,
     ) -> Arc<Expr> {
-        let candidate = self.restructure(expr, est);
-        let candidate = push_projections(&candidate, est.cardinalities().catalog());
+        let candidate = push_projections(&self.reorder(expr, est), est.cardinalities().catalog());
         if est.tree_cost(&candidate) <= est.tree_cost(expr) {
             candidate
         } else {
@@ -76,9 +71,30 @@ impl Planner {
         }
     }
 
+    /// Steps 1–3 of [`optimize`](Self::optimize), a leaf that is not a base
+    /// relation (a γ) reordered on its own; selection push-down where the
+    /// join graph is refused.
+    fn reorder<M: CostModel>(&self, expr: &Arc<Expr>, est: &CostEstimator<'_, M>) -> Arc<Expr> {
+        let mut pulled = pull_up(expr);
+        let conjuncts = pulled.predicate.conjuncts().to_vec();
+        pulled.predicate = Predicate::True;
+        let leaf = |l: &Arc<Expr>| match &**l {
+            Expr::Base(_) => (Arc::clone(l), l.base_relations()),
+            _ => (self.reorder(l, est), l.base_relations()),
+        };
+        let Some(join_tree) = self.order(&pulled.join_tree, conjuncts, None, leaf, est) else {
+            return push_selections(expr);
+        };
+        PulledPlan {
+            join_tree,
+            ..pulled
+        }
+        .to_expr()
+    }
+
     /// The eager-aggregation plan of `expr`, a `γ[G; A]` over a join tree
-    /// (a σ between them included): [`JoinGraph::eager_order`] over the
-    /// tree's leaves, its maximal subtrees that are not joins, each
+    /// (a σ between them included): [`JoinGraph::order`] with the γ, over
+    /// the tree's leaves, its maximal subtrees that are not joins, each
     /// covering the base relations `covers` gives it. A σ directly under
     /// the γ goes down conjunct by conjunct. `None` where the rule does not
     /// apply, a π between the γ and the join included, and for more leaves
@@ -102,76 +118,26 @@ impl Planner {
             Expr::Select { input, predicate } => (input, predicate.conjuncts().to_vec()),
             _ => (input, Vec::new()),
         };
+        let leaf = |l: &Arc<Expr>| (Arc::clone(l), covers(l));
+        self.order(tree, conjuncts, Some((group_by, aggs)), leaf, est)
+    }
+
+    /// [`JoinGraph::order`] over the leaves and conditions of the join tree
+    /// `tree`, each leaf as `leaf` plans it, with the base relations it
+    /// covers; `None` where the graph or the γ is refused.
+    fn order<M: CostModel>(
+        &self,
+        tree: &Arc<Expr>,
+        conjuncts: Vec<Predicate>,
+        grouping: Option<(&[AttrRef], &[AggExpr])>,
+        leaf: impl Fn(&Arc<Expr>) -> (Arc<Expr>, BTreeSet<RelName>),
+        est: &CostEstimator<'_, M>,
+    ) -> Option<Arc<Expr>> {
         let mut leaves = Vec::new();
         let mut conds = Vec::new();
         flatten(tree, &mut leaves, &mut conds);
-        let leaves = leaves.iter().map(|l| (Arc::clone(l), covers(l))).collect();
-        JoinGraph::new(leaves, conds)?.eager_order(
-            group_by,
-            aggs,
-            conjuncts,
-            est,
-            self.config.max_dp_relations,
-        )
-    }
-
-    fn restructure<M: CostModel>(&self, expr: &Arc<Expr>, est: &CostEstimator<'_, M>) -> Arc<Expr> {
-        let pulled = pull_up(expr);
-
-        // Collect join-tree leaves (bases) and flatten conditions.
-        let mut leaves = Vec::new();
-        let mut conds = Vec::new();
-        flatten(&pulled.join_tree, &mut leaves, &mut conds);
-
-        // Split the pulled predicate into per-leaf conjuncts and a residual.
-        let mut per_leaf: Vec<Vec<Predicate>> = vec![Vec::new(); leaves.len()];
-        let mut residual = Vec::new();
-        let conjuncts = match pulled.predicate.clone() {
-            Predicate::True => Vec::new(),
-            Predicate::And(ps) => ps,
-            other => vec![other],
-        };
-        'outer: for conjunct in conjuncts {
-            let rels: std::collections::BTreeSet<_> = conjunct
-                .attrs()
-                .iter()
-                .map(|a| a.relation.clone())
-                .collect();
-            if rels.len() == 1 {
-                let rel = rels.into_iter().next().expect("len checked");
-                for (i, leaf) in leaves.iter().enumerate() {
-                    if leaf.base_relations().contains(&rel) {
-                        per_leaf[i].push(conjunct);
-                        continue 'outer;
-                    }
-                }
-            }
-            residual.push(conjunct);
-        }
-        let annotated = leaves.iter().zip(per_leaf).map(|(leaf, preds)| {
-            let bases = leaf.base_relations();
-            let leaf = Expr::select(Arc::clone(leaf), Predicate::and(preds));
-            (bases.len() == 1).then_some((leaf, bases))
-        });
-        let graph = annotated
-            .collect::<Option<_>>()
-            .and_then(|annotated| JoinGraph::new(annotated, conds));
-        let ordered = match graph {
-            Some(graph) => graph.optimal_order(est, self.config.max_dp_relations),
-            // Degenerate (a leaf over several relations, self-join, a pair
-            // no join applies, >63 relations…): keep the original shape,
-            // just push selections down.
-            None => return push_selections(expr),
-        };
-
-        let mut out = Expr::select(ordered, Predicate::and(residual));
-        if let Some((group_by, aggs)) = &pulled.aggregate {
-            out = Expr::aggregate(out, group_by.clone(), aggs.clone());
-        }
-        if let Some(attrs) = &pulled.projection {
-            out = Expr::project(out, attrs.clone());
-        }
-        out
+        let leaves = leaves.iter().map(leaf).collect();
+        JoinGraph::new(leaves, conds)?.order(conjuncts, grouping, est, self.config.max_dp_relations)
     }
 }
 
@@ -264,6 +230,10 @@ mod tests {
         c
     }
 
+    /// The paper's Q3.
+    const Q3: &str = "SELECT Cust.name, Pd.name, quantity FROM Pd, Div, Ord, Cust \
+        WHERE Div.city='LA' AND Pd.Did=Div.Did AND Pd.Pid=Ord.Pid AND Ord.Cid=Cust.Cid AND date>7/1/96";
+
     #[test]
     fn optimizer_never_worsens_a_plan() {
         let c = catalog();
@@ -271,8 +241,7 @@ mod tests {
         for sql in [
             "SELECT Pd.name FROM Pd, Div WHERE Div.city='LA' AND Pd.Did=Div.Did",
             "SELECT Pt.name FROM Pd, Pt, Div WHERE Div.city='LA' AND Pd.Did=Div.Did AND Pt.Pid=Pd.Pid",
-            "SELECT Cust.name, Pd.name, quantity FROM Pd, Div, Ord, Cust \
-             WHERE Div.city='LA' AND Pd.Did=Div.Did AND Pd.Pid=Ord.Pid AND Ord.Cid=Cust.Cid AND date>7/1/96",
+            Q3,
             "SELECT Cust.city, date FROM Ord, Cust WHERE quantity>100 AND Ord.Cid=Cust.Cid",
         ] {
             let naive = parse_query_with(sql, &c).unwrap();
@@ -287,43 +256,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn selection_lands_on_its_leaf() {
+    /// Each σ in the plan of `sql` over [`catalog`], with the relations
+    /// under it and whether it sits on a base relation, directly or
+    /// through a π.
+    fn selections(sql: &str) -> Vec<(Predicate, BTreeSet<RelName>, bool)> {
         let c = catalog();
         let est = CostEstimator::new(&c, EstimationMode::Calibrated, PaperCostModel::default());
-        let naive = parse_query_with(
-            "SELECT Pd.name FROM Pd, Div WHERE Div.city='LA' AND Pd.Did=Div.Did",
-            &c,
-        )
-        .unwrap();
-        let opt = Planner::new().optimize(&naive, &est);
-        let mut on_leaf = false;
+        let opt = Planner::new().optimize(&parse_query_with(sql, &c).unwrap(), &est);
+        let mut out = Vec::new();
         mvdesign_algebra::postorder(&opt, &mut |n| {
-            if let Expr::Select { input, .. } = &**n {
-                // Directly on the base, or separated only by a projection.
-                let leafish = match &**input {
-                    Expr::Base(_) => true,
-                    Expr::Project { input: inner, .. } => inner.is_base(),
-                    _ => false,
+            if let Expr::Select { input, predicate } = &**n {
+                let on_leaf = match &**input {
+                    Expr::Project { input, .. } => input.is_base(),
+                    leaf => matches!(leaf, Expr::Base(_)),
                 };
-                if leafish && input.base_relations().contains("Div") {
-                    on_leaf = true;
-                }
+                out.push((predicate.clone(), input.base_relations(), on_leaf));
             }
         });
-        assert!(on_leaf, "optimized: {opt}");
+        out
+    }
+
+    /// Also under a HAVING, whose σ over the γ leaves the join tree a γ
+    /// leaf, planned on its own.
+    #[test]
+    fn selection_lands_on_its_leaf() {
+        for sql in [
+            "SELECT Pd.name FROM Pd, Div WHERE Div.city='LA' AND Pd.Did=Div.Did",
+            "SELECT Pd.name, COUNT(*) AS n FROM Pd, Div WHERE Div.city='LA' AND Pd.Did=Div.Did \
+             GROUP BY Pd.name HAVING n > 1",
+        ] {
+            let selections = selections(sql);
+            let on_div =
+                |(_, rels, on_leaf): &(_, BTreeSet<_>, _)| *on_leaf && rels.contains("Div");
+            assert!(selections.iter().any(on_div), "{selections:?}");
+        }
+    }
+
+    /// A conjunct spanning two leaves filters the first join that covers
+    /// them: the disjunction over Pd and Div sits on Pd ⋈ Div, below the
+    /// join with Pt.
+    #[test]
+    fn spanning_selection_lands_on_its_join() {
+        let selections = selections(
+            "SELECT Pt.name FROM Pd, Div, Pt WHERE (Div.city='LA' OR Pd.name='x') \
+             AND Pd.Did=Div.Did AND Pt.Pid=Pd.Pid",
+        );
+        let disjunctions = selections
+            .into_iter()
+            .filter(|(p, ..)| matches!(p, Predicate::Or(_)));
+        let pd_div = BTreeSet::from([RelName::new("Div"), RelName::new("Pd")]);
+        let under: Vec<_> = disjunctions.map(|(_, rels, _)| rels).collect();
+        assert_eq!(under, [pd_div]);
     }
 
     #[test]
     fn q3_defers_expensive_relations() {
         let c = catalog();
         let est = CostEstimator::new(&c, EstimationMode::Calibrated, PaperCostModel::default());
-        let naive = parse_query_with(
-            "SELECT Cust.name, Pd.name, quantity FROM Pd, Div, Ord, Cust \
-             WHERE Div.city='LA' AND Pd.Did=Div.Did AND Pd.Pid=Ord.Pid AND Ord.Cid=Cust.Cid AND date>7/1/96",
-            &c,
-        )
-        .unwrap();
+        let naive = parse_query_with(Q3, &c).unwrap();
         let opt = Planner::new().optimize(&naive, &est);
         // Sanity: strictly cheaper than the FROM-order plan for this query.
         assert!(est.tree_cost(&opt) < est.tree_cost(&naive));

@@ -42,14 +42,18 @@ fn push(expr: &Arc<Expr>, pending: Predicate) -> Arc<Expr> {
         Expr::Join { left, right, on } => {
             let lrels = left.base_relations();
             let rrels = right.base_relations();
-            let mut to_left = Vec::new();
-            let mut to_right = Vec::new();
-            let mut stay = Vec::new();
-            for conjunct in conjuncts(pending) {
-                match side_of(&conjunct, &lrels, &rrels) {
-                    Side::Left => to_left.push(conjunct),
-                    Side::Right => to_right.push(conjunct),
-                    Side::Both => stay.push(conjunct),
+            let (mut to_left, mut to_right, mut stay) = (Vec::new(), Vec::new(), Vec::new());
+            for conjunct in pending.conjuncts() {
+                let reads = |rels: &BTreeSet<RelName>| {
+                    conjunct.attrs().iter().any(|a| rels.contains(&a.relation))
+                };
+                match (reads(&lrels), reads(&rrels)) {
+                    (true, false) => to_left.push(conjunct.clone()),
+                    (false, true) => to_right.push(conjunct.clone()),
+                    // Spanning, or referencing neither side (dangling
+                    // attribute — keep it where it was so schema inference
+                    // can report it).
+                    _ => stay.push(conjunct.clone()),
                 }
             }
             let joined = Expr::join(
@@ -59,40 +63,6 @@ fn push(expr: &Arc<Expr>, pending: Predicate) -> Arc<Expr> {
             );
             Expr::select(joined, Predicate::and(stay))
         }
-    }
-}
-
-fn conjuncts(p: Predicate) -> Vec<Predicate> {
-    match p {
-        Predicate::True => Vec::new(),
-        Predicate::And(ps) => ps,
-        other => vec![other],
-    }
-}
-
-enum Side {
-    Left,
-    Right,
-    Both,
-}
-
-fn side_of(p: &Predicate, lrels: &BTreeSet<RelName>, rrels: &BTreeSet<RelName>) -> Side {
-    let mut in_left = false;
-    let mut in_right = false;
-    for a in p.attrs() {
-        if lrels.contains(&a.relation) {
-            in_left = true;
-        }
-        if rrels.contains(&a.relation) {
-            in_right = true;
-        }
-    }
-    match (in_left, in_right) {
-        (true, false) => Side::Left,
-        (false, true) => Side::Right,
-        // Spanning, or referencing neither side (dangling attribute —
-        // keep it where it was so schema inference can report it).
-        _ => Side::Both,
     }
 }
 
@@ -157,23 +127,12 @@ fn narrow(expr: &Arc<Expr>, needed: &BTreeSet<AttrRef>, catalog: &Catalog) -> Ar
                 below.insert(a.clone());
                 below.insert(b.clone());
             }
-            let lrels = left.base_relations();
-            let rrels = right.base_relations();
-            let lneed: BTreeSet<AttrRef> = below
-                .iter()
-                .filter(|a| lrels.contains(&a.relation))
-                .cloned()
-                .collect();
-            let rneed: BTreeSet<AttrRef> = below
-                .iter()
-                .filter(|a| rrels.contains(&a.relation))
-                .cloned()
-                .collect();
-            Expr::join(
-                narrow(left, &lneed, catalog),
-                narrow(right, &rneed, catalog),
-                on.clone(),
-            )
+            let side = |input: &Arc<Expr>| {
+                let rels = input.base_relations();
+                let need = below.iter().filter(|a| rels.contains(&a.relation));
+                narrow(input, &need.cloned().collect(), catalog)
+            };
+            Expr::join(side(left), side(right), on.clone())
         }
     }
 }

@@ -109,8 +109,10 @@ printf '%-12s %6d `InsertDelete`/`pub struct Delta<` under crates/ (should read 
   "delete deltas" "$(grep -rhoE 'InsertDelete|pub struct Delta<' crates --include='*.rs' | wc -l || true)"
 printf '%-12s %6d `impl Statistics for`/`fn estimate(` under crates/ (should read 0: design and refresh share one cardinality estimator, `CardinalityEstimator`)\n' \
   "estimators" "$(grep -rhoE 'impl Statistics for|fn estimate\(' crates --include='*.rs' | wc -l || true)"
-printf '%-12s %6d `fn eager_chain(`/`fn eager_aggregation(` under crates/ (should read 0: the join DP plans eager aggregation, `JoinGraph::eager_order`)\n' \
+printf '%-12s %6d `fn eager_chain(`/`fn eager_aggregation(` under crates/ (should read 0: the join DP plans eager aggregation, `JoinGraph::order`)\n' \
   "eager forms" "$(grep -rhoE 'fn eager_chain\(|fn eager_aggregation\(' crates --include='*.rs' | wc -l || true)"
+printf '%-12s %6d `saw_connected`/`fn restructure(`/`fn optimal_order(`/`fn eager_order(` under crates/ (should read 0: one join DP over connected pairs plans every query, `JoinGraph::order`)\n' \
+  "join entries" "$(grep -rhoE 'saw_connected|fn restructure\(|fn optimal_order\(|fn eager_order\(' crates --include='*.rs' | wc -l || true)"
 
 printf '%-12s measured period, query and refresh halves, the views a first build rebuilds by eager aggregation, and each unit (view or transient) of the TPC-H-lite build pass with its blocks (pins in tests/simulation.rs):\n' "period"
 cargo test -q --release -p mvdesign --test simulation -- --nocapture | grep -oE '(period halves|refresh unit).*'

@@ -15,7 +15,7 @@ use mvdesign::core::{
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::engine::{execute, Database, ExecContext, Generator, GeneratorConfig};
-use mvdesign::optimizer::{push_selections, Planner};
+use mvdesign::optimizer::{push_selections, JoinGraph, Planner};
 
 /// A three-relation catalog whose statistics are drawn from the strategy.
 fn make_catalog(sizes: [u32; 3], sel: f64) -> Catalog {
@@ -47,6 +47,8 @@ fn make_catalog(sizes: [u32; 3], sel: f64) -> Catalog {
 struct QuerySpec {
     joins: usize,                 // 0..=2 extra relations
     select_on: Vec<(usize, i64)>, // (relation index, literal)
+    /// A disjunction over relations `i` and `i + 1`: `(i, literal, literal)`.
+    spanning: Option<(usize, i64, i64)>,
     project: bool,
 }
 
@@ -54,11 +56,13 @@ fn query_strategy() -> impl Strategy<Value = QuerySpec> {
     (
         0usize..=2,
         proptest::collection::vec((0usize..3, 0i64..6), 0..3),
+        proptest::collection::vec((0usize..2, 0i64..6, 0i64..6), 0..2),
         any::<bool>(),
     )
-        .prop_map(|(joins, select_on, project)| QuerySpec {
+        .prop_map(|(joins, select_on, mut spanning, project)| QuerySpec {
             joins,
             select_on,
+            spanning: spanning.pop(),
             project,
         })
 }
@@ -83,6 +87,12 @@ fn build_query(spec: &QuerySpec) -> Arc<Expr> {
                 *lit,
             ));
         }
+    }
+    if let Some((rel, a, b)) = spec.spanning.filter(|&(rel, ..)| rel < spec.joins) {
+        let le = |r: usize, lit: i64| {
+            Predicate::cmp(AttrRef::new(format!("R{r}"), "x"), CompareOp::Le, lit)
+        };
+        preds.push(Predicate::or([le(rel, a), le(rel + 1, b)]));
     }
     expr = Expr::select(expr, Predicate::and(preds));
     if spec.project {
@@ -415,6 +425,172 @@ const SPLICES: [&str; 14] = [
     "Ghost.x",
     "GROUP",
 ];
+/// A random connected join graph of 2 to 7 leaves: a chain, a star, a cycle
+/// or a clique. Each leaf is a base relation or a view scan covering two;
+/// each condition names one relation under each of its ends.
+#[derive(Debug, Clone)]
+struct GraphSpec {
+    /// 0 chain, 1 star, 2 cycle, 3 clique.
+    shape: usize,
+    /// Per leaf: its records as a power of ten, and whether it is a view
+    /// over two relations.
+    leaves: Vec<(u32, bool)>,
+    /// Per condition, in shape order: `1/js` as a power of ten (0 makes the
+    /// join a cross product's size, so cross products tie), and which
+    /// relation of each end's view it names.
+    conds: Vec<(u32, bool, bool)>,
+}
+
+fn graph_strategy() -> impl Strategy<Value = GraphSpec> {
+    (
+        0usize..4,
+        proptest::collection::vec((1u32..6, any::<bool>()), 2..=7),
+        proptest::collection::vec((0u32..4, any::<bool>(), any::<bool>()), 21..22),
+    )
+        .prop_map(|(shape, leaves, conds)| GraphSpec {
+            shape,
+            leaves,
+            conds,
+        })
+}
+
+/// The leaf pairs a condition links, by shape.
+fn shape_edges(shape: usize, n: usize) -> Vec<(usize, usize)> {
+    let chain = (1..n).map(|i| (i - 1, i));
+    match shape {
+        0 => chain.collect(),
+        1 => (1..n).map(|i| (0, i)).collect(),
+        2 if n > 2 => chain.chain([(n - 1, 0)]).collect(),
+        2 => chain.collect(),
+        _ => (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .collect(),
+    }
+}
+
+/// The spec's catalog, its leaves with the relations each covers, and its
+/// conditions, each with the leaves at its ends.
+#[allow(clippy::type_complexity)]
+fn build_graph(
+    spec: &GraphSpec,
+) -> (
+    Catalog,
+    Vec<(Arc<Expr>, BTreeSet<mvdesign::algebra::RelName>)>,
+    Vec<(usize, usize, AttrRef, AttrRef)>,
+) {
+    let mut catalog = Catalog::new();
+    let mut add = |name: &str, records: u32| {
+        let records = 10f64.powi(records as i32);
+        catalog
+            .relation(name)
+            .attr("k", AttrType::Int)
+            .records(records)
+            .blocks((records / 10.0).ceil())
+            .finish()
+            .expect("generated relation is valid");
+    };
+    let mut leaves = Vec::new();
+    for (i, &(records, view)) in spec.leaves.iter().enumerate() {
+        let covered: Vec<String> = if view {
+            add(&format!("V{i}"), records);
+            vec![format!("L{i}a"), format!("L{i}b")]
+        } else {
+            vec![format!("L{i}")]
+        };
+        for r in &covered {
+            add(r, records);
+        }
+        let scan = if view {
+            format!("V{i}")
+        } else {
+            covered[0].clone()
+        };
+        let covers = covered.iter().map(|r| r.as_str().into()).collect();
+        leaves.push((Expr::base(scan.as_str()), covers));
+    }
+    let end = |i: usize, second: bool| {
+        let (_, view) = spec.leaves[i];
+        let rel = match (view, second) {
+            (false, _) => format!("L{i}"),
+            (true, false) => format!("L{i}a"),
+            (true, true) => format!("L{i}b"),
+        };
+        AttrRef::new(rel, "k")
+    };
+    let mut conds = Vec::new();
+    for ((i, j), &(d, si, sj)) in shape_edges(spec.shape, spec.leaves.len())
+        .into_iter()
+        .zip(&spec.conds)
+    {
+        let (a, b) = (end(i, si), end(j, sj));
+        catalog
+            .set_join_selectivity(a.clone(), b.clone(), 10f64.powi(-(d as i32)))
+            .expect("generated join selectivity is valid");
+        conds.push((i, j, a, b));
+    }
+    (catalog, leaves, conds)
+}
+
+/// Every join tree over the leaves of `full` that joins only sides a
+/// condition links, each unordered tree once.
+fn cross_product_free_trees(
+    leaves: &[Arc<Expr>],
+    conds: &[(usize, usize, AttrRef, AttrRef)],
+) -> Vec<Arc<Expr>> {
+    let full = (1usize << leaves.len()) - 1;
+    let mut trees: Vec<Vec<Arc<Expr>>> = vec![Vec::new(); full + 1];
+    for set in 1..=full {
+        if set.is_power_of_two() {
+            trees[set].push(Arc::clone(&leaves[set.trailing_zeros() as usize]));
+            continue;
+        }
+        let mut joined = Vec::new();
+        let mut sub = (set - 1) & set;
+        while sub > 0 {
+            let other = set & !sub;
+            let across = |x: usize, y: usize| sub >> x & 1 == 1 && other >> y & 1 == 1;
+            let pairs: Vec<_> = conds
+                .iter()
+                .filter(|(i, j, ..)| across(*i, *j) || across(*j, *i))
+                .map(|(.., a, b)| (a.clone(), b.clone()))
+                .collect();
+            if sub < other && !pairs.is_empty() {
+                for l in &trees[sub] {
+                    for r in &trees[other] {
+                        let on = JoinCondition::new(pairs.clone());
+                        joined.push(Expr::join(Arc::clone(l), Arc::clone(r), on));
+                    }
+                }
+            }
+            sub = (sub - 1) & set;
+        }
+        trees[set] = joined;
+    }
+    trees.swap_remove(full)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The join DP against brute force: over a connected graph its plan's
+    /// estimated cost is the least of every bushy tree without a cross
+    /// product, and its plan holds none.
+    #[test]
+    fn join_dp_is_the_cross_product_free_optimum(spec in graph_strategy()) {
+        let (catalog, leaves, conds) = build_graph(&spec);
+        let est = CostEstimator::new(&catalog, EstimationMode::Analytic, PaperCostModel::default());
+        let scans: Vec<_> = leaves.iter().map(|(l, _)| Arc::clone(l)).collect();
+        let pairs = conds.iter().map(|(.., a, b)| (a.clone(), b.clone())).collect();
+        let graph = JoinGraph::new(leaves, pairs).expect("a valid graph");
+        let plan = graph.order(Vec::new(), None, &est, 12).expect("a plain plan");
+        prop_assert!(!plan.to_string().contains("⋈[×]"), "{}", plan);
+        let trees = cross_product_free_trees(&scans, &conds);
+        prop_assert!(!trees.is_empty());
+        let least = trees.iter().map(|t| est.tree_cost(t)).fold(f64::INFINITY, f64::min);
+        let cost = est.tree_cost(&plan);
+        prop_assert!((cost - least).abs() <= 1e-9 * least.max(1.0), "{} over {}: {}", cost, least, plan);
+    }
+}
 
 /// The query split into tokens: identifier/number runs, quoted strings and
 /// single punctuation characters.

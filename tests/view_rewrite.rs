@@ -1936,6 +1936,17 @@ fn eager_chain_shape_and_refusals() {
         plan.to_string(),
         "γ[Customer.segment,Customer.nk; SUM(#agg.r) AS r]((γ[Orders.ck; SUM(#agg.r) AS r]((γ[Lineitem.ok; SUM(Lineitem.price) AS r](Lineitem) ⋈[Lineitem.ok=Orders.ok] Orders)) ⋈[Customer.ck=Orders.ck] Customer))"
     );
+    // Under `shrinking()` every join pair keeps the whole cross product, so
+    // crossing Lineitem with Customer prices as low as joining along the
+    // path. The DP joins only sides a pair links, so the plan is the same
+    // and holds no cross product.
+    let definition = Expr::aggregate(Arc::clone(&tree), keys.to_vec(), [sum.clone()]);
+    let plan = eager_under(&definition, &shrinking()).expect("applies");
+    assert_eq!(
+        plan.to_string(),
+        "γ[Customer.segment,Customer.nk; SUM(#agg.r) AS r]((γ[Orders.ck; SUM(#agg.r) AS r]((γ[Lineitem.ok; SUM(Lineitem.price) AS r](Lineitem) ⋈[Lineitem.ok=Orders.ok] Orders)) ⋈[Customer.ck=Orders.ck] Customer))"
+    );
+    assert!(!plan.to_string().contains("⋈[×]"), "{plan}");
 
     let local = Predicate::cmp(attr("Lineitem.qty"), CompareOp::Gt, 1);
     let spanning = Predicate::or([
