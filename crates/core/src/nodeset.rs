@@ -161,6 +161,18 @@ impl NodeSet {
         self.len = other.len;
     }
 
+    /// Rewrites each word `i` in place as `f(i, word)` and recounts the
+    /// ids — how a search composes a set from others word by word without
+    /// allocating.
+    pub(crate) fn rewrite_words(&mut self, mut f: impl FnMut(usize, u64) -> u64) {
+        let mut len = 0;
+        for (i, w) in self.words.iter_mut().enumerate() {
+            *w = f(i, *w);
+            len += w.count_ones() as usize;
+        }
+        self.len = len;
+    }
+
     /// Converts to the `BTreeSet` form used at API boundaries.
     pub fn to_btree(&self) -> BTreeSet<NodeId> {
         self.iter().collect()
@@ -278,6 +290,21 @@ mod tests {
         b.copy_from(&a);
         assert_eq!(b, a);
         assert_eq!(b.len(), 3);
+    }
+
+    #[test]
+    fn rewrite_words_recounts() {
+        let x = NodeSet::from_ids(128, ids(&[1, 64, 100]));
+        let y = NodeSet::from_ids(128, ids(&[2, 64, 127]));
+        let take = NodeSet::from_ids(128, ids(&[1, 2, 100, 127]));
+        let mut child = NodeSet::from_ids(128, ids(&[5]));
+        child.rewrite_words(|i, _| {
+            (x.words()[i] & take.words()[i]) | (y.words()[i] & !take.words()[i])
+        });
+        assert_eq!(child, NodeSet::from_ids(128, ids(&[1, 64, 100])));
+        assert_eq!(child.len(), 3);
+        child.rewrite_words(|_, w| !w);
+        assert_eq!(child.len(), 128 - 3);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use rand::distributions::Bernoulli;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -330,24 +331,23 @@ impl SelectionAlgorithm for RandomSearch {
     }
 
     fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId> {
-        let candidates = a.mvpp().interior();
+        let genes = gene_set(a);
+        let half = coin(0.5);
         let mut rng = StdRng::seed_from_u64(self.seed);
         // The evaluator starts at the empty frontier — the baseline draw —
         // and memoizes per-query costs across draws: distinct subsets often
         // look identical below any one query's root.
         let mut eval = IncrementalEvaluator::new(a, mode);
-        let mut best_set = NodeSet::with_capacity(a.mvpp().len());
+        let mut draw = NodeSet::with_capacity(a.mvpp().len());
+        let mut best_set = draw.clone();
         let mut best_cost = eval.total();
         for _ in 0..self.iterations {
-            let set = NodeSet::from_ids(
-                a.mvpp().len(),
-                candidates.iter().filter(|_| rng.gen_bool(0.5)).copied(),
-            );
-            eval.set_frontier(&set);
+            draw.rewrite_words(|i, _| draw_word(&mut rng, half, genes.words()[i]));
+            eval.set_frontier(&draw);
             let cost = eval.total();
             if cost < best_cost {
                 best_cost = cost;
-                best_set = set;
+                best_set.copy_from(&draw);
             }
         }
         best_set.to_btree()
@@ -430,7 +430,7 @@ impl SelectionAlgorithm for SimulatedAnnealing {
 /// family that the MVPP formulation became a standard benchmark for in
 /// follow-up work (e.g. GA-based view selection over MVPPs).
 ///
-/// Individuals are bit-vectors over the interior nodes; fitness is the
+/// Individuals are node sets over the interior nodes; fitness is the
 /// evaluated total cost. The population is seeded with the greedy solution,
 /// the empty set, and random individuals; evolution uses tournament
 /// selection, uniform crossover, per-gene mutation and elitism. Fully
@@ -465,89 +465,112 @@ impl Default for GeneticSelection {
 }
 
 impl GeneticSelection {
-    /// The materialization set a genome stands for.
-    fn frontier(genes: &[bool], candidates: &[NodeId], capacity: usize) -> NodeSet {
-        NodeSet::from_ids(
-            capacity,
-            genes
-                .iter()
-                .zip(candidates)
-                .filter(|(g, _)| **g)
-                .map(|(_, id)| *id),
-        )
-    }
-
     /// Seeds the population (greedy, empty, random fill) and evolves it,
     /// scoring each genome once with `score`, in population order; returns
     /// the fittest genome. All randomness flows from `self.seed`; the scorer
     /// consumes none, so two runs with scorers that agree on every genome
     /// evolve identically.
+    ///
+    /// A genome is a node set within `genes`. Two generations live in two
+    /// buffers allocated once and swapped: elites are copied across, each
+    /// child is written in place word by word, and ranking sorts indices,
+    /// so a generation allocates nothing.
     fn evolve(
         &self,
         a: &AnnotatedMvpp,
-        candidates: &[NodeId],
-        mut score: impl FnMut(&[bool]) -> f64,
-    ) -> Vec<bool> {
-        let n = candidates.len();
+        genes: &NodeSet,
+        mut score: impl FnMut(&NodeSet) -> f64,
+    ) -> NodeSet {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut scored = |genes: Vec<bool>| (score(&genes), genes);
+        let [random_gene, take_first, crossover, mutate] =
+            [0.3, 0.5, self.crossover_rate, self.mutation_rate].map(coin);
+        let size = self.population.max(4);
+        let elite = self.elite.min(size);
 
         // Seed population: greedy, empty, random fill.
+        let mut genomes = vec![NodeSet::with_capacity(a.mvpp().len()); size];
         let greedy = GreedySelection::new().run(a).0;
-        let target = self.population.max(4);
-        let mut seeds: Vec<Vec<bool>> = Vec::with_capacity(target);
-        seeds.push(candidates.iter().map(|c| greedy.contains(c)).collect());
-        seeds.push(vec![false; n]);
-        while seeds.len() < target {
-            seeds.push((0..n).map(|_| rng.gen_bool(0.3)).collect());
+        genomes[0].extend(greedy.into_iter().filter(|v| genes.contains(*v)));
+        let genes = genes.words();
+        for genome in &mut genomes[2..] {
+            genome.rewrite_words(|i, _| draw_word(&mut rng, random_gene, genes[i]));
         }
-        let mut population: Vec<(f64, Vec<bool>)> = seeds.into_iter().map(&mut scored).collect();
+        let mut scores: Vec<f64> = genomes.iter().map(&mut score).collect();
+        let (mut next, mut next_scores) = (genomes.clone(), scores.clone());
+        // `order[r]` is the genome of rank `r`.
+        let mut order: Vec<usize> = (0..size).collect();
 
         for _ in 0..self.generations {
-            population.sort_by(|x, y| x.0.total_cmp(&y.0));
-            let elite: Vec<(f64, Vec<bool>)> = population
-                .iter()
-                .take(self.elite.min(population.len()))
-                .cloned()
-                .collect();
-            let mut offspring: Vec<Vec<bool>> = Vec::with_capacity(population.len());
-            while elite.len() + offspring.len() < population.len() {
-                let pick = |rng: &mut StdRng| -> usize {
-                    // Tournament of two.
-                    let i = rng.gen_range(0..population.len());
-                    let j = rng.gen_range(0..population.len());
-                    if population[i].0 <= population[j].0 {
-                        i
-                    } else {
-                        j
-                    }
-                };
+            rank(&mut order, &scores);
+            for r in 0..elite {
+                next[r].copy_from(&genomes[order[r]]);
+                next_scores[r] = scores[order[r]];
+            }
+            // Tournament of two, over ranks.
+            let pick = |rng: &mut StdRng| -> usize {
+                let i = rng.gen_range(0..size);
+                let j = rng.gen_range(0..size);
+                if scores[order[i]] <= scores[order[j]] {
+                    i
+                } else {
+                    j
+                }
+            };
+            for k in elite..size {
                 let p1 = pick(&mut rng);
                 let p2 = pick(&mut rng);
-                let mut child: Vec<bool> = if rng.gen_bool(self.crossover_rate.clamp(0.0, 1.0)) {
-                    population[p1]
-                        .1
-                        .iter()
-                        .zip(&population[p2].1)
-                        .map(|(a, b)| if rng.gen_bool(0.5) { *a } else { *b })
-                        .collect()
+                let child = &mut next[k];
+                if rng.sample(crossover) {
+                    // Uniform crossover: each gene from the first parent
+                    // where the take-mask is set, else from the second.
+                    let x = genomes[order[p1]].words();
+                    let y = genomes[order[p2]].words();
+                    child.rewrite_words(|i, _| {
+                        let take = draw_word(&mut rng, take_first, genes[i]);
+                        (x[i] & take) | (y[i] & !take)
+                    });
                 } else {
-                    population[p1.min(p2)].1.clone()
-                };
-                for gene in child.iter_mut() {
-                    if rng.gen_bool(self.mutation_rate.clamp(0.0, 1.0)) {
-                        *gene = !*gene;
-                    }
+                    child.copy_from(&genomes[order[p1.min(p2)]]);
                 }
-                offspring.push(child);
+                child.rewrite_words(|i, w| w ^ draw_word(&mut rng, mutate, genes[i]));
+                next_scores[k] = score(child);
             }
-            let mut next = elite;
-            next.extend(offspring.into_iter().map(&mut scored));
-            population = next;
+            std::mem::swap(&mut genomes, &mut next);
+            std::mem::swap(&mut scores, &mut next_scores);
         }
-        population.sort_by(|x, y| x.0.total_cmp(&y.0));
-        population.swap_remove(0).1
+        rank(&mut order, &scores);
+        genomes.swap_remove(order[0])
     }
+}
+
+/// The interior nodes as one set: the genes a genome or a random draw
+/// ranges over.
+fn gene_set(a: &AnnotatedMvpp) -> NodeSet {
+    NodeSet::from_ids(a.mvpp().len(), a.mvpp().interior())
+}
+
+/// One draw of `coin` per gene set in `genes`, lowest id first, each
+/// written at its gene's bit. Word by word that is `interior()`'s order,
+/// so a pass over a set draws one value per candidate node, in order.
+fn draw_word(rng: &mut StdRng, coin: Bernoulli, genes: u64) -> u64 {
+    let mut word = 0;
+    let mut rest = genes;
+    while rest != 0 {
+        word |= u64::from(rng.sample(coin)) << rest.trailing_zeros();
+        rest &= rest - 1;
+    }
+    word
+}
+
+/// The coin that lands `true` with probability `p`, clamped into `[0, 1]`.
+fn coin(p: f64) -> Bernoulli {
+    Bernoulli::new(p.clamp(0.0, 1.0)).unwrap_or_else(|_| panic!("p={p} out of range"))
+}
+
+/// Orders genome indices by ascending score, ties in population order: the
+/// order a stable sort of the population leaves.
+fn rank(order: &mut [usize], scores: &[f64]) {
+    order.sort_unstable_by(|&i, &j| scores[i].total_cmp(&scores[j]).then(i.cmp(&j)));
 }
 
 impl SelectionAlgorithm for GeneticSelection {
@@ -555,47 +578,50 @@ impl SelectionAlgorithm for GeneticSelection {
         "genetic"
     }
 
-    /// Every genome is scored by one persistent incremental evaluator.
-    /// Whole genomes rarely repeat (on each 40-query star candidate, 1 828
-    /// to 1 830 of a run's 1 832 are distinct), but each query root sees
-    /// only a few interior nodes, and what it sees of a genome does repeat:
-    /// the evaluator's per-root memo turns most re-costings into lookups.
-    /// That is why the search does not fan genomes out over threads (a memo
-    /// per thread sees a fraction of the repeats, and a spawn per
-    /// generation costs more than the generation). [`crate::Designer`] runs
-    /// whole candidates in parallel instead.
+    /// Every genome is a [`NodeSet`], scored as it stands by one persistent
+    /// incremental evaluator (`set_frontier` + `total`). Whole genomes
+    /// rarely repeat (on each 40-query star candidate of the benchmark,
+    /// 95–96 genes, 1 828 to 1 830 of a seed-7 run's 1 832 are distinct),
+    /// but each query root sees only a few interior nodes, and what it sees
+    /// of a genome does repeat: the evaluator's per-root memo turns most
+    /// re-costings into lookups. That is why the search does not fan
+    /// genomes out over threads (a memo per thread sees a fraction of the
+    /// repeats, and a spawn per generation costs more than the generation).
+    /// [`crate::Designer`] runs whole candidates in parallel instead.
+    ///
+    /// Reproduction works on the sets' words: a crossover draws one value
+    /// per gene into a take-mask and writes `(x & m) | (y & !m)`, a
+    /// mutation XORs in one draw per gene, and each draw is an integer
+    /// compare (`rand`'s `Bernoulli`) giving exactly `gen_bool`'s stream.
     fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId> {
-        let candidates = a.mvpp().interior();
-        if candidates.is_empty() {
+        let genes = gene_set(a);
+        if genes.is_empty() {
             return BTreeSet::new();
         }
-        let capacity = a.mvpp().len();
         let mut eval = IncrementalEvaluator::new(a, mode);
-        let best = self.evolve(a, &candidates, |genes| {
-            eval.set_frontier(&Self::frontier(genes, &candidates, capacity));
+        let best = self.evolve(a, &genes, |m| {
+            eval.set_frontier(m);
             eval.total()
         });
-        Self::frontier(&best, &candidates, capacity).to_btree()
+        best.to_btree()
     }
 
     /// Joint evolution: the same seeded run as [`select`](Self::select),
     /// but every genome is scored at its policy-optimal total (policy
     /// re-costing touches only the maintenance term).
     fn select_with_policies(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> PolicyChoice {
-        let candidates = a.mvpp().interior();
-        let capacity = a.mvpp().len();
-        if candidates.is_empty() {
-            return joint_choice(a, mode, NodeSet::with_capacity(capacity));
+        let genes = gene_set(a);
+        if genes.is_empty() {
+            return joint_choice(a, mode, genes);
         }
         let mut eval = IncrementalEvaluator::new(a, mode);
-        let best = self.evolve(a, &candidates, |genes| {
-            let set = Self::frontier(genes, &candidates, capacity);
-            let delta = choose_policies(a, &set, mode);
-            eval.set_frontier(&set);
+        let best = self.evolve(a, &genes, |m| {
+            let delta = choose_policies(a, m, mode);
+            eval.set_frontier(m);
             eval.set_delta_policies(&delta);
             eval.total()
         });
-        joint_choice(a, mode, Self::frontier(&best, &candidates, capacity))
+        joint_choice(a, mode, best)
     }
 }
 

@@ -41,8 +41,11 @@ done
 # optimiser on too. So must the
 # benchmark's `period_io_blocks` (tests/simulation.rs pins the number), in
 # the build the benchmark measures. The evaluator's own bit-exact flip and
-# policy tests are unit tests of mvdesign-core, hence its release run.
+# policy tests are unit tests of mvdesign-core, hence its release run. The
+# stand-in `rand` is outside the workspace; its tests check that
+# `Bernoulli`'s integer compare draws the float compare's stream.
 echo "== tier-1: float-bit and block-count pins under optimisation =="
+cargo test -q --release -p rand
 cargo test -q --release -p mvdesign-core
 cargo test -q --release -p mvdesign --test designer_golden
 cargo test -q --release -p mvdesign --test route_golden
@@ -113,6 +116,8 @@ printf '%-12s %6d `fn eager_chain(`/`fn eager_aggregation(` under crates/ (shoul
   "eager forms" "$(grep -rhoE 'fn eager_chain\(|fn eager_aggregation\(' crates --include='*.rs' | wc -l || true)"
 printf '%-12s %6d `saw_connected`/`fn restructure(`/`fn optimal_order(`/`fn eager_order(` under crates/ (should read 0: one join DP over connected pairs plans every query, `JoinGraph::order`)\n' \
   "join entries" "$(grep -rhoE 'saw_connected|fn restructure\(|fn optimal_order\(|fn eager_order\(' crates --include='*.rs' | wc -l || true)"
+printf '%-12s %6d `Vec<bool>`/`&[bool]` under crates/core/src (should read 0: a genome is a `NodeSet` of MVPP node ids)\n' \
+  "genomes" "$(grep -rhoE 'Vec<bool>|&\[bool\]' crates/core/src --include='*.rs' | wc -l || true)"
 
 printf '%-12s measured period, query and refresh halves, the views a first build rebuilds by eager aggregation, and each unit (view or transient) of the TPC-H-lite build pass with its blocks (pins in tests/simulation.rs):\n' "period"
 cargo test -q --release -p mvdesign --test simulation -- --nocapture | grep -oE '(period halves|refresh unit).*'
