@@ -28,7 +28,6 @@
 //! through the public [`Arc<Expr>`] builders and the parser, and ids are
 //! only meaningful relative to the arena that issued them.
 
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::sync::Arc;
@@ -36,7 +35,8 @@ use std::sync::Arc;
 use mvdesign_catalog::{AttrRef, RelName};
 
 use crate::aggregate::AggExpr;
-use crate::expr::{hash_display, write_pairs, Expr, Fnv1a, JoinCondition};
+use crate::expr::{hash_attr, hash_display, write_pairs, Expr, Fnv1a, JoinCondition};
+use crate::inthash::IntMap;
 use crate::predicate::Predicate;
 
 /// A dense identifier for one semantic-equivalence class of expressions.
@@ -158,7 +158,7 @@ impl Key<'_> {
 
 /// Whether `attrs`, displayed, are exactly the sorted de-duplicated `names`.
 fn same_attr_set(attrs: &[AttrRef], names: &[String]) -> bool {
-    let shown = |a: &AttrRef, n: &String| writes(n, |w| write!(w, "{a}"));
+    let shown = |a: &AttrRef, n: &String| writes(n, |w| a.write_to(w));
     attrs.iter().all(|a| names.iter().any(|n| shown(a, n)))
         && names.iter().all(|n| attrs.iter().any(|a| shown(a, n)))
 }
@@ -231,11 +231,12 @@ struct JoinFlat {
 #[derive(Debug, Clone, Default)]
 pub struct ExprArena {
     entries: Vec<Entry>,
-    /// Semantic hash → classes with that hash (almost always one).
-    by_hash: HashMap<u64, Vec<ExprId>>,
+    /// Semantic hash → classes with that hash (almost always one). The key
+    /// already is a hash, so the map mixes it with [`IntHasher`](crate::IntHasher).
+    by_hash: IntMap<u64, Vec<ExprId>>,
     /// `Arc` pointer → class, for O(1) re-interning of shared subtrees. The
     /// mapped `Arc` keeps the allocation alive so addresses cannot recycle.
-    by_ptr: HashMap<usize, (Arc<Expr>, ExprId)>,
+    by_ptr: IntMap<usize, (Arc<Expr>, ExprId)>,
 }
 
 /// The class of every node of one expression, as
@@ -562,7 +563,7 @@ impl ExprArena {
             Key::Project(input, attrs) => {
                 h.byte(b'P');
                 h.u64(hash(input));
-                hashes.extend(attrs.iter().map(hash_display));
+                hashes.extend(attrs.iter().map(hash_attr));
                 feed(&mut h, hashes, true);
             }
             Key::Join(leaves, pairs) => {
@@ -574,7 +575,7 @@ impl ExprArena {
             Key::Aggregate(input, groups, aggs) => {
                 h.byte(b'G');
                 h.u64(hash(input));
-                hashes.extend(groups.iter().map(hash_display));
+                hashes.extend(groups.iter().map(hash_attr));
                 feed(&mut h, hashes, true);
                 hashes.extend(aggs.iter().map(hash_display));
                 feed(&mut h, hashes, false);

@@ -85,7 +85,9 @@ pub(crate) fn write_pairs<P: std::borrow::Borrow<(AttrRef, AttrRef)>>(
             w.write_str(" ∧ ")?;
         }
         let (a, b) = pair.borrow();
-        write!(w, "{a}={b}")?;
+        a.write_to(w)?;
+        w.write_str("=")?;
+        b.write_to(w)?;
     }
     Ok(())
 }
@@ -356,7 +358,7 @@ impl Expr {
             Expr::Project { input, attrs } => {
                 h.byte(b'P');
                 h.u64(input.semantic_hash());
-                let mut names: Vec<u64> = attrs.iter().map(hash_display).collect();
+                let mut names: Vec<u64> = attrs.iter().map(hash_attr).collect();
                 names.sort_unstable();
                 names.dedup();
                 for x in names {
@@ -381,7 +383,7 @@ impl Expr {
             } => {
                 h.byte(b'G');
                 h.u64(input.semantic_hash());
-                let mut groups: Vec<u64> = group_by.iter().map(hash_display).collect();
+                let mut groups: Vec<u64> = group_by.iter().map(hash_attr).collect();
                 groups.sort_unstable();
                 groups.dedup();
                 for x in groups {
@@ -441,6 +443,13 @@ impl fmt::Write for Fnv1a {
         }
         Ok(())
     }
+}
+
+/// [`hash_display`] of an attribute, written by [`AttrRef::write_to`].
+pub(crate) fn hash_attr(a: &AttrRef) -> u64 {
+    let mut h = Fnv1a::new();
+    let _ = a.write_to(&mut h);
+    h.finish()
 }
 
 pub(crate) fn hash_display(value: impl fmt::Display) -> u64 {

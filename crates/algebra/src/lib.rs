@@ -37,6 +37,7 @@ mod aggregate;
 mod arena;
 mod dot;
 mod expr;
+mod inthash;
 mod predicate;
 mod query;
 mod schema_infer;
@@ -48,6 +49,7 @@ pub use crate::aggregate::{roll_up_keys, AggExpr, AggFunc, AGG_RELATION};
 pub use crate::arena::{Classes, ExprArena, ExprId};
 pub use crate::dot::dot_graph;
 pub use crate::expr::{Expr, JoinCondition};
+pub use crate::inthash::{IntBuildHasher, IntHasher, IntMap};
 pub use crate::predicate::{CompareOp, Comparison, Predicate, Rhs};
 pub use crate::query::Query;
 pub use crate::schema_infer::{output_attrs, InferError};

@@ -77,7 +77,7 @@ impl fmt::Display for Rhs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Rhs::Literal(v) => write!(f, "{v}"),
-            Rhs::Attr(a) => write!(f, "{a}"),
+            Rhs::Attr(a) => a.write_to(f),
         }
     }
 }
@@ -140,7 +140,9 @@ impl Comparison {
 
 impl fmt::Display for Comparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}{}", self.attr, self.op, self.rhs)
+        self.attr.write_to(f)?;
+        fmt::Display::fmt(&self.op, f)?;
+        fmt::Display::fmt(&self.rhs, f)
     }
 }
 
@@ -306,7 +308,7 @@ impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Predicate::True => f.write_str("true"),
-            Predicate::Cmp(c) => write!(f, "{c}"),
+            Predicate::Cmp(c) => fmt::Display::fmt(c, f),
             Predicate::And(ps) => join_with(f, ps, " ∧ "),
             Predicate::Or(ps) => join_with(f, ps, " ∨ "),
         }
@@ -314,14 +316,14 @@ impl fmt::Display for Predicate {
 }
 
 fn join_with(f: &mut fmt::Formatter<'_>, ps: &[Predicate], sep: &str) -> fmt::Result {
-    write!(f, "(")?;
+    f.write_str("(")?;
     for (i, p) in ps.iter().enumerate() {
         if i > 0 {
             f.write_str(sep)?;
         }
-        write!(f, "{p}")?;
+        fmt::Display::fmt(p, f)?;
     }
-    write!(f, ")")
+    f.write_str(")")
 }
 
 #[cfg(test)]

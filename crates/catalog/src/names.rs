@@ -117,11 +117,21 @@ impl AttrRef {
         }
         Some(Self::new(rel, attr))
     }
+
+    /// Writes the reference as `Relation.attr` — the text of its `Display`,
+    /// which calls this — in three `write_str` calls, without going through
+    /// the formatting machinery.
+    #[inline]
+    pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_str(self.relation.as_str())?;
+        w.write_str(".")?;
+        w.write_str(self.attr.as_str())
+    }
 }
 
 impl fmt::Display for AttrRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}", self.relation, self.attr)
+        self.write_to(f)
     }
 }
 

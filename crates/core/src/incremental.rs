@@ -11,9 +11,22 @@
 //! updates by XOR; revisiting a previously-seen configuration costs one
 //! array load per re-costed root.
 //!
+//! The shared-maintenance term is kept the same way. One refresh pass
+//! recomputes the *closure* of the views it rebuilds — every such view and
+//! its descendants. The evaluator holds that closure as a per-node cover
+//! count (how many rebuilt views reach the node through `{v} ∪
+//! descendants(v)`) plus its words. A flip adds or subtracts one view's
+//! cover; only when a count crosses zero does the closure change, and only
+//! then are its terms re-summed. Most flips of an exhaustive scan leave the
+//! closure as it was. A frontier or policy move — a genetic genome, a
+//! range of a scan — rebuilds the closure by word-ORs of the descendant
+//! sets instead and compares it with the last one; the next flip recounts.
+//!
 //! Results are bit-identical to [`evaluate_set`](crate::evaluate::evaluate_set): the per-query walks are the
-//! same function, and the total is re-summed in root order on every change so
-//! floating-point association never differs.
+//! same function, the query term is re-summed in root order on every change,
+//! and every maintenance sum is re-taken over the same set in the same
+//! ascending id order whenever that set changes, so floating-point
+//! association never differs.
 
 use crate::annotate::{AnnotatedMvpp, MaintenancePolicy};
 use crate::evaluate::{evaluate_set_with_policies, query_cost_set, CostBreakdown, MaintenanceMode};
@@ -82,11 +95,30 @@ pub struct IncrementalEvaluator<'a> {
     /// Per-node `fu_weight · delta_cm`, precomputed like `recompute_term`.
     delta_term: Vec<f64>,
     /// Word mask of non-leaf nodes (leaves are stored relations and never
-    /// charge maintenance).
+    /// charge maintenance); its length is the word count of every set here.
     notleaf: Vec<u64>,
-    /// Reusable buffers: nodes needing a refresh pass and dirty root
+    /// The refresh pass: materialized, non-leaf and not under a delta
+    /// policy.
+    pass: Vec<u64>,
+    /// SharedRecompute only: the pass's closure, every view of the pass
+    /// and its descendants — what one refresh recomputes.
+    closure: Vec<u64>,
+    /// SharedRecompute only: per node, how many views of the pass cover it
+    /// (are it or an ancestor of it) — `closure` is where this is non-zero.
+    /// Stale after a frontier or policy move rebuilt `closure` by ORs; the
+    /// next flip recounts.
+    cover: Vec<u32>,
+    cover_valid: bool,
+    /// Σ `recompute_term` over `closure` (SharedRecompute) or over `pass`
+    /// (Isolated), ascending by id.
+    recompute_sum: f64,
+    /// Σ `apply_term` over `pass`, ascending by id; `0.0` without apply
+    /// terms.
+    apply_sum: f64,
+    /// Reusable buffers: the next pass, the next closure and dirty root
     /// indices — kept to avoid per-probe allocation.
-    scratch_needed: Vec<u64>,
+    scratch_pass: Vec<u64>,
+    scratch_closure: Vec<u64>,
     scratch_dirty: Vec<u64>,
     query_processing: f64,
     maintenance: f64,
@@ -148,6 +180,7 @@ impl<'a> IncrementalEvaluator<'a> {
             ),
             _ => None,
         };
+        let words = notleaf.len();
         let mut eval = Self {
             a,
             mode,
@@ -161,7 +194,14 @@ impl<'a> IncrementalEvaluator<'a> {
             delta: NodeSet::with_capacity(n),
             delta_term,
             notleaf,
-            scratch_needed: Vec::new(),
+            pass: vec![0; words],
+            closure: vec![0; words],
+            cover: vec![0; n],
+            cover_valid: true,
+            recompute_sum: 0.0,
+            apply_sum: 0.0,
+            scratch_pass: Vec::new(),
+            scratch_closure: Vec::new(),
             scratch_dirty: Vec::new(),
             query_processing: 0.0,
             maintenance: 0.0,
@@ -170,7 +210,8 @@ impl<'a> IncrementalEvaluator<'a> {
         for i in 0..eval.per_root.len() {
             eval.per_root[i] = eval.root_cost(i);
         }
-        eval.resum();
+        eval.resum_queries();
+        eval.update_maintenance();
         eval
     }
 
@@ -209,7 +250,8 @@ impl<'a> IncrementalEvaluator<'a> {
             }
         }
         self.scratch_dirty = dirty;
-        self.resum();
+        self.resum_queries();
+        self.update_maintenance();
     }
 
     /// Toggles `v` in the frontier and returns the new total cost. Only the
@@ -222,7 +264,8 @@ impl<'a> IncrementalEvaluator<'a> {
             self.index[i] ^= bit;
             self.per_root[i] = self.root_cost(i);
         }
-        self.resum();
+        self.resum_queries();
+        self.flip_maintenance(v.0);
         self.total()
     }
 
@@ -248,7 +291,7 @@ impl<'a> IncrementalEvaluator<'a> {
     /// change stays O(1) in workload size and O(affected-queries) overall.
     pub fn set_delta_policies(&mut self, delta: &NodeSet) {
         self.delta.copy_from(delta);
-        self.maintenance = self.current_maintenance();
+        self.update_maintenance();
     }
 
     /// The views currently maintained by delta propagation.
@@ -286,9 +329,9 @@ impl<'a> IncrementalEvaluator<'a> {
         cost
     }
 
-    /// Re-derives the aggregate terms from per-root costs, summing in root
+    /// Re-derives the query term from per-root costs, summing in root
     /// order exactly as [`evaluate_set`](crate::evaluate::evaluate_set) does.
-    fn resum(&mut self) {
+    fn resum_queries(&mut self) {
         let mut qp = 0.0;
         for (i, (_, fq, _)) in self.a.mvpp().roots().iter().enumerate() {
             qp += fq * self.per_root[i];
@@ -298,98 +341,186 @@ impl<'a> IncrementalEvaluator<'a> {
         // change any subsequent addition, so storing the normalised value
         // keeps `total()` bit-identical.
         self.query_processing = qp + 0.0;
-        self.maintenance = self.current_maintenance();
     }
 
-    /// Maintenance of the current frontier — bit-identical to
-    /// [`crate::evaluate`]'s `maintenance_cost` (and, with delta policies
-    /// set, to its `maintenance_cost_with_policies`): the per-node products
-    /// were precomputed with the same operand order, summation is ascending
-    /// by node id exactly as the set-based iteration there, and views under
-    /// a delta policy are masked out of the recompute pass word-wise.
-    fn current_maintenance(&mut self) -> f64 {
-        let delta_words = self.delta.words();
-        // Per-word membership of the recompute pass: materialized and not
-        // under a delta policy.
-        let rw = |w: usize, word: u64| -> u64 {
-            word & self.notleaf.get(w).copied().unwrap_or(0)
-                & !delta_words.get(w).copied().unwrap_or(0)
-        };
-        let maintenance = match self.mode {
+    /// Brings the maintenance term up to a frontier or delta set that may
+    /// have moved anywhere, rebuilding the closure by word-ORs.
+    fn update_maintenance(&mut self) {
+        let mut pass = std::mem::take(&mut self.scratch_pass);
+        pass.clear();
+        {
+            let (m, delta) = (self.m.words(), self.delta.words());
+            let word = |s: &[u64], w: usize| s.get(w).copied().unwrap_or(0);
+            pass.extend(
+                (0..self.notleaf.len()).map(|w| word(m, w) & self.notleaf[w] & !word(delta, w)),
+            );
+        }
+        if pass != self.pass {
+            let closure_changed = match self.mode {
+                MaintenanceMode::Isolated => false,
+                MaintenanceMode::SharedRecompute => self.or_closure(&pass),
+            };
+            self.scratch_pass = std::mem::replace(&mut self.pass, pass);
+            self.resum_pass(closure_changed);
+        } else {
+            self.scratch_pass = pass;
+        }
+        self.combine_maintenance();
+    }
+
+    /// [`update_maintenance`](Self::update_maintenance) after `flip(v)`:
+    /// the pass gains or loses at most `v`, followed through the cover
+    /// counts (recounted first if a large move left them stale — flips come
+    /// in streams).
+    fn flip_maintenance(&mut self, v: usize) {
+        let (w, bit) = (v / 64, 1u64 << (v % 64));
+        if self.notleaf[w] & bit != 0 && !self.delta.contains(NodeId(v)) {
+            let closure_changed = match self.mode {
+                MaintenanceMode::Isolated => false,
+                MaintenanceMode::SharedRecompute => {
+                    if !self.cover_valid {
+                        self.recount();
+                    }
+                    self.cover(v, self.pass[w] & bit == 0)
+                }
+            };
+            self.pass[w] ^= bit;
+            self.resum_pass(closure_changed);
+        }
+        self.combine_maintenance();
+    }
+
+    /// Re-takes the sums over a pass that changed: the recompute sum over
+    /// the pass (Isolated) or over the closure if it changed
+    /// (SharedRecompute), and the apply sum where there are apply terms.
+    fn resum_pass(&mut self, closure_changed: bool) {
+        match self.mode {
             MaintenanceMode::Isolated => {
-                let mut s = 0.0;
-                for (w, word) in self.m.words().iter().enumerate() {
-                    let mut bits = rw(w, *word);
-                    while bits != 0 {
-                        let n = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        s += self.recompute_term[n];
-                    }
-                }
-                s
+                self.recompute_sum = sum_over(&self.pass, &self.recompute_term);
             }
-            MaintenanceMode::SharedRecompute => {
-                // One refresh pass touches every recomputed node and its
-                // descendants; gather that closure with word-wise ORs over
-                // the cached descendant bitsets.
-                let mut needed = std::mem::take(&mut self.scratch_needed);
-                needed.clear();
-                needed.resize(self.notleaf.len(), 0);
-                for (w, word) in self.m.words().iter().enumerate() {
-                    let mut bits = rw(w, *word);
-                    while bits != 0 {
-                        let bit = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        needed[w] |= 1 << bit;
-                        let desc = self.a.descendant_set(NodeId(w * 64 + bit)).words();
-                        for (i, d) in desc.iter().enumerate() {
-                            needed[i] |= d;
-                        }
-                    }
-                }
-                let mut s = 0.0;
-                for (w, &word) in needed.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let n = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        s += self.recompute_term[n];
-                    }
-                }
-                let apply = match &self.apply_term {
-                    None => 0.0,
-                    Some(terms) => {
-                        let mut ap = 0.0;
-                        for (w, word) in self.m.words().iter().enumerate() {
-                            let mut bits = rw(w, *word);
-                            while bits != 0 {
-                                let n = w * 64 + bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                ap += terms[n];
-                            }
-                        }
-                        ap
-                    }
-                };
-                self.scratch_needed = needed;
-                s + apply
+            MaintenanceMode::SharedRecompute if closure_changed => {
+                self.recompute_sum = sum_over(&self.closure, &self.recompute_term);
             }
+            MaintenanceMode::SharedRecompute => {}
+        }
+        if let Some(terms) = &self.apply_term {
+            self.apply_sum = sum_over(&self.pass, terms);
+        }
+    }
+
+    /// Combines the cached sums with the delta-policy term into the
+    /// maintenance term, with `maintenance_cost_with_policies`' additions.
+    fn combine_maintenance(&mut self) {
+        let maintenance = match self.mode {
+            MaintenanceMode::Isolated => self.recompute_sum,
+            MaintenanceMode::SharedRecompute => self.recompute_sum + self.apply_sum,
         };
         // Delta-policy views charge their own propagation term, summed in
         // ascending id order like `maintenance_cost_with_policies`.
         let mut delta_sum = 0.0;
-        for (w, word) in self.m.words().iter().enumerate() {
-            let mut bits = word
-                & self.notleaf.get(w).copied().unwrap_or(0)
-                & delta_words.get(w).copied().unwrap_or(0);
+        if !self.delta.is_empty() {
+            let (m, delta) = (self.m.words(), self.delta.words());
+            for (w, (&mw, &dw)) in m.iter().zip(delta).enumerate() {
+                let mut bits = mw & self.notleaf[w] & dw;
+                while bits != 0 {
+                    let n = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    delta_sum += self.delta_term[n];
+                }
+            }
+        }
+        self.maintenance = ((maintenance + 0.0) + delta_sum) + 0.0;
+    }
+
+    /// Adds (or removes) one cover of `v` and of each of its descendants;
+    /// returns whether some count crossed zero, setting or clearing its
+    /// closure bit.
+    fn cover(&mut self, v: usize, add: bool) -> bool {
+        let a = self.a;
+        let mut changed = self.count(v, add);
+        for (w, &word) in a.descendant_set(NodeId(v)).words().iter().enumerate() {
+            let mut bits = word;
             while bits != 0 {
                 let n = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                delta_sum += self.delta_term[n];
+                changed |= self.count(n, add);
             }
         }
-        ((maintenance + 0.0) + delta_sum) + 0.0
+        changed
     }
+
+    /// Adds (or removes) one cover of node `n`; returns whether its count
+    /// crossed zero, setting or clearing its closure bit.
+    fn count(&mut self, n: usize, add: bool) -> bool {
+        let (w, bit) = (n / 64, 1u64 << (n % 64));
+        let count = &mut self.cover[n];
+        if add {
+            *count += 1;
+            if *count == 1 {
+                self.closure[w] |= bit;
+                return true;
+            }
+        } else {
+            *count -= 1;
+            if *count == 0 {
+                self.closure[w] &= !bit;
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Recounts the cover counts of the current pass from scratch.
+    fn recount(&mut self) {
+        self.cover.fill(0);
+        for w in 0..self.pass.len() {
+            let mut bits = self.pass[w];
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.cover(v, true);
+            }
+        }
+        self.cover_valid = true;
+    }
+
+    /// Rebuilds the closure of `pass` by word-ORs of its views and their
+    /// descendant sets, leaving the cover counts stale, and returns whether
+    /// the closure changed.
+    fn or_closure(&mut self, pass: &[u64]) -> bool {
+        let a = self.a;
+        let mut closure = std::mem::take(&mut self.scratch_closure);
+        closure.clear();
+        closure.extend_from_slice(pass);
+        for (w, &word) in pass.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for (c, d) in closure.iter_mut().zip(a.descendant_set(NodeId(v)).words()) {
+                    *c |= d;
+                }
+            }
+        }
+        self.cover_valid = false;
+        let changed = closure != self.closure;
+        self.scratch_closure = std::mem::replace(&mut self.closure, closure);
+        changed
+    }
+}
+
+/// Σ `terms[n]` over the ids set in `words`, ascending.
+fn sum_over(words: &[u64], terms: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let n = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            s += terms[n];
+        }
+    }
+    s
 }
 
 #[cfg(test)]

@@ -13,14 +13,14 @@
 //! runs over one `i64` per row, so every one can be radix-partitioned and
 //! spilled.
 //!
-//! Every integer-keyed map in the engine hashes with [`IntHasher`]; the
+//! Every integer-keyed map in the engine hashes with [`IntHasher`] (the
+//! workspace's one integer hasher, defined in `mvdesign-algebra`); the
 //! hash join's build side is one [`ChainTable`]. Both report the bytes they
 //! hold ([`ChainTable::bytes`]) and bound them before they are built
 //! ([`ChainTable::bytes_for`]) — the currency of the engine's spill
 //! decisions.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -28,61 +28,7 @@ use mvdesign_algebra::Value;
 
 use crate::batch::Column;
 
-/// A multiply-rotate hasher (the FxHash recipe) for the engine's integer
-/// keys and for the row hashes of [`row_hashes`].
-///
-/// `std`'s default SipHash is keyed per process to resist collision
-/// flooding by whoever chooses the keys of a long-lived map. These maps are
-/// not that: they live for one operator call, their keys are dictionary
-/// codes and integer columns of tables the warehouse's operator loaded, and
-/// a collision costs probe time, never a wrong result (equality is still
-/// checked on the full key). At a few nanoseconds per row SipHash was most
-/// of a group-by's or a probe's cost, so the integer paths trade the
-/// flooding resistance for one multiply per word. Maps keyed by anything
-/// else (strings) keep the default hasher.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct IntHasher(u64);
-
-/// 2^64 / φ, odd: multiplying by it spreads every input bit upwards (the
-/// hasher's mix and the radix partitioner's Fibonacci hash).
-pub(crate) const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl IntHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(HASH_MUL);
-    }
-}
-
-impl Hasher for IntHasher {
-    /// `[i64; N]` hashes as one byte slice; consume it a word at a time.
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_i64(&mut self, v: i64) {
-        self.mix(v as u64);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-
-    /// The multiply leaves the entropy in the high bits; the table picks
-    /// buckets from the low ones, so rotate the high bits down.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// The `BuildHasher` of every integer-keyed map in the engine.
-pub(crate) type IntBuildHasher = BuildHasherDefault<IntHasher>;
-
-/// A hash map under [`IntHasher`].
-pub(crate) type IntMap<K, V> = HashMap<K, V, IntBuildHasher>;
+pub(crate) use mvdesign_algebra::{IntBuildHasher, IntHasher, IntMap};
 
 /// Bytes of one slot of a map holding `(K, V)`: the entry and its control
 /// byte. A map's footprint is its capacity times this.
@@ -456,13 +402,13 @@ const DATE_TAG: u64 = 2;
 const TEXT_TAG: u64 = 3;
 
 fn hash_int(tag: u64, v: i64) -> u64 {
-    let mut h = IntHasher(tag);
+    let mut h = IntHasher::with_seed(tag);
     h.write_i64(v);
     h.finish()
 }
 
 fn hash_str(s: &str) -> u64 {
-    let mut h = IntHasher(TEXT_TAG);
+    let mut h = IntHasher::with_seed(TEXT_TAG);
     h.write(s.as_bytes());
     h.write_usize(s.len());
     h.finish()
@@ -486,7 +432,7 @@ fn hash_value(v: &Value) -> u64 {
 pub(crate) fn row_hashes(cols: &[&Column], rows: usize) -> Vec<i64> {
     fn fold(h: &mut [u64], value_hashes: impl Iterator<Item = u64>) {
         for (acc, v) in h.iter_mut().zip(value_hashes) {
-            *acc = (acc.rotate_left(5) ^ v).wrapping_mul(HASH_MUL);
+            *acc = (acc.rotate_left(5) ^ v).wrapping_mul(IntHasher::MUL);
         }
     }
     let mut h = vec![0u64; rows];

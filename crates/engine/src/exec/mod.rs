@@ -42,7 +42,7 @@ use crate::table::{Database, Table};
 
 use keys::{
     group_cardinality_hint, group_keys, join_keys, map_slots_bound, slot_bytes, ChainTable,
-    GroupKeyRows, IntMap, HASH_MUL,
+    GroupKeyRows, IntHasher, IntMap,
 };
 pub(crate) use paged::exec_view;
 
@@ -429,7 +429,7 @@ fn grace_hash_join(
 /// the top bits well-mixed, and the top `log2(partitions)` bits pick the
 /// partition.
 fn partition_of(key: i64, shift: u32) -> usize {
-    (((key as u64).wrapping_mul(HASH_MUL)) >> shift) as usize
+    (((key as u64).wrapping_mul(IntHasher::MUL)) >> shift) as usize
 }
 
 /// Hash-aggregation kernel, in two passes over typed columns. Pass 1
@@ -1052,7 +1052,7 @@ fn group_partition<'a>(
         None => {
             let mut quarters: [Vec<(i64, usize)>; 4] = Default::default();
             for &(key, i) in records {
-                let q = ((key as u64).wrapping_mul(HASH_MUL) << used) >> 62;
+                let q = ((key as u64).wrapping_mul(IntHasher::MUL) << used) >> 62;
                 quarters[q as usize].push((key, i));
             }
             for quarter in &quarters {

@@ -78,7 +78,16 @@ MVDESIGN_MEM_BUDGET=65536 cargo test -q --release -p mvdesign --test result_cach
 # so an API change could break it with every other step green. Its smoke
 # builds it and runs every workload's correctness gate before its timing.
 echo "== tier-1: benchmark smoke (all four workloads, untraced + traced, 4 s each) =="
+# Building the benchmark rewrites its committed lock file, which still lists
+# the removed `mvdesign-distributed` crate; keep a copy and put it back, so a
+# tier-1 run leaves the tree as it found it (the lock itself is mended with
+# the next change to benchmark/, ROADMAP item 1(g)).
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --smoke
+cp "$bench_lock" benchmark/Cargo.lock
+echo "benchmark/Cargo.lock restored as committed (stale entry waits on ROADMAP item 1(g))"
 
 echo "== tier-1: paper artifacts are digit-identical (bare repro vs docs/repro_output.txt) =="
 cmp <(cargo run --release -p mvdesign-bench --bin repro) docs/repro_output.txt

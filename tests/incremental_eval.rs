@@ -10,10 +10,10 @@ use proptest::prelude::*;
 use mvdesign::algebra::{AttrRef, CompareOp, Expr, JoinCondition, Predicate};
 use mvdesign::catalog::{AttrType, Catalog};
 use mvdesign::core::{
-    choose_policies, evaluate, evaluate_set, generate_mvpps, AnnotatedMvpp, Designer,
-    DesignerConfig, ExhaustiveSelection, GenerateConfig, GeneticSelection, GreedySelection,
-    IncrementalEvaluator, MaintenanceMode, Mvpp, NodeId, NodeSet, SelectionAlgorithm,
-    UpdateWeighting,
+    choose_policies, evaluate, evaluate_set, evaluate_set_with_policies, generate_mvpps,
+    AnnotatedMvpp, Designer, DesignerConfig, ExhaustiveSelection, GenerateConfig, GeneticSelection,
+    GreedySelection, IncrementalEvaluator, MaintenanceMode, MaintenancePolicy, Mvpp, NodeId,
+    NodeSet, SelectionAlgorithm, UpdateWeighting, DEFAULT_DELTA_FRACTION,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::optimizer::Planner;
@@ -32,6 +32,10 @@ fn star(seed: u64, queries: usize) -> Scenario {
 }
 
 fn annotate(scenario: &Scenario) -> AnnotatedMvpp {
+    annotate_with(scenario, MaintenancePolicy::Recompute)
+}
+
+fn annotate_with(scenario: &Scenario, policy: MaintenancePolicy) -> AnnotatedMvpp {
     let est = CostEstimator::new(
         &scenario.catalog,
         EstimationMode::Analytic,
@@ -44,14 +48,14 @@ fn annotate(scenario: &Scenario) -> AnnotatedMvpp {
         GenerateConfig { max_rotations: 1 },
     )
     .remove(0);
-    AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max)
+    AnnotatedMvpp::annotate_with(mvpp, &est, UpdateWeighting::Max, policy)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any flip sequence leaves the incremental evaluator agreeing with a
-    /// full `evaluate` of the same frontier, in both maintenance modes.
+    /// Any flip sequence leaves the incremental evaluator bit-equal to a
+    /// full `evaluate_set` of the same frontier, in both maintenance modes.
     #[test]
     fn incremental_flips_agree_with_full_evaluate(
         seed in 0_u64..1_000,
@@ -62,20 +66,94 @@ proptest! {
         let interior = a.mvpp().interior();
         for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
             let mut eval = IncrementalEvaluator::new(&a, mode);
-            let mut frontier: BTreeSet<_> = BTreeSet::new();
+            let mut frontier = NodeSet::for_mvpp(a.mvpp());
             for f in &flips {
                 let v = interior[f % interior.len()];
-                if !frontier.remove(&v) {
-                    frontier.insert(v);
-                }
+                frontier.toggle(v);
                 let incremental = eval.flip(v);
-                let full = evaluate(&a, &frontier, mode);
-                prop_assert!(
-                    (incremental - full.total).abs() <= 1e-9,
-                    "flip diverged: incremental {incremental} vs full {}",
+                let full = evaluate_set(&a, &frontier, mode);
+                prop_assert_eq!(
+                    incremental.to_bits(),
+                    full.total.to_bits(),
+                    "flip diverged: incremental {} vs full {}",
+                    incremental,
                     full.total
                 );
+                prop_assert_eq!(eval.total().to_bits(), full.total.to_bits());
                 prop_assert_eq!(eval.breakdown(), full);
+            }
+        }
+    }
+
+    /// Flips, small and large frontier moves and policy changes, in any
+    /// interleaving, leave `total()` bit-equal to a fresh
+    /// `evaluate_set_with_policies` of the same frontier and delta set —
+    /// under both maintenance modes and both maintenance policies. A small
+    /// move toggles a few nodes and a large one jumps to an arbitrary
+    /// frontier (both rebuild the closure, so the next flip recounts the
+    /// evaluator's cover counts).
+    #[test]
+    fn interleaved_moves_agree_with_evaluate_set_bit_for_bit(
+        seed in 0_u64..1_000,
+        moves in proptest::collection::vec(
+            (0_u8..4, proptest::collection::vec(proptest::arbitrary::any::<u16>(), 1..48)),
+            1..32,
+        ),
+    ) {
+        let scenario = star(seed, 6);
+        let policies = [
+            MaintenancePolicy::Recompute,
+            MaintenancePolicy::Incremental { update_fraction: DEFAULT_DELTA_FRACTION },
+        ];
+        for policy in policies {
+            let a = annotate_with(&scenario, policy);
+            let interior = a.mvpp().interior();
+            let pick = |x: u16| interior[x as usize % interior.len()];
+            for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
+                let mut eval = IncrementalEvaluator::new(&a, mode);
+                let mut m = NodeSet::for_mvpp(a.mvpp());
+                let mut delta = NodeSet::for_mvpp(a.mvpp());
+                for (kind, xs) in &moves {
+                    match kind {
+                        0 => {
+                            let v = pick(xs[0]);
+                            m.toggle(v);
+                            eval.flip(v);
+                        }
+                        1 => {
+                            for &x in xs.iter().take(3) {
+                                m.toggle(pick(x));
+                            }
+                            eval.set_frontier(&m);
+                        }
+                        2 => {
+                            m = NodeSet::from_ids(
+                                a.mvpp().len(),
+                                xs.iter().filter(|x| *x & 1 == 0).map(|&x| pick(x >> 1)),
+                            );
+                            eval.set_frontier(&m);
+                        }
+                        _ => {
+                            delta = NodeSet::from_ids(
+                                a.mvpp().len(),
+                                xs.iter().filter(|x| *x & 1 == 0).map(|&x| pick(x >> 1)),
+                            );
+                            eval.set_delta_policies(&delta);
+                        }
+                    }
+                    let full = evaluate_set_with_policies(&a, &m, &delta, mode);
+                    prop_assert_eq!(
+                        eval.total().to_bits(),
+                        full.total.to_bits(),
+                        "{:?} {:?} diverged after move {}: {} vs {}",
+                        policy,
+                        mode,
+                        kind,
+                        eval.total(),
+                        full.total
+                    );
+                    prop_assert_eq!(eval.breakdown(), full);
+                }
             }
         }
     }
