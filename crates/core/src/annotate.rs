@@ -35,24 +35,15 @@ pub enum MaintenancePolicy {
     /// Rebuild the view from its inputs on every refresh: `Cm(v) = Ca(v)`.
     #[default]
     Recompute,
-    /// Propagate deltas: each refresh costs the stated fraction of a full
-    /// recomputation (the share of the base data that changed, amplified
-    /// through the joins) plus one scan of the stored view to apply the
-    /// delta: `Cm(v) = f·Ca(v) + scan(v)`.
+    /// Each view is refreshed the cheaper way: it folds append deltas when
+    /// that costs less than rebuilding it, so
+    /// `Cm(v) = min(Ca(v), Cmᵟ(v))` with [`NodeAnnotation::delta_cm`] taken
+    /// at this append fraction, and [`NodeAnnotation::folds`] records which.
     Incremental {
-        /// Fraction of the full recomputation a delta pass costs, in `[0,1]`.
+        /// Per-period append fraction `|ΔR|/|R|` of every base relation,
+        /// clamped into `[0, 1]`.
         update_fraction: f64,
     },
-}
-
-impl MaintenancePolicy {
-    /// The multiplier applied to recomputation work under this policy.
-    pub fn work_fraction(&self) -> f64 {
-        match self {
-            MaintenancePolicy::Recompute => 1.0,
-            MaintenancePolicy::Incremental { update_fraction } => update_fraction.clamp(0.0, 1.0),
-        }
-    }
 }
 
 /// The per-period append fraction `|ΔR|/|R|` the delta cost model assumes
@@ -72,7 +63,8 @@ pub struct NodeAnnotation {
     /// subexpressions (zero for leaves).
     pub ca: f64,
     /// `Cm(v)`: cost of maintaining `v` if materialized. Recomputation
-    /// maintenance (the paper's assumption) makes `Cm(v) = Ca(v)`.
+    /// maintenance (the paper's assumption) makes `Cm(v) = Ca(v)`;
+    /// incremental maintenance makes it `min(Ca(v), Cmᵟ(v))`.
     pub cm: f64,
     /// `Cmᵟ(v)`: cost of maintaining `v` by delta propagation instead of
     /// recomputation — every operator below `v` re-run at its *delta*
@@ -82,6 +74,10 @@ pub struct NodeAnnotation {
     /// in. Zero for leaves; never charged above a full recomputation per
     /// operator.
     pub delta_cm: f64,
+    /// Whether `v` is maintained by folding deltas, `Cm(v) = Cmᵟ(v)`: under
+    /// [`MaintenancePolicy::Incremental`], `Cmᵟ(v) < Ca(v)` strictly. Always
+    /// `false` under [`MaintenancePolicy::Recompute`] and for leaves.
+    pub folds: bool,
     /// Cost of scanning a materialized copy of `R(v)`.
     pub scan: f64,
     /// `Σ_{q ∈ Ov} fq(q)`: combined frequency of queries using `v`.
@@ -98,7 +94,6 @@ pub struct NodeAnnotation {
 pub struct AnnotatedMvpp {
     mvpp: Mvpp,
     annotations: Vec<NodeAnnotation>,
-    policy: MaintenancePolicy,
     /// Per-node `S*{v}` (descendants, excluding `v`) as dense bitsets.
     desc_sets: Vec<NodeSet>,
     /// Per-node `D*{v}` (ancestors, excluding `v`) as dense bitsets.
@@ -148,9 +143,11 @@ impl AnnotatedMvpp {
 
         // Append fraction feeding the delta-maintenance column: the policy's
         // stated fraction when it has one, the model default otherwise.
-        let delta_fraction = match policy {
-            MaintenancePolicy::Incremental { .. } => policy.work_fraction(),
-            MaintenancePolicy::Recompute => DEFAULT_DELTA_FRACTION,
+        let (delta_fraction, incremental) = match policy {
+            MaintenancePolicy::Incremental { update_fraction } => {
+                (update_fraction.clamp(0.0, 1.0), true)
+            }
+            MaintenancePolicy::Recompute => (DEFAULT_DELTA_FRACTION, false),
         };
         // Per-node delta size as a fraction of the full result. A node over
         // `k` base relations each growing by fraction `f` has a new state
@@ -175,11 +172,6 @@ impl AnnotatedMvpp {
                 total
             };
             let scan = est.scan_cost(node.expr());
-            let cm = match policy {
-                MaintenancePolicy::Recompute => ca,
-                MaintenancePolicy::Incremental { .. } if node.is_leaf() => 0.0,
-                MaintenancePolicy::Incremental { .. } => policy.work_fraction() * ca + scan,
-            };
             let leaves_below = desc_sets[node.id().0]
                 .iter()
                 .filter(|d| mvpp.node(*d).is_leaf())
@@ -199,6 +191,10 @@ impl AnnotatedMvpp {
                 }
                 total + scan
             };
+            // One price per view: it folds deltas exactly when that is
+            // cheaper than rebuilding it (leaves have Ca = Cmᵟ = 0).
+            let folds = incremental && delta_cm < ca;
+            let cm = if folds { delta_cm } else { ca };
             // `Σ fq` over the queries using this node, in root order — same
             // order (and therefore same float sum) as `queries_using` gives.
             let up = &anc_sets[node.id().0];
@@ -222,6 +218,7 @@ impl AnnotatedMvpp {
                 ca,
                 cm,
                 delta_cm,
+                folds,
                 scan,
                 fq_weight,
                 fu_weight,
@@ -231,7 +228,6 @@ impl AnnotatedMvpp {
         Self {
             mvpp,
             annotations,
-            policy,
             desc_sets,
             anc_sets,
         }
@@ -240,11 +236,6 @@ impl AnnotatedMvpp {
     /// The underlying DAG.
     pub fn mvpp(&self) -> &Mvpp {
         &self.mvpp
-    }
-
-    /// The maintenance policy the annotations were computed under.
-    pub fn maintenance_policy(&self) -> MaintenancePolicy {
-        self.policy
     }
 
     /// Annotation of one node.
@@ -264,16 +255,6 @@ impl AnnotatedMvpp {
     /// Panics if `id` did not come from this MVPP.
     pub fn descendant_set(&self, id: NodeId) -> &NodeSet {
         &self.desc_sets[id.0]
-    }
-
-    /// Cached `D*{v}` (all ancestors of `v`, excluding `v`) as a bitset —
-    /// the precomputed form of [`Mvpp::ancestors`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this MVPP.
-    pub fn ancestor_set(&self, id: NodeId) -> &NodeSet {
-        &self.anc_sets[id.0]
     }
 
     /// Whether `u` and `v` lie on one root-to-leaf branch, answered from the
@@ -536,39 +517,45 @@ mod policy_tests {
     }
 
     #[test]
-    fn incremental_cm_is_fraction_of_ca_plus_scan() {
+    fn incremental_cm_is_the_cheaper_of_ca_and_delta_cm() {
         let (c, m) = setup();
         let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        let a = AnnotatedMvpp::annotate_with(
-            m,
-            &est,
-            UpdateWeighting::Max,
-            MaintenancePolicy::Incremental {
-                update_fraction: 0.25,
-            },
-        );
-        let v = a.mvpp().interior()[0];
-        let ann = a.annotation(v);
-        assert!((ann.cm - (0.25 * ann.ca + ann.scan)).abs() < 1e-9);
+        // At f = 0.25 the join's delta pass is cheaper than a rebuild; at
+        // f = 1 its delta is the whole result, so it rebuilds.
+        for (f, folds) in [(0.25, true), (1.0, false)] {
+            let a = AnnotatedMvpp::annotate_with(
+                m.clone(),
+                &est,
+                UpdateWeighting::Max,
+                MaintenancePolicy::Incremental { update_fraction: f },
+            );
+            for v in a.mvpp().interior() {
+                let ann = a.annotation(v);
+                assert_eq!(ann.cm, ann.ca.min(ann.delta_cm), "f={f}");
+                assert_eq!(ann.folds, ann.delta_cm < ann.ca, "f={f}");
+                assert_eq!(ann.folds, folds, "f={f}");
+                assert_eq!(ann.weight, ann.fq_weight * ann.ca - ann.fu_weight * ann.cm);
+            }
+        }
     }
 
     #[test]
     fn update_fraction_is_clamped() {
-        assert_eq!(
-            MaintenancePolicy::Incremental {
-                update_fraction: 7.0
-            }
-            .work_fraction(),
-            1.0
-        );
-        assert_eq!(
-            MaintenancePolicy::Incremental {
-                update_fraction: -1.0
-            }
-            .work_fraction(),
-            0.0
-        );
-        assert_eq!(MaintenancePolicy::Recompute.work_fraction(), 1.0);
+        let (c, m) = setup();
+        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
+        let at = |f: f64| {
+            let a = AnnotatedMvpp::annotate_with(
+                m.clone(),
+                &est,
+                UpdateWeighting::Max,
+                MaintenancePolicy::Incremental { update_fraction: f },
+            );
+            (0..a.mvpp().len())
+                .map(|i| *a.annotation(NodeId(i)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(at(7.0), at(1.0));
+        assert_eq!(at(-1.0), at(0.0));
     }
 
     #[test]

@@ -18,13 +18,12 @@
 //!    atoms inside pushed-down disjunctions (which only widen a shared leaf)
 //!    are allowed.
 //! 3. **Differential cost oracles** ([`check_cost_paths`],
-//!    [`check_policy_cost_paths`], [`check_greedy_trace`],
-//!    [`reference_greedy`], [`greedy_no_prune`]): [`evaluate`],
-//!    [`evaluate_set`] and the [`IncrementalEvaluator`] must agree *to the
-//!    last bit* on any materialization choice — under pure recompute
-//!    maintenance and under every probed per-view delta-policy assignment —
-//!    and the greedy's incremental `Cs` bookkeeping must equal savings
-//!    recomputed from scratch with the slow `BTreeSet`-based traversals.
+//!    [`check_greedy_trace`], [`reference_greedy`], [`greedy_no_prune`]):
+//!    [`evaluate`], [`evaluate_set`] and the [`IncrementalEvaluator`] must
+//!    agree *to the last bit* on any materialization choice — under either
+//!    maintenance policy — and the greedy's incremental `Cs` bookkeeping
+//!    must equal savings recomputed from scratch with the slow
+//!    `BTreeSet`-based traversals.
 //!
 //! Violations are collected into an [`AuditReport`] instead of panicking so a
 //! single audit pass can surface every problem at once.
@@ -37,10 +36,7 @@ use mvdesign_algebra::{output_attrs, Expr, ExprArena, Predicate};
 use mvdesign_catalog::Catalog;
 
 use crate::annotate::AnnotatedMvpp;
-use crate::evaluate::{
-    choose_policies, evaluate, evaluate_set, evaluate_set_with_policies, CostBreakdown,
-    MaintenanceMode,
-};
+use crate::evaluate::{evaluate, evaluate_set, CostBreakdown, MaintenanceMode};
 use crate::greedy::{GreedySelection, SelectionTrace, TraceStep, TraceVerdict};
 use crate::incremental::IncrementalEvaluator;
 use crate::mvpp::{Mvpp, NodeId};
@@ -438,53 +434,6 @@ pub fn check_cost_paths(
     report
 }
 
-/// Cross-checks the policy-aware cost paths on each materialization choice.
-///
-/// Three delta-policy assignments are probed per choice: nothing
-/// incremental (which must additionally reproduce the plain [`evaluate`]
-/// result bit-for-bit — the digit-identity guarantee for the paper's
-/// tables), everything incremental, and the cost-optimal assignment from
-/// [`choose_policies`]. For each one, [`evaluate_set_with_policies`] and the
-/// [`IncrementalEvaluator`] (via
-/// [`set_delta_policies`](IncrementalEvaluator::set_delta_policies)) must
-/// agree **bit-for-bit** on every field of the breakdown.
-pub fn check_policy_cost_paths(
-    a: &AnnotatedMvpp,
-    choices: &[BTreeSet<NodeId>],
-    mode: MaintenanceMode,
-) -> AuditReport {
-    let mut report = AuditReport::new();
-    let capacity = a.mvpp().len();
-
-    for m in choices {
-        let set = NodeSet::from_ids(capacity, m.iter().copied());
-        let probes = [
-            NodeSet::with_capacity(capacity),
-            set.clone(),
-            choose_policies(a, &set, mode),
-        ];
-        let mut inc = IncrementalEvaluator::new(a, mode);
-        inc.set_frontier(&set);
-        for delta in &probes {
-            let reference = evaluate_set_with_policies(a, &set, delta, mode);
-            inc.set_delta_policies(delta);
-            compare_breakdowns(
-                &mut report,
-                "incremental-policies",
-                m,
-                &reference,
-                &inc.breakdown(),
-            );
-            if delta.is_empty() {
-                let plain = evaluate(a, m, mode);
-                compare_breakdowns(&mut report, "policies-empty-delta", m, &plain, &reference);
-            }
-        }
-    }
-
-    report
-}
-
 fn compare_breakdowns(
     report: &mut AuditReport,
     path: &str,
@@ -514,10 +463,13 @@ fn compare_breakdowns(
 /// greedy: `BTreeSet`-based descendant walks instead of cached bitsets, and
 /// an ancestor/descendant test instead of the precomputed same-branch check.
 ///
+/// It prunes as the greedy does: only while no view folds deltas.
+///
 /// Returns the chosen set and the replayed trace; [`check_greedy_trace`]
 /// asserts it matches [`GreedySelection`] step-for-step and bit-for-bit.
 pub fn reference_greedy(a: &AnnotatedMvpp) -> (BTreeSet<NodeId>, SelectionTrace) {
-    run_reference(a, true)
+    let folds = a.mvpp().nodes().iter().any(|n| a.annotation(n.id()).folds);
+    run_reference(a, !folds)
 }
 
 /// The reference greedy with branch pruning disabled: rejected nodes remove
@@ -814,7 +766,6 @@ pub fn audit_annotated(a: &AnnotatedMvpp, catalog: &Catalog) -> AuditReport {
     choices.push(greedy_m);
     for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
         report.merge(check_cost_paths(a, &choices, mode));
-        report.merge(check_policy_cost_paths(a, &choices, mode));
     }
     report
 }
@@ -850,6 +801,10 @@ mod tests {
     }
 
     fn annotated() -> (AnnotatedMvpp, Catalog) {
+        annotated_with(crate::annotate::MaintenancePolicy::Recompute)
+    }
+
+    fn annotated_with(policy: crate::annotate::MaintenancePolicy) -> (AnnotatedMvpp, Catalog) {
         let c = catalog();
         let join = Expr::join(
             Expr::base("A"),
@@ -860,11 +815,19 @@ mod tests {
             join.clone(),
             Predicate::cmp(AttrRef::new("A", "x"), CompareOp::Gt, 5),
         );
+        let narrow = Expr::select(
+            Expr::base("B"),
+            Predicate::cmp(AttrRef::new("B", "y"), CompareOp::Eq, 1),
+        );
         let mut m = Mvpp::new();
         m.insert_query("Q1", 10.0, &join);
         m.insert_query("Q2", 3.0, &filtered);
+        m.insert_query("Q3", 4.0, &narrow);
         let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        (AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max), c)
+        (
+            AnnotatedMvpp::annotate_with(m, &est, UpdateWeighting::Max, policy),
+            c,
+        )
     }
 
     #[test]
@@ -949,7 +912,17 @@ mod tests {
 
     #[test]
     fn policy_cost_paths_agree_on_every_subset_here() {
-        let (a, _) = annotated();
+        // At an append fraction of one half the joins rebuild and the
+        // selection over one relation folds.
+        let (a, _) = annotated_with(crate::annotate::MaintenancePolicy::Incremental {
+            update_fraction: 0.5,
+        });
+        let interior = a.mvpp().interior();
+        assert!(
+            interior.iter().any(|v| a.annotation(*v).folds)
+                && interior.iter().any(|v| !a.annotation(*v).folds),
+            "fixture: some views fold and some rebuild"
+        );
         let interior = a.mvpp().interior();
         let mut choices = Vec::new();
         for mask in 0u32..(1 << interior.len()) {
@@ -962,7 +935,7 @@ mod tests {
             choices.push(m);
         }
         for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
-            check_policy_cost_paths(&a, &choices, mode).assert_clean("policy subsets");
+            check_cost_paths(&a, &choices, mode).assert_clean("policy subsets");
         }
     }
 }

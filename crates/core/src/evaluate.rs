@@ -87,29 +87,22 @@ pub(crate) fn maintenance_cost(a: &AnnotatedMvpp, m: &NodeSet, mode: Maintenance
             })
             .sum(),
         MaintenanceMode::SharedRecompute => {
-            // One refresh pass recomputes every node needed by some view,
-            // charging each operator once (weighted by its own update rate).
-            // Under incremental maintenance the pass only propagates deltas
-            // (a fraction of the full work) and additionally scans each
-            // stored view to apply them.
-            let fraction = a.maintenance_policy().work_fraction();
-            let apply: f64 = match a.maintenance_policy() {
-                crate::annotate::MaintenancePolicy::Recompute => 0.0,
-                crate::annotate::MaintenancePolicy::Incremental { .. } => m
-                    .iter()
-                    .filter(|v| !mvpp.node(*v).is_leaf())
-                    .map(|v| {
-                        let ann = a.annotation(v);
-                        ann.fu_weight * ann.scan
-                    })
-                    .sum(),
-            };
+            // One refresh pass recomputes every node needed by some view it
+            // rebuilds, charging each operator once (weighted by its own
+            // update rate). A view that folds deltas stays out of the pass
+            // and charges its own `fu·Cmᵟ`.
             // The "needed" closure is a few word-ORs over the cached
             // descendant bitsets; iteration is ascending-id, matching the
             // BTreeSet-based order exactly.
             let mut needed = NodeSet::with_capacity(mvpp.len());
+            let mut folds = 0.0;
             for v in m.iter() {
                 if mvpp.node(v).is_leaf() {
+                    continue;
+                }
+                let ann = a.annotation(v);
+                if ann.folds {
+                    folds += ann.fu_weight * ann.delta_cm;
                     continue;
                 }
                 needed.insert(v);
@@ -119,113 +112,13 @@ pub(crate) fn maintenance_cost(a: &AnnotatedMvpp, m: &NodeSet, mode: Maintenance
                 .iter()
                 .map(|n| {
                     let ann = a.annotation(n);
-                    ann.fu_weight * ann.op_cost * fraction
+                    ann.fu_weight * ann.op_cost
                 })
                 .sum::<f64>()
-                + apply
+                + folds
         }
     };
     maintenance + 0.0
-}
-
-/// [`evaluate`] with a per-view maintenance-policy choice: views in `delta`
-/// fold append deltas into their stored state (charging
-/// [`NodeAnnotation::delta_cm`](crate::annotate::NodeAnnotation::delta_cm))
-/// instead of recomputing. Query processing is untouched — a stored view
-/// reads the same however it is maintained — so the policy choice moves
-/// only the maintenance term.
-pub fn evaluate_with_policies(
-    a: &AnnotatedMvpp,
-    m: &BTreeSet<NodeId>,
-    delta: &BTreeSet<NodeId>,
-    mode: MaintenanceMode,
-) -> CostBreakdown {
-    let n = a.mvpp().len();
-    evaluate_set_with_policies(
-        a,
-        &NodeSet::from_ids(n, m.iter().copied()),
-        &NodeSet::from_ids(n, delta.iter().copied()),
-        mode,
-    )
-}
-
-/// [`evaluate_with_policies`] over dense [`NodeSet`]s — the search hot
-/// path. With an empty `delta` set this is digit-identical to
-/// [`evaluate_set`] (it takes the same code path).
-pub fn evaluate_set_with_policies(
-    a: &AnnotatedMvpp,
-    m: &NodeSet,
-    delta: &NodeSet,
-    mode: MaintenanceMode,
-) -> CostBreakdown {
-    if !delta.intersects(m) {
-        return evaluate_set(a, m, mode);
-    }
-    let mut cost = evaluate_set(a, m, mode);
-    cost.maintenance = maintenance_cost_with_policies(a, m, delta, mode);
-    cost.total = cost.query_processing + cost.maintenance + 0.0;
-    cost
-}
-
-/// The maintenance term under a per-view policy choice: views in `delta`
-/// charge `fu·Cmᵟ` each (delta propagation runs per view against the stored
-/// base state) and drop out of the recompute pass; the rest are charged by
-/// [`maintenance_cost`] exactly as before.
-pub(crate) fn maintenance_cost_with_policies(
-    a: &AnnotatedMvpp,
-    m: &NodeSet,
-    delta: &NodeSet,
-    mode: MaintenanceMode,
-) -> f64 {
-    let mvpp = a.mvpp();
-    let mut recompute = NodeSet::with_capacity(mvpp.len());
-    recompute.copy_from(m);
-    let mut delta_term = 0.0;
-    for v in m.iter() {
-        if mvpp.node(v).is_leaf() || !delta.contains(v) {
-            continue;
-        }
-        recompute.remove(v);
-        let ann = a.annotation(v);
-        delta_term += ann.fu_weight * ann.delta_cm;
-    }
-    maintenance_cost(a, &recompute, mode) + delta_term + 0.0
-}
-
-/// Chooses a per-view maintenance policy for the materialized set `m` —
-/// the subset of views that should fold deltas rather than recompute.
-///
-/// Deterministic coordinate descent: sweep the views in ascending id order,
-/// flipping a view's policy whenever that strictly lowers the maintenance
-/// term, and repeat until a full sweep changes nothing. Under
-/// [`MaintenanceMode::Isolated`] the term is separable per view, so one
-/// sweep is exact (`min(Cm, Cmᵟ)` per view); under
-/// [`MaintenanceMode::SharedRecompute`] later sweeps can improve further
-/// because removing a view from the recompute pass only pays off once no
-/// other recomputed view still needs its sub-DAG.
-pub fn choose_policies(a: &AnnotatedMvpp, m: &NodeSet, mode: MaintenanceMode) -> NodeSet {
-    let mvpp = a.mvpp();
-    let mut delta = NodeSet::with_capacity(mvpp.len());
-    let mut best = maintenance_cost_with_policies(a, m, &delta, mode);
-    loop {
-        let mut improved = false;
-        for v in m.iter() {
-            if mvpp.node(v).is_leaf() {
-                continue;
-            }
-            delta.toggle(v);
-            let cost = maintenance_cost_with_policies(a, m, &delta, mode);
-            if cost < best {
-                best = cost;
-                improved = true;
-            } else {
-                delta.toggle(v);
-            }
-        }
-        if !improved {
-            return delta;
-        }
-    }
 }
 
 /// Cost of answering the workload with *multiple-query processing* instead
@@ -401,12 +294,16 @@ mod tests {
 
     /// Q1 reads tmp2 (fq 10), Q2 reads tmp3 = tmp2 ⋈ Pt (fq 0.5).
     fn annotated() -> AnnotatedMvpp {
+        annotated_with(crate::annotate::MaintenancePolicy::Recompute)
+    }
+
+    fn annotated_with(policy: crate::annotate::MaintenancePolicy) -> AnnotatedMvpp {
         let mut m = Mvpp::new();
         m.insert_query("Q1", 10.0, &tmp2());
         m.insert_query("Q2", 0.5, &tmp3());
         let c = catalog();
         let est = CostEstimator::new(&c, EstimationMode::Calibrated, PaperCostModel::default());
-        AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max)
+        AnnotatedMvpp::annotate_with(m, &est, UpdateWeighting::Max, policy)
     }
 
     #[test]
@@ -518,71 +415,65 @@ mod tests {
         assert!((sum - cost.query_processing).abs() < 1e-9);
     }
 
+    fn incremental(f: f64) -> AnnotatedMvpp {
+        annotated_with(crate::annotate::MaintenancePolicy::Incremental { update_fraction: f })
+    }
+
     #[test]
     fn empty_delta_set_is_digit_identical_to_evaluate() {
-        let a = annotated();
-        let m: BTreeSet<_> = [a.mvpp().find(&tmp2()).unwrap()].into();
-        for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
-            let plain = evaluate(&a, &m, mode);
-            let with = evaluate_with_policies(&a, &m, &BTreeSet::new(), mode);
-            assert_eq!(plain, with, "{mode:?}");
+        // A set with no folding view is charged under incremental
+        // maintenance exactly as under recompute, to the bit. At an append
+        // fraction of one half the two joins rebuild.
+        let (rec, inc) = (annotated(), incremental(0.5));
+        let rebuilt: Vec<NodeId> = inc
+            .mvpp()
+            .interior()
+            .into_iter()
+            .filter(|v| !inc.annotation(*v).folds)
+            .collect();
+        assert!(!rebuilt.is_empty(), "fixture: some view rebuilds");
+        for mask in 0u32..1 << rebuilt.len() {
+            let m = (0..rebuilt.len()).filter(|i| mask & (1 << i) != 0);
+            let m = NodeSet::from_ids(inc.mvpp().len(), m.map(|i| rebuilt[i]));
+            for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
+                assert_eq!(evaluate_set(&rec, &m, mode), evaluate_set(&inc, &m, mode));
+            }
         }
     }
 
     #[test]
     fn delta_policy_charges_delta_cm_and_leaves_queries_alone() {
-        let a = annotated();
-        let shared = a.mvpp().find(&tmp2()).unwrap();
-        let m: BTreeSet<_> = [shared].into();
-        let delta: BTreeSet<_> = [shared].into();
-        for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
-            let plain = evaluate(&a, &m, mode);
-            let with = evaluate_with_policies(&a, &m, &delta, mode);
-            assert_eq!(
-                plain.query_processing, with.query_processing,
-                "policy must not move the query term ({mode:?})"
-            );
-            let ann = a.annotation(shared);
-            assert_eq!(with.maintenance, ann.fu_weight * ann.delta_cm, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn choose_policies_flips_views_whose_delta_cm_wins() {
-        let a = annotated();
-        let shared = a.mvpp().find(&tmp2()).unwrap();
-        let ann = a.annotation(shared);
-        assert!(
-            ann.delta_cm < ann.cm,
-            "fixture: delta maintenance is cheaper"
+        let (rec, inc) = (
+            annotated(),
+            incremental(crate::annotate::DEFAULT_DELTA_FRACTION),
         );
-        let n = a.mvpp().len();
-        let m = NodeSet::from_ids(n, [shared]);
-        for mode in [MaintenanceMode::Isolated, MaintenanceMode::SharedRecompute] {
-            let delta = choose_policies(&a, &m, mode);
-            assert!(delta.contains(shared), "{mode:?}");
-            let with = evaluate_set_with_policies(&a, &m, &delta, mode);
-            let without = evaluate_set(&a, &m, mode);
-            assert!(
-                with.total < without.total,
-                "the chosen policies must lower total cost ({mode:?})"
-            );
+        let shared = inc.mvpp().find(&tmp2()).unwrap();
+        let ann = inc.annotation(shared);
+        assert!(ann.folds, "fixture: the shared join folds");
+        let m: BTreeSet<_> = [shared].into();
+        for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
+            let (plain, with) = (evaluate(&rec, &m, mode), evaluate(&inc, &m, mode));
+            assert_eq!(plain.query_processing, with.query_processing, "{mode:?}");
+            assert_eq!(with.maintenance, ann.fu_weight * ann.delta_cm, "{mode:?}");
+            assert!(with.total < plain.total, "{mode:?}");
         }
-    }
-
-    #[test]
-    fn choose_policies_keeps_recompute_when_delta_loses() {
-        // A view whose stored result is as large as its input makes the
-        // scan-to-apply term dominate: recompute stays the better policy.
-        let a = annotated();
-        let n = a.mvpp().len();
-        for v in a.mvpp().interior() {
-            let ann = a.annotation(v);
-            if ann.delta_cm >= ann.cm {
-                let m = NodeSet::from_ids(n, [v]);
-                let delta = choose_policies(&a, &m, MaintenanceMode::Isolated);
-                assert!(delta.is_empty(), "node {v} should keep recompute");
-            }
-        }
+        // At one half the selection folds and the joins rebuild: the shared
+        // pass recomputes tmp3's whole sub-DAG, the selection's operator
+        // included, and the selection still charges its own fold.
+        let inc = incremental(0.5);
+        let interior = inc.mvpp().interior();
+        let sigma = interior
+            .into_iter()
+            .find(|v| inc.annotation(*v).folds)
+            .unwrap();
+        let top = inc.mvpp().find(&tmp3()).unwrap();
+        let cost = evaluate(&inc, &[sigma, top].into(), MaintenanceMode::SharedRecompute);
+        let s = inc.annotation(sigma);
+        let want = inc.annotation(top).ca + s.fu_weight * s.delta_cm;
+        assert!(
+            (cost.maintenance - want).abs() < 1e-6 * want,
+            "{}",
+            cost.maintenance
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::annotate::{AnnotatedMvpp, NodeAnnotation};
+use crate::annotate::AnnotatedMvpp;
 use crate::mvpp::NodeId;
 
 /// What the algorithm decided about one candidate node.
@@ -12,7 +12,7 @@ pub enum TraceVerdict {
     /// `Cs > 0`: inserted into `M` (Figure 9, step 6).
     Materialized,
     /// `Cs ≤ 0`: rejected; same-branch nodes later in `LV` were pruned
-    /// (Figure 9, step 7).
+    /// (Figure 9, step 7) unless some view folds deltas.
     Rejected {
         /// Nodes removed from `LV` without being considered.
         pruned: Vec<NodeId>,
@@ -61,8 +61,12 @@ pub struct SelectionTrace {
 ///
 /// is positive. Rejecting a node prunes every remaining same-branch node
 /// (if materializing `v` gains nothing, no ancestor/descendant with smaller
-/// weight can gain either — paper §4.3). A final pass removes nodes whose
-/// parents are all materialized.
+/// weight can gain either — paper §4.3). That argument rests on
+/// `Cm(v) = Ca(v)` along the branch; when some view folds deltas
+/// ([`NodeAnnotation::folds`](crate::NodeAnnotation::folds)) it prices
+/// below its `Ca` and, under a shared refresh, apart from the recompute
+/// pass, so nothing is pruned and every candidate is judged on its own
+/// `Cs`. A final pass removes nodes whose parents are all materialized.
 ///
 /// ```
 /// use mvdesign_core::{AnnotatedMvpp, GreedySelection, Mvpp, UpdateWeighting};
@@ -102,40 +106,9 @@ impl GreedySelection {
 
     /// Runs the algorithm, returning the chosen set and the decision trace.
     pub fn run(&self, a: &AnnotatedMvpp) -> (BTreeSet<NodeId>, SelectionTrace) {
-        self.run_inner(a, a.weight_ordered_interior(), |ann| ann.cm)
-    }
-
-    /// Policy-aware Figure 9: every node is charged its cheaper maintenance
-    /// policy, `min(Cm, ΔCm)`, both when ordering `LV` and in the
-    /// incremental saving `Cs`. A node that loses under full recompute but
-    /// wins under delta maintenance becomes profitable here; the caller
-    /// assigns the actual per-view policy afterwards with
-    /// [`choose_policies`](crate::evaluate::choose_policies).
-    pub fn run_with_policies(&self, a: &AnnotatedMvpp) -> (BTreeSet<NodeId>, SelectionTrace) {
-        let eff_cm = |ann: &NodeAnnotation| ann.cm.min(ann.delta_cm);
-        let eff_weight =
-            |ann: &NodeAnnotation| ann.fq_weight * ann.ca - ann.fu_weight * eff_cm(ann);
-        let mut lv: Vec<NodeId> = a
-            .mvpp()
-            .interior()
-            .into_iter()
-            .filter(|v| eff_weight(a.annotation(*v)) > 0.0)
-            .collect();
-        lv.sort_by(|x, y| {
-            let wx = eff_weight(a.annotation(*x));
-            let wy = eff_weight(a.annotation(*y));
-            wy.total_cmp(&wx).then(x.0.cmp(&y.0))
-        });
-        self.run_inner(a, lv, eff_cm)
-    }
-
-    fn run_inner(
-        &self,
-        a: &AnnotatedMvpp,
-        mut lv: Vec<NodeId>,
-        eff_cm: impl Fn(&NodeAnnotation) -> f64,
-    ) -> (BTreeSet<NodeId>, SelectionTrace) {
+        let mut lv = a.weight_ordered_interior();
         let mvpp = a.mvpp();
+        let prune = !(0..mvpp.len()).any(|i| a.annotation(NodeId(i)).folds);
         let mut trace = SelectionTrace {
             initial_lv: lv.clone(),
             steps: Vec::new(),
@@ -172,7 +145,7 @@ impl GreedySelection {
                 .filter(|u| m.contains(u))
                 .map(|u| a.annotation(u).ca)
                 .sum();
-            let cs = ann.fq_weight * (ann.ca - replicated) - ann.fu_weight * eff_cm(ann);
+            let cs = ann.fq_weight * (ann.ca - replicated) - ann.fu_weight * ann.cm;
 
             if cs > 0.0 {
                 m.insert(v);
@@ -183,11 +156,14 @@ impl GreedySelection {
                     verdict: TraceVerdict::Materialized,
                 });
             } else {
-                let pruned: Vec<NodeId> = lv
-                    .iter()
-                    .copied()
-                    .filter(|w| a.same_branch(v, *w))
-                    .collect();
+                let pruned: Vec<NodeId> = if prune {
+                    lv.iter()
+                        .copied()
+                        .filter(|w| a.same_branch(v, *w))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 lv.retain(|w| !pruned.contains(w));
                 trace.steps.push(TraceStep {
                     node: v,

@@ -18,9 +18,12 @@
 //! descendants(v)`) plus its words. A flip adds or subtracts one view's
 //! cover; only when a count crosses zero does the closure change, and only
 //! then are its terms re-summed. Most flips of an exhaustive scan leave the
-//! closure as it was. A frontier or policy move — a genetic genome, a
-//! range of a scan — rebuilds the closure by word-ORs of the descendant
-//! sets instead and compares it with the last one; the next flip recounts.
+//! closure as it was. A frontier move — a genetic genome, a range of a
+//! scan — rebuilds the closure by word-ORs of the descendant sets instead
+//! and compares it with the last one; the next flip recounts. Views that
+//! fold deltas ([`NodeAnnotation::folds`](crate::annotate::NodeAnnotation::folds))
+//! never enter the pass: a word mask built once keeps them out, and they
+//! charge their own `fu·Cmᵟ`.
 //!
 //! Results are bit-identical to [`evaluate_set`](crate::evaluate::evaluate_set): the per-query walks are the
 //! same function, the query term is re-summed in root order on every change,
@@ -28,8 +31,8 @@
 //! ascending id order whenever that set changes, so floating-point
 //! association never differs.
 
-use crate::annotate::{AnnotatedMvpp, MaintenancePolicy};
-use crate::evaluate::{evaluate_set_with_policies, query_cost_set, CostBreakdown, MaintenanceMode};
+use crate::annotate::AnnotatedMvpp;
+use crate::evaluate::{evaluate_set, query_cost_set, CostBreakdown, MaintenanceMode};
 use crate::mvpp::NodeId;
 use crate::nodeset::NodeSet;
 
@@ -84,37 +87,33 @@ pub struct IncrementalEvaluator<'a> {
     memo: Vec<Vec<f64>>,
     /// Per-node maintenance term for the active mode, precomputed so each
     /// re-sum is pure bit-scans and adds: `fu_weight · cm` (Isolated) or
-    /// `fu_weight · op_cost · work_fraction` (SharedRecompute).
+    /// `fu_weight · op_cost` (SharedRecompute).
     recompute_term: Vec<f64>,
-    /// Per-node `fu_weight · scan` apply terms — `Some` only under the
-    /// incremental maintenance policy.
-    apply_term: Option<Vec<f64>>,
-    /// Views maintained by delta propagation instead of recomputation —
-    /// they charge `delta_term` and drop out of the recompute pass.
-    delta: NodeSet,
-    /// Per-node `fu_weight · delta_cm`, precomputed like `recompute_term`.
-    delta_term: Vec<f64>,
     /// Word mask of non-leaf nodes (leaves are stored relations and never
     /// charge maintenance); its length is the word count of every set here.
     notleaf: Vec<u64>,
-    /// The refresh pass: materialized, non-leaf and not under a delta
-    /// policy.
+    /// SharedRecompute only: word mask of the views that fold deltas. They
+    /// stay out of the refresh pass and charge `fold_term`; under Isolated
+    /// their `cm` already is their delta price, so the mask is empty.
+    folds: Vec<u64>,
+    /// Per-node `fu_weight · delta_cm`, precomputed like `recompute_term`.
+    fold_term: Vec<f64>,
+    /// The refresh pass: materialized, non-leaf and not folding.
     pass: Vec<u64>,
     /// SharedRecompute only: the pass's closure, every view of the pass
     /// and its descendants — what one refresh recomputes.
     closure: Vec<u64>,
     /// SharedRecompute only: per node, how many views of the pass cover it
     /// (are it or an ancestor of it) — `closure` is where this is non-zero.
-    /// Stale after a frontier or policy move rebuilt `closure` by ORs; the
-    /// next flip recounts.
+    /// Stale after a frontier move rebuilt `closure` by ORs; the next flip
+    /// recounts.
     cover: Vec<u32>,
     cover_valid: bool,
     /// Σ `recompute_term` over `closure` (SharedRecompute) or over `pass`
     /// (Isolated), ascending by id.
     recompute_sum: f64,
-    /// Σ `apply_term` over `pass`, ascending by id; `0.0` without apply
-    /// terms.
-    apply_sum: f64,
+    /// Σ `fold_term` over the materialized folding views, ascending by id.
+    fold_sum: f64,
     /// Reusable buffers: the next pass, the next closure and dirty root
     /// indices — kept to avoid per-probe allocation.
     scratch_pass: Vec<u64>,
@@ -148,39 +147,25 @@ impl<'a> IncrementalEvaluator<'a> {
                 Vec::new()
             });
         }
-        let policy = a.maintenance_policy();
-        let fraction = policy.work_fraction();
-        let mut notleaf = vec![0u64; n.div_ceil(64)];
+        let words = n.div_ceil(64);
+        let (mut notleaf, mut folds) = (vec![0u64; words], vec![0u64; words]);
         let mut recompute_term = Vec::with_capacity(n);
+        let mut fold_term = Vec::with_capacity(n);
         for id in 0..n {
             let v = NodeId(id);
+            let ann = a.annotation(v);
             if !mvpp.node(v).is_leaf() {
                 notleaf[id / 64] |= 1 << (id % 64);
             }
-            let ann = a.annotation(v);
+            if ann.folds && mode == MaintenanceMode::SharedRecompute {
+                folds[id / 64] |= 1 << (id % 64);
+            }
             recompute_term.push(match mode {
                 MaintenanceMode::Isolated => ann.fu_weight * ann.cm,
-                MaintenanceMode::SharedRecompute => ann.fu_weight * ann.op_cost * fraction,
+                MaintenanceMode::SharedRecompute => ann.fu_weight * ann.op_cost,
             });
+            fold_term.push(ann.fu_weight * ann.delta_cm);
         }
-        let delta_term = (0..n)
-            .map(|id| {
-                let ann = a.annotation(NodeId(id));
-                ann.fu_weight * ann.delta_cm
-            })
-            .collect();
-        let apply_term = match (mode, policy) {
-            (MaintenanceMode::SharedRecompute, MaintenancePolicy::Incremental { .. }) => Some(
-                (0..n)
-                    .map(|id| {
-                        let ann = a.annotation(NodeId(id));
-                        ann.fu_weight * ann.scan
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        };
-        let words = notleaf.len();
         let mut eval = Self {
             a,
             mode,
@@ -190,16 +175,15 @@ impl<'a> IncrementalEvaluator<'a> {
             index: vec![0; roots.len()],
             memo,
             recompute_term,
-            apply_term,
-            delta: NodeSet::with_capacity(n),
-            delta_term,
             notleaf,
+            folds,
+            fold_term,
             pass: vec![0; words],
             closure: vec![0; words],
             cover: vec![0; n],
             cover_valid: true,
             recompute_sum: 0.0,
-            apply_sum: 0.0,
+            fold_sum: 0.0,
             scratch_pass: Vec::new(),
             scratch_closure: Vec::new(),
             scratch_dirty: Vec::new(),
@@ -285,25 +269,10 @@ impl<'a> IncrementalEvaluator<'a> {
         self.m.contains(v)
     }
 
-    /// Sets the per-view maintenance policies: views in `delta` fold append
-    /// deltas (charging `fu·Cmᵟ`) instead of recomputing. Only the
-    /// maintenance term moves — no query re-walks, so re-costing a policy
-    /// change stays O(1) in workload size and O(affected-queries) overall.
-    pub fn set_delta_policies(&mut self, delta: &NodeSet) {
-        self.delta.copy_from(delta);
-        self.update_maintenance();
-    }
-
-    /// The views currently maintained by delta propagation.
-    pub fn delta_policies(&self) -> &NodeSet {
-        &self.delta
-    }
-
     /// Full cost breakdown of the current frontier — bit-identical to
-    /// [`evaluate_set`](crate::evaluate::evaluate_set) on the same set (or
-    /// [`evaluate_set_with_policies`] when delta policies are set).
+    /// [`evaluate_set`] on the same set.
     pub fn breakdown(&self) -> CostBreakdown {
-        evaluate_set_with_policies(self.a, &self.m, &self.delta, self.mode)
+        evaluate_set(self.a, &self.m, self.mode)
     }
 
     /// Number of full query-walks performed so far (memo misses). A naive
@@ -343,16 +312,16 @@ impl<'a> IncrementalEvaluator<'a> {
         self.query_processing = qp + 0.0;
     }
 
-    /// Brings the maintenance term up to a frontier or delta set that may
-    /// have moved anywhere, rebuilding the closure by word-ORs.
+    /// Brings the maintenance term up to a frontier that may have moved
+    /// anywhere, rebuilding the closure by word-ORs.
     fn update_maintenance(&mut self) {
         let mut pass = std::mem::take(&mut self.scratch_pass);
         pass.clear();
         {
-            let (m, delta) = (self.m.words(), self.delta.words());
-            let word = |s: &[u64], w: usize| s.get(w).copied().unwrap_or(0);
+            let m = self.m.words();
+            let word = |w: usize| m.get(w).copied().unwrap_or(0);
             pass.extend(
-                (0..self.notleaf.len()).map(|w| word(m, w) & self.notleaf[w] & !word(delta, w)),
+                (0..self.notleaf.len()).map(|w| word(w) & self.notleaf[w] & !self.folds[w]),
             );
         }
         if pass != self.pass {
@@ -365,16 +334,19 @@ impl<'a> IncrementalEvaluator<'a> {
         } else {
             self.scratch_pass = pass;
         }
+        self.resum_folds();
         self.combine_maintenance();
     }
 
     /// [`update_maintenance`](Self::update_maintenance) after `flip(v)`:
-    /// the pass gains or loses at most `v`, followed through the cover
-    /// counts (recounted first if a large move left them stale — flips come
-    /// in streams).
+    /// a folding `v` moves only the fold sum; otherwise the pass gains or
+    /// loses `v`, followed through the cover counts (recounted first if a
+    /// large move left them stale — flips come in streams).
     fn flip_maintenance(&mut self, v: usize) {
         let (w, bit) = (v / 64, 1u64 << (v % 64));
-        if self.notleaf[w] & bit != 0 && !self.delta.contains(NodeId(v)) {
+        if self.folds[w] & bit != 0 {
+            self.resum_folds();
+        } else if self.notleaf[w] & bit != 0 {
             let closure_changed = match self.mode {
                 MaintenanceMode::Isolated => false,
                 MaintenanceMode::SharedRecompute => {
@@ -390,46 +362,31 @@ impl<'a> IncrementalEvaluator<'a> {
         self.combine_maintenance();
     }
 
-    /// Re-takes the sums over a pass that changed: the recompute sum over
-    /// the pass (Isolated) or over the closure if it changed
-    /// (SharedRecompute), and the apply sum where there are apply terms.
+    /// Re-takes the recompute sum over a pass that changed: over the pass
+    /// (Isolated) or over the closure if it changed (SharedRecompute).
     fn resum_pass(&mut self, closure_changed: bool) {
         match self.mode {
             MaintenanceMode::Isolated => {
-                self.recompute_sum = sum_over(&self.pass, &self.recompute_term);
+                self.recompute_sum = sum_over(self.pass.iter().copied(), &self.recompute_term);
             }
             MaintenanceMode::SharedRecompute if closure_changed => {
-                self.recompute_sum = sum_over(&self.closure, &self.recompute_term);
+                self.recompute_sum = sum_over(self.closure.iter().copied(), &self.recompute_term);
             }
             MaintenanceMode::SharedRecompute => {}
         }
-        if let Some(terms) = &self.apply_term {
-            self.apply_sum = sum_over(&self.pass, terms);
-        }
     }
 
-    /// Combines the cached sums with the delta-policy term into the
-    /// maintenance term, with `maintenance_cost_with_policies`' additions.
+    /// Re-takes the fold sum over the materialized folding views, ascending
+    /// by id like `maintenance_cost`.
+    fn resum_folds(&mut self) {
+        let folded = self.folds.iter().zip(self.m.words()).map(|(f, m)| f & m);
+        self.fold_sum = sum_over(folded, &self.fold_term);
+    }
+
+    /// Combines the cached sums into the maintenance term, with
+    /// `maintenance_cost`'s additions.
     fn combine_maintenance(&mut self) {
-        let maintenance = match self.mode {
-            MaintenanceMode::Isolated => self.recompute_sum,
-            MaintenanceMode::SharedRecompute => self.recompute_sum + self.apply_sum,
-        };
-        // Delta-policy views charge their own propagation term, summed in
-        // ascending id order like `maintenance_cost_with_policies`.
-        let mut delta_sum = 0.0;
-        if !self.delta.is_empty() {
-            let (m, delta) = (self.m.words(), self.delta.words());
-            for (w, (&mw, &dw)) in m.iter().zip(delta).enumerate() {
-                let mut bits = mw & self.notleaf[w] & dw;
-                while bits != 0 {
-                    let n = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    delta_sum += self.delta_term[n];
-                }
-            }
-        }
-        self.maintenance = ((maintenance + 0.0) + delta_sum) + 0.0;
+        self.maintenance = (self.recompute_sum + self.fold_sum) + 0.0;
     }
 
     /// Adds (or removes) one cover of `v` and of each of its descendants;
@@ -510,9 +467,9 @@ impl<'a> IncrementalEvaluator<'a> {
 }
 
 /// Σ `terms[n]` over the ids set in `words`, ascending.
-fn sum_over(words: &[u64], terms: &[f64]) -> f64 {
+fn sum_over(words: impl IntoIterator<Item = u64>, terms: &[f64]) -> f64 {
     let mut s = 0.0;
-    for (w, &word) in words.iter().enumerate() {
+    for (w, word) in words.into_iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
             let n = w * 64 + bits.trailing_zeros() as usize;
@@ -618,63 +575,40 @@ mod tests {
 
     #[test]
     fn matches_evaluate_under_incremental_policy() {
+        // At an append fraction of one half the joins rebuild and the
+        // selections over one relation fold.
         let a = fixture_with(crate::annotate::MaintenancePolicy::Incremental {
-            update_fraction: 0.1,
+            update_fraction: 0.5,
         });
+        let interior = a.mvpp().interior();
+        assert!(
+            interior.iter().any(|v| a.annotation(*v).folds)
+                && interior.iter().any(|v| !a.annotation(*v).folds),
+            "fixture: some views fold and some rebuild"
+        );
         for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
             let mut eval = IncrementalEvaluator::new(&a, mode);
             let mut reference = NodeSet::with_capacity(a.mvpp().len());
-            for v in a.mvpp().interior() {
-                reference.toggle(v);
-                assert_eq!(eval.flip(v), evaluate_set(&a, &reference, mode).total);
-            }
-        }
-    }
-
-    #[test]
-    fn delta_policies_match_evaluate_with_policies_exactly() {
-        use crate::evaluate::evaluate_set_with_policies;
-        for mode in [MaintenanceMode::SharedRecompute, MaintenanceMode::Isolated] {
-            let a = fixture();
-            let n = a.mvpp().len();
-            let mut eval = IncrementalEvaluator::new(&a, mode);
-            let mut m = NodeSet::with_capacity(n);
-            let mut delta = NodeSet::with_capacity(n);
-            let interior = a.mvpp().interior();
-            let mut x = 0xdeadbeefcafef00du64;
-            for _ in 0..200 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let v = interior[(x % interior.len() as u64) as usize];
-                if x & 1 == 0 {
-                    m.toggle(v);
-                    eval.flip(v);
-                } else {
-                    delta.toggle(v);
-                    eval.set_delta_policies(&delta);
-                }
-                let want = evaluate_set_with_policies(&a, &m, &delta, mode);
-                assert_eq!(eval.total(), want.total, "{mode:?} diverged");
+            for v in &interior {
+                reference.toggle(*v);
+                let want = evaluate_set(&a, &reference, mode);
+                assert_eq!(eval.flip(*v).to_bits(), want.total.to_bits());
                 assert_eq!(eval.breakdown(), want);
             }
+            // Jumps through `set_frontier`, then flips from the jumped-to set.
+            for step in [2, 3] {
+                let m = NodeSet::from_ids(a.mvpp().len(), interior.iter().copied().step_by(step));
+                eval.set_frontier(&m);
+                let want = evaluate_set(&a, &m, mode).total;
+                assert_eq!(eval.total().to_bits(), want.to_bits());
+                let mut reference = m;
+                for v in interior.iter().rev() {
+                    reference.toggle(*v);
+                    let want = evaluate_set(&a, &reference, mode).total;
+                    assert_eq!(eval.flip(*v).to_bits(), want.to_bits());
+                }
+            }
         }
-    }
-
-    #[test]
-    fn policy_changes_do_not_rewalk_queries() {
-        let a = fixture();
-        let mut eval = IncrementalEvaluator::new(&a, MaintenanceMode::SharedRecompute);
-        let interior = a.mvpp().interior();
-        for v in &interior {
-            eval.flip(*v);
-        }
-        let walks = eval.walks();
-        let delta = NodeSet::from_ids(a.mvpp().len(), interior.iter().copied());
-        eval.set_delta_policies(&delta);
-        assert_eq!(eval.walks(), walks, "policy flips touch only maintenance");
-        eval.set_delta_policies(&NodeSet::with_capacity(a.mvpp().len()));
-        assert_eq!(eval.walks(), walks);
     }
 
     #[test]

@@ -73,15 +73,14 @@ pub use crate::annotate::{
     AnnotatedMvpp, MaintenancePolicy, NodeAnnotation, UpdateWeighting, DEFAULT_DELTA_FRACTION,
 };
 pub use crate::audit::{
-    audit_annotated, check_arena, check_cost_paths, check_greedy_trace, check_policy_cost_paths,
-    check_query_rewrite, greedy_no_prune, reference_greedy, validate_mvpp, validate_schemas,
-    AuditReport, AuditViolation,
+    audit_annotated, check_arena, check_cost_paths, check_greedy_trace, check_query_rewrite,
+    greedy_no_prune, reference_greedy, validate_mvpp, validate_schemas, AuditReport,
+    AuditViolation,
 };
 pub use crate::designer::{DesignError, DesignResult, Designer, DesignerConfig};
 pub use crate::evaluate::{
-    break_even_update_weight, choose_policies, evaluate, evaluate_set, evaluate_set_with_policies,
-    evaluate_with_policies, mqp_batch_cost, query_cost, query_cost_set, CostBreakdown,
-    MaintenanceMode,
+    break_even_update_weight, evaluate, evaluate_set, mqp_batch_cost, query_cost, query_cost_set,
+    CostBreakdown, MaintenanceMode,
 };
 pub use crate::generate::{generate_mvpps, merge_queries, GenerateConfig};
 pub use crate::greedy::{GreedySelection, SelectionTrace, TraceStep, TraceVerdict};
@@ -91,7 +90,7 @@ pub use crate::nodeset::NodeSet;
 pub use crate::report::{render_design, render_trace};
 pub use crate::rewrite::{Decision, MissReason, Routed, ViewCatalog};
 pub use crate::search::{
-    ExhaustiveSelection, GeneticSelection, MaterializeAll, MaterializeNone, PolicyChoice,
-    RandomSearch, SelectionAlgorithm, SimulatedAnnealing,
+    ExhaustiveSelection, GeneticSelection, MaterializeAll, MaterializeNone, RandomSearch,
+    SelectionAlgorithm, SimulatedAnnealing,
 };
 pub use crate::workload::{Workload, WorkloadError};

@@ -128,11 +128,6 @@ impl NodeSet {
         self.len = len;
     }
 
-    /// Whether the two sets share at least one id.
-    pub fn intersects(&self, other: &NodeSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
     /// Ids in ascending order — the same order `BTreeSet<NodeId>` iterates.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
@@ -268,8 +263,6 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), ids(&[64]));
-        assert!(a.intersects(&b));
-        assert!(!NodeSet::with_capacity(128).intersects(&a));
     }
 
     #[test]

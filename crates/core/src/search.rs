@@ -10,9 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::annotate::AnnotatedMvpp;
-use crate::evaluate::{
-    choose_policies, evaluate_set_with_policies, CostBreakdown, MaintenanceMode,
-};
+use crate::evaluate::MaintenanceMode;
 use crate::greedy::GreedySelection;
 use crate::incremental::IncrementalEvaluator;
 use crate::mvpp::NodeId;
@@ -27,20 +25,6 @@ const PARALLEL_MIN_NODES: usize = 64;
 /// indices are `u64`, and the index range `0..2^n` has to fit in one too.
 const MASK_NODES: usize = (u64::BITS - 1) as usize;
 
-/// A joint materialization + maintenance-policy decision: which nodes to
-/// materialize and, of those, which to maintain by delta propagation (the
-/// rest are fully recomputed on refresh).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyChoice {
-    /// The nodes to materialize.
-    pub views: BTreeSet<NodeId>,
-    /// Materialized nodes refreshed incrementally — always a subset of
-    /// `views`.
-    pub delta_views: BTreeSet<NodeId>,
-    /// The evaluated cost of the joint choice.
-    pub cost: CostBreakdown,
-}
-
 /// A view-selection algorithm: picks which MVPP nodes to materialize.
 ///
 /// `Sync` is required so one algorithm instance can drive several candidate
@@ -51,35 +35,6 @@ pub trait SelectionAlgorithm: fmt::Debug + Sync {
 
     /// Chooses the set of nodes to materialize.
     fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId>;
-
-    /// Chooses the set of nodes to materialize **and** a per-view
-    /// maintenance policy.
-    ///
-    /// The default runs [`select`](Self::select) unchanged and then gives
-    /// each chosen view its cheaper policy
-    /// ([`choose_policies`](crate::evaluate::choose_policies)), so the
-    /// selected set — and every number derived from plain `select` — is
-    /// untouched. Algorithms that can search the joint space (greedy,
-    /// exhaustive, genetic) override this with a policy-aware search, which
-    /// may pick a *different* set: a view too expensive to recompute on
-    /// every update can still pay for itself under delta maintenance.
-    fn select_with_policies(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> PolicyChoice {
-        let views = self.select(a, mode);
-        let m = NodeSet::from_ids(a.mvpp().len(), views.iter().copied());
-        joint_choice(a, mode, m)
-    }
-}
-
-/// Packages a materialization set with its cheapest per-view policies and
-/// the resulting evaluated cost.
-fn joint_choice(a: &AnnotatedMvpp, mode: MaintenanceMode, m: NodeSet) -> PolicyChoice {
-    let delta = choose_policies(a, &m, mode);
-    let cost = evaluate_set_with_policies(a, &m, &delta, mode);
-    PolicyChoice {
-        views: m.to_btree(),
-        delta_views: delta.to_btree(),
-        cost,
-    }
 }
 
 impl SelectionAlgorithm for GreedySelection {
@@ -89,11 +44,6 @@ impl SelectionAlgorithm for GreedySelection {
 
     fn select(&self, a: &AnnotatedMvpp, _mode: MaintenanceMode) -> BTreeSet<NodeId> {
         self.run(a).0
-    }
-
-    fn select_with_policies(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> PolicyChoice {
-        let (views, _) = self.run_with_policies(a);
-        joint_choice(a, mode, NodeSet::from_ids(a.mvpp().len(), views))
     }
 }
 
@@ -270,39 +220,6 @@ impl SelectionAlgorithm for ExhaustiveSelection {
                 .expect("at least one range")
         };
         mask_to_set(best.1, &candidates, a.mvpp().len()).to_btree()
-    }
-
-    /// Exact joint optimum: every subset is costed at its policy-optimal
-    /// maintenance. The scan runs sequentially — choosing policies rewrites
-    /// only the maintenance term (no per-query walks), so each Gray step
-    /// stays cheap — and keeps the numerically-smallest mask among cost
-    /// ties, as in [`select`](Self::select).
-    fn select_with_policies(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> PolicyChoice {
-        let candidates = self.candidates(a);
-        let total = subset_count(candidates.len());
-        let mut eval = IncrementalEvaluator::new(a, mode);
-        let mut best = (f64::INFINITY, 0u64, NodeSet::with_capacity(a.mvpp().len()));
-        for i in 0..total {
-            if i > 0 {
-                // gray(i) and gray(i-1) differ exactly in bit
-                // trailing_zeros(i).
-                eval.flip(candidates[i.trailing_zeros() as usize]);
-            }
-            let delta = choose_policies(a, eval.frontier(), mode);
-            eval.set_delta_policies(&delta);
-            let cost = eval.total();
-            let mask = gray(i);
-            if cost < best.0 || (cost == best.0 && mask < best.1) {
-                best = (cost, mask, delta);
-            }
-        }
-        let m = mask_to_set(best.1, &candidates, a.mvpp().len());
-        let cost = evaluate_set_with_policies(a, &m, &best.2, mode);
-        PolicyChoice {
-            views: m.to_btree(),
-            delta_views: best.2.to_btree(),
-            cost,
-        }
     }
 }
 
@@ -605,31 +522,14 @@ impl SelectionAlgorithm for GeneticSelection {
         });
         best.to_btree()
     }
-
-    /// Joint evolution: the same seeded run as [`select`](Self::select),
-    /// but every genome is scored at its policy-optimal total (policy
-    /// re-costing touches only the maintenance term).
-    fn select_with_policies(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> PolicyChoice {
-        let genes = gene_set(a);
-        if genes.is_empty() {
-            return joint_choice(a, mode, genes);
-        }
-        let mut eval = IncrementalEvaluator::new(a, mode);
-        let best = self.evolve(a, &genes, |m| {
-            let delta = choose_policies(a, m, mode);
-            eval.set_frontier(m);
-            eval.set_delta_policies(&delta);
-            eval.total()
-        });
-        joint_choice(a, mode, best)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::UpdateWeighting;
+    use crate::annotate::{MaintenancePolicy, UpdateWeighting};
     use crate::evaluate::evaluate;
+    use crate::greedy::TraceVerdict;
     use crate::mvpp::Mvpp;
     use mvdesign_algebra::{AttrRef, CompareOp, Expr, JoinCondition, Predicate};
     use mvdesign_catalog::{AttrType, Catalog};
@@ -669,6 +569,10 @@ mod tests {
     }
 
     fn annotated() -> AnnotatedMvpp {
+        annotated_with(MaintenancePolicy::Recompute)
+    }
+
+    fn annotated_with(policy: MaintenancePolicy) -> AnnotatedMvpp {
         let ab = Expr::join(
             Expr::base("A"),
             Expr::base("B"),
@@ -689,7 +593,7 @@ mod tests {
         m.insert_query("Q3", 5.0, &filtered);
         let c = catalog();
         let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max)
+        AnnotatedMvpp::annotate_with(m, &est, UpdateWeighting::Max, policy)
     }
 
     fn total(a: &AnnotatedMvpp, algo: &dyn SelectionAlgorithm) -> f64 {
@@ -853,8 +757,8 @@ mod tests {
     /// Two-relation join read `fq` times between refreshes, with both base
     /// relations updated `u` times. Tuned (see the flip tests) so the join
     /// is too expensive to recompute on every update but pays for itself
-    /// under delta maintenance.
-    fn flip_annotated(fq: f64, u: f64) -> AnnotatedMvpp {
+    /// when it folds deltas.
+    fn flip_annotated(fq: f64, u: f64, policy: MaintenancePolicy) -> AnnotatedMvpp {
         let mut c = Catalog::new();
         for (name, records, blocks) in [("A", 10_000.0, 1_000.0), ("B", 20_000.0, 2_000.0)] {
             c.relation(name)
@@ -879,85 +783,68 @@ mod tests {
         let mut m = Mvpp::new();
         m.insert_query("Q1", fq, &ab);
         let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max)
+        AnnotatedMvpp::annotate_with(m, &est, UpdateWeighting::Max, policy)
     }
 
-    #[test]
-    fn joint_policy_selection_flips_the_selected_set() {
-        // The ISSUE's acceptance scenario: under pure recompute the join is
-        // not worth materializing (5 updates × Cm dwarfs the read saving),
-        // so plain exhaustive keeps everything virtual. Under the delta
-        // cost model the same view pays for itself — the joint search
-        // materializes it and maintains it incrementally.
-        let a = flip_annotated(2.0, 5.0);
-        let mode = MaintenanceMode::SharedRecompute;
-        let exhaustive = ExhaustiveSelection::default();
-        assert!(exhaustive.select(&a, mode).is_empty());
-
-        let joint = exhaustive.select_with_policies(&a, mode);
-        let ab = a.mvpp().interior()[0];
-        assert_eq!(joint.views, [ab].into_iter().collect());
-        assert_eq!(joint.delta_views, joint.views);
-        let none = evaluate(&a, &BTreeSet::new(), mode).total;
-        assert!(
-            joint.cost.total < none,
-            "joint {} vs all-virtual {none}",
-            joint.cost.total
-        );
-    }
+    const INCREMENTAL: MaintenancePolicy = MaintenancePolicy::Incremental {
+        update_fraction: 0.1,
+    };
 
     #[test]
-    fn policy_aware_greedy_materializes_delta_profitable_views() {
-        let a = flip_annotated(2.0, 5.0);
-        let g = GreedySelection::new();
-        assert!(g.run(&a).0.is_empty());
-        let ab = a.mvpp().interior()[0];
-        assert_eq!(g.run_with_policies(&a).0, [ab].into_iter().collect());
-
-        // And through the trait: the joint choice beats the plain one.
+    fn per_view_prices_flip_the_selected_set() {
+        // Under pure recompute the join is not worth materializing (5
+        // updates × Cm dwarfs the read saving), so every search keeps
+        // everything virtual. Under incremental maintenance the join is
+        // priced at its delta cost, pays for itself, and folds.
         let mode = MaintenanceMode::SharedRecompute;
-        let joint = g.select_with_policies(&a, mode);
-        let plain_total = evaluate(&a, &g.select(&a, mode), mode).total;
-        assert!(joint.cost.total < plain_total);
-        assert_eq!(joint.delta_views, joint.views);
-    }
-
-    #[test]
-    fn default_select_with_policies_preserves_the_selected_set() {
-        // Algorithms without a joint override pick the same views as
-        // `select`; the policy pass can only cheapen maintenance.
-        let a = annotated();
-        let mode = MaintenanceMode::SharedRecompute;
-        for algo in [
-            &RandomSearch::default() as &dyn SelectionAlgorithm,
-            &SimulatedAnnealing::default(),
-            &MaterializeAll,
-            &MaterializeNone,
-        ] {
-            let plain = algo.select(&a, mode);
-            let joint = algo.select_with_policies(&a, mode);
-            assert_eq!(joint.views, plain, "{} changed its views", algo.name());
-            assert!(
-                joint.delta_views.iter().all(|v| joint.views.contains(v)),
-                "{}: delta views must be materialized",
-                algo.name()
-            );
-            assert!(
-                joint.cost.total <= evaluate(&a, &plain, mode).total + 1e-9,
-                "{}: policies made the choice worse",
-                algo.name()
-            );
+        let algorithms = [
+            &GreedySelection::new() as &dyn SelectionAlgorithm,
+            &ExhaustiveSelection::default(),
+            &GeneticSelection::default(),
+        ];
+        let recompute = flip_annotated(2.0, 5.0, MaintenancePolicy::Recompute);
+        let incremental = flip_annotated(2.0, 5.0, INCREMENTAL);
+        let ab = incremental.mvpp().interior()[0];
+        assert!(incremental.annotation(ab).folds);
+        assert!(!recompute.annotation(ab).folds);
+        for algo in algorithms {
+            assert!(algo.select(&recompute, mode).is_empty(), "{}", algo.name());
+            let picked = algo.select(&incremental, mode);
+            assert_eq!(picked, [ab].into(), "{}", algo.name());
+            let none = evaluate(&incremental, &BTreeSet::new(), mode).total;
+            assert!(evaluate(&incremental, &picked, mode).total < none);
         }
     }
 
     #[test]
+    fn policy_aware_greedy_materializes_delta_profitable_views() {
+        // Figure 9 reads the one price: the join's weight and saving are
+        // charged at `Cmᵟ`, so its Cs turns positive.
+        let a = flip_annotated(2.0, 5.0, INCREMENTAL);
+        let (m, trace) = GreedySelection::new().run(&a);
+        let ab = a.mvpp().interior()[0];
+        let ann = a.annotation(ab);
+        assert_eq!(ann.cm, ann.delta_cm);
+        assert_eq!(m, [ab].into());
+        assert_eq!(trace.initial_lv, vec![ab]);
+        let step = &trace.steps[0];
+        assert_eq!(step.verdict, TraceVerdict::Materialized);
+        assert_eq!(
+            step.cs,
+            ann.fq_weight * ann.ca - ann.fu_weight * ann.delta_cm
+        );
+    }
+
+    #[test]
     fn joint_exhaustive_is_a_lower_bound_for_joint_algorithms() {
-        for a in [annotated(), flip_annotated(2.0, 5.0)] {
-            let mode = MaintenanceMode::SharedRecompute;
-            let best = ExhaustiveSelection::default()
-                .select_with_policies(&a, mode)
-                .cost
-                .total;
+        // Per-view prices choose views and their policies together; the
+        // exhaustive pick is still the floor of every search.
+        let mode = MaintenanceMode::SharedRecompute;
+        for a in [
+            annotated_with(INCREMENTAL),
+            flip_annotated(2.0, 5.0, INCREMENTAL),
+        ] {
+            let best = evaluate(&a, &ExhaustiveSelection::default().select(&a, mode), mode).total;
             for algo in [
                 &GreedySelection::new() as &dyn SelectionAlgorithm,
                 &MaterializeAll,
@@ -966,26 +853,14 @@ mod tests {
                 &SimulatedAnnealing::default(),
                 &GeneticSelection::default(),
             ] {
-                let cost = algo.select_with_policies(&a, mode).cost.total;
+                let cost = evaluate(&a, &algo.select(&a, mode), mode).total;
                 assert!(
                     best <= cost + 1e-6,
-                    "{} beat joint exhaustive: {cost} < {best}",
+                    "{} beat exhaustive: {cost} < {best}",
                     algo.name()
                 );
             }
         }
-    }
-
-    #[test]
-    fn genetic_joint_finds_the_flip_and_is_deterministic() {
-        let a = flip_annotated(2.0, 5.0);
-        let mode = MaintenanceMode::SharedRecompute;
-        let g = GeneticSelection::default();
-        let joint = g.select_with_policies(&a, mode);
-        let exact = ExhaustiveSelection::default().select_with_policies(&a, mode);
-        // One interior candidate: the GA must land on the exact optimum.
-        assert_eq!(joint, exact);
-        assert_eq!(joint, g.select_with_policies(&a, mode));
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn usage() -> String {
      options for `design`:\n\
        --algorithm greedy|exhaustive|genetic|annealing|random|all|none\n\
        --maintenance shared|isolated\n\
-       --incremental FRACTION      (delta maintenance instead of recompute)\n\
+       --incremental FRACTION      (append fraction in [0, 1]; views fold deltas where cheaper)\n\
        --rotations K               (candidate MVPPs to try, default 8)\n\
        --parallelism N             (worker threads: candidate MVPPs are\n\
                                     designed side by side, and exhaustive\n\
@@ -170,9 +170,15 @@ fn design(args: &[String]) -> Result<(), String> {
         None => 8,
     };
     let policy = match args.option("--incremental") {
-        Some(f) => MaintenancePolicy::Incremental {
-            update_fraction: f.parse().map_err(|_| format!("`{f}` is not a number"))?,
-        },
+        Some(f) => {
+            let update_fraction: f64 = f.parse().map_err(|_| format!("`{f}` is not a number"))?;
+            if !(0.0..=1.0).contains(&update_fraction) {
+                return Err(format!(
+                    "`--incremental` takes an append fraction in [0, 1], not `{f}`"
+                ));
+            }
+            MaintenancePolicy::Incremental { update_fraction }
+        }
         None => MaintenancePolicy::Recompute,
     };
 

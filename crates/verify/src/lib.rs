@@ -94,10 +94,13 @@ pub const DEFAULT_PRUNE_LOSS_TOLERANCE: f64 = 1e-2;
 /// saves ~3 blocks out of 10¹¹; on random star workloads losses up to
 /// ~8·10⁻⁵ relative occur, and once the two runs diverge the divergence
 /// cascades — either run can end up with nodes the other never considered).
-/// Under incremental maintenance the delta-apply scan term breaks `Cm = Ca`
-/// and the gap widens to ~0.5% on the paper workload. The only *sound*
-/// invariant is structural — every pruned node lies on the rejected node's
-/// own branch — and that is verified bit-exactly by
+/// Under incremental maintenance a view that folds deltas is priced at
+/// `Cm = Cmᵟ < Ca`, outside the argument's premise, so the greedy prunes
+/// nothing once any view folds (pruned anyway, it lost up to 79 % against
+/// the no-prune run on random star workloads at an append fraction of one
+/// half). The only *sound* invariant is structural — every pruned node
+/// lies on the rejected node's own branch — and that is verified
+/// bit-exactly by
 /// [`mvdesign_core::check_greedy_trace`]. This check is the complementary
 /// bounded-loss tripwire: a cross-branch pruning bug skips genuinely
 /// profitable candidates and regresses total cost far beyond the tolerance.
@@ -377,8 +380,8 @@ pub fn audit_scenario(scenario: &Scenario, config: &AuditConfig) -> AuditReport 
             }
         }
 
-        // Audit under both maintenance policies: the incremental policy
-        // exercises the work-fraction and delta-apply terms.
+        // Audit under both maintenance policies: under the incremental one,
+        // views that fold deltas leave the refresh pass.
         for policy in [
             MaintenancePolicy::Recompute,
             MaintenancePolicy::Incremental {

@@ -127,6 +127,10 @@ printf '%-12s %6d `saw_connected`/`fn restructure(`/`fn optimal_order(`/`fn eage
   "join entries" "$(grep -rhoE 'saw_connected|fn restructure\(|fn optimal_order\(|fn eager_order\(' crates --include='*.rs' | wc -l || true)"
 printf '%-12s %6d `Vec<bool>`/`&[bool]` under crates/core/src (should read 0: a genome is a `NodeSet` of MVPP node ids)\n' \
   "genomes" "$(grep -rhoE 'Vec<bool>|&\[bool\]' crates/core/src --include='*.rs' | wc -l || true)"
+printf '%-12s %6d `select_with_policies`/`choose_policies`/`set_delta_policies`/`PolicyChoice` under crates/ (should read 0: each view has one maintenance price, `Cm = min(Ca, Cmᵟ)`)\n' \
+  "policy search" "$(grep -rhoE 'select_with_policies|choose_policies|set_delta_policies|PolicyChoice' crates --include='*.rs' | wc -l || true)"
+printf '%-12s DESIGN.md %d, README.md %d, EXPERIMENTS.md %d lines (DESIGN.md states the current design; history goes to docs/history/)\n' \
+  "docs" "$(wc -l < DESIGN.md)" "$(wc -l < README.md)" "$(wc -l < EXPERIMENTS.md)"
 
 printf '%-12s measured period, query and refresh halves, the views a first build rebuilds by eager aggregation, and each unit (view or transient) of the TPC-H-lite build pass with its blocks (pins in tests/simulation.rs):\n' "period"
 cargo test -q --release -p mvdesign --test simulation -- --nocapture | grep -oE '(period halves|refresh unit).*'

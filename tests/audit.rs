@@ -50,16 +50,11 @@ fn annotate(
     )
 }
 
-/// The same MVPP as `a`, annotated over `twin` — a catalog that differs
-/// from the one `a` was annotated with only in transfer costs.
-fn annotate_twin(a: &AnnotatedMvpp, twin: &Catalog) -> AnnotatedMvpp {
+/// The same MVPP as `a`, annotated under `policy` over `twin` — a catalog
+/// that differs from the one `a` was annotated with only in transfer costs.
+fn annotate_twin(a: &AnnotatedMvpp, twin: &Catalog, policy: MaintenancePolicy) -> AnnotatedMvpp {
     let est = CostEstimator::new(twin, EstimationMode::Calibrated, PaperCostModel::default());
-    AnnotatedMvpp::annotate_with(
-        a.mvpp().clone(),
-        &est,
-        UpdateWeighting::Max,
-        a.maintenance_policy(),
-    )
+    AnnotatedMvpp::annotate_with(a.mvpp().clone(), &est, UpdateWeighting::Max, policy)
 }
 
 const POLICIES: [MaintenancePolicy; 2] = [
@@ -102,7 +97,7 @@ proptest! {
             let report = check_prune_safety(&a);
             prop_assert!(report.is_clean(), "{policy:?} prune: {report}");
             let twin_catalog = remote_twin(&scenario.catalog, seed);
-            let twin = annotate_twin(&a, &twin_catalog);
+            let twin = annotate_twin(&a, &twin_catalog, policy);
             let report = audit_annotated(&twin, &twin_catalog);
             prop_assert!(report.is_clean(), "{policy:?} transfer-cost twin: {report}");
         }
@@ -193,7 +188,7 @@ fn corpus_zero_blocks_relation_is_rejected() {
 
 /// Regression (distributed SharedRecompute): a separate distributed
 /// evaluator once billed full recomputation and dropped the incremental
-/// delta-apply term, so under `MaintenancePolicy::Incremental` it disagreed
+/// maintenance terms, so under `MaintenancePolicy::Incremental` it disagreed
 /// with the core evaluator. Transfer costs are now priced inside `op_cost`,
 /// so the one core evaluator covers them: on this corpus scenario with a
 /// transfer-cost twin catalog, its three cost paths stay bit-exact under
@@ -210,7 +205,7 @@ fn corpus_distributed_shared_recompute_bit_exact() {
     }
     for policy in POLICIES {
         let (a, _est) = annotate(&scenario, policy);
-        let twin = annotate_twin(&a, &twin_catalog);
+        let twin = annotate_twin(&a, &twin_catalog, policy);
         let report = audit_annotated(&twin, &twin_catalog);
         assert!(report.is_clean(), "{policy:?}: {report}");
         let none = std::collections::BTreeSet::new();
@@ -220,7 +215,7 @@ fn corpus_distributed_shared_recompute_bit_exact() {
                 "{policy:?}/{mode:?}: remote relations must cost more"
             );
         }
-        let zero = annotate_twin(&a, &local);
+        let zero = annotate_twin(&a, &local, policy);
         for v in a.mvpp().interior() {
             assert_eq!(zero.annotation(v), a.annotation(v), "{policy:?}: {v:?}");
         }

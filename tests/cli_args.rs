@@ -48,6 +48,18 @@ fn malformed_value_keeps_its_error() {
 }
 
 #[test]
+fn incremental_fraction_outside_the_unit_interval_is_rejected() {
+    for bad in ["NaN", "-3", "10", "inf", "1.0000001"] {
+        let stderr = rejected(&["--incremental", bad], "`--incremental`");
+        assert!(stderr.contains(&format!("`{bad}`")), "{stderr}");
+    }
+    for edge in ["0", "0.1", "1"] {
+        let out = design(&["--incremental", edge]);
+        assert!(out.status.success(), "--incremental {edge}");
+    }
+}
+
+#[test]
 fn known_options_still_design() {
     let out = design(&["--algorithm", "exhaustive", "--parallelism", "1"]);
     assert_eq!(out.status.code(), Some(0));
