@@ -9,10 +9,9 @@
 //! recursive string build.
 //!
 //! Each class stores its representative [`Arc<Expr>`] (the first member
-//! interned), the ids of the representative's children, the memoized
-//! [`Expr::semantic_hash`] and a precomputed children-first postorder of the
-//! distinct classes beneath it — the traversal order cost caches and other
-//! per-class analyses need.
+//! interned), the ids of the representative's children and the memoized
+//! [`Expr::semantic_hash`]; a per-class analysis walks
+//! [`ExprArena::children`] bottom up.
 //!
 //! A node's class is found from its children's classes: the node's
 //! semantic hash comes from theirs (joins flatten through the leaf classes
@@ -201,9 +200,6 @@ struct Entry {
     /// condition, so a parent join flattens through this class in O(leaves)
     /// without re-walking it.
     join_flat: Option<JoinFlat>,
-    /// Distinct classes reachable from this one, children before parents,
-    /// ending with the class itself.
-    postorder: Vec<ExprId>,
 }
 
 #[derive(Debug, Clone)]
@@ -324,11 +320,6 @@ impl ExprArena {
         self.entries.is_empty()
     }
 
-    /// All interned class ids, in first-interned order.
-    pub fn ids(&self) -> impl Iterator<Item = ExprId> {
-        (0..self.entries.len() as u32).map(ExprId)
-    }
-
     /// The class representative: the first member interned.
     pub fn expr(&self, id: ExprId) -> &Arc<Expr> {
         &self.entries[id.index()].expr
@@ -342,12 +333,6 @@ impl ExprArena {
     /// The memoized [`Expr::semantic_hash`] shared by every class member.
     pub fn semantic_hash(&self, id: ExprId) -> u64 {
         self.entries[id.index()].hash
-    }
-
-    /// Distinct classes reachable from `id` (itself included), children
-    /// before parents — the order bottom-up analyses need.
-    pub fn postorder(&self, id: ExprId) -> &[ExprId] {
-        &self.entries[id.index()].postorder
     }
 
     /// Interns `expr` and its whole subtree, returning its class id.
@@ -594,24 +579,12 @@ impl ExprArena {
         join_flat: Option<JoinFlat>,
     ) -> ExprId {
         let id = ExprId(u32::try_from(self.entries.len()).expect("fewer than 2^32 classes"));
-        let mut postorder = Vec::new();
-        let mut seen = vec![false; self.entries.len()];
-        for child in &children {
-            for step in &self.entries[child.index()].postorder {
-                if !seen[step.index()] {
-                    seen[step.index()] = true;
-                    postorder.push(*step);
-                }
-            }
-        }
-        postorder.push(id);
         self.entries.push(Entry {
             expr: Arc::clone(expr),
             children,
             sig,
             hash,
             join_flat,
-            postorder,
         });
         self.by_hash.entry(hash).or_default().push(id);
         id
@@ -765,27 +738,6 @@ mod tests {
         let b = Expr::select(Expr::base("Division"), la());
         assert_eq!(arena.lookup(&b), Some(id));
         assert_eq!(arena.len(), 2); // base + select
-    }
-
-    #[test]
-    fn postorder_is_children_first_and_deduplicated() {
-        let mut arena = ExprArena::new();
-        let shared = Expr::select(Expr::base("Division"), la());
-        let join = Expr::join(
-            Expr::join(Expr::base("Product"), Arc::clone(&shared), did()),
-            Arc::clone(&shared),
-            JoinCondition::cross(),
-        );
-        let root = arena.intern(&join);
-        let order = arena.postorder(root);
-        assert_eq!(order.last(), Some(&root));
-        let mut seen = std::collections::HashSet::new();
-        for id in order {
-            for child in arena.children(*id) {
-                assert!(seen.contains(child), "child {child} after parent {id}");
-            }
-            assert!(seen.insert(*id), "duplicate {id} in postorder");
-        }
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl Expr {
 
     /// Direct children of this node, left to right, without collecting
     /// them.
-    pub(crate) fn child_iter(&self) -> impl Iterator<Item = &Arc<Expr>> {
+    pub fn child_iter(&self) -> impl Iterator<Item = &Arc<Expr>> {
         let (first, second) = match self {
             Expr::Base(_) => (None, None),
             Expr::Select { input, .. }

@@ -368,15 +368,15 @@ mod tests {
     }
 
     fn annotated() -> AnnotatedMvpp {
-        let mut m = Mvpp::new();
+        annotated_with(UpdateWeighting::Max)
+    }
+
+    fn annotated_with(weighting: UpdateWeighting) -> AnnotatedMvpp {
+        let c = catalog();
+        let est = CostEstimator::new(&c, EstimationMode::Calibrated, PaperCostModel::default());
+        let mut m = Mvpp::builder(est.cardinalities());
         m.insert_query("Q1", 10.0, &tmp2());
-        let catalog = catalog();
-        let est = CostEstimator::new(
-            &catalog,
-            EstimationMode::Calibrated,
-            PaperCostModel::default(),
-        );
-        AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max)
+        AnnotatedMvpp::annotate(m.finish(), &est, weighting)
     }
 
     #[test]
@@ -422,15 +422,7 @@ mod tests {
 
     #[test]
     fn sum_weighting_counts_each_base() {
-        let mut m = Mvpp::new();
-        m.insert_query("Q1", 10.0, &tmp2());
-        let catalog = catalog();
-        let est = CostEstimator::new(
-            &catalog,
-            EstimationMode::Calibrated,
-            PaperCostModel::default(),
-        );
-        let a = AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Sum);
+        let a = annotated_with(UpdateWeighting::Sum);
         let join = a.mvpp().find(&tmp2()).unwrap();
         assert_eq!(a.annotation(join).fu_weight, 2.0);
     }
@@ -468,7 +460,7 @@ mod policy_tests {
     use crate::mvpp::Mvpp;
     use mvdesign_algebra::{AttrRef, Expr, JoinCondition};
     use mvdesign_catalog::{AttrType, Catalog};
-    use mvdesign_cost::{CostEstimator, EstimationMode, PaperCostModel};
+    use mvdesign_cost::{CardinalityEstimator, CostEstimator, EstimationMode, PaperCostModel};
 
     fn setup() -> (Catalog, Mvpp) {
         let mut c = Catalog::new();
@@ -486,8 +478,11 @@ mod policy_tests {
             Expr::base("B"),
             JoinCondition::on(AttrRef::new("A", "k"), AttrRef::new("B", "k")),
         );
-        let mut m = Mvpp::new();
+        // A finished MVPP keeps no class ids: any estimator annotates it.
+        let classes = CardinalityEstimator::new(&c, EstimationMode::Analytic);
+        let mut m = Mvpp::builder(&classes);
         m.insert_query("Q", 5.0, &join);
+        let m = m.finish();
         (c, m)
     }
 

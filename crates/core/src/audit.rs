@@ -690,7 +690,7 @@ pub fn check_greedy_trace(a: &AnnotatedMvpp) -> AuditReport {
 /// checks, pair by pair, that interned identity agrees with the independent
 /// canonical-string oracle: `intern(a) == intern(b)` ⇔
 /// `semantic_key(a) == semantic_key(b)`. Also checks that the arena's
-/// memoized hash matches [`Expr::semantic_hash`], that the MVPP's own arena
+/// memoized hash matches [`Expr::semantic_hash`], that [`Mvpp::find`]
 /// resolves each node's expression back to that node, and — for every join —
 /// that a freshly commuted copy lands on the same class (the positive
 /// direction of the equivalence, which distinct MVPP nodes alone never
@@ -713,7 +713,7 @@ pub fn check_arena(mvpp: &Mvpp) -> AuditReport {
         if mvpp.find(node.expr()) != Some(node.id()) {
             report.push(
                 "arena-find",
-                format!("{}: MVPP arena does not resolve the node", node.label()),
+                format!("{}: the MVPP does not resolve the node", node.label()),
             );
         }
         if let Expr::Join { left, right, on } = &**node.expr() {
@@ -819,13 +819,13 @@ mod tests {
             Expr::base("B"),
             Predicate::cmp(AttrRef::new("B", "y"), CompareOp::Eq, 1),
         );
-        let mut m = Mvpp::new();
+        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
+        let mut m = Mvpp::builder(est.cardinalities());
         m.insert_query("Q1", 10.0, &join);
         m.insert_query("Q2", 3.0, &filtered);
         m.insert_query("Q3", 4.0, &narrow);
-        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
         (
-            AnnotatedMvpp::annotate_with(m, &est, UpdateWeighting::Max, policy),
+            AnnotatedMvpp::annotate_with(m.finish(), &est, UpdateWeighting::Max, policy),
             c,
         )
     }
@@ -838,7 +838,7 @@ mod tests {
 
     #[test]
     fn structural_validator_accepts_empty_mvpp() {
-        assert!(validate_mvpp(&Mvpp::new()).is_clean());
+        assert!(validate_mvpp(&Mvpp::default()).is_clean());
     }
 
     #[test]

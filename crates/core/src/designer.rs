@@ -159,20 +159,12 @@ impl Designer {
         let planner = Planner::with_config(self.config.planner);
         let candidates = generate_mvpps(workload, &est, &planner, self.config.generate);
 
-        // Pre-warm the shared stats cache sequentially, in rotation order:
-        // every class a worker will read is then already filled, so the
-        // parallel fan-out below is read-only on the cache and the produced
-        // f64s cannot depend on thread interleaving.
-        for mvpp in &candidates {
-            for node in mvpp.nodes() {
-                est.stats(node.expr());
-            }
-        }
-
         // Candidate MVPPs are scored independently, so they fan out across
-        // threads; the estimator's class-indexed cache sits behind a mutex,
-        // so every worker shares the one warm cache. The reduction below
-        // runs over the ordered results exactly as the sequential loop did.
+        // threads sharing the estimator's one class table and stats cache.
+        // The merge interned every class a worker reads, so no worker makes
+        // one, and a class's stats depend only on its representative and
+        // its children's: whichever worker fills a slot, the f64s are the
+        // same. The reduction runs over the ordered results in order.
         let threads = parallel::threads_for(self.config.parallelism, candidates.len());
         let config = self.config;
         let est = &est;

@@ -298,12 +298,12 @@ mod tests {
     }
 
     fn annotated_with(policy: crate::annotate::MaintenancePolicy) -> AnnotatedMvpp {
-        let mut m = Mvpp::new();
-        m.insert_query("Q1", 10.0, &tmp2());
-        m.insert_query("Q2", 0.5, &tmp3());
         let c = catalog();
         let est = CostEstimator::new(&c, EstimationMode::Calibrated, PaperCostModel::default());
-        AnnotatedMvpp::annotate_with(m, &est, UpdateWeighting::Max, policy)
+        let mut m = Mvpp::builder(est.cardinalities());
+        m.insert_query("Q1", 10.0, &tmp2());
+        m.insert_query("Q2", 0.5, &tmp3());
+        AnnotatedMvpp::annotate_with(m.finish(), &est, UpdateWeighting::Max, policy)
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use mvdesign_algebra::{
     roll_up_keys, AggExpr, AttrRef, Expr, JoinCondition, Predicate, Query, RelName,
 };
-use mvdesign_cost::{CostEstimator, CostModel};
+use mvdesign_cost::{CardinalityEstimator, CostEstimator, CostModel};
 use mvdesign_optimizer::{pull_up, Planner};
 
 use crate::mvpp::Mvpp;
@@ -328,9 +328,9 @@ struct JoinNode {
     /// expressions, so that reusing the node cannot change a query's result.
     ///
     /// Decided by interned identity: a subtree of an MVPP node is itself an
-    /// MVPP node, and it is the shared leaf exactly when both map to the
-    /// same vertex — which, being a statement about expression classes,
-    /// stays true or false as the MVPP grows.
+    /// MVPP node, and it is the shared leaf exactly when both are one class
+    /// of the estimator's table — which stays true or false as the MVPP
+    /// grows.
     over_shared_leaves: bool,
 }
 
@@ -340,7 +340,7 @@ struct JoinIndex(Vec<Option<JoinNode>>);
 
 impl JoinIndex {
     /// Indexes the nodes appended to `mvpp` since the last call.
-    fn extend(&mut self, mvpp: &Mvpp, leaves: &SharedLeaves) {
+    fn extend(&mut self, mvpp: &Mvpp, leaves: &SharedLeaves, classes: &CardinalityEstimator<'_>) {
         for node in &mvpp.nodes()[self.0.len()..] {
             let join = matches!(&**node.expr(), Expr::Join { .. }).then(|| {
                 let mut conds = BTreeSet::new();
@@ -349,11 +349,10 @@ impl JoinIndex {
                 let over_shared_leaves = node.children().iter().all(|&c| match &self.0[c.0] {
                     Some(child) => child.over_shared_leaves,
                     None => {
-                        let below = mvpp.node(c).expr().base_relations();
-                        below
-                            .first()
-                            .and_then(|rel| leaves.exprs.get(rel))
-                            .is_some_and(|leaf| mvpp.find(leaf) == Some(c))
+                        let child = mvpp.node(c).expr();
+                        let rel = child.base_relations().pop_first();
+                        let leaf = rel.and_then(|r| leaves.exprs.get(&r));
+                        leaf.is_some_and(|leaf| classes.class_of(leaf) == classes.class_of(child))
                     }
                 });
                 JoinNode {
@@ -375,14 +374,14 @@ fn merge_prepared<M: CostModel>(
     leaves: &SharedLeaves,
     est: &CostEstimator<'_, M>,
 ) -> Mvpp {
-    let mut mvpp = Mvpp::new();
+    let mut mvpp = Mvpp::builder(est.cardinalities());
     let mut joins = JoinIndex::default();
     for q in order {
-        joins.extend(&mvpp, leaves);
+        joins.extend(mvpp.mvpp(), leaves, est.cardinalities());
         let expr = build_query_expr(q, leaves, &joins, est);
         mvpp.insert_query(q.name.clone(), q.fq, &expr);
     }
-    roll_up_shared_joins(mvpp, order)
+    roll_up_shared_joins(mvpp.finish(), order, est.cardinalities())
 }
 
 /// The aggregate counterpart of steps 5–6. Steps 5–6 push the disjunction
@@ -396,7 +395,11 @@ fn merge_prepared<M: CostModel>(
 /// ([`crate::rewrite`]'s eager aggregation), so a merged plan and the same
 /// query routed from SQL text read the candidate through the same plan.
 /// A root whose aggregates do not roll up (`AVG`) stays as it was.
-fn roll_up_shared_joins(mvpp: Mvpp, order: &[&PreparedQuery]) -> Mvpp {
+fn roll_up_shared_joins(
+    mvpp: Mvpp,
+    order: &[&PreparedQuery],
+    classes: &CardinalityEstimator<'_>,
+) -> Mvpp {
     let grouped = |q: &PreparedQuery| q.aggregate.is_some() && q.raw.is_none();
     if order.iter().filter(|q| grouped(q)).count() < 2 {
         return mvpp;
@@ -449,11 +452,11 @@ fn roll_up_shared_joins(mvpp: Mvpp, order: &[&PreparedQuery]) -> Mvpp {
     if !folded.contains(&true) {
         return mvpp;
     }
-    let mut out = Mvpp::new();
+    let mut out = Mvpp::builder(classes);
     for (q, plan) in order.iter().zip(&plans) {
         out.insert_query(q.name.clone(), q.fq, plan);
     }
-    out
+    out.finish()
 }
 
 /// `γ[keys; aggregates]` over `join` for the γ roots that read it. The keys

@@ -86,10 +86,10 @@ pub struct SelectionTrace {
 ///     Expr::base("A"), Expr::base("B"),
 ///     JoinCondition::on(AttrRef::new("A", "k"), AttrRef::new("B", "k")),
 /// );
-/// let mut mvpp = Mvpp::new();
-/// mvpp.insert_query("hot", 100.0, &join); // read 100×, refreshed once
 /// let est = CostEstimator::new(&catalog, EstimationMode::Analytic, PaperCostModel::default());
-/// let annotated = AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max);
+/// let mut mvpp = Mvpp::builder(est.cardinalities());
+/// mvpp.insert_query("hot", 100.0, &join); // read 100×, refreshed once
+/// let annotated = AnnotatedMvpp::annotate(mvpp.finish(), &est, UpdateWeighting::Max);
 /// let (chosen, trace) = GreedySelection::new().run(&annotated);
 /// assert!(!chosen.is_empty());          // the join is worth materializing
 /// assert!(!trace.steps.is_empty());     // and the decision is explained
@@ -283,12 +283,12 @@ mod tests {
     }
 
     fn annotated() -> AnnotatedMvpp {
-        let mut m = Mvpp::new();
-        m.insert_query("Q1", 10.0, &tmp2());
-        m.insert_query("Q2", 0.5, &tmp3());
         let c = catalog();
         let est = CostEstimator::new(&c, EstimationMode::Calibrated, PaperCostModel::default());
-        AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max)
+        let mut m = Mvpp::builder(est.cardinalities());
+        m.insert_query("Q1", 10.0, &tmp2());
+        m.insert_query("Q2", 0.5, &tmp3());
+        AnnotatedMvpp::annotate(m.finish(), &est, UpdateWeighting::Max)
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub use crate::evaluate::{
 pub use crate::generate::{generate_mvpps, merge_queries, GenerateConfig};
 pub use crate::greedy::{GreedySelection, SelectionTrace, TraceStep, TraceVerdict};
 pub use crate::incremental::IncrementalEvaluator;
-pub use crate::mvpp::{Mvpp, MvppNode, NodeId};
+pub use crate::mvpp::{Mvpp, MvppBuilder, MvppNode, NodeId};
 pub use crate::nodeset::NodeSet;
 pub use crate::report::{render_design, render_trace};
 pub use crate::rewrite::{Decision, MissReason, Routed, ViewCatalog};

@@ -5,7 +5,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use mvdesign_algebra::{Expr, ExprArena, ExprId, RelName};
+use mvdesign_algebra::{Expr, ExprArena, ExprId, IntMap, RelName};
+use mvdesign_cost::CardinalityEstimator;
 
 /// Index of a node within an [`Mvpp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -22,7 +23,8 @@ impl fmt::Display for NodeId {
 pub struct MvppNode {
     id: NodeId,
     expr: Arc<Expr>,
-    expr_id: ExprId,
+    /// The memoized [`Expr::semantic_hash`] of `expr`.
+    hash: u64,
     children: Vec<NodeId>,
     parents: Vec<NodeId>,
     label: String,
@@ -37,13 +39,6 @@ impl MvppNode {
     /// The full expression this node computes (its result relation `R(v)`).
     pub fn expr(&self) -> &Arc<Expr> {
         &self.expr
-    }
-
-    /// The node's semantic-equivalence class in [`Mvpp::arena`]. MVPP
-    /// interning *is* arena interning: two nodes are shared iff their
-    /// expressions landed on the same class.
-    pub fn expr_id(&self) -> ExprId {
-        self.expr_id
     }
 
     /// Direct inputs (`S(v)` in the paper).
@@ -75,74 +70,94 @@ impl MvppNode {
 /// Structurally: every vertex corresponds to one relational-algebra
 /// operation, leaf vertices are base relations, root vertices are the
 /// warehouse queries. Vertices are shared whenever two plans compute the
-/// same relation — the paper's common subexpressions. Sharing is decided by
-/// an owned [`ExprArena`]: each vertex corresponds to exactly one interned
-/// equivalence class ([`ExprId`]), so lookups are integer probes rather than
-/// canonical-string builds ([`Expr::semantic_key`] renders the same classes
-/// for debugging).
+/// same relation — the paper's common subexpressions. An [`MvppBuilder`]
+/// decides the sharing: each vertex is one semantic-equivalence class
+/// ([`ExprId`]) of the estimator it builds against, so the candidates of a
+/// design call share one class table.
 #[derive(Debug, Clone, Default)]
 pub struct Mvpp {
     nodes: Vec<MvppNode>,
     roots: Vec<(String, f64, NodeId)>,
-    arena: ExprArena,
-    /// Node computing each arena class, indexed by [`ExprId`]; `None` for
-    /// classes the arena knows but no vertex computes.
-    node_of: Vec<Option<NodeId>>,
     /// How many interior nodes there are: the last `tmpN` given out.
     interior: usize,
 }
 
-impl Mvpp {
-    /// Creates an empty MVPP.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Builds an [`Mvpp`] query by query, taking each node's class from the
+/// class table of the estimator that costs the plans.
+#[derive(Debug)]
+pub struct MvppBuilder<'e> {
+    classes: &'e CardinalityEstimator<'e>,
+    mvpp: Mvpp,
+    /// Node computing each class.
+    node_of: IntMap<ExprId, NodeId>,
+}
 
+impl<'e> MvppBuilder<'e> {
     /// Inserts a query plan, sharing every subexpression already present,
     /// and registers its root as a query node with frequency `fq`.
     ///
     /// Returns the root's node id. Inserting two queries with identical
     /// plans yields one shared root carrying both frequencies.
     pub fn insert_query(&mut self, name: impl Into<String>, fq: f64, plan: &Arc<Expr>) -> NodeId {
-        let id = self.intern(plan);
-        self.roots.push((name.into(), fq, id));
+        let classes = self.classes;
+        let id = classes.with_classes(|arena| self.intern(arena, plan));
+        self.mvpp.roots.push((name.into(), fq, id));
         id
     }
 
-    /// Inserts an expression (and its whole subtree), sharing existing
-    /// nodes; returns the node id computing it.
-    pub fn intern(&mut self, expr: &Arc<Expr>) -> NodeId {
-        let expr_id = self.arena.intern(expr);
-        if self.node_of.len() < self.arena.len() {
-            self.node_of.resize(self.arena.len(), None);
-        }
-        if let Some(id) = self.node_of[expr_id.index()] {
+    /// Inserts an expression and its whole subtree, sharing existing nodes;
+    /// returns the node computing it.
+    fn intern(&mut self, arena: &mut ExprArena, expr: &Arc<Expr>) -> NodeId {
+        let class = arena.intern(expr);
+        if let Some(&id) = self.node_of.get(&class) {
             return id;
         }
-        let children: Vec<NodeId> = expr.children().iter().map(|c| self.intern(c)).collect();
-        let id = NodeId(self.nodes.len());
+        let children: Vec<NodeId> = expr.child_iter().map(|c| self.intern(arena, c)).collect();
+        let nodes = &mut self.mvpp.nodes;
+        let id = NodeId(nodes.len());
         // Nodes only append, so the count of interior nodes so far numbers
         // this one for good: no label ever changes after it is given.
         let label = match &**expr {
             Expr::Base(r) => r.to_string(),
             _ => {
-                self.interior += 1;
-                format!("tmp{}", self.interior)
+                self.mvpp.interior += 1;
+                format!("tmp{}", self.mvpp.interior)
             }
         };
-        self.nodes.push(MvppNode {
+        for c in &children {
+            nodes[c.0].parents.push(id);
+        }
+        nodes.push(MvppNode {
             id,
             expr: Arc::clone(expr),
-            expr_id,
-            children: children.clone(),
+            hash: arena.semantic_hash(class),
+            children,
             parents: Vec::new(),
             label,
         });
-        for c in children {
-            self.nodes[c.0].parents.push(id);
-        }
-        self.node_of[expr_id.index()] = Some(id);
+        self.node_of.insert(class, id);
         id
+    }
+
+    /// The MVPP built so far.
+    pub fn mvpp(&self) -> &Mvpp {
+        &self.mvpp
+    }
+
+    /// The finished MVPP.
+    pub fn finish(self) -> Mvpp {
+        self.mvpp
+    }
+}
+
+impl Mvpp {
+    /// An empty MVPP whose nodes will take their classes from `classes`.
+    pub fn builder<'e>(classes: &'e CardinalityEstimator<'_>) -> MvppBuilder<'e> {
+        MvppBuilder {
+            classes,
+            mvpp: Mvpp::default(),
+            node_of: IntMap::default(),
+        }
     }
 
     /// All nodes, in insertion (= topological) order.
@@ -159,17 +174,13 @@ impl Mvpp {
         &self.nodes[id.0]
     }
 
-    /// Looks up the node computing an expression, if present. Non-mutating:
-    /// probes the arena without interning new classes.
+    /// Looks up the node computing an expression, if present: the node
+    /// whose memoized semantic hash is the expression's, confirmed by
+    /// [`Expr::semantic_key`]. Needs no class table.
     pub fn find(&self, expr: &Arc<Expr>) -> Option<NodeId> {
-        let expr_id = self.arena.lookup(expr)?;
-        self.node_of.get(expr_id.index()).copied().flatten()
-    }
-
-    /// The interner deciding node sharing. Every node's
-    /// [`MvppNode::expr_id`] indexes into this arena.
-    pub fn arena(&self) -> &ExprArena {
-        &self.arena
+        let (hash, key) = (expr.semantic_hash(), expr.semantic_key());
+        let mut same = self.nodes.iter().filter(|n| n.hash == hash);
+        same.find(|n| n.expr.semantic_key() == key).map(|n| n.id)
     }
 
     /// The query roots: `(name, fq, node)` triples in insertion order.
@@ -288,6 +299,19 @@ impl Mvpp {
 mod tests {
     use super::*;
     use mvdesign_algebra::{AttrRef, CompareOp, JoinCondition, Predicate};
+    use mvdesign_catalog::Catalog;
+    use mvdesign_cost::EstimationMode;
+
+    /// Classes are syntactic: an estimator over no catalog hands them out.
+    fn build(queries: &[(&str, f64, Arc<Expr>)]) -> Mvpp {
+        let catalog = Catalog::new();
+        let classes = CardinalityEstimator::new(&catalog, EstimationMode::Analytic);
+        let mut m = Mvpp::builder(&classes);
+        for (name, fq, plan) in queries {
+            m.insert_query(*name, *fq, plan);
+        }
+        m.finish()
+    }
 
     fn tmp1() -> Arc<Expr> {
         Expr::select(
@@ -314,10 +338,7 @@ mod tests {
 
     /// Builds the paper's Figure 2(b): Q1 and Q2 sharing tmp1/tmp2.
     fn fig2b() -> Mvpp {
-        let mut m = Mvpp::new();
-        m.insert_query("Q1", 10.0, &tmp2());
-        m.insert_query("Q2", 0.5, &q2_plan());
-        m
+        build(&[("Q1", 10.0, tmp2()), ("Q2", 0.5, q2_plan())])
     }
 
     #[test]
@@ -333,12 +354,11 @@ mod tests {
 
     #[test]
     fn join_commutativity_shares_nodes() {
-        let mut m = Mvpp::new();
         let a = Expr::join(Expr::base("A"), Expr::base("B"), JoinCondition::cross());
         let b = Expr::join(Expr::base("B"), Expr::base("A"), JoinCondition::cross());
-        let ia = m.intern(&a);
-        let ib = m.intern(&b);
-        assert_eq!(ia, ib);
+        let m = build(&[("Q1", 1.0, Arc::clone(&a)), ("Q2", 1.0, Arc::clone(&b))]);
+        assert_eq!(m.roots()[0].2, m.roots()[1].2);
+        assert_eq!(m.find(&a), m.find(&b));
     }
 
     #[test]
@@ -386,23 +406,25 @@ mod tests {
     fn labels_count_interior_nodes_in_insertion_order_and_never_change() {
         let labels =
             |m: &Mvpp| -> Vec<String> { m.nodes().iter().map(|n| n.label().to_string()).collect() };
-        let mut m = Mvpp::new();
+        let catalog = Catalog::new();
+        let classes = CardinalityEstimator::new(&catalog, EstimationMode::Analytic);
+        let mut m = Mvpp::builder(&classes);
         m.insert_query("Q1", 10.0, &tmp2());
-        let before = labels(&m);
+        let before = labels(m.mvpp());
         assert_eq!(before, ["Pd", "Div", "tmp1", "tmp2"]);
         // A later query appends nodes and numbers them on from the count;
         // re-inserting a plan already there adds nothing.
         m.insert_query("Q2", 0.5, &q2_plan());
         m.insert_query("Q3", 1.0, &tmp2());
+        let m = m.finish();
         assert_eq!(labels(&m)[..before.len()], before);
         assert_eq!(labels(&m)[before.len()..], ["Pt", "tmp3"]);
     }
 
     #[test]
     fn identical_queries_share_a_root() {
-        let mut m = Mvpp::new();
-        let r1 = m.insert_query("Q1", 1.0, &tmp2());
-        let r2 = m.insert_query("Q2", 2.0, &tmp2());
+        let m = build(&[("Q1", 1.0, tmp2()), ("Q2", 2.0, tmp2())]);
+        let (r1, r2) = (m.roots()[0].2, m.roots()[1].2);
         assert_eq!(r1, r2);
         assert_eq!(m.queries_using(r1).len(), 2);
     }

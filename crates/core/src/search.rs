@@ -587,13 +587,13 @@ mod tests {
             Arc::clone(&ab),
             Predicate::cmp(AttrRef::new("A", "x"), CompareOp::Eq, 1),
         );
-        let mut m = Mvpp::new();
+        let c = catalog();
+        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
+        let mut m = Mvpp::builder(est.cardinalities());
         m.insert_query("Q1", 20.0, &ab);
         m.insert_query("Q2", 1.0, &abc);
         m.insert_query("Q3", 5.0, &filtered);
-        let c = catalog();
-        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        AnnotatedMvpp::annotate_with(m, &est, UpdateWeighting::Max, policy)
+        AnnotatedMvpp::annotate_with(m.finish(), &est, UpdateWeighting::Max, policy)
     }
 
     fn total(a: &AnnotatedMvpp, algo: &dyn SelectionAlgorithm) -> f64 {
@@ -702,14 +702,14 @@ mod tests {
     #[test]
     fn exhaustive_enumeration_stays_inside_the_mask() {
         // Seventy interior nodes: more than a `u64` mask can enumerate.
-        let mut m = Mvpp::new();
+        let c = catalog();
+        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
+        let mut m = Mvpp::builder(est.cardinalities());
         for i in 0..70 {
             let pred = Predicate::cmp(AttrRef::new("A", "x"), CompareOp::Eq, i);
             m.insert_query(format!("Q{i}"), 1.0, &Expr::select(Expr::base("A"), pred));
         }
-        let c = catalog();
-        let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        let a = AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max);
+        let a = AnnotatedMvpp::annotate(m.finish(), &est, UpdateWeighting::Max);
         assert_eq!(a.mvpp().interior().len(), 70);
 
         // `max_nodes` above the mask width enumerates the width, not
@@ -780,10 +780,10 @@ mod tests {
             Expr::base("B"),
             JoinCondition::on(AttrRef::new("A", "k"), AttrRef::new("B", "k")),
         );
-        let mut m = Mvpp::new();
-        m.insert_query("Q1", fq, &ab);
         let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-        AnnotatedMvpp::annotate_with(m, &est, UpdateWeighting::Max, policy)
+        let mut m = Mvpp::builder(est.cardinalities());
+        m.insert_query("Q1", fq, &ab);
+        AnnotatedMvpp::annotate_with(m.finish(), &est, UpdateWeighting::Max, policy)
     }
 
     const INCREMENTAL: MaintenancePolicy = MaintenancePolicy::Incremental {

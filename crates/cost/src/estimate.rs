@@ -1,6 +1,5 @@
 //! Cardinality estimation for SPJ expressions.
 
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use mvdesign_algebra::{output_attrs, Expr, ExprArena, ExprId, Predicate, Rhs};
@@ -72,7 +71,13 @@ impl<'c> CardinalityEstimator<'c> {
     /// Interns `expr`'s semantic-equivalence class in the shared cache and
     /// returns its dense id (stable for this estimator's lifetime).
     pub fn class_of(&self, expr: &Arc<Expr>) -> ExprId {
-        self.cache().arena.intern(expr)
+        self.with_classes(|arena| arena.intern(expr))
+    }
+
+    /// Runs `f` on the shared class table under one lock: one lock for a
+    /// whole plan an MVPP interns, not one [`class_of`](Self::class_of) each.
+    pub fn with_classes<R>(&self, f: impl FnOnce(&mut ExprArena) -> R) -> R {
+        f(&mut self.cache().arena)
     }
 
     /// Number of distinct semantic classes interned so far.
@@ -90,18 +95,25 @@ impl<'c> CardinalityEstimator<'c> {
         if let Some(Some(hit)) = cache.stats.get(id.index()) {
             return *hit;
         }
-        // Fill every missing class bottom-up along the memoized postorder —
-        // children strictly precede parents, so each step reads only
-        // already-present slots and the lock is never re-entered.
         let StatsCache { arena, stats } = &mut *cache;
         stats.resize(arena.len(), None);
-        for &step in arena.postorder(id) {
-            if stats[step.index()].is_none() {
-                stats[step.index()] =
-                    Some(compute_class(self.catalog, self.mode, arena, stats, step));
+        self.fill(arena, stats, id);
+        stats[id.index()].expect("fill computes the requested class")
+    }
+
+    /// Computes the statistics of `id` and of every class beneath it that
+    /// has none yet, children first, so each step reads only present slots
+    /// and the lock is never re-entered. Returns how many classes it
+    /// computed: each missing one once, however often it is shared.
+    fn fill(&self, arena: &ExprArena, stats: &mut [Option<RelationStats>], id: ExprId) -> usize {
+        let mut computed = 1;
+        for &child in arena.children(id) {
+            if stats[child.index()].is_none() {
+                computed += self.fill(arena, stats, child);
             }
         }
-        stats[id.index()].expect("postorder ends at the requested class")
+        stats[id.index()] = Some(compute_class(self.catalog, self.mode, arena, stats, id));
+        computed
     }
 }
 
@@ -333,18 +345,23 @@ impl<'c, M: CostModel> CostEstimator<'c, M> {
     /// uses `σ city='LA' (Division)` twice recomputes it once), matching the
     /// DAG semantics of an MVPP.
     pub fn tree_cost(&self, expr: &Arc<Expr>) -> f64 {
-        let mut seen = HashSet::new();
-        self.tree_cost_inner(expr, &mut seen)
+        self.tree_cost_inner(expr, &mut Vec::new())
     }
 
-    fn tree_cost_inner(&self, expr: &Arc<Expr>, seen: &mut HashSet<ExprId>) -> f64 {
+    /// `seen` is a bitset over class ids, grown as the walk interns them.
+    fn tree_cost_inner(&self, expr: &Arc<Expr>, seen: &mut Vec<u64>) -> f64 {
         // Equivalence classes come from the shared arena, so "seen" means
         // "semantically identical", not merely "same allocation".
-        if !seen.insert(self.cards.class_of(expr)) {
+        let class = self.cards.class_of(expr).index();
+        let (word, bit) = (class / 64, 1 << (class % 64));
+        seen.resize(seen.len().max(word + 1), 0);
+        let before = seen[word];
+        seen[word] |= bit;
+        if before & bit != 0 {
             return 0.0;
         }
         let mut total = self.op_cost(expr);
-        for c in expr.children() {
+        for c in expr.child_iter() {
             total += self.tree_cost_inner(c, seen);
         }
         total
@@ -642,6 +659,22 @@ mod tests {
         assert_eq!(e.stats(&fresh), first);
         assert_eq!(e.interned_classes(), classes);
         assert_eq!(e.class_of(&fresh), e.class_of(&shared));
+    }
+
+    #[test]
+    fn fill_over_a_shared_subtree_computes_each_class_once() {
+        let c = catalog();
+        let e = CardinalityEstimator::new(&c, EstimationMode::Analytic);
+        // σ(Division) under the π and beside it: Division, σ, π, the join.
+        let shared = tmp1();
+        let name = [AttrRef::new("Division", "name")];
+        let pi = Expr::project(Arc::clone(&shared), name);
+        let root = e.class_of(&Expr::join(pi, shared, JoinCondition::cross()));
+        let mut cache = e.cache();
+        let StatsCache { arena, stats } = &mut *cache;
+        stats.resize(arena.len(), None);
+        assert_eq!((arena.len(), e.fill(arena, stats, root)), (4, 4));
+        assert!(stats.iter().all(Option::is_some));
     }
 
     #[test]

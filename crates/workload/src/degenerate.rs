@@ -209,10 +209,12 @@ mod tests {
     #[test]
     fn duplicate_queries_share_one_root() {
         let s = duplicate_subexpressions();
-        let mut mvpp = mvdesign_core::Mvpp::new();
+        let est = mvdesign_cost::CardinalityEstimator::new(&s.catalog, Default::default());
+        let mut mvpp = mvdesign_core::Mvpp::builder(&est);
         for q in s.workload.queries() {
             mvpp.insert_query(q.name(), q.frequency(), q.root());
         }
+        let mvpp = mvpp.finish();
         let (_, _, r1) = &mvpp.roots()[0];
         let (_, _, r2) = &mvpp.roots()[1];
         assert_eq!(r1, r2, "identical plans must intern to the same node");

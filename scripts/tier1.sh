@@ -135,7 +135,7 @@ printf '%-12s DESIGN.md %d, README.md %d, EXPERIMENTS.md %d lines (DESIGN.md sta
 printf '%-12s measured period, query and refresh halves, the views a first build rebuilds by eager aggregation, and each unit (view or transient) of the TPC-H-lite build pass with its blocks (pins in tests/simulation.rs):\n' "period"
 cargo test -q --release -p mvdesign --test simulation -- --nocapture | grep -oE '(period halves|refresh unit).*'
 
-printf '%-12s per TPC-H-lite class, parse, rewrite and a warm repeated query (ceilings in tests/front_end_allocs.rs):\n' "allocations"
-cargo test -q --release -p mvdesign --test front_end_allocs -- --nocapture | grep '^front-end allocs'
+printf '%-12s per TPC-H-lite class, parse, rewrite and a warm repeated query, then one sequential design call per benchmark scenario (ceilings in tests/front_end_allocs.rs):\n' "allocations"
+cargo test -q --release -p mvdesign --test front_end_allocs -- --nocapture | grep -oE '(front-end|design) allocs.*'
 
 echo "tier-1 OK"

@@ -14,6 +14,13 @@ use proptest::prelude::*;
 use mvdesign::algebra::{
     AggExpr, AggFunc, AttrRef, CompareOp, Expr, ExprArena, JoinCondition, Predicate,
 };
+use mvdesign::core::{
+    evaluate, generate_mvpps, AnnotatedMvpp, Designer, DesignerConfig, ExhaustiveSelection,
+    GeneticSelection, GreedySelection, MaintenancePolicy, SelectionAlgorithm,
+};
+use mvdesign::cost::{CostEstimator, PaperCostModel};
+use mvdesign::optimizer::Planner;
+use mvdesign::workload::{paper_example, tpch_lite, Scenario, StarSchema, StarSchemaConfig};
 
 const RELS: [&str; 4] = ["A", "B", "C", "D"];
 
@@ -228,15 +235,14 @@ fn join_commutation_lands_on_the_same_exprid() {
     assert_eq!(arena.intern(&a), arena.intern(&b));
 }
 
-/// The designer's shared warm stats cache must make the produced design a
-/// pure function of its inputs: the same workload at parallelism 0 (all
-/// cores), 1 (sequential) and 4 yields bit-identical costs and view sets.
-#[test]
-fn paper_design_is_bit_identical_across_parallelism() {
-    use mvdesign::core::{Designer, DesignerConfig};
-    use mvdesign::workload::paper_example;
-
-    let scenario = paper_example();
+/// Designs `scenario` with `algorithm` at parallelism 0 (all cores), 1
+/// (sequential) and 4, and requires bit-identical costs and view sets: the
+/// candidates share the estimator's class table and stats cache, so the
+/// produced design must still be a pure function of its inputs.
+fn assert_bit_identical_across_parallelism(
+    scenario: &Scenario,
+    algorithm: &dyn SelectionAlgorithm,
+) {
     let designs: Vec<_> = [0usize, 1, 4]
         .into_iter()
         .map(|parallelism| {
@@ -245,8 +251,8 @@ fn paper_design_is_bit_identical_across_parallelism() {
                 ..Default::default()
             });
             designer
-                .design(&scenario.catalog, &scenario.workload)
-                .expect("paper workload designs")
+                .design_with(&scenario.catalog, &scenario.workload, algorithm)
+                .expect("scenario designs")
         })
         .collect();
     let baseline = &designs[0];
@@ -267,6 +273,80 @@ fn paper_design_is_bit_identical_across_parallelism() {
         for (a, b) in pairs {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+}
+
+/// The star schema the design benchmark pins: six dimensions, seed 42.
+fn star_6(queries: usize) -> Scenario {
+    StarSchema::with_config(StarSchemaConfig {
+        seed: 42,
+        dimensions: 6,
+        queries,
+        ..StarSchemaConfig::default()
+    })
+    .scenario()
+}
+
+#[test]
+fn paper_design_is_bit_identical_across_parallelism() {
+    assert_bit_identical_across_parallelism(&paper_example(), &GreedySelection::new());
+}
+
+/// The design benchmark's scenarios under each selection algorithm it times.
+#[test]
+fn benchmark_designs_are_bit_identical_across_parallelism() {
+    let algorithms: [&dyn SelectionAlgorithm; 3] = [
+        &GreedySelection::new(),
+        &GeneticSelection::default(),
+        &ExhaustiveSelection::default(),
+    ];
+    for scenario in [tpch_lite(), star_6(40)] {
+        for algorithm in algorithms {
+            assert_bit_identical_across_parallelism(&scenario, algorithm);
+        }
+    }
+}
+
+/// Merging the candidates interns every class their nodes need into the
+/// estimator's table; annotating and selecting them must intern none. That
+/// is what keeps the fan-out's f64s independent of thread interleaving:
+/// no worker can give a class a representative another worker's order
+/// would not.
+#[test]
+fn annotating_and_selecting_candidates_interns_no_class() {
+    let config = DesignerConfig::default();
+    let policies = [
+        MaintenancePolicy::Recompute,
+        MaintenancePolicy::Incremental {
+            update_fraction: 0.1,
+        },
+    ];
+    for scenario in [paper_example(), tpch_lite(), star_6(40)] {
+        let est = CostEstimator::new(
+            &scenario.catalog,
+            config.estimation,
+            PaperCostModel::default(),
+        );
+        let planner = Planner::with_config(config.planner);
+        let candidates = generate_mvpps(&scenario.workload, &est, &planner, config.generate);
+        let classes = est.cardinalities().interned_classes();
+        for mvpp in candidates {
+            for policy in policies {
+                let annotated = AnnotatedMvpp::annotate_with(
+                    mvpp.clone(),
+                    &est,
+                    config.update_weighting,
+                    policy,
+                );
+                let algorithms: [&dyn SelectionAlgorithm; 2] =
+                    [&GreedySelection::new(), &GeneticSelection::default()];
+                for algorithm in algorithms {
+                    let set = algorithm.select(&annotated, config.maintenance);
+                    evaluate(&annotated, &set, config.maintenance);
+                }
+            }
+        }
+        assert_eq!(est.cardinalities().interned_classes(), classes);
     }
 }
 

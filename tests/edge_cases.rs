@@ -12,7 +12,7 @@ use mvdesign::core::{
     evaluate, generate_mvpps, AnnotatedMvpp, GenerateConfig, GreedySelection, MaintenanceMode,
     Mvpp, UpdateWeighting, Workload,
 };
-use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
+use mvdesign::cost::{CardinalityEstimator, CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::engine::{execute, Database, ExecContext, Table};
 use mvdesign::optimizer::Planner;
 use mvdesign::prelude::Designer;
@@ -172,9 +172,9 @@ fn evaluate_with_unrelated_ids_in_m_is_well_defined() {
     let c = minimal_catalog();
     let q = parse_query_with("SELECT x FROM R, S WHERE R.k = S.k", &c).expect("parses");
     let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-    let mut mvpp = Mvpp::new();
+    let mut mvpp = Mvpp::builder(est.cardinalities());
     mvpp.insert_query("Q", 1.0, &q);
-    let a = AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max);
+    let a = AnnotatedMvpp::annotate(mvpp.finish(), &est, UpdateWeighting::Max);
     let everything: BTreeSet<_> = a.mvpp().nodes().iter().map(|n| n.id()).collect();
     let cost = evaluate(&a, &everything, MaintenanceMode::SharedRecompute);
     assert!(cost.total.is_finite());
@@ -347,9 +347,11 @@ fn mvpp_of_sixty_queries_stays_tractable() {
 #[test]
 fn arc_sharing_means_interning_is_cheap_for_identical_subtrees() {
     let shared: Arc<Expr> = Expr::base("R");
-    let mut mvpp = Mvpp::new();
-    let a = mvpp.intern(&shared);
-    let b = mvpp.intern(&shared);
+    let c = minimal_catalog();
+    let est = CardinalityEstimator::new(&c, EstimationMode::Analytic);
+    let mut mvpp = Mvpp::builder(&est);
+    let a = mvpp.insert_query("Q1", 1.0, &shared);
+    let b = mvpp.insert_query("Q2", 1.0, &shared);
     assert_eq!(a, b);
-    assert_eq!(mvpp.len(), 1);
+    assert_eq!(mvpp.finish().len(), 1);
 }

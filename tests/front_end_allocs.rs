@@ -2,7 +2,9 @@
 //! routing it through the designed views, and asking a warehouse the same
 //! text again must not allocate more than the counts recorded here. The
 //! third count is what a repeated text costs once its statement and answer
-//! are kept: no parse and no routing, so far below the first two.
+//! are kept: no parse and no routing, so far below the first two. One
+//! sequential `Designer::design` call of each scenario the design benchmark
+//! times has a ceiling here too.
 //!
 //! A counting global allocator counts heap allocations on the calling
 //! thread only (a `const` thread-local `Cell`), so the test threads the
@@ -16,10 +18,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mvdesign::algebra::parse_query_with;
-use mvdesign::core::{Designer, ViewCatalog};
+use mvdesign::core::{Designer, DesignerConfig, ViewCatalog};
 use mvdesign::engine::{Generator, GeneratorConfig};
 use mvdesign::warehouse::Warehouse;
-use mvdesign::workload::tpch_lite;
+use mvdesign::workload::{paper_example, tpch_lite, Scenario, StarSchema, StarSchemaConfig};
 
 struct Counting;
 
@@ -153,6 +155,48 @@ fn parse_and_rewrite_stay_under_their_allocation_ceilings() {
                 "{name}: parse {parse} > {parse_ceiling}, rewrite {rewrite} > {rewrite_ceiling} \
                  or repeat {repeat} > {repeat_ceiling}"
             ));
+        }
+    }
+    assert!(over.is_empty(), "allocation ceilings exceeded: {over:?}");
+}
+
+/// The most one `Designer::design` call at `parallelism: 1` may allocate,
+/// per scenario. Recorded from this code; when every candidate MVPP
+/// interned its plans into an arena of its own and each class stored its
+/// postorder, the same calls took 3 924, 9 419 and 45 464.
+const DESIGNS: [(&str, u64); 3] = [
+    ("paper", 2_785),
+    ("tpch-lite", 5_569),
+    ("star-6x40", 31_763),
+];
+
+#[test]
+fn design_calls_stay_under_their_allocation_ceilings() {
+    let star = StarSchema::with_config(StarSchemaConfig {
+        seed: 42,
+        dimensions: 6,
+        queries: 40,
+        ..StarSchemaConfig::default()
+    })
+    .scenario();
+    let scenarios: [Scenario; 3] = [paper_example(), tpch_lite(), star];
+    let designer = Designer::with_config(DesignerConfig {
+        parallelism: 1,
+        ..Default::default()
+    });
+    let mut over = Vec::new();
+    for ((name, ceiling), scenario) in DESIGNS.into_iter().zip(&scenarios) {
+        let design = || {
+            designer
+                .design(&scenario.catalog, &scenario.workload)
+                .expect("scenario designs")
+        };
+        // One uncounted call first, as for the front end above.
+        drop(design());
+        let count = allocations(design);
+        println!("design allocs {name:<10} {count:>6} (ceiling {ceiling:>6})");
+        if count > ceiling {
+            over.push(format!("{name}: {count} > {ceiling}"));
         }
     }
     assert!(over.is_empty(), "allocation ceilings exceeded: {over:?}");

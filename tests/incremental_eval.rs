@@ -353,11 +353,11 @@ fn wide_join() -> AnnotatedMvpp {
         joins[1].clone(),
         Predicate::cmp(AttrRef::new("R0", "x"), CompareOp::Eq, 5),
     );
-    let mut m = Mvpp::new();
+    let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
+    let mut m = Mvpp::builder(est.cardinalities());
     m.insert_query("wide", 3.0, joins.last().unwrap());
     m.insert_query("narrow", 7.0, &filtered);
-    let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-    AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max)
+    AnnotatedMvpp::annotate(m.finish(), &est, UpdateWeighting::Max)
 }
 
 /// A root that sees more interior nodes than the memo indexes is walked on
@@ -609,11 +609,11 @@ fn remote_join(t: f64) -> AnnotatedMvpp {
         join.clone(),
         Predicate::cmp(AttrRef::new("R", "x"), CompareOp::Eq, 5),
     );
-    let mut m = Mvpp::new();
+    let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
+    let mut m = Mvpp::builder(est.cardinalities());
     m.insert_query("Q1", 10.0, &join);
     m.insert_query("Q2", 2.0, &filtered);
-    let est = CostEstimator::new(&c, EstimationMode::Analytic, PaperCostModel::default());
-    AnnotatedMvpp::annotate(m, &est, UpdateWeighting::Max)
+    AnnotatedMvpp::annotate(m.finish(), &est, UpdateWeighting::Max)
 }
 
 /// Shipping added to the central total of `m` at transfer cost 4, read

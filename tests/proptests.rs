@@ -196,11 +196,11 @@ proptest! {
             Arc::clone(&j01),
             Predicate::cmp(AttrRef::new("R0", "x"), CompareOp::Le, 2),
         );
-        let mut mvpp = Mvpp::new();
+        let mut mvpp = Mvpp::builder(est.cardinalities());
         mvpp.insert_query("Q1", fq[0], &j01);
         mvpp.insert_query("Q2", fq[1], &j012);
         mvpp.insert_query("Q3", fq[2], &filtered);
-        let a = AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max);
+        let a = AnnotatedMvpp::annotate(mvpp.finish(), &est, UpdateWeighting::Max);
         let mode = MaintenanceMode::SharedRecompute;
         let greedy = evaluate(&a, &GreedySelection::new().select(&a, mode), mode).total;
         let optimum = evaluate(&a, &ExhaustiveSelection::default().select(&a, mode), mode).total;
@@ -223,9 +223,9 @@ proptest! {
             JoinCondition::on(AttrRef::new("R0", "k"), AttrRef::new("R1", "k")),
         );
         let build = |f: f64| {
-            let mut mvpp = Mvpp::new();
+            let mut mvpp = Mvpp::builder(est.cardinalities());
             mvpp.insert_query("Q", f, &j01);
-            AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max)
+            AnnotatedMvpp::annotate(mvpp.finish(), &est, UpdateWeighting::Max)
         };
         let lo = build(fq);
         let hi = build(fq * 2.0);
@@ -369,9 +369,9 @@ proptest! {
             Expr::base("R1"),
             JoinCondition::on(AttrRef::new("R0", "k"), AttrRef::new("R1", "k")),
         );
-        let mut mvpp = Mvpp::new();
+        let mut mvpp = Mvpp::builder(est.cardinalities());
         mvpp.insert_query("Q", fq, &join);
-        let a = AnnotatedMvpp::annotate(mvpp, &est, UpdateWeighting::Max);
+        let a = AnnotatedMvpp::annotate(mvpp.finish(), &est, UpdateWeighting::Max);
         let root = a.mvpp().roots()[0].2;
         let ustar = break_even_update_weight(&a, root);
         // The catalog's fu is 1.0; the Figure-9 weight is positive exactly
