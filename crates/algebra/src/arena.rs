@@ -90,9 +90,63 @@ enum Key<'k> {
     Base(&'k RelName),
     Select(ExprId, &'k Predicate),
     Project(ExprId, &'k [AttrRef]),
-    /// Sorted flattened leaf classes; sorted, de-duplicated merged pairs.
-    Join(&'k [ExprId], &'k [&'k (AttrRef, AttrRef)]),
+    /// Sorted flattened leaf classes; the merged condition.
+    Join(&'k [ExprId], Pairs<'k>),
     Aggregate(ExprId, &'k [AttrRef], &'k [AggExpr]),
+}
+
+/// A join's merged condition in borrowed form, read as sorted,
+/// de-duplicated pairs.
+#[derive(Clone, Copy)]
+enum Pairs<'k> {
+    /// Pairs already flattened, sorted and de-duplicated into a scratch
+    /// buffer ([`ExprArena::classify`]).
+    Flat(&'k [&'k (AttrRef, AttrRef)]),
+    /// The union of normalised conditions: a join's own and the merged
+    /// conditions of its interned join children ([`ExprArena::intern`]).
+    /// Each is sorted already, so their union is a merge of the slices and
+    /// needs no buffer.
+    Union([&'k [(AttrRef, AttrRef)]; 3]),
+}
+
+impl<'k> Pairs<'k> {
+    /// The pairs in ascending order, each once.
+    fn iter(self) -> PairIter<'k> {
+        match self {
+            Pairs::Flat(pairs) => PairIter {
+                flat: pairs.iter(),
+                union: [&[]; 3],
+            },
+            Pairs::Union(union) => PairIter {
+                flat: [].iter(),
+                union,
+            },
+        }
+    }
+}
+
+/// Iterator of [`Pairs::iter`].
+struct PairIter<'k> {
+    flat: std::slice::Iter<'k, &'k (AttrRef, AttrRef)>,
+    /// The unmerged rest of each sorted slice.
+    union: [&'k [(AttrRef, AttrRef)]; 3],
+}
+
+impl<'k> Iterator for PairIter<'k> {
+    type Item = &'k (AttrRef, AttrRef);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some(pair) = self.flat.next() {
+            return Some(pair);
+        }
+        let least = self.union.iter().filter_map(|s| s.first()).min()?;
+        for rest in &mut self.union {
+            if rest.first() == Some(least) {
+                *rest = &rest[1..];
+            }
+        }
+        Some(least)
+    }
 }
 
 impl Key<'_> {
@@ -114,7 +168,7 @@ impl Key<'_> {
             }
             Key::Join(leaves, pairs) => {
                 let mut cond = String::new();
-                let _ = write_pairs(&mut cond, pairs);
+                let _ = write_pairs(&mut cond, pairs.iter());
                 Sig::Join(leaves.to_vec(), cond)
             }
             Key::Aggregate(input, groups, aggs) => Sig::Aggregate(
@@ -137,7 +191,7 @@ impl Key<'_> {
                 input == *id && same_attr_set(attrs, names)
             }
             (Key::Join(leaves, pairs), Sig::Join(ids, cond)) => {
-                leaves == &ids[..] && writes(cond, |w| write_pairs(w, pairs))
+                leaves == &ids[..] && writes(cond, |w| write_pairs(w, pairs.iter()))
             }
             (Key::Aggregate(input, groups, aggs), Sig::Aggregate(id, group_names, funcs)) => {
                 input == *id
@@ -233,6 +287,19 @@ pub struct ExprArena {
     /// `Arc` pointer → class, for O(1) re-interning of shared subtrees. The
     /// mapped `Arc` keeps the allocation alive so addresses cannot recycle.
     by_ptr: IntMap<usize, (Arc<Expr>, ExprId)>,
+    /// Buffers [`ExprArena::intern`] reuses from node to node, so that
+    /// finding an existing class allocates nothing.
+    scratch: InternScratch,
+}
+
+/// What one [`ExprArena::intern`] step needs room for: the child hashes a
+/// node sorts into its own hash, and a join's flattened leaf classes,
+/// which it sorts into its key. A join's merged pairs need no buffer (see
+/// [`Pairs::Union`]).
+#[derive(Debug, Clone, Default)]
+struct InternScratch {
+    hashes: Vec<u64>,
+    leaves: Vec<ExprId>,
 }
 
 /// The class of every node of one expression, as
@@ -339,57 +406,74 @@ impl ExprArena {
     ///
     /// Re-interning any expression with an equal semantic key — including
     /// structurally different members of the class — returns the same id.
+    /// Finding an existing class allocates nothing: child classes sit in a
+    /// fixed array, hashes and join leaves in the arena's scratch, and only
+    /// a new class builds its signature, children list and merged join
+    /// condition.
     pub fn intern(&mut self, expr: &Arc<Expr>) -> ExprId {
         if let Some(id) = self.known(expr) {
             return id;
         }
-        let children: Vec<ExprId> = expr.child_iter().map(|c| self.intern(c)).collect();
-        let mut hashes = Vec::new();
-        let id = match &**expr {
-            Expr::Join { on, .. } => {
-                let mut leaf_ids = Vec::new();
-                let mut cond = on.clone();
-                for child in &children {
-                    match &self.entries[child.index()].join_flat {
-                        Some(flat) => {
-                            leaf_ids.extend_from_slice(&flat.leaf_ids);
-                            cond = cond.merged(&flat.cond);
-                        }
-                        None => leaf_ids.push(*child),
-                    }
-                }
-                leaf_ids.sort_unstable();
-                let pairs: Vec<&(AttrRef, AttrRef)> = cond.pairs().iter().collect();
-                let key = Key::Join(&leaf_ids, &pairs);
-                match self.probe(key, &mut hashes) {
-                    Ok(id) => id,
-                    Err(hash) => {
-                        let sig = key.sig();
-                        drop(pairs);
-                        let flat = JoinFlat { leaf_ids, cond };
-                        self.insert(expr, children, sig, hash, Some(flat))
-                    }
-                }
-            }
-            node => {
-                let key = match node {
-                    Expr::Base(r) => Key::Base(r),
-                    Expr::Select { predicate, .. } => Key::Select(children[0], predicate),
-                    Expr::Project { attrs, .. } => Key::Project(children[0], attrs),
-                    Expr::Aggregate { group_by, aggs, .. } => {
-                        Key::Aggregate(children[0], group_by, aggs)
-                    }
-                    Expr::Join { .. } => unreachable!("matched above"),
-                };
-                match self.probe(key, &mut hashes) {
-                    Ok(id) => id,
-                    Err(hash) => self.insert(expr, children, key.sig(), hash, None),
-                }
-            }
+        let mut children = [ExprId(0); 2];
+        let mut arity = 0;
+        for child in expr.child_iter() {
+            children[arity] = self.intern(child);
+            arity += 1;
+        }
+        let children = &children[..arity];
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let InternScratch { hashes, leaves } = &mut scratch;
+        let key = self.key(expr, children, leaves);
+        let found = self.probe(key, hashes).map_err(|hash| {
+            let flat = match key {
+                Key::Join(leaf_ids, pairs) => Some(JoinFlat {
+                    leaf_ids: leaf_ids.to_vec(),
+                    cond: JoinCondition::new(pairs.iter().cloned()),
+                }),
+                _ => None,
+            };
+            (key.sig(), hash, flat)
+        });
+        self.scratch = scratch;
+        let id = match found {
+            Ok(id) => id,
+            Err((sig, hash, flat)) => self.insert(expr, children.to_vec(), sig, hash, flat),
         };
         self.by_ptr
             .insert(Arc::as_ptr(expr) as usize, (Arc::clone(expr), id));
         id
+    }
+
+    /// `expr`'s key given its children's classes. A join flattens through
+    /// each interned join child's leaves and merged condition; its sorted
+    /// leaf classes go in `leaves`.
+    fn key<'k>(
+        &'k self,
+        expr: &'k Expr,
+        children: &[ExprId],
+        leaves: &'k mut Vec<ExprId>,
+    ) -> Key<'k> {
+        match expr {
+            Expr::Base(r) => Key::Base(r),
+            Expr::Select { predicate, .. } => Key::Select(children[0], predicate),
+            Expr::Project { attrs, .. } => Key::Project(children[0], attrs),
+            Expr::Aggregate { group_by, aggs, .. } => Key::Aggregate(children[0], group_by, aggs),
+            Expr::Join { on, .. } => {
+                leaves.clear();
+                let mut conds: [&[(AttrRef, AttrRef)]; 3] = [on.pairs(), &[], &[]];
+                for (cond, child) in conds[1..].iter_mut().zip(children) {
+                    match &self.entries[child.index()].join_flat {
+                        Some(flat) => {
+                            leaves.extend_from_slice(&flat.leaf_ids);
+                            *cond = flat.cond.pairs();
+                        }
+                        None => leaves.push(*child),
+                    }
+                }
+                leaves.sort_unstable();
+                Key::Join(leaves, Pairs::Union(conds))
+            }
+        }
     }
 
     /// The class of `expr` if one is interned, without modifying the arena.
@@ -472,7 +556,8 @@ impl ExprArena {
                         pairs: p,
                         hashes,
                     } = scratch;
-                    self.probe(Key::Join(&l[leaves], &p[pairs]), hashes).ok()
+                    let key = Key::Join(&l[leaves], Pairs::Flat(&p[pairs]));
+                    self.probe(key, hashes).ok()
                 });
                 (class, 2, Some(flat))
             }
@@ -555,7 +640,7 @@ impl ExprArena {
                 h.byte(b'J');
                 hashes.extend(leaves.iter().map(|&l| hash(l)));
                 feed(&mut h, hashes, false);
-                let _ = write_pairs(&mut h, pairs);
+                let _ = write_pairs(&mut h, pairs.iter());
             }
             Key::Aggregate(input, groups, aggs) => {
                 h.byte(b'G');

@@ -63,7 +63,7 @@ fn emit(
         "  n{id} [label=\"{}\", shape={shape}];",
         escape(&expr.op_label())
     );
-    for child in expr.children() {
+    for child in expr.child_iter() {
         let cid = emit(child, arena, ids, edges, out);
         if !edges.contains(&(cid, id)) {
             edges.push((cid, id));

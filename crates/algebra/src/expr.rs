@@ -73,18 +73,18 @@ impl fmt::Display for JoinCondition {
 /// Writes sorted, de-duplicated join pairs the way [`JoinCondition`]
 /// displays them, so a merged condition can be rendered (or hashed, or
 /// compared) from borrowed pairs without building the condition.
-pub(crate) fn write_pairs<P: std::borrow::Borrow<(AttrRef, AttrRef)>>(
+pub(crate) fn write_pairs<'p>(
     w: &mut impl fmt::Write,
-    pairs: &[P],
+    pairs: impl IntoIterator<Item = &'p (AttrRef, AttrRef)>,
 ) -> fmt::Result {
-    if pairs.is_empty() {
+    let mut pairs = pairs.into_iter().peekable();
+    if pairs.peek().is_none() {
         return w.write_str("×");
     }
-    for (i, pair) in pairs.iter().enumerate() {
+    for (i, (a, b)) in pairs.enumerate() {
         if i > 0 {
             w.write_str(" ∧ ")?;
         }
-        let (a, b) = pair.borrow();
         a.write_to(w)?;
         w.write_str("=")?;
         b.write_to(w)?;
@@ -187,7 +187,9 @@ impl Expr {
         })
     }
 
-    /// Direct children of this node.
+    /// Direct children of this node, collected into a `Vec`. Walks use
+    /// [`Expr::child_iter`], which allocates nothing; this collecting form
+    /// stays for callers outside the workspace that still use it.
     pub fn children(&self) -> Vec<&Arc<Expr>> {
         match self {
             Expr::Base(_) => Vec::new(),
@@ -224,7 +226,7 @@ impl Expr {
                 out.insert(r.clone());
             }
             _ => {
-                for c in self.children() {
+                for c in self.child_iter() {
                     c.collect_bases(out);
                 }
             }
@@ -243,12 +245,7 @@ impl Expr {
 
     /// Height of the tree (a leaf has height 1).
     pub fn height(&self) -> usize {
-        1 + self
-            .children()
-            .iter()
-            .map(|c| c.height())
-            .max()
-            .unwrap_or(0)
+        1 + self.child_iter().map(|c| c.height()).max().unwrap_or(0)
     }
 
     /// A short operator label for figures/DOT output, e.g. `σ[city='LA']`.

@@ -16,7 +16,7 @@ use crate::expr::Expr;
 /// assert_eq!(labels, ["A", "B", "⋈[×]"]);
 /// ```
 pub fn postorder(expr: &Arc<Expr>, visit: &mut impl FnMut(&Arc<Expr>)) {
-    for child in expr.children() {
+    for child in expr.child_iter() {
         postorder(child, visit);
     }
     visit(expr);

@@ -1,6 +1,7 @@
 //! Cost annotations: turning an [`Mvpp`] into the fully-labelled DAG
 //! `M = (V, A, R, Ca, Cm, fq, fu)` of the paper's §3.1.
 
+use mvdesign_algebra::Expr;
 use mvdesign_catalog::RelationStats;
 use mvdesign_cost::{CostEstimator, CostModel};
 
@@ -131,7 +132,25 @@ impl AnnotatedMvpp {
             }
             desc_sets.push(d);
         }
-        let mut anc_sets: Vec<NodeSet> = vec![NodeSet::with_capacity(n); n];
+        // `I_v` is the leaves among `v`'s descendants (or `v` itself for a
+        // leaf): each leaf is one base relation. Their update frequencies
+        // are looked up once, and kept in relation-name order — the order
+        // `Mvpp::base_inputs` iterates, so a `Sum` adds exactly as it would.
+        let mut leaf_fus: Vec<(&str, NodeId, f64)> = mvpp
+            .nodes()
+            .iter()
+            .filter_map(|node| match &**node.expr() {
+                Expr::Base(r) => Some((r.as_str(), node.id(), 0.0)),
+                _ => None,
+            })
+            .collect();
+        leaf_fus.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (name, _, fu) in &mut leaf_fus {
+            *fu = catalog.update_frequency(name);
+        }
+        // Placeholders (an empty `NodeSet` allocates nothing), each replaced
+        // by its node's set before any child reads it.
+        let mut anc_sets: Vec<NodeSet> = vec![NodeSet::default(); n];
         for node in mvpp.nodes().iter().rev() {
             let mut up = NodeSet::with_capacity(n);
             for p in node.parents() {
@@ -204,10 +223,11 @@ impl AnnotatedMvpp {
                 .filter(|(_, _, root)| *root == node.id() || up.contains(*root))
                 .map(|(_, fq, _)| *fq)
                 .sum();
-            let fus = mvpp
-                .base_inputs(node.id())
-                .into_iter()
-                .map(|r| catalog.update_frequency(r.as_str()));
+            let below = &desc_sets[node.id().0];
+            let fus = leaf_fus
+                .iter()
+                .filter(|(_, leaf, _)| *leaf == node.id() || below.contains(*leaf))
+                .map(|(_, _, fu)| *fu);
             let fu_weight = match weighting {
                 UpdateWeighting::Max => fus.fold(0.0, f64::max),
                 UpdateWeighting::Sum => fus.sum(),

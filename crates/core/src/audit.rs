@@ -202,12 +202,8 @@ pub fn validate_mvpp(mvpp: &Mvpp) -> AuditReport {
             );
         }
         // Expression edges agree with graph edges (as multisets of keys).
-        let mut expr_keys: Vec<String> = node
-            .expr()
-            .children()
-            .iter()
-            .map(|c| c.semantic_key())
-            .collect();
+        let mut expr_keys: Vec<String> =
+            node.expr().child_iter().map(|c| c.semantic_key()).collect();
         let mut graph_keys: Vec<String> = node
             .children()
             .iter()
@@ -299,7 +295,7 @@ fn predicate_atoms(expr: &Arc<Expr>, must: &mut BTreeSet<String>, any: &mut BTre
     if let Expr::Select { predicate, .. } = &**expr {
         atoms_of(predicate, true, must, any);
     }
-    for child in expr.children() {
+    for child in expr.child_iter() {
         predicate_atoms(child, must, any);
     }
 }

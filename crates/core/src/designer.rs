@@ -175,8 +175,10 @@ impl Designer {
                 config.update_weighting,
                 config.maintenance_policy,
             );
-            let (_, trace) = GreedySelection::new().run(&annotated);
-            let set = algorithm.select(&annotated, config.maintenance);
+            // The trace's greedy set is the one a greedy selection returns
+            // and a genetic one seeds from: no algorithm runs it again.
+            let (greedy, trace) = GreedySelection::new().run(&annotated);
+            let set = algorithm.select_after_greedy(&annotated, config.maintenance, greedy);
             let cost = evaluate(&annotated, &set, config.maintenance);
             (annotated, set, cost, trace)
         });

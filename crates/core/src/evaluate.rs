@@ -56,8 +56,9 @@ pub fn evaluate_set(a: &AnnotatedMvpp, m: &NodeSet, mode: MaintenanceMode) -> Co
     let mvpp = a.mvpp();
     let mut per_query = Vec::with_capacity(mvpp.roots().len());
     let mut query_processing = 0.0;
+    let mut visited = NodeSet::for_mvpp(mvpp);
     for (name, fq, root) in mvpp.roots() {
-        let one = query_cost_set(a, m, *root);
+        let one = query_cost_in(a, m, *root, &mut visited);
         let weighted = fq * one;
         query_processing += weighted;
         per_query.push((name.clone(), weighted));
@@ -187,11 +188,23 @@ pub fn query_cost(a: &AnnotatedMvpp, m: &BTreeSet<NodeId>, root: NodeId) -> f64 
 
 /// [`query_cost`] over a dense [`NodeSet`].
 pub fn query_cost_set(a: &AnnotatedMvpp, m: &NodeSet, root: NodeId) -> f64 {
+    query_cost_in(a, m, root, &mut NodeSet::for_mvpp(a.mvpp()))
+}
+
+/// [`query_cost_set`] walking with a caller's visited set, which it clears
+/// first: a caller costing many queries reuses one set instead of
+/// allocating one per walk.
+pub(crate) fn query_cost_in(
+    a: &AnnotatedMvpp,
+    m: &NodeSet,
+    root: NodeId,
+    visited: &mut NodeSet,
+) -> f64 {
     if m.contains(root) && !a.mvpp().node(root).is_leaf() {
         return a.annotation(root).scan;
     }
-    let mut visited = NodeSet::with_capacity(a.mvpp().len());
-    walk(a, m, root, root, &mut visited)
+    visited.clear();
+    walk(a, m, root, root, visited)
 }
 
 fn walk(a: &AnnotatedMvpp, m: &NodeSet, v: NodeId, root: NodeId, visited: &mut NodeSet) -> f64 {

@@ -29,9 +29,10 @@ use mvdesign_algebra::{
     roll_up_keys, AggExpr, AttrRef, Expr, JoinCondition, Predicate, Query, RelName,
 };
 use mvdesign_cost::{CardinalityEstimator, CostEstimator, CostModel};
-use mvdesign_optimizer::{pull_up, Planner};
+use mvdesign_optimizer::{pull_up, Planner, PulledPlan};
 
-use crate::mvpp::Mvpp;
+use crate::mvpp::{Mvpp, NodeId};
+use crate::nodeset::NodeSet;
 use crate::rewrite::answer_from_groups;
 use crate::workload::Workload;
 
@@ -54,8 +55,10 @@ impl Default for GenerateConfig {
 struct PreparedQuery {
     name: String,
     fq: f64,
-    bases: BTreeSet<RelName>,
-    conds: BTreeSet<(AttrRef, AttrRef)>,
+    /// The relations the query joins, as a [`Numbering`] relation set.
+    bases: NodeSet,
+    /// Every pair of its join conditions, as a [`Numbering`] pair set.
+    conds: NodeSet,
     /// Single-relation conjunctions, per relation.
     per_rel: BTreeMap<RelName, Predicate>,
     /// Conjuncts spanning several relations.
@@ -76,6 +79,122 @@ struct PreparedQuery {
     raw: Option<Arc<Expr>>,
 }
 
+/// The relations and join pairs of one generation call, numbered so that a
+/// set of them is a [`NodeSet`]: relation `i` is the `i`-th name in name
+/// order and pair `j` the `j`-th normalised pair in pair order, so a set
+/// iterates in the order a `BTreeSet` of the names or pairs does. (A
+/// [`NodeId`] in such a set is one of these numbers, not an MVPP node.)
+/// Every plan of the call is numbered, so every relation and pair of a
+/// merged MVPP has a number.
+struct Numbering {
+    rels: Vec<RelName>,
+    pairs: Vec<(AttrRef, AttrRef)>,
+    /// The numbers of each pair's two relations; `None` for a relation that
+    /// no plan reads.
+    sides: Vec<[Option<NodeId>; 2]>,
+}
+
+impl Numbering {
+    /// Numbers every base relation and join pair of `plans`.
+    fn new<'p>(plans: impl IntoIterator<Item = &'p Arc<Expr>>) -> Self {
+        fn walk(
+            expr: &Arc<Expr>,
+            rels: &mut BTreeSet<RelName>,
+            pairs: &mut BTreeSet<(AttrRef, AttrRef)>,
+        ) {
+            match &**expr {
+                Expr::Base(r) => {
+                    rels.insert(r.clone());
+                }
+                Expr::Join { on, .. } => pairs.extend(on.pairs().iter().cloned()),
+                _ => {}
+            }
+            for child in expr.child_iter() {
+                walk(child, rels, pairs);
+            }
+        }
+        let (mut rels, mut pairs) = (BTreeSet::new(), BTreeSet::new());
+        for plan in plans {
+            walk(plan, &mut rels, &mut pairs);
+        }
+        let rels: Vec<RelName> = rels.into_iter().collect();
+        let pairs: Vec<(AttrRef, AttrRef)> = pairs.into_iter().collect();
+        let rel = |r: &RelName| rels.binary_search(r).ok().map(NodeId);
+        let sides = pairs
+            .iter()
+            .map(|(a, b)| [rel(&a.relation), rel(&b.relation)])
+            .collect();
+        Self { rels, pairs, sides }
+    }
+
+    /// The number of a relation some plan reads.
+    fn rel(&self, name: &RelName) -> NodeId {
+        NodeId(
+            self.rels
+                .binary_search(name)
+                .expect("every plan's relations are numbered"),
+        )
+    }
+
+    /// The number of a pair some plan joins on.
+    fn pair(&self, pair: &(AttrRef, AttrRef)) -> NodeId {
+        NodeId(
+            self.pairs
+                .binary_search(pair)
+                .expect("every plan's join pairs are numbered"),
+        )
+    }
+
+    /// An empty relation set.
+    fn no_rels(&self) -> NodeSet {
+        NodeSet::with_capacity(self.rels.len())
+    }
+
+    /// The relations `expr` reads.
+    fn bases(&self, expr: &Arc<Expr>) -> NodeSet {
+        fn walk(numbering: &Numbering, expr: &Arc<Expr>, out: &mut NodeSet) {
+            if let Expr::Base(r) = &**expr {
+                out.insert(numbering.rel(r));
+            }
+            for child in expr.child_iter() {
+                walk(numbering, child, out);
+            }
+        }
+        let mut out = self.no_rels();
+        walk(self, expr, &mut out);
+        out
+    }
+
+    /// Every pair of the join conditions of `expr` and of the joins
+    /// directly beneath it, down to the first non-join node.
+    fn conds(&self, expr: &Arc<Expr>) -> NodeSet {
+        fn walk(numbering: &Numbering, expr: &Arc<Expr>, out: &mut NodeSet) {
+            if let Expr::Join { left, right, on } = &**expr {
+                for pair in on.pairs() {
+                    out.insert(numbering.pair(pair));
+                }
+                walk(numbering, left, out);
+                walk(numbering, right, out);
+            }
+        }
+        let mut out = NodeSet::with_capacity(self.pairs.len());
+        walk(self, expr, &mut out);
+        out
+    }
+
+    /// Whether pair `pair` links a relation of `x` with one of `y`.
+    fn links(&self, pair: NodeId, x: &NodeSet, y: &NodeSet) -> bool {
+        let [a, b] = self.sides[pair.0];
+        let reads = |side: Option<NodeId>, set: &NodeSet| side.is_some_and(|r| set.contains(r));
+        (reads(a, x) && reads(b, y)) || (reads(a, y) && reads(b, x))
+    }
+
+    /// The pairs of a pair set, in pair order.
+    fn pairs_of<'n>(&'n self, set: &'n NodeSet) -> impl Iterator<Item = &'n (AttrRef, AttrRef)> {
+        set.iter().map(|j| &self.pairs[j.0])
+    }
+}
+
 /// The shared, workload-wide leaf expressions (Figure 4, steps 5–6): each
 /// base relation filtered by the *disjunction* of every query's predicate on
 /// it and projected to the *union* of every needed attribute.
@@ -92,18 +211,14 @@ pub fn generate_mvpps<M: CostModel>(
     planner: &Planner,
     config: GenerateConfig,
 ) -> Vec<Mvpp> {
-    let mut prepared: Vec<PreparedQuery> = workload
-        .queries()
-        .iter()
-        .map(|q| prepare(q, est, planner))
-        .collect();
+    let (mut prepared, numbering) = prepare_all(workload.queries(), est, planner);
     // Step 3: descending fq·Ca, name as deterministic tie-break.
     prepared.sort_by(|a, b| {
         b.cost_key
             .total_cmp(&a.cost_key)
             .then_with(|| a.name.cmp(&b.name))
     });
-    let leaves = shared_leaves(&prepared, est);
+    let leaves = shared_leaves(&prepared, &numbering, est);
     let k = prepared.len().min(config.max_rotations).max(1);
     (0..k)
         .map(|r| {
@@ -113,7 +228,7 @@ pub fn generate_mvpps<M: CostModel>(
                 .skip(r)
                 .take(prepared.len())
                 .collect();
-            merge_prepared(&order, &leaves, est)
+            merge_prepared(&order, &leaves, &numbering, est)
         })
         .collect()
 }
@@ -127,32 +242,65 @@ pub fn merge_queries<M: CostModel>(
     est: &CostEstimator<'_, M>,
     planner: &Planner,
 ) -> Mvpp {
-    let prepared: Vec<PreparedQuery> = order
-        .iter()
-        .filter_map(|name| workload.query(name))
-        .map(|q| prepare(q, est, planner))
-        .collect();
-    let leaves = shared_leaves(&prepared, est);
+    let queries = order.iter().filter_map(|name| workload.query(name));
+    let (prepared, numbering) = prepare_all(queries, est, planner);
+    let leaves = shared_leaves(&prepared, &numbering, est);
     let refs: Vec<&PreparedQuery> = prepared.iter().collect();
-    merge_prepared(&refs, &leaves, est)
+    merge_prepared(&refs, &leaves, &numbering, est)
 }
 
-fn prepare<M: CostModel>(
-    query: &Query,
+/// Plans every query (Figure 4, steps 1–2), numbers the relations and join
+/// pairs of all the plans, and reduces each query to its merge form.
+fn prepare_all<'q, M: CostModel>(
+    queries: impl IntoIterator<Item = &'q Query>,
     est: &CostEstimator<'_, M>,
     planner: &Planner,
-) -> PreparedQuery {
-    let optimal = planner.optimize(query.root(), est);
-    let cost_key = query.frequency() * est.tree_cost(&optimal);
-    let pulled = pull_up(&optimal);
+) -> (Vec<PreparedQuery>, Numbering) {
+    let planned: Vec<Planned<'q>> = queries
+        .into_iter()
+        .map(|query| {
+            let optimal = planner.optimize(query.root(), est);
+            Planned {
+                query,
+                cost_key: query.frequency() * est.tree_cost(&optimal),
+                pulled: pull_up(&optimal),
+                optimal,
+            }
+        })
+        .collect();
+    let numbering = Numbering::new(
+        planned
+            .iter()
+            .flat_map(|p| [&p.optimal, &p.pulled.join_tree]),
+    );
+    let prepared = planned
+        .into_iter()
+        .map(|p| prepare(p, &numbering))
+        .collect();
+    (prepared, numbering)
+}
+
+/// One query's optimal plan (Figure 4, step 1), pulled up (step 2).
+struct Planned<'q> {
+    query: &'q Query,
+    optimal: Arc<Expr>,
+    pulled: PulledPlan,
+    /// `fq · Ca(optimal)`.
+    cost_key: f64,
+}
+
+fn prepare(planned: Planned<'_>, numbering: &Numbering) -> PreparedQuery {
+    let Planned {
+        query,
+        optimal,
+        pulled,
+        cost_key,
+    } = planned;
     let raw = if is_pure_join_tree(&pulled.join_tree) {
         None
     } else {
-        Some(Arc::clone(&optimal))
+        Some(optimal)
     };
-
-    let mut conds = BTreeSet::new();
-    flatten_conds(&pulled.join_tree, &mut conds);
 
     let mut per_rel: BTreeMap<RelName, Vec<Predicate>> = BTreeMap::new();
     let mut residual = Vec::new();
@@ -196,8 +344,8 @@ fn prepare<M: CostModel>(
     PreparedQuery {
         name: query.name().to_string(),
         fq: query.frequency(),
-        bases: pulled.join_tree.base_relations(),
-        conds,
+        bases: numbering.bases(&pulled.join_tree),
+        conds: numbering.conds(&pulled.join_tree),
         per_rel: per_rel
             .into_iter()
             .map(|(r, ps)| (r, Predicate::and(ps)))
@@ -220,16 +368,9 @@ fn is_pure_join_tree(expr: &Arc<Expr>) -> bool {
     }
 }
 
-fn flatten_conds(expr: &Arc<Expr>, out: &mut BTreeSet<(AttrRef, AttrRef)>) {
-    if let Expr::Join { left, right, on } = &**expr {
-        out.extend(on.pairs().iter().cloned());
-        flatten_conds(left, out);
-        flatten_conds(right, out);
-    }
-}
-
 fn shared_leaves<M: CostModel>(
     prepared: &[PreparedQuery],
+    numbering: &Numbering,
     est: &CostEstimator<'_, M>,
 ) -> SharedLeaves {
     let catalog = est.cardinalities().catalog();
@@ -239,14 +380,18 @@ fn shared_leaves<M: CostModel>(
     // Raw (non-SPJ) plans keep their own operators; they neither contribute
     // to nor consume the shared leaves.
     let prepared: Vec<&PreparedQuery> = prepared.iter().filter(|q| q.raw.is_none()).collect();
-    let rels: BTreeSet<&RelName> = prepared.iter().flat_map(|q| q.bases.iter()).collect();
-    for rel in rels {
+    let mut rels = numbering.no_rels();
+    for q in &prepared {
+        rels.union_with(&q.bases);
+    }
+    for r in rels.iter() {
+        let rel = &numbering.rels[r.0];
         // Figure 4, step 5: the leaf filter is the disjunction of every
         // query's selection on this relation; a query with no selection
         // forces the filter to True.
         let mut alternatives = Vec::new();
         let mut unconstrained = false;
-        for q in prepared.iter().filter(|q| q.bases.contains(rel)) {
+        for q in prepared.iter().filter(|q| q.bases.contains(r)) {
             match q.per_rel.get(rel) {
                 Some(p) => alternatives.push(p.clone()),
                 None => unconstrained = true,
@@ -265,7 +410,7 @@ fn shared_leaves<M: CostModel>(
         let entry = needed
             .entry(rel.clone())
             .or_insert_with(|| Some(BTreeSet::new()));
-        for q in prepared.iter().filter(|q| q.bases.contains(rel)) {
+        for q in prepared.iter().filter(|q| q.bases.contains(r)) {
             let Some(set) = entry else { break };
             match &q.needs {
                 None => {
@@ -278,7 +423,7 @@ fn shared_leaves<M: CostModel>(
             }
         }
         if let Some(set) = entry {
-            for q in prepared.iter().filter(|q| q.bases.contains(rel)) {
+            for q in prepared.iter().filter(|q| q.bases.contains(r)) {
                 if let Some(p) = q.per_rel.get(rel) {
                     set.extend(p.attrs().into_iter().cloned());
                 }
@@ -290,7 +435,7 @@ fn shared_leaves<M: CostModel>(
                             .cloned(),
                     );
                 }
-                for (a, b) in &q.conds {
+                for (a, b) in numbering.pairs_of(&q.conds) {
                     for side in [a, b] {
                         if side.relation == *rel {
                             set.insert(side.clone());
@@ -320,10 +465,11 @@ fn shared_leaves<M: CostModel>(
 /// out once, when the node appears, not once per later query.
 struct JoinNode {
     expr: Arc<Expr>,
-    /// The base relations below the join.
-    bases: BTreeSet<RelName>,
-    /// Every join condition in its subtree.
-    conds: BTreeSet<(AttrRef, AttrRef)>,
+    /// The base relations below the join, as a [`Numbering`] relation set.
+    bases: NodeSet,
+    /// Every pair of the join conditions of the join subtree, as a
+    /// [`Numbering`] pair set.
+    conds: NodeSet,
     /// Whether every non-join subtree is one of the workload's shared leaf
     /// expressions, so that reusing the node cannot change a query's result.
     ///
@@ -339,30 +485,55 @@ struct JoinNode {
 struct JoinIndex(Vec<Option<JoinNode>>);
 
 impl JoinIndex {
-    /// Indexes the nodes appended to `mvpp` since the last call.
-    fn extend(&mut self, mvpp: &Mvpp, leaves: &SharedLeaves, classes: &CardinalityEstimator<'_>) {
+    /// Indexes the nodes appended to `mvpp` since the last call. A join's
+    /// relations and pairs are its join children's, those of the relations
+    /// its other children read, and its own condition's.
+    fn extend(
+        &mut self,
+        mvpp: &Mvpp,
+        leaves: &SharedLeaves,
+        numbering: &Numbering,
+        classes: &CardinalityEstimator<'_>,
+    ) {
         for node in &mvpp.nodes()[self.0.len()..] {
-            let join = matches!(&**node.expr(), Expr::Join { .. }).then(|| {
-                let mut conds = BTreeSet::new();
-                flatten_conds(node.expr(), &mut conds);
-                // Children precede their parents, so they are indexed.
-                let over_shared_leaves = node.children().iter().all(|&c| match &self.0[c.0] {
-                    Some(child) => child.over_shared_leaves,
+            let Expr::Join { on, .. } = &**node.expr() else {
+                self.0.push(None);
+                continue;
+            };
+            let mut bases = numbering.no_rels();
+            let mut conds = NodeSet::from_ids(
+                numbering.pairs.len(),
+                on.pairs().iter().map(|pair| numbering.pair(pair)),
+            );
+            let mut over_shared_leaves = true;
+            // Children precede their parents, so they are indexed.
+            for &c in node.children() {
+                match &self.0[c.0] {
+                    Some(child) => {
+                        bases.union_with(&child.bases);
+                        conds.union_with(&child.conds);
+                        over_shared_leaves &= child.over_shared_leaves;
+                    }
                     None => {
                         let child = mvpp.node(c).expr();
-                        let rel = child.base_relations().pop_first();
-                        let leaf = rel.and_then(|r| leaves.exprs.get(&r));
-                        leaf.is_some_and(|leaf| classes.class_of(leaf) == classes.class_of(child))
+                        let read = numbering.bases(child);
+                        over_shared_leaves = over_shared_leaves && {
+                            let rel = read.iter().next().map(|r| &numbering.rels[r.0]);
+                            let leaf = rel.and_then(|r| leaves.exprs.get(r));
+                            leaf.is_some_and(|leaf| {
+                                classes.class_of(leaf) == classes.class_of(child)
+                            })
+                        };
+                        bases.union_with(&read);
                     }
-                });
-                JoinNode {
-                    expr: Arc::clone(node.expr()),
-                    bases: node.expr().base_relations(),
-                    conds,
-                    over_shared_leaves,
                 }
-            });
-            self.0.push(join);
+            }
+            self.0.push(Some(JoinNode {
+                expr: Arc::clone(node.expr()),
+                bases,
+                conds,
+                over_shared_leaves,
+            }));
         }
     }
 }
@@ -372,16 +543,17 @@ impl JoinIndex {
 fn merge_prepared<M: CostModel>(
     order: &[&PreparedQuery],
     leaves: &SharedLeaves,
+    numbering: &Numbering,
     est: &CostEstimator<'_, M>,
 ) -> Mvpp {
     let mut mvpp = Mvpp::builder(est.cardinalities());
     let mut joins = JoinIndex::default();
     for q in order {
-        joins.extend(mvpp.mvpp(), leaves, est.cardinalities());
-        let expr = build_query_expr(q, leaves, &joins, est);
+        joins.extend(mvpp.mvpp(), leaves, numbering, est.cardinalities());
+        let expr = build_query_expr(q, leaves, &joins, numbering, est);
         mvpp.insert_query(q.name.clone(), q.fq, &expr);
     }
-    roll_up_shared_joins(mvpp.finish(), order, est.cardinalities())
+    roll_up_shared_joins(mvpp.finish(), order, numbering, est.cardinalities())
 }
 
 /// The aggregate counterpart of steps 5–6. Steps 5–6 push the disjunction
@@ -398,6 +570,7 @@ fn merge_prepared<M: CostModel>(
 fn roll_up_shared_joins(
     mvpp: Mvpp,
     order: &[&PreparedQuery],
+    numbering: &Numbering,
     classes: &CardinalityEstimator<'_>,
 ) -> Mvpp {
     let grouped = |q: &PreparedQuery| q.aggregate.is_some() && q.raw.is_none();
@@ -430,7 +603,8 @@ fn roll_up_shared_joins(
             continue;
         }
         let open: Vec<usize> = shared_by.iter().copied().filter(|&i| !folded[i]).collect();
-        let Some(candidate) = roll_up_candidate(node.expr(), open.iter().map(|&i| order[i])) else {
+        let roots = open.iter().map(|&i| order[i]);
+        let Some(candidate) = roll_up_candidate(node.expr(), roots, numbering) else {
             continue;
         };
         let rebuilt: Vec<(usize, Arc<Expr>)> = open
@@ -471,6 +645,7 @@ fn roll_up_shared_joins(
 fn roll_up_candidate<'q>(
     join: &Arc<Expr>,
     roots: impl Iterator<Item = &'q PreparedQuery>,
+    numbering: &'q Numbering,
 ) -> Option<Arc<Expr>> {
     let s = join.base_relations();
     let in_s = |a: &AttrRef| s.contains(&a.relation);
@@ -493,7 +668,7 @@ fn roll_up_candidate<'q>(
                 aggs.push(a.clone());
             }
         }
-        taken.push((&group_by[..], &q.conds, &q.residual[..]));
+        taken.push((&group_by[..], numbering.pairs_of(&q.conds), &q.residual[..]));
     }
     if aggs.is_empty() {
         return None;
@@ -506,6 +681,7 @@ fn build_query_expr<M: CostModel>(
     q: &PreparedQuery,
     leaves: &SharedLeaves,
     joins: &JoinIndex,
+    numbering: &Numbering,
     est: &CostEstimator<'_, M>,
 ) -> Arc<Expr> {
     if let Some(raw) = &q.raw {
@@ -514,7 +690,7 @@ fn build_query_expr<M: CostModel>(
     // Step 4.3.1–4.3.2: cover the query's relations with existing join
     // nodes whose relations AND conditions agree, largest first. The node's
     // conditions must be exactly the query's conditions among its relations;
-    // both sides iterate in set order, so they compare element by element.
+    // both sides iterate in pair order, so they compare element by element.
     let mut candidates: Vec<&JoinNode> = joins
         .0
         .iter()
@@ -524,50 +700,46 @@ fn build_query_expr<M: CostModel>(
                 && node.bases.is_subset(&q.bases)
                 && q.conds
                     .iter()
-                    .filter(|(a, b)| {
-                        node.bases.contains(&a.relation) && node.bases.contains(&b.relation)
-                    })
-                    .eq(&node.conds)
+                    .filter(|&pair| numbering.links(pair, &node.bases, &node.bases))
+                    .eq(node.conds.iter())
         })
         .collect();
     candidates.sort_by_key(|node| std::cmp::Reverse(node.bases.len()));
 
-    let mut covered: BTreeSet<RelName> = BTreeSet::new();
-    let mut pieces: Vec<(BTreeSet<RelName>, Arc<Expr>)> = Vec::new();
+    let mut covered = numbering.no_rels();
+    let mut pieces: Vec<(NodeSet, Arc<Expr>)> = Vec::new();
     for node in candidates {
         if node.bases.len() < 2 || !node.bases.is_disjoint(&covered) {
             continue;
         }
-        covered.extend(node.bases.iter().cloned());
+        covered.union_with(&node.bases);
         pieces.push((node.bases.clone(), Arc::clone(&node.expr)));
     }
-    for rel in &q.bases {
-        if !covered.contains(rel) {
+    for r in q.bases.iter() {
+        if !covered.contains(r) {
+            let rel = &numbering.rels[r.0];
             let leaf = leaves
                 .exprs
                 .get(rel)
                 .cloned()
                 .unwrap_or_else(|| Expr::base(rel.clone()));
-            pieces.push(([rel.clone()].into(), leaf));
+            pieces.push((NodeSet::from_ids(numbering.rels.len(), [r]), leaf));
         }
     }
 
     // Step 4.3.2: join the pieces — connected pairs first, cheapest first.
-    // (pair indices, op cost, connectedness, joined expr, covered bases)
-    type BestJoin = (usize, usize, f64, bool, Arc<Expr>, BTreeSet<RelName>);
+    // (pair indices, op cost, connectedness, joined expr)
+    type BestJoin = (usize, usize, f64, bool, Arc<Expr>);
     while pieces.len() > 1 {
         let mut best: Option<BestJoin> = None;
         for i in 0..pieces.len() {
             for j in (i + 1)..pieces.len() {
+                let (x, y) = (&pieces[i].0, &pieces[j].0);
                 let pairs: Vec<(AttrRef, AttrRef)> = q
                     .conds
                     .iter()
-                    .filter(|(a, b)| {
-                        (pieces[i].0.contains(&a.relation) && pieces[j].0.contains(&b.relation))
-                            || (pieces[j].0.contains(&a.relation)
-                                && pieces[i].0.contains(&b.relation))
-                    })
-                    .cloned()
+                    .filter(|&pair| numbering.links(pair, x, y))
+                    .map(|pair| numbering.pairs[pair.0].clone())
                     .collect();
                 let connected = !pairs.is_empty();
                 let expr = Expr::join(
@@ -578,18 +750,17 @@ fn build_query_expr<M: CostModel>(
                 let cost = est.op_cost(&expr);
                 let better = match &best {
                     None => true,
-                    Some((.., bcost, bconn, _, _)) => (connected, -cost) > (*bconn, -*bcost),
+                    Some((.., bcost, bconn, _)) => (connected, -cost) > (*bconn, -*bcost),
                 };
                 if better {
-                    let mut bases = pieces[i].0.clone();
-                    bases.extend(pieces[j].0.iter().cloned());
-                    best = Some((i, j, cost, connected, expr, bases));
+                    best = Some((i, j, cost, connected, expr));
                 }
             }
         }
-        let (i, j, _, _, expr, bases) = best.expect("pieces.len() > 1");
-        pieces.swap_remove(j);
-        pieces.swap_remove(i);
+        let (i, j, _, _, expr) = best.expect("pieces.len() > 1");
+        let (right, _) = pieces.swap_remove(j);
+        let (mut bases, _) = pieces.swap_remove(i);
+        bases.union_with(&right);
         pieces.push((bases, expr));
     }
     let mut out = pieces.pop().map(|(_, e)| e).expect("at least one piece");

@@ -32,7 +32,7 @@
 //! association never differs.
 
 use crate::annotate::AnnotatedMvpp;
-use crate::evaluate::{evaluate_set, query_cost_set, CostBreakdown, MaintenanceMode};
+use crate::evaluate::{evaluate_set, query_cost_in, CostBreakdown, MaintenanceMode};
 use crate::mvpp::NodeId;
 use crate::nodeset::NodeSet;
 
@@ -119,6 +119,8 @@ pub struct IncrementalEvaluator<'a> {
     scratch_pass: Vec<u64>,
     scratch_closure: Vec<u64>,
     scratch_dirty: Vec<u64>,
+    /// The visited set every memo-miss walk reuses.
+    visited: NodeSet,
     query_processing: f64,
     maintenance: f64,
     walks: u64,
@@ -187,6 +189,7 @@ impl<'a> IncrementalEvaluator<'a> {
             scratch_pass: Vec::new(),
             scratch_closure: Vec::new(),
             scratch_dirty: Vec::new(),
+            visited: NodeSet::with_capacity(n),
             query_processing: 0.0,
             maintenance: 0.0,
             walks: 0,
@@ -290,7 +293,7 @@ impl<'a> IncrementalEvaluator<'a> {
             return cached;
         }
         let root = self.a.mvpp().roots()[i].2;
-        let cost = query_cost_set(self.a, &self.m, root);
+        let cost = query_cost_in(self.a, &self.m, root, &mut self.visited);
         self.walks += 1;
         if let Some(cached) = self.memo[i].get_mut(slot) {
             *cached = cost;

@@ -25,7 +25,9 @@ pub struct MvppNode {
     expr: Arc<Expr>,
     /// The memoized [`Expr::semantic_hash`] of `expr`.
     hash: u64,
-    children: Vec<NodeId>,
+    /// Direct inputs: the first `arity` (an operator has at most two).
+    children: [NodeId; 2],
+    arity: u8,
     parents: Vec<NodeId>,
     label: String,
 }
@@ -43,7 +45,7 @@ impl MvppNode {
 
     /// Direct inputs (`S(v)` in the paper).
     pub fn children(&self) -> &[NodeId] {
-        &self.children
+        &self.children[..usize::from(self.arity)]
     }
 
     /// Direct consumers (`D(v)` in the paper).
@@ -59,7 +61,7 @@ impl MvppNode {
 
     /// Whether this is a leaf (base relation).
     pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+        self.arity == 0
     }
 }
 
@@ -112,7 +114,12 @@ impl<'e> MvppBuilder<'e> {
         if let Some(&id) = self.node_of.get(&class) {
             return id;
         }
-        let children: Vec<NodeId> = expr.child_iter().map(|c| self.intern(arena, c)).collect();
+        let mut children = [NodeId(0); 2];
+        let mut arity = 0;
+        for child in expr.child_iter() {
+            children[usize::from(arity)] = self.intern(arena, child);
+            arity += 1;
+        }
         let nodes = &mut self.mvpp.nodes;
         let id = NodeId(nodes.len());
         // Nodes only append, so the count of interior nodes so far numbers
@@ -124,7 +131,7 @@ impl<'e> MvppBuilder<'e> {
                 format!("tmp{}", self.mvpp.interior)
             }
         };
-        for c in &children {
+        for c in &children[..usize::from(arity)] {
             nodes[c.0].parents.push(id);
         }
         nodes.push(MvppNode {
@@ -132,6 +139,7 @@ impl<'e> MvppBuilder<'e> {
             expr: Arc::clone(expr),
             hash: arena.semantic_hash(class),
             children,
+            arity,
             parents: Vec::new(),
             label,
         });
@@ -220,10 +228,10 @@ impl Mvpp {
     /// excluding `v` itself.
     pub fn descendants(&self, v: NodeId) -> BTreeSet<NodeId> {
         let mut out = BTreeSet::new();
-        let mut stack = self.nodes[v.0].children.clone();
+        let mut stack = self.nodes[v.0].children().to_vec();
         while let Some(n) = stack.pop() {
             if out.insert(n) {
-                stack.extend(self.nodes[n.0].children.iter().copied());
+                stack.extend(self.nodes[n.0].children().iter().copied());
             }
         }
         out
@@ -282,7 +290,7 @@ impl Mvpp {
             );
         }
         for n in &self.nodes {
-            for c in &n.children {
+            for c in n.children() {
                 let _ = writeln!(out, "  {} -> {};", c, n.id);
             }
         }

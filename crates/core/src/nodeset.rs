@@ -128,6 +128,20 @@ impl NodeSet {
         self.len = len;
     }
 
+    /// Whether every id of `self` is in `other`.
+    pub(crate) fn is_subset(&self, other: &NodeSet) -> bool {
+        let word = |w: usize| other.words.get(w).copied().unwrap_or(0);
+        self.words
+            .iter()
+            .enumerate()
+            .all(|(w, &x)| x & !word(w) == 0)
+    }
+
+    /// Whether `self` and `other` have no id in common.
+    pub(crate) fn is_disjoint(&self, other: &NodeSet) -> bool {
+        self.words.iter().zip(&other.words).all(|(x, y)| x & y == 0)
+    }
+
     /// Ids in ascending order — the same order `BTreeSet<NodeId>` iterates.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {

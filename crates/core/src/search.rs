@@ -35,6 +35,21 @@ pub trait SelectionAlgorithm: fmt::Debug + Sync {
 
     /// Chooses the set of nodes to materialize.
     fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId>;
+
+    /// [`select`](Self::select) for a caller that has already run the
+    /// paper's greedy on `a` and passes its set — [`crate::Designer`] does,
+    /// for its decision trace — so an algorithm that starts from the
+    /// greedy's set does not run it again. Chooses what `select` chooses;
+    /// the default ignores `greedy` and calls `select`.
+    fn select_after_greedy(
+        &self,
+        a: &AnnotatedMvpp,
+        mode: MaintenanceMode,
+        greedy: BTreeSet<NodeId>,
+    ) -> BTreeSet<NodeId> {
+        let _ = greedy;
+        self.select(a, mode)
+    }
 }
 
 impl SelectionAlgorithm for GreedySelection {
@@ -44,6 +59,15 @@ impl SelectionAlgorithm for GreedySelection {
 
     fn select(&self, a: &AnnotatedMvpp, _mode: MaintenanceMode) -> BTreeSet<NodeId> {
         self.run(a).0
+    }
+
+    fn select_after_greedy(
+        &self,
+        _a: &AnnotatedMvpp,
+        _mode: MaintenanceMode,
+        greedy: BTreeSet<NodeId>,
+    ) -> BTreeSet<NodeId> {
+        greedy
     }
 }
 
@@ -306,6 +330,15 @@ impl SelectionAlgorithm for SimulatedAnnealing {
     }
 
     fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId> {
+        self.select_after_greedy(a, mode, GreedySelection::new().run(a).0)
+    }
+
+    fn select_after_greedy(
+        &self,
+        a: &AnnotatedMvpp,
+        mode: MaintenanceMode,
+        greedy: BTreeSet<NodeId>,
+    ) -> BTreeSet<NodeId> {
         let candidates = a.mvpp().interior();
         if candidates.is_empty() {
             return BTreeSet::new();
@@ -319,7 +352,6 @@ impl SelectionAlgorithm for SimulatedAnnealing {
         // around an already-good point. Every proposal is a single-node
         // toggle, so each step is one memoized incremental flip; a rejected
         // proposal flips straight back.
-        let greedy = GreedySelection::new().run(a).0;
         eval.set_frontier(&NodeSet::from_ids(a.mvpp().len(), greedy));
         let mut current_cost = eval.total();
         let mut best = eval.frontier().clone();
@@ -382,7 +414,7 @@ impl Default for GeneticSelection {
 }
 
 impl GeneticSelection {
-    /// Seeds the population (greedy, empty, random fill) and evolves it,
+    /// Seeds the population (`greedy`, empty, random fill) and evolves it,
     /// scoring each genome once with `score`, in population order; returns
     /// the fittest genome. All randomness flows from `self.seed`; the scorer
     /// consumes none, so two runs with scorers that agree on every genome
@@ -396,6 +428,7 @@ impl GeneticSelection {
         &self,
         a: &AnnotatedMvpp,
         genes: &NodeSet,
+        greedy: BTreeSet<NodeId>,
         mut score: impl FnMut(&NodeSet) -> f64,
     ) -> NodeSet {
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -406,7 +439,6 @@ impl GeneticSelection {
 
         // Seed population: greedy, empty, random fill.
         let mut genomes = vec![NodeSet::with_capacity(a.mvpp().len()); size];
-        let greedy = GreedySelection::new().run(a).0;
         genomes[0].extend(greedy.into_iter().filter(|v| genes.contains(*v)));
         let genes = genes.words();
         for genome in &mut genomes[2..] {
@@ -511,12 +543,23 @@ impl SelectionAlgorithm for GeneticSelection {
     /// mutation XORs in one draw per gene, and each draw is an integer
     /// compare (`rand`'s `Bernoulli`) giving exactly `gen_bool`'s stream.
     fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId> {
+        self.select_after_greedy(a, mode, GreedySelection::new().run(a).0)
+    }
+
+    /// Seeds the population with `greedy`, as [`select`](Self::select)
+    /// seeds it with the greedy it runs.
+    fn select_after_greedy(
+        &self,
+        a: &AnnotatedMvpp,
+        mode: MaintenanceMode,
+        greedy: BTreeSet<NodeId>,
+    ) -> BTreeSet<NodeId> {
         let genes = gene_set(a);
         if genes.is_empty() {
             return BTreeSet::new();
         }
         let mut eval = IncrementalEvaluator::new(a, mode);
-        let best = self.evolve(a, &genes, |m| {
+        let best = self.evolve(a, &genes, greedy, |m| {
             eval.set_frontier(m);
             eval.total()
         });

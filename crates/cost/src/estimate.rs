@@ -90,12 +90,17 @@ impl<'c> CardinalityEstimator<'c> {
     /// Unknown base relations estimate as empty; run
     /// [`mvdesign_algebra::output_attrs`] first if you want hard errors.
     pub fn stats(&self, expr: &Arc<Expr>) -> RelationStats {
-        let mut cache = self.cache();
+        self.stats_in(&mut self.cache(), expr)
+    }
+
+    /// [`stats`](Self::stats) under a lock the caller holds, so that a
+    /// caller resolving a node and its inputs locks once.
+    fn stats_in(&self, cache: &mut StatsCache, expr: &Arc<Expr>) -> RelationStats {
         let id = cache.arena.intern(expr);
         if let Some(Some(hit)) = cache.stats.get(id.index()) {
             return *hit;
         }
-        let StatsCache { arena, stats } = &mut *cache;
+        let StatsCache { arena, stats } = cache;
         stats.resize(arena.len(), None);
         self.fill(arena, stats, id);
         stats[id.index()].expect("fill computes the requested class")
@@ -235,8 +240,7 @@ fn subtree_selection_selectivity(expr: &Arc<Expr>, catalog: &Catalog) -> f64 {
         Expr::Select { predicate, .. } => predicate.selectivity(catalog),
         _ => 1.0,
     };
-    expr.children()
-        .iter()
+    expr.child_iter()
         .map(|c| subtree_selection_selectivity(c, catalog))
         .product::<f64>()
         * own
@@ -293,25 +297,33 @@ impl<'c, M: CostModel> CostEstimator<'c, M> {
     /// evaluator built on `op_cost` designs for a distributed warehouse
     /// unchanged; with every transfer cost `0` the costs are the central ones.
     pub fn op_cost(&self, expr: &Arc<Expr>) -> f64 {
-        let out = self.stats(expr);
+        self.op_cost_in(&mut self.cards.cache(), expr)
+    }
+
+    /// [`op_cost`](Self::op_cost) under a lock the caller holds: the node
+    /// and its inputs resolve under one lock.
+    fn op_cost_in(&self, cache: &mut StatsCache, expr: &Arc<Expr>) -> f64 {
+        let mut stats = |e: &Arc<Expr>| self.cards.stats_in(cache, e);
+        let out = stats(expr);
         let cost = match &**expr {
             Expr::Base(_) => 0.0,
             Expr::Select { input, predicate } => {
-                let in_stats = self.stats(input);
+                let in_stats = stats(input);
                 if input.is_base() && indexable(predicate, self.cards.catalog()) {
                     self.model.indexed_select(&in_stats, &out)
                 } else {
                     self.model.select(&in_stats, &out)
                 }
             }
-            Expr::Project { input, .. } => self.model.project(&self.stats(input), &out),
+            Expr::Project { input, .. } => self.model.project(&stats(input), &out),
             Expr::Join { left, right, .. } => {
-                self.model.join(&self.stats(left), &self.stats(right), &out)
+                let (l, r) = (stats(left), stats(right));
+                self.model.join(&l, &r, &out)
             }
-            Expr::Aggregate { input, .. } => self.model.aggregate(&self.stats(input), &out),
+            Expr::Aggregate { input, .. } => self.model.aggregate(&stats(input), &out),
         };
         if self.remote {
-            cost + self.shipping(expr, &out)
+            cost + self.shipping(cache, expr, &out)
         } else {
             cost
         }
@@ -320,7 +332,7 @@ impl<'c, M: CostModel> CostEstimator<'c, M> {
     /// The data-transfer term of [`op_cost`](Self::op_cost): the blocks
     /// its remote base inputs send to the warehouse, times their transfer
     /// costs.
-    fn shipping(&self, expr: &Arc<Expr>, out: &RelationStats) -> f64 {
+    fn shipping(&self, cache: &mut StatsCache, expr: &Arc<Expr>, out: &RelationStats) -> f64 {
         let catalog = self.cards.catalog();
         let transfer = |input: &Arc<Expr>| match &**input {
             Expr::Base(r) => catalog.transfer_cost(r.as_str()),
@@ -332,8 +344,8 @@ impl<'c, M: CostModel> CostEstimator<'c, M> {
             | Expr::Project { input, .. }
             | Expr::Aggregate { input, .. } => transfer(input) * out.blocks,
             Expr::Join { left, right, .. } => {
-                transfer(left) * self.stats(left).blocks
-                    + transfer(right) * self.stats(right).blocks
+                transfer(left) * self.cards.stats_in(cache, left).blocks
+                    + transfer(right) * self.cards.stats_in(cache, right).blocks
             }
         }
     }
@@ -344,15 +356,22 @@ impl<'c, M: CostModel> CostEstimator<'c, M> {
     /// Semantically identical subtrees are charged **once** (a tree that
     /// uses `σ city='LA' (Division)` twice recomputes it once), matching the
     /// DAG semantics of an MVPP.
+    ///
+    /// The walk holds the cache's lock throughout.
     pub fn tree_cost(&self, expr: &Arc<Expr>) -> f64 {
-        self.tree_cost_inner(expr, &mut Vec::new())
+        self.tree_cost_inner(&mut self.cards.cache(), expr, &mut Vec::new())
     }
 
     /// `seen` is a bitset over class ids, grown as the walk interns them.
-    fn tree_cost_inner(&self, expr: &Arc<Expr>, seen: &mut Vec<u64>) -> f64 {
+    fn tree_cost_inner(
+        &self,
+        cache: &mut StatsCache,
+        expr: &Arc<Expr>,
+        seen: &mut Vec<u64>,
+    ) -> f64 {
         // Equivalence classes come from the shared arena, so "seen" means
         // "semantically identical", not merely "same allocation".
-        let class = self.cards.class_of(expr).index();
+        let class = cache.arena.intern(expr).index();
         let (word, bit) = (class / 64, 1 << (class % 64));
         seen.resize(seen.len().max(word + 1), 0);
         let before = seen[word];
@@ -360,9 +379,9 @@ impl<'c, M: CostModel> CostEstimator<'c, M> {
         if before & bit != 0 {
             return 0.0;
         }
-        let mut total = self.op_cost(expr);
+        let mut total = self.op_cost_in(cache, expr);
         for c in expr.child_iter() {
-            total += self.tree_cost_inner(c, seen);
+            total += self.tree_cost_inner(cache, c, seen);
         }
         total
     }

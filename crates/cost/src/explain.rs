@@ -66,7 +66,7 @@ fn render<M: CostModel>(
             est.tree_cost(expr)
         );
     }
-    let children = expr.children();
+    let arity = expr.child_iter().count();
     let child_prefix = if is_root {
         String::new()
     } else if is_last {
@@ -74,15 +74,8 @@ fn render<M: CostModel>(
     } else {
         format!("{prefix}│  ")
     };
-    for (i, child) in children.iter().enumerate() {
-        render(
-            child,
-            est,
-            &child_prefix,
-            i + 1 == children.len(),
-            false,
-            out,
-        );
+    for (i, child) in expr.child_iter().enumerate() {
+        render(child, est, &child_prefix, i + 1 == arity, false, out);
     }
 }
 

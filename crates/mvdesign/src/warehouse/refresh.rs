@@ -333,7 +333,7 @@ fn schedule(plan: &Expr, pending: &mut Vec<(RelName, Arc<Expr>)>, work: &mut Vec
         }
         return;
     }
-    for child in plan.children() {
+    for child in plan.child_iter() {
         schedule(child, pending, work);
     }
 }
@@ -499,7 +499,7 @@ fn share(plans: &mut [Arc<Expr>]) -> Vec<(RelName, Arc<Expr>)> {
 
 /// Whether `part` occurs in `expr`.
 fn contains(expr: &Arc<Expr>, part: &Expr) -> bool {
-    **expr == *part || expr.children().into_iter().any(|c| contains(c, part))
+    **expr == *part || expr.child_iter().any(|c| contains(c, part))
 }
 
 /// `expr` with every occurrence of `part` replaced by `with`, sharing every

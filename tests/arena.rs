@@ -16,7 +16,7 @@ use mvdesign::algebra::{
 };
 use mvdesign::core::{
     evaluate, generate_mvpps, AnnotatedMvpp, Designer, DesignerConfig, ExhaustiveSelection,
-    GeneticSelection, GreedySelection, MaintenancePolicy, SelectionAlgorithm,
+    GeneticSelection, GreedySelection, MaintenancePolicy, SelectionAlgorithm, UpdateWeighting,
 };
 use mvdesign::cost::{CostEstimator, PaperCostModel};
 use mvdesign::optimizer::Planner;
@@ -110,8 +110,78 @@ fn scramble(e: &Arc<Expr>, flip: u64) -> Arc<Expr> {
     }
 }
 
+/// A copy of `e` sharing no node with it: every `Arc` is new, so
+/// interning the copy cannot take the pointer fast path anywhere.
+fn deep_copy(e: &Arc<Expr>) -> Arc<Expr> {
+    Arc::new(match &**e {
+        Expr::Base(r) => Expr::Base(r.clone()),
+        Expr::Select { input, predicate } => Expr::Select {
+            input: deep_copy(input),
+            predicate: predicate.clone(),
+        },
+        Expr::Project { input, attrs } => Expr::Project {
+            input: deep_copy(input),
+            attrs: attrs.clone(),
+        },
+        Expr::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => Expr::Aggregate {
+            input: deep_copy(input),
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+        },
+        Expr::Join { left, right, on } => Expr::Join {
+            left: deep_copy(left),
+            right: deep_copy(right),
+            on: on.clone(),
+        },
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Interning a deep copy of an interned expression is the path that
+    /// finds a class without creating one, node by node: every node of the
+    /// copy lands on its original's class, the arena gains no class, and
+    /// `lookup` and `classify` of the copy, taken before it is interned,
+    /// say the same.
+    #[test]
+    fn interning_a_deep_copy_finds_the_original_classes(
+        ra in proptest::collection::vec(any::<u8>(), 0..32),
+        rb in proptest::collection::vec(any::<u8>(), 0..32),
+        grouped in any::<bool>(),
+    ) {
+        let mut e = build(&ra);
+        if grouped {
+            e = Expr::aggregate(
+                e,
+                [AttrRef::new("A", "k")],
+                [AggExpr::new(AggFunc::Sum, AttrRef::new("A", "x"), "s")],
+            );
+        }
+        let mut arena = ExprArena::new();
+        arena.intern(&build(&rb));
+        let id = arena.intern(&e);
+        let classes = arena.len();
+        let copy = deep_copy(&e);
+        let probed = arena.classify(&copy);
+        prop_assert_eq!(arena.lookup(&copy), Some(id));
+        prop_assert_eq!(probed.class(probed.root()), Some(id));
+        let originals = mvdesign::algebra::collect_subexprs(&e);
+        let copies = mvdesign::algebra::collect_subexprs(&copy);
+        for (k, (original, node)) in originals.iter().zip(&copies).enumerate() {
+            prop_assert!(!Arc::ptr_eq(original, node));
+            prop_assert_eq!(probed.class(k), arena.lookup(original));
+        }
+        prop_assert_eq!(arena.intern(&copy), id);
+        for (original, node) in originals.iter().zip(&copies) {
+            prop_assert_eq!(arena.intern(node), arena.intern(original));
+        }
+        prop_assert_eq!(arena.len(), classes);
+    }
 
     /// Interned identity must agree with the semantic-key oracle on
     /// arbitrary pairs — including every subexpression pair, which is where
@@ -347,6 +417,41 @@ fn annotating_and_selecting_candidates_interns_no_class() {
             }
         }
         assert_eq!(est.cardinalities().interned_classes(), classes);
+    }
+}
+
+/// Annotation reads `I_v`'s update frequencies off the leaves among a
+/// node's cached descendants. Every node's `fu_weight` must still be the
+/// formula over [`Mvpp::base_inputs`](mvdesign::core::Mvpp::base_inputs),
+/// to the bit: the maximum, or the sum in relation-name order.
+#[test]
+fn fu_weights_are_the_base_inputs_formula() {
+    let config = DesignerConfig::default();
+    for scenario in [paper_example(), tpch_lite(), star_6(40)] {
+        let est = CostEstimator::new(
+            &scenario.catalog,
+            config.estimation,
+            PaperCostModel::default(),
+        );
+        let planner = Planner::with_config(config.planner);
+        let candidates = generate_mvpps(&scenario.workload, &est, &planner, config.generate);
+        for mvpp in candidates {
+            for weighting in [UpdateWeighting::Max, UpdateWeighting::Sum] {
+                let annotated = AnnotatedMvpp::annotate(mvpp.clone(), &est, weighting);
+                for node in mvpp.nodes() {
+                    let fus = mvpp
+                        .base_inputs(node.id())
+                        .into_iter()
+                        .map(|r| scenario.catalog.update_frequency(r.as_str()));
+                    let expected = match weighting {
+                        UpdateWeighting::Max => fus.fold(0.0, f64::max),
+                        UpdateWeighting::Sum => fus.sum(),
+                    };
+                    let fu = annotated.annotation(node.id()).fu_weight;
+                    assert_eq!(fu.to_bits(), expected.to_bits(), "{}", node.label());
+                }
+            }
+        }
     }
 }
 
