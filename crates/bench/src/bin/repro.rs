@@ -28,8 +28,7 @@ use mvdesign::catalog::Catalog;
 use mvdesign::core::{
     evaluate, generate_mvpps, mqp_batch_cost, AnnotatedMvpp, CostBreakdown, ExhaustiveSelection,
     GenerateConfig, GeneticSelection, GreedySelection, MaintenanceMode, MaintenancePolicy,
-    MaterializeAll, MaterializeNone, NodeId, RandomSearch, SelectionAlgorithm, SimulatedAnnealing,
-    TraceVerdict, UpdateWeighting,
+    MaterializeAll, MaterializeNone, NodeId, SelectionAlgorithm, TraceVerdict, UpdateWeighting,
 };
 use mvdesign::cost::{
     CostEstimator, EstimationMode, NestedLoopCostModel, PaperCostModel, SortMergeCostModel,
@@ -669,8 +668,6 @@ fn algorithms() {
         Box::new(MaterializeNone),
         Box::new(MaterializeAll),
         Box::new(GreedySelection::new()),
-        Box::new(RandomSearch::default()),
-        Box::new(SimulatedAnnealing::default()),
         Box::new(GeneticSelection::default()),
         Box::new(ExhaustiveSelection {
             max_nodes: 14,

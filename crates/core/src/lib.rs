@@ -20,7 +20,7 @@
 //! 4. [`GreedySelection`] — the paper's Figure 9 heuristic (with a full
 //!    decision [trace](SelectionTrace)), alongside baselines
 //!    ([`ExhaustiveSelection`], [`MaterializeAll`], [`MaterializeNone`]) and
-//!    randomized extensions ([`RandomSearch`], [`SimulatedAnnealing`]);
+//!    a genetic search ([`GeneticSelection`]);
 //! 5. [`evaluate`] — total-cost evaluation of any materialization choice;
 //! 6. [`Designer`] — the end-to-end loop: generate candidates, select views
 //!    in each, keep the cheapest design.
@@ -90,7 +90,6 @@ pub use crate::nodeset::NodeSet;
 pub use crate::report::{render_design, render_trace};
 pub use crate::rewrite::{Decision, MissReason, Routed, ViewCatalog};
 pub use crate::search::{
-    ExhaustiveSelection, GeneticSelection, MaterializeAll, MaterializeNone, RandomSearch,
-    SelectionAlgorithm, SimulatedAnnealing,
+    ExhaustiveSelection, GeneticSelection, MaterializeAll, MaterializeNone, SelectionAlgorithm,
 };
 pub use crate::workload::{Workload, WorkloadError};

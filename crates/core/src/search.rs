@@ -1,6 +1,5 @@
 //! View-selection algorithms beyond the paper's greedy: exact baselines and
-//! randomized search extensions, all optimizing the same evaluated total
-//! cost.
+//! a genetic search, all optimizing the same evaluated total cost.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -244,134 +243,6 @@ impl SelectionAlgorithm for ExhaustiveSelection {
                 .expect("at least one range")
         };
         mask_to_set(best.1, &candidates, a.mvpp().len()).to_btree()
-    }
-}
-
-/// Uniform random subsets, keeping the best of `iterations` draws (plus the
-/// empty set). A sanity baseline for the greedy.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomSearch {
-    /// Number of random subsets evaluated.
-    pub iterations: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for RandomSearch {
-    fn default() -> Self {
-        Self {
-            iterations: 200,
-            seed: 7,
-        }
-    }
-}
-
-impl SelectionAlgorithm for RandomSearch {
-    fn name(&self) -> &'static str {
-        "random-search"
-    }
-
-    fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId> {
-        let genes = gene_set(a);
-        let half = coin(0.5);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // The evaluator starts at the empty frontier — the baseline draw —
-        // and memoizes per-query costs across draws: distinct subsets often
-        // look identical below any one query's root.
-        let mut eval = IncrementalEvaluator::new(a, mode);
-        let mut draw = NodeSet::with_capacity(a.mvpp().len());
-        let mut best_set = draw.clone();
-        let mut best_cost = eval.total();
-        for _ in 0..self.iterations {
-            draw.rewrite_words(|i, _| draw_word(&mut rng, half, genes.words()[i]));
-            eval.set_frontier(&draw);
-            let cost = eval.total();
-            if cost < best_cost {
-                best_cost = cost;
-                best_set.copy_from(&draw);
-            }
-        }
-        best_set.to_btree()
-    }
-}
-
-/// Simulated annealing over materialization sets: neighbours toggle one
-/// node; worse moves are accepted with probability `exp(−Δ/T)` under a
-/// geometric cooling schedule. Seeded for reproducibility.
-///
-/// This is the kind of randomized extension the MVPP formulation became a
-/// standard benchmark for in follow-up work.
-#[derive(Debug, Clone, Copy)]
-pub struct SimulatedAnnealing {
-    /// Number of proposal steps.
-    pub iterations: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Initial temperature as a fraction of the empty-set cost.
-    pub initial_temperature: f64,
-    /// Multiplicative cooling per step, in `(0, 1)`.
-    pub cooling: f64,
-}
-
-impl Default for SimulatedAnnealing {
-    fn default() -> Self {
-        Self {
-            iterations: 2_000,
-            seed: 7,
-            initial_temperature: 0.05,
-            cooling: 0.995,
-        }
-    }
-}
-
-impl SelectionAlgorithm for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "simulated-annealing"
-    }
-
-    fn select(&self, a: &AnnotatedMvpp, mode: MaintenanceMode) -> BTreeSet<NodeId> {
-        self.select_after_greedy(a, mode, GreedySelection::new().run(a).0)
-    }
-
-    fn select_after_greedy(
-        &self,
-        a: &AnnotatedMvpp,
-        mode: MaintenanceMode,
-        greedy: BTreeSet<NodeId>,
-    ) -> BTreeSet<NodeId> {
-        let candidates = a.mvpp().interior();
-        if candidates.is_empty() {
-            return BTreeSet::new();
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // The freshly-built evaluator sits at the empty frontier, which is
-        // exactly the baseline the temperature schedule is scaled from.
-        let mut eval = IncrementalEvaluator::new(a, mode);
-        let mut temperature = eval.total().max(1.0) * self.initial_temperature;
-        // Start from the greedy solution: annealing then only explores
-        // around an already-good point. Every proposal is a single-node
-        // toggle, so each step is one memoized incremental flip; a rejected
-        // proposal flips straight back.
-        eval.set_frontier(&NodeSet::from_ids(a.mvpp().len(), greedy));
-        let mut current_cost = eval.total();
-        let mut best = eval.frontier().clone();
-        let mut best_cost = current_cost;
-        for _ in 0..self.iterations {
-            let flip = candidates[rng.gen_range(0..candidates.len())];
-            let next_cost = eval.flip(flip);
-            let delta = next_cost - current_cost;
-            if delta <= 0.0 || rng.gen_bool((-delta / temperature.max(1e-9)).exp().min(1.0)) {
-                current_cost = next_cost;
-                if current_cost < best_cost {
-                    best_cost = current_cost;
-                    best = eval.frontier().clone();
-                }
-            } else {
-                eval.flip(flip);
-            }
-            temperature *= self.cooling;
-        }
-        best.to_btree()
     }
 }
 
@@ -652,8 +523,6 @@ mod tests {
             &GreedySelection::new() as &dyn SelectionAlgorithm,
             &MaterializeAll,
             &MaterializeNone,
-            &RandomSearch::default(),
-            &SimulatedAnnealing::default(),
             &GeneticSelection::default(),
         ] {
             let cost = total(&a, algo);
@@ -700,15 +569,6 @@ mod tests {
         )
         .total;
         assert!((ta - tb).abs() < 1e9); // both are finite, sane values
-    }
-
-    #[test]
-    fn annealing_never_loses_to_greedy() {
-        // Annealing starts from the greedy solution and keeps the best seen.
-        let a = annotated();
-        assert!(
-            total(&a, &SimulatedAnnealing::default()) <= total(&a, &GreedySelection::new()) + 1e-9
-        );
     }
 
     #[test]
@@ -785,16 +645,6 @@ mod tests {
         let candidates: Vec<NodeId> = (0..MASK_NODES).map(NodeId).collect();
         let top = mask_to_set(1 << (MASK_NODES - 1), &candidates, MASK_NODES);
         assert_eq!(top.to_btree(), [NodeId(MASK_NODES - 1)].into());
-    }
-
-    #[test]
-    fn random_search_is_deterministic_per_seed() {
-        let a = annotated();
-        let r = RandomSearch::default();
-        assert_eq!(
-            r.select(&a, MaintenanceMode::SharedRecompute),
-            r.select(&a, MaintenanceMode::SharedRecompute)
-        );
     }
 
     /// Two-relation join read `fq` times between refreshes, with both base
@@ -892,8 +742,6 @@ mod tests {
                 &GreedySelection::new() as &dyn SelectionAlgorithm,
                 &MaterializeAll,
                 &MaterializeNone,
-                &RandomSearch::default(),
-                &SimulatedAnnealing::default(),
                 &GeneticSelection::default(),
             ] {
                 let cost = evaluate(&a, &algo.select(&a, mode), mode).total;
@@ -913,11 +761,9 @@ mod tests {
             MaterializeAll.name(),
             MaterializeNone.name(),
             ExhaustiveSelection::default().name(),
-            RandomSearch::default().name(),
-            SimulatedAnnealing::default().name(),
             GeneticSelection::default().name(),
         ];
         let set: std::collections::BTreeSet<_> = names.into_iter().collect();
-        assert_eq!(set.len(), 7);
+        assert_eq!(set.len(), 5);
     }
 }

@@ -101,10 +101,7 @@ impl ChainTable {
         entries: impl ExactSizeIterator<Item = (i64, usize)> + DoubleEndedIterator + Clone,
     ) -> Self {
         let n = entries.len();
-        let range = entries
-            .clone()
-            .map(|(k, _)| (k, k))
-            .reduce(|(lo, hi), (k, _)| (lo.min(k), hi.max(k)));
+        let range = key_range(entries.clone().map(|(k, _)| k));
         let direct = range.filter(|&(min, max)| direct_fits(n, min, max));
         Self::build_with(entries, direct)
     }
@@ -232,6 +229,12 @@ impl ChainTable {
     }
 }
 
+/// The smallest and the largest of `keys`, in one pass; `None` if there are none.
+pub(crate) fn key_range(keys: impl Iterator<Item = i64>) -> Option<(i64, i64)> {
+    keys.map(|k| (k, k))
+        .reduce(|(lo, hi), (k, _)| (lo.min(k), hi.max(k)))
+}
+
 /// Head slots of a direct table over `min..=max`: one per key and the
 /// sentinel, or `None` if that count does not fit a `usize`.
 fn direct_slots(min: i64, max: i64) -> Option<usize> {
@@ -240,8 +243,9 @@ fn direct_slots(min: i64, max: i64) -> Option<usize> {
 
 /// Whether `entries` entries keyed within `min..=max` take direct heads:
 /// the head array is no larger than the map slots [`ChainTable::bytes_for`]
-/// allows, so the table fits that bound with either heads.
-fn direct_fits(entries: usize, min: i64, max: i64) -> bool {
+/// allows, so the table fits that bound with either heads. The group-by
+/// kernel and the distinct count take their slot arrays by the same rule.
+pub(crate) fn direct_fits(entries: usize, min: i64, max: i64) -> bool {
     let heads = direct_slots(min, max).and_then(|s| s.checked_mul(size_of::<u32>()));
     heads.is_some_and(|h| h <= map_slots_bound(entries) * slot_bytes::<i64, u32>())
 }
@@ -453,9 +457,9 @@ pub(crate) fn row_hashes(cols: &[&Column], rows: usize) -> Vec<i64> {
 
 /// Upper bound on the group count: dictionary columns bound their distinct
 /// count by the value-table size, other columns only by the row count, no
-/// column makes one group. `min(rows, Π per-column bounds)` pre-sizes the
-/// group table (no rehash during the build) and is the group count a
-/// γ's state estimate assumes — exact for one dictionary key.
+/// column makes one group. `min(rows, Π per-column bounds)` caps the group
+/// table's per-group arrays and is the group count a γ's state estimate
+/// assumes — exact for one dictionary key.
 pub(crate) fn group_cardinality_hint(gcols: &[&Column], rows: usize) -> usize {
     let mut hint = 1usize;
     for c in gcols {

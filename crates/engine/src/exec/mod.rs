@@ -40,6 +40,7 @@ use crate::batch::{Batch, Column};
 use crate::storage::PagedBatch;
 use crate::table::{Database, Table};
 
+pub(crate) use keys::{direct_fits, key_range};
 use keys::{
     group_cardinality_hint, group_keys, join_keys, map_slots_bound, slot_bytes, ChainTable,
     GroupKeyRows, IntHasher, IntMap,
@@ -436,8 +437,8 @@ fn partition_of(key: i64, shift: u32) -> usize {
 /// ([`assign_group_ids`]) gives every row a dense group id; pass 2
 /// ([`GroupStates::fold`]) runs one loop per aggregate that folds the input
 /// column into per-group accumulators, computing only what that aggregate
-/// reads. [`GroupOutput`] then lays the finished groups out and sorts them
-/// by key, so the output does not depend on which schedule built them: one
+/// reads. [`GroupOutput`] then lays the finished groups out in key order,
+/// so the output does not depend on which schedule built them: one
 /// call of each pass over all rows, or one per spill partition
 /// ([`aggregate_spill`]).
 ///
@@ -483,10 +484,10 @@ pub(crate) fn aggregate_batch(
     let held = if estimate > limit {
         aggregate_spill(&keys, aggs, &acols, per_group, &mut out, estimate, limit)?
     } else {
-        let groups = group_rows(&keys, 0..rows, usize::MAX, aggs, &acols)
+        let mut groups = group_rows(&keys, 0..rows, usize::MAX, aggs, &acols)
             .expect("an unbounded group table takes every group");
         debug_assert!(groups.state_bytes() <= estimate, "γ outgrew its bound");
-        out.emit(&groups);
+        out.emit(&mut groups);
         Held {
             state_bytes: groups.state_bytes(),
             spilled: false,
@@ -535,11 +536,13 @@ impl<'a> GroupKeys<'a> {
     }
 
     /// An upper bound on [`Grouped::state_bytes`] over the whole input for
-    /// `groups` — the [`group_cardinality_hint`] pass 1 sizes its table by —
-    /// with accumulators of `per_group` bytes a group: one code slot, one
-    /// representative and the accumulators a group for the direct table
-    /// (whose dictionary then has exactly `groups` entries), the hashed
-    /// bound otherwise.
+    /// `groups` — the [`group_cardinality_hint`] pass 1 never grows its
+    /// per-group arrays past — with accumulators of `per_group` bytes a
+    /// group: one code slot, one representative and the accumulators a
+    /// group for the direct table by code (whose dictionary then has
+    /// exactly `groups` entries), the hashed bound otherwise. A direct
+    /// table over integer keys takes its slots only within the hashed
+    /// bound's map ([`keys::direct_fits`]).
     fn state_bound(&self, groups: usize, per_group: usize) -> usize {
         match self.direct(self.len, usize::MAX) {
             Some(_) => groups * (size_of::<u32>() + size_of::<usize>() + per_group),
@@ -562,12 +565,14 @@ fn hashed_state_bound(groups: usize, per_group: usize) -> usize {
 /// Table slot of a key no row has shown yet.
 const NO_GROUP: u32 = u32::MAX;
 
-/// The group ids pass 1 assigned: one per row, each group's first row, and
-/// the bytes of the table that assigned them.
+/// The group ids pass 1 assigned: one per row, each group's first row, the
+/// bytes of the table that assigned them, and — from a direct table over
+/// integer keys — the group ids in key order.
 struct GroupIds {
     gids: Vec<u32>,
     reps: Vec<usize>,
     table_bytes: usize,
+    key_order: Option<Vec<u32>>,
 }
 
 /// Pass 1 of aggregation — the one place group ids are assigned. Returns a
@@ -575,61 +580,103 @@ struct GroupIds {
 /// order, with each group's first row; or `None`, as soon as `rows` show
 /// more than `limit` groups.
 ///
-/// A single dictionary key whose dictionary is no larger than the input
-/// (and than `limit`) indexes a direct table by code; any other key looks
-/// its row key up in a map under the engine's integer hasher, chaining the
-/// groups whose hashed keys collide. The choice reads the columns, never a
-/// setting, and does not show in the ids.
+/// Two keys index a direct table of slots: a single dictionary key whose
+/// dictionary is no larger than the input (and than `limit`), by code; and
+/// a single integer or date key whose `[min, max]` over `rows` passes
+/// [`keys::direct_fits`] for `min(rows, limit)` entries, by `key − min` —
+/// so the slots never outgrow the map the hashed path may build. Walking
+/// the integer table's slots then yields the groups in key order. Any other
+/// key looks its row key up in a map under the engine's integer hasher,
+/// chaining the groups whose hashed keys collide. The choice reads the
+/// columns, never a setting, and does not show in the ids.
 fn assign_group_ids(
     keys: &GroupKeys<'_>,
+    rows: impl ExactSizeIterator<Item = usize> + Clone,
+    limit: usize,
+) -> Option<GroupIds> {
+    match &keys.per_row {
+        GroupKeyRows::Codes { codes, .. } => match keys.direct(rows.len(), limit) {
+            Some(dict_len) => assign_direct(|i| codes[i] as usize, dict_len, false, rows, limit),
+            None => assign_hashed(keys, |i| i64::from(codes[i]), rows, limit),
+        },
+        GroupKeyRows::Ints(v) => match key_range(rows.clone().map(|i| v[i]))
+            .filter(|&(min, max)| direct_fits(rows.len().min(limit), min, max))
+        {
+            // `direct_fits` bounds the span, so `span + 1` slots fit.
+            Some((min, max)) => {
+                let slot = |i: usize| v[i].wrapping_sub(min) as u64 as usize;
+                assign_direct(slot, max.abs_diff(min) as usize + 1, true, rows, limit)
+            }
+            None => assign_hashed(keys, |i| v[i], rows, limit),
+        },
+        GroupKeyRows::Owned(v) => assign_hashed(keys, |i| v[i], rows, limit),
+    }
+}
+
+/// [`assign_group_ids`] through a table of `slots` group ids indexed by
+/// `slot(row)`. With `ordered`, slot order is key order and the ids come
+/// back in it too.
+fn assign_direct(
+    slot: impl Fn(usize) -> usize,
+    slots: usize,
+    ordered: bool,
     rows: impl ExactSizeIterator<Item = usize>,
     limit: usize,
 ) -> Option<GroupIds> {
-    if let (GroupKeyRows::Codes { codes, .. }, Some(dict_len)) =
-        (&keys.per_row, keys.direct(rows.len(), limit))
-    {
-        let mut table = vec![NO_GROUP; dict_len];
-        let mut reps = Vec::with_capacity(dict_len);
-        let gids = rows
-            .map(|i| {
-                let slot = &mut table[codes[i] as usize];
-                if *slot == NO_GROUP {
-                    *slot = reps.len() as u32;
-                    reps.push(i);
-                }
-                *slot
-            })
-            .collect();
-        let table_bytes = table.capacity() * size_of::<u32>();
-        return Some(GroupIds {
-            gids,
-            reps,
-            table_bytes,
-        });
-    }
-    match &keys.per_row {
-        GroupKeyRows::Ints(v) => assign_hashed(keys, |i| v[i], rows, limit),
-        GroupKeyRows::Codes { codes, .. } => {
-            assign_hashed(keys, |i| i64::from(codes[i]), rows, limit)
+    let most = rows.len().min(limit).min(slots);
+    let mut table = vec![NO_GROUP; slots];
+    let mut reps = Vec::new();
+    let mut gids = Vec::with_capacity(rows.len());
+    for i in rows {
+        let at = &mut table[slot(i)];
+        if *at == NO_GROUP {
+            if reps.len() == limit {
+                return None;
+            }
+            *at = reps.len() as u32;
+            push_within(&mut reps, i, most);
         }
-        GroupKeyRows::Owned(v) => assign_hashed(keys, |i| v[i], rows, limit),
+        gids.push(*at);
     }
+    reps.shrink_to_fit();
+    let key_order = ordered.then(|| {
+        let mut order = Vec::with_capacity(reps.len());
+        order.extend(table.iter().copied().filter(|&g| g != NO_GROUP));
+        order
+    });
+    Some(GroupIds {
+        gids,
+        reps,
+        table_bytes: table.capacity() * size_of::<u32>(),
+        key_order,
+    })
+}
+
+/// Pushes `x`, growing `v` by doubling but never past `most` elements of
+/// capacity: a group table grows with the groups it meets, up to the most
+/// it may hold.
+fn push_within<T>(v: &mut Vec<T>, x: T, most: usize) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.len().max(16).min(most.saturating_sub(v.len())).max(1));
+    }
+    v.push(x);
 }
 
 /// [`assign_group_ids`] through a map from a row's key to the first group
 /// with it; groups whose keys share a hash but differ on the columns are
 /// chained through `next`. `key` is monomorphised per key representation.
-/// The table is sized once for the most groups the rows can show (at most
-/// `limit`), so it never rehashes.
+/// The map and the per-group arrays grow with the groups, the arrays never
+/// past the most groups the rows can show ([`group_cardinality_hint`], at
+/// most `limit`).
 fn assign_hashed(
     keys: &GroupKeys<'_>,
     key: impl Fn(usize) -> i64,
     rows: impl ExactSizeIterator<Item = usize>,
     limit: usize,
 ) -> Option<GroupIds> {
-    let hint = group_cardinality_hint(keys.cols, rows.len()).min(limit);
-    let mut heads: IntMap<i64, u32> = IntMap::with_capacity_and_hasher(hint, Default::default());
-    let (mut reps, mut next) = (Vec::with_capacity(hint), Vec::with_capacity(hint));
+    let most = group_cardinality_hint(keys.cols, rows.len()).min(limit);
+    let mut heads: IntMap<i64, u32> = IntMap::default();
+    let (mut reps, mut next) = (Vec::new(), Vec::new());
     let mut gids = Vec::with_capacity(rows.len());
     for i in rows {
         let head = heads.get(&key(i)).copied();
@@ -645,8 +692,8 @@ fn assign_hashed(
             }
             assert!(reps.len() < NO_GROUP as usize, "group ids are u32");
             g = reps.len() as u32;
-            reps.push(i);
-            next.push(NO_GROUP);
+            push_within(&mut reps, i, most);
+            push_within(&mut next, NO_GROUP, most);
             match last {
                 NO_GROUP => {
                     heads.insert(key(i), g);
@@ -656,12 +703,15 @@ fn assign_hashed(
         }
         gids.push(g);
     }
+    reps.shrink_to_fit();
+    next.shrink_to_fit();
     let table_bytes =
         heads.capacity() * slot_bytes::<i64, u32>() + next.capacity() * size_of::<u32>();
     Some(GroupIds {
         gids,
         reps,
         table_bytes,
+        key_order: None,
     })
 }
 
@@ -670,6 +720,7 @@ struct Grouped<'a> {
     reps: Vec<usize>,
     states: GroupStates<'a>,
     table_bytes: usize,
+    key_order: Option<Vec<u32>>,
 }
 
 impl Grouped<'_> {
@@ -696,6 +747,7 @@ fn group_rows<'a>(
         reps: ids.reps,
         states,
         table_bytes: ids.table_bytes,
+        key_order: ids.key_order,
     })
 }
 
@@ -704,12 +756,12 @@ enum Acc<'a> {
     /// `COUNT`, of anything: reads the shared per-group row counts.
     Count,
     /// `SUM`/`AVG`/`MIN`/`MAX` over an `Int` or `Date` column: one `i64`
-    /// per group, folded over the column's storage; `wrap` re-types the
-    /// finished value (`MIN`/`MAX` of dates are dates, sums are integers).
+    /// per group, folded over the column's storage; `dates` when the
+    /// finished values are dates (`MIN`/`MAX` of dates), integers otherwise.
     Ints {
         vals: &'a [i64],
         fold: IntFold,
-        wrap: fn(i64) -> Value,
+        dates: bool,
         acc: Vec<i64>,
     },
     /// Text, mixed or absent input: the row-at-a-time fallback.
@@ -775,11 +827,11 @@ impl<'a> GroupStates<'a> {
             .iter()
             .zip(acols)
             .map(|(agg, col)| {
-                let (vals, wrap): (&[i64], fn(i64) -> Value) = match (agg.func, col) {
+                let (vals, dates) = match (agg.func, col) {
                     (AggFunc::Count, _) => return Acc::Count,
-                    (_, Some(Column::Int(v))) => (v, Value::Int),
-                    (AggFunc::Min | AggFunc::Max, Some(Column::Date(v))) => (v, Value::Date),
-                    (_, Some(Column::Date(v))) => (v, Value::Int),
+                    (_, Some(Column::Int(v))) => (v, false),
+                    (AggFunc::Min | AggFunc::Max, Some(Column::Date(v))) => (v, true),
+                    (_, Some(Column::Date(v))) => (v, false),
                     _ => {
                         return Acc::Rows {
                             col: *col,
@@ -795,7 +847,7 @@ impl<'a> GroupStates<'a> {
                 Acc::Ints {
                     vals,
                     fold,
-                    wrap,
+                    dates,
                     acc: Vec::new(),
                 }
             })
@@ -885,15 +937,29 @@ impl<'a> GroupStates<'a> {
         }
     }
 
-    /// The finished value of aggregate `a` (computing `func`) for group `g`.
-    fn finish(&self, g: usize, a: usize, func: AggFunc) -> Value {
-        let count = || self.counts.as_ref().expect("COUNT/AVG keep counts")[g];
+    /// The finished values of aggregate `a` (computing `func`) for the
+    /// groups `order` lists, in that order: a typed column for integer
+    /// and date accumulators, the canonical column of the values otherwise.
+    fn finish(&self, order: &[u32], a: usize, func: AggFunc) -> Column {
+        let groups = || order.iter().map(|&g| g as usize);
+        let counts = || self.counts.as_deref().expect("COUNT/AVG keep counts");
         match &self.accs[a] {
-            Acc::Count => Value::Int(count()),
+            Acc::Count => Column::Int(groups().map(|g| counts()[g]).collect()),
             // A group holds at least one row, so the divisor is positive.
-            Acc::Ints { acc, .. } if func == AggFunc::Avg => Value::Int(acc[g] / count()),
-            Acc::Ints { acc, wrap, .. } => wrap(acc[g]),
-            Acc::Rows { states, .. } => states[g].finish(func),
+            Acc::Ints { acc, .. } if func == AggFunc::Avg => {
+                let counts = counts();
+                Column::Int(groups().map(|g| acc[g] / counts[g]).collect())
+            }
+            Acc::Ints { acc, dates, .. } => {
+                let values = groups().map(|g| acc[g]).collect();
+                match dates {
+                    true => Column::Date(values),
+                    false => Column::Int(values),
+                }
+            }
+            Acc::Rows { states, .. } => {
+                Column::from_values(groups().map(|g| states[g].finish(func)))
+            }
         }
     }
 }
@@ -939,29 +1005,43 @@ impl<'a> GroupOutput<'a> {
             .unwrap_or(std::cmp::Ordering::Equal)
     }
 
-    /// Appends `groups`' finished groups, in key order. A single integer
-    /// or date key sorts by its `i64`; distinct groups have distinct keys,
-    /// so the order is total either way.
-    fn emit(&mut self, groups: &Grouped<'_>) {
+    /// Appends `groups`' finished groups, in key order: the order a direct
+    /// table over an integer key walked its slots in, or a sort of the
+    /// representatives' keys (distinct groups have distinct keys, so the
+    /// order is total either way). Key columns are gathered at the
+    /// representatives — a dictionary key as the text it stands for — and
+    /// every aggregate is finished as one column.
+    fn emit(&mut self, groups: &mut Grouped<'_>) {
         let reps = &groups.reps;
-        let mut order: Vec<usize> = (0..reps.len()).collect();
-        match self.gcols {
-            [Column::Int(keys) | Column::Date(keys)] => {
-                order.sort_unstable_by_key(|&g| keys[reps[g]]);
+        let order = groups.key_order.take().unwrap_or_else(|| {
+            let mut order: Vec<u32> = (0..reps.len() as u32).collect();
+            let rep = |g: &u32| reps[*g as usize];
+            match self.gcols {
+                [Column::Int(keys) | Column::Date(keys)] => {
+                    order.sort_unstable_by_key(|g| keys[rep(g)]);
+                }
+                _ => order.sort_by(|x, y| self.cmp_keys(rep(x), rep(y))),
             }
-            _ => order.sort_by(|&x, &y| self.cmp_keys(reps[x], reps[y])),
-        }
+            order
+        });
         self.emissions += 1;
+        let at: Vec<usize> = order.iter().map(|&g| reps[g as usize]).collect();
         let width = self.gcols.len();
-        for g in order {
-            for (col, gc) in self.columns.iter_mut().zip(self.gcols) {
-                col.push(gc.value(reps[g]));
-            }
-            for (a, (col, agg)) in self.columns[width..].iter_mut().zip(self.aggs).enumerate() {
-                col.push(groups.states.finish(g, a, agg.func));
-            }
-            self.reps.push(reps[g]);
+        for (col, gc) in self.columns.iter_mut().zip(self.gcols) {
+            let keys = match gc {
+                Column::Dict { codes, values } => Column::Text(
+                    at.iter()
+                        .map(|&r| Arc::clone(&values[codes[r] as usize]))
+                        .collect(),
+                ),
+                _ => gc.gather(&at),
+            };
+            append_values(col, keys);
         }
+        for (a, (col, agg)) in self.columns[width..].iter_mut().zip(self.aggs).enumerate() {
+            append_values(col, groups.states.finish(&order, a, agg.func));
+        }
+        self.reps.extend(at);
     }
 
     /// The result, every group in key order. One emission is in order
@@ -979,6 +1059,20 @@ impl<'a> GroupOutput<'a> {
             }
         };
         Batch::new(self.attrs, columns.into_iter().map(Arc::new).collect())
+    }
+}
+
+/// Appends `part`'s values to `col` with the representation pushing them
+/// one by one ([`Column::push`]) gives, given that `part` is canonical
+/// (typed, or mixed only when its values are): an empty `part` changes
+/// nothing, an empty `col` becomes `part`, one variant extends in place.
+fn append_values(col: &mut Column, part: Column) {
+    match (col, part) {
+        (_, part) if part.is_empty() => {}
+        (col, part) if col.is_empty() => *col = part,
+        (Column::Int(a), Column::Int(b)) | (Column::Date(a), Column::Date(b)) => a.extend(b),
+        (Column::Text(a), Column::Text(b)) => a.extend(b),
+        (col, part) => (0..part.len()).for_each(|i| col.push(part.value(i))),
     }
 }
 
@@ -1016,9 +1110,9 @@ fn aggregate_spill<'a>(
         state_bytes: 0,
         spilled: true,
     };
-    let group = &mut |groups: Grouped<'a>| {
+    let group = &mut |mut groups: Grouped<'a>| {
         held.hold(groups.state_bytes());
-        out.emit(&groups);
+        out.emit(&mut groups);
     };
     for part_runs in &runs {
         let records = read_raw_records(&store, part_runs)?;
@@ -1796,5 +1890,68 @@ mod spill_tests {
         assert!(wide.state_bytes <= budget / 2, "{wide:?}");
         // Four half-budgets of state take four partitions, not two.
         assert_eq!(spill_partitions(4 * (budget / 2), budget / 2), 4);
+    }
+}
+
+#[cfg(test)]
+mod group_id_tests {
+    //! Pass 1's table for a single integer key at the edges of
+    //! [`keys::direct_fits`], and a slot array past a partition's limit.
+
+    use super::*;
+
+    /// Pass 1 over one `Int` column holding `keys`, within `limit` groups.
+    fn ids(keys: &[i64], limit: usize) -> Option<GroupIds> {
+        let col = Column::Int(keys.to_vec());
+        assign_group_ids(&GroupKeys::new(&[&col], keys.len()), 0..keys.len(), limit)
+    }
+
+    /// Over 64 rows the map bound is 2 × 64 slots of 17 bytes, room for
+    /// 544 four-byte slots with the join's sentinel: a span of 542 takes a
+    /// slot array of 543 and lists its groups in key order, 543 is hashed.
+    /// Spans at either end of `i64` wrap; the whole range is hashed.
+    #[test]
+    fn a_span_within_the_map_bound_takes_a_slot_array_in_key_order() {
+        let rows64 = |keys: [i64; 4]| (0..64).map(|r| keys[r % 4]).collect::<Vec<_>>();
+        let at = ids(&rows64([-100, 442, -99, 17]), usize::MAX).expect("no limit");
+        assert_eq!(at.table_bytes, 543 * size_of::<u32>());
+        assert_eq!(
+            (&at.gids[..4], at.key_order),
+            (&[0, 1, 2, 3][..], Some(vec![0, 2, 3, 1]))
+        );
+        let past = ids(&rows64([-100, 443, -99, 17]), usize::MAX).expect("no limit");
+        assert_eq!(
+            (past.gids, past.reps, past.key_order),
+            (at.gids, at.reps, None)
+        );
+        for (keys, order) in [
+            ([i64::MIN + 2, i64::MIN, i64::MIN + 2], Some(vec![1, 0])),
+            ([i64::MAX, i64::MAX - 2, i64::MAX], Some(vec![1, 0])),
+            ([i64::MAX, i64::MIN, i64::MAX], None),
+        ] {
+            let ends = ids(&keys, usize::MAX).expect("no limit");
+            assert_eq!((ends.gids, ends.key_order), (vec![0, 1, 0], order));
+        }
+    }
+
+    /// A slot array gives up as soon as the rows show more than `limit`
+    /// groups, and a spill partition that does so is cut until every group
+    /// is emitted once, with its first row as representative.
+    #[test]
+    fn a_slot_array_past_its_limit_gives_up_and_its_partition_is_cut() {
+        let keys: Vec<i64> = (0..40).map(|r| r % 10 - 5).collect();
+        assert!(ids(&keys, 9).is_none());
+        assert_eq!(ids(&keys, 10).expect("ten groups").reps.len(), 10);
+        let col = Column::Int(keys.clone());
+        let records: Vec<(i64, usize)> = keys.iter().copied().zip(0..).collect();
+        let mut reps = Vec::new();
+        let cols = [&col];
+        let group_keys = GroupKeys::new(&cols, keys.len());
+        group_partition(&group_keys, &records, 0, 2, &[], &[], &mut |g| {
+            assert!(g.reps.len() <= 2, "a partition within its limit");
+            reps.extend(g.reps);
+        });
+        reps.sort_unstable();
+        assert_eq!(reps, (0..10).collect::<Vec<_>>());
     }
 }

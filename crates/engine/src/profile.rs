@@ -9,6 +9,7 @@ use mvdesign_algebra::{postorder, Expr, Value};
 use mvdesign_catalog::{AttrRef, AttrType, Catalog};
 
 use crate::batch::Column;
+use crate::exec::{direct_fits, key_range};
 use crate::table::{Database, Table};
 
 /// Records per block of a profiled relation's block count.
@@ -109,38 +110,36 @@ fn column_type(table: &Table, col: usize) -> AttrType {
 
 /// Distinct values in column `col` of `table`, read page by page. A
 /// column of integers, dates or dictionary codes (which index a table of
-/// distinct values) is counted by its [`Keys`]: in a bitmap over their
-/// range when it is at most 64 slots per row (the keys of a generated or
-/// loaded table are dense), by a sort otherwise. Any other column is
+/// distinct values) is counted by its [`Keys`]: when their `[min, max]`
+/// passes the group-by kernel's dense-range rule ([`direct_fits`]; the
+/// keys of a generated or loaded table are dense) each key marks its slot
+/// of a byte array — plain stores, with no read of a shared word — and the
+/// marked slots are counted; otherwise by a sort. Any other column is
 /// counted in a hash set of its values.
 fn count_distinct(table: &Table, col: usize) -> usize {
     let pages = table.pages();
     let columns = || (0..pages.page_count()).map(|p| pages.page(col, p));
-    let (mut low, mut high, mut rows) = (i64::MAX, i64::MIN, 0_usize);
+    let (mut ranges, mut rows) = (Vec::new(), 0_usize);
     for column in columns() {
         let Some(keys) = Keys::of(&column) else {
             let values = columns().flat_map(|c| (0..c.len()).map(move |i| c.value(i)));
             return values.collect::<HashSet<Value>>().len();
         };
-        if let Some((page_low, page_high)) = keys.range() {
-            low = low.min(page_low);
-            high = high.max(page_high);
-        }
+        ranges.extend(keys.range());
         rows += column.len();
     }
-    if rows == 0 {
+    let Some((low, high)) = key_range(ranges.into_iter().flat_map(|(l, h)| [l, h])) else {
         return 0;
-    }
-    let span = high.abs_diff(low);
-    if span / 64 < rows as u64 {
-        let mut bits = vec![0_u64; (span / 64) as usize + 1];
+    };
+    if direct_fits(rows, low, high) {
+        // `direct_fits` bounds the span, so `span + 1` slots fit.
+        let mut seen = vec![false; high.abs_diff(low) as usize + 1];
         for column in columns() {
-            Keys::of(&column).expect("a key column").for_each(|key| {
-                let slot = key.abs_diff(low);
-                bits[(slot / 64) as usize] |= 1 << (slot % 64);
-            });
+            Keys::of(&column)
+                .expect("a key column")
+                .for_each(|key| seen[key.wrapping_sub(low) as u64 as usize] = true);
         }
-        return bits.iter().map(|word| word.count_ones() as usize).sum();
+        return seen.iter().filter(|&&s| s).count();
     }
     let mut keys = Vec::with_capacity(rows);
     for column in columns() {
@@ -169,11 +168,11 @@ impl<'a> Keys<'a> {
         }
     }
 
-    /// The smallest and largest key; `None` on an empty page.
+    /// The smallest and largest key, in one pass; `None` on an empty page.
     fn range(&self) -> Option<(i64, i64)> {
         match self {
-            Keys::Ints(v) => Some((*v.iter().min()?, *v.iter().max()?)),
-            Keys::Codes(v) => Some(((*v.iter().min()?).into(), (*v.iter().max()?).into())),
+            Keys::Ints(v) => key_range(v.iter().copied()),
+            Keys::Codes(v) => key_range(v.iter().map(|&code| i64::from(code))),
         }
     }
 

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Algorithms: `greedy` (paper Figure 9, default), `exhaustive`, `genetic`,
-//! `annealing`, `random`, `all`, `none`.
+//! `all`, `none`.
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use mvdesign::core::{
     evaluate, Designer, DesignerConfig, ExhaustiveSelection, GenerateConfig, GeneticSelection,
     GreedySelection, MaintenanceMode, MaintenancePolicy, MaterializeAll, MaterializeNone,
-    RandomSearch, SelectionAlgorithm, SimulatedAnnealing,
+    SelectionAlgorithm,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::optimizer::Planner;
@@ -60,7 +60,7 @@ fn run(args: &[String]) -> Result<(), String> {
 fn usage() -> String {
     "usage: mvdesign-cli <design|explain|validate|example> [scenario.mvd] [options]\n\
      options for `design`:\n\
-       --algorithm greedy|exhaustive|genetic|annealing|random|all|none\n\
+       --algorithm greedy|exhaustive|genetic|all|none\n\
        --maintenance shared|isolated\n\
        --incremental FRACTION      (append fraction in [0, 1]; views fold deltas where cheaper)\n\
        --rotations K               (candidate MVPPs to try, default 8)\n\
@@ -194,8 +194,6 @@ fn design(args: &[String]) -> Result<(), String> {
             ..ExhaustiveSelection::default()
         }),
         Some("genetic") => Box::new(GeneticSelection::default()),
-        Some("annealing") => Box::new(SimulatedAnnealing::default()),
-        Some("random") => Box::new(RandomSearch::default()),
         Some("all") => Box::new(MaterializeAll),
         Some("none") => Box::new(MaterializeNone),
         Some(other) => return Err(format!("unknown algorithm `{other}`")),

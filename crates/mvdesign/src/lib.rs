@@ -64,7 +64,7 @@ pub mod prelude {
     pub use mvdesign_core::{
         evaluate, generate_mvpps, AnnotatedMvpp, CostBreakdown, Designer, DesignerConfig,
         ExhaustiveSelection, GreedySelection, MaintenanceMode, MaterializeAll, MaterializeNone,
-        Mvpp, NodeId, SelectionAlgorithm, SimulatedAnnealing, UpdateWeighting, Workload,
+        Mvpp, NodeId, SelectionAlgorithm, UpdateWeighting, Workload,
     };
     pub use mvdesign_cost::{CostEstimator, CostModel, EstimationMode, PaperCostModel};
     pub use mvdesign_engine::{execute, measure, Database, ExecContext, Generator, Table};

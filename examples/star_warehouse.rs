@@ -5,9 +5,9 @@
 //! Run with: `cargo run -p mvdesign --example star_warehouse --release`
 
 use mvdesign::core::{
-    evaluate, generate_mvpps, AnnotatedMvpp, ExhaustiveSelection, GenerateConfig, GreedySelection,
-    MaintenanceMode, MaterializeAll, MaterializeNone, RandomSearch, SelectionAlgorithm,
-    SimulatedAnnealing, UpdateWeighting,
+    evaluate, generate_mvpps, AnnotatedMvpp, ExhaustiveSelection, GenerateConfig, GeneticSelection,
+    GreedySelection, MaintenanceMode, MaterializeAll, MaterializeNone, SelectionAlgorithm,
+    UpdateWeighting,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::optimizer::Planner;
@@ -66,8 +66,7 @@ fn main() {
         Box::new(MaterializeNone),
         Box::new(MaterializeAll),
         Box::new(GreedySelection::new()),
-        Box::new(RandomSearch::default()),
-        Box::new(SimulatedAnnealing::default()),
+        Box::new(GeneticSelection::default()),
         Box::new(ExhaustiveSelection {
             max_nodes: 14,
             ..ExhaustiveSelection::default()

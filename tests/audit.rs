@@ -14,7 +14,7 @@ use mvdesign::core::{audit_annotated, check_greedy_trace, validate_mvpp, validat
 use mvdesign::core::{
     evaluate, generate_mvpps, AnnotatedMvpp, ExhaustiveSelection, GenerateConfig, GeneticSelection,
     GreedySelection, MaintenanceMode, MaintenancePolicy, MaterializeAll, MaterializeNone,
-    RandomSearch, SelectionAlgorithm, SimulatedAnnealing, UpdateWeighting,
+    SelectionAlgorithm, UpdateWeighting,
 };
 use mvdesign::cost::{CostEstimator, EstimationMode, PaperCostModel};
 use mvdesign::optimizer::Planner;
@@ -143,14 +143,12 @@ fn corpus_nan_weight_sort_runs_every_algorithm() {
         max_nodes: 1,
         parallelism: 1,
     };
-    let algorithms: [&dyn SelectionAlgorithm; 8] = [
+    let algorithms: [&dyn SelectionAlgorithm; 6] = [
         &GreedySelection::new(),
         &MaterializeAll,
         &MaterializeNone,
         &ExhaustiveSelection::default(),
         &truncating,
-        &RandomSearch::default(),
-        &SimulatedAnnealing::default(),
         &GeneticSelection::default(),
     ];
     for algo in algorithms {

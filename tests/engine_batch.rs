@@ -853,12 +853,13 @@ fn group_by_kernel_edge_cases_match_the_row_reference() {
         ]
     };
     // 64 rows: the eight-entry dictionary is smaller than the input (the
-    // direct table); 5 rows: it is larger (the hashed map).
-    for rows in [64usize, 5] {
+    // direct table); 5 rows: it is larger (the hashed map); 0 rows: no group.
+    for rows in [64usize, 5, 0] {
         let db = group_by_db(rows);
-        let keysets: [&[&str]; 6] = [
+        let keysets: [&[&str]; 7] = [
             &["d"],
             &["i"],
+            &["dt"],
             &["d", "i"],
             &["dt", "d", "i"],
             &["i", "dt", "d", "tag"],
@@ -867,6 +868,10 @@ fn group_by_kernel_edge_cases_match_the_row_reference() {
         for keys in keysets {
             let q = Expr::aggregate(Expr::base("T"), keys.iter().map(|k| t(k)), aggs());
             let out = assert_battery(&q, &db, &format!("γ{keys:?} × {rows}"));
+            if rows == 0 {
+                assert!(out.is_empty(), "{keys:?}: groups over no rows");
+                continue;
+            }
             // MIN/MAX over a date column are dates; SUM over one is an integer.
             let col = |name: &str| {
                 let at = out
@@ -891,6 +896,72 @@ fn group_by_kernel_edge_cases_match_the_row_reference() {
     .expect("executes");
     let groups: Vec<String> = by_d.rows().iter().map(|r| r[0].to_string()).collect();
     assert_eq!(groups, ["'c4'", "'d6'", "'w7'", "'y3'", "'z1'"]);
+
+    // A single integer or date key indexes a slot array by `key − min`
+    // when its span fits the map the hashed table may build: over 64 rows
+    // that map is 2 × 64 slots of 17 bytes, room for 544 four-byte slots,
+    // the join's sentinel among them, so a span of 542 is direct and 543 is
+    // hashed. Spans touching `i64::MIN` or `i64::MAX` wrap in the slot
+    // arithmetic, and the whole range is hashed without overflowing.
+    let spans: [(&str, Vec<i64>); 7] = [
+        ("whole range", vec![i64::MIN, i64::MAX, 0, -1, i64::MIN + 1]),
+        ("at i64::MIN", vec![i64::MIN + 3, i64::MIN, i64::MIN + 1]),
+        ("at i64::MAX", vec![i64::MAX - 1, i64::MAX, i64::MAX - 3]),
+        ("negative", vec![-7, -1, -4, -2, -7]),
+        ("span at the bound", vec![-100, 442, -99, 17, 441]),
+        ("span one past the bound", vec![-100, 443, -99, 17, 442]),
+        ("compact", (-5..=5).rev().collect()),
+    ];
+    for (what, keys) in spans {
+        for date in [false, true] {
+            let db = keyed_db(&group_by_db(64), &keys, date);
+            let q = Expr::aggregate(Expr::base("T"), [t("k")], aggs());
+            let out = assert_battery(&q, &db, &format!("γ[k] {what}, date {date}"));
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            expected.dedup();
+            let wrap = if date { Value::Date } else { Value::Int };
+            let got: Vec<Value> = out.rows().iter().map(|r| r[0].clone()).collect();
+            assert_eq!(got, expected.into_iter().map(wrap).collect::<Vec<_>>());
+        }
+    }
+    // Eight rows counted by `k`: at 256 bytes this γ spills into four
+    // partitions of at most two groups each, and the five keys whose radix
+    // hash has top bits 00 (−3, 0, 2, 5 and 10) share one, so its slot
+    // array, spanning 13, outgrows that limit at its third group and the
+    // partition is cut.
+    let eight = [-3, 0, 1, 2, 3, 4, 5, 10];
+    for date in [false, true] {
+        let mut db = Database::new();
+        let k = if date { Column::Date } else { Column::Int };
+        db.insert_table(Table::from_batch(
+            "T",
+            Batch::new(vec![t("k")], vec![Arc::new(k(eight.to_vec()))]),
+        ));
+        let q = Expr::aggregate(Expr::base("T"), [t("k")], [AggExpr::count_star("n")]);
+        let out = assert_battery(&q, &db, &format!("COUNT(*) by k, date {date}"));
+        assert_eq!(out.len(), eight.len());
+    }
+}
+
+/// `db`'s relation `T` (64 rows) with one more column `k`: `keys` repeated
+/// in a scrambled row order, as integers or as dates.
+fn keyed_db(db: &Database, keys: &[i64], date: bool) -> Database {
+    let batch = db.table("T").expect("T").batch();
+    let k: Vec<i64> = (0..batch.rows())
+        .map(|r| keys[r * 7 % keys.len()])
+        .collect();
+    let mut attrs = batch.attrs().to_vec();
+    let mut columns = batch.columns().to_vec();
+    attrs.push(AttrRef::new("T", "k"));
+    columns.push(Arc::new(if date {
+        Column::Date(k)
+    } else {
+        Column::Int(k)
+    }));
+    let mut db = Database::new();
+    db.insert_table(Table::from_batch("T", Batch::new(attrs, columns)));
+    db
 }
 
 /// `COUNT(*)` with no grouping reads no column at all: one row over a
@@ -1052,6 +1123,71 @@ fn revenue_by_nation_joins_through_direct_heads_at_every_budget() {
             "at {budget:?}"
         );
     }
+}
+
+/// The widest group-by of the build pass's eager plans, γ[Lineitem.ok] over
+/// TPC-H-lite at the benchmark's scale 0.02 (29 451 groups in 120 000
+/// rows), groups through a slot array over the order keys' span. Without a
+/// budget it holds that array, one representative and one sum per group,
+/// and no table sized by the row count; under the batteries' budgets it
+/// spills, each partition within half the budget. The modelled charges and
+/// the spill flags are the ones the hashed table gave.
+#[test]
+fn lineitem_by_order_key_holds_a_slot_array_not_a_row_sized_table() {
+    let scenario = tpch_lite();
+    let db = Generator::with_config(GeneratorConfig {
+        seed: 0x5eed,
+        scale: 0.02,
+        max_rows: usize::MAX,
+    })
+    .database(&scenario.catalog);
+    let ok = AttrRef::new("Lineitem", "ok");
+    let q = Expr::aggregate(
+        Expr::base("Lineitem"),
+        [ok.clone()],
+        [AggExpr::new(
+            AggFunc::Sum,
+            AttrRef::new("Lineitem", "price"),
+            "revenue",
+        )],
+    );
+    let lineitem = db.table("Lineitem").expect("generated").batch();
+    let keys = lineitem
+        .column(lineitem.index_of(&ok).expect("Lineitem.ok"))
+        .clone();
+    let Column::Int(keys) = keys else {
+        panic!("an integer key")
+    };
+    let (min, max) = (keys.iter().min().unwrap(), keys.iter().max().unwrap());
+    let slots = (max - min + 1) as usize;
+    let groups = 29_451;
+    let per_group = size_of::<usize>() + size_of::<i64>();
+    let reference = row_reference::execute(&q, &db).expect("row reference executes");
+    for (budget, spilled) in [(None, false), (Some(65_536), true), (Some(256), true)] {
+        let ctx = ExecContext { mem_budget: budget };
+        let (out, io) = measure(&q, &db, 10.0, &ctx).expect("plan measures");
+        assert_eq!(
+            out.rows(),
+            reference.rows(),
+            "≠ row reference at {budget:?}"
+        );
+        let [gamma] = io.charges() else {
+            panic!("one operator")
+        };
+        assert_eq!(
+            (gamma.read, gamma.written, gamma.spilled),
+            (12_000.0, 2_946.0, spilled),
+            "at {budget:?}"
+        );
+        match budget {
+            None => assert!(
+                gamma.state_bytes <= slots * size_of::<u32>() + groups * per_group,
+                "{gamma:?} over {slots} slots"
+            ),
+            Some(b) => assert!(gamma.state_bytes <= b / 2, "{gamma:?}"),
+        }
+    }
+    assert_eq!(reference.len(), groups);
 }
 
 /// `SUM` past `i64::MAX` wraps — in debug and release builds alike, on the
